@@ -1,0 +1,157 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"shp/internal/hypergraph"
+	"shp/internal/rng"
+)
+
+// TestBucketSetDrain pins the bitset contract rebuildVertex and ndBuild
+// lean on, at word-boundary sizes: draining yields exactly the marked
+// buckets, ascending, once each; afterwards the set is empty, and so are
+// k-indexed accumulators zeroed from inside the drain loop.
+func TestBucketSetDrain(t *testing.T) {
+	for _, k := range []int{1, 2, 63, 64, 65, 128, 129, 1000} {
+		r := rng.New(uint64(k))
+		set := newBucketSet(k)
+		if want := (k + 63) / 64; len(set) != want {
+			t.Fatalf("k=%d: %d words, want %d", k, len(set), want)
+		}
+		cnt := make([]int32, k)
+		for round := 0; round < 50; round++ {
+			want := map[int32]int32{}
+			marks := r.Intn(2*k + 1) // from empty to mostly full, with repeats
+			if round == 0 {
+				marks = 0
+			}
+			for i := 0; i < marks; i++ {
+				b := int32(r.Intn(k))
+				set.add(b)
+				cnt[b]++
+				want[b]++
+			}
+			if round == 1 { // both ends of the id space
+				for _, b := range []int32{0, int32(k - 1)} {
+					set.add(b)
+					cnt[b]++
+					want[b]++
+				}
+			}
+			if set.count() != len(want) {
+				t.Fatalf("k=%d: count %d, want %d", k, set.count(), len(want))
+			}
+			var got []int32
+			for b := range set.drain {
+				if cnt[b] != want[b] {
+					t.Fatalf("k=%d bucket %d: count %d, want %d", k, b, cnt[b], want[b])
+				}
+				cnt[b] = 0
+				got = append(got, b)
+			}
+			if !slices.IsSorted(got) || len(got) != len(want) {
+				t.Fatalf("k=%d: drained %v, want the %d marked buckets ascending", k, got, len(want))
+			}
+			if set.count() != 0 || slices.Max(set) != 0 {
+				t.Fatalf("k=%d: set not empty after drain: %v", k, set)
+			}
+			if slices.Max(cnt) != 0 || slices.Min(cnt) != 0 {
+				t.Fatalf("k=%d: accumulators not empty after drain", k)
+			}
+		}
+	}
+}
+
+// naiveProposalState computes vertex v's Equation 1 state straight from the
+// definition, with maps and a fresh count of every adjacent query's members
+// per bucket — no neighbor data, no scratch, no ordering assumptions:
+//
+//	base   = Σ_q wq·T_cur[n_cur(q)−1]
+//	acc_b  = Σ_{q: n_b(q)>0} wq·(T_b[n_b(q)] − T_b[0])     for b ≠ cur
+//	refs_b = |{q ∈ N(v): n_b(q) > 0}|
+//
+// Table values sit on the dyadic grid, so the sums are exact and must equal
+// the engine's bit for bit in any summation order.
+func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
+	cur := st.bucket[v]
+	base := 0.0
+	acc := map[int32]float64{}
+	refs := map[int32]int32{}
+	for _, q := range st.g.DataNeighbors(v) {
+		wq := float64(st.g.QueryWeight(q))
+		n := map[int32]int32{}
+		for _, u := range st.g.QueryNeighbors(q) {
+			n[st.bucket[u]]++
+		}
+		for b := int32(0); b < int32(st.k); b++ {
+			switch {
+			case n[b] == 0:
+			case b == cur:
+				base += wq * st.tables[b].T[n[b]-1]
+			default:
+				acc[b] += wq * (st.tables[b].T[n[b]] - st.tables[b].T[0])
+				refs[b]++
+			}
+		}
+	}
+	var cands []proposalCand
+	for b := int32(0); b < int32(st.k); b++ {
+		if refs[b] > 0 {
+			cands = append(cands, proposalCand{b: b, refs: refs[b], acc: acc[b]})
+		}
+	}
+	return base, cands
+}
+
+// TestRebuildVertexMatchesEquation1 checks each table arm of rebuildVertex
+// against the naive reference on small random graphs, and that the rebuild
+// leaves its scratch empty (the drain's half of the contract).
+func TestRebuildVertexMatchesEquation1(t *testing.T) {
+	arms := []struct {
+		name  string
+		graph func(seed uint64) *hypergraph.Bipartite
+		k     int
+		spans []int // per-bucket lookahead of a recursive r-way split; nil = uniform
+	}{
+		{"uniform", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 40, 70, 400) }, 6, nil},
+		{"uniformWeighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 6, nil},
+		{"lookahead", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 40, 70, 400) }, 5, []int{3, 1, 2, 2, 1}},
+		{"lookaheadWeighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 5, []int{3, 1, 2, 2, 1}},
+		// Past one bitset word, with most buckets empty around any vertex.
+		{"uniformK70", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 300, 900) }, 70, nil},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 5; seed++ {
+				g := arm.graph(seed)
+				opts := Options{K: arm.k, P: 0.5, Direct: true}.withDefaults()
+				st := newDirectState(g, opts, seed, arm.spans, 0)
+				if (st.uniformT == nil) != (arm.spans != nil) {
+					t.Fatalf("arm not exercised: uniformT nil = %v", st.uniformT == nil)
+				}
+				st.buildNeighborData()
+				s := st.proposalScratches()[0]
+				for v := 0; v < g.NumData(); v++ {
+					st.rebuildVertex(s, v)
+					base, cands := naiveProposalState(st, int32(v))
+					if st.propBase[v] != base {
+						t.Fatalf("seed %d vertex %d: base %v, reference %v", seed, v, st.propBase[v], base)
+					}
+					if !slices.Equal(st.cand[v], cands) {
+						t.Fatalf("seed %d vertex %d: candidates %v, reference %v", seed, v, st.cand[v], cands)
+					}
+					if s.set.count() != 0 || slices.Max(s.refs) != 0 ||
+						slices.Max(s.acc) != 0 || slices.Min(s.acc) != 0 {
+						t.Fatalf("seed %d vertex %d: rebuild scratch not empty afterwards", seed, v)
+					}
+				}
+				for w := range st.nd.buildCnt {
+					if st.nd.buildSet[w].count() != 0 || slices.Max(st.nd.buildCnt[w]) != 0 {
+						t.Fatalf("seed %d: ndBuild scratch of worker %d not empty afterwards", seed, w)
+					}
+				}
+			}
+		})
+	}
+}

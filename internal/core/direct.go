@@ -141,14 +141,12 @@ type directState struct {
 	byDst       [][]move
 	dstSorted   []bool
 
-	// Dense pair-histogram scratch (k <= densePairK): per-shard (fixed
-	// vertex-range, see histShardCount — NOT per-worker, so the fold layout
-	// survives any Parallelism) and merged accumulators plus the per-pair
-	// probability tables, all reused across iterations so the move protocol
-	// performs no map operations. Resized when a warm session grows |D|.
-	pairAccs  []*pairAcc
-	pairMerge *pairAcc
-	probTabs  []ProbTable
+	// Per-iteration scratch that outlives the iteration: the per-worker
+	// Equation 1 rebuild accumulators and the pair-histogram fold (see
+	// pairfold.go), both reused so a warm iteration allocates nothing per
+	// vertex or per bucket pair.
+	propScratch []*proposalScratch
+	pairs       *pairFold
 
 	// Migration-budget state (nil/inactive unless Options.MigrationBudget is
 	// set and an epoch reference exists): migRef is the epoch-start
@@ -194,87 +192,6 @@ const (
 // engine marks everyone active instead. Both regimes produce identical
 // state, so the threshold is a pure performance knob.
 const sweepFallbackDiv = 8
-
-// densePairK bounds the dense (from, to) pair index space: k*k int32 slots
-// per shard accumulator. Beyond it the histogram protocol falls back to
-// maps; both containers hold identical histograms, so results do not depend
-// on the choice.
-const densePairK = 128
-
-// histShardMin/histShardMax fix the pair-histogram fold decomposition as a
-// function of the vertex count ALONE: proposals are accumulated into
-// per-shard partial histograms over fixed contiguous vertex ranges (one
-// shard per histShardMin vertices, capped at histShardMax to bound the
-// k²-sized accumulators), then merged in ascending shard order. Histogram
-// sums are float folds, so their boundaries must never move with the worker
-// count — workers only decide who computes which shard. The cap and floor
-// are pure performance knobs; any fixed layout yields worker-count-
-// independent bits.
-const (
-	histShardMin = 2048
-	histShardMax = 32
-)
-
-// histShardCount returns the fixed pair-histogram shard count for nd
-// vertices.
-func histShardCount(nd int) int {
-	s := nd / histShardMin
-	if s < 1 {
-		s = 1
-	}
-	if s > histShardMax {
-		s = histShardMax
-	}
-	return s
-}
-
-// pairAcc accumulates per-direction gain histograms in dense
-// generation-stamped slots indexed by from*k+to. reset is O(1); slots are
-// (re)zeroed lazily on first touch.
-type pairAcc struct {
-	gen   []int32
-	slot  []int32
-	genC  int32
-	keys  []int32 // touched pair indices, first-encounter order
-	hists []DirHist
-}
-
-func newPairAcc(k int) *pairAcc {
-	return &pairAcc{gen: make([]int32, k*k), slot: make([]int32, k*k)}
-}
-
-func (a *pairAcc) reset() {
-	a.genC++
-	a.keys = a.keys[:0]
-	a.hists = a.hists[:0]
-}
-
-// at returns the histogram for pair index idx, allocating its slot on first
-// touch. The pointer must not be retained across calls (the backing array
-// may grow).
-func (a *pairAcc) at(idx int32) *DirHist {
-	if a.gen[idx] != a.genC {
-		a.gen[idx] = a.genC
-		a.slot[idx] = int32(len(a.keys))
-		a.keys = append(a.keys, idx)
-		if n := len(a.hists); n < cap(a.hists) {
-			a.hists = a.hists[:n+1]
-			a.hists[n] = DirHist{}
-		} else {
-			a.hists = append(a.hists, DirHist{})
-		}
-	}
-	return &a.hists[a.slot[idx]]
-}
-
-// lookup returns the histogram for idx, or nil if the pair was not touched
-// since the last reset.
-func (a *pairAcc) lookup(idx int32) *DirHist {
-	if a.gen[idx] != a.genC {
-		return nil
-	}
-	return &a.hists[a.slot[idx]]
-}
 
 // newDirectState prepares the refiner. spans gives each bucket's final
 // split count for lookahead (nil = all ones = no lookahead).
@@ -543,26 +460,30 @@ func (st *directState) fanoutFromND() float64 {
 	return float64(st.nd.entries) / float64(nq)
 }
 
-// proposalScratch is the per-worker state of one Equation 1 rebuild sweep.
+// proposalScratch is the per-worker state of one Equation 1 rebuild sweep:
+// k-indexed accumulators plus the bitset of the buckets they currently hold.
+// Between vertices everything is zero — draining the set clears exactly the
+// slots a vertex touched.
 type proposalScratch struct {
 	acc  []float64
 	refs []int32
-	gen  []int32
-	tl   []int32
-	genC int32
+	set  bucketSet
 }
 
+// proposalScratches returns the per-worker rebuild scratch, made on first
+// use and kept for the life of the state.
 func (st *directState) proposalScratches() []*proposalScratch {
-	scratch := make([]*proposalScratch, st.workers)
-	for w := range scratch {
-		scratch[w] = &proposalScratch{
-			acc:  make([]float64, st.k),
-			refs: make([]int32, st.k),
-			gen:  make([]int32, st.k),
-			tl:   make([]int32, 0, 64),
+	if st.propScratch == nil {
+		st.propScratch = make([]*proposalScratch, st.workers)
+		for w := range st.propScratch {
+			st.propScratch[w] = &proposalScratch{
+				acc:  make([]float64, st.k),
+				refs: make([]int32, st.k),
+				set:  newBucketSet(st.k),
+			}
 		}
 	}
-	return scratch
+	return st.propScratch
 }
 
 // rebuildVertex recomputes vertex v's Equation 1 state — propBase[v] and the
@@ -571,9 +492,7 @@ func (st *directState) proposalScratches() []*proposalScratch {
 // patches arriving at the same neighbor data.
 func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 	cur := st.bucket[v]
-	s.genC++
-	genC := s.genC
-	s.tl = s.tl[:0]
+	acc, refs, set := s.acc, s.refs, s.set
 	base := 0.0
 	// Hoist the kernel CSR's arrays: the per-entry loops below are the
 	// engine's hottest memory stream, and going through st.nd on every
@@ -589,14 +508,9 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 					base += T[e.C-1]
 					continue
 				}
-				if s.gen[e.B] != genC {
-					s.gen[e.B] = genC
-					s.acc[e.B] = 0
-					s.refs[e.B] = 0
-					s.tl = append(s.tl, e.B)
-				}
-				s.acc[e.B] += T[e.C] - t0
-				s.refs[e.B]++
+				set.add(e.B)
+				acc[e.B] += T[e.C] - t0
+				refs[e.B]++
 			}
 		}
 	case T != nil:
@@ -609,14 +523,9 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 					base += wq * T[e.C-1]
 					continue
 				}
-				if s.gen[e.B] != genC {
-					s.gen[e.B] = genC
-					s.acc[e.B] = 0
-					s.refs[e.B] = 0
-					s.tl = append(s.tl, e.B)
-				}
-				s.acc[e.B] += wq * (T[e.C] - t0)
-				s.refs[e.B]++
+				set.add(e.B)
+				acc[e.B] += wq * (T[e.C] - t0)
+				refs[e.B]++
 			}
 		}
 	default:
@@ -632,22 +541,20 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 					base += wq * tCur.T[e.C-1]
 					continue
 				}
-				if s.gen[e.B] != genC {
-					s.gen[e.B] = genC
-					s.acc[e.B] = 0
-					s.refs[e.B] = 0
-					s.tl = append(s.tl, e.B)
-				}
-				s.acc[e.B] += wq * (st.tables[e.B].T[e.C] - st.tables[e.B].T[0])
-				s.refs[e.B]++
+				set.add(e.B)
+				acc[e.B] += wq * (st.tables[e.B].T[e.C] - st.tables[e.B].T[0])
+				refs[e.B]++
 			}
 		}
 	}
 	st.propBase[v] = base
-	slices.Sort(s.tl)
 	dst := st.cand[v][:0]
-	for _, b := range s.tl {
-		dst = append(dst, proposalCand{b: b, refs: s.refs[b], acc: s.acc[b]})
+	if n := set.count(); cap(dst) < n {
+		dst = make([]proposalCand, 0, n)
+	}
+	for b := range set.drain {
+		dst = append(dst, proposalCand{b: b, refs: refs[b], acc: acc[b]})
+		acc[b], refs[b] = 0, 0
 	}
 	st.cand[v] = dst
 }
@@ -830,194 +737,18 @@ func (st *directState) markAllActive() {
 	st.frontierValid = false // marks now cover everyone, not a frontier
 }
 
-// pairKey packs an ordered (from, to) bucket pair.
-func pairKey(from, to int32) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// matchDense aggregates the proposals into per-direction gain histograms and
-// runs the pairing protocol over dense, reused pair slots — no map
-// operations anywhere near the per-vertex loops. Requires k <= densePairK.
-// Accumulation runs over the fixed histogram shards (see histShardCount) and
-// merges them in ascending shard order, so both the histogram float folds
-// and the first-encounter order of the merged pair keys depend only on the
-// vertex count — never on how many workers executed the shards.
-func (st *directState) matchDense() func(from, tgt int32) *ProbTable {
-	nd := st.g.NumData()
-	k := int32(st.k)
-	bounds := par.ForShards(nd, histShardCount(nd))
-	shards := len(bounds)
-	if len(st.pairAccs) != shards {
-		st.pairAccs = make([]*pairAcc, shards)
-	}
-	if st.pairMerge == nil {
-		st.pairMerge = newPairAcc(st.k)
-	}
-	par.For(shards, st.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			acc := st.pairAccs[sh]
-			if acc == nil {
-				acc = newPairAcc(st.k)
-				st.pairAccs[sh] = acc
-			}
-			acc.reset()
-			for v := bounds[sh].Start; v < bounds[sh].End; v++ {
-				tgt := st.target[v]
-				if tgt < 0 {
-					continue
-				}
-				acc.at(st.bucket[v]*k + tgt).Add(st.gains[v])
-			}
-		}
-	})
-	m := st.pairMerge
-	m.reset()
-	for _, acc := range st.pairAccs {
-		if acc == nil {
-			continue
-		}
-		for i, idx := range acc.keys {
-			m.at(idx).Merge(&acc.hists[i])
-		}
-	}
-
-	if cap(st.probTabs) < len(m.keys) {
-		st.probTabs = make([]ProbTable, len(m.keys))
-	}
-	probs := st.probTabs[:len(m.keys)]
-	processed := make([]bool, len(m.keys))
-	var empty DirHist
-	for si, idx := range m.keys {
-		if processed[si] {
-			continue
-		}
-		from := idx / k
-		to := idx % k
-		ridx := to*k + from
-		rh := m.lookup(ridx)
-		h := &m.hists[si]
-		if rh == nil {
-			rh = &empty
-		}
-		var pa, pb ProbTable
-		if st.opts.Pairing == PairSimple {
-			pa, pb = MatchSimple(h, rh, 0, 0)
-		} else {
-			pa, pb = MatchHistograms(h, rh, 0, 0)
-		}
-		probs[si] = pa
-		processed[si] = true
-		if rh != &empty {
-			rsi := m.slot[ridx]
-			probs[rsi] = pb
-			processed[rsi] = true
-		}
-	}
-	return func(from, tgt int32) *ProbTable {
-		idx := from*k + tgt
-		if m.gen[idx] != m.genC {
-			return nil
-		}
-		return &probs[m.slot[idx]]
-	}
-}
-
-// matchSparse is the map-keyed fallback for large k, where k*k index arrays
-// would outgrow the caches. It computes exactly the same histograms and
-// probability tables as matchDense, over the same fixed shard layout:
-// per-shard partial maps merged in ascending shard order (key-ascending
-// within each shard), so the float folds are worker-count independent here
-// too.
-func (st *directState) matchSparse() func(from, tgt int32) *ProbTable {
-	nd := st.g.NumData()
-	bounds := par.ForShards(nd, histShardCount(nd))
-	partials := make([]map[uint64]*DirHist, len(bounds))
-	par.For(len(bounds), st.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			m := make(map[uint64]*DirHist)
-			for v := bounds[sh].Start; v < bounds[sh].End; v++ {
-				tgt := st.target[v]
-				if tgt < 0 {
-					continue
-				}
-				key := pairKey(st.bucket[v], tgt)
-				h := m[key]
-				if h == nil {
-					h = &DirHist{}
-					m[key] = h
-				}
-				h.Add(st.gains[v])
-			}
-			partials[sh] = m
-		}
-	})
-	hists := make(map[uint64]*DirHist)
-	for _, m := range partials {
-		for _, key := range sortedDirKeys(m) {
-			h := m[key]
-			if g, ok := hists[key]; ok {
-				g.Merge(h)
-			} else {
-				hists[key] = h
-			}
-		}
-	}
-
-	var empty DirHist
-	probs := make(map[uint64]*ProbTable, len(hists))
-	// Key-ascending so the lower direction key always plays the A side of
-	// the matcher and the probability tables are bit-reproducible.
-	for _, key := range sortedDirKeys(hists) {
-		h := hists[key]
-		if _, done := probs[key]; done {
-			continue
-		}
-		from := int32(key >> 32)
-		to := int32(uint32(key))
-		rkey := pairKey(to, from)
-		rh := hists[rkey]
-		if rh == nil {
-			rh = &empty
-		}
-		var pa, pb ProbTable
-		if st.opts.Pairing == PairSimple {
-			pa, pb = MatchSimple(h, rh, 0, 0)
-		} else {
-			pa, pb = MatchHistograms(h, rh, 0, 0)
-		}
-		probs[key] = &pa
-		if rh != &empty {
-			probs[rkey] = &pb
-		}
-	}
-	return func(from, tgt int32) *ProbTable {
-		return probs[pairKey(from, tgt)]
-	}
-}
-
-// sortedDirKeys returns m's direction keys in ascending order, so histogram
-// merges and pair matching never run in map iteration order.
-func sortedDirKeys(m map[uint64]*DirHist) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // applyMoves aggregates proposals into per-direction gain histograms (the
 // master's O(k²)-bounded state, kept sparse here), computes move
 // probabilities, and executes the probabilistic moves. It returns the moves
 // that survived the balance trim, in ascending vertex order.
 func (st *directState) applyMoves(iter int) []move {
 	nd := st.g.NumData()
-	var probOf func(from, tgt int32) *ProbTable
-	if st.k <= densePairK {
-		probOf = st.matchDense()
-	} else {
-		probOf = st.matchSparse()
+	if st.pairs == nil {
+		st.pairs = newPairFold(st.k, st.workers)
 	}
+	pairs := st.pairs
+	pairs.fold(st.bucket[:nd], st.target, st.gains)
+	pairs.match(st.opts.Pairing)
 
 	// Phase 1 (parallel): per-vertex coin decisions, collected into
 	// per-worker lists. par.ForWorker hands out contiguous ascending ranges
@@ -1046,7 +777,7 @@ func (st *directState) applyMoves(iter int) []move {
 			if tgt < 0 {
 				continue
 			}
-			pt := probOf(st.bucket[v], tgt)
+			pt := pairs.prob(st.bucket[v], tgt)
 			if pt == nil {
 				continue
 			}

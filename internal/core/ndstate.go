@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"shp/internal/hypergraph"
 	"shp/internal/par"
@@ -108,6 +107,11 @@ type ndState struct {
 	dirtyFlag []uint8
 	delta     []deltaScratch
 	updates   [][][]ndUpdate
+
+	// ndBuild's per-worker scratch: k-indexed bucket counts and the bitset
+	// of the buckets they hold, both empty between queries.
+	buildCnt [][]int32
+	buildSet []bucketSet
 }
 
 // newNDState sizes the CSR for g: a query with degree d can touch at most
@@ -161,32 +165,30 @@ func (nd *ndState) appendQuery(capacity int32) {
 // one parallel pass suffices. k bounds the distinct bucket ids in `bucket`.
 func ndBuild[B bucketID](nd *ndState, g *hypergraph.Bipartite, workers, k int, bucket []B) {
 	nq := g.NumQueries()
-	scratch := make([][]int32, workers)
-	touched := make([][]int32, workers)
-	for w := range scratch {
-		scratch[w] = make([]int32, k)
-		touched[w] = make([]int32, 0, 64)
+	if len(nd.buildCnt) != workers || len(nd.buildCnt[0]) != k {
+		nd.buildCnt = make([][]int32, workers)
+		nd.buildSet = make([]bucketSet, workers)
+		for w := range nd.buildCnt {
+			nd.buildCnt[w] = make([]int32, k)
+			nd.buildSet[w] = newBucketSet(k)
+		}
 	}
 	par.ForWorker(nq, workers, func(w, start, end int) {
-		cnt := scratch[w]
+		cnt, set := nd.buildCnt[w], nd.buildSet[w]
 		for q := start; q < end; q++ {
-			tl := touched[w][:0]
 			for _, d := range g.QueryNeighbors(int32(q)) {
 				b := int32(bucket[d])
-				if cnt[b] == 0 {
-					tl = append(tl, b)
-				}
+				set.add(b)
 				cnt[b]++
 			}
-			slices.Sort(tl)
-			pos := nd.off[q]
-			for _, b := range tl {
+			off := nd.off[q]
+			pos := off
+			for b := range set.drain {
 				nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
 				cnt[b] = 0
 				pos++
 			}
-			nd.len[q] = int32(len(tl))
-			touched[w] = tl[:0]
+			nd.len[q] = int32(pos - off)
 		}
 	})
 	nd.entries = par.SumInt64(nq, workers, func(start, end int) int64 {

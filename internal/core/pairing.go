@@ -132,13 +132,13 @@ type orderedBin struct {
 	meanGain float64 // mean gain of the bin's proposals
 }
 
-// orderedBins lists h's non-empty bins best-first: positive bins from
-// largest to smallest gain, then negative bins from closest-to-zero down.
-func (h *DirHist) orderedBins() []orderedBin {
-	out := make([]orderedBin, 0, 8)
+// orderedBins appends h's non-empty bins to dst best-first: positive bins
+// from largest to smallest gain, then negative bins from closest-to-zero
+// down.
+func (h *DirHist) orderedBins(dst []orderedBin) []orderedBin {
 	for b := histBins - 1; b >= 0; b-- {
 		if h.posCount[b] > 0 {
-			out = append(out, orderedBin{
+			dst = append(dst, orderedBin{
 				positive: true, idx: b, count: h.posCount[b],
 				meanGain: h.posSum[b] / float64(h.posCount[b]),
 			})
@@ -146,13 +146,13 @@ func (h *DirHist) orderedBins() []orderedBin {
 	}
 	for b := 0; b < histBins; b++ {
 		if h.negCount[b] > 0 {
-			out = append(out, orderedBin{
+			dst = append(dst, orderedBin{
 				positive: false, idx: b, count: h.negCount[b],
 				meanGain: h.negSum[b] / float64(h.negCount[b]),
 			})
 		}
 	}
-	return out
+	return dst
 }
 
 // ProbTable holds per-bin move probabilities for one direction.
@@ -182,18 +182,38 @@ func (p *ProbTable) ProbFor(gain float64) float64 {
 // probability. Afterwards, remaining positive-gain proposals are granted
 // one-sided quota up to the extra allowance.
 func MatchHistograms(a, b *DirHist, extraA, extraB int64) (ProbTable, ProbTable) {
-	binsA := a.orderedBins()
-	binsB := b.orderedBins()
-	quotaA := make([]int64, len(binsA))
-	quotaB := make([]int64, len(binsB))
-	remA := make([]int64, len(binsA))
-	remB := make([]int64, len(binsB))
-	for i, bin := range binsA {
-		remA[i] = bin.count
+	var ms matchScratch
+	return ms.match(a, b, extraA, extraB)
+}
+
+// matchScratch holds MatchHistograms' working slices, so a caller that
+// matches every bucket pair every iteration (the SHP-k move protocol) reuses
+// them instead of allocating six slices per pair.
+type matchScratch struct {
+	binsA, binsB   []orderedBin
+	quotaA, quotaB []int64
+	remA, remB     []int64
+}
+
+// binCounts returns quota (zeroed) and rem (the bins' proposal counts) for one
+// side, carved from the reused backing slices.
+func binCounts(bins []orderedBin, quota, rem []int64) ([]int64, []int64) {
+	quota, rem = quota[:0], rem[:0]
+	for _, bin := range bins {
+		quota = append(quota, 0)
+		rem = append(rem, bin.count)
 	}
-	for i, bin := range binsB {
-		remB[i] = bin.count
-	}
+	return quota, rem
+}
+
+// match is MatchHistograms over the scratch's reused slices.
+func (ms *matchScratch) match(a, b *DirHist, extraA, extraB int64) (ProbTable, ProbTable) {
+	ms.binsA = a.orderedBins(ms.binsA[:0])
+	ms.binsB = b.orderedBins(ms.binsB[:0])
+	ms.quotaA, ms.remA = binCounts(ms.binsA, ms.quotaA, ms.remA)
+	ms.quotaB, ms.remB = binCounts(ms.binsB, ms.quotaB, ms.remB)
+	binsA, binsB := ms.binsA, ms.binsB
+	quotaA, quotaB, remA, remB := ms.quotaA, ms.quotaB, ms.remA, ms.remB
 	ai, bi := 0, 0
 	for ai < len(binsA) && bi < len(binsB) {
 		if remA[ai] == 0 {

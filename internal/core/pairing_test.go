@@ -99,7 +99,7 @@ func TestOrderedBinsBestFirst(t *testing.T) {
 	h.Add(0.001)
 	h.Add(-0.5)
 	h.Add(-200)
-	bins := h.orderedBins()
+	bins := h.orderedBins(nil)
 	if len(bins) != 4 {
 		t.Fatalf("got %d bins", len(bins))
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,8 +14,9 @@ import (
 //	GET  /epoch              current epoch metadata (no assignment body)
 //	GET  /stats              service counters (Stats)
 //	POST /delta              apply a delta trace (hgio trace format) from
-//	                         the request body; ?repartition=1 publishes a
-//	                         new epoch immediately after
+//	                         the request body (at most maxDeltaBody bytes,
+//	                         else 413); ?repartition=1 publishes a new
+//	                         epoch immediately after
 //	POST /repartition        run one epoch and swap
 //
 // Lookup endpoints never block behind mutations; mutation endpoints
@@ -109,10 +111,23 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// maxDeltaBody bounds a POST /delta request body. A trace is parsed whole
+// before any of it is applied, so without a bound one request could hold an
+// arbitrary amount of memory; 32 MiB is a few hundred thousand hyperedge
+// edits, far past any per-epoch churn batch.
+const maxDeltaBody = 32 << 20
+
 func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
-	applied, err := s.ApplyTrace(r.Body)
+	applied, err := s.ApplyTrace(http.MaxBytesReader(w, r.Body, maxDeltaBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		// The trace reader failed before the first batch was applied, so an
+		// oversized body leaves the graph as it was.
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	reply := struct {

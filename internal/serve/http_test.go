@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -107,5 +108,63 @@ func TestHTTPDelta(t *testing.T) {
 
 	if w := doJSON(t, h, "POST", "/delta", "addq not a trace\n", nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("malformed trace: status %d", w.Code)
+	}
+}
+
+// commentPad is an endless stream of trace comment lines.
+type commentPad struct{}
+
+func (commentPad) Read(p []byte) (int, error) {
+	const line = "# padding padding padding padding padding padding padding\n"
+	n := 0
+	for n+len(line) <= len(p) {
+		n += copy(p[n:], line)
+	}
+	if n == 0 {
+		n = copy(p, line[len(line)-1:]) // a bare newline keeps lines whole
+	}
+	return n, nil
+}
+
+// TestHTTPDeltaBodyLimit: a trace past maxDeltaBody is refused with 413 and
+// the usual JSON error, and — although it opens with a valid batch — nothing
+// of it is applied: graph version and epoch id stay where they were.
+func TestHTTPDeltaBodyLimit(t *testing.T) {
+	s := testService(t, 35, 0)
+	h := s.Handler()
+	version, epoch := s.session.Graph().Version(), s.Current().ID
+
+	body := io.MultiReader(
+		strings.NewReader("addq 1 0 1 2\ncommit\n"),
+		io.LimitReader(commentPad{}, maxDeltaBody),
+	)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/delta?repartition=1", body))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized trace: status %d, want 413: %s", w.Code, w.Body.String())
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply.Error == "" {
+		t.Fatalf("oversized trace: body %q is not the JSON error shape (%v)", w.Body.String(), err)
+	}
+	if got := s.session.Graph().Version(); got != version {
+		t.Fatalf("graph version moved %d -> %d on a refused trace", version, got)
+	}
+	if got := s.Current().ID; got != epoch {
+		t.Fatalf("epoch id moved %d -> %d on a refused trace", epoch, got)
+	}
+
+	// A body of exactly the limit is still accepted.
+	const trace = "addq 1 0 1 2\ncommit\n"
+	body = io.MultiReader(strings.NewReader(trace), io.LimitReader(commentPad{}, maxDeltaBody-int64(len(trace))))
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/delta", body))
+	if w.Code != http.StatusOK {
+		t.Fatalf("trace of exactly the limit: status %d: %s", w.Code, w.Body.String())
+	}
+	if got := s.session.Graph().Version(); got == version {
+		t.Fatal("accepted trace did not change the graph version")
 	}
 }
