@@ -121,9 +121,9 @@ func BenchmarkPartitionSHPk(b *testing.B) {
 // BenchmarkRefineDelta measures the incremental engine where it matters:
 // warm-started refinement at a controlled churn level. A converged
 // assignment is perturbed by a known moved fraction and re-refined for a
-// fixed number of iterations, with the incremental engine on and off
-// (identical work per Options.DisableIncremental equivalence, so edges/s
-// differences are pure engine overhead/savings).
+// fixed number of iterations, on the default rebuild schedule and with a
+// full rebuild every iteration (NDRebuildEvery 1; byte-identical results,
+// so edges/s differences are pure engine overhead/savings).
 func BenchmarkRefineDelta(b *testing.B) {
 	g := benchGraph(b, "powerlaw-small")
 	const k = 16
@@ -145,15 +145,15 @@ func BenchmarkRefineDelta(b *testing.B) {
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
 		warm := perturb(frac)
 		for _, engine := range []struct {
-			name    string
-			disable bool
-		}{{"incremental", false}, {"full-rebuild", true}} {
+			name         string
+			rebuildEvery int
+		}{{"incremental", 0}, {"full-rebuild", 1}} {
 			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
 				var iters int
 				for i := 0; i < b.N; i++ {
 					res, err := shp.Partition(g, shp.Options{
 						K: k, Direct: true, Seed: 2, MaxIters: 6,
-						Initial: warm, DisableIncremental: engine.disable,
+						Initial: warm, NDRebuildEvery: engine.rebuildEvery,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -311,27 +311,28 @@ func BenchmarkMessagePlane(b *testing.B) {
 }
 
 // BenchmarkDistDelta quantifies the dirty-query delta plane: the
-// "incremental" and "full" runs are byte-identical in quality (pinned by
-// TestDistIncrementalMatchesFull), so the interesting metrics are the
-// gain-superstep bytes of late iterations (moved fraction <= 1%), where the
-// delta plane ships churn-proportional traffic while the full rebroadcast
-// stays O(|E|). Compare late-bytes/superstep between the two sub-benchmarks;
-// the reduction should be well above 3x.
+// "incremental" (default schedule) and "full" (RebuildEvery 1) runs are
+// byte-identical in quality (pinned by TestDistIncrementalMatchesFull), so
+// the interesting metrics are the gain-superstep bytes of late iterations
+// (moved fraction <= 1%), where the delta plane ships churn-proportional
+// traffic while the full rebroadcast stays O(|E|). Compare
+// late-bytes/superstep between the two sub-benchmarks; the reduction should
+// be well above 3x.
 func BenchmarkDistDelta(b *testing.B) {
 	g := benchGraph(b, "social-small")
 	for _, tc := range []struct {
-		name    string
-		disable bool
+		name         string
+		rebuildEvery int
 	}{
-		{"incremental", false},
-		{"full", true},
+		{"incremental", 0},
+		{"full", 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var lateBytes, lateIters, totalBytes float64
 			for i := 0; i < b.N; i++ {
 				res, err := shp.PartitionDistributed(g, shp.DistributedOptions{
 					K: 16, Seed: 1, Workers: 4, MinMoveFraction: 1e-9,
-					DisableIncremental: tc.disable,
+					RebuildEvery: tc.rebuildEvery,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,24 +6,18 @@
 //	shp -in graph.hgr -k 32 [-format hmetis|edgelist] [-out assignment.txt]
 //	    [-p 0.5] [-eps 0.05] [-direct] [-objective pfanout|fanout|cliquenet]
 //	    [-iters N] [-seed S] [-workers W] [-warm previous.txt] [-penalty X]
-//	    [-no-incremental] [-v] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	    [-v] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	    [-distributed [-transport memory|tcp] [-no-combine]
 //	     [-checkpoint-dir dir] [-checkpoint-every N] [-fault kill:worker=2,step=9]]
 //	    [-stream trace.txt -prune=false]
-//
-// -no-incremental applies to both engines: in-process it ablates the
-// incremental refinement engine; with -distributed it ablates the
-// dirty-query delta message plane (full per-iteration gain rebroadcasts).
 //
 // Every run reports end-to-end throughput as edges/s (|E| divided by the
 // partitioning wall-clock), so performance work is measurable outside
 // `go test -bench`. -v adds a per-iteration table of the work counters
 // (frontier size, gain work, scan work) next to the moved counts, making
-// the active-frontier engine's sublinear idle iterations — and the
-// -no-incremental ablation's pinned |D| frontier — visible from the CLI.
-// -cpuprofile and -memprofile write pprof files covering the partitioning
-// call; -no-incremental ablates the incremental refinement engine (full
-// neighbor-data rebuilds every iteration).
+// the active-frontier engine's sublinear idle iterations visible from the
+// CLI. -cpuprofile and -memprofile write pprof files covering the
+// partitioning call.
 //
 // With -stream the run becomes a dynamic-graph replay: after the initial
 // partition, delta batches from the trace file (addq/rmq/addd/setw/commit
@@ -81,7 +75,6 @@ func run() error {
 		warmPath  = flag.String("warm", "", "warm-start assignment file (incremental update)")
 		penalty   = flag.Float64("penalty", 0, "move-cost penalty for incremental updates")
 		prune     = flag.Bool("prune", true, "remove degree-<2 queries before partitioning")
-		noInc     = flag.Bool("no-incremental", false, "disable the incremental refinement engine (ablation)")
 		verbose   = flag.Bool("v", false, "print per-iteration frontier sizes and work counters")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the partitioning to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile taken after partitioning to this file")
@@ -155,7 +148,7 @@ func run() error {
 	}()
 
 	if *dist {
-		return runDistributed(g, *k, *p, *eps, *iters, *seed, *workers, *transport, *noCombine, *noInc,
+		return runDistributed(g, *k, *p, *eps, *iters, *seed, *workers, *transport, *noCombine,
 			*ckptDir, *ckptEvery, *fault, *verbose, *outPath)
 	}
 	if *ckptDir != "" || *ckptEvery != 0 || *fault != "" {
@@ -165,7 +158,7 @@ func run() error {
 	opts := shp.Options{
 		K: *k, P: *p, Epsilon: *eps, Direct: *direct,
 		MaxIters: *iters, Seed: *seed, Parallelism: *workers,
-		MoveCostPenalty: *penalty, DisableIncremental: *noInc,
+		MoveCostPenalty: *penalty,
 	}
 	switch *objective {
 	case "pfanout":
@@ -225,9 +218,8 @@ func run() error {
 
 // printWork dumps the per-iteration work counters next to the pinned
 // history: the frontier the gain pass visited and the gain/scan work units
-// spent. On the incremental engine these shrink with the moving frontier;
-// with -no-incremental the frontier is pinned at |D| every iteration, which
-// makes the ablation's cost visible directly from the CLI.
+// spent, all of which shrink with the moving frontier (and jump back to |D|
+// on a sweep-fallback or scheduled-rebuild iteration).
 func printWork(res *shp.Result) {
 	if len(res.Work) == 0 {
 		return
@@ -358,16 +350,15 @@ func runStream(g *shp.Hypergraph, opts shp.Options, tracePath, outPath string) e
 // runDistributed partitions on the BSP engine and reports its measured
 // message-plane traffic alongside the quality numbers: totals, per-protocol-
 // phase byte attribution, and the moved-vertices trajectory that drives the
-// dirty-query delta plane (-no-incremental ablates it back to full
-// per-iteration gain rebroadcasts).
+// dirty-query delta plane.
 func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed uint64,
-	workers int, transport string, noCombine, noInc bool,
+	workers int, transport string, noCombine bool,
 	ckptDir string, ckptEvery int, fault string, verbose bool, outPath string) error {
 
 	opts := shp.DistributedOptions{
 		K: k, P: p, Epsilon: eps, ItersPerLevel: iters,
 		Seed: seed, Workers: workers, DisableCombining: noCombine,
-		DisableIncremental: noInc, CheckpointEvery: ckptEvery,
+		CheckpointEvery: ckptEvery,
 	}
 	if ckptDir != "" {
 		cp, err := shp.NewDiskCheckpointer(ckptDir)

@@ -50,8 +50,10 @@ import (
 //     iteration for every vertex from the cached accumulators; that argmax
 //     is a few flops per candidate.
 //
-// Options.DisableIncremental replaces all of this with a full neighbor-data
-// rebuild and a full proposal sweep per iteration; both paths produce
+// Every Options.NDRebuildEvery iterations a scheduled rebuild replaces the
+// maintained state with a full neighbor-data rebuild and a full proposal
+// sweep, and the batch before it skips patching; a period of 1 is therefore
+// plain full per-iteration recomputation. Every schedule produces
 // byte-identical partitions and histories for a fixed seed.
 type directState struct {
 	g    *hypergraph.Bipartite
@@ -87,9 +89,8 @@ type directState struct {
 	target []int32
 	gains  []float64
 
-	// Incremental-engine state (nil/unused when Options.DisableIncremental):
 	// active holds each vertex's pending work — activeRebuild for movers
-	// (and everyone after a fallback sweep or safety-net rebuild),
+	// (and everyone after a fallback sweep or scheduled rebuild),
 	// activeSelect for vertices whose accumulators were patched.
 	// admiss/prevAdmiss track the per-bucket balance-admissibility vector
 	// between iterations: on unit-weight graphs an untouched vertex under
@@ -255,7 +256,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []
 	st.propBase = make([]float64, nd)
 	st.wdegArr = make([]float64, nd)
 
-	st.nd = newNDState(g, k, st.workers, !opts.DisableIncremental)
+	st.nd = newNDState(g, k, st.workers)
 	if g.QueryWeighted() {
 		st.qw = make([]float64, nq)
 		for q := range st.qw {
@@ -276,10 +277,8 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []
 		}
 	})
 
-	if !opts.DisableIncremental {
-		st.active = make([]uint8, nd)
-		st.markAllActive() // fresh state: everything needs evaluation
-	}
+	st.active = make([]uint8, nd)
+	st.markAllActive() // fresh state: everything needs evaluation
 
 	if opts.Initial != nil {
 		copy(st.bucket, opts.Initial)
@@ -649,17 +648,16 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 }
 
 // computeProposals brings every vertex's proposal up to date: rebuild the
-// Equation 1 state of vertices flagged for rebuild (all of them in full
-// mode), then run the balance-filtered argmax. On unit-weight graphs the
-// argmax of an untouched vertex is skipped entirely when the per-bucket
-// admissibility vector is unchanged from the previous iteration — its
-// cached target and gain are exactly what a re-run would produce.
+// Equation 1 state of vertices flagged for rebuild, then run the
+// balance-filtered argmax. On unit-weight graphs the argmax of an untouched
+// vertex is skipped entirely when the per-bucket admissibility vector is
+// unchanged from the previous iteration — its cached target and gain are
+// exactly what a re-run would produce.
 func (st *directState) computeProposals() {
 	nd := st.g.NumData()
 	scratch := st.proposalScratches()
-	full := st.opts.DisableIncremental
 	st.refreshAdmissibility()
-	skipStable := !full && st.admissSame && !st.g.Weighted() && !st.forceSelect
+	skipStable := st.admissSame && !st.g.Weighted() && !st.forceSelect
 	st.forceSelect = false
 	var work int64
 	if skipStable && st.frontierValid {
@@ -691,7 +689,7 @@ func (st *directState) computeProposals() {
 		s := scratch[w]
 		var local int64
 		for v := start; v < end; v++ {
-			if full || st.active[v] == activeRebuild {
+			if st.active[v] == activeRebuild {
 				st.rebuildVertex(s, v)
 				local += int64(len(st.g.DataNeighbors(int32(v))))
 			} else if skipStable && st.active[v] == 0 {
@@ -726,11 +724,8 @@ func (st *directState) refreshAdmissibility() {
 }
 
 // markAllActive schedules every vertex for a rebuild (initial iteration,
-// sweep fallback, and safety-net rebuilds).
+// sweep fallback, and scheduled rebuilds).
 func (st *directState) markAllActive() {
-	if st.active == nil {
-		return
-	}
 	for i := range st.active {
 		st.active[i] = activeRebuild
 	}
@@ -1081,11 +1076,9 @@ func (st *directState) refine() {
 	if n == 0 || st.k <= 1 {
 		return
 	}
-	full := st.opts.DisableIncremental
-	rebuildEvery := st.opts.NDRebuildEvery
 	for iter := 0; ; iter++ {
 		if iter > 0 {
-			if full || (rebuildEvery > 0 && iter%rebuildEvery == 0) {
+			if st.opts.rebuildAt(iter) {
 				st.buildNeighborData()
 				st.markAllActive()
 			}
@@ -1104,7 +1097,9 @@ func (st *directState) refine() {
 		gw0, sw0 := st.gainWork, st.scanWork
 		st.computeProposals()
 		accepted := st.applyMoves(iter)
-		if !full {
+		if !st.opts.rebuildAt(iter + 1) {
+			// The next iteration's rebuild (which runs before anything reads
+			// the neighbor data again) makes patching this batch moot.
 			st.applyNDDeltas(accepted)
 		}
 		moved := int64(len(accepted))

@@ -56,14 +56,14 @@ func frontierWarmStart(t testing.TB, sides []int8, frac float64) []int8 {
 
 // TestBisectionFrontierCutsIdleIterationWork pins the tentpole claim with
 // deterministic counters: refining a lightly perturbed warm start, the late
-// iterations (everything after the first, which evaluates all state on both
-// paths) must cost the frontier engine at least 5x fewer gain-plus-scan work
-// units than the full-recomputation path, while producing byte-identical
-// sides and histories. GainWork counts Equation 1 table terms and folded
-// delta records; ScanWork counts per-vertex visits in the gain, bin-sync,
-// coin, apply, and trim phases — together they proxy the whole iteration's
-// memory stream, so an O(|D|) scan hiding anywhere in the loop fails the
-// floor even if the gain math itself is frontier-sized.
+// iterations (everything after the first, which evaluates all state on any
+// schedule) must cost the frontier engine at least 5x fewer gain-plus-scan
+// work units than a full rebuild every iteration (NDRebuildEvery 1), while
+// producing byte-identical sides and histories. GainWork counts Equation 1
+// table terms and folded delta records; ScanWork counts per-vertex visits in
+// the gain, bin-sync, coin, apply, and trim phases — together they proxy the
+// whole iteration's memory stream, so an O(|D|) scan hiding anywhere in the
+// loop fails the floor even if the gain math itself is frontier-sized.
 func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 	numQ, numD := 1500, 2500
 	g, err := gen.HubPowerLawBipartite(numQ, numD, int64(numD)*8, 2.1, 0.004, numD/8, 9)
@@ -74,15 +74,15 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 
 	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(t, cold.run(), 0.003)
-	run := func(disable bool) *bisection {
+	run := func(rebuildEvery int) *bisection {
 		o := opts
-		o.DisableIncremental = disable
+		o.NDRebuildEvery = rebuildEvery
 		b := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
 	}
-	inc := run(false)
-	full := run(true)
+	inc := run(0)
+	full := run(1)
 	if !slices.Equal(inc.side, full.side) {
 		t.Fatal("incremental and full warm refinements diverged")
 	}
@@ -110,14 +110,14 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 		t.Fatalf("late gain+scan work: frontier %d vs full %d over %d iterations — less than the required 5x reduction",
 			lateInc, lateFull, len(inc.work)-1)
 	}
-	// The frontier itself must shrink below |D| once the engine settles; the
-	// full path pins lastFrontier at |D| every iteration.
+	// The frontier itself must shrink below |D| once the engine settles;
+	// period 1 pins it at |D| every iteration.
 	last := inc.work[len(inc.work)-1]
 	if last.Frontier >= int64(numD) {
 		t.Fatalf("final iteration frontier %d did not drop below |D| = %d", last.Frontier, numD)
 	}
 	if fullLast := full.work[len(full.work)-1]; fullLast.Frontier != int64(numD) {
-		t.Fatalf("full path reported frontier %d, want |D| = %d", fullLast.Frontier, numD)
+		t.Fatalf("period 1 reported frontier %d, want |D| = %d", fullLast.Frontier, numD)
 	}
 	t.Logf("late gain+scan work over %d iterations: frontier %d vs full %d (%.1fx); final frontier %d of %d",
 		len(inc.work)-1, lateInc, lateFull, float64(lateFull)/float64(lateInc), last.Frontier, numD)
@@ -140,18 +140,18 @@ func BenchmarkConvergedIteration(b *testing.B) {
 	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(b, cold.run(), 0.001)
 	for _, engine := range []struct {
-		name    string
-		disable bool
-	}{{"frontier", false}, {"full-rebuild", true}} {
+		name         string
+		rebuildEvery int
+	}{{"frontier", 0}, {"full-rebuild", 1}} {
 		b.Run(fmt.Sprintf("moved0.1%%-%s", engine.name), func(b *testing.B) {
 			o := opts
-			o.DisableIncremental = engine.disable
+			o.NDRebuildEvery = engine.rebuildEvery
 			var iters, frontier, work int64
 			for i := 0; i < b.N; i++ {
 				bis := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
 				bis.run()
 				// Per-iteration metrics over the late iterations only:
-				// iteration 0 evaluates everything on both paths, and folding
+				// iteration 0 evaluates everything on any schedule, and folding
 				// it in would hide exactly the sublinearity being measured.
 				iters, frontier, work = 0, 0, 0
 				for _, w := range bis.work[1:] {
@@ -169,4 +169,45 @@ func BenchmarkConvergedIteration(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(iters*int64(b.N)), "ns/iter")
 		})
 	}
+}
+
+// TestPeriodOneIsFullRecomputation pins that the rebuild schedule at period
+// 1 is plain full per-iteration recomputation and nothing more: every
+// iteration's gain pass visits all of |D| and counts exactly one rebuild of
+// every vertex — 2|E| table terms for a bisection (both sides' terms per
+// incidence), |E| neighbor queries walked for SHP-k — so no patch was
+// collected or folded for a batch the next iteration rebuilt over.
+func TestPeriodOneIsFullRecomputation(t *testing.T) {
+	g, err := gen.HubPowerLawBipartite(1500, 2500, 20000, 2.1, 0.004, 300, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	numD, numE := int64(g.NumData()), int64(g.NumEdges())
+	check := func(t *testing.T, work []WorkStats, perEdge int64) {
+		t.Helper()
+		if len(work) < 3 {
+			t.Fatalf("only %d iterations; nothing after the first to check", len(work))
+		}
+		for _, w := range work {
+			if w.Frontier != numD || w.GainWork != perEdge*numE {
+				t.Fatalf("iteration %d: frontier %d, gain work %d; want |D| = %d and %d·|E| = %d",
+					w.Iter, w.Frontier, w.GainWork, numD, perEdge, perEdge*numE)
+			}
+		}
+	}
+	for _, pairing := range []PairingMode{PairHistogram, PairSimple, PairExact} {
+		t.Run("SHP2/"+pairing.String(), func(t *testing.T) {
+			opts := Options{K: 2, P: 0.5, Pairing: pairing, NDRebuildEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
+			b := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+			b.run()
+			check(t, b.work, 2)
+		})
+	}
+	t.Run("SHPk", func(t *testing.T) {
+		res, err := Partition(g, Options{K: 8, Direct: true, Seed: 11, NDRebuildEvery: 1, MaxIters: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res.Work, 1)
+	})
 }

@@ -30,17 +30,17 @@ import "slices"
 // structure unsharded (one shard covering everything); the choice is keyed
 // off Options.Pairing, which is worker-count independent.
 //
-// Bit-identity discipline: the incremental and the full
-// (DisableIncremental) path both maintain the structure through the same
-// canonical rule — visit candidate vertices in ascending id order within
-// each shard, and for each whose (side, gain) differs from its recorded
-// entry, subtract the old gain from its old bin's sum and add the new gain
-// to the new bin's sum. The full path discovers the changed set with a
-// comparison scan over all vertices; the incremental path walks its
-// (sorted) frontier, which provably contains every changed vertex. The
-// surviving change sequences are identical per shard, so the maintained
-// sums land on the same bits on both paths. Bins are never resummed from
-// scratch after the initial fill, which keeps the safety-net rebuild
+// Bit-identity discipline: frontier iterations and full-sweep iterations
+// (first iteration, sweep fallback, scheduled rebuild) maintain the
+// structure through the same canonical rule — visit candidate vertices in
+// ascending id order within each shard, and for each whose (side, gain)
+// differs from its recorded entry, subtract the old gain from its old bin's
+// sum and add the new gain to the new bin's sum. A full sweep discovers the
+// changed set with a comparison scan over all vertices; a frontier
+// iteration walks its (sorted) frontier, which provably contains every
+// changed vertex. The surviving change sequences are identical per shard,
+// so the maintained sums land on the same bits either way. Bins are never
+// resummed from scratch after the initial fill, which keeps the rebuild
 // schedule (NDRebuildEvery) invisible: a rebuild reproduces every gain
 // bit-for-bit, so the change set it induces is empty.
 //

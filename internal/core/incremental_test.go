@@ -19,64 +19,70 @@ import (
 // protocols, and warm starts, plus a property test for the maintained
 // neighbor data itself.
 
-// largeRandomBipartite builds a graph big enough that recursive bisection
-// tasks exceed incrementalMinSize and actually exercise the frontier path.
-func largeRandomBipartite(tb testing.TB, seed uint64, numQ, numD, edges int) *hypergraph.Bipartite {
-	tb.Helper()
-	if numD < incrementalMinSize {
-		tb.Fatalf("graph too small to exercise the incremental path: %d < %d", numD, incrementalMinSize)
-	}
-	return randomBipartite(tb, seed, numQ, numD, edges)
-}
-
-// runBoth partitions g twice with only DisableIncremental flipped and
-// asserts identical outcomes.
+// runBoth partitions g under opts' rebuild schedule (the default unless the
+// config sets one), then with a full rebuild every iteration — the
+// reference, which runs no patch code at all — and with no rebuild ever,
+// and asserts identical outcomes.
 func runBoth(t *testing.T, g *hypergraph.Bipartite, opts Options) {
 	t.Helper()
-	inc := opts
-	inc.DisableIncremental = false
-	full := opts
-	full.DisableIncremental = true
-
-	ri, err := Partition(g, inc)
+	ri, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := Partition(g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ri.Assignment, rf.Assignment) {
-		diff := 0
-		for i := range ri.Assignment {
-			if ri.Assignment[i] != rf.Assignment[i] {
-				diff++
+	for _, period := range []int{1, -1} {
+		o := opts
+		o.NDRebuildEvery = period
+		rf, err := Partition(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ri.Assignment, rf.Assignment) {
+			diff := 0
+			for i := range ri.Assignment {
+				if ri.Assignment[i] != rf.Assignment[i] {
+					diff++
+				}
 			}
+			t.Fatalf("period %d: assignments differ at %d/%d vertices", period, diff, len(ri.Assignment))
 		}
-		t.Fatalf("assignments differ at %d/%d vertices", diff, len(ri.Assignment))
-	}
-	if ri.Iterations != rf.Iterations {
-		t.Fatalf("iteration counts differ: incremental %d, full %d", ri.Iterations, rf.Iterations)
-	}
-	if !reflect.DeepEqual(ri.History, rf.History) {
-		n := len(ri.History)
-		if len(rf.History) < n {
-			n = len(rf.History)
+		if ri.Iterations != rf.Iterations {
+			t.Fatalf("period %d: iteration counts differ: %d vs %d", period, ri.Iterations, rf.Iterations)
 		}
-		for i := 0; i < n; i++ {
-			if ri.History[i] != rf.History[i] {
-				t.Fatalf("history diverges at %d: incremental %+v, full %+v", i, ri.History[i], rf.History[i])
+		if !reflect.DeepEqual(ri.History, rf.History) {
+			n := min(len(ri.History), len(rf.History))
+			for i := 0; i < n; i++ {
+				if ri.History[i] != rf.History[i] {
+					t.Fatalf("period %d: history diverges at %d: %+v vs %+v", period, i, ri.History[i], rf.History[i])
+				}
 			}
+			t.Fatalf("period %d: history lengths differ: %d vs %d", period, len(ri.History), len(rf.History))
 		}
-		t.Fatalf("history lengths differ: incremental %d, full %d", len(ri.History), len(rf.History))
 	}
 }
 
 func TestIncrementalMatchesFullSHP2(t *testing.T) {
-	g := largeRandomBipartite(t, 11, 3000, 6000, 24000)
+	g := randomBipartite(t, 11, 3000, 6000, 24000)
 	for _, seed := range []uint64{1, 7, 42} {
 		runBoth(t, g, Options{K: 8, Seed: seed})
 	}
+}
+
+// TestIncrementalMatchesFullSmallNodes pins the engine on the recursion
+// nodes production runs it on at depth: graphs of a few hundred records
+// split down to leaf-sized nodes (K=128 on 600 records leaves four or five
+// per bucket), where frontiers, patch groups and bin shards all degenerate.
+func TestIncrementalMatchesFullSmallNodes(t *testing.T) {
+	g := randomBipartite(t, 14, 300, 600, 2400)
+	for _, opts := range []Options{
+		{K: 128, Seed: 3},
+		{K: 64, Seed: 3, Pairing: PairExact},
+		{K: 64, Seed: 3, Pairing: PairSimple},
+		{K: 27, Seed: 3, Branching: 3},
+		{K: 50, Seed: 3}, // non-power-of-two: uneven lookahead at every node
+	} {
+		runBoth(t, g, opts)
+	}
+	runBoth(t, weightedBipartite(t, 15, 200, 400, 1800), Options{K: 64, Seed: 4})
 }
 
 func TestIncrementalMatchesFullSHPk(t *testing.T) {
@@ -110,7 +116,7 @@ func TestIncrementalMatchesFullWeighted(t *testing.T) {
 }
 
 func TestIncrementalMatchesFullConfigurations(t *testing.T) {
-	g := largeRandomBipartite(t, 13, 2500, 5000, 20000)
+	g := randomBipartite(t, 13, 2500, 5000, 20000)
 	warm := make([]int32, g.NumData())
 	wr := rng.New(3)
 	for i := range warm {
@@ -145,7 +151,7 @@ func TestIncrementalMatchesFullConfigurations(t *testing.T) {
 // this covers the converged one, where most gains are negative and the
 // penalty gate actually bites.
 func TestIncrementalMatchesFullConvergedWarmStart(t *testing.T) {
-	g := largeRandomBipartite(t, 19, 2500, 5000, 20000)
+	g := randomBipartite(t, 19, 2500, 5000, 20000)
 	base, err := Partition(g, Options{K: 8, Seed: 6, Direct: true})
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@ import (
 // its members' accumulators through GainTables.DeltaOwn/DeltaAway.
 // Because every table value lies on the shared dyadic grid (gainGridBits),
 // a patched accumulator is bit-identical to a from-scratch resummation in
-// any order — the property all the "incremental == DisableIncremental"
-// guarantees rest on.
+// any order — the property all the "every rebuild schedule yields the same
+// bytes" guarantees rest on.
 //
 // The entry types and slice-level operations are exported so the
 // distributed plane's query vertices can keep their own per-query mirrors
@@ -84,10 +84,6 @@ func (ds *deltaScratch) reset() {
 	ds.entryDiff = 0
 }
 
-// bucketID constrains the per-vertex bucket representation a refiner uses:
-// the direct engine stores int32 bucket ids, the bisections int8 sides.
-type bucketID interface{ ~int8 | ~int32 }
-
 // ndState is the sparse neighbor data over queries, stored as a
 // fixed-capacity CSR so entries can be inserted and removed in place:
 // query q owns the segment [off[q], off[q+1]) with capacity min(deg(q), k),
@@ -100,10 +96,9 @@ type ndState struct {
 	ent     []NDEntry
 	entries int64 // total live entries (= summed fanout)
 
-	// Dirty-query diff machinery (unused by refiners running with
-	// DisableIncremental): dirtyFlag dedups dirty queries during delta
-	// application; delta holds the per-owner scratch; updates is the reused
-	// [source][owner] routing buffer of applyMoveBatch.
+	// Dirty-query diff machinery: dirtyFlag dedups dirty queries during
+	// delta application; delta holds the per-owner scratch; updates is the
+	// reused [source][owner] routing buffer of applyMoveBatch.
 	dirtyFlag []uint8
 	delta     []deltaScratch
 	updates   [][][]ndUpdate
@@ -115,14 +110,15 @@ type ndState struct {
 }
 
 // newNDState sizes the CSR for g: a query with degree d can touch at most
-// min(d, k) distinct buckets, so its segment never overflows. When
-// incremental is set the dirty-query scratch for `workers` owner goroutines
-// is allocated too.
-func newNDState(g *hypergraph.Bipartite, k, workers int, incremental bool) *ndState {
+// min(d, k) distinct buckets, so its segment never overflows. The
+// dirty-query scratch is sized for `workers` owner goroutines.
+func newNDState(g *hypergraph.Bipartite, k, workers int) *ndState {
 	nq := g.NumQueries()
 	nd := &ndState{
-		off: make([]int64, nq+1),
-		len: make([]int32, nq),
+		off:       make([]int64, nq+1),
+		len:       make([]int32, nq),
+		dirtyFlag: make([]uint8, nq),
+		delta:     make([]deltaScratch, workers),
 	}
 	for q := 0; q < nq; q++ {
 		c := g.QueryDegree(int32(q))
@@ -132,10 +128,6 @@ func newNDState(g *hypergraph.Bipartite, k, workers int, incremental bool) *ndSt
 		nd.off[q+1] = nd.off[q] + int64(c)
 	}
 	nd.ent = make([]NDEntry, nd.off[nq])
-	if incremental {
-		nd.dirtyFlag = make([]uint8, nq)
-		nd.delta = make([]deltaScratch, workers)
-	}
 	return nd
 }
 
@@ -154,16 +146,14 @@ func (nd *ndState) appendQuery(capacity int32) {
 	if need := nd.off[nq+1]; int64(len(nd.ent)) < need {
 		nd.ent = append(nd.ent, make([]NDEntry, need-int64(len(nd.ent)))...)
 	}
-	if nd.dirtyFlag != nil {
-		nd.dirtyFlag = append(nd.dirtyFlag, 0)
-	}
+	nd.dirtyFlag = append(nd.dirtyFlag, 0)
 }
 
 // build recomputes the neighbor data from scratch (supersteps 1–2 of
 // Figure 3). Entries land in canonical sorted-by-bucket order, matching
 // what incremental maintenance preserves. Offsets are fixed capacities, so
 // one parallel pass suffices. k bounds the distinct bucket ids in `bucket`.
-func ndBuild[B bucketID](nd *ndState, g *hypergraph.Bipartite, workers, k int, bucket []B) {
+func ndBuild(nd *ndState, g *hypergraph.Bipartite, workers, k int, bucket []int32) {
 	nq := g.NumQueries()
 	if len(nd.buildCnt) != workers || len(nd.buildCnt[0]) != k {
 		nd.buildCnt = make([][]int32, workers)
@@ -177,7 +167,7 @@ func ndBuild[B bucketID](nd *ndState, g *hypergraph.Bipartite, workers, k int, b
 		cnt, set := nd.buildCnt[w], nd.buildSet[w]
 		for q := start; q < end; q++ {
 			for _, d := range g.QueryNeighbors(int32(q)) {
-				b := int32(bucket[d])
+				b := bucket[d]
 				set.add(b)
 				cnt[b]++
 			}
@@ -261,7 +251,7 @@ func (nd *ndState) applyEntryDelta(q, from, to int32) int64 {
 // (order-free) or canonicalizes with a radix sort. Worker count decides
 // only who does the work, not what is computed — the contract the whole
 // parallel plane is built on.
-func ndApplyMoveBatch[B bucketID](nd *ndState, g *hypergraph.Bipartite, workers int, accepted []move, bucket []B, patch bool) {
+func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepted []move, bucket []int32, patch bool) {
 	nq := g.NumQueries()
 	w := workers
 	if w < 1 {
@@ -290,7 +280,7 @@ func ndApplyMoveBatch[B bucketID](nd *ndState, g *hypergraph.Bipartite, workers 
 		}
 		for i := start; i < end; i++ {
 			m := accepted[i]
-			to := int32(bucket[m.v])
+			to := bucket[m.v]
 			for _, q := range g.DataNeighbors(m.v) {
 				dw := int(q) / chunk
 				o[dw] = append(o[dw], ndUpdate{q: q, from: m.from, to: to})

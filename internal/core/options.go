@@ -170,19 +170,16 @@ type Options struct {
 	// feasibility outranks migration cost. The recursive strategy does not
 	// support budgets (validate rejects the combination with Initial).
 	MigrationBudget int64
-	// DisableIncremental turns off the incremental refinement engine: every
-	// iteration rebuilds the per-query neighbor data from scratch and
-	// recomputes proposals for all data vertices, instead of maintaining
-	// neighbor counts in place and re-evaluating only the frontier of
-	// vertices adjacent to a query touched by a move. Both paths produce
-	// byte-identical partitions and histories for a fixed seed; this is an
-	// ablation/debugging knob, not a quality trade-off.
-	DisableIncremental bool
 	// NDRebuildEvery is the period, in refinement iterations, of the
-	// incremental engine's safety-net full neighbor-data rebuild (the
-	// rebuild recomputes exactly the maintained state, so it never changes
-	// results — it bounds the blast radius of any future maintenance bug).
-	// 0 means the default of 64; negative disables the safety net.
+	// engine's scheduled full rebuild: the per-query neighbor data is
+	// recounted from scratch and every data vertex re-evaluated, instead of
+	// maintaining counts in place and re-evaluating only the frontier of
+	// vertices adjacent to a query touched by a move. The rebuild recomputes
+	// exactly the maintained state, so every period produces byte-identical
+	// partitions and histories for a fixed seed — the default bounds the
+	// blast radius of any future maintenance bug, and 1 (full recomputation
+	// every iteration, no patching at all) is the ablation/debugging
+	// reference. 0 means the default of 64; negative never rebuilds.
 	NDRebuildEvery int
 }
 
@@ -221,6 +218,14 @@ func (o Options) withDefaults() Options {
 		o.NDRebuildEvery = 64
 	}
 	return o
+}
+
+// rebuildAt reports whether refinement iteration iter opens with a scheduled
+// full rebuild. This is the one place the schedule is decided: refiners ask
+// about iter to rebuild, and about iter+1 to skip collecting patches nobody
+// will read.
+func (o Options) rebuildAt(iter int) bool {
+	return o.NDRebuildEvery > 0 && iter > 0 && iter%o.NDRebuildEvery == 0
 }
 
 // validate reports configuration errors.

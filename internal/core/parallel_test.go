@@ -47,8 +47,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		e    int
 		opts Options
 	}{
-		// SHP-2 recursive, |D| past gainBinShardSize: multi-shard bin sync,
-		// coin phase, and the owner-sharded patch collector.
+		// SHP-2 recursive, |D| past gainBinShardSize: multi-shard bin sync
+		// and coin phase.
 		{"SHP2", 6000, 20000, 80000, Options{K: 8, Seed: 21}},
 		// SHP-k direct, |D| past histShardMin: multi-shard pair histograms.
 		{"SHPk", 4000, 12000, 50000, Options{K: 8, Direct: true, Seed: 21}},
@@ -83,17 +83,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelMatchesSerialWarmSession runs the same contract across warm
 // session epochs: Apply churn, Repartition, and require every epoch's
 // assignment, history, and work counters to match the serial session's,
-// for both the direct warm engine and a recursive initial partition.
+// for both the direct warm engine and a recursive initial partition. The
+// serial session itself is checked against the rebuilt period-1 reference
+// (see repartitionRebuilt), so the suite does not only compare the warm
+// engine to itself.
 func TestParallelMatchesSerialWarmSession(t *testing.T) {
 	type epochResult struct {
 		asgn partition.Assignment
 		hist []IterStats
 		work []WorkStats
 	}
-	run := func(t *testing.T, direct bool, workers int) []epochResult {
+	run := func(t *testing.T, direct bool, workers int, rebuilt bool) []epochResult {
 		t.Helper()
 		g := randomBipartite(t, 77, 3500, 11000, 46000)
 		opts := Options{K: 8, Direct: direct, Seed: 9, Parallelism: workers}
+		repartition := (*Session).Repartition
+		if rebuilt {
+			opts.NDRebuildEvery = 1
+			repartition = repartitionRebuilt
+		}
 		s, err := NewSession(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +119,7 @@ func TestParallelMatchesSerialWarmSession(t *testing.T) {
 			if err := s.Apply(d); err != nil {
 				t.Fatal(err)
 			}
-			r, err := s.Repartition()
+			r, err := repartition(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,9 +136,14 @@ func TestParallelMatchesSerialWarmSession(t *testing.T) {
 		direct bool
 	}{{"direct", true}, {"recursiveStart", false}} {
 		t.Run(mode.name, func(t *testing.T) {
-			base := run(t, mode.direct, 1)
+			base := run(t, mode.direct, 1, false)
+			for e, ref := range run(t, mode.direct, 1, true) {
+				if !reflect.DeepEqual(base[e].asgn, ref.asgn) || !reflect.DeepEqual(base[e].hist, ref.hist) {
+					t.Fatalf("epoch %d: serial session diverges from the rebuilt period-1 reference", e)
+				}
+			}
 			for _, workers := range []int{2, 3, 8} {
-				got := run(t, mode.direct, workers)
+				got := run(t, mode.direct, workers, false)
 				for e := range base {
 					if !reflect.DeepEqual(base[e].asgn, got[e].asgn) {
 						t.Fatalf("workers=%d epoch %d: assignments diverge from serial", workers, e)
@@ -147,13 +160,12 @@ func TestParallelMatchesSerialWarmSession(t *testing.T) {
 	}
 }
 
-// TestParallelPatchRaceHammer drives the owner-sharded parallel collectors
-// at high parallelism so the -race CI job interleaves them aggressively:
-// a cold SHP-2 run whose mid-phase batches land between parallelPatchMin
-// and the sweep-fallback threshold (exercising applyBatchPatched's routed
-// owner pass, the sharded bin sync, and the per-shard coin phase), plus a
-// churned direct session (the kernel's routed ndApplyMoveBatch and the
-// member-patch pass). Correctness of the results themselves is pinned by
+// TestParallelPatchRaceHammer drives the parallel patch paths at high
+// parallelism so the -race CI job interleaves them aggressively: a cold
+// SHP-2 run (the range-sharded member-patch pass of finishPatch, the
+// sharded bin sync, and the per-shard coin phase), plus a churned direct
+// session (the kernel's owner-routed ndApplyMoveBatch and the member-patch
+// pass). Correctness of the results themselves is pinned by
 // the equivalence tests above; this test exists to give the race detector
 // real concurrent traffic over the patch paths.
 func TestParallelPatchRaceHammer(t *testing.T) {

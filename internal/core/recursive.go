@@ -116,14 +116,6 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// incrementalMinSize is the subproblem size below which recursion nodes fall
-// back to full per-iteration recomputation: on tiny induced graphs the
-// frontier bookkeeping (active/dirty arrays, proposal caches) costs more
-// than the full sweeps it avoids. The switch is free to make per node
-// because the incremental and full paths produce byte-identical partitions
-// (see TestIncrementalMatchesFull* in incremental_test.go).
-const incrementalMinSize = 2048
-
 // splitTask splits one recursion node. Leaf ranges assign directly; binary
 // ranges run a bisection; wider ranges with Branching > 2 run an r-way
 // direct refinement on the induced subproblem. Children needing further
@@ -131,9 +123,6 @@ const incrementalMinSize = 2048
 func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 	level int, eps, idealPerBucket float64, assignment partition.Assignment) ([]rtask, []IterStats, []WorkStats, int) {
 
-	if !opts.DisableIncremental && len(t.data) < incrementalMinSize {
-		opts.DisableIncremental = true
-	}
 	span := int(t.hi - t.lo)
 	if span <= 1 {
 		for _, d := range t.data {

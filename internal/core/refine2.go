@@ -35,13 +35,15 @@ import (
 //   - Movers are rebuilt (their own side changed, which swaps the meaning
 //     of the two accumulators), and batches that move more than
 //     1/sweepFallbackDiv of the vertices fall back to a full rebuild sweep.
-//     Every Options.NDRebuildEvery iterations a safety-net recount rebuilds
-//     the maintained counts from scratch.
+//     Every Options.NDRebuildEvery iterations a scheduled rebuild recounts
+//     the maintained counts from scratch and resums every vertex; the batch
+//     before it skips patch collection, so a period of 1 is plain full
+//     per-iteration recomputation.
 //
 // All patch arithmetic lives on the shared dyadic grid, so the patched and
 // rebuilt states are bit-identical, and the engine is pinned byte-identical
-// to Options.DisableIncremental (full per-iteration gain recomputation) —
-// the same guarantee the direct engine carries.
+// across rebuild schedules (default, every iteration, never) — the same
+// guarantee the direct engine carries.
 type bisection struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -65,14 +67,13 @@ type bisection struct {
 	n    [2][]int32 // per-query neighbor counts per side
 	w    [2]int64   // side weights
 
-	// Incremental-engine state (nil when Options.DisableIncremental):
-	// accOwn/accOth are the per-vertex patchable Equation 1 accumulators;
-	// active holds each vertex's pending work (activeRebuild for movers and
-	// full sweeps, activeSelect for patched accumulators); d holds each
-	// dirty query's net per-side count delta for the current batch, dirtyQ
-	// the touched queries in first-touch order (deduped by dirtyFlag);
-	// lastMoved collects the batch's movers; pgs is the reusable buffer the
-	// per-dirty-query patch groups land in.
+	// Engine state: accOwn/accOth are the per-vertex patchable Equation 1
+	// accumulators; active holds each vertex's pending work (activeRebuild
+	// for movers and full sweeps, activeSelect for patched accumulators); d
+	// holds each dirty query's net per-side count delta for the current
+	// batch, dirtyQ the touched queries in first-touch order (deduped by
+	// dirtyFlag); lastMoved collects the exact pairing's movers; pgs is the
+	// reusable buffer the per-dirty-query patch groups land in.
 	accOwn, accOth []float64
 	active         []uint8
 	d              [2][]int32
@@ -80,31 +81,20 @@ type bisection struct {
 	dirtyQ         []int32
 	lastMoved      []int32
 	pgs            []patchGroup
-	pgsReady       bool
-	allActive      bool
-
-	// Owner-sharded parallel patch routing (see applyBatchPatched): route
-	// is the reused [source][owner] transfer buffer, ownerDirty/ownerPGs
-	// the per-owner dirty-query lists and derived patch groups.
-	route      [][][]sideUpdate
-	ownerDirty [][]int32
-	ownerPGs   [][]patchGroup
 
 	// frontier is the sorted list of vertices finishPatch marked active —
 	// exactly the vertices whose (side, gain) can have changed since the
 	// last iteration. While frontierValid, the gain pass and the bin sync
-	// walk it instead of scanning all of |D|; sweep fallbacks invalidate it
-	// (the marks then cover everyone). frontWork holds the per-worker
-	// collection buffers, frontScratch the radix-sort ping-pong buffer.
-	// Maintained only on the incremental path.
+	// walk it instead of scanning all of |D|; sweep fallbacks and scheduled
+	// rebuilds invalidate it (the marks then cover everyone). frontWork
+	// holds the per-worker collection buffers, frontScratch the radix-sort
+	// ping-pong buffer.
 	frontier      []int32
 	frontierValid bool
 	frontWork     [][]int32
 	frontScratch  []int32
 
-	// bins is the maintained gain-bin structure (see gainbins.go), kept on
-	// BOTH paths — the histogram sums must come from the same float
-	// operation sequence for the paths to stay bit-identical.
+	// bins is the maintained gain-bin structure (see gainbins.go).
 	bins *gainBins
 
 	// Reusable per-iteration scratch for the probabilistic move protocol:
@@ -131,17 +121,13 @@ type bisection struct {
 
 	// gainWork counts Equation 1 work units deterministically: one per
 	// table term summed in a gain rebuild, one per delta record folded into
-	// an accumulator. workHist snapshots the running total after every
-	// iteration. scanWork counts the per-vertex visits of the phases around
-	// the gain math — the gain/sync/coin/trim loops — and scanHist mirrors
-	// workHist for it; together they pin the engine's frontier-
-	// proportionality. lastFrontier records the vertex count the most
-	// recent gain pass visited. All are pure observability counters (never
-	// read by the algorithm).
+	// an accumulator. scanWork counts the per-vertex visits of the phases
+	// around the gain math — the gain/sync/coin/trim loops; together they
+	// pin the engine's frontier-proportionality. lastFrontier records the
+	// vertex count the most recent gain pass visited. All are pure
+	// observability counters (never read by the algorithm).
 	gainWork     int64
-	workHist     []int64
 	scanWork     int64
-	scanHist     []int64
 	lastFrontier int64
 
 	history []IterStats
@@ -180,15 +166,13 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	b.bins = newGainBins(nd, opts.Pairing != PairExact)
 	b.n[0] = make([]int32, nq)
 	b.n[1] = make([]int32, nq)
-	if !opts.DisableIncremental {
-		b.accOwn = make([]float64, nd)
-		b.accOth = make([]float64, nd)
-		b.active = make([]uint8, nd)
-		b.d[0] = make([]int32, nq)
-		b.d[1] = make([]int32, nq)
-		b.dirtyFlag = make([]uint8, nq)
-		b.allActive = true // fresh state: everything needs evaluation
-	}
+	b.accOwn = make([]float64, nd)
+	b.accOth = make([]float64, nd)
+	b.active = make([]uint8, nd)
+	b.d[0] = make([]int32, nq)
+	b.d[1] = make([]int32, nq)
+	b.dirtyFlag = make([]uint8, nq)
+	b.markAllActive() // fresh state: everything needs evaluation
 	if g.QueryWeighted() {
 		b.qw = make([]float64, nq)
 		for q := range b.qw {
@@ -327,8 +311,8 @@ func (b *bisection) rebuildGain(v int32) int64 {
 
 // deriveGain turns vertex v's cached accumulators into its move gain:
 // Equation 1 plus the incremental-update penalty. Grid-exact sums make
-// accOwn − accOth equal, bit for bit, to the interleaved single-pass
-// summation the full path performs.
+// accOwn − accOth equal, bit for bit, to freshGain's interleaved
+// single-pass summation.
 func (b *bisection) deriveGain(v int32) {
 	g := b.tables[0].mult * (b.accOwn[v] - b.accOth[v])
 	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
@@ -341,28 +325,16 @@ func (b *bisection) deriveGain(v int32) {
 	b.gains[v] = g
 }
 
-// computeGains brings every vertex's Equation 1 gain up to date. On the
-// full path (DisableIncremental) every vertex re-walks its membership each
-// iteration. On the incremental path only flagged vertices do anything:
-// movers (and full sweeps) resum their accumulators, patched vertices
+// computeGains brings every vertex's Equation 1 gain up to date. Only
+// flagged vertices do anything: movers (and everyone after a sweep fallback
+// or scheduled rebuild) resum their accumulators, patched vertices
 // re-derive the gain from the already-exact accumulators, and untouched
 // vertices keep their cached gain — which is bit-identical to what a
 // recomputation would produce, because none of its inputs changed.
 func (b *bisection) computeGains() {
 	nd := b.g.NumData()
-	if b.active == nil {
-		// Full path: one interleaved Equation 1 pass per vertex.
-		par.For(nd, b.workers, func(start, end int) {
-			for v := start; v < end; v++ {
-				b.gains[v] = b.freshGain(int32(v))
-			}
-		})
-		b.gainWork += 2 * int64(b.g.NumEdges())
-		b.lastFrontier = int64(nd)
-		return
-	}
 	var work int64
-	if !b.allActive && b.frontierValid {
+	if b.frontierValid {
 		// Frontier mode: the flagged vertices are exactly the frontier, so
 		// visit only it — no O(|D|) scan to find the marks.
 		f := b.frontier
@@ -383,11 +355,10 @@ func (b *bisection) computeGains() {
 		b.lastFrontier = int64(len(f))
 		return
 	}
-	all := b.allActive
 	par.ForWorker(nd, b.workers, func(_, start, end int) {
 		var local int64
 		for v := start; v < end; v++ {
-			if all || b.active[v] == activeRebuild {
+			if b.active[v] == activeRebuild {
 				local += b.rebuildGain(int32(v))
 			} else if b.active[v] == activeSelect {
 				b.deriveGain(int32(v))
@@ -401,8 +372,8 @@ func (b *bisection) computeGains() {
 }
 
 // syncBins reconciles the maintained gain bins with the current (side,
-// gain) state, after computeGains and before any consumer. Both paths
-// apply the same canonical changed-only update rule in ascending vertex
+// gain) state, after computeGains and before any consumer. Every regime
+// applies the same canonical changed-only update rule in ascending vertex
 // order within each bin shard (see gainbins.go); only how the candidate
 // set is discovered differs — comparison scan over everyone, or the
 // frontier. Shards are disjoint vertex ranges, so the parallel sweep is
@@ -410,7 +381,7 @@ func (b *bisection) computeGains() {
 // worker count (workers only decide who processes which shards).
 func (b *bisection) syncBins() {
 	nd := b.g.NumData()
-	if b.active == nil || b.allActive || !b.frontierValid {
+	if !b.frontierValid {
 		par.For(b.bins.shards, b.workers, func(s, e int) {
 			for sh := s; sh < e; sh++ {
 				lo, hi := b.bins.shardRange(sh)
@@ -485,23 +456,22 @@ func (b *bisection) run() []int8 {
 	if nd == 0 {
 		return b.side
 	}
-	incremental := b.active != nil
-	rebuildEvery := b.opts.NDRebuildEvery
 	for iter := 0; iter < b.maxIters; iter++ {
-		b.allActive = iter == 0
-		if incremental && rebuildEvery > 0 && iter > 0 && iter%rebuildEvery == 0 {
-			// Safety net: recompute the maintained counts from scratch and
-			// re-evaluate everything. Never changes results.
+		if b.opts.rebuildAt(iter) {
+			// Scheduled rebuild: recompute the maintained counts from scratch
+			// and re-evaluate everything. Never changes results.
 			b.recountNeighborData()
-			b.allActive = true
+			b.markAllActive()
 		}
 		gw0, sw0 := b.gainWork, b.scanWork
 		b.computeGains()
+		// A batch the next iteration rebuilds over has no use for patches.
+		patch := !b.opts.rebuildAt(iter + 1)
 		var moved int64
 		if b.opts.Pairing == PairExact {
-			moved = b.applyExact(iter)
+			moved = b.applyExact(patch)
 		} else {
-			moved = b.applyProbabilistic(iter)
+			moved = b.applyProbabilistic(iter, patch)
 		}
 		b.history = append(b.history, IterStats{
 			Level: b.level, Task: b.task, Iter: iter,
@@ -509,8 +479,6 @@ func (b *bisection) run() []int8 {
 			Moved:         moved,
 			MovedFraction: float64(moved) / float64(nd),
 		})
-		b.workHist = append(b.workHist, b.gainWork)
-		b.scanHist = append(b.scanHist, b.scanWork)
 		b.work = append(b.work, WorkStats{
 			Level: b.level, Task: b.task, Iter: iter,
 			Frontier: b.lastFrontier,
@@ -530,8 +498,9 @@ func (b *bisection) run() []int8 {
 // probability using a per-vertex deterministic coin. No phase scans all of
 // |D|: the histogram costs O(bins), the coin phase visits only the bins
 // the matching granted positive probability, and the apply/trim phases
-// walk the decided list.
-func (b *bisection) applyProbabilistic(iter int) int64 {
+// walk the decided list. patch is false when the next iteration is a
+// scheduled rebuild, which makes collecting patches for this batch moot.
+func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	nd := b.g.NumData()
 	b.syncBins()
 	hist0 := b.bins.hist(0)
@@ -669,14 +638,14 @@ func (b *bisection) applyProbabilistic(iter int) int64 {
 	for _, v := range accepted {
 		decided[v] = false
 	}
-	// Phase 3: neighbor-count updates for surviving moves. Small batches on
-	// the incremental path go through the patch collector (counts, net
-	// deltas, dirty queries, member patches — O(churn·deg), owner-sharded
-	// in parallel past a size gate); everything else takes the parallel
-	// atomic path, with a full rebuild sweep scheduled when the engine is
-	// on.
-	if b.active != nil && len(accepted)*sweepFallbackDiv < nd {
-		b.applyBatchPatched(accepted)
+	// Phase 3: neighbor-count updates for surviving moves. Small batches go
+	// through the patch collector (counts, net deltas, dirty queries, member
+	// patches — O(churn·deg)); everything else takes the parallel atomic
+	// path and schedules a full rebuild sweep.
+	if patch && len(accepted)*sweepFallbackDiv < nd {
+		for _, v := range accepted {
+			b.applyMovePatched(v)
+		}
 		b.finishPatch(accepted)
 		return int64(len(accepted))
 	}
@@ -691,20 +660,23 @@ func (b *bisection) applyProbabilistic(iter int) int64 {
 			}
 		}
 	})
-	if b.active != nil {
-		for i := range b.active {
-			b.active[i] = activeRebuild
-		}
-		b.frontierValid = false
-	}
+	b.markAllActive()
 	return int64(len(accepted))
+}
+
+// markAllActive schedules every vertex for a rebuild (fresh state, sweep
+// fallback, and scheduled rebuilds).
+func (b *bisection) markAllActive() {
+	for i := range b.active {
+		b.active[i] = activeRebuild
+	}
+	b.frontierValid = false // marks now cover everyone, not a frontier
 }
 
 // applyMovePatched folds one already-flipped mover's count transfers into
 // the maintained side counts while accumulating the batch's net per-query
-// deltas and the dirty-query list the diff will read. This is the serial
-// collector; churn-sized batches route through it directly, and first-touch
-// order fixes the dirty list deterministically.
+// deltas and the dirty-query list the diff will read. First-touch order
+// fixes the dirty list deterministically.
 func (b *bisection) applyMovePatched(v int32) {
 	oth := b.side[v] // already flipped
 	cur := 1 - oth
@@ -718,103 +690,6 @@ func (b *bisection) applyMovePatched(v int32) {
 			b.dirtyQ = append(b.dirtyQ, q)
 		}
 	}
-}
-
-// sideUpdate routes one mover's ±1 count transfer to its query's owner in
-// the parallel patch collector.
-type sideUpdate struct {
-	q  int32
-	to int8
-}
-
-// parallelPatchMin gates the owner-sharded parallel patch collector:
-// batches below it take the serial collector, whose per-mover loop beats
-// the routing overhead at churn scale. The branches produce identical
-// results — count transfers are integer, the derived patch groups are the
-// same set, and every downstream order is canonicalized — so the gate (and
-// the worker count that feeds it) is a pure performance knob.
-const parallelPatchMin = 256
-
-// applyBatchPatched folds a whole accepted batch into the maintained side
-// counts and derives the per-dirty-query patch groups. Large batches shard
-// the work by query owner, mirroring the kernel's ndApplyMoveBatch: source
-// workers route each mover's transfers to the owning query range, then each
-// owner applies its shard's transfers and derives its dirty queries' groups
-// without locking (a query belongs to exactly one owner). Per-owner group
-// lists are concatenated in ascending owner order; group order is
-// immaterial to results (exact patch arithmetic, radix-sorted frontier), so
-// worker count never shows through.
-func (b *bisection) applyBatchPatched(accepted []int32) {
-	if b.workers == 1 || len(accepted) < parallelPatchMin {
-		for _, v := range accepted {
-			b.applyMovePatched(v)
-		}
-		return
-	}
-	nq := b.g.NumQueries()
-	w := b.workers
-	chunk := (nq + w - 1) / w
-	if chunk == 0 {
-		chunk = 1
-	}
-	if b.route == nil {
-		b.route = make([][][]sideUpdate, w)
-		b.ownerDirty = make([][]int32, w)
-		b.ownerPGs = make([][]patchGroup, w)
-	}
-	route := b.route
-	for sw := range route {
-		for dw := range route[sw] {
-			route[sw][dw] = route[sw][dw][:0]
-		}
-	}
-	par.ForWorker(len(accepted), w, func(sw, start, end int) {
-		o := route[sw]
-		if o == nil {
-			o = make([][]sideUpdate, w)
-			route[sw] = o
-		}
-		for i := start; i < end; i++ {
-			v := accepted[i]
-			to := b.side[v] // already flipped
-			for _, q := range b.g.DataNeighbors(v) {
-				dw := int(q) / chunk
-				o[dw] = append(o[dw], sideUpdate{q: q, to: to})
-			}
-		}
-	})
-	par.Each(w, func(dw int) {
-		dirty := b.ownerDirty[dw][:0]
-		for sw := 0; sw < w; sw++ {
-			if route[sw] == nil {
-				continue
-			}
-			for _, u := range route[sw][dw] {
-				from := 1 - u.to
-				b.n[from][u.q]--
-				b.n[u.to][u.q]++
-				b.d[from][u.q]--
-				b.d[u.to][u.q]++
-				if b.dirtyFlag[u.q] == 0 {
-					b.dirtyFlag[u.q] = 1
-					dirty = append(dirty, u.q)
-				}
-			}
-		}
-		pgs := b.ownerPGs[dw][:0]
-		for _, q := range dirty {
-			if pg, ok := b.derivePatchGroup(q); ok {
-				pgs = append(pgs, pg)
-			}
-		}
-		b.ownerDirty[dw] = dirty
-		b.ownerPGs[dw] = pgs
-	})
-	b.pgs = b.pgs[:0]
-	for dw := 0; dw < w; dw++ {
-		b.pgs = append(b.pgs, b.ownerPGs[dw]...)
-	}
-	b.pgsReady = true
 }
 
 // patchGroup is one dirty query's precomputed accumulator adjustments: a
@@ -834,8 +709,7 @@ type patchGroup struct {
 // derivePatchGroup turns one dirty query's net count deltas into its patch
 // group (cOld = cNew − net, exactly what a pre-batch snapshot would have
 // diffed out), resetting the query's delta and dirty-flag state. ok is
-// false when the deltas net to zero (opposing flips cancelled). Callers
-// owning disjoint query shards may run concurrently.
+// false when the deltas net to zero (opposing flips cancelled).
 func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 	pg := patchGroup{q: q}
 	wq := 1.0
@@ -861,20 +735,15 @@ func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 // vertex ranges — exact arithmetic makes the patch order (and the range
 // partition) irrelevant to the result. Movers are scheduled for a rebuild:
 // their own side changed, so the cached accumulators (and any patches
-// applied to them above) refer to the wrong frame. Groups are derived here
-// from the serial collector's dirty list unless the parallel collector
-// already derived them in its owner pass (pgsReady).
+// applied to them above) refer to the wrong frame.
 func (b *bisection) finishPatch(movers []int32) {
-	if !b.pgsReady {
-		b.pgs = b.pgs[:0]
-		for _, q := range b.dirtyQ {
-			if pg, ok := b.derivePatchGroup(q); ok {
-				b.pgs = append(b.pgs, pg)
-			}
+	b.pgs = b.pgs[:0]
+	for _, q := range b.dirtyQ {
+		if pg, ok := b.derivePatchGroup(q); ok {
+			b.pgs = append(b.pgs, pg)
 		}
-		b.dirtyQ = b.dirtyQ[:0]
 	}
-	b.pgsReady = false
+	b.dirtyQ = b.dirtyQ[:0]
 
 	// Clear the previous batch's marks through the frontier they form (the
 	// marked set IS the frontier while frontierValid); a full clear is only
@@ -957,22 +826,17 @@ func (b *bisection) finishPatch(movers []int32) {
 // fallback of the exact pairing, whose batch size is only known at the
 // end) and schedules the full rebuild sweep instead.
 func (b *bisection) discardPatch() {
-	b.pgsReady = false
 	for _, q := range b.dirtyQ {
 		b.d[0][q], b.d[1][q] = 0, 0
 		b.dirtyFlag[q] = 0
 	}
 	b.dirtyQ = b.dirtyQ[:0]
-	for i := range b.active {
-		b.active[i] = activeRebuild
-	}
-	b.frontierValid = false
+	b.markAllActive()
 }
 
 // freshGain recomputes vertex v's Equation 1 gain from the current counts
-// (as opposed to the batch gains computed at the start of the iteration).
-// This is both the full path's per-vertex evaluation and the exact
-// pairing's mid-batch re-check.
+// (as opposed to the batch gains computed at the start of the iteration):
+// the exact pairing's mid-batch re-check.
 func (b *bisection) freshGain(v int32) float64 {
 	cur := b.side[v]
 	oth := 1 - cur
@@ -1000,9 +864,8 @@ func (b *bisection) freshGain(v int32) float64 {
 }
 
 // moveExact applies one move, maintaining counts and weights immediately
-// (the exact pairing interleaves moves with fresh gain reads) and, on the
-// incremental path, the same net-delta bookkeeping the patched batch
-// collector keeps.
+// (the exact pairing interleaves moves with fresh gain reads) along with
+// the net-delta bookkeeping the patched batch collector keeps.
 func (b *bisection) moveExact(v int32) {
 	cur := b.side[v]
 	oth := 1 - cur
@@ -1010,15 +873,8 @@ func (b *bisection) moveExact(v int32) {
 	wv := int64(b.g.DataWeight(v))
 	b.w[cur] -= wv
 	b.w[oth] += wv
-	if b.active != nil {
-		b.applyMovePatched(v)
-		b.lastMoved = append(b.lastMoved, v)
-		return
-	}
-	for _, q := range b.g.DataNeighbors(v) {
-		b.n[cur][q]--
-		b.n[oth][q]++
-	}
+	b.applyMovePatched(v)
+	b.lastMoved = append(b.lastMoved, v)
 }
 
 // applyExact runs the "ideal serial implementation" the paper describes as
@@ -1038,9 +894,9 @@ func (b *bisection) moveExact(v int32) {
 //
 // The batch size is only known at the end, so net deltas are always
 // collected (two int adds per transfer) and either diffed into patches or
-// discarded in favor of the sweep, depending on the realized moved count.
-func (b *bisection) applyExact(iter int) int64 {
-	_ = iter
+// discarded in favor of the sweep, depending on the realized moved count
+// (always discarded when patch is false: the next iteration rebuilds).
+func (b *bisection) applyExact(patch bool) int64 {
 	b.lastMoved = b.lastMoved[:0] // repopulated by moveExact
 	b.syncBins()
 	cur0 := newBinCursor(b.bins, b.gains, 0)
@@ -1096,12 +952,10 @@ func (b *bisection) applyExact(iter int) int64 {
 		}
 	}
 	b.scanWork += cur0.work + cur1.work
-	if b.active != nil {
-		if int(moved)*sweepFallbackDiv < b.g.NumData() {
-			b.finishPatch(b.lastMoved)
-		} else {
-			b.discardPatch()
-		}
+	if patch && int(moved)*sweepFallbackDiv < b.g.NumData() {
+		b.finishPatch(b.lastMoved)
+	} else {
+		b.discardPatch()
 	}
 	return moved
 }

@@ -2,7 +2,7 @@ package core
 
 // Tests of the bisection (SHP-2) port of the shared incremental-gain
 // kernel: patched accumulators must bit-equal a from-scratch rebuild under
-// random move batches, the safety-net rebuild schedule must be invisible,
+// random move batches, the rebuild schedule must be invisible,
 // and the hub-heavy churn-proportionality claim is pinned by deterministic
 // work counters rather than wall time (the mirror of distshp's
 // TestDistDeltaPatchProperty / TestDistDeltaCutsLateSuperstepBytes).
@@ -23,22 +23,20 @@ import (
 // accumulators/gains of every vertex bit-equal a from-scratch rebuild.
 // Asymmetric lookahead (tLeft != tRight) keeps the two sides on different
 // gain tables, so table-routing mistakes cannot cancel out. Every few
-// rounds the safety-net recount fires too, which must change nothing.
+// rounds a scheduled rebuild fires too, which must change nothing.
 func TestBisectionDeltaPatchProperty(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		g := randomBipartite(t, seed, 60, 120, 700)
 		opts := Options{K: 2, P: 0.5, Epsilon: 10}.withDefaults()
 		b := newBisection(g, opts, seed, 0, 0, 1, 2, 0.5, 10, 0, nil)
 		b.computeGains()
-		b.allActive = false
 		r := rng.New(seed ^ 0xBEEF)
 		for round := 0; round < 25; round++ {
 			if round > 0 && round%7 == 0 {
-				// NDRebuildEvery-style safety net: recount + full rebuild.
+				// NDRebuildEvery-style scheduled rebuild: recount + resum.
 				b.recountNeighborData()
-				b.allActive = true
+				b.markAllActive()
 				b.computeGains()
-				b.allActive = false
 			}
 			var movers []int32
 			seen := make(map[int32]bool)
@@ -63,7 +61,6 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 			copy(ref.side, b.side)
 			ref.recountWeights()
 			ref.recountNeighborData()
-			ref.allActive = true
 			ref.computeGains()
 			for q := 0; q < g.NumQueries(); q++ {
 				if b.n[0][q] != ref.n[0][q] || b.n[1][q] != ref.n[1][q] {
@@ -85,40 +82,27 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 	}
 }
 
-// TestBisectionRebuildScheduleInvariant checks the bisection safety net is
-// a pure performance knob, across seeds: rebuilding the maintained counts
-// every iteration (NDRebuildEvery=1), rarely (3), and never (-1) all
-// produce identical assignments and histories.
+// TestBisectionRebuildScheduleInvariant checks the bisection rebuild
+// schedule is a pure performance knob, across seeds: a rebuild that fires
+// mid-run (NDRebuildEvery=3) produces the assignments and histories of
+// rebuilding every iteration and of never rebuilding, which
+// TestIncrementalMatchesFullSHP2 ties to the default schedule.
 func TestBisectionRebuildScheduleInvariant(t *testing.T) {
-	g := largeRandomBipartite(t, 41, 3000, 6000, 24000)
+	g := randomBipartite(t, 41, 3000, 6000, 24000)
 	for _, seed := range []uint64{5, 11} {
-		base, err := Partition(g, Options{K: 8, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, re := range []int{1, 3, -1} {
-			res, err := Partition(g, Options{K: 8, Seed: seed, NDRebuildEvery: re})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(base.Assignment, res.Assignment) {
-				t.Fatalf("seed %d: NDRebuildEvery=%d changed the assignment", seed, re)
-			}
-			if !reflect.DeepEqual(base.History, res.History) {
-				t.Fatalf("seed %d: NDRebuildEvery=%d changed the history", seed, re)
-			}
-		}
+		runBoth(t, g, Options{K: 8, Seed: seed, NDRebuildEvery: 3})
 	}
 }
 
 // TestBisectionDeltaCutsLateGainWork pins the tentpole claim for SHP-2 with
 // deterministic counters: on a hub-heavy graph refined from a lightly
 // perturbed warm start, the late iterations (everything after the first,
-// which rebuilds all state on both paths) must cost the patched engine at
-// least 3x fewer Equation 1 work units than the full recomputation, while
-// producing byte-identical sides and histories. Work units — table terms
-// summed plus delta records folded — proxy the memory stream, so the floor
-// cannot flake on machine load the way a wall-clock ratio would.
+// which rebuilds all state on any schedule) must cost the patched engine at
+// least 3x fewer Equation 1 work units than full recomputation every
+// iteration (NDRebuildEvery 1), while producing byte-identical sides and
+// histories. Work units — table terms summed plus delta records folded —
+// proxy the memory stream, so the floor cannot flake on machine load the way
+// a wall-clock ratio would.
 func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 	numQ, numD := 1500, 2500
 	g, err := gen.HubPowerLawBipartite(numQ, numD, int64(numD)*8, 2.1, 0.004, numD/8, 9)
@@ -135,15 +119,15 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 		v := r.Intn(numD)
 		home[v] = 1 - home[v]
 	}
-	run := func(disable bool) *bisection {
+	run := func(rebuildEvery int) *bisection {
 		o := opts
-		o.DisableIncremental = disable
+		o.NDRebuildEvery = rebuildEvery
 		b := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
 	}
-	inc := run(false)
-	full := run(true)
+	inc := run(0)
+	full := run(1)
 	if !slices.Equal(inc.side, full.side) {
 		t.Fatal("incremental and full warm refinements diverged")
 	}
@@ -153,8 +137,11 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 	if len(inc.history) < 2 {
 		t.Fatal("warm refinement converged in one iteration; nothing late to measure")
 	}
-	lateInc := inc.workHist[len(inc.workHist)-1] - inc.workHist[0]
-	lateFull := full.workHist[len(full.workHist)-1] - full.workHist[0]
+	var lateInc, lateFull int64
+	for i := 1; i < len(inc.work); i++ {
+		lateInc += inc.work[i].GainWork
+		lateFull += full.work[i].GainWork
+	}
 	if lateInc <= 0 || lateFull <= 0 {
 		t.Fatalf("degenerate work counters: inc %d, full %d", lateInc, lateFull)
 	}
@@ -170,11 +157,11 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 // hub-heavy warm-started refinement at a controlled churn level, with the
 // recursion/induction machinery stripped away so the numbers isolate the
 // per-iteration gain maintenance. A converged bisection's sides are
-// perturbed by a known moved fraction and re-refined with the
-// patched-accumulator engine on and off — identical results per
-// Options.DisableIncremental equivalence, so edges/s differences are pure
-// engine savings. The shp2-delta experiment reports the same ablation
-// end-to-end through core.Partition.
+// perturbed by a known moved fraction and re-refined on the default rebuild
+// schedule and with a full rebuild every iteration (NDRebuildEvery 1) —
+// identical results, so edges/s differences are pure engine savings. The
+// shp2-delta experiment reports the same ablation end-to-end through
+// core.Partition.
 func BenchmarkBisectionDelta(b *testing.B) {
 	g, err := gen.HubPowerLawBipartite(12000, 20000, 160000, 2.1, 0.001, 2500, 5)
 	if err != nil {
@@ -195,12 +182,12 @@ func BenchmarkBisectionDelta(b *testing.B) {
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
 		home := perturb(frac)
 		for _, engine := range []struct {
-			name    string
-			disable bool
-		}{{"incremental", false}, {"full-rebuild", true}} {
+			name         string
+			rebuildEvery int
+		}{{"incremental", 0}, {"full-rebuild", 1}} {
 			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
 				o := opts
-				o.DisableIncremental = engine.disable
+				o.NDRebuildEvery = engine.rebuildEvery
 				var iters int
 				for i := 0; i < b.N; i++ {
 					bis := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
@@ -211,5 +198,121 @@ func BenchmarkBisectionDelta(b *testing.B) {
 				b.ReportMetric(float64(g.NumEdges())*float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 			})
 		}
+	}
+}
+
+// naiveBisectionGain computes vertex v's Equation 1 state straight from the
+// definition, with a fresh map count of every adjacent query's members per
+// side — no maintained counts, no accumulators:
+//
+//	own  = Σ_q wq·T_cur[n_cur(q)−1]
+//	oth  = Σ_q wq·T_oth[n_oth(q)]
+//	gain = mult·(own − oth) ∓ penalty   (− leaving home, + returning to it)
+//
+// Table values sit on the dyadic grid, so the sums are exact and must equal
+// the engine's bit for bit in any summation order.
+func naiveBisectionGain(b *bisection, v int32) (own, oth, gain float64) {
+	cur := b.side[v]
+	for _, q := range b.g.DataNeighbors(v) {
+		n := map[int8]int32{}
+		for _, u := range b.g.QueryNeighbors(q) {
+			n[b.side[u]]++
+		}
+		wq := float64(b.g.QueryWeight(q))
+		own += wq * b.tables[cur].T[n[cur]-1]
+		oth += wq * b.tables[1-cur].T[n[1-cur]]
+	}
+	gain = b.tables[0].mult * (own - oth)
+	if p := b.opts.MoveCostPenalty; p > 0 && b.home != nil && b.home[v] >= 0 {
+		if cur == b.home[v] {
+			gain -= p
+		} else {
+			gain += p
+		}
+	}
+	return own, oth, gain
+}
+
+// TestBisectionGainMatchesEquation1 checks the three places the bisection
+// evaluates Equation 1 — rebuildGain's accumulators, deriveGain over patched
+// accumulators, and freshGain — against the naive reference, for unit and
+// weighted queries, asymmetric lookahead, and the warm-start penalty.
+func TestBisectionGainMatchesEquation1(t *testing.T) {
+	arms := []struct {
+		name           string
+		weighted       bool
+		tLeft, tRight  int
+		penalty        float64
+		penaltyNoHomes bool // every third vertex has no home side
+	}{
+		{"unit", false, 1, 1, 0, false},
+		{"weighted", true, 1, 1, 0, false},
+		{"lookahead", false, 3, 1, 0, false},
+		{"lookaheadWeighted", true, 2, 5, 0, false},
+		{"penalty", false, 1, 1, 0.25, true},
+		{"penaltyWeightedLookahead", true, 4, 2, 0.1, true},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				g := randomBipartite(t, seed, 40, 70, 400)
+				if arm.weighted {
+					g = weightedBipartite(t, seed, 40, 70, 400)
+				}
+				opts := Options{K: arm.tLeft + arm.tRight, P: 0.5, MoveCostPenalty: arm.penalty}.withDefaults()
+				var home []int8
+				if arm.penalty > 0 {
+					r := rng.New(seed ^ 0x40E)
+					home = make([]int8, g.NumData())
+					for i := range home {
+						home[i] = int8(r.Intn(2))
+						if arm.penaltyNoHomes && i%3 == 0 {
+							home[i] = -1
+						}
+					}
+				}
+				propLeft := float64(arm.tLeft) / float64(arm.tLeft+arm.tRight)
+				b := newBisection(g, opts, seed, 0, 0, arm.tLeft, arm.tRight, propLeft, 10, 0, home)
+				check := func(stage string) {
+					t.Helper()
+					for v := int32(0); int(v) < g.NumData(); v++ {
+						own, oth, gain := naiveBisectionGain(b, v)
+						if b.accOwn[v] != own || b.accOth[v] != oth {
+							t.Fatalf("seed %d %s vertex %d: accumulators (%v, %v), reference (%v, %v)",
+								seed, stage, v, b.accOwn[v], b.accOth[v], own, oth)
+						}
+						if b.gains[v] != gain {
+							t.Fatalf("seed %d %s vertex %d: gain %v, reference %v", seed, stage, v, b.gains[v], gain)
+						}
+						if fg := b.freshGain(v); fg != gain {
+							t.Fatalf("seed %d %s vertex %d: freshGain %v, reference %v", seed, stage, v, fg, gain)
+						}
+					}
+				}
+				b.computeGains() // fresh state: every vertex through rebuildGain
+				check("rebuilt")
+
+				// One patched batch: movers resum, their queries' other
+				// members go through deriveGain over patched accumulators.
+				r := rng.New(seed ^ 0xBEEF)
+				var movers []int32
+				for len(movers) < 5 {
+					v := int32(r.Intn(g.NumData()))
+					if slices.Contains(movers, v) {
+						continue
+					}
+					cur := b.side[v]
+					b.side[v] = 1 - cur
+					b.applyMovePatched(v)
+					movers = append(movers, v)
+				}
+				b.finishPatch(movers)
+				if !b.frontierValid || len(b.frontier) == g.NumData() {
+					t.Fatalf("seed %d: patched batch did not leave a proper frontier", seed)
+				}
+				b.computeGains()
+				check("patched")
+			}
+		})
 	}
 }

@@ -30,16 +30,17 @@ type IterStats struct {
 }
 
 // WorkStats records one refinement iteration's work-counter deltas — the
-// observability companion to IterStats, kept separate so the incremental and
-// DisableIncremental paths can stay byte-identical on IterStats while
-// legitimately differing here (sublinear frontier work is the whole point).
+// observability companion to IterStats, kept separate so runs under
+// different rebuild schedules (Options.NDRebuildEvery) can stay
+// byte-identical on IterStats while legitimately differing here (sublinear
+// frontier work is the whole point).
 type WorkStats struct {
 	// Level/Task/Iter locate the iteration exactly like IterStats.
 	Level int
 	Task  int
 	Iter  int
 	// Frontier is the number of vertices the iteration's gain pass visited
-	// (|D| on the full path or after a sweep fallback).
+	// (|D| after a scheduled rebuild or a sweep fallback).
 	Frontier int64
 	// GainWork counts Equation 1 work units: one per table term summed in a
 	// gain rebuild, one per delta record folded into an accumulator.

@@ -257,7 +257,6 @@ func (s *Session) syncEngine() {
 	}
 	st := s.st
 	g := s.g
-	full := st.opts.DisableIncremental
 	nq, nd := g.NumQueries(), g.NumData()
 
 	// Per-query growth: fixed-capacity neighbor-data segments for the new
@@ -295,9 +294,7 @@ func (s *Session) syncEngine() {
 		st.cand = append(st.cand, make([][]proposalCand, grow)...)
 		st.propBase = append(st.propBase, make([]float64, grow)...)
 		st.wdegArr = append(st.wdegArr, make([]float64, grow)...)
-		if st.active != nil {
-			st.active = append(st.active, make([]uint8, grow)...)
-		}
+		st.active = append(st.active, make([]uint8, grow)...)
 		st.decided = nil // sized per batch; forces reallocation at new |D|
 		// The pair-histogram fold needs no reset here: pairFold.fold
 		// re-derives the fixed shard layout from |D| every call and leaves
@@ -326,32 +323,30 @@ func (s *Session) syncEngine() {
 	// hyperedges drop their live entries, added ones get their segment
 	// built from the members' buckets.
 	placeNewVertices(g, st.bucket, st.bucketW, st.capW, st.k)
-	if !full {
-		for _, q := range s.removedQ {
-			if int(q) >= s.engNQ {
-				continue // added and removed within the window: empty segment
-			}
-			st.nd.entries -= int64(st.nd.len[q])
-			st.nd.len[q] = 0
+	for _, q := range s.removedQ {
+		if int(q) >= s.engNQ {
+			continue // added and removed within the window: empty segment
 		}
-		cnt := make([]int32, st.k)
-		for q := s.engNQ; q < nq; q++ {
-			pos := st.nd.off[q]
-			n := int32(0)
-			for _, d := range g.QueryNeighbors(int32(q)) {
-				cnt[st.bucket[d]]++
-			}
-			for b := int32(0); int(b) < st.k; b++ {
-				if cnt[b] > 0 {
-					st.nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
-					cnt[b] = 0
-					pos++
-					n++
-				}
-			}
-			st.nd.len[q] = n
-			st.nd.entries += int64(n)
+		st.nd.entries -= int64(st.nd.len[q])
+		st.nd.len[q] = 0
+	}
+	cnt := make([]int32, st.k)
+	for q := s.engNQ; q < nq; q++ {
+		pos := st.nd.off[q]
+		n := int32(0)
+		for _, d := range g.QueryNeighbors(int32(q)) {
+			cnt[st.bucket[d]]++
 		}
+		for b := int32(0); int(b) < st.k; b++ {
+			if cnt[b] > 0 {
+				st.nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
+				cnt[b] = 0
+				pos++
+				n++
+			}
+		}
+		st.nd.len[q] = n
+		st.nd.entries += int64(n)
 	}
 
 	// Deterministic balance repair: placement (or a weight change) may have
@@ -362,18 +357,16 @@ func (s *Session) syncEngine() {
 	// Dirty marks: every vertex whose Equation 1 inputs changed gets a full
 	// rebuild at the next proposal pass. That is exactly the members of
 	// added/removed hyperedges, weight-change targets, and the new vertices.
-	if st.active != nil {
-		for _, v := range s.touched {
-			st.active[v] = activeRebuild
-		}
-		for v := s.engND; v < nd; v++ {
-			st.active[int32(v)] = activeRebuild
-		}
-		// Marks were injected from outside the engine's own move batches
-		// (including any repairOverCap rebuild marks above), so the marked
-		// set is no longer the last batch's frontier.
-		st.frontierValid = false
+	for _, v := range s.touched {
+		st.active[v] = activeRebuild
 	}
+	for v := s.engND; v < nd; v++ {
+		st.active[int32(v)] = activeRebuild
+	}
+	// Marks were injected from outside the engine's own move batches
+	// (including any repairOverCap rebuild marks above), so the marked set
+	// is no longer the last batch's frontier.
+	st.frontierValid = false
 
 	// Static per-vertex degrees of everything touched.
 	for _, v := range s.touched {
@@ -394,22 +387,15 @@ func (s *Session) syncEngine() {
 		st.uniformT = tb.T
 	}
 
-	if full {
-		st.buildNeighborData()
-	}
 	s.clearPending()
 }
 
 // repairOverCap runs the engine's deterministic balance repair (the same
-// policy warm starts use in newDirectState), keeping the incremental engine
+// policy warm starts use in newDirectState), keeping the maintained engine
 // state exact: each repair move updates the neighbor data of the mover's
 // hyperedges and schedules the affected membership for rebuild.
 func (s *Session) repairOverCap() {
 	st := s.st
-	if st.opts.DisableIncremental {
-		st.repairBalance(nil)
-		return
-	}
 	st.repairBalance(func(v, from, to int32) {
 		// Exact state maintenance: transfer one neighbor-data unit per
 		// adjacent hyperedge and rebuild everything that saw the move.

@@ -7,21 +7,40 @@ import (
 	"shp/internal/gen"
 	"shp/internal/hypergraph"
 	"shp/internal/partition"
+	"shp/internal/rng"
 )
 
 // The session contract: Apply + Repartition must behave like one long
 // refinement over a changing graph — the incremental engine stays exact
-// across epochs (byte-identical to the full-rebuild ablation), new vertices
+// across epochs (byte-identical to the full-rebuild reference), new vertices
 // get placed, balance holds, and the graph stays Validate-clean.
 
-// sessionPair builds two sessions over clones of the same graph with only
-// DisableIncremental flipped, plus matching churn generators.
+// repartitionRebuilt is the sessions' independent reference: Repartition
+// with the warm engine's maintained state thrown away after the delta sync —
+// neighbor data rebuilt from the graph, every vertex re-evaluated. On a
+// period-1 session (NDRebuildEvery 1) that leaves no spliced or patched
+// state anywhere in the epoch.
+func repartitionRebuilt(s *Session) (*Result, error) {
+	if s.st != nil {
+		// The seed Repartition is about to install: the sync's balance
+		// repair draws its vertex order from it.
+		s.st.seed = rng.Mix(s.seedBase(), s.epoch+1)
+		s.syncEngine()
+		s.st.buildNeighborData()
+		s.st.markAllActive()
+	}
+	return s.Repartition()
+}
+
+// sessionPair builds two sessions over clones of the same graph — the
+// default schedule and the period-1 reference (drive the second with
+// repartitionRebuilt) — plus matching churn generators.
 func sessionPair(t *testing.T, opts Options, churn float64) (*Session, *Session, *gen.Churn, *gen.Churn) {
 	t.Helper()
 	g1 := randomBipartite(t, 91, 900, 3000, 13000)
 	g2 := g1.Clone()
 	full := opts
-	full.DisableIncremental = true
+	full.NDRebuildEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +84,7 @@ func runSessionEpochs(t *testing.T, s1, s2 *Session, c1, c2 *gen.Churn, epochs i
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := s2.Repartition()
+		r2, err := repartitionRebuilt(s2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +136,7 @@ func TestSessionWeightAndDataDeltas(t *testing.T) {
 	g2 := g1.Clone()
 	opts := Options{K: 6, Direct: true, Seed: 9}
 	full := opts
-	full.DisableIncremental = true
+	full.NDRebuildEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +166,7 @@ func TestSessionWeightAndDataDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := s2.Repartition()
+		r2, err := repartitionRebuilt(s2)
 		if err != nil {
 			t.Fatal(err)
 		}

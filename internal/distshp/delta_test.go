@@ -6,6 +6,7 @@ package distshp
 // churn-proportional traffic claim itself.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -39,10 +40,12 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDistIncrementalMatchesFull pins the dirty-query delta plane
-// byte-identical to the full-rebroadcast path (DisableIncremental) across
-// both transports and multiple seeds: same assignments, same per-iteration
-// moved counts, bitwise-equal fanout history.
+// TestDistIncrementalMatchesFull pins the dirty-query delta plane on the
+// default schedule byte-identical to a full rebroadcast every iteration
+// (RebuildEvery 1, which ships no delta record at all) and to never
+// rebroadcasting (-1), across both transports and multiple seeds: same
+// assignments, same per-iteration moved counts, bitwise-equal fanout
+// history.
 func TestDistIncrementalMatchesFull(t *testing.T) {
 	numQ, numD, edges := 300, 450, 2600
 	if testing.Short() {
@@ -63,13 +66,15 @@ func TestDistIncrementalMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Transport = tr.make()
-			opts.DisableIncremental = true
-			full, err := Partition(g, opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, period := range []int{1, -1} {
+				opts.Transport = tr.make()
+				opts.RebuildEvery = period
+				ref, err := Partition(g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%s/period %d", tr.name, period), inc, ref)
 			}
-			requireSameResult(t, tr.name, inc, full)
 			if err := inc.Assignment.Validate(8); err != nil {
 				t.Fatal(err)
 			}
@@ -287,8 +292,9 @@ func TestDeltaWireSize(t *testing.T) {
 
 // TestDistDeltaCutsLateSuperstepBytes asserts the tentpole claim: once the
 // moved fraction falls to <= 1%, the delta plane's gain-superstep traffic is
-// at least 3x smaller than the full rebroadcast's (which stays O(|E|) per
-// iteration no matter how little moves).
+// at least 3x smaller than that of a full rebroadcast every iteration
+// (RebuildEvery 1, which stays O(|E|) per iteration no matter how little
+// moves).
 func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 	communities, perCommunity, queries, qdeg := 4, 200, 900, 6
 	if testing.Short() {
@@ -300,7 +306,7 @@ func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableIncremental = true
+	opts.RebuildEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +337,10 @@ func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 // proposal, so once the moved fraction falls to <= 1% the proposal
 // superstep's per-iteration aggregator traffic is at least 3x below the
 // registration superstep's (which ships every vertex's histogram entry).
-// The aggregate stream itself is also pinned identical across the
-// incremental and full message planes: the retract/assert deltas key on
-// gains both paths compute bit-identically, so the same vertices change in
-// the same supersteps either way.
+// The aggregate stream itself is also pinned identical between the default
+// schedule and a rebroadcast every iteration: the retract/assert deltas key
+// on gains both compute bit-identically, so the same vertices change in the
+// same supersteps either way.
 func TestDistChangedOnlyProposalBytes(t *testing.T) {
 	communities, perCommunity, queries, qdeg := 4, 200, 900, 6
 	if testing.Short() {
@@ -346,7 +352,7 @@ func TestDistChangedOnlyProposalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableIncremental = true
+	opts.RebuildEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)

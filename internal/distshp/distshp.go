@@ -40,8 +40,9 @@
 //   - The master mirrors the in-process engine's two escape hatches: when an
 //     iteration moves more than 1/rebuildFallbackDiv of the vertices, the
 //     next superstep 1 is a full rebroadcast (patching would cost more than
-//     a sweep), and every Options.RebuildEvery iterations a safety-net full
-//     rebroadcast re-derives every accumulator from the histograms.
+//     a sweep), and every Options.RebuildEvery iterations a scheduled full
+//     rebroadcast re-derives every accumulator from the histograms (a
+//     period of 1 is the paper's plain per-iteration rebroadcast).
 //
 // # The changed-only proposal plane
 //
@@ -56,13 +57,10 @@
 // over the persistent state each iteration, and resets it at level start —
 // where every vertex re-registers from scratch. Late supersteps therefore
 // ship proposal traffic proportional to the moving frontier, while
-// full-rebroadcast iterations (sweep fallback, RebuildEvery safety net,
-// DisableIncremental) recompute every gain — verifying the maintained
-// proposal state — but still ship only the changes, so the maintained and
-// recomputed regimes stay byte-identical.
-//
-// Options.DisableIncremental restores the full per-iteration rebroadcast:
-// every query re-sends every member's msgGain contribution each iteration.
+// full-rebroadcast iterations (sweep fallback, RebuildEvery schedule)
+// recompute every gain — verifying the maintained proposal state — but
+// still ship only the changes, so the maintained and recomputed regimes
+// stay byte-identical.
 //
 // Recursive levels are scheduled by the master: when a level converges
 // (moved fraction below threshold) or exhausts its iterations, every data
@@ -120,19 +118,16 @@ type Options struct {
 	// then counts as freshly updated, so it also implies full per-iteration
 	// gain rebroadcasts.
 	DisableDirtyOnly bool
-	// DisableIncremental turns off the dirty-query delta plane: superstep 1
-	// rebroadcasts every member's full gain contribution each iteration
-	// instead of patching persistent accumulators with per-bucket count
-	// diffs. Both paths produce byte-identical partitions and histories for
-	// a fixed seed; this is an ablation/debugging knob, not a quality
-	// trade-off.
-	DisableIncremental bool
 	// RebuildEvery is the period, in refinement iterations within a level,
-	// of the incremental plane's safety-net full gain rebroadcast (the
-	// rebroadcast re-derives exactly the maintained accumulators, so it
-	// never changes results — it bounds the blast radius of any future
-	// maintenance bug). 0 means the default of 64 (mirroring the in-process
-	// engine's NDRebuildEvery); negative disables the safety net.
+	// of the delta plane's scheduled full gain rebroadcast: superstep 1
+	// re-sends every member's full gain contribution instead of patching
+	// persistent accumulators with per-bucket count diffs. The rebroadcast
+	// re-derives exactly the maintained accumulators, so every period
+	// produces byte-identical partitions and histories for a fixed seed —
+	// the default bounds the blast radius of any future maintenance bug,
+	// and 1 (rebroadcast every iteration, no delta records at all) is the
+	// ablation/debugging reference. 0 means the default of 64 (mirroring
+	// the in-process engine's NDRebuildEvery); negative never rebroadcasts.
 	RebuildEvery int
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
@@ -766,16 +761,12 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			})
 			sched.iter++
 			frac := float64(moved) / float64(numD)
-			// Schedule the incremental plane's escape hatches for the next
+			// Schedule the delta plane's escape hatches for the next
 			// iteration: a sweep fallback when patching would cost more than
-			// a rebroadcast, and a periodic safety-net rebroadcast. Both
+			// a rebroadcast, and the periodic scheduled rebroadcast. Both
 			// regimes produce identical bits, so these are pure perf knobs.
-			if !opts.DisableIncremental {
-				sched.rebuildNext = moved*rebuildFallbackDiv >= int64(numD)
-				if opts.RebuildEvery > 0 && sched.iter%opts.RebuildEvery == 0 {
-					sched.rebuildNext = true
-				}
-			}
+			sched.rebuildNext = moved*rebuildFallbackDiv >= int64(numD) ||
+				(opts.RebuildEvery > 0 && sched.iter%opts.RebuildEvery == 0)
 			if sched.iter >= opts.ItersPerLevel || frac < opts.MinMoveFraction {
 				sched.level++
 				sched.iter = 0
@@ -1010,13 +1001,12 @@ func directionKey(bucket int32) uint64 {
 // incrementally (superstep 0's messages, possibly batched by the sender-side
 // combiner) and, in superstep 1, bring each member's gain state up to date.
 //
-// On the incremental plane a dirty query sends a full msgGain contribution
-// to each member that moved (it is rebuilding) and canonical (bucket, cOld,
-// cNew) delta records to each clean member whose sibling pair contains a
-// changed bucket; clean queries send nothing. With the plane disabled — or
-// on a master-scheduled rebroadcast iteration — every query sends every
-// member its full contribution, exactly the paper's per-iteration r = 2
-// neighbor-data reduction.
+// A dirty query sends a full msgGain contribution to each member that moved
+// (it is rebuilding) and canonical (bucket, cOld, cNew) delta records to
+// each clean member whose sibling pair contains a changed bucket; clean
+// queries send nothing. On a master-scheduled rebroadcast iteration every
+// query sends every member its full contribution, exactly the paper's
+// per-iteration r = 2 neighbor-data reduction.
 func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	msgs []pregel.Message, opts Options, tables []core.GainTables) {
 
@@ -1027,10 +1017,8 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	}
 	switch phase {
 	case 1:
-		full := opts.DisableIncremental
-		if v := ctx.ReadAggregator("rebuild"); v != nil && v.(bool) {
-			full = true
-		}
+		// Set by the master for the iterations it schedules a rebroadcast on.
+		full, _ := ctx.ReadAggregator("rebuild").(bool)
 		members := g.QueryNeighbors(st.q)
 		if level != st.level {
 			// Level changed: rebuild from the registration messages. Every
@@ -1038,8 +1026,8 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 			// and receives a full contribution below.
 			st.register(level, len(members))
 		}
-		// Apply the bucket updates. On the incremental path, flag the
-		// members that moved and snapshot the pre-superstep segment so the
+		// Apply the bucket updates. Unless this superstep rebroadcasts, flag
+		// the members that moved and snapshot the pre-superstep segment so the
 		// net per-bucket changes can be diffed out afterwards. No map is
 		// touched anywhere in this superstep: counts live in the kernel's
 		// sorted-slice layout and member lookups are binary searches over

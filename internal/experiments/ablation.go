@@ -11,11 +11,12 @@ import (
 )
 
 // RunAblateIncremental ablates the incremental refinement engine: SHP-2 and
-// SHP-k run with the engine on and off (Options.DisableIncremental) on the
-// single-machine comparison datasets. The two paths are byte-identical for
-// a fixed seed, so the fanout columns must agree exactly — the table is a
-// pure run-time/throughput comparison, plus a live check of the
-// equivalence contract on real workloads.
+// SHP-k run on the default rebuild schedule and with a full rebuild every
+// iteration (Options.NDRebuildEvery = 1) on the single-machine comparison
+// datasets. The two schedules are byte-identical for a fixed seed, so the
+// fanout columns must agree exactly — the table is a pure
+// run-time/throughput comparison, plus a live check of the equivalence
+// contract on real workloads.
 func RunAblateIncremental(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "Ablation: incremental refinement engine (delta-maintained neighbor data,\n")
@@ -36,20 +37,20 @@ func RunAblateIncremental(w io.Writer, cfg Config) error {
 		for _, algo := range []string{"SHP-2", "SHP-k"} {
 			opts := core.Options{K: k, Seed: cfg.Seed + 1, Parallelism: cfg.Workers, Direct: algo == "SHP-k"}
 
-			run := func(disable bool) (time.Duration, float64, error) {
+			run := func(rebuildEvery int) (time.Duration, float64, error) {
 				o := opts
-				o.DisableIncremental = disable
+				o.NDRebuildEvery = rebuildEvery
 				res, err := core.Partition(g, o)
 				if err != nil {
 					return 0, 0, err
 				}
 				return res.Elapsed, partition.Fanout(g, res.Assignment, k), nil
 			}
-			incT, incF, err := run(false)
+			incT, incF, err := run(0)
 			if err != nil {
 				return err
 			}
-			fullT, fullF, err := run(true)
+			fullT, fullF, err := run(1)
 			if err != nil {
 				return err
 			}

@@ -11,12 +11,12 @@ import (
 
 // RunDistDelta ablates the distributed dirty-query delta plane
 // (distshp's incremental gain superstep) against the full per-iteration
-// rebroadcast. The two paths are byte-identical for a fixed seed — the
-// assignments and fanout histories are checked to agree exactly, a live
-// equivalence test on real workloads — so the table is a pure wire-traffic
-// comparison: per-superstep attribution of the gain/delta phase, and the
-// late-iteration (moved <= 1%) regime where churn-proportional traffic pays
-// off.
+// rebroadcast (RebuildEvery = 1). The two are byte-identical for a fixed
+// seed — the assignments and fanout histories are checked to agree exactly,
+// a live equivalence test on real workloads — so the table is a pure
+// wire-traffic comparison: per-superstep attribution of the gain/delta
+// phase, and the late-iteration (moved <= 1%) regime where
+// churn-proportional traffic pays off.
 func RunDistDelta(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "Distributed delta plane: dirty-query (bucket, cOld, cNew) diffs patched into\n")
@@ -38,17 +38,17 @@ func RunDistDelta(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		run := func(disable bool) (*distshp.Result, error) {
+		run := func(rebuildEvery int) (*distshp.Result, error) {
 			return distshp.Partition(g, distshp.Options{
 				K: k, Seed: cfg.Seed + 5, Workers: cfg.Workers,
-				MinMoveFraction: 1e-9, DisableIncremental: disable,
+				MinMoveFraction: 1e-9, RebuildEvery: rebuildEvery,
 			})
 		}
-		inc, err := run(false)
+		inc, err := run(0)
 		if err != nil {
 			return err
 		}
-		full, err := run(true)
+		full, err := run(1)
 		if err != nil {
 			return err
 		}

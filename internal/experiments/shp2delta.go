@@ -15,8 +15,9 @@ import (
 // RunSHP2Delta ablates the bisection refiner's patched-accumulator engine
 // (the SHP-2 port of the shared incremental-gain kernel) on the workload it
 // was built for: hub-heavy graphs refined from a warm start. A converged
-// partition is perturbed by a known churn fraction and re-refined with the
-// engine on and off. The two paths are byte-identical for a fixed seed —
+// partition is perturbed by a known churn fraction and re-refined on the
+// default rebuild schedule and with a full rebuild every iteration
+// (NDRebuildEvery = 1). The two are byte-identical for a fixed seed —
 // the fanout columns are checked to agree exactly, a live equivalence test
 // on real workloads — so the table is a pure run-time comparison: with
 // patching, a hub hyperedge whose member moves costs one delta record per
@@ -64,21 +65,21 @@ func RunSHP2Delta(w io.Writer, cfg Config) error {
 			for i := 0; i < int(frac*float64(len(warm))); i++ {
 				warm[r.Intn(len(warm))] = int32(r.Intn(k))
 			}
-			run := func(disable bool) (time.Duration, float64, error) {
+			run := func(rebuildEvery int) (time.Duration, float64, error) {
 				res, err := core.Partition(g, core.Options{
 					K: k, Seed: cfg.Seed + 2, Parallelism: cfg.Workers,
-					Initial: warm, DisableIncremental: disable,
+					Initial: warm, NDRebuildEvery: rebuildEvery,
 				})
 				if err != nil {
 					return 0, 0, err
 				}
 				return res.Elapsed, partition.Fanout(g, res.Assignment, k), nil
 			}
-			incT, incF, err := run(false)
+			incT, incF, err := run(0)
 			if err != nil {
 				return err
 			}
-			fullT, fullF, err := run(true)
+			fullT, fullF, err := run(1)
 			if err != nil {
 				return err
 			}

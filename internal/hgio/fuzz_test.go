@@ -17,6 +17,9 @@ func FuzzReadHMetis(f *testing.F) {
 	f.Add("")
 	f.Add("0 0\n")
 	f.Add("1 1\n\n")
+	f.Add("-1 5 1\n")
+	f.Add("1 2 1\n4294967297 1 2\n")
+	f.Add("1 2 10\n1 2\n4294967297\n1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadHMetis(strings.NewReader(input))
 		if err != nil {
@@ -48,6 +51,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("%% q=10 d=20\n0 0\n")
 	f.Add("# comment\n\n0 1\n")
 	f.Add("")
+	f.Add("4294967296 0\n")
+	f.Add("%% q=-1 d=4294967297\n0 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {

@@ -17,11 +17,26 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"shp/internal/hypergraph"
 )
+
+// parseInt32 parses a decimal integer that must lie in [lo, math.MaxInt32].
+// Every count, id and weight of these formats is stored in an int32, so a
+// larger value is an error rather than a silent wrap-around.
+func parseInt32(s string, lo int) (int32, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if v < lo || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%d out of range [%d, %d]", v, lo, math.MaxInt32)
+	}
+	return int32(v), nil
+}
 
 // ReadHMetis parses the hMetis hypergraph format.
 func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
@@ -35,14 +50,15 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 	if len(fields) < 2 || len(fields) > 3 {
 		return nil, fmt.Errorf("hgio: malformed header %q", line)
 	}
-	numQ, err := strconv.Atoi(fields[0])
+	numQ32, err := parseInt32(fields[0], 0)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: bad hyperedge count: %w", err)
 	}
-	numD, err := strconv.Atoi(fields[1])
+	numD32, err := parseInt32(fields[1], 0)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: bad vertex count: %w", err)
 	}
+	numQ, numD := int(numQ32), int(numD32)
 	format := 0
 	if len(fields) == 3 {
 		format, err = strconv.Atoi(fields[2])
@@ -71,11 +87,9 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			if len(fs) == 0 {
 				return nil, fmt.Errorf("hgio: hyperedge %d: missing weight", q+1)
 			}
-			wv, err := strconv.Atoi(fs[0])
-			if err != nil || wv < 1 {
+			if qWeights[q], err = parseInt32(fs[0], 1); err != nil {
 				return nil, fmt.Errorf("hgio: hyperedge %d: bad weight %q", q+1, fs[0])
 			}
-			qWeights[q] = int32(wv)
 			start = 1
 		}
 		for _, f := range fs[start:] {
@@ -99,11 +113,9 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hgio: vertex weight %d: %w", d+1, err)
 			}
-			w, err := strconv.Atoi(strings.TrimSpace(line))
-			if err != nil {
+			if weights[d], err = parseInt32(line, 1); err != nil {
 				return nil, fmt.Errorf("hgio: vertex weight %d: %w", d+1, err)
 			}
-			weights[d] = int32(w)
 		}
 		b.SetDataWeights(weights)
 	}
@@ -174,18 +186,18 @@ func ReadEdgeList(r io.Reader) (*hypergraph.Bipartite, error) {
 		if strings.HasPrefix(line, "%%") {
 			for _, f := range strings.Fields(line[2:]) {
 				if v, ok := strings.CutPrefix(f, "q="); ok {
-					n, err := strconv.Atoi(v)
+					n, err := parseInt32(v, 0)
 					if err != nil {
 						return nil, fmt.Errorf("hgio: line %d: bad q=: %w", lineNo, err)
 					}
-					numQ = n
+					numQ = int(n)
 				}
 				if v, ok := strings.CutPrefix(f, "d="); ok {
-					n, err := strconv.Atoi(v)
+					n, err := parseInt32(v, 0)
 					if err != nil {
 						return nil, fmt.Errorf("hgio: line %d: bad d=: %w", lineNo, err)
 					}
-					numD = n
+					numD = int(n)
 				}
 			}
 			continue
@@ -194,24 +206,17 @@ func ReadEdgeList(r io.Reader) (*hypergraph.Bipartite, error) {
 		if len(fs) != 2 {
 			return nil, fmt.Errorf("hgio: line %d: want 'q d', got %q", lineNo, line)
 		}
-		q, err := strconv.Atoi(fs[0])
+		q, err := parseInt32(fs[0], 0)
 		if err != nil {
 			return nil, fmt.Errorf("hgio: line %d: %w", lineNo, err)
 		}
-		d, err := strconv.Atoi(fs[1])
+		d, err := parseInt32(fs[1], 0)
 		if err != nil {
 			return nil, fmt.Errorf("hgio: line %d: %w", lineNo, err)
 		}
-		if q < 0 || d < 0 {
-			return nil, fmt.Errorf("hgio: line %d: negative id", lineNo)
-		}
-		edges = append(edges, hypergraph.Edge{Q: int32(q), D: int32(d)})
-		if int32(q) > maxQ {
-			maxQ = int32(q)
-		}
-		if int32(d) > maxD {
-			maxD = int32(d)
-		}
+		edges = append(edges, hypergraph.Edge{Q: q, D: d})
+		maxQ = max(maxQ, q)
+		maxD = max(maxD, d)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -264,11 +269,11 @@ func ReadAssignment(r io.Reader) ([]int32, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		v, err := strconv.Atoi(line)
+		v, err := parseInt32(line, math.MinInt32)
 		if err != nil {
 			return nil, fmt.Errorf("hgio: line %d: %w", lineNo, err)
 		}
-		out = append(out, int32(v))
+		out = append(out, v)
 	}
 	return out, sc.Err()
 }

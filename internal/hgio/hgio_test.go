@@ -105,12 +105,20 @@ func TestHMetisBothWeightsRoundTrip(t *testing.T) {
 
 func TestReadHMetisErrors(t *testing.T) {
 	cases := []string{
-		"",                  // no header
-		"1\n",               // short header
-		"1 2\n",             // missing hyperedge line
-		"1 2\n1 5\n",        // vertex out of range
-		"1 2\nx\n",          // non-numeric vertex
-		"1 2 10\n1\n1\nx\n", // bad weight
+		"",                             // no header
+		"1\n",                          // short header
+		"1 2\n",                        // missing hyperedge line
+		"1 2\n1 5\n",                   // vertex out of range
+		"1 2\nx\n",                     // non-numeric vertex
+		"1 2 10\n1\n1\nx\n",            // bad weight
+		"-1 5 1\n",                     // negative hyperedge count
+		"1 -5\n\n",                     // negative vertex count
+		"4294967297 1\n",               // hyperedge count above int32
+		"1 4294967297\n1\n",            // vertex count above int32
+		"1 2 1\n4294967297 1 2\n",      // hyperedge weight would wrap to 1
+		"1 2 1\n0 1 2\n",               // hyperedge weight below 1
+		"1 2 10\n1 2\n4294967297\n1\n", // vertex weight would wrap to 1
+		"1 2 10\n1 2\n0\n1\n",          // vertex weight below 1
 	}
 	for _, in := range cases {
 		if _, err := ReadHMetis(strings.NewReader(in)); err == nil {
@@ -215,7 +223,13 @@ func TestEdgeListComments(t *testing.T) {
 }
 
 func TestEdgeListErrors(t *testing.T) {
-	for _, in := range []string{"0\n", "a b\n", "-1 0\n", "%% q=x\n0 0\n"} {
+	for _, in := range []string{
+		"0\n", "a b\n", "-1 0\n", "%% q=x\n0 0\n",
+		"4294967296 0\n",         // query id would alias query 0
+		"0 4294967296\n",         // data id would alias vertex 0
+		"%% q=-1\n0 0\n",         // negative header count
+		"%% d=4294967297\n0 0\n", // header count above int32
+	} {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
@@ -234,6 +248,12 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, got) {
 		t.Fatalf("round trip: %v -> %v", a, got)
+	}
+}
+
+func TestAssignmentRejectsOverflow(t *testing.T) {
+	if got, err := ReadAssignment(strings.NewReader("4294967297\n")); err == nil {
+		t.Fatalf("bucket id above int32 loaded as %v", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lint is shplint: a repo-specific static-analysis suite that
 // machine-checks the determinism contract the runtime equivalence tests
-// sample. The repo's signature guarantee — incremental == DisableIncremental,
+// sample. The repo's signature guarantee — every rebuild schedule the same,
 // patched == rebuilt, recovered == undisturbed, all byte-identical — is easy
 // to break silently: one `range` over a map in a merge loop, one wall-clock
 // read in a hot path, one raw float64 += on a dyadic-grid accumulator. Each

@@ -165,57 +165,6 @@ func (s *Summary) Max() float64 {
 	return s.MaxV
 }
 
-// ExpHistogram counts observations into exponentially sized bins:
-// bin i covers [base*growth^i, base*growth^(i+1)). Values below base land in
-// bin 0. This mirrors the gain histograms in Section 3.4 of the paper.
-type ExpHistogram struct {
-	Base   float64
-	Growth float64
-	Counts []int64
-}
-
-// NewExpHistogram creates a histogram with the given smallest bin edge,
-// growth factor (> 1), and bin count.
-func NewExpHistogram(base, growth float64, bins int) *ExpHistogram {
-	if base <= 0 || growth <= 1 || bins <= 0 {
-		//shp:panics(constructor contract: histogram shape parameters are compile-time constants at every call site)
-		panic("stats: invalid ExpHistogram parameters")
-	}
-	return &ExpHistogram{Base: base, Growth: growth, Counts: make([]int64, bins)}
-}
-
-// BinFor returns the bin index for value x (clamped to the valid range).
-func (h *ExpHistogram) BinFor(x float64) int {
-	if x < h.Base {
-		return 0
-	}
-	bin := int(math.Log(x/h.Base) / math.Log(h.Growth))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	return bin
-}
-
-// Add records x.
-func (h *ExpHistogram) Add(x float64) { h.Counts[h.BinFor(x)]++ }
-
-// LowerEdge returns the inclusive lower edge of bin i.
-func (h *ExpHistogram) LowerEdge(i int) float64 {
-	return h.Base * math.Pow(h.Growth, float64(i))
-}
-
-// Total returns the number of recorded observations.
-func (h *ExpHistogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Table renders rows of columns in fixed-width ASCII, the format the
 // experiment harness uses to echo the paper's tables.
 type Table struct {

@@ -141,44 +141,6 @@ func TestSummaryMergeIntoEmpty(t *testing.T) {
 	}
 }
 
-func TestExpHistogramBins(t *testing.T) {
-	h := NewExpHistogram(1, 2, 8)
-	if h.BinFor(0.5) != 0 {
-		t.Fatal("values below base should land in bin 0")
-	}
-	if h.BinFor(1) != 0 || h.BinFor(1.9) != 0 {
-		t.Fatal("[1,2) should be bin 0")
-	}
-	if h.BinFor(2) != 1 || h.BinFor(3.9) != 1 {
-		t.Fatal("[2,4) should be bin 1")
-	}
-	if h.BinFor(1e12) != 7 {
-		t.Fatal("huge values should clamp to last bin")
-	}
-}
-
-func TestExpHistogramTotalAndEdges(t *testing.T) {
-	h := NewExpHistogram(0.5, 2, 4)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.1)
-	}
-	if h.Total() != 100 {
-		t.Fatalf("Total = %d, want 100", h.Total())
-	}
-	if h.LowerEdge(0) != 0.5 || h.LowerEdge(2) != 2.0 {
-		t.Fatalf("LowerEdge wrong: %v %v", h.LowerEdge(0), h.LowerEdge(2))
-	}
-}
-
-func TestExpHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for growth <= 1")
-		}
-	}()
-	NewExpHistogram(1, 1, 4)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "k", "fanout")
 	tb.AddRow("enron", 8, 1.73)

@@ -115,9 +115,10 @@ type Assignment = partition.Assignment
 // Options configures Partition; the zero value plus K uses the paper's
 // recommended defaults (p = 0.5, ε = 0.05, recursive bisection with
 // histogram pairing and final-p-fanout lookahead). Refinement is
-// incremental by default — per-iteration cost tracks churn, not |E| —
-// with DisableIncremental and NDRebuildEvery as ablation/safety knobs;
-// both engine paths produce identical partitions for a fixed seed.
+// incremental — per-iteration cost tracks churn, not |E| — with a full
+// rebuild every NDRebuildEvery iterations as the safety net (1 rebuilds
+// every iteration, the ablation reference); every schedule produces
+// identical partitions for a fixed seed.
 type Options = core.Options
 
 // Result is a finished partitioning with per-iteration history.
@@ -128,8 +129,8 @@ type IterStats = core.IterStats
 
 // WorkStats records one refinement iteration's work counters: the frontier
 // the gain pass visited and the gain/scan work units spent. Unlike History,
-// Work is not pinned across the incremental and DisableIncremental paths —
-// sublinear frontier work on the incremental engine is the whole point.
+// Work is not pinned across rebuild schedules (NDRebuildEvery) — sublinear
+// frontier work between rebuilds is the whole point.
 type WorkStats = core.WorkStats
 
 // Objective selects the optimization target.
