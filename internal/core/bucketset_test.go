@@ -67,8 +67,8 @@ func TestBucketSetDrain(t *testing.T) {
 // definition, with maps and a fresh count of every adjacent query's members
 // per bucket — no neighbor data, no scratch, no ordering assumptions:
 //
-//	base   = Σ_q wq·T_cur[n_cur(q)−1]
-//	acc_b  = Σ_{q: n_b(q)>0} wq·(T_b[n_b(q)] − T_b[0])     for b ≠ cur
+//	base   = Σ_q wq·T[n_cur(q)−1]
+//	acc_b  = Σ_{q: n_b(q)>0} wq·(T[n_b(q)] − T[0])     for b ≠ cur
 //	refs_b = |{q ∈ N(v): n_b(q) > 0}|
 //
 // Table values sit on the dyadic grid, so the sums are exact and must equal
@@ -88,9 +88,9 @@ func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
 			switch {
 			case n[b] == 0:
 			case b == cur:
-				base += wq * st.tables[b].T[n[b]-1]
+				base += wq * st.tables.T[n[b]-1]
 			default:
-				acc[b] += wq * (st.tables[b].T[n[b]] - st.tables[b].T[0])
+				acc[b] += wq * (st.tables.T[n[b]] - st.tables.T[0])
 				refs[b]++
 			}
 		}
@@ -104,7 +104,7 @@ func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
 	return base, cands
 }
 
-// TestRebuildVertexMatchesEquation1 checks each table arm of rebuildVertex
+// TestRebuildVertexMatchesEquation1 checks both weight arms of rebuildVertex
 // against the naive reference on small random graphs, and that the rebuild
 // leaves its scratch empty (the drain's half of the contract).
 func TestRebuildVertexMatchesEquation1(t *testing.T) {
@@ -112,24 +112,18 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 		name  string
 		graph func(seed uint64) *hypergraph.Bipartite
 		k     int
-		spans []int // per-bucket lookahead of a recursive r-way split; nil = uniform
 	}{
-		{"uniform", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 40, 70, 400) }, 6, nil},
-		{"uniformWeighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 6, nil},
-		{"lookahead", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 40, 70, 400) }, 5, []int{3, 1, 2, 2, 1}},
-		{"lookaheadWeighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 5, []int{3, 1, 2, 2, 1}},
+		{"unit", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 40, 70, 400) }, 6},
+		{"weighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 6},
 		// Past one bitset word, with most buckets empty around any vertex.
-		{"uniformK70", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 300, 900) }, 70, nil},
+		{"unitK70", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 300, 900) }, 70},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				g := arm.graph(seed)
 				opts := Options{K: arm.k, P: 0.5, Direct: true}.withDefaults()
-				st := newDirectState(g, opts, seed, arm.spans, 0)
-				if (st.uniformT == nil) != (arm.spans != nil) {
-					t.Fatalf("arm not exercised: uniformT nil = %v", st.uniformT == nil)
-				}
+				st := newDirectState(g, opts, seed)
 				st.buildNeighborData()
 				s := st.proposalScratches()[0]
 				for v := 0; v < g.NumData(); v++ {

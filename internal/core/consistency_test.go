@@ -10,10 +10,9 @@ import (
 // incrementally maintained per-query side counts must equal a from-scratch
 // recount, and side weights must match the side array.
 func TestIncrementalCountsStayConsistent(t *testing.T) {
-	modes := []PairingMode{PairHistogram, PairSimple, PairExact}
-	err := quick.Check(func(seed uint64, modeRaw uint8) bool {
+	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 40, 60, 300)
-		opts := Options{K: 2, P: 0.5, Pairing: modes[int(modeRaw)%len(modes)], MaxIters: 8}.withDefaults()
+		opts := Options{K: 2, P: 0.5, MaxIters: 8}.withDefaults()
 		b := newBisection(g, opts, seed, 0, 0, 1, 1, 0.5, 0.01, 0, nil)
 		b.run()
 		// From-scratch recount.
@@ -51,7 +50,7 @@ func TestDirectWeightsStayConsistent(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 40, 60, 300)
 		opts := Options{K: 5, P: 0.5, MaxIters: 8, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed, nil, 0)
+		st := newDirectState(g, opts, seed)
 		st.run()
 		recount := make([]int64, 5)
 		for v := 0; v < g.NumData(); v++ {

@@ -93,16 +93,14 @@ func TestFigure2PFanoutEscapes(t *testing.T) {
 func TestFigure2RefinementReachesOptimum(t *testing.T) {
 	// From the stuck state, p = 0.5 refinement should reach total fanout 4
 	// (average 4/3); direct fanout optimization stays at 6 (average 2).
-	for _, mode := range []PairingMode{PairExact, PairHistogram} {
-		g, side := figure2(t)
-		b := newTestBisection(g, Options{K: 2, P: 0.5, Pairing: mode, MaxIters: 20}, side)
-		b.run()
-		if f := fanoutOfSides(g, b.side); math.Abs(f-4.0/3.0) > 1e-9 {
-			t.Fatalf("pairing %v: p=0.5 fanout = %v, want 4/3", mode, f)
-		}
-	}
 	g, side := figure2(t)
-	b := newTestBisection(g, Options{K: 2, Objective: ObjFanout, Pairing: PairExact, MaxIters: 20}, side)
+	b := newTestBisection(g, Options{K: 2, P: 0.5, MaxIters: 20}, side)
+	b.run()
+	if f := fanoutOfSides(g, b.side); math.Abs(f-4.0/3.0) > 1e-9 {
+		t.Fatalf("p=0.5 fanout = %v, want 4/3", f)
+	}
+	g, side = figure2(t)
+	b = newTestBisection(g, Options{K: 2, Objective: ObjFanout, MaxIters: 20}, side)
 	b.run()
 	if f := fanoutOfSides(g, b.side); math.Abs(f-2.0) > 1e-9 {
 		t.Fatalf("direct fanout optimization escaped the local minimum: fanout = %v, want 2", f)
@@ -161,7 +159,7 @@ func TestDirectGainMatchesObjectiveDelta(t *testing.T) {
 	err := quick.Check(func(seed uint64, vRaw uint16) bool {
 		g := randomBipartite(t, seed, 12, 16, 70)
 		opts := Options{K: 5, P: 0.5, Epsilon: 10}.withDefaults() // huge eps: no full buckets
-		st := newDirectState(g, opts, seed, nil, 0)
+		st := newDirectState(g, opts, seed)
 		st.buildNeighborData()
 		st.computeProposals()
 		v := int32(vRaw) % 16
@@ -185,7 +183,7 @@ func TestDirectGainMatchesObjectiveDelta(t *testing.T) {
 func TestDirectTargetIsArgmax(t *testing.T) {
 	g := randomBipartite(t, 7, 15, 20, 90)
 	opts := Options{K: 4, P: 0.5, Epsilon: 10}.withDefaults()
-	st := newDirectState(g, opts, 3, nil, 0)
+	st := newDirectState(g, opts, 3)
 	st.buildNeighborData()
 	st.computeProposals()
 	for v := int32(0); v < 20; v++ {
@@ -261,33 +259,31 @@ func TestPartitionImprovesOverRandom(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	g := randomBipartite(t, 5, 200, 300, 2000)
-	for _, branching := range []int{2, 0} {
-		a, err := Partition(g, Options{K: 8, Seed: 7, Branching: branching, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+	a, err := Partition(g, Options{K: 8, Seed: 7, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Partition(g, Options{K: 8, Seed: 7, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Assignment {
+		if a.Assignment[i] != b.Assignment[i] {
+			t.Fatalf("parallelism changed the result at vertex %d", i)
 		}
-		b, err := Partition(g, Options{K: 8, Seed: 7, Branching: branching, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
+	}
+	c, err := Partition(g, Options{K: 8, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := 0
+	for i := range a.Assignment {
+		if a.Assignment[i] != c.Assignment[i] {
+			diff++
 		}
-		for i := range a.Assignment {
-			if a.Assignment[i] != b.Assignment[i] {
-				t.Fatalf("branching=%d: parallelism changed the result at vertex %d", branching, i)
-			}
-		}
-		c, err := Partition(g, Options{K: 8, Seed: 8, Branching: branching})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := 0
-		for i := range a.Assignment {
-			if a.Assignment[i] != c.Assignment[i] {
-				diff++
-			}
-		}
-		if diff == 0 {
-			t.Fatalf("branching=%d: different seeds produced identical partitions", branching)
-		}
+	}
+	if diff == 0 {
+		t.Fatal("different seeds produced identical partitions")
 	}
 }
 
@@ -309,7 +305,7 @@ func TestPartitionDirectValidBalanced(t *testing.T) {
 
 func TestObjectiveDecreasesOverIterations(t *testing.T) {
 	g := randomBipartite(t, 31, 400, 600, 5000)
-	res, err := Partition(g, Options{K: 2, Seed: 3, Pairing: PairExact})
+	res, err := Partition(g, Options{K: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,18 +319,15 @@ func TestObjectiveDecreasesOverIterations(t *testing.T) {
 	}
 }
 
-func TestPairingModesAllReduceFanout(t *testing.T) {
+func TestPartitionReducesFanout(t *testing.T) {
 	g := randomBipartite(t, 77, 500, 800, 6000)
 	base := partition.Fanout(g, partition.Random(800, 8, 1), 8)
-	for _, mode := range []PairingMode{PairHistogram, PairSimple, PairExact} {
-		res, err := Partition(g, Options{K: 8, Seed: 4, Pairing: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := partition.Fanout(g, res.Assignment, 8)
-		if f >= base {
-			t.Fatalf("pairing %v: fanout %v did not improve over random %v", mode, f, base)
-		}
+	res, err := Partition(g, Options{K: 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := partition.Fanout(g, res.Assignment, 8); f >= base {
+		t.Fatalf("fanout %v did not improve over random %v", f, base)
 	}
 }
 
@@ -440,9 +433,6 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 0},
 		{K: 2, Epsilon: -1},
 		{K: 2, P: 2},
-		{K: 2, Branching: 1},
-		{K: 2, Branching: -1},
-		{K: 2, Direct: true, Pairing: PairExact},
 		{K: 2, Initial: partition.Assignment{0}},
 		{K: 2, Initial: partition.Assignment{0, 5, 0, 0, 0, 0, 0, 0, 0, 0}},
 		{K: 2, MoveCostPenalty: -1},
@@ -451,25 +441,6 @@ func TestOptionsValidation(t *testing.T) {
 		if _, err := Partition(g, o); err == nil {
 			t.Errorf("case %d (%+v): expected error", i, o)
 		}
-	}
-}
-
-func TestRecursiveBranching4(t *testing.T) {
-	g := randomBipartite(t, 41, 300, 512, 3000)
-	res, err := Partition(g, Options{K: 16, Branching: 4, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Assignment.Validate(16); err != nil {
-		t.Fatal(err)
-	}
-	if imb := partition.Imbalance(res.Assignment, 16); imb > 0.15 {
-		t.Fatalf("branching-4 imbalance %v", imb)
-	}
-	f := partition.Fanout(g, res.Assignment, 16)
-	base := partition.Fanout(g, partition.Random(512, 16, 3), 16)
-	if f >= base {
-		t.Fatalf("branching-4 fanout %v >= random %v", f, base)
 	}
 }
 
@@ -515,34 +486,13 @@ func TestLookaheadAblationRuns(t *testing.T) {
 	}
 }
 
-func TestEvenSpans(t *testing.T) {
-	cases := []struct {
-		span, r int
-		want    []int
-	}{
-		{8, 2, []int{4, 4}},
-		{5, 2, []int{3, 2}},
-		{7, 3, []int{3, 2, 2}},
-		{3, 3, []int{1, 1, 1}},
-	}
-	for _, c := range cases {
-		got := evenSpans(c.span, c.r)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("evenSpans(%d,%d) = %v, want %v", c.span, c.r, got, c.want)
-			}
-		}
-	}
-}
-
 func TestLevelsFor(t *testing.T) {
-	cases := []struct{ k, r, want int }{
-		{2, 2, 1}, {4, 2, 2}, {5, 2, 3}, {8, 2, 3}, {512, 2, 9},
-		{9, 3, 2}, {16, 4, 2}, {1, 2, 0},
+	cases := []struct{ k, want int }{
+		{2, 1}, {4, 2}, {5, 3}, {8, 3}, {512, 9}, {1, 0},
 	}
 	for _, c := range cases {
-		if got := levelsFor(c.k, c.r); got != c.want {
-			t.Fatalf("levelsFor(%d,%d) = %d, want %d", c.k, c.r, got, c.want)
+		if got := levelsFor(c.k); got != c.want {
+			t.Fatalf("levelsFor(%d) = %d, want %d", c.k, got, c.want)
 		}
 	}
 }

@@ -18,9 +18,6 @@ import (
 //	superstep 2:   computeProposals  (Equation 1 gains, best target)
 //	superstep 3+4: applyMoves        (master pairing + probabilistic moves)
 //
-// It also serves recursive r-way splitting for r > 2, where each of the r
-// buckets carries its own lookahead split count.
-//
 // # The incremental engine
 //
 // By default the refiner makes per-iteration cost proportional to churn
@@ -69,9 +66,9 @@ type directState struct {
 	targetW []float64
 	capW    []float64
 
-	// tables[c] is the gain table of bucket c (lookahead varies per bucket
-	// during recursive r-way splits; uniform t=1 in plain direct mode).
-	tables []GainTables
+	// tables is the one gain table every bucket shares: direct buckets are
+	// final, so none carries lookahead.
+	tables GainTables
 
 	// Sparse neighbor data over queries: the shared kernel's fixed-capacity
 	// sorted CSR (see ndstate.go), which also owns the dirty-query diff
@@ -119,13 +116,6 @@ type directState struct {
 	// changed under cached proposals — e.g. the MoveCostPenalty reference
 	// assignment was re-snapshotted — after which caches are fresh again.
 	forceSelect bool
-
-	// uniformT is set when every bucket shares one gain table (always true
-	// in plain direct mode, where no bucket carries lookahead): the
-	// Equation 1 sweeps then skip the per-entry table indirection. The
-	// specialized loops perform the identical float operations, so results
-	// do not depend on which path runs.
-	uniformT []float64
 
 	// qw holds per-query weights as float64 (nil when unit-weighted),
 	// mirroring the bisection refiner.
@@ -194,56 +184,23 @@ const (
 // state, so the threshold is a pure performance knob.
 const sweepFallbackDiv = 8
 
-// newDirectState prepares the refiner. spans gives each bucket's final
-// split count for lookahead (nil = all ones = no lookahead).
-// idealPerBucket is the global ideal weight of one final bucket; <= 0
-// derives it from the subproblem (correct for plain direct mode).
-func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []int, idealPerBucket float64) *directState {
+// newDirectState prepares the refiner: k equal buckets, each allowed
+// (1+ε) times the ideal weight.
+func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directState {
 	k := opts.K
 	st := &directState{
 		g: g, opts: opts, seed: seed, k: k,
 		workers:  par.Workers(opts.Parallelism),
 		maxIters: opts.MaxIters,
-	}
-	if spans == nil {
-		spans = make([]int, k)
-		for i := range spans {
-			spans[i] = 1
-		}
-	}
-	maxN := g.MaxQueryDegree()
-	byT := map[int]GainTables{}
-	st.tables = make([]GainTables, k)
-	for c := 0; c < k; c++ {
-		tb, ok := byT[spans[c]]
-		if !ok {
-			tb = tablesFor(opts, spans[c], maxN)
-			byT[spans[c]] = tb
-		}
-		st.tables[c] = tb
+		tables:   tablesFor(opts, 1, g.MaxQueryDegree()),
 	}
 
-	st.uniformT = st.tables[0].T
-	for c := 1; c < k; c++ {
-		if &st.tables[c].T[0] != &st.uniformT[0] {
-			st.uniformT = nil
-			break
-		}
-	}
-
-	spanSum := 0
-	for _, s := range spans {
-		spanSum += s
-	}
-	total := float64(g.TotalDataWeight())
-	if idealPerBucket <= 0 {
-		idealPerBucket = total / float64(spanSum)
-	}
+	ideal := float64(g.TotalDataWeight()) / float64(k)
 	st.targetW = make([]float64, k)
 	st.capW = make([]float64, k)
 	for c := 0; c < k; c++ {
-		st.targetW[c] = total * float64(spans[c]) / float64(spanSum)
-		st.capW[c] = idealPerBucket * float64(spans[c]) * (1 + opts.Epsilon)
+		st.targetW[c] = ideal
+		st.capW[c] = ideal * (1 + opts.Epsilon)
 	}
 
 	nd := g.NumData()
@@ -356,7 +313,7 @@ func (st *directState) enforceMigrationBudget(list []int32, remaining int64) []i
 }
 
 // randomInit cuts a random permutation at the per-bucket weight targets,
-// giving near-perfect initial balance for any span distribution.
+// giving near-perfect initial balance.
 func (st *directState) randomInit() {
 	order := rng.NewStream(st.seed, 0xD1CE).Perm(st.g.NumData())
 	c := 0
@@ -440,10 +397,11 @@ func (st *directState) objectiveFromND() float64 {
 	nq := st.g.NumQueries()
 	return par.SumFloat64(nq, st.workers, func(start, end int) float64 {
 		sum := 0.0
+		C := st.tables.C
 		for q := start; q < end; q++ {
 			wq := float64(st.g.QueryWeight(int32(q)))
 			for _, e := range st.nd.seg(int32(q)) {
-				sum += wq * st.tables[e.B].C[e.C]
+				sum += wq * C[e.C]
 			}
 		}
 		return sum
@@ -497,9 +455,9 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 	// engine's hottest memory stream, and going through st.nd on every
 	// access costs a dependent load per entry.
 	ndOff, ndLen, ndEnt := st.nd.off, st.nd.len, st.nd.ent
-	switch T := st.uniformT; {
-	case T != nil && st.qw == nil:
-		t0 := T[0]
+	T := st.tables.T
+	t0 := T[0]
+	if st.qw == nil {
 		for _, q := range st.g.DataNeighbors(int32(v)) {
 			off := ndOff[q]
 			for _, e := range ndEnt[off : off+int64(ndLen[q])] {
@@ -512,8 +470,7 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 				refs[e.B]++
 			}
 		}
-	case T != nil:
-		t0 := T[0]
+	} else {
 		for _, q := range st.g.DataNeighbors(int32(v)) {
 			wq := st.qw[q]
 			off := ndOff[q]
@@ -524,24 +481,6 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 				}
 				set.add(e.B)
 				acc[e.B] += wq * (T[e.C] - t0)
-				refs[e.B]++
-			}
-		}
-	default:
-		tCur := st.tables[cur]
-		for _, q := range st.g.DataNeighbors(int32(v)) {
-			wq := 1.0
-			if st.qw != nil {
-				wq = st.qw[q]
-			}
-			off := ndOff[q]
-			for _, e := range ndEnt[off : off+int64(ndLen[q])] {
-				if e.B == cur {
-					base += wq * tCur.T[e.C-1]
-					continue
-				}
-				set.add(e.B)
-				acc[e.B] += wq * (st.tables[e.B].T[e.C] - st.tables[e.B].T[0])
 				refs[e.B]++
 			}
 		}
@@ -572,7 +511,7 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 	cur := st.bucket[v]
 	base := st.propBase[v]
 	wdeg := st.wdegArr[v]
-	mult := st.tables[cur].mult
+	mult := st.tables.mult
 	wv := float64(st.g.DataWeight(int32(v)))
 	penalty := st.opts.MoveCostPenalty
 	usePenalty := penalty > 0 && st.opts.Initial != nil
@@ -584,44 +523,13 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 	// numbering produces.
 	var bestHash uint64
 	vh := rng.Mix(st.seed, uint64(v))
-	if T := st.uniformT; T != nil {
-		wt0 := wdeg * T[0]
-		for i := range cands {
-			b := cands[i].b
-			if float64(st.bucketW[b])+wv > st.capW[b] {
-				continue // target bucket is full
-			}
-			gain := mult * (base - wt0 - cands[i].acc)
-			if usePenalty {
-				if cur == st.opts.Initial[v] {
-					gain -= penalty
-				} else if b == st.opts.Initial[v] {
-					gain += penalty
-				}
-			}
-			switch {
-			case best < 0 || gain > bestGain:
-				best = b
-				bestGain = gain
-				bestHash = 0
-			case gain == bestGain:
-				if bestHash == 0 {
-					bestHash = rng.Mix(vh, uint64(uint32(best)))
-				}
-				if h := rng.Mix(vh, uint64(uint32(b))); h < bestHash {
-					best = b
-					bestHash = h
-				}
-			}
-		}
-		return best, bestGain
-	}
+	wt0 := wdeg * st.tables.T[0]
 	for i := range cands {
 		b := cands[i].b
 		if float64(st.bucketW[b])+wv > st.capW[b] {
 			continue // target bucket is full
 		}
-		gain := mult * (base - wdeg*st.tables[b].T[0] - cands[i].acc)
+		gain := mult * (base - wt0 - cands[i].acc)
 		if usePenalty {
 			if cur == st.opts.Initial[v] {
 				gain -= penalty
@@ -743,7 +651,7 @@ func (st *directState) applyMoves(iter int) []move {
 	}
 	pairs := st.pairs
 	pairs.fold(st.bucket[:nd], st.target, st.gains)
-	pairs.match(st.opts.Pairing)
+	pairs.match()
 
 	// Phase 1 (parallel): per-vertex coin decisions, collected into
 	// per-worker lists. par.ForWorker hands out contiguous ascending ranges
@@ -1019,13 +927,13 @@ func (st *directState) patchVertex(v int32, wq float64, recs []NDChange) {
 	ci := 0
 	for _, r := range recs {
 		if r.B == cur {
-			st.propBase[v] += wq * st.tables[cur].DeltaOwn(r.COld, r.CNew)
+			st.propBase[v] += wq * st.tables.DeltaOwn(r.COld, r.CNew)
 			continue
 		}
 		// DeltaAway is the exact candidate-accumulator change: the candidate
 		// terms are T[c]−T[0] (0 when absent), and the T[0]s cancel in the
 		// difference.
-		dAcc := st.tables[r.B].DeltaAway(r.COld, r.CNew)
+		dAcc := st.tables.DeltaAway(r.COld, r.CNew)
 		var dref int32
 		if r.COld == 0 {
 			dref++
@@ -1117,7 +1025,7 @@ func (st *directState) refine() {
 
 // partitionDirect runs SHP-k on the whole graph.
 func partitionDirect(g *hypergraph.Bipartite, opts Options) (*Result, error) {
-	st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7), nil, 0)
+	st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
 	st.run()
 	assignment := make(partition.Assignment, g.NumData())
 	copy(assignment, st.bucket)

@@ -195,14 +195,12 @@ func TestPeriodOneIsFullRecomputation(t *testing.T) {
 			}
 		}
 	}
-	for _, pairing := range []PairingMode{PairHistogram, PairSimple, PairExact} {
-		t.Run("SHP2/"+pairing.String(), func(t *testing.T) {
-			opts := Options{K: 2, P: 0.5, Pairing: pairing, NDRebuildEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
-			b := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
-			b.run()
-			check(t, b.work, 2)
-		})
-	}
+	t.Run("SHP2", func(t *testing.T) {
+		opts := Options{K: 2, P: 0.5, NDRebuildEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
+		b := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+		b.run()
+		check(t, b.work, 2)
+	})
 	t.Run("SHPk", func(t *testing.T) {
 		res, err := Partition(g, Options{K: 8, Direct: true, Seed: 11, NDRebuildEvery: 1, MaxIters: 12})
 		if err != nil {

@@ -96,10 +96,7 @@ func TestObjectiveStrings(t *testing.T) {
 	if ObjPFanout.String() != "p-fanout" || ObjFanout.String() != "fanout" || ObjCliqueNet.String() != "clique-net" {
 		t.Fatal("objective names wrong")
 	}
-	if PairHistogram.String() != "histogram" || PairSimple.String() != "simple" || PairExact.String() != "exact" {
-		t.Fatal("pairing names wrong")
-	}
-	if Objective(99).String() == "" || PairingMode(99).String() == "" {
+	if Objective(99).String() == "" {
 		t.Fatal("unknown values must still render")
 	}
 }

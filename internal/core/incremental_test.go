@@ -75,9 +75,6 @@ func TestIncrementalMatchesFullSmallNodes(t *testing.T) {
 	g := randomBipartite(t, 14, 300, 600, 2400)
 	for _, opts := range []Options{
 		{K: 128, Seed: 3},
-		{K: 64, Seed: 3, Pairing: PairExact},
-		{K: 64, Seed: 3, Pairing: PairSimple},
-		{K: 27, Seed: 3, Branching: 3},
 		{K: 50, Seed: 3}, // non-power-of-two: uneven lookahead at every node
 	} {
 		runBoth(t, g, opts)
@@ -123,10 +120,6 @@ func TestIncrementalMatchesFullConfigurations(t *testing.T) {
 		warm[i] = int32(wr.Intn(8))
 	}
 	configs := []Options{
-		{K: 8, Seed: 2, Pairing: PairSimple},
-		{K: 8, Seed: 2, Pairing: PairExact},
-		{K: 8, Seed: 2, Branching: 4},
-		{K: 16, Seed: 2, Direct: true, Pairing: PairSimple},
 		{K: 8, Seed: 2, Initial: warm, MoveCostPenalty: 0.1},
 		{K: 8, Seed: 2, Direct: true, Initial: warm, MoveCostPenalty: 0.1},
 		{K: 8, Seed: 2, Objective: ObjCliqueNet},
@@ -216,7 +209,7 @@ func TestMaintainedNDMatchesRebuild(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 50, 80, 400)
 		opts := Options{K: 6, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed, nil, 0)
+		st := newDirectState(g, opts, seed)
 		st.buildNeighborData()
 		r := rng.New(seed ^ 0xBEEF)
 		for batch := 0; batch < 5; batch++ {
@@ -264,7 +257,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 	for _, seed := range []uint64{17, 23, 99} {
 		g := randomBipartite(t, 21, 60, 100, 500)
 		opts := Options{K: 5, P: 0.5, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed, nil, 0)
+		st := newDirectState(g, opts, seed)
 		st.buildNeighborData()
 		patched := 0
 		for iter := 0; iter < 6; iter++ {
@@ -277,7 +270,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 			if len(accepted)*sweepFallbackDiv >= g.NumData() {
 				continue // sweep regime: everyone is active, nothing cached
 			}
-			ref := newDirectState(g, opts, seed, nil, 0)
+			ref := newDirectState(g, opts, seed)
 			copy(ref.bucket, st.bucket)
 			ref.recountWeights()
 			ref.buildNeighborData()
@@ -310,7 +303,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	g := randomBipartite(t, 31, 10, 40, 200) // dense: every query sees many movers
 	opts := Options{K: 4, P: 0.5, Epsilon: 10, Direct: true, Parallelism: 3}.withDefaults()
-	st := newDirectState(g, opts, 8, nil, 0)
+	st := newDirectState(g, opts, 8)
 	st.buildNeighborData()
 	var accepted []move
 	for v := int32(0); v < 20; v++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"shp/internal/hypergraph"
 	"shp/internal/par"
@@ -277,6 +278,16 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepte
 		if o == nil {
 			o = make([][]ndUpdate, w)
 			outs[sw] = o
+		}
+		// One transfer per incidence of a mover, spread over the owners:
+		// reserve that share up front rather than let append double each
+		// list up to it in the first, largest batch.
+		need := 0
+		for _, m := range accepted[start:end] {
+			need += len(g.DataNeighbors(m.v))
+		}
+		for dw := range o {
+			o[dw] = slices.Grow(o[dw], need/w)
 		}
 		for i := start; i < end; i++ {
 			m := accepted[i]

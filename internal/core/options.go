@@ -3,13 +3,15 @@
 // probabilistic-fanout objective (Kabiljo et al., VLDB 2017, Section 3).
 //
 // Two execution strategies are provided, matching the paper's SHP-2 and
-// SHP-k: recursive bisection (Branching = 2, arbitrary branching supported)
-// and direct k-way refinement (Branching = 0). Both iterate the same scheme:
-// compute a move gain for every data vertex (Equation 1), pick the best
-// target bucket, and let a master pair opposing move proposals so that
-// balance is preserved, using one of three pairing protocols (Section 3.1's
-// S-matrix, Section 3.4's gain histograms, or an exact sorted-queue pairing
-// that serves as the quality reference).
+// SHP-k: recursive bisection (the default) and direct k-way refinement
+// (Options.Direct). Both iterate the same scheme: compute a move gain for
+// every data vertex (Equation 1), pick the best target bucket, and let a
+// master pair opposing move proposals so that balance is preserved, using
+// Section 3.4's gain-histogram protocol (pairing.go): per-direction
+// histograms of move gains in exponentially sized bins, matched best-first,
+// with fractional probability on the boundary bin, pairing of positive with
+// negative bins when the summed gain is positive, and extra imbalanced moves
+// within the ε budget.
 package core
 
 import (
@@ -46,40 +48,6 @@ func (o Objective) String() string {
 	}
 }
 
-// PairingMode selects how opposing move proposals are matched while
-// preserving balance.
-type PairingMode int
-
-const (
-	// PairHistogram is the advanced protocol from Section 3.4: per-direction
-	// histograms of move gains in exponentially sized bins, matched
-	// best-first, with fractional probability on the boundary bin, pairing
-	// of positive with negative bins when the summed gain is positive, and
-	// extra imbalanced moves within the ε budget.
-	PairHistogram PairingMode = iota
-	// PairSimple is Algorithm 1's protocol: count positive-gain proposals
-	// per direction in matrix S and move with probability
-	// min(S_ij, S_ji)/S_ij.
-	PairSimple
-	// PairExact is the "ideal serial implementation": sort both queues by
-	// gain and pair greedily. Deterministic; used as the quality reference
-	// in ablations. Only available in recursive (bisection) mode.
-	PairExact
-)
-
-func (m PairingMode) String() string {
-	switch m {
-	case PairHistogram:
-		return "histogram"
-	case PairSimple:
-		return "simple"
-	case PairExact:
-		return "exact"
-	default:
-		return fmt.Sprintf("PairingMode(%d)", int(m))
-	}
-}
-
 // Options configures a partitioning run. The zero value plus K is usable:
 // all other fields default to the paper's recommended settings.
 type Options struct {
@@ -96,9 +64,6 @@ type Options struct {
 	// recursive partitioning (SHP-2, the default and the open-sourced
 	// variant).
 	Direct bool
-	// Branching is the recursion arity for recursive mode; 2 is SHP-2.
-	// Ignored when Direct is set. Default 2.
-	Branching int
 	// MaxIters bounds refinement iterations (per bisection level for
 	// recursive mode). Defaults: 20 recursive (per level), 60 direct.
 	MaxIters int
@@ -119,8 +84,6 @@ type Options struct {
 	// Seed makes runs reproducible. Two runs with equal options and seed
 	// produce identical partitions regardless of parallelism.
 	Seed uint64
-	// Pairing selects the swap protocol. Default PairHistogram.
-	Pairing PairingMode
 	// DisableLookahead turns off Section 3.4's final-p-fanout approximation
 	// during recursive partitioning (each split then optimizes the current
 	// 2-way objective only). Ablation knob.
@@ -201,9 +164,6 @@ func (o Options) withDefaults() Options {
 	if o.Objective == ObjFanout {
 		o.P = 1
 	}
-	if o.Branching == 0 {
-		o.Branching = 2
-	}
 	if o.MaxIters == 0 {
 		if o.Direct {
 			o.MaxIters = 60 // the paper's SHP-k default
@@ -238,12 +198,6 @@ func (o Options) validate(numData int) error {
 	}
 	if o.Objective == ObjPFanout && (o.P <= 0 || o.P > 1) {
 		return fmt.Errorf("core: P must be in (0, 1], got %v", o.P)
-	}
-	if o.Branching < 2 {
-		return fmt.Errorf("core: Branching must be >= 2, got %d", o.Branching)
-	}
-	if o.Direct && o.Pairing == PairExact {
-		return errors.New("core: PairExact is only available in recursive mode")
 	}
 	if o.Initial != nil && len(o.Initial) != numData {
 		return fmt.Errorf("core: Initial has %d entries for %d data vertices", len(o.Initial), numData)

@@ -218,8 +218,24 @@ func (f *pairFold) fold(bucket, target []int32, gains []float64) {
 		f.workers[w].pairs = f.workers[w].pairs[:0]
 		f.workers[w].cells = f.workers[w].cells[:0]
 	}
+	// A direction exists only where a vertex proposes it, so a shard touches
+	// at most min(k(k−1), its proposals) of them and the merge at most
+	// min(k(k−1), drained runs). The histogram arrays get that capacity on
+	// first use: grown by append, their 2 KB elements left several times the
+	// final arrays behind as garbage in the refiner's first iteration, where
+	// the live heap peaks.
+	dirs := int(f.idx.k) * int(f.idx.k-1)
 	par.ForWorker(len(bounds), len(f.workers), func(w, s, e int) {
 		fw := &f.workers[w]
+		if fw.hists == nil {
+			n := 0
+			for _, tgt := range target[bounds[s].Start:bounds[s].End] {
+				if tgt >= 0 {
+					n++
+				}
+			}
+			fw.hists = make([]partialHist, 0, min(dirs, n))
+		}
 		for sh := s; sh < e; sh++ {
 			for v := bounds[sh].Start; v < bounds[sh].End; v++ {
 				if tgt := target[v]; tgt >= 0 {
@@ -232,6 +248,13 @@ func (f *pairFold) fold(bucket, target []int32, gains []float64) {
 
 	f.idx.forget(f.keys)
 	f.keys = f.keys[:0]
+	if f.hists == nil {
+		runs := 0
+		for w := range f.workers {
+			runs += len(f.workers[w].pairs)
+		}
+		f.hists = make([]DirHist, 0, min(dirs, runs))
+	}
 	f.hists = f.hists[:0]
 	// par.ForWorker hands out contiguous ascending shard ranges in worker
 	// order, so walking the workers' outputs in order replays the shards in
@@ -279,7 +302,7 @@ func (f *pairFold) at(d dirKey) *DirHist {
 
 // match runs the pairing protocol over every pair of opposing directions of
 // the last fold. The direction encountered first plays the matcher's A side.
-func (f *pairFold) match(mode PairingMode) {
+func (f *pairFold) match() {
 	n := len(f.keys)
 	if cap(f.probs) < n {
 		f.probs = make([]ProbTable, n)
@@ -297,12 +320,7 @@ func (f *pairFold) match(mode PairingMode) {
 		if rs != 0 {
 			rh = &f.hists[rs-1]
 		}
-		var pa, pb ProbTable
-		if mode == PairSimple {
-			pa, pb = MatchSimple(&f.hists[si], rh, 0, 0)
-		} else {
-			pa, pb = f.ms.match(&f.hists[si], rh, 0, 0)
-		}
+		pa, pb := f.ms.match(&f.hists[si], rh, 0, 0)
 		f.probs[si] = pa
 		f.done[si] = true
 		if rs != 0 {

@@ -126,40 +126,34 @@ func TestSparseFoldMatchesDenseFold(t *testing.T) {
 				t.Fatalf("only %d shards", shards)
 			}
 			want := denseFold(bucket, target, gains)
-			for _, mode := range []PairingMode{PairHistogram, PairSimple} {
-				match := MatchHistograms
-				if mode == PairSimple {
-					match = MatchSimple
+			var empty DirHist
+			wantProbs := make(map[dirKey]ProbTable, len(want))
+			for d, h := range want {
+				rh := want[dirKey{d.to, d.from}]
+				if rh == nil {
+					rh = &empty
 				}
-				var empty DirHist
-				wantProbs := make(map[dirKey]ProbTable, len(want))
+				// The matcher is symmetric in its two sides, so which
+				// direction the fold met first does not show here.
+				wantProbs[d], _ = MatchHistograms(h, rh, 0, 0)
+			}
+			for wi, f := range folds {
+				f.fold(bucket, target, gains)
+				f.match()
+				if len(f.keys) != len(want) {
+					t.Fatalf("k=%d workers=%d nd=%d: %d directions, want %d", k, workerCounts[wi], nd, len(f.keys), len(want))
+				}
 				for d, h := range want {
-					rh := want[dirKey{d.to, d.from}]
-					if rh == nil {
-						rh = &empty
+					if got := f.hist(d.from, d.to); got == nil || !sameHist(got, h) {
+						t.Fatalf("k=%d workers=%d nd=%d: histogram of %v differs from the dense fold", k, workerCounts[wi], nd, d)
 					}
-					// The matcher is symmetric in its two sides, so which
-					// direction the fold met first does not show here.
-					wantProbs[d], _ = match(h, rh, 0, 0)
+					pa := wantProbs[d]
+					if p := f.prob(d.from, d.to); p == nil || !sameProbs(p, &pa) {
+						t.Fatalf("k=%d workers=%d nd=%d: probabilities of %v differ", k, workerCounts[wi], nd, d)
+					}
 				}
-				for wi, f := range folds {
-					f.fold(bucket, target, gains)
-					f.match(mode)
-					if len(f.keys) != len(want) {
-						t.Fatalf("k=%d workers=%d nd=%d: %d directions, want %d", k, workerCounts[wi], nd, len(f.keys), len(want))
-					}
-					for d, h := range want {
-						if got := f.hist(d.from, d.to); got == nil || !sameHist(got, h) {
-							t.Fatalf("k=%d workers=%d nd=%d: histogram of %v differs from the dense fold", k, workerCounts[wi], nd, d)
-						}
-						pa := wantProbs[d]
-						if p := f.prob(d.from, d.to); p == nil || !sameProbs(p, &pa) {
-							t.Fatalf("k=%d workers=%d nd=%d mode=%v: probabilities of %v differ", k, workerCounts[wi], nd, mode, d)
-						}
-					}
-					if f.hist(0, 0) != nil || f.prob(0, 0) != nil {
-						t.Fatalf("k=%d: direction (0,0) was never proposed", k)
-					}
+				if f.hist(0, 0) != nil || f.prob(0, 0) != nil {
+					t.Fatalf("k=%d: direction (0,0) was never proposed", k)
 				}
 			}
 		}
@@ -173,7 +167,7 @@ func TestSparseFoldMatchesDenseFold(t *testing.T) {
 func TestWarmIterationAllocations(t *testing.T) {
 	g := randomBipartite(t, 5, 3000, 6000, 30000)
 	opts := Options{K: 32, Direct: true, Seed: 3, Parallelism: 1, MinMoveFraction: 1e-12}.withDefaults()
-	st := newDirectState(g, opts, 3, nil, 0)
+	st := newDirectState(g, opts, 3)
 	st.buildNeighborData()
 	st.maxIters = 12
 	st.refine() // warm: every scratch has seen sweep- and patch-regime batches
@@ -222,7 +216,7 @@ func TestDirHistDirectWritersSurviveMerge(t *testing.T) {
 		t.Fatal("a decoded histogram merged into an empty one is not itself")
 	}
 
-	gb := newGainBins(3*gainBinShardSize, true)
+	gb := newGainBins(3 * gainBinShardSize)
 	for v := 0; v < gb.nd; v++ {
 		gb.update(int32(v), int8(r.Intn(2)), math.Ldexp(r.Float64()-0.5, r.Intn(50)-35))
 	}

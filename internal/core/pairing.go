@@ -3,8 +3,8 @@ package core
 import "math"
 
 // Swap pairing: the master-side protocol that converts per-vertex move
-// proposals into move probabilities while preserving balance (Sections 3.1
-// and 3.4 of the paper).
+// proposals into move probabilities while preserving balance (Section 3.4
+// of the paper).
 //
 // A proposal is (direction, gain). For each unordered bucket pair the master
 // sees two opposing queues and must decide how many proposals from each side
@@ -279,41 +279,4 @@ func fillProbs(p *ProbTable, bins []orderedBin, quota []int64) {
 			p.neg[bin.idx] = prob
 		}
 	}
-}
-
-// MatchSimple implements Algorithm 1's protocol: only positive gains
-// propose, and the probability for direction A is min(S_A, S_B)/S_A.
-// It returns per-direction scalar probabilities expressed as probTables
-// (uniform across positive bins, zero for negative bins).
-func MatchSimple(a, b *DirHist, extraA, extraB int64) (ProbTable, ProbTable) {
-	var sa, sb int64
-	for i := 0; i < histBins; i++ {
-		sa += a.posCount[i]
-		sb += b.posCount[i]
-	}
-	minS := sa
-	if sb < minS {
-		minS = sb
-	}
-	var pa, pb ProbTable
-	if sa > 0 {
-		p := float64(minS+min64(extraA, sa-minS)) / float64(sa)
-		for i := 0; i < histBins; i++ {
-			pa.pos[i] = p
-		}
-	}
-	if sb > 0 {
-		p := float64(minS+min64(extraB, sb-minS)) / float64(sb)
-		for i := 0; i < histBins; i++ {
-			pb.pos[i] = p
-		}
-	}
-	return pa, pb
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -230,27 +230,6 @@ func TestMatchHistogramsExpectedFlowBalanced(t *testing.T) {
 	}
 }
 
-func TestMatchSimple(t *testing.T) {
-	var a, b DirHist
-	for i := 0; i < 10; i++ {
-		a.Add(1.0)
-	}
-	for i := 0; i < 6; i++ {
-		b.Add(2.0)
-	}
-	a.Add(-1) // negative proposals are ignored by the simple protocol
-	pa, pb := MatchSimple(&a, &b, 0, 0)
-	if p := pa.ProbFor(1.0); math.Abs(p-0.6) > 1e-12 {
-		t.Fatalf("S-matrix prob A = %v, want 0.6", p)
-	}
-	if p := pb.ProbFor(2.0); p != 1 {
-		t.Fatalf("S-matrix prob B = %v, want 1", p)
-	}
-	if p := pa.ProbFor(-1.0); p != 0 {
-		t.Fatalf("negative gain moved under simple protocol: %v", p)
-	}
-}
-
 func TestProbTableZeroGain(t *testing.T) {
 	var p ProbTable
 	p.neg[0] = 0.25

@@ -55,8 +55,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// Non-dyadic P: gain tables off the integer-friendly values, so the
 		// histogram folds genuinely depend on their (fixed) boundaries.
 		{"SHPkP03", 3000, 9000, 36000, Options{K: 8, Direct: true, Seed: 33, P: 0.3}},
-		// Exact pairing keeps its single-shard bins (global cursor order).
-		{"SHP2Exact", 800, 2400, 9000, Options{K: 4, Seed: 7, Pairing: PairExact, MaxIters: 6}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

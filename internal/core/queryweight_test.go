@@ -60,7 +60,7 @@ func TestWeightedDirectGainMatchesObjectiveDelta(t *testing.T) {
 	err := quick.Check(func(seed uint64, vRaw uint16) bool {
 		g := weightedBipartite(t, seed, 12, 16, 70)
 		opts := Options{K: 5, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed, nil, 0)
+		st := newDirectState(g, opts, seed)
 		st.buildNeighborData()
 		st.computeProposals()
 		v := int32(vRaw) % 16
@@ -94,7 +94,7 @@ func TestHeavyQueryDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Partition(g, Options{K: 2, Seed: 3, Pairing: PairExact})
+	res, err := Partition(g, Options{K: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

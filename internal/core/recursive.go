@@ -11,8 +11,7 @@ import (
 
 // Partition runs SHP on g and returns the bucket assignment for the data
 // vertices. It dispatches on Options.Direct: direct k-way refinement
-// (SHP-k) or recursive partitioning (Branching = 2 is SHP-2, the
-// open-sourced variant).
+// (SHP-k) or recursive bisection (SHP-2, the open-sourced variant).
 //
 // Partition is a thin wrapper over a single-use Session; callers that keep
 // the graph alive and re-partition it as it changes should hold on to a
@@ -33,10 +32,10 @@ type rtask struct {
 	hi   int32
 }
 
-// partitionRecursive implements recursive r-way partitioning. Each level
-// splits every active task's data vertices into r (nearly) even bucket
-// ranges with a bisection (r == 2) or a small direct refinement (r > 2) on
-// the induced subproblem, with Section 3.4's lookahead and ε scheduling.
+// partitionRecursive implements recursive bisection (SHP-2). Each level
+// splits every active task's data vertices into two (nearly) even bucket
+// ranges with a bisection on the induced subproblem, with Section 3.4's
+// lookahead and ε scheduling.
 func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	nd := g.NumData()
 	assignment := make(partition.Assignment, nd)
@@ -52,7 +51,7 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 		all[i] = int32(i)
 	}
 	tasks := []rtask{{data: all, lo: 0, hi: int32(opts.K)}}
-	totalLevels := levelsFor(opts.K, opts.Branching)
+	totalLevels := levelsFor(opts.K)
 	idealPerBucket := float64(g.TotalDataWeight()) / float64(opts.K)
 
 	for level := 0; len(tasks) > 0; level++ {
@@ -116,9 +115,8 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// splitTask splits one recursion node. Leaf ranges assign directly; binary
-// ranges run a bisection; wider ranges with Branching > 2 run an r-way
-// direct refinement on the induced subproblem. Children needing further
+// splitTask splits one recursion node. Leaf ranges assign directly; wider
+// ranges run a bisection on the induced subproblem. Children needing further
 // splitting are returned.
 func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 	level int, eps, idealPerBucket float64, assignment partition.Assignment) ([]rtask, []IterStats, []WorkStats, int) {
@@ -130,73 +128,32 @@ func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 		}
 		return nil, nil, nil, 0
 	}
-	r := opts.Branching
-	if r > span {
-		r = span
-	}
 	if len(t.data) == 0 {
 		return nil, nil, nil, 0
 	}
 
 	sub, _ := g.InducedByData(t.data, 2)
 
-	if r == 2 {
-		kLeft := (span + 1) / 2
-		kRight := span - kLeft
-		propLeft := float64(kLeft) / float64(span)
-		home := warmStartSides(opts, t, int32(kLeft))
-		b := newBisection(sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
-		side := b.run()
+	kLeft := (span + 1) / 2
+	kRight := span - kLeft
+	propLeft := float64(kLeft) / float64(span)
+	home := warmStartSides(opts, t, int32(kLeft))
+	b := newBisection(sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
+	side := b.run()
 
-		var left, right []int32
-		for i, d := range t.data {
-			if side[i] == 0 {
-				left = append(left, d)
-			} else {
-				right = append(right, d)
-			}
-		}
-		mid := t.lo + int32(kLeft)
-		children := childTasks(assignment,
-			rtask{data: left, lo: t.lo, hi: mid},
-			rtask{data: right, lo: mid, hi: t.hi})
-		return children, b.history, b.work, len(b.history)
-	}
-
-	// r-way split via the direct refiner on the subproblem, with each child
-	// bucket lookahead-weighted by its final span.
-	spans := evenSpans(span, r)
-	dopts := opts
-	dopts.K = r
-	dopts.Direct = true
-	dopts.Initial = nil
-	dopts.Epsilon = eps
-	st := newDirectState(sub, dopts, seed, spans, idealPerBucket)
-	st.run()
-
-	// Group data by child bucket and enqueue.
-	childData := make([][]int32, r)
+	var left, right []int32
 	for i, d := range t.data {
-		childData[st.bucket[i]] = append(childData[st.bucket[i]], d)
+		if side[i] == 0 {
+			left = append(left, d)
+		} else {
+			right = append(right, d)
+		}
 	}
-	var children []rtask
-	lo := t.lo
-	for c := 0; c < r; c++ {
-		hi := lo + int32(spans[c])
-		children = append(children, childTasks(assignment, rtask{data: childData[c], lo: lo, hi: hi})...)
-		lo = hi
-	}
-	hist := st.history
-	for i := range hist {
-		hist[i].Level = level
-		hist[i].Task = int(t.lo)
-	}
-	work := st.work
-	for i := range work {
-		work[i].Level = level
-		work[i].Task = int(t.lo)
-	}
-	return children, hist, work, len(hist)
+	mid := t.lo + int32(kLeft)
+	children := childTasks(assignment,
+		rtask{data: left, lo: t.lo, hi: mid},
+		rtask{data: right, lo: mid, hi: t.hi})
+	return children, b.history, b.work, len(b.history)
 }
 
 // childTasks assigns leaf ranges immediately and returns the rest.
@@ -240,27 +197,10 @@ func warmStartSides(opts Options, t rtask, kLeft int32) []int8 {
 	return home
 }
 
-// evenSpans distributes span buckets over r children as evenly as possible.
-func evenSpans(span, r int) []int {
-	spans := make([]int, r)
-	base := span / r
-	rem := span % r
-	for i := range spans {
-		spans[i] = base
-		if i < rem {
-			spans[i]++
-		}
-	}
-	return spans
-}
-
-// levelsFor returns the recursion depth: ceil(log_r k).
-func levelsFor(k, r int) int {
-	if r < 2 {
-		return 1
-	}
+// levelsFor returns the recursion depth: ceil(log2 k).
+func levelsFor(k int) int {
 	levels := 0
-	for span := 1; span < k; span *= r {
+	for span := 1; span < k; span *= 2 {
 		levels++
 	}
 	return levels

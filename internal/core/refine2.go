@@ -72,14 +72,13 @@ type bisection struct {
 	// for movers and full sweeps, activeSelect for patched accumulators); d
 	// holds each dirty query's net per-side count delta for the current
 	// batch, dirtyQ the touched queries in first-touch order (deduped by
-	// dirtyFlag); lastMoved collects the exact pairing's movers; pgs is the
-	// reusable buffer the per-dirty-query patch groups land in.
+	// dirtyFlag); pgs is the reusable buffer the per-dirty-query patch groups
+	// land in.
 	accOwn, accOth []float64
 	active         []uint8
 	d              [2][]int32
 	dirtyFlag      []uint8
 	dirtyQ         []int32
-	lastMoved      []int32
 	pgs            []patchGroup
 
 	// frontier is the sorted list of vertices finishPatch marked active —
@@ -160,10 +159,7 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	nq := g.NumQueries()
 	b.side = make([]int8, nd)
 	b.gains = make([]float64, nd)
-	// The histogram protocol shards the bins by fixed vertex ranges so the
-	// sync and coin phases parallelize; the exact pairing needs one global
-	// order and keeps a single shard. Keyed off opts alone, never workers.
-	b.bins = newGainBins(nd, opts.Pairing != PairExact)
+	b.bins = newGainBins(nd)
 	b.n[0] = make([]int32, nq)
 	b.n[1] = make([]int32, nq)
 	b.accOwn = make([]float64, nd)
@@ -310,9 +306,7 @@ func (b *bisection) rebuildGain(v int32) int64 {
 }
 
 // deriveGain turns vertex v's cached accumulators into its move gain:
-// Equation 1 plus the incremental-update penalty. Grid-exact sums make
-// accOwn − accOth equal, bit for bit, to freshGain's interleaved
-// single-pass summation.
+// Equation 1 plus the incremental-update penalty.
 func (b *bisection) deriveGain(v int32) {
 	g := b.tables[0].mult * (b.accOwn[v] - b.accOth[v])
 	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
@@ -467,12 +461,7 @@ func (b *bisection) run() []int8 {
 		b.computeGains()
 		// A batch the next iteration rebuilds over has no use for patches.
 		patch := !b.opts.rebuildAt(iter + 1)
-		var moved int64
-		if b.opts.Pairing == PairExact {
-			moved = b.applyExact(patch)
-		} else {
-			moved = b.applyProbabilistic(iter, patch)
-		}
+		moved := b.applyProbabilistic(iter, patch)
 		b.history = append(b.history, IterStats{
 			Level: b.level, Task: b.task, Iter: iter,
 			Objective:     b.objective(),
@@ -492,7 +481,7 @@ func (b *bisection) run() []int8 {
 	return b.side
 }
 
-// applyProbabilistic runs the histogram (or S-matrix) protocol: read the
+// applyProbabilistic runs the histogram protocol: read the
 // per-direction gain histograms off the maintained bins, let the "master"
 // compute per-bin move probabilities, then move each vertex with its bin's
 // probability using a per-vertex deterministic coin. No phase scans all of
@@ -507,11 +496,7 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	hist1 := b.bins.hist(1)
 	into1, into0 := b.extras()
 	var probs [2]ProbTable
-	if b.opts.Pairing == PairSimple {
-		probs[0], probs[1] = MatchSimple(&hist0, &hist1, into1, into0)
-	} else {
-		probs[0], probs[1] = MatchHistograms(&hist0, &hist1, into1, into0)
-	}
+	probs[0], probs[1] = MatchHistograms(&hist0, &hist1, into1, into0)
 
 	// Phase 1: per-vertex coin decisions, visiting only populated bins with
 	// positive move probability, in parallel over the fixed bin shards. The
@@ -820,142 +805,4 @@ func (b *bisection) finishPatch(movers []int32) {
 	radixSortInt32(f, b.frontScratch[:cap(b.frontScratch)], int32(nd))
 	b.frontier = f
 	b.frontierValid = true
-}
-
-// discardPatch drops a batch's collected deltas without diffing (the sweep
-// fallback of the exact pairing, whose batch size is only known at the
-// end) and schedules the full rebuild sweep instead.
-func (b *bisection) discardPatch() {
-	for _, q := range b.dirtyQ {
-		b.d[0][q], b.d[1][q] = 0, 0
-		b.dirtyFlag[q] = 0
-	}
-	b.dirtyQ = b.dirtyQ[:0]
-	b.markAllActive()
-}
-
-// freshGain recomputes vertex v's Equation 1 gain from the current counts
-// (as opposed to the batch gains computed at the start of the iteration):
-// the exact pairing's mid-batch re-check.
-func (b *bisection) freshGain(v int32) float64 {
-	cur := b.side[v]
-	oth := 1 - cur
-	tCur := b.tables[cur].T
-	tOth := b.tables[oth].T
-	sum := 0.0
-	if b.qw == nil {
-		for _, q := range b.g.DataNeighbors(v) {
-			sum += tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]]
-		}
-	} else {
-		for _, q := range b.g.DataNeighbors(v) {
-			sum += b.qw[q] * (tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]])
-		}
-	}
-	g := b.tables[0].mult * sum
-	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
-		if cur == b.home[v] {
-			g -= b.opts.MoveCostPenalty
-		} else {
-			g += b.opts.MoveCostPenalty
-		}
-	}
-	return g
-}
-
-// moveExact applies one move, maintaining counts and weights immediately
-// (the exact pairing interleaves moves with fresh gain reads) along with
-// the net-delta bookkeeping the patched batch collector keeps.
-func (b *bisection) moveExact(v int32) {
-	cur := b.side[v]
-	oth := 1 - cur
-	b.side[v] = oth
-	wv := int64(b.g.DataWeight(v))
-	b.w[cur] -= wv
-	b.w[oth] += wv
-	b.applyMovePatched(v)
-	b.lastMoved = append(b.lastMoved, v)
-}
-
-// applyExact runs the "ideal serial implementation" the paper describes as
-// the reference (Section 3.4): both sides' candidates are consumed in exact
-// (gain desc, id asc) order and paired greedily from the top. Each pair's
-// gains are re-evaluated against the current state before applying, so
-// every applied pair strictly improves the objective — this is what rules
-// out the batch-move oscillation and makes the objective monotone.
-// One-sided positive-gain extras then use the ε headroom. Fully
-// deterministic.
-//
-// Instead of materializing and sorting both full queues every iteration,
-// the order comes from two cursors over the maintained gain bins: bins are
-// consumed best-first and sorted in place, lazily, on first touch, so an
-// iteration that pairs only a handful of vertices sorts only the bins it
-// actually reaches.
-//
-// The batch size is only known at the end, so net deltas are always
-// collected (two int adds per transfer) and either diffed into patches or
-// discarded in favor of the sweep, depending on the realized moved count
-// (always discarded when patch is false: the next iteration rebuilds).
-func (b *bisection) applyExact(patch bool) int64 {
-	b.lastMoved = b.lastMoved[:0] // repopulated by moveExact
-	b.syncBins()
-	cur0 := newBinCursor(b.bins, b.gains, 0)
-	cur1 := newBinCursor(b.bins, b.gains, 1)
-	var moved int64
-	for {
-		u, gu0, ok0 := cur0.peek()
-		v, gv0, ok1 := cur1.peek()
-		if !ok0 || !ok1 {
-			break
-		}
-		// Stop once even the stale (optimistic upper-bound order) sums are
-		// non-positive.
-		if gu0+gv0 <= 0 {
-			break
-		}
-		cur0.advance()
-		cur1.advance()
-		// Both vertices may have been affected by earlier moves in this
-		// pass; re-evaluate before committing.
-		gu := b.freshGain(u)
-		gv := b.freshGain(v)
-		if gu+gv <= 0 {
-			continue
-		}
-		b.moveExact(u)
-		b.moveExact(v)
-		moved += 2
-	}
-	// One-sided extras: positive-gain leftovers into the other side's
-	// remaining headroom, continuing from where the pairing stopped.
-	for s := 0; s < 2; s++ {
-		oth := 1 - s
-		c := &cur0
-		if s == 1 {
-			c = &cur1
-		}
-		for {
-			v, g, ok := c.peek()
-			if !ok || g <= 0 {
-				break
-			}
-			wv := float64(b.g.DataWeight(v))
-			if float64(b.w[oth])+wv > b.capW[oth] {
-				break
-			}
-			c.advance()
-			if b.freshGain(v) <= 0 {
-				continue
-			}
-			b.moveExact(v)
-			moved++
-		}
-	}
-	b.scanWork += cur0.work + cur1.work
-	if patch && int(moved)*sweepFallbackDiv < b.g.NumData() {
-		b.finishPatch(b.lastMoved)
-	} else {
-		b.discardPatch()
-	}
-	return moved
 }

@@ -227,11 +227,6 @@ func (s *Session) buildEngine(seed uint64) {
 
 	dopts := s.opts
 	dopts.Direct = true
-	if dopts.Pairing == PairExact {
-		// The exact sorted-queue pairing exists only for bisections; warm
-		// refinement falls back to the default histogram protocol.
-		dopts.Pairing = PairHistogram
-	}
 	// Warm epochs move few vertices by construction, so the fractional
 	// stop would fire almost immediately and strand quality behind a cold
 	// run's long polish tail. Iterations with little movement cost little
@@ -239,7 +234,7 @@ func (s *Session) buildEngine(seed uint64) {
 	// stops (or MaxIters).
 	dopts.MinMoveFraction = 0
 	dopts.Initial = s.assignment
-	st := newDirectState(g, dopts, seed, nil, 0)
+	st := newDirectState(g, dopts, seed)
 	st.opts.Initial = nil // reattached per epoch by Repartition (penalty)
 	st.buildNeighborData()
 	s.st = st
@@ -379,12 +374,8 @@ func (s *Session) syncEngine() {
 	// A new hyperedge may exceed every previous size: grow the gain tables.
 	// Table values live on the shared dyadic grid and longer tables extend
 	// the same prefix, so cached accumulators stay exact.
-	if maxN := g.MaxQueryDegree(); maxN+2 > len(st.tables[0].T) {
-		tb := tablesFor(st.opts, 1, maxN)
-		for c := range st.tables {
-			st.tables[c] = tb
-		}
-		st.uniformT = tb.T
+	if maxN := g.MaxQueryDegree(); maxN+2 > len(st.tables.T) {
+		st.tables = tablesFor(st.opts, 1, maxN)
 	}
 
 	s.clearPending()

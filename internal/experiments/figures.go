@@ -36,7 +36,7 @@ func RunFig2(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "initial fanout: %.4f (total %d)\n\n",
 		partition.Fanout(g, initial, 2), int(partition.Fanout(g, initial, 2)*3))
 	for _, p := range []float64{1.0, 0.5} {
-		opts := core.Options{K: 2, P: p, Seed: cfg.Seed, Initial: initial, Pairing: core.PairExact}
+		opts := core.Options{K: 2, P: p, Seed: cfg.Seed, Initial: initial}
 		if p == 1 {
 			opts.Objective = core.ObjFanout
 		}

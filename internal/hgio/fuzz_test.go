@@ -20,6 +20,7 @@ func FuzzReadHMetis(f *testing.F) {
 	f.Add("-1 5 1\n")
 	f.Add("1 2 1\n4294967297 1 2\n")
 	f.Add("1 2 10\n1 2\n4294967297\n1\n")
+	f.Add("2147483647 2147483647 11\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadHMetis(strings.NewReader(input))
 		if err != nil {

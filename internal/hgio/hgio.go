@@ -38,10 +38,13 @@ func parseInt32(s string, lo int) (int32, error) {
 	return int32(v), nil
 }
 
-// ReadHMetis parses the hMetis hypergraph format.
+// ReadHMetis parses the hMetis hypergraph format. Memory follows the bytes
+// actually read, not the header's counts: the line buffer and the weight
+// slices start small and grow, so a short input declaring 2^31−1 weighted
+// vertices fails on its first missing line instead of reserving gigabytes.
 func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
 	line, err := nextContentLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: missing header: %w", err)
@@ -72,7 +75,7 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 	b := hypergraph.NewBuilder(numQ, numD)
 	var qWeights []int32
 	if edgeWeighted {
-		qWeights = make([]int32, numQ)
+		qWeights = make([]int32, 0, min(numQ, 1<<16))
 	}
 	for q := 0; q < numQ; q++ {
 		// Empty lines are valid here: they encode empty hyperedges, so only
@@ -87,9 +90,11 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			if len(fs) == 0 {
 				return nil, fmt.Errorf("hgio: hyperedge %d: missing weight", q+1)
 			}
-			if qWeights[q], err = parseInt32(fs[0], 1); err != nil {
+			w, err := parseInt32(fs[0], 1)
+			if err != nil {
 				return nil, fmt.Errorf("hgio: hyperedge %d: bad weight %q", q+1, fs[0])
 			}
+			qWeights = append(qWeights, w)
 			start = 1
 		}
 		for _, f := range fs[start:] {
@@ -107,15 +112,17 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 		b.SetQueryWeights(qWeights)
 	}
 	if vertexWeighted {
-		weights := make([]int32, numD)
+		weights := make([]int32, 0, min(numD, 1<<16))
 		for d := 0; d < numD; d++ {
 			line, err := nextContentLine(sc)
 			if err != nil {
 				return nil, fmt.Errorf("hgio: vertex weight %d: %w", d+1, err)
 			}
-			if weights[d], err = parseInt32(line, 1); err != nil {
+			w, err := parseInt32(line, 1)
+			if err != nil {
 				return nil, fmt.Errorf("hgio: vertex weight %d: %w", d+1, err)
 			}
+			weights = append(weights, w)
 		}
 		b.SetDataWeights(weights)
 	}

@@ -3,6 +3,7 @@ package hgio
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,10 +120,20 @@ func TestReadHMetisErrors(t *testing.T) {
 		"1 2 1\n0 1 2\n",               // hyperedge weight below 1
 		"1 2 10\n1 2\n4294967297\n1\n", // vertex weight would wrap to 1
 		"1 2 10\n1 2\n0\n1\n",          // vertex weight below 1
+		"2147483647 2147483647 11\n",   // 8 GB of declared weights, none present
 	}
 	for _, in := range cases {
-		if _, err := ReadHMetis(strings.NewReader(in)); err == nil {
+		// Rejecting a few bytes must cost little: nothing may be sized by a
+		// header count before the lines it promises have been read.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadHMetis(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("input %q: expected error", in)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("input %q: allocated %d bytes before failing", in, got)
 		}
 	}
 }

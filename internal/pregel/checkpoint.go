@@ -3,6 +3,7 @@ package pregel
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -122,14 +123,23 @@ func (c *DiskCheckpointer) Save(superstep int, snapshot []byte) error {
 // Latest re-scans the directory, so a fresh process (or a fresh engine over
 // the same directory) resumes from whatever the previous one left behind.
 func (c *DiskCheckpointer) Latest() (int, []byte, bool, error) {
+	return c.Before(math.MaxInt)
+}
+
+// Before returns the most recent snapshot saved at a superstep below the
+// given one, or ok=false when there is none. Recovery calls it when the
+// snapshot it was handed does not decode: this is the read side of the
+// fallback Keep retains.
+func (c *DiskCheckpointer) Before(superstep int) (int, []byte, bool, error) {
 	steps, err := c.steps()
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if len(steps) == 0 {
+	i := sort.SearchInts(steps, superstep) // steps[:i] are the older ones
+	if i == 0 {
 		return 0, nil, false, nil
 	}
-	step := steps[len(steps)-1]
+	step := steps[i-1]
 	data, err := os.ReadFile(c.path(step))
 	if err != nil {
 		return 0, nil, false, err
@@ -274,17 +284,26 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 	return buf, nil
 }
 
-// restoreSnapshot rewinds the engine to a snapshot taken by encodeSnapshot:
-// vertex states and halted flags, pending inboxes, the merged aggregated
-// map, and (via Options.MasterRestore) master closure state. Outboxes and
-// in-flight worker aggregators are cleared — they were produced after the
-// boundary being restored.
-func (e *Engine) restoreSnapshot(data []byte) error {
+// snapshotState is a fully decoded snapshot, held apart from the engine until
+// every byte has parsed: a damaged file must fail before anything is rewound,
+// so recovery can still fall back to an older one.
+type snapshotState struct {
+	halted     []bool        // per vertex, the engine's canonical order
+	states     []interface{} // same order; nil = no state
+	inboxes    []inbox       // per worker
+	aggregated map[string]interface{}
+	master     []byte
+}
+
+// decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
+// against the engine's layout (worker count, vertex ids). It only reads the
+// engine.
+func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return fmt.Errorf("bad snapshot magic")
+		return nil, fmt.Errorf("bad snapshot magic")
 	}
 	if v := data[len(snapshotMagic)]; v != snapshotVersion {
-		return fmt.Errorf("unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
 	data = data[len(snapshotMagic)+1:]
 	readUvarint := func() (uint64, error) {
@@ -296,123 +315,152 @@ func (e *Engine) restoreSnapshot(data []byte) error {
 		return v, nil
 	}
 	if _, err := readUvarint(); err != nil { // superstep: carried by the checkpointer
-		return err
+		return nil, err
 	}
 	workers, err := readUvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if int(workers) != len(e.workers) {
-		return fmt.Errorf("snapshot for %d workers, engine has %d", workers, len(e.workers))
+	if workers != uint64(len(e.workers)) {
+		return nil, fmt.Errorf("snapshot for %d workers, engine has %d", workers, len(e.workers))
 	}
 	total, err := readUvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wantTotal := 0
 	for _, w := range e.workers {
 		wantTotal += len(w.vertices)
 	}
-	if int(total) != wantTotal {
-		return fmt.Errorf("snapshot has %d vertices, engine has %d", total, wantTotal)
+	if total != uint64(wantTotal) {
+		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, wantTotal)
+	}
+	s := &snapshotState{
+		halted:     make([]bool, 0, wantTotal),
+		states:     make([]interface{}, 0, wantTotal),
+		inboxes:    make([]inbox, len(e.workers)),
+		aggregated: map[string]interface{}{},
 	}
 	for _, w := range e.workers {
 		for _, v := range w.vertices {
 			id, err := readUvarint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if VertexID(id) != v.ID {
-				return fmt.Errorf("snapshot vertex %d where engine expects %d", id, v.ID)
+				return nil, fmt.Errorf("snapshot vertex %d where engine expects %d", id, v.ID)
 			}
 			if len(data) == 0 {
-				return fmt.Errorf("truncated snapshot")
+				return nil, fmt.Errorf("truncated snapshot")
 			}
 			flags := data[0]
 			data = data[1:]
-			v.halted = flags&1 != 0
+			var state interface{}
 			if flags&2 != 0 {
 				if e.opts.Snapshots == nil {
-					return fmt.Errorf("Options.Snapshots registry required to restore vertex states")
+					return nil, fmt.Errorf("Options.Snapshots registry required to restore vertex states")
 				}
-				state, used, err := e.opts.Snapshots.decodeValue(data)
-				if err != nil {
-					return fmt.Errorf("vertex %d state: %w", id, err)
+				var used int
+				if state, used, err = e.opts.Snapshots.decodeValue(data); err != nil {
+					return nil, fmt.Errorf("vertex %d state: %w", id, err)
 				}
 				data = data[used:]
-				v.State = state
-			} else {
-				v.State = nil
 			}
+			s.halted = append(s.halted, flags&1 != 0)
+			s.states = append(s.states, state)
 		}
 	}
 	for _, w := range e.workers {
-		w.in.reset()
 		n, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
+		}
+		if n > 0 && e.opts.Codecs == nil {
+			return nil, fmt.Errorf("Options.Codecs registry required to restore pending messages")
 		}
 		for i := uint64(0); i < n; i++ {
 			dst, err := readUvarint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			msg, used, err := e.opts.Codecs.decodeValue(data)
 			if err != nil {
-				return fmt.Errorf("worker %d inbox: %w", w.id, err)
+				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 			}
 			data = data[used:]
-			w.in.push(envelope{dst: VertexID(dst), msg: msg})
+			s.inboxes[w.id].push(envelope{dst: VertexID(dst), msg: msg})
 		}
-		w.clearOutboxes()
-		w.aggregators = map[string]Aggregator{}
 	}
 	nAgg, err := readUvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.aggregated = map[string]interface{}{}
 	for i := uint64(0); i < nAgg; i++ {
 		nameLen, err := readUvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if nameLen >= uint64(len(data)) { // need the name plus its presence byte
-			return fmt.Errorf("truncated snapshot")
+			return nil, fmt.Errorf("truncated snapshot")
 		}
 		name := string(data[:nameLen])
 		present := data[nameLen]
 		data = data[nameLen+1:]
 		if present == 0 {
-			e.aggregated[name] = nil
+			s.aggregated[name] = nil
 			continue
 		}
 		if e.opts.Snapshots == nil {
-			return fmt.Errorf("Options.Snapshots registry required to restore aggregated values")
+			return nil, fmt.Errorf("Options.Snapshots registry required to restore aggregated values")
 		}
 		v, used, err := e.opts.Snapshots.decodeValue(data)
 		if err != nil {
-			return fmt.Errorf("aggregated %q: %w", name, err)
+			return nil, fmt.Errorf("aggregated %q: %w", name, err)
 		}
 		data = data[used:]
-		e.aggregated[name] = v
+		s.aggregated[name] = v
 	}
 	blobLen, err := readUvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if uint64(len(data)) < blobLen {
-		return fmt.Errorf("truncated snapshot")
+		return nil, fmt.Errorf("truncated snapshot")
 	}
-	blob := data[:blobLen]
-	data = data[blobLen:]
-	if len(data) != 0 {
-		return fmt.Errorf("%d trailing bytes in snapshot", len(data))
+	s.master = data[:blobLen]
+	if rest := len(data) - int(blobLen); rest != 0 {
+		return nil, fmt.Errorf("%d trailing bytes in snapshot", rest)
+	}
+	return s, nil
+}
+
+// restoreSnapshot rewinds the engine to a snapshot taken by encodeSnapshot:
+// vertex states and halted flags, pending inboxes, the merged aggregated
+// map, and (via Options.MasterRestore) master closure state. Outboxes and
+// in-flight worker aggregators are cleared — they were produced after the
+// boundary being restored. The snapshot is decoded in full, and the master
+// has accepted its blob, before the first engine field changes: on error the
+// engine is exactly as it was.
+func (e *Engine) restoreSnapshot(data []byte) error {
+	s, err := e.decodeSnapshot(data)
+	if err != nil {
+		return err
 	}
 	if e.opts.MasterRestore != nil {
-		if err := e.opts.MasterRestore(blob); err != nil {
+		if err := e.opts.MasterRestore(s.master); err != nil {
 			return fmt.Errorf("master restore: %w", err)
 		}
 	}
+	i := 0
+	for _, w := range e.workers {
+		for _, v := range w.vertices {
+			v.halted, v.State = s.halted[i], s.states[i]
+			i++
+		}
+		w.in = s.inboxes[w.id]
+		w.clearOutboxes()
+		w.aggregators = map[string]Aggregator{}
+	}
+	e.aggregated = s.aggregated
 	return nil
 }

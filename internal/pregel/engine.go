@@ -350,8 +350,11 @@ func (e *Engine) exchangeWithRetry(step int) (int64, error) {
 // is a *WorkerFailure and a checkpoint is available, it tears down the
 // transport, restores the latest snapshot on every worker, rewinds the
 // superstep statistics, and restarts the transport, returning the superstep
-// to resume from. Any other error — or recovery budget exhaustion — is
-// returned unchanged.
+// to resume from. A snapshot that does not decode (a write that raced a
+// crash, a damaged file) leaves the engine untouched, and recovery falls
+// back to the next older one when the checkpointer keeps any; with none
+// left the error still unwraps to the *WorkerFailure. Any other error — or
+// recovery budget exhaustion — is returned unchanged.
 func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) {
@@ -366,8 +369,24 @@ func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	}
 	e.stats.Recoveries++
 	e.transport.close()
-	if rerr := e.restoreSnapshot(snapshot); rerr != nil {
-		return 0, fmt.Errorf("pregel: recovery from %v failed: %w", err, rerr)
+	for {
+		rerr := e.restoreSnapshot(snapshot)
+		if rerr == nil {
+			break
+		}
+		failed := fmt.Errorf("pregel: recovery from %w failed: snapshot %d: %w", err, snapStep, rerr)
+		// Checkpointer is implemented outside this package by wrappers that
+		// forward Save and Latest only, so older snapshots are an optional
+		// capability rather than a third method.
+		older, can := e.opts.Checkpointer.(interface {
+			Before(superstep int) (int, []byte, bool, error)
+		})
+		if !can {
+			return 0, failed
+		}
+		if snapStep, snapshot, ok, cerr = older.Before(snapStep); cerr != nil || !ok {
+			return 0, failed
+		}
 	}
 	// Rewind run statistics to the checkpoint boundary; the replay will
 	// re-append identical per-superstep entries (compute is deterministic),

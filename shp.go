@@ -114,7 +114,8 @@ type Assignment = partition.Assignment
 
 // Options configures Partition; the zero value plus K uses the paper's
 // recommended defaults (p = 0.5, ε = 0.05, recursive bisection with
-// histogram pairing and final-p-fanout lookahead). Refinement is
+// final-p-fanout lookahead; moves are paired by Section 3.4's gain
+// histograms, the one swap protocol). Refinement is
 // incremental — per-iteration cost tracks churn, not |E| — with a full
 // rebuild every NDRebuildEvery iterations as the safety net (1 rebuilds
 // every iteration, the ablation reference); every schedule produces
@@ -142,17 +143,6 @@ const (
 	ObjPFanout   = core.ObjPFanout
 	ObjFanout    = core.ObjFanout
 	ObjCliqueNet = core.ObjCliqueNet
-)
-
-// PairingMode selects the swap protocol used to preserve balance.
-type PairingMode = core.PairingMode
-
-// Pairing modes: Section 3.4's gain histograms (default), Algorithm 1's
-// S-matrix, and the exact sorted-queue reference.
-const (
-	PairHistogram = core.PairHistogram
-	PairSimple    = core.PairSimple
-	PairExact     = core.PairExact
 )
 
 // Partitioner is a long-lived partitioning session over a mutable

@@ -188,11 +188,6 @@ func TestObjectiveConstantsExposed(t *testing.T) {
 			t.Fatalf("objective %v: %v", obj, err)
 		}
 	}
-	for _, mode := range []shp.PairingMode{shp.PairHistogram, shp.PairSimple, shp.PairExact} {
-		if _, err := shp.Partition(g, shp.Options{K: 2, Pairing: mode, Seed: 1}); err != nil {
-			t.Fatalf("pairing %v: %v", mode, err)
-		}
-	}
 }
 
 func TestPruneFacade(t *testing.T) {
