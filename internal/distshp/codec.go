@@ -3,7 +3,9 @@ package distshp
 // Binary codecs for the distshp wire messages. These replace per-message
 // interface{} boxing at worker boundaries with flat encodings, so the
 // engine's BytesSent is measured from real encoded bytes on every backend
-// (and frames on the TCP transport carry exactly these encodings).
+// (and frames on the TCP transport carry exactly these encodings). The
+// accumulator kinds (*msgGain and the two batches) encode what they hold —
+// two floats, a record count and the records — and nothing of the pointer.
 
 import (
 	"encoding/binary"
@@ -48,7 +50,7 @@ func (bucketCodec) Size(pregel.Message) int { return bucketWireSize }
 type bucketBatchCodec struct{}
 
 func (bucketBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(msgBucketBatch)
+	batch := m.(*msgBucketBatch).recs
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, u := range batch {
 		buf = appendBucket(buf, u)
@@ -64,7 +66,7 @@ func (bucketBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 	if n > uint64(len(data)/bucketWireSize)+1 {
 		return nil, 0, fmt.Errorf("distshp: msgBucketBatch count %d exceeds payload", n)
 	}
-	batch := make(msgBucketBatch, 0, n)
+	batch := make([]msgBucket, 0, n)
 	for i := uint64(0); i < n; i++ {
 		u, err := decodeBucket(data[used:])
 		if err != nil {
@@ -73,11 +75,11 @@ func (bucketBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 		used += bucketWireSize
 		batch = append(batch, u)
 	}
-	return batch, used, nil
+	return &msgBucketBatch{recs: batch}, used, nil
 }
 
 func (bucketBatchCodec) Size(m pregel.Message) int {
-	batch := m.(msgBucketBatch)
+	batch := m.(*msgBucketBatch).recs
 	n := 1
 	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
 		n++
@@ -125,7 +127,7 @@ func (deltaCodec) Size(pregel.Message) int { return deltaWireSize }
 type deltaBatchCodec struct{}
 
 func (deltaBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(msgDeltaBatch)
+	batch := m.(*msgDeltaBatch).recs
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, r := range batch {
 		buf = appendDelta(buf, r)
@@ -141,7 +143,7 @@ func (deltaBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 	if n > uint64(len(data)/deltaWireSize)+1 {
 		return nil, 0, fmt.Errorf("distshp: msgDeltaBatch count %d exceeds payload", n)
 	}
-	batch := make(msgDeltaBatch, 0, n)
+	batch := make([]msgDelta, 0, n)
 	for i := uint64(0); i < n; i++ {
 		r, err := decodeDelta(data[used:])
 		if err != nil {
@@ -150,11 +152,11 @@ func (deltaBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 		used += deltaWireSize
 		batch = append(batch, r)
 	}
-	return batch, used, nil
+	return &msgDeltaBatch{recs: batch}, used, nil
 }
 
 func (deltaBatchCodec) Size(m pregel.Message) int {
-	batch := m.(msgDeltaBatch)
+	batch := m.(*msgDeltaBatch).recs
 	n := 1
 	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
 		n++
@@ -165,7 +167,7 @@ func (deltaBatchCodec) Size(m pregel.Message) int {
 type gainCodec struct{}
 
 func (gainCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	g := m.(msgGain)
+	g := m.(*msgGain)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Cur))
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Oth)), nil
 }
@@ -174,7 +176,7 @@ func (gainCodec) Decode(data []byte) (pregel.Message, int, error) {
 	if len(data) < 16 {
 		return nil, 0, fmt.Errorf("distshp: truncated msgGain")
 	}
-	return msgGain{
+	return &msgGain{
 		Cur: math.Float64frombits(binary.LittleEndian.Uint64(data[0:8])),
 		Oth: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 	}, 16, nil
@@ -188,9 +190,9 @@ func (gainCodec) Size(pregel.Message) int { return 16 }
 func newRegistry() *pregel.Registry {
 	reg := pregel.NewRegistry()
 	reg.Register(msgBucket{}, bucketCodec{})
-	reg.Register(msgBucketBatch(nil), bucketBatchCodec{})
-	reg.Register(msgGain{}, gainCodec{})
+	reg.Register(&msgBucketBatch{}, bucketBatchCodec{})
+	reg.Register(&msgGain{}, gainCodec{})
 	reg.Register(msgDelta{}, deltaCodec{})
-	reg.Register(msgDeltaBatch(nil), deltaBatchCodec{})
+	reg.Register(&msgDeltaBatch{}, deltaBatchCodec{})
 	return reg
 }

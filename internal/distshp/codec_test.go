@@ -2,6 +2,7 @@ package distshp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"shp/internal/pregel"
@@ -31,21 +32,21 @@ func roundTrip(t *testing.T, c pregel.Codec, m pregel.Message) {
 func TestWireCodecs(t *testing.T) {
 	roundTrip(t, bucketCodec{}, msgBucket{Data: 7, New: 3})
 	roundTrip(t, bucketCodec{}, msgBucket{Data: 1 << 30, New: 6})
-	roundTrip(t, gainCodec{}, msgGain{Cur: 1.5, Oth: -2.25})
-	roundTrip(t, gainCodec{}, msgGain{})
-	roundTrip(t, bucketBatchCodec{}, msgBucketBatch{
+	roundTrip(t, gainCodec{}, &msgGain{Cur: 1.5, Oth: -2.25})
+	roundTrip(t, gainCodec{}, &msgGain{})
+	roundTrip(t, bucketBatchCodec{}, &msgBucketBatch{recs: []msgBucket{
 		{Data: 1, New: 0},
 		{Data: 2, New: 1},
 		{Data: 3, New: 1},
-	})
+	}})
 	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 4, COld: 2, CNew: 3})
 	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 1 << 29, COld: 0, CNew: 7})
-	roundTrip(t, deltaBatchCodec{}, msgDeltaBatch{
+	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{recs: []msgDelta{
 		{Bucket: 2, COld: 3, CNew: 4},
 		{Bucket: 3, COld: 1, CNew: 0},
 		{Bucket: 2, COld: 0, CNew: 1},
-	})
-	roundTrip(t, deltaBatchCodec{}, msgDeltaBatch{})
+	}})
+	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{recs: []msgDelta{}})
 }
 
 func TestCodecTruncation(t *testing.T) {
@@ -73,7 +74,7 @@ func TestCodecTruncation(t *testing.T) {
 	if _, _, err := (deltaBatchCodec{}).Decode([]byte{2, 0, 0, 0}); err == nil {
 		t.Fatal("delta batch count exceeding payload should fail")
 	}
-	buf, err := (deltaBatchCodec{}).Append(nil, msgDeltaBatch{{Bucket: 2, COld: 0, CNew: 1}})
+	buf, err := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{{Bucket: 2, COld: 0, CNew: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,21 +83,37 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
+// TestCombineSemantics pins the fold for each kind and the ownership
+// contract: a gain or batch accumulator is updated in place and returned
+// (same pointer), two bare records start a batch, and b is only read.
 func TestCombineSemantics(t *testing.T) {
-	g := combine(msgGain{Cur: 1, Oth: 2}, msgGain{Cur: 3, Oth: 4}).(msgGain)
-	if g.Cur != 4 || g.Oth != 6 {
-		t.Fatalf("msgGain combine = %+v", g)
+	acc := &msgGain{Cur: 1, Oth: 2}
+	in := &msgGain{Cur: 3, Oth: 4}
+	g := combine(acc, in).(*msgGain)
+	if g != acc || g.Cur != 4 || g.Oth != 6 {
+		t.Fatalf("msgGain combine = %+v (in place: %v)", g, g == acc)
+	}
+	if *in != (msgGain{Cur: 3, Oth: 4}) {
+		t.Fatalf("combine mutated b: %+v", in)
 	}
 	a := msgBucket{Data: 1}
 	b := msgBucket{Data: 2}
 	c := msgBucket{Data: 3}
-	batch := combine(combine(a, b), c).(msgBucketBatch)
-	if len(batch) != 3 || batch[0].Data != 1 || batch[2].Data != 3 {
-		t.Fatalf("bucket batching = %+v", batch)
+	first := combine(a, b).(*msgBucketBatch)
+	batch := combine(first, c).(*msgBucketBatch)
+	if batch != first || len(batch.recs) != 3 || batch.recs[0].Data != 1 || batch.recs[2].Data != 3 {
+		t.Fatalf("bucket batching = %+v (in place: %v)", batch.recs, batch == first)
 	}
-	merged := combine(combine(a, b), combine(c, msgBucket{Data: 4})).(msgBucketBatch)
-	if len(merged) != 4 {
-		t.Fatalf("batch-batch combine = %+v", merged)
+	other := combine(c, msgBucket{Data: 4}).(*msgBucketBatch)
+	merged := combine(combine(a, b), other).(*msgBucketBatch)
+	if len(merged.recs) != 4 {
+		t.Fatalf("batch-batch combine = %+v", merged.recs)
+	}
+	// b's records were copied, not adopted: growing the result must not
+	// reach back into b, and b reads as it did.
+	merged.recs = append(merged.recs[:2], msgBucket{Data: 9}, msgBucket{Data: 9})
+	if len(other.recs) != 2 || other.recs[0].Data != 3 || other.recs[1].Data != 4 {
+		t.Fatalf("combine retained or mutated b: %+v", other.recs)
 	}
 }
 
@@ -106,7 +123,7 @@ func TestCombineSemantics(t *testing.T) {
 // already-merged batches neither drops nor duplicates records.
 func TestCombineDeltaRecords(t *testing.T) {
 	r := func(i int32) msgDelta { return msgDelta{Bucket: i % 4, COld: i, CNew: i + 1} }
-	want := msgDeltaBatch{r(1), r(2), r(3), r(4)}
+	want := []msgDelta{r(1), r(2), r(3), r(4)}
 	cases := []struct {
 		name string
 		got  pregel.Message
@@ -116,28 +133,75 @@ func TestCombineDeltaRecords(t *testing.T) {
 		{"balanced (batch+batch)", combine(combine(r(1), r(2)), combine(r(3), r(4)))},
 	}
 	for _, tc := range cases {
-		got := tc.got.(msgDeltaBatch)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d records, want %d: %+v", tc.name, len(got), len(want), got)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: record %d = %+v, want %+v", tc.name, i, got[i], want[i])
-			}
+		if got := tc.got.(*msgDeltaBatch).recs; !slices.Equal(got, want) {
+			t.Fatalf("%s: records %+v, want %+v", tc.name, got, want)
 		}
 	}
-	// Re-merging merged batches keeps the flat record multiset intact.
-	left := combine(r(1), r(2)).(msgDeltaBatch)
-	right := combine(r(3), r(4)).(msgDeltaBatch)
-	again := combine(combine(left, right), combine(r(5), r(6))).(msgDeltaBatch)
-	if len(again) != 6 {
-		t.Fatalf("re-merged batches hold %d records, want 6: %+v", len(again), again)
+	// Re-merging merged batches keeps the flat record multiset intact, and
+	// leaves the right-hand batches as they were.
+	left := combine(r(1), r(2)).(*msgDeltaBatch)
+	right := combine(r(3), r(4)).(*msgDeltaBatch)
+	tail := combine(r(5), r(6)).(*msgDeltaBatch)
+	again := combine(combine(left, right), tail).(*msgDeltaBatch)
+	if again != left {
+		t.Fatal("batch+batch did not fold into the left accumulator")
 	}
-	for i := range again {
-		if again[i] != r(int32(i+1)) {
-			t.Fatalf("re-merged record %d = %+v, want %+v", i, again[i], r(int32(i+1)))
+	if want := []msgDelta{r(1), r(2), r(3), r(4), r(5), r(6)}; !slices.Equal(again.recs, want) {
+		t.Fatalf("re-merged batches hold %+v, want %+v", again.recs, want)
+	}
+	if !slices.Equal(right.recs, []msgDelta{r(3), r(4)}) || !slices.Equal(tail.recs, []msgDelta{r(5), r(6)}) {
+		t.Fatalf("combine mutated b: %+v, %+v", right.recs, tail.recs)
+	}
+}
+
+// TestCombineFoldsDecodedWithLocal is the receiver-side pass across source
+// workers: one worker's batch arrives as the decoded bytes of a frame, the
+// other was built in this process, and either may be the accumulator.
+func TestCombineFoldsDecodedWithLocal(t *testing.T) {
+	r := func(i int32) msgDelta { return msgDelta{Bucket: i % 4, COld: i, CNew: i + 1} }
+	decoded := func(recs ...msgDelta) *msgDeltaBatch {
+		t.Helper()
+		buf, err := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: recs})
+		if err != nil {
+			t.Fatal(err)
 		}
+		m, _, err := (deltaBatchCodec{}).Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*msgDeltaBatch)
 	}
+	want := []msgDelta{r(1), r(2), r(3), r(4)}
+	if got := combine(decoded(r(1), r(2)), combine(r(3), r(4))).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
+		t.Fatalf("decoded <- local: %+v, want %+v", got, want)
+	}
+	wire := decoded(r(3), r(4))
+	if got := combine(combine(r(1), r(2)), wire).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
+		t.Fatalf("local <- decoded: %+v, want %+v", got, want)
+	}
+	if !slices.Equal(wire.recs, []msgDelta{r(3), r(4)}) {
+		t.Fatalf("combine mutated the decoded batch: %+v", wire.recs)
+	}
+	// A lone record from one worker meets a decoded batch from the next.
+	if got := combine(r(1), decoded(r(2), r(3), r(4))).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
+		t.Fatalf("record <- decoded: %+v, want %+v", got, want)
+	}
+	gain, _, err := (gainCodec{}).Decode(mustAppend(t, gainCodec{}, &msgGain{Cur: 0.5, Oth: 0.25}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := combine(&msgGain{Cur: 1, Oth: 2}, gain).(*msgGain); g.Cur != 1.5 || g.Oth != 2.25 {
+		t.Fatalf("local gain <- decoded gain = %+v", g)
+	}
+}
+
+func mustAppend(t *testing.T, c pregel.Codec, m pregel.Message) []byte {
+	t.Helper()
+	buf, err := c.Append(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // TestCombineRejectsMixedKinds pins the protocol invariant the combiner
@@ -149,5 +213,5 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 			t.Fatal("combining msgGain with msgDelta should panic")
 		}
 	}()
-	combine(msgGain{Cur: 1}, msgDelta{Bucket: 1})
+	combine(&msgGain{Cur: 1}, msgDelta{Bucket: 1})
 }

@@ -187,7 +187,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		}
 		// Each dirty query diffs its histogram and routes records to its
 		// clean members, exactly as computeQuery does.
-		batches := map[int32]msgDeltaBatch{}
+		batches := map[int32][]msgDelta{}
 		for q, st := range qs {
 			dirty := false
 			for _, d := range members[q] {
@@ -234,10 +234,10 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		// Batched wire round trip (the sender-side-combined form), then
 		// patch the observers.
 		for _, o := range observers {
-			batch := batches[o]
-			if len(batch) == 0 {
+			if len(batches[o]) == 0 {
 				continue
 			}
+			batch := &msgDeltaBatch{recs: batches[o]}
 			buf, err := (deltaBatchCodec{}).Append(nil, batch)
 			if err != nil {
 				t.Fatal(err)
@@ -249,7 +249,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if err != nil || used != len(buf) || !reflect.DeepEqual(decoded, batch) {
 				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
 			}
-			for _, rec := range decoded.(msgDeltaBatch) {
+			for _, rec := range decoded.(*msgDeltaBatch).recs {
 				obs[o].applyDelta(tb, rec)
 			}
 		}
@@ -277,13 +277,13 @@ func TestDeltaWireSize(t *testing.T) {
 	if got := len(appendDelta(nil, rec)); got != 12 {
 		t.Fatalf("encoded msgDelta is %d bytes, want 12", got)
 	}
-	batch := msgDeltaBatch{rec, {Bucket: 4, COld: 0, CNew: 1}, {Bucket: 1, COld: 7, CNew: 0}}
+	batch := &msgDeltaBatch{recs: []msgDelta{rec, {Bucket: 4, COld: 0, CNew: 1}, {Bucket: 1, COld: 7, CNew: 0}}}
 	buf, err := (deltaBatchCodec{}).Append(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + 12*len(batch); len(buf) != want {
-		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch), len(buf), want)
+	if want := 1 + 12*len(batch.recs); len(buf) != want {
+		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch.recs), len(buf), want)
 	}
 	if sz := (deltaBatchCodec{}).Size(batch); sz != len(buf) {
 		t.Fatalf("Size %d != encoded %d", sz, len(buf))

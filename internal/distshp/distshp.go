@@ -273,7 +273,12 @@ func (r *Result) LateProposalBytes(maxMovedFraction float64) (iters int, bytes i
 	return iters, bytes
 }
 
-// message kinds exchanged between vertices.
+// message kinds exchanged between vertices. The three the combiner folds
+// into — msgGain and the two batches — travel as pointers: they are the
+// accumulators pregel.Options.Combiner's ownership contract describes, owned
+// by the engine from Send to delivery and updated in place, so a fold
+// allocates nothing. msgBucket and msgDelta records travel by value and are
+// copied into a batch the first time two of them share a destination.
 type (
 	// msgBucket: data -> query, "I am now in bucket New". Queries key
 	// their incremental neighbor-data maintenance on Data alone (first
@@ -283,19 +288,19 @@ type (
 		Data int32
 		New  int32
 	}
-	// msgBucketBatch is the sender-side-combined form of msgBucket: all of
-	// one worker's bucket updates for one query, shipped as a single
-	// envelope (Giraph-style message batching on the count-aggregation
-	// superstep).
-	msgBucketBatch []msgBucket
-	// msgGain: query -> data, the neighbor-data contribution to the
-	// receiver's Equation 1 gain, already mapped through the level's gain
-	// table. This is the combinable reduction of the paper's r = 2
-	// neighbor-data counts (Section 3.3): contributions from different
-	// queries simply add, so sender-side combining collapses each worker's
-	// per-data traffic to one message. A vertex that receives msgGain
-	// resums its persistent accumulators from scratch (every adjacent
-	// query is guaranteed to have sent one).
+	// msgBucketBatch (sent as *msgBucketBatch) is the sender-side-combined
+	// form of msgBucket: all of one worker's bucket updates for one query,
+	// shipped as a single envelope (Giraph-style message batching on the
+	// count-aggregation superstep).
+	msgBucketBatch struct{ recs []msgBucket }
+	// msgGain (sent as *msgGain): query -> data, the neighbor-data
+	// contribution to the receiver's Equation 1 gain, already mapped through
+	// the level's gain table. This is the combinable reduction of the
+	// paper's r = 2 neighbor-data counts (Section 3.3): contributions from
+	// different queries simply add, so sender-side combining collapses each
+	// worker's per-data traffic to one message. A vertex that receives
+	// msgGain resums its persistent accumulators from scratch (every
+	// adjacent query is guaranteed to have sent one).
 	msgGain struct {
 		Cur, Oth float64 // sum of T[n(current bucket)-1] and T[n(sibling)]
 	}
@@ -314,44 +319,54 @@ type (
 		COld   int32
 		CNew   int32
 	}
-	// msgDeltaBatch is the sender-side-combined form of msgDelta: all of
-	// one worker's delta records for one data vertex, shipped as a single
-	// envelope. Exact patch arithmetic makes the record order irrelevant
-	// to the result; combining preserves send order anyway.
-	msgDeltaBatch []msgDelta
+	// msgDeltaBatch (sent as *msgDeltaBatch) is the sender-side-combined
+	// form of msgDelta: all of one worker's delta records for one data
+	// vertex, shipped as a single envelope. Exact patch arithmetic makes the
+	// record order irrelevant to the result; combining preserves send order
+	// anyway.
+	msgDeltaBatch struct{ recs []msgDelta }
 )
+
+// batchRoom is the capacity a batch starts with when two records first meet:
+// a query or data vertex with any traffic from a worker usually has a
+// handful of records from it, so most batches never regrow.
+const batchRoom = 8
 
 // combine is the engine combiner: msgGain adds; msgBucket and msgDelta
 // batch. The engine applies it in the per-destination outbox, so all three
-// cut the envelope count that crosses workers. The protocol never mixes
-// kinds for one destination in one superstep (a vertex is either a mover —
-// gains from every adjacent query — or clean — deltas only), so cross-kind
-// merges are a protocol violation and panic.
+// cut the envelope count that crosses workers. It folds b into a, which the
+// engine owns, and returns a — except when a is still a bare record, where
+// it starts the batch that later folds append to; b is only read. The
+// protocol never mixes kinds for one destination in one superstep (a vertex
+// is either a mover — gains from every adjacent query — or clean — deltas
+// only), so cross-kind merges are a protocol violation and panic.
 func combine(a, b pregel.Message) pregel.Message {
 	switch x := a.(type) {
-	case msgGain:
-		y := b.(msgGain)
-		return msgGain{Cur: x.Cur + y.Cur, Oth: x.Oth + y.Oth}
+	case *msgGain:
+		y := b.(*msgGain)
+		x.Cur += y.Cur
+		x.Oth += y.Oth
+		return a
 	case msgBucket:
+		batch := &msgBucketBatch{recs: append(make([]msgBucket, 0, batchRoom), x)}
+		return combine(batch, b)
+	case *msgBucketBatch:
 		if y, ok := b.(msgBucket); ok {
-			return msgBucketBatch{x, y}
+			x.recs = append(x.recs, y)
+		} else {
+			x.recs = append(x.recs, b.(*msgBucketBatch).recs...)
 		}
-		return append(msgBucketBatch{x}, b.(msgBucketBatch)...)
-	case msgBucketBatch:
-		if y, ok := b.(msgBucket); ok {
-			return append(x, y)
-		}
-		return append(x, b.(msgBucketBatch)...)
+		return a
 	case msgDelta:
+		batch := &msgDeltaBatch{recs: append(make([]msgDelta, 0, batchRoom), x)}
+		return combine(batch, b)
+	case *msgDeltaBatch:
 		if y, ok := b.(msgDelta); ok {
-			return msgDeltaBatch{x, y}
+			x.recs = append(x.recs, y)
+		} else {
+			x.recs = append(x.recs, b.(*msgDeltaBatch).recs...)
 		}
-		return append(msgDeltaBatch{x}, b.(msgDeltaBatch)...)
-	case msgDeltaBatch:
-		if y, ok := b.(msgDelta); ok {
-			return append(x, y)
-		}
-		return append(x, b.(msgDeltaBatch)...)
+		return a
 	}
 	//shp:panics(invariant: the combiner is wired next to the codec registry; an unknown kind is a registration bug caught by codec-symmetry)
 	panic(fmt.Sprintf("distshp: uncombinable message %T", a))
@@ -863,17 +878,11 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 	msgs []pregel.Message, opts Options, tables []core.GainTables) {
 
-	phase := ctx.Superstep() % 4
-	level := 0
-	if v := ctx.ReadAggregator("level"); v != nil {
-		level = v.(int)
-	}
-	iter := 0
-	if v := ctx.ReadAggregator("iter"); v != nil {
-		iter = v.(int)
-	}
-	switch phase {
+	// Each phase reads only the aggregators it uses: every vertex runs every
+	// superstep, and a read is a string-keyed map lookup.
+	switch ctx.Superstep() % 4 {
 	case 0:
+		level := readInt(ctx, "level")
 		if level != st.level {
 			// Level start: split my bucket. Level 0: bucket = coin in {0,1};
 			// deeper: bucket = 2*old + coin.
@@ -915,6 +924,7 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		// so late supersteps cost only the moving frontier on this plane.
 		// (The bucket check catches zero-degree movers, whose bucket flips
 		// without any message traffic.)
+		level := readInt(ctx, "level")
 		key := directionKey(st.bucket)
 		if len(msgs) == 0 && st.propLevel == level && key == st.propKey {
 			return
@@ -924,16 +934,16 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		gains, deltas := 0, 0
 		for _, m := range msgs {
 			switch x := m.(type) {
-			case msgGain:
+			case *msgGain:
 				gains++
 				sumCur += x.Cur
 				sumOth += x.Oth
 			case msgDelta:
 				deltas++
 				st.applyDelta(tb, x)
-			case msgDeltaBatch:
+			case *msgDeltaBatch:
 				deltas++
-				for _, r := range x {
+				for _, r := range x.recs {
 					st.applyDelta(tb, r)
 				}
 			}
@@ -981,13 +991,19 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		if p <= 0 {
 			return
 		}
-		key := rng.Mix(rng.Mix(uint64(level)+1, uint64(iter)+1), uint64(st.d))
+		key := rng.Mix(rng.Mix(uint64(readInt(ctx, "level"))+1, uint64(readInt(ctx, "iter"))+1), uint64(st.d))
 		if p >= 1 || rng.CoinAt(opts.Seed^0x30E5, key) < p {
 			st.bucket ^= 1
 			st.moved = true
 			ctx.Aggregate("moved", int64(1))
 		}
 	}
+}
+
+// readInt reads an int the master broadcast, 0 before it first has.
+func readInt(ctx *pregel.Context, name string) int {
+	v, _ := ctx.ReadAggregator(name).(int)
+	return v
 }
 
 // directionKey identifies the direction "from bucket b to its sibling".
@@ -1010,13 +1026,9 @@ func directionKey(bucket int32) uint64 {
 func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	msgs []pregel.Message, opts Options, tables []core.GainTables) {
 
-	phase := ctx.Superstep() % 4
-	level := 0
-	if v := ctx.ReadAggregator("level"); v != nil {
-		level = v.(int)
-	}
-	switch phase {
+	switch ctx.Superstep() % 4 {
 	case 1:
+		level := readInt(ctx, "level")
 		// Set by the master for the iterations it schedules a rebroadcast on.
 		full, _ := ctx.ReadAggregator("rebuild").(bool)
 		members := g.QueryNeighbors(st.q)
@@ -1037,8 +1049,8 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 			switch mb := m.(type) {
 			case msgBucket:
 				st.applyUpdate(members, mb, track)
-			case msgBucketBatch:
-				for _, u := range mb {
+			case *msgBucketBatch:
+				for _, u := range mb.recs {
 					st.applyUpdate(members, u, track)
 				}
 			}
@@ -1061,7 +1073,7 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 				if b < 0 {
 					continue
 				}
-				ctx.Send(pregel.VertexID(int(d)), msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+				ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
 			}
 			return
 		}
@@ -1075,7 +1087,7 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 				continue
 			}
 			if st.moved[i] {
-				ctx.Send(pregel.VertexID(int(d)), msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+				ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
 				continue
 			}
 			for _, r := range recs {

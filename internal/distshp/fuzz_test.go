@@ -66,7 +66,12 @@ func FuzzCheckpointCodec(f *testing.F) {
 		prevLen:      2,
 	})
 	qsNil, _ := (queryStateCodec{}).Append(nil, &queryState{q: 9, memberBucket: nil})
+	// One mantissa bit of sumCur flipped: still a valid dataState, which is
+	// why the snapshot around these codecs carries a checksum.
+	flipped := bytes.Clone(ds)
+	flipped[4+2] ^= 0x10 // d, bucket, moved, level take one byte each; sumCur follows
 	f.Add(true, ds)
+	f.Add(true, flipped)
 	f.Add(false, qsReg)
 	f.Add(false, qsNil)
 	f.Add(true, []byte{})
@@ -112,13 +117,13 @@ func FuzzCheckpointCodec(f *testing.F) {
 }
 
 func FuzzDeltaBatchCodec(f *testing.F) {
-	one, _ := (deltaBatchCodec{}).Append(nil, msgDeltaBatch{{Bucket: 2, COld: 0, CNew: 1}})
-	three, _ := (deltaBatchCodec{}).Append(nil, msgDeltaBatch{
+	one, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{{Bucket: 2, COld: 0, CNew: 1}}})
+	three, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{
 		{Bucket: 2, COld: 3, CNew: 4},
 		{Bucket: 3, COld: 1, CNew: 0},
 		{Bucket: 0, COld: 0, CNew: 9},
-	})
-	empty, _ := (deltaBatchCodec{}).Append(nil, msgDeltaBatch{})
+	}})
+	empty, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{})
 	f.Add(one)
 	f.Add(three)
 	f.Add(empty)
@@ -133,7 +138,7 @@ func FuzzDeltaBatchCodec(f *testing.F) {
 		if used > len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
 		}
-		batch := m.(msgDeltaBatch)
+		batch := m.(*msgDeltaBatch)
 		// Value round trip: the count uvarint may arrive in a non-canonical
 		// overlong form, so compare decoded values, not raw bytes.
 		re, err := (deltaBatchCodec{}).Append(nil, batch)
@@ -186,13 +191,13 @@ func FuzzBucketCodec(f *testing.F) {
 }
 
 func FuzzBucketBatchCodec(f *testing.F) {
-	one, _ := (bucketBatchCodec{}).Append(nil, msgBucketBatch{{Data: 2, New: 1}})
-	three, _ := (bucketBatchCodec{}).Append(nil, msgBucketBatch{
+	one, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{recs: []msgBucket{{Data: 2, New: 1}}})
+	three, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{recs: []msgBucket{
 		{Data: 2, New: 3},
 		{Data: 9, New: 0},
 		{Data: 0, New: 7},
-	})
-	empty, _ := (bucketBatchCodec{}).Append(nil, msgBucketBatch{})
+	}})
+	empty, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{})
 	f.Add(one)
 	f.Add(three)
 	f.Add(empty)
@@ -207,7 +212,7 @@ func FuzzBucketBatchCodec(f *testing.F) {
 		if used > len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
 		}
-		batch := m.(msgBucketBatch)
+		batch := m.(*msgBucketBatch)
 		// Value round trip: the count uvarint may arrive overlong, so
 		// compare decoded values, not raw bytes.
 		re, err := (bucketBatchCodec{}).Append(nil, batch)
@@ -228,7 +233,7 @@ func FuzzBucketBatchCodec(f *testing.F) {
 }
 
 func FuzzGainCodec(f *testing.F) {
-	full, _ := (gainCodec{}).Append(nil, msgGain{Cur: 1.5, Oth: -0.25})
+	full, _ := (gainCodec{}).Append(nil, &msgGain{Cur: 1.5, Oth: -0.25})
 	f.Add(full)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})

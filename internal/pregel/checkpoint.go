@@ -3,6 +3,7 @@ package pregel
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -175,18 +176,24 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 //	per vertex, worker-major then id-ascending (the engine's canonical
 //	  order): id | flags byte (bit0 halted, bit1 state present) |
 //	  [state value]
-//	per worker: inbox length | per message: dst | message value
+//	per worker: inbox length | per message, in the inbox's grouped order
+//	  (destination-ascending, then source worker, then send order): dst |
+//	  message value
 //	aggregated count | per entry, name-ascending: name len | name bytes |
 //	  present byte | [value]
 //	master blob length | blob bytes
+//	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
 // Values ride the typed-codec plane: one codec-id byte plus the codec
 // payload, states and aggregated values through Options.Snapshots, inbox
 // messages through Options.Codecs. Encoding order is canonical, so equal
-// engine states produce byte-identical snapshots.
+// engine states produce byte-identical snapshots. The checksum is what
+// catches damage that still parses — a flipped bit inside a float64 state
+// decodes to a different, perfectly valid state.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 1
+	snapshotVersion = 2
+	snapshotSumSize = 4
 )
 
 // checkpoint snapshots the engine at a superstep boundary and hands it to
@@ -206,11 +213,11 @@ func (e *Engine) checkpoint(superstep int) error {
 // snapValue encodes one vertex state or aggregated value via the snapshot
 // registry, failing loudly when no codec covers it: silently dropping state
 // would corrupt a later recovery.
-func (e *Engine) snapValue(buf []byte, v interface{}) ([]byte, error) {
+func (e *Engine) snapValue(buf []byte, v interface{}, memo *kindMemo) ([]byte, error) {
 	if e.opts.Snapshots == nil {
 		return buf, fmt.Errorf("Options.Snapshots registry required to encode %T", v)
 	}
-	return e.opts.Snapshots.appendValue(buf, v)
+	return e.opts.Snapshots.appendValue(buf, v, memo)
 }
 
 // encodeSnapshot serializes the complete barrier state at a superstep
@@ -226,6 +233,7 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(total))
 	var err error
+	var snapMemo, msgMemo kindMemo
 	for _, w := range e.workers {
 		for _, v := range w.vertices {
 			buf = binary.AppendUvarint(buf, uint64(v.ID))
@@ -238,7 +246,7 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 			}
 			buf = append(buf, flags)
 			if v.State != nil {
-				if buf, err = e.snapValue(buf, v.State); err != nil {
+				if buf, err = e.snapValue(buf, v.State, &snapMemo); err != nil {
 					return nil, fmt.Errorf("vertex %d state: %w", v.ID, err)
 				}
 			}
@@ -246,13 +254,15 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 	}
 	for _, w := range e.workers {
 		buf = binary.AppendUvarint(buf, uint64(w.in.len()))
-		for i := 0; i < w.in.len(); i++ {
-			buf = binary.AppendUvarint(buf, uint64(w.in.dst[i]))
-			if e.opts.Codecs == nil {
-				return nil, fmt.Errorf("Options.Codecs registry required to snapshot pending messages")
-			}
-			if buf, err = e.opts.Codecs.appendValue(buf, w.in.msg[i]); err != nil {
-				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
+		if w.in.len() > 0 && e.opts.Codecs == nil {
+			return nil, fmt.Errorf("Options.Codecs registry required to snapshot pending messages")
+		}
+		for l, v := range w.vertices {
+			for _, m := range w.in.msg[w.in.start[l]:w.in.start[l+1]] {
+				buf = binary.AppendUvarint(buf, uint64(v.ID))
+				if buf, err = e.opts.Codecs.appendValue(buf, m, &msgMemo); err != nil {
+					return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
+				}
 			}
 		}
 	}
@@ -271,7 +281,7 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 			continue
 		}
 		buf = append(buf, 1)
-		if buf, err = e.snapValue(buf, v); err != nil {
+		if buf, err = e.snapValue(buf, v, &snapMemo); err != nil {
 			return nil, fmt.Errorf("aggregated %q: %w", name, err)
 		}
 	}
@@ -281,7 +291,7 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(master)))
 	buf = append(buf, master...)
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
 // snapshotState is a fully decoded snapshot, held apart from the engine until
@@ -296,8 +306,8 @@ type snapshotState struct {
 }
 
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
-// against the engine's layout (worker count, vertex ids). It only reads the
-// engine.
+// against its checksum and the engine's layout (worker count, vertex ids,
+// who owns each pending message). It only reads the engine.
 func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("bad snapshot magic")
@@ -305,7 +315,14 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if v := data[len(snapshotMagic)]; v != snapshotVersion {
 		return nil, fmt.Errorf("unsupported snapshot version %d", v)
 	}
-	data = data[len(snapshotMagic)+1:]
+	if len(data) < len(snapshotMagic)+1+snapshotSumSize {
+		return nil, fmt.Errorf("truncated snapshot")
+	}
+	body := data[:len(data)-snapshotSumSize]
+	if want, got := binary.LittleEndian.Uint32(data[len(body):]), crc32.ChecksumIEEE(body); want != got {
+		return nil, fmt.Errorf("snapshot checksum %08x, content sums to %08x", want, got)
+	}
+	data = body[len(snapshotMagic)+1:]
 	readUvarint := func() (uint64, error) {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -378,17 +395,31 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 		if n > 0 && e.opts.Codecs == nil {
 			return nil, fmt.Errorf("Options.Codecs registry required to restore pending messages")
 		}
+		// Messages arrive in the grouped order encodeSnapshot wrote, so
+		// appending them rebuilds the inbox and counting them its offsets.
+		in := &s.inboxes[w.id]
+		in.start = make([]int32, len(w.vertices)+2)
+		in.msg = make([]Message, 0, min(n, uint64(len(data))))
+		last := int32(0)
 		for i := uint64(0); i < n; i++ {
 			dst, err := readUvarint()
 			if err != nil {
 				return nil, err
 			}
+			if dst >= uint64(len(e.place)) || int(e.place[dst].worker) != w.id || e.place[dst].local < last {
+				return nil, fmt.Errorf("worker %d inbox: message for vertex %d out of place", w.id, dst)
+			}
+			last = e.place[dst].local
 			msg, used, err := e.opts.Codecs.decodeValue(data)
 			if err != nil {
 				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 			}
 			data = data[used:]
-			s.inboxes[w.id].push(envelope{dst: VertexID(dst), msg: msg})
+			in.start[last+1]++
+			in.msg = append(in.msg, msg)
+		}
+		for l := 1; l < len(in.start); l++ {
+			in.start[l] += in.start[l-1]
 		}
 	}
 	nAgg, err := readUvarint()
@@ -458,7 +489,7 @@ func (e *Engine) restoreSnapshot(data []byte) error {
 			i++
 		}
 		w.in = s.inboxes[w.id]
-		w.clearOutboxes()
+		e.clearOutboxes(w)
 		w.aggregators = map[string]Aggregator{}
 	}
 	e.aggregated = s.aggregated

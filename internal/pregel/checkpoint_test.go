@@ -409,8 +409,10 @@ func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 // does not decode, restore the older one the store keeps for this, and finish
 // bit-for-bit identical to an undisturbed run. With both kept snapshots
 // damaged the run fails with the original *WorkerFailure still in the chain.
-// The format carries no checksum, so a flipped payload bit that still decodes
-// is out of reach; the flipped bit here is in the version byte.
+// Three kinds of damage: a truncation, a flipped bit in the version byte, and
+// a flipped mantissa bit inside the first vertex's float64 state — which
+// still parses, to a different valid state, and is caught by the checksum
+// alone.
 func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 	const n, workers, steps, every, kill = 24, 3, 12, 3, 7 // snapshots at 0, 3, 6; kill at 7
 	base := newRingRun(n, workers, steps, nil, nil, 0)
@@ -418,6 +420,11 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 
 	truncate := func(b []byte) []byte { return b[:len(b)/2] }
 	bitFlip := func(b []byte) []byte { b[len(snapshotMagic)] ^= 0x10; return b }
+	// Header: magic, version, then superstep, worker count and vertex count
+	// (one-byte uvarints at these sizes); first vertex: id, flags, codec id,
+	// then the eight bytes of its state.
+	stateAt := len(snapshotMagic) + 1 + 3 + 3
+	payloadFlip := func(b []byte) []byte { b[stateAt] ^= 0x10; return b }
 	damage := func(t *testing.T, cp *DiskCheckpointer, step int, how func([]byte) []byte) {
 		t.Helper()
 		data, err := os.ReadFile(cp.path(step))
@@ -459,7 +466,7 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		how  func([]byte) []byte
-	}{{"truncated", truncate}, {"bit-flipped", bitFlip}} {
+	}{{"truncated", truncate}, {"bit-flipped", bitFlip}, {"payload bit-flipped", payloadFlip}} {
 		t.Run(c.name, func(t *testing.T) {
 			r, eng := damagedRun(t, c.how, 6)
 			stats, err := eng.Run()

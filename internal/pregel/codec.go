@@ -19,7 +19,8 @@ type Codec interface {
 	// Append serializes m onto buf and returns the extended buffer.
 	Append(buf []byte, m Message) ([]byte, error)
 	// Decode reads one message from the front of data and returns it along
-	// with the number of bytes consumed.
+	// with the number of bytes consumed. The message must not alias data:
+	// transports reuse their receive buffers from one frame to the next.
 	Decode(data []byte) (Message, int, error)
 	// Size returns m's exact encoded size in bytes (what Append would add).
 	Size(m Message) int
@@ -57,12 +58,35 @@ func (r *Registry) Register(sample Message, c Codec) {
 	r.byID = append(r.byID, c)
 }
 
+// kindMemo remembers the last type a caller resolved to a wire id. A
+// superstep's traffic is all of one or two kinds, so an encoder that keeps a
+// memo across the envelopes of a batch pays the type-keyed map lookup once
+// per run of equal types instead of once per envelope. The zero value is
+// ready; a memo belongs to one goroutine and one registry.
+type kindMemo struct {
+	typ reflect.Type
+	id  uint8
+}
+
+// idOf returns the wire id registered for m's concrete type.
+func (r *Registry) idOf(m Message, memo *kindMemo) (uint8, error) {
+	t := reflect.TypeOf(m)
+	if t != memo.typ || t == nil {
+		id, ok := r.byType[t]
+		if !ok {
+			return 0, fmt.Errorf("pregel: no codec registered for %T", m)
+		}
+		memo.typ, memo.id = t, id
+	}
+	return memo.id, nil
+}
+
 // envelopeSize returns the encoded size of one envelope: uvarint destination
 // id, one codec-id byte, then the message payload.
-func (r *Registry) envelopeSize(env envelope) (int, error) {
-	id, ok := r.byType[reflect.TypeOf(env.msg)]
-	if !ok {
-		return 0, fmt.Errorf("pregel: no codec registered for %T", env.msg)
+func (r *Registry) envelopeSize(env envelope, memo *kindMemo) (int, error) {
+	id, err := r.idOf(env.msg, memo)
+	if err != nil {
+		return 0, err
 	}
 	return uvarintLen(uint64(env.dst)) + 1 + r.byID[id].Size(env.msg), nil
 }
@@ -71,10 +95,10 @@ func (r *Registry) envelopeSize(env envelope) (int, error) {
 // This is the unit shared by message envelopes and checkpoint snapshots —
 // a snapshot is just values encoded through a registry, so the checkpoint
 // plane gets the same measured-bytes guarantee as the wire.
-func (r *Registry) appendValue(buf []byte, v Message) ([]byte, error) {
-	id, ok := r.byType[reflect.TypeOf(v)]
-	if !ok {
-		return buf, fmt.Errorf("pregel: no codec registered for %T", v)
+func (r *Registry) appendValue(buf []byte, v Message, memo *kindMemo) ([]byte, error) {
+	id, err := r.idOf(v, memo)
+	if err != nil {
+		return buf, err
 	}
 	buf = append(buf, id)
 	return r.byID[id].Append(buf, v)
@@ -97,9 +121,9 @@ func (r *Registry) decodeValue(data []byte) (Message, int, error) {
 }
 
 // appendEnvelope encodes one envelope onto buf.
-func (r *Registry) appendEnvelope(buf []byte, env envelope) ([]byte, error) {
+func (r *Registry) appendEnvelope(buf []byte, env envelope, memo *kindMemo) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(env.dst))
-	return r.appendValue(buf, env.msg)
+	return r.appendValue(buf, env.msg, memo)
 }
 
 // decodeEnvelope reads one envelope from the front of data.

@@ -19,13 +19,14 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{dst: 42, msg: int64(math.MinInt64)},
 	}
 	var buf []byte
+	var memo kindMemo // kept across the two kinds: it must re-resolve when the type changes
 	for _, env := range cases {
-		want, err := reg.envelopeSize(env)
+		want, err := reg.envelopeSize(env, &memo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := len(buf)
-		buf, err = reg.appendEnvelope(buf, env)
+		buf, err = reg.appendEnvelope(buf, env, &memo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +52,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 func TestRegistryUnknownType(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(float64(0), Float64Codec{})
-	if _, err := reg.appendEnvelope(nil, envelope{dst: 1, msg: "nope"}); err == nil {
+	if _, err := reg.appendEnvelope(nil, envelope{dst: 1, msg: "nope"}, &kindMemo{}); err == nil {
 		t.Fatal("encoding an unregistered type should fail")
 	}
-	if _, err := reg.envelopeSize(envelope{dst: 1, msg: "nope"}); err == nil {
+	if _, err := reg.envelopeSize(envelope{dst: 1, msg: "nope"}, &kindMemo{}); err == nil {
 		t.Fatal("sizing an unregistered type should fail")
 	}
 }

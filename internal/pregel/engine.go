@@ -3,6 +3,8 @@ package pregel
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,49 +18,41 @@ type envelope struct {
 	msg Message
 }
 
+// placement is where the engine put a vertex: its worker and its index in
+// that worker's id-sorted vertex list. The table is built once in NewEngine
+// and indexed by vertex id, so neither Send nor delivery hashes anything.
+type placement struct {
+	worker int32
+	local  int32
+}
+
 // outbox buffers one worker's messages for one destination worker. When a
-// combiner is configured, idx tracks the position of the (single) combined
-// message per destination vertex so Send can fold into it — Giraph's
-// sender-side combining, which is what actually reduces wire traffic.
+// combiner is configured, slot is indexed by the destination's local index
+// and holds position+1 in env of the (single) combined message for that
+// vertex, 0 for none, so Send folds into it with one load and one store —
+// Giraph's sender-side combining, which is what actually reduces wire
+// traffic. Only entries env names are ever non-zero, so clearing walks env.
 type outbox struct {
-	env []envelope
-	idx map[VertexID]int
+	env  []envelope
+	slot []int32
 }
 
-// inbox holds a worker's received messages as parallel slices: sorting the
-// pair by destination groups each vertex's messages into a contiguous run,
-// so delivery is a merge-join against the (id-sorted) vertex list with no
-// per-vertex map entries or slice allocations.
+// inbox holds a worker's received messages grouped by destination: local
+// vertex l's messages are msg[start[l]:start[l+1]], in (source worker, send
+// order). Offsets are int32, which bounds one worker's superstep at 2^31
+// messages. start has two entries more than the worker has vertices; the
+// last one is scratch for the counting scatter in Engine.deliver.
 type inbox struct {
-	dst []VertexID
-	msg []Message
+	start []int32
+	msg   []Message
 }
 
-func (in *inbox) push(env envelope) {
-	in.dst = append(in.dst, env.dst)
-	in.msg = append(in.msg, env.msg)
-}
-
-func (in *inbox) len() int { return len(in.dst) }
+func (in *inbox) len() int { return len(in.msg) }
 
 func (in *inbox) reset() {
-	in.dst = in.dst[:0]
-	for i := range in.msg {
-		in.msg[i] = nil // release references for the collector
-	}
+	clear(in.start)
+	clear(in.msg) // release references for the collector
 	in.msg = in.msg[:0]
-}
-
-// inboxSorter stable-sorts the parallel slices by destination vertex.
-// Stability preserves (source worker, send order), which transports are
-// required to present, keeping delivery deterministic.
-type inboxSorter struct{ in *inbox }
-
-func (s inboxSorter) Len() int           { return len(s.in.dst) }
-func (s inboxSorter) Less(i, j int) bool { return s.in.dst[i] < s.in.dst[j] }
-func (s inboxSorter) Swap(i, j int) {
-	s.in.dst[i], s.in.dst[j] = s.in.dst[j], s.in.dst[i]
-	s.in.msg[i], s.in.msg[j] = s.in.msg[j], s.in.msg[i]
 }
 
 type worker struct {
@@ -69,36 +63,40 @@ type worker struct {
 	aggregators map[string]Aggregator
 }
 
-func (w *worker) clearOutboxes() {
+// Engine is a configured computation over a fixed vertex set.
+type Engine struct {
+	opts       Options
+	transport  Transport
+	workers    []*worker
+	place      []placement // by vertex id
+	aggregated map[string]interface{}
+	stats      Stats
+}
+
+func (e *Engine) clearOutboxes(w *worker) {
 	for d := range w.out {
-		env := w.out[d].env
-		for i := range env {
-			env[i].msg = nil // release references for the collector
+		ob := &w.out[d]
+		if ob.slot != nil {
+			for _, env := range ob.env {
+				ob.slot[e.place[env.dst].local] = 0
+			}
 		}
-		w.out[d].env = env[:0]
-		if w.out[d].idx != nil {
-			clear(w.out[d].idx)
-		}
+		clear(ob.env) // release references for the collector
+		ob.env = ob.env[:0]
 	}
 }
 
-// Engine is a configured computation over a fixed vertex set.
-type Engine struct {
-	opts        Options
-	transport   Transport
-	workers     []*worker
-	vertexIndex map[VertexID]*Vertex
-	aggregated  map[string]interface{}
-	stats       Stats
-}
-
-// NewEngine builds an engine over the given vertices.
+// NewEngine builds an engine over the given vertices, whose ids must be
+// exactly 0..len(vertices)-1 in any order.
 func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 	if opts.Compute == nil {
 		return nil, errors.New("pregel: Compute is required")
 	}
 	if opts.MaxSupersteps <= 0 {
 		return nil, errors.New("pregel: MaxSupersteps must be > 0")
+	}
+	if len(vertices) > math.MaxInt32 {
+		return nil, fmt.Errorf("pregel: %d vertices exceed the engine's int32 placement table", len(vertices))
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -107,37 +105,44 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 		opts.Transport = MemoryTransport()
 	}
 	e := &Engine{
-		opts:        opts,
-		transport:   opts.Transport,
-		vertexIndex: make(map[VertexID]*Vertex, len(vertices)),
-		aggregated:  map[string]interface{}{},
+		opts:       opts,
+		transport:  opts.Transport,
+		place:      make([]placement, len(vertices)),
+		aggregated: map[string]interface{}{},
 	}
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
-		w := &worker{
+		e.workers[i] = &worker{
 			id:          i,
 			out:         make([]outbox, opts.Workers),
 			aggregators: map[string]Aggregator{},
 		}
-		if opts.Combiner != nil {
-			for d := range w.out {
-				w.out[d].idx = map[VertexID]int{}
-			}
-		}
-		e.workers[i] = w
 	}
+	byID := make([]*Vertex, len(vertices))
 	for _, v := range vertices {
-		if _, dup := e.vertexIndex[v.ID]; dup {
+		if v.ID < 0 || v.ID >= VertexID(len(vertices)) {
+			return nil, fmt.Errorf("pregel: vertex id %d outside [0, %d): ids must be dense", v.ID, len(vertices))
+		}
+		if byID[v.ID] != nil {
 			return nil, fmt.Errorf("pregel: duplicate vertex id %d", v.ID)
 		}
-		e.vertexIndex[v.ID] = v
-		w := e.workerOf(v.ID)
-		e.workers[w].vertices = append(e.workers[w].vertices, v)
+		byID[v.ID] = v
+	}
+	// Walking ids in ascending order leaves every worker's list sorted by
+	// id, so superstep execution order is deterministic regardless of input
+	// order, and a vertex's local index is its position in that list.
+	for id, v := range byID {
+		w := e.workers[e.workerOf(VertexID(id))]
+		e.place[id] = placement{worker: int32(w.id), local: int32(len(w.vertices))}
+		w.vertices = append(w.vertices, v)
 	}
 	for _, w := range e.workers {
-		// Sort by id so superstep execution order and the inbox merge-join
-		// are both deterministic regardless of input order.
-		sort.Slice(w.vertices, func(i, j int) bool { return w.vertices[i].ID < w.vertices[j].ID })
+		w.in.start = make([]int32, len(w.vertices)+2)
+		if opts.Combiner != nil {
+			for _, src := range e.workers {
+				src.out[w.id].slot = make([]int32, len(w.vertices))
+			}
+		}
 	}
 	return e, nil
 }
@@ -302,17 +307,19 @@ func (e *Engine) Run() (*Stats, error) {
 	return &e.stats, nil
 }
 
-// runWorkerSafe runs one worker, converting *AggregatorError panics from
-// misused aggregators into a typed *ComputeError; any other panic is a
-// genuine bug and propagates with its original stack.
+// runWorkerSafe runs one worker, converting the typed panics of a misused
+// Context — *AggregatorError from Aggregate, *sendError from Send — into a
+// *ComputeError; any other panic is a genuine bug and propagates with its
+// original stack.
 func (e *Engine) runWorkerSafe(w *worker, step int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if ae, ok := r.(*AggregatorError); ok {
-				err = &ComputeError{Worker: w.id, Superstep: step, Err: ae}
-				return
+			switch r.(type) {
+			case *AggregatorError, *sendError:
+				err = &ComputeError{Worker: w.id, Superstep: step, Err: r.(error)}
+			default:
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
 	e.runWorker(w, step)
@@ -409,44 +416,52 @@ func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	return snapStep, nil
 }
 
-// runWorker executes one worker's vertices for one superstep. Inbound
-// messages are sorted into contiguous per-vertex runs and delivered by a
-// merge-join against the id-sorted vertex list.
-func (e *Engine) runWorker(w *worker, step int) {
-	if w.in.len() > 0 {
-		sort.Stable(inboxSorter{&w.in})
-		if comb := e.opts.Combiner; comb != nil {
-			// Receiver-side pass: sender-side combining already folded each
-			// worker's own traffic, this folds across source workers.
-			o := 0
-			for i := 1; i < w.in.len(); i++ {
-				if w.in.dst[i] == w.in.dst[o] {
-					w.in.msg[o] = comb(w.in.msg[o], w.in.msg[i])
-				} else {
-					o++
-					w.in.dst[o] = w.in.dst[i]
-					w.in.msg[o] = w.in.msg[i]
-				}
-			}
-			for i := o + 1; i < len(w.in.msg); i++ {
-				w.in.msg[i] = nil
-			}
-			w.in.dst = w.in.dst[:o+1]
-			w.in.msg = w.in.msg[:o+1]
+// deliver fills worker w's inbox from this superstep's traffic, from(src)
+// being the envelopes source worker src addressed to w in send order. A
+// stable counting pass — count per destination, prefix-sum, scatter — walks
+// the sources in worker order twice and writes each message once, straight
+// into its destination's group; there is no ungrouped intermediate. The
+// inbox must be empty (runWorker leaves it so).
+func (e *Engine) deliver(w *worker, from func(src int) []envelope) {
+	// Counts go in two entries up, so that after the prefix sum start[l+1]
+	// is where vertex l's group begins; the scatter advances it to where the
+	// group ends, which is where start[l] already says the next one begins.
+	start := w.in.start
+	for src := range e.workers {
+		for _, env := range from(src) {
+			start[e.place[env.dst].local+2]++
 		}
 	}
+	for l := 2; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	total := int(start[len(start)-1])
+	w.in.msg = slices.Grow(w.in.msg, total)[:total]
+	for src := range e.workers {
+		for _, env := range from(src) {
+			at := &start[e.place[env.dst].local+1]
+			w.in.msg[*at] = env.msg
+			*at++
+		}
+	}
+}
+
+// runWorker executes one worker's vertices for one superstep, handing each
+// its group of the inbox.
+func (e *Engine) runWorker(w *worker, step int) {
 	ctx := &Context{engine: e, worker: w, superstep: step}
-	i, n := 0, w.in.len()
-	for _, v := range w.vertices {
-		for i < n && w.in.dst[i] < v.ID {
-			i++ // message to an absent id: dropped, as before
+	comb := e.opts.Combiner
+	for l, v := range w.vertices {
+		lo, hi := w.in.start[l], w.in.start[l+1]
+		msgs := w.in.msg[lo:hi:hi]
+		if comb != nil && len(msgs) > 1 {
+			// Receiver-side pass: sender-side combining already folded each
+			// worker's own traffic, this folds across source workers.
+			for _, m := range msgs[1:] {
+				msgs[0] = comb(msgs[0], m)
+			}
+			msgs = msgs[:1:1]
 		}
-		j := i
-		for j < n && w.in.dst[j] == v.ID {
-			j++
-		}
-		msgs := w.in.msg[i:j:j]
-		i = j
 		if v.halted && len(msgs) == 0 {
 			continue
 		}
@@ -459,7 +474,13 @@ func (e *Engine) runWorker(w *worker, step int) {
 
 // Vertex returns the vertex with the given id (nil if absent). Intended for
 // result extraction after Run.
-func (e *Engine) Vertex(id VertexID) *Vertex { return e.vertexIndex[id] }
+func (e *Engine) Vertex(id VertexID) *Vertex {
+	if id < 0 || id >= VertexID(len(e.place)) {
+		return nil
+	}
+	p := e.place[id]
+	return e.workers[p.worker].vertices[p.local]
+}
 
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return len(e.workers) }

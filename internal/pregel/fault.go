@@ -42,6 +42,18 @@ func (e *AggregatorError) Error() string {
 	return fmt.Sprintf("pregel: aggregator %q: %s", e.Name, e.Reason)
 }
 
+// ErrNoSuchVertex is the cause of the *ComputeError Run returns when a
+// vertex program sends to an id outside [0, NumVertices()).
+var ErrNoSuchVertex = errors.New("pregel: message to a vertex id that has no vertex")
+
+// sendError is what Context.Send panics with; the engine recovers it into a
+// *ComputeError, the way it does an *AggregatorError.
+type sendError struct{ dst VertexID }
+
+func (e *sendError) Error() string { return fmt.Sprintf("%v: %d", ErrNoSuchVertex, e.dst) }
+
+func (e *sendError) Unwrap() error { return ErrNoSuchVertex }
+
 // ComputeError reports a vertex-program failure on one worker. It is not
 // recoverable by checkpoint rollback — replaying deterministic compute
 // would hit the same bug — so Run returns it immediately.

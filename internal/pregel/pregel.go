@@ -9,20 +9,27 @@
 // the synchronization barrier, and aggregators are merged by a master that
 // may run its own compute between supersteps.
 //
-// The message plane is layered:
+// The message plane is layered, and id-indexed throughout — vertex ids are
+// dense, so no step of it hashes or sorts:
 //
-//   - engine.go runs supersteps and delivers sorted message runs to vertices;
+//   - engine.go places every vertex once (id -> worker, local index), runs
+//     supersteps, and at the barrier groups each worker's arrivals by
+//     destination with a stable counting scatter straight out of the
+//     senders' outboxes, so a vertex is handed a contiguous run of its
+//     messages in (source worker, send order);
 //   - codec.go turns typed messages into flat, length-prefixed bytes (and
 //     makes byte accounting measured rather than estimated);
 //   - transport.go moves batches between workers — in-process by default, or
 //     over loopback TCP sockets with real framing and serialization.
 //
-// Options.Combiner is applied sender-side, in the per-destination outbox, so
-// it reduces the message and byte counts that actually cross the transport
-// (and a receiver-side pass folds across source workers). Message and byte
-// counts are tracked per superstep, distinguishing intra-worker from
-// cross-worker traffic, so communication-complexity claims can be measured
-// rather than asserted.
+// Options.Combiner is applied sender-side, in the per-destination outbox —
+// a slot array indexed by the destination's local index finds the message
+// already buffered for it — so it reduces the message and byte counts that
+// actually cross the transport (and a receiver-side pass folds across
+// source workers). The engine owns the buffered message and the combiner
+// folds into it in place. Message and byte counts are tracked per
+// superstep, distinguishing intra-worker from cross-worker traffic, so
+// communication-complexity claims can be measured rather than asserted.
 package pregel
 
 import (
@@ -30,8 +37,8 @@ import (
 	"time"
 )
 
-// VertexID identifies a vertex. IDs need not be dense, but dense ids give
-// the most even sharding.
+// VertexID identifies a vertex. An engine's vertices carry exactly the ids
+// 0..n-1: the id is the index into the engine's placement table.
 type VertexID int64
 
 // Message is the unit of communication between vertices.
@@ -59,21 +66,31 @@ type Context struct {
 func (c *Context) Superstep() int { return c.superstep }
 
 // NumVertices returns the total vertex count.
-func (c *Context) NumVertices() int { return len(c.engine.vertexIndex) }
+func (c *Context) NumVertices() int { return len(c.engine.place) }
 
 // Send delivers a message to dst at the start of the next superstep. With a
 // combiner configured, messages for the same destination vertex are folded
 // in the outbox immediately, so at most one envelope per (source worker,
-// destination vertex) pair reaches the transport.
+// destination vertex) pair reaches the transport; m may then be mutated by
+// later folds and must not be retained (see Options.Combiner).
+//
+// A dst outside [0, NumVertices()) has no vertex: Send panics with a typed
+// error the engine recovers into a *ComputeError wrapping ErrNoSuchVertex,
+// failing the superstep instead of shipping a message nobody receives.
 func (c *Context) Send(dst VertexID, m Message) {
-	w := c.engine.workerOf(dst)
-	ob := &c.worker.out[w]
-	if comb := c.engine.opts.Combiner; comb != nil {
-		if i, ok := ob.idx[dst]; ok {
-			ob.env[i].msg = comb(ob.env[i].msg, m)
+	e := c.engine
+	if dst < 0 || dst >= VertexID(len(e.place)) {
+		panic(&sendError{dst: dst})
+	}
+	p := e.place[dst]
+	ob := &c.worker.out[p.worker]
+	if comb := e.opts.Combiner; comb != nil {
+		if at := ob.slot[p.local]; at != 0 {
+			held := &ob.env[at-1].msg
+			*held = comb(*held, m)
 			return
 		}
-		ob.idx[dst] = len(ob.env)
+		ob.slot[p.local] = int32(len(ob.env)) + 1
 	}
 	ob.env = append(ob.env, envelope{dst: dst, msg: m})
 }
@@ -238,6 +255,15 @@ type Options struct {
 	// computation can address to one vertex within one superstep (protocols
 	// that keep per-destination traffic kind-homogeneous, like distshp's,
 	// may legitimately panic on cross-kind pairs to surface violations).
+	//
+	// Ownership: a is the message the engine already holds for the
+	// destination — the first one sent, or an earlier call's result. The
+	// engine owns it, replaces it with the return value, and never looks at
+	// it between folds, so the combiner may mutate a and return it (an
+	// accumulator folds in place, allocating nothing). b is the caller's:
+	// the combiner must neither mutate nor retain it. Consequently a
+	// message handed to Send may be mutated afterwards and the sender must
+	// not keep a reference to it.
 	Combiner func(a, b Message) Message
 
 	// Checkpointer, if set, enables superstep checkpointing: the engine

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,10 +14,10 @@ import (
 )
 
 // Transport moves message envelopes between workers at the superstep
-// barrier. Implementations must deliver every (src, dst) batch exactly once
-// per superstep and preserve per-pair send order; the engine appends
-// arrivals in source-worker order, so delivery is deterministic regardless
-// of transport timing.
+// barrier. Implementations must present every (src, dst) batch exactly once
+// per superstep, in send order, to Engine.deliver, which groups arrivals by
+// destination in source-worker order — so delivery is deterministic
+// regardless of transport timing.
 //
 // The interface is closed over this package's implementations (its methods
 // take engine internals); select a backend with MemoryTransport or
@@ -47,27 +48,20 @@ func (memoryTransport) close() error        { return nil }
 
 func (memoryTransport) exchange(e *Engine, step int) (int64, error) {
 	var bytes int64
+	var memo kindMemo
 	for _, src := range e.workers {
 		for dst := range src.out {
 			ob := &src.out[dst]
 			for _, env := range ob.env {
-				bytes += e.sizeOf(env)
+				bytes += e.sizeOf(env, &memo)
 			}
 		}
 	}
-	// Deliver in source-worker order so each inbox sees batches from worker
-	// 0 first, then 1, ... — the order every transport must present.
 	par.Each(len(e.workers), func(dst int) {
-		w := e.workers[dst]
-		for src := range e.workers {
-			ob := &e.workers[src].out[dst]
-			for _, env := range ob.env {
-				w.in.push(env)
-			}
-		}
+		e.deliver(e.workers[dst], func(src int) []envelope { return e.workers[src].out[dst].env })
 	})
 	for _, src := range e.workers {
-		src.clearOutboxes()
+		e.clearOutboxes(src)
 	}
 	return bytes, nil
 }
@@ -75,9 +69,9 @@ func (memoryTransport) exchange(e *Engine, step int) (int64, error) {
 // sizeOf returns the wire size to charge for one envelope: the codec-encoded
 // size when a codec is registered for the message type, else the
 // MessageBytes estimate, else 0.
-func (e *Engine) sizeOf(env envelope) int64 {
+func (e *Engine) sizeOf(env envelope, memo *kindMemo) int64 {
 	if reg := e.opts.Codecs; reg != nil {
-		if n, err := reg.envelopeSize(env); err == nil {
+		if n, err := reg.envelopeSize(env, memo); err == nil {
 			return int64(n)
 		}
 	}
@@ -103,10 +97,11 @@ func TCPTransport() Transport { return &tcpTransport{} }
 
 type tcpTransport struct {
 	listeners []net.Listener
-	send      [][]net.Conn // [src][dst], nil on the diagonal
-	recv      [][]net.Conn // [dst][src], nil on the diagonal
-	encBuf    [][][]byte   // [src][dst] reusable frame buffers
-	staging   [][][]envelope
+	send      [][]net.Conn   // [src][dst], nil on the diagonal
+	recv      [][]net.Conn   // [dst][src], nil on the diagonal
+	encBuf    [][][]byte     // [src][dst] reusable frame buffers
+	decBuf    [][][]byte     // [dst][src] reusable payload buffers
+	staging   [][][]envelope // [dst][src] decoded frames awaiting delivery
 }
 
 func (t *tcpTransport) start(e *Engine) error {
@@ -118,6 +113,7 @@ func (t *tcpTransport) start(e *Engine) error {
 	t.send = make([][]net.Conn, n)
 	t.recv = make([][]net.Conn, n)
 	t.encBuf = make([][][]byte, n)
+	t.decBuf = make([][][]byte, n)
 	t.staging = make([][][]envelope, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,6 +125,7 @@ func (t *tcpTransport) start(e *Engine) error {
 		t.send[i] = make([]net.Conn, n)
 		t.recv[i] = make([]net.Conn, n)
 		t.encBuf[i] = make([][]byte, n)
+		t.decBuf[i] = make([][]byte, n)
 		t.staging[i] = make([][]envelope, n)
 	}
 
@@ -229,9 +226,7 @@ func (t *tcpTransport) exchange(e *Engine, step int) (int64, error) {
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
-				// Local traffic short-circuits the wire.
-				t.staging[src][src] = append(t.staging[src][src][:0], e.workers[src].out[src].env...)
-				continue
+				continue // local traffic never touches a socket
 			}
 			wg.Add(1)
 			go func(src, dst int) {
@@ -266,16 +261,19 @@ func (t *tcpTransport) exchange(e *Engine, step int) (int64, error) {
 		return 0, firstErr
 	}
 	par.Each(n, func(dst int) {
-		w := e.workers[dst]
-		for src := 0; src < n; src++ {
-			for _, env := range t.staging[dst][src] {
-				w.in.push(env)
+		e.deliver(e.workers[dst], func(src int) []envelope {
+			if src == dst {
+				return e.workers[dst].out[dst].env
 			}
-			t.staging[dst][src] = t.staging[dst][src][:0]
+			return t.staging[dst][src]
+		})
+		for src, envs := range t.staging[dst] {
+			clear(envs) // release references for the collector
+			t.staging[dst][src] = envs[:0]
 		}
 	})
 	for _, src := range e.workers {
-		src.clearOutboxes()
+		e.clearOutboxes(src)
 	}
 	return wire.Load(), nil
 }
@@ -290,8 +288,9 @@ func (t *tcpTransport) writeFrame(e *Engine, src, dst, step int) (int64, error) 
 	}
 	buf = buf[:frameHeaderSize]
 	var err error
+	var memo kindMemo
 	for _, env := range ob.env {
-		if buf, err = e.opts.Codecs.appendEnvelope(buf, env); err != nil {
+		if buf, err = e.opts.Codecs.appendEnvelope(buf, env, &memo); err != nil {
 			return 0, err
 		}
 	}
@@ -316,7 +315,10 @@ func (t *tcpTransport) writeFrame(e *Engine, src, dst, step int) (int64, error) 
 }
 
 // readFrame receives one frame from src on dst's endpoint and decodes it
-// into the staging area.
+// into the staging area. An envelope addressed to a vertex dst does not own
+// makes the frame as undecodable as a truncated one: the peer is confused
+// or the bytes are damaged, and delivering it would index another worker's
+// placement.
 func (t *tcpTransport) readFrame(e *Engine, src, dst, step int) error {
 	conn := t.recv[dst][src]
 	if d := e.opts.FrameTimeout; d > 0 {
@@ -338,7 +340,8 @@ func (t *tcpTransport) readFrame(e *Engine, src, dst, step int) error {
 	if payloadLen > 1<<30 {
 		return fmt.Errorf("oversized frame (%d bytes)", payloadLen)
 	}
-	payload := make([]byte, payloadLen)
+	payload := slices.Grow(t.decBuf[dst][src][:0], int(payloadLen))[:payloadLen]
+	t.decBuf[dst][src] = payload
 	if _, err := io.ReadFull(conn, payload); err != nil {
 		return err
 	}
@@ -347,6 +350,9 @@ func (t *tcpTransport) readFrame(e *Engine, src, dst, step int) error {
 		env, used, err := e.opts.Codecs.decodeEnvelope(payload)
 		if err != nil {
 			return err
+		}
+		if env.dst < 0 || env.dst >= VertexID(len(e.place)) || int(e.place[env.dst].worker) != dst {
+			return fmt.Errorf("envelope for vertex %d, which worker %d does not own", env.dst, dst)
 		}
 		payload = payload[used:]
 		envs = append(envs, env)
