@@ -392,25 +392,32 @@ func TestWarmStartDirectMode(t *testing.T) {
 	}
 }
 
+// TestTrackFanoutHistory pins that direct mode fills IterStats.Fanout every
+// iteration with the true query-weighted average fanout: the last entry must
+// equal partition.Fanout on the final assignment exactly, on a unit-weight
+// and on a query-weighted graph (where entries/|Q| would be a different
+// number).
 func TestTrackFanoutHistory(t *testing.T) {
-	g := randomBipartite(t, 23, 300, 500, 3000)
-	res, err := Partition(g, Options{K: 8, Direct: true, Seed: 13, TrackFanout: true, MaxIters: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) == 0 {
-		t.Fatal("no history recorded")
-	}
-	for i, h := range res.History {
-		if h.Fanout <= 0 {
-			t.Fatalf("history[%d].Fanout = %v, want > 0", i, h.Fanout)
+	for name, g := range map[string]*hypergraph.Bipartite{
+		"unit":     randomBipartite(t, 23, 300, 500, 3000),
+		"weighted": weightedBipartite(t, 23, 300, 500, 3000),
+	} {
+		res, err := Partition(g, Options{K: 8, Direct: true, Seed: 13, MaxIters: 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Final tracked fanout should match an independent measurement.
-	want := partition.Fanout(g, res.Assignment, 8)
-	got := res.History[len(res.History)-1].Fanout
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("tracked fanout %v != measured %v", got, want)
+		if len(res.History) == 0 {
+			t.Fatalf("%s: no history recorded", name)
+		}
+		for i, h := range res.History {
+			if h.Fanout <= 0 {
+				t.Fatalf("%s: history[%d].Fanout = %v, want > 0", name, i, h.Fanout)
+			}
+		}
+		want := partition.Fanout(g, res.Assignment, 8)
+		if got := res.History[len(res.History)-1].Fanout; got != want {
+			t.Fatalf("%s: tracked fanout %v != measured %v", name, got, want)
+		}
 	}
 }
 

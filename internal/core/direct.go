@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -42,10 +43,34 @@ import (
 //     the engine deterministically falls back to a full rebuild sweep for
 //     that iteration — interchangeable because patched and swept states are
 //     identical.
-//   - The per-candidate balance-admissibility filter (the only part of a
-//     proposal that depends on global bucket weights) is re-evaluated every
-//     iteration for every vertex from the cached accumulators; that argmax
-//     is a few flops per candidate.
+//
+// # Cached proposals
+//
+// A cached proposal (target, gain) is a pure function of the vertex's
+// accumulators, the admissibility of its candidate buckets and — only when
+// its best gain is tied — the tie-break seed. On unit-weight graphs it is
+// re-derived exactly when one of those changed. The invalidation rules:
+//
+//   - patched: a dirty query folded deltas into the vertex's accumulators;
+//   - moved: its own bucket changed, so it is rebuilt first (as is every
+//     vertex a Session's structural sync touched);
+//   - tied at reseed: a warm Session re-keyed the tie-break hash for a new
+//     epoch and the cached argmax had ended in an exact tie;
+//   - flip-touched: a bucket crossed the balance cap since the last pass and
+//     either the cached target became inadmissible or a newly admissible
+//     candidate's gain reaches the cached best.
+//
+// Everything else keeps its cache. Two inputs are not per-bucket: with data
+// weights admissibility is per vertex, and a MoveCostPenalty re-snapshot
+// shifts every gain — both re-run selection for all of |D|.
+//
+// The objective and the average fanout are running exact sums beside the
+// neighbor data: the objective moves by C[cNew] − C[cOld] per changed entry,
+// the query-weighted live-entry count by ±w_q per entry inserted or removed,
+// so reporting them walks nothing. The objective is re-summed only on
+// iterations that rebuilt or swept anyway.
+//
+// # Rebuild schedule
 //
 // Every Options.NDRebuildEvery iterations a scheduled rebuild replaces the
 // maintained state with a full neighbor-data rebuild and a full proposal
@@ -88,14 +113,17 @@ type directState struct {
 
 	// active holds each vertex's pending work — activeRebuild for movers
 	// (and everyone after a fallback sweep or scheduled rebuild),
-	// activeSelect for vertices whose accumulators were patched.
-	// admiss/prevAdmiss track the per-bucket balance-admissibility vector
-	// between iterations: on unit-weight graphs an untouched vertex under
-	// an unchanged vector would reproduce its previous argmax exactly, so
-	// selection is skipped.
+	// activeSelect for vertices whose accumulators were patched or whose
+	// tied argmax a new epoch seed re-keys. tied[v] records whether v's
+	// cached argmax ended in an exact gain tie, the only way the seed
+	// reaches a proposal. admiss is the per-bucket unit-weight balance-
+	// admissibility vector as of the last proposal pass; admissSame and
+	// flipIn say how it differs from the pass before (flipIn lists the
+	// buckets that became admissible).
 	active     []uint8
+	tied       []bool
 	admiss     []bool
-	prevAdmiss []bool
+	flipIn     []int32
 	admissSame bool
 
 	// frontier is the sorted list of vertices applyNDDeltas marked active —
@@ -111,11 +139,19 @@ type directState struct {
 	frontScratch  []int32
 
 	// forceSelect makes the next computeProposals re-run selection for
-	// every vertex even when the admissibility vector is stable. A warm
-	// Session sets it when an input outside the admissibility vector
-	// changed under cached proposals — e.g. the MoveCostPenalty reference
-	// assignment was re-snapshotted — after which caches are fresh again.
+	// every vertex. A warm Session sets it when it re-snapshots the
+	// MoveCostPenalty reference assignment, which shifts every cached gain;
+	// after that pass caches are fresh again.
 	forceSelect bool
+
+	// objective is the running value of the optimized objective over the
+	// neighbor data, exact while objectiveInExactRange; objStale marks it
+	// for a re-sum (a full neighbor-data build, an unpatched batch, or a
+	// value outside the exact range). totalQW is Σ_q w_q, the fanout
+	// denominator.
+	objective float64
+	objStale  bool
+	totalQW   int64
 
 	// qw holds per-query weights as float64 (nil when unit-weighted),
 	// mirroring the bisection refiner.
@@ -150,14 +186,20 @@ type directState struct {
 
 	// gainWork counts Equation 1 work units (one per neighbor query walked
 	// in a vertex rebuild); scanWork counts per-vertex visits in the
-	// selection/coin/trim loops; lastFrontier is the vertex count the most
-	// recent selection pass visited. Pure observability counters.
+	// selection/coin/trim loops, probed-and-skipped vertices included;
+	// lastFrontier is the number of vertices whose selection the most recent
+	// proposal pass actually re-ran. Pure observability counters.
 	gainWork     int64
 	scanWork     int64
 	lastFrontier int64
 
 	history []IterStats
 	work    []WorkStats
+
+	// afterProposals, when set, observes the state after every
+	// computeProposals. Tests only (the stale-cache and running-sum
+	// oracles); nothing it does may feed back.
+	afterProposals func()
 }
 
 // proposalCand is one candidate bucket of a data vertex: refs adjacent
@@ -235,7 +277,10 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	})
 
 	st.active = make([]uint8, nd)
+	st.tied = make([]bool, nd)
 	st.markAllActive() // fresh state: everything needs evaluation
+	st.totalQW = g.TotalQueryWeight()
+	st.objStale = true // no neighbor data yet
 
 	if opts.Initial != nil {
 		copy(st.bucket, opts.Initial)
@@ -390,6 +435,7 @@ func (st *directState) repairBalance(onMove func(v, from, to int32)) {
 // scratch (supersteps 1–2 of Figure 3) via the shared kernel.
 func (st *directState) buildNeighborData() {
 	ndBuild(st.nd, st.g, st.workers, st.k, st.bucket)
+	st.objStale = true
 }
 
 // objectiveFromND sums the objective over the current neighbor data.
@@ -408,13 +454,74 @@ func (st *directState) objectiveFromND() float64 {
 	})
 }
 
-// fanoutFromND returns the average fanout implied by the neighbor data.
-func (st *directState) fanoutFromND() float64 {
-	nq := st.g.NumQueries()
-	if nq == 0 {
+// queryObjective returns query q's term of the objective, w_q·Σ_b C[n_b(q)]
+// over its live entries.
+func (st *directState) queryObjective(q int32) float64 {
+	wq := float64(st.g.QueryWeight(q))
+	C := st.tables.C
+	sum := 0.0
+	for _, e := range st.nd.seg(q) {
+		sum += wq * C[e.C]
+	}
+	return sum
+}
+
+// objectiveExactLimit bounds the running objective's exact range. Its terms
+// are integer multiples of grid values, so a sum of them is exact — equal to
+// objectiveFromND's fold bit for bit, in any order — while every partial sum
+// stays below 2^(53-gainGridBits). The partial sums of one update are bounded
+// by the objective before plus the objective after, hence the spare bit.
+const objectiveExactLimit = 1 << (53 - gainGridBits - 1)
+
+// objectiveInExactRange reports whether the objective's magnitude bound —
+// the weighted entry count times the largest |C| (the last: both table
+// families are monotone) — is inside the exact range. Outside it float64
+// addition rounds, a running sum would drift from the re-sum in the last
+// bits and differently per schedule and worker count, so refine re-sums
+// every iteration there, as it did before the running sum existed.
+func (st *directState) objectiveInExactRange() bool {
+	C := st.tables.C
+	return float64(st.nd.wEntries)*math.Abs(C[len(C)-1]) < objectiveExactLimit
+}
+
+// addObjective folds one exact change into the running objective. Callers
+// update nd.wEntries for the same change first, so the range check sees the
+// state after it.
+func (st *directState) addObjective(d float64) {
+	st.objective += d
+	if !st.objectiveInExactRange() {
+		st.objStale = true
+	}
+}
+
+// editQuery runs edit, which may rewrite query q's neighbor-data segment
+// outside a move batch (a Session's splices and repair moves), and carries
+// the running fanout and objective sums across it.
+func (st *directState) editQuery(q int32, edit func()) {
+	before, n := st.queryObjective(q), st.nd.len[q]
+	edit()
+	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.len[q]-n)
+	st.addObjective(st.queryObjective(q) - before)
+}
+
+// currentObjective returns the objective over the current neighbor data:
+// the running sum, re-summed first when it is marked stale.
+func (st *directState) currentObjective() float64 {
+	if st.objStale {
+		st.objective = st.objectiveFromND()
+		st.objStale = !st.objectiveInExactRange()
+	}
+	return st.objective
+}
+
+// fanout returns the average fanout of the current assignment from the
+// maintained weighted entry count: the same two integers partition.Fanout
+// divides, so the same bits.
+func (st *directState) fanout() float64 {
+	if st.totalQW == 0 {
 		return 0
 	}
-	return float64(st.nd.entries) / float64(nq)
+	return float64(st.nd.wEntries) / float64(st.totalQW)
 }
 
 // proposalScratch is the per-worker state of one Equation 1 rebuild sweep:
@@ -497,24 +604,39 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 	st.cand[v] = dst
 }
 
+// candidateGain is Equation 1's gain of moving v, currently in cur, to
+// candidate c, derived from the cached accumulators: own is the vertex-side
+// term base − wdeg·T[0], hoisted by callers that scan many candidates. The
+// one copy of the gain arithmetic, shared by the argmax and the flip probe.
+func (st *directState) candidateGain(v int, cur int32, own float64, c *proposalCand) float64 {
+	gain := st.tables.mult * (own - c.acc)
+	if penalty := st.opts.MoveCostPenalty; penalty > 0 && st.opts.Initial != nil {
+		if cur == st.opts.Initial[v] {
+			gain -= penalty
+		} else if c.b == st.opts.Initial[v] {
+			gain += penalty
+		}
+	}
+	return gain
+}
+
 // selectProposal derives each candidate's gain from the cached accumulators,
 // applies the balance-admissibility filter (the only proposal input that
-// depends on global bucket weights), and records the best target (or -1).
-// Runs every iteration for every vertex.
-func (st *directState) selectProposal(v int) (int32, float64) {
+// depends on global bucket weights), and returns the best target (or -1),
+// its gain, and whether the argmax ended in an exact tie — the only case in
+// which the result depends on the seed. It re-runs for a vertex exactly
+// when one of the invalidation rules in the directState comment fires;
+// between those the cached result is what a re-run would return.
+func (st *directState) selectProposal(v int) (target int32, gain float64, tied bool) {
 	cands := st.cand[v]
 	best := int32(-1)
 	bestGain := 0.0
 	if len(cands) == 0 {
-		return best, bestGain
+		return best, bestGain, false
 	}
 	cur := st.bucket[v]
-	base := st.propBase[v]
-	wdeg := st.wdegArr[v]
-	mult := st.tables.mult
+	own := st.propBase[v] - st.wdegArr[v]*st.tables.T[0]
 	wv := float64(st.g.DataWeight(int32(v)))
-	penalty := st.opts.MoveCostPenalty
-	usePenalty := penalty > 0 && st.opts.Initial != nil
 	// Exact gain ties are broken by a seed-keyed hash of (vertex, bucket):
 	// candidates are scanned in ascending bucket order, so "first wins"
 	// would systematically herd tied vertices into low bucket ids on
@@ -523,28 +645,21 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 	// numbering produces.
 	var bestHash uint64
 	vh := rng.Mix(st.seed, uint64(v))
-	wt0 := wdeg * st.tables.T[0]
 	for i := range cands {
 		b := cands[i].b
 		if float64(st.bucketW[b])+wv > st.capW[b] {
 			continue // target bucket is full
 		}
-		gain := mult * (base - wt0 - cands[i].acc)
-		if usePenalty {
-			if cur == st.opts.Initial[v] {
-				gain -= penalty
-			} else if b == st.opts.Initial[v] {
-				gain += penalty
-			}
-		}
+		gain := st.candidateGain(v, cur, own, &cands[i])
 		switch {
 		case best < 0 || gain > bestGain:
 			best = b
 			bestGain = gain
-			bestHash = 0
+			tied = false
 		case gain == bestGain:
-			if bestHash == 0 {
+			if !tied {
 				bestHash = rng.Mix(vh, uint64(uint32(best)))
+				tied = true
 			}
 			if h := rng.Mix(vh, uint64(uint32(b))); h < bestHash {
 				best = b
@@ -552,28 +667,68 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 			}
 		}
 	}
-	return best, bestGain
+	return best, bestGain, tied
+}
+
+// reselect refreshes v's cached proposal.
+func (st *directState) reselect(v int) {
+	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v)
+}
+
+// flipTouches reports whether the admissibility flips since the last
+// proposal pass can change unmarked vertex v's cached proposal: its target
+// became inadmissible, or a newly admissible bucket is one of its candidates
+// and would win or tie the cached argmax (any candidate does when there was
+// no admissible one). Buckets that became inadmissible without being the
+// target only leave the argmax's field; the winner stands.
+func (st *directState) flipTouches(v int) bool {
+	tgt := st.target[v]
+	if tgt >= 0 && !st.admiss[tgt] {
+		return true
+	}
+	cands := st.cand[v]
+	for _, b := range st.flipIn {
+		// Lower bound of b in the ascending candidate list.
+		i, j := 0, len(cands)
+		for i < j {
+			if h := (i + j) / 2; cands[h].b < b {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		if i == len(cands) || cands[i].b != b {
+			continue
+		}
+		if tgt < 0 {
+			return true
+		}
+		own := st.propBase[v] - st.wdegArr[v]*st.tables.T[0]
+		if st.candidateGain(v, st.bucket[v], own, &cands[i]) >= st.gains[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // computeProposals brings every vertex's proposal up to date: rebuild the
-// Equation 1 state of vertices flagged for rebuild, then run the
-// balance-filtered argmax. On unit-weight graphs the argmax of an untouched
-// vertex is skipped entirely when the per-bucket admissibility vector is
-// unchanged from the previous iteration — its cached target and gain are
-// exactly what a re-run would produce.
+// Equation 1 state of vertices flagged for rebuild, then re-run the
+// balance-filtered argmax for exactly the vertices an invalidation rule
+// names (see the directState comment) — every cached target and gain it
+// leaves alone is what a re-run would produce.
 func (st *directState) computeProposals() {
 	nd := st.g.NumData()
 	scratch := st.proposalScratches()
-	st.refreshAdmissibility()
-	skipStable := st.admissSame && !st.g.Weighted() && !st.forceSelect
+	// No cache survives the first pass, per-vertex admissibility (data
+	// weights), or a forced sweep.
+	sweepAll := st.admiss == nil || st.g.Weighted() || st.forceSelect
 	st.forceSelect = false
-	var work int64
-	if skipStable && st.frontierValid {
-		// Frontier mode: the stable skip would pass over every unmarked
-		// vertex anyway, and the marked ones are exactly the frontier — so
-		// visit only it, with no O(|D|) scan to find the marks. Cached
-		// targets and gains of stable vertices stay exactly what a re-run
-		// would produce (that is the stable-skip contract).
+	st.refreshAdmissibility()
+	var work, selected atomic.Int64
+	if !sweepAll && st.admissSame && st.frontierValid {
+		// Frontier mode: nothing global changed and the marked vertices are
+		// exactly the frontier — visit only it, with no O(|D|) scan to find
+		// the marks.
 		f := st.frontier
 		par.ForWorker(len(f), st.workers, func(w, start, end int) {
 			s := scratch[w]
@@ -584,49 +739,57 @@ func (st *directState) computeProposals() {
 					st.rebuildVertex(s, v)
 					local += int64(len(st.g.DataNeighbors(int32(v))))
 				}
-				st.target[v], st.gains[v] = st.selectProposal(v)
+				st.reselect(v)
 			}
-			atomic.AddInt64(&work, local)
+			work.Add(local)
 		})
-		st.gainWork += work
+		st.gainWork += work.Load()
 		st.scanWork += int64(len(f))
 		st.lastFrontier = int64(len(f))
 		return
 	}
 	par.ForWorker(nd, st.workers, func(w, start, end int) {
 		s := scratch[w]
-		var local int64
+		var local, sel int64
 		for v := start; v < end; v++ {
-			if st.active[v] == activeRebuild {
+			switch {
+			case st.active[v] == activeRebuild:
 				st.rebuildVertex(s, v)
 				local += int64(len(st.g.DataNeighbors(int32(v))))
-			} else if skipStable && st.active[v] == 0 {
-				continue
+			case sweepAll || st.active[v] != 0:
+				// accumulators are current: selection only
+			case st.admissSame || !st.flipTouches(v):
+				continue // the cache stands
 			}
-			st.target[v], st.gains[v] = st.selectProposal(v)
+			st.reselect(v)
+			sel++
 		}
-		atomic.AddInt64(&work, local)
+		work.Add(local)
+		selected.Add(sel)
 	})
-	st.gainWork += work
+	st.gainWork += work.Load()
 	st.scanWork += int64(nd)
-	st.lastFrontier = int64(nd)
+	st.lastFrontier = selected.Load()
 }
 
 // refreshAdmissibility recomputes the per-bucket unit-weight admissibility
-// vector and whether it changed since the previous iteration.
+// vector, whether it changed since the previous pass, and which buckets
+// became admissible.
 func (st *directState) refreshAdmissibility() {
 	if st.admiss == nil {
 		st.admiss = make([]bool, st.k)
-		st.prevAdmiss = make([]bool, st.k)
-		st.admissSame = false
-	} else {
-		copy(st.prevAdmiss, st.admiss)
-		st.admissSame = true
 	}
+	st.admissSame = true
+	st.flipIn = st.flipIn[:0]
 	for b := 0; b < st.k; b++ {
-		st.admiss[b] = float64(st.bucketW[b])+1 <= st.capW[b]
-		if st.admiss[b] != st.prevAdmiss[b] {
-			st.admissSame = false
+		now := float64(st.bucketW[b])+1 <= st.capW[b]
+		if now == st.admiss[b] {
+			continue
+		}
+		st.admiss[b] = now
+		st.admissSame = false
+		if now {
+			st.flipIn = append(st.flipIn, int32(b))
 		}
 	}
 }
@@ -825,6 +988,11 @@ func (st *directState) applyNDDeltas(accepted []move) {
 	}
 	patch := len(accepted)*sweepFallbackDiv < nd
 	ndApplyMoveBatch(st.nd, st.g, w, accepted, st.bucket, patch)
+	if patch {
+		st.addObjective(st.batchObjectiveDelta())
+	} else {
+		st.objStale = true // no change records were collected
+	}
 
 	// Clear the previous batch's marks through the frontier they form (the
 	// marked set IS the frontier while frontierValid); a full clear is only
@@ -913,6 +1081,24 @@ func (st *directState) applyNDDeltas(accepted []move) {
 	st.frontierValid = true
 }
 
+// batchObjectiveDelta returns the objective change of the batch the kernel
+// just applied, from its per-query change records: w_q·(C[cNew] − C[cOld])
+// per record. Exact, so the per-owner record order is immaterial.
+func (st *directState) batchObjectiveDelta() float64 {
+	C := st.tables.C
+	sum := 0.0
+	for dw := range st.nd.delta {
+		ds := &st.nd.delta[dw]
+		for _, grp := range ds.groups {
+			wq := float64(st.g.QueryWeight(grp.q))
+			for _, r := range ds.recs[grp.off : grp.off+grp.n] {
+				sum += wq * (C[r.CNew] - C[r.COld])
+			}
+		}
+	}
+	return sum
+}
+
 // patchVertex folds one dirty query's entry deltas into vertex v's cached
 // Equation 1 state. For v's own bucket the base term is adjusted; for any
 // other bucket the candidate accumulator is adjusted, inserting or removing
@@ -974,9 +1160,9 @@ func (st *directState) run() {
 
 // refine iterates refinement to convergence from the current neighbor-data
 // and proposal state (which run builds from scratch and a warm Session
-// patches in place between calls). The neighbor data maintained (or
-// rebuilt) across iterations also provides each round's objective, so
-// metrics cost no extra graph passes. History entries are appended to
+// patches in place between calls). Each round's objective and fanout come
+// from the running sums kept beside the neighbor data, so between rebuilds
+// metrics cost no graph pass at all. History entries are appended to
 // st.history; callers that reuse the state across refinement epochs
 // truncate it first.
 func (st *directState) refine() {
@@ -991,10 +1177,8 @@ func (st *directState) refine() {
 				st.markAllActive()
 			}
 			last := &st.history[len(st.history)-1]
-			last.Objective = st.objectiveFromND()
-			if st.opts.TrackFanout {
-				last.Fanout = st.fanoutFromND()
-			}
+			last.Objective = st.currentObjective()
+			last.Fanout = st.fanout()
 			if last.Moved == 0 || last.MovedFraction < st.opts.MinMoveFraction {
 				break
 			}
@@ -1004,6 +1188,9 @@ func (st *directState) refine() {
 		}
 		gw0, sw0 := st.gainWork, st.scanWork
 		st.computeProposals()
+		if st.afterProposals != nil {
+			st.afterProposals()
+		}
 		accepted := st.applyMoves(iter)
 		if !st.opts.rebuildAt(iter + 1) {
 			// The next iteration's rebuild (which runs before anything reads

@@ -85,7 +85,7 @@ func TestIncrementalMatchesFullSmallNodes(t *testing.T) {
 func TestIncrementalMatchesFullSHPk(t *testing.T) {
 	g := randomBipartite(t, 12, 500, 900, 4000)
 	for _, seed := range []uint64{1, 9} {
-		runBoth(t, g, Options{K: 7, Direct: true, Seed: seed, TrackFanout: true})
+		runBoth(t, g, Options{K: 7, Direct: true, Seed: seed})
 	}
 }
 
@@ -180,16 +180,16 @@ func TestIncrementalMatchesFullConvergedWarmStart(t *testing.T) {
 
 // ndSnapshot captures the live neighbor-data entries of a directState.
 type ndSnapshot struct {
-	len     []int32
-	bucket  []int32
-	count   []int32
-	entries int64
+	len      []int32
+	bucket   []int32
+	count    []int32
+	wEntries int64
 }
 
 func snapshotND(st *directState) ndSnapshot {
 	s := ndSnapshot{
-		len:     append([]int32(nil), st.nd.len...),
-		entries: st.nd.entries,
+		len:      append([]int32(nil), st.nd.len...),
+		wEntries: st.nd.wEntries,
 	}
 	nq := st.g.NumQueries()
 	for q := 0; q < nq; q++ {

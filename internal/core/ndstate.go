@@ -73,7 +73,7 @@ type deltaScratch struct {
 	dirtyQ    []int32   // dirty queries in first-touch order
 	recs      []NDChange
 	groups    []changeGroup
-	entryDiff int64
+	entryDiff int64 // query-weighted live-entry change of the batch
 }
 
 func (ds *deltaScratch) reset() {
@@ -92,10 +92,14 @@ func (ds *deltaScratch) reset() {
 // bucket id — the canonical order both the full rebuild and the incremental
 // maintenance produce, so the two paths are interchangeable bit for bit.
 type ndState struct {
-	off     []int64
-	len     []int32
-	ent     []NDEntry
-	entries int64 // total live entries (= summed fanout)
+	off []int64
+	len []int32
+	ent []NDEntry
+	// wEntries is the query-weighted live-entry count Σ_q w_q·len[q] — the
+	// numerator of the average fanout, kept exact through every edit so
+	// reading the fanout never recounts (on a unit-weight graph it is the
+	// plain entry count).
+	wEntries int64
 
 	// Dirty-query diff machinery: dirtyFlag dedups dirty queries during
 	// delta application; delta holds the per-owner scratch; updates is the
@@ -182,10 +186,10 @@ func ndBuild(nd *ndState, g *hypergraph.Bipartite, workers, k int, bucket []int3
 			nd.len[q] = int32(pos - off)
 		}
 	})
-	nd.entries = par.SumInt64(nq, workers, func(start, end int) int64 {
+	nd.wEntries = par.SumInt64(nq, workers, func(start, end int) int64 {
 		var sum int64
 		for q := start; q < end; q++ {
-			sum += int64(nd.len[q])
+			sum += int64(g.QueryWeight(int32(q))) * int64(nd.len[q])
 		}
 		return sum
 	})
@@ -318,7 +322,9 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepte
 						ds.snapArena = append(ds.snapArena, nd.seg(u.q)...)
 					}
 				}
-				ds.entryDiff += nd.applyEntryDelta(u.q, u.from, u.to)
+				if d := nd.applyEntryDelta(u.q, u.from, u.to); d != 0 {
+					ds.entryDiff += d * int64(g.QueryWeight(u.q))
+				}
 			}
 		}
 		if patch {
@@ -337,7 +343,7 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepte
 		}
 	})
 	for i := range nd.delta {
-		nd.entries += nd.delta[i].entryDiff
+		nd.wEntries += nd.delta[i].entryDiff
 	}
 }
 

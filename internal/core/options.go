@@ -92,10 +92,6 @@ type Options struct {
 	// only ε·(level/levels) imbalance at early recursion levels.
 	// Ablation knob.
 	DisableEpsilonScaling bool
-	// TrackFanout records the true average fanout after every iteration in
-	// the history (direct mode only; costs one metric evaluation per
-	// iteration). Used by the Figure 7 experiment.
-	TrackFanout bool
 	// Initial warm-starts refinement from an existing assignment
 	// (Section 5's incremental updates). Length must equal NumData.
 	Initial partition.Assignment

@@ -24,8 +24,11 @@ type IterStats struct {
 	Moved int64
 	// MovedFraction is Moved divided by the subproblem size.
 	MovedFraction float64
-	// Fanout is the global average fanout after the iteration; only filled
-	// when Options.TrackFanout is set (direct mode).
+	// Fanout is the global average fanout after the iteration — the
+	// query-weighted mean partition.Fanout computes, read off the direct
+	// engine's running entry count. Direct mode fills it every iteration
+	// (Figure 7 plots it); the recursive strategy's bisections, whose
+	// subproblems have no global fanout, leave it 0.
 	Fanout float64
 }
 
@@ -39,8 +42,9 @@ type WorkStats struct {
 	Level int
 	Task  int
 	Iter  int
-	// Frontier is the number of vertices the iteration's gain pass visited
-	// (|D| after a scheduled rebuild or a sweep fallback).
+	// Frontier is the number of vertices whose proposal the iteration
+	// re-derived (|D| after a scheduled rebuild or a sweep fallback);
+	// vertices the pass only probed and skipped count in ScanWork.
 	Frontier int64
 	// GainWork counts Equation 1 work units: one per table term summed in a
 	// gain rebuild, one per delta record folded into an accumulator.

@@ -153,7 +153,10 @@ func (s *Session) seedBase() uint64 {
 // this refinement epoch; the session's Assignment reflects it afterwards.
 //
 // The first call builds the warm engine (one O(|E|) pass); subsequent calls
-// only pay for what changed plus the refinement the churn actually causes.
+// only pay for what changed plus the refinement the churn actually causes:
+// cached proposals outlive the epoch (the new epoch seed reaches only the
+// ones that ended in a gain tie, see reanchorTies), and the objective and
+// fanout are carried as running sums through every splice.
 // With Options.MoveCostPenalty set, each epoch penalizes moves away from
 // the assignment it started from, keeping churn low (Section 5).
 func (s *Session) Repartition() (*Result, error) {
@@ -165,9 +168,7 @@ func (s *Session) Repartition() (*Result, error) {
 	} else {
 		s.st.seed = epochSeed
 		s.syncEngine()
-		// Cached proposals carry the previous epoch's tie-breaking seed;
-		// one full selection sweep re-anchors them to this epoch's.
-		s.st.forceSelect = true
+		s.st.reanchorTies()
 	}
 	st := s.st
 	if s.opts.MoveCostPenalty > 0 {
@@ -204,6 +205,32 @@ func (s *Session) Repartition() (*Result, error) {
 	}
 	s.last = res
 	return res, nil
+}
+
+// reanchorTies schedules reselection for the vertices whose cached proposal
+// depends on the tie-break seed, after a Session re-keyed it for a new epoch:
+// exactly those whose argmax ended in an exact gain tie. Every other cached
+// proposal is the same under any seed.
+func (st *directState) reanchorTies() {
+	for v, tied := range st.tied {
+		if tied && st.active[v] == 0 {
+			st.active[v] = activeSelect
+		}
+	}
+	// Marks injected from outside the engine's own move batches: the marked
+	// set is no longer the last batch's frontier.
+	st.frontierValid = false
+}
+
+// Fanout returns the average query fanout of the assignment the last
+// Repartition produced, on the graph as of that call, from the warm engine's
+// running weighted entry count — the value partition.Fanout would recount.
+// Before the first Repartition there is no engine and it is counted.
+func (s *Session) Fanout() float64 {
+	if s.st == nil {
+		return partition.Fanout(s.g, s.assignment, s.opts.K)
+	}
+	return s.st.fanout()
 }
 
 // buildEngine constructs the warm direct-engine state from the current
@@ -290,6 +317,7 @@ func (s *Session) syncEngine() {
 		st.propBase = append(st.propBase, make([]float64, grow)...)
 		st.wdegArr = append(st.wdegArr, make([]float64, grow)...)
 		st.active = append(st.active, make([]uint8, grow)...)
+		st.tied = append(st.tied, make([]bool, grow)...)
 		st.decided = nil // sized per batch; forces reallocation at new |D|
 		// The pair-histogram fold needs no reset here: pairFold.fold
 		// re-derives the fixed shard layout from |D| every call and leaves
@@ -314,34 +342,44 @@ func (s *Session) syncEngine() {
 		}
 	}
 
+	// A new hyperedge may exceed every previous size: grow the gain tables
+	// before anything below looks a count up. Table values live on the
+	// shared dyadic grid and longer tables extend the same prefix, so cached
+	// accumulators and the running objective stay exact.
+	if maxN := g.MaxQueryDegree(); maxN+2 > len(st.tables.T) {
+		st.tables = tablesFor(st.opts, 1, maxN)
+	}
+	st.totalQW = g.TotalQueryWeight()
+
 	// Seed the new vertices, then splice the neighbor data: removed
 	// hyperedges drop their live entries, added ones get their segment
-	// built from the members' buckets.
+	// built from the members' buckets. Each splice carries its share of the
+	// running fanout and objective sums with it.
 	placeNewVertices(g, st.bucket, st.bucketW, st.capW, st.k)
 	for _, q := range s.removedQ {
 		if int(q) >= s.engNQ {
 			continue // added and removed within the window: empty segment
 		}
-		st.nd.entries -= int64(st.nd.len[q])
-		st.nd.len[q] = 0
+		st.editQuery(q, func() { st.nd.len[q] = 0 })
 	}
 	cnt := make([]int32, st.k)
 	for q := s.engNQ; q < nq; q++ {
-		pos := st.nd.off[q]
-		n := int32(0)
-		for _, d := range g.QueryNeighbors(int32(q)) {
-			cnt[st.bucket[d]]++
-		}
-		for b := int32(0); int(b) < st.k; b++ {
-			if cnt[b] > 0 {
-				st.nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
-				cnt[b] = 0
-				pos++
-				n++
+		st.editQuery(int32(q), func() {
+			pos := st.nd.off[q]
+			n := int32(0)
+			for _, d := range g.QueryNeighbors(int32(q)) {
+				cnt[st.bucket[d]]++
 			}
-		}
-		st.nd.len[q] = n
-		st.nd.entries += int64(n)
+			for b := int32(0); int(b) < st.k; b++ {
+				if cnt[b] > 0 {
+					st.nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
+					cnt[b] = 0
+					pos++
+					n++
+				}
+			}
+			st.nd.len[q] = n
+		})
 	}
 
 	// Deterministic balance repair: placement (or a weight change) may have
@@ -371,13 +409,6 @@ func (s *Session) syncEngine() {
 		st.wdegArr[v] = st.computeWdeg(int32(v))
 	}
 
-	// A new hyperedge may exceed every previous size: grow the gain tables.
-	// Table values live on the shared dyadic grid and longer tables extend
-	// the same prefix, so cached accumulators stay exact.
-	if maxN := g.MaxQueryDegree(); maxN+2 > len(st.tables.T) {
-		st.tables = tablesFor(st.opts, 1, maxN)
-	}
-
 	s.clearPending()
 }
 
@@ -393,7 +424,7 @@ func (s *Session) repairOverCap() {
 		// Repairs are rare and small, so the hub-conservative rebuild
 		// (members instead of patches) costs nothing measurable.
 		for _, q := range s.g.DataNeighbors(v) {
-			st.nd.entries += st.nd.applyEntryDelta(q, from, to)
+			st.editQuery(q, func() { st.nd.applyEntryDelta(q, from, to) })
 			for _, d := range s.g.QueryNeighbors(q) {
 				st.active[d] = activeRebuild
 			}

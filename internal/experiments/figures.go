@@ -263,7 +263,7 @@ func RunFig7(w io.Writer, cfg Config) error {
 	for _, p := range []float64{0.5, 1.0} {
 		opts := core.Options{
 			K: 8, Direct: true, P: p, Seed: cfg.Seed, Parallelism: cfg.Workers,
-			MaxIters: iters, TrackFanout: true, MinMoveFraction: 1e-9,
+			MaxIters: iters, MinMoveFraction: 1e-9,
 		}
 		if p == 1.0 {
 			opts.Objective = core.ObjFanout

@@ -76,7 +76,9 @@ type Epoch struct {
 	// new vertex off its placement spot, so Moved <= Migrated <=
 	// MigrationBudget whenever a budget is set. 0 when no budget is set.
 	Migrated int64
-	// Fanout is the average query fanout under this epoch's assignment.
+	// Fanout is the average query fanout under this epoch's assignment
+	// (partition.Fanout's value, read off the session's running count rather
+	// than recounted over every hyperedge).
 	Fanout float64
 	// Checksum folds the assignment through rng.Mix; a torn or stale read
 	// of Assignment cannot reproduce it. Race tests verify lookups against
@@ -246,7 +248,7 @@ func (s *Service) repartitionLocked() (*Epoch, error) {
 		K:          res.K,
 		Assignment: res.Assignment,
 		Migrated:   res.Migrated,
-		Fanout:     partition.Fanout(s.session.Graph(), res.Assignment, res.K),
+		Fanout:     s.session.Fanout(),
 		Checksum:   Checksum(res.Assignment),
 		SwappedAt:  time.Now(), //shp:nondet(swap timestamp telemetry only; never feeds an assignment)
 	}

@@ -10,6 +10,8 @@ import (
 
 	"shp/internal/core"
 	"shp/internal/gen"
+	"shp/internal/hypergraph"
+	"shp/internal/partition"
 	"shp/internal/rng"
 )
 
@@ -111,6 +113,51 @@ func TestChurnEpochsAdvanceAndAccount(t *testing.T) {
 	}
 	if st.MovedTotal != movedTotal {
 		t.Fatalf("MovedTotal = %d, epochs sum to %d", st.MovedTotal, movedTotal)
+	}
+}
+
+// TestEpochFanoutMatchesRecount pins that the fanout an epoch publishes —
+// read off the session's running count — is the value a recount over every
+// hyperedge gives, bit for bit, for epoch 0 and through churned epochs that
+// add weighted hyperedges (turning the graph query-weighted mid-stream).
+func TestEpochFanoutMatchesRecount(t *testing.T) {
+	s := testService(t, 27, 30)
+	check := func(ep *Epoch) {
+		t.Helper()
+		if want := partition.Fanout(s.session.Graph(), ep.Assignment, ep.K); ep.Fanout != want {
+			t.Fatalf("epoch %d publishes fanout %v, a recount gives %v", ep.ID, ep.Fanout, want)
+		}
+	}
+	check(s.Current())
+	c, err := s.NewChurn(0.05, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 8; e++ {
+		d, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if e >= 3 {
+			g := s.session.Graph()
+			w := hypergraph.NewDelta(g.NumQueries(), g.NumData())
+			w.AddWeightedHyperedge(int32(2+e), int32(e), int32(3*e+1), int32(5*e+2))
+			if err := s.ApplyDelta(w); err != nil {
+				t.Fatal(err)
+			}
+			// The generator tracks the graph's counts; start a new one.
+			if c, err = s.NewChurn(0.05, uint64(30+e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep, err := s.Repartition()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(ep)
 	}
 }
 
