@@ -1,5 +1,7 @@
 // Benchmarks regenerating every table and figure from the paper's
-// evaluation, plus ablations of the design choices called out in DESIGN.md.
+// evaluation, plus ablations of the design choices the README argues for
+// ("Which engine", "The incremental refinement engine", "Parallel
+// refinement").
 //
 // Table/figure benches exercise the same code paths as
 // `cmd/experiments -run <id>` at a bench-friendly scale; quality benches
@@ -236,20 +238,6 @@ func BenchmarkRepartitionDelta(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionMultilevelBaseline(b *testing.B) {
-	g := benchGraph(b, "powerlaw-small")
-	b.ResetTimer()
-	var fanout float64
-	for i := 0; i < b.N; i++ {
-		a, err := shp.PartitionMultilevel(g, shp.MultilevelConfig{K: 16, Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fanout = shp.Fanout(g, a, 16)
-	}
-	b.ReportMetric(fanout, "fanout")
-}
-
 func BenchmarkPartitionDistributed(b *testing.B) {
 	g := benchGraph(b, "social-small")
 	b.ResetTimer()
@@ -392,7 +380,7 @@ func BenchmarkMetricsFanout(b *testing.B) {
 	}
 }
 
-// ---- Ablations of DESIGN.md's called-out design choices ----
+// ---- Ablations of the README's called-out design choices ----
 
 // BenchmarkAblationPairing reports the swap protocol's quality (fanout
 // metric) and speed. The S-matrix and exact sorted-queue protocols it used to

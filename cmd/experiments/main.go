@@ -6,9 +6,9 @@
 //	experiments -run table2 [-scale 1.0] [-quick] [-seed 1] [-workers 4]
 //	experiments -run all
 //
-// Each experiment prints the same rows/series the paper reports; see
-// DESIGN.md for the per-experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured values.
+// Each experiment prints the same rows/series the paper reports; -list
+// prints the index, and README "Experiments and benchmarks" says what the
+// stand-in datasets are and what each table is measured against.
 package main
 
 import (

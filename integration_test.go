@@ -70,9 +70,9 @@ func TestEndToEndPipelineHMetis(t *testing.T) {
 	}
 }
 
-// TestThreePartitionersAgreeOnStructure runs SHP-2, SHP-k, the distributed
-// implementation, and the multilevel baseline on a planted-community graph:
-// all four must find structure far below random fanout.
+// TestThreePartitionersAgreeOnStructure runs SHP-2, SHP-k and the
+// distributed implementation on a planted-community graph: all three must
+// find structure far below random fanout.
 func TestThreePartitionersAgreeOnStructure(t *testing.T) {
 	g, err := shp.GeneratePlantedPartition(8, 80, 1500, 6, 0.9, 5)
 	if err != nil {
@@ -108,11 +108,6 @@ func TestThreePartitionersAgreeOnStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("distributed", r3.Assignment)
-	a4, err := shp.PartitionMultilevel(g, shp.MultilevelConfig{K: k, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("multilevel", a4)
 }
 
 // TestIncrementalPipeline checks the Section 5 incremental-update flow:

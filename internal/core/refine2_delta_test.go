@@ -159,9 +159,7 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 // per-iteration gain maintenance. A converged bisection's sides are
 // perturbed by a known moved fraction and re-refined on the default rebuild
 // schedule and with a full rebuild every iteration (NDRebuildEvery 1) —
-// identical results, so edges/s differences are pure engine savings. The
-// shp2-delta experiment reports the same ablation end-to-end through
-// core.Partition.
+// identical results, so edges/s differences are pure engine savings.
 func BenchmarkBisectionDelta(b *testing.B) {
 	g, err := gen.HubPowerLawBipartite(12000, 20000, 160000, 2.1, 0.001, 2500, 5)
 	if err != nil {

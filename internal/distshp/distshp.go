@@ -222,8 +222,8 @@ type Result struct {
 // consequences of iteration j-1's moves, so the filter reads the previous
 // iteration's Moved; level-start iterations are excluded because their
 // superstep 1 is the O(|E|) registration rebroadcast on every plane. This is
-// the one place the late-traffic attribution lives: tests, benchmarks, the
-// CLI, and the dist-delta experiment all report through it.
+// the one place the late-traffic attribution lives: tests, benchmarks and
+// the CLI all report through it.
 func (r *Result) LateGainBytes(maxMovedFraction float64) (iters int, bytes int64) {
 	if r.Stats == nil || len(r.Assignment) == 0 {
 		return 0, 0

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure from the paper's
 // evaluation (Section 4). Each experiment prints the same rows/series the
-// paper reports; DESIGN.md carries the per-experiment index and
-// EXPERIMENTS.md records paper-vs-measured values.
+// paper reports; Registry is the per-experiment index, and README
+// "Experiments and benchmarks" says what each table is measured against.
 package experiments
 
 import (
@@ -12,8 +12,9 @@ import (
 )
 
 // Dataset describes one Table 1 stand-in. Sizes are the paper's; Build
-// scales them down so experiments finish on one machine (see DESIGN.md's
-// substitution notes — shapes, not absolute sizes, drive the results).
+// scales them down so experiments finish on one machine (README
+// "Experiments and benchmarks": shapes, not absolute sizes, drive the
+// results).
 type Dataset struct {
 	Name string
 	// Paper sizes (Table 1).

@@ -57,16 +57,13 @@ var Registry = []Experiment{
 	{"fig2", "Figure 2: fanout local minimum that p-fanout escapes", RunFig2},
 	{"fig4a", "Figure 4a: multi-get latency percentiles vs fanout (synthetic)", RunFig4a},
 	{"fig4b", "Figure 4b: latency vs fanout replaying social queries on 40 servers", RunFig4b},
-	{"table2", "Table 2: fanout quality of SHP-2 / SHP-k / multilevel baseline", RunTable2},
-	{"table3", "Table 3: distributed run-time and survival on large hypergraphs", RunTable3},
+	{"table2", "Table 2: fanout quality of SHP-2 / SHP-k against the hash floor", RunTable2},
+	{"table3", "Table 3: run-time and total time of distributed SHP-2 and SHP-k on large hypergraphs", RunTable3},
 	{"fig5a", "Figure 5a: total time vs |E| for several bucket counts", RunFig5a},
 	{"fig5b", "Figure 5b: run-time and total time vs machine count", RunFig5b},
 	{"fig6", "Figure 6: fanout reduction vs fanout probability p", RunFig6},
 	{"fig7", "Figure 7: convergence of p=0.5 vs p=1.0 (fanout, moved vertices)", RunFig7},
 	{"fig8", "Figure 8: p=0.5 vs direct fanout (a) and clique-net (b) objectives", RunFig8},
-	{"ablate-inc", "Ablation: incremental refinement engine vs full per-iteration rebuilds", RunAblateIncremental},
-	{"dist-delta", "Distributed delta plane: churn-proportional superstep traffic vs full rebroadcast", RunDistDelta},
-	{"shp2-delta", "SHP-2 delta engine: patched gain accumulators vs membership re-walks on hub-heavy warm starts", RunSHP2Delta},
 }
 
 // ByID returns the experiment with the given id.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,24 +8,26 @@ import (
 
 	"shp/internal/core"
 	"shp/internal/distshp"
-	"shp/internal/multilevel"
 	"shp/internal/partition"
 	"shp/internal/stats"
 )
 
-// RunTable2 reproduces Table 2: fanout of each partitioner across
+// RunTable2 reproduces Table 2's SHP rows: fanout of SHP-k and SHP-2 across
 // hypergraphs and bucket counts k ∈ {2, 8, 32, 128, 512}, raw values plus
-// the relative-to-best view. The multilevel baseline plays the role of the
-// strong single-machine tools (Mondriaan/Zoltan in the paper's results).
+// two relative views. The reference row is the hash floor — every vertex
+// placed by Mix(seed, v) mod k, the placement a store has before it runs any
+// partitioner. Comparison with external partitioners (hMetis, PaToH,
+// Zoltan, Mondriaan, Parkway) is the paper's published Table 2.
 func RunTable2(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	ks := []int{2, 8, 32, 128, 512}
 	if cfg.Quick {
 		ks = []int{2, 8, 32}
 	}
-	algos := []string{"SHP-k", "SHP-2", "Multilevel"}
+	algos := []string{"SHP-k", "SHP-2", "Hash"}
+	shpAlgos := algos[:2]
 	fmt.Fprintf(w, "Table 2: fanout by partitioner and bucket count (lower is better)\n")
-	fmt.Fprintf(w, "baselines: Multilevel = clique-net multilevel partitioner (Mondriaan/Zoltan stand-in)\n\n")
+	fmt.Fprintf(w, "reference: Hash = every vertex placed by hash(v) mod k\n\n")
 
 	for _, name := range smallDatasets(cfg.Quick) {
 		ds, _ := DatasetByName(name)
@@ -44,42 +45,26 @@ func RunTable2(w io.Writer, cfg Config) error {
 					row[i] = math.NaN()
 					continue
 				}
-				f, err := runQualityCell(algo, g, k, cfg)
-				if err != nil {
-					row[i] = math.NaN()
-					continue
+				if row[i], err = runQualityCell(algo, g, k, cfg); err != nil {
+					return err
 				}
-				row[i] = f
 			}
 			values[algo] = row
+			tb.AddRow(floatRow(algo, row)...)
 		}
-		for _, algo := range algos {
-			cells := make([]any, 0, len(ks)+1)
-			cells = append(cells, algo)
-			for _, v := range values[algo] {
-				cells = append(cells, v)
+		// Relative views: distance from the better SHP variant (the
+		// paper's left-hand plot) and from the hash floor. NaN cells
+		// (k too large for the graph) stay NaN and print as '-'.
+		for _, algo := range shpAlgos {
+			overBest := make([]float64, len(ks))
+			belowHash := make([]float64, len(ks))
+			for i, v := range values[algo] {
+				best := math.Min(values["SHP-k"][i], values["SHP-2"][i])
+				overBest[i] = 100 * (v/best - 1)
+				belowHash[i] = 100 * (1 - v/values["Hash"][i])
 			}
-			tb.AddRow(cells...)
-		}
-		// Relative-to-best view (the paper's left-hand plot).
-		for _, algo := range algos {
-			cells := make([]any, 0, len(ks)+1)
-			cells = append(cells, algo+" (+% over best)")
-			for i := range ks {
-				best := math.Inf(1)
-				for _, other := range algos {
-					if v := values[other][i]; !math.IsNaN(v) && v < best {
-						best = v
-					}
-				}
-				v := values[algo][i]
-				if math.IsNaN(v) || math.IsInf(best, 1) {
-					cells = append(cells, math.NaN())
-				} else {
-					cells = append(cells, 100*(v/best-1))
-				}
-			}
-			tb.AddRow(cells...)
+			tb.AddRow(floatRow(algo+" (+% over best)", overBest)...)
+			tb.AddRow(floatRow(algo+" (% below hash)", belowHash)...)
 		}
 		if _, err := io.WriteString(w, tb.String()+"\n"); err != nil {
 			return err
@@ -88,18 +73,23 @@ func RunTable2(w io.Writer, cfg Config) error {
 	return nil
 }
 
+// floatRow is a labelled table row of floats (NaN prints as '-').
+func floatRow(label string, vs []float64) []any {
+	cells := []any{label}
+	for _, v := range vs {
+		cells = append(cells, v)
+	}
+	return cells
+}
+
 func runQualityCell(algo string, g graphRef, k int, cfg Config) (float64, error) {
 	switch algo {
 	case "SHP-2":
 		return shp2Fanout(g, k, core.Options{K: k, Seed: cfg.Seed, Parallelism: cfg.Workers})
 	case "SHP-k":
 		return shp2Fanout(g, k, core.Options{K: k, Direct: true, Seed: cfg.Seed, Parallelism: cfg.Workers})
-	case "Multilevel":
-		a, err := multilevel.Partition(g, multilevel.Config{K: k, Seed: cfg.Seed})
-		if err != nil {
-			return 0, err
-		}
-		return partition.Fanout(g, a, k), nil
+	case "Hash":
+		return partition.Fanout(g, partition.Random(g.NumData(), k, cfg.Seed), k), nil
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", algo)
 	}
@@ -113,13 +103,12 @@ func ksHeaders(ks []int) []string {
 	return out
 }
 
-// RunTable3 reproduces Table 3: run-time of the distributed partitioners on
-// the large hypergraphs for k ∈ {32, 512, 8192}, with failures marked. The
-// multilevel baseline gets a per-machine memory budget sized so that (like
-// Parkway/Zoltan) it can handle the soc-* scale but OOMs on the FB-*
-// stand-ins, reproducing the survival pattern. SHP-2 runs through the
+// RunTable3 reproduces Table 3's SHP rows: run-time and total time
+// (run-time × machines, the paper's Figure 5 metric) on the large
+// hypergraphs for k ∈ {32, 512, 8192}. SHP-2 runs through the
 // vertex-centric engine on cfg.Workers simulated machines; SHP-k runs the
-// direct refiner.
+// direct refiner at the same parallelism. A cell is '-' when k ≥ |D| or
+// the run went over cfg.TimeLimit; every other cell is a measured time.
 func RunTable3(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
 	names := []string{"soc-Pokec", "soc-LJ", "FB-50M", "FB-2B", "FB-5B", "FB-10B"}
@@ -128,47 +117,30 @@ func RunTable3(w io.Writer, cfg Config) error {
 		names = []string{"soc-Pokec", "FB-2B"}
 		ks = []int{32}
 	}
-	graphs := map[string]graphRef{}
-	charge := map[string]float64{}
+	fmt.Fprintf(w, "Table 3: partitioning run-time and total time (run-time x %d machines), '-' = k >= |D| or over the time limit\n\n", cfg.Workers)
+	header := []string{"hypergraph", "algorithm"}
+	for _, k := range ks {
+		header = append(header, fmt.Sprintf("k=%d", k), fmt.Sprintf("k=%d total time", k))
+	}
+	tb := stats.NewTable(header...)
 	for _, name := range names {
 		ds, _ := DatasetByName(name)
 		g, err := ds.Build(cfg.Scale, cfg.Seed+3)
 		if err != nil {
 			return err
 		}
-		graphs[name] = g
-		// Memory charge factor: the stand-in represents a graph
-		// paper-|E| / built-|E| times larger; the memory model charges the
-		// simulated machine for the full-scale input.
-		charge[name] = float64(ds.E) / float64(g.NumEdges())
-	}
-	// Budget per simulated machine: the paper's Zoltan handles up to soc-LJ
-	// and FB-50M but dies on FB-2B+; anchor the budget 1.5x above the
-	// largest full-scale-charged footprint it should survive, so the
-	// survival pattern reproduces at any stand-in scale.
-	var budget int64
-	for _, anchor := range []string{"soc-Pokec", "soc-LJ", "FB-50M"} {
-		if g, ok := graphs[anchor]; ok {
-			need := multilevel.EstimateBytes(g, multilevel.Config{K: 2, MemoryChargeFactor: charge[anchor]})
-			if need*3/2 > budget {
-				budget = need * 3 / 2
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "Table 3: distributed partitioning time (%d machines), '-' = failed/OOM/over limit\n", cfg.Workers)
-	fmt.Fprintf(w, "multilevel per-machine memory budget: %d MB (simulated)\n\n", budget>>20)
-	tb := stats.NewTable("hypergraph", "algorithm", "k=32", "k=512", "k=8192")
-	for _, name := range names {
-		g := graphs[name]
-		for _, algo := range []string{"SHP-2", "SHP-k", "Multilevel(dist)"} {
+		for _, algo := range []string{"SHP-2", "SHP-k"} {
 			cells := []any{name, algo}
 			for _, k := range ks {
-				cell := runScalabilityCell(algo, g, k, cfg, budget, charge[name])
-				cells = append(cells, cell)
-			}
-			for len(cells) < 5 {
-				cells = append(cells, "")
+				elapsed, ok, err := runScalabilityCell(algo, g, k, cfg)
+				if err != nil {
+					return fmt.Errorf("%s %s k=%d: %w", name, algo, k, err)
+				}
+				if !ok {
+					cells = append(cells, "-", "-")
+					continue
+				}
+				cells = append(cells, formatDuration(elapsed), formatDuration(elapsed*time.Duration(cfg.Workers)))
 			}
 			tb.AddRow(cells...)
 		}
@@ -177,46 +149,26 @@ func RunTable3(w io.Writer, cfg Config) error {
 	return err
 }
 
-func runScalabilityCell(algo string, g graphRef, k int, cfg Config, budget int64, chargeFactor float64) string {
+// runScalabilityCell times one Table 3 run; ok is false for a cell the
+// table leaves empty (k ≥ |D|, or the run outlasted cfg.TimeLimit).
+func runScalabilityCell(algo string, g graphRef, k int, cfg Config) (elapsed time.Duration, ok bool, err error) {
 	if k >= g.NumData() {
-		return "-"
+		return 0, false, nil
 	}
 	start := time.Now()
-	var err error
 	switch algo {
 	case "SHP-2":
 		// Distributed run through the vertex-centric engine.
-		kk := k
-		if kk&(kk-1) != 0 { // round up to a power of two
-			p := 1
-			for p < kk {
-				p <<= 1
-			}
-			kk = p
-		}
 		_, err = distshp.Partition(g, distshp.Options{
-			K: kk, Seed: cfg.Seed, Workers: cfg.Workers, ItersPerLevel: 10,
+			K: k, Seed: cfg.Seed, Workers: cfg.Workers, ItersPerLevel: 10,
 		})
 	case "SHP-k":
 		_, err = core.Partition(g, core.Options{
 			K: k, Direct: true, Seed: cfg.Seed, Parallelism: cfg.Workers,
 		})
-	case "Multilevel(dist)":
-		_, err = multilevel.Partition(g, multilevel.Config{
-			K: k, Seed: cfg.Seed, MemoryBudget: budget, MemoryChargeFactor: chargeFactor,
-		})
 	}
-	elapsed := time.Since(start)
-	if err != nil {
-		if errors.Is(err, multilevel.ErrOutOfMemory) {
-			return "- (OOM)"
-		}
-		return "- (" + err.Error() + ")"
-	}
-	if elapsed > cfg.TimeLimit {
-		return "- (time)"
-	}
-	return formatDuration(elapsed)
+	elapsed = time.Since(start)
+	return elapsed, err == nil && elapsed <= cfg.TimeLimit, err
 }
 
 func formatDuration(d time.Duration) string {

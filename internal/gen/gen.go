@@ -16,8 +16,8 @@
 //     verify partitioners can recover obvious structure.
 //
 // What matters for reproducing the paper's qualitative results is skewed
-// degrees plus exploitable locality, which these generators provide; see
-// DESIGN.md for the substitution argument.
+// degrees plus exploitable locality, which these generators provide (README
+// "Experiments and benchmarks").
 package gen
 
 import (
@@ -83,8 +83,8 @@ func addPowerLawQueries(b *hypergraph.Builder, qStart, count, numD int, budget i
 // The preset exists to make hub-frontier refinement costs reproducible:
 // whenever a member of a hub hyperedge moves, any refiner that re-walks
 // dirty-query memberships pays O(hubDegree) per member per iteration,
-// while the patched-accumulator engines pay O(records). Benchmarks and the
-// shp2-delta experiment pin their speedups on this shape.
+// while the patched-accumulator engines pay O(records). The benchmarks pin
+// their speedups on this shape.
 func HubPowerLawBipartite(numQ, numD int, numEdges int64, exponent, hubFraction float64, hubDegree int, seed uint64) (*hypergraph.Bipartite, error) {
 	if numQ <= 0 || numD <= 0 {
 		return nil, fmt.Errorf("gen: need positive vertex counts, got %d/%d", numQ, numD)

@@ -21,6 +21,7 @@ func FuzzReadHMetis(f *testing.F) {
 	f.Add("1 2 1\n4294967297 1 2\n")
 	f.Add("1 2 10\n1 2\n4294967297\n1\n")
 	f.Add("2147483647 2147483647 11\n")
+	f.Add("0 2147483647\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadHMetis(strings.NewReader(input))
 		if err != nil {
@@ -54,6 +55,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("4294967296 0\n")
 	f.Add("%% q=-1 d=4294967297\n0 0\n")
+	f.Add("0 2147483647")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {

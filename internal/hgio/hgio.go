@@ -38,6 +38,32 @@ func parseInt32(s string, lo int) (int32, error) {
 	return int32(v), nil
 }
 
+// ErrImplausibleCount is returned by ReadHMetis and ReadEdgeList for a
+// declared (or, in a header-less edge list, inferred) vertex or query count
+// the input's bytes cannot back: the graph's offset arrays are sized from
+// the count, so a 13-byte file naming vertex 2^31−1 would otherwise
+// allocate gigabytes.
+type ErrImplausibleCount struct {
+	What       string // "vertex" or "query"
+	Count      int
+	Incidences int // (query, vertex) pairs actually read
+}
+
+func (e ErrImplausibleCount) Error() string {
+	return fmt.Sprintf("hgio: implausible %s count %d for %d incidences read", e.What, e.Count, e.Incidences)
+}
+
+// checkCount rejects a count that is both above a floor every sparse-but-sane
+// file stays under (isolated vertices, one edge with a large id) and more
+// than 8× the incidences read.
+func checkCount(what string, count, incidences int) error {
+	const floor = 1 << 22
+	if count > floor && count > 8*incidences {
+		return ErrImplausibleCount{What: what, Count: count, Incidences: incidences}
+	}
+	return nil
+}
+
 // ReadHMetis parses the hMetis hypergraph format. Memory follows the bytes
 // actually read, not the header's counts: the line buffer and the weight
 // slices start small and grow, so a short input declaring 2^31−1 weighted
@@ -73,6 +99,7 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 	vertexWeighted := format == 10 || format == 11
 
 	b := hypergraph.NewBuilder(numQ, numD)
+	incidences := 0
 	var qWeights []int32
 	if edgeWeighted {
 		qWeights = make([]int32, 0, min(numQ, 1<<16))
@@ -107,6 +134,11 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			}
 			b.AddEdge(int32(q), int32(v-1))
 		}
+		incidences += len(fs) - start
+	}
+	// numQ needs no check: the loop above read a line per hyperedge.
+	if err := checkCount("vertex", numD, incidences); err != nil {
+		return nil, err
 	}
 	if edgeWeighted {
 		b.SetQueryWeights(qWeights)
@@ -179,7 +211,7 @@ func WriteHMetis(w io.Writer, g *hypergraph.Bipartite) error {
 // ReadEdgeList parses the bipartite edge-list format.
 func ReadEdgeList(r io.Reader) (*hypergraph.Bipartite, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
 	var edges []hypergraph.Edge
 	numQ, numD := -1, -1
 	maxQ, maxD := int32(-1), int32(-1)
@@ -233,6 +265,12 @@ func ReadEdgeList(r io.Reader) (*hypergraph.Bipartite, error) {
 	}
 	if numD < 0 {
 		numD = int(maxD) + 1
+	}
+	if err := checkCount("query", numQ, len(edges)); err != nil {
+		return nil, err
+	}
+	if err := checkCount("vertex", numD, len(edges)); err != nil {
+		return nil, err
 	}
 	return hypergraph.FromEdges(numQ, numD, edges)
 }

@@ -2,6 +2,7 @@ package hgio
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -243,6 +244,58 @@ func TestEdgeListErrors(t *testing.T) {
 	} {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
+		}
+	}
+}
+
+// TestImplausibleCounts pins the guard between the parsers and
+// Builder.Build, which sizes its offset arrays from the counts: a few bytes
+// naming 2^31−1 vertices fail with the typed error before anything is
+// sized, and sparse-but-sane files still load.
+func TestImplausibleCounts(t *testing.T) {
+	readers := map[string]func(string) (*hypergraph.Bipartite, error){
+		"hmetis":   func(in string) (*hypergraph.Bipartite, error) { return ReadHMetis(strings.NewReader(in)) },
+		"edgelist": func(in string) (*hypergraph.Bipartite, error) { return ReadEdgeList(strings.NewReader(in)) },
+	}
+	rejected := []struct {
+		format, in, what string
+		count            int
+	}{
+		{"hmetis", "0 2147483647\n", "vertex", 2147483647},
+		{"edgelist", "0 2147483647", "vertex", 2147483648},
+		{"edgelist", "2147483647 0", "query", 2147483648},
+		{"edgelist", "%% q=1 d=2147483647\n0 0\n", "vertex", 2147483647},
+	}
+	for _, c := range rejected {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readers[c.format](c.in)
+		runtime.ReadMemStats(&after)
+		var ic ErrImplausibleCount
+		if !errors.As(err, &ic) || ic.What != c.what || ic.Count != c.count {
+			t.Errorf("%s %q: got %v, want ErrImplausibleCount{%s %d}", c.format, c.in, err, c.what, c.count)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s %q: allocated %d bytes before failing", c.format, c.in, got)
+		}
+	}
+	accepted := []struct {
+		format, in string
+		numD       int
+	}{
+		{"hmetis", "1 1000000\n1000000\n", 1000000}, // one edge, id 10^6
+		{"edgelist", "0 999999\n", 1000000},
+		{"hmetis", "0 1000\n", 1000}, // 1000 isolated vertices
+		{"edgelist", "%% q=0 d=1000\n", 1000},
+	}
+	for _, c := range accepted {
+		g, err := readers[c.format](c.in)
+		if err != nil {
+			t.Errorf("%s %q: %v", c.format, c.in, err)
+			continue
+		}
+		if g.NumData() != c.numD {
+			t.Errorf("%s %q: |D| = %d, want %d", c.format, c.in, g.NumData(), c.numD)
 		}
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"shp/internal/gen"
 	"shp/internal/hgio"
 	"shp/internal/hypergraph"
-	"shp/internal/multilevel"
 	"shp/internal/partition"
 	"shp/internal/pregel"
 	"shp/internal/serve"
@@ -307,21 +306,6 @@ func FaultyTransport(inner Transport, plan FaultPlan) Transport {
 // WorkerFailure is the typed error a distributed run surfaces when a worker
 // becomes unreachable and recovery is disabled or exhausted.
 type WorkerFailure = pregel.WorkerFailure
-
-// MultilevelConfig configures the baseline multilevel partitioner.
-type MultilevelConfig = multilevel.Config
-
-// ErrOutOfMemory is returned by PartitionMultilevel when the configured
-// memory budget is exceeded (the Section 2 failure mode of the multilevel
-// tools).
-var ErrOutOfMemory = multilevel.ErrOutOfMemory
-
-// PartitionMultilevel runs the clique-net multilevel baseline
-// (coarsen / FM-refine / recurse), the stand-in for hMetis, PaToH,
-// Mondriaan, Parkway, and Zoltan in comparisons.
-func PartitionMultilevel(g *Hypergraph, cfg MultilevelConfig) (Assignment, error) {
-	return multilevel.Partition(g, cfg)
-}
 
 // Fanout returns the average query fanout, the paper's headline metric.
 func Fanout(g *Hypergraph, a Assignment, k int) float64 {

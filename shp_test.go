@@ -69,20 +69,6 @@ func TestDistributedFacade(t *testing.T) {
 	}
 }
 
-func TestMultilevelFacade(t *testing.T) {
-	g, err := shp.GeneratePlantedPartition(2, 60, 200, 4, 0.9, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := shp.PartitionMultilevel(g, shp.MultilevelConfig{K: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMetricsFacade(t *testing.T) {
 	g := figure1(t)
 	a := shp.Assignment{0, 0, 0, 1, 1, 1}
