@@ -24,9 +24,10 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	return s.Result(), nil
 }
 
-// rtask is one recursion node: split the given data vertices (original ids)
-// over the bucket range [lo, hi).
+// rtask is one recursion node: split the data vertices of sub, whose
+// original ids data lists in sub's order, over the bucket range [lo, hi).
 type rtask struct {
+	sub  *hypergraph.Bipartite
 	data []int32
 	lo   int32
 	hi   int32
@@ -34,8 +35,8 @@ type rtask struct {
 
 // partitionRecursive implements recursive bisection (SHP-2). Each level
 // splits every active task's data vertices into two (nearly) even bucket
-// ranges with a bisection on the induced subproblem, with Section 3.4's
-// lookahead and ε scheduling.
+// ranges with a bisection on the task's own subgraph and cuts that subgraph
+// into the two children's, with Section 3.4's lookahead and ε scheduling.
 func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	nd := g.NumData()
 	assignment := make(partition.Assignment, nd)
@@ -50,7 +51,7 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	for i := range all {
 		all[i] = int32(i)
 	}
-	tasks := []rtask{{data: all, lo: 0, hi: int32(opts.K)}}
+	tasks := []rtask{{sub: rootSubgraph(g, opts.Parallelism), data: all, lo: 0, hi: int32(opts.K)}}
 	totalLevels := levelsFor(opts.K)
 	idealPerBucket := float64(g.TotalDataWeight()) / float64(opts.K)
 
@@ -73,10 +74,11 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 
 		runTask := func(ti int, innerWorkers int) {
 			t := tasks[ti]
+			tasks[ti].sub = nil // t holds the last reference: the subgraph goes once its children exist
 			topts := opts
 			topts.Parallelism = innerWorkers
 			seed := rng.Mix(opts.Seed, rng.Mix(uint64(level)+1, uint64(t.lo)))
-			children, hist, work, iters := splitTask(g, topts, t, seed, level, eps, idealPerBucket, assignment)
+			children, hist, work, iters := splitTask(topts, t, seed, level, eps, idealPerBucket, assignment)
 			outs[ti] = taskOut{children: children, history: hist, work: work, iters: iters}
 		}
 
@@ -115,63 +117,69 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// splitTask splits one recursion node. Leaf ranges assign directly; wider
-// ranges run a bisection on the induced subproblem. Children needing further
-// splitting are returned.
-func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
+// rootSubgraph returns what the root task bisects: g itself when every
+// hyperedge has at least two members (anything PruneTrivialQueries returned),
+// otherwise g without the hyperedges that have fewer — which no split can
+// cut, and which every deeper node drops as well.
+func rootSubgraph(g *hypergraph.Bipartite, workers int) *hypergraph.Bipartite {
+	for q := 0; q < g.NumQueries(); q++ {
+		if g.QueryDegree(int32(q)) < 2 {
+			return g.SplitBySide(make([]int8, g.NumData()), [2]bool{true, false}, 2, workers)[0]
+		}
+	}
+	return g
+}
+
+// splitTask splits one recursion node with a bisection on its subgraph. A
+// child whose bucket range is a single bucket is assigned on the spot; the
+// others are returned with their subgraphs, cut from t.sub in one pass.
+func splitTask(opts Options, t rtask, seed uint64,
 	level int, eps, idealPerBucket float64, assignment partition.Assignment) ([]rtask, []IterStats, []WorkStats, int) {
 
-	span := int(t.hi - t.lo)
-	if span <= 1 {
-		for _, d := range t.data {
-			assignment[d] = t.lo
-		}
-		return nil, nil, nil, 0
-	}
 	if len(t.data) == 0 {
 		return nil, nil, nil, 0
 	}
-
-	sub, _ := g.InducedByData(t.data, 2)
-
+	span := int(t.hi - t.lo)
 	kLeft := (span + 1) / 2
 	kRight := span - kLeft
 	propLeft := float64(kLeft) / float64(span)
 	home := warmStartSides(opts, t, int32(kLeft))
-	b := newBisection(sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
+	b := newBisection(t.sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
 	side := b.run()
 
-	var left, right []int32
-	for i, d := range t.data {
-		if side[i] == 0 {
-			left = append(left, d)
-		} else {
-			right = append(right, d)
-		}
-	}
 	mid := t.lo + int32(kLeft)
-	children := childTasks(assignment,
-		rtask{data: left, lo: t.lo, hi: mid},
-		rtask{data: right, lo: mid, hi: t.hi})
-	return children, b.history, b.work, len(b.history)
-}
-
-// childTasks assigns leaf ranges immediately and returns the rest.
-func childTasks(assignment partition.Assignment, ts ...rtask) []rtask {
-	var out []rtask
-	for _, t := range ts {
-		if int(t.hi-t.lo) <= 1 {
-			for _, d := range t.data {
-				assignment[d] = t.lo
+	kids := [2]rtask{{lo: t.lo, hi: mid}, {lo: mid, hi: t.hi}}
+	var n [2]int
+	for _, s := range side {
+		n[s]++
+	}
+	for c := range kids {
+		kids[c].data = make([]int32, 0, n[c])
+	}
+	for i, d := range t.data {
+		kids[side[i]].data = append(kids[side[i]].data, d)
+	}
+	var want [2]bool
+	for c, kid := range kids {
+		if kid.hi-kid.lo <= 1 {
+			for _, d := range kid.data {
+				assignment[d] = kid.lo
 			}
 			continue
 		}
-		if len(t.data) == 0 {
-			continue
-		}
-		out = append(out, t)
+		want[c] = len(kid.data) > 0
 	}
-	return out
+	var children []rtask
+	if want[0] || want[1] {
+		subs := t.sub.SplitBySide(side, want, 2, opts.Parallelism)
+		for c, kid := range kids {
+			if want[c] {
+				kid.sub = subs[c]
+				children = append(children, kid)
+			}
+		}
+	}
+	return children, b.history, b.work, len(b.history)
 }
 
 // warmStartSides derives per-vertex home sides (0 = left child, 1 = right)

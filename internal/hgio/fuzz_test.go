@@ -22,8 +22,14 @@ func FuzzReadHMetis(f *testing.F) {
 	f.Add("1 2 10\n1 2\n4294967297\n1\n")
 	f.Add("2147483647 2147483647 11\n")
 	f.Add("0 2147483647\n")
+	f.Add("2 3 7\n1 2\n2 3\n")
+	f.Add("1 9\n+7 007 3\n")
+	f.Add("1 9\n1 4294967297 2\n")
+	f.Add("1 9\n1\u00a02\u20033\n")
+	f.Add("1 9\n1\xa02 \xff\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadHMetis(strings.NewReader(input))
+		sameAsReference(t, input, g, err)
 		if err != nil {
 			return
 		}

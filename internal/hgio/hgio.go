@@ -18,8 +18,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"shp/internal/hypergraph"
 )
@@ -65,9 +68,10 @@ func checkCount(what string, count, incidences int) error {
 }
 
 // ReadHMetis parses the hMetis hypergraph format. Memory follows the bytes
-// actually read, not the header's counts: the line buffer and the weight
-// slices start small and grow, so a short input declaring 2^31−1 weighted
-// vertices fails on its first missing line instead of reserving gigabytes.
+// actually read, not the header's counts: the line buffer, the forward CSR
+// the hyperedge lines are written into and the weight slices start small
+// and grow, so a short input declaring 2^31−1 weighted vertices fails on its
+// first missing line instead of reserving gigabytes.
 func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64*1024*1024)
@@ -95,56 +99,56 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			return nil, fmt.Errorf("hgio: bad format flag: %w", err)
 		}
 	}
+	if format != 0 && format != 1 && format != 10 && format != 11 {
+		return nil, fmt.Errorf("hgio: unsupported format flag %d (want 0, 1, 10 or 11)", format)
+	}
 	edgeWeighted := format == 1 || format == 11
 	vertexWeighted := format == 10 || format == 11
 
-	b := hypergraph.NewBuilder(numQ, numD)
-	incidences := 0
-	var qWeights []int32
+	// The forward CSR is written as the lines are read: one offset per
+	// hyperedge, one id per token, both growing with the bytes consumed.
+	qOff := make([]int64, 1, min(numQ+1, 1<<12))
+	var qAdj, qWeights, weights []int32
 	if edgeWeighted {
 		qWeights = make([]int32, 0, min(numQ, 1<<16))
 	}
 	for q := 0; q < numQ; q++ {
-		// Empty lines are valid here: they encode empty hyperedges, so only
-		// comment lines are skipped (unlike the header).
-		line, err := nextLine(sc)
+		f, rest, err := nextHyperedgeLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("hgio: hyperedge %d: %w", q+1, err)
 		}
-		fs := strings.Fields(line)
-		start := 0
 		if edgeWeighted {
-			if len(fs) == 0 {
+			if len(f) == 0 {
 				return nil, fmt.Errorf("hgio: hyperedge %d: missing weight", q+1)
 			}
-			w, err := parseInt32(fs[0], 1)
-			if err != nil {
-				return nil, fmt.Errorf("hgio: hyperedge %d: bad weight %q", q+1, fs[0])
+			w, err := atoi(f)
+			if err != nil || w < 1 || w > math.MaxInt32 {
+				return nil, fmt.Errorf("hgio: hyperedge %d: bad weight %q", q+1, f)
 			}
-			qWeights = append(qWeights, w)
-			start = 1
+			qWeights = append(qWeights, int32(w))
+			f, rest = nextField(rest)
 		}
-		for _, f := range fs[start:] {
-			v, err := strconv.Atoi(f)
+		for ; len(f) > 0; f, rest = nextField(rest) {
+			v, err := atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("hgio: hyperedge %d: bad vertex %q", q+1, f)
 			}
 			if v < 1 || v > numD {
 				return nil, fmt.Errorf("hgio: hyperedge %d: vertex %d out of range [1,%d]", q+1, v, numD)
 			}
-			b.AddEdge(int32(q), int32(v-1))
+			if len(qAdj) == cap(qAdj) {
+				qAdj = slices.Grow(qAdj, max(len(qAdj), 1024)) // double: append's 1.25× copies a large file five times over
+			}
+			qAdj = append(qAdj, int32(v-1))
 		}
-		incidences += len(fs) - start
+		qOff = append(qOff, int64(len(qAdj)))
 	}
 	// numQ needs no check: the loop above read a line per hyperedge.
-	if err := checkCount("vertex", numD, incidences); err != nil {
+	if err := checkCount("vertex", numD, len(qAdj)); err != nil {
 		return nil, err
 	}
-	if edgeWeighted {
-		b.SetQueryWeights(qWeights)
-	}
 	if vertexWeighted {
-		weights := make([]int32, 0, min(numD, 1<<16))
+		weights = make([]int32, 0, min(numD, 1<<16))
 		for d := 0; d < numD; d++ {
 			line, err := nextContentLine(sc)
 			if err != nil {
@@ -156,9 +160,80 @@ func ReadHMetis(r io.Reader) (*hypergraph.Bipartite, error) {
 			}
 			weights = append(weights, w)
 		}
-		b.SetDataWeights(weights)
 	}
-	return b.Build()
+	return hypergraph.FromCSR(numD, qOff, qAdj, weights, qWeights)
+}
+
+// nextHyperedgeLine returns the next line that is not a comment, split into
+// its first field and the rest, both valid until the next read. Empty lines
+// are returned: they encode empty hyperedges (unlike before the header,
+// where nextContentLine skips them).
+func nextHyperedgeLine(sc *bufio.Scanner) (field, rest []byte, err error) {
+	for sc.Scan() {
+		field, rest = nextField(sc.Bytes())
+		if len(field) > 0 && field[0] == '%' {
+			continue
+		}
+		return field, rest, nil
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	return nil, nil, io.ErrUnexpectedEOF
+}
+
+// asciiSpace marks the ASCII bytes that are white space to unicode.IsSpace.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField returns the first white-space-separated field of line and what
+// follows it; the field is empty when only white space is left. It splits
+// where strings.Fields does — Unicode white space separates, an invalid
+// UTF-8 byte does not — without copying the line.
+func nextField(line []byte) (field, rest []byte) {
+	i := 0
+	for i < len(line) {
+		if c := line[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, n := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+			i += n
+		} else {
+			break
+		}
+	}
+	j := i
+	for j < len(line) {
+		if c := line[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			j++
+		} else if r, n := utf8.DecodeRune(line[j:]); unicode.IsSpace(r) {
+			break
+		} else {
+			j += n
+		}
+	}
+	return line[i:j], line[j:]
+}
+
+// atoi is strconv.Atoi on a field. Up to nine plain digits are folded in
+// place; a sign, a tenth digit or any other byte takes strconv's path, so
+// every value and every failure is strconv's.
+func atoi(f []byte) (int, error) {
+	if len(f) > 9 {
+		return strconv.Atoi(string(f))
+	}
+	v := 0
+	for _, c := range f {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(f))
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, nil
 }
 
 // WriteHMetis writes g in the hMetis format (fmt 1 with hyperedge weights,
@@ -327,21 +402,6 @@ func nextContentLine(sc *bufio.Scanner) (string, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		return line, nil
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", io.ErrUnexpectedEOF
-}
-
-// nextLine returns the next non-comment line, preserving empty lines.
-func nextLine(sc *bufio.Scanner) (string, error) {
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "%") {
 			continue
 		}
 		return line, nil

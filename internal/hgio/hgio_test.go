@@ -122,6 +122,7 @@ func TestReadHMetisErrors(t *testing.T) {
 		"1 2 10\n1 2\n4294967297\n1\n", // vertex weight would wrap to 1
 		"1 2 10\n1 2\n0\n1\n",          // vertex weight below 1
 		"2147483647 2147483647 11\n",   // 8 GB of declared weights, none present
+		"2 3 7\n1 2\n2 3\n",            // format flag that is none of 0, 1, 10, 11
 	}
 	for _, in := range cases {
 		// Rejecting a few bytes must cost little: nothing may be sized by a

@@ -18,6 +18,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -661,81 +662,61 @@ func PruneTrivialQueries(g *Bipartite, minDegree int) *Bipartite {
 	return out
 }
 
-// InducedByData returns the subgraph induced by the given data vertices:
-// data vertices are relabeled 0..len(dataIDs)-1 in the given order, and only
-// hyperedges with at least minQueryDegree members inside the subset are kept
-// (relabeled densely). It returns the subgraph and the kept original query
-// ids aligned with the new query ids.
-//
-// This is the substrate for recursive bisection: each recursion step operates
-// on the compact induced problem (Section 3.3, "Recursive partitioning").
-func (g *Bipartite) InducedByData(dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
-	dmap := make([]int32, g.numD)
-	for i := range dmap {
-		dmap[i] = -1
+// FromCSR builds a graph from a forward adjacency a parser assembled:
+// hyperedge q spans the data ids qAdj[qOff[q]:qOff[q+1]], in any order and
+// with duplicates allowed. Ids are range-checked, only the hyperedges that
+// are not already strictly increasing are sorted and deduplicated, and the
+// graph keeps copies cut to length, so the arguments may have spare
+// capacity. FromCSR reorders and compacts qOff and qAdj in place: they must
+// not be used afterwards. nil weights mean unit weights.
+func FromCSR(numData int, qOff []int64, qAdj, dataWeights, queryWeights []int32) (*Bipartite, error) {
+	numQ := len(qOff) - 1
+	if numQ < 0 || numData < 0 || qOff[0] != 0 || qOff[numQ] != int64(len(qAdj)) {
+		return nil, errors.New("hypergraph: malformed query offsets")
 	}
-	// When dataIDs is strictly increasing (the recursive partitioner always
-	// passes monotone subsets), dmap preserves order and the filtered
-	// adjacency lists come out sorted for free.
-	monotone := true
-	for newID, d := range dataIDs {
-		dmap[d] = int32(newID)
-		if newID > 0 && d <= dataIDs[newID-1] {
-			monotone = false
+	if dataWeights != nil && len(dataWeights) != numData {
+		return nil, fmt.Errorf("hypergraph: %d weights for %d data vertices", len(dataWeights), numData)
+	}
+	if queryWeights != nil && len(queryWeights) != numQ {
+		return nil, fmt.Errorf("hypergraph: %d query weights for %d queries", len(queryWeights), numQ)
+	}
+	var start, w int64 // read and write cursors: deduplication shifts later hyperedges down
+	for q := 0; q < numQ; q++ {
+		end := qOff[q+1]
+		if end < start || end > int64(len(qAdj)) {
+			return nil, errors.New("hypergraph: malformed query offsets")
 		}
-	}
-	// Count per-query membership inside the subset.
-	qCount := make([]int32, g.numQ)
-	for _, d := range dataIDs {
-		for _, q := range g.DataNeighbors(d) {
-			qCount[q]++
-		}
-	}
-	keptQ := make([]int32, 0)
-	for q := 0; q < g.numQ; q++ {
-		if int(qCount[q]) >= minQueryDegree {
-			keptQ = append(keptQ, int32(q))
-		}
-	}
-	out := &Bipartite{numQ: len(keptQ), numD: len(dataIDs)}
-	if g.dWeight != nil {
-		out.dWeight = make([]int32, len(dataIDs))
-		for i, d := range dataIDs {
-			out.dWeight[i] = g.dWeight[d]
-		}
-	}
-	if g.qWeight != nil {
-		out.qWeight = make([]int32, len(keptQ))
-		for i, q := range keptQ {
-			out.qWeight[i] = g.qWeight[q]
-		}
-	}
-	out.qOff = make([]int64, len(keptQ)+1)
-	var total int64
-	for i, q := range keptQ {
-		total += int64(qCount[q])
-		out.qOff[i+1] = total
-	}
-	out.qAdj = make([]int32, total)
-	par.For(len(keptQ), 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			q := keptQ[i]
-			dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
-			n := 0
-			for _, d := range g.QueryNeighbors(q) {
-				if nd := dmap[d]; nd >= 0 {
-					dst[n] = nd
-					n++
-				}
+		he := qAdj[start:end]
+		increasing := true
+		for i, d := range he {
+			if d < 0 || int(d) >= numData {
+				return nil, fmt.Errorf("hypergraph: data id %d out of range [0,%d)", d, numData)
 			}
-			if !monotone {
-				// dmap is order-dependent, so re-sort for the CSR invariant.
-				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+			if i > 0 && d <= he[i-1] {
+				increasing = false
 			}
 		}
-	})
-	out.rebuildReverse()
-	return out, keptQ
+		if !increasing {
+			slices.Sort(he)
+			he = slices.Compact(he)
+		}
+		qOff[q] = w
+		if w != start {
+			copy(qAdj[w:], he)
+		}
+		w += int64(len(he))
+		start = end
+	}
+	qOff[numQ] = w
+	g := &Bipartite{
+		numQ: numQ, numD: numData,
+		qOff:    slices.Clone(qOff),
+		qAdj:    slices.Clone(qAdj[:w]),
+		dWeight: slices.Clone(dataWeights),
+		qWeight: slices.Clone(queryWeights),
+	}
+	g.rebuildReverse()
+	return g, nil
 }
 
 // rebuildReverse recomputes the data->query CSR from the query->data CSR,

@@ -362,3 +362,36 @@ func BenchmarkBuild100k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecursiveSplit times one SplitBySide call — what a recursion node
+// pays to hand its two children their subgraphs — on a 100k-incidence graph
+// with the shape a bisection at a middle level leaves: small local
+// hyperedges, the cut through the middle, and one vertex in sixteen on the
+// far side of it.
+func BenchmarkRecursiveSplit(b *testing.B) {
+	const numQ, numD = 16000, 10000
+	r := rng.New(1)
+	bld := NewBuilder(numQ, numD)
+	for q := 0; q < numQ; q++ {
+		for i := 2 + r.Intn(10); i > 0; i-- {
+			bld.AddEdge(int32(q), int32((q*numD/numQ+r.Intn(400)+numD-200)%numD))
+		}
+	}
+	g, err := bld.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	side := make([]int8, numD)
+	for d := range side {
+		if (d >= numD/2) != (r.Intn(16) == 0) {
+			side[d] = 1
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := g.SplitBySide(side, [2]bool{true, true}, 2, 1); out[0] == nil || out[1] == nil {
+			b.Fatal("missing child")
+		}
+	}
+	b.ReportMetric(float64(g.NumEdges()), "incidences")
+}

@@ -1,0 +1,226 @@
+package hypergraph
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"shp/internal/par"
+	"shp/internal/rng"
+)
+
+// inducedByDataRef is InducedByData as it was before SplitBySide replaced
+// its body — a |D|-sized id map, a count over the subset's reverse lists, a
+// filter of every kept hyperedge's full member list, then a scattered
+// reverse CSR — kept as the reference the kernel is checked against.
+func inducedByDataRef(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
+	dmap := make([]int32, g.numD)
+	for i := range dmap {
+		dmap[i] = -1
+	}
+	monotone := true
+	for newID, d := range dataIDs {
+		dmap[d] = int32(newID)
+		if newID > 0 && d <= dataIDs[newID-1] {
+			monotone = false
+		}
+	}
+	qCount := make([]int32, g.numQ)
+	for _, d := range dataIDs {
+		for _, q := range g.DataNeighbors(d) {
+			qCount[q]++
+		}
+	}
+	keptQ := make([]int32, 0)
+	for q := 0; q < g.numQ; q++ {
+		if int(qCount[q]) >= minQueryDegree {
+			keptQ = append(keptQ, int32(q))
+		}
+	}
+	out := &Bipartite{numQ: len(keptQ), numD: len(dataIDs)}
+	if g.dWeight != nil {
+		out.dWeight = make([]int32, len(dataIDs))
+		for i, d := range dataIDs {
+			out.dWeight[i] = g.dWeight[d]
+		}
+	}
+	if g.qWeight != nil {
+		out.qWeight = make([]int32, len(keptQ))
+		for i, q := range keptQ {
+			out.qWeight[i] = g.qWeight[q]
+		}
+	}
+	out.qOff = make([]int64, len(keptQ)+1)
+	var total int64
+	for i, q := range keptQ {
+		total += int64(qCount[q])
+		out.qOff[i+1] = total
+	}
+	out.qAdj = make([]int32, total)
+	par.For(len(keptQ), 0, func(start, end int) {
+		for i := start; i < end; i++ {
+			q := keptQ[i]
+			dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
+			n := 0
+			for _, d := range g.QueryNeighbors(q) {
+				if nd := dmap[d]; nd >= 0 {
+					dst[n] = nd
+					n++
+				}
+			}
+			if !monotone {
+				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+			}
+		}
+	})
+	out.rebuildReverse()
+	return out, keptQ
+}
+
+// sameGraph fails unless got and want are the same compact graph array for
+// array, cached maximum degree included.
+func sameGraph(t *testing.T, what string, got, want *Bipartite) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	switch {
+	case got.numQ != want.numQ || got.numD != want.numD:
+		t.Fatalf("%s: %dx%d, want %dx%d", what, got.numQ, got.numD, want.numQ, want.numD)
+	case !slices.Equal(got.qOff, want.qOff) || !slices.Equal(got.qAdj, want.qAdj):
+		t.Fatalf("%s: forward CSR differs", what)
+	case !slices.Equal(got.dOff, want.dOff) || !slices.Equal(got.dAdj, want.dAdj):
+		t.Fatalf("%s: reverse CSR differs", what)
+	case !slices.Equal(got.dWeight, want.dWeight) || (got.dWeight == nil) != (want.dWeight == nil):
+		t.Fatalf("%s: data weights differ", what)
+	case !slices.Equal(got.qWeight, want.qWeight) || (got.qWeight == nil) != (want.qWeight == nil):
+		t.Fatalf("%s: query weights differ", what)
+	case got.maxQDeg != want.maxQDeg || got.maxQDegCount != want.maxQDegCount:
+		t.Fatalf("%s: cached max degree %d×%d, want %d×%d", what, got.maxQDeg, got.maxQDegCount, want.maxQDeg, want.maxQDegCount)
+	case cap(got.qAdj) != len(got.qAdj) || cap(got.dAdj) != len(got.dAdj) || cap(got.qOff) != len(got.qOff) || cap(got.dOff) != len(got.dOff):
+		t.Fatalf("%s: arrays not allocated at exact size", what)
+	}
+}
+
+// splitFixture is a random graph in the requested shape: optionally with
+// data and query weights, optionally pushed into the mutable layout by a
+// delta that removes every seventh hyperedge and adds one.
+func splitFixture(t *testing.T, seed uint64, weighted, mutable bool) *Bipartite {
+	t.Helper()
+	const numQ, numD = 60, 90
+	r := rng.New(seed)
+	b := NewBuilder(numQ, numD)
+	for q := 0; q < numQ; q++ {
+		for i := r.Intn(7); i > 0; i-- { // 0..6 members: empty and single-member hyperedges included
+			b.AddEdge(int32(q), int32(r.Intn(numD)))
+		}
+	}
+	if weighted {
+		dw, qw := make([]int32, numD), make([]int32, numQ)
+		for i := range dw {
+			dw[i] = int32(1 + r.Intn(9))
+		}
+		for i := range qw {
+			qw[i] = int32(1 + r.Intn(5))
+		}
+		b.SetDataWeights(dw).SetQueryWeights(qw)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutable {
+		d := NewDelta(g.NumQueries(), g.NumData())
+		for q := int32(0); q < numQ; q += 7 {
+			d.RemoveHyperedge(q)
+		}
+		d.AddHyperedge(1, 2, 80, 81)
+		if err := g.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestSplitBySideMatchesInducedReference is the differential test of the
+// split kernel: for every graph shape and every kind of cut, both children
+// must be array for array what the replaced InducedByData body returns for
+// that side's vertices, at any worker count, and a child that was not asked
+// for must not be built.
+func TestSplitBySideMatchesInducedReference(t *testing.T) {
+	cuts := map[string]func(r *rng.RNG, d int) int8{
+		"random":      func(r *rng.RNG, _ int) int8 { return int8(r.Intn(2)) },
+		"all-left":    func(*rng.RNG, int) int8 { return 0 },
+		"all-right":   func(*rng.RNG, int) int8 { return 1 },
+		"lone-right":  func(_ *rng.RNG, d int) int8 { return int8(min(d%11, 1) ^ 1) }, // one vertex in 11: hyperedges fall under 2 members on the right only
+		"with-others": func(r *rng.RNG, _ int) int8 { return int8(r.Intn(3)) - 1 },    // -1 belongs to neither child
+	}
+	for _, weighted := range []bool{false, true} {
+		for _, mutable := range []bool{false, true} {
+			for name, cut := range cuts {
+				for seed := uint64(1); seed <= 4; seed++ {
+					g := splitFixture(t, seed, weighted, mutable)
+					r := rng.New(seed ^ 0x51de)
+					side := make([]int8, g.NumData())
+					var ids [2][]int32
+					for d := range side {
+						side[d] = cut(r, d)
+						if s := side[d]; s >= 0 {
+							ids[s] = append(ids[s], int32(d))
+						}
+					}
+					for _, want := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+						for _, workers := range []int{1, 3} {
+							got := g.SplitBySide(side, want, 2, workers)
+							for c := range got {
+								what := fmt.Sprintf("weighted=%v mutable=%v cut=%s seed=%d want=%v workers=%d child %d", weighted, mutable, name, seed, want, workers, c)
+								if !want[c] {
+									if got[c] != nil {
+										t.Fatalf("%s: built although not asked for", what)
+									}
+									continue
+								}
+								ref, _ := inducedByDataRef(g, ids[c], 2)
+								sameGraph(t, what, got[c], ref)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInducedByDataMatchesReference checks the wrapper — kept query ids,
+// other minimum degrees, and the relabelling of a subset given out of order
+// — against the body it replaced.
+func TestInducedByDataMatchesReference(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		for _, mutable := range []bool{false, true} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				g := splitFixture(t, seed, weighted, mutable)
+				r := rng.New(seed ^ 0xbeef)
+				var subset []int32
+				for d := 0; d < g.NumData(); d++ {
+					if r.Intn(3) > 0 {
+						subset = append(subset, int32(d))
+					}
+				}
+				shuffled := slices.Clone(subset)
+				r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				for _, ids := range [][]int32{subset, shuffled, nil} {
+					for minDeg := 0; minDeg <= 3; minDeg++ {
+						what := fmt.Sprintf("weighted=%v mutable=%v seed=%d minDeg=%d sorted=%v", weighted, mutable, seed, minDeg, slices.IsSorted(ids))
+						got, gotKept := g.InducedByData(ids, minDeg)
+						ref, refKept := inducedByDataRef(g, ids, minDeg)
+						sameGraph(t, what, got, ref)
+						if !slices.Equal(gotKept, refKept) {
+							t.Fatalf("%s: kept queries %v, want %v", what, gotKept, refKept)
+						}
+					}
+				}
+			}
+		}
+	}
+}
