@@ -382,25 +382,6 @@ func BenchmarkMetricsFanout(b *testing.B) {
 
 // ---- Ablations of the README's called-out design choices ----
 
-// BenchmarkAblationPairing reports the swap protocol's quality (fanout
-// metric) and speed. The S-matrix and exact sorted-queue protocols it used to
-// be compared with are gone (README, "Which engine"); the histogram cell
-// stays so the series continues.
-func BenchmarkAblationPairing(b *testing.B) {
-	g := benchGraph(b, "social-small")
-	b.Run("histogram", func(b *testing.B) {
-		var fanout float64
-		for i := 0; i < b.N; i++ {
-			res, err := shp.Partition(g, shp.Options{K: 16, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			fanout = shp.Fanout(g, res.Assignment, 16)
-		}
-		b.ReportMetric(fanout, "fanout")
-	})
-}
-
 // BenchmarkAblationLookahead measures Section 3.4's final-p-fanout
 // approximation during recursive splits.
 func BenchmarkAblationLookahead(b *testing.B) {

@@ -38,11 +38,33 @@ import (
 //     state as re-walking their whole neighborhoods — hub queries no longer
 //     force their entire membership through a full re-evaluation.
 //   - Only moved vertices (whose own bucket, and with it the meaning of
-//     base/acc, changed) are rebuilt from scratch. When a batch moves a
-//     large fraction of the graph, patch volume would exceed a sweep, so
-//     the engine deterministically falls back to a full rebuild sweep for
-//     that iteration — interchangeable because patched and swept states are
-//     identical.
+//     base/acc, changed) are rebuilt from scratch.
+//
+// # Sweeps
+//
+// When a batch moves a large fraction of the graph (see sweepFallbackDiv),
+// patch volume would exceed recomputation, so the engine deterministically
+// falls back to what the paper does every round: one ndBuild pass over |E|,
+// then a proposal pass that rebuilds every vertex — interchangeable because
+// patched and swept states are identical. Marking every vertex for rebuild
+// (markAllActive: the first pass, a fallback, a scheduled rebuild) also
+// declares the candidate lists dead, and one bit records it: cand[v] is
+// meaningful iff !candsStale. The proposal pass that finds the bit set is
+// fused — each vertex's accumulators drain into a per-worker scratch list,
+// selectProposal runs on that, and cand[v] is not written, because the next
+// sweep would overwrite it unread. So a sweep iteration costs one neighbor-
+// data build plus one fused rebuild/select and maintains nothing. The lists
+// are materialised (materializeCands, one plain rebuild pass, which clears
+// the bit) before something reads them: at the first patched batch after a
+// run of sweeps — again after each scheduled rebuild — and before a
+// Session's Repartition returns.
+//
+// What a fused sweep does keep is each list's room: a cand[v] with less
+// capacity than v's list is replaced by an empty one that has it, which is
+// what a written sweep's regrowth would leave. So the lists' memory — the
+// engine's largest allocation, as large as the graph's — is claimed by the
+// first pass, materialising allocates nothing, and a process's peak memory
+// does not turn on whether, and how late, its run reaches the patch regime.
 //
 // # Cached proposals
 //
@@ -73,10 +95,10 @@ import (
 // # Rebuild schedule
 //
 // Every Options.NDRebuildEvery iterations a scheduled rebuild replaces the
-// maintained state with a full neighbor-data rebuild and a full proposal
-// sweep, and the batch before it skips patching; a period of 1 is therefore
-// plain full per-iteration recomputation. Every schedule produces
-// byte-identical partitions and histories for a fixed seed.
+// maintained state with a sweep (above), and the batch before it touches
+// neither the neighbor data nor the lists; a period of 1 is therefore plain
+// full per-iteration recomputation, the paper's iteration. Every schedule
+// produces byte-identical partitions and histories for a fixed seed.
 type directState struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -102,11 +124,14 @@ type directState struct {
 
 	// Per-vertex Equation 1 state: cand[v] holds the candidate buckets of v
 	// in ascending bucket order with their exact acc sums and contributing-
-	// query refcounts; propBase[v] is the own-bucket term; wdegArr[v] the
-	// static query-weighted degree.
-	cand     [][]proposalCand
-	propBase []float64
-	wdegArr  []float64
+	// query refcounts — unless candsStale: then every vertex is marked
+	// activeRebuild and the lists are unwritten (see "Sweeps" above).
+	// propBase[v] is the own-bucket term; wdegArr[v] the static query-
+	// weighted degree.
+	cand       [][]proposalCand
+	candsStale bool
+	propBase   []float64
+	wdegArr    []float64
 
 	target []int32
 	gains  []float64
@@ -220,10 +245,13 @@ const (
 )
 
 // sweepFallbackDiv sets the deterministic patch-vs-sweep switch: when a
-// batch moves more than NumData/sweepFallbackDiv vertices, patching members
-// of dirty queries would cost more than one full rebuild sweep, so the
-// engine marks everyone active instead. Both regimes produce identical
-// state, so the threshold is a pure performance knob.
+// batch moves more than NumData/sweepFallbackDiv vertices, patching the
+// neighbor data and the members of dirty queries would cost more than
+// recomputing both, so the engine rebuilds the neighbor data in one pass and
+// marks everyone for a fused sweep instead — one ND build plus one
+// rebuild/select, nothing maintained. Both regimes produce identical state,
+// so the threshold is a pure performance knob. The first batch under it
+// after a run of sweeps pays the one-off list materialisation.
 const sweepFallbackDiv = 8
 
 // newDirectState prepares the refiner: k equal buckets, each allowed
@@ -527,11 +555,13 @@ func (st *directState) fanout() float64 {
 // proposalScratch is the per-worker state of one Equation 1 rebuild sweep:
 // k-indexed accumulators plus the bitset of the buckets they currently hold.
 // Between vertices everything is zero — draining the set clears exactly the
-// slots a vertex touched.
+// slots a vertex touched. list is the k-slot candidate list a fused sweep
+// drains each vertex into instead of cand[v].
 type proposalScratch struct {
 	acc  []float64
 	refs []int32
 	set  bucketSet
+	list []proposalCand
 }
 
 // proposalScratches returns the per-worker rebuild scratch, made on first
@@ -544,17 +574,18 @@ func (st *directState) proposalScratches() []*proposalScratch {
 				acc:  make([]float64, st.k),
 				refs: make([]int32, st.k),
 				set:  newBucketSet(st.k),
+				list: make([]proposalCand, 0, st.k),
 			}
 		}
 	}
 	return st.propScratch
 }
 
-// rebuildVertex recomputes vertex v's Equation 1 state — propBase[v] and the
-// sorted candidate list — from the current neighbor data. All sums are
-// exact (grid values), so this produces the same bits as any sequence of
-// patches arriving at the same neighbor data.
-func (st *directState) rebuildVertex(s *proposalScratch, v int) {
+// rebuildInto recomputes vertex v's Equation 1 state from the current
+// neighbor data: propBase[v], and the sorted candidate list, which it writes
+// over dst and returns. All sums are exact (grid values), so this produces the
+// same bits as any sequence of patches arriving at the same neighbor data.
+func (st *directState) rebuildInto(s *proposalScratch, v int, dst []proposalCand) []proposalCand {
 	cur := st.bucket[v]
 	acc, refs, set := s.acc, s.refs, s.set
 	base := 0.0
@@ -593,7 +624,7 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 		}
 	}
 	st.propBase[v] = base
-	dst := st.cand[v][:0]
+	dst = dst[:0]
 	if n := set.count(); cap(dst) < n {
 		dst = make([]proposalCand, 0, n)
 	}
@@ -601,7 +632,30 @@ func (st *directState) rebuildVertex(s *proposalScratch, v int) {
 		dst = append(dst, proposalCand{b: b, refs: refs[b], acc: acc[b]})
 		acc[b], refs[b] = 0, 0
 	}
-	st.cand[v] = dst
+	return dst
+}
+
+// rebuildVertex rebuilds v's Equation 1 state into its own list cand[v].
+func (st *directState) rebuildVertex(s *proposalScratch, v int) {
+	st.cand[v] = st.rebuildInto(s, v, st.cand[v])
+}
+
+// materializeCands writes the candidate lists the fused sweeps left unwritten
+// (see candsStale): one plain rebuild of every vertex from the current
+// neighbor data. It re-derives state the sweep already paid for, so it is
+// not counted as gain or scan work. The marks stay: a proposal pass over
+// materialised lists with every vertex still marked rebuilds them in place.
+func (st *directState) materializeCands() {
+	if !st.candsStale {
+		return
+	}
+	scratch := st.proposalScratches()
+	par.ForWorker(st.g.NumData(), st.workers, func(w, start, end int) {
+		for v := start; v < end; v++ {
+			st.rebuildVertex(scratch[w], v)
+		}
+	})
+	st.candsStale = false
 }
 
 // candidateGain is Equation 1's gain of moving v, currently in cur, to
@@ -620,15 +674,15 @@ func (st *directState) candidateGain(v int, cur int32, own float64, c *proposalC
 	return gain
 }
 
-// selectProposal derives each candidate's gain from the cached accumulators,
+// selectProposal derives the gain of each of v's candidates (cands: cand[v],
+// or the same list fresh out of a fused sweep's scratch) from its accumulator,
 // applies the balance-admissibility filter (the only proposal input that
 // depends on global bucket weights), and returns the best target (or -1),
 // its gain, and whether the argmax ended in an exact tie — the only case in
 // which the result depends on the seed. It re-runs for a vertex exactly
 // when one of the invalidation rules in the directState comment fires;
 // between those the cached result is what a re-run would return.
-func (st *directState) selectProposal(v int) (target int32, gain float64, tied bool) {
-	cands := st.cand[v]
+func (st *directState) selectProposal(v int, cands []proposalCand) (target int32, gain float64, tied bool) {
 	best := int32(-1)
 	bestGain := 0.0
 	if len(cands) == 0 {
@@ -672,7 +726,7 @@ func (st *directState) selectProposal(v int) (target int32, gain float64, tied b
 
 // reselect refreshes v's cached proposal.
 func (st *directState) reselect(v int) {
-	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v)
+	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, st.cand[v])
 }
 
 // flipTouches reports whether the admissibility flips since the last
@@ -725,6 +779,30 @@ func (st *directState) computeProposals() {
 	st.forceSelect = false
 	st.refreshAdmissibility()
 	var work, selected atomic.Int64
+	if st.candsStale {
+		// Sweep mode: every vertex is marked for rebuild and no list survives,
+		// so select straight from the accumulators — same candidates in the
+		// same ascending order through the same selectProposal — and leave
+		// cand[v] unwritten.
+		par.ForWorker(nd, st.workers, func(w, start, end int) {
+			s := scratch[w]
+			list := s.list
+			var local int64
+			for v := start; v < end; v++ {
+				list = st.rebuildInto(s, v, list)
+				if cap(st.cand[v]) < len(list) {
+					st.cand[v] = make([]proposalCand, 0, len(list)) // room only, see "Sweeps"
+				}
+				st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, list)
+				local += int64(len(st.g.DataNeighbors(int32(v))))
+			}
+			work.Add(local)
+		})
+		st.gainWork += work.Load()
+		st.scanWork += int64(nd)
+		st.lastFrontier = int64(nd)
+		return
+	}
 	if !sweepAll && st.admissSame && st.frontierValid {
 		// Frontier mode: nothing global changed and the marked vertices are
 		// exactly the frontier — visit only it, with no O(|D|) scan to find
@@ -795,11 +873,13 @@ func (st *directState) refreshAdmissibility() {
 }
 
 // markAllActive schedules every vertex for a rebuild (initial iteration,
-// sweep fallback, and scheduled rebuilds).
+// sweep fallback, and scheduled rebuilds): the candidate lists are dead and
+// the next proposal pass is a fused sweep.
 func (st *directState) markAllActive() {
 	for i := range st.active {
 		st.active[i] = activeRebuild
 	}
+	st.candsStale = true
 	st.frontierValid = false // marks now cover everyone, not a frontier
 }
 
@@ -970,16 +1050,17 @@ func (st *directState) applyMoves(iter int) []move {
 	return accepted
 }
 
-// applyNDDeltas runs the kernel's move-batch pass (count transfers plus
-// dirty-query diff collection), then reconciles the per-vertex proposal
-// state: either by patching the members of each dirty query with the
-// query's exact entry deltas (small batches), or by scheduling a full
-// rebuild sweep (large batches). Movers themselves are always rebuilt —
-// their own bucket changed, which reshapes base/acc. Member patches run
-// over disjoint vertex ranges using the sorted member lists; all patch
-// arithmetic is exact, so results are independent of worker count and of
-// the patch-vs-sweep choice. accepted must contain each vertex at most
-// once (one move batch), with st.bucket already holding the destination.
+// applyNDDeltas brings the neighbor data and the per-vertex proposal state
+// up to date with one move batch. A small batch runs the kernel's move-batch
+// pass (count transfers plus dirty-query diff collection) and patches the
+// members of each dirty query with the query's exact entry deltas; a large
+// one (see sweepFallbackDiv) rebuilds the neighbor data outright and
+// schedules a sweep. Movers themselves are always rebuilt — their own bucket
+// changed, which reshapes base/acc. Member patches run over disjoint vertex
+// ranges using the sorted member lists; all patch arithmetic is exact, so
+// results are independent of worker count and of the patch-vs-sweep choice.
+// accepted must contain each vertex at most once (one move batch), with
+// st.bucket already holding the destination.
 func (st *directState) applyNDDeltas(accepted []move) {
 	nd := st.g.NumData()
 	w := st.workers
@@ -987,11 +1068,16 @@ func (st *directState) applyNDDeltas(accepted []move) {
 		w = 1
 	}
 	patch := len(accepted)*sweepFallbackDiv < nd
-	ndApplyMoveBatch(st.nd, st.g, w, accepted, st.bucket, patch)
 	if patch {
+		// The patches below land in the lists, so the lists must exist — built
+		// from the neighbor data of the pass that skipped them, before the
+		// batch changes it. st.bucket is already post-move: movers get garbage,
+		// and are rebuilt before anything reads it (see patchVertex).
+		st.materializeCands()
+		ndApplyMoveBatch(st.nd, st.g, w, accepted, st.bucket)
 		st.addObjective(st.batchObjectiveDelta())
 	} else {
-		st.objStale = true // no change records were collected
+		st.buildNeighborData()
 	}
 
 	// Clear the previous batch's marks through the frontier they form (the

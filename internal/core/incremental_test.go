@@ -270,6 +270,9 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 			if len(accepted)*sweepFallbackDiv >= g.NumData() {
 				continue // sweep regime: everyone is active, nothing cached
 			}
+			if st.candsStale {
+				t.Fatalf("seed %d iter %d: a patched batch left the candidate lists unwritten", seed, iter)
+			}
 			ref := newDirectState(g, opts, seed)
 			copy(ref.bucket, st.bucket)
 			ref.recountWeights()

@@ -238,12 +238,14 @@ func (nd *ndState) applyEntryDelta(q, from, to int32) int64 {
 
 // applyMoveBatch patches the neighbor data in place for the queries adjacent
 // to the accepted moves (decrement the origin's count, increment the
-// target's, inserting/removing sparse entries as they cross zero). When
-// patch is set, each dirty query's pre-batch segment is snapshotted on first
-// touch and the net per-entry changes are diffed into the per-owner scratch
+// target's, inserting/removing sparse entries as they cross zero). Each
+// dirty query's pre-batch segment is snapshotted on first touch and the net
+// per-entry changes are diffed into the per-owner scratch
 // (nd.delta[*].groups/recs) so the refiner can fold them into its members'
 // accumulators. accepted must contain each vertex at most once (one move
-// batch), with bucket[v] already holding the destination.
+// batch), with bucket[v] already holding the destination. It is the small-
+// batch path: a batch big enough that a refiner re-sweeps anyway is cheaper
+// served by ndBuild.
 //
 // Parallel structure: source workers scan contiguous slices of the batch
 // (ascending, so each owner receives its updates in the batch's canonical
@@ -256,7 +258,7 @@ func (nd *ndState) applyEntryDelta(q, from, to int32) int64 {
 // (order-free) or canonicalizes with a radix sort. Worker count decides
 // only who does the work, not what is computed — the contract the whole
 // parallel plane is built on.
-func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepted []move, bucket []int32, patch bool) {
+func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepted []move, bucket []int32) {
 	nq := g.NumQueries()
 	w := workers
 	if w < 1 {
@@ -317,28 +319,22 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepte
 				if nd.dirtyFlag[u.q] == 0 {
 					nd.dirtyFlag[u.q] = 1
 					ds.dirtyQ = append(ds.dirtyQ, u.q)
-					if patch {
-						ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
-						ds.snapArena = append(ds.snapArena, nd.seg(u.q)...)
-					}
+					ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
+					ds.snapArena = append(ds.snapArena, nd.seg(u.q)...)
 				}
 				if d := nd.applyEntryDelta(u.q, u.from, u.to); d != 0 {
 					ds.entryDiff += d * int64(g.QueryWeight(u.q))
 				}
 			}
 		}
-		if patch {
-			ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
-			for i, q := range ds.dirtyQ {
-				old := ds.snapArena[ds.snapOff[i]:ds.snapOff[i+1]]
-				start := int32(len(ds.recs))
-				ds.recs = NDDiff(ds.recs, old, nd.seg(q))
-				if n := int32(len(ds.recs)) - start; n > 0 {
-					ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
-				}
+		ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
+		for i, q := range ds.dirtyQ {
+			old := ds.snapArena[ds.snapOff[i]:ds.snapOff[i+1]]
+			start := int32(len(ds.recs))
+			ds.recs = NDDiff(ds.recs, old, nd.seg(q))
+			if n := int32(len(ds.recs)) - start; n > 0 {
+				ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
 			}
-		}
-		for _, q := range ds.dirtyQ {
 			nd.dirtyFlag[q] = 0
 		}
 	})

@@ -174,6 +174,11 @@ func TestWarmIterationAllocations(t *testing.T) {
 	if len(st.history) < 12 {
 		t.Fatalf("converged after %d iterations; the warm-up needs 12", len(st.history))
 	}
+	if st.candsStale {
+		// A sweep-regime iteration would materialise the candidate lists
+		// inside the measured runs: thousands of one-off allocations.
+		t.Fatal("the warm-up never reached a patched batch; the candidate lists do not exist yet")
+	}
 	iter := len(st.history)
 	objective := 0.0
 	avg := testing.AllocsPerRun(20, func() { // the body of refine's loop

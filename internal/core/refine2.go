@@ -625,8 +625,9 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	}
 	// Phase 3: neighbor-count updates for surviving moves. Small batches go
 	// through the patch collector (counts, net deltas, dirty queries, member
-	// patches — O(churn·deg)); everything else takes the parallel atomic
-	// path and schedules a full rebuild sweep.
+	// patches — O(churn·deg)); everything else transfers the counts directly
+	// and schedules a full rebuild sweep: with plain adds when one worker
+	// does it all, with atomics when several share the query counts.
 	if patch && len(accepted)*sweepFallbackDiv < nd {
 		for _, v := range accepted {
 			b.applyMovePatched(v)
@@ -634,17 +635,28 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 		b.finishPatch(accepted)
 		return int64(len(accepted))
 	}
-	par.For(len(accepted), b.workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			v := accepted[i]
+	if b.workers == 1 {
+		for _, v := range accepted {
 			oth := b.side[v] // already flipped
-			cur := 1 - oth
+			nCur, nOth := b.n[1-oth], b.n[oth]
 			for _, q := range b.g.DataNeighbors(v) {
-				atomic.AddInt32(&b.n[cur][q], -1)
-				atomic.AddInt32(&b.n[oth][q], 1)
+				nCur[q]--
+				nOth[q]++
 			}
 		}
-	})
+	} else {
+		par.For(len(accepted), b.workers, func(start, end int) {
+			for i := start; i < end; i++ {
+				v := accepted[i]
+				oth := b.side[v] // already flipped
+				cur := 1 - oth
+				for _, q := range b.g.DataNeighbors(v) {
+					atomic.AddInt32(&b.n[cur][q], -1)
+					atomic.AddInt32(&b.n[oth][q], 1)
+				}
+			}
+		})
+	}
 	b.markAllActive()
 	return int64(len(accepted))
 }

@@ -188,6 +188,10 @@ func (s *Session) Repartition() (*Result, error) {
 	st.history = st.history[:0]
 	st.work = st.work[:0]
 	st.refine()
+	// An epoch that ended on a sweep left the candidate lists unwritten. Write
+	// them while the graph still matches the neighbor data they derive from:
+	// between epochs the engine's state is complete, whatever Apply changes.
+	st.materializeCands()
 
 	if cap(s.assignment) < len(st.bucket) {
 		s.assignment = make(partition.Assignment, len(st.bucket))

@@ -36,13 +36,17 @@ func hookOracle(t *testing.T, st *directState, label string) *warmOracle {
 
 // check runs after every computeProposals: every cached proposal must be
 // what a fresh selection under the current seed and bucket weights returns,
-// and the running sums must equal their recounts bit for bit.
+// and the running sums must equal their recounts bit for bit. A fused sweep
+// selected without writing the lists the fresh selection reads, so they are
+// materialised first (TestLazyListsMatchEager covers that this feeds nothing
+// back).
 func (o *warmOracle) check() {
 	st, t := o.st, o.t
 	t.Helper()
+	st.materializeCands()
 	nd := st.g.NumData()
 	for v := 0; v < nd; v++ {
-		tgt, gain, _ := st.selectProposal(v)
+		tgt, gain, _ := st.selectProposal(v, st.cand[v])
 		if tgt != st.target[v] || gain != st.gains[v] {
 			t.Fatalf("%s pass %d: vertex %d caches (target %d, gain %v), a fresh selection gives (%d, %v) [mark %d, tied %v, flipIn %v]",
 				o.label, o.passes, v, st.target[v], st.gains[v], tgt, gain, st.active[v], st.tied[v], st.flipIn)
