@@ -1,30 +1,19 @@
-// Benchmarks regenerating every table and figure from the paper's
-// evaluation, plus ablations of the design choices the README argues for
-// ("Which engine", "The incremental refinement engine", "Parallel
-// refinement").
-//
-// Table/figure benches exercise the same code paths as
-// `cmd/experiments -run <id>` at a bench-friendly scale; quality benches
-// attach the achieved fanout via b.ReportMetric so `go test -bench` output
-// doubles as a quality regression record.
+// Benchmarks of the partitioner on fixed workloads, plus the comparisons the
+// README argues from ("Which engine", "The incremental refinement engine",
+// "Parallel refinement"). Quality benches attach the achieved fanout via
+// b.ReportMetric so `go test -bench` output doubles as a quality regression
+// record. The paper's tables and figures are `cmd/experiments -run <id>`;
+// experiments_test.go runs every one of them at quick scale.
 package shp_test
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"shp"
-	"shp/internal/experiments"
 )
-
-// benchCfg is the experiment harness configuration used by table/figure
-// benchmarks: quick lists at a small scale.
-func benchCfg() experiments.Config {
-	return experiments.Config{Quick: true, Scale: 0.04, Seed: 1, Workers: 4}
-}
 
 // graph cache so repeated benchmarks do not regenerate inputs.
 var (
@@ -60,33 +49,6 @@ func benchGraph(b *testing.B, name string) *shp.Hypergraph {
 	graphCache[name] = g
 	return g
 }
-
-func runExperimentBench(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s missing", id)
-	}
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- One benchmark per paper table/figure ----
-
-func BenchmarkTable1Datasets(b *testing.B)      { runExperimentBench(b, "table1") }
-func BenchmarkFig2LocalMinimum(b *testing.B)    { runExperimentBench(b, "fig2") }
-func BenchmarkFig4aLatencySim(b *testing.B)     { runExperimentBench(b, "fig4a") }
-func BenchmarkFig4bLatencyReplay(b *testing.B)  { runExperimentBench(b, "fig4b") }
-func BenchmarkTable2Quality(b *testing.B)       { runExperimentBench(b, "table2") }
-func BenchmarkTable3Scalability(b *testing.B)   { runExperimentBench(b, "table3") }
-func BenchmarkFig5aEdgeScaling(b *testing.B)    { runExperimentBench(b, "fig5a") }
-func BenchmarkFig5bMachineScaling(b *testing.B) { runExperimentBench(b, "fig5b") }
-func BenchmarkFig6PSweep(b *testing.B)          { runExperimentBench(b, "fig6") }
-func BenchmarkFig7Convergence(b *testing.B)     { runExperimentBench(b, "fig7") }
-func BenchmarkFig8Objectives(b *testing.B)      { runExperimentBench(b, "fig8") }
 
 // ---- Core partitioner benches (throughput on fixed workloads) ----
 
@@ -269,12 +231,9 @@ func BenchmarkMessagePlane(b *testing.B) {
 	cases := []struct {
 		name      string
 		transport func() shp.Transport
-		noCombine bool
 	}{
-		{"memory", shp.MemoryTransport, false},
-		{"memory-nocombine", shp.MemoryTransport, true},
-		{"tcp", shp.TCPTransport, false},
-		{"tcp-nocombine", shp.TCPTransport, true},
+		{"memory", shp.MemoryTransport},
+		{"tcp", shp.TCPTransport},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -282,7 +241,7 @@ func BenchmarkMessagePlane(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := shp.PartitionDistributed(g, shp.DistributedOptions{
 					K: 16, Seed: 1, Workers: 4, ItersPerLevel: 5,
-					Transport: tc.transport(), DisableCombining: tc.noCombine,
+					Transport: tc.transport(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -381,77 +340,6 @@ func BenchmarkMetricsFanout(b *testing.B) {
 }
 
 // ---- Ablations of the README's called-out design choices ----
-
-// BenchmarkAblationLookahead measures Section 3.4's final-p-fanout
-// approximation during recursive splits.
-func BenchmarkAblationLookahead(b *testing.B) {
-	g := benchGraph(b, "social-small")
-	for _, disable := range []bool{false, true} {
-		name := "lookahead-on"
-		if disable {
-			name = "lookahead-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var fanout float64
-			for i := 0; i < b.N; i++ {
-				res, err := shp.Partition(g, shp.Options{K: 32, Seed: 1, DisableLookahead: disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fanout = shp.Fanout(g, res.Assignment, 32)
-			}
-			b.ReportMetric(fanout, "fanout")
-		})
-	}
-}
-
-// BenchmarkAblationEpsilonScaling measures Section 3.4's ε schedule.
-func BenchmarkAblationEpsilonScaling(b *testing.B) {
-	g := benchGraph(b, "social-small")
-	for _, disable := range []bool{false, true} {
-		name := "eps-scaled"
-		if disable {
-			name = "eps-flat"
-		}
-		b.Run(name, func(b *testing.B) {
-			var fanout float64
-			for i := 0; i < b.N; i++ {
-				res, err := shp.Partition(g, shp.Options{K: 32, Seed: 1, DisableEpsilonScaling: disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fanout = shp.Fanout(g, res.Assignment, 32)
-			}
-			b.ReportMetric(fanout, "fanout")
-		})
-	}
-}
-
-// BenchmarkAblationDirtyOnly measures the neighbor-data caching
-// optimization in the distributed implementation (Section 3.3): messages
-// saved by only re-sending buckets after moves.
-func BenchmarkAblationDirtyOnly(b *testing.B) {
-	g := benchGraph(b, "social-small")
-	for _, disable := range []bool{false, true} {
-		name := "dirty-only"
-		if disable {
-			name = "always-send"
-		}
-		b.Run(name, func(b *testing.B) {
-			var msgs float64
-			for i := 0; i < b.N; i++ {
-				res, err := shp.PartitionDistributed(g, shp.DistributedOptions{
-					K: 8, Seed: 1, Workers: 4, ItersPerLevel: 5, DisableDirtyOnly: disable,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs = float64(res.Stats.TotalMessages)
-			}
-			b.ReportMetric(msgs, "messages")
-		})
-	}
-}
 
 // BenchmarkAblationObjective compares the three objectives' achieved fanout
 // (Figure 8 in miniature).

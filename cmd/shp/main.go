@@ -7,7 +7,7 @@
 //	    [-p 0.5] [-eps 0.05] [-direct] [-objective pfanout|fanout|cliquenet]
 //	    [-iters N] [-seed S] [-workers W] [-warm previous.txt] [-penalty X]
 //	    [-v] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	    [-distributed [-transport memory|tcp] [-no-combine]
+//	    [-distributed [-transport memory|tcp]
 //	     [-checkpoint-dir dir] [-checkpoint-every N] [-fault kill:worker=2,step=9]]
 //	    [-stream trace.txt -prune=false]
 //
@@ -80,7 +80,6 @@ func run() error {
 		memProf   = flag.String("memprofile", "", "write a heap profile taken after partitioning to this file")
 		dist      = flag.Bool("distributed", false, "run on the vertex-centric BSP engine (SHP-2 only)")
 		transport = flag.String("transport", "memory", "distributed message plane: memory or tcp")
-		noCombine = flag.Bool("no-combine", false, "disable sender-side message combining (distributed only)")
 		stream    = flag.String("stream", "", "delta trace file to replay through a live partitioner session")
 		ckptDir   = flag.String("checkpoint-dir", "", "persist distributed checkpoints to this directory (default: in-memory store)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "distributed checkpoint cadence in supersteps (0 = default 64)")
@@ -148,7 +147,7 @@ func run() error {
 	}()
 
 	if *dist {
-		return runDistributed(g, *k, *p, *eps, *iters, *seed, *workers, *transport, *noCombine,
+		return runDistributed(g, *k, *p, *eps, *iters, *seed, *workers, *transport,
 			*ckptDir, *ckptEvery, *fault, *verbose, *outPath)
 	}
 	if *ckptDir != "" || *ckptEvery != 0 || *fault != "" {
@@ -352,13 +351,11 @@ func runStream(g *shp.Hypergraph, opts shp.Options, tracePath, outPath string) e
 // phase byte attribution, and the moved-vertices trajectory that drives the
 // dirty-query delta plane.
 func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed uint64,
-	workers int, transport string, noCombine bool,
-	ckptDir string, ckptEvery int, fault string, verbose bool, outPath string) error {
+	workers int, transport, ckptDir string, ckptEvery int, fault string, verbose bool, outPath string) error {
 
 	opts := shp.DistributedOptions{
 		K: k, P: p, Epsilon: eps, ItersPerLevel: iters,
-		Seed: seed, Workers: workers, DisableCombining: noCombine,
-		CheckpointEvery: ckptEvery,
+		Seed: seed, Workers: workers, CheckpointEvery: ckptEvery,
 	}
 	if ckptDir != "" {
 		cp, err := shp.NewDiskCheckpointer(ckptDir)

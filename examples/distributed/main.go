@@ -5,10 +5,9 @@
 // The run is repeated on both message-plane backends: the in-process
 // exchange and the loopback TCP transport, where batches are framed and
 // serialized through typed codecs so the byte counts are measured on real
-// sockets rather than estimated. An ablation disables sender-side combining
-// to show how much cross-worker traffic the combiner removes, and a final
-// run kills a worker mid-protocol to demonstrate checkpoint/rollback
-// recovery landing on the exact same partition.
+// sockets rather than estimated. A final run kills a worker mid-protocol to
+// demonstrate checkpoint/rollback recovery landing on the exact same
+// partition.
 package main
 
 import (
@@ -62,15 +61,6 @@ func main() {
 	fmt.Printf("  TCP bytes are measured from encoded frames that crossed sockets (local\n")
 	fmt.Printf("  traffic ships for free); the in-process number is the codec-computed\n")
 	fmt.Printf("  size of all traffic, local messages included.\n")
-
-	// Ablation: sender-side combining is what keeps the cross-worker
-	// message count down.
-	uncombined := run("4 machines, combining disabled", shp.DistributedOptions{
-		K: 16, Workers: 4, Seed: 7, DisableCombining: true,
-	})
-	saved := uncombined.Stats.RemoteMessages - tcp.Stats.RemoteMessages
-	fmt.Printf("\nsender-side combining saved %d cross-worker messages (%.0f%% of the uncombined plane)\n",
-		saved, 100*float64(saved)/float64(uncombined.Stats.RemoteMessages+1))
 
 	// Fault tolerance: kill a worker mid-protocol and let the engine roll
 	// back to the last superstep checkpoint and replay. The deterministic

@@ -100,11 +100,7 @@ func tablesFor(opts Options, t int, maxN int) GainTables {
 	case ObjFanout:
 		return NewPFanoutTables(1, 1, maxN)
 	default:
-		lookT := t
-		if opts.DisableLookahead {
-			lookT = 1
-		}
-		return NewPFanoutTables(opts.P, lookT, maxN)
+		return NewPFanoutTables(opts.P, t, maxN)
 	}
 }
 

@@ -75,10 +75,9 @@ func TestTablesForDispatch(t *testing.T) {
 	if math.Abs(tb.T[1]-(1-0.5/4)) > 1e-12 {
 		t.Fatal("lookahead not applied")
 	}
-	opts.DisableLookahead = true
-	tb = tablesFor(opts, 4, 5)
+	tb = tablesFor(opts, 1, 5)
 	if math.Abs(tb.T[1]-0.5) > 1e-12 {
-		t.Fatal("DisableLookahead ignored")
+		t.Fatal("t = 1 must give the plain p-fanout table")
 	}
 	opts = Options{K: 2, Objective: ObjCliqueNet}.withDefaults()
 	tb = tablesFor(opts, 4, 5)

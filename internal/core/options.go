@@ -84,14 +84,6 @@ type Options struct {
 	// Seed makes runs reproducible. Two runs with equal options and seed
 	// produce identical partitions regardless of parallelism.
 	Seed uint64
-	// DisableLookahead turns off Section 3.4's final-p-fanout approximation
-	// during recursive partitioning (each split then optimizes the current
-	// 2-way objective only). Ablation knob.
-	DisableLookahead bool
-	// DisableEpsilonScaling turns off Section 3.4's schedule that grants
-	// only ε·(level/levels) imbalance at early recursion levels.
-	// Ablation knob.
-	DisableEpsilonScaling bool
 	// Initial warm-starts refinement from an existing assignment
 	// (Section 5's incremental updates). Length must equal NumData.
 	Initial partition.Assignment
@@ -102,9 +94,11 @@ type Options struct {
 	MoveCostPenalty float64
 	// MigrationBudget is the serving-plane objective: a hard cap on the
 	// number of records a refinement epoch may move away from the assignment
-	// it started from. In a serving system every move is a data copy, so the
-	// soft MoveCostPenalty is not enough — operators need an exact bound on
-	// migration traffic per epoch. Semantics:
+	// it started from. In a serving system every move is a data copy, and
+	// the soft MoveCostPenalty, which gets the better moved-versus-fanout
+	// trade on average, bounds nothing (README "Ablations, measured once");
+	// the budget is the exact bound on migration traffic per epoch.
+	// Semantics:
 	//
 	//	 0  no budget (the default): refinement moves freely, byte-identical
 	//	    to runs predating the knob;

@@ -51,18 +51,17 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	for i := range all {
 		all[i] = int32(i)
 	}
-	tasks := []rtask{{sub: rootSubgraph(g, opts.Parallelism), data: all, lo: 0, hi: int32(opts.K)}}
+	// The root bisects g without the hyperedges of fewer than two members,
+	// which no split can cut and every deeper node drops as well.
+	tasks := []rtask{{sub: hypergraph.PruneTrivialQueries(g, 2), data: all, lo: 0, hi: int32(opts.K)}}
 	totalLevels := levelsFor(opts.K)
 	idealPerBucket := float64(g.TotalDataWeight()) / float64(opts.K)
 
 	for level := 0; len(tasks) > 0; level++ {
-		eps := opts.Epsilon
-		if !opts.DisableEpsilonScaling && totalLevels > 0 {
-			// Section 3.4: grant ε scaled by the share of recursive splits
-			// done once this level completes, so early levels stay tight
-			// and do not strangle later movement.
-			eps = opts.Epsilon * float64(level+1) / float64(totalLevels)
-		}
+		// Section 3.4: grant ε scaled by the share of recursive splits done
+		// once this level completes, so early levels stay tight and do not
+		// strangle later movement (K >= 2 here, so totalLevels >= 1).
+		eps := opts.Epsilon * float64(level+1) / float64(totalLevels)
 
 		type taskOut struct {
 			children []rtask
@@ -115,19 +114,6 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 
 	res.Assignment = assignment
 	return res, nil
-}
-
-// rootSubgraph returns what the root task bisects: g itself when every
-// hyperedge has at least two members (anything PruneTrivialQueries returned),
-// otherwise g without the hyperedges that have fewer — which no split can
-// cut, and which every deeper node drops as well.
-func rootSubgraph(g *hypergraph.Bipartite, workers int) *hypergraph.Bipartite {
-	for q := 0; q < g.NumQueries(); q++ {
-		if g.QueryDegree(int32(q)) < 2 {
-			return g.SplitBySide(make([]int8, g.NumData()), [2]bool{true, false}, 2, workers)[0]
-		}
-	}
-	return g
 }
 
 // splitTask splits one recursion node with a bisection on its subgraph. A

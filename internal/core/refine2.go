@@ -55,7 +55,7 @@ type bisection struct {
 
 	// Lookahead split counts: side 0 will later split into tSplit[0] final
 	// buckets, side 1 into tSplit[1] (Section 3.4's final-p-fanout
-	// approximation). Both 1 when lookahead is disabled or at leaf level.
+	// approximation). Both 1 at leaf level.
 	tSplit [2]int
 	tables [2]GainTables
 

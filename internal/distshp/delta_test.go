@@ -95,7 +95,7 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 	for _, variant := range []Options{
 		{K: 4, Seed: 7, Workers: 3, RebuildEvery: 1},
 		{K: 4, Seed: 7, Workers: 3, RebuildEvery: -1},
-		{K: 4, Seed: 7, Workers: 3, RebuildEvery: 1, DisableCombining: true},
+		{K: 4, Seed: 7, Workers: 3, RebuildEvery: 1, noCombine: true},
 	} {
 		res, err := Partition(g, variant)
 		if err != nil {

@@ -107,17 +107,6 @@ type Options struct {
 	// loopback sockets). Partitions are transport-invariant for a fixed
 	// seed.
 	Transport pregel.Transport
-	// DisableCombining turns off sender-side message combining (ablation:
-	// the combined run moves strictly fewer cross-worker envelopes).
-	DisableCombining bool
-	// DisableLookahead turns off the final-p-fanout approximation.
-	DisableLookahead bool
-	// DisableDirtyOnly makes data vertices re-send their bucket to queries
-	// every iteration instead of only after moves (ablation of the
-	// neighbor-data caching optimization from Section 3.3). Every neighbor
-	// then counts as freshly updated, so it also implies full per-iteration
-	// gain rebroadcasts.
-	DisableDirtyOnly bool
 	// RebuildEvery is the period, in refinement iterations within a level,
 	// of the delta plane's scheduled full gain rebroadcast: superstep 1
 	// re-sends every member's full gain contribution instead of patching
@@ -143,6 +132,12 @@ type Options struct {
 	// DisableCheckpointing turns the checkpoint plane off entirely
 	// (ablation: any worker failure then aborts the run).
 	DisableCheckpointing bool
+
+	// noCombine runs the engine without the sender-side combiner. Combining
+	// never changes a result, only the traffic, so nothing outside this
+	// package can set it: it is the plain side of the combined-vs-plain
+	// equivalence tests.
+	noCombine bool
 }
 
 func (o Options) withDefaults() Options {
@@ -656,11 +651,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	// Gain tables per level (lookahead t halves as levels deepen).
 	tables := make([]core.GainTables, levels)
 	for l := 0; l < levels; l++ {
-		t := 1
-		if !opts.DisableLookahead {
-			t = opts.K >> (l + 1)
-		}
-		tables[l] = core.NewPFanoutTables(opts.P, t, maxN)
+		tables[l] = core.NewPFanoutTables(opts.P, opts.K>>(l+1), maxN)
 	}
 
 	// Master-side schedule state (package-level type so the checkpoint
@@ -831,7 +822,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		Transport: opts.Transport,
 		Codecs:    newRegistry(),
 	}
-	if !opts.DisableCombining {
+	if !opts.noCombine {
 		engOpts.Combiner = combine
 	}
 	if !opts.DisableCheckpointing {
@@ -902,7 +893,7 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 			for _, q := range g.DataNeighbors(st.d) {
 				ctx.Send(pregel.VertexID(g.NumData()+int(q)), msgBucket{Data: st.d, New: st.bucket})
 			}
-		} else if st.moved || opts.DisableDirtyOnly {
+		} else if st.moved {
 			for _, q := range g.DataNeighbors(st.d) {
 				ctx.Send(pregel.VertexID(g.NumData()+int(q)), msgBucket{Data: st.d, New: st.bucket})
 			}

@@ -113,27 +113,11 @@ func TestWorkerCountInvariantResult(t *testing.T) {
 	}
 }
 
-func TestDirtyOnlyReducesMessages(t *testing.T) {
-	g := randomBipartite(t, 13, 400, 600, 4000)
-	withCaching, err := Partition(g, Options{K: 4, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withoutCaching, err := Partition(g, Options{K: 4, Seed: 6, DisableDirtyOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withCaching.Stats.TotalMessages >= withoutCaching.Stats.TotalMessages {
-		t.Fatalf("dirty-only caching did not reduce messages: %d vs %d",
-			withCaching.Stats.TotalMessages, withoutCaching.Stats.TotalMessages)
-	}
-}
-
 func TestCommunicationBoundedByFanoutTimesEdges(t *testing.T) {
 	// Section 3.3: superstep 2 sends at most one (pair-sized) ND message
 	// per edge per iteration, so total traffic is O(|E|) per iteration.
 	g := randomBipartite(t, 17, 300, 400, 2500)
-	res, err := Partition(g, Options{K: 2, Seed: 7, ItersPerLevel: 5, DisableDirtyOnly: true})
+	res, err := Partition(g, Options{K: 2, Seed: 7, ItersPerLevel: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +167,7 @@ func TestCombinerReducesCrossWorkerTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4, DisableCombining: true})
+	plain, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4, noCombine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +199,7 @@ func TestCombinerInvariantOnSingleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1, DisableCombining: true})
+	plain, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1, noCombine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

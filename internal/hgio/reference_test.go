@@ -17,8 +17,10 @@ import (
 
 // readHMetisRef is ReadHMetis as it was before it wrote CSR directly — a
 // string per line, strings.Fields, one Builder.AddEdge per token and
-// Builder.Build's global sort — kept as the reference the reader is checked
-// against (with the format-flag check both now make).
+// Builder.Build — kept as the reference the reader is checked against (with
+// the format-flag check both now make). Build ends in the FromCSR the reader
+// calls, so its independence rests one package down, on hypergraph's
+// TestBuildMatchesReference and its global-sort buildRef.
 func readHMetisRef(r io.Reader) (*hypergraph.Bipartite, error) {
 	nextLine := func(sc *bufio.Scanner) (string, error) {
 		for sc.Scan() {

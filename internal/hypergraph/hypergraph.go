@@ -21,8 +21,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-
-	"shp/internal/par"
 )
 
 // Bipartite is a bipartite graph between queries (hyperedges) and data
@@ -515,8 +513,8 @@ func (b *Builder) SetQueryWeights(w []int32) *Builder {
 	return b
 }
 
-// Build validates ids, deduplicates incidences, and assembles CSR in both
-// directions. The builder can be reused afterwards.
+// Build validates ids and weights and hands the incidences, grouped by
+// hyperedge, to FromCSR. The builder can be reused afterwards.
 func (b *Builder) Build() (*Bipartite, error) {
 	if b.numQ < 0 || b.numD < 0 {
 		return nil, errors.New("hypergraph: negative vertex count")
@@ -535,64 +533,22 @@ func (b *Builder) Build() (*Bipartite, error) {
 	if b.qWeights != nil && len(b.qWeights) != b.numQ {
 		return nil, fmt.Errorf("hypergraph: %d query weights for %d queries", len(b.qWeights), b.numQ)
 	}
-	g := &Bipartite{numQ: b.numQ, numD: b.numD}
-	if b.weights != nil {
-		g.dWeight = make([]int32, b.numD)
-		copy(g.dWeight, b.weights)
-	}
-	if b.qWeights != nil {
-		g.qWeight = make([]int32, b.numQ)
-		copy(g.qWeight, b.qWeights)
-	}
-
-	edges := make([]Edge, len(b.edges))
-	copy(edges, b.edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Q != edges[j].Q {
-			return edges[i].Q < edges[j].Q
-		}
-		return edges[i].D < edges[j].D
-	})
-	// Deduplicate.
-	uniq := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		uniq = append(uniq, e)
-	}
-	edges = uniq
-
-	g.qOff = make([]int64, b.numQ+1)
-	g.qAdj = make([]int32, len(edges))
-	for _, e := range edges {
-		g.qOff[e.Q+1]++
+	// Bucket the incidences by hyperedge; FromCSR sorts and deduplicates
+	// within each and assembles the graph.
+	qOff := make([]int64, b.numQ+1)
+	for _, e := range b.edges {
+		qOff[e.Q+1]++
 	}
 	for q := 0; q < b.numQ; q++ {
-		g.qOff[q+1] += g.qOff[q]
+		qOff[q+1] += qOff[q]
 	}
-	for i, e := range edges {
-		g.qAdj[i] = e.D // edges sorted by (Q, D): positions align with qOff
-		_ = i
+	qAdj := make([]int32, len(b.edges))
+	cursor := slices.Clone(qOff[:b.numQ])
+	for _, e := range b.edges {
+		qAdj[cursor[e.Q]] = e.D
+		cursor[e.Q]++
 	}
-
-	// Reverse CSR via counting sort on data id.
-	g.dOff = make([]int64, b.numD+1)
-	g.dAdj = make([]int32, len(edges))
-	for _, e := range edges {
-		g.dOff[e.D+1]++
-	}
-	for d := 0; d < b.numD; d++ {
-		g.dOff[d+1] += g.dOff[d]
-	}
-	cursor := make([]int64, b.numD)
-	copy(cursor, g.dOff[:b.numD])
-	for _, e := range edges { // edges sorted by Q, so each dAdj list ends up sorted by Q
-		g.dAdj[cursor[e.D]] = e.Q
-		cursor[e.D]++
-	}
-	g.computeMaxQueryDegree()
-	return g, nil
+	return FromCSR(b.numD, qOff, qAdj, b.weights, b.qWeights)
 }
 
 // FromEdges is a convenience constructor from an incidence list.
@@ -630,36 +586,12 @@ func FromHyperedges(numData int, hyperedges [][]int32) (*Bipartite, error) {
 // fanout 1 under every partition and only add noise to the objective).
 // Data vertices are preserved, including any that become isolated.
 func PruneTrivialQueries(g *Bipartite, minDegree int) *Bipartite {
-	keep := make([]int32, 0, g.numQ)
 	for q := 0; q < g.numQ; q++ {
-		if g.QueryDegree(int32(q)) >= minDegree {
-			keep = append(keep, int32(q))
+		if g.QueryDegree(int32(q)) < minDegree {
+			return g.SplitBySide(make([]int8, g.numD), [2]bool{true, false}, minDegree, 0)[0]
 		}
 	}
-	if len(keep) == g.numQ {
-		return g
-	}
-	out := &Bipartite{numQ: len(keep), numD: g.numD, dWeight: g.dWeight}
-	if g.qWeight != nil {
-		out.qWeight = make([]int32, len(keep))
-		for i, q := range keep {
-			out.qWeight[i] = g.qWeight[q]
-		}
-	}
-	out.qOff = make([]int64, len(keep)+1)
-	var total int64
-	for i, q := range keep {
-		total += int64(g.QueryDegree(q))
-		out.qOff[i+1] = total
-	}
-	out.qAdj = make([]int32, total)
-	par.For(len(keep), 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			copy(out.qAdj[out.qOff[i]:out.qOff[i+1]], g.QueryNeighbors(keep[i]))
-		}
-	})
-	out.rebuildReverse()
-	return out
+	return g
 }
 
 // FromCSR builds a graph from a forward adjacency a parser assembled:
@@ -710,8 +642,11 @@ func FromCSR(numData int, qOff []int64, qAdj, dataWeights, queryWeights []int32)
 	qOff[numQ] = w
 	g := &Bipartite{
 		numQ: numQ, numD: numData,
-		qOff:    slices.Clone(qOff),
-		qAdj:    slices.Clone(qAdj[:w]),
+		qOff: slices.Clone(qOff),
+		// Capacity exactly w: with the spare slots Clone rounds up to, a
+		// living graph regrows this arena some epochs in, when they run out,
+		// instead of at its first added hyperedge.
+		qAdj:    append(make([]int32, 0, w), qAdj[:w]...),
 		dWeight: slices.Clone(dataWeights),
 		qWeight: slices.Clone(queryWeights),
 	}

@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -52,6 +54,110 @@ func TestBuilderDeduplicates(t *testing.T) {
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("duplicates not removed: %d edges", g.NumEdges())
+	}
+}
+
+// buildRef is Builder.Build's assembly as it was before Build handed its
+// incidences to FromCSR — one global sort of the incidence list,
+// deduplication, forward fill, counting-sort reverse fill — kept as the
+// reference Build (and through it hgio's differential reader test) is checked
+// against. Ids and weight lengths must be valid.
+func buildRef(b *Builder) *Bipartite {
+	g := &Bipartite{numQ: b.numQ, numD: b.numD}
+	if b.weights != nil {
+		g.dWeight = make([]int32, b.numD)
+		copy(g.dWeight, b.weights)
+	}
+	if b.qWeights != nil {
+		g.qWeight = make([]int32, b.numQ)
+		copy(g.qWeight, b.qWeights)
+	}
+	edges := make([]Edge, len(b.edges))
+	copy(edges, b.edges)
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].Q != edges[j].Q {
+			return edges[i].Q < edges[j].Q
+		}
+		return edges[i].D < edges[j].D
+	})
+	uniq := edges[:0]
+	for i, e := range edges {
+		if i > 0 && e == edges[i-1] {
+			continue
+		}
+		uniq = append(uniq, e)
+	}
+	edges = uniq
+
+	g.qOff = make([]int64, b.numQ+1)
+	g.qAdj = make([]int32, len(edges))
+	for _, e := range edges {
+		g.qOff[e.Q+1]++
+	}
+	for q := 0; q < b.numQ; q++ {
+		g.qOff[q+1] += g.qOff[q]
+	}
+	for i, e := range edges {
+		g.qAdj[i] = e.D // edges sorted by (Q, D): positions align with qOff
+	}
+	g.dOff = make([]int64, b.numD+1)
+	g.dAdj = make([]int32, len(edges))
+	for _, e := range edges {
+		g.dOff[e.D+1]++
+	}
+	for d := 0; d < b.numD; d++ {
+		g.dOff[d+1] += g.dOff[d]
+	}
+	cursor := make([]int64, b.numD)
+	copy(cursor, g.dOff[:b.numD])
+	for _, e := range edges { // edges sorted by Q, so each dAdj list ends up sorted by Q
+		g.dAdj[cursor[e.D]] = e.Q
+		cursor[e.D]++
+	}
+	g.computeMaxQueryDegree()
+	return g
+}
+
+// TestBuildMatchesReference is the differential test of the one assembly
+// path: on random incidence lists in random order, with duplicates, empty
+// hyperedges, isolated data vertices and each combination of the two weight
+// vectors, Build returns array for array what the body it replaced returns,
+// and leaves the builder as it found it.
+func TestBuildMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		numQ, numD := r.Intn(30), 1+r.Intn(40)
+		b := NewBuilder(numQ, numD)
+		if numQ > 0 {
+			for i := r.Intn(200); i > 0; i-- {
+				// Half the id ranges, so hyperedges stay empty, vertices
+				// isolated, and duplicates are common.
+				b.AddEdge(int32(r.Intn((numQ+1)/2)), int32(r.Intn((numD+1)/2)))
+			}
+		}
+		if seed&1 != 0 {
+			w := make([]int32, numD)
+			for i := range w {
+				w[i] = int32(1 + r.Intn(9))
+			}
+			b.SetDataWeights(w)
+		}
+		if seed&2 != 0 {
+			w := make([]int32, numQ)
+			for i := range w {
+				w[i] = int32(1 + r.Intn(5))
+			}
+			b.SetQueryWeights(w)
+		}
+		before := slices.Clone(b.edges)
+		got, err := b.Build()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !slices.Equal(before, b.edges) {
+			t.Fatalf("seed %d: Build reordered the builder's incidences", seed)
+		}
+		sameArrays(t, fmt.Sprintf("seed %d (%d×%d, %d incidences)", seed, numQ, numD, len(before)), got, buildRef(b))
 	}
 }
 
@@ -149,49 +255,49 @@ func TestPruneTrivialQueries(t *testing.T) {
 	}
 }
 
-func TestInducedByData(t *testing.T) {
+// onlySide0 is the side vector that puts the given data vertices on side 0
+// and every other vertex of an n-vertex graph in neither child.
+func onlySide0(n int, ids ...int32) []int8 {
+	side := make([]int8, n)
+	for d := range side {
+		side[d] = -1
+	}
+	for _, d := range ids {
+		side[d] = 0
+	}
+	return side
+}
+
+func TestSplitBySideFigure1(t *testing.T) {
 	g := figure1(t)
 	// Take the right half {3,4,5} (0-indexed data ids).
-	sub, keptQ := g.InducedByData([]int32{3, 4, 5}, 2)
+	sub := g.SplitBySide(onlySide0(6, 3, 4, 5), [2]bool{true, false}, 2, 1)[0]
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Only query 2 = {3,4,5} retains >= 2 members; query 0 has one member (5),
 	// query 1 has one member (3).
-	if sub.NumQueries() != 1 || !reflect.DeepEqual(keptQ, []int32{2}) {
-		t.Fatalf("kept queries = %v", keptQ)
+	if sub.NumQueries() != 1 || sub.NumData() != 3 {
+		t.Fatalf("kept %d queries over %d data vertices", sub.NumQueries(), sub.NumData())
 	}
 	if !reflect.DeepEqual(sub.QueryNeighbors(0), []int32{0, 1, 2}) {
 		t.Fatalf("relabeled neighbors = %v", sub.QueryNeighbors(0))
 	}
 }
 
-func TestInducedByDataPreservesWeights(t *testing.T) {
-	g, err := NewBuilder(1, 3).AddHyperedge(0, 0, 1, 2).SetDataWeights([]int32{7, 8, 9}).Build()
+func TestSplitBySidePreservesWeights(t *testing.T) {
+	g, err := NewBuilder(2, 3).AddHyperedge(0, 0, 1, 2).AddHyperedge(1, 0, 2).
+		SetDataWeights([]int32{7, 8, 9}).SetQueryWeights([]int32{4, 5}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _ := g.InducedByData([]int32{2, 0}, 2)
-	if sub.DataWeight(0) != 9 || sub.DataWeight(1) != 7 {
-		t.Fatal("induced subgraph weights wrong")
+	sub := g.SplitBySide([]int8{1, 0, 1}, [2]bool{true, true}, 2, 1)
+	if sub[0].DataWeight(0) != 8 || sub[1].DataWeight(0) != 7 || sub[1].DataWeight(1) != 9 {
+		t.Fatal("split children's data weights wrong")
 	}
-}
-
-func TestInducedByDataUnsortedSubset(t *testing.T) {
-	g := figure1(t)
-	sub, _ := g.InducedByData([]int32{5, 0, 1}, 2)
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("unsorted subset produced invalid CSR: %v", err)
-	}
-	// Query 0 = {0,1,5} has all three members; relabeled ids {0,1,2}.
-	found := false
-	for q := 0; q < sub.NumQueries(); q++ {
-		if sub.QueryDegree(int32(q)) == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("expected a fully contained hyperedge in the induced subgraph")
+	// Side 0 holds one vertex, so it keeps no hyperedge; side 1 keeps both.
+	if sub[0].NumQueries() != 0 || sub[1].QueryWeight(0) != 4 || sub[1].QueryWeight(1) != 5 {
+		t.Fatal("split children's query weights wrong")
 	}
 }
 
@@ -259,7 +365,7 @@ func TestPropertyDegreeSumsMatchEdges(t *testing.T) {
 	}
 }
 
-func TestPropertyInducedSubgraphEdgesAreSubset(t *testing.T) {
+func TestPropertySplitEdgesAreSubset(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		g := randomGraph(seed, 15, 25, 80)
 		r := rng.New(seed ^ 0xabcdef)
@@ -269,31 +375,35 @@ func TestPropertyInducedSubgraphEdgesAreSubset(t *testing.T) {
 				subset = append(subset, int32(d))
 			}
 		}
-		if len(subset) == 0 {
-			return true
-		}
-		sub, keptQ := g.InducedByData(subset, 2)
-		if sub.Validate() != nil {
+		side := onlySide0(g.NumData(), subset...)
+		sub := g.SplitBySide(side, [2]bool{true, false}, 2, 1)[0]
+		if sub.Validate() != nil || sub.NumData() != len(subset) {
 			return false
 		}
-		// Every induced incidence must exist in the parent graph.
-		for q := 0; q < sub.NumQueries(); q++ {
-			origQ := keptQ[q]
-			for _, nd := range sub.QueryNeighbors(int32(q)) {
-				origD := subset[nd]
-				found := false
-				for _, d := range g.QueryNeighbors(origQ) {
-					if d == origD {
-						found = true
-						break
-					}
+		// The kept hyperedges are, in order, those with >= 2 members in the
+		// subset, and each keeps exactly those members.
+		nq := int32(0)
+		for q := 0; q < g.NumQueries(); q++ {
+			var inside []int32
+			for _, d := range g.QueryNeighbors(int32(q)) {
+				if side[d] == 0 {
+					inside = append(inside, d)
 				}
-				if !found {
+			}
+			if len(inside) < 2 {
+				continue
+			}
+			if int(nq) >= sub.NumQueries() || sub.QueryDegree(nq) != len(inside) {
+				return false
+			}
+			for i, nd := range sub.QueryNeighbors(nq) {
+				if subset[nd] != inside[i] {
 					return false
 				}
 			}
+			nq++
 		}
-		return true
+		return int(nq) == sub.NumQueries()
 	}, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +422,7 @@ func TestMaxQueryDegree(t *testing.T) {
 
 // TestMaxQueryDegreeCached verifies the cached maximum stays consistent with
 // a rescan through every construction path: Build, PruneTrivialQueries, and
-// InducedByData (which relabel and drop hyperedges).
+// SplitBySide (which relabel and drop hyperedges).
 func TestMaxQueryDegreeCached(t *testing.T) {
 	rescan := func(g *Bipartite) int {
 		maxDeg := 0
@@ -339,13 +449,14 @@ func TestMaxQueryDegreeCached(t *testing.T) {
 	if got, want := pruned.MaxQueryDegree(), rescan(pruned); got != want {
 		t.Fatalf("PruneTrivialQueries: cached %d, rescan %d", got, want)
 	}
-	subset := make([]int32, 0, 40)
-	for d := int32(0); d < 80; d += 2 {
-		subset = append(subset, d)
+	side := make([]int8, 80)
+	for d := range side {
+		side[d] = int8(d % 2)
 	}
-	sub, _ := g.InducedByData(subset, 2)
-	if got, want := sub.MaxQueryDegree(), rescan(sub); got != want {
-		t.Fatalf("InducedByData: cached %d, rescan %d", got, want)
+	for c, sub := range g.SplitBySide(side, [2]bool{true, true}, 2, 1) {
+		if got, want := sub.MaxQueryDegree(), rescan(sub); got != want {
+			t.Fatalf("SplitBySide child %d: cached %d, rescan %d", c, got, want)
+		}
 	}
 }
 

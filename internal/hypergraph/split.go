@@ -2,7 +2,6 @@ package hypergraph
 
 import (
 	"math"
-	"slices"
 
 	"shp/internal/par"
 )
@@ -20,17 +19,8 @@ import (
 // bounds the goroutines of the two forward-adjacency passes (<= 0 means
 // GOMAXPROCS); the result does not depend on it.
 func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree, workers int) [2]*Bipartite {
-	out, _ := g.splitBySide(side, want, minQueryDegree, workers)
-	return out
-}
+	const dropped = math.MaxUint32 // in rel: a data vertex in neither child
 
-// dropped marks a data vertex that is in neither child in splitBySide's
-// relabelling table.
-const dropped = math.MaxUint32
-
-// splitBySide is SplitBySide, also returning for every child built the map
-// from g's query ids to the child's (-1 for a hyperedge it does not keep).
-func (g *Bipartite) splitBySide(side []int8, want [2]bool, minDeg, workers int) (out [2]*Bipartite, qmap [2][]int32) {
 	// rel[d] = (rank of d within its side)<<1 | side, or dropped: the one
 	// load per incidence both forward passes make.
 	rel := make([]uint32, g.numD)
@@ -57,12 +47,15 @@ func (g *Bipartite) splitBySide(side []int8, want [2]bool, minDeg, workers int) 
 			cnt[0][q], cnt[1][q] = n[0], n[1]
 		}
 	})
+	var out [2]*Bipartite
 	for c := range out {
 		if want[c] {
-			out[c] = g.childFromCounts(cnt[c], int(nd[c]), minDeg)
+			out[c] = g.childFromCounts(cnt[c], int(nd[c]), minQueryDegree)
 		}
 	}
-	qmap = cnt // childFromCounts rewrote the counts of every child built into ids
+	// childFromCounts rewrote the counts of every child built into the map
+	// from g's query ids to the child's (-1 for a hyperedge it does not keep).
+	qmap := cnt
 
 	// Forward fill: ranks grow with the parent's ids, so every list a child
 	// receives is already sorted.
@@ -108,7 +101,7 @@ func (g *Bipartite) splitBySide(side []int8, want [2]bool, minDeg, workers int) 
 			ch.dWeight[local] = g.dWeight[d]
 		}
 	}
-	return out, qmap
+	return out
 }
 
 // childFromCounts allocates, at exact size, a child of g with numD data
@@ -155,59 +148,4 @@ func (g *Bipartite) childFromCounts(cnt []int32, numD, minDeg int) *Bipartite {
 		ch.dWeight = make([]int32, numD)
 	}
 	return ch
-}
-
-// InducedByData returns the subgraph induced by the given data vertices:
-// data vertices are relabeled 0..len(dataIDs)-1 in the given order, and only
-// hyperedges with at least minQueryDegree members inside the subset are kept
-// (relabeled densely). It returns the subgraph and the kept original query
-// ids aligned with the new query ids.
-//
-// It is SplitBySide with the subset on one side and everything else left
-// out; a subset that is not in increasing id order is relabelled afterwards.
-func (g *Bipartite) InducedByData(dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
-	side := make([]int8, g.numD)
-	for d := range side {
-		side[d] = -1
-	}
-	for _, d := range dataIDs {
-		side[d] = 0
-	}
-	children, qmap := g.splitBySide(side, [2]bool{true, false}, minQueryDegree, 0)
-	out := children[0]
-	keptQ := make([]int32, 0, out.numQ)
-	for q, nq := range qmap[0] {
-		if nq >= 0 {
-			keptQ = append(keptQ, int32(q))
-		}
-	}
-	if !slices.IsSorted(dataIDs) {
-		out.relabelData(dataIDs)
-	}
-	return out, keptQ
-}
-
-// relabelData renames the data vertices of g, which SplitBySide numbered by
-// rank, to their positions in dataIDs, and restores the sorted-list
-// invariant the renaming breaks.
-func (g *Bipartite) relabelData(dataIDs []int32) {
-	byRank := make([]int32, len(dataIDs)) // rank -> position in dataIDs
-	for i := range byRank {
-		byRank[i] = int32(i)
-	}
-	slices.SortFunc(byRank, func(a, b int32) int { return int(dataIDs[a]) - int(dataIDs[b]) })
-	for i, d := range g.qAdj {
-		g.qAdj[i] = byRank[d]
-	}
-	for q := 0; q < g.numQ; q++ {
-		slices.Sort(g.qAdj[g.qOff[q]:g.qOff[q+1]])
-	}
-	if g.dWeight != nil {
-		w := make([]int32, len(g.dWeight))
-		for rank, pos := range byRank {
-			w[pos] = g.dWeight[rank]
-		}
-		g.dWeight = w
-	}
-	g.rebuildReverse()
 }

@@ -10,10 +10,11 @@ import (
 	"shp/internal/rng"
 )
 
-// inducedByDataRef is InducedByData as it was before SplitBySide replaced
-// its body — a |D|-sized id map, a count over the subset's reverse lists, a
-// filter of every kept hyperedge's full member list, then a scattered
-// reverse CSR — kept as the reference the kernel is checked against.
+// inducedByDataRef is the induced-subgraph routine SplitBySide replaced — a
+// |D|-sized id map, a count over the subset's reverse lists, a filter of
+// every kept hyperedge's full member list, then a scattered reverse CSR —
+// kept as the reference the kernel is checked against. It also returns the
+// kept hyperedges' ids in g.
 func inducedByDataRef(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
 	dmap := make([]int32, g.numD)
 	for i := range dmap {
@@ -79,8 +80,18 @@ func inducedByDataRef(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipar
 }
 
 // sameGraph fails unless got and want are the same compact graph array for
-// array, cached maximum degree included.
+// array, cached maximum degree included, and got's arrays are allocated at
+// exact size.
 func sameGraph(t *testing.T, what string, got, want *Bipartite) {
+	t.Helper()
+	sameArrays(t, what, got, want)
+	if cap(got.qAdj) != len(got.qAdj) || cap(got.dAdj) != len(got.dAdj) || cap(got.qOff) != len(got.qOff) || cap(got.dOff) != len(got.dOff) {
+		t.Fatalf("%s: arrays not allocated at exact size", what)
+	}
+}
+
+// sameArrays is sameGraph without the allocation check.
+func sameArrays(t *testing.T, what string, got, want *Bipartite) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -98,8 +109,6 @@ func sameGraph(t *testing.T, what string, got, want *Bipartite) {
 		t.Fatalf("%s: query weights differ", what)
 	case got.maxQDeg != want.maxQDeg || got.maxQDegCount != want.maxQDegCount:
 		t.Fatalf("%s: cached max degree %d×%d, want %d×%d", what, got.maxQDeg, got.maxQDegCount, want.maxQDeg, want.maxQDegCount)
-	case cap(got.qAdj) != len(got.qAdj) || cap(got.dAdj) != len(got.dAdj) || cap(got.qOff) != len(got.qOff) || cap(got.dOff) != len(got.dOff):
-		t.Fatalf("%s: arrays not allocated at exact size", what)
 	}
 }
 
@@ -145,7 +154,7 @@ func splitFixture(t *testing.T, seed uint64, weighted, mutable bool) *Bipartite 
 
 // TestSplitBySideMatchesInducedReference is the differential test of the
 // split kernel: for every graph shape and every kind of cut, both children
-// must be array for array what the replaced InducedByData body returns for
+// must be array for array what the replaced induced-subgraph routine returns for
 // that side's vertices, at any worker count, and a child that was not asked
 // for must not be built.
 func TestSplitBySideMatchesInducedReference(t *testing.T) {
@@ -192,10 +201,11 @@ func TestSplitBySideMatchesInducedReference(t *testing.T) {
 	}
 }
 
-// TestInducedByDataMatchesReference checks the wrapper — kept query ids,
-// other minimum degrees, and the relabelling of a subset given out of order
-// — against the body it replaced.
-func TestInducedByDataMatchesReference(t *testing.T) {
+// TestSplitBySideMinDegreesMatchReference checks the minimum degrees other
+// than recursive bisection's 2 — 0 and 1 keep empty and single-member
+// hyperedges, PruneTrivialQueries passes whatever it is given — and the empty
+// subset against the same reference.
+func TestSplitBySideMinDegreesMatchReference(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		for _, mutable := range []bool{false, true} {
 			for seed := uint64(1); seed <= 6; seed++ {
@@ -207,19 +217,41 @@ func TestInducedByDataMatchesReference(t *testing.T) {
 						subset = append(subset, int32(d))
 					}
 				}
-				shuffled := slices.Clone(subset)
-				r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-				for _, ids := range [][]int32{subset, shuffled, nil} {
+				for _, ids := range [][]int32{subset, nil} {
 					for minDeg := 0; minDeg <= 3; minDeg++ {
-						what := fmt.Sprintf("weighted=%v mutable=%v seed=%d minDeg=%d sorted=%v", weighted, mutable, seed, minDeg, slices.IsSorted(ids))
-						got, gotKept := g.InducedByData(ids, minDeg)
-						ref, refKept := inducedByDataRef(g, ids, minDeg)
+						what := fmt.Sprintf("weighted=%v mutable=%v seed=%d minDeg=%d |subset|=%d", weighted, mutable, seed, minDeg, len(ids))
+						got := g.SplitBySide(onlySide0(g.NumData(), ids...), [2]bool{true, false}, minDeg, 2)[0]
+						ref, _ := inducedByDataRef(g, ids, minDeg)
 						sameGraph(t, what, got, ref)
-						if !slices.Equal(gotKept, refKept) {
-							t.Fatalf("%s: kept queries %v, want %v", what, gotKept, refKept)
-						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPruneMatchesReference checks PruneTrivialQueries against the same
+// reference with every data vertex kept: same arrays, g itself when nothing
+// is below the minimum.
+func TestPruneMatchesReference(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		for _, mutable := range []bool{false, true} {
+			g := splitFixture(t, 3, weighted, mutable)
+			all := make([]int32, g.NumData())
+			for d := range all {
+				all[d] = int32(d)
+			}
+			for minDeg := 0; minDeg <= 4; minDeg++ {
+				what := fmt.Sprintf("weighted=%v mutable=%v minDeg=%d", weighted, mutable, minDeg)
+				got := PruneTrivialQueries(g, minDeg)
+				if minDeg == 0 {
+					if got != g {
+						t.Fatalf("%s: nothing to prune, yet a new graph was built", what)
+					}
+					continue
+				}
+				ref, _ := inducedByDataRef(g, all, minDeg)
+				sameGraph(t, what, got, ref)
 			}
 		}
 	}

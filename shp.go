@@ -20,9 +20,8 @@
 // hypergraph, the current assignment, and the warm refinement state, so a
 // living graph can evolve through Apply(delta) and be re-partitioned
 // cheaply with Repartition — the paper's production mode, where shardings
-// are updated continuously instead of recomputed (Section 5). One-shot
-// helpers (Partition, PartitionMultiDim, PartitionDistributed) remain as
-// conveniences over a single-use session.
+// are updated continuously instead of recomputed (Section 5). Partition,
+// PartitionMultiDim and PartitionDistributed are the one-shot entry points.
 //
 // The two execution strategies from the paper are both available:
 // recursive bisection (SHP-2, the default and the open-sourced variant) and
@@ -204,13 +203,10 @@ func (p *Partitioner) Assignment() Assignment { return p.s.Assignment() }
 // the last Repartition).
 func (p *Partitioner) Result() *Result { return p.s.Result() }
 
-// Partition runs SHP on g: recursive bisection by default, direct k-way
-// with Options.Direct. It is a thin wrapper over a single-use Partitioner
-// session.
-//
-// Deprecated: new code should hold a Partitioner (NewPartitioner), which
-// subsumes this entry point and additionally supports dynamic graphs via
-// Apply/Repartition. Partition remains as a one-shot convenience.
+// Partition runs SHP on g once: recursive bisection by default, direct
+// k-way with Options.Direct. A graph that keeps evolving is better served by
+// a Partitioner (NewPartitioner), which keeps warm state between
+// repartitions.
 func Partition(g *Hypergraph, opts Options) (*Result, error) {
 	return core.Partition(g, opts)
 }
@@ -223,12 +219,7 @@ type MultiDimResult = core.MultiDimResult
 
 // PartitionMultiDim implements Section 5's heuristic for balance across
 // several load dimensions: over-partition into C*K buckets, then merge to K
-// while balancing every dimension. The fine partition inside it runs
-// through a single-use Partitioner session.
-//
-// Deprecated: for graphs that keep evolving, partition through a
-// Partitioner session (NewPartitioner) and apply the merge step on top;
-// PartitionMultiDim remains as a one-shot convenience.
+// while balancing every dimension.
 func PartitionMultiDim(g *Hypergraph, opts MultiDimOptions) (*MultiDimResult, error) {
 	return core.PartitionMultiDim(g, opts)
 }
@@ -249,12 +240,8 @@ type DistributedIterRecord = distshp.IterRecord
 // PartitionDistributed runs SHP-2 through the vertex-centric BSP engine
 // (the paper's Giraph implementation, Figure 3): four supersteps per
 // refinement iteration, master-side histogram pairing, and incremental
-// neighbor-data maintenance. K must be a power of two.
-//
-// Deprecated: for in-process dynamic workloads use a Partitioner session
-// (NewPartitioner), which keeps warm state between repartitions; the BSP
-// engine remains the one-shot reference for the paper's distributed mode
-// and has no session equivalent yet.
+// neighbor-data maintenance. K must be a power of two. It is the paper's
+// distributed mode, one shot: there is no session over the BSP engine.
 func PartitionDistributed(g *Hypergraph, opts DistributedOptions) (*DistributedResult, error) {
 	return distshp.Partition(g, opts)
 }

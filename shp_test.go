@@ -3,6 +3,8 @@ package shp_test
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"shp"
@@ -184,5 +186,34 @@ func TestPruneFacade(t *testing.T) {
 	p := shp.PruneTrivialQueries(g, 2)
 	if p.NumQueries() != 1 {
 		t.Fatalf("prune kept %d queries", p.NumQueries())
+	}
+}
+
+// TestOptionsSurface is the ratchet on configuration: the exported fields of
+// the two option structs are pinned by name, so an option cannot appear (or
+// vanish) without this list changing in the same diff.
+func TestOptionsSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(shp.Options{}), []string{
+			"K", "Epsilon", "P", "Objective", "Direct", "MaxIters", "MinMoveFraction",
+			"Parallelism", "Seed", "Initial", "MoveCostPenalty", "MigrationBudget", "NDRebuildEvery",
+		}},
+		{reflect.TypeOf(shp.DistributedOptions{}), []string{
+			"K", "Epsilon", "P", "ItersPerLevel", "MinMoveFraction", "Workers", "Seed", "Transport",
+			"RebuildEvery", "Checkpointer", "CheckpointEvery", "DisableCheckpointing",
+		}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			if f := c.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v exports %v, want %v: a new option needs two non-test callers that need different values", c.typ, got, c.want)
+		}
 	}
 }
