@@ -375,12 +375,13 @@ func BenchmarkScalingWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRefine is the shared-memory parallel plane's cores
-// sweep: cold SHP-2 partitions at 1/2/4/8 workers on the same graph and
-// seed, reporting edges/s plus speedup against the serial sub-benchmark
-// (w1 runs first and pins the baseline). Every point in the sweep computes
-// the byte-identical assignment — the Parallelism determinism contract —
-// so the curve measures pure execution speed, never quality drift.
+// BenchmarkParallelRefine prices SHP-2's task concurrency: cold partitions
+// with 1/2/4/8 recursion tasks refining at once (capped at GOMAXPROCS) on
+// the same graph and seed, reporting edges/s plus speedup against the
+// serial sub-benchmark (w1 runs first and pins the baseline). Every point in
+// the sweep computes the byte-identical assignment — the Parallelism
+// determinism contract — so the curve measures pure execution speed, never
+// quality drift.
 func BenchmarkParallelRefine(b *testing.B) {
 	g := benchGraph(b, "powerlaw-small")
 	var serialSecPerOp float64

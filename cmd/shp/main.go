@@ -71,7 +71,7 @@ func run() error {
 		objective = flag.String("objective", "pfanout", "objective: pfanout, fanout, or cliquenet")
 		iters     = flag.Int("iters", 0, "max refinement iterations (0 = paper defaults)")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "parallelism (0 = all cores)")
+		workers   = flag.Int("workers", 0, "SHP-2 recursion tasks refining at once, capped at the core count (0 = all cores); SHP-k runs on one; with -distributed, the BSP worker count")
 		warmPath  = flag.String("warm", "", "warm-start assignment file (incremental update)")
 		penalty   = flag.Float64("penalty", 0, "move-cost penalty for incremental updates")
 		prune     = flag.Bool("prune", true, "remove degree-<2 queries before partitioning")
@@ -193,7 +193,7 @@ func run() error {
 	}
 	after := shp.Measure(g, res.Assignment, *k, *p)
 	fmt.Fprintf(os.Stderr, "partitioned into k=%d in %v (%d iterations)\n", *k, res.Elapsed, res.Iterations)
-	fmt.Fprintf(os.Stderr, "throughput: %.4g edges/s on %d workers (|E| / wall-clock; assignment identical for any -workers)\n",
+	fmt.Fprintf(os.Stderr, "throughput: %.4g edges/s, up to %d recursion tasks at once (|E| / wall-clock; assignment identical for any -workers)\n",
 		float64(g.NumEdges())/res.Elapsed.Seconds(), par.Workers(*workers))
 	fmt.Fprintf(os.Stderr, "fanout:    random %.4f -> shp %.4f (%.1f%%)\n",
 		before.Fanout, after.Fanout, 100*(after.Fanout/before.Fanout-1))

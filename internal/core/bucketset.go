@@ -10,13 +10,9 @@ import "math/bits"
 // clear sweep or a sort.
 type bucketSet []uint64
 
-// newBucketSet returns an empty set over k buckets. The backing array is at
-// least one cache line: workers mark their sets once per neighbor-data entry,
-// and the allocator would otherwise pack several workers' one-word sets into
-// the same line.
+// newBucketSet returns an empty set over k buckets.
 func newBucketSet(k int) bucketSet {
-	words := (k + 63) >> 6
-	return make(bucketSet, words, max(words, 8))
+	return make(bucketSet, (k+63)>>6)
 }
 
 func (s bucketSet) add(b int32) { s[b>>6] |= 1 << (uint32(b) & 63) }

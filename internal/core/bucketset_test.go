@@ -125,9 +125,9 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 				opts := Options{K: arm.k, P: 0.5, Direct: true}.withDefaults()
 				st := newDirectState(g, opts, seed)
 				st.buildNeighborData()
-				s := st.proposalScratches()[0]
+				s := &st.scratch
 				for v := 0; v < g.NumData(); v++ {
-					st.rebuildVertex(s, v)
+					st.rebuildVertex(v)
 					base, cands := naiveProposalState(st, int32(v))
 					if st.propBase[v] != base {
 						t.Fatalf("seed %d vertex %d: base %v, reference %v", seed, v, st.propBase[v], base)
@@ -140,10 +140,8 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 						t.Fatalf("seed %d vertex %d: rebuild scratch not empty afterwards", seed, v)
 					}
 				}
-				for w := range st.nd.buildCnt {
-					if st.nd.buildSet[w].count() != 0 || slices.Max(st.nd.buildCnt[w]) != 0 {
-						t.Fatalf("seed %d: ndBuild scratch of worker %d not empty afterwards", seed, w)
-					}
+				if st.nd.buildSet.count() != 0 || slices.Max(st.nd.buildCnt) != 0 {
+					t.Fatalf("seed %d: ndBuild scratch not empty afterwards", seed)
 				}
 			}
 		})

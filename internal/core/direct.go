@@ -3,10 +3,8 @@ package core
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"shp/internal/hypergraph"
-	"shp/internal/par"
 	"shp/internal/partition"
 	"shp/internal/rng"
 )
@@ -50,7 +48,7 @@ import (
 // (markAllActive: the first pass, a fallback, a scheduled rebuild) also
 // declares the candidate lists dead, and one bit records it: cand[v] is
 // meaningful iff !candsStale. The proposal pass that finds the bit set is
-// fused — each vertex's accumulators drain into a per-worker scratch list,
+// fused — each vertex's accumulators drain into a scratch list,
 // selectProposal runs on that, and cand[v] is not written, because the next
 // sweep would overwrite it unread. So a sweep iteration costs one neighbor-
 // data build plus one fused rebuild/select and maintains nothing. The lists
@@ -105,7 +103,6 @@ type directState struct {
 	seed uint64
 	k    int
 
-	workers  int
 	maxIters int
 
 	bucket  []int32
@@ -156,11 +153,9 @@ type directState struct {
 	// While frontierValid, the stable-skip selection pass and the mark
 	// clearing walk it instead of scanning all of |D|; sweep fallbacks and
 	// external mark injection (a warm Session's engine sync) invalidate it.
-	// frontWork holds the per-worker collection buffers, frontScratch the
-	// radix-sort ping-pong buffer.
+	// frontScratch is the radix-sort ping-pong buffer.
 	frontier      []int32
 	frontierValid bool
-	frontWork     [][]int32
 	frontScratch  []int32
 
 	// forceSelect makes the next computeProposals re-run selection for
@@ -184,21 +179,20 @@ type directState struct {
 
 	// Per-iteration move-protocol scratch, reused across iterations: decided
 	// flags (cleared through decidedList, never by an O(|D|) sweep), the
-	// ascending list of decided vertices with its per-worker collection
-	// buffers, the applied-move buffer, and the per-destination trim groups.
+	// ascending list of decided vertices, the applied-move buffer, and the
+	// per-destination trim groups.
 	decided     []bool
 	decidedList []int32
-	decWork     [][]int32
 	appliedBuf  []move
 	byDst       [][]move
 	dstSorted   []bool
 
-	// Per-iteration scratch that outlives the iteration: the per-worker
-	// Equation 1 rebuild accumulators and the pair-histogram fold (see
-	// pairfold.go), both reused so a warm iteration allocates nothing per
-	// vertex or per bucket pair.
-	propScratch []*proposalScratch
-	pairs       *pairFold
+	// Per-iteration scratch that outlives the iteration: the Equation 1
+	// rebuild accumulators and the pair-histogram fold (see pairfold.go),
+	// both reused so a warm iteration allocates nothing per vertex or per
+	// bucket pair.
+	scratch proposalScratch
+	pairs   *pairFold
 
 	// Migration-budget state (nil/inactive unless Options.MigrationBudget is
 	// set and an epoch reference exists): migRef is the epoch-start
@@ -260,9 +254,15 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	k := opts.K
 	st := &directState{
 		g: g, opts: opts, seed: seed, k: k,
-		workers:  par.Workers(opts.Parallelism),
 		maxIters: opts.MaxIters,
 		tables:   tablesFor(opts, 1, g.MaxQueryDegree()),
+		scratch: proposalScratch{
+			acc:  make([]float64, k),
+			refs: make([]int32, k),
+			set:  newBucketSet(k),
+			list: make([]proposalCand, 0, k),
+		},
+		pairs: newPairFold(k),
 	}
 
 	ideal := float64(g.TotalDataWeight()) / float64(k)
@@ -283,26 +283,16 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	st.propBase = make([]float64, nd)
 	st.wdegArr = make([]float64, nd)
 
-	st.nd = newNDState(g, k, st.workers)
+	st.nd = newNDState(g, k)
 	if g.QueryWeighted() {
 		st.qw = make([]float64, nq)
 		for q := range st.qw {
 			st.qw[q] = float64(g.QueryWeight(int32(q)))
 		}
 	}
-	par.For(nd, st.workers, func(start, end int) {
-		for v := start; v < end; v++ {
-			wdeg := 0.0
-			if st.qw == nil {
-				wdeg = float64(len(g.DataNeighbors(int32(v))))
-			} else {
-				for _, q := range g.DataNeighbors(int32(v)) {
-					wdeg += st.qw[q]
-				}
-			}
-			st.wdegArr[v] = wdeg
-		}
-	})
+	for v := range st.wdegArr {
+		st.wdegArr[v] = st.computeWdeg(int32(v))
+	}
 
 	st.active = make([]uint8, nd)
 	st.tied = make([]bool, nd)
@@ -462,24 +452,17 @@ func (st *directState) repairBalance(onMove func(v, from, to int32)) {
 // buildNeighborData recomputes the sparse per-query bucket counts from
 // scratch (supersteps 1–2 of Figure 3) via the shared kernel.
 func (st *directState) buildNeighborData() {
-	ndBuild(st.nd, st.g, st.workers, st.k, st.bucket)
+	ndBuild(st.nd, st.g, st.bucket)
 	st.objStale = true
 }
 
 // objectiveFromND sums the objective over the current neighbor data.
 func (st *directState) objectiveFromND() float64 {
-	nq := st.g.NumQueries()
-	return par.SumFloat64(nq, st.workers, func(start, end int) float64 {
-		sum := 0.0
-		C := st.tables.C
-		for q := start; q < end; q++ {
-			wq := float64(st.g.QueryWeight(int32(q)))
-			for _, e := range st.nd.seg(int32(q)) {
-				sum += wq * C[e.C]
-			}
-		}
-		return sum
-	})
+	sum := 0.0
+	for q := range int32(st.g.NumQueries()) {
+		sum += st.queryObjective(q)
+	}
+	return sum
 }
 
 // queryObjective returns query q's term of the objective, w_q·Σ_b C[n_b(q)]
@@ -505,7 +488,7 @@ const objectiveExactLimit = 1 << (53 - gainGridBits - 1)
 // the weighted entry count times the largest |C| (the last: both table
 // families are monotone) — is inside the exact range. Outside it float64
 // addition rounds, a running sum would drift from the re-sum in the last
-// bits and differently per schedule and worker count, so refine re-sums
+// bits and differently per schedule, so refine re-sums
 // every iteration there, as it did before the running sum existed.
 func (st *directState) objectiveInExactRange() bool {
 	C := st.tables.C
@@ -552,11 +535,11 @@ func (st *directState) fanout() float64 {
 	return float64(st.nd.wEntries) / float64(st.totalQW)
 }
 
-// proposalScratch is the per-worker state of one Equation 1 rebuild sweep:
-// k-indexed accumulators plus the bitset of the buckets they currently hold.
-// Between vertices everything is zero — draining the set clears exactly the
-// slots a vertex touched. list is the k-slot candidate list a fused sweep
-// drains each vertex into instead of cand[v].
+// proposalScratch is the state of an Equation 1 rebuild: k-indexed
+// accumulators plus the bitset of the buckets they currently hold. Between
+// vertices everything is zero — draining the set clears exactly the slots a
+// vertex touched. list is the k-slot candidate list a fused sweep drains
+// each vertex into instead of cand[v].
 type proposalScratch struct {
 	acc  []float64
 	refs []int32
@@ -564,30 +547,13 @@ type proposalScratch struct {
 	list []proposalCand
 }
 
-// proposalScratches returns the per-worker rebuild scratch, made on first
-// use and kept for the life of the state.
-func (st *directState) proposalScratches() []*proposalScratch {
-	if st.propScratch == nil {
-		st.propScratch = make([]*proposalScratch, st.workers)
-		for w := range st.propScratch {
-			st.propScratch[w] = &proposalScratch{
-				acc:  make([]float64, st.k),
-				refs: make([]int32, st.k),
-				set:  newBucketSet(st.k),
-				list: make([]proposalCand, 0, st.k),
-			}
-		}
-	}
-	return st.propScratch
-}
-
 // rebuildInto recomputes vertex v's Equation 1 state from the current
 // neighbor data: propBase[v], and the sorted candidate list, which it writes
 // over dst and returns. All sums are exact (grid values), so this produces the
 // same bits as any sequence of patches arriving at the same neighbor data.
-func (st *directState) rebuildInto(s *proposalScratch, v int, dst []proposalCand) []proposalCand {
+func (st *directState) rebuildInto(v int, dst []proposalCand) []proposalCand {
 	cur := st.bucket[v]
-	acc, refs, set := s.acc, s.refs, s.set
+	acc, refs, set := st.scratch.acc, st.scratch.refs, st.scratch.set
 	base := 0.0
 	// Hoist the kernel CSR's arrays: the per-entry loops below are the
 	// engine's hottest memory stream, and going through st.nd on every
@@ -636,8 +602,8 @@ func (st *directState) rebuildInto(s *proposalScratch, v int, dst []proposalCand
 }
 
 // rebuildVertex rebuilds v's Equation 1 state into its own list cand[v].
-func (st *directState) rebuildVertex(s *proposalScratch, v int) {
-	st.cand[v] = st.rebuildInto(s, v, st.cand[v])
+func (st *directState) rebuildVertex(v int) {
+	st.cand[v] = st.rebuildInto(v, st.cand[v])
 }
 
 // materializeCands writes the candidate lists the fused sweeps left unwritten
@@ -649,12 +615,9 @@ func (st *directState) materializeCands() {
 	if !st.candsStale {
 		return
 	}
-	scratch := st.proposalScratches()
-	par.ForWorker(st.g.NumData(), st.workers, func(w, start, end int) {
-		for v := start; v < end; v++ {
-			st.rebuildVertex(scratch[w], v)
-		}
-	})
+	for v := range st.g.NumData() {
+		st.rebuildVertex(v)
+	}
 	st.candsStale = false
 }
 
@@ -772,33 +735,25 @@ func (st *directState) flipTouches(v int) bool {
 // leaves alone is what a re-run would produce.
 func (st *directState) computeProposals() {
 	nd := st.g.NumData()
-	scratch := st.proposalScratches()
 	// No cache survives the first pass, per-vertex admissibility (data
 	// weights), or a forced sweep.
 	sweepAll := st.admiss == nil || st.g.Weighted() || st.forceSelect
 	st.forceSelect = false
 	st.refreshAdmissibility()
-	var work, selected atomic.Int64
 	if st.candsStale {
 		// Sweep mode: every vertex is marked for rebuild and no list survives,
 		// so select straight from the accumulators — same candidates in the
 		// same ascending order through the same selectProposal — and leave
 		// cand[v] unwritten.
-		par.ForWorker(nd, st.workers, func(w, start, end int) {
-			s := scratch[w]
-			list := s.list
-			var local int64
-			for v := start; v < end; v++ {
-				list = st.rebuildInto(s, v, list)
-				if cap(st.cand[v]) < len(list) {
-					st.cand[v] = make([]proposalCand, 0, len(list)) // room only, see "Sweeps"
-				}
-				st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, list)
-				local += int64(len(st.g.DataNeighbors(int32(v))))
+		list := st.scratch.list
+		for v := range nd {
+			list = st.rebuildInto(v, list)
+			if cap(st.cand[v]) < len(list) {
+				st.cand[v] = make([]proposalCand, 0, len(list)) // room only, see "Sweeps"
 			}
-			work.Add(local)
-		})
-		st.gainWork += work.Load()
+			st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, list)
+			st.gainWork += int64(len(st.g.DataNeighbors(int32(v))))
+		}
 		st.scanWork += int64(nd)
 		st.lastFrontier = int64(nd)
 		return
@@ -807,47 +762,32 @@ func (st *directState) computeProposals() {
 		// Frontier mode: nothing global changed and the marked vertices are
 		// exactly the frontier — visit only it, with no O(|D|) scan to find
 		// the marks.
-		f := st.frontier
-		par.ForWorker(len(f), st.workers, func(w, start, end int) {
-			s := scratch[w]
-			var local int64
-			for i := start; i < end; i++ {
-				v := int(f[i])
-				if st.active[v] == activeRebuild {
-					st.rebuildVertex(s, v)
-					local += int64(len(st.g.DataNeighbors(int32(v))))
-				}
-				st.reselect(v)
+		for _, v := range st.frontier {
+			if st.active[v] == activeRebuild {
+				st.rebuildVertex(int(v))
+				st.gainWork += int64(len(st.g.DataNeighbors(v)))
 			}
-			work.Add(local)
-		})
-		st.gainWork += work.Load()
-		st.scanWork += int64(len(f))
-		st.lastFrontier = int64(len(f))
+			st.reselect(int(v))
+		}
+		st.scanWork += int64(len(st.frontier))
+		st.lastFrontier = int64(len(st.frontier))
 		return
 	}
-	par.ForWorker(nd, st.workers, func(w, start, end int) {
-		s := scratch[w]
-		var local, sel int64
-		for v := start; v < end; v++ {
-			switch {
-			case st.active[v] == activeRebuild:
-				st.rebuildVertex(s, v)
-				local += int64(len(st.g.DataNeighbors(int32(v))))
-			case sweepAll || st.active[v] != 0:
-				// accumulators are current: selection only
-			case st.admissSame || !st.flipTouches(v):
-				continue // the cache stands
-			}
-			st.reselect(v)
-			sel++
+	st.lastFrontier = 0
+	for v := range nd {
+		switch {
+		case st.active[v] == activeRebuild:
+			st.rebuildVertex(v)
+			st.gainWork += int64(len(st.g.DataNeighbors(int32(v))))
+		case sweepAll || st.active[v] != 0:
+			// accumulators are current: selection only
+		case st.admissSame || !st.flipTouches(v):
+			continue // the cache stands
 		}
-		work.Add(local)
-		selected.Add(sel)
-	})
-	st.gainWork += work.Load()
+		st.reselect(v)
+		st.lastFrontier++
+	}
 	st.scanWork += int64(nd)
-	st.lastFrontier = selected.Load()
 }
 
 // refreshAdmissibility recomputes the per-bucket unit-weight admissibility
@@ -889,67 +829,46 @@ func (st *directState) markAllActive() {
 // that survived the balance trim, in ascending vertex order.
 func (st *directState) applyMoves(iter int) []move {
 	nd := st.g.NumData()
-	if st.pairs == nil {
-		st.pairs = newPairFold(st.k, st.workers)
-	}
 	pairs := st.pairs
 	pairs.fold(st.bucket[:nd], st.target, st.gains)
 	pairs.match()
 
-	// Phase 1 (parallel): per-vertex coin decisions, collected into
-	// per-worker lists. par.ForWorker hands out contiguous ascending ranges
-	// in worker order, so the concatenation is globally ascending — the
-	// serial apply phase walks the list instead of re-scanning all of |D|
-	// for the set flags. Flags were cleared through the previous call's
+	// Phase 1: per-vertex coin decisions, collected in ascending vertex
+	// order — the apply phase walks the list instead of re-scanning all of
+	// |D| for the set flags. Flags were cleared through the previous call's
 	// list, so no O(|D|) clear either.
 	if st.decided == nil {
 		st.decided = make([]bool, nd)
 	}
-	if st.decWork == nil {
-		st.decWork = make([][]int32, st.workers)
-	}
-	for w := range st.decWork {
-		// Reset every buffer, not just the ones this batch engages: fewer
-		// workers may run than last time, and a stale buffer would leak old
-		// vertices into the decided list.
-		st.decWork[w] = st.decWork[w][:0]
-	}
 	decided := st.decided
 	iterKey := rng.Mix(uint64(iter)+1, 0xD0D)
-	par.ForWorker(nd, st.workers, func(w, start, end int) {
-		buf := st.decWork[w]
-		for v := start; v < end; v++ {
-			tgt := st.target[v]
-			if tgt < 0 {
-				continue
-			}
-			pt := pairs.prob(st.bucket[v], tgt)
-			if pt == nil {
-				continue
-			}
-			p := pt.ProbFor(st.gains[v])
-			if p <= 0 {
-				continue
-			}
-			if p >= 1 || rng.CoinAt(st.seed, rng.Mix(iterKey, uint64(v))) < p {
-				decided[v] = true
-				buf = append(buf, int32(v))
-			}
-		}
-		st.decWork[w] = buf
-	})
-	st.scanWork += int64(nd)
 	list := st.decidedList[:0]
-	for _, buf := range st.decWork {
-		list = append(list, buf...)
+	for v := range int32(nd) {
+		tgt := st.target[v]
+		if tgt < 0 {
+			continue
+		}
+		pt := pairs.prob(st.bucket[v], tgt)
+		if pt == nil {
+			continue
+		}
+		p := pt.ProbFor(st.gains[v])
+		if p <= 0 {
+			continue
+		}
+		if p >= 1 || rng.CoinAt(st.seed, rng.Mix(iterKey, uint64(v))) < p {
+			decided[v] = true
+			list = append(list, v)
+		}
 	}
+	st.scanWork += int64(nd)
 	if remaining := st.budgetRemaining(); remaining >= 0 {
 		list = st.enforceMigrationBudget(list, remaining)
 	}
 	st.decidedList = list
-	// Phase 2 (serial, deterministic): apply all decided moves (so opposing
-	// flows cancel), then undo the lowest-gain arrivals of over-cap buckets
-	// until every cap holds again. Undone vertices return to their origin,
+	// Phase 2: apply all decided moves (so opposing flows cancel), then
+	// undo the lowest-gain arrivals of over-cap buckets until every cap
+	// holds again. Undone vertices return to their origin,
 	// which held them at iteration start, so the undo loop terminates with
 	// all caps satisfied. Arrivals are grouped by destination bucket in one
 	// pass over the applied moves: a decided vertex's bucket only changes
@@ -1056,17 +975,12 @@ func (st *directState) applyMoves(iter int) []move {
 // members of each dirty query with the query's exact entry deltas; a large
 // one (see sweepFallbackDiv) rebuilds the neighbor data outright and
 // schedules a sweep. Movers themselves are always rebuilt — their own bucket
-// changed, which reshapes base/acc. Member patches run over disjoint vertex
-// ranges using the sorted member lists; all patch arithmetic is exact, so
-// results are independent of worker count and of the patch-vs-sweep choice.
-// accepted must contain each vertex at most once (one move batch), with
-// st.bucket already holding the destination.
+// changed, which reshapes base/acc. All patch arithmetic is exact, so results
+// are independent of the patch-vs-sweep choice. accepted must contain each
+// vertex at most once (one move batch), with st.bucket already holding the
+// destination.
 func (st *directState) applyNDDeltas(accepted []move) {
 	nd := st.g.NumData()
-	w := st.workers
-	if w < 1 {
-		w = 1
-	}
 	patch := len(accepted)*sweepFallbackDiv < nd
 	if patch {
 		// The patches below land in the lists, so the lists must exist — built
@@ -1074,7 +988,7 @@ func (st *directState) applyNDDeltas(accepted []move) {
 		// batch changes it. st.bucket is already post-move: movers get garbage,
 		// and are rebuilt before anything reads it (see patchVertex).
 		st.materializeCands()
-		ndApplyMoveBatch(st.nd, st.g, w, accepted, st.bucket)
+		ndApplyMoveBatch(st.nd, st.g, accepted, st.bucket)
 		st.addObjective(st.batchObjectiveDelta())
 	} else {
 		st.buildNeighborData()
@@ -1099,51 +1013,23 @@ func (st *directState) applyNDDeltas(accepted []move) {
 		st.markAllActive()
 		return
 	}
-	if st.frontWork == nil {
-		st.frontWork = make([][]int32, w)
-	}
-	for i := range st.frontWork {
-		// Reset every buffer, not just the ones this batch engages: fewer
-		// workers may run than last time, and a stale buffer would leak old
-		// vertices into the frontier.
-		st.frontWork[i] = st.frontWork[i][:0]
-	}
-	// Parallel by vertex range: fold each dirty query's entry deltas into
-	// its members' accumulators. Member lists are sorted, so each worker
-	// binary-searches its slice of every group; exact arithmetic makes the
-	// patch order (and the range partition) irrelevant to the result. The
-	// first touch of each vertex also records it in the worker's frontier
-	// buffer (vertex ranges are disjoint, so the flag read is race-free).
-	par.ForWorker(nd, w, func(pw, vs, ve int) {
-		lo32, hi32 := int32(vs), int32(ve)
-		buf := st.frontWork[pw]
-		for dw := range st.nd.delta {
-			ds := &st.nd.delta[dw]
-			for _, grp := range ds.groups {
-				members := st.g.QueryNeighbors(grp.q)
-				i := lowerBound(members, lo32)
-				wq := 1.0
-				if st.qw != nil {
-					wq = st.qw[grp.q]
-				}
-				recs := ds.recs[grp.off : grp.off+grp.n]
-				for _, v := range members[i:] {
-					if v >= hi32 {
-						break
-					}
-					st.patchVertex(v, wq, recs)
-					if st.active[v] == 0 {
-						buf = append(buf, v)
-					}
-					st.active[v] = activeSelect
-				}
-			}
-		}
-		st.frontWork[pw] = buf
-	})
+	// Fold each dirty query's entry deltas into its members' accumulators;
+	// the first touch of each vertex records it in the frontier.
 	f := st.frontier[:0]
-	for _, buf := range st.frontWork {
-		f = append(f, buf...)
+	ds := &st.nd.delta
+	for _, grp := range ds.groups {
+		wq := 1.0
+		if st.qw != nil {
+			wq = st.qw[grp.q]
+		}
+		recs := ds.recs[grp.off : grp.off+grp.n]
+		for _, v := range st.g.QueryNeighbors(grp.q) {
+			st.patchVertex(v, wq, recs)
+			if st.active[v] == 0 {
+				f = append(f, v)
+			}
+			st.active[v] = activeSelect
+		}
 	}
 	// Movers are rebuilt next iteration: their own bucket changed, so the
 	// cached base/acc (and any patches applied to them above) refer to the
@@ -1155,10 +1041,9 @@ func (st *directState) applyNDDeltas(accepted []move) {
 		}
 		st.active[m.v] = activeRebuild
 	}
-	// Ascending order is the canonical proposal-pass order; the collected
-	// buffers interleave members of distinct dirty queries, so order them
-	// with O(|F|) counting passes (see radixSortInt32) rather than a
-	// comparison sort.
+	// Ascending order is the canonical proposal-pass order; the frontier
+	// interleaves members of distinct dirty queries, so order it with O(|F|)
+	// counting passes (see radixSortInt32) rather than a comparison sort.
 	if cap(st.frontScratch) < len(f) {
 		st.frontScratch = make([]int32, len(f))
 	}
@@ -1169,17 +1054,15 @@ func (st *directState) applyNDDeltas(accepted []move) {
 
 // batchObjectiveDelta returns the objective change of the batch the kernel
 // just applied, from its per-query change records: w_q·(C[cNew] − C[cOld])
-// per record. Exact, so the per-owner record order is immaterial.
+// per record.
 func (st *directState) batchObjectiveDelta() float64 {
 	C := st.tables.C
+	ds := &st.nd.delta
 	sum := 0.0
-	for dw := range st.nd.delta {
-		ds := &st.nd.delta[dw]
-		for _, grp := range ds.groups {
-			wq := float64(st.g.QueryWeight(grp.q))
-			for _, r := range ds.recs[grp.off : grp.off+grp.n] {
-				sum += wq * (C[r.CNew] - C[r.COld])
-			}
+	for _, grp := range ds.groups {
+		wq := float64(st.g.QueryWeight(grp.q))
+		for _, r := range ds.recs[grp.off : grp.off+grp.n] {
+			sum += wq * (C[r.CNew] - C[r.COld])
 		}
 	}
 	return sum

@@ -9,16 +9,8 @@ import "slices"
 // interleave). A comparison sort is O(|F| log |F|) with a ~50 ns/element
 // constant and dominates hub-heavy batches, so frontiers are ordered with
 // counting passes instead, keeping assembly cost proportional to the
-// frontier itself.
-//
-// The sort doubles as the parallel plane's deterministic reduction: every
-// phase that collects vertices concurrently (per-worker frontier buffers,
-// the coin phase's per-shard decided buffers) concatenates its partial
-// lists in ascending shard/worker order and radix-sorts the result, erasing
-// whatever interleaving the decomposition produced. Any two decompositions
-// that collect the same SET of vertices therefore hand downstream phases
-// the identical sequence — which is why worker counts and shard layouts can
-// change freely without moving a single result bit.
+// frontier itself. The coin phase's decided list, collected bin by bin, is
+// ordered the same way.
 
 const (
 	frontierRadixBits = 11

@@ -70,7 +70,7 @@ func TestIncrementalMatchesFullSHP2(t *testing.T) {
 // TestIncrementalMatchesFullSmallNodes pins the engine on the recursion
 // nodes production runs it on at depth: graphs of a few hundred records
 // split down to leaf-sized nodes (K=128 on 600 records leaves four or five
-// per bucket), where frontiers, patch groups and bin shards all degenerate.
+// per bucket), where frontiers, patch groups and gain bins all degenerate.
 func TestIncrementalMatchesFullSmallNodes(t *testing.T) {
 	g := randomBipartite(t, 14, 300, 600, 2400)
 	for _, opts := range []Options{
@@ -277,12 +277,11 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 			copy(ref.bucket, st.bucket)
 			ref.recountWeights()
 			ref.buildNeighborData()
-			scratch := ref.proposalScratches()
 			for v := 0; v < g.NumData(); v++ {
 				if st.active[v] == activeRebuild {
 					continue // movers are rebuilt before the next selection
 				}
-				ref.rebuildVertex(scratch[0], v)
+				ref.rebuildVertex(v)
 				if st.propBase[v] != ref.propBase[v] {
 					t.Fatalf("seed %d iter %d vertex %d: patched base %v != rebuilt %v",
 						seed, iter, v, st.propBase[v], ref.propBase[v])
@@ -305,7 +304,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 // segments).
 func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	g := randomBipartite(t, 31, 10, 40, 200) // dense: every query sees many movers
-	opts := Options{K: 4, P: 0.5, Epsilon: 10, Direct: true, Parallelism: 3}.withDefaults()
+	opts := Options{K: 4, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
 	st := newDirectState(g, opts, 8)
 	st.buildNeighborData()
 	var accepted []move

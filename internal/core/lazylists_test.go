@@ -76,7 +76,6 @@ func TestLazyListsMatchEager(t *testing.T) {
 		nq, nd, e int
 		opts      Options
 	}{
-		// The two Direct configurations of TestParallelMatchesSerial.
 		{"SHPk", 4000, 12000, 50000, Options{K: 8, Direct: true, Seed: 21}},
 		{"SHPkP03", 3000, 9000, 36000, Options{K: 8, Direct: true, Seed: 33, P: 0.3}},
 		// A scheduled rebuild stales the lists again mid-run.
@@ -84,32 +83,27 @@ func TestLazyListsMatchEager(t *testing.T) {
 	}
 	for _, tc := range configs {
 		g := randomBipartite(t, 101, tc.nq, tc.nd, tc.e)
-		for _, workers := range []int{1, 8} {
-			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			run := func(eager bool) (*Result, *listOracle) {
-				opts := tc.opts
-				opts.Parallelism = workers
-				opts = opts.withDefaults()
-				st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
-				o := hookLists(t, st, label, eager)
-				st.run()
-				return &Result{
-					Assignment: slices.Clone(st.bucket),
-					Iterations: len(st.history),
-					History:    st.history,
-					Work:       st.work,
-				}, o
-			}
-			lazy, o := run(false)
-			eager, _ := run(true)
-			comparePar(t, label, eager, lazy)
-			if o.fused < 2 || o.transitions == 0 || o.fused == lazy.Iterations {
-				t.Fatalf("%s: %d of %d passes fused, %d sweep→patch transitions; the run exercised nothing",
-					label, o.fused, lazy.Iterations, o.transitions)
-			}
-			if tc.opts.NDRebuildEvery > 0 && o.transitions < 2 {
-				t.Fatalf("%s: %d sweep→patch transitions; the scheduled rebuilds never re-staled the lists", label, o.transitions)
-			}
+		run := func(eager bool) (*Result, *listOracle) {
+			opts := tc.opts.withDefaults()
+			st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
+			o := hookLists(t, st, tc.name, eager)
+			st.run()
+			return &Result{
+				Assignment: slices.Clone(st.bucket),
+				Iterations: len(st.history),
+				History:    st.history,
+				Work:       st.work,
+			}, o
+		}
+		lazy, o := run(false)
+		eager, _ := run(true)
+		comparePar(t, tc.name, eager, lazy)
+		if o.fused < 2 || o.transitions == 0 || o.fused == lazy.Iterations {
+			t.Fatalf("%s: %d of %d passes fused, %d sweep→patch transitions; the run exercised nothing",
+				tc.name, o.fused, lazy.Iterations, o.transitions)
+		}
+		if tc.opts.NDRebuildEvery > 0 && o.transitions < 2 {
+			t.Fatalf("%s: %d sweep→patch transitions; the scheduled rebuilds never re-staled the lists", tc.name, o.transitions)
 		}
 	}
 }
@@ -120,54 +114,52 @@ func TestLazyListsMatchEager(t *testing.T) {
 // epoch, after hyperedges were added and removed. Every epoch must come out
 // exactly as in a session whose lists were forced after every pass.
 func TestLazyListsSurviveGraphMutation(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		opts := Options{K: 8, Direct: true, Seed: 5, MaxIters: 3, Parallelism: workers}
-		run := func(eager bool) []*Result {
-			g := randomBipartite(t, 63, 1500, 5000, 21000)
-			s, err := NewSession(g, opts)
+	opts := Options{K: 8, Direct: true, Seed: 5, MaxIters: 3}
+	run := func(eager bool) []*Result {
+		g := randomBipartite(t, 63, 1500, 5000, 21000)
+		s, err := NewSession(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Build the engine Repartition would build, so that the hook is in
+		// place for its first pass too.
+		s.buildEngine(rng.Mix(s.seedBase(), s.epoch+1))
+		hookLists(t, s.st, "session", eager)
+		var out []*Result
+		late := 0
+		r := rng.New(7)
+		for epoch := 0; epoch < 4; epoch++ {
+			if epoch > 0 {
+				if err := s.Apply(mutateHyperedges(s, r)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Repartition()
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Build the engine Repartition would build, so that the hook is in
-			// place for its first pass too.
-			s.buildEngine(rng.Mix(s.seedBase(), s.epoch+1))
-			hookLists(t, s.st, fmt.Sprintf("session/workers=%d", workers), eager)
-			var out []*Result
-			late := 0
-			r := rng.New(7)
-			for epoch := 0; epoch < 4; epoch++ {
-				if epoch > 0 {
-					if err := s.Apply(mutateHyperedges(s, r)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				res, err := s.Repartition()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.st.candsStale {
-					t.Fatalf("epoch %d: Repartition returned with the candidate lists unwritten", epoch)
-				}
-				swept := func(h IterStats) bool { return int(h.Moved)*sweepFallbackDiv >= g.NumData() }
-				if epoch == 0 && !swept(res.History[len(res.History)-1]) {
-					t.Fatal("the cold epoch did not end on a sweep; the test exercises nothing")
-				}
-				for i := 1; epoch > 0 && i < len(res.History); i++ {
-					if swept(res.History[i-1]) && !swept(res.History[i]) {
-						late++ // batch i materialised the lists pass i skipped
-					}
-				}
-				out = append(out, res)
+			if s.st.candsStale {
+				t.Fatalf("epoch %d: Repartition returned with the candidate lists unwritten", epoch)
 			}
-			if late == 0 {
-				t.Fatal("no epoch after a mutation materialised its lists late; the test exercises nothing")
+			swept := func(h IterStats) bool { return int(h.Moved)*sweepFallbackDiv >= g.NumData() }
+			if epoch == 0 && !swept(res.History[len(res.History)-1]) {
+				t.Fatal("the cold epoch did not end on a sweep; the test exercises nothing")
 			}
-			return out
+			for i := 1; epoch > 0 && i < len(res.History); i++ {
+				if swept(res.History[i-1]) && !swept(res.History[i]) {
+					late++ // batch i materialised the lists pass i skipped
+				}
+			}
+			out = append(out, res)
 		}
-		lazy, eager := run(false), run(true)
-		for epoch := range lazy {
-			comparePar(t, fmt.Sprintf("workers=%d/epoch=%d", workers, epoch), eager[epoch], lazy[epoch])
+		if late == 0 {
+			t.Fatal("no epoch after a mutation materialised its lists late; the test exercises nothing")
 		}
+		return out
+	}
+	lazy, eager := run(false), run(true)
+	for epoch := range lazy {
+		comparePar(t, fmt.Sprintf("epoch=%d", epoch), eager[epoch], lazy[epoch])
 	}
 }
 
@@ -177,7 +169,7 @@ func TestLazyListsSurviveGraphMutation(t *testing.T) {
 // that may follow allocates nothing per vertex.
 func TestFusedSweepKeepsListRoom(t *testing.T) {
 	g := randomBipartite(t, 5, 3000, 6000, 30000)
-	opts := Options{K: 32, Direct: true, Seed: 3, Parallelism: 1, MaxIters: 3}.withDefaults()
+	opts := Options{K: 32, Direct: true, Seed: 3, MaxIters: 3}.withDefaults()
 	st := newDirectState(g, opts, 3)
 	st.run()
 	if !st.candsStale {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"shp/internal/hypergraph"
-	"shp/internal/par"
 )
 
 // The shared incremental-gain kernel.
@@ -56,9 +54,6 @@ type changeGroup struct {
 	off, n int32
 }
 
-// ndUpdate routes one neighbor-data count transfer to a query's owner.
-type ndUpdate struct{ q, from, to int32 }
-
 // move records one applied relocation (the destination is the vertex's
 // current bucket). It is the unit of work every batch API below consumes.
 type move struct {
@@ -66,14 +61,13 @@ type move struct {
 	from int32
 }
 
-// deltaScratch is one owner-worker's reusable dirty-query diff state.
+// deltaScratch is the reusable dirty-query diff state of one move batch.
 type deltaScratch struct {
 	snapArena []NDEntry // pre-batch segment snapshots, concatenated
 	snapOff   []int32   // snapshot offsets per dirty query (+ sentinel)
 	dirtyQ    []int32   // dirty queries in first-touch order
 	recs      []NDChange
 	groups    []changeGroup
-	entryDiff int64 // query-weighted live-entry change of the batch
 }
 
 func (ds *deltaScratch) reset() {
@@ -82,7 +76,6 @@ func (ds *deltaScratch) reset() {
 	ds.dirtyQ = ds.dirtyQ[:0]
 	ds.recs = ds.recs[:0]
 	ds.groups = ds.groups[:0]
-	ds.entryDiff = 0
 }
 
 // ndState is the sparse neighbor data over queries, stored as a
@@ -102,28 +95,26 @@ type ndState struct {
 	wEntries int64
 
 	// Dirty-query diff machinery: dirtyFlag dedups dirty queries during
-	// delta application; delta holds the per-owner scratch; updates is the
-	// reused [source][owner] routing buffer of applyMoveBatch.
+	// delta application; delta holds the last batch's changes.
 	dirtyFlag []uint8
-	delta     []deltaScratch
-	updates   [][][]ndUpdate
+	delta     deltaScratch
 
-	// ndBuild's per-worker scratch: k-indexed bucket counts and the bitset
-	// of the buckets they hold, both empty between queries.
-	buildCnt [][]int32
-	buildSet []bucketSet
+	// ndBuild's scratch: k-indexed bucket counts and the bitset of the
+	// buckets they hold, both empty between queries.
+	buildCnt []int32
+	buildSet bucketSet
 }
 
 // newNDState sizes the CSR for g: a query with degree d can touch at most
-// min(d, k) distinct buckets, so its segment never overflows. The
-// dirty-query scratch is sized for `workers` owner goroutines.
-func newNDState(g *hypergraph.Bipartite, k, workers int) *ndState {
+// min(d, k) distinct buckets, so its segment never overflows.
+func newNDState(g *hypergraph.Bipartite, k int) *ndState {
 	nq := g.NumQueries()
 	nd := &ndState{
 		off:       make([]int64, nq+1),
 		len:       make([]int32, nq),
 		dirtyFlag: make([]uint8, nq),
-		delta:     make([]deltaScratch, workers),
+		buildCnt:  make([]int32, k),
+		buildSet:  newBucketSet(k),
 	}
 	for q := 0; q < nq; q++ {
 		c := g.QueryDegree(int32(q))
@@ -157,42 +148,26 @@ func (nd *ndState) appendQuery(capacity int32) {
 // build recomputes the neighbor data from scratch (supersteps 1–2 of
 // Figure 3). Entries land in canonical sorted-by-bucket order, matching
 // what incremental maintenance preserves. Offsets are fixed capacities, so
-// one parallel pass suffices. k bounds the distinct bucket ids in `bucket`.
-func ndBuild(nd *ndState, g *hypergraph.Bipartite, workers, k int, bucket []int32) {
-	nq := g.NumQueries()
-	if len(nd.buildCnt) != workers || len(nd.buildCnt[0]) != k {
-		nd.buildCnt = make([][]int32, workers)
-		nd.buildSet = make([]bucketSet, workers)
-		for w := range nd.buildCnt {
-			nd.buildCnt[w] = make([]int32, k)
-			nd.buildSet[w] = newBucketSet(k)
+// one pass suffices. Buckets in `bucket` are below the k of newNDState.
+func ndBuild(nd *ndState, g *hypergraph.Bipartite, bucket []int32) {
+	cnt, set := nd.buildCnt, nd.buildSet
+	nd.wEntries = 0
+	for q := int32(0); int(q) < g.NumQueries(); q++ {
+		for _, d := range g.QueryNeighbors(q) {
+			b := bucket[d]
+			set.add(b)
+			cnt[b]++
 		}
+		off := nd.off[q]
+		pos := off
+		for b := range set.drain {
+			nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
+			cnt[b] = 0
+			pos++
+		}
+		nd.len[q] = int32(pos - off)
+		nd.wEntries += int64(g.QueryWeight(q)) * int64(nd.len[q])
 	}
-	par.ForWorker(nq, workers, func(w, start, end int) {
-		cnt, set := nd.buildCnt[w], nd.buildSet[w]
-		for q := start; q < end; q++ {
-			for _, d := range g.QueryNeighbors(int32(q)) {
-				b := bucket[d]
-				set.add(b)
-				cnt[b]++
-			}
-			off := nd.off[q]
-			pos := off
-			for b := range set.drain {
-				nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
-				cnt[b] = 0
-				pos++
-			}
-			nd.len[q] = int32(pos - off)
-		}
-	})
-	nd.wEntries = par.SumInt64(nq, workers, func(start, end int) int64 {
-		var sum int64
-		for q := start; q < end; q++ {
-			sum += int64(g.QueryWeight(int32(q))) * int64(nd.len[q])
-		}
-		return sum
-	})
 }
 
 // applyEntryDelta moves one unit of query q's neighbor count from bucket
@@ -236,125 +211,43 @@ func (nd *ndState) applyEntryDelta(q, from, to int32) int64 {
 	return delta
 }
 
-// applyMoveBatch patches the neighbor data in place for the queries adjacent
-// to the accepted moves (decrement the origin's count, increment the
-// target's, inserting/removing sparse entries as they cross zero). Each
-// dirty query's pre-batch segment is snapshotted on first touch and the net
-// per-entry changes are diffed into the per-owner scratch
-// (nd.delta[*].groups/recs) so the refiner can fold them into its members'
-// accumulators. accepted must contain each vertex at most once (one move
-// batch), with bucket[v] already holding the destination. It is the small-
-// batch path: a batch big enough that a refiner re-sweeps anyway is cheaper
-// served by ndBuild.
-//
-// Parallel structure: source workers scan contiguous slices of the batch
-// (ascending, so each owner receives its updates in the batch's canonical
-// mover order) and route every transfer to the query's owner — the
-// par.ForShards(nq, w) chunk holding q — then each owner applies its
-// shard's transfers and diffs its dirty queries with no locking. The owner
-// decomposition moves with the worker count, but that never shows through:
-// count transfers are integers, segment edits are per-query, and every
-// consumer of the per-owner groups either folds exact grid deltas
-// (order-free) or canonicalizes with a radix sort. Worker count decides
-// only who does the work, not what is computed — the contract the whole
-// parallel plane is built on.
-func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, workers int, accepted []move, bucket []int32) {
-	nq := g.NumQueries()
-	w := workers
-	if w < 1 {
-		w = 1
-	}
-	// ceil(nq/w) is exactly the par.ForShards chunk width, giving the O(1)
-	// owner lookup below (owner of q = q/chunk).
-	chunk := (nq + w - 1) / w
-	if chunk == 0 {
-		chunk = 1
-	}
-	if nd.updates == nil {
-		nd.updates = make([][][]ndUpdate, w)
-	}
-	outs := nd.updates
-	for sw := range outs {
-		for d := range outs[sw] {
-			outs[sw][d] = outs[sw][d][:0]
-		}
-	}
-	par.ForWorker(len(accepted), w, func(sw, start, end int) {
-		o := outs[sw]
-		if o == nil {
-			o = make([][]ndUpdate, w)
-			outs[sw] = o
-		}
-		// One transfer per incidence of a mover, spread over the owners:
-		// reserve that share up front rather than let append double each
-		// list up to it in the first, largest batch.
-		need := 0
-		for _, m := range accepted[start:end] {
-			need += len(g.DataNeighbors(m.v))
-		}
-		for dw := range o {
-			o[dw] = slices.Grow(o[dw], need/w)
-		}
-		for i := start; i < end; i++ {
-			m := accepted[i]
-			to := bucket[m.v]
-			for _, q := range g.DataNeighbors(m.v) {
-				dw := int(q) / chunk
-				o[dw] = append(o[dw], ndUpdate{q: q, from: m.from, to: to})
+// ndApplyMoveBatch patches the neighbor data in place for the queries
+// adjacent to the accepted moves (decrement the origin's count, increment the
+// target's, inserting/removing sparse entries as they cross zero). Each dirty
+// query's pre-batch segment is snapshotted on first touch and the net
+// per-entry changes are diffed into nd.delta's groups/recs, in first-touch
+// order, so the refiner can fold them into its members' accumulators.
+// accepted must contain each vertex at most once (one move batch), with
+// bucket[v] already holding the destination. It is the small-batch path: a
+// batch big enough that a refiner re-sweeps anyway is cheaper served by
+// ndBuild.
+func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, bucket []int32) {
+	ds := &nd.delta
+	ds.reset()
+	for _, m := range accepted {
+		to := bucket[m.v]
+		for _, q := range g.DataNeighbors(m.v) {
+			if nd.dirtyFlag[q] == 0 {
+				nd.dirtyFlag[q] = 1
+				ds.dirtyQ = append(ds.dirtyQ, q)
+				ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
+				ds.snapArena = append(ds.snapArena, nd.seg(q)...)
+			}
+			if d := nd.applyEntryDelta(q, m.from, to); d != 0 {
+				nd.wEntries += d * int64(g.QueryWeight(q))
 			}
 		}
-	})
-
-	// Parallel by query owner: apply the ±1 count transfers, snapshotting
-	// each dirty query's pre-batch segment on first touch so the net
-	// per-entry changes can be diffed out afterwards.
-	par.Each(w, func(dw int) {
-		ds := &nd.delta[dw]
-		ds.reset()
-		for sw := 0; sw < w; sw++ {
-			if outs[sw] == nil {
-				continue
-			}
-			for _, u := range outs[sw][dw] {
-				if nd.dirtyFlag[u.q] == 0 {
-					nd.dirtyFlag[u.q] = 1
-					ds.dirtyQ = append(ds.dirtyQ, u.q)
-					ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
-					ds.snapArena = append(ds.snapArena, nd.seg(u.q)...)
-				}
-				if d := nd.applyEntryDelta(u.q, u.from, u.to); d != 0 {
-					ds.entryDiff += d * int64(g.QueryWeight(u.q))
-				}
-			}
-		}
-		ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
-		for i, q := range ds.dirtyQ {
-			old := ds.snapArena[ds.snapOff[i]:ds.snapOff[i+1]]
-			start := int32(len(ds.recs))
-			ds.recs = NDDiff(ds.recs, old, nd.seg(q))
-			if n := int32(len(ds.recs)) - start; n > 0 {
-				ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
-			}
-			nd.dirtyFlag[q] = 0
-		}
-	})
-	for i := range nd.delta {
-		nd.wEntries += nd.delta[i].entryDiff
 	}
-}
-
-// lowerBound returns the index of the first element of sorted that is >= x.
-func lowerBound(sorted []int32, x int32) int {
-	i, j := 0, len(sorted)
-	for i < j {
-		h := (i + j) / 2
-		if sorted[h] < x {
-			i = h + 1
-		} else {
-			j = h
+	ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
+	for i, q := range ds.dirtyQ {
+		old := ds.snapArena[ds.snapOff[i]:ds.snapOff[i+1]]
+		start := int32(len(ds.recs))
+		ds.recs = NDDiff(ds.recs, old, nd.seg(q))
+		if n := int32(len(ds.recs)) - start; n > 0 {
+			ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
 		}
+		nd.dirtyFlag[q] = 0
 	}
-	return i
 }
 
 // NDDiff appends the (bucket, oldCount, newCount) records for the entries

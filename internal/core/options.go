@@ -70,16 +70,15 @@ type Options struct {
 	// MinMoveFraction stops refinement when the fraction of moved vertices
 	// drops below it. Default 0.001.
 	MinMoveFraction float64
-	// Parallelism is the number of worker goroutines; <= 0 means GOMAXPROCS.
+	// Parallelism is how many recursion tasks of SHP-2 refine at once; <= 0
+	// means GOMAXPROCS, and larger values are capped there. Each task, and
+	// every SHP-k run or Session epoch, refines on one goroutine: SHP-k and
+	// sessions ignore it.
 	//
-	// Determinism guarantee: the worker count decides only how fast
-	// refinement runs, never what it computes. Assignments, iteration
-	// histories, and work counters are byte-identical for every Parallelism
-	// value (including 0 on any machine), because every parallel phase
-	// either writes disjoint state, folds exact dyadic-grid values (order
-	// free), or reduces through a decomposition fixed by the problem size
-	// alone — gain-bin shards, pair-histogram shards, par.SumFloat64 —
-	// with per-shard results merged in ascending shard order.
+	// Determinism guarantee: it decides only how fast a run goes, never what
+	// it computes. Tasks are independent and write disjoint assignment
+	// entries, so assignments, iteration histories, and work counters are
+	// byte-identical for every value (including 0 on any machine).
 	Parallelism int
 	// Seed makes runs reproducible. Two runs with equal options and seed
 	// produce identical partitions regardless of parallelism.

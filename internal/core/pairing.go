@@ -105,7 +105,8 @@ func (h *DirHist) WireSize() int {
 	return 13 * n
 }
 
-// merge folds another histogram into this one (for per-worker partials).
+// Merge folds another histogram into this one (the distributed plane's
+// aggregators combine per-worker partials with it).
 func (h *DirHist) Merge(o *DirHist) {
 	for i := 0; i < histBins; i++ {
 		h.posCount[i] += o.posCount[i]

@@ -37,6 +37,8 @@ type rtask struct {
 // splits every active task's data vertices into two (nearly) even bucket
 // ranges with a bisection on the task's own subgraph and cuts that subgraph
 // into the two children's, with Section 3.4's lookahead and ε scheduling.
+// A level's tasks are independent: each runs on a goroutine of its own, at
+// most par.Workers(Parallelism) at once.
 func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	nd := g.NumData()
 	assignment := make(partition.Assignment, nd)
@@ -70,46 +72,34 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 			iters    int
 		}
 		outs := make([]taskOut, len(tasks))
-
-		runTask := func(ti int, innerWorkers int) {
-			t := tasks[ti]
-			tasks[ti].sub = nil // t holds the last reference: the subgraph goes once its children exist
-			topts := opts
-			topts.Parallelism = innerWorkers
-			seed := rng.Mix(opts.Seed, rng.Mix(uint64(level)+1, uint64(t.lo)))
-			children, hist, work, iters := splitTask(topts, t, seed, level, eps, idealPerBucket, assignment)
-			outs[ti] = taskOut{children: children, history: hist, work: work, iters: iters}
+		// A goroutine per task even at Parallelism 1: running the tasks back
+		// to back on one goroutine measured 5–9 % more peak RSS on
+		// cold-bisect-social, at the same heap goals.
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, par.Workers(opts.Parallelism))
+		for ti := range tasks {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				t := tasks[ti]
+				tasks[ti].sub = nil // t holds the last reference: the subgraph goes once its children exist
+				seed := rng.Mix(opts.Seed, rng.Mix(uint64(level)+1, uint64(t.lo)))
+				children, hist, work, iters := splitTask(opts, t, seed, level, eps, idealPerBucket, assignment)
+				outs[ti] = taskOut{children: children, history: hist, work: work, iters: iters}
+				<-sem
+				wg.Done()
+			}()
 		}
+		wg.Wait()
 
-		workers := par.Workers(opts.Parallelism)
-		if len(tasks) >= workers {
-			// Many small tasks: parallelize across tasks.
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, workers)
-			for ti := range tasks {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(ti int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					runTask(ti, 1)
-				}(ti)
-			}
-			wg.Wait()
-		} else {
-			for ti := range tasks {
-				runTask(ti, opts.Parallelism)
-			}
-		}
-
-		var next []rtask
+		var children []rtask
 		for ti := range outs {
 			res.History = append(res.History, outs[ti].history...)
 			res.Work = append(res.Work, outs[ti].work...)
 			res.Iterations += outs[ti].iters
-			next = append(next, outs[ti].children...)
+			children = append(children, outs[ti].children...)
 		}
-		tasks = next
+		tasks = children
 	}
 
 	res.Assignment = assignment
@@ -157,7 +147,7 @@ func splitTask(opts Options, t rtask, seed uint64,
 	}
 	var children []rtask
 	if want[0] || want[1] {
-		subs := t.sub.SplitBySide(side, want, 2, opts.Parallelism)
+		subs := t.sub.SplitBySide(side, want, 2)
 		for c, kid := range kids {
 			if want[c] {
 				kid.sub = subs[c]

@@ -2,10 +2,8 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"shp/internal/hypergraph"
-	"shp/internal/par"
 	"shp/internal/rng"
 )
 
@@ -50,7 +48,6 @@ type bisection struct {
 	seed uint64
 
 	level, task int
-	workers     int
 	maxIters    int
 
 	// Lookahead split counts: side 0 will later split into tSplit[0] final
@@ -85,12 +82,10 @@ type bisection struct {
 	// exactly the vertices whose (side, gain) can have changed since the
 	// last iteration. While frontierValid, the gain pass and the bin sync
 	// walk it instead of scanning all of |D|; sweep fallbacks and scheduled
-	// rebuilds invalidate it (the marks then cover everyone). frontWork
-	// holds the per-worker collection buffers, frontScratch the radix-sort
-	// ping-pong buffer.
+	// rebuilds invalidate it (the marks then cover everyone). frontScratch
+	// is the radix-sort ping-pong buffer.
 	frontier      []int32
 	frontierValid bool
-	frontWork     [][]int32
 	frontScratch  []int32
 
 	// bins is the maintained gain-bin structure (see gainbins.go).
@@ -99,14 +94,10 @@ type bisection struct {
 	// Reusable per-iteration scratch for the probabilistic move protocol:
 	// decided flags plus the (ascending) list of decided vertices, and the
 	// trim pass's arrival buffer. All cleared through the lists they were
-	// filled from, so idle iterations never pay an O(|D|) clear. coinWork
-	// and coinScan are the coin phase's per-bin-shard collection buffers
-	// and scan counters (sized by the shard layout, not the worker count).
+	// filled from, so idle iterations never pay an O(|D|) clear.
 	decided     []bool
 	decidedList []int32
 	arrivalsBuf []int32
-	coinWork    [][]int32
-	coinScan    []int64
 
 	targetW [2]float64
 	capW    [2]float64
@@ -145,7 +136,6 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	b := &bisection{
 		g: g, opts: opts, seed: seed,
 		level: level, task: task,
-		workers:  par.Workers(opts.Parallelism),
 		maxIters: opts.MaxIters,
 		tSplit:   [2]int{tLeft, tRight},
 		eps:      eps,
@@ -259,21 +249,18 @@ func (b *bisection) repairBalance() {
 // recountNeighborData rebuilds the per-query side counts from scratch (the
 // two-bucket form of the kernel's ndBuild).
 func (b *bisection) recountNeighborData() {
-	nq := b.g.NumQueries()
-	par.For(nq, b.workers, func(start, end int) {
-		for q := start; q < end; q++ {
-			var c0, c1 int32
-			for _, d := range b.g.QueryNeighbors(int32(q)) {
-				if b.side[d] == 0 {
-					c0++
-				} else {
-					c1++
-				}
+	for q := range int32(b.g.NumQueries()) {
+		var c0, c1 int32
+		for _, d := range b.g.QueryNeighbors(q) {
+			if b.side[d] == 0 {
+				c0++
+			} else {
+				c1++
 			}
-			b.n[0][q] = c0
-			b.n[1][q] = c1
 		}
-	})
+		b.n[0][q] = c0
+		b.n[1][q] = c1
+	}
 }
 
 // rebuildGain resums vertex v's Equation 1 accumulators from the current
@@ -326,102 +313,68 @@ func (b *bisection) deriveGain(v int32) {
 // vertices keep their cached gain — which is bit-identical to what a
 // recomputation would produce, because none of its inputs changed.
 func (b *bisection) computeGains() {
-	nd := b.g.NumData()
-	var work int64
 	if b.frontierValid {
 		// Frontier mode: the flagged vertices are exactly the frontier, so
 		// visit only it — no O(|D|) scan to find the marks.
-		f := b.frontier
-		par.ForWorker(len(f), b.workers, func(_, start, end int) {
-			var local int64
-			for i := start; i < end; i++ {
-				v := f[i]
-				if b.active[v] == activeRebuild {
-					local += b.rebuildGain(v)
-				} else if b.active[v] == activeSelect {
-					b.deriveGain(v)
-				}
-			}
-			atomic.AddInt64(&work, local)
-		})
-		b.gainWork += work
-		b.scanWork += int64(len(f))
-		b.lastFrontier = int64(len(f))
+		for _, v := range b.frontier {
+			b.updateGain(v)
+		}
+		b.scanWork += int64(len(b.frontier))
+		b.lastFrontier = int64(len(b.frontier))
 		return
 	}
-	par.ForWorker(nd, b.workers, func(_, start, end int) {
-		var local int64
-		for v := start; v < end; v++ {
-			if b.active[v] == activeRebuild {
-				local += b.rebuildGain(int32(v))
-			} else if b.active[v] == activeSelect {
-				b.deriveGain(int32(v))
-			}
-		}
-		atomic.AddInt64(&work, local)
-	})
-	b.gainWork += work
+	nd := b.g.NumData()
+	for v := range int32(nd) {
+		b.updateGain(v)
+	}
 	b.scanWork += int64(nd)
 	b.lastFrontier = int64(nd)
+}
+
+// updateGain does vertex v's pending gain work: a resummation for a mover, a
+// re-derivation for a patched vertex, nothing for the rest.
+func (b *bisection) updateGain(v int32) {
+	switch b.active[v] {
+	case activeRebuild:
+		b.gainWork += b.rebuildGain(v)
+	case activeSelect:
+		b.deriveGain(v)
+	}
 }
 
 // syncBins reconciles the maintained gain bins with the current (side,
 // gain) state, after computeGains and before any consumer. Every regime
 // applies the same canonical changed-only update rule in ascending vertex
-// order within each bin shard (see gainbins.go); only how the candidate
-// set is discovered differs — comparison scan over everyone, or the
-// frontier. Shards are disjoint vertex ranges, so the parallel sweep is
-// lock-free, and the per-shard update sequences are identical for every
-// worker count (workers only decide who processes which shards).
+// order (see gainbins.go); only how the candidate set is discovered differs
+// — comparison scan over everyone, or the (sorted) frontier.
 func (b *bisection) syncBins() {
-	nd := b.g.NumData()
-	if !b.frontierValid {
-		par.For(b.bins.shards, b.workers, func(s, e int) {
-			for sh := s; sh < e; sh++ {
-				lo, hi := b.bins.shardRange(sh)
-				for v := lo; v < hi; v++ {
-					b.bins.update(int32(v), b.side[v], b.gains[v])
-				}
-			}
-		})
-		b.scanWork += int64(nd)
+	if b.frontierValid {
+		for _, v := range b.frontier {
+			b.bins.update(v, b.side[v], b.gains[v])
+		}
+		b.scanWork += int64(len(b.frontier))
 		return
 	}
-	// The frontier is sorted ascending, so each shard's candidates are one
-	// contiguous slice of it, found by binary search.
-	f := b.frontier
-	par.For(b.bins.shards, b.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			lo, hi := b.bins.shardRange(sh)
-			i := lowerBound(f, int32(lo))
-			for _, v := range f[i:] {
-				if v >= int32(hi) {
-					break
-				}
-				b.bins.update(v, b.side[v], b.gains[v])
-			}
-		}
-	})
-	b.scanWork += int64(len(f))
+	nd := b.g.NumData()
+	for v := range int32(nd) {
+		b.bins.update(v, b.side[v], b.gains[v])
+	}
+	b.scanWork += int64(nd)
 }
 
 // objective returns the subproblem's current objective value (sum over
 // queries of both sides' contributions, using the lookahead tables).
 func (b *bisection) objective() float64 {
-	nq := b.g.NumQueries()
-	return par.SumFloat64(nq, b.workers, func(start, end int) float64 {
-		sum := 0.0
-		c0 := b.tables[0].C
-		c1 := b.tables[1].C
-		for q := start; q < end; q++ {
-			c := c0[b.n[0][q]] + c1[b.n[1][q]]
-			if b.qw != nil {
-				c *= b.qw[q]
-			}
-			sum += c
+	sum := 0.0
+	c0, c1 := b.tables[0].C, b.tables[1].C
+	for q := range b.g.NumQueries() {
+		c := c0[b.n[0][q]] + c1[b.n[1][q]]
+		if b.qw != nil {
+			c *= b.qw[q]
 		}
-		return sum
-	})
+		sum += c
+	}
+	return sum
 }
 
 // extras returns the one-sided move allowances (in vertices) for directions
@@ -499,73 +452,51 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	probs[0], probs[1] = MatchHistograms(&hist0, &hist1, into1, into0)
 
 	// Phase 1: per-vertex coin decisions, visiting only populated bins with
-	// positive move probability, in parallel over the fixed bin shards. The
-	// decision per vertex is its own deterministic coin against its bin's
-	// probability (a vertex's bin probability IS its ProbFor), so the
-	// decided set is independent of visit order and of the worker count;
-	// the per-shard buffers are concatenated in ascending shard order and
-	// radix-sorted back into the canonical ascending order the apply phase
-	// requires. decided[v] writes stay within v's shard, so the sweep is
-	// lock-free.
+	// positive move probability. The decision per vertex is its own
+	// deterministic coin against its bin's probability (a vertex's bin
+	// probability IS its ProbFor), so the decided set is independent of visit
+	// order; the list is radix-sorted back into the canonical ascending order
+	// the apply phase requires.
 	if b.decided == nil {
 		b.decided = make([]bool, nd)
 	}
 	decided := b.decided
-	if len(b.coinWork) != b.bins.shards {
-		b.coinWork = make([][]int32, b.bins.shards)
-		b.coinScan = make([]int64, b.bins.shards)
-	}
 	iterKey := rng.Mix(uint64(iter)+1, 0xC01)
-	par.For(b.bins.shards, b.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			buf := b.coinWork[sh][:0]
-			var scan int64
-			shBase := sh * binSlots
-			for side := 0; side < 2; side++ {
-				base := shBase + side*2*histBins
-				pt := &probs[side]
-				for sign := 0; sign < 2; sign++ {
-					for bin := 0; bin < histBins; bin++ {
-						var p float64
-						if sign == 0 {
-							p = pt.pos[bin]
-						} else {
-							p = pt.neg[bin]
-						}
-						if p <= 0 {
-							continue
-						}
-						vs := b.bins.list[base+sign*histBins+bin]
-						scan += int64(len(vs))
-						for _, v := range vs {
-							if p >= 1 || rng.CoinAt(b.seed, rng.Mix(iterKey, uint64(v))) < p {
-								decided[v] = true
-								buf = append(buf, v)
-							}
-						}
+	list := b.decidedList[:0]
+	for side := 0; side < 2; side++ {
+		base := side * 2 * histBins
+		pt := &probs[side]
+		for sign := 0; sign < 2; sign++ {
+			for bin := 0; bin < histBins; bin++ {
+				p := pt.pos[bin]
+				if sign == 1 {
+					p = pt.neg[bin]
+				}
+				if p <= 0 {
+					continue
+				}
+				vs := b.bins.list[base+sign*histBins+bin]
+				b.scanWork += int64(len(vs))
+				for _, v := range vs {
+					if p >= 1 || rng.CoinAt(b.seed, rng.Mix(iterKey, uint64(v))) < p {
+						decided[v] = true
+						list = append(list, v)
 					}
 				}
 			}
-			b.coinWork[sh] = buf
-			b.coinScan[sh] = scan
 		}
-	})
-	list := b.decidedList[:0]
-	for sh := 0; sh < b.bins.shards; sh++ {
-		list = append(list, b.coinWork[sh]...)
-		b.scanWork += b.coinScan[sh]
 	}
 	if cap(b.frontScratch) < len(list) {
 		b.frontScratch = make([]int32, len(list))
 	}
 	radixSortInt32(list, b.frontScratch[:cap(b.frontScratch)], int32(nd))
 	b.decidedList = list
-	// Phase 2 (serial, deterministic): apply all decided moves, then undo
-	// the lowest-gain arrivals of any side that breached its cap. Applying
-	// first lets opposing flows cancel (a swap must not deadlock on two
-	// full sides); the undo pass upgrades the paper's balance-in-
-	// expectation to a hard cap. Because total weight never exceeds
-	// capL + capR, trimming one side cannot push the other over its cap.
+	// Phase 2: apply all decided moves, then undo the lowest-gain arrivals
+	// of any side that breached its cap. Applying first lets opposing flows
+	// cancel (a swap must not deadlock on two full sides); the undo pass
+	// upgrades the paper's balance-in-expectation to a hard cap. Because
+	// total weight never exceeds capL + capR, trimming one side cannot push
+	// the other over its cap.
 	for _, v := range list {
 		cur := b.side[v]
 		oth := 1 - cur
@@ -626,8 +557,7 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	// Phase 3: neighbor-count updates for surviving moves. Small batches go
 	// through the patch collector (counts, net deltas, dirty queries, member
 	// patches — O(churn·deg)); everything else transfers the counts directly
-	// and schedules a full rebuild sweep: with plain adds when one worker
-	// does it all, with atomics when several share the query counts.
+	// and schedules a full rebuild sweep.
 	if patch && len(accepted)*sweepFallbackDiv < nd {
 		for _, v := range accepted {
 			b.applyMovePatched(v)
@@ -635,27 +565,13 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 		b.finishPatch(accepted)
 		return int64(len(accepted))
 	}
-	if b.workers == 1 {
-		for _, v := range accepted {
-			oth := b.side[v] // already flipped
-			nCur, nOth := b.n[1-oth], b.n[oth]
-			for _, q := range b.g.DataNeighbors(v) {
-				nCur[q]--
-				nOth[q]++
-			}
+	for _, v := range accepted {
+		oth := b.side[v] // already flipped
+		nCur, nOth := b.n[1-oth], b.n[oth]
+		for _, q := range b.g.DataNeighbors(v) {
+			nCur[q]--
+			nOth[q]++
 		}
-	} else {
-		par.For(len(accepted), b.workers, func(start, end int) {
-			for i := start; i < end; i++ {
-				v := accepted[i]
-				oth := b.side[v] // already flipped
-				cur := 1 - oth
-				for _, q := range b.g.DataNeighbors(v) {
-					atomic.AddInt32(&b.n[cur][q], -1)
-					atomic.AddInt32(&b.n[oth][q], 1)
-				}
-			}
-		})
 	}
 	b.markAllActive()
 	return int64(len(accepted))
@@ -728,9 +644,8 @@ func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 }
 
 // finishPatch closes a patched move batch: each dirty query's patch group
-// is folded into the clean members' accumulators in parallel over disjoint
-// vertex ranges — exact arithmetic makes the patch order (and the range
-// partition) irrelevant to the result. Movers are scheduled for a rebuild:
+// is folded into the members' accumulators — exact arithmetic makes the
+// patch order irrelevant to the result. Movers are scheduled for a rebuild:
 // their own side changed, so the cached accumulators (and any patches
 // applied to them above) refer to the wrong frame.
 func (b *bisection) finishPatch(movers []int32) {
@@ -757,47 +672,20 @@ func (b *bisection) finishPatch(movers []int32) {
 		}
 		b.scanWork += int64(len(b.active))
 	}
-	nd := b.g.NumData()
-	if b.frontWork == nil {
-		b.frontWork = make([][]int32, b.workers)
-	}
-	for w := range b.frontWork {
-		// Reset every buffer, not just the ones this batch engages:
-		// par.ForWorker may use fewer workers than last time, and a stale
-		// buffer would leak old vertices into the frontier.
-		b.frontWork[w] = b.frontWork[w][:0]
-	}
-	var work int64
-	par.ForWorker(nd, b.workers, func(w, vs, ve int) {
-		lo32, hi32 := int32(vs), int32(ve)
-		buf := b.frontWork[w]
-		var local int64
-		for gi := range b.pgs {
-			pg := &b.pgs[gi]
-			members := b.g.QueryNeighbors(pg.q)
-			i := lowerBound(members, lo32)
-			for _, v := range members[i:] {
-				if v >= hi32 {
-					break
-				}
-				c := b.side[v]
-				b.accOwn[v] += pg.own[c] //shp:rawfloat(pg.own/pg.away hold DeltaOwn/DeltaAway table values hoisted once per group; same dyadic grid, same bits)
-				b.accOth[v] += pg.away[1-c]
-				if b.active[v] == 0 {
-					buf = append(buf, v)
-				}
-				b.active[v] = activeSelect
-				local += pg.nrec
-			}
-		}
-		b.frontWork[w] = buf
-		atomic.AddInt64(&work, local)
-	})
-	b.gainWork += work
-
 	f := b.frontier[:0]
-	for _, buf := range b.frontWork {
-		f = append(f, buf...)
+	for gi := range b.pgs {
+		pg := &b.pgs[gi]
+		members := b.g.QueryNeighbors(pg.q)
+		for _, v := range members {
+			c := b.side[v]
+			b.accOwn[v] += pg.own[c] //shp:rawfloat(pg.own/pg.away hold DeltaOwn/DeltaAway table values hoisted once per group; same dyadic grid, same bits)
+			b.accOth[v] += pg.away[1-c]
+			if b.active[v] == 0 {
+				f = append(f, v)
+			}
+			b.active[v] = activeSelect
+		}
+		b.gainWork += pg.nrec * int64(len(members))
 	}
 	for _, v := range movers {
 		// First-touch: movers of positive degree were already collected as
@@ -808,9 +696,10 @@ func (b *bisection) finishPatch(movers []int32) {
 		b.active[v] = activeRebuild
 	}
 	// Ascending order is the canonical bin-update (and gain-pass) order the
-	// bit-identity discipline requires; the collected buffers interleave
-	// members of distinct dirty queries, so order them with O(|F|) counting
-	// passes (see radixSortInt32) rather than a comparison sort.
+	// bit-identity discipline requires; the frontier interleaves members of
+	// distinct dirty queries, so order it with O(|F|) counting passes (see
+	// radixSortInt32) rather than a comparison sort.
+	nd := b.g.NumData()
 	if cap(b.frontScratch) < len(f) {
 		b.frontScratch = make([]int32, len(f))
 	}

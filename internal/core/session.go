@@ -323,11 +323,6 @@ func (s *Session) syncEngine() {
 		st.active = append(st.active, make([]uint8, grow)...)
 		st.tied = append(st.tied, make([]bool, grow)...)
 		st.decided = nil // sized per batch; forces reallocation at new |D|
-		// The pair-histogram fold needs no reset here: pairFold.fold
-		// re-derives the fixed shard layout from |D| every call and leaves
-		// its partials empty when it returns — keeping the fold
-		// decomposition, and with it the worker-count-independence
-		// contract, intact across epochs.
 	}
 
 	// Balance targets track the (possibly changed) total weight; bucket

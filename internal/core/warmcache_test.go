@@ -90,15 +90,13 @@ func oracleGraphs(t *testing.T) map[string]*hypergraph.Bipartite {
 // refinements, on the default schedule and with a mid-run scheduled rebuild.
 func TestColdRunCachesMatchFreshSelection(t *testing.T) {
 	for name, g := range oracleGraphs(t) {
-		for _, par := range []int{1, 2, 3} {
-			for _, period := range []int{0, 4} {
-				opts := Options{K: 8, Direct: true, Epsilon: 0.02, Parallelism: par, NDRebuildEvery: period, MaxIters: 25}.withDefaults()
-				st := newDirectState(g, opts, 77)
-				o := hookOracle(t, st, fmt.Sprintf("%s/par%d/period%d", name, par, period))
-				st.run()
-				if o.passes < 5 || o.cachedPass == 0 {
-					t.Fatalf("%s: %d passes, %d kept a cache; the run exercised nothing", o.label, o.passes, o.cachedPass)
-				}
+		for _, period := range []int{0, 4} {
+			opts := Options{K: 8, Direct: true, Epsilon: 0.02, NDRebuildEvery: period, MaxIters: 25}.withDefaults()
+			st := newDirectState(g, opts, 77)
+			o := hookOracle(t, st, fmt.Sprintf("%s/period%d", name, period))
+			st.run()
+			if o.passes < 5 || o.cachedPass == 0 {
+				t.Fatalf("%s: %d passes, %d kept a cache; the run exercised nothing", o.label, o.passes, o.cachedPass)
 			}
 		}
 	}
@@ -153,65 +151,63 @@ func oracleChurn(s *Session, epoch int, r *rng.RNG) *hypergraph.Delta {
 func TestWarmSessionCachesMatchFreshSelection(t *testing.T) {
 	const epochs = 24
 	for name, g := range oracleGraphs(t) {
-		for _, par := range []int{1, 2, 3} {
-			label := fmt.Sprintf("%s/par%d", name, par)
-			const budget = 40
-			s, err := NewSession(g.Clone(), Options{K: 8, Direct: true, Seed: 5, Epsilon: 0.02, MaxIters: 12, MigrationBudget: budget, Parallelism: par})
+		label := name
+		const budget = 40
+		s, err := NewSession(g.Clone(), Options{K: 8, Direct: true, Seed: 5, Epsilon: 0.02, MaxIters: 12, MigrationBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Repartition(); err != nil { // builds the warm engine
+			t.Fatal(err)
+		}
+		o := hookOracle(t, s.st, label)
+		r := rng.New(23)
+		tiedEpochs, boundEpochs, grew := 0, 0, 0
+		for epoch := 0; epoch < epochs; epoch++ {
+			if err := s.Apply(oracleChurn(s, epoch, r)); err != nil {
+				t.Fatal(err)
+			}
+			for _, tied := range s.st.tied {
+				if tied {
+					tiedEpochs++
+					break
+				}
+			}
+			tableLen := len(s.st.tables.T)
+			res, err := s.Repartition()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Repartition(); err != nil { // builds the warm engine
-				t.Fatal(err)
+			if len(s.st.tables.T) > tableLen {
+				grew++
 			}
-			o := hookOracle(t, s.st, label)
-			r := rng.New(23)
-			tiedEpochs, boundEpochs, grew := 0, 0, 0
-			for epoch := 0; epoch < epochs; epoch++ {
-				if err := s.Apply(oracleChurn(s, epoch, r)); err != nil {
-					t.Fatal(err)
-				}
-				for _, tied := range s.st.tied {
-					if tied {
-						tiedEpochs++
-						break
-					}
-				}
-				tableLen := len(s.st.tables.T)
-				res, err := s.Repartition()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(s.st.tables.T) > tableLen {
-					grew++
-				}
-				if res.Migrated == budget {
-					boundEpochs++
-				}
-				// The epoch's last batch has no proposal pass after it.
-				if got, want := s.st.objective, s.st.objectiveFromND(); s.st.objStale || got != want {
-					t.Fatalf("%s epoch %d: running objective %v (stale %v), neighbor data sums to %v", label, epoch, got, s.st.objStale, want)
-				}
-				want := partition.Fanout(s.Graph(), res.Assignment, 8)
-				if got := s.Fanout(); got != want {
-					t.Fatalf("%s epoch %d: session fanout %v, partition.Fanout %v", label, epoch, got, want)
-				}
-				if last := res.History[len(res.History)-1]; last.Fanout != want || last.Objective != s.st.objective {
-					t.Fatalf("%s epoch %d: history ends on fanout %v objective %v, want %v and %v",
-						label, epoch, last.Fanout, last.Objective, want, s.st.objective)
-				}
+			if res.Migrated == budget {
+				boundEpochs++
 			}
-			if o.flipPasses == 0 || o.flipInPass == 0 || o.flipInPass == o.flipPasses {
-				t.Fatalf("%s: %d flip passes, %d with a newly admissible bucket — need both directions", label, o.flipPasses, o.flipInPass)
+			// The epoch's last batch has no proposal pass after it.
+			if got, want := s.st.objective, s.st.objectiveFromND(); s.st.objStale || got != want {
+				t.Fatalf("%s epoch %d: running objective %v (stale %v), neighbor data sums to %v", label, epoch, got, s.st.objStale, want)
 			}
-			if o.cachedPass == 0 || o.runningObj == 0 {
-				t.Fatalf("%s: %d passes kept a cache, %d carried a running objective", label, o.cachedPass, o.runningObj)
+			want := partition.Fanout(s.Graph(), res.Assignment, 8)
+			if got := s.Fanout(); got != want {
+				t.Fatalf("%s epoch %d: session fanout %v, partition.Fanout %v", label, epoch, got, want)
 			}
-			if tiedEpochs < epochs/2 || boundEpochs == 0 || grew == 0 {
-				t.Fatalf("%s: %d epochs began with tied vertices, %d hit the budget, %d grew the gain tables", label, tiedEpochs, boundEpochs, grew)
+			if last := res.History[len(res.History)-1]; last.Fanout != want || last.Objective != s.st.objective {
+				t.Fatalf("%s epoch %d: history ends on fanout %v objective %v, want %v and %v",
+					label, epoch, last.Fanout, last.Objective, want, s.st.objective)
 			}
-			t.Logf("%s: %d passes, %d flips (%d flip-in), %d kept caches; %d tied epochs, %d budget-bound",
-				label, o.passes, o.flipPasses, o.flipInPass, o.cachedPass, tiedEpochs, boundEpochs)
 		}
+		if o.flipPasses == 0 || o.flipInPass == 0 || o.flipInPass == o.flipPasses {
+			t.Fatalf("%s: %d flip passes, %d with a newly admissible bucket — need both directions", label, o.flipPasses, o.flipInPass)
+		}
+		if o.cachedPass == 0 || o.runningObj == 0 {
+			t.Fatalf("%s: %d passes kept a cache, %d carried a running objective", label, o.cachedPass, o.runningObj)
+		}
+		if tiedEpochs < epochs/2 || boundEpochs == 0 || grew == 0 {
+			t.Fatalf("%s: %d epochs began with tied vertices, %d hit the budget, %d grew the gain tables", label, tiedEpochs, boundEpochs, grew)
+		}
+		t.Logf("%s: %d passes, %d flips (%d flip-in), %d kept caches; %d tied epochs, %d budget-bound",
+			label, o.passes, o.flipPasses, o.flipInPass, o.cachedPass, tiedEpochs, boundEpochs)
 	}
 }
 

@@ -588,7 +588,7 @@ func FromHyperedges(numData int, hyperedges [][]int32) (*Bipartite, error) {
 func PruneTrivialQueries(g *Bipartite, minDegree int) *Bipartite {
 	for q := 0; q < g.numQ; q++ {
 		if g.QueryDegree(int32(q)) < minDegree {
-			return g.SplitBySide(make([]int8, g.numD), [2]bool{true, false}, minDegree, 0)[0]
+			return g.SplitBySide(make([]int8, g.numD), [2]bool{true, false}, minDegree)[0]
 		}
 	}
 	return g

@@ -271,7 +271,7 @@ func onlySide0(n int, ids ...int32) []int8 {
 func TestSplitBySideFigure1(t *testing.T) {
 	g := figure1(t)
 	// Take the right half {3,4,5} (0-indexed data ids).
-	sub := g.SplitBySide(onlySide0(6, 3, 4, 5), [2]bool{true, false}, 2, 1)[0]
+	sub := g.SplitBySide(onlySide0(6, 3, 4, 5), [2]bool{true, false}, 2)[0]
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSplitBySidePreservesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := g.SplitBySide([]int8{1, 0, 1}, [2]bool{true, true}, 2, 1)
+	sub := g.SplitBySide([]int8{1, 0, 1}, [2]bool{true, true}, 2)
 	if sub[0].DataWeight(0) != 8 || sub[1].DataWeight(0) != 7 || sub[1].DataWeight(1) != 9 {
 		t.Fatal("split children's data weights wrong")
 	}
@@ -376,7 +376,7 @@ func TestPropertySplitEdgesAreSubset(t *testing.T) {
 			}
 		}
 		side := onlySide0(g.NumData(), subset...)
-		sub := g.SplitBySide(side, [2]bool{true, false}, 2, 1)[0]
+		sub := g.SplitBySide(side, [2]bool{true, false}, 2)[0]
 		if sub.Validate() != nil || sub.NumData() != len(subset) {
 			return false
 		}
@@ -453,7 +453,7 @@ func TestMaxQueryDegreeCached(t *testing.T) {
 	for d := range side {
 		side[d] = int8(d % 2)
 	}
-	for c, sub := range g.SplitBySide(side, [2]bool{true, true}, 2, 1) {
+	for c, sub := range g.SplitBySide(side, [2]bool{true, true}, 2) {
 		if got, want := sub.MaxQueryDegree(), rescan(sub); got != want {
 			t.Fatalf("SplitBySide child %d: cached %d, rescan %d", c, got, want)
 		}
@@ -500,7 +500,7 @@ func BenchmarkRecursiveSplit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := g.SplitBySide(side, [2]bool{true, true}, 2, 1); out[0] == nil || out[1] == nil {
+		if out := g.SplitBySide(side, [2]bool{true, true}, 2); out[0] == nil || out[1] == nil {
 			b.Fatal("missing child")
 		}
 	}

@@ -1,10 +1,6 @@
 package hypergraph
 
-import (
-	"math"
-
-	"shp/internal/par"
-)
+import "math"
 
 // SplitBySide builds the subgraphs induced by the data vertices with
 // side[d] == 0 and by those with side[d] == 1 in one walk over g; any other
@@ -15,10 +11,8 @@ import (
 //
 // This is the substrate for recursive bisection: a node's children are cut
 // out of the node's own subgraph, so a recursion level costs what is left of
-// the graph at that level (Section 3.3, "Recursive partitioning"). workers
-// bounds the goroutines of the two forward-adjacency passes (<= 0 means
-// GOMAXPROCS); the result does not depend on it.
-func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree, workers int) [2]*Bipartite {
+// the graph at that level (Section 3.3, "Recursive partitioning").
+func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree int) [2]*Bipartite {
 	const dropped = math.MaxUint32 // in rel: a data vertex in neither child
 
 	// rel[d] = (rank of d within its side)<<1 | side, or dropped: the one
@@ -36,17 +30,15 @@ func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree, worke
 
 	// Count pass: members per hyperedge per side.
 	cnt := [2][]int32{make([]int32, g.numQ), make([]int32, g.numQ)}
-	par.For(g.numQ, workers, func(start, end int) {
-		for q := start; q < end; q++ {
-			var n [2]int32
-			for _, d := range g.QueryNeighbors(int32(q)) {
-				if r := rel[d]; r != dropped {
-					n[r&1]++
-				}
+	for q := range g.numQ {
+		var n [2]int32
+		for _, d := range g.QueryNeighbors(int32(q)) {
+			if r := rel[d]; r != dropped {
+				n[r&1]++
 			}
-			cnt[0][q], cnt[1][q] = n[0], n[1]
 		}
-	})
+		cnt[0][q], cnt[1][q] = n[0], n[1]
+	}
 	var out [2]*Bipartite
 	for c := range out {
 		if want[c] {
@@ -59,24 +51,22 @@ func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree, worke
 
 	// Forward fill: ranks grow with the parent's ids, so every list a child
 	// receives is already sorted.
-	par.For(g.numQ, workers, func(start, end int) {
-		for q := start; q < end; q++ {
-			members := g.QueryNeighbors(int32(q))
-			for c, ch := range out {
-				nq := qmap[c][q]
-				if ch == nil || nq < 0 {
-					continue
-				}
-				dst, i := ch.qAdj[ch.qOff[nq]:ch.qOff[nq+1]], 0
-				for _, d := range members {
-					if r := rel[d]; r&1 == uint32(c) && r != dropped {
-						dst[i] = int32(r >> 1)
-						i++
-					}
+	for q := range g.numQ {
+		members := g.QueryNeighbors(int32(q))
+		for c, ch := range out {
+			nq := qmap[c][q]
+			if ch == nil || nq < 0 {
+				continue
+			}
+			dst, i := ch.qAdj[ch.qOff[nq]:ch.qOff[nq+1]], 0
+			for _, d := range members {
+				if r := rel[d]; r&1 == uint32(c) && r != dropped {
+					dst[i] = int32(r >> 1)
+					i++
 				}
 			}
 		}
-	})
+	}
 
 	// Reverse fill: the parent's data vertices in order, each appending its
 	// surviving hyperedges, so the children's reverse lists are written

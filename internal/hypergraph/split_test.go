@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"shp/internal/par"
 	"shp/internal/rng"
 )
 
@@ -59,22 +58,19 @@ func inducedByDataRef(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipar
 		out.qOff[i+1] = total
 	}
 	out.qAdj = make([]int32, total)
-	par.For(len(keptQ), 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			q := keptQ[i]
-			dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
-			n := 0
-			for _, d := range g.QueryNeighbors(q) {
-				if nd := dmap[d]; nd >= 0 {
-					dst[n] = nd
-					n++
-				}
-			}
-			if !monotone {
-				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+	for i, q := range keptQ {
+		dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
+		n := 0
+		for _, d := range g.QueryNeighbors(q) {
+			if nd := dmap[d]; nd >= 0 {
+				dst[n] = nd
+				n++
 			}
 		}
-	})
+		if !monotone {
+			sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+		}
+	}
 	out.rebuildReverse()
 	return out, keptQ
 }
@@ -155,8 +151,8 @@ func splitFixture(t *testing.T, seed uint64, weighted, mutable bool) *Bipartite 
 // TestSplitBySideMatchesInducedReference is the differential test of the
 // split kernel: for every graph shape and every kind of cut, both children
 // must be array for array what the replaced induced-subgraph routine returns for
-// that side's vertices, at any worker count, and a child that was not asked
-// for must not be built.
+// that side's vertices, and a child that was not asked for must not be
+// built.
 func TestSplitBySideMatchesInducedReference(t *testing.T) {
 	cuts := map[string]func(r *rng.RNG, d int) int8{
 		"random":      func(r *rng.RNG, _ int) int8 { return int8(r.Intn(2)) },
@@ -180,19 +176,17 @@ func TestSplitBySideMatchesInducedReference(t *testing.T) {
 						}
 					}
 					for _, want := range [][2]bool{{true, true}, {true, false}, {false, true}} {
-						for _, workers := range []int{1, 3} {
-							got := g.SplitBySide(side, want, 2, workers)
-							for c := range got {
-								what := fmt.Sprintf("weighted=%v mutable=%v cut=%s seed=%d want=%v workers=%d child %d", weighted, mutable, name, seed, want, workers, c)
-								if !want[c] {
-									if got[c] != nil {
-										t.Fatalf("%s: built although not asked for", what)
-									}
-									continue
+						got := g.SplitBySide(side, want, 2)
+						for c := range got {
+							what := fmt.Sprintf("weighted=%v mutable=%v cut=%s seed=%d want=%v child %d", weighted, mutable, name, seed, want, c)
+							if !want[c] {
+								if got[c] != nil {
+									t.Fatalf("%s: built although not asked for", what)
 								}
-								ref, _ := inducedByDataRef(g, ids[c], 2)
-								sameGraph(t, what, got[c], ref)
+								continue
 							}
+							ref, _ := inducedByDataRef(g, ids[c], 2)
+							sameGraph(t, what, got[c], ref)
 						}
 					}
 				}
@@ -220,7 +214,7 @@ func TestSplitBySideMinDegreesMatchReference(t *testing.T) {
 				for _, ids := range [][]int32{subset, nil} {
 					for minDeg := 0; minDeg <= 3; minDeg++ {
 						what := fmt.Sprintf("weighted=%v mutable=%v seed=%d minDeg=%d |subset|=%d", weighted, mutable, seed, minDeg, len(ids))
-						got := g.SplitBySide(onlySide0(g.NumData(), ids...), [2]bool{true, false}, minDeg, 2)[0]
+						got := g.SplitBySide(onlySide0(g.NumData(), ids...), [2]bool{true, false}, minDeg)[0]
 						ref, _ := inducedByDataRef(g, ids, minDeg)
 						sameGraph(t, what, got, ref)
 					}

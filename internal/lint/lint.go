@@ -40,9 +40,9 @@ import (
 
 // deterministicPackages names the packages whose code must be reproducible
 // bit-for-bit given a seed: the refinement kernel, both execution planes,
-// the graph structure they mutate, the RNG they draw from, the parallel
-// executor (its shard decompositions are part of the bit-identity contract),
-// the sharding simulator (replays must be comparable across runs), and the
+// the graph structure they mutate, the RNG they draw from, the concurrency
+// primitives (the one sanctioned GOMAXPROCS read lives there), the sharding
+// simulator (replays must be comparable across runs), and the
 // serving plane (epoch contents are pinned by seed; only wall-clock
 // telemetry may vary, behind //shp:nondet annotations). Matching is by
 // package name so the golden testdata packages can opt in by name alone.

@@ -15,7 +15,7 @@ package lint
 //   - runtime.GOMAXPROCS reads outside par.Workers: the worker count varies
 //     by machine, and any decomposition derived from it directly would make
 //     results machine-dependent. par.Workers is the single sanctioned read —
-//     it only resolves Parallelism <= 0, and every consumer downstream is
+//     it only resolves and caps Parallelism, and every consumer downstream is
 //     held to the worker-count-independence discipline.
 
 import (

@@ -1,17 +1,11 @@
-// Package par provides small helpers for data-parallel loops.
+// Package par holds the repo's two concurrency primitives: the worker-count
+// normalisation every parallel caller resolves Options.Parallelism through,
+// and Each, the one-goroutine-per-index fan-out of coarse units — one BSP
+// worker or one transport endpoint.
 //
-// The partitioner's hot loops (gain computation, neighbor-data aggregation)
-// are embarrassingly parallel over vertices. These helpers split an index
-// range into contiguous chunks, one batch per worker, so that per-worker
-// scratch buffers (the k-sized counting arrays from Section 3.3 of the paper)
-// can be reused without locking.
-//
-// Determinism contract: the worker count decides only how fast things run,
-// never what is computed. The chunk decomposition for a given (n, workers)
-// is a pure function (ForShards), integer reductions are exact in any fold
-// order, and the float64 reduction fixes its fold decomposition by n alone —
-// so a kernel built from these helpers returns the same bits for every
-// worker count as long as its own per-chunk work is order independent.
+// Nothing finer is provided on purpose: every refinement kernel runs on one
+// goroutine (README "Concurrency"), so no decomposition here is part of any
+// result.
 package par
 
 import (
@@ -19,144 +13,34 @@ import (
 	"sync"
 )
 
-// Workers normalizes a requested parallelism: values <= 0 mean GOMAXPROCS.
+// Workers normalizes a requested parallelism to [1, GOMAXPROCS]: values <= 0
+// mean GOMAXPROCS, and larger requests are capped there, since goroutines
+// beyond the cores only add scheduling cost (8 on 2 cores measured 0.70×).
 // This is the one place the repo is allowed to read GOMAXPROCS (enforced by
 // the shplint nondet-sources analyzer): everywhere else the machine's core
 // count must be invisible to what is computed.
 func Workers(requested int) int {
-	if requested <= 0 {
-		return runtime.GOMAXPROCS(0)
+	procs := runtime.GOMAXPROCS(0)
+	if requested <= 0 || requested > procs {
+		return procs
 	}
 	return requested
 }
 
-// Shard is one contiguous half-open chunk of an index range.
-type Shard struct {
-	Start, End int
-}
-
-// ForShards returns the static chunk decomposition For and ForWorker use for
-// (n, workers): at most `workers` disjoint contiguous ranges, ascending,
-// covering [0, n) exactly (empty for n <= 0). Kernels use it to precompute
-// per-worker scratch, or to fix a reduction's fold boundaries up front.
-// workers <= 0 means GOMAXPROCS, like everywhere else in this package.
-func ForShards(n, workers int) []Shard {
-	workers = Workers(workers)
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	shards := make([]Shard, 0, workers)
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		shards = append(shards, Shard{Start: start, End: end})
-	}
-	return shards
-}
-
-// For runs fn(start, end) over disjoint contiguous chunks covering [0, n),
-// using the given number of workers. fn is called at most `workers` times
-// concurrently and each call receives a half-open range. Chunks are assigned
-// statically (see ForShards), so the decomposition is deterministic for a
-// given (n, workers).
-func For(n, workers int, fn func(start, end int)) {
-	ForWorker(n, workers, func(_, start, end int) { fn(start, end) })
-}
-
 // Each runs fn(i) once for every i in [0, n) with one goroutine per index
-// and waits for all of them: For at full width, packaged for coarse
-// per-shard work (one BSP worker, one transport endpoint per call) where
-// the per-index closure is the natural unit.
+// and waits for all of them; a single index runs inline on the caller.
 func Each(n int, fn func(i int)) {
-	For(n, n, func(start, end int) {
-		for i := start; i < end; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForWorker is like For but also passes the worker index (dense in
-// [0, len(ForShards(n, workers)))), so callers can index into pre-allocated
-// per-worker scratch state. A single-chunk decomposition runs inline on the
-// calling goroutine.
-func ForWorker(n, workers int, fn func(worker, start, end int)) {
-	shards := ForShards(n, workers)
-	if len(shards) == 0 {
-		return
-	}
-	if len(shards) == 1 {
-		fn(0, shards[0].Start, shards[0].End)
+	if n == 1 {
+		fn(0)
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for w, sh := range shards {
-		go func(id, s, e int) {
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			fn(id, s, e)
-		}(w, sh.Start, sh.End)
+			fn(i)
+		}()
 	}
 	wg.Wait()
-}
-
-// SumInt64 runs a parallel reduction: fn maps each chunk to a partial sum.
-// Integer addition is exact, so the result is independent of the worker
-// count (and of any fold order) by construction.
-func SumInt64(n, workers int, fn func(start, end int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	shards := ForShards(n, workers)
-	partials := make([]int64, len(shards))
-	ForWorker(n, workers, func(w, s, e int) {
-		partials[w] = fn(s, e)
-	})
-	var total int64
-	for _, p := range partials {
-		total += p
-	}
-	return total
-}
-
-// sumShardSize fixes the decomposition of parallel float64 reductions
-// independently of the worker count: partials are computed per fixed-size
-// index shard and folded in ascending shard order, so the summation order —
-// and with it the result, bit for bit — is a function of n alone. 8192
-// indices per partial keeps the per-shard call overhead invisible next to
-// the summand work while still exposing enough shards to scale.
-const sumShardSize = 8192
-
-// SumFloat64 runs a parallel float64 reduction over chunks. Unlike the
-// integer fold, float64 addition is not associative once sums leave the
-// dyadic grid's exact range, so the fold boundaries must not move with the
-// worker count: fn is invoked once per fixed-size shard (see sumShardSize)
-// and the partials are folded in ascending shard order. The result depends
-// only on n and fn, never on workers.
-func SumFloat64(n, workers int, fn func(start, end int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	shards := (n + sumShardSize - 1) / sumShardSize
-	partials := make([]float64, shards)
-	For(shards, workers, func(s, e int) {
-		for i := s; i < e; i++ {
-			lo := i * sumShardSize
-			hi := lo + sumShardSize
-			if hi > n {
-				hi = n
-			}
-			partials[i] = fn(lo, hi)
-		}
-	})
-	total := 0.0
-	for _, p := range partials {
-		total += p
-	}
-	return total
 }

@@ -1,204 +1,30 @@
 package par
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
-func TestForCoversRangeExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		for _, n := range []int{0, 1, 2, 15, 16, 17, 1000} {
-			touched := make([]int32, n)
-			For(n, workers, func(s, e int) {
-				for i := s; i < e; i++ {
-					atomic.AddInt32(&touched[i], 1)
-				}
-			})
-			for i, c := range touched {
-				if c != 1 {
-					t.Fatalf("n=%d workers=%d: index %d touched %d times", n, workers, i, c)
-				}
-			}
-		}
-	}
-}
-
-func TestForWorkerDistinctIDs(t *testing.T) {
-	const n, workers = 100, 4
-	seen := make([]int32, workers)
-	ForWorker(n, workers, func(w, s, e int) {
-		atomic.AddInt32(&seen[w], 1)
-	})
-	total := int32(0)
-	for _, c := range seen {
-		if c > 1 {
-			t.Fatalf("worker id reused: %v", seen)
-		}
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("no workers ran")
-	}
-}
-
-func TestForZeroAndNegativeN(t *testing.T) {
-	ran := false
-	For(0, 4, func(s, e int) { ran = true })
-	For(-3, 4, func(s, e int) { ran = true })
-	if ran {
-		t.Fatal("For ran chunks for non-positive n")
-	}
-}
-
 func TestWorkersNormalization(t *testing.T) {
-	if Workers(5) != 5 {
-		t.Fatal("Workers(5) != 5")
-	}
-	if Workers(0) <= 0 {
-		t.Fatal("Workers(0) not positive")
-	}
-	if Workers(-1) <= 0 {
-		t.Fatal("Workers(-1) not positive")
-	}
-}
-
-func TestSumInt64MatchesSerial(t *testing.T) {
-	if err := quick.Check(func(nRaw uint16, workersRaw uint8) bool {
-		n := int(nRaw % 2000)
-		workers := int(workersRaw%8) + 1
-		got := SumInt64(n, workers, func(s, e int) int64 {
-			var sum int64
-			for i := s; i < e; i++ {
-				sum += int64(i)
-			}
-			return sum
-		})
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		return got == want
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSumFloat64Deterministic(t *testing.T) {
-	f := func(s, e int) float64 {
-		sum := 0.0
-		for i := s; i < e; i++ {
-			sum += 1.0 / float64(i+1)
-		}
-		return sum
-	}
-	a := SumFloat64(100000, 4, f)
-	b := SumFloat64(100000, 4, f)
-	if a != b {
-		t.Fatalf("SumFloat64 not deterministic: %v != %v", a, b)
-	}
-}
-
-func TestSumFloat64CloseToSerial(t *testing.T) {
-	f := func(s, e int) float64 {
-		sum := 0.0
-		for i := s; i < e; i++ {
-			sum += 0.5
-		}
-		return sum
-	}
-	got := SumFloat64(999, 7, f)
-	if got != 499.5 {
-		t.Fatalf("SumFloat64 = %v, want 499.5", got)
-	}
-}
-
-// TestForShardsProperties checks the decomposition invariants over the edge
-// cases the kernels rely on: n == 0, n < workers, n == workers, and the
-// chunk-boundary off-by-ones around multiples of the chunk size.
-func TestForShardsProperties(t *testing.T) {
-	cases := []struct{ n, workers int }{
-		{0, 4}, {-1, 4}, {1, 1}, {1, 8}, {3, 8}, {7, 8}, {8, 8}, {9, 8},
-		{15, 4}, {16, 4}, {17, 4}, {31, 4}, {32, 4}, {33, 4}, {1000, 7},
-	}
-	for _, tc := range cases {
-		shards := ForShards(tc.n, tc.workers)
-		if tc.n <= 0 {
-			if len(shards) != 0 {
-				t.Fatalf("n=%d workers=%d: want no shards, got %v", tc.n, tc.workers, shards)
-			}
-			continue
-		}
-		if len(shards) > tc.workers {
-			t.Fatalf("n=%d workers=%d: %d shards exceeds worker count", tc.n, tc.workers, len(shards))
-		}
-		next := 0
-		for i, sh := range shards {
-			if sh.Start != next || sh.End <= sh.Start {
-				t.Fatalf("n=%d workers=%d: shard %d = %+v not contiguous ascending from %d",
-					tc.n, tc.workers, i, sh, next)
-			}
-			next = sh.End
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d workers=%d: shards cover [0,%d), want [0,%d)", tc.n, tc.workers, next, tc.n)
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ requested, want int }{
+		{0, procs}, {-1, procs}, {1, 1}, {procs, procs}, {procs + 1, procs}, {8 * procs, procs},
+	} {
+		if got := Workers(tc.requested); got != tc.want {
+			t.Fatalf("Workers(%d) = %d on %d procs, want %d", tc.requested, got, procs, tc.want)
 		}
 	}
 }
 
-// TestForShardsMatchesForWorker pins that ForShards returns exactly the
-// chunks ForWorker hands out, worker id for worker id, for arbitrary
-// (n, workers) — the property kernels assume when they size per-worker
-// scratch from ForShards before running the loop.
-func TestForShardsMatchesForWorker(t *testing.T) {
-	if err := quick.Check(func(nRaw uint16, workersRaw uint8) bool {
-		n := int(nRaw % 3000)
-		workers := int(workersRaw%16) + 1
-		want := ForShards(n, workers)
-		got := make([]Shard, len(want))
-		var mu sync.Mutex
-		ForWorker(n, workers, func(w, s, e int) {
-			mu.Lock()
-			got[w] = Shard{Start: s, End: e}
-			mu.Unlock()
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
+// TestWorkersCapsAtGOMAXPROCS pins the cap on a fixed core count: requests
+// past GOMAXPROCS get GOMAXPROCS, requests below it are honoured.
+func TestWorkersCapsAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for requested, want := range map[int]int{-3: 2, 0: 2, 1: 1, 2: 2, 3: 2, 8: 2} {
+		if got := Workers(requested); got != want {
+			t.Fatalf("Workers(%d) = %d at GOMAXPROCS 2, want %d", requested, got, want)
 		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSumFloat64WorkerCountIndependent pins the tentpole contract: the float
-// fold decomposition is a function of n alone, so every worker count returns
-// the same bits — including on summands that are NOT exactly representable,
-// where fold order genuinely matters.
-func TestSumFloat64WorkerCountIndependent(t *testing.T) {
-	f := func(s, e int) float64 {
-		sum := 0.0
-		for i := s; i < e; i++ {
-			sum += 1.0 / float64(i+1)
-		}
-		return sum
-	}
-	for _, n := range []int{1, 100, sumShardSize - 1, sumShardSize, sumShardSize + 1, 100000} {
-		base := SumFloat64(n, 1, f)
-		for _, workers := range []int{2, 3, 8, 16} {
-			if got := SumFloat64(n, workers, f); got != base {
-				t.Fatalf("n=%d: SumFloat64 with %d workers = %v, serial = %v", n, workers, got, base)
-			}
-		}
-	}
-}
-
-func BenchmarkForOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		For(1024, 4, func(s, e int) {})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"shp/internal/hypergraph"
-	"shp/internal/par"
 	"shp/internal/rng"
 )
 
@@ -26,13 +25,9 @@ const Unassigned int32 = -1
 // which is how Algorithm 1 initializes.
 func Random(n, k int, seed uint64) Assignment {
 	a := make(Assignment, n)
-	par.For(n, 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			// Per-vertex deterministic stream: identical result for any
-			// parallelism level.
-			a[i] = int32(rng.Mix(seed, uint64(i)) % uint64(k))
-		}
-	})
+	for i := range a {
+		a[i] = int32(rng.Mix(seed, uint64(i)) % uint64(k))
+	}
 	return a
 }
 
@@ -167,13 +162,10 @@ func Fanout(g *hypergraph.Bipartite, a Assignment, k int) float64 {
 	if nq == 0 {
 		return 0
 	}
-	total := par.SumInt64(nq, 0, func(start, end int) int64 {
-		var sum int64
-		for q := start; q < end; q++ {
-			sum += int64(g.QueryWeight(int32(q))) * int64(QueryFanout(g, a, k, int32(q)))
-		}
-		return sum
-	})
+	var total int64
+	for q := int32(0); int(q) < nq; q++ {
+		total += int64(g.QueryWeight(q)) * int64(QueryFanout(g, a, k, q))
+	}
 	return float64(total) / float64(g.TotalQueryWeight())
 }
 
@@ -219,14 +211,11 @@ func PFanout(g *hypergraph.Bipartite, a Assignment, p float64) float64 {
 	if nq == 0 {
 		return 0
 	}
-	total := par.SumFloat64(nq, 0, func(start, end int) float64 {
-		sum := 0.0
-		for q := start; q < end; q++ {
-			sum += float64(g.QueryWeight(int32(q))) * PFanoutQuery(g, a, p, int32(q))
-		}
-		return sum
-	})
-	return float64(total) / float64(g.TotalQueryWeight())
+	total := 0.0
+	for q := int32(0); int(q) < nq; q++ {
+		total += float64(g.QueryWeight(q)) * PFanoutQuery(g, a, p, q)
+	}
+	return total / float64(g.TotalQueryWeight())
 }
 
 // CliqueNetCut returns the weighted edge-cut of the clique-net graph
@@ -237,42 +226,38 @@ func PFanout(g *hypergraph.Bipartite, a Assignment, p float64) float64 {
 //
 // where n(q) counts assigned neighbors of q and n_i(q) those in bucket i.
 func CliqueNetCut(g *hypergraph.Bipartite, a Assignment) float64 {
-	nq := g.NumQueries()
-	total := par.SumFloat64(nq, 0, func(start, end int) float64 {
-		sum := 0.0
-		var bucketBuf [64]int32
-		var countBuf [64]int64
-		for q := start; q < end; q++ {
-			buckets := bucketBuf[:0]
-			counts := countBuf[:0]
-			var n int64
-			for _, d := range g.QueryNeighbors(int32(q)) {
-				b := a[d]
-				if b < 0 {
-					continue
-				}
-				n++
-				found := false
-				for i, s := range buckets {
-					if s == b {
-						counts[i]++
-						found = true
-						break
-					}
-				}
-				if !found {
-					buckets = append(buckets, b)
-					counts = append(counts, 1)
+	total := 0.0
+	var bucketBuf [64]int32
+	var countBuf [64]int64
+	for q := int32(0); int(q) < g.NumQueries(); q++ {
+		buckets := bucketBuf[:0]
+		counts := countBuf[:0]
+		var n int64
+		for _, d := range g.QueryNeighbors(q) {
+			b := a[d]
+			if b < 0 {
+				continue
+			}
+			n++
+			found := false
+			for i, s := range buckets {
+				if s == b {
+					counts[i]++
+					found = true
+					break
 				}
 			}
-			cross := n * (n - 1) / 2
-			for _, c := range counts {
-				cross -= c * (c - 1) / 2
+			if !found {
+				buckets = append(buckets, b)
+				counts = append(counts, 1)
 			}
-			sum += float64(cross)
 		}
-		return sum
-	})
+		cross := n * (n - 1) / 2
+		for _, c := range counts {
+			cross -= c * (c - 1) / 2
+		}
+		total += float64(cross)
+	}
 	return total
 }
 
@@ -280,32 +265,25 @@ func CliqueNetCut(g *hypergraph.Bipartite, a Assignment) float64 {
 // fanout > 1 of their fanout. Per the paper's footnote, SOED equals the
 // communication volume plus the hyperedge cut.
 func SOED(g *hypergraph.Bipartite, a Assignment, k int) float64 {
-	nq := g.NumQueries()
-	total := par.SumInt64(nq, 0, func(start, end int) int64 {
-		var sum int64
-		for q := start; q < end; q++ {
-			if f := QueryFanout(g, a, k, int32(q)); f > 1 {
-				sum += int64(f)
-			}
+	var total int64
+	for q := int32(0); int(q) < g.NumQueries(); q++ {
+		if f := QueryFanout(g, a, k, q); f > 1 {
+			total += int64(f)
 		}
-		return sum
-	})
+	}
 	return float64(total)
 }
 
 // HyperedgeCut returns the number of hyperedges spanning more than one
 // bucket.
 func HyperedgeCut(g *hypergraph.Bipartite, a Assignment, k int) int64 {
-	nq := g.NumQueries()
-	return par.SumInt64(nq, 0, func(start, end int) int64 {
-		var sum int64
-		for q := start; q < end; q++ {
-			if QueryFanout(g, a, k, int32(q)) > 1 {
-				sum++
-			}
+	var cut int64
+	for q := int32(0); int(q) < g.NumQueries(); q++ {
+		if QueryFanout(g, a, k, q) > 1 {
+			cut++
 		}
-		return sum
-	})
+	}
+	return cut
 }
 
 // FanoutHistogram returns counts of queries by fanout value (index f holds

@@ -117,7 +117,9 @@ type Assignment = partition.Assignment
 // incremental — per-iteration cost tracks churn, not |E| — with a full
 // rebuild every NDRebuildEvery iterations as the safety net (1 rebuilds
 // every iteration, the ablation reference); every schedule produces
-// identical partitions for a fixed seed.
+// identical partitions for a fixed seed. Parallelism is how many recursion
+// tasks refine at once (each on one goroutine; SHP-k and sessions ignore
+// it), and it never changes a result either.
 type Options = core.Options
 
 // Result is a finished partitioning with per-iteration history.
