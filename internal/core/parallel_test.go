@@ -66,10 +66,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		})
 	}
-	// The recursive initial partition, then churned warm epochs. The serial
-	// session is also checked against the rebuilt period-1 reference (see
-	// repartitionRebuilt), so the suite does not only compare the warm engine
-	// to itself.
+}
+
+// TestParallelMatchesSerialWarmSession: the recursive initial partition, then
+// churned warm epochs. The serial session is also checked against the rebuilt
+// period-1 reference (see repartitionRebuilt), so the suite does not only
+// compare the warm engine to itself.
+func TestParallelMatchesSerialWarmSession(t *testing.T) {
 	t.Run("recursiveStart", func(t *testing.T) {
 		run := func(workers int, rebuilt bool) []*Result {
 			g := randomBipartite(t, 77, 3500, 11000, 46000)
