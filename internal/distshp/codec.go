@@ -1,198 +1,140 @@
 package distshp
 
-// Binary codecs for the distshp wire messages. These replace per-message
-// interface{} boxing at worker boundaries with flat encodings, so the
-// engine's BytesSent is measured from real encoded bytes on every backend
-// (and frames on the TCP transport carry exactly these encodings). The
-// accumulator kinds (*msgGain and the two batches) encode what they hold —
-// two floats, a record count and the records — and nothing of the pointer.
+// The wire codec of distshp's records. One codec encodes an envelope — the
+// records one worker sent one vertex in a superstep: a lone record as its
+// kind byte and payload; two or more (bucket updates or deltas, which the
+// combiner declines to fold) as the kind's batch byte, a uvarint count and
+// the payloads. Kind bytes and payloads are exactly what the per-kind codecs
+// this replaced wrote, so wire and checkpoint bytes did not move.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-
-	"shp/internal/pregel"
 )
 
-// bucketWireSize is msgBucket's fixed encoding: Data and New as
-// little-endian uint32s.
-const bucketWireSize = 8
+// Wire kind bytes. A batch kind is its record kind plus one; gains have no
+// batch form, because the combiner folds every pair of them.
+const (
+	kindBucket      = 0
+	kindBucketBatch = 1
+	kindGain        = 2
+	kindDelta       = 3
+	kindDeltaBatch  = 4
+)
 
-func appendBucket(buf []byte, m msgBucket) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Data))
-	return binary.LittleEndian.AppendUint32(buf, uint32(m.New))
-}
-
-func decodeBucket(data []byte) (msgBucket, error) {
-	if len(data) < bucketWireSize {
-		return msgBucket{}, fmt.Errorf("distshp: truncated msgBucket")
+// payloadSize is a record kind's fixed encoding: bucket updates are (Data,
+// New), deltas (Bucket, COld, CNew) as little-endian uint32s, and gains the
+// IEEE bits of (Cur, Oth). Deltas carry no query id — receivers patch by
+// table-value differences alone, a quarter off every late-iteration gain
+// superstep relative to a 16-byte record.
+func payloadSize(kind uint8) int {
+	switch kind {
+	case kindBucket:
+		return 8
+	case kindGain:
+		return 16
+	case kindDelta:
+		return 12
 	}
-	return msgBucket{
-		Data: int32(binary.LittleEndian.Uint32(data[0:4])),
-		New:  int32(binary.LittleEndian.Uint32(data[4:8])),
-	}, nil
+	return 0
 }
 
-type bucketCodec struct{}
-
-func (bucketCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	return appendBucket(buf, m.(msgBucket)), nil
+// envelopeKind returns the kind byte an envelope of recs starts with, and
+// refuses what has no encoding: mixed kinds, or gains that did not fold.
+func envelopeKind(recs []record) (uint8, error) {
+	kind := recs[0].kind
+	for _, r := range recs[1:] {
+		if r.kind != kind {
+			return 0, fmt.Errorf("distshp: records of kinds %d and %d share an envelope", kind, r.kind)
+		}
+	}
+	if len(recs) == 1 {
+		return kind, nil
+	}
+	if kind == kindGain {
+		return 0, fmt.Errorf("distshp: %d unfolded gain records share an envelope", len(recs))
+	}
+	return kind + 1, nil
 }
 
-func (bucketCodec) Decode(data []byte) (pregel.Message, int, error) {
-	m, err := decodeBucket(data)
-	return m, bucketWireSize, err
-}
+// recordCodec is the engine's Codec[record].
+type recordCodec struct{}
 
-func (bucketCodec) Size(pregel.Message) int { return bucketWireSize }
-
-type bucketBatchCodec struct{}
-
-func (bucketBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(*msgBucketBatch).recs
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	for _, u := range batch {
-		buf = appendBucket(buf, u)
+func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
+	k, err := envelopeKind(recs)
+	if err != nil {
+		return buf, err
+	}
+	buf = append(buf, k)
+	if len(recs) > 1 {
+		buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	}
+	for _, r := range recs {
+		buf = binary.LittleEndian.AppendUint64(buf, r.lo)
+		switch r.kind {
+		case kindGain:
+			buf = binary.LittleEndian.AppendUint64(buf, r.hi)
+		case kindDelta:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.hi))
+		}
 	}
 	return buf, nil
 }
 
-func (bucketBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("distshp: truncated msgBucketBatch count")
+func (recordCodec) Size(recs []record) (int, error) {
+	if _, err := envelopeKind(recs); err != nil {
+		return 0, err
 	}
-	if n > uint64(len(data)/bucketWireSize)+1 {
-		return nil, 0, fmt.Errorf("distshp: msgBucketBatch count %d exceeds payload", n)
+	n := 1 + len(recs)*payloadSize(recs[0].kind)
+	if len(recs) > 1 {
+		n += uvarintLen(uint64(len(recs)))
 	}
-	batch := make([]msgBucket, 0, n)
-	for i := uint64(0); i < n; i++ {
-		u, err := decodeBucket(data[used:])
-		if err != nil {
-			return nil, 0, err
+	return n, nil
+}
+
+func uvarintLen(v uint64) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], v)
+}
+
+// Decode accepts exactly what Append writes: a batch holds at least two
+// records behind a minimal uvarint count, so re-encoding what it decoded
+// reproduces the bytes it consumed.
+func (recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
+	if len(data) == 0 {
+		return recs, 0, fmt.Errorf("distshp: truncated record kind")
+	}
+	kind, n, used := data[0], uint64(1), 1
+	switch kind {
+	case kindBucket, kindGain, kindDelta:
+	case kindBucketBatch, kindDeltaBatch:
+		kind--
+		var w int
+		if n, w = binary.Uvarint(data[1:]); w <= 0 {
+			return recs, 0, fmt.Errorf("distshp: truncated batch count")
 		}
-		used += bucketWireSize
-		batch = append(batch, u)
-	}
-	return &msgBucketBatch{recs: batch}, used, nil
-}
-
-func (bucketBatchCodec) Size(m pregel.Message) int {
-	batch := m.(*msgBucketBatch).recs
-	n := 1
-	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
-		n++
-	}
-	return n + len(batch)*bucketWireSize
-}
-
-// deltaWireSize is msgDelta's fixed encoding: Bucket, COld, and CNew as
-// little-endian uint32s. Receivers patch by table-value differences alone,
-// so no query id travels with the record — a quarter of every
-// late-iteration gain superstep's bytes saved relative to the earlier
-// 16-byte encoding.
-const deltaWireSize = 12
-
-func appendDelta(buf []byte, m msgDelta) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Bucket))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.COld))
-	return binary.LittleEndian.AppendUint32(buf, uint32(m.CNew))
-}
-
-func decodeDelta(data []byte) (msgDelta, error) {
-	if len(data) < deltaWireSize {
-		return msgDelta{}, fmt.Errorf("distshp: truncated msgDelta")
-	}
-	return msgDelta{
-		Bucket: int32(binary.LittleEndian.Uint32(data[0:4])),
-		COld:   int32(binary.LittleEndian.Uint32(data[4:8])),
-		CNew:   int32(binary.LittleEndian.Uint32(data[8:12])),
-	}, nil
-}
-
-type deltaCodec struct{}
-
-func (deltaCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	return appendDelta(buf, m.(msgDelta)), nil
-}
-
-func (deltaCodec) Decode(data []byte) (pregel.Message, int, error) {
-	m, err := decodeDelta(data)
-	return m, deltaWireSize, err
-}
-
-func (deltaCodec) Size(pregel.Message) int { return deltaWireSize }
-
-type deltaBatchCodec struct{}
-
-func (deltaBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(*msgDeltaBatch).recs
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	for _, r := range batch {
-		buf = appendDelta(buf, r)
-	}
-	return buf, nil
-}
-
-func (deltaBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, 0, fmt.Errorf("distshp: truncated msgDeltaBatch count")
-	}
-	if n > uint64(len(data)/deltaWireSize)+1 {
-		return nil, 0, fmt.Errorf("distshp: msgDeltaBatch count %d exceeds payload", n)
-	}
-	batch := make([]msgDelta, 0, n)
-	for i := uint64(0); i < n; i++ {
-		r, err := decodeDelta(data[used:])
-		if err != nil {
-			return nil, 0, err
+		if n < 2 || w != uvarintLen(n) {
+			return recs, 0, fmt.Errorf("distshp: batch count %d is not a minimal count of two or more", n)
 		}
-		used += deltaWireSize
-		batch = append(batch, r)
+		used += w
+	default:
+		return recs, 0, fmt.Errorf("distshp: unknown record kind %d", kind)
 	}
-	return &msgDeltaBatch{recs: batch}, used, nil
-}
-
-func (deltaBatchCodec) Size(m pregel.Message) int {
-	batch := m.(*msgDeltaBatch).recs
-	n := 1
-	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
-		n++
+	size := payloadSize(kind)
+	if n > uint64((len(data)-used)/size) {
+		return recs, 0, fmt.Errorf("distshp: %d records of kind %d exceed the %d-byte payload", n, kind, len(data)-used)
 	}
-	return n + len(batch)*deltaWireSize
-}
-
-type gainCodec struct{}
-
-func (gainCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	g := m.(*msgGain)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Cur))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Oth)), nil
-}
-
-func (gainCodec) Decode(data []byte) (pregel.Message, int, error) {
-	if len(data) < 16 {
-		return nil, 0, fmt.Errorf("distshp: truncated msgGain")
+	for i := uint64(0); i < n; i++ {
+		p := data[used:]
+		r := record{kind: kind, lo: binary.LittleEndian.Uint64(p)}
+		switch kind {
+		case kindGain:
+			r.hi = binary.LittleEndian.Uint64(p[8:])
+		case kindDelta:
+			r.hi = uint64(binary.LittleEndian.Uint32(p[8:]))
+		}
+		recs = append(recs, r)
+		used += size
 	}
-	return &msgGain{
-		Cur: math.Float64frombits(binary.LittleEndian.Uint64(data[0:8])),
-		Oth: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
-	}, 16, nil
-}
-
-func (gainCodec) Size(pregel.Message) int { return 16 }
-
-// newRegistry builds the codec registry every distributed run hands to the
-// engine. Registration order fixes wire ids, so this is the single place
-// the order is defined.
-func newRegistry() *pregel.Registry {
-	reg := pregel.NewRegistry()
-	reg.Register(msgBucket{}, bucketCodec{})
-	reg.Register(&msgBucketBatch{}, bucketBatchCodec{})
-	reg.Register(&msgGain{}, gainCodec{})
-	reg.Register(msgDelta{}, deltaCodec{})
-	reg.Register(&msgDeltaBatch{}, deltaBatchCodec{})
-	return reg
+	return recs, used, nil
 }

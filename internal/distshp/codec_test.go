@@ -1,217 +1,234 @@
 package distshp
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
 	"shp/internal/pregel"
 )
 
-func roundTrip(t *testing.T, c pregel.Codec, m pregel.Message) {
-	t.Helper()
-	buf, err := c.Append(nil, m)
-	if err != nil {
-		t.Fatal(err)
+// le32 and le64 build expected wire bytes independently of the codec.
+func le32(vs ...int32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	if len(buf) != c.Size(m) {
-		t.Fatalf("%T: Size = %d but Append wrote %d bytes", m, c.Size(m), len(buf))
-	}
-	got, used, err := c.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(buf) {
-		t.Fatalf("%T: decode consumed %d of %d bytes", m, used, len(buf))
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("%T round trip: got %+v, want %+v", m, got, m)
-	}
+	return b
 }
 
+func le64(fs ...float64) []byte {
+	var b []byte
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// TestWireCodecs pins the bytes every envelope shape encodes to — the kind
+// byte, batch count and payloads the wire has always carried — and checks
+// Size and the decode round trip against them.
 func TestWireCodecs(t *testing.T) {
-	roundTrip(t, bucketCodec{}, msgBucket{Data: 7, New: 3})
-	roundTrip(t, bucketCodec{}, msgBucket{Data: 1 << 30, New: 6})
-	roundTrip(t, gainCodec{}, &msgGain{Cur: 1.5, Oth: -2.25})
-	roundTrip(t, gainCodec{}, &msgGain{})
-	roundTrip(t, bucketBatchCodec{}, &msgBucketBatch{recs: []msgBucket{
-		{Data: 1, New: 0},
-		{Data: 2, New: 1},
-		{Data: 3, New: 1},
-	}})
-	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 4, COld: 2, CNew: 3})
-	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 1 << 29, COld: 0, CNew: 7})
-	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{recs: []msgDelta{
-		{Bucket: 2, COld: 3, CNew: 4},
-		{Bucket: 3, COld: 1, CNew: 0},
-		{Bucket: 2, COld: 0, CNew: 1},
-	}})
-	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{recs: []msgDelta{}})
+	for _, c := range []struct {
+		name string
+		recs []record
+		want []byte
+	}{
+		{"bucket", []record{bucketRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
+		{"bucket, high id", []record{bucketRecord(1<<30, 6)}, cat([]byte{kindBucket}, le32(1<<30, 6))},
+		{"gain", []record{gainRecord(1.5, -2.25)}, cat([]byte{kindGain}, le64(1.5, -2.25))},
+		{"zero gain", []record{gainRecord(0, 0)}, cat([]byte{kindGain}, le64(0, 0))},
+		{"bucket batch", []record{bucketRecord(1, 0), bucketRecord(2, 1), bucketRecord(3, 1)},
+			cat([]byte{kindBucketBatch, 3}, le32(1, 0, 2, 1, 3, 1))},
+		{"delta", []record{deltaRecord(4, 2, 3)}, cat([]byte{kindDelta}, le32(4, 2, 3))},
+		{"delta, high bucket", []record{deltaRecord(1<<29, 0, 7)}, cat([]byte{kindDelta}, le32(1<<29, 0, 7))},
+		{"delta batch", []record{deltaRecord(2, 3, 4), deltaRecord(3, 1, 0), deltaRecord(2, 0, 1)},
+			cat([]byte{kindDeltaBatch, 3}, le32(2, 3, 4, 3, 1, 0, 2, 0, 1))},
+	} {
+		buf, err := (recordCodec{}).Append(nil, c.recs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(buf, c.want) {
+			t.Fatalf("%s: encoded %x, want %x", c.name, buf, c.want)
+		}
+		if size, err := (recordCodec{}).Size(c.recs); err != nil || size != len(buf) {
+			t.Fatalf("%s: Size = %d, %v for %d encoded bytes", c.name, size, err, len(buf))
+		}
+		got, used, err := (recordCodec{}).Decode(buf, nil)
+		if err != nil || used != len(buf) || !slices.Equal(got, c.recs) {
+			t.Fatalf("%s: decoded %+v (used %d of %d, err %v), want %+v", c.name, got, used, len(buf), err, c.recs)
+		}
+	}
 }
 
 func TestCodecTruncation(t *testing.T) {
-	if _, _, err := (bucketCodec{}).Decode([]byte{1, 2}); err == nil {
-		t.Fatal("truncated msgBucket should fail")
-	}
-	if _, _, err := (gainCodec{}).Decode(make([]byte, 15)); err == nil {
-		t.Fatal("truncated msgGain should fail")
-	}
-	if _, _, err := (bucketBatchCodec{}).Decode([]byte{200}); err == nil {
-		t.Fatal("truncated batch count should fail")
-	}
-	if _, _, err := (bucketBatchCodec{}).Decode([]byte{3, 0, 0}); err == nil {
-		t.Fatal("batch count exceeding payload should fail")
-	}
-	if _, _, err := (deltaCodec{}).Decode(make([]byte, deltaWireSize-1)); err == nil {
-		t.Fatal("truncated msgDelta should fail")
-	}
-	if _, _, err := (deltaBatchCodec{}).Decode(nil); err == nil {
-		t.Fatal("empty msgDeltaBatch frame should fail")
-	}
-	if _, _, err := (deltaBatchCodec{}).Decode([]byte{200}); err == nil {
-		t.Fatal("truncated delta batch count should fail")
-	}
-	if _, _, err := (deltaBatchCodec{}).Decode([]byte{2, 0, 0, 0}); err == nil {
-		t.Fatal("delta batch count exceeding payload should fail")
-	}
-	buf, err := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{{Bucket: 2, COld: 0, CNew: 1}}})
+	one, err := (recordCodec{}).Append(nil, []record{deltaRecord(2, 0, 1), deltaRecord(3, 1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := (deltaBatchCodec{}).Decode(buf[:len(buf)-1]); err == nil {
-		t.Fatal("delta batch with truncated last record should fail")
-	}
-}
-
-// TestCombineSemantics pins the fold for each kind and the ownership
-// contract: a gain or batch accumulator is updated in place and returned
-// (same pointer), two bare records start a batch, and b is only read.
-func TestCombineSemantics(t *testing.T) {
-	acc := &msgGain{Cur: 1, Oth: 2}
-	in := &msgGain{Cur: 3, Oth: 4}
-	g := combine(acc, in).(*msgGain)
-	if g != acc || g.Cur != 4 || g.Oth != 6 {
-		t.Fatalf("msgGain combine = %+v (in place: %v)", g, g == acc)
-	}
-	if *in != (msgGain{Cur: 3, Oth: 4}) {
-		t.Fatalf("combine mutated b: %+v", in)
-	}
-	a := msgBucket{Data: 1}
-	b := msgBucket{Data: 2}
-	c := msgBucket{Data: 3}
-	first := combine(a, b).(*msgBucketBatch)
-	batch := combine(first, c).(*msgBucketBatch)
-	if batch != first || len(batch.recs) != 3 || batch.recs[0].Data != 1 || batch.recs[2].Data != 3 {
-		t.Fatalf("bucket batching = %+v (in place: %v)", batch.recs, batch == first)
-	}
-	other := combine(c, msgBucket{Data: 4}).(*msgBucketBatch)
-	merged := combine(combine(a, b), other).(*msgBucketBatch)
-	if len(merged.recs) != 4 {
-		t.Fatalf("batch-batch combine = %+v", merged.recs)
-	}
-	// b's records were copied, not adopted: growing the result must not
-	// reach back into b, and b reads as it did.
-	merged.recs = append(merged.recs[:2], msgBucket{Data: 9}, msgBucket{Data: 9})
-	if len(other.recs) != 2 || other.recs[0].Data != 3 || other.recs[1].Data != 4 {
-		t.Fatalf("combine retained or mutated b: %+v", other.recs)
-	}
-}
-
-// TestCombineDeltaRecords checks combiner behavior on merged delta records:
-// any association order over the four record/batch pairings must flatten to
-// the same batch with every record exactly once, in send order — merging
-// already-merged batches neither drops nor duplicates records.
-func TestCombineDeltaRecords(t *testing.T) {
-	r := func(i int32) msgDelta { return msgDelta{Bucket: i % 4, COld: i, CNew: i + 1} }
-	want := []msgDelta{r(1), r(2), r(3), r(4)}
-	cases := []struct {
+	for _, c := range []struct {
 		name string
-		got  pregel.Message
+		data []byte
 	}{
-		{"left-assoc (record+record, batch+record)", combine(combine(combine(r(1), r(2)), r(3)), r(4))},
-		{"right-assoc (record+batch)", combine(r(1), combine(r(2), combine(r(3), r(4))))},
-		{"balanced (batch+batch)", combine(combine(r(1), r(2)), combine(r(3), r(4)))},
-	}
-	for _, tc := range cases {
-		if got := tc.got.(*msgDeltaBatch).recs; !slices.Equal(got, want) {
-			t.Fatalf("%s: records %+v, want %+v", tc.name, got, want)
+		{"empty", nil},
+		{"truncated bucket", []byte{kindBucket, 1, 2}},
+		{"truncated gain", cat([]byte{kindGain}, make([]byte, 15))},
+		{"truncated delta", cat([]byte{kindDelta}, make([]byte, 11))},
+		{"truncated batch count", []byte{kindBucketBatch, 200}},
+		{"batch count exceeding payload", []byte{kindBucketBatch, 3, 0, 0}},
+		{"delta batch count exceeding payload", []byte{kindDeltaBatch, 2, 0, 0, 0}},
+		{"delta batch with truncated last record", one[:len(one)-1]},
+		{"batch of one", cat([]byte{kindDeltaBatch, 1}, le32(2, 0, 1))},
+		{"empty batch", []byte{kindBucketBatch, 0}},
+		{"overlong batch count", cat([]byte{kindBucketBatch, 0x82, 0}, le32(1, 0, 2, 1))},
+		{"unknown kind", cat([]byte{9}, le32(1, 2, 3, 4))},
+	} {
+		recs, _, err := (recordCodec{}).Decode(c.data, nil)
+		if err == nil {
+			t.Fatalf("%s: decoded %+v", c.name, recs)
+		}
+		if len(recs) != 0 {
+			t.Fatalf("%s: failed decode appended %d records", c.name, len(recs))
 		}
 	}
-	// Re-merging merged batches keeps the flat record multiset intact, and
-	// leaves the right-hand batches as they were.
-	left := combine(r(1), r(2)).(*msgDeltaBatch)
-	right := combine(r(3), r(4)).(*msgDeltaBatch)
-	tail := combine(r(5), r(6)).(*msgDeltaBatch)
-	again := combine(combine(left, right), tail).(*msgDeltaBatch)
-	if again != left {
-		t.Fatal("batch+batch did not fold into the left accumulator")
+}
+
+// TestCombineSemantics pins the fold: two gains add into the held record in
+// place; bucket updates and deltas decline and leave it as it was.
+func TestCombineSemantics(t *testing.T) {
+	held := gainRecord(1, 2)
+	if !combine(&held, gainRecord(3, 4)) || held != gainRecord(4, 6) {
+		t.Fatalf("gain fold = %v, %+v", held, held)
 	}
-	if want := []msgDelta{r(1), r(2), r(3), r(4), r(5), r(6)}; !slices.Equal(again.recs, want) {
-		t.Fatalf("re-merged batches hold %+v, want %+v", again.recs, want)
+	for _, pair := range [][2]record{
+		{bucketRecord(1, 0), bucketRecord(2, 1)},
+		{deltaRecord(1, 0, 1), deltaRecord(2, 1, 0)},
+	} {
+		held := pair[0]
+		if combine(&held, pair[1]) || held != pair[0] {
+			t.Fatalf("combine(%+v, %+v) folded to %+v", pair[0], pair[1], held)
+		}
 	}
-	if !slices.Equal(right.recs, []msgDelta{r(3), r(4)}) || !slices.Equal(tail.recs, []msgDelta{r(5), r(6)}) {
-		t.Fatalf("combine mutated b: %+v, %+v", right.recs, tail.recs)
+}
+
+// runRecords runs one superstep of send on a two-worker record engine with
+// distshp's combiner and codec, and returns what each vertex received in the
+// next superstep, with the run's stats.
+func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *pregel.ContextOf[record], v pregel.VertexID)) ([][]record, *pregel.Stats) {
+	t.Helper()
+	vertices := make([]*pregel.Vertex, n)
+	for i := range vertices {
+		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
+	}
+	got := make([][]record, n)
+	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record]{
+		Workers:       2,
+		MaxSupersteps: 2,
+		Transport:     transport,
+		Codecs:        recordCodec{},
+		Combiner:      combine,
+		Compute: func(ctx *pregel.ContextOf[record], v *pregel.Vertex, msgs []record) {
+			if ctx.Superstep() == 0 {
+				send(ctx, v.ID)
+			} else {
+				got[v.ID] = append(got[v.ID], msgs...)
+			}
+			ctx.VoteToHalt()
+		},
+	}, vertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, stats
+}
+
+// TestCombineDeltaRecords: records the combiner declines join their
+// destination's envelope, so each worker ships one envelope per destination,
+// and the destination receives every record exactly once in (source worker,
+// send order): each sender's records in a row, senders id-ascending within
+// each of the two workers' runs — on both transports.
+func TestCombineDeltaRecords(t *testing.T) {
+	const n, per = 16, 3
+	for _, transport := range []func() pregel.Transport{pregel.MemoryTransport, pregel.TCPTransport} {
+		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record], v pregel.VertexID) {
+			for k := int32(0); k < per; k++ {
+				ctx.Send(0, deltaRecord(int32(v), k, k+1))
+			}
+		})
+		if len(got[0]) != n*per {
+			t.Fatalf("vertex 0 received %d records, want %d", len(got[0]), n*per)
+		}
+		seen := map[int32]bool{}
+		runs, prev := 1, int32(-1)
+		for i := 0; i < n; i++ {
+			v, _, _ := got[0][i*per].delta()
+			for k := int32(0); k < per; k++ {
+				if r := got[0][i*per+int(k)]; r != deltaRecord(v, k, k+1) {
+					t.Fatalf("record %d is %+v, want sender %d's record %d", i*per+int(k), r, v, k)
+				}
+			}
+			if seen[v] {
+				t.Fatalf("sender %d's records arrived twice", v)
+			}
+			seen[v] = true
+			if v < prev {
+				runs++
+			}
+			prev = v
+		}
+		if runs > 2 {
+			t.Fatalf("senders arrived in %d ascending runs, want one per worker", runs)
+		}
+		if stats.TotalMessages != 2 {
+			t.Fatalf("%d envelopes crossed, want one per worker", stats.TotalMessages)
+		}
 	}
 }
 
 // TestCombineFoldsDecodedWithLocal is the receiver-side pass across source
-// workers: one worker's batch arrives as the decoded bytes of a frame, the
-// other was built in this process, and either may be the accumulator.
+// workers: over TCP one worker's gains arrive decoded from a frame while the
+// other's never left their outbox, and they fold into one record.
 func TestCombineFoldsDecodedWithLocal(t *testing.T) {
-	r := func(i int32) msgDelta { return msgDelta{Bucket: i % 4, COld: i, CNew: i + 1} }
-	decoded := func(recs ...msgDelta) *msgDeltaBatch {
-		t.Helper()
-		buf, err := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: recs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, _, err := (deltaBatchCodec{}).Decode(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.(*msgDeltaBatch)
+	const n = 16
+	got, stats := runRecords(t, pregel.TCPTransport(), n, func(ctx *pregel.ContextOf[record], v pregel.VertexID) {
+		ctx.Send(0, gainRecord(1, 0.5))
+	})
+	if want := []record{gainRecord(n, n/2)}; !slices.Equal(got[0], want) {
+		t.Fatalf("vertex 0 received %+v, want %+v", got[0], want)
 	}
-	want := []msgDelta{r(1), r(2), r(3), r(4)}
-	if got := combine(decoded(r(1), r(2)), combine(r(3), r(4))).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
-		t.Fatalf("decoded <- local: %+v, want %+v", got, want)
-	}
-	wire := decoded(r(3), r(4))
-	if got := combine(combine(r(1), r(2)), wire).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
-		t.Fatalf("local <- decoded: %+v, want %+v", got, want)
-	}
-	if !slices.Equal(wire.recs, []msgDelta{r(3), r(4)}) {
-		t.Fatalf("combine mutated the decoded batch: %+v", wire.recs)
-	}
-	// A lone record from one worker meets a decoded batch from the next.
-	if got := combine(r(1), decoded(r(2), r(3), r(4))).(*msgDeltaBatch).recs; !slices.Equal(got, want) {
-		t.Fatalf("record <- decoded: %+v, want %+v", got, want)
-	}
-	gain, _, err := (gainCodec{}).Decode(mustAppend(t, gainCodec{}, &msgGain{Cur: 0.5, Oth: 0.25}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := combine(&msgGain{Cur: 1, Oth: 2}, gain).(*msgGain); g.Cur != 1.5 || g.Oth != 2.25 {
-		t.Fatalf("local gain <- decoded gain = %+v", g)
+	if stats.RemoteMessages != 1 {
+		t.Fatalf("%d envelopes crossed workers, want 1", stats.RemoteMessages)
 	}
 }
 
-func mustAppend(t *testing.T, c pregel.Codec, m pregel.Message) []byte {
-	t.Helper()
-	buf, err := c.Append(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
-
-// TestCombineRejectsMixedKinds pins the protocol invariant the combiner
-// enforces: a vertex is either rebuilding (gains only) or clean (deltas
-// only) within a superstep, so cross-kind merges must fail loudly.
+// TestCombineRejectsMixedKinds pins the protocol invariant: a vertex is
+// either rebuilding (gains only) or clean (deltas only) within a superstep.
+// The combiner declines to fold across kinds, and the codec refuses an
+// envelope that mixes them, as it does gains that did not fold.
 func TestCombineRejectsMixedKinds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("combining msgGain with msgDelta should panic")
+	held := gainRecord(1, 0)
+	if combine(&held, deltaRecord(1, 0, 1)) || held != gainRecord(1, 0) {
+		t.Fatalf("gain and delta folded to %+v", held)
+	}
+	for _, recs := range [][]record{
+		{gainRecord(1, 0), deltaRecord(1, 0, 1)},
+		{bucketRecord(1, 0), deltaRecord(1, 0, 1)},
+		{gainRecord(1, 0), gainRecord(2, 0)},
+	} {
+		if _, err := (recordCodec{}).Append(nil, recs); err == nil {
+			t.Fatalf("encoded the envelope %+v", recs)
 		}
-	}()
-	combine(&msgGain{Cur: 1}, msgDelta{Bucket: 1})
+		if _, err := (recordCodec{}).Size(recs); err == nil {
+			t.Fatalf("sized the envelope %+v", recs)
+		}
+	}
 }

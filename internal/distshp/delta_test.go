@@ -7,7 +7,7 @@ package distshp
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 
 	"shp/internal/core"
@@ -146,7 +146,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			// Registration round: every member is a mover, exactly as a
 			// level start plays out; scratch is reset before the test's
 			// tracked move rounds begin.
-			st.applyUpdate(members[q], msgBucket{Data: d, New: bucketOf[d]}, true)
+			st.applyUpdate(members[q], bucketRecord(d, bucketOf[d]), true)
 		}
 		st.resetSuperstep()
 		isMember[q] = set
@@ -187,28 +187,29 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		}
 		// Each dirty query diffs its histogram and routes records to its
 		// clean members, exactly as computeQuery does.
-		batches := map[int32][]msgDelta{}
+		batches := map[int32][]record{}
 		for q, st := range qs {
 			dirty := false
 			for _, d := range members[q] {
 				if nb, ok := moves[d]; ok {
-					st.applyUpdate(members[q], msgBucket{Data: d, New: nb}, true)
+					st.applyUpdate(members[q], bucketRecord(d, nb), true)
 					dirty = true
 				}
 			}
 			if !dirty {
 				continue
 			}
-			recs := st.deltaRecords()
-			for _, rec := range recs {
+			changes := st.deltaRecords()
+			for _, c := range changes {
 				// Single-record wire round trip.
-				buf, err := (deltaCodec{}).Append(nil, rec)
+				rec := deltaRecord(c.B, c.COld, c.CNew)
+				buf, err := (recordCodec{}).Append(nil, []record{rec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, used, err := (deltaCodec{}).Decode(buf)
-				if err != nil || used != len(buf) || got.(msgDelta) != rec {
-					t.Fatalf("round %d: msgDelta round trip: got %+v (used %d, err %v), want %+v",
+				got, used, err := (recordCodec{}).Decode(buf, nil)
+				if err != nil || used != len(buf) || len(got) != 1 || got[0] != rec {
+					t.Fatalf("round %d: delta round trip: got %+v (used %d, err %v), want %+v",
 						round, got, used, err, rec)
 				}
 			}
@@ -220,9 +221,9 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, rec := range recs {
-					if rec.Bucket == ds.bucket || rec.Bucket == ds.bucket^1 {
-						batches[d] = append(batches[d], rec)
+				for _, c := range changes {
+					if c.B == ds.bucket || c.B == ds.bucket^1 {
+						batches[d] = append(batches[d], deltaRecord(c.B, c.COld, c.CNew))
 					}
 				}
 			}
@@ -237,19 +238,19 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if len(batches[o]) == 0 {
 				continue
 			}
-			batch := &msgDeltaBatch{recs: batches[o]}
-			buf, err := (deltaBatchCodec{}).Append(nil, batch)
+			batch := batches[o]
+			buf, err := (recordCodec{}).Append(nil, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(buf) != (deltaBatchCodec{}).Size(batch) {
-				t.Fatalf("round %d: batch Size %d != encoded %d", round, (deltaBatchCodec{}).Size(batch), len(buf))
+			if size, err := (recordCodec{}).Size(batch); err != nil || size != len(buf) {
+				t.Fatalf("round %d: batch Size %d (%v) != encoded %d", round, size, err, len(buf))
 			}
-			decoded, used, err := (deltaBatchCodec{}).Decode(buf)
-			if err != nil || used != len(buf) || !reflect.DeepEqual(decoded, batch) {
+			decoded, used, err := (recordCodec{}).Decode(buf, nil)
+			if err != nil || used != len(buf) || !slices.Equal(decoded, batch) {
 				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
 			}
-			for _, rec := range decoded.(*msgDeltaBatch).recs {
+			for _, rec := range decoded {
 				obs[o].applyDelta(tb, rec)
 			}
 		}
@@ -267,26 +268,23 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 
 // TestDeltaWireSize pins the slimmed delta encoding: receivers patch by
 // table-value differences alone, so no query id travels with a record —
-// 12 bytes each (bucket, cOld, cNew), 25% below the previous 16-byte
-// frame, and a batch of n small records costs exactly 1 + 12n bytes.
+// 12 bytes each (bucket, cOld, cNew), 25% below a 16-byte record, so a lone
+// delta costs 1 + 12 bytes and a batch of n small records 2 + 12n.
 func TestDeltaWireSize(t *testing.T) {
-	if deltaWireSize != 12 {
-		t.Fatalf("deltaWireSize = %d, want 12 (bucket + cOld + cNew, no query id)", deltaWireSize)
+	if got := payloadSize(kindDelta); got != 12 {
+		t.Fatalf("delta payload = %d bytes, want 12 (bucket + cOld + cNew, no query id)", got)
 	}
-	rec := msgDelta{Bucket: 5, COld: 2, CNew: 3}
-	if got := len(appendDelta(nil, rec)); got != 12 {
-		t.Fatalf("encoded msgDelta is %d bytes, want 12", got)
+	rec := deltaRecord(5, 2, 3)
+	if got := len(envelopeBytes(rec)); got != 1+12 {
+		t.Fatalf("encoded delta is %d bytes, want 13", got)
 	}
-	batch := &msgDeltaBatch{recs: []msgDelta{rec, {Bucket: 4, COld: 0, CNew: 1}, {Bucket: 1, COld: 7, CNew: 0}}}
-	buf, err := (deltaBatchCodec{}).Append(nil, batch)
-	if err != nil {
-		t.Fatal(err)
+	batch := []record{rec, deltaRecord(4, 0, 1), deltaRecord(1, 7, 0)}
+	buf := envelopeBytes(batch...)
+	if want := 2 + 12*len(batch); len(buf) != want {
+		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch), len(buf), want)
 	}
-	if want := 1 + 12*len(batch.recs); len(buf) != want {
-		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch.recs), len(buf), want)
-	}
-	if sz := (deltaBatchCodec{}).Size(batch); sz != len(buf) {
-		t.Fatalf("Size %d != encoded %d", sz, len(buf))
+	if sz, err := (recordCodec{}).Size(batch); err != nil || sz != len(buf) {
+		t.Fatalf("Size %d (%v) != encoded %d", sz, err, len(buf))
 	}
 }
 

@@ -30,7 +30,7 @@
 //     clean members whose pair contains the changed bucket. Receivers patch
 //     their accumulators through core.GainTables.DeltaOwn / DeltaAway.
 //   - Members that moved (their own frame changed, so patched sums would
-//     refer to the wrong pair side) instead receive a full msgGain
+//     refer to the wrong pair side) instead receive a full gain
 //     contribution from every adjacent query — all of which are dirty,
 //     because the mover broadcast its new bucket — and resum from scratch.
 //   - All gain-table values live on the shared dyadic grid (core's
@@ -72,6 +72,7 @@ package distshp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -268,103 +269,75 @@ func (r *Result) LateProposalBytes(maxMovedFraction float64) (iters int, bytes i
 	return iters, bytes
 }
 
-// message kinds exchanged between vertices. The three the combiner folds
-// into — msgGain and the two batches — travel as pointers: they are the
-// accumulators pregel.Options.Combiner's ownership contract describes, owned
-// by the engine from Send to delivery and updated in place, so a fold
-// allocates nothing. msgBucket and msgDelta records travel by value and are
-// copied into a batch the first time two of them share a destination.
-type (
-	// msgBucket: data -> query, "I am now in bucket New". Queries key
-	// their incremental neighbor-data maintenance on Data alone (first
-	// sight registers, later sights move), so that pair is the entire
-	// wire payload.
-	msgBucket struct {
-		Data int32
-		New  int32
-	}
-	// msgBucketBatch (sent as *msgBucketBatch) is the sender-side-combined
-	// form of msgBucket: all of one worker's bucket updates for one query,
-	// shipped as a single envelope (Giraph-style message batching on the
-	// count-aggregation superstep).
-	msgBucketBatch struct{ recs []msgBucket }
-	// msgGain (sent as *msgGain): query -> data, the neighbor-data
-	// contribution to the receiver's Equation 1 gain, already mapped through
-	// the level's gain table. This is the combinable reduction of the
-	// paper's r = 2 neighbor-data counts (Section 3.3): contributions from
-	// different queries simply add, so sender-side combining collapses each
-	// worker's per-data traffic to one message. A vertex that receives
-	// msgGain resums its persistent accumulators from scratch (every
-	// adjacent query is guaranteed to have sent one).
-	msgGain struct {
-		Cur, Oth float64 // sum of T[n(current bucket)-1] and T[n(sibling)]
-	}
-	// msgDelta: query -> data, one changed neighbor-data entry of a dirty
-	// query: bucket Bucket's adjacent-data count went COld -> CNew (0 =
-	// entry absent). Sent only to clean members whose sibling pair contains
-	// Bucket; receivers patch their persistent accumulators through the
-	// exact dyadic-grid arithmetic of core.GainTables.DeltaOwn/DeltaAway.
-	// The record deliberately omits the sending query's id: patch
-	// arithmetic is a sum of per-record table-value differences, so the
-	// receiver never needs to know which query a record came from, and
-	// dropping the id cuts the wire size of every late-iteration gain
-	// superstep by a quarter.
-	msgDelta struct {
-		Bucket int32
-		COld   int32
-		CNew   int32
-	}
-	// msgDeltaBatch (sent as *msgDeltaBatch) is the sender-side-combined
-	// form of msgDelta: all of one worker's delta records for one data
-	// vertex, shipped as a single envelope. Exact patch arithmetic makes the
-	// record order irrelevant to the result; combining preserves send order
-	// anyway.
-	msgDeltaBatch struct{ recs []msgDelta }
-)
+// record is the one message type distshp sends through the engine: a tagged
+// union of the protocol's three kinds in 24 bytes and no pointer, so the
+// engine buffers, ships and delivers it by value. lo and hi hold the payload
+// words in the order the wire lays them out (codec.go):
+//
+//   - bucket, data -> query, "I am now in bucket New": lo = Data | New<<32.
+//     Queries key their incremental neighbor-data maintenance on Data alone
+//     (first sight registers, later sights move), so that pair is the whole
+//     payload.
+//   - gain, query -> data: lo, hi = the bits of Cur = T[n(current bucket)-1]
+//     and Oth = T[n(sibling)], the query's neighbor-data contribution to the
+//     receiver's Equation 1 gain already mapped through the level's gain
+//     table. This is the combinable reduction of the paper's r = 2
+//     neighbor-data counts (Section 3.3): contributions from different
+//     queries add, so the combiner folds one worker's gains for a vertex into
+//     one record. A vertex that receives gains resums its persistent
+//     accumulators from scratch (every adjacent query sent one).
+//   - delta, query -> data: lo = Bucket | COld<<32, hi = CNew, one changed
+//     neighbor-data entry of a dirty query — bucket Bucket's adjacent-data
+//     count went COld -> CNew (0 = entry absent). Sent only to clean members
+//     whose sibling pair contains Bucket; receivers patch their persistent
+//     accumulators through the exact dyadic-grid arithmetic of
+//     core.GainTables.DeltaOwn/DeltaAway. No query id travels: the patch is a
+//     sum of per-record table-value differences, whichever query sent them.
+//
+// Buckets and deltas do not fold. The combiner declines them and the engine
+// appends them to their destination's envelope, which ships as one batch.
+type record struct {
+	lo, hi uint64
+	kind   uint8
+}
 
-// batchRoom is the capacity a batch starts with when two records first meet:
-// a query or data vertex with any traffic from a worker usually has a
-// handful of records from it, so most batches never regrow.
-const batchRoom = 8
+func pack(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
 
-// combine is the engine combiner: msgGain adds; msgBucket and msgDelta
-// batch. The engine applies it in the per-destination outbox, so all three
-// cut the envelope count that crosses workers. It folds b into a, which the
-// engine owns, and returns a — except when a is still a bare record, where
-// it starts the batch that later folds append to; b is only read. The
+func bucketRecord(data, bucket int32) record {
+	return record{kind: kindBucket, lo: pack(data, bucket)}
+}
+
+func gainRecord(cur, oth float64) record {
+	return record{kind: kindGain, lo: math.Float64bits(cur), hi: math.Float64bits(oth)}
+}
+
+func deltaRecord(bucket, cOld, cNew int32) record {
+	return record{kind: kindDelta, lo: pack(bucket, cOld), hi: uint64(uint32(cNew))}
+}
+
+func (r record) bucket() (data, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
+
+func (r record) gain() (cur, oth float64) {
+	return math.Float64frombits(r.lo), math.Float64frombits(r.hi)
+}
+
+func (r record) delta() (bucket, cOld, cNew int32) {
+	return int32(r.lo), int32(r.lo >> 32), int32(r.hi)
+}
+
+// combine is the engine combiner: two gains add, in place; anything else
+// declines, so bucket updates and deltas batch in their envelope. The
 // protocol never mixes kinds for one destination in one superstep (a vertex
 // is either a mover — gains from every adjacent query — or clean — deltas
-// only), so cross-kind merges are a protocol violation and panic.
-func combine(a, b pregel.Message) pregel.Message {
-	switch x := a.(type) {
-	case *msgGain:
-		y := b.(*msgGain)
-		x.Cur += y.Cur
-		x.Oth += y.Oth
-		return a
-	case msgBucket:
-		batch := &msgBucketBatch{recs: append(make([]msgBucket, 0, batchRoom), x)}
-		return combine(batch, b)
-	case *msgBucketBatch:
-		if y, ok := b.(msgBucket); ok {
-			x.recs = append(x.recs, y)
-		} else {
-			x.recs = append(x.recs, b.(*msgBucketBatch).recs...)
-		}
-		return a
-	case msgDelta:
-		batch := &msgDeltaBatch{recs: append(make([]msgDelta, 0, batchRoom), x)}
-		return combine(batch, b)
-	case *msgDeltaBatch:
-		if y, ok := b.(msgDelta); ok {
-			x.recs = append(x.recs, y)
-		} else {
-			x.recs = append(x.recs, b.(*msgDeltaBatch).recs...)
-		}
-		return a
+// only); computeData and the codec both refuse a mix.
+func combine(held *record, m record) bool {
+	if m.kind != kindGain || held.kind != kindGain {
+		return false
 	}
-	//shp:panics(invariant: the combiner is wired next to the codec registry; an unknown kind is a registration bug caught by codec-symmetry)
-	panic(fmt.Sprintf("distshp: uncombinable message %T", a))
+	cur, oth := held.gain()
+	mc, mo := m.gain()
+	*held = gainRecord(cur+mc, oth+mo)
+	return true
 }
 
 // dataState is the per-data-vertex state.
@@ -375,8 +348,8 @@ type dataState struct {
 	level  int
 	// Persistent Equation 1 accumulators for the current sibling pair:
 	// sumCur = Σ_q T[n_bucket(q)−1], sumOth = Σ_q T[n_sibling(q)]. Resummed
-	// from msgGain after a move (or rebroadcast), patched from msgDelta
-	// records otherwise; exact dyadic-grid arithmetic keeps the two
+	// from gain records after a move (or rebroadcast), patched from deltas
+	// otherwise; exact dyadic-grid arithmetic keeps the two
 	// maintenance regimes bit-identical.
 	sumCur, sumOth float64
 	// Gain for moving to the sibling bucket, derived in superstep 2.
@@ -393,16 +366,17 @@ type dataState struct {
 // applyDelta folds one dirty-query delta record into the vertex's persistent
 // accumulators. Records are routed by the sender to members whose pair
 // contains the changed bucket, so anything else is a protocol violation.
-func (st *dataState) applyDelta(tb core.GainTables, r msgDelta) {
-	switch r.Bucket {
+func (st *dataState) applyDelta(tb core.GainTables, r record) {
+	bucket, cOld, cNew := r.delta()
+	switch bucket {
 	case st.bucket:
-		st.sumCur += tb.DeltaOwn(r.COld, r.CNew)
+		st.sumCur += tb.DeltaOwn(cOld, cNew)
 	case st.bucket ^ 1:
-		st.sumOth += tb.DeltaAway(r.COld, r.CNew)
+		st.sumOth += tb.DeltaAway(cOld, cNew)
 	default:
 		//shp:panics(invariant: routing guarantees deltas reach only members of the changed pair; a miss means corrupt accumulators)
 		panic(fmt.Sprintf("distshp: delta for bucket %d reached vertex %d in bucket %d",
-			r.Bucket, st.d, st.bucket))
+			bucket, st.d, st.bucket))
 	}
 }
 
@@ -431,13 +405,12 @@ type queryState struct {
 	// Per-superstep scratch, reused so the steady state allocates nothing:
 	// snap holds the pre-superstep segment (taken on the first tracked
 	// update, diffed by deltaRecords), moved/movedIdx flag this superstep's
-	// movers by member index, changes/recs are the diff output buffers.
+	// movers by member index, changes is the diff output buffer.
 	snap     []core.NDEntry
 	snapped  bool
 	moved    []bool
 	movedIdx []int32
 	changes  []core.NDChange
-	recs     []msgDelta
 }
 
 // register (re)initializes the member registry for a new level.
@@ -459,11 +432,12 @@ func (st *queryState) register(level, degree int) {
 // updating member is flagged as a mover, so deltaRecords can diff the net
 // per-bucket changes and the send loop can route full contributions to
 // movers only.
-func (st *queryState) applyUpdate(members []int32, mb msgBucket, track bool) {
-	i, ok := slices.BinarySearch(members, mb.Data)
+func (st *queryState) applyUpdate(members []int32, r record, track bool) {
+	data, bucket := r.bucket()
+	i, ok := slices.BinarySearch(members, data)
 	if !ok {
 		//shp:panics(invariant: only adjacent data vertices may update a query; a stray update corrupts neighbor histograms)
-		panic(fmt.Sprintf("distshp: bucket update from non-member %d reached query %d", mb.Data, st.q))
+		panic(fmt.Sprintf("distshp: bucket update from non-member %d reached query %d", data, st.q))
 	}
 	if track {
 		if !st.snapped {
@@ -478,21 +452,17 @@ func (st *queryState) applyUpdate(members []int32, mb msgBucket, track bool) {
 	if prev := st.memberBucket[i]; prev >= 0 {
 		st.ent = core.NDDec(st.ent, prev)
 	}
-	st.memberBucket[i] = mb.New
-	st.ent = core.NDInc(st.ent, mb.New)
+	st.memberBucket[i] = bucket
+	st.ent = core.NDInc(st.ent, bucket)
 }
 
 // deltaRecords diffs the pre-superstep snapshot against the current counts
-// into canonical sorted-by-bucket (bucket, cOld, cNew) records, skipping
+// into canonical sorted-by-bucket (bucket, cOld, cNew) changes, skipping
 // buckets whose net count is unchanged. 0 means "entry absent" on either
 // side.
-func (st *queryState) deltaRecords() []msgDelta {
+func (st *queryState) deltaRecords() []core.NDChange {
 	st.changes = core.NDDiff(st.changes[:0], st.snap, st.ent)
-	st.recs = st.recs[:0]
-	for _, c := range st.changes {
-		st.recs = append(st.recs, msgDelta{Bucket: c.B, COld: c.COld, CNew: c.CNew})
-	}
-	return st.recs
+	return st.changes
 }
 
 // resetSuperstep clears the tracked-superstep scratch in O(#movers).
@@ -675,7 +645,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	compute := func(ctx *pregel.Context, v *pregel.Vertex, msgs []pregel.Message) {
+	compute := func(ctx *pregel.ContextOf[record], v *pregel.Vertex, msgs []record) {
 		switch st := v.State.(type) {
 		case *dataState:
 			computeData(ctx, g, st, msgs, opts, tables)
@@ -808,7 +778,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		}
 	}
 
-	engOpts := pregel.Options{
+	engOpts := pregel.OptionsOf[record]{
 		Workers:       opts.Workers,
 		Compute:       compute,
 		Master:        master,
@@ -820,7 +790,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			"fanoutDiff": {New: func() pregel.Aggregator { return &pregel.CountAggregator{} }},
 		},
 		Transport: opts.Transport,
-		Codecs:    newRegistry(),
+		Codecs:    recordCodec{},
 	}
 	if !opts.noCombine {
 		engOpts.Combiner = combine
@@ -835,7 +805,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		engOpts.MasterSnapshot = func() []byte { return sched.appendBinary(nil) }
 		engOpts.MasterRestore = sched.restoreBinary
 	}
-	eng, err := pregel.NewEngine(engOpts, vertices)
+	eng, err := pregel.NewEngineOf(engOpts, vertices)
 	if err != nil {
 		return nil, err
 	}
@@ -866,8 +836,8 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 }
 
 // computeData is the data-vertex program.
-func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
-	msgs []pregel.Message, opts Options, tables []core.GainTables) {
+func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dataState,
+	msgs []record, opts Options, tables []core.GainTables) {
 
 	// Each phase reads only the aggregators it uses: every vertex runs every
 	// superstep, and a read is a string-keyed map lookup.
@@ -891,11 +861,11 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 			st.moved = false
 			// (Re-)register with all queries.
 			for _, q := range g.DataNeighbors(st.d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), msgBucket{Data: st.d, New: st.bucket})
+				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(st.d, st.bucket))
 			}
 		} else if st.moved {
 			for _, q := range g.DataNeighbors(st.d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), msgBucket{Data: st.d, New: st.bucket})
+				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(st.d, st.bucket))
 			}
 			st.moved = false
 		}
@@ -904,8 +874,8 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 	case 2:
 		// Bring the persistent Equation 1 accumulators up to date and
 		// register the gain for moving to the sibling bucket with the master.
-		// msgGain means "resum from scratch" (movers and rebroadcast
-		// iterations — every adjacent query sent a contribution); msgDelta
+		// A gain means "resum from scratch" (movers and rebroadcast
+		// iterations — every adjacent query sent a contribution); a delta
 		// patches in place. The protocol never mixes the two for one vertex
 		// in one superstep.
 		//
@@ -924,19 +894,15 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		sumCur, sumOth := 0.0, 0.0
 		gains, deltas := 0, 0
 		for _, m := range msgs {
-			switch x := m.(type) {
-			case *msgGain:
+			switch m.kind {
+			case kindGain:
 				gains++
-				sumCur += x.Cur
-				sumOth += x.Oth
-			case msgDelta:
+				cur, oth := m.gain()
+				sumCur += cur
+				sumOth += oth
+			case kindDelta:
 				deltas++
-				st.applyDelta(tb, x)
-			case *msgDeltaBatch:
-				deltas++
-				for _, r := range x.recs {
-					st.applyDelta(tb, r)
-				}
+				st.applyDelta(tb, m)
 			}
 		}
 		if gains > 0 {
@@ -992,7 +958,7 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 }
 
 // readInt reads an int the master broadcast, 0 before it first has.
-func readInt(ctx *pregel.Context, name string) int {
+func readInt(ctx *pregel.ContextOf[record], name string) int {
 	v, _ := ctx.ReadAggregator(name).(int)
 	return v
 }
@@ -1005,17 +971,17 @@ func directionKey(bucket int32) uint64 {
 }
 
 // computeQuery is the query-vertex program: maintain neighbor data
-// incrementally (superstep 0's messages, possibly batched by the sender-side
-// combiner) and, in superstep 1, bring each member's gain state up to date.
+// incrementally from superstep 0's bucket updates and, in superstep 1, bring
+// each member's gain state up to date.
 //
-// A dirty query sends a full msgGain contribution to each member that moved
+// A dirty query sends a full gain contribution to each member that moved
 // (it is rebuilding) and canonical (bucket, cOld, cNew) delta records to
 // each clean member whose sibling pair contains a changed bucket; clean
 // queries send nothing. On a master-scheduled rebroadcast iteration every
 // query sends every member its full contribution, exactly the paper's
 // per-iteration r = 2 neighbor-data reduction.
-func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
-	msgs []pregel.Message, opts Options, tables []core.GainTables) {
+func computeQuery(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *queryState,
+	msgs []record, opts Options, tables []core.GainTables) {
 
 	switch ctx.Superstep() % 4 {
 	case 1:
@@ -1037,14 +1003,7 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 		// the sorted adjacency list.
 		track := !full
 		for _, m := range msgs {
-			switch mb := m.(type) {
-			case msgBucket:
-				st.applyUpdate(members, mb, track)
-			case *msgBucketBatch:
-				for _, u := range mb.recs {
-					st.applyUpdate(members, u, track)
-				}
-			}
+			st.applyUpdate(members, m, track)
 		}
 		// Fanout bookkeeping: hand the master the live-entry diff so it can
 		// maintain the global average fanout without graph passes. Identical
@@ -1064,26 +1023,26 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 				if b < 0 {
 					continue
 				}
-				ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[core.NDCount(st.ent, b)-1], tb.T[core.NDCount(st.ent, b^1)]))
 			}
 			return
 		}
 		if !st.snapped {
 			return // clean query: members' accumulators are already exact
 		}
-		recs := st.deltaRecords()
+		changes := st.deltaRecords()
 		for i, d := range members {
 			b := st.memberBucket[i]
 			if b < 0 {
 				continue
 			}
 			if st.moved[i] {
-				ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[core.NDCount(st.ent, b)-1], tb.T[core.NDCount(st.ent, b^1)]))
 				continue
 			}
-			for _, r := range recs {
-				if r.Bucket == b || r.Bucket == b^1 {
-					ctx.Send(pregel.VertexID(int(d)), r)
+			for _, c := range changes {
+				if c.B == b || c.B == b^1 {
+					ctx.Send(pregel.VertexID(int(d)), deltaRecord(c.B, c.COld, c.CNew))
 				}
 			}
 		}

@@ -1,58 +1,72 @@
 package distshp
 
-// Fuzzers for the delta-message wire codecs: whatever bytes arrive, Decode
-// must either reject the frame (truncation) or produce a value that
-// round-trips stably through Append/Size. `go test` runs the seed corpus,
-// so these double as regression tests in CI.
+// Fuzzers for the codecs that read bytes off the wire or a checkpoint:
+// whatever arrives, Decode must either reject it or produce a value whose
+// encoding round-trips stably. `go test` runs the seed corpus, so these double
+// as regression tests in CI.
+//
+// The wire has one codec, recordCodec, and one property, checkRecordCodec.
+// Each of the five Fuzz*Codec targets before FuzzCheckpointCodec starts the
+// fuzzer from one wire kind's envelopes.
 
 import (
 	"bytes"
-	"reflect"
+	"slices"
 	"testing"
 
 	"shp/internal/core"
 	"shp/internal/pregel"
 )
 
+// checkRecordCodec is the wire codec's property: hostile counts and
+// truncations fail without appending anything; whatever decodes re-encodes
+// to exactly the bytes consumed, sizes to them, and decodes again onto what
+// is already there.
+func checkRecordCodec(t *testing.T, data []byte) {
+	recs, used, err := (recordCodec{}).Decode(data, nil)
+	if err != nil {
+		if len(recs) != 0 {
+			t.Fatalf("failed decode appended %d records", len(recs))
+		}
+		return
+	}
+	if used < 1 || used > len(data) || len(recs) == 0 {
+		t.Fatalf("decoded %d records from %d of %d bytes", len(recs), used, len(data))
+	}
+	re, err := (recordCodec{}).Append(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, data[:used]) {
+		t.Fatalf("re-encode mismatch: %x vs %x", re, data[:used])
+	}
+	if size, err := (recordCodec{}).Size(recs); err != nil || size != len(re) {
+		t.Fatalf("Size %d (%v) != encoded %d", size, err, len(re))
+	}
+	again, used2, err := (recordCodec{}).Decode(re, recs)
+	if err != nil || used2 != used || !slices.Equal(again[:len(recs)], recs) || !slices.Equal(again[len(recs):], recs) {
+		t.Fatalf("decoding onto earlier records: %+v (used %d, err %v)", again, used2, err)
+	}
+}
+
+func envelopeBytes(recs ...record) []byte {
+	buf, _ := (recordCodec{}).Append(nil, recs)
+	return buf
+}
+
 func FuzzDeltaCodec(f *testing.F) {
-	f.Add(appendDelta(nil, msgDelta{Bucket: 2, COld: 3, CNew: 4}))
-	f.Add(appendDelta(nil, msgDelta{Bucket: -1, COld: 0, CNew: 1}))
+	f.Add(envelopeBytes(deltaRecord(2, 3, 4)))
+	f.Add(envelopeBytes(deltaRecord(-1, 0, 1)))
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, used, err := (deltaCodec{}).Decode(data)
-		if err != nil {
-			if len(data) >= deltaWireSize {
-				t.Fatalf("rejected a full-size frame: %v", err)
-			}
-			return
-		}
-		if len(data) < deltaWireSize {
-			t.Fatalf("accepted a truncated frame of %d bytes", len(data))
-		}
-		if used != deltaWireSize {
-			t.Fatalf("consumed %d bytes, want %d", used, deltaWireSize)
-		}
-		// The fixed little-endian encoding is canonical: re-encoding the
-		// decoded record must reproduce the consumed bytes exactly.
-		re, err := (deltaCodec{}).Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, data[:used]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:used])
-		}
-		if (deltaCodec{}).Size(m) != len(re) {
-			t.Fatalf("Size %d != encoded %d", (deltaCodec{}).Size(m), len(re))
-		}
-	})
+	f.Add([]byte{kindDelta, 2, 3})
+	f.Fuzz(checkRecordCodec)
 }
 
 // FuzzCheckpointCodec drives the checkpoint vertex-state codecs with
 // arbitrary bytes: Decode must reject hostile input without panicking or
 // over-allocating, and any accepted value must round-trip stably through
 // Append/Decode (raw bytes may use overlong varints, so the comparison is
-// value-level, like FuzzDeltaBatchCodec).
+// between the first and second encodings, not against the input).
 func FuzzCheckpointCodec(f *testing.F) {
 	ds, _ := (dataStateCodec{}).Append(nil, &dataState{
 		d: 7, bucket: 3, moved: true, level: 2,
@@ -77,7 +91,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 	f.Add(true, []byte{})
 	f.Add(false, []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
 	f.Fuzz(func(t *testing.T, isData bool, data []byte) {
-		var codec pregel.Codec
+		var codec pregel.ValueCodec
 		if isData {
 			codec = dataStateCodec{}
 		} else {
@@ -117,149 +131,40 @@ func FuzzCheckpointCodec(f *testing.F) {
 }
 
 func FuzzDeltaBatchCodec(f *testing.F) {
-	one, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{{Bucket: 2, COld: 0, CNew: 1}}})
-	three, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{recs: []msgDelta{
-		{Bucket: 2, COld: 3, CNew: 4},
-		{Bucket: 3, COld: 1, CNew: 0},
-		{Bucket: 0, COld: 0, CNew: 9},
-	}})
-	empty, _ := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{})
-	f.Add(one)
-	f.Add(three)
-	f.Add(empty)
-	f.Add(one[:len(one)-1])                                       // truncated last record
-	f.Add([]byte{200})                                            // truncated uvarint count
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, used, err := (deltaBatchCodec{}).Decode(data)
-		if err != nil {
-			return // rejected; nothing to check beyond not panicking
-		}
-		if used > len(data) {
-			t.Fatalf("consumed %d of %d bytes", used, len(data))
-		}
-		batch := m.(*msgDeltaBatch)
-		// Value round trip: the count uvarint may arrive in a non-canonical
-		// overlong form, so compare decoded values, not raw bytes.
-		re, err := (deltaBatchCodec{}).Append(nil, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (deltaBatchCodec{}).Size(batch) != len(re) {
-			t.Fatalf("Size %d != encoded %d", (deltaBatchCodec{}).Size(batch), len(re))
-		}
-		m2, used2, err := (deltaBatchCodec{}).Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if used2 != len(re) || !reflect.DeepEqual(m2, m) {
-			t.Fatalf("unstable round trip: %+v vs %+v", m2, m)
-		}
-	})
+	two := envelopeBytes(deltaRecord(2, 0, 1), deltaRecord(3, 1, 0))
+	f.Add(two)
+	f.Add(envelopeBytes(deltaRecord(2, 3, 4), deltaRecord(3, 1, 0), deltaRecord(0, 0, 9)))
+	f.Add([]byte{kindDeltaBatch, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})          // a batch of one
+	f.Add(two[:len(two)-1])                                                       // truncated last record
+	f.Add([]byte{kindDeltaBatch, 200})                                            // truncated uvarint count
+	f.Add([]byte{kindDeltaBatch, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
+	f.Fuzz(checkRecordCodec)
 }
 
 func FuzzBucketCodec(f *testing.F) {
-	f.Add(appendBucket(nil, msgBucket{Data: 7, New: 3}))
-	f.Add(appendBucket(nil, msgBucket{Data: 0, New: -1}))
+	f.Add(envelopeBytes(bucketRecord(7, 3)))
+	f.Add(envelopeBytes(bucketRecord(0, -1)))
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, used, err := (bucketCodec{}).Decode(data)
-		if err != nil {
-			if len(data) >= bucketWireSize {
-				t.Fatalf("rejected a full-size frame: %v", err)
-			}
-			return
-		}
-		if len(data) < bucketWireSize {
-			t.Fatalf("accepted a truncated frame of %d bytes", len(data))
-		}
-		if used != bucketWireSize {
-			t.Fatalf("consumed %d bytes, want %d", used, bucketWireSize)
-		}
-		re, err := (bucketCodec{}).Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, data[:used]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:used])
-		}
-		if (bucketCodec{}).Size(m) != len(re) {
-			t.Fatalf("Size %d != encoded %d", (bucketCodec{}).Size(m), len(re))
-		}
-	})
+	f.Add([]byte{kindBucket, 2, 3})
+	f.Fuzz(checkRecordCodec)
 }
 
 func FuzzBucketBatchCodec(f *testing.F) {
-	one, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{recs: []msgBucket{{Data: 2, New: 1}}})
-	three, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{recs: []msgBucket{
-		{Data: 2, New: 3},
-		{Data: 9, New: 0},
-		{Data: 0, New: 7},
-	}})
-	empty, _ := (bucketBatchCodec{}).Append(nil, &msgBucketBatch{})
-	f.Add(one)
-	f.Add(three)
-	f.Add(empty)
-	f.Add(one[:len(one)-1])                                       // truncated last record
-	f.Add([]byte{200})                                            // truncated uvarint count
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, used, err := (bucketBatchCodec{}).Decode(data)
-		if err != nil {
-			return // rejected; nothing to check beyond not panicking
-		}
-		if used > len(data) {
-			t.Fatalf("consumed %d of %d bytes", used, len(data))
-		}
-		batch := m.(*msgBucketBatch)
-		// Value round trip: the count uvarint may arrive overlong, so
-		// compare decoded values, not raw bytes.
-		re, err := (bucketBatchCodec{}).Append(nil, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (bucketBatchCodec{}).Size(batch) != len(re) {
-			t.Fatalf("Size %d != encoded %d", (bucketBatchCodec{}).Size(batch), len(re))
-		}
-		m2, used2, err := (bucketBatchCodec{}).Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if used2 != len(re) || !reflect.DeepEqual(m2, m) {
-			t.Fatalf("unstable round trip: %+v vs %+v", m2, m)
-		}
-	})
+	two := envelopeBytes(bucketRecord(2, 1), bucketRecord(4, 0))
+	f.Add(two)
+	f.Add(envelopeBytes(bucketRecord(2, 3), bucketRecord(9, 0), bucketRecord(0, 7)))
+	f.Add([]byte{kindBucketBatch, 0})                                              // an empty batch
+	f.Add(two[:len(two)-1])                                                        // truncated last record
+	f.Add([]byte{kindBucketBatch, 200})                                            // truncated uvarint count
+	f.Add([]byte{kindBucketBatch, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
+	f.Fuzz(checkRecordCodec)
 }
 
 func FuzzGainCodec(f *testing.F) {
-	full, _ := (gainCodec{}).Append(nil, &msgGain{Cur: 1.5, Oth: -0.25})
-	f.Add(full)
+	f.Add(envelopeBytes(gainRecord(1.5, -0.25)))
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, used, err := (gainCodec{}).Decode(data)
-		if err != nil {
-			if len(data) >= 16 {
-				t.Fatalf("rejected a full-size frame: %v", err)
-			}
-			return
-		}
-		if len(data) < 16 {
-			t.Fatalf("accepted a truncated frame of %d bytes", len(data))
-		}
-		if used != 16 {
-			t.Fatalf("consumed %d bytes, want 16", used)
-		}
-		// Raw IEEE bits both ways: even NaN payloads must survive exactly.
-		re, err := (gainCodec{}).Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, data[:used]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:used])
-		}
-	})
+	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(checkRecordCodec)
 }
 
 // FuzzSnapshotValueCodecs drives every aggregated-value codec the checkpoint
@@ -267,7 +172,7 @@ func FuzzGainCodec(f *testing.F) {
 // bytes must be rejected or produce a value whose canonical encoding is
 // stable through a second Decode/Append round.
 func FuzzSnapshotValueCodecs(f *testing.F) {
-	codecs := []pregel.Codec{
+	codecs := []pregel.ValueCodec{
 		intCodec{}, boolCodec{}, pregel.Int64Codec{},
 		probsCodec{}, histMapCodec{}, weightMapCodec{},
 	}

@@ -242,7 +242,7 @@ func appendWeightMap(buf []byte, m map[int32]int64) []byte {
 
 type dataStateCodec struct{}
 
-func (dataStateCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	st := m.(*dataState)
 	buf = binary.AppendVarint(buf, int64(st.d))
 	buf = binary.AppendVarint(buf, int64(st.bucket))
@@ -261,7 +261,7 @@ func (dataStateCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
 	return buf, nil
 }
 
-func (dataStateCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (dataStateCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	st := &dataState{}
 	st.d = int32(d.varint())
@@ -280,7 +280,7 @@ func (dataStateCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return st, len(data) - len(d.data), nil
 }
 
-func (c dataStateCodec) Size(m pregel.Message) int {
+func (c dataStateCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
@@ -291,7 +291,7 @@ type queryStateCodec struct{}
 // (snapshot segment, mover flags, diff buffers) is logically empty at every
 // barrier — resetSuperstep runs before the superstep ends on every path — so
 // it is omitted and reallocated on restore.
-func (queryStateCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	st := m.(*queryState)
 	buf = binary.AppendVarint(buf, int64(st.q))
 	buf = binary.AppendVarint(buf, int64(st.level))
@@ -314,7 +314,7 @@ func (queryStateCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
 	return buf, nil
 }
 
-func (queryStateCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (queryStateCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	st := &queryState{}
 	st.q = int32(d.varint())
@@ -350,7 +350,7 @@ func (queryStateCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return st, len(data) - len(d.data), nil
 }
 
-func (c queryStateCodec) Size(m pregel.Message) int {
+func (c queryStateCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
@@ -359,11 +359,11 @@ func (c queryStateCodec) Size(m pregel.Message) int {
 
 type intCodec struct{}
 
-func (intCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (intCodec) Append(buf []byte, m any) ([]byte, error) {
 	return binary.AppendVarint(buf, int64(m.(int))), nil
 }
 
-func (intCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (intCodec) Decode(data []byte) (any, int, error) {
 	v, n := binary.Varint(data)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("distshp: truncated int")
@@ -371,32 +371,32 @@ func (intCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return int(v), n, nil
 }
 
-func (c intCodec) Size(m pregel.Message) int {
+func (c intCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
 
 type boolCodec struct{}
 
-func (boolCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (boolCodec) Append(buf []byte, m any) ([]byte, error) {
 	if m.(bool) {
 		return append(buf, 1), nil
 	}
 	return append(buf, 0), nil
 }
 
-func (boolCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (boolCodec) Decode(data []byte) (any, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("distshp: truncated bool")
 	}
 	return data[0] != 0, 1, nil
 }
 
-func (boolCodec) Size(pregel.Message) int { return 1 }
+func (boolCodec) Size(any) int { return 1 }
 
 type probsCodec struct{}
 
-func (probsCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (probsCodec) Append(buf []byte, m any) ([]byte, error) {
 	probs := m.(probsValue)
 	keys := make([]uint64, 0, len(probs))
 	for k := range probs {
@@ -411,7 +411,7 @@ func (probsCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
 	return buf, nil
 }
 
-func (probsCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (probsCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	n := d.uvarint()
 	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
@@ -436,18 +436,18 @@ func (probsCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return probs, len(data) - len(d.data), nil
 }
 
-func (c probsCodec) Size(m pregel.Message) int {
+func (c probsCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
 
 type histMapCodec struct{}
 
-func (histMapCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (histMapCodec) Append(buf []byte, m any) ([]byte, error) {
 	return appendHistMap(buf, m.(map[uint64]*histPair)), nil
 }
 
-func (histMapCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (histMapCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	m := d.histMap()
 	if d.err != nil {
@@ -456,18 +456,18 @@ func (histMapCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return m, len(data) - len(d.data), nil
 }
 
-func (c histMapCodec) Size(m pregel.Message) int {
+func (c histMapCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
 
 type weightMapCodec struct{}
 
-func (weightMapCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
+func (weightMapCodec) Append(buf []byte, m any) ([]byte, error) {
 	return appendWeightMap(buf, m.(map[int32]int64)), nil
 }
 
-func (weightMapCodec) Decode(data []byte) (pregel.Message, int, error) {
+func (weightMapCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	m := d.weightMap()
 	if d.err != nil {
@@ -476,7 +476,7 @@ func (weightMapCodec) Decode(data []byte) (pregel.Message, int, error) {
 	return m, len(data) - len(d.data), nil
 }
 
-func (c weightMapCodec) Size(m pregel.Message) int {
+func (c weightMapCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }

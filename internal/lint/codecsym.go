@@ -2,18 +2,13 @@ package lint
 
 // codec-symmetry: cross-file contract checks for the pregel typed-codec
 // plane. Every `Register(sample, codec)` call on a codec Registry is a
-// promise with three parts that no single file shows:
+// promise with two parts that no single file shows:
 //
 //   - the codec must actually decode what it encodes (an Append/Decode
 //     pair, not an encode-only stub);
 //   - hostile bytes must be covered: some Fuzz* target in the package's
 //     tests must exercise the codec (by naming its type) or the whole
-//     registry (by naming the constructor the registration lives in);
-//   - when the registry is wired as Options.Codecs alongside a Combiner,
-//     the combiner must have an arm for the registered message type —
-//     distshp's combiner panics on unknown kinds, so a registered-but-
-//     unhandled type is a latent crash the first time two of its messages
-//     share a destination.
+//     registry (by naming the constructor the registration lives in).
 //
 // Suppress a registration's findings with //shp:nocodec(reason).
 
@@ -25,7 +20,7 @@ import (
 
 var codecSymmetryAnalyzer = &Analyzer{
 	Name:     "codec-symmetry",
-	Doc:      "registered codecs need decode symmetry, fuzz coverage, and combiner arms",
+	Doc:      "registered codecs need decode symmetry and fuzz coverage",
 	Suppress: "nocodec",
 	Run:      runCodecSymmetry,
 }
@@ -41,13 +36,11 @@ type registration struct {
 }
 
 func runCodecSymmetry(pkg *Package) []Diagnostic {
-	regs, funcDecls := collectRegistrations(pkg)
+	regs := collectRegistrations(pkg)
 	if len(regs) == 0 {
 		return nil
 	}
 	fuzzRefs := fuzzIdentSets(pkg)
-	wireConstructors, combinerBodies := optionsLinks(pkg, funcDecls)
-	armTypes := combinerArmTypes(pkg, combinerBodies)
 
 	var diags []Diagnostic
 	report := func(call *ast.CallExpr, format string, args ...interface{}) {
@@ -91,30 +84,13 @@ func runCodecSymmetry(pkg *Package) []Diagnostic {
 		if !covered {
 			report(reg.call, "codec %s registered for %s has no fuzz target: no Fuzz* function references the codec or its registry constructor", codecName, msgName)
 		}
-
-		// Combiner arm: only for registrations inside a constructor whose
-		// registry is wired as Options.Codecs next to a Combiner.
-		if reg.enclosing != nil && wireConstructors[reg.enclosing] && len(combinerBodies) > 0 {
-			arm := false
-			for _, at := range armTypes {
-				if types.Identical(at, reg.msgType) {
-					arm = true
-					break
-				}
-			}
-			if !arm {
-				report(reg.call, "message type %s rides a combined wire but the combiner has no arm for it", msgName)
-			}
-		}
 	}
 	return diags
 }
 
-// collectRegistrations finds Register method calls on *Registry receivers
-// and indexes the package's function declarations by object.
-func collectRegistrations(pkg *Package) ([]registration, map[*types.Func]*ast.FuncDecl) {
+// collectRegistrations finds Register method calls on *Registry receivers.
+func collectRegistrations(pkg *Package) []registration {
 	var regs []registration
-	funcDecls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -124,7 +100,6 @@ func collectRegistrations(pkg *Package) ([]registration, map[*types.Func]*ast.Fu
 			var enclosing *types.Func
 			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				enclosing = obj
-				funcDecls[obj] = fd
 			}
 			ast.Inspect(fd, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -154,7 +129,7 @@ func collectRegistrations(pkg *Package) ([]registration, map[*types.Func]*ast.Fu
 			})
 		}
 	}
-	return regs, funcDecls
+	return regs
 }
 
 // fuzzIdentSets collects, for each Fuzz* function in the package's test
@@ -178,117 +153,6 @@ func fuzzIdentSets(pkg *Package) []map[string]bool {
 		}
 	}
 	return sets
-}
-
-// optionsLinks scans for Options wiring: constructors whose registries are
-// installed as Options.Codecs, and the combiner function bodies installed
-// as Options.Combiner (either in the composite literal or by a later field
-// assignment).
-func optionsLinks(pkg *Package, funcDecls map[*types.Func]*ast.FuncDecl) (map[*types.Func]bool, []*ast.BlockStmt) {
-	wire := map[*types.Func]bool{}
-	var combiners []*ast.BlockStmt
-	addCodecs := func(value ast.Expr) {
-		call, ok := ast.Unparen(value).(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if fn := funcObj(pkg.Info, call); fn != nil {
-			wire[fn] = true
-		}
-	}
-	addCombiner := func(value ast.Expr) {
-		switch v := ast.Unparen(value).(type) {
-		case *ast.FuncLit:
-			combiners = append(combiners, v.Body)
-		default:
-			call := &ast.CallExpr{Fun: v} // reuse the callee resolver
-			if fn := funcObj(pkg.Info, call); fn != nil {
-				if fd := funcDecls[fn]; fd != nil && fd.Body != nil {
-					combiners = append(combiners, fd.Body)
-				}
-			}
-		}
-	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if namedNameOf(pkg.Info.Types[n].Type) != "Options" {
-					return true
-				}
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					switch key.Name {
-					case "Codecs":
-						addCodecs(kv.Value)
-					case "Combiner":
-						addCombiner(kv.Value)
-					}
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					base, ok := pkg.Info.Types[sel.X]
-					if !ok || namedNameOf(base.Type) != "Options" {
-						continue
-					}
-					switch sel.Sel.Name {
-					case "Codecs":
-						addCodecs(n.Rhs[i])
-					case "Combiner":
-						addCombiner(n.Rhs[i])
-					}
-				}
-			}
-			return true
-		})
-	}
-	return wire, combiners
-}
-
-// combinerArmTypes collects the concrete types a combiner body can handle:
-// type-switch case types and type-assertion targets.
-func combinerArmTypes(pkg *Package, bodies []*ast.BlockStmt) []types.Type {
-	var arms []types.Type
-	for _, body := range bodies {
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSwitchStmt:
-				for _, clause := range n.Body.List {
-					cc, ok := clause.(*ast.CaseClause)
-					if !ok {
-						continue
-					}
-					for _, expr := range cc.List {
-						if tv, ok := pkg.Info.Types[expr]; ok && tv.IsType() {
-							arms = append(arms, tv.Type)
-						}
-					}
-				}
-			case *ast.TypeAssertExpr:
-				if n.Type != nil {
-					if tv, ok := pkg.Info.Types[n.Type]; ok {
-						arms = append(arms, tv.Type)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return arms
 }
 
 func namedOf(t types.Type) *types.Named {

@@ -176,20 +176,20 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 //	per vertex, worker-major then id-ascending (the engine's canonical
 //	  order): id | flags byte (bit0 halted, bit1 state present) |
 //	  [state value]
-//	per worker: inbox length | per message, in the inbox's grouped order
+//	per worker: inbox length | per record, in the inbox's grouped order
 //	  (destination-ascending, then source worker, then send order): dst |
-//	  message value
+//	  the record as a one-record envelope
 //	aggregated count | per entry, name-ascending: name len | name bytes |
 //	  present byte | [value]
 //	master blob length | blob bytes
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
-// Values ride the typed-codec plane: one codec-id byte plus the codec
-// payload, states and aggregated values through Options.Snapshots, inbox
-// messages through Options.Codecs. Encoding order is canonical, so equal
-// engine states produce byte-identical snapshots. The checksum is what
-// catches damage that still parses — a flipped bit inside a float64 state
-// decodes to a different, perfectly valid state.
+// Values ride the typed-codec plane: states and aggregated values as one
+// codec-id byte plus the payload through Options.Snapshots, pending records
+// through Options.Codecs, the codec the wire uses. Encoding order is
+// canonical, so equal engine states produce byte-identical snapshots. The
+// checksum is what catches damage that still parses — a flipped bit inside
+// a float64 state decodes to a different, perfectly valid state.
 const (
 	snapshotMagic   = "SHPS"
 	snapshotVersion = 2
@@ -198,7 +198,7 @@ const (
 
 // checkpoint snapshots the engine at a superstep boundary and hands it to
 // the checkpointer, charging the encoded size to Stats.CheckpointBytes.
-func (e *Engine) checkpoint(superstep int) error {
+func (e *EngineOf[M]) checkpoint(superstep int) error {
 	snap, err := e.encodeSnapshot(superstep)
 	if err != nil {
 		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", superstep, err)
@@ -207,23 +207,25 @@ func (e *Engine) checkpoint(superstep int) error {
 		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", superstep, err)
 	}
 	e.stats.CheckpointBytes += int64(len(snap))
+	e.snapLen = len(snap)
 	return nil
 }
 
 // snapValue encodes one vertex state or aggregated value via the snapshot
 // registry, failing loudly when no codec covers it: silently dropping state
 // would corrupt a later recovery.
-func (e *Engine) snapValue(buf []byte, v interface{}, memo *kindMemo) ([]byte, error) {
+func (e *EngineOf[M]) snapValue(buf []byte, v interface{}) ([]byte, error) {
 	if e.opts.Snapshots == nil {
 		return buf, fmt.Errorf("Options.Snapshots registry required to encode %T", v)
 	}
-	return e.opts.Snapshots.appendValue(buf, v, memo)
+	return e.opts.Snapshots.appendValue(buf, v)
 }
 
 // encodeSnapshot serializes the complete barrier state at a superstep
-// boundary: everything the next superstep's compute can observe.
-func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
-	buf := append([]byte(nil), snapshotMagic...)
+// boundary: everything the next superstep's compute can observe. The buffer
+// starts at the previous snapshot's size, which the next one rarely outgrows.
+func (e *EngineOf[M]) encodeSnapshot(superstep int) ([]byte, error) {
+	buf := append(make([]byte, 0, e.snapLen), snapshotMagic...)
 	buf = append(buf, snapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(superstep))
 	buf = binary.AppendUvarint(buf, uint64(len(e.workers)))
@@ -233,9 +235,11 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(total))
 	var err error
-	var snapMemo, msgMemo kindMemo
 	for _, w := range e.workers {
 		for _, v := range w.vertices {
+			// The first snapshot has no previous size: keep room for a vertex,
+			// so the buffer doubles rather than take append's 1.25x steps.
+			buf = grow(buf, 64)
 			buf = binary.AppendUvarint(buf, uint64(v.ID))
 			var flags byte
 			if v.halted {
@@ -246,21 +250,21 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 			}
 			buf = append(buf, flags)
 			if v.State != nil {
-				if buf, err = e.snapValue(buf, v.State, &snapMemo); err != nil {
+				if buf, err = e.snapValue(buf, v.State); err != nil {
 					return nil, fmt.Errorf("vertex %d state: %w", v.ID, err)
 				}
 			}
 		}
 	}
 	for _, w := range e.workers {
-		buf = binary.AppendUvarint(buf, uint64(w.in.len()))
-		if w.in.len() > 0 && e.opts.Codecs == nil {
-			return nil, fmt.Errorf("Options.Codecs registry required to snapshot pending messages")
+		buf = binary.AppendUvarint(buf, uint64(len(w.in.msg)))
+		if len(w.in.msg) > 0 && e.opts.Codecs == nil {
+			return nil, fmt.Errorf("Options.Codecs required to snapshot pending messages")
 		}
 		for l, v := range w.vertices {
-			for _, m := range w.in.msg[w.in.start[l]:w.in.start[l+1]] {
+			for i := w.in.start[l]; i < w.in.start[l+1]; i++ {
 				buf = binary.AppendUvarint(buf, uint64(v.ID))
-				if buf, err = e.opts.Codecs.appendValue(buf, m, &msgMemo); err != nil {
+				if buf, err = e.opts.Codecs.Append(buf, w.in.msg[i:i+1]); err != nil {
 					return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 				}
 			}
@@ -281,7 +285,7 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 			continue
 		}
 		buf = append(buf, 1)
-		if buf, err = e.snapValue(buf, v, &snapMemo); err != nil {
+		if buf, err = e.snapValue(buf, v); err != nil {
 			return nil, fmt.Errorf("aggregated %q: %w", name, err)
 		}
 	}
@@ -297,10 +301,10 @@ func (e *Engine) encodeSnapshot(superstep int) ([]byte, error) {
 // snapshotState is a fully decoded snapshot, held apart from the engine until
 // every byte has parsed: a damaged file must fail before anything is rewound,
 // so recovery can still fall back to an older one.
-type snapshotState struct {
+type snapshotState[M any] struct {
 	halted     []bool        // per vertex, the engine's canonical order
 	states     []interface{} // same order; nil = no state
-	inboxes    []inbox       // per worker
+	inboxes    []inbox[M]    // per worker
 	aggregated map[string]interface{}
 	master     []byte
 }
@@ -308,7 +312,7 @@ type snapshotState struct {
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
 // against its checksum and the engine's layout (worker count, vertex ids,
 // who owns each pending message). It only reads the engine.
-func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
+func (e *EngineOf[M]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("bad snapshot magic")
 	}
@@ -352,10 +356,10 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if total != uint64(wantTotal) {
 		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, wantTotal)
 	}
-	s := &snapshotState{
+	s := &snapshotState[M]{
 		halted:     make([]bool, 0, wantTotal),
 		states:     make([]interface{}, 0, wantTotal),
-		inboxes:    make([]inbox, len(e.workers)),
+		inboxes:    make([]inbox[M], len(e.workers)),
 		aggregated: map[string]interface{}{},
 	}
 	for _, w := range e.workers {
@@ -393,13 +397,13 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 			return nil, err
 		}
 		if n > 0 && e.opts.Codecs == nil {
-			return nil, fmt.Errorf("Options.Codecs registry required to restore pending messages")
+			return nil, fmt.Errorf("Options.Codecs required to restore pending messages")
 		}
-		// Messages arrive in the grouped order encodeSnapshot wrote, so
+		// Records arrive in the grouped order encodeSnapshot wrote, so
 		// appending them rebuilds the inbox and counting them its offsets.
 		in := &s.inboxes[w.id]
 		in.start = make([]int32, len(w.vertices)+2)
-		in.msg = make([]Message, 0, min(n, uint64(len(data))))
+		in.msg = make([]M, 0, min(n, uint64(len(data))))
 		last := int32(0)
 		for i := uint64(0); i < n; i++ {
 			dst, err := readUvarint()
@@ -410,13 +414,13 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 				return nil, fmt.Errorf("worker %d inbox: message for vertex %d out of place", w.id, dst)
 			}
 			last = e.place[dst].local
-			msg, used, err := e.opts.Codecs.decodeValue(data)
-			if err != nil {
+			before := len(in.msg)
+			var used int
+			if in.msg, used, err = e.opts.Codecs.Decode(data, in.msg); err != nil {
 				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 			}
 			data = data[used:]
-			in.start[last+1]++
-			in.msg = append(in.msg, msg)
+			in.start[last+1] += int32(len(in.msg) - before)
 		}
 		for l := 1; l < len(in.start); l++ {
 			in.start[l] += in.start[l-1]
@@ -472,7 +476,7 @@ func (e *Engine) decodeSnapshot(data []byte) (*snapshotState, error) {
 // boundary being restored. The snapshot is decoded in full, and the master
 // has accepted its blob, before the first engine field changes: on error the
 // engine is exactly as it was.
-func (e *Engine) restoreSnapshot(data []byte) error {
+func (e *EngineOf[M]) restoreSnapshot(data []byte) error {
 	s, err := e.decodeSnapshot(data)
 	if err != nil {
 		return err

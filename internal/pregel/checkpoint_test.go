@@ -282,12 +282,11 @@ func TestReadFrameTimeout(t *testing.T) {
 	defer server.Close()
 
 	tr := &tcpTransport{
+		timeout: 50 * time.Millisecond,
 		recv:    [][]net.Conn{{nil, client}, {nil, nil}},
-		staging: [][][]envelope{make([][]envelope, 2), make([][]envelope, 2)},
 	}
-	e := &Engine{opts: Options{FrameTimeout: 50 * time.Millisecond, Codecs: floatRegistry()}}
 	start := time.Now()
-	err = tr.readFrame(e, 1, 0, 0) // worker 0 reading from silent worker 1
+	err = tr.readFrame(1, 0, 0, &frame{}) // worker 0 reading from silent worker 1
 	if err == nil {
 		t.Fatal("readFrame succeeded against a silent peer")
 	}

@@ -7,136 +7,142 @@ import (
 	"reflect"
 )
 
-// Codec serializes one message type to and from a flat binary form. Encoded
-// messages are embedded in batch buffers (see Registry.appendEnvelope), so a
-// codec's output must be self-delimiting: Decode reports how many bytes it
-// consumed.
+// Codec serializes a program's messages to and from flat bytes, one envelope
+// at a time: an envelope is the records one worker addressed to one vertex in
+// a superstep — one record when nothing combines, or the records a Combiner
+// declined to fold. Encoded envelopes sit back to back in frames after their
+// destination id, so an encoding must be self-delimiting: Decode reports how
+// many bytes it consumed.
 //
 // Codecs are what make BytesSent measured truth rather than an estimate:
-// every byte a transport ships was produced by a codec, and the engine
-// charges exactly those bytes.
-type Codec interface {
-	// Append serializes m onto buf and returns the extended buffer.
-	Append(buf []byte, m Message) ([]byte, error)
-	// Decode reads one message from the front of data and returns it along
-	// with the number of bytes consumed. The message must not alias data:
-	// transports reuse their receive buffers from one frame to the next.
-	Decode(data []byte) (Message, int, error)
-	// Size returns m's exact encoded size in bytes (what Append would add).
-	Size(m Message) int
+// every byte a transport ships was produced by a codec, and the in-process
+// backend charges exactly what Size reports.
+type Codec[M any] interface {
+	// Append encodes the envelope holding recs (at least one) onto buf.
+	Append(buf []byte, recs []M) ([]byte, error)
+	// Decode reads one envelope from the front of data, appends its records
+	// to recs, and returns the extended slice with the bytes consumed. The
+	// records must not alias data: transports reuse their receive buffers.
+	Decode(data []byte, recs []M) ([]M, int, error)
+	// Size returns the envelope's exact encoded size (what Append would add).
+	Size(recs []M) (int, error)
 }
 
-// Registry maps concrete message types to codecs and assigns each a stable
-// one-byte wire id in registration order. A registry is required by byte-
-// measuring transports (TCP) and, when present, also upgrades the in-process
-// transport's byte accounting from the MessageBytes estimate to encoded
-// sizes.
+// ValueCodec serializes one concrete type held in an interface value. A
+// Registry binds value codecs to types; it encodes the messages of the
+// Message-typed plane, and vertex states and aggregated values in
+// checkpoints. Decode reports the bytes it consumed, and the value must not
+// alias data.
+type ValueCodec interface {
+	Append(buf []byte, v any) ([]byte, error)
+	Decode(data []byte) (any, int, error)
+	Size(v any) int
+}
+
+// Registry maps concrete types to value codecs and assigns each a stable
+// one-byte wire id in registration order. It is the Codec of the
+// Message-typed plane, where an envelope is one record (its wire id, then its
+// payload), and the codec of checkpointed vertex states and aggregated values.
 type Registry struct {
-	byType map[reflect.Type]uint8
-	byID   []Codec
+	types  []reflect.Type // by wire id
+	codecs []ValueCodec
 }
 
 // NewRegistry returns an empty codec registry.
-func NewRegistry() *Registry {
-	return &Registry{byType: map[reflect.Type]uint8{}}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register binds the concrete type of sample to c. Registration order fixes
 // the wire id, so both ends of a transport must register the same codecs in
 // the same order. At most 256 types can be registered.
-func (r *Registry) Register(sample Message, c Codec) {
+func (r *Registry) Register(sample any, c ValueCodec) {
 	t := reflect.TypeOf(sample)
-	if _, dup := r.byType[t]; dup {
+	if _, err := r.idOf(sample); err == nil {
 		//shp:panics(invariant: registration happens once at wiring time before any superstep; a duplicate is a programming error)
 		panic(fmt.Sprintf("pregel: codec for %v registered twice", t))
 	}
-	if len(r.byID) == 256 {
+	if len(r.types) == 256 {
 		//shp:panics(invariant: the kind byte is 8 bits; overflow at wiring time is a programming error, not runtime input)
 		panic("pregel: codec registry full")
 	}
-	r.byType[t] = uint8(len(r.byID))
-	r.byID = append(r.byID, c)
+	r.types = append(r.types, t)
+	r.codecs = append(r.codecs, c)
 }
 
-// kindMemo remembers the last type a caller resolved to a wire id. A
-// superstep's traffic is all of one or two kinds, so an encoder that keeps a
-// memo across the envelopes of a batch pays the type-keyed map lookup once
-// per run of equal types instead of once per envelope. The zero value is
-// ready; a memo belongs to one goroutine and one registry.
-type kindMemo struct {
-	typ reflect.Type
-	id  uint8
-}
-
-// idOf returns the wire id registered for m's concrete type.
-func (r *Registry) idOf(m Message, memo *kindMemo) (uint8, error) {
-	t := reflect.TypeOf(m)
-	if t != memo.typ || t == nil {
-		id, ok := r.byType[t]
-		if !ok {
-			return 0, fmt.Errorf("pregel: no codec registered for %T", m)
+// idOf returns the wire id registered for v's concrete type. A program
+// registers a handful of types, so a scan beats hashing the type.
+func (r *Registry) idOf(v any) (uint8, error) {
+	t := reflect.TypeOf(v)
+	for id, rt := range r.types {
+		if rt == t {
+			return uint8(id), nil
 		}
-		memo.typ, memo.id = t, id
 	}
-	return memo.id, nil
+	return 0, fmt.Errorf("pregel: no codec registered for %T", v)
 }
 
-// envelopeSize returns the encoded size of one envelope: uvarint destination
-// id, one codec-id byte, then the message payload.
-func (r *Registry) envelopeSize(env envelope, memo *kindMemo) (int, error) {
-	id, err := r.idOf(env.msg, memo)
+// one checks that an envelope is a single record: a Registry has no batch
+// form, so a Combiner on the Message-typed plane must fold every pair.
+func one(recs []any) error {
+	if len(recs) != 1 {
+		return fmt.Errorf("pregel: a Registry encodes one record per envelope, got %d", len(recs))
+	}
+	return nil
+}
+
+// Append encodes a one-record envelope: the record's wire id, then its
+// payload.
+func (r *Registry) Append(buf []byte, recs []any) ([]byte, error) {
+	if err := one(recs); err != nil {
+		return buf, err
+	}
+	return r.appendValue(buf, recs[0])
+}
+
+// Decode reads a one-record envelope onto recs.
+func (r *Registry) Decode(data []byte, recs []any) ([]any, int, error) {
+	v, used, err := r.decodeValue(data)
+	if err != nil {
+		return recs, 0, err
+	}
+	return append(recs, v), used, nil
+}
+
+// Size returns a one-record envelope's encoded size.
+func (r *Registry) Size(recs []any) (int, error) {
+	if err := one(recs); err != nil {
+		return 0, err
+	}
+	id, err := r.idOf(recs[0])
 	if err != nil {
 		return 0, err
 	}
-	return uvarintLen(uint64(env.dst)) + 1 + r.byID[id].Size(env.msg), nil
+	return 1 + r.codecs[id].Size(recs[0]), nil
 }
 
 // appendValue encodes one bare value: a codec-id byte, then the payload.
-// This is the unit shared by message envelopes and checkpoint snapshots —
-// a snapshot is just values encoded through a registry, so the checkpoint
-// plane gets the same measured-bytes guarantee as the wire.
-func (r *Registry) appendValue(buf []byte, v Message, memo *kindMemo) ([]byte, error) {
-	id, err := r.idOf(v, memo)
+func (r *Registry) appendValue(buf []byte, v any) ([]byte, error) {
+	id, err := r.idOf(v)
 	if err != nil {
 		return buf, err
 	}
 	buf = append(buf, id)
-	return r.byID[id].Append(buf, v)
+	return r.codecs[id].Append(buf, v)
 }
 
 // decodeValue reads one bare value from the front of data.
-func (r *Registry) decodeValue(data []byte) (Message, int, error) {
+func (r *Registry) decodeValue(data []byte) (any, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("pregel: truncated codec id")
 	}
 	id := data[0]
-	if int(id) >= len(r.byID) {
+	if int(id) >= len(r.codecs) {
 		return nil, 0, fmt.Errorf("pregel: unknown codec id %d", id)
 	}
-	m, used, err := r.byID[id].Decode(data[1:])
+	v, used, err := r.codecs[id].Decode(data[1:])
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, 1 + used, nil
-}
-
-// appendEnvelope encodes one envelope onto buf.
-func (r *Registry) appendEnvelope(buf []byte, env envelope, memo *kindMemo) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(env.dst))
-	return r.appendValue(buf, env.msg, memo)
-}
-
-// decodeEnvelope reads one envelope from the front of data.
-func (r *Registry) decodeEnvelope(data []byte) (envelope, int, error) {
-	dst, n := binary.Uvarint(data)
-	if n <= 0 {
-		return envelope{}, 0, fmt.Errorf("pregel: truncated envelope header")
-	}
-	m, used, err := r.decodeValue(data[n:])
-	if err != nil {
-		return envelope{}, 0, err
-	}
-	return envelope{dst: VertexID(dst), msg: m}, n + used, nil
+	return v, 1 + used, nil
 }
 
 func uvarintLen(v uint64) int {
@@ -148,16 +154,16 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Float64Codec encodes float64 messages as 8 little-endian bytes.
+// Float64Codec encodes float64 values as 8 little-endian bytes.
 type Float64Codec struct{}
 
 // Append serializes a float64.
-func (Float64Codec) Append(buf []byte, m Message) ([]byte, error) {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.(float64))), nil
+func (Float64Codec) Append(buf []byte, v any) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.(float64))), nil
 }
 
 // Decode reads a float64.
-func (Float64Codec) Decode(data []byte) (Message, int, error) {
+func (Float64Codec) Decode(data []byte) (any, int, error) {
 	if len(data) < 8 {
 		return nil, 0, fmt.Errorf("pregel: truncated float64")
 	}
@@ -165,18 +171,18 @@ func (Float64Codec) Decode(data []byte) (Message, int, error) {
 }
 
 // Size returns 8.
-func (Float64Codec) Size(Message) int { return 8 }
+func (Float64Codec) Size(any) int { return 8 }
 
-// Int64Codec encodes int64 messages as zig-zag varints.
+// Int64Codec encodes int64 values as zig-zag varints.
 type Int64Codec struct{}
 
 // Append serializes an int64.
-func (Int64Codec) Append(buf []byte, m Message) ([]byte, error) {
-	return binary.AppendVarint(buf, m.(int64)), nil
+func (Int64Codec) Append(buf []byte, v any) ([]byte, error) {
+	return binary.AppendVarint(buf, v.(int64)), nil
 }
 
 // Decode reads an int64.
-func (Int64Codec) Decode(data []byte) (Message, int, error) {
+func (Int64Codec) Decode(data []byte) (any, int, error) {
 	v, n := binary.Varint(data)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("pregel: truncated int64")
@@ -184,8 +190,8 @@ func (Int64Codec) Decode(data []byte) (Message, int, error) {
 	return v, n, nil
 }
 
-// Size returns the varint width of m.
-func (Int64Codec) Size(m Message) int {
-	v := m.(int64)
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+// Size returns the varint width of v.
+func (Int64Codec) Size(v any) int {
+	x := v.(int64)
+	return uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
 }

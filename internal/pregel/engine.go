@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,10 +13,15 @@ import (
 	"shp/internal/rng"
 )
 
-// envelope is one message addressed to a destination vertex.
+// envelope is one (source worker, destination vertex) unit of traffic: the
+// records one worker sent one vertex in a superstep. Once its slab is grouped
+// they are rec[first : first+n]; while sends run, first is instead the index
+// of the newest record, where the combiner folds the next one (the same
+// index while the envelope holds one record).
 type envelope struct {
-	dst VertexID
-	msg Message
+	dst   VertexID
+	first int32
+	n     int32
 }
 
 // placement is where the engine put a vertex: its worker and its index in
@@ -26,69 +32,124 @@ type placement struct {
 	local  int32
 }
 
-// outbox buffers one worker's messages for one destination worker. When a
-// combiner is configured, slot is indexed by the destination's local index
-// and holds position+1 in env of the (single) combined message for that
-// vertex, 0 for none, so Send folds into it with one load and one store —
-// Giraph's sender-side combining, which is what actually reduces wire
-// traffic. Only entries env names are ever non-zero, so clearing walks env.
-type outbox struct {
-	env  []envelope
-	slot []int32
+// traffic is what one source worker delivers to one destination worker in a
+// superstep: envelopes, and their records grouped by envelope in rec.
+type traffic[M any] struct {
+	envs []envelope
+	rec  []M
 }
 
-// inbox holds a worker's received messages grouped by destination: local
-// vertex l's messages are msg[start[l]:start[l+1]], in (source worker, send
-// order). Offsets are int32, which bounds one worker's superstep at 2^31
-// messages. start has two entries more than the worker has vertices; the
-// last one is scratch for the counting scatter in Engine.deliver.
-type inbox struct {
+func (t *traffic[M]) records(env envelope) []M { return t.rec[env.first : env.first+env.n] }
+
+func (t *traffic[M]) reset() {
+	clear(t.rec) // release references for the collector
+	t.envs, t.rec = t.envs[:0], t.rec[:0]
+}
+
+// outbox buffers one worker's records for one destination worker in send
+// order. When a combiner is configured, slot is indexed by the destination's
+// local index and holds envelope+1 (0 for none), so Send finds the envelope
+// with one load — Giraph's sender-side combining, which is what actually
+// reduces wire traffic — and envOf[i] is the envelope rec[i] rides in. Only
+// slots envs names are ever non-zero, so clearing walks envs.
+type outbox[M any] struct {
+	traffic[M]
+	envOf []int32
+	slot  []int32
+}
+
+// group lays the records out envelope by envelope, the order codecs encode
+// and delivery reads, in place: a stable pass turns envOf[i] into rec[i]'s
+// position, and swaps then put every record there. When every envelope holds
+// one record, send order already is that layout.
+func (ob *outbox[M]) group() {
+	if len(ob.rec) == len(ob.envs) {
+		return
+	}
+	at := int32(0)
+	for i := range ob.envs {
+		ob.envs[i].first = at
+		at += ob.envs[i].n
+	}
+	to := ob.envOf
+	for i, e := range to {
+		to[i] = ob.envs[e].first
+		ob.envs[e].first++
+	}
+	for i := range ob.envs {
+		ob.envs[i].first -= ob.envs[i].n
+	}
+	for i := range to {
+		for j := to[i]; j != int32(i); j = to[i] {
+			ob.rec[i], ob.rec[j] = ob.rec[j], ob.rec[i]
+			to[i], to[j] = to[j], j
+		}
+	}
+}
+
+// grow returns s with room for n more elements, at least doubling a slice it
+// reallocates: a slab grows to its peak superstep once per run, and doubling
+// allocates about twice that peak where append's 1.25x steps for large
+// slices allocate five times it.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+func push[T any](s []T, v T) []T { return append(grow(s, 1), v) }
+
+// inbox holds a worker's received records grouped by destination: local
+// vertex l's are msg[start[l]:start[l+1]], in (source worker, send order).
+// Offsets are int32, which bounds one worker's superstep at 2^31 records.
+// start has two entries more than the worker has vertices; the last one is
+// scratch for the counting scatter in deliver.
+type inbox[M any] struct {
 	start []int32
-	msg   []Message
+	msg   []M
 }
 
-func (in *inbox) len() int { return len(in.msg) }
-
-func (in *inbox) reset() {
+func (in *inbox[M]) reset() {
 	clear(in.start)
 	clear(in.msg) // release references for the collector
 	in.msg = in.msg[:0]
 }
 
-type worker struct {
+type worker[M any] struct {
 	id          int
 	vertices    []*Vertex // sorted by ID
-	in          inbox
-	out         []outbox // per destination worker
+	in          inbox[M]
+	out         []outbox[M]  // per destination worker
+	staged      []traffic[M] // per source worker: frames decoded off the wire
 	aggregators map[string]Aggregator
 }
 
-// Engine is a configured computation over a fixed vertex set.
-type Engine struct {
-	opts       Options
+// EngineOf is a configured computation over a fixed vertex set.
+type EngineOf[M any] struct {
+	opts       OptionsOf[M]
 	transport  Transport
-	workers    []*worker
+	framed     bool      // the transport moves frames the engine encodes
+	frameOut   [][]frame // [src][dst]
+	frameIn    [][]frame // [dst][src]
+	workers    []*worker[M]
 	place      []placement // by vertex id
 	aggregated map[string]interface{}
 	stats      Stats
+	snapLen    int // the previous snapshot's size, the next one's starting capacity
 }
 
-func (e *Engine) clearOutboxes(w *worker) {
-	for d := range w.out {
-		ob := &w.out[d]
-		if ob.slot != nil {
-			for _, env := range ob.env {
-				ob.slot[e.place[env.dst].local] = 0
-			}
-		}
-		clear(ob.env) // release references for the collector
-		ob.env = ob.env[:0]
-	}
-}
+// Engine is the Message-typed plane's EngineOf.
+type Engine = EngineOf[Message]
 
-// NewEngine builds an engine over the given vertices, whose ids must be
-// exactly 0..len(vertices)-1 in any order.
+// NewEngine builds a Message-typed engine; see NewEngineOf.
 func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
+	return NewEngineOf(opts, vertices)
+}
+
+// NewEngineOf builds an engine over the given vertices, whose ids must be
+// exactly 0..len(vertices)-1 in any order.
+func NewEngineOf[M any](opts OptionsOf[M], vertices []*Vertex) (*EngineOf[M], error) {
 	if opts.Compute == nil {
 		return nil, errors.New("pregel: Compute is required")
 	}
@@ -104,17 +165,18 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 	if opts.Transport == nil {
 		opts.Transport = MemoryTransport()
 	}
-	e := &Engine{
+	e := &EngineOf[M]{
 		opts:       opts,
 		transport:  opts.Transport,
 		place:      make([]placement, len(vertices)),
 		aggregated: map[string]interface{}{},
 	}
-	e.workers = make([]*worker, opts.Workers)
+	e.workers = make([]*worker[M], opts.Workers)
 	for i := range e.workers {
-		e.workers[i] = &worker{
+		e.workers[i] = &worker[M]{
 			id:          i,
-			out:         make([]outbox, opts.Workers),
+			out:         make([]outbox[M], opts.Workers),
+			staged:      make([]traffic[M], opts.Workers),
 			aggregators: map[string]Aggregator{},
 		}
 	}
@@ -131,6 +193,13 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 	// Walking ids in ascending order leaves every worker's list sorted by
 	// id, so superstep execution order is deterministic regardless of input
 	// order, and a vertex's local index is its position in that list.
+	counts := make([]int, len(e.workers))
+	for id := range byID {
+		counts[e.workerOf(VertexID(id))]++
+	}
+	for i, w := range e.workers {
+		w.vertices = make([]*Vertex, 0, counts[i])
+	}
 	for id, v := range byID {
 		w := e.workers[e.workerOf(VertexID(id))]
 		e.place[id] = placement{worker: int32(w.id), local: int32(len(w.vertices))}
@@ -149,7 +218,7 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 
 // workerOf shards a vertex id to a worker (multiplicative hash so dense id
 // ranges spread evenly, like Giraph's random vertex placement).
-func (e *Engine) workerOf(id VertexID) int {
+func (e *EngineOf[M]) workerOf(id VertexID) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return int(h % uint64(len(e.workers)))
 }
@@ -167,8 +236,8 @@ func (e *Engine) workerOf(id VertexID) int {
 // to an undisturbed one (only Stats.Recoveries/RetriedFrames betray the
 // faults). Exchange errors wrapping ErrTransient are retried in place with
 // exponential backoff first; anything else escalates to recovery.
-func (e *Engine) Run() (*Stats, error) {
-	if err := e.transport.start(e); err != nil {
+func (e *EngineOf[M]) Run() (*Stats, error) {
+	if err := e.open(); err != nil {
 		return nil, err
 	}
 	defer e.transport.close()
@@ -192,12 +261,11 @@ func (e *Engine) Run() (*Stats, error) {
 		maxWorkerActive := 0
 		for _, w := range e.workers {
 			wa := 0
-			for _, v := range w.vertices {
-				if !v.halted {
+			for l, v := range w.vertices {
+				if !v.halted || w.in.start[l+1] > w.in.start[l] {
 					wa++
 				}
 			}
-			wa += w.in.len()
 			if wa > maxWorkerActive {
 				maxWorkerActive = wa
 			}
@@ -225,14 +293,14 @@ func (e *Engine) Run() (*Stats, error) {
 		ss := SuperstepStats{Superstep: step, ActiveVertices: active, MaxWorkerActive: maxWorkerActive}
 		for _, w := range e.workers {
 			for d := range w.out {
-				n := int64(len(w.out[d].env))
+				n := int64(len(w.out[d].envs))
 				ss.MessagesSent += n
 				if d != w.id {
 					ss.RemoteMessages += n
 				}
 			}
 		}
-		wireBytes, err := e.exchangeWithRetry(step)
+		wireBytes, err := e.exchange(step)
 		if err != nil {
 			restored, rerr := e.recoverFrom(err, step, maxRecoveries)
 			if rerr != nil {
@@ -304,14 +372,17 @@ func (e *Engine) Run() (*Stats, error) {
 			}
 		}
 	}
-	return &e.stats, nil
+	// A copy, so a caller that keeps the stats does not keep the engine and
+	// the message slabs it grew.
+	stats := e.stats
+	return &stats, nil
 }
 
 // runWorkerSafe runs one worker, converting the typed panics of a misused
 // Context — *AggregatorError from Aggregate, *sendError from Send — into a
 // *ComputeError; any other panic is a genuine bug and propagates with its
 // original stack.
-func (e *Engine) runWorkerSafe(w *worker, step int) (err error) {
+func (e *EngineOf[M]) runWorkerSafe(w *worker[M], step int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -326,10 +397,185 @@ func (e *Engine) runWorkerSafe(w *worker, step int) (err error) {
 	return nil
 }
 
-// exchangeWithRetry runs the transport exchange, retrying in place (with
+// open starts the transport for this engine's workers; a framed backend
+// needs a codec, and frame tables the engine encodes into and decodes from.
+func (e *EngineOf[M]) open() error {
+	framed, err := e.transport.start(len(e.workers), e.opts.FrameTimeout)
+	if err != nil {
+		return err
+	}
+	if framed && e.opts.Codecs == nil {
+		e.transport.close()
+		return errors.New("pregel: the TCP transport requires Options.Codecs")
+	}
+	e.framed = framed
+	if framed && e.frameOut == nil {
+		e.frameOut, e.frameIn = make([][]frame, len(e.workers)), make([][]frame, len(e.workers))
+		for i := range e.workers {
+			e.frameOut[i], e.frameIn[i] = make([]frame, len(e.workers)), make([]frame, len(e.workers))
+		}
+	}
+	return nil
+}
+
+// exchange moves every worker's outboxes into the destination inboxes and
+// returns the bytes to charge to SuperstepStats.BytesSent: the encoded size
+// of all traffic on the in-process backend, what crossed sockets (frame
+// headers included) on a framed one. Local traffic never leaves its outbox.
+// Only the transport's move is retried; encoding and decoding are
+// deterministic, so a failure there fails the same way on every attempt.
+func (e *EngineOf[M]) exchange(step int) (int64, error) {
+	n := len(e.workers)
+	errs := make([]error, n)
+	par.Each(n, func(src int) {
+		w := e.workers[src]
+		for dst := range w.out {
+			ob := &w.out[dst]
+			ob.group()
+			if e.framed && dst != src && errs[src] == nil {
+				f := &e.frameOut[src][dst]
+				f.payload, errs[src] = e.encode(f.payload[:0], &ob.traffic)
+				f.count = uint32(len(ob.envs))
+			}
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	var bytes int64
+	if !e.framed && e.opts.Codecs != nil {
+		for _, w := range e.workers {
+			for dst := range w.out {
+				nb, err := e.size(&w.out[dst].traffic)
+				if err != nil {
+					return 0, err
+				}
+				bytes += nb
+			}
+		}
+	}
+	nb, err := e.exchangeWithRetry(step)
+	if err != nil {
+		return 0, err
+	}
+	if e.framed {
+		bytes = nb
+		par.Each(n, func(dst int) {
+			for src := range e.workers {
+				if src == dst || errs[dst] != nil {
+					continue
+				}
+				if err := e.decode(e.workers[dst], src, e.frameIn[dst][src]); err != nil {
+					// The frame arrived whole but does not parse: the sender is
+					// confused or the bytes are damaged, so blame the sender
+					// and let the engine roll back.
+					errs[dst] = &WorkerFailure{Worker: src, Superstep: step,
+						Err: fmt.Errorf("worker %d <- %d: %w", dst, src, err)}
+				}
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
+			}
+		}
+	}
+	par.Each(n, func(dst int) {
+		w := e.workers[dst]
+		e.deliver(w, func(src int) *traffic[M] {
+			if e.framed && src != dst {
+				return &w.staged[src]
+			}
+			return &e.workers[src].out[dst].traffic
+		})
+		for src := range w.staged {
+			w.staged[src].reset()
+		}
+	})
+	for _, w := range e.workers {
+		e.clearOutboxes(w)
+	}
+	return bytes, nil
+}
+
+// encode appends one outbox's envelopes to a frame payload: each one's
+// destination id as a uvarint, then the codec's encoding of its records. The
+// payload is sized first, so a frame buffer grows at most once a superstep.
+func (e *EngineOf[M]) encode(buf []byte, t *traffic[M]) ([]byte, error) {
+	n, err := e.size(t)
+	if err != nil {
+		return buf, err
+	}
+	buf = slices.Grow(buf, int(n))
+	for _, env := range t.envs {
+		buf = binary.AppendUvarint(buf, uint64(env.dst))
+		if buf, err = e.opts.Codecs.Append(buf, t.records(env)); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// size is what encode would write for t, charged on the in-process backend.
+func (e *EngineOf[M]) size(t *traffic[M]) (int64, error) {
+	var bytes int64
+	for _, env := range t.envs {
+		n, err := e.opts.Codecs.Size(t.records(env))
+		if err != nil {
+			return 0, err
+		}
+		bytes += int64(uvarintLen(uint64(env.dst)) + n)
+	}
+	return bytes, nil
+}
+
+// decode parses the frame worker src sent w into w.staged[src]. An envelope
+// addressed to a vertex w does not own makes the frame as undecodable as a
+// truncated one: delivering it would index another worker's placement.
+func (e *EngineOf[M]) decode(w *worker[M], src int, f frame) error {
+	t := &w.staged[src]
+	t.reset() // a frame that failed to parse may have left records behind
+	data := f.payload
+	for i := uint32(0); i < f.count; i++ {
+		dst, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("truncated envelope header")
+		}
+		if dst >= uint64(len(e.place)) || int(e.place[dst].worker) != w.id {
+			return fmt.Errorf("envelope for vertex %d, which worker %d does not own", dst, w.id)
+		}
+		first := len(t.rec)
+		var used int
+		var err error
+		if t.rec, used, err = e.opts.Codecs.Decode(data[n:], grow(t.rec, 1)); err != nil {
+			return err
+		}
+		data = data[n+used:]
+		t.envs = push(t.envs, envelope{dst: VertexID(dst), first: int32(first), n: int32(len(t.rec) - first)})
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d trailing bytes after %d envelopes", len(data), f.count)
+	}
+	return nil
+}
+
+func (e *EngineOf[M]) clearOutboxes(w *worker[M]) {
+	for d := range w.out {
+		ob := &w.out[d]
+		if ob.slot != nil {
+			for _, env := range ob.envs {
+				ob.slot[e.place[env.dst].local] = 0
+			}
+		}
+		ob.traffic.reset()
+		ob.envOf = ob.envOf[:0]
+	}
+}
+
+// exchangeWithRetry runs the transport's move, retrying in place (with
 // exponential backoff plus deterministic jitter) when the failure is marked
 // transient — i.e. the transport guarantees the attempt had no side effect.
-func (e *Engine) exchangeWithRetry(step int) (int64, error) {
+func (e *EngineOf[M]) exchangeWithRetry(step int) (int64, error) {
 	retries := e.opts.ExchangeRetries
 	if retries <= 0 {
 		retries = 3
@@ -339,7 +585,7 @@ func (e *Engine) exchangeWithRetry(step int) (int64, error) {
 		backoff = 500 * time.Microsecond
 	}
 	for attempt := 0; ; attempt++ {
-		nb, err := e.transport.exchange(e, step)
+		nb, err := e.transport.exchange(step, e.frameOut, e.frameIn)
 		if err == nil {
 			return nb, nil
 		}
@@ -362,7 +608,7 @@ func (e *Engine) exchangeWithRetry(step int) (int64, error) {
 // back to the next older one when the checkpointer keeps any; with none
 // left the error still unwraps to the *WorkerFailure. Any other error — or
 // recovery budget exhaustion — is returned unchanged.
-func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
+func (e *EngineOf[M]) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) {
 		return 0, err
@@ -410,57 +656,62 @@ func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 		e.stats.TotalBytes += ss.BytesSent
 		e.stats.AggBytes += ss.AggBytes
 	}
-	if serr := e.transport.start(e); serr != nil {
+	if serr := e.open(); serr != nil {
 		return 0, fmt.Errorf("pregel: transport restart after recovery: %w", serr)
 	}
 	return snapStep, nil
 }
 
 // deliver fills worker w's inbox from this superstep's traffic, from(src)
-// being the envelopes source worker src addressed to w in send order. A
-// stable counting pass — count per destination, prefix-sum, scatter — walks
-// the sources in worker order twice and writes each message once, straight
-// into its destination's group; there is no ungrouped intermediate. The
-// inbox must be empty (runWorker leaves it so).
-func (e *Engine) deliver(w *worker, from func(src int) []envelope) {
+// being what source worker src addressed to w. A stable counting pass —
+// count per destination, prefix-sum, scatter — walks the sources in worker
+// order twice and writes each record once, straight into its destination's
+// group; there is no ungrouped intermediate. The inbox must be empty
+// (runWorker leaves it so).
+func (e *EngineOf[M]) deliver(w *worker[M], from func(src int) *traffic[M]) {
 	// Counts go in two entries up, so that after the prefix sum start[l+1]
 	// is where vertex l's group begins; the scatter advances it to where the
 	// group ends, which is where start[l] already says the next one begins.
 	start := w.in.start
 	for src := range e.workers {
-		for _, env := range from(src) {
-			start[e.place[env.dst].local+2]++
+		for _, env := range from(src).envs {
+			start[e.place[env.dst].local+2] += env.n
 		}
 	}
 	for l := 2; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
 	total := int(start[len(start)-1])
-	w.in.msg = slices.Grow(w.in.msg, total)[:total]
+	w.in.msg = grow(w.in.msg, total)[:total]
 	for src := range e.workers {
-		for _, env := range from(src) {
+		t := from(src)
+		for _, env := range t.envs {
 			at := &start[e.place[env.dst].local+1]
-			w.in.msg[*at] = env.msg
-			*at++
+			*at += int32(copy(w.in.msg[*at:], t.records(env)))
 		}
 	}
 }
 
 // runWorker executes one worker's vertices for one superstep, handing each
 // its group of the inbox.
-func (e *Engine) runWorker(w *worker, step int) {
-	ctx := &Context{engine: e, worker: w, superstep: step}
+func (e *EngineOf[M]) runWorker(w *worker[M], step int) {
+	ctx := &ContextOf[M]{engine: e, worker: w, superstep: step}
 	comb := e.opts.Combiner
 	for l, v := range w.vertices {
 		lo, hi := w.in.start[l], w.in.start[l+1]
 		msgs := w.in.msg[lo:hi:hi]
 		if comb != nil && len(msgs) > 1 {
 			// Receiver-side pass: sender-side combining already folded each
-			// worker's own traffic, this folds across source workers.
+			// worker's own traffic, this folds across source workers the way
+			// Send does, into the newest kept record.
+			k := 0
 			for _, m := range msgs[1:] {
-				msgs[0] = comb(msgs[0], m)
+				if !comb(&msgs[k], m) {
+					k++
+					msgs[k] = m
+				}
 			}
-			msgs = msgs[:1:1]
+			msgs = msgs[: k+1 : k+1]
 		}
 		if v.halted && len(msgs) == 0 {
 			continue
@@ -474,7 +725,7 @@ func (e *Engine) runWorker(w *worker, step int) {
 
 // Vertex returns the vertex with the given id (nil if absent). Intended for
 // result extraction after Run.
-func (e *Engine) Vertex(id VertexID) *Vertex {
+func (e *EngineOf[M]) Vertex(id VertexID) *Vertex {
 	if id < 0 || id >= VertexID(len(e.place)) {
 		return nil
 	}
@@ -483,4 +734,4 @@ func (e *Engine) Vertex(id VertexID) *Vertex {
 }
 
 // Workers returns the configured worker count.
-func (e *Engine) Workers() int { return len(e.workers) }
+func (e *EngineOf[M]) Workers() int { return len(e.workers) }

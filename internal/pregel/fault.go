@@ -106,9 +106,11 @@ func FaultyTransport(inner Transport, plan FaultPlan) Transport {
 	return &faultyTransport{inner: inner, plan: plan, dropped: map[int]bool{}}
 }
 
-func (t *faultyTransport) start(e *Engine) error { return t.inner.start(e) }
+func (t *faultyTransport) start(workers int, frameTimeout time.Duration) (bool, error) {
+	return t.inner.start(workers, frameTimeout)
+}
 
-func (t *faultyTransport) exchange(e *Engine, superstep int) (int64, error) {
+func (t *faultyTransport) exchange(superstep int, out, in [][]frame) (int64, error) {
 	if t.plan.DelayEvery > 0 && superstep%t.plan.DelayEvery == t.plan.DelayEvery-1 {
 		time.Sleep(t.plan.Delay)
 	}
@@ -129,7 +131,7 @@ func (t *faultyTransport) exchange(e *Engine, superstep int) (int64, error) {
 		t.dropped[superstep] = true
 		return 0, fmt.Errorf("injected frame drop at superstep %d: %w", superstep, ErrTransient)
 	}
-	return t.inner.exchange(e, superstep)
+	return t.inner.exchange(superstep, out, in)
 }
 
 func (t *faultyTransport) close() error { return t.inner.close() }

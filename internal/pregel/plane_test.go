@@ -18,25 +18,26 @@ import (
 // Options.Combiner's ownership contract allows.
 type trail struct{ ids []int64 }
 
-// trailCombiner concatenates: combine(a, b) is a's payloads then b's. It is
-// associative and nothing else, so any departure from (source worker, send
-// order) shows in what a vertex receives.
-func trailCombiner(a, b Message) Message {
-	acc, ok := a.(*trail)
+// trailCombiner concatenates: folding m into held appends m's payloads to
+// held's. It is associative and nothing else, so any departure from (source
+// worker, send order) shows in what a vertex receives.
+func trailCombiner(held *Message, m Message) bool {
+	acc, ok := (*held).(*trail)
 	if !ok {
-		acc = &trail{ids: []int64{a.(int64)}}
+		acc = &trail{ids: []int64{(*held).(int64)}}
+		*held = acc
 	}
-	if rec, ok := b.(int64); ok {
+	if rec, ok := m.(int64); ok {
 		acc.ids = append(acc.ids, rec)
 	} else {
-		acc.ids = append(acc.ids, b.(*trail).ids...)
+		acc.ids = append(acc.ids, m.(*trail).ids...)
 	}
-	return acc
+	return true
 }
 
 type trailCodec struct{}
 
-func (trailCodec) Append(buf []byte, m Message) ([]byte, error) {
+func (trailCodec) Append(buf []byte, m any) ([]byte, error) {
 	ids := m.(*trail).ids
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
@@ -45,7 +46,7 @@ func (trailCodec) Append(buf []byte, m Message) ([]byte, error) {
 	return buf, nil
 }
 
-func (trailCodec) Decode(data []byte) (Message, int, error) {
+func (trailCodec) Decode(data []byte) (any, int, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 || n > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("bad trail count")
@@ -62,7 +63,7 @@ func (trailCodec) Decode(data []byte) (Message, int, error) {
 	return t, used, nil
 }
 
-func (c trailCodec) Size(m Message) int {
+func (c trailCodec) Size(m any) int {
 	buf, _ := c.Append(nil, m)
 	return len(buf)
 }
@@ -240,7 +241,7 @@ func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 				},
 			}
 			if c.combine {
-				opts.Combiner = func(a, b Message) Message { return a.(float64) + b.(float64) }
+				opts.Combiner = sumFloats
 			}
 			if c.tcp {
 				opts.Transport = TCPTransport()
@@ -277,8 +278,8 @@ func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 }
 
 // misaddress wraps a transport and, once, just before the exchange of the
-// given superstep, re-addresses the first envelope worker 0 holds for worker
-// 1 — what a confused or corrupted peer would put on the wire.
+// given superstep, re-addresses the first envelope of worker 0's frame for
+// worker 1 — what a confused or corrupted peer would put on the wire.
 type misaddress struct {
 	Transport
 	step int
@@ -286,12 +287,14 @@ type misaddress struct {
 	done bool
 }
 
-func (m *misaddress) exchange(e *Engine, step int) (int64, error) {
+func (m *misaddress) exchange(step int, out, in [][]frame) (int64, error) {
 	if step == m.step && !m.done {
 		m.done = true
-		e.workers[0].out[1].env[0].dst = m.to
+		f := &out[0][1]
+		_, n := binary.Uvarint(f.payload)
+		f.payload = append(binary.AppendUvarint(nil, uint64(m.to)), f.payload[n:]...)
 	}
-	return m.Transport.exchange(e, step)
+	return m.Transport.exchange(step, out, in)
 }
 
 // TestReadFrameRejectsMisaddressedEnvelope: a frame that decodes but names a
@@ -389,7 +392,7 @@ func BenchmarkMessagePlane(b *testing.B) {
 							},
 						}
 						if combine {
-							opts.Combiner = func(a, b Message) Message { return a.(int64) + b.(int64) }
+							opts.Combiner = sumInts
 						}
 						if tcp {
 							opts.Transport = TCPTransport()

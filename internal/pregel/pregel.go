@@ -9,27 +9,33 @@
 // the synchronization barrier, and aggregators are merged by a master that
 // may run its own compute between supersteps.
 //
-// The message plane is layered, and id-indexed throughout — vertex ids are
-// dense, so no step of it hashes or sorts:
+// The engine is generic over its message type M (EngineOf[M]), so a program
+// that sends one flat record type moves it unboxed from Send to delivery. The
+// message plane is layered, and id-indexed throughout — vertex ids are dense,
+// so no step of it hashes or sorts:
 //
 //   - engine.go places every vertex once (id -> worker, local index), runs
-//     supersteps, and at the barrier groups each worker's arrivals by
-//     destination with a stable counting scatter straight out of the
-//     senders' outboxes, so a vertex is handed a contiguous run of its
-//     messages in (source worker, send order);
-//   - codec.go turns typed messages into flat, length-prefixed bytes (and
-//     makes byte accounting measured rather than estimated);
-//   - transport.go moves batches between workers — in-process by default, or
-//     over loopback TCP sockets with real framing and serialization.
+//     supersteps, buffers each worker's sends as flat records in one slab per
+//     destination worker, and at the barrier groups each worker's arrivals by
+//     destination with a stable counting scatter over the records, so a
+//     vertex is handed a contiguous []M in (source worker, send order);
+//   - codec.go turns envelopes of records into flat bytes (Codec[M]), which
+//     makes byte accounting measured rather than estimated;
+//   - transport.go moves those bytes between workers over loopback TCP, or
+//     leaves the values where they are on the in-process backend.
 //
-// Options.Combiner is applied sender-side, in the per-destination outbox —
-// a slot array indexed by the destination's local index finds the message
-// already buffered for it — so it reduces the message and byte counts that
-// actually cross the transport (and a receiver-side pass folds across
-// source workers). The engine owns the buffered message and the combiner
-// folds into it in place. Message and byte counts are tracked per
-// superstep, distinguishing intra-worker from cross-worker traffic, so
-// communication-complexity claims can be measured rather than asserted.
+// Options.Combiner is applied sender-side: a slot array indexed by the
+// destination's local index finds the envelope already buffered for it, and
+// the combiner folds the new record into that envelope's newest record in
+// place. A record the combiner declines joins the same envelope, so at most
+// one envelope per (source worker, destination vertex) crosses the transport
+// either way; a receiver-side pass folds across source workers. Message and
+// byte counts are tracked per superstep, distinguishing intra-worker from
+// cross-worker traffic, so communication-complexity claims can be measured
+// rather than asserted.
+//
+// Engine, Options, Context and NewEngine are the M = Message (any)
+// instantiation, whose Codec is a Registry of per-type value codecs.
 package pregel
 
 import (
@@ -41,8 +47,9 @@ import (
 // 0..n-1: the id is the index into the engine's placement table.
 type VertexID int64
 
-// Message is the unit of communication between vertices.
-type Message interface{}
+// Message is the message type of the Message-typed plane (Engine, Options,
+// Context): any value a Registry has a codec for.
+type Message = any
 
 // VertexState is per-vertex user state.
 type VertexState interface{}
@@ -54,45 +61,57 @@ type Vertex struct {
 	halted bool
 }
 
-// Context is handed to compute functions to interact with the engine.
-type Context struct {
-	engine    *Engine
-	worker    *worker
+// ContextOf is handed to compute functions to interact with the engine.
+type ContextOf[M any] struct {
+	engine    *EngineOf[M]
+	worker    *worker[M]
 	superstep int
 	vertex    *Vertex
 }
 
+// Context is the Message-typed plane's ContextOf.
+type Context = ContextOf[Message]
+
 // Superstep returns the current superstep number (0-based).
-func (c *Context) Superstep() int { return c.superstep }
+func (c *ContextOf[M]) Superstep() int { return c.superstep }
 
 // NumVertices returns the total vertex count.
-func (c *Context) NumVertices() int { return len(c.engine.place) }
+func (c *ContextOf[M]) NumVertices() int { return len(c.engine.place) }
 
-// Send delivers a message to dst at the start of the next superstep. With a
-// combiner configured, messages for the same destination vertex are folded
-// in the outbox immediately, so at most one envelope per (source worker,
-// destination vertex) pair reaches the transport; m may then be mutated by
-// later folds and must not be retained (see Options.Combiner).
+// Send delivers m to dst at the start of the next superstep. With a combiner
+// configured, a record for a destination this worker already addressed is
+// folded into that envelope's newest record, or joins the envelope when the
+// combiner declines, so at most one envelope per (source worker, destination
+// vertex) pair reaches the transport.
 //
 // A dst outside [0, NumVertices()) has no vertex: Send panics with a typed
 // error the engine recovers into a *ComputeError wrapping ErrNoSuchVertex,
 // failing the superstep instead of shipping a message nobody receives.
-func (c *Context) Send(dst VertexID, m Message) {
+func (c *ContextOf[M]) Send(dst VertexID, m M) {
 	e := c.engine
 	if dst < 0 || dst >= VertexID(len(e.place)) {
 		panic(&sendError{dst: dst})
 	}
 	p := e.place[dst]
 	ob := &c.worker.out[p.worker]
+	at := int32(len(ob.rec))
 	if comb := e.opts.Combiner; comb != nil {
-		if at := ob.slot[p.local]; at != 0 {
-			held := &ob.env[at-1].msg
-			*held = comb(*held, m)
+		if s := ob.slot[p.local]; s != 0 {
+			env := &ob.envs[s-1]
+			if comb(&ob.rec[env.first], m) {
+				return
+			}
+			env.n++
+			env.first = at
+			ob.rec = push(ob.rec, m)
+			ob.envOf = push(ob.envOf, s-1)
 			return
 		}
-		ob.slot[p.local] = int32(len(ob.env)) + 1
+		ob.slot[p.local] = int32(len(ob.envs)) + 1
+		ob.envOf = push(ob.envOf, int32(len(ob.envs)))
 	}
-	ob.env = append(ob.env, envelope{dst: dst, msg: m})
+	ob.envs = push(ob.envs, envelope{dst: dst, first: at, n: 1})
+	ob.rec = push(ob.rec, m)
 }
 
 // Aggregate folds a value into the named aggregator; the master sees the
@@ -103,7 +122,7 @@ func (c *Context) Send(dst VertexID, m Message) {
 // *AggregatorError; the engine recovers it into a *ComputeError surfaced
 // through Run, so a misconfigured computation fails the superstep cleanly
 // instead of crashing a worker goroutine.
-func (c *Context) Aggregate(name string, value interface{}) {
+func (c *ContextOf[M]) Aggregate(name string, value interface{}) {
 	agg, ok := c.worker.aggregators[name]
 	if !ok {
 		def, exists := c.engine.opts.Aggregators[name]
@@ -118,12 +137,12 @@ func (c *Context) Aggregate(name string, value interface{}) {
 
 // ReadAggregator returns the value the named aggregator held at the end of
 // the previous superstep (nil in superstep 0 or if never aggregated).
-func (c *Context) ReadAggregator(name string) interface{} {
+func (c *ContextOf[M]) ReadAggregator(name string) interface{} {
 	return c.engine.aggregated[name]
 }
 
 // VoteToHalt deactivates the vertex; a received message reactivates it.
-func (c *Context) VoteToHalt() { c.vertex.halted = true }
+func (c *ContextOf[M]) VoteToHalt() { c.vertex.halted = true }
 
 // Aggregator merges values produced by vertices during a superstep.
 type Aggregator interface {
@@ -150,8 +169,8 @@ type WireSizer interface {
 	WireSize() int
 }
 
-// ComputeFunc runs one vertex for one superstep.
-type ComputeFunc func(ctx *Context, v *Vertex, messages []Message)
+// ComputeFunc is the Message-typed plane's vertex program.
+type ComputeFunc = func(ctx *Context, v *Vertex, messages []Message)
 
 // MasterFunc runs between supersteps with the merged aggregators. Returning
 // true halts the computation after this superstep. The master may set
@@ -161,8 +180,9 @@ type MasterFunc func(superstep int, aggregated map[string]interface{}) (halt boo
 // SuperstepStats records one superstep's traffic and load. MessagesSent and
 // RemoteMessages count envelopes after sender-side combining — what actually
 // crossed (or would cross) the transport. BytesSent is the transport's
-// accounting: real frame bytes on the TCP backend, codec-measured (or
-// MessageBytes-estimated) sizes on the in-process backend.
+// accounting: real frame bytes on the TCP backend, codec-measured sizes on
+// the in-process backend (0 without a codec). ActiveVertices counts the
+// vertices that ran: not halted, or woken by a pending message.
 type SuperstepStats struct {
 	Superstep      int
 	ActiveVertices int
@@ -226,12 +246,12 @@ func (s *Stats) PhaseTotals(period int) []SuperstepStats {
 	return totals
 }
 
-// Options configures an Engine.
-type Options struct {
+// OptionsOf configures an EngineOf.
+type OptionsOf[M any] struct {
 	// Workers is the number of simulated machines. <= 0 means 1.
 	Workers int
 	// Compute is the vertex program (required).
-	Compute ComputeFunc
+	Compute func(ctx *ContextOf[M], v *Vertex, messages []M)
 	// Master runs between supersteps (optional).
 	Master MasterFunc
 	// MaxSupersteps bounds the run (required, > 0).
@@ -241,30 +261,19 @@ type Options struct {
 	// Transport selects the message-plane backend (nil means the in-process
 	// MemoryTransport). See MemoryTransport and TCPTransport.
 	Transport Transport
-	// Codecs registers binary encoders per message type. Required by the
-	// TCP transport; optional for the in-process one, where it upgrades
-	// byte accounting from the MessageBytes estimate to encoded sizes.
-	Codecs *Registry
-	// MessageBytes estimates a message's wire size for byte accounting on
-	// the in-process transport when no codec covers the type (optional).
-	MessageBytes func(Message) int
-	// Combiner, if set, merges messages destined to the same vertex. It is
-	// applied in the sender's outbox (reducing transport traffic) and again
-	// at the receiver across source workers. It must be commutative and
-	// associative, and it must accept every pair of message kinds the
-	// computation can address to one vertex within one superstep (protocols
-	// that keep per-destination traffic kind-homogeneous, like distshp's,
-	// may legitimately panic on cross-kind pairs to surface violations).
-	//
-	// Ownership: a is the message the engine already holds for the
-	// destination — the first one sent, or an earlier call's result. The
-	// engine owns it, replaces it with the return value, and never looks at
-	// it between folds, so the combiner may mutate a and return it (an
-	// accumulator folds in place, allocating nothing). b is the caller's:
-	// the combiner must neither mutate nor retain it. Consequently a
-	// message handed to Send may be mutated afterwards and the sender must
-	// not keep a reference to it.
-	Combiner func(a, b Message) Message
+	// Codecs encodes envelopes of M. Required by the TCP transport and for
+	// checkpoints that hold pending messages; on the in-process transport
+	// it is the byte accounting (without it BytesSent is 0).
+	Codecs Codec[M]
+	// Combiner, if set, folds m into held, a record the engine buffered for
+	// the same destination vertex, and reports whether it did. It runs in
+	// the sender's outbox, where held is the newest record of the envelope
+	// for that vertex, and at the receiver across source workers. A false
+	// return keeps m as a record of its own in the same envelope, so a
+	// protocol may combine some kinds and batch the rest. Folds must be
+	// associative; the engine folds in send order. held is the engine's to
+	// update in place; m is the sender's, to read but not retain.
+	Combiner func(held *M, m M) bool
 
 	// Checkpointer, if set, enables superstep checkpointing: the engine
 	// snapshots vertex state, halted flags, pending inboxes, merged
@@ -302,6 +311,9 @@ type Options struct {
 	// transport. <= 0 means no deadline (a dead peer blocks forever).
 	FrameTimeout time.Duration
 }
+
+// Options is the Message-typed plane's OptionsOf.
+type Options = OptionsOf[Message]
 
 // SumAggregator sums float64 values.
 type SumAggregator struct{ sum float64 }

@@ -172,7 +172,7 @@ func TestCombinerReducesDelivery(t *testing.T) {
 	eng, err := NewEngine(Options{
 		Workers:       4,
 		MaxSupersteps: 2,
-		Combiner:      func(a, b Message) Message { return a.(float64) + b.(float64) },
+		Combiner:      sumFloats,
 		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 			if ctx.Superstep() == 0 {
 				ctx.Send(0, 1.0)
@@ -207,7 +207,7 @@ func TestMessageAccounting(t *testing.T) {
 	eng, err := NewEngine(Options{
 		Workers:       2,
 		MaxSupersteps: 2,
-		MessageBytes:  func(Message) int { return 8 },
+		Codecs:        floatRegistry(),
 		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 			if ctx.Superstep() == 0 {
 				ctx.Send((v.ID+1)%10, 1.0)
@@ -225,14 +225,52 @@ func TestMessageAccounting(t *testing.T) {
 	if stats.TotalMessages != 10 {
 		t.Fatalf("TotalMessages = %d, want 10", stats.TotalMessages)
 	}
-	if stats.TotalBytes != 80 {
-		t.Fatalf("TotalBytes = %d, want 80", stats.TotalBytes)
+	// Each envelope is a one-byte destination id, a one-byte codec id and
+	// eight bytes of float64.
+	if stats.TotalBytes != 100 {
+		t.Fatalf("TotalBytes = %d, want 100", stats.TotalBytes)
 	}
 	if stats.RemoteMessages == 0 || stats.RemoteMessages > 10 {
 		t.Fatalf("RemoteMessages = %d, want within (0, 10]", stats.RemoteMessages)
 	}
 	if len(stats.PerSuperstep) != stats.Supersteps {
 		t.Fatal("per-superstep stats length mismatch")
+	}
+}
+
+// TestActiveVerticesCountsVertices: every vertex sends vertex 0 three
+// messages and halts, so the next superstep wakes vertex 0 alone. A vertex
+// counts once however many messages wait for it.
+func TestActiveVerticesCountsVertices(t *testing.T) {
+	const n = 20
+	eng, err := NewEngine(Options{
+		Workers:       2,
+		MaxSupersteps: 4,
+		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
+			if ctx.Superstep() == 0 {
+				for i := 0; i < 3; i++ {
+					ctx.Send(0, 1.0)
+				}
+			}
+			ctx.VoteToHalt()
+		},
+	}, buildChain(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, ss := range stats.PerSuperstep {
+		got = append(got, ss.ActiveVertices)
+		if ss.MaxWorkerActive > ss.ActiveVertices {
+			t.Fatalf("superstep %d: busiest worker has %d active of %d", ss.Superstep, ss.MaxWorkerActive, ss.ActiveVertices)
+		}
+	}
+	if len(got) != 2 || got[0] != n || got[1] != 1 {
+		t.Fatalf("ActiveVertices per superstep = %v, want [%d 1]", got, n)
 	}
 }
 

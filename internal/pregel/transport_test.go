@@ -10,6 +10,17 @@ func floatRegistry() *Registry {
 	return reg
 }
 
+// sumFloats and sumInts are summing combiners: they fold every pair.
+func sumFloats(held *Message, m Message) bool {
+	*held = (*held).(float64) + m.(float64)
+	return true
+}
+
+func sumInts(held *Message, m Message) bool {
+	*held = (*held).(int64) + m.(int64)
+	return true
+}
+
 // maxPropagationOpts is a message-heavy computation (max flooding on a
 // circulant graph) used to compare transports end to end.
 func maxPropagationOpts(workers int, transport Transport) (Options, []*Vertex) {
@@ -171,7 +182,7 @@ func TestSenderSideCombiningReducesRemoteTraffic(t *testing.T) {
 			},
 		}
 		if combine {
-			opts.Combiner = func(a, b Message) Message { return a.(float64) + b.(float64) }
+			opts.Combiner = sumFloats
 		}
 		eng, err := NewEngine(opts, vs)
 		if err != nil {
@@ -227,7 +238,7 @@ func TestCombinerEquivalenceOnIntegers(t *testing.T) {
 			},
 		}
 		if combine {
-			opts.Combiner = func(a, b Message) Message { return a.(int64) + b.(int64) }
+			opts.Combiner = sumInts
 		}
 		eng, err := NewEngine(opts, vs)
 		if err != nil {
