@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Binary codecs for the pairing-plane state (DirHist, ProbTable) so the
-// distributed master's closure state can ride checkpoint snapshots. Both
-// encodings are sparse (only informative bins) and canonical (positive bins
-// ascending, then negative bins ascending), so equal values encode to
-// identical bytes — the property the snapshot-equality tests pin.
+// The binary codec of DirHist, so the distributed master's persistent
+// histograms can ride checkpoint snapshots. The encoding is sparse (only
+// informative bins) and canonical (positive bins ascending, then negative
+// bins ascending), so equal histograms encode to identical bytes — the
+// property the snapshot-equality tests pin.
 
 // signBin packs a sign flag and a bin index into one byte: bit 7 is the
 // sign (0 = positive half, 1 = negative half), bits 0..6 the bin. histBins
@@ -94,105 +94,4 @@ func DecodeDirHist(data []byte) (DirHist, int, error) {
 		}
 	}
 	return h, off, nil
-}
-
-// BinarySize returns the exact size AppendBinary would add.
-func (h *DirHist) BinarySize() int {
-	n := 0
-	sz := 0
-	for i := 0; i < histBins; i++ {
-		if h.posCount[i] != 0 || h.posSum[i] != 0 {
-			n++
-			sz += 1 + varintLen(h.posCount[i]) + 8
-		}
-		if h.negCount[i] != 0 || h.negSum[i] != 0 {
-			n++
-			sz += 1 + varintLen(h.negCount[i]) + 8
-		}
-	}
-	return uvarintLen(uint64(n)) + sz
-}
-
-// AppendBinary encodes p sparsely onto buf: uvarint entry count, then per
-// nonzero bin a sign/bin byte and the 8-byte probability.
-func (p *ProbTable) AppendBinary(buf []byte) []byte {
-	n := 0
-	for i := 0; i < histBins; i++ {
-		if p.pos[i] != 0 {
-			n++
-		}
-		if p.neg[i] != 0 {
-			n++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < histBins; i++ {
-		if p.pos[i] != 0 {
-			buf = append(buf, signBin(false, i))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.pos[i]))
-		}
-	}
-	for i := 0; i < histBins; i++ {
-		if p.neg[i] != 0 {
-			buf = append(buf, signBin(true, i))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.neg[i]))
-		}
-	}
-	return buf
-}
-
-// DecodeProbTable reads one ProbTable from the front of data, returning it
-// and the number of bytes consumed.
-func DecodeProbTable(data []byte) (ProbTable, int, error) {
-	var p ProbTable
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return p, 0, fmt.Errorf("core: truncated ProbTable header")
-	}
-	off := used
-	for i := uint64(0); i < n; i++ {
-		if len(data) < off+9 {
-			return p, 0, fmt.Errorf("core: truncated ProbTable entry")
-		}
-		sb := data[off]
-		bin := int(sb & 0x7F)
-		if bin >= histBins {
-			return p, 0, fmt.Errorf("core: ProbTable bin %d out of range", bin)
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data[off+1:]))
-		off += 9
-		if sb&0x80 != 0 {
-			p.neg[bin] = v
-		} else {
-			p.pos[bin] = v
-		}
-	}
-	return p, off, nil
-}
-
-// BinarySize returns the exact size AppendBinary would add.
-func (p *ProbTable) BinarySize() int {
-	n := 0
-	for i := 0; i < histBins; i++ {
-		if p.pos[i] != 0 {
-			n++
-		}
-		if p.neg[i] != 0 {
-			n++
-		}
-	}
-	return uvarintLen(uint64(n)) + 9*n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(v int64) int {
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }

@@ -38,13 +38,13 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 					var received atomic.Int64 // workers run concurrently
 					allocs := func(steps int) float64 {
 						return testing.AllocsPerRun(3, func() {
-							eng, err := pregel.NewEngineOf(pregel.OptionsOf[record]{
+							eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
 								Workers:       2,
 								MaxSupersteps: steps,
 								Transport:     tc.transport(),
 								Codecs:        recordCodec{},
 								Combiner:      combine,
-								Compute: func(ctx *pregel.ContextOf[record], v *pregel.Vertex, msgs []record) {
+								Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 									received.Add(int64(len(msgs)))
 									ctx.Send(v.ID%hubs, arm.msg(v.ID))
 								},

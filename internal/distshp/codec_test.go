@@ -119,20 +119,20 @@ func TestCombineSemantics(t *testing.T) {
 // runRecords runs one superstep of send on a two-worker record engine with
 // distshp's combiner and codec, and returns what each vertex received in the
 // next superstep, with the run's stats.
-func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *pregel.ContextOf[record], v pregel.VertexID)) ([][]record, *pregel.Stats) {
+func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID)) ([][]record, *pregel.Stats) {
 	t.Helper()
 	vertices := make([]*pregel.Vertex, n)
 	for i := range vertices {
 		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
 	}
 	got := make([][]record, n)
-	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record]{
+	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
 		Workers:       2,
 		MaxSupersteps: 2,
 		Transport:     transport,
 		Codecs:        recordCodec{},
 		Combiner:      combine,
-		Compute: func(ctx *pregel.ContextOf[record], v *pregel.Vertex, msgs []record) {
+		Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 			if ctx.Superstep() == 0 {
 				send(ctx, v.ID)
 			} else {
@@ -159,7 +159,7 @@ func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *
 func TestCombineDeltaRecords(t *testing.T) {
 	const n, per = 16, 3
 	for _, transport := range []func() pregel.Transport{pregel.MemoryTransport, pregel.TCPTransport} {
-		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record], v pregel.VertexID) {
+		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID) {
 			for k := int32(0); k < per; k++ {
 				ctx.Send(0, deltaRecord(int32(v), k, k+1))
 			}
@@ -199,7 +199,7 @@ func TestCombineDeltaRecords(t *testing.T) {
 // other's never left their outbox, and they fold into one record.
 func TestCombineFoldsDecodedWithLocal(t *testing.T) {
 	const n = 16
-	got, stats := runRecords(t, pregel.TCPTransport(), n, func(ctx *pregel.ContextOf[record], v pregel.VertexID) {
+	got, stats := runRecords(t, pregel.TCPTransport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID) {
 		ctx.Send(0, gainRecord(1, 0.5))
 	})
 	if want := []record{gainRecord(n, n/2)}; !slices.Equal(got[0], want) {

@@ -9,10 +9,11 @@
 //	superstep 1: queries send each adjacent data vertex what it needs to
 //	             bring its sibling-pair gain state up to date (see below);
 //	superstep 2: data vertices compute Equation 1 move gains and register
-//	             (direction, gain) proposals with the master through an
-//	             aggregator — changed proposals only, see below;
+//	             (direction, gain) proposals with the master, folding them
+//	             into their worker's part of the aggregate — changed
+//	             proposals only, see below;
 //	superstep 3: the master's per-pair histogram matching produces move
-//	             probabilities, broadcast via an aggregator; data vertices
+//	             probabilities, kept in its state; data vertices read them,
 //	             flip their coins and move.
 //
 // # The incremental message plane
@@ -46,21 +47,21 @@
 //
 // # The changed-only proposal plane
 //
-// Superstep 2 applies the same admissibility idea to the aggregator plane. A
+// Superstep 2 applies the same admissibility idea to the proposal plane. A
 // data vertex whose accumulators saw no superstep-1 traffic and whose bucket
 // is unchanged is stable: its gain is bit-identical to what it last proposed,
 // so it neither recomputes nor ships anything. Everyone else recomputes and,
 // only if the (direction, gain) actually changed, retracts the previously
 // registered proposal and asserts the new one (plus per-bucket weight deltas
-// when the bucket changed). The master folds these assert/retract deltas into
-// persistent per-direction histograms and per-bucket weight totals, matches
-// over the persistent state each iteration, and resets it at level start —
-// where every vertex re-registers from scratch. Late supersteps therefore
-// ship proposal traffic proportional to the moving frontier, while
-// full-rebroadcast iterations (sweep fallback, RebuildEvery schedule)
-// recompute every gain — verifying the maintained proposal state — but
-// still ship only the changes, so the maintained and recomputed regimes
-// stay byte-identical.
+// when the bucket changed), into its worker's workerAgg. The master folds
+// the workers' assert/retract deltas into persistent per-direction
+// histograms and per-bucket weight totals, matches over the persistent state
+// each iteration, and resets it at level start — where every vertex
+// re-registers from scratch. Late supersteps therefore ship proposal traffic
+// proportional to the moving frontier, while full-rebroadcast iterations
+// (sweep fallback, RebuildEvery schedule) recompute every gain — verifying
+// the maintained proposal state — but still ship only the changes, so the
+// maintained and recomputed regimes stay byte-identical.
 //
 // Recursive levels are scheduled by the master: when a level converges
 // (moved fraction below threshold) or exhausts its iterations, every data
@@ -72,6 +73,7 @@ package distshp
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"time"
@@ -123,7 +125,7 @@ type Options struct {
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
 	// pregel.NewDiskCheckpointer to survive process death). Snapshots cover
 	// vertex state — including the persistent dyadic-grid accumulators —
-	// pending inboxes, aggregated values, and the master's persistent
+	// pending inboxes, and the master's schedule with its persistent
 	// histograms, so a recovered run resumes the incremental protocol
 	// without a rebroadcast and finishes byte-identical to an undisturbed
 	// one.
@@ -474,130 +476,125 @@ func (st *queryState) resetSuperstep() {
 	st.snapped = false
 }
 
-// proposalAgg aggregates per-direction gain histograms for the master.
-// Key is direction: bucket*2 + side (side 0 = moving to even sibling).
-type proposalAgg struct {
-	hists map[uint64]*histPair
+// workerAgg is one worker's part of a superstep's aggregate, what its
+// vertices ship the master: proposal deltas per direction (keyed by
+// directionKey; an assert adds a gain and a retract removes one, so counts
+// may go negative), per-bucket weight deltas, the movers, and the queries'
+// live-entry diff.
+type workerAgg struct {
+	hists      map[uint64]*core.DirHist
+	weights    map[int32]int64
+	moved      int64
+	fanoutDiff int64
 }
 
-type histPair struct {
-	hist core.DirHist
-}
-
-func newProposalAgg() pregel.Aggregator { return &proposalAgg{hists: map[uint64]*histPair{}} }
-
-// Add folds one proposal delta in: an assert records the gain, a retract
-// removes a previously asserted one. A worker's accumulated value is a delta
-// histogram (counts may be negative) destined for the master's persistent
-// per-direction state.
-func (a *proposalAgg) Add(v interface{}) {
-	p := v.(proposal)
-	h, ok := a.hists[p.key]
-	if !ok {
-		h = &histPair{}
-		a.hists[p.key] = h
-	}
-	if p.retract {
-		h.hist.Remove(p.gain)
-	} else {
-		h.hist.Add(p.gain)
-	}
-}
-
-// Merge folds another proposalAgg in. Keys are folded in ascending order
-// so map iteration order never reaches the merged state: first-seen keys
-// adopt the other side's histPair pointer, and the byte-identical
-// equivalence suites pin the merged bytes.
-func (a *proposalAgg) Merge(o pregel.Aggregator) {
-	other := o.(*proposalAgg).hists
-	for _, key := range sortedHistKeys(other) {
-		h := other[key]
-		if mine, ok := a.hists[key]; ok {
-			mine.hist.Merge(&h.hist)
-		} else {
-			a.hists[key] = h
+// propose folds one proposal delta in.
+func (a *workerAgg) propose(key uint64, gain float64, retract bool) {
+	h := a.hists[key]
+	if h == nil {
+		if a.hists == nil {
+			a.hists = map[uint64]*core.DirHist{}
 		}
+		h = &core.DirHist{}
+		a.hists[key] = h
+	}
+	if retract {
+		h.Remove(gain)
+	} else {
+		h.Add(gain)
 	}
 }
 
-// Value returns the histogram map.
-func (a *proposalAgg) Value() interface{} { return a.hists }
+// weigh adds w to bucket's weight delta.
+func (a *workerAgg) weigh(bucket int32, w int64) {
+	if a.weights == nil {
+		a.weights = map[int32]int64{}
+	}
+	a.weights[bucket] += w
+}
 
-// WireSize reports what shipping this worker's accumulated proposal deltas
-// to the master would cost: an 8-byte direction key plus each delta
-// histogram's non-empty bins. Feeds pregel's AggBytes accounting.
-func (a *proposalAgg) WireSize() int {
-	n := 0
+// WireSize reports what shipping the part to the master would cost: an
+// 8-byte direction key plus the delta histogram's non-empty bins per
+// direction, and a 4-byte bucket id plus an 8-byte weight per bucket; the
+// two counts are not charged. Feeds pregel's AggBytes accounting.
+func (a *workerAgg) WireSize() int {
+	n := 12 * len(a.weights)
 	//shp:ordered(integer sum over disjoint entries; exact and order-free)
 	for _, h := range a.hists {
-		n += 8 + h.hist.WireSize()
+		n += 8 + h.WireSize()
 	}
 	return n
 }
 
-type proposal struct {
-	key     uint64
-	gain    float64
-	retract bool
-}
-
-// weightAgg aggregates per-bucket weights (for the master's ε headroom).
-type weightAgg struct{ w map[int32]int64 }
-
-func newWeightAgg() pregel.Aggregator { return &weightAgg{w: map[int32]int64{}} }
-
-// Add folds a (bucket, weight) sample in.
-func (a *weightAgg) Add(v interface{}) {
-	s := v.(bucketWeight)
-	a.w[s.bucket] += s.weight
-}
-
-// Merge folds another weightAgg in, bucket-ascending so the fold order is
-// reproducible (int64 addition is associative, but the discipline is
-// uniform: aggregator merges never iterate maps raw).
-func (a *weightAgg) Merge(o pregel.Aggregator) {
-	ow := o.(*weightAgg).w
-	for _, b := range sortedWeightBuckets(ow) {
-		a.w[b] += ow[b]
+// fold merges the workers' proposal deltas into the persistent state.
+// DirHist sums are floats, so the order of additions is fixed: the parts
+// merge worker-major — the first part holding a key is adopted, later ones
+// merge into it key-ascending — and the merged deltas then fold into the
+// persistent histograms key-ascending. Adopting a part's histogram for a key
+// the persistent map lacks is safe because a retract always follows an
+// assert of the same key, so such a key can only carry asserts.
+func (s *schedule) fold(parts []*workerAgg) {
+	merged := map[uint64]*core.DirHist{}
+	for _, p := range parts {
+		for _, key := range slices.Sorted(maps.Keys(p.hists)) {
+			if m := merged[key]; m != nil {
+				m.Merge(p.hists[key])
+			} else {
+				merged[key] = p.hists[key]
+			}
+		}
+		//shp:ordered(integer sums into distinct keys; exact in any order)
+		for b, w := range p.weights {
+			s.weights[b] += w
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(merged)) {
+		if mine := s.hists[key]; mine != nil {
+			mine.Merge(merged[key])
+		} else {
+			s.hists[key] = merged[key]
+		}
 	}
 }
 
-// Value returns the weight map.
-func (a *weightAgg) Value() interface{} { return a.w }
-
-// WireSize reports the accumulated weight deltas' shipping cost: a 4-byte
-// bucket id plus an 8-byte weight per entry.
-func (a *weightAgg) WireSize() int { return 12 * len(a.w) }
-
-type bucketWeight struct {
-	bucket int32
-	weight int64
-}
-
-// sortedHistKeys returns m's direction keys in ascending order, so callers
-// never fold histogram state in map iteration order.
-func sortedHistKeys(m map[uint64]*histPair) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// match pairs each direction's histogram with its opposite's and sets the
+// move probabilities superstep 3 reads. Keys ascend, so within a sibling
+// pair (key, key^1) the lower key always plays the A side of
+// MatchHistograms and the tables are bit-reproducible.
+func (s *schedule) match() {
+	eps := s.opts.Epsilon * float64(s.level+1) / float64(s.levels)
+	cap0 := s.ideal * float64(s.opts.K>>(s.level+1)) * (1 + eps)
+	s.probs = map[uint64]*core.ProbTable{}
+	var empty core.DirHist
+	for _, key := range slices.Sorted(maps.Keys(s.hists)) {
+		if _, done := s.probs[key]; done {
+			continue
+		}
+		rkey := key ^ 1 // opposite direction of the same pair
+		rh := s.hists[rkey]
+		if rh == nil {
+			rh = &empty
+		}
+		// directionKey(b) == b: the direction "from b to its sibling" is
+		// identified by b itself, so direction key receives into bucket
+		// key^1 and vice versa.
+		dstA := int32(uint32(key ^ 1))
+		dstB := int32(uint32(key))
+		extraA := int64(0)
+		extraB := int64(0)
+		if head := cap0 - float64(s.weights[dstA]); head > 0 {
+			extraA = int64(head * 0.9)
+		}
+		if head := cap0 - float64(s.weights[dstB]); head > 0 {
+			extraB = int64(head * 0.9)
+		}
+		pa, pb := core.MatchHistograms(s.hists[key], rh, extraA, extraB)
+		s.probs[key] = &pa
+		if rh != &empty {
+			s.probs[rkey] = &pb
+		}
 	}
-	slices.Sort(keys)
-	return keys
 }
-
-// sortedWeightBuckets returns m's bucket ids in ascending order.
-func sortedWeightBuckets(m map[int32]int64) []int32 {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// probsValue is what the master broadcasts: per-direction probability
-// tables.
-type probsValue map[uint64]*core.ProbTable
 
 // Partition runs distributed SHP-2 on g.
 func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
@@ -626,8 +623,11 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	// Master-side schedule state (package-level type so the checkpoint
 	// plane can snapshot and restore it; see snapshot.go).
-	sched := &schedule{hists: map[uint64]*histPair{}, weights: map[int32]int64{}}
-	idealPerBucket := float64(g.TotalDataWeight()) / float64(opts.K)
+	sched := &schedule{
+		opts: opts, levels: levels,
+		ideal: float64(g.TotalDataWeight()) / float64(opts.K),
+		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
+	}
 
 	vertices := make([]*pregel.Vertex, 0, numD+numQ)
 	for d := 0; d < numD; d++ {
@@ -645,90 +645,35 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	compute := func(ctx *pregel.ContextOf[record], v *pregel.Vertex, msgs []record) {
+	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 		switch st := v.State.(type) {
 		case *dataState:
-			computeData(ctx, g, st, msgs, opts, tables)
+			computeData(ctx, g, st, msgs, sched, tables)
 		case *queryState:
-			computeQuery(ctx, g, st, msgs, opts, tables)
+			computeQuery(ctx, g, st, msgs, sched, tables)
 		}
 	}
 
-	master := func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
-		set := map[string]interface{}{}
-		phase := sched.phase
-		switch phase {
+	// The master runs at every barrier with the superstep just computed in
+	// sched.phase, and leaves sched as the next superstep's vertices read it.
+	master := func(step int, parts []*workerAgg) bool {
+		switch sched.phase {
+		case 1:
+			for _, p := range parts {
+				sched.ndEntries += p.fanoutDiff
+			}
+			sched.rebuildNext = false // this superstep 1 rebroadcast as scheduled
 		case 2:
 			// Proposal deltas are in: fold them into the persistent state,
-			// then match histograms pair by pair over it. Adopting an
-			// aggregator's histPair pointer for a first-seen key is safe
-			// because a retract always follows an assert of the same key, so
-			// a key absent from the persistent map can only carry asserts.
-			if v, ok := agg["proposals"]; ok {
-				deltas := v.(map[uint64]*histPair)
-				for _, key := range sortedHistKeys(deltas) {
-					h := deltas[key]
-					if mine, exists := sched.hists[key]; exists {
-						mine.hist.Merge(&h.hist)
-					} else {
-						sched.hists[key] = h
-					}
-				}
-			}
-			if v, ok := agg["weights"]; ok {
-				w := v.(map[int32]int64)
-				for _, b := range sortedWeightBuckets(w) {
-					sched.weights[b] += w[b]
-				}
-			}
-			probs := probsValue{}
-			eps := opts.Epsilon * float64(sched.level+1) / float64(levels)
-			t := opts.K >> (sched.level + 1)
-			cap0 := idealPerBucket * float64(t) * (1 + eps)
-			var empty histPair
-			// Direction-key ascending: within a sibling pair (key, key^1)
-			// the lower key always plays the A side of MatchHistograms, so
-			// the broadcast probability tables are bit-reproducible.
-			for _, key := range sortedHistKeys(sched.hists) {
-				h := sched.hists[key]
-				if _, done := probs[key]; done {
-					continue
-				}
-				rkey := key ^ 1 // opposite direction of the same pair
-				rh := sched.hists[rkey]
-				if rh == nil {
-					rh = &empty
-				}
-				// directionKey(b) == b: the direction "from b to its
-				// sibling" is identified by b itself, so direction key
-				// receives into bucket key^1 and vice versa.
-				dstA := int32(uint32(key ^ 1))
-				dstB := int32(uint32(key))
-				extraA := int64(0)
-				extraB := int64(0)
-				if head := cap0 - float64(sched.weights[dstA]); head > 0 {
-					extraA = int64(head * 0.9)
-				}
-				if head := cap0 - float64(sched.weights[dstB]); head > 0 {
-					extraB = int64(head * 0.9)
-				}
-				pa, pb := core.MatchHistograms(&h.hist, &rh.hist, extraA, extraB)
-				probs[key] = &pa
-				if rh != &empty {
-					probs[rkey] = &pb
-				}
-			}
-			set["probs"] = probs
-			set["level"] = sched.level
-			set["iter"] = sched.iter
-			sched.phase = 3
-			return false, set
+			// then match histograms pair by pair over it.
+			sched.fold(parts)
+			sched.match()
 		case 3:
 			// Moves applied; record the iteration and decide whether to
 			// advance level.
 			moved := int64(0)
-			if v, ok := agg["moved"]; ok {
-				moved = v.(int64)
+			for _, p := range parts {
+				moved += p.moved
 			}
 			sched.iterations++
 			sched.history = append(sched.history, IterRecord{
@@ -750,47 +695,24 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 				// full gain contributions everywhere. The proposal plane
 				// re-registers from scratch too: drop the persistent state.
 				sched.rebuildNext = false
-				sched.hists = map[uint64]*histPair{}
+				sched.hists = map[uint64]*core.DirHist{}
 				sched.weights = map[int32]int64{}
 				if sched.level >= levels {
-					return true, nil
+					return true
 				}
 			}
-			sched.phase = 0
-			set["level"] = sched.level
-			set["iter"] = sched.iter
-			return false, set
-		default:
-			if phase == 0 && sched.rebuildNext {
-				// Visible to the queries during the upcoming superstep 1.
-				set["rebuild"] = true
-				sched.rebuildNext = false
-			}
-			if phase == 1 {
-				if v, ok := agg["fanoutDiff"]; ok {
-					sched.ndEntries += v.(int64)
-				}
-			}
-			sched.phase = phase + 1
-			set["level"] = sched.level
-			set["iter"] = sched.iter
-			return false, set
 		}
+		sched.phase = (sched.phase + 1) % 4
+		return false
 	}
 
-	engOpts := pregel.OptionsOf[record]{
+	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
 		Compute:       compute,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
-		Aggregators: map[string]pregel.AggregatorDef{
-			"proposals":  {New: newProposalAgg},
-			"weights":    {New: newWeightAgg},
-			"moved":      {New: func() pregel.Aggregator { return &pregel.CountAggregator{} }},
-			"fanoutDiff": {New: func() pregel.Aggregator { return &pregel.CountAggregator{} }},
-		},
-		Transport: opts.Transport,
-		Codecs:    recordCodec{},
+		Transport:     opts.Transport,
+		Codecs:        recordCodec{},
 	}
 	if !opts.noCombine {
 		engOpts.Combiner = combine
@@ -835,15 +757,14 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	}, nil
 }
 
-// computeData is the data-vertex program.
-func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dataState,
-	msgs []record, opts Options, tables []core.GainTables) {
+// computeData is the data-vertex program. It reads the master's state in s,
+// which the master writes only between supersteps.
+func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, st *dataState,
+	msgs []record, s *schedule, tables []core.GainTables) {
 
-	// Each phase reads only the aggregators it uses: every vertex runs every
-	// superstep, and a read is a string-keyed map lookup.
 	switch ctx.Superstep() % 4 {
 	case 0:
-		level := readInt(ctx, "level")
+		level := s.level
 		if level != st.level {
 			// Level start: split my bucket. Level 0: bucket = coin in {0,1};
 			// deeper: bucket = 2*old + coin.
@@ -853,7 +774,7 @@ func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dat
 				base = old * 2
 			}
 			coin := int32(0)
-			if rng.CoinAt(opts.Seed^0x51DE, rng.Mix(uint64(level)+1, uint64(st.d))) >= 0.5 {
+			if rng.CoinAt(s.opts.Seed^0x51DE, rng.Mix(uint64(level)+1, uint64(st.d))) >= 0.5 {
 				coin = 1
 			}
 			st.bucket = base + coin
@@ -885,7 +806,7 @@ func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dat
 		// so late supersteps cost only the moving frontier on this plane.
 		// (The bucket check catches zero-degree movers, whose bucket flips
 		// without any message traffic.)
-		level := readInt(ctx, "level")
+		level := s.level
 		key := directionKey(st.bucket)
 		if len(msgs) == 0 && st.propLevel == level && key == st.propKey {
 			return
@@ -914,6 +835,7 @@ func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dat
 			st.sumCur, st.sumOth = sumCur, sumOth
 		}
 		st.gain = tb.Mult() * (st.sumCur - st.sumOth)
+		agg := ctx.Aggregate()
 		if st.propLevel == level {
 			if key == st.propKey && st.gain == st.propGain {
 				// Recomputed (rebroadcast verification) but unchanged:
@@ -923,24 +845,20 @@ func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dat
 			}
 			// Retract the registered proposal; on a bucket change, move the
 			// vertex's weight between the buckets' persistent totals.
-			ctx.Aggregate("proposals", proposal{key: st.propKey, gain: st.propGain, retract: true})
+			agg.propose(st.propKey, st.propGain, true)
 			if oldB := int32(uint32(st.propKey)); oldB != st.bucket {
-				ctx.Aggregate("weights", bucketWeight{bucket: oldB, weight: -int64(g.DataWeight(st.d))})
-				ctx.Aggregate("weights", bucketWeight{bucket: st.bucket, weight: int64(g.DataWeight(st.d))})
+				agg.weigh(oldB, -int64(g.DataWeight(st.d)))
+				agg.weigh(st.bucket, int64(g.DataWeight(st.d)))
 			}
 		} else {
 			// First proposal of the level: register the full weight.
-			ctx.Aggregate("weights", bucketWeight{bucket: st.bucket, weight: int64(g.DataWeight(st.d))})
+			agg.weigh(st.bucket, int64(g.DataWeight(st.d)))
 		}
-		ctx.Aggregate("proposals", proposal{key: key, gain: st.gain})
+		agg.propose(key, st.gain, false)
 		st.propKey, st.propGain, st.propLevel = key, st.gain, level
 	case 3:
 		// Read the master's probabilities and maybe move.
-		var probs probsValue
-		if v := ctx.ReadAggregator("probs"); v != nil {
-			probs = v.(probsValue)
-		}
-		pt := probs[directionKey(st.bucket)]
+		pt := s.probs[directionKey(st.bucket)]
 		if pt == nil {
 			return
 		}
@@ -948,19 +866,13 @@ func computeData(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *dat
 		if p <= 0 {
 			return
 		}
-		key := rng.Mix(rng.Mix(uint64(readInt(ctx, "level"))+1, uint64(readInt(ctx, "iter"))+1), uint64(st.d))
-		if p >= 1 || rng.CoinAt(opts.Seed^0x30E5, key) < p {
+		key := rng.Mix(rng.Mix(uint64(s.level)+1, uint64(s.iter)+1), uint64(st.d))
+		if p >= 1 || rng.CoinAt(s.opts.Seed^0x30E5, key) < p {
 			st.bucket ^= 1
 			st.moved = true
-			ctx.Aggregate("moved", int64(1))
+			ctx.Aggregate().moved++
 		}
 	}
-}
-
-// readInt reads an int the master broadcast, 0 before it first has.
-func readInt(ctx *pregel.ContextOf[record], name string) int {
-	v, _ := ctx.ReadAggregator(name).(int)
-	return v
 }
 
 // directionKey identifies the direction "from bucket b to its sibling".
@@ -980,14 +892,14 @@ func directionKey(bucket int32) uint64 {
 // queries send nothing. On a master-scheduled rebroadcast iteration every
 // query sends every member its full contribution, exactly the paper's
 // per-iteration r = 2 neighbor-data reduction.
-func computeQuery(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *queryState,
-	msgs []record, opts Options, tables []core.GainTables) {
+func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, st *queryState,
+	msgs []record, s *schedule, tables []core.GainTables) {
 
 	switch ctx.Superstep() % 4 {
 	case 1:
-		level := readInt(ctx, "level")
+		level := s.level
 		// Set by the master for the iterations it schedules a rebroadcast on.
-		full, _ := ctx.ReadAggregator("rebuild").(bool)
+		full := s.rebuildNext
 		members := g.QueryNeighbors(st.q)
 		if level != st.level {
 			// Level changed: rebuild from the registration messages. Every
@@ -1009,7 +921,7 @@ func computeQuery(ctx *pregel.ContextOf[record], g *hypergraph.Bipartite, st *qu
 		// maintain the global average fanout without graph passes. Identical
 		// on every path (count maintenance does not depend on the plane).
 		if n := int32(len(st.ent)); n != st.prevLen {
-			ctx.Aggregate("fanoutDiff", int64(n-st.prevLen))
+			ctx.Aggregate().fanoutDiff += int64(n - st.prevLen)
 			st.prevLen = n
 		}
 		// Send each member its gain-state update. Iterating the adjacency

@@ -11,6 +11,8 @@ package distshp
 
 import (
 	"bytes"
+	"maps"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -167,59 +169,73 @@ func FuzzGainCodec(f *testing.F) {
 	f.Fuzz(checkRecordCodec)
 }
 
-// FuzzSnapshotValueCodecs drives every aggregated-value codec the checkpoint
-// registry (newSnapshotRegistry) carries besides the vertex states: hostile
-// bytes must be rejected or produce a value whose canonical encoding is
-// stable through a second Decode/Append round.
-func FuzzSnapshotValueCodecs(f *testing.F) {
-	codecs := []pregel.ValueCodec{
-		intCodec{}, boolCodec{}, pregel.Int64Codec{},
-		probsCodec{}, histMapCodec{}, weightMapCodec{},
+// sampleSchedule is a master state at phase 3, where a restore recomputes
+// the move probabilities, with every section of the snapshot non-empty.
+func sampleSchedule() *schedule {
+	s := &schedule{
+		opts: Options{K: 8, Epsilon: 0.05}, levels: 3, ideal: 40,
+		level: 1, iter: 2, phase: 3, iterations: 5, rebuildNext: true, ndEntries: 60,
+		hists:   map[uint64]*core.DirHist{},
+		weights: map[int32]int64{0: 41, 1: 37, 2: -3},
+		history: []IterRecord{{Level: 0, Iter: 0, Moved: 12, Fanout: 1.5}, {Level: 1, Iter: 1, Moved: 3, Fanout: 1.25}},
 	}
-	iv, _ := (intCodec{}).Append(nil, int(-7))
-	bv, _ := (boolCodec{}).Append(nil, true)
-	lv, _ := (pregel.Int64Codec{}).Append(nil, int64(1<<40))
-	pv, _ := (probsCodec{}).Append(nil, probsValue{3: &core.ProbTable{}})
-	hp := &histPair{}
-	hp.hist.Add(0.5)
-	hv, _ := (histMapCodec{}).Append(nil, map[uint64]*histPair{5: hp})
-	wv, _ := (weightMapCodec{}).Append(nil, map[int32]int64{1: 42, -2: 7})
-	f.Add(0, iv)
-	f.Add(1, bv)
-	f.Add(2, lv)
-	f.Add(3, pv)
-	f.Add(4, hv)
-	f.Add(5, wv)
-	f.Add(3, []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Add(4, []byte{200})                                            // truncated uvarint
-	f.Fuzz(func(t *testing.T, which int, data []byte) {
-		codec := codecs[((which%len(codecs))+len(codecs))%len(codecs)]
-		m, used, err := codec.Decode(data)
+	for key, gains := range map[uint64][]float64{0: {0.5, -0.25}, 1: {1.5}, 3: {-2, 0.125, 0.75}} {
+		h := &core.DirHist{}
+		for _, g := range gains {
+			h.Add(g)
+		}
+		s.hists[key] = h
+	}
+	s.match()
+	return s
+}
+
+// FuzzSnapshotValueCodecs drives the master's snapshot, the one value the
+// checkpoint carries besides the vertex states: hostile counts and
+// truncations must be rejected without a panic or an allocation the payload
+// does not pay for, a rejected blob must leave the schedule it was restored
+// into exactly as it was, and an accepted one must re-encode stably.
+func FuzzSnapshotValueCodecs(f *testing.F) {
+	valid := sampleSchedule().appendBinary(nil)
+	phase0 := sampleSchedule()
+	phase0.phase, phase0.rebuildNext = 0, false
+	outOfRange := sampleSchedule()
+	outOfRange.level = 3 // == levels
+	// level, iter, phase, iterations, rebuild flag, ndEntries: one byte each.
+	const header = 6
+	f.Add(valid)
+	f.Add(phase0.appendBinary(nil))
+	f.Add(valid[:len(valid)-3])                                                                // a valid prefix, then a truncated history
+	f.Add(valid[:header+4])                                                                    // truncated inside the first histogram
+	f.Add(append(bytes.Clone(valid[:header]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1)) // absurd histogram count
+	f.Add(append(bytes.Clone(valid[:len(valid)-2*11-1]), 200, 200, 200, 200, 1))               // absurd history count
+	f.Add(outOfRange.appendBinary(nil))
+	f.Add(append(bytes.Clone(valid), 0)) // a trailing byte
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := sampleSchedule()
+		before, probs := s.appendBinary(nil), s.probs
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := s.restoreBinary(data)
+		runtime.ReadMemStats(&m1)
+		// A histogram costs 2 KB and its move probabilities 2 KB more, for
+		// at least two bytes of payload.
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+4<<10*uint64(len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), alloc)
+		}
 		if err != nil {
-			return // rejected; nothing to check beyond not panicking
+			if !bytes.Equal(s.appendBinary(nil), before) || !maps.Equal(s.probs, probs) {
+				t.Fatalf("rejected blob (%v) changed the schedule", err)
+			}
+			return
 		}
-		if used > len(data) {
-			t.Fatalf("consumed %d of %d bytes", used, len(data))
-		}
-		re, err := codec.Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if codec.Size(m) != len(re) {
-			t.Fatalf("Size %d != encoded %d", codec.Size(m), len(re))
-		}
-		m2, used2, err := codec.Decode(re)
-		if err != nil {
+		re := s.appendBinary(nil)
+		again := sampleSchedule()
+		if err := again.restoreBinary(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if used2 != len(re) {
-			t.Fatalf("re-decode consumed %d of %d bytes", used2, len(re))
-		}
-		re2, err := codec.Append(nil, m2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re2, re) {
+		if re2 := again.appendBinary(nil); !bytes.Equal(re2, re) {
 			t.Fatalf("unstable canonical encoding: %x vs %x", re2, re)
 		}
 	})

@@ -54,6 +54,55 @@ func TestDistRecoveryMatchesUndisturbed(t *testing.T) {
 	}
 }
 
+// TestDistRecoveryAtEveryPhase kills a worker at each of supersteps 1..12
+// with a checkpoint at every superstep, so recovery restores at every phase
+// of the protocol — including phase 3, where the master's move
+// probabilities are recomputed rather than read back — across a level start
+// and a rebroadcast iteration. Every recovered run must match the
+// undisturbed one, on the default schedule and on a rebroadcast every
+// iteration.
+func TestDistRecoveryAtEveryPhase(t *testing.T) {
+	const seed, lastKill = 41, 12
+	g := randomBipartite(t, seed, 120, 200, 800)
+	for _, rebuild := range []int{0, 1} {
+		opts := Options{K: 4, Seed: seed, Workers: 3, ItersPerLevel: 2, RebuildEvery: rebuild}
+		base, err := Partition(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Iteration j runs supersteps 4j..4j+3. The kills must reach a level
+		// start, and an iteration whose superstep 1 rebroadcasts because the
+		// one before it moved at least 1/rebuildFallbackDiv of the vertices.
+		levelStart, rebroadcast := false, false
+		for j := 1; 4*j+1 <= lastKill && j < len(base.History); j++ {
+			if base.History[j].Iter == 0 {
+				levelStart = true
+			} else if base.History[j-1].Moved*rebuildFallbackDiv >= int64(g.NumData()) {
+				rebroadcast = true
+			}
+		}
+		if !levelStart || !rebroadcast {
+			t.Fatalf("RebuildEvery %d: kills up to superstep %d reach a level start %v, a rebroadcast %v; want both",
+				rebuild, lastKill, levelStart, rebroadcast)
+		}
+		for kill := 1; kill <= lastKill; kill++ {
+			label := fmt.Sprintf("RebuildEvery %d, kill at %d", rebuild, kill)
+			opts.Transport = pregel.FaultyTransport(pregel.MemoryTransport(), pregel.FaultPlan{
+				KillWorker: 1, KillStep: kill,
+			})
+			opts.CheckpointEvery = 1
+			faulty, err := Partition(g, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireSameResult(t, label, base, faulty)
+			if faulty.Stats.Recoveries != 1 {
+				t.Fatalf("%s: Recoveries = %d, want 1", label, faulty.Stats.Recoveries)
+			}
+		}
+	}
+}
+
 // TestDistRecoveryFromDisk runs the kill/recover cycle against the
 // persistent checkpoint store.
 func TestDistRecoveryFromDisk(t *testing.T) {

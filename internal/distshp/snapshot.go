@@ -2,9 +2,8 @@ package distshp
 
 // Snapshot codecs for the fault-tolerance plane: everything a distributed
 // run holds across a superstep barrier — per-vertex dataState/queryState
-// (including the persistent dyadic-grid accumulators), the aggregated
-// values the master broadcast (probability tables, level/iter counters),
-// and the master's own schedule closure (persistent DirHist histograms,
+// (including the persistent dyadic-grid accumulators) and the master's
+// schedule (level and iteration counters, persistent DirHist histograms,
 // bucket weights, iteration history) — encodes through these, so a recovery
 // resumes the *incremental* protocol exactly where the checkpoint left it:
 // no rebroadcast, no resummation, byte-identical continuation.
@@ -16,25 +15,32 @@ package distshp
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"shp/internal/core"
 	"shp/internal/pregel"
 )
 
-// schedule is the master's cross-superstep state. It lives outside the
-// aggregator plane (a closure over Partition's master function), so recovery
-// needs its own snapshot/restore: rolling back vertices without rolling back
-// the persistent histograms would desynchronize the proposal plane.
+// schedule is the master's state across supersteps, including every value
+// the vertices read from it (level, iter, rebuildNext, probs). The master
+// writes it only between supersteps, and the checkpoint plane snapshots and
+// restores it: rolling back vertices without rolling back the persistent
+// histograms would desynchronize the proposal plane.
 type schedule struct {
+	// Run constants, set once by Partition.
+	opts   Options
+	levels int
+	ideal  float64 // a bucket's share of the data weight at K buckets
+
 	level      int
 	iter       int
 	phase      int // which of the 4 supersteps comes next
 	iterations int
 	// rebuildNext schedules a full superstep-1 gain rebroadcast for the
 	// next iteration (sweep fallback / safety net of the incremental
-	// plane).
+	// plane). It stays set through that superstep 1, whose queries read it.
 	rebuildNext bool
 	// ndEntries is the global live-entry total of the query histograms,
 	// maintained from per-query diffs; /numQ is the average fanout.
@@ -43,8 +49,12 @@ type schedule struct {
 	// direction gain histograms and per-bucket weight totals, maintained
 	// from the vertices' assert/retract deltas each proposal superstep
 	// and reset at level start (where every vertex re-registers).
-	hists   map[uint64]*histPair
+	hists   map[uint64]*core.DirHist
 	weights map[int32]int64
+	// probs are the per-direction move probabilities superstep 3 reads.
+	// They derive from hists, weights and level, so no snapshot holds them:
+	// a restore at phase 3 recomputes them.
+	probs   map[uint64]*core.ProbTable
 	history []IterRecord
 }
 
@@ -72,24 +82,27 @@ func (s *schedule) appendBinary(buf []byte) []byte {
 	return buf
 }
 
-// restoreBinary replaces the schedule's state with a decoded snapshot. The
-// maps are rebuilt fresh — the master adopts histPair pointers out of
-// aggregator values, so restored state must never alias a live aggregate.
+// restoreBinary replaces the schedule's state with a decoded snapshot, all
+// or nothing: it decodes into a fresh schedule and commits it only once
+// every byte has parsed. The maps are fresh too — the master adopts
+// histograms out of the aggregate's parts, so restored state must never
+// alias a live one.
 func (s *schedule) restoreBinary(data []byte) error {
 	d := &decoder{data: data}
-	s.level = int(d.varint())
-	s.iter = int(d.varint())
-	s.phase = int(d.varint())
-	s.iterations = int(d.varint())
-	s.rebuildNext = d.byte() != 0
-	s.ndEntries = d.varint()
-	s.hists = d.histMap()
-	s.weights = d.weightMap()
+	r := &schedule{opts: s.opts, levels: s.levels, ideal: s.ideal}
+	r.level = int(d.varint())
+	r.iter = int(d.varint())
+	r.phase = int(d.varint())
+	r.iterations = int(d.varint())
+	r.rebuildNext = d.byte() != 0
+	r.ndEntries = d.varint()
+	r.hists = d.histMap()
+	r.weights = d.weightMap()
 	n := d.uvarint()
 	if n > uint64(len(d.data)) { // each record is >= 11 bytes
 		return fmt.Errorf("distshp: schedule snapshot: history count %d exceeds payload", n)
 	}
-	s.history = make([]IterRecord, 0, n)
+	r.history = make([]IterRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rec := IterRecord{
 			Level: int(d.varint()),
@@ -97,7 +110,7 @@ func (s *schedule) restoreBinary(data []byte) error {
 			Moved: d.varint(),
 		}
 		rec.Fanout = math.Float64frombits(d.u64())
-		s.history = append(s.history, rec)
+		r.history = append(r.history, rec)
 	}
 	if d.err != nil {
 		return fmt.Errorf("distshp: schedule snapshot: %w", d.err)
@@ -105,6 +118,13 @@ func (s *schedule) restoreBinary(data []byte) error {
 	if len(d.data) != 0 {
 		return fmt.Errorf("distshp: schedule snapshot: %d trailing bytes", len(d.data))
 	}
+	if r.level < 0 || r.level >= r.levels || r.phase < 0 || r.phase > 3 {
+		return fmt.Errorf("distshp: schedule snapshot: level %d, phase %d out of range", r.level, r.phase)
+	}
+	if r.phase == 3 {
+		r.match()
+	}
+	*s = *r
 	return nil
 }
 
@@ -173,13 +193,13 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) histMap() map[uint64]*histPair {
+func (d *decoder) histMap() map[uint64]*core.DirHist {
 	n := d.uvarint()
 	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
 		d.fail("histogram map count exceeds payload")
 		return nil
 	}
-	m := make(map[uint64]*histPair, n)
+	m := make(map[uint64]*core.DirHist, n)
 	for i := uint64(0); i < n; i++ {
 		key := d.uvarint()
 		if d.err != nil {
@@ -191,7 +211,7 @@ func (d *decoder) histMap() map[uint64]*histPair {
 			return m
 		}
 		d.data = d.data[used:]
-		m[key] = &histPair{hist: h}
+		m[key] = &h
 	}
 	return m
 }
@@ -210,28 +230,18 @@ func (d *decoder) weightMap() map[int32]int64 {
 	return m
 }
 
-func appendHistMap(buf []byte, m map[uint64]*histPair) []byte {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+func appendHistMap(buf []byte, m map[uint64]*core.DirHist) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		buf = binary.AppendUvarint(buf, k)
-		buf = m[k].hist.AppendBinary(buf)
+		buf = m[k].AppendBinary(buf)
 	}
 	return buf
 }
 
 func appendWeightMap(buf []byte, m map[int32]int64) []byte {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		buf = binary.AppendVarint(buf, int64(k))
 		buf = binary.AppendVarint(buf, m[k])
 	}
@@ -355,145 +365,12 @@ func (c queryStateCodec) Size(m any) int {
 	return len(buf)
 }
 
-// --- aggregated-value codecs ---
-
-type intCodec struct{}
-
-func (intCodec) Append(buf []byte, m any) ([]byte, error) {
-	return binary.AppendVarint(buf, int64(m.(int))), nil
-}
-
-func (intCodec) Decode(data []byte) (any, int, error) {
-	v, n := binary.Varint(data)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("distshp: truncated int")
-	}
-	return int(v), n, nil
-}
-
-func (c intCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-type boolCodec struct{}
-
-func (boolCodec) Append(buf []byte, m any) ([]byte, error) {
-	if m.(bool) {
-		return append(buf, 1), nil
-	}
-	return append(buf, 0), nil
-}
-
-func (boolCodec) Decode(data []byte) (any, int, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("distshp: truncated bool")
-	}
-	return data[0] != 0, 1, nil
-}
-
-func (boolCodec) Size(any) int { return 1 }
-
-type probsCodec struct{}
-
-func (probsCodec) Append(buf []byte, m any) ([]byte, error) {
-	probs := m.(probsValue)
-	keys := make([]uint64, 0, len(probs))
-	for k := range probs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, k)
-		buf = probs[k].AppendBinary(buf)
-	}
-	return buf, nil
-}
-
-func (probsCodec) Decode(data []byte) (any, int, error) {
-	d := &decoder{data: data}
-	n := d.uvarint()
-	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
-		return nil, 0, fmt.Errorf("distshp: probs snapshot: count %d exceeds payload", n)
-	}
-	probs := make(probsValue, n)
-	for i := uint64(0); i < n; i++ {
-		key := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		pt, used, err := core.DecodeProbTable(d.data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("distshp: probs snapshot: %w", err)
-		}
-		d.data = d.data[used:]
-		probs[key] = &pt
-	}
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("distshp: probs snapshot: %w", d.err)
-	}
-	return probs, len(data) - len(d.data), nil
-}
-
-func (c probsCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-type histMapCodec struct{}
-
-func (histMapCodec) Append(buf []byte, m any) ([]byte, error) {
-	return appendHistMap(buf, m.(map[uint64]*histPair)), nil
-}
-
-func (histMapCodec) Decode(data []byte) (any, int, error) {
-	d := &decoder{data: data}
-	m := d.histMap()
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("distshp: histogram snapshot: %w", d.err)
-	}
-	return m, len(data) - len(d.data), nil
-}
-
-func (c histMapCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-type weightMapCodec struct{}
-
-func (weightMapCodec) Append(buf []byte, m any) ([]byte, error) {
-	return appendWeightMap(buf, m.(map[int32]int64)), nil
-}
-
-func (weightMapCodec) Decode(data []byte) (any, int, error) {
-	d := &decoder{data: data}
-	m := d.weightMap()
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("distshp: weight snapshot: %w", d.err)
-	}
-	return m, len(data) - len(d.data), nil
-}
-
-func (c weightMapCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-// newSnapshotRegistry builds the checkpoint codec registry: every vertex
-// state and every value that can appear in the engine's aggregated map at a
-// barrier (merged aggregator outputs and master-set broadcasts). A type
-// missing here fails the checkpoint loudly instead of dropping state.
+// newSnapshotRegistry builds the checkpoint codec registry of the vertex
+// states. A state missing here fails the checkpoint loudly instead of being
+// dropped.
 func newSnapshotRegistry() *pregel.Registry {
 	reg := pregel.NewRegistry()
 	reg.Register(&dataState{}, dataStateCodec{})
 	reg.Register(&queryState{}, queryStateCodec{})
-	reg.Register(int(0), intCodec{})                        // "level", "iter"
-	reg.Register(false, boolCodec{})                        // "rebuild"
-	reg.Register(int64(0), pregel.Int64Codec{})             // "moved", "fanoutDiff"
-	reg.Register(probsValue(nil), probsCodec{})             // "probs"
-	reg.Register(map[uint64]*histPair(nil), histMapCodec{}) // "proposals"
-	reg.Register(map[int32]int64(nil), weightMapCodec{})    // "weights"
 	return reg
 }

@@ -1,8 +1,8 @@
 package lint
 
 // panic-policy: library packages surface typed errors, not bare panics.
-// PR 7 converted the engine's aggregator-misuse panics into typed
-// *AggregatorError values recovered at the worker boundary and returned as
+// The engine's own misuse panic — a Send to an absent vertex — is a typed
+// *sendError recovered at the worker boundary and returned as a
 // *ComputeError; this analyzer keeps the rest of the tree on that standard.
 // Allowed without annotation:
 //

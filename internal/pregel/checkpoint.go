@@ -179,26 +179,24 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 //	per worker: inbox length | per record, in the inbox's grouped order
 //	  (destination-ascending, then source worker, then send order): dst |
 //	  the record as a one-record envelope
-//	aggregated count | per entry, name-ascending: name len | name bytes |
-//	  present byte | [value]
 //	master blob length | blob bytes
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
-// Values ride the typed-codec plane: states and aggregated values as one
-// codec-id byte plus the payload through Options.Snapshots, pending records
-// through Options.Codecs, the codec the wire uses. Encoding order is
-// canonical, so equal engine states produce byte-identical snapshots. The
-// checksum is what catches damage that still parses — a flipped bit inside
-// a float64 state decodes to a different, perfectly valid state.
+// Values ride the typed-codec plane: states as one codec-id byte plus the
+// payload through Options.Snapshots, pending records through Options.Codecs,
+// the codec the wire uses. Encoding order is canonical, so equal engine
+// states produce byte-identical snapshots. The checksum is what catches
+// damage that still parses — a flipped bit inside a float64 state decodes to
+// a different, perfectly valid state.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 2
+	snapshotVersion = 3
 	snapshotSumSize = 4
 )
 
 // checkpoint snapshots the engine at a superstep boundary and hands it to
 // the checkpointer, charging the encoded size to Stats.CheckpointBytes.
-func (e *EngineOf[M]) checkpoint(superstep int) error {
+func (e *EngineOf[M, A]) checkpoint(superstep int) error {
 	snap, err := e.encodeSnapshot(superstep)
 	if err != nil {
 		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", superstep, err)
@@ -211,20 +209,10 @@ func (e *EngineOf[M]) checkpoint(superstep int) error {
 	return nil
 }
 
-// snapValue encodes one vertex state or aggregated value via the snapshot
-// registry, failing loudly when no codec covers it: silently dropping state
-// would corrupt a later recovery.
-func (e *EngineOf[M]) snapValue(buf []byte, v interface{}) ([]byte, error) {
-	if e.opts.Snapshots == nil {
-		return buf, fmt.Errorf("Options.Snapshots registry required to encode %T", v)
-	}
-	return e.opts.Snapshots.appendValue(buf, v)
-}
-
 // encodeSnapshot serializes the complete barrier state at a superstep
 // boundary: everything the next superstep's compute can observe. The buffer
 // starts at the previous snapshot's size, which the next one rarely outgrows.
-func (e *EngineOf[M]) encodeSnapshot(superstep int) ([]byte, error) {
+func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 	buf := append(make([]byte, 0, e.snapLen), snapshotMagic...)
 	buf = append(buf, snapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(superstep))
@@ -250,7 +238,12 @@ func (e *EngineOf[M]) encodeSnapshot(superstep int) ([]byte, error) {
 			}
 			buf = append(buf, flags)
 			if v.State != nil {
-				if buf, err = e.snapValue(buf, v.State); err != nil {
+				// A missing codec fails loudly: silently dropping state would
+				// corrupt a later recovery.
+				if e.opts.Snapshots == nil {
+					return nil, fmt.Errorf("Options.Snapshots registry required to encode %T", v.State)
+				}
+				if buf, err = e.opts.Snapshots.appendValue(buf, v.State); err != nil {
 					return nil, fmt.Errorf("vertex %d state: %w", v.ID, err)
 				}
 			}
@@ -270,25 +263,6 @@ func (e *EngineOf[M]) encodeSnapshot(superstep int) ([]byte, error) {
 			}
 		}
 	}
-	names := make([]string, 0, len(e.aggregated))
-	for name := range e.aggregated {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, name := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		v := e.aggregated[name]
-		if v == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		if buf, err = e.snapValue(buf, v); err != nil {
-			return nil, fmt.Errorf("aggregated %q: %w", name, err)
-		}
-	}
 	var master []byte
 	if e.opts.MasterSnapshot != nil {
 		master = e.opts.MasterSnapshot()
@@ -302,17 +276,16 @@ func (e *EngineOf[M]) encodeSnapshot(superstep int) ([]byte, error) {
 // every byte has parsed: a damaged file must fail before anything is rewound,
 // so recovery can still fall back to an older one.
 type snapshotState[M any] struct {
-	halted     []bool        // per vertex, the engine's canonical order
-	states     []interface{} // same order; nil = no state
-	inboxes    []inbox[M]    // per worker
-	aggregated map[string]interface{}
-	master     []byte
+	halted  []bool        // per vertex, the engine's canonical order
+	states  []interface{} // same order; nil = no state
+	inboxes []inbox[M]    // per worker
+	master  []byte
 }
 
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
 // against its checksum and the engine's layout (worker count, vertex ids,
 // who owns each pending message). It only reads the engine.
-func (e *EngineOf[M]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
+func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("bad snapshot magic")
 	}
@@ -357,10 +330,9 @@ func (e *EngineOf[M]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, wantTotal)
 	}
 	s := &snapshotState[M]{
-		halted:     make([]bool, 0, wantTotal),
-		states:     make([]interface{}, 0, wantTotal),
-		inboxes:    make([]inbox[M], len(e.workers)),
-		aggregated: map[string]interface{}{},
+		halted:  make([]bool, 0, wantTotal),
+		states:  make([]interface{}, 0, wantTotal),
+		inboxes: make([]inbox[M], len(e.workers)),
 	}
 	for _, w := range e.workers {
 		for _, v := range w.vertices {
@@ -426,35 +398,6 @@ func (e *EngineOf[M]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 			in.start[l] += in.start[l-1]
 		}
 	}
-	nAgg, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nAgg; i++ {
-		nameLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nameLen >= uint64(len(data)) { // need the name plus its presence byte
-			return nil, fmt.Errorf("truncated snapshot")
-		}
-		name := string(data[:nameLen])
-		present := data[nameLen]
-		data = data[nameLen+1:]
-		if present == 0 {
-			s.aggregated[name] = nil
-			continue
-		}
-		if e.opts.Snapshots == nil {
-			return nil, fmt.Errorf("Options.Snapshots registry required to restore aggregated values")
-		}
-		v, used, err := e.opts.Snapshots.decodeValue(data)
-		if err != nil {
-			return nil, fmt.Errorf("aggregated %q: %w", name, err)
-		}
-		data = data[used:]
-		s.aggregated[name] = v
-	}
 	blobLen, err := readUvarint()
 	if err != nil {
 		return nil, err
@@ -470,13 +413,13 @@ func (e *EngineOf[M]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 }
 
 // restoreSnapshot rewinds the engine to a snapshot taken by encodeSnapshot:
-// vertex states and halted flags, pending inboxes, the merged aggregated
-// map, and (via Options.MasterRestore) master closure state. Outboxes and
-// in-flight worker aggregators are cleared — they were produced after the
-// boundary being restored. The snapshot is decoded in full, and the master
-// has accepted its blob, before the first engine field changes: on error the
-// engine is exactly as it was.
-func (e *EngineOf[M]) restoreSnapshot(data []byte) error {
+// vertex states and halted flags, pending inboxes, and (via
+// Options.MasterRestore) the master's state. Outboxes and the aggregate's
+// parts are cleared — they were produced after the boundary being restored.
+// The snapshot is decoded in full, and the master has accepted its blob,
+// before the first engine field changes: on error the engine is exactly as
+// it was.
+func (e *EngineOf[M, A]) restoreSnapshot(data []byte) error {
 	s, err := e.decodeSnapshot(data)
 	if err != nil {
 		return err
@@ -494,8 +437,7 @@ func (e *EngineOf[M]) restoreSnapshot(data []byte) error {
 		}
 		w.in = s.inboxes[w.id]
 		e.clearOutboxes(w)
-		w.aggregators = map[string]Aggregator{}
 	}
-	e.aggregated = s.aggregated
+	e.clearAggregates()
 	return nil
 }

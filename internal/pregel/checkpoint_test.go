@@ -1,23 +1,26 @@
 package pregel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
 
 // ringRun is a deterministic, never-halting computation that exercises every
 // plane a checkpoint must cover: float64 vertex states that evolve each
-// superstep, ring messages pending at every barrier, a merged aggregator,
-// and master closure state outside the aggregator plane.
+// superstep, ring messages pending at every barrier, and a float64 aggregate
+// the master folds into state of its own.
 type ringRun struct {
 	masterSum float64
-	opts      Options
+	opts      OptionsOf[Message, float64]
 	vertices  []*Vertex
 }
 
@@ -27,7 +30,7 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 	for i := range r.vertices {
 		r.vertices[i] = &Vertex{ID: VertexID(i), State: float64(i + 1)}
 	}
-	r.opts = Options{
+	r.opts = OptionsOf[Message, float64]{
 		Workers:         workers,
 		MaxSupersteps:   steps,
 		Transport:       transport,
@@ -35,24 +38,23 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 		Snapshots:       floatRegistry(),
 		Checkpointer:    cp,
 		CheckpointEvery: every,
-		Aggregators: map[string]AggregatorDef{
-			"total": {New: func() Aggregator { return &SumAggregator{} }},
-		},
-		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
+		Compute: func(ctx *ContextOf[Message, float64], v *Vertex, msgs []Message) {
 			val := v.State.(float64)
 			for _, m := range msgs {
 				val += m.(float64)
 			}
 			val *= 0.75 // keep magnitudes bounded
 			v.State = val
-			ctx.Aggregate("total", val)
+			*ctx.Aggregate() += val
 			ctx.Send(VertexID((int(v.ID)+1)%n), val*0.5)
 		},
-		Master: func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
-			if v, ok := agg["total"]; ok {
-				r.masterSum += v.(float64) * float64(step+1)
+		Master: func(step int, parts []*float64) bool {
+			total := 0.0
+			for _, p := range parts {
+				total += *p
 			}
-			return false, nil
+			r.masterSum += total * float64(step+1)
+			return false
 		},
 		MasterSnapshot: func() []byte {
 			return binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.masterSum))
@@ -71,7 +73,7 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 // run executes the computation, failing the test on error.
 func (r *ringRun) run(t *testing.T) *Stats {
 	t.Helper()
-	eng, err := NewEngine(r.opts, r.vertices)
+	eng, err := NewEngineOf(r.opts, r.vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestWorkerFailureWithoutCheckpointer(t *testing.T) {
 	r := newRingRun(24, 3, 12, FaultyTransport(MemoryTransport(), FaultPlan{
 		KillWorker: 1, KillStep: 4,
 	}), nil, 0)
-	eng, err := NewEngine(r.opts, r.vertices)
+	eng, err := NewEngineOf(r.opts, r.vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +231,15 @@ func TestPeerCloseMidRunSurfacesTypedError(t *testing.T) {
 	tr := TCPTransport().(*tcpTransport)
 	r := newRingRun(24, 3, 12, tr, nil, 0)
 	inner := r.opts.Master
-	r.opts.Master = func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
+	r.opts.Master = func(step int, parts []*float64) bool {
 		if step == 1 {
 			// Sever worker 1's inbound link from worker 0 between barriers:
 			// from the engine's view, a peer died mid-run.
 			tr.recv[1][0].Close()
 		}
-		return inner(step, agg)
+		return inner(step, parts)
 	}
-	eng, err := NewEngine(r.opts, r.vertices)
+	eng, err := NewEngineOf(r.opts, r.vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,45 +298,6 @@ func TestReadFrameTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v, deadline was 50ms", elapsed)
-	}
-}
-
-// TestAggregatorErrorsSurfaceThroughRun: aggregator misuse (wrong value
-// type, unknown name) must fail the run with a typed *ComputeError instead
-// of crashing the worker goroutine.
-func TestAggregatorErrorsSurfaceThroughRun(t *testing.T) {
-	cases := []struct {
-		name    string
-		compute ComputeFunc
-	}{
-		{"type mismatch", func(ctx *Context, v *Vertex, msgs []Message) {
-			ctx.Aggregate("total", int64(1)) // SumAggregator wants float64
-		}},
-		{"unknown name", func(ctx *Context, v *Vertex, msgs []Message) {
-			ctx.Aggregate("no-such-aggregator", 1.0)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, err := NewEngine(Options{
-				Workers:       3,
-				MaxSupersteps: 4,
-				Aggregators:   map[string]AggregatorDef{"total": {New: func() Aggregator { return &SumAggregator{} }}},
-				Compute:       tc.compute,
-			}, buildChain(20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = eng.Run()
-			var ce *ComputeError
-			if !errors.As(err, &ce) {
-				t.Fatalf("Run returned %v, want a *ComputeError", err)
-			}
-			var ae *AggregatorError
-			if !errors.As(err, &ae) {
-				t.Fatalf("ComputeError %v does not wrap an *AggregatorError", err)
-			}
-		})
 	}
 }
 
@@ -437,7 +400,7 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 	// damagedRun damages the given snapshots from the master hook of
 	// superstep 6 — after checkpoint 6 was written, before superstep 7's
 	// exchange is killed.
-	damagedRun := func(t *testing.T, how func([]byte) []byte, damaged ...int) (*ringRun, *Engine) {
+	damagedRun := func(t *testing.T, how func([]byte) []byte, damaged ...int) (*ringRun, *EngineOf[Message, float64]) {
 		t.Helper()
 		cp, err := NewDiskCheckpointer(t.TempDir())
 		if err != nil {
@@ -447,15 +410,15 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 			KillWorker: 1, KillStep: kill,
 		}), cp, every)
 		inner := r.opts.Master
-		r.opts.Master = func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
+		r.opts.Master = func(step int, parts []*float64) bool {
 			if step == kill-1 {
 				for _, s := range damaged {
 					damage(t, cp, s, how)
 				}
 			}
-			return inner(step, agg)
+			return inner(step, parts)
 		}
-		eng, err := NewEngine(r.opts, r.vertices)
+		eng, err := NewEngineOf(r.opts, r.vertices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,4 +449,60 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 			t.Fatalf("Run returned %v, want the *WorkerFailure of worker 1 at superstep %d", err, kill)
 		}
 	})
+}
+
+// reversioned stores every snapshot under the previous format version with
+// its checksum recomputed, so the version check is the only thing that can
+// refuse it.
+type reversioned struct{ *MemoryCheckpointer }
+
+func (c reversioned) Save(superstep int, snapshot []byte) error {
+	body := bytes.Clone(snapshot[:len(snapshot)-snapshotSumSize])
+	body[len(snapshotMagic)] = snapshotVersion - 1
+	return c.MemoryCheckpointer.Save(superstep, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+}
+
+// TestSnapshotVersionMismatchRefused: a snapshot of another format version
+// is refused although its checksum holds. Recovery fails with the
+// *WorkerFailure in the chain and leaves the engine as the failure found it:
+// its barrier state encodes to the bytes, and its aggregate holds the parts,
+// of a run that had no checkpointer to recover from.
+func TestSnapshotVersionMismatchRefused(t *testing.T) {
+	const n, workers, steps, kill = 24, 3, 12, 5
+	killed := func(cp Checkpointer) (*EngineOf[Message, float64], error) {
+		r := newRingRun(n, workers, steps, FaultyTransport(MemoryTransport(), FaultPlan{
+			KillWorker: 1, KillStep: kill,
+		}), cp, 1)
+		eng, err := NewEngineOf(r.opts, r.vertices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Run()
+		return eng, err
+	}
+	plain, _ := killed(nil)
+	eng, err := killed(reversioned{NewMemoryCheckpointer()})
+	var wf *WorkerFailure
+	if !errors.As(err, &wf) || wf.Worker != 1 || wf.Superstep != kill {
+		t.Fatalf("Run returned %v, want the *WorkerFailure of worker 1 at superstep %d", err, kill)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", snapshotVersion-1)) {
+		t.Fatalf("Run returned %v, want the version refusal", err)
+	}
+	got, err := eng.encodeSnapshot(kill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.encodeSnapshot(kill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a refused snapshot changed the engine's barrier state")
+	}
+	for i := range eng.parts {
+		if *eng.parts[i] != *plain.parts[i] {
+			t.Fatalf("worker %d's part is %v, want %v", i, *eng.parts[i], *plain.parts[i])
+		}
+	}
 }

@@ -30,9 +30,8 @@ type Codec[M any] interface {
 
 // ValueCodec serializes one concrete type held in an interface value. A
 // Registry binds value codecs to types; it encodes the messages of the
-// Message-typed plane, and vertex states and aggregated values in
-// checkpoints. Decode reports the bytes it consumed, and the value must not
-// alias data.
+// Message-typed plane, and vertex states in checkpoints. Decode reports the
+// bytes it consumed, and the value must not alias data.
 type ValueCodec interface {
 	Append(buf []byte, v any) ([]byte, error)
 	Decode(data []byte) (any, int, error)
@@ -42,7 +41,7 @@ type ValueCodec interface {
 // Registry maps concrete types to value codecs and assigns each a stable
 // one-byte wire id in registration order. It is the Codec of the
 // Message-typed plane, where an envelope is one record (its wire id, then its
-// payload), and the codec of checkpointed vertex states and aggregated values.
+// payload), and the codec of checkpointed vertex states.
 type Registry struct {
 	types  []reflect.Type // by wire id
 	codecs []ValueCodec

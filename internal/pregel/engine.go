@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"shp/internal/par"
@@ -116,31 +115,31 @@ func (in *inbox[M]) reset() {
 	in.msg = in.msg[:0]
 }
 
-type worker[M any] struct {
-	id          int
-	vertices    []*Vertex // sorted by ID
-	in          inbox[M]
-	out         []outbox[M]  // per destination worker
-	staged      []traffic[M] // per source worker: frames decoded off the wire
-	aggregators map[string]Aggregator
+type worker[M, A any] struct {
+	id       int
+	vertices []*Vertex // sorted by ID
+	in       inbox[M]
+	out      []outbox[M]  // per destination worker
+	staged   []traffic[M] // per source worker: frames decoded off the wire
+	agg      A            // this worker's part of the superstep's aggregate
 }
 
 // EngineOf is a configured computation over a fixed vertex set.
-type EngineOf[M any] struct {
-	opts       OptionsOf[M]
-	transport  Transport
-	framed     bool      // the transport moves frames the engine encodes
-	frameOut   [][]frame // [src][dst]
-	frameIn    [][]frame // [dst][src]
-	workers    []*worker[M]
-	place      []placement // by vertex id
-	aggregated map[string]interface{}
-	stats      Stats
-	snapLen    int // the previous snapshot's size, the next one's starting capacity
+type EngineOf[M, A any] struct {
+	opts      OptionsOf[M, A]
+	transport Transport
+	framed    bool      // the transport moves frames the engine encodes
+	frameOut  [][]frame // [src][dst]
+	frameIn   [][]frame // [dst][src]
+	workers   []*worker[M, A]
+	parts     []*A        // &workers[i].agg, what Master reads
+	place     []placement // by vertex id
+	stats     Stats
+	snapLen   int // the previous snapshot's size, the next one's starting capacity
 }
 
 // Engine is the Message-typed plane's EngineOf.
-type Engine = EngineOf[Message]
+type Engine = EngineOf[Message, struct{}]
 
 // NewEngine builds a Message-typed engine; see NewEngineOf.
 func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
@@ -149,7 +148,7 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 
 // NewEngineOf builds an engine over the given vertices, whose ids must be
 // exactly 0..len(vertices)-1 in any order.
-func NewEngineOf[M any](opts OptionsOf[M], vertices []*Vertex) (*EngineOf[M], error) {
+func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[M, A], error) {
 	if opts.Compute == nil {
 		return nil, errors.New("pregel: Compute is required")
 	}
@@ -165,20 +164,20 @@ func NewEngineOf[M any](opts OptionsOf[M], vertices []*Vertex) (*EngineOf[M], er
 	if opts.Transport == nil {
 		opts.Transport = MemoryTransport()
 	}
-	e := &EngineOf[M]{
-		opts:       opts,
-		transport:  opts.Transport,
-		place:      make([]placement, len(vertices)),
-		aggregated: map[string]interface{}{},
+	e := &EngineOf[M, A]{
+		opts:      opts,
+		transport: opts.Transport,
+		place:     make([]placement, len(vertices)),
+		workers:   make([]*worker[M, A], opts.Workers),
+		parts:     make([]*A, opts.Workers),
 	}
-	e.workers = make([]*worker[M], opts.Workers)
 	for i := range e.workers {
-		e.workers[i] = &worker[M]{
-			id:          i,
-			out:         make([]outbox[M], opts.Workers),
-			staged:      make([]traffic[M], opts.Workers),
-			aggregators: map[string]Aggregator{},
+		e.workers[i] = &worker[M, A]{
+			id:     i,
+			out:    make([]outbox[M], opts.Workers),
+			staged: make([]traffic[M], opts.Workers),
 		}
+		e.parts[i] = &e.workers[i].agg
 	}
 	byID := make([]*Vertex, len(vertices))
 	for _, v := range vertices {
@@ -218,7 +217,7 @@ func NewEngineOf[M any](opts OptionsOf[M], vertices []*Vertex) (*EngineOf[M], er
 
 // workerOf shards a vertex id to a worker (multiplicative hash so dense id
 // ranges spread evenly, like Giraph's random vertex placement).
-func (e *EngineOf[M]) workerOf(id VertexID) int {
+func (e *EngineOf[M, A]) workerOf(id VertexID) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return int(h % uint64(len(e.workers)))
 }
@@ -228,15 +227,15 @@ func (e *EngineOf[M]) workerOf(id VertexID) int {
 // statistics.
 //
 // With a Checkpointer configured, the engine snapshots its full barrier
-// state (vertex states, halted flags, pending inboxes, merged aggregators,
-// master blob) at superstep 0 and every CheckpointEvery supersteps, and a
-// *WorkerFailure during an exchange rolls every worker back to the latest
-// snapshot and replays. Because compute is deterministic given barrier
+// state (vertex states, halted flags, pending inboxes, master blob) at
+// superstep 0 and every CheckpointEvery supersteps, and a *WorkerFailure
+// during an exchange rolls every worker back to the latest snapshot and
+// replays. Because compute is deterministic given barrier
 // state, the replayed run — and therefore Run's result — is byte-identical
 // to an undisturbed one (only Stats.Recoveries/RetriedFrames betray the
 // faults). Exchange errors wrapping ErrTransient are retried in place with
 // exponential backoff first; anything else escalates to recovery.
-func (e *EngineOf[M]) Run() (*Stats, error) {
+func (e *EngineOf[M, A]) Run() (*Stats, error) {
 	if err := e.open(); err != nil {
 		return nil, err
 	}
@@ -289,7 +288,7 @@ func (e *EngineOf[M]) Run() (*Stats, error) {
 
 		// Barrier: account outboxes (post sender-side combining, so these
 		// are the counts that actually cross the transport), exchange, and
-		// merge aggregators.
+		// hand the aggregate's parts to the master.
 		ss := SuperstepStats{Superstep: step, ActiveVertices: active, MaxWorkerActive: maxWorkerActive}
 		for _, w := range e.workers {
 			for d := range w.out {
@@ -310,40 +309,12 @@ func (e *EngineOf[M]) Run() (*Stats, error) {
 			continue
 		}
 		ss.BytesSent = wireBytes
-
-		// Merge worker aggregators worker-major, name-ascending: merge order
-		// must never depend on Go map layout, because Merge implementations
-		// may be order-sensitive (distshp's proposalAgg adopts histogram
-		// pointers on first sight).
-		merged := map[string]Aggregator{}
-		var mergedNames []string
-		for _, w := range e.workers {
-			names := make([]string, 0, len(w.aggregators))
-			for name := range w.aggregators {
-				names = append(names, name)
+		// Aggregate wire accounting: what each worker's part would cost to
+		// ship to the master.
+		for _, p := range e.parts {
+			if ws, ok := any(p).(WireSizer); ok {
+				ss.AggBytes += int64(ws.WireSize())
 			}
-			sort.Strings(names)
-			for _, name := range names {
-				agg := w.aggregators[name]
-				// Aggregator wire accounting: what each worker's accumulated
-				// value would cost to ship to the master, summed before the
-				// in-process merge collapses it.
-				if ws, ok := agg.(WireSizer); ok {
-					ss.AggBytes += int64(ws.WireSize())
-				}
-				if m, ok := merged[name]; ok {
-					m.Merge(agg)
-				} else {
-					merged[name] = agg
-					mergedNames = append(mergedNames, name)
-				}
-			}
-			w.aggregators = map[string]Aggregator{}
-		}
-		sort.Strings(mergedNames)
-		e.aggregated = map[string]interface{}{}
-		for _, name := range mergedNames {
-			e.aggregated[name] = merged[name].Value()
 		}
 
 		e.stats.PerSuperstep = append(e.stats.PerSuperstep, ss)
@@ -353,15 +324,8 @@ func (e *EngineOf[M]) Run() (*Stats, error) {
 		e.stats.TotalBytes += ss.BytesSent
 		e.stats.AggBytes += ss.AggBytes
 
-		halt := false
-		if e.opts.Master != nil {
-			var set map[string]interface{}
-			halt, set = e.opts.Master(step, e.aggregated)
-			//shp:ordered(distinct keys written into a map; insertion order is unobservable)
-			for name, v := range set {
-				e.aggregated[name] = v
-			}
-		}
+		halt := e.opts.Master != nil && e.opts.Master(step, e.parts)
+		e.clearAggregates()
 		step++
 		if halt {
 			break
@@ -378,28 +342,35 @@ func (e *EngineOf[M]) Run() (*Stats, error) {
 	return &stats, nil
 }
 
-// runWorkerSafe runs one worker, converting the typed panics of a misused
-// Context — *AggregatorError from Aggregate, *sendError from Send — into a
-// *ComputeError; any other panic is a genuine bug and propagates with its
-// original stack.
-func (e *EngineOf[M]) runWorkerSafe(w *worker[M], step int) (err error) {
+// runWorkerSafe runs one worker, converting the *sendError a Send to an
+// absent vertex panics with into a *ComputeError; any other panic is a
+// genuine bug and propagates with its original stack.
+func (e *EngineOf[M, A]) runWorkerSafe(w *worker[M, A], step int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch r.(type) {
-			case *AggregatorError, *sendError:
-				err = &ComputeError{Worker: w.id, Superstep: step, Err: r.(error)}
-			default:
+			se, ok := r.(*sendError)
+			if !ok {
 				panic(r)
 			}
+			err = &ComputeError{Worker: w.id, Superstep: step, Err: se}
 		}
 	}()
 	e.runWorker(w, step)
 	return nil
 }
 
+// clearAggregates zeroes every worker's part of the aggregate, which the
+// master has read or a rollback discards.
+func (e *EngineOf[M, A]) clearAggregates() {
+	var zero A
+	for _, p := range e.parts {
+		*p = zero
+	}
+}
+
 // open starts the transport for this engine's workers; a framed backend
 // needs a codec, and frame tables the engine encodes into and decodes from.
-func (e *EngineOf[M]) open() error {
+func (e *EngineOf[M, A]) open() error {
 	framed, err := e.transport.start(len(e.workers), e.opts.FrameTimeout)
 	if err != nil {
 		return err
@@ -424,7 +395,7 @@ func (e *EngineOf[M]) open() error {
 // headers included) on a framed one. Local traffic never leaves its outbox.
 // Only the transport's move is retried; encoding and decoding are
 // deterministic, so a failure there fails the same way on every attempt.
-func (e *EngineOf[M]) exchange(step int) (int64, error) {
+func (e *EngineOf[M, A]) exchange(step int) (int64, error) {
 	n := len(e.workers)
 	errs := make([]error, n)
 	par.Each(n, func(src int) {
@@ -501,7 +472,7 @@ func (e *EngineOf[M]) exchange(step int) (int64, error) {
 // encode appends one outbox's envelopes to a frame payload: each one's
 // destination id as a uvarint, then the codec's encoding of its records. The
 // payload is sized first, so a frame buffer grows at most once a superstep.
-func (e *EngineOf[M]) encode(buf []byte, t *traffic[M]) ([]byte, error) {
+func (e *EngineOf[M, A]) encode(buf []byte, t *traffic[M]) ([]byte, error) {
 	n, err := e.size(t)
 	if err != nil {
 		return buf, err
@@ -517,7 +488,7 @@ func (e *EngineOf[M]) encode(buf []byte, t *traffic[M]) ([]byte, error) {
 }
 
 // size is what encode would write for t, charged on the in-process backend.
-func (e *EngineOf[M]) size(t *traffic[M]) (int64, error) {
+func (e *EngineOf[M, A]) size(t *traffic[M]) (int64, error) {
 	var bytes int64
 	for _, env := range t.envs {
 		n, err := e.opts.Codecs.Size(t.records(env))
@@ -532,7 +503,7 @@ func (e *EngineOf[M]) size(t *traffic[M]) (int64, error) {
 // decode parses the frame worker src sent w into w.staged[src]. An envelope
 // addressed to a vertex w does not own makes the frame as undecodable as a
 // truncated one: delivering it would index another worker's placement.
-func (e *EngineOf[M]) decode(w *worker[M], src int, f frame) error {
+func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 	t := &w.staged[src]
 	t.reset() // a frame that failed to parse may have left records behind
 	data := f.payload
@@ -559,7 +530,7 @@ func (e *EngineOf[M]) decode(w *worker[M], src int, f frame) error {
 	return nil
 }
 
-func (e *EngineOf[M]) clearOutboxes(w *worker[M]) {
+func (e *EngineOf[M, A]) clearOutboxes(w *worker[M, A]) {
 	for d := range w.out {
 		ob := &w.out[d]
 		if ob.slot != nil {
@@ -575,7 +546,7 @@ func (e *EngineOf[M]) clearOutboxes(w *worker[M]) {
 // exchangeWithRetry runs the transport's move, retrying in place (with
 // exponential backoff plus deterministic jitter) when the failure is marked
 // transient — i.e. the transport guarantees the attempt had no side effect.
-func (e *EngineOf[M]) exchangeWithRetry(step int) (int64, error) {
+func (e *EngineOf[M, A]) exchangeWithRetry(step int) (int64, error) {
 	retries := e.opts.ExchangeRetries
 	if retries <= 0 {
 		retries = 3
@@ -608,7 +579,7 @@ func (e *EngineOf[M]) exchangeWithRetry(step int) (int64, error) {
 // back to the next older one when the checkpointer keeps any; with none
 // left the error still unwraps to the *WorkerFailure. Any other error — or
 // recovery budget exhaustion — is returned unchanged.
-func (e *EngineOf[M]) recoverFrom(err error, step, maxRecoveries int) (int, error) {
+func (e *EngineOf[M, A]) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) {
 		return 0, err
@@ -668,7 +639,7 @@ func (e *EngineOf[M]) recoverFrom(err error, step, maxRecoveries int) (int, erro
 // order twice and writes each record once, straight into its destination's
 // group; there is no ungrouped intermediate. The inbox must be empty
 // (runWorker leaves it so).
-func (e *EngineOf[M]) deliver(w *worker[M], from func(src int) *traffic[M]) {
+func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]) {
 	// Counts go in two entries up, so that after the prefix sum start[l+1]
 	// is where vertex l's group begins; the scatter advances it to where the
 	// group ends, which is where start[l] already says the next one begins.
@@ -694,8 +665,8 @@ func (e *EngineOf[M]) deliver(w *worker[M], from func(src int) *traffic[M]) {
 
 // runWorker executes one worker's vertices for one superstep, handing each
 // its group of the inbox.
-func (e *EngineOf[M]) runWorker(w *worker[M], step int) {
-	ctx := &ContextOf[M]{engine: e, worker: w, superstep: step}
+func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
+	ctx := &ContextOf[M, A]{engine: e, worker: w, superstep: step}
 	comb := e.opts.Combiner
 	for l, v := range w.vertices {
 		lo, hi := w.in.start[l], w.in.start[l+1]
@@ -725,7 +696,7 @@ func (e *EngineOf[M]) runWorker(w *worker[M], step int) {
 
 // Vertex returns the vertex with the given id (nil if absent). Intended for
 // result extraction after Run.
-func (e *EngineOf[M]) Vertex(id VertexID) *Vertex {
+func (e *EngineOf[M, A]) Vertex(id VertexID) *Vertex {
 	if id < 0 || id >= VertexID(len(e.place)) {
 		return nil
 	}
@@ -734,4 +705,4 @@ func (e *EngineOf[M]) Vertex(id VertexID) *Vertex {
 }
 
 // Workers returns the configured worker count.
-func (e *EngineOf[M]) Workers() int { return len(e.workers) }
+func (e *EngineOf[M, A]) Workers() int { return len(e.workers) }

@@ -30,24 +30,12 @@ func (f *WorkerFailure) Error() string {
 
 func (f *WorkerFailure) Unwrap() error { return f.Err }
 
-// AggregatorError reports an aggregator misuse: an unknown name, or a value
-// of the wrong type fed to Add. Aggregator implementations panic with it;
-// the engine recovers the panic into a *ComputeError so Run fails cleanly.
-type AggregatorError struct {
-	Name   string
-	Reason string
-}
-
-func (e *AggregatorError) Error() string {
-	return fmt.Sprintf("pregel: aggregator %q: %s", e.Name, e.Reason)
-}
-
 // ErrNoSuchVertex is the cause of the *ComputeError Run returns when a
 // vertex program sends to an id outside [0, NumVertices()).
 var ErrNoSuchVertex = errors.New("pregel: message to a vertex id that has no vertex")
 
 // sendError is what Context.Send panics with; the engine recovers it into a
-// *ComputeError, the way it does an *AggregatorError.
+// *ComputeError.
 type sendError struct{ dst VertexID }
 
 func (e *sendError) Error() string { return fmt.Sprintf("%v: %d", ErrNoSuchVertex, e.dst) }

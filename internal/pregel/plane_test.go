@@ -306,7 +306,7 @@ func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
 	const n, workers, steps, bad = 24, 3, 10, 5
 	base := newRingRun(n, workers, steps, TCPTransport(), nil, 0)
 	baseStats := base.run(t)
-	probe, err := NewEngine(base.opts, base.vertices)
+	probe, err := NewEngineOf(base.opts, base.vertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
 			requireSameRun(t, c.name, base, r, baseStats, stats)
 
 			r = newRingRun(n, workers, steps, &misaddress{Transport: TCPTransport(), step: bad, to: c.to}, nil, 0)
-			eng, err := NewEngine(r.opts, r.vertices)
+			eng, err := NewEngineOf(r.opts, r.vertices)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,11 +6,15 @@
 // across a configurable number of workers (the "machines"), a superstep runs
 // every active vertex's compute function against the messages delivered to
 // it, outgoing messages are buffered per destination worker and exchanged at
-// the synchronization barrier, and aggregators are merged by a master that
-// may run its own compute between supersteps.
+// the synchronization barrier, and a master reads every worker's part of the
+// superstep's aggregate there and may run its own compute between supersteps.
 //
-// The engine is generic over its message type M (EngineOf[M]), so a program
-// that sends one flat record type moves it unboxed from Send to delivery. The
+// The engine is generic over its message type M and its aggregate type A
+// (EngineOf[M, A]), so a program that sends one flat record type moves it
+// unboxed from Send to delivery, and its vertices fold into a struct of its
+// own instead of named, boxed aggregators. Whatever the master broadcasts is
+// the program's own state, written between supersteps and checkpointed
+// through MasterSnapshot/MasterRestore. The
 // message plane is layered, and id-indexed throughout — vertex ids are dense,
 // so no step of it hashes or sorts:
 //
@@ -35,13 +39,11 @@
 // rather than asserted.
 //
 // Engine, Options, Context and NewEngine are the M = Message (any)
-// instantiation, whose Codec is a Registry of per-type value codecs.
+// instantiation with an empty aggregate, whose Codec is a Registry of
+// per-type value codecs.
 package pregel
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // VertexID identifies a vertex. An engine's vertices carry exactly the ids
 // 0..n-1: the id is the index into the engine's placement table.
@@ -62,21 +64,21 @@ type Vertex struct {
 }
 
 // ContextOf is handed to compute functions to interact with the engine.
-type ContextOf[M any] struct {
-	engine    *EngineOf[M]
-	worker    *worker[M]
+type ContextOf[M, A any] struct {
+	engine    *EngineOf[M, A]
+	worker    *worker[M, A]
 	superstep int
 	vertex    *Vertex
 }
 
 // Context is the Message-typed plane's ContextOf.
-type Context = ContextOf[Message]
+type Context = ContextOf[Message, struct{}]
 
 // Superstep returns the current superstep number (0-based).
-func (c *ContextOf[M]) Superstep() int { return c.superstep }
+func (c *ContextOf[M, A]) Superstep() int { return c.superstep }
 
 // NumVertices returns the total vertex count.
-func (c *ContextOf[M]) NumVertices() int { return len(c.engine.place) }
+func (c *ContextOf[M, A]) NumVertices() int { return len(c.engine.place) }
 
 // Send delivers m to dst at the start of the next superstep. With a combiner
 // configured, a record for a destination this worker already addressed is
@@ -87,7 +89,7 @@ func (c *ContextOf[M]) NumVertices() int { return len(c.engine.place) }
 // A dst outside [0, NumVertices()) has no vertex: Send panics with a typed
 // error the engine recovers into a *ComputeError wrapping ErrNoSuchVertex,
 // failing the superstep instead of shipping a message nobody receives.
-func (c *ContextOf[M]) Send(dst VertexID, m M) {
+func (c *ContextOf[M, A]) Send(dst VertexID, m M) {
 	e := c.engine
 	if dst < 0 || dst >= VertexID(len(e.place)) {
 		panic(&sendError{dst: dst})
@@ -114,68 +116,24 @@ func (c *ContextOf[M]) Send(dst VertexID, m M) {
 	ob.rec = push(ob.rec, m)
 }
 
-// Aggregate folds a value into the named aggregator; the master sees the
-// merged value after the superstep and vertices can read the previous
-// superstep's merged value with ReadAggregator.
-//
-// An unknown aggregator name or a type-mismatched value panics with an
-// *AggregatorError; the engine recovers it into a *ComputeError surfaced
-// through Run, so a misconfigured computation fails the superstep cleanly
-// instead of crashing a worker goroutine.
-func (c *ContextOf[M]) Aggregate(name string, value interface{}) {
-	agg, ok := c.worker.aggregators[name]
-	if !ok {
-		def, exists := c.engine.opts.Aggregators[name]
-		if !exists {
-			panic(&AggregatorError{Name: name, Reason: "unknown aggregator"})
-		}
-		agg = def.New()
-		c.worker.aggregators[name] = agg
-	}
-	agg.Add(value)
-}
-
-// ReadAggregator returns the value the named aggregator held at the end of
-// the previous superstep (nil in superstep 0 or if never aggregated).
-func (c *ContextOf[M]) ReadAggregator(name string) interface{} {
-	return c.engine.aggregated[name]
-}
+// Aggregate returns this worker's part of the superstep's aggregate, zero
+// when the superstep began. A worker runs its vertices one at a time, so a
+// vertex program updates its part in place without locking; the master reads
+// every worker's part at the barrier.
+func (c *ContextOf[M, A]) Aggregate() *A { return &c.worker.agg }
 
 // VoteToHalt deactivates the vertex; a received message reactivates it.
-func (c *ContextOf[M]) VoteToHalt() { c.vertex.halted = true }
+func (c *ContextOf[M, A]) VoteToHalt() { c.vertex.halted = true }
 
-// Aggregator merges values produced by vertices during a superstep.
-type Aggregator interface {
-	// Add folds one value in.
-	Add(value interface{})
-	// Merge folds another aggregator of the same kind in.
-	Merge(other Aggregator)
-	// Value returns the merged result.
-	Value() interface{}
-}
-
-// AggregatorDef creates fresh aggregator instances.
-type AggregatorDef struct {
-	New func() Aggregator
-}
-
-// WireSizer is optionally implemented by aggregators to report what their
-// accumulated value would cost to ship from a worker to the master. The
-// engine sums it over all worker aggregators at each barrier into
-// SuperstepStats.AggBytes; aggregators that do not implement it count zero.
-// Kept separate from BytesSent (the vertex-message transport plane) so the
-// two planes' communication claims stay independently measurable.
+// WireSizer is optionally implemented by *A, the aggregate's pointer, to
+// report what one worker's part would cost to ship to the master. The engine
+// sums it over the parts at each barrier into SuperstepStats.AggBytes; an
+// aggregate that does not implement it counts zero. Kept separate from
+// BytesSent (the vertex-message transport plane) so the two planes'
+// communication claims stay independently measurable.
 type WireSizer interface {
 	WireSize() int
 }
-
-// ComputeFunc is the Message-typed plane's vertex program.
-type ComputeFunc = func(ctx *Context, v *Vertex, messages []Message)
-
-// MasterFunc runs between supersteps with the merged aggregators. Returning
-// true halts the computation after this superstep. The master may set
-// aggregator values for the next superstep by returning them in set.
-type MasterFunc func(superstep int, aggregated map[string]interface{}) (halt bool, set map[string]interface{})
 
 // SuperstepStats records one superstep's traffic and load. MessagesSent and
 // RemoteMessages count envelopes after sender-side combining — what actually
@@ -189,10 +147,10 @@ type SuperstepStats struct {
 	MessagesSent   int64
 	RemoteMessages int64
 	BytesSent      int64
-	// AggBytes is the worker->master aggregator traffic of the superstep, as
-	// reported by aggregators implementing WireSizer (0 otherwise). Not
-	// included in BytesSent: aggregators are merged in-process at the
-	// barrier, not shipped through the transport.
+	// AggBytes is the worker->master aggregate traffic of the superstep, as
+	// reported by an aggregate implementing WireSizer (0 otherwise). Not
+	// included in BytesSent: the master reads the parts in-process at the
+	// barrier, they are not shipped through the transport.
 	AggBytes        int64
 	MaxWorkerActive int // busiest worker's active vertex count (load balance)
 }
@@ -247,17 +205,20 @@ func (s *Stats) PhaseTotals(period int) []SuperstepStats {
 }
 
 // OptionsOf configures an EngineOf.
-type OptionsOf[M any] struct {
+type OptionsOf[M, A any] struct {
 	// Workers is the number of simulated machines. <= 0 means 1.
 	Workers int
 	// Compute is the vertex program (required).
-	Compute func(ctx *ContextOf[M], v *Vertex, messages []M)
-	// Master runs between supersteps (optional).
-	Master MasterFunc
+	Compute func(ctx *ContextOf[M, A], v *Vertex, messages []M)
+	// Master runs at every barrier (optional). parts are the workers' parts
+	// of the superstep's aggregate, in worker order, which the engine zeroes
+	// when Master returns. Returning true halts the computation after this
+	// superstep. A value the vertices read from the master is the program's
+	// own state: Master writes it between supersteps, and MasterSnapshot
+	// checkpoints it.
+	Master func(superstep int, parts []*A) (halt bool)
 	// MaxSupersteps bounds the run (required, > 0).
 	MaxSupersteps int
-	// Aggregators declares the aggregators vertices may use.
-	Aggregators map[string]AggregatorDef
 	// Transport selects the message-plane backend (nil means the in-process
 	// MemoryTransport). See MemoryTransport and TCPTransport.
 	Transport Transport
@@ -276,26 +237,26 @@ type OptionsOf[M any] struct {
 	Combiner func(held *M, m M) bool
 
 	// Checkpointer, if set, enables superstep checkpointing: the engine
-	// snapshots vertex state, halted flags, pending inboxes, merged
-	// aggregator values, and the master blob every CheckpointEvery
-	// supersteps, and rolls back to the latest snapshot when an exchange
-	// fails with a *WorkerFailure. Nil disables checkpointing (any worker
-	// failure aborts the run).
+	// snapshots vertex state, halted flags, pending inboxes and the master
+	// blob every CheckpointEvery supersteps, and rolls back to the latest
+	// snapshot when an exchange fails with a *WorkerFailure. The aggregate
+	// is zero at every barrier, so no snapshot holds it. Nil disables
+	// checkpointing (any worker failure aborts the run).
 	Checkpointer Checkpointer
 	// CheckpointEvery is the snapshot cadence in supersteps. <= 0 means 64.
 	// A snapshot is always taken at superstep 0 (before any compute) so
 	// recovery is possible from the first barrier onward.
 	CheckpointEvery int
-	// Snapshots registers codecs for vertex states and aggregator values so
-	// snapshots ride the same typed-codec plane as messages. Required when
-	// Checkpointer is set and any vertex state or merged aggregator value
-	// is non-nil; missing codecs fail the checkpoint loudly rather than
-	// dropping state silently.
+	// Snapshots registers codecs for vertex states so snapshots ride the
+	// same typed-codec plane as messages. Required when Checkpointer is set
+	// and any vertex state is non-nil; a missing codec fails the checkpoint
+	// loudly rather than dropping state silently.
 	Snapshots *Registry
-	// MasterSnapshot/MasterRestore serialize master-side closure state that
-	// lives outside aggregators (optional). Without them a recovery replays
-	// the master function against restored aggregators only, which is wrong
-	// for masters that keep private mutable state across supersteps.
+	// MasterSnapshot/MasterRestore serialize the master's state (optional):
+	// whatever it keeps across supersteps, including every value the
+	// vertices read from it. Without them a recovery replays the master
+	// from whatever state it holds at the failure, which is wrong for a
+	// master that keeps mutable state.
 	MasterSnapshot func() []byte
 	MasterRestore  func(data []byte) error
 	// MaxRecoveries bounds checkpoint rollbacks per run. <= 0 means 8.
@@ -313,42 +274,4 @@ type OptionsOf[M any] struct {
 }
 
 // Options is the Message-typed plane's OptionsOf.
-type Options = OptionsOf[Message]
-
-// SumAggregator sums float64 values.
-type SumAggregator struct{ sum float64 }
-
-// Add folds one float64 in; any other type panics with an *AggregatorError
-// (recovered by the engine into a *ComputeError).
-func (a *SumAggregator) Add(v interface{}) {
-	f, ok := v.(float64)
-	if !ok {
-		panic(&AggregatorError{Name: "sum", Reason: fmt.Sprintf("want float64, got %T", v)})
-	}
-	a.sum += f
-}
-
-// Merge folds another SumAggregator in.
-func (a *SumAggregator) Merge(o Aggregator) { a.sum += o.(*SumAggregator).sum }
-
-// Value returns the sum.
-func (a *SumAggregator) Value() interface{} { return a.sum }
-
-// CountAggregator counts int64 increments.
-type CountAggregator struct{ n int64 }
-
-// Add folds one int64 in; any other type panics with an *AggregatorError
-// (recovered by the engine into a *ComputeError).
-func (a *CountAggregator) Add(v interface{}) {
-	d, ok := v.(int64)
-	if !ok {
-		panic(&AggregatorError{Name: "count", Reason: fmt.Sprintf("want int64, got %T", v)})
-	}
-	a.n += d
-}
-
-// Merge folds another CountAggregator in.
-func (a *CountAggregator) Merge(o Aggregator) { a.n += o.(*CountAggregator).n }
-
-// Value returns the count.
-func (a *CountAggregator) Value() interface{} { return a.n }
+type Options = OptionsOf[Message, struct{}]

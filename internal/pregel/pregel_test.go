@@ -88,9 +88,7 @@ func TestMasterHalt(t *testing.T) {
 			// Keep everyone busy forever.
 			ctx.Send(v.ID, 1.0)
 		},
-		Master: func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
-			return step == 4, nil
-		},
+		Master: func(step int, _ []*struct{}) bool { return step == 4 },
 	}, vs)
 	if err != nil {
 		t.Fatal(err)
@@ -104,19 +102,31 @@ func TestMasterHalt(t *testing.T) {
 	}
 }
 
+// TestAggregatorSumAcrossWorkers: every vertex folds its id into its
+// worker's part, the master sums the parts, and the vertices read the sum it
+// broadcasts — the master's own state — in the next superstep.
 func TestAggregatorSumAcrossWorkers(t *testing.T) {
 	vs := buildChain(100)
-	eng, err := NewEngine(Options{
+	var total float64
+	eng, err := NewEngineOf(OptionsOf[Message, float64]{
 		Workers:       7,
 		MaxSupersteps: 2,
-		Aggregators:   map[string]AggregatorDef{"total": {New: func() Aggregator { return &SumAggregator{} }}},
-		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
+		Compute: func(ctx *ContextOf[Message, float64], v *Vertex, msgs []Message) {
 			if ctx.Superstep() == 0 {
-				ctx.Aggregate("total", float64(v.ID))
+				*ctx.Aggregate() += float64(v.ID)
 				return // stay active to observe the value next superstep
 			}
-			v.State = ctx.ReadAggregator("total")
+			v.State = total
 			ctx.VoteToHalt()
+		},
+		Master: func(step int, parts []*float64) bool {
+			if len(parts) != 7 {
+				t.Errorf("master got %d parts, want one per worker", len(parts))
+			}
+			for _, p := range parts {
+				total += *p
+			}
+			return false
 		},
 	}, vs)
 	if err != nil {
@@ -128,26 +138,29 @@ func TestAggregatorSumAcrossWorkers(t *testing.T) {
 	want := float64(99 * 100 / 2)
 	for i := 0; i < 100; i++ {
 		if got := eng.Vertex(VertexID(i)).State.(float64); got != want {
-			t.Fatalf("vertex %d read aggregator %v, want %v", i, got, want)
+			t.Fatalf("vertex %d read aggregate %v, want %v", i, got, want)
 		}
 	}
 }
 
+// TestMasterSetsAggregator: a value the master writes between supersteps is
+// what every vertex reads in the next one.
 func TestMasterSetsAggregator(t *testing.T) {
 	vs := buildChain(3)
+	var broadcast float64
 	eng, err := NewEngine(Options{
 		MaxSupersteps: 3,
 		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 			if ctx.Superstep() == 1 {
-				v.State = ctx.ReadAggregator("broadcast")
+				v.State = broadcast
 				ctx.VoteToHalt()
 			}
 		},
-		Master: func(step int, agg map[string]interface{}) (bool, map[string]interface{}) {
+		Master: func(step int, _ []*struct{}) bool {
 			if step == 0 {
-				return false, map[string]interface{}{"broadcast": 42.0}
+				broadcast = 42.0
 			}
-			return false, nil
+			return false
 		},
 	}, vs)
 	if err != nil {
@@ -358,13 +371,45 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestCountAggregator: an int64 aggregate counts the vertices each superstep
+// runs, across workers. Every superstep's parts start at zero, so the master
+// reads the same count each time rather than a running total.
 func TestCountAggregator(t *testing.T) {
-	var a CountAggregator
-	a.Add(int64(3))
-	var b CountAggregator
-	b.Add(int64(4))
-	a.Merge(&b)
-	if a.Value().(int64) != 7 {
-		t.Fatalf("CountAggregator = %v", a.Value())
+	const n, workers, steps = 40, 3, 4
+	var counts []int64
+	eng, err := NewEngineOf(OptionsOf[Message, int64]{
+		Workers:       workers,
+		MaxSupersteps: steps,
+		Compute: func(ctx *ContextOf[Message, int64], v *Vertex, msgs []Message) {
+			*ctx.Aggregate() += 1
+		},
+		Master: func(step int, parts []*int64) bool {
+			var c, nonzero int64
+			for _, p := range parts {
+				c += *p
+				if *p != 0 {
+					nonzero++
+				}
+			}
+			if nonzero < 2 {
+				t.Errorf("superstep %d: %d workers counted, want the count spread across workers", step, nonzero)
+			}
+			counts = append(counts, c)
+			return false
+		},
+	}, buildChain(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != steps {
+		t.Fatalf("master ran %d times, want %d", len(counts), steps)
+	}
+	for step, c := range counts {
+		if c != n {
+			t.Fatalf("superstep %d counted %d vertices, want %d", step, c, n)
+		}
 	}
 }
