@@ -40,7 +40,7 @@ import (
 //
 // # Sweeps
 //
-// When a batch moves a large fraction of the graph (see sweepFallbackDiv),
+// When a batch moves a large fraction of the graph (the IterPolicy's Sweep),
 // patch volume would exceed recomputation, so the engine deterministically
 // falls back to what the paper does every round: one ndBuild pass over |E|,
 // then a proposal pass that rebuilds every vertex — interchangeable because
@@ -90,20 +90,20 @@ import (
 // so reporting them walks nothing. The objective is re-summed only on
 // iterations that rebuilt or swept anyway.
 //
-// # Rebuild schedule
+// # Iteration schedule
 //
-// Every Options.NDRebuildEvery iterations a scheduled rebuild replaces the
-// maintained state with a sweep (above), and the batch before it touches
-// neither the neighbor data nor the lists; a period of 1 is therefore plain
-// full per-iteration recomputation, the paper's iteration. Every schedule
-// produces byte-identical partitions and histories for a fixed seed.
+// The IterPolicy all three refiners share decides after each batch whether
+// it is patched, swept or rebuilt (a sweep on the schedule of
+// Options.NDRebuildEvery; at 1, the paper's full recomputation every
+// iteration), and whether refinement stops. Every schedule produces
+// byte-identical partitions and histories for a fixed seed.
 type directState struct {
 	g    *hypergraph.Bipartite
 	opts Options
 	seed uint64
 	k    int
 
-	maxIters int
+	IterPolicy
 
 	bucket  []int32
 	bucketW []int64
@@ -133,30 +133,21 @@ type directState struct {
 	target []int32
 	gains  []float64
 
-	// active holds each vertex's pending work — activeRebuild for movers
-	// (and everyone after a fallback sweep or scheduled rebuild),
-	// activeSelect for vertices whose accumulators were patched or whose
-	// tied argmax a new epoch seed re-keys. tied[v] records whether v's
-	// cached argmax ended in an exact gain tie, the only way the seed
-	// reaches a proposal. admiss is the per-bucket unit-weight balance-
+	// The active set holds each vertex's pending work — activeRebuild for
+	// movers (and everyone after a sweep or scheduled rebuild), activeSelect
+	// for vertices whose accumulators were patched or whose tied argmax a new
+	// epoch seed re-keys — and, after a patched batch, the frontier of
+	// exactly the vertices whose proposal inputs changed. tied[v] records
+	// whether v's cached argmax ended in an exact gain tie, the only way the
+	// seed reaches a proposal. admiss is the per-bucket unit-weight balance-
 	// admissibility vector as of the last proposal pass; admissSame and
 	// flipIn say how it differs from the pass before (flipIn lists the
 	// buckets that became admissible).
-	active     []uint8
+	activeSet
 	tied       []bool
 	admiss     []bool
 	flipIn     []int32
 	admissSame bool
-
-	// frontier is the sorted list of vertices applyNDDeltas marked active —
-	// exactly the vertices whose proposal inputs changed in the last batch.
-	// While frontierValid, the stable-skip selection pass and the mark
-	// clearing walk it instead of scanning all of |D|; sweep fallbacks and
-	// external mark injection (a warm Session's engine sync) invalidate it.
-	// frontScratch is the radix-sort ping-pong buffer.
-	frontier      []int32
-	frontierValid bool
-	frontScratch  []int32
 
 	// forceSelect makes the next computeProposals re-run selection for
 	// every vertex. A warm Session sets it when it re-snapshots the
@@ -231,31 +222,14 @@ type proposalCand struct {
 	acc  float64
 }
 
-// Pending-work levels in the refiners' active vectors (directState.active
-// and bisection.active share the scheme).
-const (
-	activeSelect  = 1 // accumulators patched: re-derive the gain/argmax only
-	activeRebuild = 2 // bucket changed (or full sweep): rebuild state
-)
-
-// sweepFallbackDiv sets the deterministic patch-vs-sweep switch: when a
-// batch moves more than NumData/sweepFallbackDiv vertices, patching the
-// neighbor data and the members of dirty queries would cost more than
-// recomputing both, so the engine rebuilds the neighbor data in one pass and
-// marks everyone for a fused sweep instead — one ND build plus one
-// rebuild/select, nothing maintained. Both regimes produce identical state,
-// so the threshold is a pure performance knob. The first batch under it
-// after a run of sweeps pays the one-off list materialisation.
-const sweepFallbackDiv = 8
-
 // newDirectState prepares the refiner: k equal buckets, each allowed
 // (1+ε) times the ideal weight.
 func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directState {
 	k := opts.K
 	st := &directState{
 		g: g, opts: opts, seed: seed, k: k,
-		maxIters: opts.MaxIters,
-		tables:   tablesFor(opts, 1, g.MaxQueryDegree()),
+		IterPolicy: opts.iterPolicy(),
+		tables:     tablesFor(opts, 1, g.MaxQueryDegree()),
 		scratch: proposalScratch{
 			acc:  make([]float64, k),
 			refs: make([]int32, k),
@@ -816,11 +790,8 @@ func (st *directState) refreshAdmissibility() {
 // sweep fallback, and scheduled rebuilds): the candidate lists are dead and
 // the next proposal pass is a fused sweep.
 func (st *directState) markAllActive() {
-	for i := range st.active {
-		st.active[i] = activeRebuild
-	}
+	st.activeSet.markAllActive()
 	st.candsStale = true
-	st.frontierValid = false // marks now cover everyone, not a frontier
 }
 
 // applyMoves aggregates proposals into per-direction gain histograms (the
@@ -969,53 +940,35 @@ func (st *directState) applyMoves(iter int) []move {
 	return accepted
 }
 
-// applyNDDeltas brings the neighbor data and the per-vertex proposal state
-// up to date with one move batch. A small batch runs the kernel's move-batch
-// pass (count transfers plus dirty-query diff collection) and patches the
-// members of each dirty query with the query's exact entry deltas; a large
-// one (see sweepFallbackDiv) rebuilds the neighbor data outright and
-// schedules a sweep. Movers themselves are always rebuilt — their own bucket
-// changed, which reshapes base/acc. All patch arithmetic is exact, so results
-// are independent of the patch-vs-sweep choice. accepted must contain each
-// vertex at most once (one move batch), with st.bucket already holding the
-// destination.
-func (st *directState) applyNDDeltas(accepted []move) {
-	nd := st.g.NumData()
-	patch := len(accepted)*sweepFallbackDiv < nd
-	if patch {
-		// The patches below land in the lists, so the lists must exist — built
-		// from the neighbor data of the pass that skipped them, before the
-		// batch changes it. st.bucket is already post-move: movers get garbage,
-		// and are rebuilt before anything reads it (see patchVertex).
-		st.materializeCands()
-		ndApplyMoveBatch(st.nd, st.g, accepted, st.bucket)
-		st.addObjective(st.batchObjectiveDelta())
-	} else {
+// applyBatch brings the neighbor data and the per-vertex proposal state up
+// to date with one move batch, in the IterPolicy's mode. Patch runs the
+// kernel's move-batch pass (count transfers plus dirty-query diff
+// collection) and patches the members of each dirty query with the query's
+// exact entry deltas; Sweep and Rebuild rebuild the neighbor data outright
+// and schedule a fused sweep. Movers themselves are always rebuilt — their
+// own bucket changed, which reshapes base/acc. All patch arithmetic is
+// exact, so results are independent of the mode. accepted must contain each
+// vertex at most once, with st.bucket already holding the destination.
+func (st *directState) applyBatch(accepted []move, mode BatchMode) {
+	if mode != Patch {
 		st.buildNeighborData()
-	}
-
-	// Clear the previous batch's marks through the frontier they form (the
-	// marked set IS the frontier while frontierValid); a full clear is only
-	// needed when the marks are not frontier-backed (first batch, or after a
-	// sweep fallback or external mark injection).
-	if st.frontierValid {
-		for _, v := range st.frontier {
-			st.active[v] = 0
+		if mode == Sweep { // charged the mark reset a patch pays; a scheduled rebuild is not
+			st.scanWork += st.clearMarks()
 		}
-		st.scanWork += int64(len(st.frontier))
-	} else {
-		for i := range st.active {
-			st.active[i] = 0
-		}
-		st.scanWork += int64(len(st.active))
-	}
-	if !patch {
 		st.markAllActive()
 		return
 	}
+	// The patches below land in the lists, so the lists must exist — built
+	// from the neighbor data of the pass that skipped them, before the batch
+	// changes it. st.bucket is already post-move: movers get garbage, and are
+	// rebuilt before anything reads it (see patchVertex).
+	st.materializeCands()
+	ndApplyMoveBatch(st.nd, st.g, accepted, st.bucket)
+	st.addObjective(st.batchObjectiveDelta())
+
 	// Fold each dirty query's entry deltas into its members' accumulators;
 	// the first touch of each vertex records it in the frontier.
-	f := st.frontier[:0]
+	st.scanWork += st.clearMarks()
 	ds := &st.nd.delta
 	for _, grp := range ds.groups {
 		wq := 1.0
@@ -1025,10 +978,7 @@ func (st *directState) applyNDDeltas(accepted []move) {
 		recs := ds.recs[grp.off : grp.off+grp.n]
 		for _, v := range st.g.QueryNeighbors(grp.q) {
 			st.patchVertex(v, wq, recs)
-			if st.active[v] == 0 {
-				f = append(f, v)
-			}
-			st.active[v] = activeSelect
+			st.touch(v, activeSelect)
 		}
 	}
 	// Movers are rebuilt next iteration: their own bucket changed, so the
@@ -1036,20 +986,9 @@ func (st *directState) applyNDDeltas(accepted []move) {
 	// wrong frame. This overrides any activeSelect mark from the patch pass.
 	// Zero-degree movers were not collected as members of any dirty query.
 	for _, m := range accepted {
-		if st.active[m.v] == 0 {
-			f = append(f, m.v)
-		}
-		st.active[m.v] = activeRebuild
+		st.touch(m.v, activeRebuild)
 	}
-	// Ascending order is the canonical proposal-pass order; the frontier
-	// interleaves members of distinct dirty queries, so order it with O(|F|)
-	// counting passes (see radixSortInt32) rather than a comparison sort.
-	if cap(st.frontScratch) < len(f) {
-		st.frontScratch = make([]int32, len(f))
-	}
-	radixSortInt32(f, st.frontScratch[:cap(st.frontScratch)], int32(nd))
-	st.frontier = f
-	st.frontierValid = true
+	st.seal(st.g.NumData())
 }
 
 // batchObjectiveDelta returns the objective change of the batch the kernel
@@ -1127,48 +1066,31 @@ func (st *directState) run() {
 	st.refine()
 }
 
-// refine iterates refinement to convergence from the current neighbor-data
-// and proposal state (which run builds from scratch and a warm Session
-// patches in place between calls). Each round's objective and fanout come
-// from the running sums kept beside the neighbor data, so between rebuilds
-// metrics cost no graph pass at all. History entries are appended to
-// st.history; callers that reuse the state across refinement epochs
-// truncate it first.
+// refine iterates refinement until the IterPolicy stops it, from the
+// current neighbor-data and proposal state (which run builds from scratch
+// and a warm Session patches in place between calls). Each round's
+// objective and fanout come from the running sums kept beside the neighbor
+// data, so between rebuilds metrics cost no graph pass at all. History
+// entries are appended to st.history; callers that reuse the state across
+// refinement epochs truncate it first.
 func (st *directState) refine() {
 	n := st.g.NumData()
 	if n == 0 || st.k <= 1 {
 		return
 	}
 	for iter := 0; ; iter++ {
-		if iter > 0 {
-			if st.opts.rebuildAt(iter) {
-				st.buildNeighborData()
-				st.markAllActive()
-			}
-			last := &st.history[len(st.history)-1]
-			last.Objective = st.currentObjective()
-			last.Fanout = st.fanout()
-			if last.Moved == 0 || last.MovedFraction < st.opts.MinMoveFraction {
-				break
-			}
-		}
-		if iter >= st.maxIters {
-			break
-		}
 		gw0, sw0 := st.gainWork, st.scanWork
 		st.computeProposals()
 		if st.afterProposals != nil {
 			st.afterProposals()
 		}
 		accepted := st.applyMoves(iter)
-		if !st.opts.rebuildAt(iter + 1) {
-			// The next iteration's rebuild (which runs before anything reads
-			// the neighbor data again) makes patching this batch moot.
-			st.applyNDDeltas(accepted)
-		}
 		moved := int64(len(accepted))
+		mode, stop := st.IterPolicy.Next(iter, moved, n)
+		st.applyBatch(accepted, mode)
 		st.history = append(st.history, IterStats{
 			Iter: iter, Moved: moved, MovedFraction: float64(moved) / float64(n),
+			Objective: st.currentObjective(), Fanout: st.fanout(),
 		})
 		st.work = append(st.work, WorkStats{
 			Iter:     iter,
@@ -1176,6 +1098,9 @@ func (st *directState) refine() {
 			GainWork: st.gainWork - gw0,
 			ScanWork: st.scanWork - sw0,
 		})
+		if stop {
+			return
+		}
 	}
 }
 

@@ -2,6 +2,73 @@ package core
 
 import "slices"
 
+// activeSet is an incremental refiner's pending work (SHP-2's bisection and
+// SHP-k's directState embed one): a mark per vertex and, while
+// frontierValid, the ascending list of exactly the marked vertices, which
+// passes and the next clear walk instead of all of |D|. A patched batch
+// builds the list (clearMarks, touch, seal); marking everyone and marking
+// from outside a batch (invalidate) leave it stale.
+type activeSet struct {
+	active        []uint8 // activeSelect or activeRebuild; 0 = nothing pending
+	frontier      []int32
+	frontierValid bool
+	frontScratch  []int32 // radix-sort ping-pong buffer
+}
+
+const (
+	activeSelect  = 1 // accumulators patched: re-derive the gain/argmax only
+	activeRebuild = 2 // bucket changed (or full sweep): rebuild state
+)
+
+func (a *activeSet) markAllActive() {
+	for i := range a.active {
+		a.active[i] = activeRebuild
+	}
+	a.frontierValid = false
+}
+
+// clearMarks unmarks everyone and empties the list. It returns the vertex
+// visits that cost, which the refiners charge as scan work.
+func (a *activeSet) clearMarks() int64 {
+	visits := int64(len(a.active))
+	if a.frontierValid {
+		visits = int64(len(a.frontier))
+		for _, v := range a.frontier {
+			a.active[v] = 0
+		}
+	} else {
+		clear(a.active)
+	}
+	a.frontier = a.frontier[:0]
+	return visits
+}
+
+// touch sets v's mark, listing v on its first mark since clearMarks.
+func (a *activeSet) touch(v int32, level uint8) {
+	if a.active[v] == 0 {
+		a.frontier = append(a.frontier, v)
+	}
+	a.active[v] = level
+}
+
+// seal sorts the touched vertices of [0, n) into the canonical ascending
+// order, and the list backs the marks again.
+func (a *activeSet) seal(n int) {
+	a.sortAscending(a.frontier, n)
+	a.frontierValid = true
+}
+
+func (a *activeSet) invalidate() { a.frontierValid = false }
+
+// sortAscending sorts list, whose values lie in [0, n), through the set's
+// scratch (see "Frontier ordering" below).
+func (a *activeSet) sortAscending(list []int32, n int) {
+	if cap(a.frontScratch) < len(list) {
+		a.frontScratch = make([]int32, len(list))
+	}
+	radixSortInt32(list, a.frontScratch[:cap(a.frontScratch)], int32(n))
+}
+
 // Frontier ordering. The per-iteration frontiers the incremental engines
 // maintain must be ascending — that is the canonical order the bit-identity
 // discipline pins for bin updates and gain passes — but the collection

@@ -267,7 +267,8 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 			if len(accepted) == 0 {
 				break
 			}
-			if len(accepted)*sweepFallbackDiv >= g.NumData() {
+			// applyNDDeltas applies every batch as batch 0.
+			if mode, _ := st.IterPolicy.Next(0, int64(len(accepted)), g.NumData()); mode != Patch {
 				continue // sweep regime: everyone is active, nothing cached
 			}
 			if st.candsStale {

@@ -141,7 +141,10 @@ func TestLazyListsSurviveGraphMutation(t *testing.T) {
 			if s.st.candsStale {
 				t.Fatalf("epoch %d: Repartition returned with the candidate lists unwritten", epoch)
 			}
-			swept := func(h IterStats) bool { return int(h.Moved)*sweepFallbackDiv >= g.NumData() }
+			swept := func(h IterStats) bool {
+				mode, _ := s.st.IterPolicy.Next(h.Iter, h.Moved, g.NumData())
+				return mode != Patch
+			}
 			if epoch == 0 && !swept(res.History[len(res.History)-1]) {
 				t.Fatal("the cold epoch did not end on a sweep; the test exercises nothing")
 			}

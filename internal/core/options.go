@@ -64,11 +64,14 @@ type Options struct {
 	// recursive partitioning (SHP-2, the default and the open-sourced
 	// variant).
 	Direct bool
-	// MaxIters bounds refinement iterations (per bisection level for
-	// recursive mode). Defaults: 20 recursive (per level), 60 direct.
+	// MaxIters bounds refinement iterations: per bisection in recursive
+	// mode, per run or Session epoch in direct mode. 0 means the default, 20
+	// recursive and 60 direct; a negative value is rejected, as
+	// distshp.Options.ItersPerLevel's is.
 	MaxIters int
 	// MinMoveFraction stops refinement when the fraction of moved vertices
-	// drops below it. Default 0.001.
+	// drops below it; an iteration that moves nothing always stops it.
+	// Default 0.001. Session epochs run with 0.
 	MinMoveFraction float64
 	// Parallelism is how many recursion tasks of SHP-2 refine at once; <= 0
 	// means GOMAXPROCS, and larger values are capped there. Each task, and
@@ -123,15 +126,12 @@ type Options struct {
 	// support budgets (validate rejects the combination with Initial).
 	MigrationBudget int64
 	// NDRebuildEvery is the period, in refinement iterations, of the
-	// engine's scheduled full rebuild: the per-query neighbor data is
-	// recounted from scratch and every data vertex re-evaluated, instead of
-	// maintaining counts in place and re-evaluating only the frontier of
-	// vertices adjacent to a query touched by a move. The rebuild recomputes
-	// exactly the maintained state, so every period produces byte-identical
-	// partitions and histories for a fixed seed — the default bounds the
-	// blast radius of any future maintenance bug, and 1 (full recomputation
-	// every iteration, no patching at all) is the ablation/debugging
-	// reference. 0 means the default of 64; negative never rebuilds.
+	// scheduled full rebuild (Rebuild): the neighbor data is recounted from
+	// scratch and every data vertex re-evaluated, instead of patching counts
+	// and re-evaluating the frontier. It recomputes exactly the maintained
+	// state, so every period gives byte-identical partitions and histories;
+	// 1 (no patching at all) is the ablation reference. 0 means 64; negative
+	// never rebuilds.
 	NDRebuildEvery int
 }
 
@@ -169,18 +169,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// rebuildAt reports whether refinement iteration iter opens with a scheduled
-// full rebuild. This is the one place the schedule is decided: refiners ask
-// about iter to rebuild, and about iter+1 to skip collecting patches nobody
-// will read.
-func (o Options) rebuildAt(iter int) bool {
-	return o.NDRebuildEvery > 0 && iter > 0 && iter%o.NDRebuildEvery == 0
+// iterPolicy is the iteration schedule of both in-process refiners.
+func (o Options) iterPolicy() IterPolicy {
+	return NewIterPolicy(o.MaxIters, o.MinMoveFraction, o.NDRebuildEvery, InProcessFallbackDiv)
 }
 
 // validate reports configuration errors.
 func (o Options) validate(numData int) error {
 	if o.K < 1 {
 		return errors.New("core: K must be >= 1")
+	}
+	if err := o.iterPolicy().Validate(); err != nil {
+		return fmt.Errorf("core: MaxIters: %w", err)
 	}
 	if o.Epsilon < 0 {
 		return errors.New("core: Epsilon must be >= 0")

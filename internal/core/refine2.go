@@ -31,12 +31,12 @@ import (
 //     costs two branch-free adds per member instead of each member
 //     re-walking its whole membership, so frontier cost is O(churn).
 //   - Movers are rebuilt (their own side changed, which swaps the meaning
-//     of the two accumulators), and batches that move more than
-//     1/sweepFallbackDiv of the vertices fall back to a full rebuild sweep.
-//     Every Options.NDRebuildEvery iterations a scheduled rebuild recounts
-//     the maintained counts from scratch and resums every vertex; the batch
-//     before it skips patch collection, so a period of 1 is plain full
-//     per-iteration recomputation.
+//     of the two accumulators). The IterPolicy the three refiners share
+//     (iterpolicy.go) picks each batch's mode: patched, a sweep for a batch
+//     too large to patch, or the scheduled rebuild every
+//     Options.NDRebuildEvery iterations, which recounts the maintained
+//     counts from scratch and resums every vertex — at a period of 1, plain
+//     full per-iteration recomputation.
 //
 // All patch arithmetic lives on the shared dyadic grid, so the patched and
 // rebuilt states are bit-identical, and the engine is pinned byte-identical
@@ -48,7 +48,7 @@ type bisection struct {
 	seed uint64
 
 	level, task int
-	maxIters    int
+	IterPolicy
 
 	// Lookahead split counts: side 0 will later split into tSplit[0] final
 	// buckets, side 1 into tSplit[1] (Section 3.4's final-p-fanout
@@ -65,28 +65,22 @@ type bisection struct {
 	w    [2]int64   // side weights
 
 	// Engine state: accOwn/accOth are the per-vertex patchable Equation 1
-	// accumulators; active holds each vertex's pending work (activeRebuild
-	// for movers and full sweeps, activeSelect for patched accumulators); d
-	// holds each dirty query's net per-side count delta for the current
-	// batch, dirtyQ the touched queries in first-touch order (deduped by
-	// dirtyFlag); pgs is the reusable buffer the per-dirty-query patch groups
-	// land in.
+	// accumulators; d holds each dirty query's net per-side count delta for
+	// the current batch, dirtyQ the touched queries in first-touch order
+	// (deduped by dirtyFlag); pgs is the reusable buffer the per-dirty-query
+	// patch groups land in.
 	accOwn, accOth []float64
-	active         []uint8
 	d              [2][]int32
 	dirtyFlag      []uint8
 	dirtyQ         []int32
 	pgs            []patchGroup
 
-	// frontier is the sorted list of vertices finishPatch marked active —
-	// exactly the vertices whose (side, gain) can have changed since the
-	// last iteration. While frontierValid, the gain pass and the bin sync
-	// walk it instead of scanning all of |D|; sweep fallbacks and scheduled
-	// rebuilds invalidate it (the marks then cover everyone). frontScratch
-	// is the radix-sort ping-pong buffer.
-	frontier      []int32
-	frontierValid bool
-	frontScratch  []int32
+	// The active set holds each vertex's pending work (activeRebuild for
+	// movers and full sweeps, activeSelect for patched accumulators) and,
+	// after a patched batch, the frontier of exactly the vertices whose
+	// (side, gain) can have changed since the last iteration: the gain pass
+	// and the bin sync walk it instead of scanning all of |D|.
+	activeSet
 
 	// bins is the maintained gain-bin structure (see gainbins.go).
 	bins *gainBins
@@ -136,10 +130,10 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	b := &bisection{
 		g: g, opts: opts, seed: seed,
 		level: level, task: task,
-		maxIters: opts.MaxIters,
-		tSplit:   [2]int{tLeft, tRight},
-		eps:      eps,
-		home:     home,
+		IterPolicy: opts.iterPolicy(),
+		tSplit:     [2]int{tLeft, tRight},
+		eps:        eps,
+		home:       home,
 	}
 	maxN := g.MaxQueryDegree()
 	b.tables[0] = tablesFor(opts, tLeft, maxN)
@@ -397,24 +391,20 @@ func (b *bisection) extras() (into1, into0 int64) {
 	return into1, into0
 }
 
-// run iterates refinement until convergence and returns the final sides.
+// run iterates refinement until the IterPolicy stops it and returns the
+// final sides.
 func (b *bisection) run() []int8 {
 	nd := b.g.NumData()
 	if nd == 0 {
 		return b.side
 	}
-	for iter := 0; iter < b.maxIters; iter++ {
-		if b.opts.rebuildAt(iter) {
-			// Scheduled rebuild: recompute the maintained counts from scratch
-			// and re-evaluate everything. Never changes results.
-			b.recountNeighborData()
-			b.markAllActive()
-		}
+	for iter := 0; ; iter++ {
 		gw0, sw0 := b.gainWork, b.scanWork
 		b.computeGains()
-		// A batch the next iteration rebuilds over has no use for patches.
-		patch := !b.opts.rebuildAt(iter + 1)
-		moved := b.applyProbabilistic(iter, patch)
+		accepted := b.applyProbabilistic(iter)
+		moved := int64(len(accepted))
+		mode, stop := b.IterPolicy.Next(iter, moved, nd)
+		b.applyBatch(accepted, mode)
 		b.history = append(b.history, IterStats{
 			Level: b.level, Task: b.task, Iter: iter,
 			Objective:     b.objective(),
@@ -427,11 +417,10 @@ func (b *bisection) run() []int8 {
 			GainWork: b.gainWork - gw0,
 			ScanWork: b.scanWork - sw0,
 		})
-		if moved == 0 || float64(moved)/float64(nd) < b.opts.MinMoveFraction {
-			break
+		if stop {
+			return b.side
 		}
 	}
-	return b.side
 }
 
 // applyProbabilistic runs the histogram protocol: read the
@@ -440,9 +429,10 @@ func (b *bisection) run() []int8 {
 // probability using a per-vertex deterministic coin. No phase scans all of
 // |D|: the histogram costs O(bins), the coin phase visits only the bins
 // the matching granted positive probability, and the apply/trim phases
-// walk the decided list. patch is false when the next iteration is a
-// scheduled rebuild, which makes collecting patches for this batch moot.
-func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
+// walk the decided list. It returns the moves that survived the balance
+// trim, ascending, with their sides already flipped; the neighbor counts
+// are applyBatch's.
+func (b *bisection) applyProbabilistic(iter int) []int32 {
 	nd := b.g.NumData()
 	b.syncBins()
 	hist0 := b.bins.hist(0)
@@ -486,10 +476,7 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 			}
 		}
 	}
-	if cap(b.frontScratch) < len(list) {
-		b.frontScratch = make([]int32, len(list))
-	}
-	radixSortInt32(list, b.frontScratch[:cap(b.frontScratch)], int32(nd))
+	b.sortAscending(list, nd)
 	b.decidedList = list
 	// Phase 2: apply all decided moves, then undo the lowest-gain arrivals
 	// of any side that breached its cap. Applying first lets opposing flows
@@ -554,36 +541,35 @@ func (b *bisection) applyProbabilistic(iter int, patch bool) int64 {
 	for _, v := range accepted {
 		decided[v] = false
 	}
-	// Phase 3: neighbor-count updates for surviving moves. Small batches go
-	// through the patch collector (counts, net deltas, dirty queries, member
-	// patches — O(churn·deg)); everything else transfers the counts directly
-	// and schedules a full rebuild sweep.
-	if patch && len(accepted)*sweepFallbackDiv < nd {
+	return accepted
+}
+
+// applyBatch brings the side counts and the per-vertex gain state up to
+// date with the accepted moves, in the mode the IterPolicy chose. Patch goes
+// through the patch collector (counts, net deltas, dirty queries, member
+// patches — O(churn·deg)); Sweep transfers the counts directly and marks
+// everyone for a rebuild; Rebuild recounts them from scratch instead.
+func (b *bisection) applyBatch(accepted []int32, mode BatchMode) {
+	switch mode {
+	case Patch:
 		for _, v := range accepted {
 			b.applyMovePatched(v)
 		}
 		b.finishPatch(accepted)
-		return int64(len(accepted))
-	}
-	for _, v := range accepted {
-		oth := b.side[v] // already flipped
-		nCur, nOth := b.n[1-oth], b.n[oth]
-		for _, q := range b.g.DataNeighbors(v) {
-			nCur[q]--
-			nOth[q]++
+		return
+	case Sweep:
+		for _, v := range accepted {
+			oth := b.side[v] // already flipped
+			nCur, nOth := b.n[1-oth], b.n[oth]
+			for _, q := range b.g.DataNeighbors(v) {
+				nCur[q]--
+				nOth[q]++
+			}
 		}
+	case Rebuild:
+		b.recountNeighborData()
 	}
 	b.markAllActive()
-	return int64(len(accepted))
-}
-
-// markAllActive schedules every vertex for a rebuild (fresh state, sweep
-// fallback, and scheduled rebuilds).
-func (b *bisection) markAllActive() {
-	for i := range b.active {
-		b.active[i] = activeRebuild
-	}
-	b.frontierValid = false // marks now cover everyone, not a frontier
 }
 
 // applyMovePatched folds one already-flipped mover's count transfers into
@@ -657,22 +643,7 @@ func (b *bisection) finishPatch(movers []int32) {
 	}
 	b.dirtyQ = b.dirtyQ[:0]
 
-	// Clear the previous batch's marks through the frontier they form (the
-	// marked set IS the frontier while frontierValid); a full clear is only
-	// needed when the marks are not frontier-backed (first batch, or after a
-	// sweep fallback or external invalidation).
-	if b.frontierValid {
-		for _, v := range b.frontier {
-			b.active[v] = 0
-		}
-		b.scanWork += int64(len(b.frontier))
-	} else {
-		for i := range b.active {
-			b.active[i] = 0
-		}
-		b.scanWork += int64(len(b.active))
-	}
-	f := b.frontier[:0]
+	b.scanWork += b.clearMarks()
 	for gi := range b.pgs {
 		pg := &b.pgs[gi]
 		members := b.g.QueryNeighbors(pg.q)
@@ -680,30 +651,14 @@ func (b *bisection) finishPatch(movers []int32) {
 			c := b.side[v]
 			b.accOwn[v] += pg.own[c] //shp:rawfloat(pg.own/pg.away hold DeltaOwn/DeltaAway table values hoisted once per group; same dyadic grid, same bits)
 			b.accOth[v] += pg.away[1-c]
-			if b.active[v] == 0 {
-				f = append(f, v)
-			}
-			b.active[v] = activeSelect
+			b.touch(v, activeSelect)
 		}
 		b.gainWork += pg.nrec * int64(len(members))
 	}
+	// Movers of positive degree were already touched as members of their own
+	// dirty queries; zero-degree movers were not.
 	for _, v := range movers {
-		// First-touch: movers of positive degree were already collected as
-		// members of their own dirty queries; zero-degree movers were not.
-		if b.active[v] == 0 {
-			f = append(f, v)
-		}
-		b.active[v] = activeRebuild
+		b.touch(v, activeRebuild)
 	}
-	// Ascending order is the canonical bin-update (and gain-pass) order the
-	// bit-identity discipline requires; the frontier interleaves members of
-	// distinct dirty queries, so order it with O(|F|) counting passes (see
-	// radixSortInt32) rather than a comparison sort.
-	nd := b.g.NumData()
-	if cap(b.frontScratch) < len(f) {
-		b.frontScratch = make([]int32, len(f))
-	}
-	radixSortInt32(f, b.frontScratch[:cap(b.frontScratch)], int32(nd))
-	b.frontier = f
-	b.frontierValid = true
+	b.seal(b.g.NumData())
 }

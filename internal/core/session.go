@@ -221,9 +221,7 @@ func (st *directState) reanchorTies() {
 			st.active[v] = activeSelect
 		}
 	}
-	// Marks injected from outside the engine's own move batches: the marked
-	// set is no longer the last batch's frontier.
-	st.frontierValid = false
+	st.invalidate()
 }
 
 // Fanout returns the average query fanout of the assignment the last
@@ -386,27 +384,19 @@ func (s *Session) syncEngine() {
 	// keeping the maintained neighbor data exact for every repair move.
 	s.repairOverCap()
 
-	// Dirty marks: every vertex whose Equation 1 inputs changed gets a full
-	// rebuild at the next proposal pass. That is exactly the members of
-	// added/removed hyperedges, weight-change targets, and the new vertices.
+	// Dirty marks and static degrees: every vertex whose Equation 1 inputs
+	// changed gets a full rebuild at the next proposal pass. That is exactly
+	// the members of added/removed hyperedges, weight-change targets, and the
+	// new vertices.
 	for _, v := range s.touched {
 		st.active[v] = activeRebuild
-	}
-	for v := s.engND; v < nd; v++ {
-		st.active[int32(v)] = activeRebuild
-	}
-	// Marks were injected from outside the engine's own move batches
-	// (including any repairOverCap rebuild marks above), so the marked set
-	// is no longer the last batch's frontier.
-	st.frontierValid = false
-
-	// Static per-vertex degrees of everything touched.
-	for _, v := range s.touched {
 		st.wdegArr[v] = st.computeWdeg(v)
 	}
-	for v := s.engND; v < nd; v++ {
-		st.wdegArr[v] = st.computeWdeg(int32(v))
+	for v := int32(s.engND); v < int32(nd); v++ {
+		st.active[v] = activeRebuild
+		st.wdegArr[v] = st.computeWdeg(v)
 	}
+	st.invalidate() // these marks, and repairOverCap's, came from no batch
 
 	s.clearPending()
 }

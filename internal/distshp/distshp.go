@@ -38,12 +38,12 @@
 //     gainGridBits), so patched accumulators land bit-for-bit on the same
 //     floats a full resummation produces, in any order: the incremental and
 //     full paths yield byte-identical partitions and histories.
-//   - The master mirrors the in-process engine's two escape hatches: when an
-//     iteration moves more than 1/rebuildFallbackDiv of the vertices, the
-//     next superstep 1 is a full rebroadcast (patching would cost more than
-//     a sweep), and every Options.RebuildEvery iterations a scheduled full
-//     rebroadcast re-derives every accumulator from the histograms (a
-//     period of 1 is the paper's plain per-iteration rebroadcast).
+//   - The master runs the iteration policy the in-process refiners run
+//     (core.IterPolicy) at the wire's fallback divisor: after a batch too
+//     large to patch (core.Sweep), and every Options.RebuildEvery iterations
+//     (core.Rebuild), the next superstep 1 is a full rebroadcast that
+//     re-derives every accumulator from the histograms (a period of 1 is the
+//     paper's plain per-iteration rebroadcast).
 //
 // # The changed-only proposal plane
 //
@@ -63,9 +63,9 @@
 // the maintained proposal state — but still ship only the changes, so the
 // maintained and recomputed regimes stay byte-identical.
 //
-// Recursive levels are scheduled by the master: when a level converges
-// (moved fraction below threshold) or exhausts its iterations, every data
-// vertex splits its bucket b into 2b or 2b+1 and the next level begins.
+// Recursive levels are scheduled by the master: when the policy stops a
+// level (moved fraction below threshold, or its iterations exhausted), every
+// data vertex splits its bucket b into 2b or 2b+1 and the next level begins.
 // K must be a power of two (the configuration the paper's distributed
 // experiments use).
 package distshp
@@ -94,11 +94,13 @@ type Options struct {
 	Epsilon float64
 	// P is the fanout probability (default 0.5).
 	P float64
-	// ItersPerLevel bounds refinement iterations per bisection level
-	// (default 20, the paper's SHP-2 setting).
+	// ItersPerLevel bounds refinement iterations per bisection level. 0
+	// means the default, 20 (the paper's SHP-2 setting); a negative value is
+	// rejected, as core.Options.MaxIters's is.
 	ItersPerLevel int
 	// MinMoveFraction advances to the next level early when the moved
-	// fraction drops below it (default 0.001).
+	// fraction drops below it; an iteration that moves nothing always does
+	// (default 0.001).
 	MinMoveFraction float64
 	// Workers is the number of simulated machines (default 4, the paper's
 	// cluster size).
@@ -110,16 +112,12 @@ type Options struct {
 	// loopback sockets). Partitions are transport-invariant for a fixed
 	// seed.
 	Transport pregel.Transport
-	// RebuildEvery is the period, in refinement iterations within a level,
-	// of the delta plane's scheduled full gain rebroadcast: superstep 1
-	// re-sends every member's full gain contribution instead of patching
-	// persistent accumulators with per-bucket count diffs. The rebroadcast
-	// re-derives exactly the maintained accumulators, so every period
-	// produces byte-identical partitions and histories for a fixed seed —
-	// the default bounds the blast radius of any future maintenance bug,
-	// and 1 (rebroadcast every iteration, no delta records at all) is the
-	// ablation/debugging reference. 0 means the default of 64 (mirroring
-	// the in-process engine's NDRebuildEvery); negative never rebroadcasts.
+	// RebuildEvery is the period, in iterations within a level, of the
+	// scheduled full gain rebroadcast (core.Rebuild): superstep 1 re-sends
+	// every member's full contribution instead of patching accumulators. It
+	// re-derives exactly the maintained state, so every period gives
+	// byte-identical results; 1 (no delta records at all) is the ablation
+	// reference. 0 means 64, as core's NDRebuildEvery; negative never.
 	RebuildEvery int
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
@@ -165,17 +163,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// rebuildFallbackDiv sets the deterministic patch-vs-rebroadcast switch, the
-// distributed mirror of core's sweepFallbackDiv: when an iteration moves
-// more than NumData/rebuildFallbackDiv vertices, delta traffic to the
-// members of dirty queries would exceed one full rebroadcast, so the master
-// schedules a full superstep 1 instead. The threshold is tighter than the
-// in-process engine's 1/8 because the cost model differs: a full superstep 1
-// is heavily sender-side combined (one envelope per worker/destination pair)
-// while delta records ship per dirty query, so on the wire the break-even
-// sits near 1/32 moved (measured across the planted/random test graphs).
-// Both regimes produce identical state, so this is a pure performance knob.
-const rebuildFallbackDiv = 32
+// iterPolicy is the master's iteration schedule: the in-process refiners'
+// policy at the wire's patch-vs-rebroadcast threshold.
+func (o Options) iterPolicy() core.IterPolicy {
+	return core.NewIterPolicy(o.ItersPerLevel, o.MinMoveFraction, o.RebuildEvery, core.WireFallbackDiv)
+}
 
 // IterRecord is one refinement iteration's master-side summary.
 type IterRecord struct {
@@ -223,25 +215,7 @@ type Result struct {
 // the one place the late-traffic attribution lives: tests, benchmarks and
 // the CLI all report through it.
 func (r *Result) LateGainBytes(maxMovedFraction float64) (iters int, bytes int64) {
-	if r.Stats == nil || len(r.Assignment) == 0 {
-		return 0, 0
-	}
-	budget := maxMovedFraction * float64(len(r.Assignment))
-	for j, rec := range r.History {
-		if rec.Iter == 0 {
-			continue // level start: registration rebroadcast, not churn-driven
-		}
-		// Iter > 0 implies History[j-1] is the same level's previous
-		// iteration, whose moves produced this superstep's traffic.
-		if float64(r.History[j-1].Moved) > budget {
-			continue
-		}
-		if s := 4*j + 1; s < len(r.Stats.PerSuperstep) {
-			iters++
-			bytes += r.Stats.PerSuperstep[s].BytesSent
-		}
-	}
-	return iters, bytes
+	return r.lateBytes(maxMovedFraction, 1, func(s pregel.SuperstepStats) int64 { return s.BytesSent })
 }
 
 // LateProposalBytes sums the proposal-superstep aggregator traffic (AggBytes
@@ -252,20 +226,25 @@ func (r *Result) LateGainBytes(maxMovedFraction float64) (iters int, bytes int64
 // registers every vertex. With the changed-only proposal plane this shrinks
 // with the moving frontier instead of staying O(directions x bins).
 func (r *Result) LateProposalBytes(maxMovedFraction float64) (iters int, bytes int64) {
+	return r.lateBytes(maxMovedFraction, 2, func(s pregel.SuperstepStats) int64 { return s.AggBytes })
+}
+
+// lateBytes sums field over superstep 4j+phase of every late iteration j.
+func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(pregel.SuperstepStats) int64) (iters int, bytes int64) {
 	if r.Stats == nil || len(r.Assignment) == 0 {
 		return 0, 0
 	}
 	budget := maxMovedFraction * float64(len(r.Assignment))
 	for j, rec := range r.History {
-		if rec.Iter == 0 {
-			continue // level start: full proposal registration, not churn-driven
-		}
-		if float64(r.History[j-1].Moved) > budget {
+		// A level start (Iter 0) re-registers everything. Otherwise
+		// History[j-1] is the same level's previous iteration, whose moves
+		// produced this iteration's traffic.
+		if rec.Iter == 0 || float64(r.History[j-1].Moved) > budget {
 			continue
 		}
-		if s := 4*j + 2; s < len(r.Stats.PerSuperstep) {
+		if s := 4*j + phase; s < len(r.Stats.PerSuperstep) {
 			iters++
-			bytes += r.Stats.PerSuperstep[s].AggBytes
+			bytes += field(r.Stats.PerSuperstep[s])
 		}
 	}
 	return iters, bytes
@@ -602,6 +581,10 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	if opts.K < 2 || opts.K&(opts.K-1) != 0 {
 		return nil, fmt.Errorf("distshp: K must be a power of two >= 2, got %d", opts.K)
 	}
+	policy := opts.iterPolicy()
+	if err := policy.Validate(); err != nil {
+		return nil, fmt.Errorf("distshp: ItersPerLevel: %w", err)
+	}
 	if g.NumData() == 0 {
 		return nil, errors.New("distshp: empty graph")
 	}
@@ -680,21 +663,18 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 				Level: sched.level, Iter: sched.iter, Moved: moved,
 				Fanout: float64(sched.ndEntries) / float64(numQ),
 			})
+			mode, stop := policy.Next(sched.iter, moved, numD)
 			sched.iter++
-			frac := float64(moved) / float64(numD)
-			// Schedule the delta plane's escape hatches for the next
-			// iteration: a sweep fallback when patching would cost more than
-			// a rebroadcast, and the periodic scheduled rebroadcast. Both
-			// regimes produce identical bits, so these are pure perf knobs.
-			sched.rebuildNext = moved*rebuildFallbackDiv >= int64(numD) ||
-				(opts.RebuildEvery > 0 && sched.iter%opts.RebuildEvery == 0)
-			if sched.iter >= opts.ItersPerLevel || frac < opts.MinMoveFraction {
+			// A sweep or a scheduled rebuild makes the next superstep 1 a
+			// full rebroadcast; both regimes produce identical bits. A level
+			// start needs none: it re-registers every vertex, which forces
+			// full gain contributions everywhere.
+			sched.rebuildNext = !stop && mode != core.Patch
+			if stop {
 				sched.level++
 				sched.iter = 0
-				// Level start re-registers every vertex, which already forces
-				// full gain contributions everywhere. The proposal plane
-				// re-registers from scratch too: drop the persistent state.
-				sched.rebuildNext = false
+				// The proposal plane re-registers from scratch too: drop the
+				// persistent state.
 				sched.hists = map[uint64]*core.DirHist{}
 				sched.weights = map[int32]int64{}
 				if sched.level >= levels {

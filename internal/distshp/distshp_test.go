@@ -1,6 +1,7 @@
 package distshp
 
 import (
+	"strings"
 	"testing"
 
 	"shp/internal/core"
@@ -125,6 +126,19 @@ func TestCommunicationBoundedByFanoutTimesEdges(t *testing.T) {
 	bound := 2.5 * float64(g.NumEdges()) // bucket sends + ND sends + slack
 	if perIter > bound {
 		t.Fatalf("messages per iteration %v exceed O(|E|) bound %v", perIter, bound)
+	}
+}
+
+// TestNegativeItersPerLevelRejected: a negative cap is an option error at
+// every K, not one iteration per level at K = 2 and an engine error about
+// MaxSupersteps beyond.
+func TestNegativeItersPerLevelRejected(t *testing.T) {
+	g := randomBipartite(t, 3, 40, 60, 200)
+	for _, k := range []int{2, 4, 8} {
+		_, err := Partition(g, Options{K: k, Seed: 1, ItersPerLevel: -1})
+		if err == nil || !strings.HasPrefix(err.Error(), "distshp: ItersPerLevel") {
+			t.Errorf("K=%d, ItersPerLevel -1: err %v, want a distshp: ItersPerLevel error", k, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"shp/internal/core"
 	"shp/internal/pregel"
 )
 
@@ -72,12 +73,14 @@ func TestDistRecoveryAtEveryPhase(t *testing.T) {
 		}
 		// Iteration j runs supersteps 4j..4j+3. The kills must reach a level
 		// start, and an iteration whose superstep 1 rebroadcasts because the
-		// one before it moved at least 1/rebuildFallbackDiv of the vertices.
+		// policy swept or rebuilt after the one before it.
+		policy := opts.withDefaults().iterPolicy()
 		levelStart, rebroadcast := false, false
 		for j := 1; 4*j+1 <= lastKill && j < len(base.History); j++ {
+			prev := base.History[j-1]
 			if base.History[j].Iter == 0 {
 				levelStart = true
-			} else if base.History[j-1].Moved*rebuildFallbackDiv >= int64(g.NumData()) {
+			} else if mode, _ := policy.Next(prev.Iter, prev.Moved, g.NumData()); mode != core.Patch {
 				rebroadcast = true
 			}
 		}
