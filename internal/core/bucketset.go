@@ -2,12 +2,13 @@ package core
 
 import "math/bits"
 
-// bucketSet is a ⌈k/64⌉-word bitset over bucket ids: the occupancy record of
-// the k-indexed accumulators a rebuild fills (rebuildVertex's acc/refs,
-// ndBuild's counts). Marking a bucket is one OR; draining visits exactly the
-// marked buckets in ascending id order — the canonical candidate and
-// neighbor-data order — so neither the accumulators nor the result need a
-// clear sweep or a sort.
+// bucketSet is a ⌈k/64⌉-word bitset over bucket ids: a neighbor-data row's
+// connectivity mask, and the occupancy record of the k-indexed accumulators
+// a rebuild fills (rebuildVertex's acc/refs, marked by OR-ing in the masks
+// of the vertex's queries). Marking a bucket is one OR; draining visits
+// exactly the marked buckets in ascending id order — the canonical candidate
+// and neighbor-data order — so neither the accumulators nor the result need
+// a clear sweep or a sort.
 type bucketSet []uint64
 
 // newBucketSet returns an empty set over k buckets.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 	"shp/internal/rng"
 )
 
-// TestBucketSetDrain pins the bitset contract rebuildVertex and ndBuild
-// lean on, at word-boundary sizes: draining yields exactly the marked
+// TestBucketSetDrain pins the bitset contract rebuildVertex and the
+// neighbor-data masks lean on, at word-boundary sizes: draining yields exactly the marked
 // buckets, ascending, once each; afterwards the set is empty, and so are
 // k-indexed accumulators zeroed from inside the drain loop.
 func TestBucketSetDrain(t *testing.T) {
@@ -104,9 +105,33 @@ func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
 	return base, cands
 }
 
+// rowInvariantViolation returns a description of the first row of nd that
+// breaks the layout's invariant — mask bit b set exactly when count b is
+// positive, no count negative — or "" when every row holds it.
+func rowInvariantViolation(nd *ndState) string {
+	for q := range int32(len(nd.cnt) / nd.k) {
+		m, c := nd.maskOf(q), nd.countsOf(q)
+		for b := range int32(nd.k) {
+			if bit := m[b>>6]>>(b&63)&1 == 1; bit != (c[b] > 0) || c[b] < 0 {
+				return fmt.Sprintf("query %d bucket %d: mask bit %v, count %d", q, b, bit, c[b])
+			}
+		}
+		for b := nd.k; b < nd.w*64; b++ {
+			if m[b>>6]>>(b&63)&1 == 1 {
+				return fmt.Sprintf("query %d: mask bit %d set beyond k = %d", q, b, nd.k)
+			}
+		}
+	}
+	return ""
+}
+
 // TestRebuildVertexMatchesEquation1 checks both weight arms of rebuildVertex
-// against the naive reference on small random graphs, and that the rebuild
-// leaves its scratch empty (the drain's half of the contract).
+// against the naive reference on small random graphs, that the rebuild
+// leaves its scratch empty (the drain's half of the contract), and that the
+// neighbor-data rows it reads hold the mask ⇔ count invariant. The wide arms
+// sit on the mask's word boundaries: at k = 64 bucket 63 is the last bit of
+// the only word, at k = 128 half the own buckets are in the second word, and
+// weightedK70 takes the weighted arm across two words.
 func TestRebuildVertexMatchesEquation1(t *testing.T) {
 	arms := []struct {
 		name  string
@@ -117,14 +142,22 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 		{"weighted", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 40, 70, 400) }, 6},
 		// Past one bitset word, with most buckets empty around any vertex.
 		{"unitK70", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 300, 900) }, 70},
+		// 320 records cut into 64 buckets of five: the last bucket is filled.
+		{"unitK64", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 320, 900) }, 64},
+		{"unitK128", func(s uint64) *hypergraph.Bipartite { return randomBipartite(t, s, 60, 300, 900) }, 128},
+		{"weightedK70", func(s uint64) *hypergraph.Bipartite { return weightedBipartite(t, s, 60, 300, 900) }, 70},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
+			lastBit, highOwn := false, false
 			for seed := uint64(1); seed <= 5; seed++ {
 				g := arm.graph(seed)
 				opts := Options{K: arm.k, P: 0.5, Direct: true}.withDefaults()
 				st := newDirectState(g, opts, seed)
 				st.buildNeighborData()
+				if bad := rowInvariantViolation(st.nd); bad != "" {
+					t.Fatalf("seed %d: %s", seed, bad)
+				}
 				s := &st.scratch
 				for v := 0; v < g.NumData(); v++ {
 					st.rebuildVertex(v)
@@ -135,14 +168,18 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 					if !slices.Equal(st.cand[v], cands) {
 						t.Fatalf("seed %d vertex %d: candidates %v, reference %v", seed, v, st.cand[v], cands)
 					}
-					if s.set.count() != 0 || slices.Max(s.refs) != 0 ||
+					if s.set.count() != 0 || s.own.count() != 0 || slices.Max(s.refs) != 0 ||
 						slices.Max(s.acc) != 0 || slices.Min(s.acc) != 0 {
 						t.Fatalf("seed %d vertex %d: rebuild scratch not empty afterwards", seed, v)
 					}
+					if len(g.DataNeighbors(int32(v))) > 0 {
+						lastBit = lastBit || st.bucket[v] == 63
+						highOwn = highOwn || st.bucket[v] >= 64
+					}
 				}
-				if st.nd.buildSet.count() != 0 || slices.Max(st.nd.buildCnt) != 0 {
-					t.Fatalf("seed %d: ndBuild scratch not empty afterwards", seed)
-				}
+			}
+			if arm.k >= 64 && !lastBit || arm.k > 64 && !highOwn {
+				t.Fatalf("k = %d: no rebuilt vertex sat on bucket 63 (%v) or past the first word (%v)", arm.k, lastBit, highOwn)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"shp/internal/hypergraph"
@@ -25,8 +26,8 @@ import (
 //
 //   - The neighbor data is patched in place after each move batch, only for
 //     the queries adjacent to moved vertices (decrement the origin bucket's
-//     count, increment the target's, inserting and removing sparse entries
-//     as they cross zero).
+//     count, increment the target's, flipping connectivity-mask bits as
+//     counts cross zero).
 //   - Every vertex carries its Equation 1 state in patchable form: base
 //     (the own-bucket term), wdeg (static query-weighted degree), and a
 //     sorted candidate list of (bucket, refs, acc) accumulators. Because
@@ -86,8 +87,8 @@ import (
 //
 // The objective and the average fanout are running exact sums beside the
 // neighbor data: the objective moves by C[cNew] − C[cOld] per changed entry,
-// the query-weighted live-entry count by ±w_q per entry inserted or removed,
-// so reporting them walks nothing. The objective is re-summed only on
+// the query-weighted connectivity by ±w_q per mask bit flipped, so
+// reporting them walks nothing. The objective is re-summed only on
 // iterations that rebuilt or swept anyway.
 //
 // # Iteration schedule
@@ -114,9 +115,9 @@ type directState struct {
 	// final, so none carries lookahead.
 	tables GainTables
 
-	// Sparse neighbor data over queries: the shared kernel's fixed-capacity
-	// sorted CSR (see ndstate.go), which also owns the dirty-query diff
-	// machinery the patch path feeds on.
+	// Neighbor data over queries: the shared kernel's pin-count rows, a
+	// connectivity mask plus k dense counts per query (see ndstate.go), which
+	// also own the dirty-query diff machinery the patch path feeds on.
 	nd *ndState
 
 	// Per-vertex Equation 1 state: cand[v] holds the candidate buckets of v
@@ -234,6 +235,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 			acc:  make([]float64, k),
 			refs: make([]int32, k),
 			set:  newBucketSet(k),
+			own:  newBucketSet(k),
 			list: make([]proposalCand, 0, k),
 		},
 		pairs: newPairFold(k),
@@ -440,13 +442,16 @@ func (st *directState) objectiveFromND() float64 {
 }
 
 // queryObjective returns query q's term of the objective, w_q·Σ_b C[n_b(q)]
-// over its live entries.
+// over its live entries, in ascending bucket order.
 func (st *directState) queryObjective(q int32) float64 {
 	wq := float64(st.g.QueryWeight(q))
 	C := st.tables.C
+	cnt := st.nd.countsOf(q)
 	sum := 0.0
-	for _, e := range st.nd.seg(q) {
-		sum += wq * C[e.C]
+	for wi, m := range st.nd.maskOf(q) {
+		for ; m != 0; m &= m - 1 {
+			sum += wq * C[cnt[wi<<6|bits.TrailingZeros64(m)]]
+		}
 	}
 	return sum
 }
@@ -479,13 +484,13 @@ func (st *directState) addObjective(d float64) {
 	}
 }
 
-// editQuery runs edit, which may rewrite query q's neighbor-data segment
+// editQuery runs edit, which may rewrite query q's neighbor-data row
 // outside a move batch (a Session's splices and repair moves), and carries
 // the running fanout and objective sums across it.
 func (st *directState) editQuery(q int32, edit func()) {
-	before, n := st.queryObjective(q), st.nd.len[q]
+	before, n := st.queryObjective(q), st.nd.maskOf(q).count()
 	edit()
-	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.len[q]-n)
+	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.maskOf(q).count()-n)
 	st.addObjective(st.queryObjective(q) - before)
 }
 
@@ -510,14 +515,16 @@ func (st *directState) fanout() float64 {
 }
 
 // proposalScratch is the state of an Equation 1 rebuild: k-indexed
-// accumulators plus the bitset of the buckets they currently hold. Between
-// vertices everything is zero — draining the set clears exactly the slots a
-// vertex touched. list is the k-slot candidate list a fused sweep drains
-// each vertex into instead of cand[v].
+// accumulators plus the bitset of the buckets they currently hold, and the
+// one-bit set of the vertex's own bucket. Between vertices everything is
+// zero — draining the set clears exactly the slots a vertex touched. list is
+// the k-slot candidate list a fused sweep drains each vertex into instead of
+// cand[v].
 type proposalScratch struct {
 	acc  []float64
 	refs []int32
 	set  bucketSet
+	own  bucketSet
 	list []proposalCand
 }
 
@@ -525,44 +532,58 @@ type proposalScratch struct {
 // neighbor data: propBase[v], and the sorted candidate list, which it writes
 // over dst and returns. All sums are exact (grid values), so this produces the
 // same bits as any sequence of patches arriving at the same neighbor data.
+//
+// Per adjacent query it reads the own bucket's count once, ORs the mask
+// words minus the own bit into the scratch set, and walks those bits. The
+// own bit is cleared through a word-indexed AND-NOT with the one-bit set
+// `own`, so one loop serves any k with no per-word or per-entry test.
 func (st *directState) rebuildInto(v int, dst []proposalCand) []proposalCand {
 	cur := st.bucket[v]
-	acc, refs, set := st.scratch.acc, st.scratch.refs, st.scratch.set
-	base := 0.0
-	// Hoist the kernel CSR's arrays: the per-entry loops below are the
-	// engine's hottest memory stream, and going through st.nd on every
-	// access costs a dependent load per entry.
-	ndOff, ndLen, ndEnt := st.nd.off, st.nd.len, st.nd.ent
+	acc, refs, set, own := st.scratch.acc, st.scratch.refs, st.scratch.set, st.scratch.own
+	own.add(cur)
+	// Hoist the row arenas: the walks below are the engine's hottest memory
+	// stream, and going through st.nd, or re-slicing a row per word, costs
+	// loads and bounds checks per work unit.
+	k, w := st.nd.k, st.nd.w
+	mask, cnt := st.nd.mask, st.nd.cnt
 	T := st.tables.T
 	t0 := T[0]
+	base := 0.0
 	if st.qw == nil {
 		for _, q := range st.g.DataNeighbors(int32(v)) {
-			off := ndOff[q]
-			for _, e := range ndEnt[off : off+int64(ndLen[q])] {
-				if e.B == cur {
-					base += T[e.C-1]
-					continue
+			mo, co := int(q)*w, int(q)*k
+			if c := cnt[co+int(cur)]; c > 0 {
+				base += T[c-1]
+			}
+			for wi := range w {
+				m := mask[mo+wi] &^ own[wi]
+				set[wi] |= m
+				for ; m != 0; m &= m - 1 {
+					b := wi<<6 | bits.TrailingZeros64(m)
+					acc[b] += T[cnt[co+b]] - t0
+					refs[b]++
 				}
-				set.add(e.B)
-				acc[e.B] += T[e.C] - t0
-				refs[e.B]++
 			}
 		}
 	} else {
 		for _, q := range st.g.DataNeighbors(int32(v)) {
 			wq := st.qw[q]
-			off := ndOff[q]
-			for _, e := range ndEnt[off : off+int64(ndLen[q])] {
-				if e.B == cur {
-					base += wq * T[e.C-1]
-					continue
+			mo, co := int(q)*w, int(q)*k
+			if c := cnt[co+int(cur)]; c > 0 {
+				base += wq * T[c-1]
+			}
+			for wi := range w {
+				m := mask[mo+wi] &^ own[wi]
+				set[wi] |= m
+				for ; m != 0; m &= m - 1 {
+					b := wi<<6 | bits.TrailingZeros64(m)
+					acc[b] += wq * (T[cnt[co+b]] - t0)
+					refs[b]++
 				}
-				set.add(e.B)
-				acc[e.B] += wq * (T[e.C] - t0)
-				refs[e.B]++
 			}
 		}
 	}
+	own[cur>>6] = 0
 	st.propBase[v] = base
 	dst = dst[:0]
 	if n := set.count(); cap(dst) < n {

@@ -178,32 +178,24 @@ func TestIncrementalMatchesFullConvergedWarmStart(t *testing.T) {
 	}
 }
 
-// ndSnapshot captures the live neighbor-data entries of a directState.
+// ndSnapshot captures the neighbor-data rows of a directState.
 type ndSnapshot struct {
-	len      []int32
-	bucket   []int32
-	count    []int32
+	mask     []uint64
+	cnt      []int32
 	wEntries int64
 }
 
 func snapshotND(st *directState) ndSnapshot {
-	s := ndSnapshot{
-		len:      append([]int32(nil), st.nd.len...),
+	return ndSnapshot{
+		mask:     slices.Clone(st.nd.mask),
+		cnt:      slices.Clone(st.nd.cnt),
 		wEntries: st.nd.wEntries,
 	}
-	nq := st.g.NumQueries()
-	for q := 0; q < nq; q++ {
-		for _, e := range st.nd.seg(int32(q)) {
-			s.bucket = append(s.bucket, e.B)
-			s.count = append(s.count, e.C)
-		}
-	}
-	return s
 }
 
 // TestMaintainedNDMatchesRebuild applies random move batches through the
-// delta path and checks the maintained neighbor data (entries, counts,
-// canonical order, live totals) against a from-scratch rebuild after every
+// delta path and checks the maintained neighbor data (masks, counts, the
+// weighted connectivity total) against a from-scratch rebuild after every
 // batch.
 func TestMaintainedNDMatchesRebuild(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
@@ -301,8 +293,8 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 }
 
 // TestDuplicateMoveBatchDeltas exercises repeated deltas hitting the same
-// query from several movers in one batch (insert/remove churn on shared
-// segments).
+// query from several movers in one batch (counts crossing zero both ways on
+// shared rows).
 func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	g := randomBipartite(t, 31, 10, 40, 200) // dense: every query sees many movers
 	opts := Options{K: 4, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
@@ -322,5 +314,95 @@ func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	st.buildNeighborData()
 	if want := snapshotND(st); !reflect.DeepEqual(got, want) {
 		t.Fatal("maintained neighbor data diverged from rebuild after a dense move batch")
+	}
+}
+
+// TestPinRowsSurviveSessionEdits drives every path that edits the
+// neighbor-data rows outside a move batch — a Session's splices of added
+// and removed hyperedges, and the balance repair that a data-weight change
+// forces — and after each Repartition checks the rows against a fresh count:
+// every row equals its members' buckets counted anew, each mask bit is set
+// exactly when its count is positive, a removed hyperedge's row is all zero,
+// and Σ_q w_q·|mask_q| is the maintained wEntries.
+func TestPinRowsSurviveSessionEdits(t *testing.T) {
+	for name, g := range oracleGraphs(t) {
+		s, err := NewSession(g.Clone(), Options{K: 8, Direct: true, Seed: 4, Epsilon: 0.02, MaxIters: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Repartition(); err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(41)
+		var removed []int32
+		added, repaired := 0, 0
+		for epoch := 0; epoch < 8; epoch++ {
+			before := s.Assignment()
+			d := oracleChurn(s, epoch, r)
+			for v := int32(0); v < 60; v++ {
+				if before[v] == int32(epoch) {
+					d.SetDataWeight(v, 5) // bucket `epoch` now sits far over its cap
+				}
+			}
+			for _, op := range d.Ops {
+				switch op.Kind {
+				case hypergraph.OpRemoveHyperedge:
+					removed = append(removed, op.Q)
+				case hypergraph.OpAddHyperedge:
+					added++
+				}
+			}
+			if err := s.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			// The first proposal pass sees the state the sync left; a mover
+			// there can only be a repair move.
+			first := true
+			s.st.afterProposals = func() {
+				if first {
+					first = false
+					for v := range before {
+						if s.st.bucket[v] != before[v] {
+							repaired++
+							break
+						}
+					}
+				}
+			}
+			if _, err := s.Repartition(); err != nil {
+				t.Fatal(err)
+			}
+			st, nd := s.st, s.st.nd
+			nq := st.g.NumQueries()
+			if len(nd.mask) != nq*nd.w || len(nd.cnt) != nq*nd.k {
+				t.Fatalf("%s epoch %d: %d mask words and %d counts for %d queries", name, epoch, len(nd.mask), len(nd.cnt), nq)
+			}
+			if bad := rowInvariantViolation(nd); bad != "" {
+				t.Fatalf("%s epoch %d: %s", name, epoch, bad)
+			}
+			fresh := make([]int32, st.k)
+			var wEntries int64
+			for q := range int32(nq) {
+				clear(fresh)
+				for _, v := range st.g.QueryNeighbors(q) {
+					fresh[st.bucket[v]]++
+				}
+				if got := nd.countsOf(q); !slices.Equal(got, fresh) {
+					t.Fatalf("%s epoch %d query %d: row %v, members count %v", name, epoch, q, got, fresh)
+				}
+				wEntries += int64(st.g.QueryWeight(q)) * int64(nd.maskOf(q).count())
+			}
+			for _, q := range removed {
+				if nd.maskOf(q).count() != 0 || slices.Max(nd.countsOf(q)) != 0 {
+					t.Fatalf("%s epoch %d: removed query %d keeps row %v", name, epoch, q, nd.countsOf(q))
+				}
+			}
+			if wEntries != nd.wEntries {
+				t.Fatalf("%s epoch %d: Σ w·|mask| = %d, maintained wEntries %d", name, epoch, wEntries, nd.wEntries)
+			}
+		}
+		if len(removed) == 0 || added == 0 || repaired == 0 {
+			t.Fatalf("%s: %d removed, %d added hyperedges, %d repaired epochs; some edit path went undriven", name, len(removed), added, repaired)
+		}
 	}
 }

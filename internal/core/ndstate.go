@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shp/internal/hypergraph"
 )
@@ -13,30 +14,30 @@ import (
 // (internal/distshp) — maintains the same two structures between move
 // batches:
 //
-//   - per-query neighbor data: for each query, the sorted sparse list of
-//     (bucket, count) pairs over its adjacent data vertices;
+//   - per-query neighbor data: for each query, the count n_b(q) of its
+//     adjacent data vertices in each bucket b;
 //   - per-vertex Equation 1 accumulators: sums of gain-table terms T[·]
 //     whose inputs are exactly those counts.
 //
-// This file is the one implementation of the neighbor-data side: a
-// fixed-capacity sorted CSR (ndState) with in-place ±1 count transfers,
-// plus the dirty-query machinery that snapshots each touched query's
-// pre-batch segment, diffs out the net per-bucket changes, and hands the
-// canonical (bucket, cOld, cNew) records to the refiner so it can patch
-// its members' accumulators through GainTables.DeltaOwn/DeltaAway.
-// Because every table value lies on the shared dyadic grid (gainGridBits),
-// a patched accumulator is bit-identical to a from-scratch resummation in
-// any order — the property all the "every rebuild schedule yields the same
-// bytes" guarantees rest on.
+// This file is the one implementation of SHP-k's neighbor-data side: one
+// pin-count row per query (ndState) — a connectivity mask beside dense
+// counts, Mt-KaHyPar's layout — with ±1 count transfers, plus the
+// dirty-query machinery that snapshots each touched query's pre-batch row,
+// diffs out the net per-bucket changes, and hands the canonical
+// (bucket, cOld, cNew) records to the refiner so it can patch its members'
+// accumulators through GainTables.DeltaOwn/DeltaAway. Because every table
+// value lies on the shared dyadic grid (gainGridBits), a patched
+// accumulator is bit-identical to a from-scratch resummation in any order —
+// the property all the "every rebuild schedule yields the same bytes"
+// guarantees rest on.
 //
-// The entry types and slice-level operations are exported so the
-// distributed plane's query vertices can keep their own per-query mirrors
-// (one sorted slice per vertex rather than a CSR) in exactly the same
-// canonical layout, sharing the diff code bit for bit.
+// The distributed plane's query vertices keep their own per-query mirrors
+// (one sorted NDEntry slice per vertex) with the slice operations below;
+// their NDDiff emits the same canonical records, in the same ascending
+// bucket order, as the row diff.
 
-// NDEntry is one live neighbor-data slot: bucket B holds C of the owning
-// query's data vertices. Interleaving bucket and count keeps the Equation 1
-// sweep on a single memory stream.
+// NDEntry is one live slot of a distributed query vertex's neighbor-data
+// mirror: bucket B holds C of the owning query's data vertices.
 type NDEntry struct {
 	B, C int32
 }
@@ -63,32 +64,33 @@ type move struct {
 
 // deltaScratch is the reusable dirty-query diff state of one move batch.
 type deltaScratch struct {
-	snapArena []NDEntry // pre-batch segment snapshots, concatenated
-	snapOff   []int32   // snapshot offsets per dirty query (+ sentinel)
-	dirtyQ    []int32   // dirty queries in first-touch order
-	recs      []NDChange
-	groups    []changeGroup
+	snapMask []uint64 // pre-batch row snapshots, one per dirty query in dirtyQ order
+	snapCnt  []int32
+	dirtyQ   []int32 // dirty queries in first-touch order
+	recs     []NDChange
+	groups   []changeGroup
 }
 
 func (ds *deltaScratch) reset() {
-	ds.snapArena = ds.snapArena[:0]
-	ds.snapOff = ds.snapOff[:0]
+	ds.snapMask = ds.snapMask[:0]
+	ds.snapCnt = ds.snapCnt[:0]
 	ds.dirtyQ = ds.dirtyQ[:0]
 	ds.recs = ds.recs[:0]
 	ds.groups = ds.groups[:0]
 }
 
-// ndState is the sparse neighbor data over queries, stored as a
-// fixed-capacity CSR so entries can be inserted and removed in place:
-// query q owns the segment [off[q], off[q+1]) with capacity min(deg(q), k),
-// of which the first len[q] slots are live. Entries are kept sorted by
-// bucket id — the canonical order both the full rebuild and the incremental
-// maintenance produce, so the two paths are interchangeable bit for bit.
+// ndState is the neighbor data over queries, one fixed-size row per query:
+// query q's ⌈k/64⌉-word connectivity mask at mask[q·w:], and its k pin
+// counts n_b(q) at cnt[q·k:]. Mask bit b is set exactly when count b is
+// nonzero, so walking the mask's bits visits the live entries in ascending
+// bucket order — the canonical order of every consumer. A move is one
+// decrement, one increment and at most two bit flips; nothing is inserted,
+// removed or re-sorted. Memory is |Q|·(4k + 8⌈k/64⌉) bytes.
 type ndState struct {
-	off []int64
-	len []int32
-	ent []NDEntry
-	// wEntries is the query-weighted live-entry count Σ_q w_q·len[q] — the
+	k, w int
+	mask bucketSet
+	cnt  []int32
+	// wEntries is the query-weighted connectivity Σ_q w_q·|mask_q| — the
 	// numerator of the average fanout, kept exact through every edit so
 	// reading the fanout never recounts (on a unit-weight graph it is the
 	// plain entry count).
@@ -98,129 +100,93 @@ type ndState struct {
 	// delta application; delta holds the last batch's changes.
 	dirtyFlag []uint8
 	delta     deltaScratch
-
-	// ndBuild's scratch: k-indexed bucket counts and the bitset of the
-	// buckets they hold, both empty between queries.
-	buildCnt []int32
-	buildSet bucketSet
 }
 
-// newNDState sizes the CSR for g: a query with degree d can touch at most
-// min(d, k) distinct buckets, so its segment never overflows.
+// newNDState allocates one zeroed row per query of g over k buckets.
 func newNDState(g *hypergraph.Bipartite, k int) *ndState {
 	nq := g.NumQueries()
-	nd := &ndState{
-		off:       make([]int64, nq+1),
-		len:       make([]int32, nq),
+	w := (k + 63) >> 6
+	return &ndState{
+		k: k, w: w,
+		mask:      make(bucketSet, nq*w),
+		cnt:       make([]int32, nq*k),
 		dirtyFlag: make([]uint8, nq),
-		buildCnt:  make([]int32, k),
-		buildSet:  newBucketSet(k),
 	}
-	for q := 0; q < nq; q++ {
-		c := g.QueryDegree(int32(q))
-		if c > k {
-			c = k
-		}
-		nd.off[q+1] = nd.off[q] + int64(c)
-	}
-	nd.ent = make([]NDEntry, nd.off[nq])
-	return nd
 }
 
-// seg returns query q's live entries.
-func (nd *ndState) seg(q int32) []NDEntry {
-	off := nd.off[q]
-	return nd.ent[off : off+int64(nd.len[q])]
+// maskOf returns query q's connectivity mask.
+func (nd *ndState) maskOf(q int32) bucketSet {
+	off := int(q) * nd.w
+	return nd.mask[off : off+nd.w]
 }
 
-// appendQuery grows the CSR by one query with the given segment capacity
-// (warm sessions splice in hyperedges added since the last sync).
-func (nd *ndState) appendQuery(capacity int32) {
-	nq := len(nd.len)
-	nd.off = append(nd.off, nd.off[nq]+int64(capacity))
-	nd.len = append(nd.len, 0)
-	if need := nd.off[nq+1]; int64(len(nd.ent)) < need {
-		nd.ent = append(nd.ent, make([]NDEntry, need-int64(len(nd.ent)))...)
+// countsOf returns query q's k pin counts.
+func (nd *ndState) countsOf(q int32) []int32 {
+	off := int(q) * nd.k
+	return nd.cnt[off : off+nd.k]
+}
+
+// appendQueries grows the arena by n zeroed rows (warm sessions splice in
+// hyperedges added since the last sync). append's amortised growth keeps a
+// session's row arena from being copied on every sync.
+func (nd *ndState) appendQueries(n int) {
+	nd.mask = append(nd.mask, make(bucketSet, n*nd.w)...)
+	nd.cnt = append(nd.cnt, make([]int32, n*nd.k)...)
+	nd.dirtyFlag = append(nd.dirtyFlag, make([]uint8, n)...)
+}
+
+// fillRow recounts query q's row from its members' buckets.
+func (nd *ndState) fillRow(q int32, members, bucket []int32) {
+	m, c := nd.maskOf(q), nd.countsOf(q)
+	clear(m)
+	clear(c)
+	for _, d := range members {
+		b := bucket[d]
+		m.add(b)
+		c[b]++
 	}
-	nd.dirtyFlag = append(nd.dirtyFlag, 0)
 }
 
-// build recomputes the neighbor data from scratch (supersteps 1–2 of
-// Figure 3). Entries land in canonical sorted-by-bucket order, matching
-// what incremental maintenance preserves. Offsets are fixed capacities, so
-// one pass suffices. Buckets in `bucket` are below the k of newNDState.
+// ndBuild recomputes the neighbor data from scratch (supersteps 1–2 of
+// Figure 3), one row per query. Buckets in `bucket` are below the k of
+// newNDState.
 func ndBuild(nd *ndState, g *hypergraph.Bipartite, bucket []int32) {
-	cnt, set := nd.buildCnt, nd.buildSet
 	nd.wEntries = 0
 	for q := int32(0); int(q) < g.NumQueries(); q++ {
-		for _, d := range g.QueryNeighbors(q) {
-			b := bucket[d]
-			set.add(b)
-			cnt[b]++
-		}
-		off := nd.off[q]
-		pos := off
-		for b := range set.drain {
-			nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
-			cnt[b] = 0
-			pos++
-		}
-		nd.len[q] = int32(pos - off)
-		nd.wEntries += int64(g.QueryWeight(q)) * int64(nd.len[q])
+		nd.fillRow(q, g.QueryNeighbors(q), bucket)
+		nd.wEntries += int64(g.QueryWeight(q)) * int64(nd.maskOf(q).count())
 	}
 }
 
-// applyEntryDelta moves one unit of query q's neighbor count from bucket
-// `from` to bucket `to`, preserving sorted order, and returns the live-entry
-// delta (-1, 0, or +1).
-func (nd *ndState) applyEntryDelta(q, from, to int32) int64 {
-	off := nd.off[q]
-	n := int64(nd.len[q])
-	var delta int64
-	i := off
-	for ; i < off+n; i++ {
-		if nd.ent[i].B == from {
-			break
-		}
-	}
-	if i == off+n {
+// transfer moves one unit of query q's pin count from bucket `from` to
+// bucket `to` and returns the change in q's connectivity (-1, 0, or +1).
+func (nd *ndState) transfer(q, from, to int32) int64 {
+	m, c := nd.maskOf(q), nd.countsOf(q)
+	if c[from] == 0 {
 		//shp:panics(invariant: an incremental retract must match a prior assert; continuing would corrupt neighbor counts)
 		panic(fmt.Sprintf("core: neighbor data for query %d lost bucket %d", q, from))
 	}
-	nd.ent[i].C--
-	if nd.ent[i].C == 0 {
-		copy(nd.ent[i:off+n-1], nd.ent[i+1:off+n])
-		n--
+	var delta int64
+	if c[from]--; c[from] == 0 {
+		m[from>>6] &^= 1 << (uint32(from) & 63)
 		delta--
 	}
-	j := off
-	for ; j < off+n; j++ {
-		if nd.ent[j].B >= to {
-			break
-		}
-	}
-	if j < off+n && nd.ent[j].B == to {
-		nd.ent[j].C++
-	} else {
-		copy(nd.ent[j+1:off+n+1], nd.ent[j:off+n])
-		nd.ent[j] = NDEntry{B: to, C: 1}
-		n++
+	if c[to]++; c[to] == 1 {
+		m.add(to)
 		delta++
 	}
-	nd.len[q] = int32(n)
 	return delta
 }
 
 // ndApplyMoveBatch patches the neighbor data in place for the queries
 // adjacent to the accepted moves (decrement the origin's count, increment the
-// target's, inserting/removing sparse entries as they cross zero). Each dirty
-// query's pre-batch segment is snapshotted on first touch and the net
-// per-entry changes are diffed into nd.delta's groups/recs, in first-touch
-// order, so the refiner can fold them into its members' accumulators.
-// accepted must contain each vertex at most once (one move batch), with
-// bucket[v] already holding the destination. It is the small-batch path: a
-// batch big enough that a refiner re-sweeps anyway is cheaper served by
-// ndBuild.
+// target's, flipping mask bits as counts cross zero). Each dirty query's
+// pre-batch row is snapshotted on first touch and the net per-bucket changes
+// are diffed into nd.delta's groups/recs, in first-touch order, so the
+// refiner can fold them into its members' accumulators. accepted must
+// contain each vertex at most once (one move batch), with bucket[v] already
+// holding the destination. It is the small-batch path: a batch big enough
+// that a refiner re-sweeps anyway is cheaper served by ndBuild.
 func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, bucket []int32) {
 	ds := &nd.delta
 	ds.reset()
@@ -230,19 +196,18 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, buc
 			if nd.dirtyFlag[q] == 0 {
 				nd.dirtyFlag[q] = 1
 				ds.dirtyQ = append(ds.dirtyQ, q)
-				ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
-				ds.snapArena = append(ds.snapArena, nd.seg(q)...)
+				ds.snapMask = append(ds.snapMask, nd.maskOf(q)...)
+				ds.snapCnt = append(ds.snapCnt, nd.countsOf(q)...)
 			}
-			if d := nd.applyEntryDelta(q, m.from, to); d != 0 {
+			if d := nd.transfer(q, m.from, to); d != 0 {
 				nd.wEntries += d * int64(g.QueryWeight(q))
 			}
 		}
 	}
-	ds.snapOff = append(ds.snapOff, int32(len(ds.snapArena)))
+	w, k := nd.w, nd.k
 	for i, q := range ds.dirtyQ {
-		old := ds.snapArena[ds.snapOff[i]:ds.snapOff[i+1]]
 		start := int32(len(ds.recs))
-		ds.recs = NDDiff(ds.recs, old, nd.seg(q))
+		ds.recs = rowDiff(ds.recs, ds.snapMask[i*w:(i+1)*w], ds.snapCnt[i*k:(i+1)*k], nd.maskOf(q), nd.countsOf(q))
 		if n := int32(len(ds.recs)) - start; n > 0 {
 			ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
 		}
@@ -250,10 +215,25 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, buc
 	}
 }
 
+// rowDiff appends the (bucket, oldCount, newCount) records for the buckets
+// whose count differs between two rows, walking the union of their masks in
+// ascending bucket order — the records NDDiff emits for the same two states.
+func rowDiff(recs []NDChange, oldMask bucketSet, oldCnt []int32, mask bucketSet, cnt []int32) []NDChange {
+	for wi, m := range mask {
+		for u := m | oldMask[wi]; u != 0; u &= u - 1 {
+			b := wi<<6 | bits.TrailingZeros64(u)
+			if oldCnt[b] != cnt[b] {
+				recs = append(recs, NDChange{B: int32(b), COld: oldCnt[b], CNew: cnt[b]})
+			}
+		}
+	}
+	return recs
+}
+
 // NDDiff appends the (bucket, oldCount, newCount) records for the entries
 // that differ between two sorted segments. 0 means "entry absent" on either
-// side. Shared with the distributed plane's query vertices, whose delta
-// records must match the in-process diff bit for bit.
+// side. The distributed plane's query vertices diff their mirrors with it,
+// and their delta records match the in-process row diff bit for bit.
 func NDDiff(recs []NDChange, old, cur []NDEntry) []NDChange {
 	i, j := 0, 0
 	for i < len(old) || j < len(cur) {
@@ -276,8 +256,8 @@ func NDDiff(recs []NDChange, old, cur []NDEntry) []NDChange {
 }
 
 // NDInc adds one unit of bucket b to a sorted entry slice, inserting the
-// entry if absent, and returns the (possibly reallocated) slice. This is
-// the registration half of applyEntryDelta for callers that keep their own
+// entry if absent, and returns the (possibly reallocated) slice. It is the
+// registration half of a count transfer for callers that keep their own
 // per-query mirrors (the distributed plane's query vertices).
 func NDInc(ent []NDEntry, b int32) []NDEntry {
 	i := 0

@@ -19,7 +19,7 @@ import (
 //   - the hypergraph, mutated in place by Apply(delta);
 //   - the current Assignment;
 //   - the warm refinement state of the direct k-way engine (the neighbor-data
-//     CSR, the per-vertex patchable gain accumulators, and the bucket loads),
+//     rows, the per-vertex patchable gain accumulators, and the bucket loads),
 //     built lazily on the first Repartition and patched — not rebuilt — on
 //     every subsequent one.
 //
@@ -283,18 +283,10 @@ func (s *Session) syncEngine() {
 	g := s.g
 	nq, nd := g.NumQueries(), g.NumData()
 
-	// Per-query growth: fixed-capacity neighbor-data segments for the new
-	// hyperedges land at the tail of the nd arena (capacity min(deg, k),
-	// the same rule construction uses — a hyperedge's membership is
-	// immutable, so the capacity requirement never changes afterwards).
+	// Per-query growth: the new hyperedges' neighbor-data rows land, zeroed,
+	// at the tail of the row arena.
 	if nq > s.engNQ {
-		for q := s.engNQ; q < nq; q++ {
-			c := g.QueryDegree(int32(q))
-			if c > st.k {
-				c = st.k
-			}
-			st.nd.appendQuery(int32(c))
-		}
+		st.nd.appendQueries(nq - s.engNQ)
 		if st.qw != nil {
 			for q := s.engNQ; q < nq; q++ {
 				st.qw = append(st.qw, float64(g.QueryWeight(int32(q))))
@@ -348,35 +340,21 @@ func (s *Session) syncEngine() {
 	}
 	st.totalQW = g.TotalQueryWeight()
 
-	// Seed the new vertices, then splice the neighbor data: removed
-	// hyperedges drop their live entries, added ones get their segment
-	// built from the members' buckets. Each splice carries its share of the
-	// running fanout and objective sums with it.
+	// Seed the new vertices, then splice the neighbor data: every removed
+	// and added hyperedge's row is recounted from its membership (empty for
+	// a removed one). Each splice carries its share of the running fanout
+	// and objective sums with it.
 	placeNewVertices(g, st.bucket, st.bucketW, st.capW, st.k)
-	for _, q := range s.removedQ {
-		if int(q) >= s.engNQ {
-			continue // added and removed within the window: empty segment
-		}
-		st.editQuery(q, func() { st.nd.len[q] = 0 })
+	splice := func(q int32) {
+		st.editQuery(q, func() { st.nd.fillRow(q, g.QueryNeighbors(q), st.bucket) })
 	}
-	cnt := make([]int32, st.k)
-	for q := s.engNQ; q < nq; q++ {
-		st.editQuery(int32(q), func() {
-			pos := st.nd.off[q]
-			n := int32(0)
-			for _, d := range g.QueryNeighbors(int32(q)) {
-				cnt[st.bucket[d]]++
-			}
-			for b := int32(0); int(b) < st.k; b++ {
-				if cnt[b] > 0 {
-					st.nd.ent[pos] = NDEntry{B: b, C: cnt[b]}
-					cnt[b] = 0
-					pos++
-					n++
-				}
-			}
-			st.nd.len[q] = n
-		})
+	for _, q := range s.removedQ {
+		if int(q) < s.engNQ { // a later id is added below
+			splice(q)
+		}
+	}
+	for q := int32(s.engNQ); q < int32(nq); q++ {
+		splice(q)
 	}
 
 	// Deterministic balance repair: placement (or a weight change) may have
@@ -413,7 +391,7 @@ func (s *Session) repairOverCap() {
 		// Repairs are rare and small, so the hub-conservative rebuild
 		// (members instead of patches) costs nothing measurable.
 		for _, q := range s.g.DataNeighbors(v) {
-			st.editQuery(q, func() { st.nd.applyEntryDelta(q, from, to) })
+			st.editQuery(q, func() { st.nd.transfer(q, from, to) })
 			for _, d := range s.g.QueryNeighbors(q) {
 				st.active[d] = activeRebuild
 			}

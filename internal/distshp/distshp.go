@@ -362,7 +362,7 @@ func (st *dataState) applyDelta(tb core.GainTables, r record) {
 }
 
 // queryState is the per-query-vertex state: the paper's "neighbor data",
-// held mapless in the shared kernel's canonical sorted-slice layout
+// held mapless in the kernel's canonical sorted-slice layout
 // (core.NDEntry) so the gain superstep performs zero hash operations. The
 // member registry is an int32 slice aligned with the query's sorted
 // adjacency list — member lookups are binary searches, and the per-level
@@ -370,10 +370,10 @@ func (st *dataState) applyDelta(tb core.GainTables, r record) {
 type queryState struct {
 	q     int32
 	level int
-	// ent is the live neighbor data, sorted by bucket: the distributed
-	// mirror of one in-process CSR segment, maintained through the same
-	// kernel slice operations (core.NDInc/NDDec) and diffed with the same
-	// core.NDDiff, so delta records match the in-process diff bit for bit.
+	// ent is the live neighbor data, sorted by bucket: the mirror of one
+	// in-process pin-count row's live entries, kept by core.NDInc/NDDec and
+	// diffed by core.NDDiff, whose records match the in-process row diff
+	// bit for bit.
 	ent []core.NDEntry
 	// memberBucket[i] is the last known bucket of the i-th member of the
 	// query's sorted adjacency list, -1 while unregistered at this level.
