@@ -13,7 +13,7 @@ func TestIncrementalCountsStayConsistent(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 40, 60, 300)
 		opts := Options{K: 2, P: 0.5, MaxIters: 8}.withDefaults()
-		b := newBisection(g, opts, seed, 0, 0, 1, 1, 0.5, 0.01, 0, nil)
+		b := coldBisection(g, opts, seed, 0, 0, 1, 1, 0.5, 0.01, 0, nil)
 		b.run()
 		// From-scratch recount.
 		for q := 0; q < g.NumQueries(); q++ {
@@ -74,7 +74,7 @@ func TestCapsHoldThroughoutRefinement(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 60, 100, 500)
 		opts := Options{K: 2, P: 0.5, Epsilon: 0.05, MaxIters: 12}.withDefaults()
-		b := newBisection(g, opts, seed, 0, 0, 1, 1, 0.5, opts.Epsilon, 0, nil)
+		b := coldBisection(g, opts, seed, 0, 0, 1, 1, 0.5, opts.Epsilon, 0, nil)
 		b.run()
 		// Allow one max-weight vertex of slack (trim passes stop at first
 		// fit and the two caps can be marginally incompatible).

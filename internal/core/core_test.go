@@ -56,11 +56,31 @@ func fanoutOfSides(g *hypergraph.Bipartite, side []int8) float64 {
 // newTestBisection builds a bisection with explicit initial sides.
 func newTestBisection(g *hypergraph.Bipartite, opts Options, side []int8) *bisection {
 	opts = opts.withDefaults()
-	b := newBisection(g, opts, 42, 0, 0, 1, 1, 0.5, opts.Epsilon, 0, nil)
+	b := coldBisection(g, opts, 42, 0, 0, 1, 1, 0.5, opts.Epsilon, 0, nil)
 	copy(b.side, side)
-	b.recountWeights()
+	b.recountWeights(weightOf(g))
 	b.recountNeighborData()
 	return b
+}
+
+// coldBisection is newBisection from the start the recursion draws for its
+// root: initialSplit, then recountNeighborData. idealPerBucket <= 0 stands
+// for g's own.
+func coldBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, task int,
+	tLeft, tRight int, propLeft, eps, idealPerBucket float64, home []int8) *bisection {
+
+	total := g.TotalDataWeight()
+	if idealPerBucket <= 0 {
+		idealPerBucket = float64(total) / float64(tLeft+tRight)
+	}
+	st := startState{side: make([]int8, g.NumData()), home: home}
+	st.initialSplit(newBalance(total, tLeft, tRight, propLeft, eps, idealPerBucket), seed, weightOf(g))
+	return newBisection(g, opts, seed, level, task, tLeft, tRight, propLeft, eps, idealPerBucket, st)
+}
+
+// weightOf is g's data weight in the form initialSplit and recountWeights take.
+func weightOf(g *hypergraph.Bipartite) func(int) int64 {
+	return func(v int) int64 { return int64(g.DataWeight(int32(v))) }
 }
 
 func TestFigure2FanoutIsLocalMinimum(t *testing.T) {
@@ -128,7 +148,7 @@ func TestGainMatchesObjectiveDelta(t *testing.T) {
 		cfg.opts = cfg.opts.withDefaults()
 		err := quick.Check(func(seed uint64, vRaw uint16) bool {
 			g := randomBipartite(t, seed, 12, 16, 70)
-			b := newBisection(g, cfg.opts, seed, 0, 0, cfg.tL, cfg.tR, 0.5, 0.05, 0, nil)
+			b := coldBisection(g, cfg.opts, seed, 0, 0, cfg.tL, cfg.tR, 0.5, 0.05, 0, nil)
 			v := int32(vRaw) % 16
 			b.computeGains()
 			gain := b.gains[v]

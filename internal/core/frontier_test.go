@@ -72,12 +72,12 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 	}
 	opts := Options{K: 2, P: 0.5, MinMoveFraction: 1e-9}.withDefaults()
 
-	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(t, cold.run(), 0.003)
 	run := func(rebuildEvery int) *bisection {
 		o := opts
 		o.NDRebuildEvery = rebuildEvery
-		b := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
+		b := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
 	}
@@ -137,7 +137,7 @@ func BenchmarkConvergedIteration(b *testing.B) {
 	// Run to true convergence (moved == 0) instead of the default moved-
 	// fraction cutoff: the whole point is the cost of the near-idle tail.
 	opts := Options{K: 2, P: 0.5, MinMoveFraction: 1e-9}.withDefaults()
-	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(b, cold.run(), 0.001)
 	for _, engine := range []struct {
 		name         string
@@ -148,7 +148,7 @@ func BenchmarkConvergedIteration(b *testing.B) {
 			o.NDRebuildEvery = engine.rebuildEvery
 			var iters, frontier, work int64
 			for i := 0; i < b.N; i++ {
-				bis := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
+				bis := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
 				bis.run()
 				// Per-iteration metrics over the late iterations only:
 				// iteration 0 evaluates everything on any schedule, and folding
@@ -197,7 +197,7 @@ func TestPeriodOneIsFullRecomputation(t *testing.T) {
 	}
 	t.Run("SHP2", func(t *testing.T) {
 		opts := Options{K: 2, P: 0.5, NDRebuildEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
-		b := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+		b := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 		b.run()
 		check(t, b.work, 2)
 	})

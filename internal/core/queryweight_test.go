@@ -35,7 +35,7 @@ func TestWeightedGainMatchesObjectiveDelta(t *testing.T) {
 	opts := Options{K: 2, P: 0.5}.withDefaults()
 	err := quick.Check(func(seed uint64, vRaw uint16) bool {
 		g := weightedBipartite(t, seed, 12, 16, 70)
-		b := newBisection(g, opts, seed, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+		b := coldBisection(g, opts, seed, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 		v := int32(vRaw) % 16
 		b.computeGains()
 		gain := b.gains[v]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"shp/internal/hypergraph"
@@ -25,12 +26,30 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 }
 
 // rtask is one recursion node: split the data vertices of sub, whose
-// original ids data lists in sub's order, over the bucket range [lo, hi).
+// original ids data lists in sub's order, over the bucket range [lo, hi),
+// with a bisection that starts from start.
 type rtask struct {
-	sub  *hypergraph.Bipartite
-	data []int32
-	lo   int32
-	hi   int32
+	sub   *hypergraph.Bipartite
+	data  []int32
+	lo    int32
+	hi    int32
+	start startState
+}
+
+// taskOut is a recursion node's children and its bisection's history.
+type taskOut struct {
+	children []rtask
+	history  []IterStats
+	work     []WorkStats
+}
+
+// recursion is what every node of one SHP-2 run shares.
+type recursion struct {
+	g          *hypergraph.Bipartite // the input graph: data weights by original id
+	opts       Options
+	levels     int     // recursion depth, levelsFor(K)
+	ideal      float64 // ideal weight of one final bucket
+	assignment partition.Assignment
 }
 
 // partitionRecursive implements recursive bisection (SHP-2). Each level
@@ -41,11 +60,10 @@ type rtask struct {
 // most par.Workers(Parallelism) at once.
 func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	nd := g.NumData()
-	assignment := make(partition.Assignment, nd)
-	res := &Result{K: opts.K}
-
+	r := &recursion{g: g, opts: opts, levels: levelsFor(opts.K),
+		ideal: float64(g.TotalDataWeight()) / float64(opts.K), assignment: make(partition.Assignment, nd)}
+	res := &Result{K: opts.K, Assignment: r.assignment}
 	if opts.K == 1 {
-		res.Assignment = assignment
 		return res, nil
 	}
 
@@ -55,22 +73,11 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 	}
 	// The root bisects g without the hyperedges of fewer than two members,
 	// which no split can cut and every deeper node drops as well.
-	tasks := []rtask{{sub: hypergraph.PruneTrivialQueries(g, 2), data: all, lo: 0, hi: int32(opts.K)}}
-	totalLevels := levelsFor(opts.K)
-	idealPerBucket := float64(g.TotalDataWeight()) / float64(opts.K)
+	root := rtask{sub: hypergraph.PruneTrivialQueries(g, 2), data: all, lo: 0, hi: int32(opts.K)}
+	root.start = r.drawStart(0, root, g.TotalDataWeight())
+	tasks := []rtask{root}
 
 	for level := 0; len(tasks) > 0; level++ {
-		// Section 3.4: grant ε scaled by the share of recursive splits done
-		// once this level completes, so early levels stay tight and do not
-		// strangle later movement (K >= 2 here, so totalLevels >= 1).
-		eps := opts.Epsilon * float64(level+1) / float64(totalLevels)
-
-		type taskOut struct {
-			children []rtask
-			history  []IterStats
-			work     []WorkStats
-			iters    int
-		}
 		outs := make([]taskOut, len(tasks))
 		// A goroutine per task even at Parallelism 1: running the tasks back
 		// to back on one goroutine measured 5–9 % more peak RSS on
@@ -82,10 +89,8 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 			sem <- struct{}{}
 			go func() {
 				t := tasks[ti]
-				tasks[ti].sub = nil // t holds the last reference: the subgraph goes once its children exist
-				seed := rng.Mix(opts.Seed, rng.Mix(uint64(level)+1, uint64(t.lo)))
-				children, hist, work, iters := splitTask(opts, t, seed, level, eps, idealPerBucket, assignment)
-				outs[ti] = taskOut{children: children, history: hist, work: work, iters: iters}
+				tasks[ti] = rtask{} // t holds the last reference: the subgraph and start go once the children exist
+				outs[ti] = r.splitTask(t, level)
 				<-sem
 				wg.Done()
 			}()
@@ -96,31 +101,37 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 		for ti := range outs {
 			res.History = append(res.History, outs[ti].history...)
 			res.Work = append(res.Work, outs[ti].work...)
-			res.Iterations += outs[ti].iters
+			res.Iterations += len(outs[ti].history)
 			children = append(children, outs[ti].children...)
 		}
 		tasks = children
 	}
-
-	res.Assignment = assignment
 	return res, nil
 }
 
-// splitTask splits one recursion node with a bisection on its subgraph. A
-// child whose bucket range is a single bucket is assigned on the spot; the
-// others are returned with their subgraphs, cut from t.sub in one pass.
-func splitTask(opts Options, t rtask, seed uint64,
-	level int, eps, idealPerBucket float64, assignment partition.Assignment) ([]rtask, []IterStats, []WorkStats, int) {
+// node returns the seed, bucket split, side-0 weight share and ε of the
+// bisection of [lo, hi) at level. Section 3.4 scales ε by the share of splits
+// done once the level completes, so early levels stay tight and do not
+// strangle later movement.
+func (r *recursion) node(level int, lo, hi int32) (seed uint64, kLeft, kRight int, propLeft, eps float64) {
+	span := int(hi - lo)
+	kLeft = (span + 1) / 2
+	seed = rng.Mix(r.opts.Seed, rng.Mix(uint64(level)+1, uint64(lo)))
+	eps = r.opts.Epsilon * float64(level+1) / float64(r.levels)
+	return seed, kLeft, span - kLeft, float64(kLeft) / float64(span), eps
+}
 
+// splitTask splits one recursion node with a bisection on its subgraph. A
+// child whose bucket range is a single bucket is assigned on the spot. The
+// others are returned with their subgraphs, cut from t.sub in one pass from
+// the counts the bisection ends with, and their starts: drawn before the cut,
+// which counts each child's hyperedges under them as it writes them.
+func (r *recursion) splitTask(t rtask, level int) taskOut {
 	if len(t.data) == 0 {
-		return nil, nil, nil, 0
+		return taskOut{}
 	}
-	span := int(t.hi - t.lo)
-	kLeft := (span + 1) / 2
-	kRight := span - kLeft
-	propLeft := float64(kLeft) / float64(span)
-	home := warmStartSides(opts, t, int32(kLeft))
-	b := newBisection(t.sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
+	seed, kLeft, kRight, propLeft, eps := r.node(level, t.lo, t.hi)
+	b := newBisection(t.sub, r.opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, r.ideal, t.start)
 	side := b.run()
 
 	mid := t.lo + int32(kLeft)
@@ -136,26 +147,41 @@ func splitTask(opts Options, t rtask, seed uint64,
 		kids[side[i]].data = append(kids[side[i]].data, d)
 	}
 	var want [2]bool
-	for c, kid := range kids {
+	var next [2][]int8
+	for c := range kids {
+		kid := &kids[c]
 		if kid.hi-kid.lo <= 1 {
 			for _, d := range kid.data {
-				assignment[d] = kid.lo
+				r.assignment[d] = kid.lo
 			}
 			continue
 		}
-		want[c] = len(kid.data) > 0
+		if want[c] = len(kid.data) > 0; want[c] {
+			kid.start = r.drawStart(level+1, *kid, b.w[c])
+			next[c] = kid.start.side
+		}
 	}
-	var children []rtask
+	out := taskOut{history: b.history, work: b.work}
 	if want[0] || want[1] {
-		subs := t.sub.SplitBySide(side, want, 2)
+		subs, counts := t.sub.SplitBySide(side, b.n, next, want, 2)
 		for c, kid := range kids {
 			if want[c] {
-				kid.sub = subs[c]
-				children = append(children, kid)
+				kid.sub, kid.start.n = subs[c], counts[c]
+				out.children = append(out.children, kid)
 			}
 		}
 	}
-	return children, b.history, b.work, len(b.history)
+	return out
+}
+
+// drawStart draws the sides and home sides of node t, of data weight total,
+// at level. It reads no subgraph, so a parent draws its children's first.
+func (r *recursion) drawStart(level int, t rtask, total int64) startState {
+	seed, kLeft, kRight, propLeft, eps := r.node(level, t.lo, t.hi)
+	st := startState{side: make([]int8, len(t.data)), home: warmStartSides(r.opts, t, int32(kLeft))}
+	st.initialSplit(newBalance(total, kLeft, kRight, propLeft, eps, r.ideal), seed,
+		func(v int) int64 { return int64(r.g.DataWeight(t.data[v])) })
+	return st
 }
 
 // warmStartSides derives per-vertex home sides (0 = left child, 1 = right)
@@ -182,10 +208,4 @@ func warmStartSides(opts Options, t rtask, kLeft int32) []int8 {
 }
 
 // levelsFor returns the recursion depth: ceil(log2 k).
-func levelsFor(k int) int {
-	levels := 0
-	for span := 1; span < k; span *= 2 {
-		levels++
-	}
-	return levels
-}
+func levelsFor(k int) int { return bits.Len(uint(k - 1)) }

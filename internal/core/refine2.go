@@ -14,10 +14,10 @@ import (
 // # The incremental engine
 //
 // Like the SHP-k refiner (direct.go), the bisection runs on the shared
-// incremental-gain kernel (ndstate.go). Its neighbor data is the two-bucket
-// special case of the kernel's per-query segments — a (c0, c1) pair — so
-// the counts live in two dense arrays rather than a sparse CSR, but
-// everything downstream of a count change is the kernel's machinery:
+// incremental-gain kernel (ndstate.go). Its neighbor data is SHP-k's
+// pin-count row at K = 2 — a (c0, c1) pair per query, held in two dense
+// arrays without the connectivity mask, which two counts make redundant —
+// and everything downstream of a count change is the kernel's machinery:
 //
 //   - Every data vertex carries its Equation 1 state in patchable form:
 //     accOwn = Σ_q wq·T_cur[n_cur(q)−1] and accOth = Σ_q wq·T_oth[n_oth(q)],
@@ -49,20 +49,9 @@ type bisection struct {
 
 	level, task int
 	IterPolicy
-
-	// Lookahead split counts: side 0 will later split into tSplit[0] final
-	// buckets, side 1 into tSplit[1] (Section 3.4's final-p-fanout
-	// approximation). Both 1 at leaf level.
-	tSplit [2]int
 	tables [2]GainTables
-
-	// eps is the imbalance allowance granted to this recursion level.
-	eps float64
-
-	side []int8     // current side of each data vertex
-	home []int8     // warm-start side, -1 when absent (for MoveCostPenalty)
-	n    [2][]int32 // per-query neighbor counts per side
-	w    [2]int64   // side weights
+	balance
+	startState
 
 	// Engine state: accOwn/accOth are the per-vertex patchable Equation 1
 	// accumulators; d holds each dirty query's net per-side count delta for
@@ -93,9 +82,6 @@ type bisection struct {
 	decidedList []int32
 	arrivalsBuf []int32
 
-	targetW [2]float64
-	capW    [2]float64
-
 	gains []float64
 
 	// qw holds per-query weights as float64 (nil when unit-weighted):
@@ -118,22 +104,29 @@ type bisection struct {
 	work    []WorkStats
 }
 
-// newBisection prepares a subproblem. propLeft is the share of total weight
-// destined for side 0 (e.g. 3/5 when splitting 5 buckets into 3+2).
-// idealPerBucket is the global ideal weight of one final bucket
-// (total graph weight / K); balance caps are expressed against it so that
-// per-level ε allowances telescope to the overall (1+ε)·n/k bound instead of
-// compounding. Pass <= 0 to derive it from the subproblem itself.
+// startState is where a bisection starts.
+type startState struct {
+	side []int8     // current side of each data vertex
+	n    [2][]int32 // per-query neighbor counts per side
+	w    [2]int64   // side weights
+	home []int8     // warm-start side, -1 when absent (for MoveCostPenalty)
+}
+
+// newBisection prepares a subproblem on g that starts from start: a node
+// of the recursion, whose sides are always drawn before it runs (drawStart).
+// Its counts are the parent split's hand-off; only the root's, which no
+// split counted, are recounted here. Side 0 will later split into tLeft
+// final buckets and side 1 into tRight (Section 3.4's final-p-fanout
+// lookahead), and eps is the level's imbalance allowance; see newBalance.
 func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, task int,
-	tLeft, tRight int, propLeft, eps, idealPerBucket float64, home []int8) *bisection {
+	tLeft, tRight int, propLeft, eps, idealPerBucket float64, start startState) *bisection {
 
 	b := &bisection{
 		g: g, opts: opts, seed: seed,
 		level: level, task: task,
 		IterPolicy: opts.iterPolicy(),
-		tSplit:     [2]int{tLeft, tRight},
-		eps:        eps,
-		home:       home,
+		balance:    newBalance(g.TotalDataWeight(), tLeft, tRight, propLeft, eps, idealPerBucket),
+		startState: start,
 	}
 	maxN := g.MaxQueryDegree()
 	b.tables[0] = tablesFor(opts, tLeft, maxN)
@@ -141,11 +134,12 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 
 	nd := g.NumData()
 	nq := g.NumQueries()
-	b.side = make([]int8, nd)
+	if b.n[0] == nil {
+		b.n = [2][]int32{make([]int32, nq), make([]int32, nq)}
+		b.recountNeighborData()
+	}
 	b.gains = make([]float64, nd)
 	b.bins = newGainBins(nd)
-	b.n[0] = make([]int32, nq)
-	b.n[1] = make([]int32, nq)
 	b.accOwn = make([]float64, nd)
 	b.accOth = make([]float64, nd)
 	b.active = make([]uint8, nd)
@@ -159,89 +153,97 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 			b.qw[q] = float64(g.QueryWeight(int32(q)))
 		}
 	}
-
-	total := g.TotalDataWeight()
-	b.targetW[0] = float64(total) * propLeft
-	b.targetW[1] = float64(total) - b.targetW[0]
-	if idealPerBucket <= 0 {
-		idealPerBucket = float64(total) / float64(tLeft+tRight)
-	}
-	b.capW[0] = idealPerBucket * float64(tLeft) * (1 + eps)
-	b.capW[1] = idealPerBucket * float64(tRight) * (1 + eps)
-
-	b.initialSplit(propLeft)
-	b.recountNeighborData()
 	return b
 }
 
-// initialSplit assigns sides. With a warm start (home), vertices keep their
-// home side and only balance violations are repaired; otherwise a random
-// permutation is cut at the target weight, giving the near-perfect initial
-// balance the paper's random initialization relies on.
-func (b *bisection) initialSplit(propLeft float64) {
-	nd := b.g.NumData()
-	if b.home != nil {
-		copy(b.side, b.home)
-		for i, h := range b.home {
+// balance is a bisection's weight frame: the share of its weight destined
+// for side 0, and each side's target and cap.
+type balance struct {
+	propLeft      float64
+	targetW, capW [2]float64
+}
+
+// newBalance frames a node of total weight whose buckets split tLeft+tRight.
+// Caps are expressed against idealPerBucket, the global ideal weight of one
+// final bucket (total graph weight / K), so that per-level ε allowances
+// telescope to the overall (1+ε)·n/k bound instead of compounding.
+func newBalance(total int64, tLeft, tRight int, propLeft, eps, idealPerBucket float64) balance {
+	bal := balance{propLeft: propLeft}
+	bal.targetW[0] = float64(total) * propLeft
+	bal.targetW[1] = float64(total) - bal.targetW[0]
+	bal.capW[0] = idealPerBucket * float64(tLeft) * (1 + eps)
+	bal.capW[1] = idealPerBucket * float64(tRight) * (1 + eps)
+	return bal
+}
+
+// initialSplit draws the sides and their weights under bal; weight(v) is data
+// vertex v's weight. With a warm start (home), vertices keep their home side
+// and only balance violations are repaired; otherwise a random permutation is
+// cut at the target weight, giving the near-perfect initial balance the
+// paper's random initialization relies on.
+func (st *startState) initialSplit(bal balance, seed uint64, weight func(int) int64) {
+	if st.home != nil {
+		copy(st.side, st.home)
+		for i, h := range st.home {
 			if h < 0 {
 				// Vertex without a warm-start side: deterministic coin.
-				if rng.CoinAt(b.seed^0x5157, uint64(i)) < propLeft {
-					b.side[i] = 0
+				if rng.CoinAt(seed^0x5157, uint64(i)) < bal.propLeft {
+					st.side[i] = 0
 				} else {
-					b.side[i] = 1
+					st.side[i] = 1
 				}
 			}
 		}
-		b.recountWeights()
-		b.repairBalance()
+		st.recountWeights(weight)
+		st.repairBalance(bal, seed, weight)
 		return
 	}
-	order := rng.NewStream(b.seed, 0xF00D).Perm(nd)
+	order := rng.NewStream(seed, 0xF00D).Perm(len(st.side))
 	var acc float64
 	for _, v := range order {
-		wv := float64(b.g.DataWeight(int32(v)))
-		if acc+wv/2 < b.targetW[0] {
-			b.side[v] = 0
+		wv := float64(weight(v))
+		if acc+wv/2 < bal.targetW[0] {
+			st.side[v] = 0
 			acc += wv
 		} else {
-			b.side[v] = 1
+			st.side[v] = 1
 		}
 	}
-	b.recountWeights()
+	st.recountWeights(weight)
 }
 
-func (b *bisection) recountWeights() {
-	b.w[0], b.w[1] = 0, 0
-	for v := 0; v < b.g.NumData(); v++ {
-		b.w[b.side[v]] += int64(b.g.DataWeight(int32(v)))
+func (st *startState) recountWeights(weight func(int) int64) {
+	st.w[0], st.w[1] = 0, 0
+	for v, s := range st.side {
+		st.w[s] += weight(v)
 	}
 }
 
 // repairBalance flips vertices from the over-cap side (in deterministic
 // random order) until both caps hold. Needed only for warm starts.
-func (b *bisection) repairBalance() {
+func (st *startState) repairBalance(bal balance, seed uint64, weight func(int) int64) {
 	for s := 0; s < 2; s++ {
-		if float64(b.w[s]) <= b.capW[s] {
+		if float64(st.w[s]) <= bal.capW[s] {
 			continue
 		}
-		order := rng.NewStream(b.seed, 0xBA1A).Perm(b.g.NumData())
+		order := rng.NewStream(seed, 0xBA1A).Perm(len(st.side))
 		for _, v := range order {
-			if float64(b.w[s]) <= b.targetW[s] {
+			if float64(st.w[s]) <= bal.targetW[s] {
 				break
 			}
-			if b.side[v] != int8(s) {
+			if st.side[v] != int8(s) {
 				continue
 			}
-			b.side[v] = int8(1 - s)
-			wv := int64(b.g.DataWeight(int32(v)))
-			b.w[s] -= wv
-			b.w[1-s] += wv
+			st.side[v] = int8(1 - s)
+			wv := weight(v)
+			st.w[s] -= wv
+			st.w[1-s] += wv
 		}
 	}
 }
 
 // recountNeighborData rebuilds the per-query side counts from scratch (the
-// two-bucket form of the kernel's ndBuild).
+// two-bucket form of the kernel's ndBuild): the root's start and Rebuild.
 func (b *bisection) recountNeighborData() {
 	for q := range int32(b.g.NumQueries()) {
 		var c0, c1 int32

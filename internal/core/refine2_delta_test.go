@@ -28,7 +28,7 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		g := randomBipartite(t, seed, 60, 120, 700)
 		opts := Options{K: 2, P: 0.5, Epsilon: 10}.withDefaults()
-		b := newBisection(g, opts, seed, 0, 0, 1, 2, 0.5, 10, 0, nil)
+		b := coldBisection(g, opts, seed, 0, 0, 1, 2, 0.5, 10, 0, nil)
 		b.computeGains()
 		r := rng.New(seed ^ 0xBEEF)
 		for round := 0; round < 25; round++ {
@@ -57,9 +57,9 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 			b.finishPatch(movers)
 			b.computeGains()
 
-			ref := newBisection(g, opts, seed, 0, 0, 1, 2, 0.5, 10, 0, nil)
+			ref := coldBisection(g, opts, seed, 0, 0, 1, 2, 0.5, 10, 0, nil)
 			copy(ref.side, b.side)
-			ref.recountWeights()
+			ref.recountWeights(weightOf(g))
 			ref.recountNeighborData()
 			ref.computeGains()
 			for q := 0; q < g.NumQueries(); q++ {
@@ -111,7 +111,7 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 	}
 	opts := Options{K: 2, P: 0.5, MinMoveFraction: 1e-9}.withDefaults()
 
-	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	sides := cold.run()
 	home := append([]int8(nil), sides...)
 	r := rng.New(7)
@@ -122,7 +122,7 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 	run := func(rebuildEvery int) *bisection {
 		o := opts
 		o.NDRebuildEvery = rebuildEvery
-		b := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
+		b := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
 	}
@@ -166,7 +166,7 @@ func BenchmarkBisectionDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := Options{K: 2, P: 0.5}.withDefaults()
-	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
+	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	sides := cold.run()
 	perturb := func(frac float64) []int8 {
 		home := append([]int8(nil), sides...)
@@ -188,7 +188,7 @@ func BenchmarkBisectionDelta(b *testing.B) {
 				o.NDRebuildEvery = engine.rebuildEvery
 				var iters int
 				for i := 0; i < b.N; i++ {
-					bis := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
+					bis := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
 					bis.run()
 					iters = len(bis.history)
 				}
@@ -270,7 +270,7 @@ func TestBisectionGainMatchesEquation1(t *testing.T) {
 					}
 				}
 				propLeft := float64(arm.tLeft) / float64(arm.tLeft+arm.tRight)
-				b := newBisection(g, opts, seed, 0, 0, arm.tLeft, arm.tRight, propLeft, 10, 0, home)
+				b := coldBisection(g, opts, seed, 0, 0, arm.tLeft, arm.tRight, propLeft, 10, 0, home)
 				check := func(stage string) {
 					t.Helper()
 					for v := int32(0); int(v) < g.NumData(); v++ {

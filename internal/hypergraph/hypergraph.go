@@ -588,7 +588,13 @@ func FromHyperedges(numData int, hyperedges [][]int32) (*Bipartite, error) {
 func PruneTrivialQueries(g *Bipartite, minDegree int) *Bipartite {
 	for q := 0; q < g.numQ; q++ {
 		if g.QueryDegree(int32(q)) < minDegree {
-			return g.SplitBySide(make([]int8, g.numD), [2]bool{true, false}, minDegree)[0]
+			deg := make([]int32, g.numQ)
+			for q := range deg {
+				deg[q] = int32(g.QueryDegree(int32(q)))
+			}
+			side := make([]int8, g.numD) // every vertex on side 0, whose next sides are all 0 as well
+			out, _ := g.SplitBySide(side, [2][]int32{deg}, [2][]int8{side}, [2]bool{true, false}, minDegree)
+			return out[0]
 		}
 	}
 	return g

@@ -271,7 +271,7 @@ func onlySide0(n int, ids ...int32) []int8 {
 func TestSplitBySideFigure1(t *testing.T) {
 	g := figure1(t)
 	// Take the right half {3,4,5} (0-indexed data ids).
-	sub := g.SplitBySide(onlySide0(6, 3, 4, 5), [2]bool{true, false}, 2)[0]
+	sub := split(t, g, onlySide0(6, 3, 4, 5), [2][]int8{{0, 1, 1}}, [2]bool{true, false}, 2)[0]
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSplitBySidePreservesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := g.SplitBySide([]int8{1, 0, 1}, [2]bool{true, true}, 2)
+	sub := split(t, g, []int8{1, 0, 1}, [2][]int8{{0}, {1, 0}}, [2]bool{true, true}, 2)
 	if sub[0].DataWeight(0) != 8 || sub[1].DataWeight(0) != 7 || sub[1].DataWeight(1) != 9 {
 		t.Fatal("split children's data weights wrong")
 	}
@@ -376,7 +376,7 @@ func TestPropertySplitEdgesAreSubset(t *testing.T) {
 			}
 		}
 		side := onlySide0(g.NumData(), subset...)
-		sub := g.SplitBySide(side, [2]bool{true, false}, 2)[0]
+		sub := split(t, g, side, [2][]int8{}, [2]bool{true, false}, 2)[0]
 		if sub.Validate() != nil || sub.NumData() != len(subset) {
 			return false
 		}
@@ -453,7 +453,7 @@ func TestMaxQueryDegreeCached(t *testing.T) {
 	for d := range side {
 		side[d] = int8(d % 2)
 	}
-	for c, sub := range g.SplitBySide(side, [2]bool{true, true}, 2) {
+	for c, sub := range split(t, g, side, [2][]int8{}, [2]bool{true, true}, 2) {
 		if got, want := sub.MaxQueryDegree(), rescan(sub); got != want {
 			t.Fatalf("SplitBySide child %d: cached %d, rescan %d", c, got, want)
 		}
@@ -475,10 +475,11 @@ func BenchmarkBuild100k(b *testing.B) {
 }
 
 // BenchmarkRecursiveSplit times one SplitBySide call — what a recursion node
-// pays to hand its two children their subgraphs — on a 100k-incidence graph
-// with the shape a bisection at a middle level leaves: small local
-// hyperedges, the cut through the middle, and one vertex in sixteen on the
-// far side of it.
+// pays to hand its two children their subgraphs and first counts — on a
+// 100k-incidence graph with the shape a bisection at a middle level leaves:
+// small local hyperedges, the cut through the middle, and one vertex in
+// sixteen on the far side of it; each child gets random next sides. The
+// bisection's side counts, which the split consumes, are copied in per call.
 func BenchmarkRecursiveSplit(b *testing.B) {
 	const numQ, numD = 16000, 10000
 	r := rng.New(1)
@@ -493,14 +494,25 @@ func BenchmarkRecursiveSplit(b *testing.B) {
 		b.Fatal(err)
 	}
 	side := make([]int8, numD)
+	var next [2][]int8
 	for d := range side {
 		if (d >= numD/2) != (r.Intn(16) == 0) {
 			side[d] = 1
 		}
+		next[side[d]] = append(next[side[d]], int8(r.Intn(2)))
 	}
+	sideCnt := [2][]int32{make([]int32, numQ), make([]int32, numQ)}
+	for q := range int32(numQ) {
+		for _, d := range g.QueryNeighbors(q) {
+			sideCnt[side[d]][q]++
+		}
+	}
+	cnt := [2][]int32{make([]int32, numQ), make([]int32, numQ)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := g.SplitBySide(side, [2]bool{true, true}, 2); out[0] == nil || out[1] == nil {
+		copy(cnt[0], sideCnt[0])
+		copy(cnt[1], sideCnt[1])
+		if out, n := g.SplitBySide(side, cnt, next, [2]bool{true, true}, 2); out[0] == nil || out[1] == nil || n[1][0] == nil {
 			b.Fatal("missing child")
 		}
 	}

@@ -9,62 +9,60 @@ import "math"
 // the hyperedges with at least minQueryDegree members on its side, with g's
 // weights. Child c is built only when want[c] is set and is nil otherwise.
 //
+// The split has no count pass: cnt[c][q] must be hyperedge q's member count
+// on side c for every child built — the counts a bisection over g ends
+// with. They are consumed, rewritten into the map from g's hyperedge ids to
+// the child's.
+//
+// next[c] holds the sides child c's own bisection starts from, by rank (0 or
+// 1). The fill counts each kept hyperedge's members per next side as it
+// writes them, and nextCnt[c] returns those counts, so the child starts
+// without a pass over its graph. g has fewer than 1<<30 data vertices.
+//
 // This is the substrate for recursive bisection: a node's children are cut
 // out of the node's own subgraph, so a recursion level costs what is left of
 // the graph at that level (Section 3.3, "Recursive partitioning").
-func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree int) [2]*Bipartite {
+func (g *Bipartite) SplitBySide(side []int8, cnt [2][]int32, next [2][]int8, want [2]bool, minQueryDegree int) (out [2]*Bipartite, nextCnt [2][2][]int32) {
 	const dropped = math.MaxUint32 // in rel: a data vertex in neither child
 
-	// rel[d] = (rank of d within its side)<<1 | side, or dropped: the one
-	// load per incidence both forward passes make.
+	// rel[d] = (rank of d within its side)<<2 | next side<<1 | side, or
+	// dropped: the one load per incidence the forward fill makes.
 	rel := make([]uint32, g.numD)
 	var nd [2]uint32
 	for d := range rel {
 		if s := side[d]; (s == 0 || s == 1) && want[s] {
-			rel[d] = nd[s]<<1 | uint32(s)
+			rel[d] = nd[s]<<2 | uint32(next[s][nd[s]])<<1 | uint32(s)
 			nd[s]++
 		} else {
 			rel[d] = dropped
 		}
 	}
-
-	// Count pass: members per hyperedge per side.
-	cnt := [2][]int32{make([]int32, g.numQ), make([]int32, g.numQ)}
-	for q := range g.numQ {
-		var n [2]int32
-		for _, d := range g.QueryNeighbors(int32(q)) {
-			if r := rel[d]; r != dropped {
-				n[r&1]++
-			}
-		}
-		cnt[0][q], cnt[1][q] = n[0], n[1]
-	}
-	var out [2]*Bipartite
 	for c := range out {
 		if want[c] {
 			out[c] = g.childFromCounts(cnt[c], int(nd[c]), minQueryDegree)
+			nextCnt[c] = [2][]int32{make([]int32, out[c].numQ), make([]int32, out[c].numQ)}
 		}
 	}
-	// childFromCounts rewrote the counts of every child built into the map
-	// from g's query ids to the child's (-1 for a hyperedge it does not keep).
-	qmap := cnt
+	qmap := cnt // what childFromCounts rewrote the counts into (-1 = not kept)
 
 	// Forward fill: ranks grow with the parent's ids, so every list a child
 	// receives is already sorted.
 	for q := range g.numQ {
 		members := g.QueryNeighbors(int32(q))
 		for c, ch := range out {
-			nq := qmap[c][q]
-			if ch == nil || nq < 0 {
+			if ch == nil || qmap[c][q] < 0 {
 				continue
 			}
-			dst, i := ch.qAdj[ch.qOff[nq]:ch.qOff[nq+1]], 0
+			nq := qmap[c][q]
+			dst, i, n1 := ch.qAdj[ch.qOff[nq]:ch.qOff[nq+1]], 0, int32(0)
 			for _, d := range members {
 				if r := rel[d]; r&1 == uint32(c) && r != dropped {
-					dst[i] = int32(r >> 1)
+					dst[i] = int32(r >> 2)
+					n1 += int32(r >> 1 & 1)
 					i++
 				}
 			}
+			nextCnt[c][0][nq], nextCnt[c][1][nq] = int32(i)-n1, n1
 		}
 	}
 
@@ -77,7 +75,7 @@ func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree int) [
 		if r == dropped {
 			continue
 		}
-		c, local := r&1, r>>1
+		c, local := r&1, r>>2
 		ch, ids, p := out[c], qmap[c], pos[c]
 		for _, q := range g.DataNeighbors(int32(d)) {
 			if nq := ids[q]; nq >= 0 {
@@ -91,7 +89,7 @@ func (g *Bipartite) SplitBySide(side []int8, want [2]bool, minQueryDegree int) [
 			ch.dWeight[local] = g.dWeight[d]
 		}
 	}
-	return out
+	return out, nextCnt
 }
 
 // childFromCounts allocates, at exact size, a child of g with numD data

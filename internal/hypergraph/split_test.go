@@ -75,6 +75,50 @@ func inducedByDataRef(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipar
 	return out, keptQ
 }
 
+// split calls SplitBySide the way its callers do, with the per-side member
+// counts of side, which split counts here, and all-zero next sides for a
+// wanted child given none. Every child comes back with its hyperedges'
+// member counts under its next sides: split checks them against a recount of
+// the child's forward adjacency.
+func split(tb testing.TB, g *Bipartite, side []int8, next [2][]int8, want [2]bool, minDeg int) [2]*Bipartite {
+	tb.Helper()
+	cnt := [2][]int32{make([]int32, g.numQ), make([]int32, g.numQ)}
+	for q := range g.numQ {
+		for _, d := range g.QueryNeighbors(int32(q)) {
+			if s := side[d]; s == 0 || s == 1 {
+				cnt[s][q]++
+			}
+		}
+	}
+	var nd [2]int
+	for _, s := range side {
+		if s == 0 || s == 1 {
+			nd[s]++
+		}
+	}
+	for c := range next {
+		if want[c] && next[c] == nil {
+			next[c] = make([]int8, nd[c])
+		}
+	}
+	out, got := g.SplitBySide(side, cnt, next, want, minDeg)
+	for c, ch := range out {
+		if ch == nil {
+			continue
+		}
+		for q := range ch.numQ {
+			var n [2]int32
+			for _, d := range ch.QueryNeighbors(int32(q)) {
+				n[next[c][d]]++
+			}
+			if got[c][0][q] != n[0] || got[c][1][q] != n[1] {
+				tb.Fatalf("child %d hyperedge %d: counts under next (%d, %d), recount (%d, %d)", c, q, got[c][0][q], got[c][1][q], n[0], n[1])
+			}
+		}
+	}
+	return out
+}
+
 // sameGraph fails unless got and want are the same compact graph array for
 // array, cached maximum degree included, and got's arrays are allocated at
 // exact size.
@@ -152,7 +196,8 @@ func splitFixture(t *testing.T, seed uint64, weighted, mutable bool) *Bipartite 
 // split kernel: for every graph shape and every kind of cut, both children
 // must be array for array what the replaced induced-subgraph routine returns for
 // that side's vertices, and a child that was not asked for must not be
-// built.
+// built. Each built child is given random next sides, so split also checks
+// the counts the fill hands back.
 func TestSplitBySideMatchesInducedReference(t *testing.T) {
 	cuts := map[string]func(r *rng.RNG, d int) int8{
 		"random":      func(r *rng.RNG, _ int) int8 { return int8(r.Intn(2)) },
@@ -175,8 +220,15 @@ func TestSplitBySideMatchesInducedReference(t *testing.T) {
 							ids[s] = append(ids[s], int32(d))
 						}
 					}
+					var next [2][]int8
+					for c := range next {
+						next[c] = make([]int8, len(ids[c]))
+						for i := range next[c] {
+							next[c][i] = int8(r.Intn(2))
+						}
+					}
 					for _, want := range [][2]bool{{true, true}, {true, false}, {false, true}} {
-						got := g.SplitBySide(side, want, 2)
+						got := split(t, g, side, next, want, 2)
 						for c := range got {
 							what := fmt.Sprintf("weighted=%v mutable=%v cut=%s seed=%d want=%v child %d", weighted, mutable, name, seed, want, c)
 							if !want[c] {
@@ -214,7 +266,7 @@ func TestSplitBySideMinDegreesMatchReference(t *testing.T) {
 				for _, ids := range [][]int32{subset, nil} {
 					for minDeg := 0; minDeg <= 3; minDeg++ {
 						what := fmt.Sprintf("weighted=%v mutable=%v seed=%d minDeg=%d |subset|=%d", weighted, mutable, seed, minDeg, len(ids))
-						got := g.SplitBySide(onlySide0(g.NumData(), ids...), [2]bool{true, false}, minDeg)[0]
+						got := split(t, g, onlySide0(g.NumData(), ids...), [2][]int8{}, [2]bool{true, false}, minDeg)[0]
 						ref, _ := inducedByDataRef(g, ids, minDeg)
 						sameGraph(t, what, got, ref)
 					}
