@@ -138,8 +138,49 @@ func BenchmarkRefineDelta(b *testing.B) {
 // seed over clones of the same graph), so edges/s differences are pure
 // engine savings and the fanout metrics are directly comparable — the
 // session is expected to run several times faster at small churn while
-// staying within 1% of the cold fanout.
+// staying within 1% of the cold fanout. The hub-budget arm is one epoch of
+// shpbench's churn-serve-hub workload per op — its graph, options and churn
+// at seed 11, the engine-building first epoch untimed — so
+// `go test -run '^$' -bench RepartitionDelta/hub-budget -cpuprofile cpu.out .`
+// profiles that workload's kept epochs.
 func BenchmarkRepartitionDelta(b *testing.B) {
+	b.Run("hub-budget", func(b *testing.B) {
+		g, err := shp.GenerateHubPowerLawBipartite(20000, 32500, 250000, 3.0, 0.0002, 130, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := shp.NewPartitioner(g, shp.Options{K: 16, Direct: true, MaxIters: 10,
+			MigrationBudget: int64(float64(g.NumData()) * 0.02), Parallelism: 1, Seed: 11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		churn, err := shp.NewChurn(g, 0.002, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		epoch := func() {
+			d, err := churn.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Apply(d); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Repartition(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := p.Repartition(); err != nil { // the service's set-up epoch
+			b.Fatal(err)
+		}
+		epoch() // the workload's dropped first epoch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			epoch()
+		}
+		b.StopTimer()
+		b.ReportMetric(shp.Fanout(p.Graph(), p.Assignment(), 16), "fanout")
+	})
 	base := benchGraph(b, "social-small")
 	const k = 16
 	for _, frac := range []float64{0.001, 0.01, 0.1} {

@@ -18,6 +18,10 @@ import (
 //	superstep 2:   computeProposals  (Equation 1 gains, best target)
 //	superstep 3+4: applyMoves        (master pairing + probabilistic moves)
 //
+// The master's state is the proposal plane (gainbins.go) SHP-2 also runs on:
+// each proposal pass files exactly the proposals it re-derived, so matching
+// and the coins never walk all of |D|.
+//
 // # The incremental engine
 //
 // By default the refiner makes per-iteration cost proportional to churn
@@ -179,12 +183,17 @@ type directState struct {
 	byDst       [][]move
 	dstSorted   []bool
 
-	// Per-iteration scratch that outlives the iteration: the Equation 1
-	// rebuild accumulators and the pair-histogram fold (see pairfold.go),
-	// both reused so a warm iteration allocates nothing per vertex or per
-	// bucket pair.
+	// The Equation 1 rebuild accumulators, reused so a warm iteration
+	// allocates nothing per vertex.
 	scratch proposalScratch
-	pairs   *pairFold
+
+	// plane holds every proposal, filed by direction and gain bin (see
+	// gainbins.go). gainsExact says whether its sums are exact (see
+	// gainsInExactRange); planeExact whether it was last filled or
+	// maintained so. Unless both hold, the proposal pass refills it.
+	plane      *gainBins
+	gainsExact bool
+	planeExact bool
 
 	// Migration-budget state (nil/inactive unless Options.MigrationBudget is
 	// set and an epoch reference exists): migRef is the epoch-start
@@ -238,7 +247,8 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 			own:  newBucketSet(k),
 			list: make([]proposalCand, 0, k),
 		},
-		pairs: newPairFold(k),
+		plane:      newGainBins(k, g.NumData()),
+		planeExact: true, // the empty plane
 	}
 
 	ideal := float64(g.TotalDataWeight()) / float64(k)
@@ -269,6 +279,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	for v := range st.wdegArr {
 		st.wdegArr[v] = st.computeWdeg(int32(v))
 	}
+	st.gainsExact = st.gainsInExactRange()
 
 	st.active = make([]uint8, nd)
 	st.tied = make([]bool, nd)
@@ -484,6 +495,23 @@ func (st *directState) addObjective(d float64) {
 	}
 }
 
+// gainsInExactRange reports whether the proposal plane's sums are exact, so
+// that maintaining them lands on the bits of a fresh fold in ascending v:
+// every gain is mult × a grid value (mult a power of two, no MoveCostPenalty
+// term), and Σ|gain|/mult — at most Σ_v wdeg(v)·|T[last] − T[0]|, both
+// table families being monotone — stays below objectiveExactLimit, whose
+// spare bit covers the old and the new gains of a changed wdeg or table.
+// Callers recompute it wherever wdegArr or the tables are (re)built.
+func (st *directState) gainsInExactRange() bool {
+	T := st.tables.T
+	wdeg := 0.0
+	for _, w := range st.wdegArr {
+		wdeg += w
+	}
+	frac, _ := math.Frexp(st.tables.mult)
+	return frac == 0.5 && st.opts.MoveCostPenalty == 0 && wdeg*math.Abs(T[len(T)-1]-T[0]) < objectiveExactLimit
+}
+
 // editQuery runs edit, which may rewrite query q's neighbor-data row
 // outside a move batch (a Session's splices and repair moves), and carries
 // the running fanout and objective sums across it.
@@ -682,9 +710,10 @@ func (st *directState) selectProposal(v int, cands []proposalCand) (target int32
 	return best, bestGain, tied
 }
 
-// reselect refreshes v's cached proposal.
+// reselect refreshes v's cached proposal and files it in the plane.
 func (st *directState) reselect(v int) {
 	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, st.cand[v])
+	st.plane.update(int32(v), st.bucket[v], st.target[v], st.gains[v])
 }
 
 // flipTouches reports whether the admissibility flips since the last
@@ -723,12 +752,25 @@ func (st *directState) flipTouches(v int) bool {
 	return false
 }
 
-// computeProposals brings every vertex's proposal up to date: rebuild the
-// Equation 1 state of vertices flagged for rebuild, then re-run the
-// balance-filtered argmax for exactly the vertices an invalidation rule
-// names (see the directState comment) — every cached target and gain it
-// leaves alone is what a re-run would produce.
+// computeProposals brings every vertex's proposal and its plane entry up to
+// date. A sweep re-derives every proposal, so it refills the plane from all
+// of |D| as a fold would; so does every pass while the plane's sums are not
+// exact (see gainsInExactRange). Otherwise the passes file what they
+// re-derived, and the maintained plane is the refill's bits.
 func (st *directState) computeProposals() {
+	refill := st.candsStale || !st.gainsExact || !st.planeExact
+	st.reselectPending()
+	if refill {
+		st.plane.refill(st.bucket, st.target, st.gains)
+	}
+	st.planeExact = st.gainsExact
+}
+
+// reselectPending rebuilds the Equation 1 state of vertices flagged for
+// rebuild, then re-runs the balance-filtered argmax for exactly the vertices
+// an invalidation rule names (see the directState comment) — every cached
+// target and gain it leaves alone is what a re-run would produce.
+func (st *directState) reselectPending() {
 	nd := st.g.NumData()
 	// No cache survives the first pass, per-vertex admissibility (data
 	// weights), or a forced sweep.
@@ -739,7 +781,7 @@ func (st *directState) computeProposals() {
 		// Sweep mode: every vertex is marked for rebuild and no list survives,
 		// so select straight from the accumulators — same candidates in the
 		// same ascending order through the same selectProposal — and leave
-		// cand[v] unwritten.
+		// cand[v] unwritten, and the plane to the refill.
 		list := st.scratch.list
 		for v := range nd {
 			list = st.rebuildInto(v, list)
@@ -815,45 +857,24 @@ func (st *directState) markAllActive() {
 	st.candsStale = true
 }
 
-// applyMoves aggregates proposals into per-direction gain histograms (the
-// master's O(k²)-bounded state, kept sparse here), computes move
-// probabilities, and executes the probabilistic moves. It returns the moves
+// applyMoves matches the plane's direction histograms into move
+// probabilities and executes the probabilistic moves. It returns the moves
 // that survived the balance trim, in ascending vertex order.
 func (st *directState) applyMoves(iter int) []move {
 	nd := st.g.NumData()
-	pairs := st.pairs
-	pairs.fold(st.bucket[:nd], st.target, st.gains)
-	pairs.match()
+	st.plane.match(nil)
 
-	// Phase 1: per-vertex coin decisions, collected in ascending vertex
-	// order — the apply phase walks the list instead of re-scanning all of
-	// |D| for the set flags. Flags were cleared through the previous call's
-	// list, so no O(|D|) clear either.
+	// Phase 1: per-vertex coin decisions in the granted bins, sorted into
+	// ascending vertex order — the apply phase walks the list instead of
+	// re-scanning all of |D| for the set flags. Flags were cleared through
+	// the previous call's list, so no O(|D|) clear either.
 	if st.decided == nil {
 		st.decided = make([]bool, nd)
 	}
 	decided := st.decided
-	iterKey := rng.Mix(uint64(iter)+1, 0xD0D)
-	list := st.decidedList[:0]
-	for v := range int32(nd) {
-		tgt := st.target[v]
-		if tgt < 0 {
-			continue
-		}
-		pt := pairs.prob(st.bucket[v], tgt)
-		if pt == nil {
-			continue
-		}
-		p := pt.ProbFor(st.gains[v])
-		if p <= 0 {
-			continue
-		}
-		if p >= 1 || rng.CoinAt(st.seed, rng.Mix(iterKey, uint64(v))) < p {
-			decided[v] = true
-			list = append(list, v)
-		}
-	}
-	st.scanWork += int64(nd)
+	list, visits := st.plane.coins(st.seed, rng.Mix(uint64(iter)+1, 0xD0D), decided, st.decidedList[:0])
+	st.scanWork += visits
+	st.sortAscending(list, nd)
 	if remaining := st.budgetRemaining(); remaining >= 0 {
 		list = st.enforceMigrationBudget(list, remaining)
 	}

@@ -58,18 +58,8 @@ type DirHist struct {
 	negSum   [histBins]float64
 }
 
-// add records one proposal with the given gain.
-func (h *DirHist) Add(gain float64) {
-	if gain > 0 {
-		b := binFor(gain)
-		h.posCount[b]++
-		h.posSum[b] += gain
-	} else {
-		b := binFor(-gain)
-		h.negCount[b]++
-		h.negSum[b] += gain
-	}
-}
+// Add records one proposal with the given gain.
+func (h *DirHist) Add(gain float64) { h.fold(binCode(gain), gain, 1) }
 
 // Remove retracts one previously Added proposal with the given gain — the
 // exact inverse of Add (same bin, count down, gain subtracted), which lets a
@@ -77,15 +67,27 @@ func (h *DirHist) Add(gain float64) {
 // instead of resumming every proposal every round. Counts may legitimately
 // go negative inside a delta histogram that will be merged into the
 // maintained one.
-func (h *DirHist) Remove(gain float64) {
+func (h *DirHist) Remove(gain float64) { h.fold(binCode(gain), gain, -1) }
+
+// binCode numbers gain's bin across both signs: positive gains first, then
+// non-positive ones keyed by |gain|.
+func binCode(gain float64) int32 {
 	if gain > 0 {
-		b := binFor(gain)
-		h.posCount[b]--
-		h.posSum[b] -= gain
+		return int32(binFor(gain))
+	}
+	return int32(histBins + binFor(-gain))
+}
+
+// fold adds n = ±1 proposals of the given gain to bin code: the body of Add
+// and Remove, for a caller that already knows the bin (n·gain is an exact
+// negation, so the sums get Add's and Remove's bits).
+func (h *DirHist) fold(code int32, gain float64, n int64) {
+	if code < histBins {
+		h.posCount[code] += n
+		h.posSum[code] += float64(n) * gain
 	} else {
-		b := binFor(-gain)
-		h.negCount[b]--
-		h.negSum[b] -= gain
+		h.negCount[code-histBins] += n
+		h.negSum[code-histBins] += float64(n) * gain
 	}
 }
 
@@ -116,7 +118,7 @@ func (h *DirHist) Merge(o *DirHist) {
 	}
 }
 
-// total returns the number of proposals recorded.
+// Total returns the number of proposals recorded.
 func (h *DirHist) Total() int64 {
 	var t int64
 	for i := 0; i < histBins; i++ {
@@ -162,7 +164,7 @@ type ProbTable struct {
 	neg [histBins]float64
 }
 
-// probFor returns the move probability for a proposal with the given gain.
+// ProbFor returns the move probability for a proposal with the given gain.
 func (p *ProbTable) ProbFor(gain float64) float64 {
 	if gain > 0 {
 		return p.pos[binFor(gain)]
@@ -184,12 +186,16 @@ func (p *ProbTable) ProbFor(gain float64) float64 {
 // one-sided quota up to the extra allowance.
 func MatchHistograms(a, b *DirHist, extraA, extraB int64) (ProbTable, ProbTable) {
 	var ms matchScratch
-	return ms.match(a, b, extraA, extraB)
+	ms.match(a, b, extraA, extraB)
+	var pa, pb ProbTable
+	fillProbs(&pa, ms.binsA, ms.quotaA)
+	fillProbs(&pb, ms.binsB, ms.quotaB)
+	return pa, pb
 }
 
 // matchScratch holds MatchHistograms' working slices, so a caller that
-// matches every bucket pair every iteration (the SHP-k move protocol) reuses
-// them instead of allocating six slices per pair.
+// matches every bucket pair every iteration (the proposal plane) reuses them
+// instead of allocating six slices per pair.
 type matchScratch struct {
 	binsA, binsB   []orderedBin
 	quotaA, quotaB []int64
@@ -207,8 +213,9 @@ func binCounts(bins []orderedBin, quota, rem []int64) ([]int64, []int64) {
 	return quota, rem
 }
 
-// match is MatchHistograms over the scratch's reused slices.
-func (ms *matchScratch) match(a, b *DirHist, extraA, extraB int64) (ProbTable, ProbTable) {
+// match is MatchHistograms over the scratch's reused slices, leaving each
+// side's bins and accepted quotas in binsA/quotaA and binsB/quotaB.
+func (ms *matchScratch) match(a, b *DirHist, extraA, extraB int64) {
 	ms.binsA = a.orderedBins(ms.binsA[:0])
 	ms.binsB = b.orderedBins(ms.binsB[:0])
 	ms.quotaA, ms.remA = binCounts(ms.binsA, ms.quotaA, ms.remA)
@@ -240,11 +247,6 @@ func (ms *matchScratch) match(a, b *DirHist, extraA, extraB int64) (ProbTable, P
 	// One-sided extras within the ε headroom: best positive bins first.
 	grantExtras(binsA, remA, quotaA, extraA)
 	grantExtras(binsB, remB, quotaB, extraB)
-
-	var pa, pb ProbTable
-	fillProbs(&pa, binsA, quotaA)
-	fillProbs(&pb, binsB, quotaB)
-	return pa, pb
 }
 
 func grantExtras(bins []orderedBin, rem, quota []int64, extra int64) {
@@ -270,14 +272,15 @@ func fillProbs(p *ProbTable, bins []orderedBin, quota []int64) {
 		if quota[i] == 0 {
 			continue
 		}
-		prob := float64(quota[i]) / float64(bin.count)
-		if prob > dampProb {
-			prob = dampProb
-		}
 		if bin.positive {
-			p.pos[bin.idx] = prob
+			p.pos[bin.idx] = binProb(bin, quota[i])
 		} else {
-			p.neg[bin.idx] = prob
+			p.neg[bin.idx] = binProb(bin, quota[i])
 		}
 	}
+}
+
+// binProb is the move probability of a bin with quota > 0 accepted proposals.
+func binProb(bin orderedBin, quota int64) float64 {
+	return min(float64(quota)/float64(bin.count), dampProb)
 }

@@ -71,7 +71,8 @@ type bisection struct {
 	// and the bin sync walk it instead of scanning all of |D|.
 	activeSet
 
-	// bins is the maintained gain-bin structure (see gainbins.go).
+	// bins is the proposal plane over the two directions 0→1 and 1→0 (see
+	// gainbins.go).
 	bins *gainBins
 
 	// Reusable per-iteration scratch for the probabilistic move protocol:
@@ -139,7 +140,7 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 		b.recountNeighborData()
 	}
 	b.gains = make([]float64, nd)
-	b.bins = newGainBins(nd)
+	b.bins = newGainBins(2, nd)
 	b.accOwn = make([]float64, nd)
 	b.accOth = make([]float64, nd)
 	b.active = make([]uint8, nd)
@@ -338,24 +339,30 @@ func (b *bisection) updateGain(v int32) {
 	}
 }
 
-// syncBins reconciles the maintained gain bins with the current (side,
-// gain) state, after computeGains and before any consumer. Every regime
-// applies the same canonical changed-only update rule in ascending vertex
-// order (see gainbins.go); only how the candidate set is discovered differs
-// — comparison scan over everyone, or the (sorted) frontier.
+// syncBins reconciles the proposal plane with the current (side, gain)
+// state, after computeGains and before any consumer. Every regime applies the
+// same canonical changed-only update rule in ascending vertex order (see
+// gainbins.go); only how the candidate set is discovered differs — comparison
+// scan over everyone, or the (sorted) frontier.
 func (b *bisection) syncBins() {
 	if b.frontierValid {
 		for _, v := range b.frontier {
-			b.bins.update(v, b.side[v], b.gains[v])
+			b.syncBin(v)
 		}
 		b.scanWork += int64(len(b.frontier))
 		return
 	}
 	nd := b.g.NumData()
 	for v := range int32(nd) {
-		b.bins.update(v, b.side[v], b.gains[v])
+		b.syncBin(v)
 	}
 	b.scanWork += int64(nd)
+}
+
+// syncBin files v's proposal: every vertex proposes the other side.
+func (b *bisection) syncBin(v int32) {
+	s := int32(b.side[v])
+	b.bins.update(v, s, 1-s, b.gains[v])
 }
 
 // objective returns the subproblem's current objective value (sum over
@@ -425,59 +432,28 @@ func (b *bisection) run() []int8 {
 	}
 }
 
-// applyProbabilistic runs the histogram protocol: read the
-// per-direction gain histograms off the maintained bins, let the "master"
-// compute per-bin move probabilities, then move each vertex with its bin's
-// probability using a per-vertex deterministic coin. No phase scans all of
-// |D|: the histogram costs O(bins), the coin phase visits only the bins
-// the matching granted positive probability, and the apply/trim phases
-// walk the decided list. It returns the moves that survived the balance
-// trim, ascending, with their sides already flipped; the neighbor counts
-// are applyBatch's.
+// applyProbabilistic runs the histogram protocol: let the "master" match
+// the plane's two direction histograms into per-bin move probabilities, then
+// move each vertex with its bin's probability using a per-vertex
+// deterministic coin. No phase scans all of |D|: matching costs O(bins), the
+// coin phase visits only the bins the matching granted positive
+// probability, and the apply/trim phases walk the decided list. It returns
+// the moves that survived the balance trim, ascending, with their sides
+// already flipped; the neighbor counts are applyBatch's.
 func (b *bisection) applyProbabilistic(iter int) []int32 {
 	nd := b.g.NumData()
 	b.syncBins()
-	hist0 := b.bins.hist(0)
-	hist1 := b.bins.hist(1)
 	into1, into0 := b.extras()
-	var probs [2]ProbTable
-	probs[0], probs[1] = MatchHistograms(&hist0, &hist1, into1, into0)
+	b.bins.match([]int64{into0, into1})
 
-	// Phase 1: per-vertex coin decisions, visiting only populated bins with
-	// positive move probability. The decision per vertex is its own
-	// deterministic coin against its bin's probability (a vertex's bin
-	// probability IS its ProbFor), so the decided set is independent of visit
-	// order; the list is radix-sorted back into the canonical ascending order
-	// the apply phase requires.
+	// Phase 1: per-vertex coin decisions in the granted bins, radix-sorted
+	// back into the canonical ascending order the apply phase requires.
 	if b.decided == nil {
 		b.decided = make([]bool, nd)
 	}
 	decided := b.decided
-	iterKey := rng.Mix(uint64(iter)+1, 0xC01)
-	list := b.decidedList[:0]
-	for side := 0; side < 2; side++ {
-		base := side * 2 * histBins
-		pt := &probs[side]
-		for sign := 0; sign < 2; sign++ {
-			for bin := 0; bin < histBins; bin++ {
-				p := pt.pos[bin]
-				if sign == 1 {
-					p = pt.neg[bin]
-				}
-				if p <= 0 {
-					continue
-				}
-				vs := b.bins.list[base+sign*histBins+bin]
-				b.scanWork += int64(len(vs))
-				for _, v := range vs {
-					if p >= 1 || rng.CoinAt(b.seed, rng.Mix(iterKey, uint64(v))) < p {
-						decided[v] = true
-						list = append(list, v)
-					}
-				}
-			}
-		}
-	}
+	list, visits := b.bins.coins(b.seed, rng.Mix(uint64(iter)+1, 0xC01), decided, b.decidedList[:0])
+	b.scanWork += visits
 	b.sortAscending(list, nd)
 	b.decidedList = list
 	// Phase 2: apply all decided moves, then undo the lowest-gain arrivals

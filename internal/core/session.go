@@ -313,6 +313,7 @@ func (s *Session) syncEngine() {
 		st.active = append(st.active, make([]uint8, grow)...)
 		st.tied = append(st.tied, make([]bool, grow)...)
 		st.decided = nil // sized per batch; forces reallocation at new |D|
+		st.plane.grow(nd)
 	}
 
 	// Balance targets track the (possibly changed) total weight; bucket
@@ -374,6 +375,7 @@ func (s *Session) syncEngine() {
 		st.active[v] = activeRebuild
 		st.wdegArr[v] = st.computeWdeg(v)
 	}
+	st.gainsExact = st.gainsInExactRange()
 	st.invalidate() // these marks, and repairOverCap's, came from no batch
 
 	s.clearPending()
