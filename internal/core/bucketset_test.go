@@ -110,7 +110,8 @@ func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
 // positive, no count negative — or "" when every row holds it.
 func rowInvariantViolation(nd *ndState) string {
 	for q := range int32(len(nd.cnt) / nd.k) {
-		m, c := nd.maskOf(q), nd.countsOf(q)
+		r := nd.row(q)
+		m, c := r.mask, r.cnt
 		for b := range int32(nd.k) {
 			if bit := m[b>>6]>>(b&63)&1 == 1; bit != (c[b] > 0) || c[b] < 0 {
 				return fmt.Sprintf("query %d bucket %d: mask bit %v, count %d", q, b, bit, c[b])

@@ -457,11 +457,11 @@ func (st *directState) objectiveFromND() float64 {
 func (st *directState) queryObjective(q int32) float64 {
 	wq := float64(st.g.QueryWeight(q))
 	C := st.tables.C
-	cnt := st.nd.countsOf(q)
+	r := st.nd.row(q)
 	sum := 0.0
-	for wi, m := range st.nd.maskOf(q) {
+	for wi, m := range r.mask {
 		for ; m != 0; m &= m - 1 {
-			sum += wq * C[cnt[wi<<6|bits.TrailingZeros64(m)]]
+			sum += wq * C[r.cnt[wi<<6|bits.TrailingZeros64(m)]]
 		}
 	}
 	return sum
@@ -516,9 +516,9 @@ func (st *directState) gainsInExactRange() bool {
 // outside a move batch (a Session's splices and repair moves), and carries
 // the running fanout and objective sums across it.
 func (st *directState) editQuery(q int32, edit func()) {
-	before, n := st.queryObjective(q), st.nd.maskOf(q).count()
+	before, n := st.queryObjective(q), st.nd.row(q).Live()
 	edit()
-	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.maskOf(q).count()-n)
+	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.row(q).Live()-n)
 	st.addObjective(st.queryObjective(q) - before)
 }
 

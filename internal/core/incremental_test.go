@@ -387,14 +387,14 @@ func TestPinRowsSurviveSessionEdits(t *testing.T) {
 				for _, v := range st.g.QueryNeighbors(q) {
 					fresh[st.bucket[v]]++
 				}
-				if got := nd.countsOf(q); !slices.Equal(got, fresh) {
+				if got := nd.row(q).cnt; !slices.Equal(got, fresh) {
 					t.Fatalf("%s epoch %d query %d: row %v, members count %v", name, epoch, q, got, fresh)
 				}
-				wEntries += int64(st.g.QueryWeight(q)) * int64(nd.maskOf(q).count())
+				wEntries += int64(st.g.QueryWeight(q)) * int64(nd.row(q).Live())
 			}
 			for _, q := range removed {
-				if nd.maskOf(q).count() != 0 || slices.Max(nd.countsOf(q)) != 0 {
-					t.Fatalf("%s epoch %d: removed query %d keeps row %v", name, epoch, q, nd.countsOf(q))
+				if nd.row(q).Live() != 0 || slices.Max(nd.row(q).cnt) != 0 {
+					t.Fatalf("%s epoch %d: removed query %d keeps row %v", name, epoch, q, nd.row(q).cnt)
 				}
 			}
 			if wEntries != nd.wEntries {

@@ -19,27 +19,110 @@ import (
 //   - per-vertex Equation 1 accumulators: sums of gain-table terms T[·]
 //     whose inputs are exactly those counts.
 //
-// This file is the one implementation of SHP-k's neighbor-data side: one
-// pin-count row per query (ndState) — a connectivity mask beside dense
-// counts, Mt-KaHyPar's layout — with ±1 count transfers, plus the
-// dirty-query machinery that snapshots each touched query's pre-batch row,
-// diffs out the net per-bucket changes, and hands the canonical
-// (bucket, cOld, cNew) records to the refiner so it can patch its members'
-// accumulators through GainTables.DeltaOwn/DeltaAway. Because every table
-// value lies on the shared dyadic grid (gainGridBits), a patched
+// This file is the one implementation of the neighbor-data side, for every
+// refiner: one pin-count row per query (PinRow) — a connectivity mask beside
+// dense counts, Mt-KaHyPar's layout — with ±1 count transfers and the row
+// diff that turns a query's pre-batch snapshot and its current row into the
+// canonical (bucket, cOld, cNew) records. SHP-k keeps its rows in one arena
+// (ndState) with the dirty-query machinery that snapshots each touched
+// query's pre-batch row and hands the records to the refiner, so it can
+// patch its members' accumulators through GainTables.DeltaOwn/DeltaAway; the
+// distributed plane's query vertices each hold one row and one snapshot row
+// carved by NewPinRows, and ship the same records over the wire. Because
+// every table value lies on the shared dyadic grid (gainGridBits), a patched
 // accumulator is bit-identical to a from-scratch resummation in any order —
 // the property all the "every rebuild schedule yields the same bytes"
 // guarantees rest on.
-//
-// The distributed plane's query vertices keep their own per-query mirrors
-// (one sorted NDEntry slice per vertex) with the slice operations below;
-// their NDDiff emits the same canonical records, in the same ascending
-// bucket order, as the row diff.
 
-// NDEntry is one live slot of a distributed query vertex's neighbor-data
-// mirror: bucket B holds C of the owning query's data vertices.
-type NDEntry struct {
-	B, C int32
+// PinRow is one query's neighbor data over k buckets: a ⌈k/64⌉-word
+// connectivity mask beside the k pin counts n_b(q). Mask bit b is set
+// exactly when count b is positive, so walking the mask's bits visits the
+// live entries in ascending bucket order — the canonical order of every
+// consumer. A move is one decrement, one increment and at most two bit
+// flips; nothing is inserted, removed or re-sorted. A row is a view into
+// slabs its owner allocated, so copying a PinRow copies no counts.
+type PinRow struct {
+	mask bucketSet
+	cnt  []int32
+}
+
+// NewPinRows allocates one mask slab and one count slab for n zeroed rows
+// over k buckets, n·(4k + 8⌈k/64⌉) bytes between them, and returns the
+// function that hands out row i, 0 <= i < n.
+func NewPinRows(n, k int) func(i int) PinRow {
+	w := (k + 63) >> 6
+	mask, cnt := make(bucketSet, n*w), make([]int32, n*k)
+	return func(i int) PinRow {
+		return PinRow{mask: mask[i*w : (i+1)*w], cnt: cnt[i*k : (i+1)*k]}
+	}
+}
+
+// Count returns bucket b's pin count n_b(q).
+func (r PinRow) Count(b int32) int32 { return r.cnt[b] }
+
+// Live returns the row's connectivity: the number of buckets with a pin.
+func (r PinRow) Live() int { return r.mask.count() }
+
+// Reset empties the row.
+func (r PinRow) Reset() {
+	clear(r.mask)
+	clear(r.cnt)
+}
+
+// CopyFrom overwrites the row with src, a row over the same k.
+func (r PinRow) CopyFrom(src PinRow) {
+	copy(r.mask, src.mask)
+	copy(r.cnt, src.cnt)
+}
+
+// Inc adds one pin in bucket b — a member registering without a previous
+// bucket — and returns the change in connectivity (0 or +1).
+func (r PinRow) Inc(b int32) int {
+	if r.cnt[b]++; r.cnt[b] > 1 {
+		return 0
+	}
+	r.mask.add(b)
+	return 1
+}
+
+// Transfer moves one pin from bucket `from` to bucket `to` and returns the
+// change in connectivity (-1, 0, or +1).
+func (r PinRow) Transfer(from, to int32) int {
+	if r.cnt[from] == 0 {
+		//shp:panics(invariant: an incremental retract must match a prior assert; continuing would corrupt neighbor counts)
+		panic(fmt.Sprintf("core: pin-count row lost bucket %d", from))
+	}
+	delta := r.Inc(to)
+	if r.cnt[from]--; r.cnt[from] == 0 {
+		r.mask[from>>6] &^= 1 << (uint32(from) & 63)
+		delta--
+	}
+	return delta
+}
+
+// fill recounts the row from its query's members' buckets.
+func (r PinRow) fill(members, bucket []int32) {
+	r.Reset()
+	for _, d := range members {
+		b := bucket[d]
+		r.mask.add(b)
+		r.cnt[b]++
+	}
+}
+
+// Diff appends the (bucket, oldCount, newCount) records for the buckets
+// whose count differs between old and the row, walking the union of their
+// masks in ascending bucket order. 0 means "no pin" on either side.
+func (r PinRow) Diff(recs []NDChange, old PinRow) []NDChange {
+	for wi, m := range r.mask {
+		for u := m | old.mask[wi]; u != 0; u &= u - 1 {
+			b := wi<<6 | bits.TrailingZeros64(u)
+			if old.cnt[b] != r.cnt[b] {
+				recs = append(recs, NDChange{B: int32(b), COld: old.cnt[b], CNew: r.cnt[b]})
+			}
+		}
+	}
+	return recs
 }
 
 // NDChange is one changed neighbor-data entry of a dirty query: bucket B's
@@ -79,13 +162,10 @@ func (ds *deltaScratch) reset() {
 	ds.groups = ds.groups[:0]
 }
 
-// ndState is the neighbor data over queries, one fixed-size row per query:
-// query q's ⌈k/64⌉-word connectivity mask at mask[q·w:], and its k pin
-// counts n_b(q) at cnt[q·k:]. Mask bit b is set exactly when count b is
-// nonzero, so walking the mask's bits visits the live entries in ascending
-// bucket order — the canonical order of every consumer. A move is one
-// decrement, one increment and at most two bit flips; nothing is inserted,
-// removed or re-sorted. Memory is |Q|·(4k + 8⌈k/64⌉) bytes.
+// ndState is SHP-k's neighbor data: the arena of one PinRow per query,
+// query q's mask at mask[q·w:] and its k counts at cnt[q·k:]. The rebuild
+// kernel (direct.go's rebuildInto) walks the two arenas directly. Memory is
+// |Q|·(4k + 8⌈k/64⌉) bytes.
 type ndState struct {
 	k, w int
 	mask bucketSet
@@ -114,16 +194,10 @@ func newNDState(g *hypergraph.Bipartite, k int) *ndState {
 	}
 }
 
-// maskOf returns query q's connectivity mask.
-func (nd *ndState) maskOf(q int32) bucketSet {
-	off := int(q) * nd.w
-	return nd.mask[off : off+nd.w]
-}
-
-// countsOf returns query q's k pin counts.
-func (nd *ndState) countsOf(q int32) []int32 {
-	off := int(q) * nd.k
-	return nd.cnt[off : off+nd.k]
+// row returns query q's row.
+func (nd *ndState) row(q int32) PinRow {
+	mo, co := int(q)*nd.w, int(q)*nd.k
+	return PinRow{mask: nd.mask[mo : mo+nd.w], cnt: nd.cnt[co : co+nd.k]}
 }
 
 // appendQueries grows the arena by n zeroed rows (warm sessions splice in
@@ -135,180 +209,52 @@ func (nd *ndState) appendQueries(n int) {
 	nd.dirtyFlag = append(nd.dirtyFlag, make([]uint8, n)...)
 }
 
-// fillRow recounts query q's row from its members' buckets.
-func (nd *ndState) fillRow(q int32, members, bucket []int32) {
-	m, c := nd.maskOf(q), nd.countsOf(q)
-	clear(m)
-	clear(c)
-	for _, d := range members {
-		b := bucket[d]
-		m.add(b)
-		c[b]++
-	}
-}
-
 // ndBuild recomputes the neighbor data from scratch (supersteps 1–2 of
 // Figure 3), one row per query. Buckets in `bucket` are below the k of
 // newNDState.
 func ndBuild(nd *ndState, g *hypergraph.Bipartite, bucket []int32) {
 	nd.wEntries = 0
 	for q := int32(0); int(q) < g.NumQueries(); q++ {
-		nd.fillRow(q, g.QueryNeighbors(q), bucket)
-		nd.wEntries += int64(g.QueryWeight(q)) * int64(nd.maskOf(q).count())
+		r := nd.row(q)
+		r.fill(g.QueryNeighbors(q), bucket)
+		nd.wEntries += int64(g.QueryWeight(q)) * int64(r.Live())
 	}
-}
-
-// transfer moves one unit of query q's pin count from bucket `from` to
-// bucket `to` and returns the change in q's connectivity (-1, 0, or +1).
-func (nd *ndState) transfer(q, from, to int32) int64 {
-	m, c := nd.maskOf(q), nd.countsOf(q)
-	if c[from] == 0 {
-		//shp:panics(invariant: an incremental retract must match a prior assert; continuing would corrupt neighbor counts)
-		panic(fmt.Sprintf("core: neighbor data for query %d lost bucket %d", q, from))
-	}
-	var delta int64
-	if c[from]--; c[from] == 0 {
-		m[from>>6] &^= 1 << (uint32(from) & 63)
-		delta--
-	}
-	if c[to]++; c[to] == 1 {
-		m.add(to)
-		delta++
-	}
-	return delta
 }
 
 // ndApplyMoveBatch patches the neighbor data in place for the queries
-// adjacent to the accepted moves (decrement the origin's count, increment the
-// target's, flipping mask bits as counts cross zero). Each dirty query's
-// pre-batch row is snapshotted on first touch and the net per-bucket changes
-// are diffed into nd.delta's groups/recs, in first-touch order, so the
-// refiner can fold them into its members' accumulators. accepted must
-// contain each vertex at most once (one move batch), with bucket[v] already
-// holding the destination. It is the small-batch path: a batch big enough
-// that a refiner re-sweeps anyway is cheaper served by ndBuild.
+// adjacent to the accepted moves (one PinRow.Transfer per move and query).
+// Each dirty query's pre-batch row is snapshotted on first touch and the net
+// per-bucket changes are diffed into nd.delta's groups/recs, in first-touch
+// order, so the refiner can fold them into its members' accumulators.
+// accepted must contain each vertex at most once (one move batch), with
+// bucket[v] already holding the destination. It is the small-batch path: a
+// batch big enough that a refiner re-sweeps anyway is cheaper served by
+// ndBuild.
 func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, bucket []int32) {
 	ds := &nd.delta
 	ds.reset()
 	for _, m := range accepted {
 		to := bucket[m.v]
 		for _, q := range g.DataNeighbors(m.v) {
+			r := nd.row(q)
 			if nd.dirtyFlag[q] == 0 {
 				nd.dirtyFlag[q] = 1
 				ds.dirtyQ = append(ds.dirtyQ, q)
-				ds.snapMask = append(ds.snapMask, nd.maskOf(q)...)
-				ds.snapCnt = append(ds.snapCnt, nd.countsOf(q)...)
+				ds.snapMask = append(ds.snapMask, r.mask...)
+				ds.snapCnt = append(ds.snapCnt, r.cnt...)
 			}
-			if d := nd.transfer(q, m.from, to); d != 0 {
-				nd.wEntries += d * int64(g.QueryWeight(q))
+			if d := r.Transfer(m.from, to); d != 0 {
+				nd.wEntries += int64(d) * int64(g.QueryWeight(q))
 			}
 		}
 	}
 	w, k := nd.w, nd.k
 	for i, q := range ds.dirtyQ {
 		start := int32(len(ds.recs))
-		ds.recs = rowDiff(ds.recs, ds.snapMask[i*w:(i+1)*w], ds.snapCnt[i*k:(i+1)*k], nd.maskOf(q), nd.countsOf(q))
+		ds.recs = nd.row(q).Diff(ds.recs, PinRow{mask: ds.snapMask[i*w : (i+1)*w], cnt: ds.snapCnt[i*k : (i+1)*k]})
 		if n := int32(len(ds.recs)) - start; n > 0 {
 			ds.groups = append(ds.groups, changeGroup{q: q, off: start, n: n})
 		}
 		nd.dirtyFlag[q] = 0
 	}
-}
-
-// rowDiff appends the (bucket, oldCount, newCount) records for the buckets
-// whose count differs between two rows, walking the union of their masks in
-// ascending bucket order — the records NDDiff emits for the same two states.
-func rowDiff(recs []NDChange, oldMask bucketSet, oldCnt []int32, mask bucketSet, cnt []int32) []NDChange {
-	for wi, m := range mask {
-		for u := m | oldMask[wi]; u != 0; u &= u - 1 {
-			b := wi<<6 | bits.TrailingZeros64(u)
-			if oldCnt[b] != cnt[b] {
-				recs = append(recs, NDChange{B: int32(b), COld: oldCnt[b], CNew: cnt[b]})
-			}
-		}
-	}
-	return recs
-}
-
-// NDDiff appends the (bucket, oldCount, newCount) records for the entries
-// that differ between two sorted segments. 0 means "entry absent" on either
-// side. The distributed plane's query vertices diff their mirrors with it,
-// and their delta records match the in-process row diff bit for bit.
-func NDDiff(recs []NDChange, old, cur []NDEntry) []NDChange {
-	i, j := 0, 0
-	for i < len(old) || j < len(cur) {
-		switch {
-		case j >= len(cur) || (i < len(old) && old[i].B < cur[j].B):
-			recs = append(recs, NDChange{B: old[i].B, COld: old[i].C})
-			i++
-		case i >= len(old) || cur[j].B < old[i].B:
-			recs = append(recs, NDChange{B: cur[j].B, CNew: cur[j].C})
-			j++
-		default:
-			if old[i].C != cur[j].C {
-				recs = append(recs, NDChange{B: old[i].B, COld: old[i].C, CNew: cur[j].C})
-			}
-			i++
-			j++
-		}
-	}
-	return recs
-}
-
-// NDInc adds one unit of bucket b to a sorted entry slice, inserting the
-// entry if absent, and returns the (possibly reallocated) slice. It is the
-// registration half of a count transfer for callers that keep their own
-// per-query mirrors (the distributed plane's query vertices).
-func NDInc(ent []NDEntry, b int32) []NDEntry {
-	i := 0
-	for ; i < len(ent); i++ {
-		if ent[i].B >= b {
-			break
-		}
-	}
-	if i < len(ent) && ent[i].B == b {
-		ent[i].C++
-		return ent
-	}
-	ent = append(ent, NDEntry{})
-	copy(ent[i+1:], ent[i:])
-	ent[i] = NDEntry{B: b, C: 1}
-	return ent
-}
-
-// NDDec removes one unit of bucket b from a sorted entry slice, dropping
-// the entry as its count crosses zero, and returns the shortened slice.
-func NDDec(ent []NDEntry, b int32) []NDEntry {
-	i := 0
-	for ; i < len(ent); i++ {
-		if ent[i].B == b {
-			break
-		}
-	}
-	if i == len(ent) {
-		//shp:panics(invariant: the mirror must contain every bucket the base state does; continuing would corrupt counts)
-		panic(fmt.Sprintf("core: neighbor-data mirror lost bucket %d", b))
-	}
-	ent[i].C--
-	if ent[i].C == 0 {
-		ent = append(ent[:i], ent[i+1:]...)
-	}
-	return ent
-}
-
-// NDCount returns bucket b's count in a sorted entry slice (0 when absent).
-func NDCount(ent []NDEntry, b int32) int32 {
-	lo, hi := 0, len(ent)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ent[mid].B < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ent) && ent[lo].B == b {
-		return ent[lo].C
-	}
-	return 0
 }

@@ -347,7 +347,7 @@ func (s *Session) syncEngine() {
 	// and objective sums with it.
 	placeNewVertices(g, st.bucket, st.bucketW, st.capW, st.k)
 	splice := func(q int32) {
-		st.editQuery(q, func() { st.nd.fillRow(q, g.QueryNeighbors(q), st.bucket) })
+		st.editQuery(q, func() { st.nd.row(q).fill(g.QueryNeighbors(q), st.bucket) })
 	}
 	for _, q := range s.removedQ {
 		if int(q) < s.engNQ { // a later id is added below
@@ -393,7 +393,7 @@ func (s *Session) repairOverCap() {
 		// Repairs are rare and small, so the hub-conservative rebuild
 		// (members instead of patches) costs nothing measurable.
 		for _, q := range s.g.DataNeighbors(v) {
-			st.editQuery(q, func() { st.nd.transfer(q, from, to) })
+			st.editQuery(q, func() { st.nd.row(q).Transfer(from, to) })
 			for _, d := range s.g.QueryNeighbors(q) {
 				st.active[d] = activeRebuild
 			}

@@ -107,11 +107,11 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 
 // TestDistDeltaPatchProperty is the distributed mirror of core's
 // patched-vs-rebuilt property tests: random move batches flow through the
-// real query-side diff (applyUpdate + deltaRecords on the mapless
-// sorted-slice state), the real wire codecs, and the real data-side patch
-// (applyDelta); after every batch the patched accumulators of clean
-// observer vertices must bit-equal a from-scratch resummation of the query
-// histograms.
+// real query-side diff (applyUpdate + deltaRecords on the pin-count rows),
+// the real wire codecs, and the real data-side patch (applyDelta); after
+// every batch the patched accumulators of clean observer vertices must
+// bit-equal a from-scratch resummation of the query histograms, and every
+// query's row must equal a recount from its members' buckets.
 func TestDistDeltaPatchProperty(t *testing.T) {
 	const (
 		numData  = 60
@@ -140,7 +140,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				members[q] = append(members[q], d)
 			}
 		}
-		st := &queryState{q: int32(q), level: -1}
+		row := core.NewPinRows(2, buckets)
+		st := &queryState{level: -1, row: row(0), snap: row(1)}
 		st.register(0, len(members[q]))
 		for _, d := range members[q] {
 			// Registration round: every member is a mover, exactly as a
@@ -163,14 +164,14 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if !isMember[q][o] {
 				continue
 			}
-			cur += tb.T[core.NDCount(qs[q].ent, bucket)-1]
-			oth += tb.T[core.NDCount(qs[q].ent, bucket^1)]
+			cur += tb.T[qs[q].row.Count(bucket)-1]
+			oth += tb.T[qs[q].row.Count(bucket^1)]
 		}
 		return cur, oth
 	}
 	for _, o := range observers {
 		isObserver[o] = true
-		ds := &dataState{d: o, bucket: bucketOf[o]}
+		ds := &dataState{bucket: bucketOf[o]}
 		ds.sumCur, ds.sumOth = scratchSums(o, ds.bucket)
 		obs[o] = ds
 	}
@@ -251,7 +252,17 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
 			}
 			for _, rec := range decoded {
-				obs[o].applyDelta(tb, rec)
+				obs[o].applyDelta(o, tb, rec)
+			}
+		}
+		// The maintained rows must equal a recount.
+		for q, st := range qs {
+			memberBuckets := make([]int32, len(members[q]))
+			for i, d := range members[q] {
+				memberBuckets[i] = bucketOf[d]
+			}
+			if msg := rowViolation(st.row, memberBuckets, buckets); msg != "" {
+				t.Fatalf("round %d: query %d: %s", round, q, msg)
 			}
 		}
 		// Patched must bit-equal rebuilt.

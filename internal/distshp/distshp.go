@@ -323,7 +323,6 @@ func combine(held *record, m record) bool {
 
 // dataState is the per-data-vertex state.
 type dataState struct {
-	d      int32
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
 	moved  bool  // moved in the previous iteration (drives dirty-only sends)
 	level  int
@@ -344,10 +343,10 @@ type dataState struct {
 	propLevel int
 }
 
-// applyDelta folds one dirty-query delta record into the vertex's persistent
-// accumulators. Records are routed by the sender to members whose pair
-// contains the changed bucket, so anything else is a protocol violation.
-func (st *dataState) applyDelta(tb core.GainTables, r record) {
+// applyDelta folds one dirty-query delta record into data vertex d's
+// persistent accumulators. Records are routed by the sender to members whose
+// pair contains the changed bucket, so anything else is a protocol violation.
+func (st *dataState) applyDelta(d int32, tb core.GainTables, r record) {
 	bucket, cOld, cNew := r.delta()
 	switch bucket {
 	case st.bucket:
@@ -357,38 +356,32 @@ func (st *dataState) applyDelta(tb core.GainTables, r record) {
 	default:
 		//shp:panics(invariant: routing guarantees deltas reach only members of the changed pair; a miss means corrupt accumulators)
 		panic(fmt.Sprintf("distshp: delta for bucket %d reached vertex %d in bucket %d",
-			bucket, st.d, st.bucket))
+			bucket, d, st.bucket))
 	}
 }
 
-// queryState is the per-query-vertex state: the paper's "neighbor data",
-// held mapless in the kernel's canonical sorted-slice layout
-// (core.NDEntry) so the gain superstep performs zero hash operations. The
-// member registry is an int32 slice aligned with the query's sorted
-// adjacency list — member lookups are binary searches, and the per-level
-// reset is a linear fill instead of a map rebuild.
+// queryState is the per-query-vertex state: the paper's "neighbor data"
+// n_b(q), held in SHP-k's pin-count row (core.PinRow) sized at the final K,
+// so the gain superstep reads a count with one load and performs zero hash
+// operations. The member registry is an int32 slice aligned with the query's
+// sorted adjacency list — member lookups are binary searches, and the
+// per-level reset is a linear fill instead of a map rebuild. The query's id
+// is its vertex id minus |D|, so the state does not store it.
 type queryState struct {
-	q     int32
 	level int
-	// ent is the live neighbor data, sorted by bucket: the mirror of one
-	// in-process pin-count row's live entries, kept by core.NDInc/NDDec and
-	// diffed by core.NDDiff, whose records match the in-process row diff
-	// bit for bit.
-	ent []core.NDEntry
+	// row is the live neighbor data. At every barrier it is exactly the
+	// tally of memberBucket's entries that are >= 0, which is why a snapshot
+	// stores only the registry and a restore recounts the row.
+	row core.PinRow
 	// memberBucket[i] is the last known bucket of the i-th member of the
 	// query's sorted adjacency list, -1 while unregistered at this level.
 	memberBucket []int32
-	// prevLen is len(ent) after the previous superstep-1, so the global
-	// live-entry total (average fanout) can be maintained by the master from
-	// per-query diffs instead of graph passes.
-	prevLen int32
 
 	// Per-superstep scratch, reused so the steady state allocates nothing:
-	// snap holds the pre-superstep segment (taken on the first tracked
-	// update, diffed by deltaRecords), moved/movedIdx flag this superstep's
+	// snap is the row as it stood before this superstep's first tracked
+	// update (diffed by deltaRecords), moved/movedIdx flag this superstep's
 	// movers by member index, changes is the diff output buffer.
-	snap     []core.NDEntry
-	snapped  bool
+	snap     core.PinRow
 	moved    []bool
 	movedIdx []int32
 	changes  []core.NDChange
@@ -397,7 +390,7 @@ type queryState struct {
 // register (re)initializes the member registry for a new level.
 func (st *queryState) register(level, degree int) {
 	st.level = level
-	st.ent = st.ent[:0]
+	st.row.Reset()
 	if st.memberBucket == nil {
 		st.memberBucket = make([]int32, degree)
 		st.moved = make([]bool, degree)
@@ -407,23 +400,23 @@ func (st *queryState) register(level, degree int) {
 	}
 }
 
-// applyUpdate folds one bucket update into the neighbor data. members is
-// the query's sorted adjacency list. When track is set (the incremental
-// plane), the pre-superstep segment is snapshotted on first touch and the
-// updating member is flagged as a mover, so deltaRecords can diff the net
-// per-bucket changes and the send loop can route full contributions to
-// movers only.
+// applyUpdate folds one bucket update into the neighbor data: a transfer
+// from the member's previous bucket, or a plain increment when it registers.
+// members is the query's sorted adjacency list. When track is set (the
+// incremental plane), the row is snapshotted before the superstep's first
+// tracked update and the updating member is flagged as a mover, so
+// deltaRecords can diff the net per-bucket changes and the send loop can
+// route full contributions to movers only.
 func (st *queryState) applyUpdate(members []int32, r record, track bool) {
 	data, bucket := r.bucket()
 	i, ok := slices.BinarySearch(members, data)
 	if !ok {
 		//shp:panics(invariant: only adjacent data vertices may update a query; a stray update corrupts neighbor histograms)
-		panic(fmt.Sprintf("distshp: bucket update from non-member %d reached query %d", data, st.q))
+		panic(fmt.Sprintf("distshp: bucket update from non-member %d", data))
 	}
 	if track {
-		if !st.snapped {
-			st.snapped = true
-			st.snap = append(st.snap[:0], st.ent...)
+		if len(st.movedIdx) == 0 {
+			st.snap.CopyFrom(st.row)
 		}
 		if !st.moved[i] {
 			st.moved[i] = true
@@ -431,18 +424,19 @@ func (st *queryState) applyUpdate(members []int32, r record, track bool) {
 		}
 	}
 	if prev := st.memberBucket[i]; prev >= 0 {
-		st.ent = core.NDDec(st.ent, prev)
+		st.row.Transfer(prev, bucket)
+	} else {
+		st.row.Inc(bucket)
 	}
 	st.memberBucket[i] = bucket
-	st.ent = core.NDInc(st.ent, bucket)
 }
 
-// deltaRecords diffs the pre-superstep snapshot against the current counts
-// into canonical sorted-by-bucket (bucket, cOld, cNew) changes, skipping
+// deltaRecords diffs the pre-superstep snapshot against the current row
+// into canonical ascending-bucket (bucket, cOld, cNew) changes, skipping
 // buckets whose net count is unchanged. 0 means "entry absent" on either
 // side.
 func (st *queryState) deltaRecords() []core.NDChange {
-	st.changes = core.NDDiff(st.changes[:0], st.snap, st.ent)
+	st.changes = st.row.Diff(st.changes[:0], st.snap)
 	return st.changes
 }
 
@@ -452,7 +446,6 @@ func (st *queryState) resetSuperstep() {
 		st.moved[i] = false
 	}
 	st.movedIdx = st.movedIdx[:0]
-	st.snapped = false
 }
 
 // workerAgg is one worker's part of a superstep's aggregate, what its
@@ -612,18 +605,19 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
 	}
 
+	// The vertex states live in two slabs, and each query's live and
+	// snapshot rows are carved from one row slab.
+	dataStates := make([]dataState, numD)
+	queryStates := make([]queryState, numQ)
+	row := core.NewPinRows(2*numQ, opts.K)
 	vertices := make([]*pregel.Vertex, 0, numD+numQ)
-	for d := 0; d < numD; d++ {
-		vertices = append(vertices, &pregel.Vertex{
-			ID:    pregel.VertexID(d),
-			State: &dataState{d: int32(d), bucket: -1, level: -1, propLevel: -1},
-		})
+	for d := range dataStates {
+		dataStates[d] = dataState{bucket: -1, level: -1, propLevel: -1}
+		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(d), State: &dataStates[d]})
 	}
-	for q := 0; q < numQ; q++ {
-		vertices = append(vertices, &pregel.Vertex{
-			ID:    pregel.VertexID(numD + q),
-			State: &queryState{q: int32(q), level: -1},
-		})
+	for q := range queryStates {
+		queryStates[q] = queryState{level: -1, row: row(2 * q), snap: row(2*q + 1)}
+		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(numD + q), State: &queryStates[q]})
 	}
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
@@ -631,9 +625,9 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 		switch st := v.State.(type) {
 		case *dataState:
-			computeData(ctx, g, st, msgs, sched, tables)
+			computeData(ctx, g, int32(v.ID), st, msgs, sched, tables)
 		case *queryState:
-			computeQuery(ctx, g, st, msgs, sched, tables)
+			computeQuery(ctx, g, int32(int(v.ID)-numD), st, msgs, sched, tables)
 		}
 	}
 
@@ -703,7 +697,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			engOpts.Checkpointer = pregel.NewMemoryCheckpointer()
 		}
 		engOpts.CheckpointEvery = opts.CheckpointEvery
-		engOpts.Snapshots = newSnapshotRegistry()
+		engOpts.Snapshots = newSnapshotRegistry(opts.K)
 		engOpts.MasterSnapshot = func() []byte { return sched.appendBinary(nil) }
 		engOpts.MasterRestore = sched.restoreBinary
 	}
@@ -737,9 +731,9 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	}, nil
 }
 
-// computeData is the data-vertex program. It reads the master's state in s,
-// which the master writes only between supersteps.
-func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, st *dataState,
+// computeData is the program of data vertex d. It reads the master's state
+// in s, which the master writes only between supersteps.
+func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, d int32, st *dataState,
 	msgs []record, s *schedule, tables []core.GainTables) {
 
 	switch ctx.Superstep() % 4 {
@@ -754,19 +748,19 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 				base = old * 2
 			}
 			coin := int32(0)
-			if rng.CoinAt(s.opts.Seed^0x51DE, rng.Mix(uint64(level)+1, uint64(st.d))) >= 0.5 {
+			if rng.CoinAt(s.opts.Seed^0x51DE, rng.Mix(uint64(level)+1, uint64(d))) >= 0.5 {
 				coin = 1
 			}
 			st.bucket = base + coin
 			st.level = level
 			st.moved = false
 			// (Re-)register with all queries.
-			for _, q := range g.DataNeighbors(st.d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(st.d, st.bucket))
+			for _, q := range g.DataNeighbors(d) {
+				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(d, st.bucket))
 			}
 		} else if st.moved {
-			for _, q := range g.DataNeighbors(st.d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(st.d, st.bucket))
+			for _, q := range g.DataNeighbors(d) {
+				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(d, st.bucket))
 			}
 			st.moved = false
 		}
@@ -803,14 +797,14 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 				sumOth += oth
 			case kindDelta:
 				deltas++
-				st.applyDelta(tb, m)
+				st.applyDelta(d, tb, m)
 			}
 		}
 		if gains > 0 {
 			if deltas > 0 {
 				//shp:panics(invariant: the superstep schedule never mixes gain and delta planes; a mix means the barrier protocol broke)
 				panic(fmt.Sprintf("distshp: vertex %d received %d gain and %d delta messages in one superstep",
-					st.d, gains, deltas))
+					d, gains, deltas))
 			}
 			st.sumCur, st.sumOth = sumCur, sumOth
 		}
@@ -827,12 +821,12 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			// vertex's weight between the buckets' persistent totals.
 			agg.propose(st.propKey, st.propGain, true)
 			if oldB := int32(uint32(st.propKey)); oldB != st.bucket {
-				agg.weigh(oldB, -int64(g.DataWeight(st.d)))
-				agg.weigh(st.bucket, int64(g.DataWeight(st.d)))
+				agg.weigh(oldB, -int64(g.DataWeight(d)))
+				agg.weigh(st.bucket, int64(g.DataWeight(d)))
 			}
 		} else {
 			// First proposal of the level: register the full weight.
-			agg.weigh(st.bucket, int64(g.DataWeight(st.d)))
+			agg.weigh(st.bucket, int64(g.DataWeight(d)))
 		}
 		agg.propose(key, st.gain, false)
 		st.propKey, st.propGain, st.propLevel = key, st.gain, level
@@ -846,7 +840,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 		if p <= 0 {
 			return
 		}
-		key := rng.Mix(rng.Mix(uint64(s.level)+1, uint64(s.iter)+1), uint64(st.d))
+		key := rng.Mix(rng.Mix(uint64(s.level)+1, uint64(s.iter)+1), uint64(d))
 		if p >= 1 || rng.CoinAt(s.opts.Seed^0x30E5, key) < p {
 			st.bucket ^= 1
 			st.moved = true
@@ -862,7 +856,7 @@ func directionKey(bucket int32) uint64 {
 	return uint64(uint32(bucket))
 }
 
-// computeQuery is the query-vertex program: maintain neighbor data
+// computeQuery is the program of query vertex q: maintain neighbor data
 // incrementally from superstep 0's bucket updates and, in superstep 1, bring
 // each member's gain state up to date.
 //
@@ -872,7 +866,7 @@ func directionKey(bucket int32) uint64 {
 // queries send nothing. On a master-scheduled rebroadcast iteration every
 // query sends every member its full contribution, exactly the paper's
 // per-iteration r = 2 neighbor-data reduction.
-func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, st *queryState,
+func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, q int32, st *queryState,
 	msgs []record, s *schedule, tables []core.GainTables) {
 
 	switch ctx.Superstep() % 4 {
@@ -880,7 +874,8 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		level := s.level
 		// Set by the master for the iterations it schedules a rebroadcast on.
 		full := s.rebuildNext
-		members := g.QueryNeighbors(st.q)
+		members := g.QueryNeighbors(q)
+		live := st.row.Live()
 		if level != st.level {
 			// Level changed: rebuild from the registration messages. Every
 			// data vertex re-registers, so every member counts as a mover
@@ -888,11 +883,11 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 			st.register(level, len(members))
 		}
 		// Apply the bucket updates. Unless this superstep rebroadcasts, flag
-		// the members that moved and snapshot the pre-superstep segment so the
+		// the members that moved and snapshot the pre-superstep row so the
 		// net per-bucket changes can be diffed out afterwards. No map is
-		// touched anywhere in this superstep: counts live in the kernel's
-		// sorted-slice layout and member lookups are binary searches over
-		// the sorted adjacency list.
+		// touched anywhere in this superstep: counts live in the pin-count
+		// row and member lookups are binary searches over the sorted
+		// adjacency list.
 		track := !full
 		for _, m := range msgs {
 			st.applyUpdate(members, m, track)
@@ -900,10 +895,7 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		// Fanout bookkeeping: hand the master the live-entry diff so it can
 		// maintain the global average fanout without graph passes. Identical
 		// on every path (count maintenance does not depend on the plane).
-		if n := int32(len(st.ent)); n != st.prevLen {
-			ctx.Aggregate().fanoutDiff += int64(n - st.prevLen)
-			st.prevLen = n
-		}
+		ctx.Aggregate().fanoutDiff += int64(st.row.Live() - live)
 		// Send each member its gain-state update. Iterating the adjacency
 		// list keeps send order — and with it uncombined floating-point
 		// summation order — deterministic; grid-exact sums make the order
@@ -915,11 +907,11 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 				if b < 0 {
 					continue
 				}
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[core.NDCount(st.ent, b)-1], tb.T[core.NDCount(st.ent, b^1)]))
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[st.row.Count(b)-1], tb.T[st.row.Count(b^1)]))
 			}
 			return
 		}
-		if !st.snapped {
+		if len(st.movedIdx) == 0 {
 			return // clean query: members' accumulators are already exact
 		}
 		changes := st.deltaRecords()
@@ -929,7 +921,7 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 				continue
 			}
 			if st.moved[i] {
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[core.NDCount(st.ent, b)-1], tb.T[core.NDCount(st.ent, b^1)]))
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[st.row.Count(b)-1], tb.T[st.row.Count(b^1)]))
 				continue
 			}
 			for _, c := range changes {

@@ -11,6 +11,7 @@ package distshp
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -64,40 +65,70 @@ func FuzzDeltaCodec(f *testing.F) {
 	f.Fuzz(checkRecordCodec)
 }
 
+// rowViolation describes the first way row breaks its contract for a query
+// whose members sit in buckets (-1 = unregistered), over k buckets: a count
+// that differs from the tally of buckets, or a mask bit set without a count
+// or missing beside one. It returns "" when the row holds.
+func rowViolation(row core.PinRow, buckets []int32, k int) string {
+	tally := make([]int32, k)
+	for _, b := range buckets {
+		if b >= 0 {
+			tally[b]++
+		}
+	}
+	var want []core.NDChange
+	for b, c := range tally {
+		if got := row.Count(int32(b)); got != c {
+			return fmt.Sprintf("bucket %d: count %d, tally %d", b, got, c)
+		}
+		if c > 0 {
+			want = append(want, core.NDChange{B: int32(b), CNew: c})
+		}
+	}
+	// Diffing against an empty row walks the mask: it must name exactly the
+	// buckets with a pin, and Live must count no other bit.
+	if got := row.Diff(nil, core.NewPinRows(1, k)(0)); !slices.Equal(got, want) || row.Live() != len(want) {
+		return fmt.Sprintf("mask walk %v (live %d), want %v", got, row.Live(), want)
+	}
+	return ""
+}
+
+// fuzzK is the bucket count the checkpoint fuzz target's codecs run at.
+const fuzzK = 8
+
 // FuzzCheckpointCodec drives the checkpoint vertex-state codecs with
-// arbitrary bytes: Decode must reject hostile input without panicking or
-// over-allocating, and any accepted value must round-trip stably through
-// Append/Decode (raw bytes may use overlong varints, so the comparison is
-// between the first and second encodings, not against the input).
+// arbitrary bytes: Decode must reject hostile input — a bucket outside
+// [-1, K) among it — without panicking or over-allocating, a decoded
+// query's row must be the tally of its decoded registry, and any accepted
+// value must round-trip stably through Append/Decode (raw bytes may use
+// overlong varints, so the comparison is between the first and second
+// encodings, not against the input).
 func FuzzCheckpointCodec(f *testing.F) {
-	ds, _ := (dataStateCodec{}).Append(nil, &dataState{
-		d: 7, bucket: 3, moved: true, level: 2,
+	ds, _ := (dataStateCodec{fuzzK}).Append(nil, &dataState{
+		bucket: 3, moved: true, level: 2,
 		sumCur: 1.5, sumOth: -0.25, gain: 0.125,
 		propKey: 11, propGain: 0.5, propLevel: 2,
 	})
-	qsReg, _ := (queryStateCodec{}).Append(nil, &queryState{
-		q: 4, level: 1,
-		ent:          []core.NDEntry{{B: 0, C: 2}, {B: 3, C: 1}},
-		memberBucket: []int32{0, 3, 3},
-		prevLen:      2,
-	})
-	qsNil, _ := (queryStateCodec{}).Append(nil, &queryState{q: 9, memberBucket: nil})
+	qsReg, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 1, memberBucket: []int32{0, 3, -1, 3}})
+	qsNil, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{memberBucket: nil})
+	qsBucketK, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: []int32{0, fuzzK}})
 	// One mantissa bit of sumCur flipped: still a valid dataState, which is
 	// why the snapshot around these codecs carries a checksum.
 	flipped := bytes.Clone(ds)
-	flipped[4+2] ^= 0x10 // d, bucket, moved, level take one byte each; sumCur follows
+	flipped[3+2] ^= 0x10 // bucket, moved, level take one byte each; sumCur follows
 	f.Add(true, ds)
 	f.Add(true, flipped)
 	f.Add(false, qsReg)
 	f.Add(false, qsNil)
+	f.Add(false, qsBucketK)
 	f.Add(true, []byte{})
 	f.Add(false, []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
 	f.Fuzz(func(t *testing.T, isData bool, data []byte) {
 		var codec pregel.ValueCodec
 		if isData {
-			codec = dataStateCodec{}
+			codec = dataStateCodec{fuzzK}
 		} else {
-			codec = queryStateCodec{}
+			codec = queryStateCodec{fuzzK}
 		}
 		m, used, err := codec.Decode(data)
 		if err != nil {
@@ -105,6 +136,11 @@ func FuzzCheckpointCodec(f *testing.F) {
 		}
 		if used > len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
+		}
+		if st, ok := m.(*queryState); ok {
+			if msg := rowViolation(st.row, st.memberBucket, fuzzK); msg != "" {
+				t.Fatalf("decoded row disagrees with its registry %v: %s", st.memberBucket, msg)
+			}
 		}
 		re, err := codec.Append(nil, m)
 		if err != nil {
@@ -130,6 +166,36 @@ func FuzzCheckpointCodec(f *testing.F) {
 			t.Fatalf("unstable canonical encoding: %x vs %x", re2, re)
 		}
 	})
+}
+
+// TestCheckpointCodecRejectsOutOfRangeBuckets checks that a vertex state
+// holding a bucket the run's rows have no slot for fails its decode instead
+// of crashing the resumed run, and that both ends of [-1, K) decode.
+func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
+	for _, mb := range [][]int32{{0, fuzzK}, {-2, 1}, {1, 1 << 30}} {
+		buf, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: mb})
+		if _, _, err := (queryStateCodec{fuzzK}).Decode(buf); err == nil {
+			t.Errorf("registry %v decoded at K = %d", mb, fuzzK)
+		}
+	}
+	for _, b := range []int32{fuzzK, -2} {
+		buf, _ := (dataStateCodec{fuzzK}).Append(nil, &dataState{bucket: b, level: 2})
+		if _, _, err := (dataStateCodec{fuzzK}).Decode(buf); err == nil {
+			t.Errorf("data bucket %d decoded at K = %d", b, fuzzK)
+		}
+	}
+	buf, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: []int32{-1, fuzzK - 1, fuzzK - 1}})
+	m, _, err := (queryStateCodec{fuzzK}).Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := rowViolation(m.(*queryState).row, []int32{-1, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
+		t.Fatal(msg)
+	}
+	buf, _ = (dataStateCodec{fuzzK}).Append(nil, &dataState{bucket: -1, level: -1})
+	if _, _, err := (dataStateCodec{fuzzK}).Decode(buf); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func FuzzDeltaBatchCodec(f *testing.F) {

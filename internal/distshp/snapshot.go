@@ -1,12 +1,17 @@
 package distshp
 
 // Snapshot codecs for the fault-tolerance plane: everything a distributed
-// run holds across a superstep barrier — per-vertex dataState/queryState
-// (including the persistent dyadic-grid accumulators) and the master's
-// schedule (level and iteration counters, persistent DirHist histograms,
-// bucket weights, iteration history) — encodes through these, so a recovery
-// resumes the *incremental* protocol exactly where the checkpoint left it:
-// no rebroadcast, no resummation, byte-identical continuation.
+// run holds across a superstep barrier — per-vertex dataState (including the
+// persistent dyadic-grid accumulators), per-vertex queryState, and the
+// master's schedule (level and iteration counters, persistent DirHist
+// histograms, bucket weights, iteration history) — encodes through these, so
+// a recovery resumes the *incremental* protocol exactly where the checkpoint
+// left it: no rebroadcast, no resummation, byte-identical continuation.
+//
+// A query snapshot holds only its level and member registry. Its pin-count
+// row is the tally of the registry's entries >= 0 at every barrier, so a
+// restore recounts it, and neither state stores its id: both derive from the
+// vertex id.
 //
 // Every encoding here is canonical (map keys sorted, struct fields in
 // declaration order), so equal states produce byte-identical snapshots —
@@ -193,6 +198,16 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// bucket reads a bucket id and fails unless it is -1 or in [0, k).
+func (d *decoder) bucket(k int) int32 {
+	b := d.varint()
+	if b < -1 || b >= int64(k) {
+		d.fail(fmt.Sprintf("bucket %d outside [-1, %d)", b, k))
+		return -1
+	}
+	return int32(b)
+}
+
 func (d *decoder) histMap() map[uint64]*core.DirHist {
 	n := d.uvarint()
 	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
@@ -250,11 +265,14 @@ func appendWeightMap(buf []byte, m map[int32]int64) []byte {
 
 // --- vertex-state codecs ---
 
-type dataStateCodec struct{}
+// The vertex-state codecs know the run's K: every bucket a state holds is
+// -1 (unregistered) or below K, and a decoded state that breaks this is
+// rejected instead of crashing the resumed run on a row index.
+
+type dataStateCodec struct{ k int }
 
 func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	st := m.(*dataState)
-	buf = binary.AppendVarint(buf, int64(st.d))
 	buf = binary.AppendVarint(buf, int64(st.bucket))
 	if st.moved {
 		buf = append(buf, 1)
@@ -271,11 +289,10 @@ func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	return buf, nil
 }
 
-func (dataStateCodec) Decode(data []byte) (any, int, error) {
+func (c dataStateCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
 	st := &dataState{}
-	st.d = int32(d.varint())
-	st.bucket = int32(d.varint())
+	st.bucket = d.bucket(c.k)
 	st.moved = d.byte() != 0
 	st.level = int(d.varint())
 	st.sumCur = math.Float64frombits(d.u64())
@@ -295,21 +312,17 @@ func (c dataStateCodec) Size(m any) int {
 	return len(buf)
 }
 
-type queryStateCodec struct{}
+type queryStateCodec struct{ k int }
 
-// Append encodes the query's durable state. The per-superstep scratch
-// (snapshot segment, mover flags, diff buffers) is logically empty at every
-// barrier — resetSuperstep runs before the superstep ends on every path — so
-// it is omitted and reallocated on restore.
+// Append encodes the query's durable state: its level and member registry.
+// The row is the registry's tally at every barrier, so it is not stored; the
+// per-superstep scratch (snapshot row, mover flags, diff buffer) is
+// logically empty at every barrier — resetSuperstep runs before the
+// superstep ends on every path — so it is omitted and reallocated on
+// restore.
 func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	st := m.(*queryState)
-	buf = binary.AppendVarint(buf, int64(st.q))
 	buf = binary.AppendVarint(buf, int64(st.level))
-	buf = binary.AppendUvarint(buf, uint64(len(st.ent)))
-	for _, e := range st.ent {
-		buf = binary.AppendVarint(buf, int64(e.B))
-		buf = binary.AppendVarint(buf, int64(e.C))
-	}
 	// memberBucket nil (never registered) and empty (registered, zero
 	// degree) differ: register() only allocates when nil.
 	if st.memberBucket == nil {
@@ -320,25 +333,16 @@ func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
 			buf = binary.AppendVarint(buf, int64(b))
 		}
 	}
-	buf = binary.AppendVarint(buf, int64(st.prevLen))
 	return buf, nil
 }
 
-func (queryStateCodec) Decode(data []byte) (any, int, error) {
+// Decode restores the level and registry and recounts the row from the
+// registry, so a restored row can never disagree with it.
+func (c queryStateCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
-	st := &queryState{}
-	st.q = int32(d.varint())
+	row := core.NewPinRows(2, c.k)
+	st := &queryState{row: row(0), snap: row(1)}
 	st.level = int(d.varint())
-	nEnt := d.uvarint()
-	if nEnt > uint64(len(d.data)) { // each entry is >= 2 bytes
-		d.fail("neighbor-data count exceeds payload")
-	}
-	if d.err == nil && nEnt > 0 {
-		st.ent = make([]core.NDEntry, 0, nEnt)
-		for i := uint64(0); i < nEnt; i++ {
-			st.ent = append(st.ent, core.NDEntry{B: int32(d.varint()), C: int32(d.varint())})
-		}
-	}
 	nMB := d.uvarint()
 	if nMB > uint64(len(d.data))+1 { // each member bucket is >= 1 byte
 		d.fail("member registry count exceeds payload")
@@ -346,14 +350,17 @@ func (queryStateCodec) Decode(data []byte) (any, int, error) {
 	if d.err == nil && nMB > 0 {
 		degree := int(nMB - 1)
 		st.memberBucket = make([]int32, degree)
-		for i := 0; i < degree; i++ {
-			st.memberBucket[i] = int32(d.varint())
+		for i := range st.memberBucket {
+			b := d.bucket(c.k)
+			if b >= 0 {
+				st.row.Inc(b)
+			}
+			st.memberBucket[i] = b
 		}
 		// applyUpdate indexes moved by member position whenever the
 		// registry exists, so it must be re-allocated alongside.
 		st.moved = make([]bool, degree)
 	}
-	st.prevLen = int32(d.varint())
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("distshp: queryState snapshot: %w", d.err)
 	}
@@ -366,11 +373,11 @@ func (c queryStateCodec) Size(m any) int {
 }
 
 // newSnapshotRegistry builds the checkpoint codec registry of the vertex
-// states. A state missing here fails the checkpoint loudly instead of being
-// dropped.
-func newSnapshotRegistry() *pregel.Registry {
+// states of a run over k buckets. A state missing here fails the checkpoint
+// loudly instead of being dropped.
+func newSnapshotRegistry(k int) *pregel.Registry {
 	reg := pregel.NewRegistry()
-	reg.Register(&dataState{}, dataStateCodec{})
-	reg.Register(&queryState{}, queryStateCodec{})
+	reg.Register(&dataState{}, dataStateCodec{k})
+	reg.Register(&queryState{}, queryStateCodec{k})
 	return reg
 }
