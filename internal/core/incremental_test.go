@@ -317,6 +317,32 @@ func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	}
 }
 
+// TestPinRowsReshapeInPlace checks the rows NewPinRows carves from shared
+// slabs: Reshape within a row's width reuses its storage and empties it,
+// past the width it allocates, and neither touches the neighbouring rows.
+func TestPinRowsReshapeInPlace(t *testing.T) {
+	rows := NewPinRows(3, func(i int) int { return []int{70, 4, 8}[i] })
+	for i, r := range rows {
+		r.Inc(int32(i))
+		r.Inc(3)
+	}
+	small := rows[0].Reshape(6)
+	if small.Live() != 0 || &small.cnt[0] != &rows[0].cnt[0] {
+		t.Fatal("Reshape within the width did not empty the row's own storage")
+	}
+	small.Inc(5)
+	grown := rows[1].Reshape(12) // the width of rows 1 and 2 together
+	if grown.Live() != 0 || len(grown.cnt) != 12 || &grown.cnt[0] == &rows[1].cnt[0] {
+		t.Fatal("Reshape past the width did not allocate")
+	}
+	grown.Inc(11)
+	for i, r := range rows[1:] {
+		if r.Count(int32(i+1)) != 1 || r.Count(3) != 1 || r.Live() != 2 {
+			t.Fatalf("row %d changed under its neighbours' Reshape", i+1)
+		}
+	}
+}
+
 // TestPinRowsSurviveSessionEdits drives every path that edits the
 // neighbor-data rows outside a move batch — a Session's splices of added
 // and removed hyperedges, and the balance repair that a data-weight change

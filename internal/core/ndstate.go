@@ -24,15 +24,17 @@ import (
 // dense counts, Mt-KaHyPar's layout — with ±1 count transfers and the row
 // diff that turns a query's pre-batch snapshot and its current row into the
 // canonical (bucket, cOld, cNew) records. SHP-k keeps its rows in one arena
-// (ndState) with the dirty-query machinery that snapshots each touched
-// query's pre-batch row and hands the records to the refiner, so it can
-// patch its members' accumulators through GainTables.DeltaOwn/DeltaAway; the
-// distributed plane's query vertices each hold one row and one snapshot row
-// carved by NewPinRows, and ship the same records over the wire. Because
-// every table value lies on the shared dyadic grid (gainGridBits), a patched
-// accumulator is bit-identical to a from-scratch resummation in any order —
-// the property all the "every rebuild schedule yields the same bytes"
-// guarantees rest on.
+// (ndState) over the k buckets, with the dirty-query machinery that
+// snapshots each touched query's pre-batch row and hands the records to the
+// refiner, so it can patch its members' accumulators through
+// GainTables.DeltaOwn/DeltaAway. The distributed plane's query vertices each
+// hold one row and one snapshot row carved by NewPinRows, over only the
+// sibling pairs their members occupy at the current level (so a row's size
+// is bounded by the query's degree, not by K), and ship the same records
+// over the wire. Because every table value lies on the shared dyadic grid
+// (gainGridBits), a patched accumulator is bit-identical to a from-scratch
+// resummation in any order — the property all the "every rebuild schedule
+// yields the same bytes" guarantees rest on.
 
 // PinRow is one query's neighbor data over k buckets: a ⌈k/64⌉-word
 // connectivity mask beside the k pin counts n_b(q). Mask bit b is set
@@ -40,21 +42,44 @@ import (
 // live entries in ascending bucket order — the canonical order of every
 // consumer. A move is one decrement, one increment and at most two bit
 // flips; nothing is inserted, removed or re-sorted. A row is a view into
-// slabs its owner allocated, so copying a PinRow copies no counts.
+// slabs its owner allocated, so copying a PinRow copies no counts. At six
+// words a PinRow is too big for the compiler to keep in registers, so the
+// methods that index it more than once copy its slices into locals first.
 type PinRow struct {
 	mask bucketSet
 	cnt  []int32
 }
 
-// NewPinRows allocates one mask slab and one count slab for n zeroed rows
-// over k buckets, n·(4k + 8⌈k/64⌉) bytes between them, and returns the
-// function that hands out row i, 0 <= i < n.
-func NewPinRows(n, k int) func(i int) PinRow {
-	w := (k + 63) >> 6
-	mask, cnt := make(bucketSet, n*w), make([]int32, n*k)
-	return func(i int) PinRow {
-		return PinRow{mask: mask[i*w : (i+1)*w], cnt: cnt[i*k : (i+1)*k]}
+// NewPinRows allocates n zeroed rows from one mask slab and one count slab,
+// row i over k(i) buckets, 4k(i) + 8⌈k(i)/64⌉ bytes each.
+func NewPinRows(n int, k func(i int) int) []PinRow {
+	words := func(i int) int { return (k(i) + 63) >> 6 }
+	nw, nk := 0, 0
+	for i := 0; i < n; i++ {
+		nw += words(i)
+		nk += k(i)
 	}
+	mask, cnt := make(bucketSet, nw), make([]int32, nk)
+	rows := make([]PinRow, n)
+	for i := range rows {
+		w, c := words(i), k(i)
+		rows[i] = PinRow{mask: mask[:w:w], cnt: cnt[:c:c]}
+		mask, cnt = mask[w:], cnt[c:]
+	}
+	return rows
+}
+
+// Reshape returns the row emptied and viewed over k buckets. It reuses the
+// storage of a row from NewPinRows or Reshape when that holds k buckets and
+// allocates otherwise.
+func (r PinRow) Reshape(k int) PinRow {
+	w := (k + 63) >> 6
+	if k > cap(r.cnt) {
+		return PinRow{mask: make(bucketSet, w), cnt: make([]int32, k)}
+	}
+	r = PinRow{mask: r.mask[:w], cnt: r.cnt[:k]}
+	r.reset()
+	return r
 }
 
 // Count returns bucket b's pin count n_b(q).
@@ -63,8 +88,8 @@ func (r PinRow) Count(b int32) int32 { return r.cnt[b] }
 // Live returns the row's connectivity: the number of buckets with a pin.
 func (r PinRow) Live() int { return r.mask.count() }
 
-// Reset empties the row.
-func (r PinRow) Reset() {
+// reset empties the row.
+func (r PinRow) reset() {
 	clear(r.mask)
 	clear(r.cnt)
 }
@@ -85,28 +110,36 @@ func (r PinRow) Inc(b int32) int {
 	return 1
 }
 
-// Transfer moves one pin from bucket `from` to bucket `to` and returns the
-// change in connectivity (-1, 0, or +1).
-func (r PinRow) Transfer(from, to int32) int {
-	if r.cnt[from] == 0 {
+// Transfer moves one pin of query q's row from bucket `from` to bucket `to`
+// and returns the change in connectivity (-1, 0, or +1). q only names the
+// query if the row has no pin to move.
+func (r PinRow) Transfer(q, from, to int32) int {
+	m, c := r.mask, r.cnt
+	if c[from] == 0 {
 		//shp:panics(invariant: an incremental retract must match a prior assert; continuing would corrupt neighbor counts)
-		panic(fmt.Sprintf("core: pin-count row lost bucket %d", from))
+		panic(fmt.Sprintf("core: neighbor data for query %d lost bucket %d", q, from))
 	}
-	delta := r.Inc(to)
-	if r.cnt[from]--; r.cnt[from] == 0 {
-		r.mask[from>>6] &^= 1 << (uint32(from) & 63)
+	delta := 0
+	if c[from]--; c[from] == 0 {
+		m[from>>6] &^= 1 << (uint32(from) & 63)
 		delta--
+	}
+	if c[to]++; c[to] == 1 {
+		m.add(to)
+		delta++
 	}
 	return delta
 }
 
 // fill recounts the row from its query's members' buckets.
 func (r PinRow) fill(members, bucket []int32) {
-	r.Reset()
+	m, c := r.mask, r.cnt
+	clear(m)
+	clear(c)
 	for _, d := range members {
 		b := bucket[d]
-		r.mask.add(b)
-		r.cnt[b]++
+		m.add(b)
+		c[b]++
 	}
 }
 
@@ -114,11 +147,12 @@ func (r PinRow) fill(members, bucket []int32) {
 // whose count differs between old and the row, walking the union of their
 // masks in ascending bucket order. 0 means "no pin" on either side.
 func (r PinRow) Diff(recs []NDChange, old PinRow) []NDChange {
-	for wi, m := range r.mask {
-		for u := m | old.mask[wi]; u != 0; u &= u - 1 {
+	mask, cnt, oldMask, oldCnt := r.mask, r.cnt, old.mask, old.cnt
+	for wi, m := range mask {
+		for u := m | oldMask[wi]; u != 0; u &= u - 1 {
 			b := wi<<6 | bits.TrailingZeros64(u)
-			if old.cnt[b] != r.cnt[b] {
-				recs = append(recs, NDChange{B: int32(b), COld: old.cnt[b], CNew: r.cnt[b]})
+			if oldCnt[b] != cnt[b] {
+				recs = append(recs, NDChange{B: int32(b), COld: oldCnt[b], CNew: cnt[b]})
 			}
 		}
 	}
@@ -236,14 +270,14 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, buc
 	for _, m := range accepted {
 		to := bucket[m.v]
 		for _, q := range g.DataNeighbors(m.v) {
-			r := nd.row(q)
 			if nd.dirtyFlag[q] == 0 {
 				nd.dirtyFlag[q] = 1
 				ds.dirtyQ = append(ds.dirtyQ, q)
+				r := nd.row(q)
 				ds.snapMask = append(ds.snapMask, r.mask...)
 				ds.snapCnt = append(ds.snapCnt, r.cnt...)
 			}
-			if d := r.Transfer(m.from, to); d != 0 {
+			if d := nd.row(q).Transfer(q, m.from, to); d != 0 {
 				nd.wEntries += int64(d) * int64(g.QueryWeight(q))
 			}
 		}

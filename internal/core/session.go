@@ -393,7 +393,7 @@ func (s *Session) repairOverCap() {
 		// Repairs are rare and small, so the hub-conservative rebuild
 		// (members instead of patches) costs nothing measurable.
 		for _, q := range s.g.DataNeighbors(v) {
-			st.editQuery(q, func() { st.nd.row(q).Transfer(from, to) })
+			st.editQuery(q, func() { st.nd.row(q).Transfer(q, from, to) })
 			for _, d := range s.g.QueryNeighbors(q) {
 				st.active[d] = activeRebuild
 			}

@@ -42,7 +42,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 								Workers:       2,
 								MaxSupersteps: steps,
 								Transport:     tc.transport(),
-								Codecs:        recordCodec{},
+								Codecs:        wideWire,
 								Combiner:      combine,
 								Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 									received.Add(int64(len(msgs)))

@@ -57,8 +57,12 @@ func envelopeKind(recs []record) (uint8, error) {
 	return kind + 1, nil
 }
 
-// recordCodec is the engine's Codec[record].
-type recordCodec struct{}
+// recordCodec is the engine's Codec[record] for a run over k buckets whose
+// largest query degree is maxDeg. Decode rejects a bucket outside [0, k) and
+// a delta count outside [0, maxDeg] — what no run sends — so a hostile wire
+// frame or checkpointed message fails to decode instead of indexing out of
+// a query's row or a gain table.
+type recordCodec struct{ k, maxDeg int32 }
 
 func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
 	k, err := envelopeKind(recs)
@@ -100,7 +104,7 @@ func uvarintLen(v uint64) int {
 // Decode accepts exactly what Append writes: a batch holds at least two
 // records behind a minimal uvarint count, so re-encoding what it decoded
 // reproduces the bytes it consumed.
-func (recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
+func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	if len(data) == 0 {
 		return recs, 0, fmt.Errorf("distshp: truncated record kind")
 	}
@@ -124,14 +128,22 @@ func (recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	if n > uint64((len(data)-used)/size) {
 		return recs, 0, fmt.Errorf("distshp: %d records of kind %d exceed the %d-byte payload", n, kind, len(data)-used)
 	}
+	base := len(recs)
 	for i := uint64(0); i < n; i++ {
 		p := data[used:]
 		r := record{kind: kind, lo: binary.LittleEndian.Uint64(p)}
 		switch kind {
+		case kindBucket:
+			if _, b := r.bucket(); b < 0 || b >= c.k {
+				return recs[:base], 0, fmt.Errorf("distshp: bucket update to bucket %d outside [0, %d)", b, c.k)
+			}
 		case kindGain:
 			r.hi = binary.LittleEndian.Uint64(p[8:])
 		case kindDelta:
 			r.hi = uint64(binary.LittleEndian.Uint32(p[8:]))
+			if b, cOld, cNew := r.delta(); b < 0 || b >= c.k || min(cOld, cNew) < 0 || max(cOld, cNew) > c.maxDeg {
+				return recs[:base], 0, fmt.Errorf("distshp: delta (%d, %d, %d) outside buckets [0, %d) or counts [0, %d]", b, cOld, cNew, c.k, c.maxDeg)
+			}
 		}
 		recs = append(recs, r)
 		used += size

@@ -29,6 +29,10 @@ func le64(fs ...float64) []byte {
 
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
+// wideWire is a record codec whose ranges admit every record the byte-level
+// tests here pin.
+var wideWire = recordCodec{k: 1 << 30, maxDeg: 1 << 20}
+
 // TestWireCodecs pins the bytes every envelope shape encodes to — the kind
 // byte, batch count and payloads the wire has always carried — and checks
 // Size and the decode round trip against them.
@@ -49,17 +53,17 @@ func TestWireCodecs(t *testing.T) {
 		{"delta batch", []record{deltaRecord(2, 3, 4), deltaRecord(3, 1, 0), deltaRecord(2, 0, 1)},
 			cat([]byte{kindDeltaBatch, 3}, le32(2, 3, 4, 3, 1, 0, 2, 0, 1))},
 	} {
-		buf, err := (recordCodec{}).Append(nil, c.recs)
+		buf, err := wideWire.Append(nil, c.recs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !bytes.Equal(buf, c.want) {
 			t.Fatalf("%s: encoded %x, want %x", c.name, buf, c.want)
 		}
-		if size, err := (recordCodec{}).Size(c.recs); err != nil || size != len(buf) {
+		if size, err := wideWire.Size(c.recs); err != nil || size != len(buf) {
 			t.Fatalf("%s: Size = %d, %v for %d encoded bytes", c.name, size, err, len(buf))
 		}
-		got, used, err := (recordCodec{}).Decode(buf, nil)
+		got, used, err := wideWire.Decode(buf, nil)
 		if err != nil || used != len(buf) || !slices.Equal(got, c.recs) {
 			t.Fatalf("%s: decoded %+v (used %d of %d, err %v), want %+v", c.name, got, used, len(buf), err, c.recs)
 		}
@@ -67,7 +71,7 @@ func TestWireCodecs(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	one, err := (recordCodec{}).Append(nil, []record{deltaRecord(2, 0, 1), deltaRecord(3, 1, 0)})
+	one, err := wideWire.Append(nil, []record{deltaRecord(2, 0, 1), deltaRecord(3, 1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestCodecTruncation(t *testing.T) {
 		{"overlong batch count", cat([]byte{kindBucketBatch, 0x82, 0}, le32(1, 0, 2, 1))},
 		{"unknown kind", cat([]byte{9}, le32(1, 2, 3, 4))},
 	} {
-		recs, _, err := (recordCodec{}).Decode(c.data, nil)
+		recs, _, err := wideWire.Decode(c.data, nil)
 		if err == nil {
 			t.Fatalf("%s: decoded %+v", c.name, recs)
 		}
@@ -130,7 +134,7 @@ func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *
 		Workers:       2,
 		MaxSupersteps: 2,
 		Transport:     transport,
-		Codecs:        recordCodec{},
+		Codecs:        wideWire,
 		Combiner:      combine,
 		Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 			if ctx.Superstep() == 0 {
@@ -224,10 +228,10 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 		{bucketRecord(1, 0), deltaRecord(1, 0, 1)},
 		{gainRecord(1, 0), gainRecord(2, 0)},
 	} {
-		if _, err := (recordCodec{}).Append(nil, recs); err == nil {
+		if _, err := wideWire.Append(nil, recs); err == nil {
 			t.Fatalf("encoded the envelope %+v", recs)
 		}
-		if _, err := (recordCodec{}).Size(recs); err == nil {
+		if _, err := wideWire.Size(recs); err == nil {
 			t.Fatalf("sized the envelope %+v", recs)
 		}
 	}

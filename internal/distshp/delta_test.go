@@ -8,6 +8,7 @@ package distshp
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"shp/internal/core"
@@ -121,6 +122,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	)
 	r := rng.New(4242)
 	tb := core.NewPFanoutTables(0.5, 2, numData+1)
+	wire := recordCodec{k: buckets, maxDeg: numData}
 
 	bucketOf := make([]int32, numData)
 	for d := range bucketOf {
@@ -140,16 +142,13 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				members[q] = append(members[q], d)
 			}
 		}
-		row := core.NewPinRows(2, buckets)
-		st := &queryState{level: -1, row: row(0), snap: row(1)}
-		st.register(0, len(members[q]))
+		// Registration round, exactly as a level start plays out.
+		var regs []record
 		for _, d := range members[q] {
-			// Registration round: every member is a mover, exactly as a
-			// level start plays out; scratch is reset before the test's
-			// tracked move rounds begin.
-			st.applyUpdate(members[q], bucketRecord(d, bucketOf[d]), true)
+			regs = append(regs, bucketRecord(d, bucketOf[d]))
 		}
-		st.resetSuperstep()
+		st := &queryState{level: -1}
+		st.register(int32(q), 0, buckets, members[q], regs)
 		isMember[q] = set
 		qs[q] = st
 	}
@@ -164,8 +163,9 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if !isMember[q][o] {
 				continue
 			}
-			cur += tb.T[qs[q].row.Count(bucket)-1]
-			oth += tb.T[qs[q].row.Count(bucket^1)]
+			own, sib := qs[q].counts(bucket)
+			cur += tb.T[own-1]
+			oth += tb.T[sib]
 		}
 		return cur, oth
 	}
@@ -184,7 +184,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if isObserver[d] {
 				continue
 			}
-			moves[d] = int32(r.Intn(buckets))
+			moves[d] = bucketOf[d] ^ 1 // within a level, vertices move only to their sibling
 		}
 		// Each dirty query diffs its histogram and routes records to its
 		// clean members, exactly as computeQuery does.
@@ -193,7 +193,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			dirty := false
 			for _, d := range members[q] {
 				if nb, ok := moves[d]; ok {
-					st.applyUpdate(members[q], bucketRecord(d, nb), true)
+					st.applyUpdate(int32(q), members[q], bucketRecord(d, nb), true)
 					dirty = true
 				}
 			}
@@ -204,11 +204,11 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			for _, c := range changes {
 				// Single-record wire round trip.
 				rec := deltaRecord(c.B, c.COld, c.CNew)
-				buf, err := (recordCodec{}).Append(nil, []record{rec})
+				buf, err := wire.Append(nil, []record{rec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, used, err := (recordCodec{}).Decode(buf, nil)
+				got, used, err := wire.Decode(buf, nil)
 				if err != nil || used != len(buf) || len(got) != 1 || got[0] != rec {
 					t.Fatalf("round %d: delta round trip: got %+v (used %d, err %v), want %+v",
 						round, got, used, err, rec)
@@ -240,14 +240,14 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				continue
 			}
 			batch := batches[o]
-			buf, err := (recordCodec{}).Append(nil, batch)
+			buf, err := wire.Append(nil, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if size, err := (recordCodec{}).Size(batch); err != nil || size != len(buf) {
+			if size, err := wire.Size(batch); err != nil || size != len(buf) {
 				t.Fatalf("round %d: batch Size %d (%v) != encoded %d", round, size, err, len(buf))
 			}
-			decoded, used, err := (recordCodec{}).Decode(buf, nil)
+			decoded, used, err := wire.Decode(buf, nil)
 			if err != nil || used != len(buf) || !slices.Equal(decoded, batch) {
 				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
 			}
@@ -261,7 +261,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			for i, d := range members[q] {
 				memberBuckets[i] = bucketOf[d]
 			}
-			if msg := rowViolation(st.row, memberBuckets, buckets); msg != "" {
+			if msg := rowViolation(st, memberBuckets, buckets); msg != "" {
 				t.Fatalf("round %d: query %d: %s", round, q, msg)
 			}
 		}
@@ -274,6 +274,39 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 					round, o, ds.sumCur, ds.sumOth, wantCur, wantOth)
 			}
 		}
+	}
+}
+
+// TestQueryInvariantPanicsNameTheQuery checks that the query-side protocol
+// violations — an update from a non-member, a move out of the registered
+// sibling pairs, a row that lost a member's pin — panic naming the query,
+// the only lead a corrupt-counts crash leaves.
+func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
+	members := []int32{3, 5, 9}
+	fresh := func() *queryState {
+		st := &queryState{level: -1}
+		st.register(42, 1, 8, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
+		return st
+	}
+	for _, c := range []struct {
+		name string
+		run  func(st *queryState)
+	}{
+		{"non-member", func(st *queryState) { st.applyUpdate(42, members, bucketRecord(4, 0), true) }},
+		{"new pair", func(st *queryState) { st.applyUpdate(42, members, bucketRecord(3, 4), true) }},
+		{"lost pin", func(st *queryState) {
+			st.row.Transfer(42, 1, 0) // member 5's pin leaves bucket 1 behind the registry's back
+			st.applyUpdate(42, members, bucketRecord(5, 0), true)
+		}},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "query 42") {
+					t.Errorf("%s: panic %q does not name query 42", c.name, msg)
+				}
+			}()
+			c.run(fresh())
+		}()
 	}
 }
 
@@ -294,7 +327,7 @@ func TestDeltaWireSize(t *testing.T) {
 	if want := 2 + 12*len(batch); len(buf) != want {
 		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch), len(buf), want)
 	}
-	if sz, err := (recordCodec{}).Size(batch); err != nil || sz != len(buf) {
+	if sz, err := wideWire.Size(batch); err != nil || sz != len(buf) {
 		t.Fatalf("Size %d (%v) != encoded %d", sz, err, len(buf))
 	}
 }

@@ -361,21 +361,28 @@ func (st *dataState) applyDelta(d int32, tb core.GainTables, r record) {
 }
 
 // queryState is the per-query-vertex state: the paper's "neighbor data"
-// n_b(q), held in SHP-k's pin-count row (core.PinRow) sized at the final K,
-// so the gain superstep reads a count with one load and performs zero hash
-// operations. The member registry is an int32 slice aligned with the query's
-// sorted adjacency list — member lookups are binary searches, and the
-// per-level reset is a linear fill instead of a map rebuild. The query's id
-// is its vertex id minus |D|, so the state does not store it.
+// n_b(q), held in SHP-k's pin-count row (core.PinRow) so the gain superstep
+// performs zero hash operations. During a level a member only moves inside
+// its sibling pair, so the pairs the registered members occupy are fixed
+// from registration to the level's end, and the row counts over just those:
+// bucket b is the row's local bucket 2i + b&1, where pairs[i] = b>>1. A row
+// is bounded by the query's degree, never by K, and its ascending local
+// order is ascending bucket order. The member registry is an int32 slice
+// aligned with the query's sorted adjacency list — member lookups are binary
+// searches, and the per-level reset is a linear fill instead of a map
+// rebuild. The query's id is its vertex id minus |D|, so the state does not
+// store it.
 type queryState struct {
 	level int
-	// row is the live neighbor data. At every barrier it is exactly the
-	// tally of memberBucket's entries that are >= 0, which is why a snapshot
-	// stores only the registry and a restore recounts the row.
-	row core.PinRow
 	// memberBucket[i] is the last known bucket of the i-th member of the
 	// query's sorted adjacency list, -1 while unregistered at this level.
 	memberBucket []int32
+	// pairs lists the sibling pairs of the registered members, ascending
+	// and distinct. row is the live neighbor data over 2·len(pairs) local
+	// buckets. At every barrier both are exactly what recount derives from
+	// memberBucket, which is why a snapshot stores only the registry.
+	pairs []int32
+	row   core.PinRow
 
 	// Per-superstep scratch, reused so the steady state allocates nothing:
 	// snap is the row as it stood before this superstep's first tracked
@@ -387,32 +394,86 @@ type queryState struct {
 	changes  []core.NDChange
 }
 
-// register (re)initializes the member registry for a new level.
-func (st *queryState) register(level, degree int) {
+// register (re)initializes the registry for a new level of a run over k
+// buckets from the members' registration records, which every member sends
+// in the level's first superstep, and recounts the row. The registry and
+// room for every pair the query can reach share one allocation.
+func (st *queryState) register(q int32, level, k int, members []int32, msgs []record) {
 	st.level = level
-	st.row.Reset()
 	if st.memberBucket == nil {
-		st.memberBucket = make([]int32, degree)
-		st.moved = make([]bool, degree)
+		n := len(members)
+		buf := make([]int32, n+min(n, k/2))
+		st.memberBucket, st.pairs = buf[:n:n], buf[n:n]
+		st.moved = make([]bool, n)
 	}
 	for i := range st.memberBucket {
 		st.memberBucket[i] = -1
 	}
+	for _, m := range msgs {
+		data, bucket := m.bucket()
+		st.memberBucket[member(q, members, data)] = bucket
+	}
+	st.recount()
 }
 
-// applyUpdate folds one bucket update into the neighbor data: a transfer
-// from the member's previous bucket, or a plain increment when it registers.
-// members is the query's sorted adjacency list. When track is set (the
-// incremental plane), the row is snapshotted before the superstep's first
-// tracked update and the updating member is flagged as a mover, so
-// deltaRecords can diff the net per-bucket changes and the send loop can
-// route full contributions to movers only.
-func (st *queryState) applyUpdate(members []int32, r record, track bool) {
-	data, bucket := r.bucket()
+// recount derives pairs and the row from memberBucket.
+func (st *queryState) recount() {
+	st.pairs = st.pairs[:0]
+	for _, b := range st.memberBucket {
+		if b >= 0 {
+			st.pairs = append(st.pairs, b>>1)
+		}
+	}
+	slices.Sort(st.pairs)
+	st.pairs = slices.Compact(st.pairs)
+	st.row = st.row.Reshape(2 * len(st.pairs))
+	st.snap = st.snap.Reshape(2 * len(st.pairs))
+	for _, b := range st.memberBucket {
+		if b >= 0 {
+			l, _ := st.local(b)
+			st.row.Inc(l)
+		}
+	}
+}
+
+// local maps bucket b to the row's local bucket; ok is false when b's pair
+// holds no registered member this level.
+func (st *queryState) local(b int32) (l int32, ok bool) {
+	i, ok := slices.BinarySearch(st.pairs, b>>1)
+	return int32(i)<<1 | b&1, ok
+}
+
+// counts returns the pin counts of a registered member's bucket b and of
+// its sibling.
+func (st *queryState) counts(b int32) (own, sib int32) {
+	l, _ := st.local(b)
+	return st.row.Count(l), st.row.Count(l ^ 1)
+}
+
+// member returns data's index in query q's sorted adjacency list.
+func member(q int32, members []int32, data int32) int {
 	i, ok := slices.BinarySearch(members, data)
 	if !ok {
 		//shp:panics(invariant: only adjacent data vertices may update a query; a stray update corrupts neighbor histograms)
-		panic(fmt.Sprintf("distshp: bucket update from non-member %d", data))
+		panic(fmt.Sprintf("distshp: bucket update from non-member %d reached query %d", data, q))
+	}
+	return i
+}
+
+// applyUpdate folds one within-level bucket update into query q's neighbor
+// data: a transfer from the member's previous bucket, or a plain increment
+// if it had not registered. members is the query's sorted adjacency list.
+// When track is set (the incremental plane), the row is snapshotted before
+// the superstep's first tracked update and the updating member is flagged
+// as a mover, so deltaRecords can diff the net per-bucket changes and the
+// send loop can route full contributions to movers only.
+func (st *queryState) applyUpdate(q int32, members []int32, r record, track bool) {
+	data, bucket := r.bucket()
+	i := member(q, members, data)
+	l, ok := st.local(bucket)
+	if !ok {
+		//shp:panics(invariant: members move only inside the pairs they registered in; a new pair means the level protocol broke)
+		panic(fmt.Sprintf("distshp: member %d of query %d moved to bucket %d outside its registered pairs", data, q, bucket))
 	}
 	if track {
 		if len(st.movedIdx) == 0 {
@@ -424,9 +485,10 @@ func (st *queryState) applyUpdate(members []int32, r record, track bool) {
 		}
 	}
 	if prev := st.memberBucket[i]; prev >= 0 {
-		st.row.Transfer(prev, bucket)
+		from, _ := st.local(prev)
+		st.row.Transfer(q, from, l)
 	} else {
-		st.row.Inc(bucket)
+		st.row.Inc(l)
 	}
 	st.memberBucket[i] = bucket
 }
@@ -437,6 +499,9 @@ func (st *queryState) applyUpdate(members []int32, r record, track bool) {
 // side.
 func (st *queryState) deltaRecords() []core.NDChange {
 	st.changes = st.row.Diff(st.changes[:0], st.snap)
+	for i, c := range st.changes {
+		st.changes[i].B = st.pairs[c.B>>1]<<1 | c.B&1
+	}
 	return st.changes
 }
 
@@ -605,18 +670,19 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
 	}
 
-	// The vertex states live in two slabs, and each query's live and
-	// snapshot rows are carved from one row slab.
+	// The vertex states live in two slabs. A query's live and snapshot rows
+	// are carved from one row slab, each with room for the most pairs a
+	// level can give it: one per member and no more than the K/2 there are.
 	dataStates := make([]dataState, numD)
 	queryStates := make([]queryState, numQ)
-	row := core.NewPinRows(2*numQ, opts.K)
+	rows := core.NewPinRows(2*numQ, func(i int) int { return 2 * min(g.QueryDegree(int32(i/2)), opts.K/2) })
 	vertices := make([]*pregel.Vertex, 0, numD+numQ)
 	for d := range dataStates {
 		dataStates[d] = dataState{bucket: -1, level: -1, propLevel: -1}
 		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(d), State: &dataStates[d]})
 	}
 	for q := range queryStates {
-		queryStates[q] = queryState{level: -1, row: row(2 * q), snap: row(2*q + 1)}
+		queryStates[q] = queryState{level: -1, row: rows[2*q], snap: rows[2*q+1]}
 		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(numD + q), State: &queryStates[q]})
 	}
 
@@ -686,7 +752,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
-		Codecs:        recordCodec{},
+		Codecs:        recordCodec{k: int32(opts.K), maxDeg: int32(maxN)},
 	}
 	if !opts.noCombine {
 		engOpts.Combiner = combine
@@ -880,17 +946,18 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 			// Level changed: rebuild from the registration messages. Every
 			// data vertex re-registers, so every member counts as a mover
 			// and receives a full contribution below.
-			st.register(level, len(members))
-		}
-		// Apply the bucket updates. Unless this superstep rebroadcasts, flag
-		// the members that moved and snapshot the pre-superstep row so the
-		// net per-bucket changes can be diffed out afterwards. No map is
-		// touched anywhere in this superstep: counts live in the pin-count
-		// row and member lookups are binary searches over the sorted
-		// adjacency list.
-		track := !full
-		for _, m := range msgs {
-			st.applyUpdate(members, m, track)
+			st.register(q, level, s.opts.K, members, msgs)
+			full = true
+		} else {
+			// Apply the bucket updates. Unless this superstep rebroadcasts,
+			// flag the members that moved and snapshot the pre-superstep row
+			// so the net per-bucket changes can be diffed out afterwards. No
+			// map is touched anywhere in this superstep: counts live in the
+			// pin-count row and member lookups are binary searches over the
+			// sorted adjacency list.
+			for _, m := range msgs {
+				st.applyUpdate(q, members, m, !full)
+			}
 		}
 		// Fanout bookkeeping: hand the master the live-entry diff so it can
 		// maintain the global average fanout without graph passes. Identical
@@ -903,11 +970,10 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		tb := tables[level]
 		if full {
 			for i, d := range members {
-				b := st.memberBucket[i]
-				if b < 0 {
-					continue
+				if b := st.memberBucket[i]; b >= 0 {
+					own, sib := st.counts(b)
+					ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
 				}
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[st.row.Count(b)-1], tb.T[st.row.Count(b^1)]))
 			}
 			return
 		}
@@ -921,7 +987,8 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 				continue
 			}
 			if st.moved[i] {
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[st.row.Count(b)-1], tb.T[st.row.Count(b^1)]))
+				own, sib := st.counts(b)
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
 				continue
 			}
 			for _, c := range changes {

@@ -21,12 +21,17 @@ import (
 	"shp/internal/pregel"
 )
 
+// fuzzWire is the record codec the wire fuzz targets run: a run over fuzzK
+// buckets whose queries have at most 16 members.
+var fuzzWire = recordCodec{k: fuzzK, maxDeg: 16}
+
 // checkRecordCodec is the wire codec's property: hostile counts and
-// truncations fail without appending anything; whatever decodes re-encodes
-// to exactly the bytes consumed, sizes to them, and decodes again onto what
-// is already there.
+// truncations fail without appending anything; whatever decodes holds only
+// buckets in [0, fuzzK) and delta counts in [0, 16], re-encodes to exactly
+// the bytes consumed, sizes to them, and decodes again onto what is already
+// there.
 func checkRecordCodec(t *testing.T, data []byte) {
-	recs, used, err := (recordCodec{}).Decode(data, nil)
+	recs, used, err := fuzzWire.Decode(data, nil)
 	if err != nil {
 		if len(recs) != 0 {
 			t.Fatalf("failed decode appended %d records", len(recs))
@@ -36,50 +41,74 @@ func checkRecordCodec(t *testing.T, data []byte) {
 	if used < 1 || used > len(data) || len(recs) == 0 {
 		t.Fatalf("decoded %d records from %d of %d bytes", len(recs), used, len(data))
 	}
-	re, err := (recordCodec{}).Append(nil, recs)
+	for _, r := range recs {
+		var bad bool
+		switch r.kind {
+		case kindBucket:
+			_, b := r.bucket()
+			bad = b < 0 || b >= fuzzK
+		case kindDelta:
+			b, cOld, cNew := r.delta()
+			bad = b < 0 || b >= fuzzK || min(cOld, cNew) < 0 || max(cOld, cNew) > 16
+		}
+		if bad {
+			t.Fatalf("decoded an out-of-range record %+v", r)
+		}
+	}
+	re, err := fuzzWire.Append(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(re, data[:used]) {
 		t.Fatalf("re-encode mismatch: %x vs %x", re, data[:used])
 	}
-	if size, err := (recordCodec{}).Size(recs); err != nil || size != len(re) {
+	if size, err := fuzzWire.Size(recs); err != nil || size != len(re) {
 		t.Fatalf("Size %d (%v) != encoded %d", size, err, len(re))
 	}
-	again, used2, err := (recordCodec{}).Decode(re, recs)
+	again, used2, err := fuzzWire.Decode(re, recs)
 	if err != nil || used2 != used || !slices.Equal(again[:len(recs)], recs) || !slices.Equal(again[len(recs):], recs) {
 		t.Fatalf("decoding onto earlier records: %+v (used %d, err %v)", again, used2, err)
 	}
 }
 
 func envelopeBytes(recs ...record) []byte {
-	buf, _ := (recordCodec{}).Append(nil, recs)
+	buf, _ := fuzzWire.Append(nil, recs)
 	return buf
 }
 
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add(envelopeBytes(deltaRecord(2, 3, 4)))
 	f.Add(envelopeBytes(deltaRecord(-1, 0, 1)))
+	f.Add(envelopeBytes(deltaRecord(fuzzK, 0, 1)))
+	f.Add(envelopeBytes(deltaRecord(2, 17, 1)))
 	f.Add([]byte{})
 	f.Add([]byte{kindDelta, 2, 3})
 	f.Fuzz(checkRecordCodec)
 }
 
-// rowViolation describes the first way row breaks its contract for a query
-// whose members sit in buckets (-1 = unregistered), over k buckets: a count
-// that differs from the tally of buckets, or a mask bit set without a count
-// or missing beside one. It returns "" when the row holds.
-func rowViolation(row core.PinRow, buckets []int32, k int) string {
+// rowViolation describes the first way st's pairs and row break their
+// contract for a query whose members sit in buckets (-1 = unregistered),
+// over k buckets: pairs that are not the registered members' distinct
+// sibling pairs, ascending; a bucket count that differs from the tally of
+// buckets; or a mask bit set without a count or missing beside one. It
+// returns "" when the state holds.
+func rowViolation(st *queryState, buckets []int32, k int) string {
 	tally := make([]int32, k)
+	var pairs []int32
 	for _, b := range buckets {
 		if b >= 0 {
 			tally[b]++
+			pairs = append(pairs, b>>1)
 		}
+	}
+	slices.Sort(pairs)
+	if pairs = slices.Compact(pairs); !slices.Equal(st.pairs, pairs) {
+		return fmt.Sprintf("pairs %v, want %v", st.pairs, pairs)
 	}
 	var want []core.NDChange
 	for b, c := range tally {
-		if got := row.Count(int32(b)); got != c {
-			return fmt.Sprintf("bucket %d: count %d, tally %d", b, got, c)
+		if l, ok := st.local(int32(b)); ok && st.row.Count(l) != c {
+			return fmt.Sprintf("bucket %d: count %d, tally %d", b, st.row.Count(l), c)
 		}
 		if c > 0 {
 			want = append(want, core.NDChange{B: int32(b), CNew: c})
@@ -87,8 +116,12 @@ func rowViolation(row core.PinRow, buckets []int32, k int) string {
 	}
 	// Diffing against an empty row walks the mask: it must name exactly the
 	// buckets with a pin, and Live must count no other bit.
-	if got := row.Diff(nil, core.NewPinRows(1, k)(0)); !slices.Equal(got, want) || row.Live() != len(want) {
-		return fmt.Sprintf("mask walk %v (live %d), want %v", got, row.Live(), want)
+	got := st.row.Diff(nil, core.PinRow{}.Reshape(2*len(st.pairs)))
+	for i, c := range got {
+		got[i].B = st.pairs[c.B>>1]<<1 | c.B&1
+	}
+	if !slices.Equal(got, want) || st.row.Live() != len(want) {
+		return fmt.Sprintf("mask walk %v (live %d), want %v", got, st.row.Live(), want)
 	}
 	return ""
 }
@@ -138,7 +171,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
 		}
 		if st, ok := m.(*queryState); ok {
-			if msg := rowViolation(st.row, st.memberBucket, fuzzK); msg != "" {
+			if msg := rowViolation(st, st.memberBucket, fuzzK); msg != "" {
 				t.Fatalf("decoded row disagrees with its registry %v: %s", st.memberBucket, msg)
 			}
 		}
@@ -189,12 +222,37 @@ func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := rowViolation(m.(*queryState).row, []int32{-1, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
+	if msg := rowViolation(m.(*queryState), []int32{-1, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
 		t.Fatal(msg)
 	}
 	buf, _ = (dataStateCodec{fuzzK}).Append(nil, &dataState{bucket: -1, level: -1})
 	if _, _, err := (dataStateCodec{fuzzK}).Decode(buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordCodecRejectsOutOfRange checks that a wire frame or checkpointed
+// message holding a bucket the run has no row slot for, or a delta count no
+// query can reach, fails its decode instead of crashing the receiver, and
+// that both ends of each range decode.
+func TestRecordCodecRejectsOutOfRange(t *testing.T) {
+	for _, r := range []record{
+		bucketRecord(3, fuzzK), bucketRecord(3, -1),
+		deltaRecord(fuzzK, 0, 1), deltaRecord(-1, 1, 0),
+		deltaRecord(2, -1, 0), deltaRecord(2, 0, 17),
+	} {
+		if recs, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err == nil {
+			t.Errorf("%+v decoded as %+v", r, recs)
+		}
+	}
+	batch := envelopeBytes(bucketRecord(1, 0), bucketRecord(2, fuzzK))
+	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1, 2)}); err == nil || len(recs) != 1 {
+		t.Errorf("batch with a bucket of K: decoded %+v (err %v)", recs, err)
+	}
+	for _, r := range []record{bucketRecord(3, 0), bucketRecord(3, fuzzK-1), deltaRecord(fuzzK-1, 16, 0), deltaRecord(0, 0, 16)} {
+		if _, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err != nil {
+			t.Errorf("%+v: %v", r, err)
+		}
 	}
 }
 
@@ -212,6 +270,7 @@ func FuzzDeltaBatchCodec(f *testing.F) {
 func FuzzBucketCodec(f *testing.F) {
 	f.Add(envelopeBytes(bucketRecord(7, 3)))
 	f.Add(envelopeBytes(bucketRecord(0, -1)))
+	f.Add(envelopeBytes(bucketRecord(7, fuzzK)))
 	f.Add([]byte{})
 	f.Add([]byte{kindBucket, 2, 3})
 	f.Fuzz(checkRecordCodec)

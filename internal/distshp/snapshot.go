@@ -8,10 +8,10 @@ package distshp
 // a recovery resumes the *incremental* protocol exactly where the checkpoint
 // left it: no rebroadcast, no resummation, byte-identical continuation.
 //
-// A query snapshot holds only its level and member registry. Its pin-count
-// row is the tally of the registry's entries >= 0 at every barrier, so a
-// restore recounts it, and neither state stores its id: both derive from the
-// vertex id.
+// A query snapshot holds only its level and member registry. Its sibling
+// pairs and pin-count row are what the registry's entries >= 0 give at every
+// barrier, so a restore recounts them, and neither state stores its id: both
+// derive from the vertex id.
 //
 // Every encoding here is canonical (map keys sorted, struct fields in
 // declaration order), so equal states produce byte-identical snapshots —
@@ -315,10 +315,10 @@ func (c dataStateCodec) Size(m any) int {
 type queryStateCodec struct{ k int }
 
 // Append encodes the query's durable state: its level and member registry.
-// The row is the registry's tally at every barrier, so it is not stored; the
-// per-superstep scratch (snapshot row, mover flags, diff buffer) is
-// logically empty at every barrier — resetSuperstep runs before the
-// superstep ends on every path — so it is omitted and reallocated on
+// The pairs and row are the registry's tally at every barrier, so they are
+// not stored; the per-superstep scratch (snapshot row, mover flags, diff
+// buffer) is logically empty at every barrier — resetSuperstep runs before
+// the superstep ends on every path — so it is omitted and reallocated on
 // restore.
 func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	st := m.(*queryState)
@@ -336,12 +336,11 @@ func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode restores the level and registry and recounts the row from the
-// registry, so a restored row can never disagree with it.
+// Decode restores the level and registry and recounts the pairs and row
+// from the registry, so a restored row can never disagree with it.
 func (c queryStateCodec) Decode(data []byte) (any, int, error) {
 	d := &decoder{data: data}
-	row := core.NewPinRows(2, c.k)
-	st := &queryState{row: row(0), snap: row(1)}
+	st := &queryState{}
 	st.level = int(d.varint())
 	nMB := d.uvarint()
 	if nMB > uint64(len(d.data))+1 { // each member bucket is >= 1 byte
@@ -351,11 +350,7 @@ func (c queryStateCodec) Decode(data []byte) (any, int, error) {
 		degree := int(nMB - 1)
 		st.memberBucket = make([]int32, degree)
 		for i := range st.memberBucket {
-			b := d.bucket(c.k)
-			if b >= 0 {
-				st.row.Inc(b)
-			}
-			st.memberBucket[i] = b
+			st.memberBucket[i] = d.bucket(c.k)
 		}
 		// applyUpdate indexes moved by member position whenever the
 		// registry exists, so it must be re-allocated alongside.
@@ -364,6 +359,7 @@ func (c queryStateCodec) Decode(data []byte) (any, int, error) {
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("distshp: queryState snapshot: %w", d.err)
 	}
+	st.recount()
 	return st, len(data) - len(d.data), nil
 }
 
