@@ -457,11 +457,11 @@ func (st *directState) objectiveFromND() float64 {
 func (st *directState) queryObjective(q int32) float64 {
 	wq := float64(st.g.QueryWeight(q))
 	C := st.tables.C
-	r := st.nd.row(q)
+	mask, cnt := st.nd.rowSlices(q)
 	sum := 0.0
-	for wi, m := range r.mask {
+	for wi, m := range mask {
 		for ; m != 0; m &= m - 1 {
-			sum += wq * C[r.cnt[wi<<6|bits.TrailingZeros64(m)]]
+			sum += wq * C[cnt[wi<<6|bits.TrailingZeros64(m)]]
 		}
 	}
 	return sum

@@ -230,8 +230,15 @@ func newNDState(g *hypergraph.Bipartite, k int) *ndState {
 
 // row returns query q's row.
 func (nd *ndState) row(q int32) PinRow {
+	m, c := nd.rowSlices(q)
+	return PinRow{mask: m, cnt: c}
+}
+
+// rowSlices returns query q's mask and counts, for the loops that would
+// otherwise keep a PinRow in memory.
+func (nd *ndState) rowSlices(q int32) (bucketSet, []int32) {
 	mo, co := int(q)*nd.w, int(q)*nd.k
-	return PinRow{mask: nd.mask[mo : mo+nd.w], cnt: nd.cnt[co : co+nd.k]}
+	return nd.mask[mo : mo+nd.w], nd.cnt[co : co+nd.k]
 }
 
 // appendQueries grows the arena by n zeroed rows (warm sessions splice in
@@ -273,9 +280,9 @@ func ndApplyMoveBatch(nd *ndState, g *hypergraph.Bipartite, accepted []move, buc
 			if nd.dirtyFlag[q] == 0 {
 				nd.dirtyFlag[q] = 1
 				ds.dirtyQ = append(ds.dirtyQ, q)
-				r := nd.row(q)
-				ds.snapMask = append(ds.snapMask, r.mask...)
-				ds.snapCnt = append(ds.snapCnt, r.cnt...)
+				mask, cnt := nd.rowSlices(q)
+				ds.snapMask = append(ds.snapMask, mask...)
+				ds.snapCnt = append(ds.snapCnt, cnt...)
 			}
 			if d := nd.row(q).Transfer(q, m.from, to); d != 0 {
 				nd.wEntries += int64(d) * int64(g.QueryWeight(q))
