@@ -166,8 +166,8 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 					if st.propBase[v] != base {
 						t.Fatalf("seed %d vertex %d: base %v, reference %v", seed, v, st.propBase[v], base)
 					}
-					if !slices.Equal(st.cand[v], cands) {
-						t.Fatalf("seed %d vertex %d: candidates %v, reference %v", seed, v, st.cand[v], cands)
+					if !slices.Equal(st.cands.list(int32(v)), cands) {
+						t.Fatalf("seed %d vertex %d: candidates %v, reference %v", seed, v, st.cands.list(int32(v)), cands)
 					}
 					if s.set.count() != 0 || s.own.count() != 0 || slices.Max(s.refs) != 0 ||
 						slices.Max(s.acc) != 0 || slices.Min(s.acc) != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -51,23 +52,22 @@ import (
 // then a proposal pass that rebuilds every vertex — interchangeable because
 // patched and swept states are identical. Marking every vertex for rebuild
 // (markAllActive: the first pass, a fallback, a scheduled rebuild) also
-// declares the candidate lists dead, and one bit records it: cand[v] is
+// declares the candidate lists dead, and one bit records it: a list is
 // meaningful iff !candsStale. The proposal pass that finds the bit set is
 // fused — each vertex's accumulators drain into a scratch list,
-// selectProposal runs on that, and cand[v] is not written, because the next
+// selectProposal runs on that, and the list is not written, because the next
 // sweep would overwrite it unread. So a sweep iteration costs one neighbor-
 // data build plus one fused rebuild/select and maintains nothing. The lists
 // are materialised (materializeCands, one plain rebuild pass, which clears
 // the bit) before something reads them: at the first patched batch after a
 // run of sweeps — again after each scheduled rebuild — and before a
-// Session's Repartition returns.
+// Session's Repartition returns. A batch materialises them from its own
+// post-move neighbor data, which makes them the lists its patches would
+// have made, so it has nothing to fold into them.
 //
-// What a fused sweep does keep is each list's room: a cand[v] with less
-// capacity than v's list is replaced by an empty one that has it, which is
-// what a written sweep's regrowth would leave. So the lists' memory — the
-// engine's largest allocation, as large as the graph's — is claimed by the
-// first pass, materialising allocates nothing, and a process's peak memory
-// does not turn on whether, and how late, its run reaches the patch regime.
+// The lists live in fixed per-vertex slots of one slab (candslots.go),
+// carved when the state is built, so neither a sweep nor a materialisation
+// allocates: a run's footprint is set before its first pass.
 //
 // # Cached proposals
 //
@@ -124,13 +124,13 @@ type directState struct {
 	// also own the dirty-query diff machinery the patch path feeds on.
 	nd *ndState
 
-	// Per-vertex Equation 1 state: cand[v] holds the candidate buckets of v
-	// in ascending bucket order with their exact acc sums and contributing-
-	// query refcounts — unless candsStale: then every vertex is marked
-	// activeRebuild and the lists are unwritten (see "Sweeps" above).
+	// Per-vertex Equation 1 state: cands.list(v) holds the candidate buckets
+	// of v in ascending bucket order with their exact acc sums and
+	// contributing-query refcounts — unless candsStale: then every vertex is
+	// marked activeRebuild and the lists are unwritten (see "Sweeps" above).
 	// propBase[v] is the own-bucket term; wdegArr[v] the static query-
 	// weighted degree.
-	cand       [][]proposalCand
+	cands      *candSlots
 	candsStale bool
 	propBase   []float64
 	wdegArr    []float64
@@ -265,7 +265,6 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	st.target = make([]int32, nd)
 	st.gains = make([]float64, nd)
 	st.bucketW = make([]int64, k)
-	st.cand = make([][]proposalCand, nd)
 	st.propBase = make([]float64, nd)
 	st.wdegArr = make([]float64, nd)
 
@@ -276,9 +275,12 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 			st.qw[q] = float64(g.QueryWeight(int32(q)))
 		}
 	}
+	bound := make([]int32, nd)
 	for v := range st.wdegArr {
 		st.wdegArr[v] = st.computeWdeg(int32(v))
+		bound[v] = st.candBound(int32(v))
 	}
+	st.cands = newCandSlots(k, bound)
 	st.gainsExact = st.gainsInExactRange()
 
 	st.active = make([]uint8, nd)
@@ -547,7 +549,7 @@ func (st *directState) fanout() float64 {
 // one-bit set of the vertex's own bucket. Between vertices everything is
 // zero — draining the set clears exactly the slots a vertex touched. list is
 // the k-slot candidate list a fused sweep drains each vertex into instead of
-// cand[v].
+// the vertex's own slot.
 type proposalScratch struct {
 	acc  []float64
 	refs []int32
@@ -558,8 +560,10 @@ type proposalScratch struct {
 
 // rebuildInto recomputes vertex v's Equation 1 state from the current
 // neighbor data: propBase[v], and the sorted candidate list, which it writes
-// over dst and returns. All sums are exact (grid values), so this produces the
-// same bits as any sequence of patches arriving at the same neighbor data.
+// over dst and returns. dst has room for the list: the neighbor data matches
+// st.bucket, so every candidate holds a co-member (see candBound). All sums
+// are exact (grid values), so this produces the same bits as any sequence of
+// patches arriving at the same neighbor data.
 //
 // Per adjacent query it reads the own bucket's count once, ORs the mask
 // words minus the own bit into the scratch set, and walks those bits. The
@@ -615,7 +619,8 @@ func (st *directState) rebuildInto(v int, dst []proposalCand) []proposalCand {
 	st.propBase[v] = base
 	dst = dst[:0]
 	if n := set.count(); cap(dst) < n {
-		dst = make([]proposalCand, 0, n)
+		//shp:panics(invariant: a list for v's own bucket has at most candBound(v) entries; more means the neighbor data and the buckets disagree)
+		panic(fmt.Sprintf("core: vertex %d has %d candidates, its slot %d", v, n, cap(dst)))
 	}
 	for b := range set.drain {
 		dst = append(dst, proposalCand{b: b, refs: refs[b], acc: acc[b]})
@@ -624,9 +629,22 @@ func (st *directState) rebuildInto(v int, dst []proposalCand) []proposalCand {
 	return dst
 }
 
-// rebuildVertex rebuilds v's Equation 1 state into its own list cand[v].
+// rebuildVertex rebuilds v's Equation 1 state into its own slot.
 func (st *directState) rebuildVertex(v int) {
-	st.cand[v] = st.rebuildInto(v, st.cand[v])
+	st.cands.setLen(int32(v), len(st.rebuildInto(v, st.cands.room(int32(v)))))
+}
+
+// candBound is the capacity of v's slot: min(k−1, Σ_{q∋v}(|q|−1)). Each
+// candidate bucket differs from v's own and holds one of v's co-members, so
+// no list exact for v's current bucket is longer.
+func (st *directState) candBound(v int32) int32 {
+	n := 0
+	for _, q := range st.g.DataNeighbors(v) {
+		if n += st.g.QueryDegree(q) - 1; n >= st.k-1 {
+			return int32(st.k - 1)
+		}
+	}
+	return int32(n)
 }
 
 // materializeCands writes the candidate lists the fused sweeps left unwritten
@@ -634,14 +652,16 @@ func (st *directState) rebuildVertex(v int) {
 // neighbor data. It re-derives state the sweep already paid for, so it is
 // not counted as gain or scan work. The marks stay: a proposal pass over
 // materialised lists with every vertex still marked rebuilds them in place.
-func (st *directState) materializeCands() {
+// It reports whether it wrote them.
+func (st *directState) materializeCands() bool {
 	if !st.candsStale {
-		return
+		return false
 	}
 	for v := range st.g.NumData() {
 		st.rebuildVertex(v)
 	}
 	st.candsStale = false
+	return true
 }
 
 // candidateGain is Equation 1's gain of moving v, currently in cur, to
@@ -660,7 +680,7 @@ func (st *directState) candidateGain(v int, cur int32, own float64, c *proposalC
 	return gain
 }
 
-// selectProposal derives the gain of each of v's candidates (cands: cand[v],
+// selectProposal derives the gain of each of v's candidates (cands: v's list,
 // or the same list fresh out of a fused sweep's scratch) from its accumulator,
 // applies the balance-admissibility filter (the only proposal input that
 // depends on global bucket weights), and returns the best target (or -1),
@@ -712,7 +732,7 @@ func (st *directState) selectProposal(v int, cands []proposalCand) (target int32
 
 // reselect refreshes v's cached proposal and files it in the plane.
 func (st *directState) reselect(v int) {
-	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, st.cand[v])
+	st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, st.cands.list(int32(v)))
 	st.plane.update(int32(v), st.bucket[v], st.target[v], st.gains[v])
 }
 
@@ -727,10 +747,11 @@ func (st *directState) flipTouches(v int) bool {
 	if tgt >= 0 && !st.admiss[tgt] {
 		return true
 	}
-	cands := st.cand[v]
+	cands := st.cands.list(int32(v))
 	for _, b := range st.flipIn {
-		// Lower bound of b in the ascending candidate list.
-		i, j := 0, len(cands)
+		// Lower bound of b in the ascending candidate list, whose entry i
+		// holds a bucket in [i, i + k − len(cands)] (see patchVertex).
+		i, j := max(0, int(b)-st.k+len(cands)), min(len(cands), int(b)+1)
 		for i < j {
 			if h := (i + j) / 2; cands[h].b < b {
 				i = h + 1
@@ -781,13 +802,10 @@ func (st *directState) reselectPending() {
 		// Sweep mode: every vertex is marked for rebuild and no list survives,
 		// so select straight from the accumulators — same candidates in the
 		// same ascending order through the same selectProposal — and leave
-		// cand[v] unwritten, and the plane to the refill.
+		// the slots unwritten, and the plane to the refill.
 		list := st.scratch.list
 		for v := range nd {
 			list = st.rebuildInto(v, list)
-			if cap(st.cand[v]) < len(list) {
-				st.cand[v] = make([]proposalCand, 0, len(list)) // room only, see "Sweeps"
-			}
 			st.target[v], st.gains[v], st.tied[v] = st.selectProposal(v, list)
 			st.gainWork += int64(len(st.g.DataNeighbors(int32(v))))
 		}
@@ -987,10 +1005,11 @@ func (st *directState) applyMoves(iter int) []move {
 // kernel's move-batch pass (count transfers plus dirty-query diff
 // collection) and patches the members of each dirty query with the query's
 // exact entry deltas; Sweep and Rebuild rebuild the neighbor data outright
-// and schedule a fused sweep. Movers themselves are always rebuilt — their
-// own bucket changed, which reshapes base/acc. All patch arithmetic is
-// exact, so results are independent of the mode. accepted must contain each
-// vertex at most once, with st.bucket already holding the destination.
+// and schedule a fused sweep. Movers themselves are never patched but
+// rebuilt — their own bucket changed, which reshapes base/acc — so their
+// lists are pending until then. All patch arithmetic is exact, so results
+// are independent of the mode. accepted must contain each vertex at most
+// once, with st.bucket already holding the destination.
 func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 	if mode != Patch {
 		st.buildNeighborData()
@@ -1000,17 +1019,24 @@ func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 		st.markAllActive()
 		return
 	}
-	// The patches below land in the lists, so the lists must exist — built
-	// from the neighbor data of the pass that skipped them, before the batch
-	// changes it. st.bucket is already post-move: movers get garbage, and are
-	// rebuilt before anything reads it (see patchVertex).
-	st.materializeCands()
 	ndApplyMoveBatch(st.nd, st.g, accepted, st.bucket)
 	st.addObjective(st.batchObjectiveDelta())
+	// Lists the fused sweeps left unwritten are built from the post-batch
+	// neighbor data: exactly what patching pre-batch lists would give.
+	fresh := st.materializeCands()
 
-	// Fold each dirty query's entry deltas into its members' accumulators;
-	// the first touch of each vertex records it in the frontier.
+	// Movers are rebuilt next iteration: their own bucket changed, so their
+	// cached base/acc refer to the wrong frame, and they are marked first so
+	// the patch pass skips them. Zero-degree movers are members of no dirty
+	// query. Then fold each dirty query's entry deltas into its other
+	// members' accumulators; the first touch of each vertex records it in the
+	// frontier. A list still pending from an earlier batch (only a caller
+	// that skips the proposal pass between batches leaves one) stays so.
 	st.scanWork += st.clearMarks()
+	for _, m := range accepted {
+		st.cands.pend(m.v)
+		st.touch(m.v, activeRebuild)
+	}
 	ds := &st.nd.delta
 	for _, grp := range ds.groups {
 		wq := 1.0
@@ -1019,16 +1045,15 @@ func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 		}
 		recs := ds.recs[grp.off : grp.off+grp.n]
 		for _, v := range st.g.QueryNeighbors(grp.q) {
-			st.patchVertex(v, wq, recs)
+			if st.cands.pending(v) {
+				st.touch(v, activeRebuild)
+				continue
+			}
+			if !fresh {
+				st.patchVertex(v, wq, recs)
+			}
 			st.touch(v, activeSelect)
 		}
-	}
-	// Movers are rebuilt next iteration: their own bucket changed, so the
-	// cached base/acc (and any patches applied to them above) refer to the
-	// wrong frame. This overrides any activeSelect mark from the patch pass.
-	// Zero-degree movers were not collected as members of any dirty query.
-	for _, m := range accepted {
-		st.touch(m.v, activeRebuild)
 	}
 	st.seal(st.g.NumData())
 }
@@ -1053,23 +1078,32 @@ func (st *directState) batchObjectiveDelta() float64 {
 // Equation 1 state. For v's own bucket the base term is adjusted; for any
 // other bucket the candidate accumulator is adjusted, inserting or removing
 // the candidate as its contributing-query refcount crosses zero. Records
-// and candidates are both sorted by bucket, so one two-pointer walk covers
-// all deltas without per-record searches. Movers may be patched against
-// their post-move bucket, leaving garbage — harmless, as movers are fully
-// rebuilt before the next selection.
+// and candidates are both sorted by bucket, so two-pointer walks cover all
+// deltas without per-record searches: the first updates and removes, the
+// second inserts the buckets new to v. v's list is exact for its current
+// bucket, so the patched one is too, and fits the slot (see candBound); the
+// removals come first so that it does on the way as well.
 func (st *directState) patchVertex(v int32, wq float64, recs []NDChange) {
 	cur := st.bucket[v]
-	cands := st.cand[v]
-	ci := 0
+	cands := st.cands.list(v)
+	ci, inserts := 0, 0
 	for _, r := range recs {
 		if r.B == cur {
 			st.propBase[v] += wq * st.tables.DeltaOwn(r.COld, r.CNew)
 			continue
 		}
-		// DeltaAway is the exact candidate-accumulator change: the candidate
-		// terms are T[c]−T[0] (0 when absent), and the T[0]s cancel in the
-		// difference.
-		dAcc := st.tables.DeltaAway(r.COld, r.CNew)
+		// At most k − len(cands) buckets are absent below entry i's, so the
+		// entries before index r.B − (k − len(cands)) are all below r.B: a
+		// near-full list is entered next to r.B's line, not walked from its
+		// head.
+		ci = max(ci, int(r.B)-st.k+len(cands))
+		for ci < len(cands) && cands[ci].b < r.B {
+			ci++
+		}
+		if ci == len(cands) || cands[ci].b != r.B {
+			inserts++ // r.COld is 0 and no other query of v has r.B
+			continue
+		}
 		var dref int32
 		if r.COld == 0 {
 			dref++
@@ -1077,24 +1111,36 @@ func (st *directState) patchVertex(v int32, wq float64, recs []NDChange) {
 		if r.CNew == 0 {
 			dref--
 		}
+		if cands[ci].refs += dref; cands[ci].refs <= 0 {
+			cands = append(cands[:ci], cands[ci+1:]...)
+		} else {
+			// DeltaAway is the exact candidate-accumulator change: the
+			// candidate terms are T[c]−T[0] (0 when absent), and the T[0]s
+			// cancel in the difference.
+			cands[ci].acc += wq * st.tables.DeltaAway(r.COld, r.CNew)
+		}
+	}
+	if len(cands)+inserts > cap(cands) {
+		//shp:panics(invariant: an exact list fits its slot (candBound); an overflow means a list was patched in the wrong frame)
+		panic(fmt.Sprintf("core: patching vertex %d overflows its %d-entry slot", v, cap(cands)))
+	}
+	for i, ci := 0, 0; i < len(recs) && inserts > 0; i++ {
+		r := recs[i]
+		if r.B == cur || r.COld != 0 {
+			continue
+		}
 		for ci < len(cands) && cands[ci].b < r.B {
 			ci++
 		}
 		if ci < len(cands) && cands[ci].b == r.B {
-			cands[ci].refs += dref
-			if cands[ci].refs <= 0 {
-				cands = append(cands[:ci], cands[ci+1:]...)
-			} else {
-				cands[ci].acc += wq * dAcc
-			}
-			continue
+			continue // updated above
 		}
-		cands = append(cands, proposalCand{})
+		cands = cands[:len(cands)+1]
 		copy(cands[ci+1:], cands[ci:])
-		cands[ci] = proposalCand{b: r.B, refs: dref, acc: wq * dAcc}
-		ci++
+		cands[ci] = proposalCand{b: r.B, refs: 1, acc: wq * st.tables.DeltaAway(0, r.CNew)}
+		inserts--
 	}
-	st.cand[v] = cands
+	st.cands.setLen(v, len(cands))
 }
 
 // run builds the neighbor data from scratch and iterates refinement to

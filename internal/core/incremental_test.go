@@ -279,9 +279,9 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 					t.Fatalf("seed %d iter %d vertex %d: patched base %v != rebuilt %v",
 						seed, iter, v, st.propBase[v], ref.propBase[v])
 				}
-				if !slices.Equal(st.cand[v], ref.cand[v]) {
+				if !slices.Equal(st.cands.list(int32(v)), ref.cands.list(int32(v))) {
 					t.Fatalf("seed %d iter %d vertex %d: patched candidates %v != rebuilt %v",
-						seed, iter, v, st.cand[v], ref.cand[v])
+						seed, iter, v, st.cands.list(int32(v)), ref.cands.list(int32(v)))
 				}
 				patched++
 			}

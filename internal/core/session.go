@@ -307,7 +307,7 @@ func (s *Session) syncEngine() {
 		st.bucket = append(st.bucket, s.assignment[s.engND:nd]...)
 		st.target = append(st.target, make([]int32, grow)...)
 		st.gains = append(st.gains, make([]float64, grow)...)
-		st.cand = append(st.cand, make([][]proposalCand, grow)...)
+		st.cands.grow(grow)
 		st.propBase = append(st.propBase, make([]float64, grow)...)
 		st.wdegArr = append(st.wdegArr, make([]float64, grow)...)
 		st.active = append(st.active, make([]uint8, grow)...)
@@ -363,18 +363,23 @@ func (s *Session) syncEngine() {
 	// keeping the maintained neighbor data exact for every repair move.
 	s.repairOverCap()
 
-	// Dirty marks and static degrees: every vertex whose Equation 1 inputs
-	// changed gets a full rebuild at the next proposal pass. That is exactly
-	// the members of added/removed hyperedges, weight-change targets, and the
-	// new vertices.
-	for _, v := range s.touched {
-		st.active[v] = activeRebuild
+	// Dirty marks, static degrees and slots: every vertex whose Equation 1
+	// inputs changed gets a full rebuild at the next proposal pass. That is
+	// exactly the members of added/removed hyperedges, weight-change targets,
+	// and the new vertices. Their lists wait for it, in a fresh slot where the
+	// candidate bound grew.
+	resync := func(v int32) {
+		st.markRebuild(v)
 		st.wdegArr[v] = st.computeWdeg(v)
+		st.cands.fit(v, st.candBound(v))
+	}
+	for _, v := range s.touched {
+		resync(v)
 	}
 	for v := int32(s.engND); v < int32(nd); v++ {
-		st.active[v] = activeRebuild
-		st.wdegArr[v] = st.computeWdeg(v)
+		resync(v)
 	}
+	st.cands.compact()
 	st.gainsExact = st.gainsInExactRange()
 	st.invalidate() // these marks, and repairOverCap's, came from no batch
 
@@ -395,11 +400,18 @@ func (s *Session) repairOverCap() {
 		for _, q := range s.g.DataNeighbors(v) {
 			st.editQuery(q, func() { st.nd.row(q).Transfer(q, from, to) })
 			for _, d := range s.g.QueryNeighbors(q) {
-				st.active[d] = activeRebuild
+				st.markRebuild(d)
 			}
 		}
-		st.active[v] = activeRebuild
+		st.markRebuild(v)
 	})
+}
+
+// markRebuild schedules v's rebuild from outside a move batch; its list is
+// pending until then.
+func (st *directState) markRebuild(v int32) {
+	st.active[v] = activeRebuild
+	st.cands.pend(v)
 }
 
 // computeWdeg returns vertex v's static query-weighted degree.

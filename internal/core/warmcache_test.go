@@ -46,7 +46,7 @@ func (o *warmOracle) check() {
 	st.materializeCands()
 	nd := st.g.NumData()
 	for v := 0; v < nd; v++ {
-		tgt, gain, _ := st.selectProposal(v, st.cand[v])
+		tgt, gain, _ := st.selectProposal(v, st.cands.list(int32(v)))
 		if tgt != st.target[v] || gain != st.gains[v] {
 			t.Fatalf("%s pass %d: vertex %d caches (target %d, gain %v), a fresh selection gives (%d, %v) [mark %d, tied %v, flipIn %v]",
 				o.label, o.passes, v, st.target[v], st.gains[v], tgt, gain, st.active[v], st.tied[v], st.flipIn)

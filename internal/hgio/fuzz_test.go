@@ -2,8 +2,11 @@ package hgio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"shp/internal/hypergraph"
 )
 
 // FuzzReadHMetis checks the parser never panics and that anything it
@@ -90,5 +93,45 @@ func FuzzReadAssignment(f *testing.F) {
 	f.Add("# c\n\n-1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		_, _ = ReadAssignment(strings.NewReader(input))
+	})
+}
+
+// FuzzReadDeltaTrace checks the trace reader never panics and that every
+// trace it accepts round-trips: written back with WriteDeltaTrace and read
+// again, it gives the same batches. An added hyperedge of weight 0 has
+// weight 1 (hypergraph.DeltaOp), which is what the writer spells out.
+func FuzzReadDeltaTrace(f *testing.F) {
+	f.Add("addd 2\naddq 1 20 0 3\nrmq 1\ncommit\nsetw 20 5\naddq 3 1 2 20\ncommit\n", 4, 20)
+	f.Add("# comment\n\n  addq 0 1 2  \n", 3, 3)
+	f.Add("commit\ncommit\naddd 1\n", 0, 0)
+	f.Add("addq 1\n", 1, 1)
+	f.Add("rmq +7\naddq 007 -1 2147483647\nsetw 1 -3\n", 9, 9)
+	f.Add("addq 4294967297 1\n", 1, 1)
+	f.Add("commit now\n", 0, 0)
+	f.Add("frob 1\n", 0, 0)
+	f.Add("addd\t5\r\ncommit\r\n", 2, 2)
+	f.Fuzz(func(t *testing.T, input string, baseQ, baseD int) {
+		deltas, err := ReadDeltaTrace(strings.NewReader(input), baseQ, baseD)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteDeltaTrace(&buf, deltas); err != nil {
+			t.Fatalf("cannot write an accepted trace: %v", err)
+		}
+		again, err := ReadDeltaTrace(bytes.NewReader(buf.Bytes()), baseQ, baseD)
+		if err != nil {
+			t.Fatalf("cannot re-read own output: %v\noutput:\n%s", err, buf.String())
+		}
+		for _, d := range deltas {
+			for i, op := range d.Ops {
+				if op.Kind == hypergraph.OpAddHyperedge && op.Weight == 0 {
+					d.Ops[i].Weight = 1
+				}
+			}
+		}
+		if !reflect.DeepEqual(deltas, again) {
+			t.Fatalf("round trip changed the trace:\n%s", buf.String())
+		}
 	})
 }
