@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -163,6 +164,27 @@ func TestLazyListsSurviveGraphMutation(t *testing.T) {
 	for epoch := range lazy {
 		comparePar(t, fmt.Sprintf("epoch=%d", epoch), eager[epoch], lazy[epoch])
 	}
+}
+
+// TestFusedSweepKeepsListRoom: a run that only ever sweeps writes no list, yet
+// every list keeps its slot in the slab, so the materialisation that may
+// follow allocates nothing.
+func TestFusedSweepKeepsListRoom(t *testing.T) {
+	g := randomBipartite(t, 5, 3000, 6000, 30000)
+	opts := Options{K: 32, Direct: true, Seed: 3, MaxIters: 3}.withDefaults()
+	st := newDirectState(g, opts, 3)
+	st.run()
+	if !st.candsStale {
+		t.Fatal("the run reached a patched batch; the test exercises nothing")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st.materializeCands()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("materialising %d lists after three fused sweeps made %d allocations", g.NumData(), n)
+	}
+	checkSlots(t, st, "after materialisation")
 }
 
 // mutateHyperedges builds a delta that removes 40 live hyperedges and adds 40
