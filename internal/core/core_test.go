@@ -530,7 +530,8 @@ func TestHistoryOrdering(t *testing.T) {
 // schedule buys: SHP-2 ends with every bucket within (1+ε)·n/k. Granting the
 // whole ε at every level (the schedule's removed off-switch) let the
 // per-level overshoots compound past the cap on six of eight bench cells. The
-// graphs are the four shpbench shapes at a tenth of the size, two seeds each.
+// graphs are the four shpbench shapes at a tenth of the size, two seeds each,
+// and one random data-weighted graph checked by weight.
 func TestRecursiveRespectsEpsilon(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -564,6 +565,35 @@ func TestRecursiveRespectsEpsilon(t *testing.T) {
 					t.Errorf("%s seed %d: bucket %d holds %d of %d vertices, over (1+ε)·n/k = %.2f", sh.name, seed, b, size, g.NumData(), limit)
 				}
 			}
+		}
+	}
+
+	// Data weights 1–8: undoing a heavy arrival can push its origin over its
+	// cap, so the move batch's trim must repeat until both sides fit. One
+	// trim pass per side left a bucket of this graph at 169 > 168.9.
+	r := rng.New(7)
+	nd, nq := 200+r.Intn(400), 100+r.Intn(300)
+	b := hypergraph.NewBuilder(nq, nd)
+	for range 5 * nd {
+		b.AddEdge(int32(r.Intn(nq)), int32(r.Intn(nd)))
+	}
+	weights := make([]int32, nd)
+	for i := range weights {
+		weights[i] = int32(1 + r.Intn(8))
+	}
+	g, err := b.SetDataWeights(weights).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8
+	res, err := Partition(g, Options{K: k, Epsilon: eps, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := (1 + eps) * float64(g.TotalDataWeight()) / k
+	for c, w := range partition.BucketWeights(g, res.Assignment, k) {
+		if float64(w) > limit {
+			t.Errorf("weighted: bucket %d weighs %d of %d, over (1+ε)·W/k = %.2f", c, w, g.TotalDataWeight(), limit)
 		}
 	}
 }

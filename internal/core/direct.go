@@ -173,15 +173,9 @@ type directState struct {
 	// mirroring the bisection refiner.
 	qw []float64
 
-	// Per-iteration move-protocol scratch, reused across iterations: decided
-	// flags (cleared through decidedList, never by an O(|D|) sweep), the
-	// ascending list of decided vertices, the applied-move buffer, and the
-	// per-destination trim groups.
-	decided     []bool
-	decidedList []int32
-	appliedBuf  []move
-	byDst       [][]move
-	dstSorted   []bool
+	// batch is the coin and apply/trim scratch of the move protocol (see
+	// movebatch.go).
+	batch moveBatch
 
 	// The Equation 1 rebuild accumulators, reused so a warm iteration
 	// allocates nothing per vertex.
@@ -206,7 +200,7 @@ type directState struct {
 
 	// gainWork counts Equation 1 work units (one per neighbor query walked
 	// in a vertex rebuild); scanWork counts per-vertex visits in the
-	// selection/coin/trim loops, probed-and-skipped vertices included;
+	// selection/coin/apply loops, probed-and-skipped vertices included;
 	// lastFrontier is the number of vertices whose selection the most recent
 	// proposal pass actually re-ran. Pure observability counters.
 	gainWork     int64
@@ -331,16 +325,17 @@ func (st *directState) budgetRemaining() int64 {
 // reference bucket, so migrated never exceeds the budget. Admission is
 // highest-gain-first with ties to the lower vertex id; the surviving list
 // keeps its ascending-vertex order (the canonical apply order).
-func (st *directState) enforceMigrationBudget(list []int32, remaining int64) []int32 {
+func (st *directState) enforceMigrationBudget(remaining int64) {
+	mb := &st.batch
 	costly := st.costlyBuf[:0]
-	for _, v := range list {
+	for _, v := range mb.list {
 		if st.bucket[v] == st.migRef[v] {
 			costly = append(costly, v)
 		}
 	}
 	st.costlyBuf = costly
 	if int64(len(costly)) <= remaining {
-		return list // everything fits: the batch is untouched, bit for bit
+		return // everything fits: the batch is untouched, bit for bit
 	}
 	slices.SortFunc(costly, func(a, b int32) int {
 		ga, gb := st.gains[a], st.gains[b]
@@ -353,15 +348,9 @@ func (st *directState) enforceMigrationBudget(list []int32, remaining int64) []i
 		return int(a - b)
 	})
 	for _, v := range costly[remaining:] {
-		st.decided[v] = false
+		mb.decided[v] = false
 	}
-	out := list[:0]
-	for _, v := range list {
-		if st.decided[v] {
-			out = append(out, v)
-		}
-	}
-	return out
+	mb.list = slices.DeleteFunc(mb.list, func(v int32) bool { return !mb.decided[v] })
 }
 
 // randomInit cuts a random permutation at the per-bucket weight targets,
@@ -876,113 +865,19 @@ func (st *directState) markAllActive() {
 }
 
 // applyMoves matches the plane's direction histograms into move
-// probabilities and executes the probabilistic moves. It returns the moves
-// that survived the balance trim, in ascending vertex order.
+// probabilities and executes the probabilistic moves through the shared
+// move batch (movebatch.go), with the migration budget filtered in between.
+// It returns the moves that survived the balance trim, in ascending vertex
+// order.
 func (st *directState) applyMoves(iter int) []move {
-	nd := st.g.NumData()
 	st.plane.match(nil)
-
-	// Phase 1: per-vertex coin decisions in the granted bins, sorted into
-	// ascending vertex order — the apply phase walks the list instead of
-	// re-scanning all of |D| for the set flags. Flags were cleared through
-	// the previous call's list, so no O(|D|) clear either.
-	if st.decided == nil {
-		st.decided = make([]bool, nd)
-	}
-	decided := st.decided
-	list, visits := st.plane.coins(st.seed, rng.Mix(uint64(iter)+1, 0xD0D), decided, st.decidedList[:0])
-	st.scanWork += visits
-	st.sortAscending(list, nd)
+	st.scanWork += st.batch.draw(st.plane, &st.activeSet, st.seed, rng.Mix(uint64(iter)+1, 0xD0D), st.g.NumData())
 	if remaining := st.budgetRemaining(); remaining >= 0 {
-		list = st.enforceMigrationBudget(list, remaining)
+		st.enforceMigrationBudget(remaining)
 	}
-	st.decidedList = list
-	// Phase 2: apply all decided moves (so opposing flows cancel), then
-	// undo the lowest-gain arrivals of over-cap buckets until every cap
-	// holds again. Undone vertices return to their origin,
-	// which held them at iteration start, so the undo loop terminates with
-	// all caps satisfied. Arrivals are grouped by destination bucket in one
-	// pass over the applied moves: a decided vertex's bucket only changes
-	// when it is itself undone (clearing its decided flag), so the groups
-	// stay valid for the whole trim.
-	applied := st.appliedBuf[:0]
-	if st.byDst == nil {
-		st.byDst = make([][]move, st.k)
-		st.dstSorted = make([]bool, st.k)
-	}
-	for c := range st.byDst {
-		st.byDst[c] = st.byDst[c][:0]
-		st.dstSorted[c] = false
-	}
-	byDst := st.byDst
-	for _, v := range list {
-		cur := st.bucket[v]
-		tgt := st.target[v]
-		wv := int64(st.g.DataWeight(v))
-		st.bucket[v] = tgt
-		st.bucketW[cur] -= wv
-		st.bucketW[tgt] += wv
-		m := move{v, cur}
-		applied = append(applied, m)
-		byDst[tgt] = append(byDst[tgt], m)
-	}
-	st.scanWork += int64(len(list))
-	sorted := st.dstSorted
-	for {
-		over := int32(-1)
-		for c := 0; c < st.k; c++ {
-			if float64(st.bucketW[c]) > st.capW[c] {
-				over = int32(c)
-				break
-			}
-		}
-		if over < 0 {
-			break
-		}
-		arrivals := byDst[over]
-		if !sorted[over] {
-			slices.SortFunc(arrivals, func(a, b move) int {
-				ga, gb := st.gains[a.v], st.gains[b.v]
-				if ga < gb {
-					return -1
-				}
-				if ga > gb {
-					return 1
-				}
-				return int(a.v - b.v)
-			})
-			sorted[over] = true
-		}
-		any := false
-		for _, m := range arrivals {
-			if !decided[m.v] {
-				continue // already undone by an earlier trim
-			}
-			any = true
-			if float64(st.bucketW[over]) <= st.capW[over] {
-				break
-			}
-			wv := int64(st.g.DataWeight(m.v))
-			st.bucket[m.v] = m.from
-			st.bucketW[over] -= wv
-			st.bucketW[m.from] += wv
-			decided[m.v] = false
-		}
-		if !any {
-			break // pre-existing violation (warm start); nothing to undo
-		}
-	}
-	accepted := applied[:0]
-	for _, m := range applied {
-		if decided[m.v] {
-			accepted = append(accepted, m)
-		}
-	}
-	// Clear the decision flags through the list (undone vertices are already
-	// false), so the next iteration starts clean without an O(|D|) clear.
-	for _, m := range accepted {
-		decided[m.v] = false
-	}
+	accepted, visits := commit(&st.batch, st.g, st.gains, st.bucket,
+		func(v int32) int32 { return st.target[v] }, st.bucketW, st.capW)
+	st.scanWork += visits
 	if st.migRef != nil {
 		// Exact migration accounting: each accepted move changes the count of
 		// off-reference vertices by +1 (left the reference bucket), -1
@@ -996,7 +891,6 @@ func (st *directState) applyMoves(iter int) []move {
 			}
 		}
 	}
-	st.appliedBuf = applied
 	return accepted
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"shp/internal/hypergraph"
 	"shp/internal/rng"
 )
@@ -75,13 +73,9 @@ type bisection struct {
 	// gainbins.go).
 	bins *gainBins
 
-	// Reusable per-iteration scratch for the probabilistic move protocol:
-	// decided flags plus the (ascending) list of decided vertices, and the
-	// trim pass's arrival buffer. All cleared through the lists they were
-	// filled from, so idle iterations never pay an O(|D|) clear.
-	decided     []bool
-	decidedList []int32
-	arrivalsBuf []int32
+	// batch is the coin and apply/trim scratch of the move protocol (see
+	// movebatch.go).
+	batch moveBatch
 
 	gains []float64
 
@@ -93,7 +87,7 @@ type bisection struct {
 	// gainWork counts Equation 1 work units deterministically: one per
 	// table term summed in a gain rebuild, one per delta record folded into
 	// an accumulator. scanWork counts the per-vertex visits of the phases
-	// around the gain math — the gain/sync/coin/trim loops; together they
+	// around the gain math — the gain/sync/coin/apply loops; together they
 	// pin the engine's frontier-proportionality. lastFrontier records the
 	// vertex count the most recent gain pass visited. All are pure
 	// observability counters (never read by the algorithm).
@@ -435,90 +429,20 @@ func (b *bisection) run() []int8 {
 // applyProbabilistic runs the histogram protocol: let the "master" match
 // the plane's two direction histograms into per-bin move probabilities, then
 // move each vertex with its bin's probability using a per-vertex
-// deterministic coin. No phase scans all of |D|: matching costs O(bins), the
-// coin phase visits only the bins the matching granted positive
-// probability, and the apply/trim phases walk the decided list. It returns
-// the moves that survived the balance trim, ascending, with their sides
-// already flipped; the neighbor counts are applyBatch's.
-func (b *bisection) applyProbabilistic(iter int) []int32 {
-	nd := b.g.NumData()
+// deterministic coin (the shared move batch, movebatch.go). No phase scans
+// all of |D|: matching costs O(bins), the coin phase visits only the bins
+// the matching granted positive probability, and apply and trim walk the
+// decided list. It returns the moves that survived the balance trim,
+// ascending, with their sides already flipped; the neighbor counts are
+// applyBatch's.
+func (b *bisection) applyProbabilistic(iter int) []move {
 	b.syncBins()
 	into1, into0 := b.extras()
 	b.bins.match([]int64{into0, into1})
-
-	// Phase 1: per-vertex coin decisions in the granted bins, radix-sorted
-	// back into the canonical ascending order the apply phase requires.
-	if b.decided == nil {
-		b.decided = make([]bool, nd)
-	}
-	decided := b.decided
-	list, visits := b.bins.coins(b.seed, rng.Mix(uint64(iter)+1, 0xC01), decided, b.decidedList[:0])
+	b.scanWork += b.batch.draw(b.bins, &b.activeSet, b.seed, rng.Mix(uint64(iter)+1, 0xC01), b.g.NumData())
+	accepted, visits := commit(&b.batch, b.g, b.gains, b.side,
+		func(v int32) int8 { return 1 - b.side[v] }, b.w[:], b.capW[:])
 	b.scanWork += visits
-	b.sortAscending(list, nd)
-	b.decidedList = list
-	// Phase 2: apply all decided moves, then undo the lowest-gain arrivals
-	// of any side that breached its cap. Applying first lets opposing flows
-	// cancel (a swap must not deadlock on two full sides); the undo pass
-	// upgrades the paper's balance-in-expectation to a hard cap. Because
-	// total weight never exceeds capL + capR, trimming one side cannot push
-	// the other over its cap.
-	for _, v := range list {
-		cur := b.side[v]
-		oth := 1 - cur
-		wv := int64(b.g.DataWeight(v))
-		b.side[v] = oth
-		b.w[cur] -= wv
-		b.w[oth] += wv
-	}
-	b.scanWork += int64(len(list))
-	for s := int8(0); s < 2; s++ {
-		if float64(b.w[s]) <= b.capW[s] {
-			continue
-		}
-		arrivals := b.arrivalsBuf[:0]
-		for _, v := range list {
-			// decided[v] guards against double-undo: a vertex undone by the
-			// other side's trim pass is already back home and must not be
-			// flipped again (that would desynchronize the neighbor counts).
-			if decided[v] && b.side[v] == s {
-				arrivals = append(arrivals, v)
-			}
-		}
-		b.scanWork += int64(len(list))
-		slices.SortFunc(arrivals, func(x, y int32) int {
-			gx, gy := b.gains[x], b.gains[y]
-			if gx < gy {
-				return -1
-			}
-			if gx > gy {
-				return 1
-			}
-			return int(x - y)
-		})
-		for _, v := range arrivals {
-			if float64(b.w[s]) <= b.capW[s] {
-				break
-			}
-			wv := int64(b.g.DataWeight(v))
-			b.side[v] = 1 - s
-			b.w[s] -= wv
-			b.w[1-s] += wv
-			decided[v] = false // undone
-		}
-		b.arrivalsBuf = arrivals
-	}
-	accepted := list[:0]
-	for _, v := range list {
-		if decided[v] {
-			accepted = append(accepted, v)
-		}
-	}
-	// Clear the decision flags through the list (undone vertices are
-	// already false), so the next iteration starts clean without an O(|D|)
-	// clear.
-	for _, v := range accepted {
-		decided[v] = false
-	}
 	return accepted
 }
 
@@ -527,19 +451,19 @@ func (b *bisection) applyProbabilistic(iter int) []int32 {
 // through the patch collector (counts, net deltas, dirty queries, member
 // patches — O(churn·deg)); Sweep transfers the counts directly and marks
 // everyone for a rebuild; Rebuild recounts them from scratch instead.
-func (b *bisection) applyBatch(accepted []int32, mode BatchMode) {
+func (b *bisection) applyBatch(accepted []move, mode BatchMode) {
 	switch mode {
 	case Patch:
-		for _, v := range accepted {
-			b.applyMovePatched(v)
+		for _, m := range accepted {
+			b.applyMovePatched(m.v)
 		}
 		b.finishPatch(accepted)
 		return
 	case Sweep:
-		for _, v := range accepted {
-			oth := b.side[v] // already flipped
+		for _, m := range accepted {
+			oth := b.side[m.v] // already flipped
 			nCur, nOth := b.n[1-oth], b.n[oth]
-			for _, q := range b.g.DataNeighbors(v) {
+			for _, q := range b.g.DataNeighbors(m.v) {
 				nCur[q]--
 				nOth[q]++
 			}
@@ -612,7 +536,7 @@ func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 // patch order irrelevant to the result. Movers are scheduled for a rebuild:
 // their own side changed, so the cached accumulators (and any patches
 // applied to them above) refer to the wrong frame.
-func (b *bisection) finishPatch(movers []int32) {
+func (b *bisection) finishPatch(movers []move) {
 	b.pgs = b.pgs[:0]
 	for _, q := range b.dirtyQ {
 		if pg, ok := b.derivePatchGroup(q); ok {
@@ -635,8 +559,8 @@ func (b *bisection) finishPatch(movers []int32) {
 	}
 	// Movers of positive degree were already touched as members of their own
 	// dirty queries; zero-degree movers were not.
-	for _, v := range movers {
-		b.touch(v, activeRebuild)
+	for _, m := range movers {
+		b.touch(m.v, activeRebuild)
 	}
 	b.seal(b.g.NumData())
 }

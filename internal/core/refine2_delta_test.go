@@ -38,7 +38,7 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 				b.markAllActive()
 				b.computeGains()
 			}
-			var movers []int32
+			var movers []move
 			seen := make(map[int32]bool)
 			for i := 0; i < 1+r.Intn(8); i++ {
 				v := int32(r.Intn(g.NumData()))
@@ -52,7 +52,7 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 				b.w[cur] -= wv
 				b.w[1-cur] += wv
 				b.applyMovePatched(v)
-				movers = append(movers, v)
+				movers = append(movers, move{v, int32(cur)})
 			}
 			b.finishPatch(movers)
 			b.computeGains()
@@ -290,16 +290,16 @@ func TestBisectionGainMatchesEquation1(t *testing.T) {
 				// One patched batch: movers resum, their queries' other
 				// members go through deriveGain over patched accumulators.
 				r := rng.New(seed ^ 0xBEEF)
-				var movers []int32
+				var movers []move
 				for len(movers) < 5 {
 					v := int32(r.Intn(g.NumData()))
-					if slices.Contains(movers, v) {
+					if slices.ContainsFunc(movers, func(m move) bool { return m.v == v }) {
 						continue
 					}
 					cur := b.side[v]
 					b.side[v] = 1 - cur
 					b.applyMovePatched(v)
-					movers = append(movers, v)
+					movers = append(movers, move{v, int32(cur)})
 				}
 				b.finishPatch(movers)
 				if !b.frontierValid || len(b.frontier) == g.NumData() {

@@ -50,7 +50,8 @@ type WorkStats struct {
 	// gain rebuild, one per delta record folded into an accumulator.
 	GainWork int64
 	// ScanWork counts per-vertex visits in the phases around the gain math
-	// (gain/sync/coin/trim/selection loops).
+	// (gain/sync/coin/selection loops). The move batch's commit charges one
+	// visit per decided move it applies; its trim is not charged.
 	ScanWork int64
 }
 

@@ -312,7 +312,6 @@ func (s *Session) syncEngine() {
 		st.wdegArr = append(st.wdegArr, make([]float64, grow)...)
 		st.active = append(st.active, make([]uint8, grow)...)
 		st.tied = append(st.tied, make([]bool, grow)...)
-		st.decided = nil // sized per batch; forces reallocation at new |D|
 		st.plane.grow(nd)
 	}
 

@@ -245,10 +245,6 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 	if every <= 0 {
 		every = 64
 	}
-	maxRecoveries := e.opts.MaxRecoveries
-	if maxRecoveries <= 0 {
-		maxRecoveries = 8
-	}
 	if e.opts.Checkpointer != nil {
 		if err := e.checkpoint(0); err != nil {
 			return nil, err
@@ -301,7 +297,7 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 		}
 		wireBytes, err := e.exchange(step)
 		if err != nil {
-			restored, rerr := e.recoverFrom(err, step, maxRecoveries)
+			restored, rerr := e.recoverFrom(err, step)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -543,29 +539,31 @@ func (e *EngineOf[M, A]) clearOutboxes(w *worker[M, A]) {
 	}
 }
 
+// Failure handling bounds: maxRecoveries checkpoint rollbacks per run, and
+// exchangeRetries in-place retries of an exchange that failed with a
+// transient error (wrapping ErrTransient) before the failure is escalated to
+// recovery; retry i waits retryBackoff << i plus deterministic jitter.
+const (
+	maxRecoveries   = 8
+	exchangeRetries = 3
+	retryBackoff    = 500 * time.Microsecond
+)
+
 // exchangeWithRetry runs the transport's move, retrying in place (with
 // exponential backoff plus deterministic jitter) when the failure is marked
 // transient — i.e. the transport guarantees the attempt had no side effect.
 func (e *EngineOf[M, A]) exchangeWithRetry(step int) (int64, error) {
-	retries := e.opts.ExchangeRetries
-	if retries <= 0 {
-		retries = 3
-	}
-	backoff := e.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 500 * time.Microsecond
-	}
 	for attempt := 0; ; attempt++ {
 		nb, err := e.transport.exchange(step, e.frameOut, e.frameIn)
 		if err == nil {
 			return nb, nil
 		}
-		if !errors.Is(err, ErrTransient) || attempt >= retries {
+		if !errors.Is(err, ErrTransient) || attempt >= exchangeRetries {
 			return 0, err
 		}
 		e.stats.RetriedFrames++
-		delay := backoff << attempt
-		jitter := time.Duration(rng.Mix(uint64(step), uint64(attempt)) % uint64(backoff))
+		delay := retryBackoff << attempt
+		jitter := time.Duration(rng.Mix(uint64(step), uint64(attempt)) % uint64(retryBackoff))
 		time.Sleep(delay + jitter)
 	}
 }
@@ -579,7 +577,7 @@ func (e *EngineOf[M, A]) exchangeWithRetry(step int) (int64, error) {
 // back to the next older one when the checkpointer keeps any; with none
 // left the error still unwraps to the *WorkerFailure. Any other error — or
 // recovery budget exhaustion — is returned unchanged.
-func (e *EngineOf[M, A]) recoverFrom(err error, step, maxRecoveries int) (int, error) {
+func (e *EngineOf[M, A]) recoverFrom(err error, step int) (int, error) {
 	var wf *WorkerFailure
 	if !errors.As(err, &wf) {
 		return 0, err

@@ -259,15 +259,6 @@ type OptionsOf[M, A any] struct {
 	// master that keeps mutable state.
 	MasterSnapshot func() []byte
 	MasterRestore  func(data []byte) error
-	// MaxRecoveries bounds checkpoint rollbacks per run. <= 0 means 8.
-	MaxRecoveries int
-	// ExchangeRetries bounds in-place retries of an exchange that failed
-	// with a transient error (wrapping ErrTransient) before the failure is
-	// escalated to recovery. <= 0 means 3.
-	ExchangeRetries int
-	// RetryBackoff is the base delay before the first retry; attempt i
-	// waits RetryBackoff << i plus deterministic jitter. <= 0 means 500µs.
-	RetryBackoff time.Duration
 	// FrameTimeout is the per-frame read/write deadline on the TCP
 	// transport. <= 0 means no deadline (a dead peer blocks forever).
 	FrameTimeout time.Duration
