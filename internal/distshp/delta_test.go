@@ -142,13 +142,14 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				members[q] = append(members[q], d)
 			}
 		}
-		// Registration round, exactly as a level start plays out.
+		// A registration from every member's record: what a level start's
+		// derived registry equals (TestDerivedRegistrationMatchesFull).
 		var regs []record
 		for _, d := range members[q] {
 			regs = append(regs, bucketRecord(d, bucketOf[d]))
 		}
 		st := &queryState{level: -1}
-		st.register(int32(q), 0, buckets, members[q], regs)
+		st.register(int32(q), 0, buckets, 0, members[q], regs)
 		isMember[q] = set
 		qs[q] = st
 	}
@@ -285,7 +286,7 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
 		st := &queryState{level: -1}
-		st.register(42, 1, 8, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
+		st.register(42, 1, 8, 0, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
 		return st
 	}
 	for _, c := range []struct {
@@ -307,6 +308,70 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 			}()
 			c.run(fresh())
 		}()
+	}
+}
+
+// TestDerivedRegistrationMatchesFull pins the level start's derived
+// registry: a query that splits its own registry and hears only from the
+// members that moved in the previous iteration must end with the registry,
+// pairs and row of a query that heard every member's post-split bucket.
+// Levels 0–2, random prior registries (what a query holds at the end of the
+// previous level: the movers' pre-move buckets) and random mover subsets.
+func TestDerivedRegistrationMatchesFull(t *testing.T) {
+	const k, seed = 8, 77
+	r := rng.New(606)
+	for trial := 0; trial < 200; trial++ {
+		level := trial % 3
+		var members []int32 // a sorted adjacency list
+		for n := 1 + r.Intn(20); n > 0; n-- {
+			members = append(members, int32(r.Intn(200)))
+		}
+		slices.Sort(members)
+		members = slices.Compact(members)
+		derived := &queryState{level: -1}
+		pre := make([]int32, len(members)) // each member's bucket before the split; none at level 0
+		var movers []record
+		if level > 0 {
+			var prior []record
+			for i, d := range members {
+				pre[i] = int32(r.Intn(1 << level))
+				prior = append(prior, bucketRecord(d, pre[i]))
+			}
+			derived.register(42, level-1, k, seed, members, prior)
+			for i, d := range members {
+				if r.Intn(3) == 0 {
+					pre[i] ^= 1 // moved in the last iteration, unseen by the query
+					movers = append(movers, bucketRecord(d, splitBucket(seed, level, d, pre[i])))
+				}
+			}
+		}
+		derived.register(42, level, k, seed, members, movers)
+
+		want := make([]int32, len(members))
+		var all []record
+		for i, d := range members {
+			want[i] = splitBucket(seed, level, d, pre[i])
+			all = append(all, bucketRecord(d, want[i]))
+		}
+		full := &queryState{level: -1}
+		full.register(42, level, k, seed, members, all)
+
+		label := fmt.Sprintf("trial %d, level %d, %d of %d members moved", trial, level, len(movers), len(members))
+		if !slices.Equal(full.memberBucket, want) {
+			t.Fatalf("%s: full registration %v, want %v", label, full.memberBucket, want)
+		}
+		if !slices.Equal(derived.memberBucket, full.memberBucket) {
+			t.Fatalf("%s: registry %v, want %v", label, derived.memberBucket, full.memberBucket)
+		}
+		if !slices.Equal(derived.pairs, full.pairs) {
+			t.Fatalf("%s: pairs %v, want %v", label, derived.pairs, full.pairs)
+		}
+		if diff := derived.row.Diff(nil, full.row); len(diff) > 0 || derived.row.Live() != full.row.Live() {
+			t.Fatalf("%s: row differs from the full registration's: %v", label, diff)
+		}
+		if v := rowViolation(derived, full.memberBucket, k); v != "" {
+			t.Fatalf("%s: %s", label, v)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@
 //
 // Each refinement iteration is four supersteps with barriers between them:
 //
-//	superstep 0: data vertices send their (changed) bucket to adjacent
-//	             queries, which maintain neighbor data incrementally;
+//	superstep 0: movers send their new bucket to adjacent queries, which
+//	             maintain neighbor data incrementally;
 //	superstep 1: queries send each adjacent data vertex what it needs to
 //	             bring its sibling-pair gain state up to date (see below);
 //	superstep 2: data vertices compute Equation 1 move gains and register
@@ -57,7 +57,7 @@
 // the workers' assert/retract deltas into persistent per-direction
 // histograms and per-bucket weight totals, matches over the persistent state
 // each iteration, and resets it at level start — where every vertex
-// re-registers from scratch. Late supersteps therefore ship proposal traffic
+// proposes afresh. Late supersteps therefore ship proposal traffic
 // proportional to the moving frontier, while full-rebroadcast iterations
 // (sweep fallback, RebuildEvery schedule) recompute every gain — verifying
 // the maintained proposal state — but still ship only the changes, so the
@@ -66,8 +66,11 @@
 // Recursive levels are scheduled by the master: when the policy stops a
 // level (moved fraction below threshold, or its iterations exhausted), every
 // data vertex splits its bucket b into 2b or 2b+1 and the next level begins.
-// K must be a power of two (the configuration the paper's distributed
-// experiments use).
+// The split is a pure function of the seed, level, vertex id and b
+// (splitBucket), so queries split their registries themselves, and a level's
+// superstep 0 carries only the last iteration's movers, whose move they have
+// not seen. K must be a power of two (the configuration the paper's
+// distributed experiments use).
 package distshp
 
 import (
@@ -236,7 +239,7 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 	}
 	budget := maxMovedFraction * float64(len(r.Assignment))
 	for j, rec := range r.History {
-		// A level start (Iter 0) re-registers everything. Otherwise
+		// A level start (Iter 0) resends every gain and proposal. Otherwise
 		// History[j-1] is the same level's previous iteration, whose moves
 		// produced this iteration's traffic.
 		if rec.Iter == 0 || float64(r.History[j-1].Moved) > budget {
@@ -257,8 +260,8 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 //
 //   - bucket, data -> query, "I am now in bucket New": lo = Data | New<<32.
 //     Queries key their incremental neighbor-data maintenance on Data alone
-//     (first sight registers, later sights move), so that pair is the whole
-//     payload.
+//     (at a level start it overrides the registry's derived split, later it
+//     moves the member), so that pair is the whole payload.
 //   - gain, query -> data: lo, hi = the bits of Cur = T[n(current bucket)-1]
 //     and Oth = T[n(sibling)], the query's neighbor-data contribution to the
 //     receiver's Equation 1 gain already mapped through the level's gain
@@ -395,10 +398,12 @@ type queryState struct {
 }
 
 // register (re)initializes the registry for a new level of a run over k
-// buckets from the members' registration records, which every member sends
-// in the level's first superstep, and recounts the row. The registry and
-// room for every pair the query can reach share one allocation.
-func (st *queryState) register(q int32, level, k int, members []int32, msgs []record) {
+// buckets and recounts the row. Each member's bucket is the split of the one
+// the registry holds, as the member itself made it, unless the member moved
+// in the previous iteration: then its record in movers carries the bucket.
+// The registry and room for every pair the query can reach share one
+// allocation.
+func (st *queryState) register(q int32, level, k int, seed uint64, members []int32, movers []record) {
 	st.level = level
 	if st.memberBucket == nil {
 		n := len(members)
@@ -406,10 +411,10 @@ func (st *queryState) register(q int32, level, k int, members []int32, msgs []re
 		st.memberBucket, st.pairs = buf[:n:n], buf[n:n]
 		st.moved = make([]bool, n)
 	}
-	for i := range st.memberBucket {
-		st.memberBucket[i] = -1
+	for i, d := range members {
+		st.memberBucket[i] = splitBucket(seed, level, d, st.memberBucket[i])
 	}
-	for _, m := range msgs {
+	for _, m := range movers {
 		data, bucket := m.bucket()
 		st.memberBucket[member(q, members, data)] = bucket
 	}
@@ -600,7 +605,8 @@ func (s *schedule) fold(parts []*workerAgg) {
 // MatchHistograms and the tables are bit-reproducible.
 func (s *schedule) match() {
 	eps := s.opts.Epsilon * float64(s.level+1) / float64(s.levels)
-	cap0 := s.ideal * float64(s.opts.K>>(s.level+1)) * (1 + eps)
+	// Rounding the product keeps arm64 from fusing it into FNMSUBD below.
+	cap0 := float64(s.ideal * float64(s.opts.K>>(s.level+1)) * (1 + eps))
 	s.probs = map[uint64]*core.ProbTable{}
 	var empty core.DirHist
 	for _, key := range slices.Sorted(maps.Keys(s.hists)) {
@@ -727,8 +733,8 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			sched.iter++
 			// A sweep or a scheduled rebuild makes the next superstep 1 a
 			// full rebroadcast; both regimes produce identical bits. A level
-			// start needs none: it re-registers every vertex, which forces
-			// full gain contributions everywhere.
+			// start needs no flag: every query rebuilds its registry there,
+			// which forces full gain contributions everywhere.
 			sched.rebuildNext = !stop && mode != core.Patch
 			if stop {
 				sched.level++
@@ -804,27 +810,14 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 
 	switch ctx.Superstep() % 4 {
 	case 0:
-		level := s.level
-		if level != st.level {
-			// Level start: split my bucket. Level 0: bucket = coin in {0,1};
-			// deeper: bucket = 2*old + coin.
-			old := st.bucket
-			base := int32(0)
-			if st.level >= 0 && old >= 0 {
-				base = old * 2
-			}
-			coin := int32(0)
-			if rng.CoinAt(s.opts.Seed^0x51DE, rng.Mix(uint64(level)+1, uint64(d))) >= 0.5 {
-				coin = 1
-			}
-			st.bucket = base + coin
-			st.level = level
-			st.moved = false
-			// (Re-)register with all queries.
-			for _, q := range g.DataNeighbors(d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(d, st.bucket))
-			}
-		} else if st.moved {
+		if s.level != st.level {
+			// Level start: split my bucket. The queries split their
+			// registries the same way, so a vertex that did not just move
+			// has nothing to tell them.
+			st.bucket = splitBucket(s.opts.Seed, s.level, d, st.bucket)
+			st.level = s.level
+		}
+		if st.moved {
 			for _, q := range g.DataNeighbors(d) {
 				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(d, st.bucket))
 			}
@@ -915,6 +908,21 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 	}
 }
 
+// splitBucket is the bucket data vertex d takes at the start of level when
+// it was in bucket parent: 2·parent + coin, or the plain coin in {0, 1} at
+// level 0, which ignores parent. It is the split's only definition: data
+// vertices apply it to their bucket, queries to their registries.
+func splitBucket(seed uint64, level int, d, parent int32) int32 {
+	b := int32(0)
+	if level > 0 {
+		b = 2 * parent
+	}
+	if rng.CoinAt(seed^0x51DE, rng.Mix(uint64(level)+1, uint64(d))) >= 0.5 {
+		b++
+	}
+	return b
+}
+
 // directionKey identifies the direction "from bucket b to its sibling".
 // Because the pair is (b &^ 1, b | 1), the source bucket id itself is a
 // collision-free key, and the opposite direction is key ^ 1.
@@ -943,10 +951,10 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		members := g.QueryNeighbors(q)
 		live := st.row.Live()
 		if level != st.level {
-			// Level changed: rebuild from the registration messages. Every
-			// data vertex re-registers, so every member counts as a mover
-			// and receives a full contribution below.
-			st.register(q, level, s.opts.K, members, msgs)
+			// Level changed: split the registry, overridden by the movers'
+			// records. Every member's pair is new, so every member receives
+			// a full contribution below.
+			st.register(q, level, s.opts.K, s.opts.Seed, members, msgs)
 			full = true
 		} else {
 			// Apply the bucket updates. Unless this superstep rebroadcasts,

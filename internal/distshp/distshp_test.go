@@ -1,6 +1,7 @@
 package distshp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestWorkerCountInvariantResult(t *testing.T) {
 }
 
 func TestCommunicationBoundedByFanoutTimesEdges(t *testing.T) {
-	// Section 3.3: superstep 2 sends at most one (pair-sized) ND message
+	// Section 3.3: superstep 1 sends at most one (pair-sized) ND message
 	// per edge per iteration, so total traffic is O(|E|) per iteration.
 	g := randomBipartite(t, 17, 300, 400, 2500)
 	res, err := Partition(g, Options{K: 2, Seed: 7, ItersPerLevel: 5})
@@ -126,6 +127,57 @@ func TestCommunicationBoundedByFanoutTimesEdges(t *testing.T) {
 	bound := 2.5 * float64(g.NumEdges()) // bucket sends + ND sends + slack
 	if perIter > bound {
 		t.Fatalf("messages per iteration %v exceed O(|E|) bound %v", perIter, bound)
+	}
+}
+
+// TestLevelStartShipsOnlyMovers pins what a level start sends: queries
+// derive their members' split, so level 0's superstep 0 sends no record and a
+// later level's first superstep carries only the bucket records of the
+// previous iteration's movers — at most one envelope per mover and adjacent
+// query. A short level cap makes levels end while vertices still move.
+func TestLevelStartShipsOnlyMovers(t *testing.T) {
+	transports := []struct {
+		name string
+		make func() pregel.Transport
+	}{
+		{"memory", func() pregel.Transport { return nil }},
+		{"tcp", pregel.TCPTransport},
+	}
+	for _, seed := range []uint64{41, 42} {
+		g := randomBipartite(t, seed, 250, 400, 2200)
+		maxDeg := 0
+		for d := 0; d < g.NumData(); d++ {
+			maxDeg = max(maxDeg, g.DataDegree(int32(d)))
+		}
+		for _, tr := range transports {
+			res, err := Partition(g, Options{K: 8, Seed: seed, Workers: 2, ItersPerLevel: 4, Transport: tr.make()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("seed %d/%s", seed, tr.name)
+			// Superstep 3 never sends a record, so its bytes are the bare
+			// barrier's: nothing in memory, the frame headers over TCP.
+			s, bare := res.Stats.PerSuperstep[0], res.Stats.PerSuperstep[3]
+			if s.MessagesSent != 0 || s.BytesSent != bare.BytesSent || (tr.name == "memory" && s.BytesSent != 0) {
+				t.Fatalf("%s: level 0's superstep 0 sent %d envelopes, %d bytes; want none beyond the %d of a bare barrier",
+					label, s.MessagesSent, s.BytesSent, bare.BytesSent)
+			}
+			shipped := false
+			for j, rec := range res.History {
+				if j == 0 || rec.Iter != 0 {
+					continue
+				}
+				sent := res.Stats.PerSuperstep[4*j].MessagesSent
+				if bound := res.History[j-1].Moved * int64(maxDeg); sent > bound {
+					t.Fatalf("%s: level %d start sent %d envelopes, above %d movers x degree %d",
+						label, rec.Level, sent, res.History[j-1].Moved, maxDeg)
+				}
+				shipped = shipped || sent > 0
+			}
+			if !shipped {
+				t.Fatalf("%s: no level start shipped a mover; the cap did not bite", label)
+			}
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ type schedule struct {
 	// hists and weights are the persistent proposal-plane state: per-
 	// direction gain histograms and per-bucket weight totals, maintained
 	// from the vertices' assert/retract deltas each proposal superstep
-	// and reset at level start (where every vertex re-registers).
+	// and reset at level start (where every vertex proposes afresh).
 	hists   map[uint64]*core.DirHist
 	weights map[int32]int64
 	// probs are the per-direction move probabilities superstep 3 reads.
