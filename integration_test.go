@@ -2,10 +2,12 @@ package shp_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
 	"shp"
+	"shp/internal/core"
 )
 
 // Integration tests exercising multi-module flows through the public API:
@@ -301,5 +303,83 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 	}
 	if imb := shp.Imbalance(p.Assignment(), k); imb > 0.05+1e-9 {
 		t.Fatalf("imbalance %.4f exceeds epsilon after churn", imb)
+	}
+}
+
+// TestGainRangeError: a graph past the integer gain range is refused with
+// ErrGainRange by every engine, and a Partitioner refuses the delta that
+// would take its graph there, leaving graph and session as they were.
+func TestGainRangeError(t *testing.T) {
+	// Four hyperedges of four members each, with query weights near
+	// MaxInt32: 2^35 weighted incidences of 2^32 units each.
+	b := shp.NewBuilder(4, 8)
+	weights := make([]int32, 4)
+	for q := range int32(4) {
+		b.AddHyperedge(q, 2*q%8, (2*q+1)%8, (2*q+2)%8, (2*q+5)%8)
+		weights[q] = math.MaxInt32 - q
+	}
+	heavy, err := b.SetQueryWeights(weights).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"SHP-2": func() error { _, err := shp.Partition(heavy, shp.Options{K: 2}); return err },
+		"SHP-k": func() error { _, err := shp.Partition(heavy, shp.Options{K: 2, Direct: true}); return err },
+		"distshp": func() error {
+			_, err := shp.PartitionDistributed(heavy, shp.DistributedOptions{K: 2, Workers: 1})
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, core.ErrGainRange) {
+			t.Errorf("%s on query weights near MaxInt32: err %v, want ErrGainRange", name, err)
+		}
+	}
+
+	// A MoveCostPenalty counts once per data vertex: 10^6 objective units
+	// on 600 vertices is past the range, for both engines.
+	g, err := shp.GenerateSocialEgoNets(600, 6, 30, 0.8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := shp.Partition(g, shp.Options{K: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, direct := range []bool{false, true} {
+		_, err := shp.Partition(g, shp.Options{K: 4, Direct: direct, Initial: first.Assignment, MoveCostPenalty: 1e6})
+		if !errors.Is(err, shp.ErrGainRange) {
+			t.Errorf("Direct %v with MoveCostPenalty 1e6: err %v, want ErrGainRange", direct, err)
+		}
+	}
+
+	// A session refuses the delta that adds a hyperedge of weight MaxInt32,
+	// before and after its warm engine exists, and keeps working.
+	for _, warm := range []bool{false, true} {
+		p, err := shp.NewPartitioner(g.Clone(), shp.Options{K: 4, Direct: true, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, err := p.Repartition(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pg := p.Graph()
+		version, queries, edges := pg.Version(), pg.NumQueries(), pg.NumEdges()
+		d := p.NewDelta()
+		d.AddWeightedHyperedge(math.MaxInt32, 0, 1, 2, 3)
+		if err := p.Apply(d); !errors.Is(err, shp.ErrGainRange) {
+			t.Fatalf("warm %v: Apply of a MaxInt32-weight hyperedge: err %v, want ErrGainRange", warm, err)
+		}
+		if pg.Version() != version || pg.NumQueries() != queries || pg.NumEdges() != edges {
+			t.Fatalf("warm %v: the refused delta changed the graph", warm)
+		}
+		res, err := p.Repartition()
+		if err != nil {
+			t.Fatalf("warm %v: Repartition after the refused delta: %v", warm, err)
+		}
+		if err := res.Assignment.Validate(4); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

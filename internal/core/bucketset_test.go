@@ -72,15 +72,15 @@ func TestBucketSetDrain(t *testing.T) {
 //	acc_b  = Σ_{q: n_b(q)>0} wq·(T[n_b(q)] − T[0])     for b ≠ cur
 //	refs_b = |{q ∈ N(v): n_b(q) > 0}|
 //
-// Table values sit on the dyadic grid, so the sums are exact and must equal
-// the engine's bit for bit in any summation order.
-func naiveProposalState(st *directState, v int32) (float64, []proposalCand) {
+// The sums are integer gain units, so they must equal the engine's in any
+// summation order.
+func naiveProposalState(st *directState, v int32) (int64, []proposalCand) {
 	cur := st.bucket[v]
-	base := 0.0
-	acc := map[int32]float64{}
+	var base int64
+	acc := map[int32]int64{}
 	refs := map[int32]int32{}
 	for _, q := range st.g.DataNeighbors(v) {
-		wq := float64(st.g.QueryWeight(q))
+		wq := int64(st.g.QueryWeight(q))
 		n := map[int32]int32{}
 		for _, u := range st.g.QueryNeighbors(q) {
 			n[st.bucket[u]]++
@@ -154,7 +154,7 @@ func TestRebuildVertexMatchesEquation1(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				g := arm.graph(seed)
 				opts := Options{K: arm.k, P: 0.5, Direct: true}.withDefaults()
-				st := newDirectState(g, opts, seed)
+				st := mustDirectState(t, g, opts, seed)
 				st.buildNeighborData()
 				if bad := rowInvariantViolation(st.nd); bad != "" {
 					t.Fatalf("seed %d: %s", seed, bad)

@@ -103,7 +103,7 @@ func TestSlotsHoldExactLists(t *testing.T) {
 	}
 	for _, arm := range arms {
 		opts := Options{K: arm.k, Direct: true, Seed: 7, MaxIters: 20}.withDefaults()
-		st := newDirectState(arm.g, opts, 7)
+		st := mustDirectState(t, arm.g, opts, 7)
 		st.buildNeighborData()
 		st.markAllActive()
 		checkSlots(t, st, arm.name+" built")
@@ -197,7 +197,7 @@ func TestColdDirectAllocations(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		o := opts.withDefaults()
-		st := newDirectState(g, o, rng.Mix(o.Seed, 0xD12EC7))
+		st := mustDirectState(t, g, o, rng.Mix(o.Seed, 0xD12EC7))
 		st.run()
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs, st

@@ -50,7 +50,7 @@ func TestDirectWeightsStayConsistent(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 40, 60, 300)
 		opts := Options{K: 5, P: 0.5, MaxIters: 8, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed)
+		st := mustDirectState(t, g, opts, seed)
 		st.run()
 		recount := make([]int64, 5)
 		for v := 0; v < g.NumData(); v++ {

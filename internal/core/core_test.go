@@ -75,7 +75,21 @@ func coldBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, ta
 	}
 	st := startState{side: make([]int8, g.NumData()), home: home}
 	st.initialSplit(newBalance(total, tLeft, tRight, propLeft, eps, idealPerBucket), seed, weightOf(g))
-	return newBisection(g, opts, seed, level, task, tLeft, tRight, propLeft, eps, idealPerBucket, st)
+	b, err := newBisection(g, opts, seed, level, task, tLeft, tRight, propLeft, eps, idealPerBucket, st)
+	if err != nil {
+		panic(err) // every test graph is inside the gain range
+	}
+	return b
+}
+
+// mustDirectState is newDirectState for a graph inside the gain range.
+func mustDirectState(tb testing.TB, g *hypergraph.Bipartite, opts Options, seed uint64) *directState {
+	tb.Helper()
+	st, err := newDirectState(g, opts, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }
 
 // weightOf is g's data weight in the form initialSplit and recountWeights take.
@@ -88,7 +102,7 @@ func TestFigure2FanoutIsLocalMinimum(t *testing.T) {
 	b := newTestBisection(g, Options{K: 2, Objective: ObjFanout}, side)
 	b.computeGains()
 	for v := 0; v < 8; v++ {
-		if b.gains[v] > 1e-12 {
+		if b.gains[v] > 0 {
 			t.Fatalf("fanout objective: vertex %d has positive gain %v; Figure 2 should be a local minimum", v, b.gains[v])
 		}
 	}
@@ -101,7 +115,7 @@ func TestFigure2PFanoutEscapes(t *testing.T) {
 		b.computeGains()
 		positive := 0
 		for v := 0; v < 8; v++ {
-			if b.gains[v] > 1e-12 {
+			if b.gains[v] > 0 {
 				positive++
 			}
 		}
@@ -166,7 +180,7 @@ func TestGainMatchesObjectiveDelta(t *testing.T) {
 			// gainGridBits), which perturbs the gain/objective-delta
 			// identity by up to ~2^-32 per incident query; 1e-6 leaves
 			// room for weighted high-degree test vertices.
-			return math.Abs((before-after)-gain) < 1e-6
+			return math.Abs((before-after)-b.tables[0].Unit()*float64(gain)) < 1e-6
 		}, &quick.Config{MaxCount: 40})
 		if err != nil {
 			t.Fatalf("config %d (%+v): %v", ci, cfg.opts.Objective, err)
@@ -180,7 +194,7 @@ func TestDirectGainMatchesObjectiveDelta(t *testing.T) {
 	err := quick.Check(func(seed uint64, vRaw uint16) bool {
 		g := randomBipartite(t, seed, 12, 16, 70)
 		opts := Options{K: 5, P: 0.5, Epsilon: 10}.withDefaults() // huge eps: no full buckets
-		st := newDirectState(g, opts, seed)
+		st := mustDirectState(t, g, opts, seed)
 		st.buildNeighborData()
 		st.computeProposals()
 		v := int32(vRaw) % 16
@@ -192,7 +206,8 @@ func TestDirectGainMatchesObjectiveDelta(t *testing.T) {
 		st.bucket[v] = tgt
 		st.buildNeighborData()
 		after := st.objectiveFromND()
-		return math.Abs((before-after)-st.gains[v]) < 1e-9
+		delta := st.tables.objective(float64(before - after))
+		return math.Abs(delta-st.tables.Unit()*float64(st.gains[v])) < 1e-9
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +219,7 @@ func TestDirectGainMatchesObjectiveDelta(t *testing.T) {
 func TestDirectTargetIsArgmax(t *testing.T) {
 	g := randomBipartite(t, 7, 15, 20, 90)
 	opts := Options{K: 4, P: 0.5, Epsilon: 10}.withDefaults()
-	st := newDirectState(g, opts, 3)
+	st := mustDirectState(t, g, opts, 3)
 	st.buildNeighborData()
 	st.computeProposals()
 	for v := int32(0); v < 20; v++ {
@@ -221,14 +236,14 @@ func TestDirectTargetIsArgmax(t *testing.T) {
 			}
 			st.bucket[v] = c
 			st.buildNeighborData()
-			delta := before - st.objectiveFromND()
+			delta := st.tables.objective(float64(before - st.objectiveFromND()))
 			if delta > bestDelta+1e-12 {
 				bestDelta = delta
 			}
 			st.bucket[v] = cur
 		}
 		st.buildNeighborData()
-		if math.Abs(bestDelta-st.gains[v]) > 1e-9 {
+		if math.Abs(bestDelta-st.tables.Unit()*float64(st.gains[v])) > 1e-9 {
 			t.Fatalf("vertex %d: argmax delta %v but proposal gain %v", v, bestDelta, st.gains[v])
 		}
 	}
@@ -371,9 +386,9 @@ func TestWarmStartWithPenaltyLimitsChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-partition warm-started with a prohibitive move penalty: almost
-	// nothing should move.
-	again, err := Partition(g, Options{K: 4, Seed: 60, Initial: first.Assignment, MoveCostPenalty: 1e6})
+	// Re-partition warm-started with a prohibitive move penalty, hundreds of
+	// times any Equation 1 gain here: almost nothing should move.
+	again, err := Partition(g, Options{K: 4, Seed: 60, Initial: first.Assignment, MoveCostPenalty: 1e3})
 	if err != nil {
 		t.Fatal(err)
 	}

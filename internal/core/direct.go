@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -35,12 +34,11 @@ import (
 //     counts cross zero).
 //   - Every vertex carries its Equation 1 state in patchable form: base
 //     (the own-bucket term), wdeg (static query-weighted degree), and a
-//     sorted candidate list of (bucket, refs, acc) accumulators. Because
-//     all gain-table values live on a shared dyadic grid (see gainGridBits)
-//     these sums are exact, so applying the per-entry deltas of a dirty
-//     query to its members' accumulators produces bit-for-bit the same
-//     state as re-walking their whole neighborhoods — hub queries no longer
-//     force their entire membership through a full re-evaluation.
+//     sorted candidate list of (bucket, refs, acc) accumulators. These are
+//     integer sums of gain units (gains.go), so applying the per-entry
+//     deltas of a dirty query to its members' accumulators produces exactly
+//     the state re-walking their whole neighborhoods does — hub queries no
+//     longer force their entire membership through a full re-evaluation.
 //   - Only moved vertices (whose own bucket, and with it the meaning of
 //     base/acc, changed) are rebuilt from scratch.
 //
@@ -89,11 +87,11 @@ import (
 // weights admissibility is per vertex, and a MoveCostPenalty re-snapshot
 // shifts every gain — both re-run selection for all of |D|.
 //
-// The objective and the average fanout are running exact sums beside the
+// The objective and the average fanout are running integer sums beside the
 // neighbor data: the objective moves by C[cNew] − C[cOld] per changed entry,
 // the query-weighted connectivity by ±w_q per mask bit flipped, so
-// reporting them walks nothing. The objective is re-summed only on
-// iterations that rebuilt or swept anyway.
+// reporting them walks nothing. The objective is re-summed only where the
+// neighbor data is rebuilt anyway.
 //
 // # Iteration schedule
 //
@@ -132,11 +130,14 @@ type directState struct {
 	// weighted degree.
 	cands      *candSlots
 	candsStale bool
-	propBase   []float64
-	wdegArr    []float64
+	propBase   []int64
+	wdegArr    []int64
 
 	target []int32
-	gains  []float64
+	gains  []int64
+
+	// penalty is Options.MoveCostPenalty in gain units (see gains.go).
+	penalty int64
 
 	// The active set holds each vertex's pending work — activeRebuild for
 	// movers (and everyone after a sweep or scheduled rebuild), activeSelect
@@ -161,17 +162,14 @@ type directState struct {
 	forceSelect bool
 
 	// objective is the running value of the optimized objective over the
-	// neighbor data, exact while objectiveInExactRange; objStale marks it
-	// for a re-sum (a full neighbor-data build, an unpatched batch, or a
-	// value outside the exact range). totalQW is Σ_q w_q, the fanout
-	// denominator.
-	objective float64
-	objStale  bool
+	// neighbor data, in units of the C table; a full neighbor-data build
+	// re-sums it. totalQW is Σ_q w_q, the fanout denominator.
+	objective int64
 	totalQW   int64
 
-	// qw holds per-query weights as float64 (nil when unit-weighted),
-	// mirroring the bisection refiner.
-	qw []float64
+	// qw holds per-query weights (nil when unit-weighted), mirroring the
+	// bisection refiner.
+	qw []int64
 
 	// batch is the coin and apply/trim scratch of the move protocol (see
 	// movebatch.go).
@@ -182,12 +180,8 @@ type directState struct {
 	scratch proposalScratch
 
 	// plane holds every proposal, filed by direction and gain bin (see
-	// gainbins.go). gainsExact says whether its sums are exact (see
-	// gainsInExactRange); planeExact whether it was last filled or
-	// maintained so. Unless both hold, the proposal pass refills it.
-	plane      *gainBins
-	gainsExact bool
-	planeExact bool
+	// gainbins.go).
+	plane *gainBins
 
 	// Migration-budget state (nil/inactive unless Options.MigrationBudget is
 	// set and an epoch reference exists): migRef is the epoch-start
@@ -217,32 +211,37 @@ type directState struct {
 }
 
 // proposalCand is one candidate bucket of a data vertex: refs adjacent
-// queries currently have an entry for b, contributing the exact accumulator
+// queries currently have an entry for b, contributing the accumulator
 // acc = Σ_q wq·(T_b[c_q(b)] − T_b[0]). The move gain is derived from acc at
 // selection time.
 type proposalCand struct {
 	b    int32
 	refs int32
-	acc  float64
+	acc  int64
 }
 
 // newDirectState prepares the refiner: k equal buckets, each allowed
-// (1+ε) times the ideal weight.
-func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directState {
+// (1+ε) times the ideal weight. It fails with ErrGainRange when the graph
+// is too large for the integer gain arithmetic.
+func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) (*directState, error) {
 	k := opts.K
+	tables := tablesFor(opts, 1, g.MaxQueryDegree())
+	if err := tables.checkRange(incidenceWeight(g), g.NumData(), opts.MoveCostPenalty); err != nil {
+		return nil, err
+	}
 	st := &directState{
 		g: g, opts: opts, seed: seed, k: k,
 		IterPolicy: opts.iterPolicy(),
-		tables:     tablesFor(opts, 1, g.MaxQueryDegree()),
+		tables:     tables,
+		penalty:    tables.penaltyUnits(opts.MoveCostPenalty),
 		scratch: proposalScratch{
-			acc:  make([]float64, k),
+			acc:  make([]int64, k),
 			refs: make([]int32, k),
 			set:  newBucketSet(k),
 			own:  newBucketSet(k),
 			list: make([]proposalCand, 0, k),
 		},
-		plane:      newGainBins(k, g.NumData()),
-		planeExact: true, // the empty plane
+		plane: newGainBins(k, g.NumData(), tables.unit),
 	}
 
 	ideal := float64(g.TotalDataWeight()) / float64(k)
@@ -257,16 +256,16 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 	nq := g.NumQueries()
 	st.bucket = make([]int32, nd)
 	st.target = make([]int32, nd)
-	st.gains = make([]float64, nd)
+	st.gains = make([]int64, nd)
 	st.bucketW = make([]int64, k)
-	st.propBase = make([]float64, nd)
-	st.wdegArr = make([]float64, nd)
+	st.propBase = make([]int64, nd)
+	st.wdegArr = make([]int64, nd)
 
 	st.nd = newNDState(g, k)
 	if g.QueryWeighted() {
-		st.qw = make([]float64, nq)
+		st.qw = make([]int64, nq)
 		for q := range st.qw {
-			st.qw[q] = float64(g.QueryWeight(int32(q)))
+			st.qw[q] = int64(g.QueryWeight(int32(q)))
 		}
 	}
 	bound := make([]int32, nd)
@@ -275,13 +274,11 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 		bound[v] = st.candBound(int32(v))
 	}
 	st.cands = newCandSlots(k, bound)
-	st.gainsExact = st.gainsInExactRange()
 
 	st.active = make([]uint8, nd)
 	st.tied = make([]bool, nd)
 	st.markAllActive() // fresh state: everything needs evaluation
 	st.totalQW = g.TotalQueryWeight()
-	st.objStale = true // no neighbor data yet
 
 	if opts.Initial != nil {
 		copy(st.bucket, opts.Initial)
@@ -296,7 +293,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64) *directS
 		// outranks migration cost). Sessions re-snapshot this per epoch.
 		st.migRef = append([]int32(nil), st.bucket...)
 	}
-	return st
+	return st, nil
 }
 
 // budgetRemaining returns how many more records this epoch may still move
@@ -361,7 +358,7 @@ func (st *directState) randomInit() {
 	var acc float64
 	for _, v := range order {
 		wv := float64(st.g.DataWeight(int32(v)))
-		for c < st.k-1 && acc+wv/2 >= st.targetW[c] {
+		for c < st.k-1 && acc+float64(wv/2) >= st.targetW[c] {
 			c++
 			acc = 0
 		}
@@ -428,15 +425,16 @@ func (st *directState) repairBalance(onMove func(v, from, to int32)) {
 }
 
 // buildNeighborData recomputes the sparse per-query bucket counts from
-// scratch (supersteps 1–2 of Figure 3) via the shared kernel.
+// scratch (supersteps 1–2 of Figure 3) via the shared kernel, and re-sums
+// the objective over them.
 func (st *directState) buildNeighborData() {
 	ndBuild(st.nd, st.g, st.bucket)
-	st.objStale = true
+	st.objective = st.objectiveFromND()
 }
 
 // objectiveFromND sums the objective over the current neighbor data.
-func (st *directState) objectiveFromND() float64 {
-	sum := 0.0
+func (st *directState) objectiveFromND() int64 {
+	var sum int64
 	for q := range int32(st.g.NumQueries()) {
 		sum += st.queryObjective(q)
 	}
@@ -444,63 +442,17 @@ func (st *directState) objectiveFromND() float64 {
 }
 
 // queryObjective returns query q's term of the objective, w_q·Σ_b C[n_b(q)]
-// over its live entries, in ascending bucket order.
-func (st *directState) queryObjective(q int32) float64 {
-	wq := float64(st.g.QueryWeight(q))
+// over its live entries.
+func (st *directState) queryObjective(q int32) int64 {
 	C := st.tables.C
 	mask, cnt := st.nd.rowSlices(q)
-	sum := 0.0
+	var sum int64
 	for wi, m := range mask {
 		for ; m != 0; m &= m - 1 {
-			sum += wq * C[cnt[wi<<6|bits.TrailingZeros64(m)]]
+			sum += C[cnt[wi<<6|bits.TrailingZeros64(m)]]
 		}
 	}
-	return sum
-}
-
-// objectiveExactLimit bounds the running objective's exact range. Its terms
-// are integer multiples of grid values, so a sum of them is exact — equal to
-// objectiveFromND's fold bit for bit, in any order — while every partial sum
-// stays below 2^(53-gainGridBits). The partial sums of one update are bounded
-// by the objective before plus the objective after, hence the spare bit.
-const objectiveExactLimit = 1 << (53 - gainGridBits - 1)
-
-// objectiveInExactRange reports whether the objective's magnitude bound —
-// the weighted entry count times the largest |C| (the last: both table
-// families are monotone) — is inside the exact range. Outside it float64
-// addition rounds, a running sum would drift from the re-sum in the last
-// bits and differently per schedule, so refine re-sums
-// every iteration there, as it did before the running sum existed.
-func (st *directState) objectiveInExactRange() bool {
-	C := st.tables.C
-	return float64(st.nd.wEntries)*math.Abs(C[len(C)-1]) < objectiveExactLimit
-}
-
-// addObjective folds one exact change into the running objective. Callers
-// update nd.wEntries for the same change first, so the range check sees the
-// state after it.
-func (st *directState) addObjective(d float64) {
-	st.objective += d
-	if !st.objectiveInExactRange() {
-		st.objStale = true
-	}
-}
-
-// gainsInExactRange reports whether the proposal plane's sums are exact, so
-// that maintaining them lands on the bits of a fresh fold in ascending v:
-// every gain is mult × a grid value (mult a power of two, no MoveCostPenalty
-// term), and Σ|gain|/mult — at most Σ_v wdeg(v)·|T[last] − T[0]|, both
-// table families being monotone — stays below objectiveExactLimit, whose
-// spare bit covers the old and the new gains of a changed wdeg or table.
-// Callers recompute it wherever wdegArr or the tables are (re)built.
-func (st *directState) gainsInExactRange() bool {
-	T := st.tables.T
-	wdeg := 0.0
-	for _, w := range st.wdegArr {
-		wdeg += w
-	}
-	frac, _ := math.Frexp(st.tables.mult)
-	return frac == 0.5 && st.opts.MoveCostPenalty == 0 && wdeg*math.Abs(T[len(T)-1]-T[0]) < objectiveExactLimit
+	return int64(st.g.QueryWeight(q)) * sum
 }
 
 // editQuery runs edit, which may rewrite query q's neighbor-data row
@@ -510,17 +462,7 @@ func (st *directState) editQuery(q int32, edit func()) {
 	before, n := st.queryObjective(q), st.nd.row(q).Live()
 	edit()
 	st.nd.wEntries += int64(st.g.QueryWeight(q)) * int64(st.nd.row(q).Live()-n)
-	st.addObjective(st.queryObjective(q) - before)
-}
-
-// currentObjective returns the objective over the current neighbor data:
-// the running sum, re-summed first when it is marked stale.
-func (st *directState) currentObjective() float64 {
-	if st.objStale {
-		st.objective = st.objectiveFromND()
-		st.objStale = !st.objectiveInExactRange()
-	}
-	return st.objective
+	st.objective += st.queryObjective(q) - before
 }
 
 // fanout returns the average fanout of the current assignment from the
@@ -540,7 +482,7 @@ func (st *directState) fanout() float64 {
 // the k-slot candidate list a fused sweep drains each vertex into instead of
 // the vertex's own slot.
 type proposalScratch struct {
-	acc  []float64
+	acc  []int64
 	refs []int32
 	set  bucketSet
 	own  bucketSet
@@ -551,8 +493,8 @@ type proposalScratch struct {
 // neighbor data: propBase[v], and the sorted candidate list, which it writes
 // over dst and returns. dst has room for the list: the neighbor data matches
 // st.bucket, so every candidate holds a co-member (see candBound). All sums
-// are exact (grid values), so this produces the same bits as any sequence of
-// patches arriving at the same neighbor data.
+// are integers, so this produces the state any sequence of patches arriving
+// at the same neighbor data does.
 //
 // Per adjacent query it reads the own bucket's count once, ORs the mask
 // words minus the own bit into the scratch set, and walks those bits. The
@@ -569,7 +511,7 @@ func (st *directState) rebuildInto(v int, dst []proposalCand) []proposalCand {
 	mask, cnt := st.nd.mask, st.nd.cnt
 	T := st.tables.T
 	t0 := T[0]
-	base := 0.0
+	var base int64
 	if st.qw == nil {
 		for _, q := range st.g.DataNeighbors(int32(v)) {
 			mo, co := int(q)*w, int(q)*k
@@ -654,16 +596,18 @@ func (st *directState) materializeCands() bool {
 }
 
 // candidateGain is Equation 1's gain of moving v, currently in cur, to
-// candidate c, derived from the cached accumulators: own is the vertex-side
-// term base − wdeg·T[0], hoisted by callers that scan many candidates. The
-// one copy of the gain arithmetic, shared by the argmax and the flip probe.
-func (st *directState) candidateGain(v int, cur int32, own float64, c *proposalCand) float64 {
-	gain := st.tables.mult * (own - c.acc)
-	if penalty := st.opts.MoveCostPenalty; penalty > 0 && st.opts.Initial != nil {
+// candidate c, in gain units, derived from the cached accumulators: own is
+// the vertex-side term base − wdeg·T[0], hoisted by callers that scan many
+// candidates. The one copy of the gain arithmetic, shared by the argmax and
+// the flip probe. The multiplier is positive, so it changes no comparison
+// and is left to the plane's binning.
+func (st *directState) candidateGain(v int, cur int32, own int64, c *proposalCand) int64 {
+	gain := own - c.acc
+	if st.opts.MoveCostPenalty > 0 && st.opts.Initial != nil {
 		if cur == st.opts.Initial[v] {
-			gain -= penalty
+			gain -= st.penalty
 		} else if c.b == st.opts.Initial[v] {
-			gain += penalty
+			gain += st.penalty
 		}
 	}
 	return gain
@@ -677,9 +621,9 @@ func (st *directState) candidateGain(v int, cur int32, own float64, c *proposalC
 // which the result depends on the seed. It re-runs for a vertex exactly
 // when one of the invalidation rules in the directState comment fires;
 // between those the cached result is what a re-run would return.
-func (st *directState) selectProposal(v int, cands []proposalCand) (target int32, gain float64, tied bool) {
+func (st *directState) selectProposal(v int, cands []proposalCand) (target int32, gain int64, tied bool) {
 	best := int32(-1)
-	bestGain := 0.0
+	var bestGain int64
 	if len(cands) == 0 {
 		return best, bestGain, false
 	}
@@ -764,16 +708,14 @@ func (st *directState) flipTouches(v int) bool {
 
 // computeProposals brings every vertex's proposal and its plane entry up to
 // date. A sweep re-derives every proposal, so it refills the plane from all
-// of |D| as a fold would; so does every pass while the plane's sums are not
-// exact (see gainsInExactRange). Otherwise the passes file what they
-// re-derived, and the maintained plane is the refill's bits.
+// of |D| as a fold would. Otherwise the passes file what they re-derived,
+// and the maintained plane equals the refill.
 func (st *directState) computeProposals() {
-	refill := st.candsStale || !st.gainsExact || !st.planeExact
+	sweep := st.candsStale
 	st.reselectPending()
-	if refill {
+	if sweep {
 		st.plane.refill(st.bucket, st.target, st.gains)
 	}
-	st.planeExact = st.gainsExact
 }
 
 // reselectPending rebuilds the Equation 1 state of vertices flagged for
@@ -914,7 +856,7 @@ func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 		return
 	}
 	ndApplyMoveBatch(st.nd, st.g, accepted, st.bucket)
-	st.addObjective(st.batchObjectiveDelta())
+	st.objective += st.batchObjectiveDelta()
 	// Lists the fused sweeps left unwritten are built from the post-batch
 	// neighbor data: exactly what patching pre-batch lists would give.
 	fresh := st.materializeCands()
@@ -933,7 +875,7 @@ func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 	}
 	ds := &st.nd.delta
 	for _, grp := range ds.groups {
-		wq := 1.0
+		wq := int64(1)
 		if st.qw != nil {
 			wq = st.qw[grp.q]
 		}
@@ -955,12 +897,12 @@ func (st *directState) applyBatch(accepted []move, mode BatchMode) {
 // batchObjectiveDelta returns the objective change of the batch the kernel
 // just applied, from its per-query change records: w_q·(C[cNew] − C[cOld])
 // per record.
-func (st *directState) batchObjectiveDelta() float64 {
+func (st *directState) batchObjectiveDelta() int64 {
 	C := st.tables.C
 	ds := &st.nd.delta
-	sum := 0.0
+	var sum int64
 	for _, grp := range ds.groups {
-		wq := float64(st.g.QueryWeight(grp.q))
+		wq := int64(st.g.QueryWeight(grp.q))
 		for _, r := range ds.recs[grp.off : grp.off+grp.n] {
 			sum += wq * (C[r.CNew] - C[r.COld])
 		}
@@ -977,7 +919,7 @@ func (st *directState) batchObjectiveDelta() float64 {
 // second inserts the buckets new to v. v's list is exact for its current
 // bucket, so the patched one is too, and fits the slot (see candBound); the
 // removals come first so that it does on the way as well.
-func (st *directState) patchVertex(v int32, wq float64, recs []NDChange) {
+func (st *directState) patchVertex(v int32, wq int64, recs []NDChange) {
 	cur := st.bucket[v]
 	cands := st.cands.list(v)
 	ci, inserts := 0, 0
@@ -1072,7 +1014,7 @@ func (st *directState) refine() {
 		st.applyBatch(accepted, mode)
 		st.history = append(st.history, IterStats{
 			Iter: iter, Moved: moved, MovedFraction: float64(moved) / float64(n),
-			Objective: st.currentObjective(), Fanout: st.fanout(),
+			Objective: st.tables.objective(float64(st.objective)), Fanout: st.fanout(),
 		})
 		st.work = append(st.work, WorkStats{
 			Iter:     iter,
@@ -1088,7 +1030,10 @@ func (st *directState) refine() {
 
 // partitionDirect runs SHP-k on the whole graph.
 func partitionDirect(g *hypergraph.Bipartite, opts Options) (*Result, error) {
-	st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
+	st, err := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
+	if err != nil {
+		return nil, err
+	}
 	st.run()
 	assignment := make(partition.Assignment, g.NumData())
 	copy(assignment, st.bucket)

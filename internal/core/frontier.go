@@ -70,8 +70,8 @@ func (a *activeSet) sortAscending(list []int32, n int) {
 }
 
 // Frontier ordering. The per-iteration frontiers the incremental engines
-// maintain must be ascending — that is the canonical order the bit-identity
-// discipline pins for bin updates and gain passes — but the collection
+// maintain must be ascending — the canonical order of gain passes, bin
+// updates and the move batch's apply — but the collection
 // buffers assemble them unsorted (members of distinct dirty queries
 // interleave). A comparison sort is O(|F| log |F|) with a ~50 ns/element
 // constant and dominates hub-heavy batches, so frontiers are ordered with

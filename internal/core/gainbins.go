@@ -13,17 +13,12 @@ import "shp/internal/rng"
 // touch the plane, so it costs O(frontier) to keep and O(live directions ×
 // bins) to match.
 //
-// Bit-identity discipline: callers reconcile vertices in ascending id order
-// through update's changed-only filter (re-applying an unchanged value,
-// sum -= g; sum += g, would not be a float no-op). SHP-2's bins are defined
-// by that canonical change sequence: full sweeps and frontier passes visit
-// different candidate sets but apply the same changes, so the sums land on
-// the same bits in every regime. SHP-k's plane must equal a fresh fold of its
-// proposals in ascending v, which a maintained sum does only where every sum
-// is exact (see directState.gainsInExactRange); outside that range, and on
-// its sweeps, SHP-k refills the plane instead. Member order within a bin is
-// not meaningful: coins are keyed by (iteration, vertex), and the decided
-// list is sorted afterwards.
+// Gains and the histogram sums are integer gain units (gains.go), so the
+// plane reached by any sequence of updates equals a fresh fold of the same
+// proposals: SHP-k maintains it across patched passes and refills it only
+// after a sweep, which re-derives every proposal anyway. Member order within
+// a bin is not meaningful: coins are keyed by (iteration, vertex), and the
+// decided list is sorted afterwards.
 
 // densePairK bounds the dense direction index: k*k int32 slots. Beyond it
 // the index is a map; both address the same directions, so results do not
@@ -72,10 +67,11 @@ func (x *pairIndex) put(d dirKey, slot int32) {
 
 // gainBins is the proposal plane. Direction slots are 0-based here (the
 // index stores slot+1); a cell is slot*binCodes + code. A slot whose
-// direction lost its last member and whose sums are back at zero — the state
-// a new histogram starts in — is released for reuse, so the plane's memory
-// follows the live directions, not k².
+// direction lost its last member is back in a new histogram's state and is
+// released for reuse, so the plane's memory follows the live directions, not
+// k². unit converts gain units into objective units, which pick the bins.
 type gainBins struct {
+	unit    float64
 	idx     pairIndex
 	dirs    []*planeDir // by slot; one allocation each, so growth copies none
 	free    []int32     // released slots
@@ -98,7 +94,7 @@ type planeDir struct {
 // direction's histogram, its cell (-1 = no proposal), and its neighbours in
 // the cell's member list. One record, so a visit touches one cache line.
 type planeEntry struct {
-	rec              float64
+	rec              int64
 	cell, next, prev int32
 }
 
@@ -108,9 +104,10 @@ type grant struct {
 	p    float64
 }
 
-// newGainBins sizes the plane for k buckets and nd vertices.
-func newGainBins(k, nd int) *gainBins {
-	gb := &gainBins{idx: newPairIndex(k)}
+// newGainBins sizes the plane for k buckets and nd vertices whose gains
+// count units of unit.
+func newGainBins(k, nd int, unit float64) *gainBins {
+	gb := &gainBins{unit: unit, idx: newPairIndex(k)}
 	gb.grow(nd)
 	return gb
 }
@@ -127,7 +124,7 @@ func (gb *gainBins) grow(nd int) {
 
 // update reconciles v's entry with its proposal from → to (to < 0: none)
 // with the given gain. An unchanged entry returns without touching the sums.
-func (gb *gainBins) update(v, from, to int32, gain float64) {
+func (gb *gainBins) update(v, from, to int32, gain int64) {
 	e := &gb.ent[v]
 	if to < 0 {
 		if e.cell >= 0 {
@@ -147,7 +144,7 @@ func (gb *gainBins) update(v, from, to int32, gain float64) {
 		s = gb.alloc(d)
 	}
 	pd := gb.dirs[s]
-	code := binCode(gain)
+	code := binCode(gain, gb.unit)
 	pd.hist.fold(code, gain, 1) // Add, with the bin in hand
 	pd.members++
 	h := pd.head[code]
@@ -174,7 +171,7 @@ func (gb *gainBins) remove(v int32) {
 		gb.ent[e.next].prev = e.prev
 	}
 	e.cell = -1
-	if pd.members--; pd.members == 0 && pd.hist == (DirHist{}) {
+	if pd.members--; pd.members == 0 {
 		gb.idx.put(pd.key, 0)
 		gb.free = append(gb.free, s)
 	}
@@ -200,8 +197,8 @@ func (gb *gainBins) alloc(d dirKey) int32 {
 
 // refill empties the plane and folds every proposal (vertex v proposes
 // bucket[v] → target[v] with gains[v]) into it in ascending v: a fresh fold,
-// bit for bit.
-func (gb *gainBins) refill(bucket, target []int32, gains []float64) {
+// proposal for proposal.
+func (gb *gainBins) refill(bucket, target []int32, gains []int64) {
 	// Every slot is released, to be reused in ascending order.
 	gb.free = gb.free[:0]
 	for s := len(gb.dirs) - 1; s >= 0; s-- {

@@ -5,23 +5,26 @@ import (
 	"testing"
 )
 
+// value converts table entry u into objective units.
+func (g GainTables) value(u int64) float64 { return g.objective(float64(u)) }
+
 func TestPFanoutTables(t *testing.T) {
 	tb := NewPFanoutTables(0.5, 1, 10)
-	if tb.T[0] != 1 {
+	if tb.value(tb.T[0]) != 1 {
 		t.Fatal("T[0] must be 1")
 	}
 	for i := 1; i <= 10; i++ {
 		want := math.Pow(0.5, float64(i))
-		if math.Abs(tb.T[i]-want) > 1e-12 {
-			t.Fatalf("T[%d] = %v, want %v", i, tb.T[i], want)
+		if got := tb.value(tb.T[i]); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("T[%d] = %v, want %v", i, got, want)
 		}
 		wantC := 1 - want
-		if math.Abs(tb.C[i]-wantC) > 1e-12 {
-			t.Fatalf("C[%d] = %v, want %v", i, tb.C[i], wantC)
+		if got := tb.value(tb.C[i]); math.Abs(got-wantC) > 1e-12 {
+			t.Fatalf("C[%d] = %v, want %v", i, got, wantC)
 		}
 	}
-	if tb.mult != 0.5 {
-		t.Fatalf("mult = %v", tb.mult)
+	if tb.unit != math.Ldexp(0.5, -gainGridBits) {
+		t.Fatalf("unit = %v", tb.unit)
 	}
 }
 
@@ -31,26 +34,26 @@ func TestPFanoutTablesLookahead(t *testing.T) {
 	tb := NewPFanoutTables(p, tt, 8)
 	for r := 0; r <= 8; r++ {
 		want := float64(tt) * (1 - math.Pow(1-p/float64(tt), float64(r)))
-		if math.Abs(tb.C[r]-want) > 1e-12 {
-			t.Fatalf("C[%d] = %v, want %v", r, tb.C[r], want)
+		if got := tb.value(tb.C[r]); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("C[%d] = %v, want %v", r, got, want)
 		}
 	}
 	// t·p' = p: the gain multiplier stays p.
-	if tb.mult != p {
-		t.Fatalf("mult = %v, want %v", tb.mult, p)
+	if tb.unit != math.Ldexp(p, -gainGridBits) {
+		t.Fatalf("unit = %v, want p·2^-%d", tb.unit, gainGridBits)
 	}
 }
 
 func TestFanoutTablesAreP1(t *testing.T) {
 	tb := NewPFanoutTables(1, 1, 5)
-	if tb.T[0] != 1 {
+	if tb.value(tb.T[0]) != 1 {
 		t.Fatal("T[0] must be 1")
 	}
 	for i := 1; i <= 5; i++ {
 		if tb.T[i] != 0 {
 			t.Fatalf("T[%d] = %v, want 0 for p=1", i, tb.T[i])
 		}
-		if tb.C[i] != 1 {
+		if tb.value(tb.C[i]) != 1 {
 			t.Fatalf("C[%d] = %v, want 1 for p=1", i, tb.C[i])
 		}
 	}
@@ -59,10 +62,10 @@ func TestFanoutTablesAreP1(t *testing.T) {
 func TestCliqueNetTables(t *testing.T) {
 	tb := NewCliqueNetTables(6)
 	for i := 0; i <= 6; i++ {
-		if tb.T[i] != -float64(i) {
+		if tb.T[i] != -int64(i) {
 			t.Fatalf("T[%d] = %v", i, tb.T[i])
 		}
-		want := -float64(i) * float64(i-1) / 2
+		want := -int64(i) * int64(i-1) / 2
 		if tb.C[i] != want {
 			t.Fatalf("C[%d] = %v, want %v", i, tb.C[i], want)
 		}
@@ -72,11 +75,11 @@ func TestCliqueNetTables(t *testing.T) {
 func TestTablesForDispatch(t *testing.T) {
 	opts := Options{K: 2, P: 0.5}.withDefaults()
 	tb := tablesFor(opts, 4, 5)
-	if math.Abs(tb.T[1]-(1-0.5/4)) > 1e-12 {
+	if math.Abs(tb.value(tb.T[1])-(1-0.5/4)) > 1e-12 {
 		t.Fatal("lookahead not applied")
 	}
 	tb = tablesFor(opts, 1, 5)
-	if math.Abs(tb.T[1]-0.5) > 1e-12 {
+	if math.Abs(tb.value(tb.T[1])-0.5) > 1e-12 {
 		t.Fatal("t = 1 must give the plain p-fanout table")
 	}
 	opts = Options{K: 2, Objective: ObjCliqueNet}.withDefaults()

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // The binary codec of DirHist, so the distributed master's persistent
@@ -24,7 +23,8 @@ func signBin(negative bool, bin int) byte {
 }
 
 // AppendBinary encodes h sparsely onto buf: uvarint entry count, then per
-// informative bin a sign/bin byte, a varint count, and the 8-byte sum.
+// informative bin a sign/bin byte, a varint count, and the 8-byte sum in
+// gain units.
 func (h *DirHist) AppendBinary(buf []byte) []byte {
 	n := 0
 	for i := 0; i < histBins; i++ {
@@ -40,14 +40,14 @@ func (h *DirHist) AppendBinary(buf []byte) []byte {
 		if h.posCount[i] != 0 || h.posSum[i] != 0 {
 			buf = append(buf, signBin(false, i))
 			buf = binary.AppendVarint(buf, h.posCount[i])
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.posSum[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(h.posSum[i]))
 		}
 	}
 	for i := 0; i < histBins; i++ {
 		if h.negCount[i] != 0 || h.negSum[i] != 0 {
 			buf = append(buf, signBin(true, i))
 			buf = binary.AppendVarint(buf, h.negCount[i])
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.negSum[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(h.negSum[i]))
 		}
 	}
 	return buf
@@ -83,7 +83,7 @@ func DecodeDirHist(data []byte) (DirHist, int, error) {
 		if len(data) < off+8 {
 			return h, 0, fmt.Errorf("core: truncated DirHist sum")
 		}
-		sum := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		sum := int64(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
 		if sb&0x80 != 0 {
 			h.negCount[bin] = count

@@ -201,7 +201,7 @@ func TestMaintainedNDMatchesRebuild(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g := randomBipartite(t, seed, 50, 80, 400)
 		opts := Options{K: 6, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed)
+		st := mustDirectState(t, g, opts, seed)
 		st.buildNeighborData()
 		r := rng.New(seed ^ 0xBEEF)
 		for batch := 0; batch < 5; batch++ {
@@ -249,7 +249,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 	for _, seed := range []uint64{17, 23, 99} {
 		g := randomBipartite(t, 21, 60, 100, 500)
 		opts := Options{K: 5, P: 0.5, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed)
+		st := mustDirectState(t, g, opts, seed)
 		st.buildNeighborData()
 		patched := 0
 		for iter := 0; iter < 6; iter++ {
@@ -266,7 +266,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 			if st.candsStale {
 				t.Fatalf("seed %d iter %d: a patched batch left the candidate lists unwritten", seed, iter)
 			}
-			ref := newDirectState(g, opts, seed)
+			ref := mustDirectState(t, g, opts, seed)
 			copy(ref.bucket, st.bucket)
 			ref.recountWeights()
 			ref.buildNeighborData()
@@ -298,7 +298,7 @@ func TestPatchedStateMatchesRebuild(t *testing.T) {
 func TestDuplicateMoveBatchDeltas(t *testing.T) {
 	g := randomBipartite(t, 31, 10, 40, 200) // dense: every query sees many movers
 	opts := Options{K: 4, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
-	st := newDirectState(g, opts, 8)
+	st := mustDirectState(t, g, opts, 8)
 	st.buildNeighborData()
 	var accepted []move
 	for v := int32(0); v < 20; v++ {

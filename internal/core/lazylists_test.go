@@ -85,7 +85,7 @@ func TestLazyListsMatchEager(t *testing.T) {
 		g := randomBipartite(t, 101, tc.nq, tc.nd, tc.e)
 		run := func(eager bool) (*Result, *listOracle) {
 			opts := tc.opts.withDefaults()
-			st := newDirectState(g, opts, rng.Mix(opts.Seed, 0xD12EC7))
+			st := mustDirectState(t, g, opts, rng.Mix(opts.Seed, 0xD12EC7))
 			o := hookLists(t, st, tc.name, eager)
 			st.run()
 			return &Result{
@@ -172,7 +172,7 @@ func TestLazyListsSurviveGraphMutation(t *testing.T) {
 func TestFusedSweepKeepsListRoom(t *testing.T) {
 	g := randomBipartite(t, 5, 3000, 6000, 30000)
 	opts := Options{K: 32, Direct: true, Seed: 3, MaxIters: 3}.withDefaults()
-	st := newDirectState(g, opts, 3)
+	st := mustDirectState(t, g, opts, 3)
 	st.run()
 	if !st.candsStale {
 		t.Fatal("the run reached a patched batch; the test exercises nothing")

@@ -52,7 +52,7 @@ func (mb *moveBatch) draw(plane *gainBins, a *activeSet, seed, iterKey uint64, n
 //
 // It returns the surviving moves, ascending by vertex, with bucket holding
 // their destinations, and its scan work: one visit per decided move.
-func commit[B int8 | int32](mb *moveBatch, g *hypergraph.Bipartite, gains []float64,
+func commit[B int8 | int32](mb *moveBatch, g *hypergraph.Bipartite, gains []int64,
 	bucket []B, to func(v int32) B, load []int64, capW []float64) (accepted []move, visits int64) {
 
 	k := len(load)

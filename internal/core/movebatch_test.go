@@ -9,7 +9,7 @@ import (
 
 // commitBatch runs commit on a hand-made decided list over one hyperedge of
 // the given data weights.
-func commitBatch[B int8 | int32](t *testing.T, weights []int32, gains []float64, list []int32,
+func commitBatch[B int8 | int32](t *testing.T, weights []int32, gains []int64, list []int32,
 	bucket []B, to func(int32) B, capW []float64) ([]move, []int64) {
 	t.Helper()
 	all := make([]int32, len(weights))
@@ -41,7 +41,7 @@ func commitBatch[B int8 | int32](t *testing.T, weights []int32, gains []float64,
 func TestCommitSkipsBucketWithNothingToUndo(t *testing.T) {
 	bucket := []int32{0, 0, 0, 1, 2, 2}
 	target := []int32{0, 0, 0, 1, 1, 1}
-	gains := []float64{0, 0, 0, 0, 1, 0.5}
+	gains := []int64{0, 0, 0, 0, 2, 1}
 	accepted, load := commitBatch(t, []int32{1, 1, 1, 1, 1, 1}, gains, []int32{4, 5},
 		bucket, func(v int32) int32 { return target[v] }, []float64{2, 2, 2})
 	if want := []move{{4, 2}}; !slices.Equal(accepted, want) {
@@ -60,7 +60,7 @@ func TestCommitSkipsBucketWithNothingToUndo(t *testing.T) {
 // must see again.
 func TestCommitRepeatsUntilCapsHold(t *testing.T) {
 	side := []int8{0, 1, 1, 1}
-	gains := []float64{0, 1, 2, 0}
+	gains := []int64{0, 1, 2, 0}
 	capW := []float64{5, 5}
 	accepted, load := commitBatch(t, []int32{4, 1, 1, 3}, gains, []int32{0, 1, 2},
 		side, func(v int32) int8 { return 1 - side[v] }, capW)

@@ -31,10 +31,10 @@ import (
 // hold one row and one snapshot row carved by NewPinRows, over only the
 // sibling pairs their members occupy at the current level (so a row's size
 // is bounded by the query's degree, not by K), and ship the same records
-// over the wire. Because every table value lies on the shared dyadic grid
-// (gainGridBits), a patched accumulator is bit-identical to a from-scratch
-// resummation in any order — the property all the "every rebuild schedule
-// yields the same bytes" guarantees rest on.
+// over the wire. Because every table value is an integer count of gain
+// units (gains.go), a patched accumulator equals a from-scratch resummation
+// in any order — the property all the "every rebuild schedule yields the
+// same bytes" guarantees rest on.
 
 // PinRow is one query's neighbor data over k buckets: a ⌈k/64⌉-word
 // connectivity mask beside the k pin counts n_b(q). Mask bit b is set

@@ -90,9 +90,10 @@ type Options struct {
 	// (Section 5's incremental updates). Length must equal NumData.
 	Initial partition.Assignment
 	// MoveCostPenalty discourages moving vertices away from their Initial
-	// assignment: each gain is reduced by this amount (in objective units)
-	// when a vertex would leave its initial bucket and increased when it
-	// would return. Only meaningful with Initial.
+	// assignment: each gain is reduced by this amount (in objective units,
+	// rounded to the gain arithmetic's units) when a vertex would leave its
+	// initial bucket and increased when it would return. Only meaningful
+	// with Initial.
 	MoveCostPenalty float64
 	// MigrationBudget is the serving-plane objective: a hard cap on the
 	// number of records a refinement epoch may move away from the assignment

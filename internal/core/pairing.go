@@ -51,15 +51,18 @@ func binFor(absGain float64) int {
 // DirHist is one direction's histogram of proposal gains: positive gains
 // (improvements) and non-positive gains (stored by |gain|), with per-bin
 // gain sums so matching can use the bin's mean gain instead of its edge.
+// Gains and sums are integer gain units (see gains.go), so histograms merge
+// to the same value in any order.
 type DirHist struct {
 	posCount [histBins]int64
-	posSum   [histBins]float64
+	posSum   [histBins]int64
 	negCount [histBins]int64
-	negSum   [histBins]float64
+	negSum   [histBins]int64
 }
 
-// Add records one proposal with the given gain.
-func (h *DirHist) Add(gain float64) { h.fold(binCode(gain), gain, 1) }
+// Add records one proposal of gain units; unit converts them into
+// objective units, which pick the bin.
+func (h *DirHist) Add(gain int64, unit float64) { h.fold(binCode(gain, unit), gain, 1) }
 
 // Remove retracts one previously Added proposal with the given gain — the
 // exact inverse of Add (same bin, count down, gain subtracted), which lets a
@@ -67,27 +70,29 @@ func (h *DirHist) Add(gain float64) { h.fold(binCode(gain), gain, 1) }
 // instead of resumming every proposal every round. Counts may legitimately
 // go negative inside a delta histogram that will be merged into the
 // maintained one.
-func (h *DirHist) Remove(gain float64) { h.fold(binCode(gain), gain, -1) }
+func (h *DirHist) Remove(gain int64, unit float64) { h.fold(binCode(gain, unit), gain, -1) }
 
-// binCode numbers gain's bin across both signs: positive gains first, then
-// non-positive ones keyed by |gain|.
-func binCode(gain float64) int32 {
-	if gain > 0 {
-		return int32(binFor(gain))
+// binCode numbers the bin of a gain of gain units, of unit objective units
+// each, across both signs: positive gains first, then non-positive ones
+// keyed by |gain|. It is where a gain becomes a float: bin edges are in
+// objective units.
+func binCode(gain int64, unit float64) int32 {
+	g := unit * float64(gain)
+	if g > 0 {
+		return int32(binFor(g))
 	}
-	return int32(histBins + binFor(-gain))
+	return int32(histBins + binFor(-g))
 }
 
 // fold adds n = ±1 proposals of the given gain to bin code: the body of Add
-// and Remove, for a caller that already knows the bin (n·gain is an exact
-// negation, so the sums get Add's and Remove's bits).
-func (h *DirHist) fold(code int32, gain float64, n int64) {
+// and Remove, for a caller that already knows the bin.
+func (h *DirHist) fold(code int32, gain, n int64) {
 	if code < histBins {
 		h.posCount[code] += n
-		h.posSum[code] += float64(n) * gain
+		h.posSum[code] += n * gain
 	} else {
 		h.negCount[code-histBins] += n
-		h.negSum[code-histBins] += float64(n) * gain
+		h.negSum[code-histBins] += n * gain
 	}
 }
 
@@ -132,7 +137,7 @@ type orderedBin struct {
 	positive bool
 	idx      int     // bin index within its sign
 	count    int64   // proposals in the bin
-	meanGain float64 // mean gain of the bin's proposals
+	meanGain float64 // mean gain of the bin's proposals, in gain units
 }
 
 // orderedBins appends h's non-empty bins to dst best-first: positive bins
@@ -143,7 +148,7 @@ func (h *DirHist) orderedBins(dst []orderedBin) []orderedBin {
 		if h.posCount[b] > 0 {
 			dst = append(dst, orderedBin{
 				positive: true, idx: b, count: h.posCount[b],
-				meanGain: h.posSum[b] / float64(h.posCount[b]),
+				meanGain: float64(h.posSum[b]) / float64(h.posCount[b]),
 			})
 		}
 	}
@@ -151,7 +156,7 @@ func (h *DirHist) orderedBins(dst []orderedBin) []orderedBin {
 		if h.negCount[b] > 0 {
 			dst = append(dst, orderedBin{
 				positive: false, idx: b, count: h.negCount[b],
-				meanGain: h.negSum[b] / float64(h.negCount[b]),
+				meanGain: float64(h.negSum[b]) / float64(h.negCount[b]),
 			})
 		}
 	}
@@ -164,12 +169,14 @@ type ProbTable struct {
 	neg [histBins]float64
 }
 
-// ProbFor returns the move probability for a proposal with the given gain.
-func (p *ProbTable) ProbFor(gain float64) float64 {
-	if gain > 0 {
-		return p.pos[binFor(gain)]
+// ProbFor returns the move probability for a proposal of gain units; unit
+// converts them into objective units, which pick the bin.
+func (p *ProbTable) ProbFor(gain int64, unit float64) float64 {
+	c := binCode(gain, unit)
+	if c < histBins {
+		return p.pos[c]
 	}
-	return p.neg[binFor(-gain)]
+	return p.neg[c-histBins]
 }
 
 // MatchHistograms runs Section 3.4's bin matching between two opposing

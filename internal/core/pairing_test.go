@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// units converts a gain in objective units into gain units at unitHalf.
+func units(gain float64) int64 { return int64(math.Round(gain / unitHalf)) }
+
 func TestBinForMonotone(t *testing.T) {
 	prev := -1
 	for _, g := range []float64{0, 1e-13, 1e-12, 1e-9, 1e-6, 0.001, 0.5, 1, 100, 1e20} {
@@ -22,9 +25,9 @@ func TestBinForMonotone(t *testing.T) {
 
 func TestDirHistAddAndTotal(t *testing.T) {
 	var h DirHist
-	h.Add(0.5)
-	h.Add(-0.25)
-	h.Add(0)
+	h.Add(units(0.5), unitHalf)
+	h.Add(units(-0.25), unitHalf)
+	h.Add(units(0), unitHalf)
 	if h.Total() != 3 {
 		t.Fatalf("total = %d, want 3", h.Total())
 	}
@@ -40,9 +43,9 @@ func TestDirHistAddAndTotal(t *testing.T) {
 
 func TestDirHistMerge(t *testing.T) {
 	var a, b DirHist
-	a.Add(1)
-	b.Add(1)
-	b.Add(-2)
+	a.Add(units(1), unitHalf)
+	b.Add(units(1), unitHalf)
+	b.Add(units(-2), unitHalf)
 	a.Merge(&b)
 	if a.Total() != 3 {
 		t.Fatalf("merged total = %d", a.Total())
@@ -53,13 +56,13 @@ func TestDirHistRemoveInvertsAdd(t *testing.T) {
 	gains := []float64{0.5, -0.25, 0, 1e-13, 100, -3}
 	var h DirHist
 	for _, g := range gains {
-		h.Add(g)
+		h.Add(units(g), unitHalf)
 	}
 	if h.WireSize() == 0 {
 		t.Fatal("populated histogram reports zero wire size")
 	}
 	for _, g := range gains {
-		h.Remove(g)
+		h.Remove(units(g), unitHalf)
 	}
 	if h.Total() != 0 {
 		t.Fatalf("total after removing every add = %d, want 0", h.Total())
@@ -69,8 +72,8 @@ func TestDirHistRemoveInvertsAdd(t *testing.T) {
 	}
 	// Delta histograms legitimately go negative (a retract folded before the
 	// matching assert's aggregator); a later Add must restore them exactly.
-	h.Remove(0.5)
-	h.Add(0.5)
+	h.Remove(units(0.5), unitHalf)
+	h.Add(units(0.5), unitHalf)
 	if h.Total() != 0 || h.WireSize() != 0 {
 		t.Fatalf("retract-then-assert left residue: total %d, wire %d", h.Total(), h.WireSize())
 	}
@@ -78,16 +81,16 @@ func TestDirHistRemoveInvertsAdd(t *testing.T) {
 
 func TestDirHistWireSizePerBin(t *testing.T) {
 	var h DirHist
-	h.Add(0.5)
+	h.Add(units(0.5), unitHalf)
 	one := h.WireSize()
 	if one <= 0 {
 		t.Fatal("single-bin histogram reports non-positive wire size")
 	}
-	h.Add(0.5) // same bin: no new bin on the wire
+	h.Add(units(0.5), unitHalf) // same bin: no new bin on the wire
 	if got := h.WireSize(); got != one {
 		t.Fatalf("second entry in same bin changed wire size: %d vs %d", got, one)
 	}
-	h.Add(-2) // second direction/bin
+	h.Add(units(-2), unitHalf) // second direction/bin
 	if got := h.WireSize(); got != 2*one {
 		t.Fatalf("two occupied bins cost %d, want %d", got, 2*one)
 	}
@@ -95,10 +98,10 @@ func TestDirHistWireSizePerBin(t *testing.T) {
 
 func TestOrderedBinsBestFirst(t *testing.T) {
 	var h DirHist
-	h.Add(100)
-	h.Add(0.001)
-	h.Add(-0.5)
-	h.Add(-200)
+	h.Add(units(100), unitHalf)
+	h.Add(units(0.001), unitHalf)
+	h.Add(units(-0.5), unitHalf)
+	h.Add(units(-200), unitHalf)
 	bins := h.orderedBins(nil)
 	if len(bins) != 4 {
 		t.Fatalf("got %d bins", len(bins))
@@ -115,14 +118,14 @@ func TestMatchHistogramsBalancedSwap(t *testing.T) {
 	// anti-oscillation damping cap).
 	var a, b DirHist
 	for i := 0; i < 10; i++ {
-		a.Add(1.0)
-		b.Add(2.0)
+		a.Add(units(1.0), unitHalf)
+		b.Add(units(2.0), unitHalf)
 	}
 	pa, pb := MatchHistograms(&a, &b, 0, 0)
-	if p := pa.ProbFor(1.0); p != dampProb {
+	if p := pa.ProbFor(units(1.0), unitHalf); p != dampProb {
 		t.Fatalf("direction A probability = %v, want %v", p, dampProb)
 	}
-	if p := pb.ProbFor(2.0); p != dampProb {
+	if p := pb.ProbFor(units(2.0), unitHalf); p != dampProb {
 		t.Fatalf("direction B probability = %v, want %v", p, dampProb)
 	}
 }
@@ -131,10 +134,10 @@ func TestMatchHistogramsOneSidedNoExtras(t *testing.T) {
 	// Positive proposals only on one side, no headroom: nothing moves.
 	var a, b DirHist
 	for i := 0; i < 10; i++ {
-		a.Add(1.0)
+		a.Add(units(1.0), unitHalf)
 	}
 	pa, _ := MatchHistograms(&a, &b, 0, 0)
-	if p := pa.ProbFor(1.0); p != 0 {
+	if p := pa.ProbFor(units(1.0), unitHalf); p != 0 {
 		t.Fatalf("one-sided with no extras moved with probability %v", p)
 	}
 }
@@ -143,10 +146,10 @@ func TestMatchHistogramsExtras(t *testing.T) {
 	// One-sided positive proposals with headroom 5 of 10: probability 0.5.
 	var a, b DirHist
 	for i := 0; i < 10; i++ {
-		a.Add(1.0)
+		a.Add(units(1.0), unitHalf)
 	}
 	pa, _ := MatchHistograms(&a, &b, 5, 0)
-	if p := pa.ProbFor(1.0); math.Abs(p-0.5) > 1e-12 {
+	if p := pa.ProbFor(units(1.0), unitHalf); math.Abs(p-0.5) > 1e-12 {
 		t.Fatalf("extras probability = %v, want 0.5", p)
 	}
 }
@@ -157,14 +160,14 @@ func TestMatchHistogramsPositiveNegativePairing(t *testing.T) {
 	// additional movement").
 	var a, b DirHist
 	for i := 0; i < 4; i++ {
-		a.Add(10.0)
-		b.Add(-0.5)
+		a.Add(units(10.0), unitHalf)
+		b.Add(units(-0.5), unitHalf)
 	}
 	pa, pb := MatchHistograms(&a, &b, 0, 0)
-	if p := pa.ProbFor(10.0); p != dampProb {
+	if p := pa.ProbFor(units(10.0), unitHalf); p != dampProb {
 		t.Fatalf("positive side probability = %v, want %v", p, dampProb)
 	}
-	if p := pb.ProbFor(-0.5); p != dampProb {
+	if p := pb.ProbFor(units(-0.5), unitHalf); p != dampProb {
 		t.Fatalf("negative side probability = %v, want %v", p, dampProb)
 	}
 }
@@ -172,10 +175,10 @@ func TestMatchHistogramsPositiveNegativePairing(t *testing.T) {
 func TestMatchHistogramsRejectsNetNegative(t *testing.T) {
 	// Summed gain negative: no pairing.
 	var a, b DirHist
-	a.Add(0.5)
-	b.Add(-10.0)
+	a.Add(units(0.5), unitHalf)
+	b.Add(units(-10.0), unitHalf)
 	pa, pb := MatchHistograms(&a, &b, 0, 0)
-	if pa.ProbFor(0.5) != 0 || pb.ProbFor(-10.0) != 0 {
+	if pa.ProbFor(units(0.5), unitHalf) != 0 || pb.ProbFor(units(-10.0), unitHalf) != 0 {
 		t.Fatal("net-negative pair was allowed to swap")
 	}
 }
@@ -184,16 +187,16 @@ func TestMatchHistogramsPartialBin(t *testing.T) {
 	// 10 proposals one way, 4 the other: boundary bin gets 4/10.
 	var a, b DirHist
 	for i := 0; i < 10; i++ {
-		a.Add(1.0)
+		a.Add(units(1.0), unitHalf)
 	}
 	for i := 0; i < 4; i++ {
-		b.Add(1.0)
+		b.Add(units(1.0), unitHalf)
 	}
 	pa, pb := MatchHistograms(&a, &b, 0, 0)
-	if p := pa.ProbFor(1.0); math.Abs(p-0.4) > 1e-12 {
+	if p := pa.ProbFor(units(1.0), unitHalf); math.Abs(p-0.4) > 1e-12 {
 		t.Fatalf("partial bin probability = %v, want 0.4", p)
 	}
-	if p := pb.ProbFor(1.0); p != dampProb {
+	if p := pb.ProbFor(units(1.0), unitHalf); p != dampProb {
 		t.Fatalf("smaller side probability = %v, want %v", p, dampProb)
 	}
 }
@@ -207,10 +210,10 @@ func TestMatchHistogramsExpectedFlowBalanced(t *testing.T) {
 		var a, b DirHist
 		r := newSeq(seed)
 		for i := 0; i < int(na%50); i++ {
-			a.Add(r.next()*4 - 1) // gains in [-1, 3)
+			a.Add(units(r.next()*4-1), unitHalf) // gains in [-1, 3)
 		}
 		for i := 0; i < int(nb%50); i++ {
-			b.Add(r.next()*4 - 1)
+			b.Add(units(r.next()*4-1), unitHalf)
 		}
 		pa, pb := MatchHistograms(&a, &b, 0, 0)
 		flow := func(h *DirHist, p *ProbTable) float64 {
@@ -233,7 +236,7 @@ func TestMatchHistogramsExpectedFlowBalanced(t *testing.T) {
 func TestProbTableZeroGain(t *testing.T) {
 	var p ProbTable
 	p.neg[0] = 0.25
-	if got := p.ProbFor(0); got != 0.25 {
+	if got := p.ProbFor(units(0), unitHalf); got != 0.25 {
 		t.Fatalf("zero gain should use negative bin 0: %v", got)
 	}
 }

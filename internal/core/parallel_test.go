@@ -12,9 +12,8 @@ import (
 // every kernel inside a task runs on one goroutine, and SHP-k ignores it.
 // The contract: it decides only how fast a run goes, never what it computes.
 // Assignments, iteration histories AND work counters must be byte-identical
-// for every count — on cold runs, at a non-dyadic P whose histogram sums
-// leave the exact grid, and for a session whose warm epochs start from a
-// recursive partition.
+// for every count — on cold runs, at a P that is no power of two, and for a
+// session whose warm epochs start from a recursive partition.
 
 func comparePar(t *testing.T, label string, base, got *Result) {
 	t.Helper()

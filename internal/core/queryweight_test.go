@@ -48,7 +48,7 @@ func TestWeightedGainMatchesObjectiveDelta(t *testing.T) {
 			b.n[oth][q]++
 		}
 		after := b.objective()
-		return math.Abs((before-after)-gain) < 1e-9
+		return math.Abs((before-after)-b.tables[0].Unit()*float64(gain)) < 1e-9
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestWeightedDirectGainMatchesObjectiveDelta(t *testing.T) {
 	err := quick.Check(func(seed uint64, vRaw uint16) bool {
 		g := weightedBipartite(t, seed, 12, 16, 70)
 		opts := Options{K: 5, P: 0.5, Epsilon: 10, Direct: true}.withDefaults()
-		st := newDirectState(g, opts, seed)
+		st := mustDirectState(t, g, opts, seed)
 		st.buildNeighborData()
 		st.computeProposals()
 		v := int32(vRaw) % 16
@@ -72,7 +72,8 @@ func TestWeightedDirectGainMatchesObjectiveDelta(t *testing.T) {
 		st.bucket[v] = tgt
 		st.buildNeighborData()
 		after := st.objectiveFromND()
-		return math.Abs((before-after)-st.gains[v]) < 1e-9
+		delta := st.tables.objective(float64(before - after))
+		return math.Abs(delta-st.tables.Unit()*float64(st.gains[v])) < 1e-9
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)

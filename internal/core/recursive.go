@@ -36,11 +36,13 @@ type rtask struct {
 	start startState
 }
 
-// taskOut is a recursion node's children and its bisection's history.
+// taskOut is a recursion node's children and its bisection's history, or
+// the error that stopped it.
 type taskOut struct {
 	children []rtask
 	history  []IterStats
 	work     []WorkStats
+	err      error
 }
 
 // recursion is what every node of one SHP-2 run shares.
@@ -99,6 +101,9 @@ func partitionRecursive(g *hypergraph.Bipartite, opts Options) (*Result, error) 
 
 		var children []rtask
 		for ti := range outs {
+			if err := outs[ti].err; err != nil {
+				return nil, err
+			}
 			res.History = append(res.History, outs[ti].history...)
 			res.Work = append(res.Work, outs[ti].work...)
 			res.Iterations += len(outs[ti].history)
@@ -131,7 +136,10 @@ func (r *recursion) splitTask(t rtask, level int) taskOut {
 		return taskOut{}
 	}
 	seed, kLeft, kRight, propLeft, eps := r.node(level, t.lo, t.hi)
-	b := newBisection(t.sub, r.opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, r.ideal, t.start)
+	b, err := newBisection(t.sub, r.opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, r.ideal, t.start)
+	if err != nil {
+		return taskOut{err: err}
+	}
 	side := b.run()
 
 	mid := t.lo + int32(kLeft)

@@ -19,8 +19,8 @@ import (
 //
 //   - Every data vertex carries its Equation 1 state in patchable form:
 //     accOwn = Σ_q wq·T_cur[n_cur(q)−1] and accOth = Σ_q wq·T_oth[n_oth(q)],
-//     from which the gain is mult·(accOwn − accOth) plus the warm-start
-//     penalty.
+//     from which the gain is accOwn − accOth plus the warm-start penalty,
+//     all in gain units (gains.go).
 //   - After a move batch, each dirty query's canonical (side, cOld, cNew)
 //     changes are derived from the batch's net count deltas (every move is
 //     a ±1 transfer, so cOld is exactly cNew minus the net delta — no
@@ -36,10 +36,10 @@ import (
 //     counts from scratch and resums every vertex — at a period of 1, plain
 //     full per-iteration recomputation.
 //
-// All patch arithmetic lives on the shared dyadic grid, so the patched and
-// rebuilt states are bit-identical, and the engine is pinned byte-identical
-// across rebuild schedules (default, every iteration, never) — the same
-// guarantee the direct engine carries.
+// All patch arithmetic is integer, so the patched and rebuilt states are
+// equal, and the engine is pinned byte-identical across rebuild schedules
+// (default, every iteration, never) — the same guarantee the direct engine
+// carries.
 type bisection struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -56,7 +56,7 @@ type bisection struct {
 	// the current batch, dirtyQ the touched queries in first-touch order
 	// (deduped by dirtyFlag); pgs is the reusable buffer the per-dirty-query
 	// patch groups land in.
-	accOwn, accOth []float64
+	accOwn, accOth []int64
 	d              [2][]int32
 	dirtyFlag      []uint8
 	dirtyQ         []int32
@@ -77,12 +77,15 @@ type bisection struct {
 	// movebatch.go).
 	batch moveBatch
 
-	gains []float64
+	gains []int64
 
-	// qw holds per-query weights as float64 (nil when unit-weighted):
-	// weighted queries scale their Equation 1 terms and objective
-	// contributions proportionally.
-	qw []float64
+	// penalty is Options.MoveCostPenalty in gain units (see gains.go).
+	penalty int64
+
+	// qw holds per-query weights (nil when unit-weighted): weighted queries
+	// scale their Equation 1 terms and objective contributions
+	// proportionally.
+	qw []int64
 
 	// gainWork counts Equation 1 work units deterministically: one per
 	// table term summed in a gain rebuild, one per delta record folded into
@@ -112,9 +115,11 @@ type startState struct {
 // Its counts are the parent split's hand-off; only the root's, which no
 // split counted, are recounted here. Side 0 will later split into tLeft
 // final buckets and side 1 into tRight (Section 3.4's final-p-fanout
-// lookahead), and eps is the level's imbalance allowance; see newBalance.
+// lookahead), and eps is the level's imbalance allowance; see newBalance. It
+// fails with ErrGainRange when the subproblem is too large for the integer
+// gain arithmetic.
 func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, task int,
-	tLeft, tRight int, propLeft, eps, idealPerBucket float64, start startState) *bisection {
+	tLeft, tRight int, propLeft, eps, idealPerBucket float64, start startState) (*bisection, error) {
 
 	b := &bisection{
 		g: g, opts: opts, seed: seed,
@@ -126,6 +131,11 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	maxN := g.MaxQueryDegree()
 	b.tables[0] = tablesFor(opts, tLeft, maxN)
 	b.tables[1] = tablesFor(opts, tRight, maxN)
+	// Lookahead changes no table's span (see checkRange): one check covers both.
+	if err := b.tables[0].checkRange(incidenceWeight(g), g.NumData(), opts.MoveCostPenalty); err != nil {
+		return nil, err
+	}
+	b.penalty = b.tables[0].penaltyUnits(opts.MoveCostPenalty)
 
 	nd := g.NumData()
 	nq := g.NumQueries()
@@ -133,22 +143,22 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 		b.n = [2][]int32{make([]int32, nq), make([]int32, nq)}
 		b.recountNeighborData()
 	}
-	b.gains = make([]float64, nd)
-	b.bins = newGainBins(2, nd)
-	b.accOwn = make([]float64, nd)
-	b.accOth = make([]float64, nd)
+	b.gains = make([]int64, nd)
+	b.bins = newGainBins(2, nd, b.tables[0].unit)
+	b.accOwn = make([]int64, nd)
+	b.accOth = make([]int64, nd)
 	b.active = make([]uint8, nd)
 	b.d[0] = make([]int32, nq)
 	b.d[1] = make([]int32, nq)
 	b.dirtyFlag = make([]uint8, nq)
 	b.markAllActive() // fresh state: everything needs evaluation
 	if g.QueryWeighted() {
-		b.qw = make([]float64, nq)
+		b.qw = make([]int64, nq)
 		for q := range b.qw {
-			b.qw[q] = float64(g.QueryWeight(int32(q)))
+			b.qw[q] = int64(g.QueryWeight(int32(q)))
 		}
 	}
-	return b
+	return b, nil
 }
 
 // balance is a bisection's weight frame: the share of its weight destined
@@ -164,7 +174,7 @@ type balance struct {
 // telescope to the overall (1+ε)·n/k bound instead of compounding.
 func newBalance(total int64, tLeft, tRight int, propLeft, eps, idealPerBucket float64) balance {
 	bal := balance{propLeft: propLeft}
-	bal.targetW[0] = float64(total) * propLeft
+	bal.targetW[0] = float64(float64(total) * propLeft)
 	bal.targetW[1] = float64(total) - bal.targetW[0]
 	bal.capW[0] = idealPerBucket * float64(tLeft) * (1 + eps)
 	bal.capW[1] = idealPerBucket * float64(tRight) * (1 + eps)
@@ -197,7 +207,7 @@ func (st *startState) initialSplit(bal balance, seed uint64, weight func(int) in
 	var acc float64
 	for _, v := range order {
 		wv := float64(weight(v))
-		if acc+wv/2 < bal.targetW[0] {
+		if acc+float64(wv/2) < bal.targetW[0] {
 			st.side[v] = 0
 			acc += wv
 		} else {
@@ -255,15 +265,14 @@ func (b *bisection) recountNeighborData() {
 }
 
 // rebuildGain resums vertex v's Equation 1 accumulators from the current
-// side counts and derives the gain. All terms are grid values, so the
-// resummation lands on the same bits as any sequence of patches arriving at
-// the same counts.
+// side counts and derives the gain. All terms are integers, so the
+// resummation equals any sequence of patches arriving at the same counts.
 func (b *bisection) rebuildGain(v int32) int64 {
 	cur := b.side[v]
 	oth := 1 - cur
 	tCur := b.tables[cur].T
 	tOth := b.tables[oth].T
-	own, sumOth := 0.0, 0.0
+	var own, sumOth int64
 	neighbors := b.g.DataNeighbors(v)
 	if b.qw == nil {
 		for _, q := range neighbors {
@@ -283,15 +292,15 @@ func (b *bisection) rebuildGain(v int32) int64 {
 	return int64(2 * len(neighbors))
 }
 
-// deriveGain turns vertex v's cached accumulators into its move gain:
-// Equation 1 plus the incremental-update penalty.
+// deriveGain turns vertex v's cached accumulators into its move gain, in
+// gain units: Equation 1 plus the incremental-update penalty.
 func (b *bisection) deriveGain(v int32) {
-	g := b.tables[0].mult * (b.accOwn[v] - b.accOth[v])
+	g := b.accOwn[v] - b.accOth[v]
 	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
 		if b.side[v] == b.home[v] {
-			g -= b.opts.MoveCostPenalty // would leave home
+			g -= b.penalty // would leave home
 		} else {
-			g += b.opts.MoveCostPenalty // would return home
+			g += b.penalty // would return home
 		}
 	}
 	b.gains[v] = g
@@ -360,18 +369,20 @@ func (b *bisection) syncBin(v int32) {
 }
 
 // objective returns the subproblem's current objective value (sum over
-// queries of both sides' contributions, using the lookahead tables).
+// queries of both sides' contributions, using the lookahead tables). It is
+// a reported statistic, summed in float64: with lookahead, C values reach
+// K/2 units of 2^-shift each, which an int64 sum over |Q| need not hold.
 func (b *bisection) objective() float64 {
 	sum := 0.0
 	c0, c1 := b.tables[0].C, b.tables[1].C
 	for q := range b.g.NumQueries() {
-		c := c0[b.n[0][q]] + c1[b.n[1][q]]
+		c := float64(c0[b.n[0][q]] + c1[b.n[1][q]])
 		if b.qw != nil {
-			c *= b.qw[q]
+			c = float64(c * float64(b.qw[q]))
 		}
 		sum += c
 	}
-	return sum
+	return b.tables[0].objective(sum)
 }
 
 // extras returns the one-sided move allowances (in vertices) for directions
@@ -499,11 +510,11 @@ func (b *bisection) applyMovePatched(v int32) {
 // DeltaAway); a side whose count did not change contributes exactly 0.
 // Precomputing the four products once per query replaces the per-member
 // record walk with two branch-free adds — the products are the same
-// wq·Delta values per-member patching would compute, so the folded sums
-// are bit-identical.
+// wq·Delta integers per-member patching would compute, so the folded sums
+// are equal.
 type patchGroup struct {
 	q         int32
-	own, away [2]float64
+	own, away [2]int64
 	nrec      int64 // changed sides, for the gainWork accounting
 }
 
@@ -513,7 +524,7 @@ type patchGroup struct {
 // false when the deltas net to zero (opposing flips cancelled).
 func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 	pg := patchGroup{q: q}
-	wq := 1.0
+	wq := int64(1)
 	if b.qw != nil {
 		wq = b.qw[q]
 	}
@@ -532,7 +543,7 @@ func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 }
 
 // finishPatch closes a patched move batch: each dirty query's patch group
-// is folded into the members' accumulators — exact arithmetic makes the
+// is folded into the members' accumulators — integer arithmetic makes the
 // patch order irrelevant to the result. Movers are scheduled for a rebuild:
 // their own side changed, so the cached accumulators (and any patches
 // applied to them above) refer to the wrong frame.
@@ -551,7 +562,7 @@ func (b *bisection) finishPatch(movers []move) {
 		members := b.g.QueryNeighbors(pg.q)
 		for _, v := range members {
 			c := b.side[v]
-			b.accOwn[v] += pg.own[c] //shp:rawfloat(pg.own/pg.away hold DeltaOwn/DeltaAway table values hoisted once per group; same dyadic grid, same bits)
+			b.accOwn[v] += pg.own[c]
 			b.accOth[v] += pg.away[1-c]
 			b.touch(v, activeSelect)
 		}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -205,27 +206,28 @@ func BenchmarkBisectionDelta(b *testing.B) {
 //
 //	own  = Σ_q wq·T_cur[n_cur(q)−1]
 //	oth  = Σ_q wq·T_oth[n_oth(q)]
-//	gain = mult·(own − oth) ∓ penalty   (− leaving home, + returning to it)
+//	gain = own − oth ∓ penalty   (− leaving home, + returning to it)
 //
-// Table values sit on the dyadic grid, so the sums are exact and must equal
-// the engine's bit for bit in any summation order.
-func naiveBisectionGain(b *bisection, v int32) (own, oth, gain float64) {
+// in gain units, the penalty rounded to them. The sums are integers, so they
+// must equal the engine's in any summation order.
+func naiveBisectionGain(b *bisection, v int32) (own, oth, gain int64) {
 	cur := b.side[v]
 	for _, q := range b.g.DataNeighbors(v) {
 		n := map[int8]int32{}
 		for _, u := range b.g.QueryNeighbors(q) {
 			n[b.side[u]]++
 		}
-		wq := float64(b.g.QueryWeight(q))
+		wq := int64(b.g.QueryWeight(q))
 		own += wq * b.tables[cur].T[n[cur]-1]
 		oth += wq * b.tables[1-cur].T[n[1-cur]]
 	}
-	gain = b.tables[0].mult * (own - oth)
+	gain = own - oth
 	if p := b.opts.MoveCostPenalty; p > 0 && b.home != nil && b.home[v] >= 0 {
+		pu := int64(math.Round(p / b.tables[0].Unit()))
 		if cur == b.home[v] {
-			gain -= p
+			gain -= pu
 		} else {
-			gain += p
+			gain += pu
 		}
 	}
 	return own, oth, gain

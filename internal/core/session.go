@@ -102,10 +102,14 @@ func (s *Session) NewDelta() *hypergraph.Delta {
 // Apply splices the delta into the session's hypergraph and marks everything
 // it touched dirty, so the next Repartition re-evaluates exactly the
 // affected neighborhood. The call is atomic: on error the graph and session
-// are unchanged. The assignment is not updated — new vertices stay
-// Unassigned and removed hyperedges keep influencing nothing — until
-// Repartition is called.
+// are unchanged. A delta after which the graph would be too large for the
+// integer gain arithmetic fails with ErrGainRange. The assignment is not
+// updated — new vertices stay Unassigned and removed hyperedges keep
+// influencing nothing — until Repartition is called.
 func (s *Session) Apply(d *hypergraph.Delta) error {
+	if err := s.checkDeltaRange(d); err != nil {
+		return err
+	}
 	// Collect bookkeeping into locals first (members of removed hyperedges
 	// must be read before the splice erases them), commit only on success.
 	var touched []int32
@@ -140,6 +144,23 @@ func (s *Session) Apply(d *hypergraph.Delta) error {
 	return nil
 }
 
+// checkDeltaRange runs the warm engine's range check (GainTables.checkRange)
+// on an upper bound of the graph d leaves, without applying d: its added
+// hyperedges count with every member listed, its removals not at all.
+func (s *Session) checkDeltaRange(d *hypergraph.Delta) error {
+	w, nd, maxN := incidenceWeight(s.g), s.g.NumData(), s.g.MaxQueryDegree()
+	for _, op := range d.Ops {
+		switch op.Kind {
+		case hypergraph.OpAddData:
+			nd++
+		case hypergraph.OpAddHyperedge:
+			w += float64(float64(max(op.Weight, 1)) * float64(len(op.Members)))
+			maxN = max(maxN, len(op.Members))
+		}
+	}
+	return tablesFor(s.opts, 1, maxN).checkRange(w, nd, s.opts.MoveCostPenalty)
+}
+
 // seedBase derives the engine seed root; per-epoch seeds are mixed from it
 // so refinement coins are fresh each Repartition but fully deterministic.
 func (s *Session) seedBase() uint64 {
@@ -164,7 +185,10 @@ func (s *Session) Repartition() (*Result, error) {
 	s.epoch++
 	epochSeed := rng.Mix(s.seedBase(), s.epoch)
 	if s.st == nil {
-		s.buildEngine(epochSeed)
+		if err := s.buildEngine(epochSeed); err != nil {
+			s.epoch--
+			return nil, err
+		}
 	} else {
 		s.st.seed = epochSeed
 		s.syncEngine()
@@ -238,7 +262,7 @@ func (s *Session) Fanout() float64 {
 // buildEngine constructs the warm direct-engine state from the current
 // graph and assignment (the one O(|E|) pass a session ever pays after
 // construction).
-func (s *Session) buildEngine(seed uint64) {
+func (s *Session) buildEngine(seed uint64) error {
 	g := s.g
 	k := s.opts.K
 	total := float64(g.TotalDataWeight())
@@ -263,11 +287,15 @@ func (s *Session) buildEngine(seed uint64) {
 	// stops (or MaxIters).
 	dopts.MinMoveFraction = 0
 	dopts.Initial = s.assignment
-	st := newDirectState(g, dopts, seed)
+	st, err := newDirectState(g, dopts, seed)
+	if err != nil {
+		return err
+	}
 	st.opts.Initial = nil // reattached per epoch by Repartition (penalty)
 	st.buildNeighborData()
 	s.st = st
 	s.clearPending()
+	return nil
 }
 
 // syncEngine patches the warm engine for everything Apply recorded since
@@ -289,14 +317,14 @@ func (s *Session) syncEngine() {
 		st.nd.appendQueries(nq - s.engNQ)
 		if st.qw != nil {
 			for q := s.engNQ; q < nq; q++ {
-				st.qw = append(st.qw, float64(g.QueryWeight(int32(q))))
+				st.qw = append(st.qw, int64(g.QueryWeight(int32(q))))
 			}
 		} else if g.QueryWeighted() {
 			// The graph gained query weights (a weighted hyperedge arrived
 			// on a previously unweighted graph): materialize the array.
-			st.qw = make([]float64, nq)
+			st.qw = make([]int64, nq)
 			for q := range st.qw {
-				st.qw[q] = float64(g.QueryWeight(int32(q)))
+				st.qw[q] = int64(g.QueryWeight(int32(q)))
 			}
 		}
 	}
@@ -306,10 +334,10 @@ func (s *Session) syncEngine() {
 		grow := nd - s.engND
 		st.bucket = append(st.bucket, s.assignment[s.engND:nd]...)
 		st.target = append(st.target, make([]int32, grow)...)
-		st.gains = append(st.gains, make([]float64, grow)...)
+		st.gains = append(st.gains, make([]int64, grow)...)
 		st.cands.grow(grow)
-		st.propBase = append(st.propBase, make([]float64, grow)...)
-		st.wdegArr = append(st.wdegArr, make([]float64, grow)...)
+		st.propBase = append(st.propBase, make([]int64, grow)...)
+		st.wdegArr = append(st.wdegArr, make([]int64, grow)...)
 		st.active = append(st.active, make([]uint8, grow)...)
 		st.tied = append(st.tied, make([]bool, grow)...)
 		st.plane.grow(nd)
@@ -332,9 +360,9 @@ func (s *Session) syncEngine() {
 	}
 
 	// A new hyperedge may exceed every previous size: grow the gain tables
-	// before anything below looks a count up. Table values live on the
-	// shared dyadic grid and longer tables extend the same prefix, so cached
-	// accumulators and the running objective stay exact.
+	// before anything below looks a count up. Longer tables extend the same
+	// prefix in the same units, so cached accumulators and the running
+	// objective stay exact.
 	if maxN := g.MaxQueryDegree(); maxN+2 > len(st.tables.T) {
 		st.tables = tablesFor(st.opts, 1, maxN)
 	}
@@ -379,7 +407,6 @@ func (s *Session) syncEngine() {
 		resync(v)
 	}
 	st.cands.compact()
-	st.gainsExact = st.gainsInExactRange()
 	st.invalidate() // these marks, and repairOverCap's, came from no batch
 
 	s.clearPending()
@@ -414,11 +441,11 @@ func (st *directState) markRebuild(v int32) {
 }
 
 // computeWdeg returns vertex v's static query-weighted degree.
-func (st *directState) computeWdeg(v int32) float64 {
+func (st *directState) computeWdeg(v int32) int64 {
 	if st.qw == nil {
-		return float64(len(st.g.DataNeighbors(v)))
+		return int64(len(st.g.DataNeighbors(v)))
 	}
-	wdeg := 0.0
+	var wdeg int64
 	for _, q := range st.g.DataNeighbors(v) {
 		wdeg += st.qw[q]
 	}

@@ -36,7 +36,7 @@ func hookOracle(t *testing.T, st *directState, label string) *warmOracle {
 
 // check runs after every computeProposals: every cached proposal must be
 // what a fresh selection under the current seed and bucket weights returns,
-// and the running sums must equal their recounts bit for bit. A fused sweep
+// and the running sums must equal their recounts exactly. A fused sweep
 // selected without writing the lists the fresh selection reads, so they are
 // materialised first (TestLazyListsMatchEager covers that this feeds nothing
 // back).
@@ -52,13 +52,11 @@ func (o *warmOracle) check() {
 				o.label, o.passes, v, st.target[v], st.gains[v], tgt, gain, st.active[v], st.tied[v], st.flipIn)
 		}
 	}
-	if !st.objStale {
-		if want := st.objectiveFromND(); st.objective != want {
-			t.Fatalf("%s pass %d: running objective %v, neighbor data sums to %v", o.label, o.passes, st.objective, want)
-		}
-		if st.frontierValid {
-			o.runningObj++
-		}
+	if want := st.objectiveFromND(); st.objective != want {
+		t.Fatalf("%s pass %d: running objective %v, neighbor data sums to %v", o.label, o.passes, st.objective, want)
+	}
+	if st.frontierValid {
+		o.runningObj++
 	}
 	if got, want := st.fanout(), partition.Fanout(st.g, st.bucket, st.k); got != want {
 		t.Fatalf("%s pass %d: running fanout %v, partition.Fanout %v", o.label, o.passes, got, want)
@@ -92,7 +90,7 @@ func TestColdRunCachesMatchFreshSelection(t *testing.T) {
 	for name, g := range oracleGraphs(t) {
 		for _, period := range []int{0, 4} {
 			opts := Options{K: 8, Direct: true, Epsilon: 0.02, NDRebuildEvery: period, MaxIters: 25}.withDefaults()
-			st := newDirectState(g, opts, 77)
+			st := mustDirectState(t, g, opts, 77)
 			o := hookOracle(t, st, fmt.Sprintf("%s/period%d", name, period))
 			st.run()
 			if o.passes < 5 || o.cachedPass == 0 {
@@ -185,16 +183,17 @@ func TestWarmSessionCachesMatchFreshSelection(t *testing.T) {
 				boundEpochs++
 			}
 			// The epoch's last batch has no proposal pass after it.
-			if got, want := s.st.objective, s.st.objectiveFromND(); s.st.objStale || got != want {
-				t.Fatalf("%s epoch %d: running objective %v (stale %v), neighbor data sums to %v", label, epoch, got, s.st.objStale, want)
+			if got, want := s.st.objective, s.st.objectiveFromND(); got != want {
+				t.Fatalf("%s epoch %d: running objective %v, neighbor data sums to %v", label, epoch, got, want)
 			}
 			want := partition.Fanout(s.Graph(), res.Assignment, 8)
 			if got := s.Fanout(); got != want {
 				t.Fatalf("%s epoch %d: session fanout %v, partition.Fanout %v", label, epoch, got, want)
 			}
-			if last := res.History[len(res.History)-1]; last.Fanout != want || last.Objective != s.st.objective {
+			obj := s.st.tables.objective(float64(s.st.objective))
+			if last := res.History[len(res.History)-1]; last.Fanout != want || last.Objective != obj {
 				t.Fatalf("%s epoch %d: history ends on fanout %v objective %v, want %v and %v",
-					label, epoch, last.Fanout, last.Objective, want, s.st.objective)
+					label, epoch, last.Fanout, last.Objective, want, obj)
 			}
 		}
 		if o.flipPasses == 0 || o.flipInPass == 0 || o.flipInPass == o.flipPasses {
@@ -265,12 +264,12 @@ func TestRunningSumsSurviveBalanceRepair(t *testing.T) {
 	}
 }
 
-// TestObjectiveBeyondExactRangeIsResummed pins the running sum's guard: with
-// query weights large enough that the objective leaves the range in which
-// sums of grid values are exact, a running update would round — differently
-// per rebuild schedule — so refinement must fall back to re-summing every
-// iteration, and histories must still agree across schedules bit for bit.
-func TestObjectiveBeyondExactRangeIsResummed(t *testing.T) {
+// TestRunningObjectiveExactAtLargeWeights: with query weights so large that
+// the objective is past 2^53 units, where a float64 sum of grid values
+// would round (differently per rebuild schedule), the running integer
+// objective still equals the neighbor data's re-sum after every pass, and
+// histories agree across schedules bit for bit.
+func TestRunningObjectiveExactAtLargeWeights(t *testing.T) {
 	r := rng.New(61)
 	numQ, numD := 300, 500
 	b := hypergraph.NewBuilder(numQ, numD)
@@ -288,13 +287,13 @@ func TestObjectiveBeyondExactRangeIsResummed(t *testing.T) {
 	// P = 0.3 fills all 32 grid bits of the table values (at the default 0.5
 	// they are 1 − 2^-c, and sums of those stay exact far longer).
 	opts := Options{K: 6, Direct: true, P: 0.3, Seed: 8, MaxIters: 12}
-	st := newDirectState(g, opts.withDefaults(), 9)
+	st := mustDirectState(t, g, opts.withDefaults(), 9)
+	o := hookOracle(t, st, "weights ~2^17.6")
 	st.run()
-	if st.objectiveInExactRange() || !st.objStale {
-		t.Fatalf("objective %v with %d weighted entries should be outside the exact range and stay marked for re-summing",
-			st.objective, st.nd.wEntries)
+	if st.objective < 1<<53 || o.runningObj == 0 {
+		t.Fatalf("objective %d units, %d passes carried it: the test needs a running objective past 2^53", st.objective, o.runningObj)
 	}
-	if got, want := st.history[len(st.history)-1].Objective, st.objectiveFromND(); got != want {
+	if got, want := st.history[len(st.history)-1].Objective, st.tables.objective(float64(st.objectiveFromND())); got != want {
 		t.Fatalf("last history objective %v, neighbor data sums to %v", got, want)
 	}
 	runBoth(t, g, opts)

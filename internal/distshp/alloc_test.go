@@ -27,7 +27,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 				name string
 				msg  func(v pregel.VertexID) record
 			}{
-				{"fold", func(pregel.VertexID) record { return gainRecord(1, 0.5) }},
+				{"fold", func(pregel.VertexID) record { return gainRecord(2, 1) }},
 				{"batch", func(v pregel.VertexID) record { return bucketRecord(int32(v), int32(v)%2) }},
 			} {
 				t.Run(arm.name, func(t *testing.T) {

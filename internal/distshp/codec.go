@@ -24,7 +24,7 @@ const (
 
 // payloadSize is a record kind's fixed encoding: bucket updates are (Data,
 // New), deltas (Bucket, COld, CNew) as little-endian uint32s, and gains the
-// IEEE bits of (Cur, Oth). Deltas carry no query id — receivers patch by
+// int64 gain units (Cur, Oth) as little-endian uint64s. Deltas carry no query id — receivers patch by
 // table-value differences alone, a quarter off every late-iteration gain
 // superstep relative to a 16-byte record.
 func payloadSize(kind uint8) int {

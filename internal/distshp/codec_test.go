@@ -3,7 +3,6 @@ package distshp
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"slices"
 	"testing"
 
@@ -19,10 +18,10 @@ func le32(vs ...int32) []byte {
 	return b
 }
 
-func le64(fs ...float64) []byte {
+func le64(vs ...int64) []byte {
 	var b []byte
-	for _, f := range fs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
 }
@@ -44,7 +43,7 @@ func TestWireCodecs(t *testing.T) {
 	}{
 		{"bucket", []record{bucketRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
 		{"bucket, high id", []record{bucketRecord(1<<30, 6)}, cat([]byte{kindBucket}, le32(1<<30, 6))},
-		{"gain", []record{gainRecord(1.5, -2.25)}, cat([]byte{kindGain}, le64(1.5, -2.25))},
+		{"gain", []record{gainRecord(3, -9)}, cat([]byte{kindGain}, le64(3, -9))},
 		{"zero gain", []record{gainRecord(0, 0)}, cat([]byte{kindGain}, le64(0, 0))},
 		{"bucket batch", []record{bucketRecord(1, 0), bucketRecord(2, 1), bucketRecord(3, 1)},
 			cat([]byte{kindBucketBatch, 3}, le32(1, 0, 2, 1, 3, 1))},
@@ -204,9 +203,9 @@ func TestCombineDeltaRecords(t *testing.T) {
 func TestCombineFoldsDecodedWithLocal(t *testing.T) {
 	const n = 16
 	got, stats := runRecords(t, pregel.TCPTransport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID) {
-		ctx.Send(0, gainRecord(1, 0.5))
+		ctx.Send(0, gainRecord(2, 1))
 	})
-	if want := []record{gainRecord(n, n/2)}; !slices.Equal(got[0], want) {
+	if want := []record{gainRecord(2*n, n)}; !slices.Equal(got[0], want) {
 		t.Fatalf("vertex 0 received %+v, want %+v", got[0], want)
 	}
 	if stats.RemoteMessages != 1 {

@@ -158,8 +158,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	observers := []int32{0, 1, 2, 3, 4, 5}
 	isObserver := map[int32]bool{}
 	obs := map[int32]*dataState{}
-	scratchSums := func(o int32, bucket int32) (float64, float64) {
-		var cur, oth float64
+	scratchSums := func(o int32, bucket int32) (int64, int64) {
+		var cur, oth int64
 		for q := range qs {
 			if !isMember[q][o] {
 				continue

@@ -34,10 +34,10 @@
 //     refer to the wrong pair side) instead receive a full gain
 //     contribution from every adjacent query — all of which are dirty,
 //     because the mover broadcast its new bucket — and resum from scratch.
-//   - All gain-table values live on the shared dyadic grid (core's
-//     gainGridBits), so patched accumulators land bit-for-bit on the same
-//     floats a full resummation produces, in any order: the incremental and
-//     full paths yield byte-identical partitions and histories.
+//   - All gain-table values are integer units (core's gains.go), so patched
+//     accumulators equal what a full resummation produces, in any order:
+//     the incremental and full paths yield byte-identical partitions and
+//     histories.
 //   - The master runs the iteration policy the in-process refiners run
 //     (core.IterPolicy) at the wire's fallback divisor: after a batch too
 //     large to patch (core.Sweep), and every Options.RebuildEvery iterations
@@ -77,7 +77,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"time"
 
@@ -125,7 +124,7 @@ type Options struct {
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
 	// pregel.NewDiskCheckpointer to survive process death). Snapshots cover
-	// vertex state — including the persistent dyadic-grid accumulators —
+	// vertex state — including the persistent integer gain accumulators —
 	// pending inboxes, and the master's schedule with its persistent
 	// histograms, so a recovered run resumes the incremental protocol
 	// without a rebroadcast and finishes byte-identical to an undisturbed
@@ -262,19 +261,19 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 //     Queries key their incremental neighbor-data maintenance on Data alone
 //     (at a level start it overrides the registry's derived split, later it
 //     moves the member), so that pair is the whole payload.
-//   - gain, query -> data: lo, hi = the bits of Cur = T[n(current bucket)-1]
-//     and Oth = T[n(sibling)], the query's neighbor-data contribution to the
-//     receiver's Equation 1 gain already mapped through the level's gain
-//     table. This is the combinable reduction of the paper's r = 2
-//     neighbor-data counts (Section 3.3): contributions from different
-//     queries add, so the combiner folds one worker's gains for a vertex into
-//     one record. A vertex that receives gains resums its persistent
+//   - gain, query -> data: lo, hi = the int64 gain units Cur =
+//     T[n(current bucket)-1] and Oth = T[n(sibling)], the query's
+//     neighbor-data contribution to the receiver's Equation 1 gain already
+//     mapped through the level's gain table. This is the combinable
+//     reduction of the paper's r = 2 neighbor-data counts (Section 3.3):
+//     contributions from different queries add, so the combiner folds one
+//     worker's gains for a vertex into one record. A vertex that receives gains resums its persistent
 //     accumulators from scratch (every adjacent query sent one).
 //   - delta, query -> data: lo = Bucket | COld<<32, hi = CNew, one changed
 //     neighbor-data entry of a dirty query — bucket Bucket's adjacent-data
 //     count went COld -> CNew (0 = entry absent). Sent only to clean members
 //     whose sibling pair contains Bucket; receivers patch their persistent
-//     accumulators through the exact dyadic-grid arithmetic of
+//     accumulators through the integer arithmetic of
 //     core.GainTables.DeltaOwn/DeltaAway. No query id travels: the patch is a
 //     sum of per-record table-value differences, whichever query sent them.
 //
@@ -291,8 +290,8 @@ func bucketRecord(data, bucket int32) record {
 	return record{kind: kindBucket, lo: pack(data, bucket)}
 }
 
-func gainRecord(cur, oth float64) record {
-	return record{kind: kindGain, lo: math.Float64bits(cur), hi: math.Float64bits(oth)}
+func gainRecord(cur, oth int64) record {
+	return record{kind: kindGain, lo: uint64(cur), hi: uint64(oth)}
 }
 
 func deltaRecord(bucket, cOld, cNew int32) record {
@@ -301,9 +300,7 @@ func deltaRecord(bucket, cOld, cNew int32) record {
 
 func (r record) bucket() (data, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
 
-func (r record) gain() (cur, oth float64) {
-	return math.Float64frombits(r.lo), math.Float64frombits(r.hi)
-}
+func (r record) gain() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
 
 func (r record) delta() (bucket, cOld, cNew int32) {
 	return int32(r.lo), int32(r.lo >> 32), int32(r.hi)
@@ -329,20 +326,20 @@ type dataState struct {
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
 	moved  bool  // moved in the previous iteration (drives dirty-only sends)
 	level  int
-	// Persistent Equation 1 accumulators for the current sibling pair:
-	// sumCur = Σ_q T[n_bucket(q)−1], sumOth = Σ_q T[n_sibling(q)]. Resummed
-	// from gain records after a move (or rebroadcast), patched from deltas
-	// otherwise; exact dyadic-grid arithmetic keeps the two
-	// maintenance regimes bit-identical.
-	sumCur, sumOth float64
-	// Gain for moving to the sibling bucket, derived in superstep 2.
-	gain float64
+	// Persistent Equation 1 accumulators for the current sibling pair, in
+	// gain units: sumCur = Σ_q T[n_bucket(q)−1], sumOth = Σ_q T[n_sibling(q)].
+	// Resummed from gain records after a move (or rebroadcast), patched from
+	// deltas otherwise; integer arithmetic keeps the two maintenance regimes
+	// identical.
+	sumCur, sumOth int64
+	// Gain units for moving to the sibling bucket, derived in superstep 2.
+	gain int64
 	// The proposal currently registered on the master's persistent
 	// histograms: direction key, gain, and the level it was asserted at
 	// (propLevel != level means nothing is registered at this level yet).
 	// Superstep 2 retracts/asserts against these, shipping only changes.
 	propKey   uint64
-	propGain  float64
+	propGain  int64
 	propLevel int
 }
 
@@ -530,8 +527,8 @@ type workerAgg struct {
 	fanoutDiff int64
 }
 
-// propose folds one proposal delta in.
-func (a *workerAgg) propose(key uint64, gain float64, retract bool) {
+// propose folds one proposal delta of gain units, of unit each, in.
+func (a *workerAgg) propose(key uint64, gain int64, unit float64, retract bool) {
 	h := a.hists[key]
 	if h == nil {
 		if a.hists == nil {
@@ -541,9 +538,9 @@ func (a *workerAgg) propose(key uint64, gain float64, retract bool) {
 		a.hists[key] = h
 	}
 	if retract {
-		h.Remove(gain)
+		h.Remove(gain, unit)
 	} else {
-		h.Add(gain)
+		h.Add(gain, unit)
 	}
 }
 
@@ -569,32 +566,20 @@ func (a *workerAgg) WireSize() int {
 }
 
 // fold merges the workers' proposal deltas into the persistent state.
-// DirHist sums are floats, so the order of additions is fixed: the parts
-// merge worker-major — the first part holding a key is adopted, later ones
-// merge into it key-ascending — and the merged deltas then fold into the
-// persistent histograms key-ascending. Adopting a part's histogram for a key
-// the persistent map lacks is safe because a retract always follows an
-// assert of the same key, so such a key can only carry asserts.
+// DirHist sums are integers, so every merge order gives the same state.
 func (s *schedule) fold(parts []*workerAgg) {
-	merged := map[uint64]*core.DirHist{}
 	for _, p := range parts {
-		for _, key := range slices.Sorted(maps.Keys(p.hists)) {
-			if m := merged[key]; m != nil {
-				m.Merge(p.hists[key])
+		//shp:ordered(integer histogram merges into distinct keys; equal in any order)
+		for key, h := range p.hists {
+			if mine := s.hists[key]; mine != nil {
+				mine.Merge(h)
 			} else {
-				merged[key] = p.hists[key]
+				s.hists[key] = h
 			}
 		}
 		//shp:ordered(integer sums into distinct keys; exact in any order)
 		for b, w := range p.weights {
 			s.weights[b] += w
-		}
-	}
-	for _, key := range slices.Sorted(maps.Keys(merged)) {
-		if mine := s.hists[key]; mine != nil {
-			mine.Merge(merged[key])
-		} else {
-			s.hists[key] = merged[key]
 		}
 	}
 }
@@ -662,10 +647,15 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	numQ := g.NumQueries()
 	maxN := g.MaxQueryDegree()
 
-	// Gain tables per level (lookahead t halves as levels deepen).
+	// Gain tables per level (lookahead t halves as levels deepen). The range
+	// check is the in-process engines', query weights included, although
+	// the sums here ignore them: the three engines accept the same graphs.
 	tables := make([]core.GainTables, levels)
 	for l := 0; l < levels; l++ {
 		tables[l] = core.NewPFanoutTables(opts.P, opts.K>>(l+1), maxN)
+		if err := tables[l].CheckRange(g); err != nil {
+			return nil, fmt.Errorf("distshp: %w", err)
+		}
 	}
 
 	// Master-side schedule state (package-level type so the checkpoint
@@ -845,7 +835,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			return
 		}
 		tb := tables[level]
-		sumCur, sumOth := 0.0, 0.0
+		var sumCur, sumOth int64
 		gains, deltas := 0, 0
 		for _, m := range msgs {
 			switch m.kind {
@@ -867,7 +857,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			}
 			st.sumCur, st.sumOth = sumCur, sumOth
 		}
-		st.gain = tb.Mult() * (st.sumCur - st.sumOth)
+		st.gain = st.sumCur - st.sumOth
 		agg := ctx.Aggregate()
 		if st.propLevel == level {
 			if key == st.propKey && st.gain == st.propGain {
@@ -878,7 +868,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			}
 			// Retract the registered proposal; on a bucket change, move the
 			// vertex's weight between the buckets' persistent totals.
-			agg.propose(st.propKey, st.propGain, true)
+			agg.propose(st.propKey, st.propGain, tb.Unit(), true)
 			if oldB := int32(uint32(st.propKey)); oldB != st.bucket {
 				agg.weigh(oldB, -int64(g.DataWeight(d)))
 				agg.weigh(st.bucket, int64(g.DataWeight(d)))
@@ -887,7 +877,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			// First proposal of the level: register the full weight.
 			agg.weigh(st.bucket, int64(g.DataWeight(d)))
 		}
-		agg.propose(key, st.gain, false)
+		agg.propose(key, st.gain, tb.Unit(), false)
 		st.propKey, st.propGain, st.propLevel = key, st.gain, level
 	case 3:
 		// Read the master's probabilities and maybe move.
@@ -895,7 +885,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 		if pt == nil {
 			return
 		}
-		p := pt.ProbFor(st.gain)
+		p := pt.ProbFor(st.gain, tables[s.level].Unit())
 		if p <= 0 {
 			return
 		}
@@ -971,10 +961,8 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		// maintain the global average fanout without graph passes. Identical
 		// on every path (count maintenance does not depend on the plane).
 		ctx.Aggregate().fanoutDiff += int64(st.row.Live() - live)
-		// Send each member its gain-state update. Iterating the adjacency
-		// list keeps send order — and with it uncombined floating-point
-		// summation order — deterministic; grid-exact sums make the order
-		// irrelevant to the result either way.
+		// Send each member its gain-state update. Integer sums make the send
+		// order irrelevant to the result.
 		tb := tables[level]
 		if full {
 			for i, d := range members {

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -139,14 +140,14 @@ const fuzzK = 8
 func FuzzCheckpointCodec(f *testing.F) {
 	ds, _ := (dataStateCodec{fuzzK}).Append(nil, &dataState{
 		bucket: 3, moved: true, level: 2,
-		sumCur: 1.5, sumOth: -0.25, gain: 0.125,
-		propKey: 11, propGain: 0.5, propLevel: 2,
+		sumCur: 3 << 31, sumOth: -1 << 30, gain: 1 << 29,
+		propKey: 11, propGain: 1 << 31, propLevel: 2,
 	})
 	qsReg, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 1, memberBucket: []int32{0, 3, -1, 3}})
 	qsNil, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{memberBucket: nil})
 	qsBucketK, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: []int32{0, fuzzK}})
-	// One mantissa bit of sumCur flipped: still a valid dataState, which is
-	// why the snapshot around these codecs carries a checksum.
+	// One bit of sumCur flipped: still a valid dataState, which is why the
+	// snapshot around these codecs carries a checksum.
 	flipped := bytes.Clone(ds)
 	flipped[3+2] ^= 0x10 // bucket, moved, level take one byte each; sumCur follows
 	f.Add(true, ds)
@@ -288,7 +289,7 @@ func FuzzBucketBatchCodec(f *testing.F) {
 }
 
 func FuzzGainCodec(f *testing.F) {
-	f.Add(envelopeBytes(gainRecord(1.5, -0.25)))
+	f.Add(envelopeBytes(gainRecord(3, -1)))
 	f.Add([]byte{})
 	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(checkRecordCodec)
@@ -304,10 +305,11 @@ func sampleSchedule() *schedule {
 		weights: map[int32]int64{0: 41, 1: 37, 2: -3},
 		history: []IterRecord{{Level: 0, Iter: 0, Moved: 12, Fanout: 1.5}, {Level: 1, Iter: 1, Moved: 3, Fanout: 1.25}},
 	}
-	for key, gains := range map[uint64][]float64{0: {0.5, -0.25}, 1: {1.5}, 3: {-2, 0.125, 0.75}} {
+	unit := math.Ldexp(0.5, -32)
+	for key, gains := range map[uint64][]int64{0: {1 << 32, -1 << 31}, 1: {3 << 32}, 3: {-1 << 34, 1 << 30, 3 << 31}} {
 		h := &core.DirHist{}
 		for _, g := range gains {
-			h.Add(g)
+			h.Add(g, unit)
 		}
 		s.hists[key] = h
 	}

@@ -2,7 +2,7 @@ package distshp
 
 // Snapshot codecs for the fault-tolerance plane: everything a distributed
 // run holds across a superstep barrier — per-vertex dataState (including the
-// persistent dyadic-grid accumulators), per-vertex queryState, and the
+// persistent integer gain accumulators), per-vertex queryState, and the
 // master's schedule (level and iteration counters, persistent DirHist
 // histograms, bucket weights, iteration history) — encodes through these, so
 // a recovery resumes the *incremental* protocol exactly where the checkpoint
@@ -280,11 +280,11 @@ func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	buf = binary.AppendVarint(buf, int64(st.level))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.sumCur))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.sumOth))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.gain))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.sumCur))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.sumOth))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.gain))
 	buf = binary.AppendUvarint(buf, st.propKey)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.propGain))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.propGain))
 	buf = binary.AppendVarint(buf, int64(st.propLevel))
 	return buf, nil
 }
@@ -295,11 +295,11 @@ func (c dataStateCodec) Decode(data []byte) (any, int, error) {
 	st.bucket = d.bucket(c.k)
 	st.moved = d.byte() != 0
 	st.level = int(d.varint())
-	st.sumCur = math.Float64frombits(d.u64())
-	st.sumOth = math.Float64frombits(d.u64())
-	st.gain = math.Float64frombits(d.u64())
+	st.sumCur = int64(d.u64())
+	st.sumOth = int64(d.u64())
+	st.gain = int64(d.u64())
 	st.propKey = d.uvarint()
-	st.propGain = math.Float64frombits(d.u64())
+	st.propGain = int64(d.u64())
 	st.propLevel = int(d.varint())
 	if d.err != nil {
 		return nil, 0, fmt.Errorf("distshp: dataState snapshot: %w", d.err)

@@ -26,7 +26,6 @@ func TestGolden(t *testing.T) {
 		{"maprange", mapRangeAnalyzer},
 		{"nondet", nondetAnalyzer},
 		{"nondetpar", nondetAnalyzer},
-		{"floatdisc", floatDisciplineAnalyzer},
 		{"codecsym", codecSymmetryAnalyzer},
 		{"panicpolicy", panicPolicyAnalyzer},
 	}

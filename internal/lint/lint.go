@@ -3,9 +3,9 @@
 // sample. The repo's signature guarantee — every rebuild schedule the same,
 // patched == rebuilt, recovered == undisturbed, all byte-identical — is easy
 // to break silently: one `range` over a map in a merge loop, one wall-clock
-// read in a hot path, one raw float64 += on a dyadic-grid accumulator. Each
-// analyzer here encodes one of those hazard classes so `go test ./...` (via
-// TestLintClean) and CI fail before a flaky equivalence test ever would.
+// read in a hot path. Each analyzer here encodes one of those hazard classes
+// so `go test ./...` (via TestLintClean) and CI fail before a flaky
+// equivalence test ever would.
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types); packages are
 // loaded through `go list -deps -export -json`, so dependencies resolve from
@@ -16,17 +16,14 @@
 // Findings are suppressed with //shp: line comments carrying a mandatory
 // justification, placed on the offending line or the line directly above:
 //
-//	//shp:ordered(reason)  — maprange: iteration order provably immaterial
-//	//shp:nondet(reason)   — nondet-sources: timing/stats only, not results
-//	//shp:rawfloat(reason) — float-discipline: operand already a table delta
-//	//shp:nocodec(reason)  — codec-symmetry: registration exempt from a check
-//	//shp:panics(reason)   — panic-policy: invariant assertion, not an API
+//	//shp:ordered(reason) — maprange: iteration order provably immaterial
+//	//shp:nondet(reason)  — nondet-sources: timing/stats only, not results
+//	//shp:nocodec(reason) — codec-symmetry: registration exempt from a check
+//	//shp:panics(reason)  — panic-policy: invariant assertion, not an API
 //
-// A sixth directive, //shp:gainacc(reason), is a designation rather than a
-// suppression: it marks a struct field as a patched gain accumulator so the
-// float-discipline analyzer protects it. Empty justifications, unknown
-// directives, and suppressions that no longer suppress anything are
-// themselves diagnostics — annotations cannot rot silently.
+// Empty justifications, unknown directives, and suppressions that no longer
+// suppress anything are themselves diagnostics — annotations cannot rot
+// silently.
 package lint
 
 import (
@@ -101,7 +98,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		mapRangeAnalyzer,
 		nondetAnalyzer,
-		floatDisciplineAnalyzer,
 		codecSymmetryAnalyzer,
 		panicPolicyAnalyzer,
 	}
@@ -112,14 +108,11 @@ func Analyzers() []*Analyzer {
 const annotationAnalyzer = "shp-annotation"
 
 // directives maps each //shp: directive to the analyzer it suppresses.
-// gainacc maps to "" — it designates a field, it does not suppress.
 var directives = map[string]string{
-	"ordered":  "maprange",
-	"nondet":   "nondet-sources",
-	"rawfloat": "float-discipline",
-	"nocodec":  "codec-symmetry",
-	"panics":   "panic-policy",
-	"gainacc":  "",
+	"ordered": "maprange",
+	"nondet":  "nondet-sources",
+	"nocodec": "codec-symmetry",
+	"panics":  "panic-policy",
 }
 
 // annotation is one parsed //shp: comment.
@@ -205,10 +198,6 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			out = append(out, diags...)
 			for _, a := range fa {
 				target := directives[a.directive]
-				if target == "" {
-					a.used = true // designation, not suppression
-					continue
-				}
 				m := supp[target]
 				if m == nil {
 					m = map[suppKey]*annotation{}

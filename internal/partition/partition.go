@@ -213,7 +213,7 @@ func PFanout(g *hypergraph.Bipartite, a Assignment, p float64) float64 {
 	}
 	total := 0.0
 	for q := int32(0); int(q) < nq; q++ {
-		total += float64(g.QueryWeight(q)) * PFanoutQuery(g, a, p, q)
+		total += float64(float64(g.QueryWeight(q)) * PFanoutQuery(g, a, p, q))
 	}
 	return total / float64(g.TotalQueryWeight())
 }

@@ -186,11 +186,13 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 // payload through Options.Snapshots, pending records through Options.Codecs,
 // the codec the wire uses. Encoding order is canonical, so equal engine
 // states produce byte-identical snapshots. The checksum is what catches
-// damage that still parses — a flipped bit inside a float64 state decodes to
-// a different, perfectly valid state.
+// damage that still parses — a flipped bit inside a numeric state decodes to
+// a different, perfectly valid state. The version changes whenever a state
+// payload does: version 4 is distshp's integer gain units, which an older
+// snapshot holds as float64 bits.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 3
+	snapshotVersion = 4
 	snapshotSumSize = 4
 )
 

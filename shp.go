@@ -183,8 +183,9 @@ func (p *Partitioner) NewDelta() *Delta { return p.s.NewDelta() }
 // Apply splices the delta into the session's hypergraph — CSR splice with
 // spare capacity, reverse-adjacency patch, cache invalidation — and marks
 // the touched neighborhood dirty for the next Repartition. Atomic: on
-// error nothing changes. The assignment is not updated until Repartition
-// (new vertices read as Unassigned).
+// error nothing changes; a delta that would take the graph past the gain
+// range fails with ErrGainRange. The assignment is not updated until
+// Repartition (new vertices read as Unassigned).
 func (p *Partitioner) Apply(d *Delta) error { return p.s.Apply(d) }
 
 // Repartition absorbs every delta applied since the last call: new
@@ -204,6 +205,13 @@ func (p *Partitioner) Assignment() Assignment { return p.s.Assignment() }
 // Result returns the most recent partitioning result (the initial one, or
 // the last Repartition).
 func (p *Partitioner) Result() *Result { return p.s.Result() }
+
+// ErrGainRange is the error (wrapped) that Partition, PartitionDistributed,
+// NewPartitioner, Partitioner.Repartition and Partitioner.Apply return for a
+// graph too large for the integer gain arithmetic: past about 5·10^8
+// query-weighted incidences, or with a MoveCostPenalty whose |D| copies
+// overflow it.
+var ErrGainRange = core.ErrGainRange
 
 // Partition runs SHP on g once: recursive bisection by default, direct
 // k-way with Options.Direct. A graph that keeps evolving is better served by
