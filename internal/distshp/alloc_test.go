@@ -70,3 +70,26 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 		})
 	}
 }
+
+// TestPartitionAllocations bounds the objects one Partition call allocates
+// on a fixed graph. Vertex states, registries, pair room, rows and the
+// engine's vertices come from a handful of per-run slabs, so what is left is
+// per superstep (the engine's barrier, the master's maps) and the delta
+// scratch of queries that see movers: 0.9 objects per vertex here. One more
+// allocation per query breaks the bound. Boxed states, a registry and a flag
+// slice per query, and pair lists that outgrew their room at every level
+// start took 3.3 per vertex.
+func TestPartitionAllocations(t *testing.T) {
+	g := randomBipartite(t, 9, 1500, 2500, 16000)
+	opts := Options{K: 8, Workers: 2, ItersPerLevel: 6, Seed: 9}
+	vertices := g.NumData() + g.NumQueries()
+	objects := testing.AllocsPerRun(2, func() {
+		if _, err := Partition(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if objects > float64(vertices) {
+		t.Fatalf("%.0f objects per Partition call over %d vertices: want at most one per vertex", objects, vertices)
+	}
+	t.Logf("%.0f objects per Partition call over %d vertices", objects, vertices)
+}

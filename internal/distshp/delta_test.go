@@ -148,8 +148,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		for _, d := range members[q] {
 			regs = append(regs, bucketRecord(d, bucketOf[d]))
 		}
-		st := &queryState{level: -1}
-		st.register(int32(q), 0, buckets, 0, members[q], regs)
+		st := newQuery(len(members[q]), buckets)
+		st.register(int32(q), 0, 0, members[q], regs)
 		isMember[q] = set
 		qs[q] = st
 	}
@@ -285,8 +285,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
-		st := &queryState{level: -1}
-		st.register(42, 1, 8, 0, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
+		st := newQuery(len(members), 8)
+		st.register(42, 1, 0, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
 		return st
 	}
 	for _, c := range []struct {
@@ -328,7 +328,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 		}
 		slices.Sort(members)
 		members = slices.Compact(members)
-		derived := &queryState{level: -1}
+		derived := newQuery(len(members), k)
 		pre := make([]int32, len(members)) // each member's bucket before the split; none at level 0
 		var movers []record
 		if level > 0 {
@@ -337,7 +337,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 				pre[i] = int32(r.Intn(1 << level))
 				prior = append(prior, bucketRecord(d, pre[i]))
 			}
-			derived.register(42, level-1, k, seed, members, prior)
+			derived.register(42, level-1, seed, members, prior)
 			for i, d := range members {
 				if r.Intn(3) == 0 {
 					pre[i] ^= 1 // moved in the last iteration, unseen by the query
@@ -345,7 +345,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 				}
 			}
 		}
-		derived.register(42, level, k, seed, members, movers)
+		derived.register(42, level, seed, members, movers)
 
 		want := make([]int32, len(members))
 		var all []record
@@ -353,8 +353,8 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 			want[i] = splitBucket(seed, level, d, pre[i])
 			all = append(all, bucketRecord(d, want[i]))
 		}
-		full := &queryState{level: -1}
-		full.register(42, level, k, seed, members, all)
+		full := newQuery(len(members), k)
+		full.register(42, level, seed, members, all)
 
 		label := fmt.Sprintf("trial %d, level %d, %d of %d members moved", trial, level, len(movers), len(members))
 		if !slices.Equal(full.memberBucket, want) {

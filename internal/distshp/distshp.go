@@ -124,11 +124,12 @@ type Options struct {
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
 	// pregel.NewDiskCheckpointer to survive process death). Snapshots cover
-	// vertex state — including the persistent integer gain accumulators —
-	// pending inboxes, and the master's schedule with its persistent
-	// histograms, so a recovered run resumes the incremental protocol
-	// without a rebroadcast and finishes byte-identical to an undisturbed
-	// one.
+	// the engine's pending inboxes and, through its program hook, the run's
+	// own state: each worker's data states — the persistent integer gain
+	// accumulators included — and query registries, and the master's
+	// schedule with its persistent histograms. A recovered run resumes the
+	// incremental protocol without a rebroadcast and finishes byte-identical
+	// to an undisturbed one.
 	Checkpointer pregel.Checkpointer
 	// CheckpointEvery is the snapshot cadence in supersteps (default 64).
 	CheckpointEvery int
@@ -371,43 +372,58 @@ func (st *dataState) applyDelta(d int32, tb core.GainTables, r record) {
 // aligned with the query's sorted adjacency list — member lookups are binary
 // searches, and the per-level reset is a linear fill instead of a map
 // rebuild. The query's id is its vertex id minus |D|, so the state does not
-// store it.
+// store it. All but its diff buffer come from run slabs (newQueryStates).
 type queryState struct {
-	level int
+	level int // -1 until the first registration
 	// memberBucket[i] is the last known bucket of the i-th member of the
-	// query's sorted adjacency list, -1 while unregistered at this level.
+	// query's sorted adjacency list.
 	memberBucket []int32
 	// pairs lists the sibling pairs of the registered members, ascending
-	// and distinct. row is the live neighbor data over 2·len(pairs) local
-	// buckets. At every barrier both are exactly what recount derives from
-	// memberBucket, which is why a snapshot stores only the registry.
+	// and distinct, within room for min(degree, K/2) of them. row is the live
+	// neighbor data over 2·len(pairs) local buckets. At every barrier both
+	// are exactly what recount derives from memberBucket, which is why a
+	// snapshot stores only the registry.
 	pairs []int32
 	row   core.PinRow
 
 	// Per-superstep scratch, reused so the steady state allocates nothing:
 	// snap is the row as it stood before this superstep's first tracked
-	// update (diffed by deltaRecords), moved/movedIdx flag this superstep's
-	// movers by member index, changes is the diff output buffer.
-	snap     core.PinRow
-	moved    []bool
-	movedIdx []int32
-	changes  []core.NDChange
+	// update (diffed by deltaRecords), moved flags this superstep's movers by
+	// member index and movers counts them, changes is the diff output buffer.
+	snap    core.PinRow
+	moved   []bool
+	movers  int
+	changes []core.NDChange
 }
 
-// register (re)initializes the registry for a new level of a run over k
-// buckets and recounts the row. Each member's bucket is the split of the one
-// the registry holds, as the member itself made it, unless the member moved
-// in the previous iteration: then its record in movers carries the bucket.
-// The registry and room for every pair the query can reach share one
-// allocation.
-func (st *queryState) register(q int32, level, k int, seed uint64, members []int32, movers []record) {
-	st.level = level
-	if st.memberBucket == nil {
-		n := len(members)
-		buf := make([]int32, n+min(n, k/2))
-		st.memberBucket, st.pairs = buf[:n:n], buf[n:n]
-		st.moved = make([]bool, n)
+// newQueryStates carves n unregistered query states, query q of degree(q)
+// members, from per-run slabs: registries beside room for min(degree, k/2)
+// sibling pairs, mover flags, and live and snapshot rows over the room.
+func newQueryStates(n, k int, degree func(q int) int) []queryState {
+	room := func(q int) int { return min(degree(q), k/2) }
+	ints, flags := 0, 0
+	for q := 0; q < n; q++ {
+		ints += degree(q) + room(q)
+		flags += degree(q)
 	}
+	buf, moved := make([]int32, ints), make([]bool, flags)
+	rows := core.NewPinRows(2*n, func(i int) int { return 2 * room(i/2) })
+	states := make([]queryState, n)
+	for q := range states {
+		deg, r := degree(q), room(q)
+		states[q] = queryState{level: -1, row: rows[2*q], snap: rows[2*q+1],
+			memberBucket: buf[:deg:deg], pairs: buf[deg : deg : deg+r], moved: moved[:deg:deg]}
+		buf, moved = buf[deg+r:], moved[deg:]
+	}
+	return states
+}
+
+// register (re)initializes the registry for a new level and recounts the
+// row. Each member's bucket is the split of the one the registry holds, as
+// the member itself made it, unless the member moved in the previous
+// iteration: then its record in movers carries the bucket.
+func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []record) {
+	st.level = level
 	for i, d := range members {
 		st.memberBucket[i] = splitBucket(seed, level, d, st.memberBucket[i])
 	}
@@ -418,23 +434,21 @@ func (st *queryState) register(q int32, level, k int, seed uint64, members []int
 	st.recount()
 }
 
-// recount derives pairs and the row from memberBucket.
+// recount derives pairs and the row from memberBucket. Each distinct pair
+// is inserted in order, and there are no more of them than members or than
+// the K/2 pairs a run has, so pairs never outgrows its room.
 func (st *queryState) recount() {
 	st.pairs = st.pairs[:0]
 	for _, b := range st.memberBucket {
-		if b >= 0 {
-			st.pairs = append(st.pairs, b>>1)
+		if i, found := slices.BinarySearch(st.pairs, b>>1); !found {
+			st.pairs = slices.Insert(st.pairs, i, b>>1)
 		}
 	}
-	slices.Sort(st.pairs)
-	st.pairs = slices.Compact(st.pairs)
 	st.row = st.row.Reshape(2 * len(st.pairs))
 	st.snap = st.snap.Reshape(2 * len(st.pairs))
 	for _, b := range st.memberBucket {
-		if b >= 0 {
-			l, _ := st.local(b)
-			st.row.Inc(l)
-		}
+		l, _ := st.local(b)
+		st.row.Inc(l)
 	}
 }
 
@@ -463,8 +477,8 @@ func member(q int32, members []int32, data int32) int {
 }
 
 // applyUpdate folds one within-level bucket update into query q's neighbor
-// data: a transfer from the member's previous bucket, or a plain increment
-// if it had not registered. members is the query's sorted adjacency list.
+// data: a transfer from the member's previous bucket. members is the query's
+// sorted adjacency list.
 // When track is set (the incremental plane), the row is snapshotted before
 // the superstep's first tracked update and the updating member is flagged
 // as a mover, so deltaRecords can diff the net per-bucket changes and the
@@ -478,20 +492,16 @@ func (st *queryState) applyUpdate(q int32, members []int32, r record, track bool
 		panic(fmt.Sprintf("distshp: member %d of query %d moved to bucket %d outside its registered pairs", data, q, bucket))
 	}
 	if track {
-		if len(st.movedIdx) == 0 {
+		if st.movers == 0 {
 			st.snap.CopyFrom(st.row)
 		}
 		if !st.moved[i] {
 			st.moved[i] = true
-			st.movedIdx = append(st.movedIdx, int32(i))
+			st.movers++
 		}
 	}
-	if prev := st.memberBucket[i]; prev >= 0 {
-		from, _ := st.local(prev)
-		st.row.Transfer(q, from, l)
-	} else {
-		st.row.Inc(l)
-	}
+	from, _ := st.local(st.memberBucket[i])
+	st.row.Transfer(q, from, l)
 	st.memberBucket[i] = bucket
 }
 
@@ -507,12 +517,11 @@ func (st *queryState) deltaRecords() []core.NDChange {
 	return st.changes
 }
 
-// resetSuperstep clears the tracked-superstep scratch in O(#movers).
+// resetSuperstep clears the tracked-superstep scratch, in the time the send
+// loop already took to walk the members.
 func (st *queryState) resetSuperstep() {
-	for _, i := range st.movedIdx {
-		st.moved[i] = false
-	}
-	st.movedIdx = st.movedIdx[:0]
+	clear(st.moved)
+	st.movers = 0
 }
 
 // workerAgg is one worker's part of a superstep's aggregate, what its
@@ -666,30 +675,23 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
 	}
 
-	// The vertex states live in two slabs. A query's live and snapshot rows
-	// are carved from one row slab, each with room for the most pairs a
-	// level can give it: one per member and no more than the K/2 there are.
-	dataStates := make([]dataState, numD)
-	queryStates := make([]queryState, numQ)
-	rows := core.NewPinRows(2*numQ, func(i int) int { return 2 * min(g.QueryDegree(int32(i/2)), opts.K/2) })
-	vertices := make([]*pregel.Vertex, 0, numD+numQ)
-	for d := range dataStates {
-		dataStates[d] = dataState{bucket: -1, level: -1, propLevel: -1}
-		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(d), State: &dataStates[d]})
-	}
-	for q := range queryStates {
-		queryStates[q] = queryState{level: -1, row: rows[2*q], snap: rows[2*q+1]}
-		vertices = append(vertices, &pregel.Vertex{ID: pregel.VertexID(numD + q), State: &queryStates[q]})
+	// The program's state: the vertex states in two slabs, indexed by vertex
+	// id, and the schedule. The engine's vertices are one slab too.
+	states := newRunState(g, sched)
+	slab := make([]pregel.Vertex, numD+numQ)
+	vertices := make([]*pregel.Vertex, len(slab))
+	for i := range slab {
+		slab[i].ID = pregel.VertexID(i)
+		vertices[i] = &slab[i]
 	}
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
-		switch st := v.State.(type) {
-		case *dataState:
-			computeData(ctx, g, int32(v.ID), st, msgs, sched, tables)
-		case *queryState:
-			computeQuery(ctx, g, int32(int(v.ID)-numD), st, msgs, sched, tables)
+		if id := int(v.ID); id < numD {
+			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables)
+		} else {
+			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], msgs, sched, tables)
 		}
 	}
 
@@ -759,9 +761,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			engOpts.Checkpointer = pregel.NewMemoryCheckpointer()
 		}
 		engOpts.CheckpointEvery = opts.CheckpointEvery
-		engOpts.Snapshots = newSnapshotRegistry(opts.K)
-		engOpts.MasterSnapshot = func() []byte { return sched.appendBinary(nil) }
-		engOpts.MasterRestore = sched.restoreBinary
+		engOpts.Program = states
 	}
 	eng, err := pregel.NewEngineOf(engOpts, vertices)
 	if err != nil {
@@ -772,13 +772,11 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	// The final level's buckets are the result. If the run stopped at level
+	// L, bucket ids are already in [0, 2^L) = [0, K).
 	assignment := make(partition.Assignment, numD)
-	for d := 0; d < numD; d++ {
-		st := eng.Vertex(pregel.VertexID(d)).State.(*dataState)
-		b := st.bucket
-		// The final level's buckets are the result. If the run stopped at
-		// level L, bucket ids are already in [0, 2^L) = [0, K).
-		assignment[d] = b
+	for d, st := range states.data {
+		assignment[d] = st.bucket
 	}
 	elapsed := time.Since(start) //shp:nondet(wall timing for Result.Elapsed only; never feeds the partition)
 	return &Result{
@@ -944,7 +942,7 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 			// Level changed: split the registry, overridden by the movers'
 			// records. Every member's pair is new, so every member receives
 			// a full contribution below.
-			st.register(q, level, s.opts.K, s.opts.Seed, members, msgs)
+			st.register(q, level, s.opts.Seed, members, msgs)
 			full = true
 		} else {
 			// Apply the bucket updates. Unless this superstep rebroadcasts,
@@ -966,22 +964,17 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		tb := tables[level]
 		if full {
 			for i, d := range members {
-				if b := st.memberBucket[i]; b >= 0 {
-					own, sib := st.counts(b)
-					ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
-				}
+				own, sib := st.counts(st.memberBucket[i])
+				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
 			}
 			return
 		}
-		if len(st.movedIdx) == 0 {
+		if st.movers == 0 {
 			return // clean query: members' accumulators are already exact
 		}
 		changes := st.deltaRecords()
 		for i, d := range members {
 			b := st.memberBucket[i]
-			if b < 0 {
-				continue
-			}
 			if st.moved[i] {
 				own, sib := st.counts(b)
 				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))

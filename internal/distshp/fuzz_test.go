@@ -11,6 +11,7 @@ package distshp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -19,7 +20,6 @@ import (
 	"testing"
 
 	"shp/internal/core"
-	"shp/internal/pregel"
 )
 
 // fuzzWire is the record codec the wire fuzz targets run: a run over fuzzK
@@ -127,75 +127,92 @@ func rowViolation(st *queryState, buckets []int32, k int) string {
 	return ""
 }
 
-// fuzzK is the bucket count the checkpoint fuzz target's codecs run at.
+// fuzzK is the bucket count the checkpoint fuzz target's states run at.
 const fuzzK = 8
 
-// FuzzCheckpointCodec drives the checkpoint vertex-state codecs with
-// arbitrary bytes: Decode must reject hostile input — a bucket outside
-// [-1, K) among it — without panicking or over-allocating, a decoded
-// query's row must be the tally of its decoded registry, and any accepted
-// value must round-trip stably through Append/Decode (raw bytes may use
-// overlong varints, so the comparison is between the first and second
-// encodings, not against the input).
+// newQuery returns one unregistered query state of the given degree, carved
+// the way a run carves its queries', at k buckets.
+func newQuery(degree, k int) *queryState {
+	return &newQueryStates(1, k, func(int) int { return degree })[0]
+}
+
+// queryBytes encodes the state of a query at level whose registry holds
+// buckets.
+func queryBytes(level int, buckets ...int32) []byte {
+	return (&queryState{level: level, memberBucket: buckets}).appendBinary(nil)
+}
+
+// decodeVertex decodes one checkpointed vertex state off the front of data —
+// a data state, or the state of a query of the given degree, restored — and
+// returns its re-encoding, the bytes consumed and the query (nil for data).
+func decodeVertex(isData bool, degree int, data []byte) (re []byte, used int, q *queryState, err error) {
+	d := &decoder{data: data}
+	if isData {
+		var st dataState
+		st.decode(d, fuzzK, true)
+		re = st.appendBinary(nil)
+	} else {
+		q = newQuery(degree, fuzzK)
+		q.decode(d, 0, fuzzK, true)
+		re = q.appendBinary(nil)
+	}
+	return re, len(data) - len(d.data), q, d.err
+}
+
+// FuzzCheckpointCodec drives the checkpoint's vertex-state encoders with
+// arbitrary bytes: a decode must reject hostile input — a data bucket
+// outside [-1, K), a registry entry outside [0, K), a registry whose length
+// is not the query's degree — without panicking or over-allocating, a
+// restored query's row must be the tally of its registry (empty while it is
+// unregistered), and any accepted state must round-trip stably (raw bytes
+// may use overlong varints, so the comparison is between the first and
+// second encodings, not against the input). Degrees above K/2 take recount's
+// packing branch, the rest its sorting one.
 func FuzzCheckpointCodec(f *testing.F) {
-	ds, _ := (dataStateCodec{fuzzK}).Append(nil, &dataState{
+	ds := (&dataState{
 		bucket: 3, moved: true, level: 2,
 		sumCur: 3 << 31, sumOth: -1 << 30, gain: 1 << 29,
 		propKey: 11, propGain: 1 << 31, propLevel: 2,
-	})
-	qsReg, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 1, memberBucket: []int32{0, 3, -1, 3}})
-	qsNil, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{memberBucket: nil})
-	qsBucketK, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: []int32{0, fuzzK}})
+	}).appendBinary(nil)
 	// One bit of sumCur flipped: still a valid dataState, which is why the
-	// snapshot around these codecs carries a checksum.
+	// snapshot around these states carries a checksum.
 	flipped := bytes.Clone(ds)
 	flipped[3+2] ^= 0x10 // bucket, moved, level take one byte each; sumCur follows
-	f.Add(true, ds)
-	f.Add(true, flipped)
-	f.Add(false, qsReg)
-	f.Add(false, qsNil)
-	f.Add(false, qsBucketK)
-	f.Add(true, []byte{})
-	f.Add(false, []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Fuzz(func(t *testing.T, isData bool, data []byte) {
-		var codec pregel.ValueCodec
-		if isData {
-			codec = dataStateCodec{fuzzK}
-		} else {
-			codec = queryStateCodec{fuzzK}
-		}
-		m, used, err := codec.Decode(data)
+	f.Add(true, uint8(0), ds)
+	f.Add(true, uint8(0), flipped)
+	f.Add(false, uint8(4), queryBytes(1, 0, 3, 1, 3))
+	f.Add(false, uint8(6), queryBytes(2, 0, 3, 7, 5, 2, 3))
+	f.Add(false, uint8(2), queryBytes(-1, 0, 0))
+	f.Add(false, uint8(2), queryBytes(2, 0, fuzzK))
+	f.Add(false, uint8(3), queryBytes(2, 5))
+	f.Add(false, uint8(3), queryBytes(2, 1, -1, 1))
+	f.Add(true, uint8(0), []byte{})
+	f.Add(false, uint8(1), []byte{2, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
+	f.Fuzz(func(t *testing.T, isData bool, degree uint8, data []byte) {
+		deg := int(degree % 32)
+		re, used, st, err := decodeVertex(isData, deg, data)
 		if err != nil {
 			return // rejected; nothing to check beyond not panicking
 		}
 		if used > len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
 		}
-		if st, ok := m.(*queryState); ok {
+		if st != nil && st.level >= 0 {
 			if msg := rowViolation(st, st.memberBucket, fuzzK); msg != "" {
 				t.Fatalf("decoded row disagrees with its registry %v: %s", st.memberBucket, msg)
 			}
+		} else if st != nil && (len(st.pairs) != 0 || st.row.Live() != 0) {
+			t.Fatalf("unregistered query restored with pairs %v, %d live buckets", st.pairs, st.row.Live())
 		}
-		re, err := codec.Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if codec.Size(m) != len(re) {
-			t.Fatalf("Size %d != encoded %d", codec.Size(m), len(re))
-		}
-		m2, used2, err := codec.Decode(re)
+		re2, used2, _, err := decodeVertex(isData, deg, re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if used2 != len(re) {
 			t.Fatalf("re-decode consumed %d of %d bytes", used2, len(re))
 		}
-		// Compare encodings, not values: floats may carry NaN payloads that
-		// defeat DeepEqual while round-tripping bit-exactly.
-		re2, err := codec.Append(nil, m2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Compare encodings, not values: the state may hold values that
+		// DeepEqual does not see as equal while round-tripping bit-exactly.
 		if !bytes.Equal(re2, re) {
 			t.Fatalf("unstable canonical encoding: %x vs %x", re2, re)
 		}
@@ -203,31 +220,29 @@ func FuzzCheckpointCodec(f *testing.F) {
 }
 
 // TestCheckpointCodecRejectsOutOfRangeBuckets checks that a vertex state
-// holding a bucket the run's rows have no slot for fails its decode instead
-// of crashing the resumed run, and that both ends of [-1, K) decode.
+// holding a bucket the run's rows have no slot for — or, in a query's
+// registry, no bucket at all — fails its decode instead of crashing the
+// resumed run, and that both ends of each range decode.
 func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
-	for _, mb := range [][]int32{{0, fuzzK}, {-2, 1}, {1, 1 << 30}} {
-		buf, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: mb})
-		if _, _, err := (queryStateCodec{fuzzK}).Decode(buf); err == nil {
-			t.Errorf("registry %v decoded at K = %d", mb, fuzzK)
+	for _, mb := range [][]int32{{0, fuzzK}, {-2, 1}, {1, 1 << 30}, {-1, 1}} {
+		_, _, _, err := decodeVertex(false, len(mb), queryBytes(2, mb...))
+		if re := new(RegistryError); !errors.As(err, &re) || re.Len != uint64(len(mb)) {
+			t.Errorf("registry %v decoded at K = %d: %v", mb, fuzzK, err)
 		}
 	}
 	for _, b := range []int32{fuzzK, -2} {
-		buf, _ := (dataStateCodec{fuzzK}).Append(nil, &dataState{bucket: b, level: 2})
-		if _, _, err := (dataStateCodec{fuzzK}).Decode(buf); err == nil {
+		if _, _, _, err := decodeVertex(true, 0, (&dataState{bucket: b, level: 2}).appendBinary(nil)); err == nil {
 			t.Errorf("data bucket %d decoded at K = %d", b, fuzzK)
 		}
 	}
-	buf, _ := (queryStateCodec{fuzzK}).Append(nil, &queryState{level: 2, memberBucket: []int32{-1, fuzzK - 1, fuzzK - 1}})
-	m, _, err := (queryStateCodec{fuzzK}).Decode(buf)
+	_, _, st, err := decodeVertex(false, 3, queryBytes(2, 0, fuzzK-1, fuzzK-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := rowViolation(m.(*queryState), []int32{-1, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
+	if msg := rowViolation(st, []int32{0, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
 		t.Fatal(msg)
 	}
-	buf, _ = (dataStateCodec{fuzzK}).Append(nil, &dataState{bucket: -1, level: -1})
-	if _, _, err := (dataStateCodec{fuzzK}).Decode(buf); err != nil {
+	if _, _, _, err := decodeVertex(true, 0, (&dataState{bucket: -1, level: -1}).appendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,8 +332,8 @@ func sampleSchedule() *schedule {
 	return s
 }
 
-// FuzzSnapshotValueCodecs drives the master's snapshot, the one value the
-// checkpoint carries besides the vertex states: hostile counts and
+// FuzzSnapshotValueCodecs drives the master's snapshot, the blob the
+// checkpoint carries beside the workers' vertex states: hostile counts and
 // truncations must be rejected without a panic or an allocation the payload
 // does not pay for, a rejected blob must leave the schedule it was restored
 // into exactly as it was, and an accepted one must re-encode stably.

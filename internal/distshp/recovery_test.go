@@ -1,7 +1,10 @@
 package distshp
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"shp/internal/core"
@@ -184,5 +187,80 @@ func TestDistTransientDropsRetry(t *testing.T) {
 	}
 	if dropped.Stats.Recoveries != 0 {
 		t.Fatalf("Recoveries = %d, want 0", dropped.Stats.Recoveries)
+	}
+}
+
+// TestRestoreRejectsBadRegistries hands the checkpoint hook parts in which
+// one query's registry does not fit the query: one entry for a query of
+// degree 3 or more, which a resumed run would index past, or a -1 entry,
+// which no member can hold. The restore must fail with a *RegistryError
+// naming the query and leave the run's vertex states and schedule as they
+// were; so must a good part beside a damaged schedule. The good parts then
+// restore.
+func TestRestoreRejectsBadRegistries(t *testing.T) {
+	const seed = 5
+	g := randomBipartite(t, seed, 40, 60, 200)
+	s := newRunState(g, sampleSchedule())
+	for d := range s.data {
+		s.data[d].bucket, s.data[d].level = splitBucket(seed, 0, int32(d), -1), 0
+	}
+	for q := range s.query {
+		s.query[q].register(int32(q), 0, seed, g.QueryNeighbors(int32(q)), nil)
+	}
+	all := make([]*pregel.Vertex, g.NumData()+g.NumQueries())
+	for i := range all {
+		all[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
+	}
+	workers := [][]*pregel.Vertex{all[:len(all)/2], all[len(all)/2:]}
+	encode := func() [][]byte {
+		parts := make([][]byte, len(workers))
+		for w, vs := range workers {
+			parts[w] = s.AppendWorker(nil, vs)
+		}
+		return parts
+	}
+	good, master := encode(), s.AppendMaster(nil)
+	requireUnchanged := func(label string) {
+		t.Helper()
+		if got := encode(); !slices.EqualFunc(got, good, bytes.Equal) {
+			t.Fatalf("%s: a refused restore changed the vertex states", label)
+		}
+		if !bytes.Equal(s.AppendMaster(nil), master) {
+			t.Fatalf("%s: a refused restore changed the schedule", label)
+		}
+	}
+	q := int32(slices.IndexFunc(s.query, func(st queryState) bool { return len(st.memberBucket) >= 3 }))
+	if q < 0 {
+		t.Fatal("no query of degree 3 or more")
+	}
+	registry := s.query[q].memberBucket
+	withNegative := slices.Clone(registry)
+	withNegative[2] = -1
+	for _, c := range []struct {
+		name string
+		reg  []int32
+	}{{"one entry", registry[:1]}, {"a -1 entry", withNegative}} {
+		s.query[q].memberBucket = c.reg
+		bad := encode()
+		s.query[q].memberBucket = registry
+		err := s.Restore(workers, bad, master)
+		if re := new(RegistryError); !errors.As(err, &re) || re.Query != q {
+			t.Fatalf("%s: Restore returned %v, want a *RegistryError for query %d", c.name, err, q)
+		}
+		requireUnchanged(c.name)
+	}
+
+	s.data[0].sumCur++
+	other := encode()
+	s.data[0].sumCur--
+	if err := s.Restore(workers, other, master[:len(master)-1]); err == nil {
+		t.Fatal("a truncated schedule restored")
+	}
+	requireUnchanged("damaged schedule")
+	if err := s.Restore(workers, other, master); err != nil {
+		t.Fatal(err)
+	}
+	if s.data[0].sumCur--; !slices.EqualFunc(encode(), good, bytes.Equal) {
+		t.Fatal("restored vertex states differ from the parts")
 	}
 }

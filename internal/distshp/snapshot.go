@@ -1,21 +1,20 @@
 package distshp
 
-// Snapshot codecs for the fault-tolerance plane: everything a distributed
-// run holds across a superstep barrier — per-vertex dataState (including the
-// persistent integer gain accumulators), per-vertex queryState, and the
-// master's schedule (level and iteration counters, persistent DirHist
-// histograms, bucket weights, iteration history) — encodes through these, so
-// a recovery resumes the *incremental* protocol exactly where the checkpoint
-// left it: no rebroadcast, no resummation, byte-identical continuation.
+// The run's checkpoint plane. The engine snapshots only what it owns (halted
+// flags, pending inboxes); runState, its checkpoint hook, encodes the rest:
+// per worker, each data vertex's dataState (the persistent integer gain
+// accumulators included) and each query's level and registry, and the
+// master's schedule (counters, persistent DirHist histograms, bucket
+// weights, iteration history). A recovery resumes the *incremental* protocol
+// exactly where the checkpoint left it: no rebroadcast, no resummation,
+// byte-identical continuation.
 //
-// A query snapshot holds only its level and member registry. Its sibling
-// pairs and pin-count row are what the registry's entries >= 0 give at every
-// barrier, so a restore recounts them, and neither state stores its id: both
-// derive from the vertex id.
-//
-// Every encoding here is canonical (map keys sorted, struct fields in
-// declaration order), so equal states produce byte-identical snapshots —
-// the property FuzzCheckpointCodec and the restore-equality tests pin.
+// A query's sibling pairs and pin-count row are what its registry gives at
+// every barrier, so a restore recounts them; it knows the query's degree, so
+// it refuses a registry of another length or with an entry outside [0, K).
+// Encodings are canonical (map keys sorted, fields in declaration order), so
+// equal states produce byte-identical snapshots — the property
+// FuzzCheckpointCodec and the restore-equality tests pin.
 
 import (
 	"encoding/binary"
@@ -25,6 +24,7 @@ import (
 	"slices"
 
 	"shp/internal/core"
+	"shp/internal/hypergraph"
 	"shp/internal/pregel"
 )
 
@@ -263,16 +263,83 @@ func appendWeightMap(buf []byte, m map[int32]int64) []byte {
 	return buf
 }
 
-// --- vertex-state codecs ---
+// --- vertex states ---
 
-// The vertex-state codecs know the run's K: every bucket a state holds is
-// -1 (unregistered) or below K, and a decoded state that breaks this is
-// rejected instead of crashing the resumed run on a row index.
+// runState is a run's program state: the data and query slabs, indexed by
+// vertex id (a query's by its id minus |D|), and the master's schedule. It
+// is the engine's checkpoint hook. Every bucket a vertex state holds is
+// below the run's K (a data vertex's is -1 before its first level), and a
+// decoded state that breaks this is rejected instead of crashing the
+// resumed run on a row index.
+type runState struct {
+	data  []dataState
+	query []queryState
+	sched *schedule
+}
 
-type dataStateCodec struct{ k int }
+// newRunState returns the state of a run over g before its first superstep.
+func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
+	k := sched.opts.K
+	s := &runState{sched: sched, data: make([]dataState, g.NumData()),
+		query: newQueryStates(g.NumQueries(), k, func(q int) int { return g.QueryDegree(int32(q)) })}
+	for d := range s.data {
+		s.data[d] = dataState{bucket: -1, level: -1, propLevel: -1}
+	}
+	return s
+}
 
-func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
-	st := m.(*dataState)
+// AppendWorker encodes one worker's vertices' states, in the engine's order.
+func (s *runState) AppendWorker(buf []byte, vertices []*pregel.Vertex) []byte {
+	numD := pregel.VertexID(len(s.data))
+	for _, v := range vertices {
+		if v.ID < numD {
+			buf = s.data[v.ID].appendBinary(buf)
+		} else {
+			buf = s.query[v.ID-numD].appendBinary(buf)
+		}
+	}
+	return buf
+}
+
+// AppendMaster encodes the schedule.
+func (s *runState) AppendMaster(buf []byte) []byte { return s.sched.appendBinary(buf) }
+
+// Restore checks every part, restores the schedule (all or nothing), and
+// only then writes the parts, which can no longer fail.
+func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []byte) error {
+	if err := s.decodeParts(workers, parts, false); err != nil {
+		return err
+	}
+	if err := s.sched.restoreBinary(master); err != nil {
+		return err
+	}
+	return s.decodeParts(workers, parts, true)
+}
+
+// decodeParts decodes every worker's part, writing the slabs only with
+// commit set.
+func (s *runState) decodeParts(workers [][]*pregel.Vertex, parts [][]byte, commit bool) error {
+	numD, k := pregel.VertexID(len(s.data)), s.sched.opts.K
+	for w, vertices := range workers {
+		d := &decoder{data: parts[w]}
+		for _, v := range vertices {
+			if v.ID < numD {
+				s.data[v.ID].decode(d, k, commit)
+			} else {
+				s.query[v.ID-numD].decode(d, int32(v.ID-numD), k, commit)
+			}
+			if d.err != nil {
+				return fmt.Errorf("distshp: vertex %d state: %w", v.ID, d.err)
+			}
+		}
+		if len(d.data) != 0 {
+			return fmt.Errorf("distshp: worker %d state: %d trailing bytes", w, len(d.data))
+		}
+	}
+	return nil
+}
+
+func (st *dataState) appendBinary(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(st.bucket))
 	if st.moved {
 		buf = append(buf, 1)
@@ -285,95 +352,75 @@ func (dataStateCodec) Append(buf []byte, m any) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.gain))
 	buf = binary.AppendUvarint(buf, st.propKey)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.propGain))
-	buf = binary.AppendVarint(buf, int64(st.propLevel))
-	return buf, nil
+	return binary.AppendVarint(buf, int64(st.propLevel))
 }
 
-func (c dataStateCodec) Decode(data []byte) (any, int, error) {
-	d := &decoder{data: data}
-	st := &dataState{}
-	st.bucket = d.bucket(c.k)
-	st.moved = d.byte() != 0
-	st.level = int(d.varint())
-	st.sumCur = int64(d.u64())
-	st.sumOth = int64(d.u64())
-	st.gain = int64(d.u64())
-	st.propKey = d.uvarint()
-	st.propGain = int64(d.u64())
-	st.propLevel = int(d.varint())
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("distshp: dataState snapshot: %w", d.err)
+// decode reads a data state of a run over k buckets, and with commit set
+// installs it.
+func (st *dataState) decode(d *decoder, k int, commit bool) {
+	r := dataState{
+		bucket: d.bucket(k), moved: d.byte() != 0, level: int(d.varint()),
+		sumCur: int64(d.u64()), sumOth: int64(d.u64()), gain: int64(d.u64()),
+		propKey: d.uvarint(), propGain: int64(d.u64()), propLevel: int(d.varint()),
 	}
-	return st, len(data) - len(d.data), nil
+	if commit && d.err == nil {
+		*st = r
+	}
 }
 
-func (c dataStateCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-type queryStateCodec struct{ k int }
-
-// Append encodes the query's durable state: its level and member registry.
-// The pairs and row are the registry's tally at every barrier, so they are
-// not stored; the per-superstep scratch (snapshot row, mover flags, diff
-// buffer) is logically empty at every barrier — resetSuperstep runs before
-// the superstep ends on every path — so it is omitted and reallocated on
-// restore.
-func (queryStateCodec) Append(buf []byte, m any) ([]byte, error) {
-	st := m.(*queryState)
+// appendBinary encodes the query's level and registry. The per-superstep
+// scratch (snapshot row, mover flags, diff buffer) is empty at every
+// barrier — resetSuperstep runs before the superstep ends on every path.
+func (st *queryState) appendBinary(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(st.level))
-	// memberBucket nil (never registered) and empty (registered, zero
-	// degree) differ: register() only allocates when nil.
-	if st.memberBucket == nil {
-		buf = binary.AppendUvarint(buf, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(st.memberBucket)))
+	for _, b := range st.memberBucket {
+		buf = binary.AppendVarint(buf, int64(b))
+	}
+	return buf
+}
+
+// RegistryError is a checkpointed query registry that is not one bucket in
+// [0, K) per member, which a resumed run would index past or miscount.
+type RegistryError struct {
+	Query  int32  // the query's index among the queries
+	Degree int    // its member count
+	Len    uint64 // the registry's length
+	Bucket int64  // with Len == Degree, the first entry outside [0, K)
+}
+
+func (e *RegistryError) Error() string {
+	if e.Len != uint64(e.Degree) {
+		return fmt.Sprintf("query %d: registry of %d entries for %d members", e.Query, e.Len, e.Degree)
+	}
+	return fmt.Sprintf("query %d: registry holds bucket %d", e.Query, e.Bucket)
+}
+
+// decode reads query q's level and registry, checked against its degree —
+// the length of the registry it was carved with — and the run's k buckets.
+// With commit set it installs them and recounts the row, empty while the
+// query is unregistered.
+func (st *queryState) decode(d *decoder, q int32, k int, commit bool) {
+	degree := len(st.memberBucket)
+	level := int(d.varint())
+	if n := d.uvarint(); d.err == nil && n != uint64(degree) {
+		d.err = &RegistryError{Query: q, Degree: degree, Len: n}
+	}
+	for i := 0; i < degree && d.err == nil; i++ {
+		switch b := d.varint(); {
+		case d.err != nil:
+		case b < 0 || b >= int64(k):
+			d.err = &RegistryError{Query: q, Degree: degree, Len: uint64(degree), Bucket: b}
+		case commit:
+			st.memberBucket[i] = int32(b)
+		}
+	}
+	if !commit || d.err != nil {
+		return
+	}
+	if st.level = level; level >= 0 {
+		st.recount()
 	} else {
-		buf = binary.AppendUvarint(buf, uint64(len(st.memberBucket))+1)
-		for _, b := range st.memberBucket {
-			buf = binary.AppendVarint(buf, int64(b))
-		}
+		st.pairs, st.row, st.snap = st.pairs[:0], st.row.Reshape(0), st.snap.Reshape(0)
 	}
-	return buf, nil
-}
-
-// Decode restores the level and registry and recounts the pairs and row
-// from the registry, so a restored row can never disagree with it.
-func (c queryStateCodec) Decode(data []byte) (any, int, error) {
-	d := &decoder{data: data}
-	st := &queryState{}
-	st.level = int(d.varint())
-	nMB := d.uvarint()
-	if nMB > uint64(len(d.data))+1 { // each member bucket is >= 1 byte
-		d.fail("member registry count exceeds payload")
-	}
-	if d.err == nil && nMB > 0 {
-		degree := int(nMB - 1)
-		st.memberBucket = make([]int32, degree)
-		for i := range st.memberBucket {
-			st.memberBucket[i] = d.bucket(c.k)
-		}
-		// applyUpdate indexes moved by member position whenever the
-		// registry exists, so it must be re-allocated alongside.
-		st.moved = make([]bool, degree)
-	}
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("distshp: queryState snapshot: %w", d.err)
-	}
-	st.recount()
-	return st, len(data) - len(d.data), nil
-}
-
-func (c queryStateCodec) Size(m any) int {
-	buf, _ := c.Append(nil, m)
-	return len(buf)
-}
-
-// newSnapshotRegistry builds the checkpoint codec registry of the vertex
-// states of a run over k buckets. A state missing here fails the checkpoint
-// loudly instead of being dropped.
-func newSnapshotRegistry(k int) *pregel.Registry {
-	reg := pregel.NewRegistry()
-	reg.Register(&dataState{}, dataStateCodec{k})
-	reg.Register(&queryState{}, queryStateCodec{k})
-	return reg
 }

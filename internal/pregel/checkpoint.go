@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,16 +62,6 @@ func (c *MemoryCheckpointer) Latest() (int, []byte, bool, error) {
 		return 0, nil, false, nil
 	}
 	return c.latest, c.snaps[c.latest], true, nil
-}
-
-// Load returns the snapshot saved at an exact superstep (ok=false if none).
-// Not part of the Checkpointer interface; tests use it to replay from
-// arbitrary boundaries.
-func (c *MemoryCheckpointer) Load(superstep int) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.snaps[superstep]
-	return s, ok
 }
 
 // DiskCheckpointer persists snapshots as files in a directory, one file per
@@ -170,29 +161,44 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 	return steps, nil
 }
 
+// ProgramState checkpoints a program's own state: its vertices', kept in
+// the program indexed by id, and the master's. A snapshot holds one part per
+// worker beside one master blob; the engine frames and checksums them.
+type ProgramState interface {
+	// AppendWorker appends the state of one worker's vertices, given in the
+	// engine's canonical order (id-ascending), to buf.
+	AppendWorker(buf []byte, vertices []*Vertex) []byte
+	// AppendMaster appends the master's state to buf.
+	AppendMaster(buf []byte) []byte
+	// Restore replaces the program's state with a snapshot's: parts[w] is
+	// what AppendWorker wrote for workers[w], master what AppendMaster
+	// wrote. All or nothing: on error the program is exactly as it was.
+	// Nothing restored may alias the arguments.
+	Restore(workers [][]*Vertex, parts [][]byte, master []byte) error
+}
+
 // Snapshot format (versioned; all integers are uvarints unless noted):
 //
 //	magic "SHPS" | version byte | superstep | workers | total vertices
-//	per vertex, worker-major then id-ascending (the engine's canonical
-//	  order): id | flags byte (bit0 halted, bit1 state present) |
-//	  [state value]
-//	per worker: inbox length | per record, in the inbox's grouped order
-//	  (destination-ascending, then source worker, then send order): dst |
-//	  the record as a one-record envelope
-//	master blob length | blob bytes
+//	per worker, in worker order:
+//	  program part length | the part (Options.Program's AppendWorker)
+//	  halted flags: one bit per vertex in the engine's canonical order
+//	    (id-ascending), low bit first, ⌈n/8⌉ bytes
+//	  inbox length | per record, in the inbox's grouped order
+//	    (destination-ascending, then source worker, then send order): dst |
+//	    the record as a one-record envelope
+//	master blob length | blob bytes (Options.Program's AppendMaster)
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
-// Values ride the typed-codec plane: states as one codec-id byte plus the
-// payload through Options.Snapshots, pending records through Options.Codecs,
-// the codec the wire uses. Encoding order is canonical, so equal engine
-// states produce byte-identical snapshots. The checksum is what catches
-// damage that still parses — a flipped bit inside a numeric state decodes to
-// a different, perfectly valid state. The version changes whenever a state
-// payload does: version 4 is distshp's integer gain units, which an older
-// snapshot holds as float64 bits.
+// Pending records ride Options.Codecs, the codec the wire uses. Encoding
+// order is canonical, so equal states produce byte-identical snapshots. The
+// checksum is what catches damage that still parses — a flipped bit inside a
+// numeric state decodes to a different, perfectly valid state. The version
+// changes whenever the layout or a program's payload does: version 5 moved
+// vertex states out of the engine into per-worker program parts.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 4
+	snapshotVersion = 5
 	snapshotSumSize = 4
 )
 
@@ -211,6 +217,12 @@ func (e *EngineOf[M, A]) checkpoint(superstep int) error {
 	return nil
 }
 
+// prefixLen inserts the length of buf[at:] at at, as a uvarint.
+func prefixLen(buf []byte, at int) []byte {
+	var n [binary.MaxVarintLen64]byte
+	return slices.Insert(buf, at, n[:binary.PutUvarint(n[:], uint64(len(buf)-at))]...)
+}
+
 // encodeSnapshot serializes the complete barrier state at a superstep
 // boundary: everything the next superstep's compute can observe. The buffer
 // starts at the previous snapshot's size, which the next one rarely outgrows.
@@ -219,39 +231,18 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 	buf = append(buf, snapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(superstep))
 	buf = binary.AppendUvarint(buf, uint64(len(e.workers)))
-	total := 0
-	for _, w := range e.workers {
-		total += len(w.vertices)
-	}
-	buf = binary.AppendUvarint(buf, uint64(total))
+	buf = binary.AppendUvarint(buf, uint64(len(e.place)))
 	var err error
 	for _, w := range e.workers {
-		for _, v := range w.vertices {
-			// The first snapshot has no previous size: keep room for a vertex,
-			// so the buffer doubles rather than take append's 1.25x steps.
-			buf = grow(buf, 64)
-			buf = binary.AppendUvarint(buf, uint64(v.ID))
-			var flags byte
+		at := len(buf)
+		buf = prefixLen(e.opts.Program.AppendWorker(buf, w.vertices), at)
+		at = len(buf)
+		buf = append(buf, make([]byte, (len(w.vertices)+7)/8)...)
+		for l, v := range w.vertices {
 			if v.halted {
-				flags |= 1
-			}
-			if v.State != nil {
-				flags |= 2
-			}
-			buf = append(buf, flags)
-			if v.State != nil {
-				// A missing codec fails loudly: silently dropping state would
-				// corrupt a later recovery.
-				if e.opts.Snapshots == nil {
-					return nil, fmt.Errorf("Options.Snapshots registry required to encode %T", v.State)
-				}
-				if buf, err = e.opts.Snapshots.appendValue(buf, v.State); err != nil {
-					return nil, fmt.Errorf("vertex %d state: %w", v.ID, err)
-				}
+				buf[at+l/8] |= 1 << (l % 8)
 			}
 		}
-	}
-	for _, w := range e.workers {
 		buf = binary.AppendUvarint(buf, uint64(len(w.in.msg)))
 		if len(w.in.msg) > 0 && e.opts.Codecs == nil {
 			return nil, fmt.Errorf("Options.Codecs required to snapshot pending messages")
@@ -265,12 +256,8 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 			}
 		}
 	}
-	var master []byte
-	if e.opts.MasterSnapshot != nil {
-		master = e.opts.MasterSnapshot()
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(master)))
-	buf = append(buf, master...)
+	at := len(buf)
+	buf = prefixLen(e.opts.Program.AppendMaster(buf), at)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
 
@@ -278,14 +265,14 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 // every byte has parsed: a damaged file must fail before anything is rewound,
 // so recovery can still fall back to an older one.
 type snapshotState[M any] struct {
-	halted  []bool        // per vertex, the engine's canonical order
-	states  []interface{} // same order; nil = no state
-	inboxes []inbox[M]    // per worker
+	parts   [][]byte   // per worker, the program's part
+	halted  [][]byte   // per worker, the halted bits
+	inboxes []inbox[M] // per worker
 	master  []byte
 }
 
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
-// against its checksum and the engine's layout (worker count, vertex ids,
+// against its checksum and the engine's layout (worker and vertex counts,
 // who owns each pending message). It only reads the engine.
 func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
@@ -310,6 +297,14 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 		data = data[n:]
 		return v, nil
 	}
+	readBytes := func(n uint64) ([]byte, error) {
+		if uint64(len(data)) < n {
+			return nil, fmt.Errorf("truncated snapshot")
+		}
+		b := data[:n:n]
+		data = data[n:]
+		return b, nil
+	}
 	if _, err := readUvarint(); err != nil { // superstep: carried by the checkpointer
 		return nil, err
 	}
@@ -324,50 +319,26 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 	if err != nil {
 		return nil, err
 	}
-	wantTotal := 0
-	for _, w := range e.workers {
-		wantTotal += len(w.vertices)
-	}
-	if total != uint64(wantTotal) {
-		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, wantTotal)
+	if total != uint64(len(e.place)) {
+		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, len(e.place))
 	}
 	s := &snapshotState[M]{
-		halted:  make([]bool, 0, wantTotal),
-		states:  make([]interface{}, 0, wantTotal),
+		parts:   make([][]byte, len(e.workers)),
+		halted:  make([][]byte, len(e.workers)),
 		inboxes: make([]inbox[M], len(e.workers)),
-	}
-	for _, w := range e.workers {
-		for _, v := range w.vertices {
-			id, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if VertexID(id) != v.ID {
-				return nil, fmt.Errorf("snapshot vertex %d where engine expects %d", id, v.ID)
-			}
-			if len(data) == 0 {
-				return nil, fmt.Errorf("truncated snapshot")
-			}
-			flags := data[0]
-			data = data[1:]
-			var state interface{}
-			if flags&2 != 0 {
-				if e.opts.Snapshots == nil {
-					return nil, fmt.Errorf("Options.Snapshots registry required to restore vertex states")
-				}
-				var used int
-				if state, used, err = e.opts.Snapshots.decodeValue(data); err != nil {
-					return nil, fmt.Errorf("vertex %d state: %w", id, err)
-				}
-				data = data[used:]
-			}
-			s.halted = append(s.halted, flags&1 != 0)
-			s.states = append(s.states, state)
-		}
 	}
 	for _, w := range e.workers {
 		n, err := readUvarint()
 		if err != nil {
+			return nil, err
+		}
+		if s.parts[w.id], err = readBytes(n); err != nil {
+			return nil, err
+		}
+		if s.halted[w.id], err = readBytes(uint64(len(w.vertices)+7) / 8); err != nil {
+			return nil, err
+		}
+		if n, err = readUvarint(); err != nil {
 			return nil, err
 		}
 		if n > 0 && e.opts.Codecs == nil {
@@ -400,42 +371,40 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 			in.start[l] += in.start[l-1]
 		}
 	}
-	blobLen, err := readUvarint()
+	n, err := readUvarint()
+	if err == nil {
+		s.master, err = readBytes(n)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) < blobLen {
-		return nil, fmt.Errorf("truncated snapshot")
-	}
-	s.master = data[:blobLen]
-	if rest := len(data) - int(blobLen); rest != 0 {
-		return nil, fmt.Errorf("%d trailing bytes in snapshot", rest)
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes in snapshot", len(data))
 	}
 	return s, nil
 }
 
 // restoreSnapshot rewinds the engine to a snapshot taken by encodeSnapshot:
-// vertex states and halted flags, pending inboxes, and (via
-// Options.MasterRestore) the master's state. Outboxes and the aggregate's
-// parts are cleared — they were produced after the boundary being restored.
-// The snapshot is decoded in full, and the master has accepted its blob,
-// before the first engine field changes: on error the engine is exactly as
-// it was.
+// halted flags and pending inboxes, and (via Options.Program) the program's
+// state. Outboxes and the aggregate's parts are cleared — they were produced
+// after the boundary being restored. The snapshot is decoded in full, and
+// the program has accepted its parts, before the first engine field
+// changes: on error the engine and the program are exactly as they were.
 func (e *EngineOf[M, A]) restoreSnapshot(data []byte) error {
 	s, err := e.decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
-	if e.opts.MasterRestore != nil {
-		if err := e.opts.MasterRestore(s.master); err != nil {
-			return fmt.Errorf("master restore: %w", err)
-		}
+	workers := make([][]*Vertex, len(e.workers))
+	for i, w := range e.workers {
+		workers[i] = w.vertices
 	}
-	i := 0
+	if err := e.opts.Program.Restore(workers, s.parts, s.master); err != nil {
+		return fmt.Errorf("program restore: %w", err)
+	}
 	for _, w := range e.workers {
-		for _, v := range w.vertices {
-			v.halted, v.State = s.halted[i], s.states[i]
-			i++
+		for l, v := range w.vertices {
+			v.halted = s.halted[w.id][l/8]>>(l%8)&1 != 0
 		}
 		w.in = s.inboxes[w.id]
 		e.clearOutboxes(w)

@@ -16,35 +16,38 @@ import (
 
 // ringRun is a deterministic, never-halting computation that exercises every
 // plane a checkpoint must cover: float64 vertex states that evolve each
-// superstep, ring messages pending at every barrier, and a float64 aggregate
-// the master folds into state of its own.
+// superstep, kept by the program in a slab indexed by vertex id, ring
+// messages pending at every barrier, and a float64 aggregate the master
+// folds into state of its own. It checkpoints both through its
+// ProgramState methods.
 type ringRun struct {
 	masterSum float64
+	vals      []float64 // by vertex id
 	opts      OptionsOf[Message, float64]
 	vertices  []*Vertex
 }
 
 func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, every int) *ringRun {
-	r := &ringRun{}
-	r.vertices = make([]*Vertex, n)
+	r := &ringRun{vals: make([]float64, n), vertices: make([]*Vertex, n)}
 	for i := range r.vertices {
-		r.vertices[i] = &Vertex{ID: VertexID(i), State: float64(i + 1)}
+		r.vertices[i] = &Vertex{ID: VertexID(i)}
+		r.vals[i] = float64(i + 1)
 	}
 	r.opts = OptionsOf[Message, float64]{
 		Workers:         workers,
 		MaxSupersteps:   steps,
 		Transport:       transport,
 		Codecs:          floatRegistry(),
-		Snapshots:       floatRegistry(),
 		Checkpointer:    cp,
 		CheckpointEvery: every,
+		Program:         r,
 		Compute: func(ctx *ContextOf[Message, float64], v *Vertex, msgs []Message) {
-			val := v.State.(float64)
+			val := r.vals[v.ID]
 			for _, m := range msgs {
 				val += m.(float64)
 			}
 			val *= 0.75 // keep magnitudes bounded
-			v.State = val
+			r.vals[v.ID] = val
 			*ctx.Aggregate() += val
 			ctx.Send(VertexID((int(v.ID)+1)%n), val*0.5)
 		},
@@ -56,22 +59,44 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 			r.masterSum += total * float64(step+1)
 			return false
 		},
-		MasterSnapshot: func() []byte {
-			return binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.masterSum))
-		},
-		MasterRestore: func(data []byte) error {
-			if len(data) != 8 {
-				return fmt.Errorf("bad master blob length %d", len(data))
-			}
-			r.masterSum = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			return nil
-		},
 	}
 	return r
 }
 
+// AppendWorker encodes each vertex's value as 8 little-endian bytes.
+func (r *ringRun) AppendWorker(buf []byte, vertices []*Vertex) []byte {
+	for _, v := range vertices {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.vals[v.ID]))
+	}
+	return buf
+}
+
+// AppendMaster encodes the master's sum as 8 little-endian bytes.
+func (r *ringRun) AppendMaster(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.masterSum))
+}
+
+// Restore checks every part's length and the blob's before it writes.
+func (r *ringRun) Restore(workers [][]*Vertex, parts [][]byte, master []byte) error {
+	for w, vs := range workers {
+		if len(parts[w]) != 8*len(vs) {
+			return fmt.Errorf("worker %d: %d bytes for %d vertices", w, len(parts[w]), len(vs))
+		}
+	}
+	if len(master) != 8 {
+		return fmt.Errorf("bad master blob length %d", len(master))
+	}
+	for w, vs := range workers {
+		for i, v := range vs {
+			r.vals[v.ID] = math.Float64frombits(binary.LittleEndian.Uint64(parts[w][8*i:]))
+		}
+	}
+	r.masterSum = math.Float64frombits(binary.LittleEndian.Uint64(master))
+	return nil
+}
+
 // run executes the computation, failing the test on error.
-func (r *ringRun) run(t *testing.T) *Stats {
+func (r *ringRun) run(t testing.TB) *Stats {
 	t.Helper()
 	eng, err := NewEngineOf(r.opts, r.vertices)
 	if err != nil {
@@ -84,20 +109,24 @@ func (r *ringRun) run(t *testing.T) *Stats {
 	return stats
 }
 
-// requireSameRun asserts bit-identical final states, master closures, and
-// per-superstep statistics between two finished ringRuns.
-func requireSameRun(t *testing.T, label string, a, b *ringRun, sa, sb *Stats) {
+// requireSameStates asserts bit-identical vertex values and master sums.
+func requireSameStates(t *testing.T, label string, a, b *ringRun) {
 	t.Helper()
-	for i := range a.vertices {
-		av := a.vertices[i].State.(float64)
-		bv := b.vertices[i].State.(float64)
-		if math.Float64bits(av) != math.Float64bits(bv) {
-			t.Fatalf("%s: state[%d] differs: %v vs %v", label, i, av, bv)
+	for i := range a.vals {
+		if math.Float64bits(a.vals[i]) != math.Float64bits(b.vals[i]) {
+			t.Fatalf("%s: state[%d] differs: %v vs %v", label, i, a.vals[i], b.vals[i])
 		}
 	}
 	if math.Float64bits(a.masterSum) != math.Float64bits(b.masterSum) {
 		t.Fatalf("%s: master state differs: %v vs %v", label, a.masterSum, b.masterSum)
 	}
+}
+
+// requireSameRun asserts bit-identical final states, master closures, and
+// per-superstep statistics between two finished ringRuns.
+func requireSameRun(t *testing.T, label string, a, b *ringRun, sa, sb *Stats) {
+	t.Helper()
+	requireSameStates(t, label, a, b)
 	if len(sa.PerSuperstep) != len(sb.PerSuperstep) {
 		t.Fatalf("%s: %d vs %d supersteps", label, len(sa.PerSuperstep), len(sb.PerSuperstep))
 	}
@@ -206,16 +235,7 @@ func TestRecoveryOverTCP(t *testing.T) {
 	stats := r.run(t)
 	// BytesSent differs between transports (frames vs codec sizes), so
 	// compare states and master closure only.
-	for i := range base.vertices {
-		av := base.vertices[i].State.(float64)
-		bv := r.vertices[i].State.(float64)
-		if math.Float64bits(av) != math.Float64bits(bv) {
-			t.Fatalf("state[%d] differs: %v vs %v", i, av, bv)
-		}
-	}
-	if math.Float64bits(base.masterSum) != math.Float64bits(r.masterSum) {
-		t.Fatalf("master state differs: %v vs %v", base.masterSum, r.masterSum)
-	}
+	requireSameStates(t, "tcp", base, r)
 	if len(baseStats.PerSuperstep) != len(stats.PerSuperstep) {
 		t.Fatalf("%d vs %d supersteps", len(baseStats.PerSuperstep), len(stats.PerSuperstep))
 	}
@@ -354,13 +374,7 @@ func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 		KillWorker: 0, KillStep: 7,
 	}), cp, 3)
 	stats := r.run(t)
-	for i := range base.vertices {
-		av := base.vertices[i].State.(float64)
-		bv := r.vertices[i].State.(float64)
-		if math.Float64bits(av) != math.Float64bits(bv) {
-			t.Fatalf("state[%d] differs: %v vs %v", i, av, bv)
-		}
-	}
+	requireSameStates(t, "disk", base, r)
 	if stats.Recoveries != 1 {
 		t.Fatalf("Recoveries = %d, want 1", stats.Recoveries)
 	}
@@ -372,9 +386,9 @@ func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 // bit-for-bit identical to an undisturbed run. With both kept snapshots
 // damaged the run fails with the original *WorkerFailure still in the chain.
 // Three kinds of damage: a truncation, a flipped bit in the version byte, and
-// a flipped mantissa bit inside the first vertex's float64 state — which
-// still parses, to a different valid state, and is caught by the checksum
-// alone.
+// a flipped mantissa bit inside the first vertex's float64 state in the ring
+// program's part — which still parses, to a different valid state, and is
+// caught by the checksum alone.
 func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 	const n, workers, steps, every, kill = 24, 3, 12, 3, 7 // snapshots at 0, 3, 6; kill at 7
 	base := newRingRun(n, workers, steps, nil, nil, 0)
@@ -383,9 +397,9 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 	truncate := func(b []byte) []byte { return b[:len(b)/2] }
 	bitFlip := func(b []byte) []byte { b[len(snapshotMagic)] ^= 0x10; return b }
 	// Header: magic, version, then superstep, worker count and vertex count
-	// (one-byte uvarints at these sizes); first vertex: id, flags, codec id,
-	// then the eight bytes of its state.
-	stateAt := len(snapshotMagic) + 1 + 3 + 3
+	// (one-byte uvarints at these sizes); then worker 0's program part: its
+	// length, one byte here, and the eight bytes of each vertex's state.
+	stateAt := len(snapshotMagic) + 1 + 3 + 1
 	payloadFlip := func(b []byte) []byte { b[stateAt] ^= 0x10; return b }
 	damage := func(t *testing.T, cp *DiskCheckpointer, step int, how func([]byte) []byte) {
 		t.Helper()
@@ -505,4 +519,62 @@ func TestSnapshotVersionMismatchRefused(t *testing.T) {
 			t.Fatalf("worker %d's part is %v, want %v", i, *eng.parts[i], *plain.parts[i])
 		}
 	}
+}
+
+// FuzzSnapshotRestore drives the engine's side of a restore: it mutates a
+// real snapshot of a checkpointed ring run, re-checksums it so the damage
+// reaches the parser, and restores it into an engine holding another. A
+// rejected snapshot must leave the engine and the ring program exactly as
+// they were — their snapshot encodes to the same bytes — and an accepted one
+// must re-encode stably.
+func FuzzSnapshotRestore(f *testing.F) {
+	const n, workers, steps = 24, 3, 6
+	cp := NewMemoryCheckpointer()
+	newRingRun(n, workers, steps, nil, cp, 1).run(f)
+	bodies := make([][]byte, steps)
+	for step := range bodies {
+		snap := cp.snaps[step]
+		bodies[step] = snap[:len(snap)-snapshotSumSize]
+		f.Add(bodies[step])
+	}
+	last := bodies[steps-1]
+	f.Add(last[:len(last)/2])
+	f.Add(append(bytes.Clone(last), 0))
+	stateAt := len(snapshotMagic) + 1 + 3 // worker 0's program part length
+	f.Add(append(bytes.Clone(last[:stateAt]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1))
+
+	r := newRingRun(n, workers, steps, nil, NewMemoryCheckpointer(), 1)
+	eng, err := NewEngineOf(r.opts, r.vertices)
+	if err != nil {
+		f.Fatal(err)
+	}
+	encode := func(t *testing.T) []byte {
+		snap, err := eng.encodeSnapshot(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	start := append(bytes.Clone(bodies[2]), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(start[len(bodies[2]):], crc32.ChecksumIEEE(bodies[2]))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := eng.restoreSnapshot(start); err != nil {
+			t.Fatal(err)
+		}
+		before := encode(t)
+		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+		if err := eng.restoreSnapshot(data); err != nil {
+			if !bytes.Equal(encode(t), before) {
+				t.Fatalf("rejected snapshot (%v) changed the engine or the program", err)
+			}
+			return
+		}
+		re := encode(t)
+		if err := eng.restoreSnapshot(re); err != nil {
+			t.Fatalf("re-encoded snapshot refused: %v", err)
+		}
+		if again := encode(t); !bytes.Equal(again, re) {
+			t.Fatalf("unstable encoding: %x vs %x", again, re)
+		}
+	})
 }

@@ -29,9 +29,9 @@ type Codec[M any] interface {
 }
 
 // ValueCodec serializes one concrete type held in an interface value. A
-// Registry binds value codecs to types; it encodes the messages of the
-// Message-typed plane, and vertex states in checkpoints. Decode reports the
-// bytes it consumed, and the value must not alias data.
+// Registry binds value codecs to types to encode the messages of the
+// Message-typed plane. Decode reports the bytes it consumed, and the value
+// must not alias data.
 type ValueCodec interface {
 	Append(buf []byte, v any) ([]byte, error)
 	Decode(data []byte) (any, int, error)
@@ -40,8 +40,8 @@ type ValueCodec interface {
 
 // Registry maps concrete types to value codecs and assigns each a stable
 // one-byte wire id in registration order. It is the Codec of the
-// Message-typed plane, where an envelope is one record (its wire id, then its
-// payload), and the codec of checkpointed vertex states.
+// Message-typed plane, where an envelope is one record: its wire id, then its
+// payload.
 type Registry struct {
 	types  []reflect.Type // by wire id
 	codecs []ValueCodec
@@ -94,16 +94,27 @@ func (r *Registry) Append(buf []byte, recs []any) ([]byte, error) {
 	if err := one(recs); err != nil {
 		return buf, err
 	}
-	return r.appendValue(buf, recs[0])
+	id, err := r.idOf(recs[0])
+	if err != nil {
+		return buf, err
+	}
+	return r.codecs[id].Append(append(buf, id), recs[0])
 }
 
 // Decode reads a one-record envelope onto recs.
 func (r *Registry) Decode(data []byte, recs []any) ([]any, int, error) {
-	v, used, err := r.decodeValue(data)
+	if len(data) == 0 {
+		return recs, 0, fmt.Errorf("pregel: truncated codec id")
+	}
+	id := data[0]
+	if int(id) >= len(r.codecs) {
+		return recs, 0, fmt.Errorf("pregel: unknown codec id %d", id)
+	}
+	v, used, err := r.codecs[id].Decode(data[1:])
 	if err != nil {
 		return recs, 0, err
 	}
-	return append(recs, v), used, nil
+	return append(recs, v), 1 + used, nil
 }
 
 // Size returns a one-record envelope's encoded size.
@@ -116,32 +127,6 @@ func (r *Registry) Size(recs []any) (int, error) {
 		return 0, err
 	}
 	return 1 + r.codecs[id].Size(recs[0]), nil
-}
-
-// appendValue encodes one bare value: a codec-id byte, then the payload.
-func (r *Registry) appendValue(buf []byte, v any) ([]byte, error) {
-	id, err := r.idOf(v)
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf, id)
-	return r.codecs[id].Append(buf, v)
-}
-
-// decodeValue reads one bare value from the front of data.
-func (r *Registry) decodeValue(data []byte) (any, int, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("pregel: truncated codec id")
-	}
-	id := data[0]
-	if int(id) >= len(r.codecs) {
-		return nil, 0, fmt.Errorf("pregel: unknown codec id %d", id)
-	}
-	v, used, err := r.codecs[id].Decode(data[1:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, 1 + used, nil
 }
 
 func uvarintLen(v uint64) int {

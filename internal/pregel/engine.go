@@ -158,6 +158,9 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 	if len(vertices) > math.MaxInt32 {
 		return nil, fmt.Errorf("pregel: %d vertices exceed the engine's int32 placement table", len(vertices))
 	}
+	if opts.Checkpointer != nil && opts.Program == nil {
+		return nil, errors.New("pregel: a Checkpointer needs Options.Program to checkpoint the program's state")
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -186,6 +189,9 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 		}
 		if byID[v.ID] != nil {
 			return nil, fmt.Errorf("pregel: duplicate vertex id %d", v.ID)
+		}
+		if v.State != nil && opts.Checkpointer != nil {
+			return nil, fmt.Errorf("pregel: vertex %d has a State, which no checkpoint holds: keep it in the program and checkpoint it through Options.Program", v.ID)
 		}
 		byID[v.ID] = v
 	}
@@ -227,7 +233,8 @@ func (e *EngineOf[M, A]) workerOf(id VertexID) int {
 // statistics.
 //
 // With a Checkpointer configured, the engine snapshots its full barrier
-// state (vertex states, halted flags, pending inboxes, master blob) at
+// state (halted flags, pending inboxes, and the program's parts and master
+// blob through Options.Program) at
 // superstep 0 and every CheckpointEvery supersteps, and a *WorkerFailure
 // during an exchange rolls every worker back to the latest snapshot and
 // replays. Because compute is deterministic given barrier

@@ -12,11 +12,15 @@
 // The engine is generic over its message type M and its aggregate type A
 // (EngineOf[M, A]), so a program that sends one flat record type moves it
 // unboxed from Send to delivery, and its vertices fold into a struct of its
-// own instead of named, boxed aggregators. Whatever the master broadcasts is
-// the program's own state, written between supersteps and checkpointed
-// through MasterSnapshot/MasterRestore. The
-// message plane is layered, and id-indexed throughout — vertex ids are dense,
-// so no step of it hashes or sorts:
+// own instead of named, boxed aggregators.
+//
+// The engine owns each vertex's id and halted flag, the inboxes and the
+// aggregate, nothing else. A program keeps its per-vertex state indexed by
+// the dense ids, and what the master broadcasts is its state too; both are
+// checkpointed through Options.Program.
+//
+// The message plane is layered, and id-indexed throughout, so no step of it
+// hashes or sorts:
 //
 //   - engine.go places every vertex once (id -> worker, local index), runs
 //     supersteps, buffers each worker's sends as flat records in one slab per
@@ -53,13 +57,12 @@ type VertexID int64
 // Context): any value a Registry has a codec for.
 type Message = any
 
-// VertexState is per-vertex user state.
-type VertexState interface{}
-
-// Vertex is one vertex's engine-side record.
+// Vertex is one vertex's engine-side record: its id and whether it voted to
+// halt. State is a slot no checkpoint holds, which NewEngineOf refuses when
+// a Checkpointer is set; a program keeps its state itself, indexed by ID.
 type Vertex struct {
 	ID     VertexID
-	State  VertexState
+	State  any
 	halted bool
 }
 
@@ -167,8 +170,7 @@ type Stats struct {
 	// RetriedFrames counts transport exchanges re-attempted after a
 	// transient error (errors wrapping ErrTransient) before succeeding.
 	RetriedFrames int64
-	// CheckpointBytes is the total encoded size of all snapshots written,
-	// measured on the same codec plane as wire bytes.
+	// CheckpointBytes is the total size of all snapshots written.
 	CheckpointBytes int64
 	PerSuperstep    []SuperstepStats
 }
@@ -214,7 +216,7 @@ type OptionsOf[M, A any] struct {
 	// of the superstep's aggregate, in worker order, which the engine zeroes
 	// when Master returns. Returning true halts the computation after this
 	// superstep. A value the vertices read from the master is the program's
-	// own state: Master writes it between supersteps, and MasterSnapshot
+	// own state: Master writes it between supersteps, and Program
 	// checkpoints it.
 	Master func(superstep int, parts []*A) (halt bool)
 	// MaxSupersteps bounds the run (required, > 0).
@@ -236,29 +238,22 @@ type OptionsOf[M, A any] struct {
 	// update in place; m is the sender's, to read but not retain.
 	Combiner func(held *M, m M) bool
 
-	// Checkpointer, if set, enables superstep checkpointing: the engine
-	// snapshots vertex state, halted flags, pending inboxes and the master
-	// blob every CheckpointEvery supersteps, and rolls back to the latest
-	// snapshot when an exchange fails with a *WorkerFailure. The aggregate
-	// is zero at every barrier, so no snapshot holds it. Nil disables
-	// checkpointing (any worker failure aborts the run).
+	// Checkpointer, if set, enables superstep checkpointing: every
+	// CheckpointEvery supersteps the engine snapshots the halted flags, the
+	// pending inboxes and, through Program, the program's state, and rolls
+	// back to the latest snapshot when an exchange fails with a
+	// *WorkerFailure. The aggregate is zero at every barrier, so no snapshot
+	// holds it. Nil disables checkpointing (any worker failure aborts the
+	// run).
 	Checkpointer Checkpointer
 	// CheckpointEvery is the snapshot cadence in supersteps. <= 0 means 64.
 	// A snapshot is always taken at superstep 0 (before any compute) so
 	// recovery is possible from the first barrier onward.
 	CheckpointEvery int
-	// Snapshots registers codecs for vertex states so snapshots ride the
-	// same typed-codec plane as messages. Required when Checkpointer is set
-	// and any vertex state is non-nil; a missing codec fails the checkpoint
-	// loudly rather than dropping state silently.
-	Snapshots *Registry
-	// MasterSnapshot/MasterRestore serialize the master's state (optional):
-	// whatever it keeps across supersteps, including every value the
-	// vertices read from it. Without them a recovery replays the master
-	// from whatever state it holds at the failure, which is wrong for a
-	// master that keeps mutable state.
-	MasterSnapshot func() []byte
-	MasterRestore  func(data []byte) error
+	// Program checkpoints the program's state beside the engine's: each
+	// worker's vertices' and the master's (see ProgramState). Required with
+	// a Checkpointer.
+	Program ProgramState
 	// FrameTimeout is the per-frame read/write deadline on the TCP
 	// transport. <= 0 means no deadline (a dead peer blocks forever).
 	FrameTimeout time.Duration

@@ -322,6 +322,18 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := NewEngine(Options{Compute: func(*Context, *Vertex, []Message) {}, MaxSupersteps: 1}, dup); err == nil {
 		t.Fatal("duplicate ids should error")
 	}
+	checkpointed := Options{Compute: func(*Context, *Vertex, []Message) {}, MaxSupersteps: 1,
+		Checkpointer: NewMemoryCheckpointer()}
+	if _, err := NewEngine(checkpointed, []*Vertex{{ID: 0}}); err == nil {
+		t.Fatal("a Checkpointer without a Program should error")
+	}
+	checkpointed.Program = &ringRun{}
+	if _, err := NewEngine(checkpointed, []*Vertex{{ID: 0, State: 1.0}}); err == nil {
+		t.Fatal("a State no checkpoint holds should error when checkpointing")
+	}
+	if _, err := NewEngine(checkpointed, []*Vertex{{ID: 0}}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
