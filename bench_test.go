@@ -1,6 +1,8 @@
 // Benchmarks of the partitioner on fixed workloads, plus the comparisons the
-// README argues from ("Which engine", "The incremental refinement engine",
-// "Parallel refinement"). Quality benches attach the achieved fanout via
+// README argues from ("Which engine", "Parallel refinement"; the patched
+// versus full-recompute comparisons of "The incremental refinement engine"
+// are BenchmarkRefineDelta in internal/core and BenchmarkDistDelta in
+// internal/distshp, beside the test-only hook they set). Quality benches attach the achieved fanout via
 // b.ReportMetric so `go test -bench` output doubles as a quality regression
 // record. The paper's tables and figures are `cmd/experiments -run <id>`;
 // experiments_test.go runs every one of them at quick scale.
@@ -8,7 +10,6 @@ package shp_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -80,55 +81,6 @@ func BenchmarkPartitionSHPk(b *testing.B) {
 	}
 	b.ReportMetric(fanout, "fanout")
 	b.ReportMetric(float64(g.NumEdges())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-}
-
-// BenchmarkRefineDelta measures the incremental engine where it matters:
-// warm-started refinement at a controlled churn level. A converged
-// assignment is perturbed by a known moved fraction and re-refined for a
-// fixed number of iterations, on the default rebuild schedule and with a
-// full rebuild every iteration (NDRebuildEvery 1; byte-identical results,
-// so edges/s differences are pure engine overhead/savings).
-func BenchmarkRefineDelta(b *testing.B) {
-	g := benchGraph(b, "powerlaw-small")
-	const k = 16
-	base, err := shp.Partition(g, shp.Options{K: k, Direct: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	perturb := func(frac float64) shp.Assignment {
-		warm := make(shp.Assignment, len(base.Assignment))
-		copy(warm, base.Assignment)
-		r := rand.New(rand.NewSource(7))
-		n := int(frac * float64(len(warm)))
-		for i := 0; i < n; i++ {
-			v := r.Intn(len(warm))
-			warm[v] = int32(r.Intn(k))
-		}
-		return warm
-	}
-	for _, frac := range []float64{0.01, 0.05, 0.25} {
-		warm := perturb(frac)
-		for _, engine := range []struct {
-			name         string
-			rebuildEvery int
-		}{{"incremental", 0}, {"full-rebuild", 1}} {
-			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
-				var iters int
-				for i := 0; i < b.N; i++ {
-					res, err := shp.Partition(g, shp.Options{
-						K: k, Direct: true, Seed: 2, MaxIters: 6,
-						Initial: warm, NDRebuildEvery: engine.rebuildEvery,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					iters = res.Iterations
-				}
-				b.ReportMetric(float64(iters), "iters")
-				b.ReportMetric(float64(g.NumEdges())*float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-			})
-		}
-	}
 }
 
 // BenchmarkRepartitionDelta measures the session API where it matters: a
@@ -294,46 +246,6 @@ func BenchmarkMessagePlane(b *testing.B) {
 			b.ReportMetric(remoteMsgs, "remote-msgs")
 			b.ReportMetric(bytes, "msg-bytes")
 			b.ReportMetric(bytesPerSuperstep, "bytes/superstep")
-		})
-	}
-}
-
-// BenchmarkDistDelta quantifies the dirty-query delta plane: the
-// "incremental" (default schedule) and "full" (RebuildEvery 1) runs are
-// byte-identical in quality (pinned by TestDistIncrementalMatchesFull), so
-// the interesting metrics are the gain-superstep bytes of late iterations
-// (moved fraction <= 1%), where the delta plane ships churn-proportional
-// traffic while the full rebroadcast stays O(|E|). Compare
-// late-bytes/superstep between the two sub-benchmarks; the reduction should
-// be well above 3x.
-func BenchmarkDistDelta(b *testing.B) {
-	g := benchGraph(b, "social-small")
-	for _, tc := range []struct {
-		name         string
-		rebuildEvery int
-	}{
-		{"incremental", 0},
-		{"full", 1},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var lateBytes, lateIters, totalBytes float64
-			for i := 0; i < b.N; i++ {
-				res, err := shp.PartitionDistributed(g, shp.DistributedOptions{
-					K: 16, Seed: 1, Workers: 4, MinMoveFraction: 1e-9,
-					RebuildEvery: tc.rebuildEvery,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, lb := res.LateGainBytes(0.01)
-				lateBytes = float64(lb)
-				lateIters = float64(n)
-				totalBytes = float64(res.Stats.TotalBytes)
-			}
-			if lateIters > 0 {
-				b.ReportMetric(lateBytes/lateIters, "late-bytes/superstep")
-			}
-			b.ReportMetric(totalBytes, "msg-bytes")
 		})
 	}
 }

@@ -218,7 +218,7 @@ func run() error {
 // printWork dumps the per-iteration work counters next to the pinned
 // history: the frontier the gain pass visited and the gain/scan work units
 // spent, all of which shrink with the moving frontier (and jump back to |D|
-// on a sweep-fallback or scheduled-rebuild iteration).
+// on a sweep iteration).
 func printWork(res *shp.Result) {
 	if len(res.Work) == 0 {
 		return

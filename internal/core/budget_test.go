@@ -183,7 +183,7 @@ func TestMigrationBudgetUnlimitedByteIdentical(t *testing.T) {
 
 func TestSessionIncrementalMatchesFullWithBudget(t *testing.T) {
 	// The budget filter runs on the decided list, downstream of how gains
-	// were brought up to date, so the default schedule and the rebuilt
+	// were brought up to date, so the patched default and the rebuilt
 	// period-1 reference stay byte-identical with a binding budget.
 	s1, s2, c1, c2 := sessionPair(t, Options{K: 8, Direct: true, Seed: 13, MigrationBudget: 40}, 0.04)
 	runSessionEpochs(t, s1, s2, c1, c2, 4)

@@ -49,7 +49,7 @@ import (
 // falls back to what the paper does every round: one ndBuild pass over |E|,
 // then a proposal pass that rebuilds every vertex — interchangeable because
 // patched and swept states are identical. Marking every vertex for rebuild
-// (markAllActive: the first pass, a fallback, a scheduled rebuild) also
+// (markAllActive: the first pass, a sweep) also
 // declares the candidate lists dead, and one bit records it: a list is
 // meaningful iff !candsStale. The proposal pass that finds the bit set is
 // fused — each vertex's accumulators drain into a scratch list,
@@ -58,8 +58,7 @@ import (
 // data build plus one fused rebuild/select and maintains nothing. The lists
 // are materialised (materializeCands, one plain rebuild pass, which clears
 // the bit) before something reads them: at the first patched batch after a
-// run of sweeps — again after each scheduled rebuild — and before a
-// Session's Repartition returns. A batch materialises them from its own
+// run of sweeps and before a Session's Repartition returns. A batch materialises them from its own
 // post-move neighbor data, which makes them the lists its patches would
 // have made, so it has nothing to fold into them.
 //
@@ -96,10 +95,9 @@ import (
 // # Iteration schedule
 //
 // The IterPolicy all three refiners share decides after each batch whether
-// it is patched, swept or rebuilt (a sweep on the schedule of
-// Options.NDRebuildEvery; at 1, the paper's full recomputation every
-// iteration), and whether refinement stops. Every schedule produces
-// byte-identical partitions and histories for a fixed seed.
+// it is patched or swept, and whether refinement stops. A sweep every
+// iteration (Options.sweepEvery 1) is the paper's full recomputation, and
+// it produces byte-identical partitions and histories for a fixed seed.
 type directState struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -140,7 +138,7 @@ type directState struct {
 	penalty int64
 
 	// The active set holds each vertex's pending work — activeRebuild for
-	// movers (and everyone after a sweep or scheduled rebuild), activeSelect
+	// movers (and everyone after a sweep), activeSelect
 	// for vertices whose accumulators were patched or whose tied argmax a new
 	// epoch seed re-keys — and, after a patched batch, the frontier of
 	// exactly the vertices whose proposal inputs changed. tied[v] records
@@ -798,8 +796,8 @@ func (st *directState) refreshAdmissibility() {
 	}
 }
 
-// markAllActive schedules every vertex for a rebuild (initial iteration,
-// sweep fallback, and scheduled rebuilds): the candidate lists are dead and
+// markAllActive schedules every vertex for a rebuild (initial iteration and
+// sweeps): the candidate lists are dead and
 // the next proposal pass is a fused sweep.
 func (st *directState) markAllActive() {
 	st.activeSet.markAllActive()
@@ -840,18 +838,16 @@ func (st *directState) applyMoves(iter int) []move {
 // to date with one move batch, in the IterPolicy's mode. Patch runs the
 // kernel's move-batch pass (count transfers plus dirty-query diff
 // collection) and patches the members of each dirty query with the query's
-// exact entry deltas; Sweep and Rebuild rebuild the neighbor data outright
-// and schedule a fused sweep. Movers themselves are never patched but
+// exact entry deltas; Sweep rebuilds the neighbor data outright and
+// schedules a fused sweep. Movers themselves are never patched but
 // rebuilt — their own bucket changed, which reshapes base/acc — so their
 // lists are pending until then. All patch arithmetic is exact, so results
 // are independent of the mode. accepted must contain each vertex at most
 // once, with st.bucket already holding the destination.
 func (st *directState) applyBatch(accepted []move, mode BatchMode) {
-	if mode != Patch {
+	if mode == Sweep {
 		st.buildNeighborData()
-		if mode == Sweep { // charged the mark reset a patch pays; a scheduled rebuild is not
-			st.scanWork += st.clearMarks()
-		}
+		st.scanWork += st.clearMarks() // charged the mark reset a patch pays
 		st.markAllActive()
 		return
 	}

@@ -58,7 +58,7 @@ func frontierWarmStart(t testing.TB, sides []int8, frac float64) []int8 {
 // deterministic counters: refining a lightly perturbed warm start, the late
 // iterations (everything after the first, which evaluates all state on any
 // schedule) must cost the frontier engine at least 5x fewer gain-plus-scan
-// work units than a full rebuild every iteration (NDRebuildEvery 1), while
+// work units than a full recomputation every iteration (sweepEvery 1), while
 // producing byte-identical sides and histories. GainWork counts Equation 1
 // table terms and folded delta records; ScanWork counts per-vertex visits in
 // the gain, bin-sync, coin, apply, and trim phases — together they proxy the
@@ -74,9 +74,9 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 
 	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(t, cold.run(), 0.003)
-	run := func(rebuildEvery int) *bisection {
+	run := func(sweepEvery int) *bisection {
 		o := opts
-		o.NDRebuildEvery = rebuildEvery
+		o.sweepEvery = sweepEvery
 		b := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
@@ -140,12 +140,12 @@ func BenchmarkConvergedIteration(b *testing.B) {
 	cold := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(b, cold.run(), 0.001)
 	for _, engine := range []struct {
-		name         string
-		rebuildEvery int
+		name       string
+		sweepEvery int
 	}{{"frontier", 0}, {"full-rebuild", 1}} {
 		b.Run(fmt.Sprintf("moved0.1%%-%s", engine.name), func(b *testing.B) {
 			o := opts
-			o.NDRebuildEvery = engine.rebuildEvery
+			o.sweepEvery = engine.sweepEvery
 			var iters, frontier, work int64
 			for i := 0; i < b.N; i++ {
 				bis := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
@@ -171,10 +171,10 @@ func BenchmarkConvergedIteration(b *testing.B) {
 	}
 }
 
-// TestPeriodOneIsFullRecomputation pins that the rebuild schedule at period
-// 1 is plain full per-iteration recomputation and nothing more: every
-// iteration's gain pass visits all of |D| and counts exactly one rebuild of
-// every vertex — 2|E| table terms for a bisection (both sides' terms per
+// TestPeriodOneIsFullRecomputation pins that a sweep forced every batch
+// (sweepEvery 1) is plain full per-iteration recomputation and nothing more:
+// every iteration's gain pass visits all of |D| and counts exactly one
+// rebuild of every vertex — 2|E| table terms for a bisection (both sides' terms per
 // incidence), |E| neighbor queries walked for SHP-k — so no patch was
 // collected or folded for a batch the next iteration rebuilt over.
 func TestPeriodOneIsFullRecomputation(t *testing.T) {
@@ -196,13 +196,13 @@ func TestPeriodOneIsFullRecomputation(t *testing.T) {
 		}
 	}
 	t.Run("SHP2", func(t *testing.T) {
-		opts := Options{K: 2, P: 0.5, NDRebuildEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
+		opts := Options{K: 2, P: 0.5, sweepEvery: 1, MinMoveFraction: 1e-9}.withDefaults()
 		b := coldBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 		b.run()
 		check(t, b.work, 2)
 	})
 	t.Run("SHPk", func(t *testing.T) {
-		res, err := Partition(g, Options{K: 8, Direct: true, Seed: 11, NDRebuildEvery: 1, MaxIters: 12})
+		res, err := Partition(g, Options{K: 8, Direct: true, Seed: 11, sweepEvery: 1, MaxIters: 12})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"shp/internal/gen"
 	"shp/internal/hypergraph"
 	"shp/internal/rng"
 )
@@ -19,44 +21,40 @@ import (
 // protocols, and warm starts, plus a property test for the maintained
 // neighbor data itself.
 
-// runBoth partitions g under opts' rebuild schedule (the default unless the
-// config sets one), then with a full rebuild every iteration — the
-// reference, which runs no patch code at all — and with no rebuild ever,
-// and asserts identical outcomes.
+// runBoth partitions g under opts (patched, unless the config forces
+// sweeps), then with a sweep every iteration — the reference, which runs no
+// patch code at all — and asserts identical outcomes.
 func runBoth(t *testing.T, g *hypergraph.Bipartite, opts Options) {
 	t.Helper()
 	ri, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, period := range []int{1, -1} {
-		o := opts
-		o.NDRebuildEvery = period
-		rf, err := Partition(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ri.Assignment, rf.Assignment) {
-			diff := 0
-			for i := range ri.Assignment {
-				if ri.Assignment[i] != rf.Assignment[i] {
-					diff++
-				}
+	opts.sweepEvery = 1
+	rf, err := Partition(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ri.Assignment, rf.Assignment) {
+		diff := 0
+		for i := range ri.Assignment {
+			if ri.Assignment[i] != rf.Assignment[i] {
+				diff++
 			}
-			t.Fatalf("period %d: assignments differ at %d/%d vertices", period, diff, len(ri.Assignment))
 		}
-		if ri.Iterations != rf.Iterations {
-			t.Fatalf("period %d: iteration counts differ: %d vs %d", period, ri.Iterations, rf.Iterations)
-		}
-		if !reflect.DeepEqual(ri.History, rf.History) {
-			n := min(len(ri.History), len(rf.History))
-			for i := 0; i < n; i++ {
-				if ri.History[i] != rf.History[i] {
-					t.Fatalf("period %d: history diverges at %d: %+v vs %+v", period, i, ri.History[i], rf.History[i])
-				}
+		t.Fatalf("assignments differ from the full recomputation at %d/%d vertices", diff, len(ri.Assignment))
+	}
+	if ri.Iterations != rf.Iterations {
+		t.Fatalf("iteration counts differ: %d vs %d", ri.Iterations, rf.Iterations)
+	}
+	if !reflect.DeepEqual(ri.History, rf.History) {
+		n := min(len(ri.History), len(rf.History))
+		for i := 0; i < n; i++ {
+			if ri.History[i] != rf.History[i] {
+				t.Fatalf("history diverges at %d: %+v vs %+v", i, ri.History[i], rf.History[i])
 			}
-			t.Fatalf("period %d: history lengths differ: %d vs %d", period, len(ri.History), len(rf.History))
 		}
+		t.Fatalf("history lengths differ: %d vs %d", len(ri.History), len(rf.History))
 	}
 }
 
@@ -124,9 +122,9 @@ func TestIncrementalMatchesFullConfigurations(t *testing.T) {
 		{K: 8, Seed: 2, Direct: true, Initial: warm, MoveCostPenalty: 0.1},
 		{K: 8, Seed: 2, Objective: ObjCliqueNet},
 		{K: 8, Seed: 2, Objective: ObjFanout, Direct: true},
-		// Force the safety-net rebuild to fire mid-run: it must not change
+		// Force a sweep every third batch mid-run: it must not change
 		// anything either.
-		{K: 8, Seed: 2, Direct: true, NDRebuildEvery: 3},
+		{K: 8, Seed: 2, Direct: true, sweepEvery: 3},
 	}
 	for i, opts := range configs {
 		t.Run(fmt.Sprintf("config%d", i), func(t *testing.T) {
@@ -429,6 +427,58 @@ func TestPinRowsSurviveSessionEdits(t *testing.T) {
 		}
 		if len(removed) == 0 || added == 0 || repaired == 0 {
 			t.Fatalf("%s: %d removed, %d added hyperedges, %d repaired epochs; some edit path went undriven", name, len(removed), added, repaired)
+		}
+	}
+}
+
+// BenchmarkRefineDelta measures the incremental engine where it matters:
+// warm-started refinement at a controlled churn level. A converged
+// assignment is perturbed by a known moved fraction and re-refined for a
+// fixed number of iterations, patched and with a sweep every iteration
+// (sweepEvery 1; byte-identical results, so edges/s differences are pure
+// engine overhead/savings).
+func BenchmarkRefineDelta(b *testing.B) {
+	g, err := gen.PowerLawBipartite(10000, 16000, 90000, 2.1, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g = hypergraph.PruneTrivialQueries(g, 2)
+	const k = 16
+	base, err := Partition(g, Options{K: k, Direct: true, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	perturb := func(frac float64) []int32 {
+		warm := slices.Clone(base.Assignment)
+		r := rand.New(rand.NewSource(7))
+		n := int(frac * float64(len(warm)))
+		for i := 0; i < n; i++ {
+			v := r.Intn(len(warm))
+			warm[v] = int32(r.Intn(k))
+		}
+		return warm
+	}
+	for _, frac := range []float64{0.01, 0.05, 0.25} {
+		warm := perturb(frac)
+		for _, engine := range []struct {
+			name       string
+			sweepEvery int
+		}{{"incremental", 0}, {"full-rebuild", 1}} {
+			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
+				var iters int
+				for i := 0; i < b.N; i++ {
+					res, err := Partition(g, Options{
+						K: k, Direct: true, Seed: 2, MaxIters: 6,
+						Initial: warm, sweepEvery: engine.sweepEvery,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					iters = res.Iterations
+				}
+				b.ReportMetric(float64(iters), "iters")
+				b.ReportMetric(float64(g.NumEdges())*float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+			})
 		}
 	}
 }

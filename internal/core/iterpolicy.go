@@ -8,10 +8,10 @@ import "fmt"
 // the run stops. The stop rule is the paper's; the modes are upkeep of the
 // incremental state and never change a result.
 type IterPolicy struct {
-	maxIters     int     // iterations per run: a bisection, an SHP-k run or epoch, a level
-	minMove      float64 // stop after a batch that moved less than this fraction
-	rebuildEvery int     // rebuild after every rebuildEvery-th batch; <= 0 never
-	fallbackDiv  int     // sweep a batch that moved at least n/fallbackDiv
+	maxIters    int     // iterations per run: a bisection, an SHP-k run or epoch, a level
+	minMove     float64 // stop after a batch that moved less than this fraction
+	sweepEvery  int     // also sweep every sweepEvery-th batch; <= 0 never (tests only)
+	fallbackDiv int     // sweep a batch that moved at least n/fallbackDiv
 }
 
 // The measured patch-vs-sweep divisors. In process, past 1/8 moved,
@@ -24,20 +24,21 @@ const (
 	WireFallbackDiv      = 32
 )
 
-// BatchMode is how an engine applies a move batch. All three leave the same
-// state, bit for bit.
+// BatchMode is how an engine applies a move batch. Both leave the same
+// state, bit for bit: every patch is exact integer arithmetic.
 type BatchMode uint8
 
 const (
-	Patch   BatchMode = iota // fold the batch into the state, re-evaluate its frontier
-	Sweep                    // too large to patch: recompute the state in one pass, re-evaluate all
-	Rebuild                  // the scheduled safety net: recount from scratch, re-evaluate all
+	Patch BatchMode = iota // fold the batch into the state, re-evaluate its frontier
+	Sweep                  // too large to patch: recompute the state in one pass, re-evaluate all
 )
 
 // NewIterPolicy builds the policy from an iteration cap, a stop fraction, a
-// scheduled-rebuild period and an engine's fallback divisor.
-func NewIterPolicy(maxIters int, minMoveFraction float64, rebuildEvery, fallbackDiv int) IterPolicy {
-	return IterPolicy{maxIters: maxIters, minMove: minMoveFraction, rebuildEvery: rebuildEvery, fallbackDiv: fallbackDiv}
+// forced-sweep period and an engine's fallback divisor. The period is the
+// equivalence tests' full-recompute oracle (1 is the paper's recomputation
+// every iteration); every other caller passes 0, never.
+func NewIterPolicy(maxIters int, minMoveFraction float64, sweepEvery, fallbackDiv int) IterPolicy {
+	return IterPolicy{maxIters: maxIters, minMove: minMoveFraction, sweepEvery: sweepEvery, fallbackDiv: fallbackDiv}
 }
 
 // Validate rejects a cap that runs no iteration. The option fields behind it
@@ -54,10 +55,7 @@ func (p IterPolicy) Validate() error {
 // stops after it.
 func (p IterPolicy) Next(iter int, moved int64, n int) (BatchMode, bool) {
 	mode := Patch
-	switch {
-	case p.rebuildEvery > 0 && (iter+1)%p.rebuildEvery == 0:
-		mode = Rebuild
-	case moved*int64(p.fallbackDiv) >= int64(n):
+	if moved*int64(p.fallbackDiv) >= int64(n) || p.sweepEvery > 0 && (iter+1)%p.sweepEvery == 0 {
 		mode = Sweep
 	}
 	stop := iter+1 >= p.maxIters || moved == 0 || float64(moved)/float64(n) < p.minMove

@@ -16,7 +16,7 @@ func (st *directState) applyNDDeltas(accepted []move) {
 // share: which mode applies each batch and when a run stops.
 func TestScheduleDecisions(t *testing.T) {
 	const n = 1000
-	inProcess := Options{K: 4}.withDefaults().iterPolicy() // cap 20, 0.001, period 64, 1/8
+	inProcess := Options{K: 4}.withDefaults().iterPolicy() // cap 20, 0.001, no forced sweep, 1/8
 	directOpts := Options{K: 4, Direct: true}.withDefaults()
 	direct := directOpts.iterPolicy() // cap 60
 	directOpts.MinMoveFraction = 0    // what a Session's engine runs with
@@ -32,22 +32,20 @@ func TestScheduleDecisions(t *testing.T) {
 	}{
 		{"patch", inProcess, 0, 124, Patch, false, "124·8 < 1000"},
 		{"sweep at 1/8", inProcess, 0, 125, Sweep, false, "125·8 >= 1000"},
-		{"wire patch", NewIterPolicy(20, 0.001, 64, WireFallbackDiv), 3, 31, Patch, false, "31·32 < 1000"},
-		{"wire sweep", NewIterPolicy(20, 0.001, 64, WireFallbackDiv), 3, 32, Sweep, false, "32·32 >= 1000"},
-		{"period 1 rebuilds every batch", NewIterPolicy(20, 0.001, 1, InProcessFallbackDiv), 0, 3, Rebuild, false, ""},
-		{"period 1 outranks a sweep", NewIterPolicy(20, 0.001, 1, InProcessFallbackDiv), 5, 900, Rebuild, false, ""},
-		{"period 64 before its batch", NewIterPolicy(100, 0.001, 64, InProcessFallbackDiv), 62, 3, Patch, false, ""},
-		{"period 64 at its batch", NewIterPolicy(100, 0.001, 64, InProcessFallbackDiv), 63, 3, Rebuild, false, "iteration 64 opens rebuilt"},
-		{"period 64 again", NewIterPolicy(200, 0.001, 64, InProcessFallbackDiv), 127, 3, Rebuild, false, ""},
-		{"period -1 never rebuilds", NewIterPolicy(200, 0.001, -1, InProcessFallbackDiv), 63, 3, Patch, false, ""},
+		{"wire patch", NewIterPolicy(20, 0.001, 0, WireFallbackDiv), 3, 31, Patch, false, "31·32 < 1000"},
+		{"wire sweep", NewIterPolicy(20, 0.001, 0, WireFallbackDiv), 3, 32, Sweep, false, "32·32 >= 1000"},
+		{"period 0 never forces a sweep", NewIterPolicy(100, 0.001, 0, InProcessFallbackDiv), 63, 3, Patch, false, "0 forces nothing, batch 63 included"},
+		{"forced every batch", NewIterPolicy(20, 0.001, 1, InProcessFallbackDiv), 0, 3, Sweep, false, ""},
+		{"forced every 3rd, before", NewIterPolicy(20, 0.001, 3, InProcessFallbackDiv), 1, 3, Patch, false, ""},
+		{"forced every 3rd, at", NewIterPolicy(20, 0.001, 3, InProcessFallbackDiv), 2, 3, Sweep, false, ""},
 		{"nothing moved", session, 4, 0, Patch, true, "a zero batch stops even at fraction 0"},
-		{"below the fraction", NewIterPolicy(20, 0.01, 64, InProcessFallbackDiv), 4, 9, Patch, true, "9/1000 < 0.01"},
-		{"at the fraction", NewIterPolicy(20, 0.01, 64, InProcessFallbackDiv), 4, 10, Patch, false, "10/1000 is not below 0.01"},
+		{"below the fraction", NewIterPolicy(20, 0.01, 0, InProcessFallbackDiv), 4, 9, Patch, true, "9/1000 < 0.01"},
+		{"at the fraction", NewIterPolicy(20, 0.01, 0, InProcessFallbackDiv), 4, 10, Patch, false, "10/1000 is not below 0.01"},
 		{"session moves on", session, 4, 1, Patch, false, "fraction 0 never stops a moving epoch"},
 		{"SHP-2 cap", inProcess, 19, 300, Sweep, true, "iteration 20 of 20"},
 		{"SHP-k cap", direct, 59, 3, Patch, true, "iteration 60 of 60"},
 		{"SHP-k below its cap", direct, 19, 3, Patch, false, ""},
-		{"cap with the rebuild due", NewIterPolicy(64, 0.001, 64, InProcessFallbackDiv), 63, 3, Rebuild, true, "the last batch still rebuilds"},
+		{"cap with a sweep due", NewIterPolicy(3, 0.001, 3, InProcessFallbackDiv), 2, 3, Sweep, true, "the last batch still sweeps"},
 	}
 	for _, tc := range cases {
 		mode, stop := tc.p.Next(tc.iter, tc.moved, n)
@@ -56,7 +54,7 @@ func TestScheduleDecisions(t *testing.T) {
 				tc.name, tc.reason, tc.iter, tc.moved, n, mode, stop, tc.mode, tc.stop)
 		}
 	}
-	if err := NewIterPolicy(-1, 0.001, 64, InProcessFallbackDiv).Validate(); err == nil {
+	if err := NewIterPolicy(-1, 0.001, 0, InProcessFallbackDiv).Validate(); err == nil {
 		t.Error("a negative cap validated")
 	}
 	if err := inProcess.Validate(); err != nil {

@@ -78,8 +78,8 @@ func TestLazyListsMatchEager(t *testing.T) {
 	}{
 		{"SHPk", 4000, 12000, 50000, Options{K: 8, Direct: true, Seed: 21}},
 		{"SHPkP03", 3000, 9000, 36000, Options{K: 8, Direct: true, Seed: 33, P: 0.3}},
-		// A scheduled rebuild stales the lists again mid-run.
-		{"SHPkPeriod4", 3000, 9000, 36000, Options{K: 8, Direct: true, Seed: 33, NDRebuildEvery: 4}},
+		// A forced sweep stales the lists again mid-run.
+		{"SHPkPeriod4", 3000, 9000, 36000, Options{K: 8, Direct: true, Seed: 33, sweepEvery: 4}},
 	}
 	for _, tc := range configs {
 		g := randomBipartite(t, 101, tc.nq, tc.nd, tc.e)
@@ -102,8 +102,8 @@ func TestLazyListsMatchEager(t *testing.T) {
 			t.Fatalf("%s: %d of %d passes fused, %d sweep→patch transitions; the run exercised nothing",
 				tc.name, o.fused, lazy.Iterations, o.transitions)
 		}
-		if tc.opts.NDRebuildEvery > 0 && o.transitions < 2 {
-			t.Fatalf("%s: %d sweep→patch transitions; the scheduled rebuilds never re-staled the lists", tc.name, o.transitions)
+		if tc.opts.sweepEvery > 0 && o.transitions < 2 {
+			t.Fatalf("%s: %d sweep→patch transitions; the forced sweeps never re-staled the lists", tc.name, o.transitions)
 		}
 	}
 }

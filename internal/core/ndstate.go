@@ -33,8 +33,8 @@ import (
 // is bounded by the query's degree, not by K), and ship the same records
 // over the wire. Because every table value is an integer count of gain
 // units (gains.go), a patched accumulator equals a from-scratch resummation
-// in any order — the property all the "every rebuild schedule yields the
-// same bytes" guarantees rest on.
+// in any order — the property all the "patched state yields the bytes of
+// full recomputation" guarantees rest on.
 
 // PinRow is one query's neighbor data over k buckets: a ⌈k/64⌉-word
 // connectivity mask beside the k pin counts n_b(q). Mask bit b is set

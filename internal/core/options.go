@@ -126,14 +126,14 @@ type Options struct {
 	// feasibility outranks migration cost. The recursive strategy does not
 	// support budgets (validate rejects the combination with Initial).
 	MigrationBudget int64
-	// NDRebuildEvery is the period, in refinement iterations, of the
-	// scheduled full rebuild (Rebuild): the neighbor data is recounted from
-	// scratch and every data vertex re-evaluated, instead of patching counts
-	// and re-evaluating the frontier. It recomputes exactly the maintained
-	// state, so every period gives byte-identical partitions and histories;
-	// 1 (no patching at all) is the ablation reference. 0 means 64; negative
-	// never rebuilds.
-	NDRebuildEvery int
+
+	// sweepEvery forces a sweep (the neighbor data recomputed, every data
+	// vertex re-evaluated) after every sweepEvery-th batch; 0, which every
+	// caller outside this package gets, never forces one. Patched state is
+	// exact, so a forced sweep never changes a result: it is the
+	// full-recompute side of the equivalence tests, and 1 is the paper's
+	// recomputation every iteration.
+	sweepEvery int
 }
 
 // MigrationFrozen is the MigrationBudget value for a budget of exactly zero
@@ -164,15 +164,12 @@ func (o Options) withDefaults() Options {
 	if o.MinMoveFraction == 0 {
 		o.MinMoveFraction = 0.001
 	}
-	if o.NDRebuildEvery == 0 {
-		o.NDRebuildEvery = 64
-	}
 	return o
 }
 
 // iterPolicy is the iteration schedule of both in-process refiners.
 func (o Options) iterPolicy() IterPolicy {
-	return NewIterPolicy(o.MaxIters, o.MinMoveFraction, o.NDRebuildEvery, InProcessFallbackDiv)
+	return NewIterPolicy(o.MaxIters, o.MinMoveFraction, o.sweepEvery, InProcessFallbackDiv)
 }
 
 // validate reports configuration errors.

@@ -78,7 +78,7 @@ func TestParallelMatchesSerialWarmSession(t *testing.T) {
 			opts := Options{K: 8, Seed: 9, Parallelism: workers}
 			repartition := (*Session).Repartition
 			if rebuilt {
-				opts.NDRebuildEvery = 1
+				opts.sweepEvery = 1
 				repartition = repartitionRebuilt
 			}
 			s, err := NewSession(g, opts)

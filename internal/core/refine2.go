@@ -30,16 +30,14 @@ import (
 //     re-walking its whole membership, so frontier cost is O(churn).
 //   - Movers are rebuilt (their own side changed, which swaps the meaning
 //     of the two accumulators). The IterPolicy the three refiners share
-//     (iterpolicy.go) picks each batch's mode: patched, a sweep for a batch
-//     too large to patch, or the scheduled rebuild every
-//     Options.NDRebuildEvery iterations, which recounts the maintained
-//     counts from scratch and resums every vertex — at a period of 1, plain
-//     full per-iteration recomputation.
+//     (iterpolicy.go) picks each batch's mode: patched, or a sweep for a
+//     batch too large to patch, which transfers the counts and resums every
+//     vertex.
 //
 // All patch arithmetic is integer, so the patched and rebuilt states are
-// equal, and the engine is pinned byte-identical across rebuild schedules
-// (default, every iteration, never) — the same guarantee the direct engine
-// carries.
+// equal, and the engine is pinned byte-identical to a sweep every iteration
+// (Options.sweepEvery 1, the paper's plain full per-iteration recomputation)
+// — the same guarantee the direct engine carries.
 type bisection struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -248,7 +246,7 @@ func (st *startState) repairBalance(bal balance, seed uint64, weight func(int) i
 }
 
 // recountNeighborData rebuilds the per-query side counts from scratch (the
-// two-bucket form of the kernel's ndBuild): the root's start and Rebuild.
+// two-bucket form of the kernel's ndBuild) for the root's start.
 func (b *bisection) recountNeighborData() {
 	for q := range int32(b.g.NumQueries()) {
 		var c0, c1 int32
@@ -307,8 +305,8 @@ func (b *bisection) deriveGain(v int32) {
 }
 
 // computeGains brings every vertex's Equation 1 gain up to date. Only
-// flagged vertices do anything: movers (and everyone after a sweep fallback
-// or scheduled rebuild) resum their accumulators, patched vertices
+// flagged vertices do anything: movers (and everyone after a sweep) resum
+// their accumulators, patched vertices
 // re-derive the gain from the already-exact accumulators, and untouched
 // vertices keep their cached gain — which is bit-identical to what a
 // recomputation would produce, because none of its inputs changed.
@@ -461,26 +459,22 @@ func (b *bisection) applyProbabilistic(iter int) []move {
 // date with the accepted moves, in the mode the IterPolicy chose. Patch goes
 // through the patch collector (counts, net deltas, dirty queries, member
 // patches — O(churn·deg)); Sweep transfers the counts directly and marks
-// everyone for a rebuild; Rebuild recounts them from scratch instead.
+// everyone for a rebuild.
 func (b *bisection) applyBatch(accepted []move, mode BatchMode) {
-	switch mode {
-	case Patch:
+	if mode == Patch {
 		for _, m := range accepted {
 			b.applyMovePatched(m.v)
 		}
 		b.finishPatch(accepted)
 		return
-	case Sweep:
-		for _, m := range accepted {
-			oth := b.side[m.v] // already flipped
-			nCur, nOth := b.n[1-oth], b.n[oth]
-			for _, q := range b.g.DataNeighbors(m.v) {
-				nCur[q]--
-				nOth[q]++
-			}
+	}
+	for _, m := range accepted {
+		oth := b.side[m.v] // already flipped
+		nCur, nOth := b.n[1-oth], b.n[oth]
+		for _, q := range b.g.DataNeighbors(m.v) {
+			nCur[q]--
+			nOth[q]++
 		}
-	case Rebuild:
-		b.recountNeighborData()
 	}
 	b.markAllActive()
 }

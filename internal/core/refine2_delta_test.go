@@ -2,7 +2,7 @@ package core
 
 // Tests of the bisection (SHP-2) port of the shared incremental-gain
 // kernel: patched accumulators must bit-equal a from-scratch rebuild under
-// random move batches, the rebuild schedule must be invisible,
+// random move batches, forced sweeps must be invisible,
 // and the hub-heavy churn-proportionality claim is pinned by deterministic
 // work counters rather than wall time (the mirror of distshp's
 // TestDistDeltaPatchProperty / TestDistDeltaCutsLateSuperstepBytes).
@@ -24,7 +24,7 @@ import (
 // accumulators/gains of every vertex bit-equal a from-scratch rebuild.
 // Asymmetric lookahead (tLeft != tRight) keeps the two sides on different
 // gain tables, so table-routing mistakes cannot cancel out. Every few
-// rounds a scheduled rebuild fires too, which must change nothing.
+// rounds a from-scratch recount fires too, which must change nothing.
 func TestBisectionDeltaPatchProperty(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		g := randomBipartite(t, seed, 60, 120, 700)
@@ -34,7 +34,7 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 		r := rng.New(seed ^ 0xBEEF)
 		for round := 0; round < 25; round++ {
 			if round > 0 && round%7 == 0 {
-				// NDRebuildEvery-style scheduled rebuild: recount + resum.
+				// A from-scratch recount + resum.
 				b.recountNeighborData()
 				b.markAllActive()
 				b.computeGains()
@@ -83,15 +83,15 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 	}
 }
 
-// TestBisectionRebuildScheduleInvariant checks the bisection rebuild
-// schedule is a pure performance knob, across seeds: a rebuild that fires
-// mid-run (NDRebuildEvery=3) produces the assignments and histories of
-// rebuilding every iteration and of never rebuilding, which
-// TestIncrementalMatchesFullSHP2 ties to the default schedule.
+// TestBisectionRebuildScheduleInvariant checks that forced sweeps are
+// invisible in the bisection engine, across seeds: a sweep every third
+// batch (sweepEvery 3) produces the assignments and histories of sweeping
+// every iteration, which TestIncrementalMatchesFullSHP2 ties to the patched
+// default.
 func TestBisectionRebuildScheduleInvariant(t *testing.T) {
 	g := randomBipartite(t, 41, 3000, 6000, 24000)
 	for _, seed := range []uint64{5, 11} {
-		runBoth(t, g, Options{K: 8, Seed: seed, NDRebuildEvery: 3})
+		runBoth(t, g, Options{K: 8, Seed: seed, sweepEvery: 3})
 	}
 }
 
@@ -100,7 +100,7 @@ func TestBisectionRebuildScheduleInvariant(t *testing.T) {
 // perturbed warm start, the late iterations (everything after the first,
 // which rebuilds all state on any schedule) must cost the patched engine at
 // least 3x fewer Equation 1 work units than full recomputation every
-// iteration (NDRebuildEvery 1), while producing byte-identical sides and
+// iteration (sweepEvery 1), while producing byte-identical sides and
 // histories. Work units — table terms summed plus delta records folded —
 // proxy the memory stream, so the floor cannot flake on machine load the way
 // a wall-clock ratio would.
@@ -120,9 +120,9 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 		v := r.Intn(numD)
 		home[v] = 1 - home[v]
 	}
-	run := func(rebuildEvery int) *bisection {
+	run := func(sweepEvery int) *bisection {
 		o := opts
-		o.NDRebuildEvery = rebuildEvery
+		o.sweepEvery = sweepEvery
 		b := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
@@ -158,8 +158,8 @@ func TestBisectionDeltaCutsLateGainWork(t *testing.T) {
 // hub-heavy warm-started refinement at a controlled churn level, with the
 // recursion/induction machinery stripped away so the numbers isolate the
 // per-iteration gain maintenance. A converged bisection's sides are
-// perturbed by a known moved fraction and re-refined on the default rebuild
-// schedule and with a full rebuild every iteration (NDRebuildEvery 1) —
+// perturbed by a known moved fraction and re-refined patched and with a
+// sweep every iteration (sweepEvery 1) —
 // identical results, so edges/s differences are pure engine savings.
 func BenchmarkBisectionDelta(b *testing.B) {
 	g, err := gen.HubPowerLawBipartite(12000, 20000, 160000, 2.1, 0.001, 2500, 5)
@@ -181,12 +181,12 @@ func BenchmarkBisectionDelta(b *testing.B) {
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
 		home := perturb(frac)
 		for _, engine := range []struct {
-			name         string
-			rebuildEvery int
+			name       string
+			sweepEvery int
 		}{{"incremental", 0}, {"full-rebuild", 1}} {
 			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
 				o := opts
-				o.NDRebuildEvery = engine.rebuildEvery
+				o.sweepEvery = engine.sweepEvery
 				var iters int
 				for i := 0; i < b.N; i++ {
 					bis := coldBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)

@@ -33,17 +33,16 @@ type IterStats struct {
 }
 
 // WorkStats records one refinement iteration's work-counter deltas — the
-// observability companion to IterStats, kept separate so runs under
-// different rebuild schedules (Options.NDRebuildEvery) can stay
-// byte-identical on IterStats while legitimately differing here (sublinear
-// frontier work is the whole point).
+// observability companion to IterStats, kept separate so a patched run and
+// its full-recompute oracle stay byte-identical on IterStats while
+// legitimately differing here (sublinear frontier work is the whole point).
 type WorkStats struct {
 	// Level/Task/Iter locate the iteration exactly like IterStats.
 	Level int
 	Task  int
 	Iter  int
 	// Frontier is the number of vertices whose proposal the iteration
-	// re-derived (|D| after a scheduled rebuild or a sweep fallback);
+	// re-derived (|D| after a sweep);
 	// vertices the pass only probed and skipped count in ScanWork.
 	Frontier int64
 	// GainWork counts Equation 1 work units: one per table term summed in a

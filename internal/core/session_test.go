@@ -18,7 +18,7 @@ import (
 // repartitionRebuilt is the sessions' independent reference: Repartition
 // with the warm engine's maintained state thrown away after the delta sync —
 // neighbor data rebuilt from the graph, every vertex re-evaluated. On a
-// period-1 session (NDRebuildEvery 1) that leaves no spliced or patched
+// period-1 session (sweepEvery 1) that leaves no spliced or patched
 // state anywhere in the epoch.
 func repartitionRebuilt(s *Session) (*Result, error) {
 	if s.st != nil {
@@ -33,14 +33,14 @@ func repartitionRebuilt(s *Session) (*Result, error) {
 }
 
 // sessionPair builds two sessions over clones of the same graph — the
-// default schedule and the period-1 reference (drive the second with
+// patched default and the period-1 reference (drive the second with
 // repartitionRebuilt) — plus matching churn generators.
 func sessionPair(t *testing.T, opts Options, churn float64) (*Session, *Session, *gen.Churn, *gen.Churn) {
 	t.Helper()
 	g1 := randomBipartite(t, 91, 900, 3000, 13000)
 	g2 := g1.Clone()
 	full := opts
-	full.NDRebuildEvery = 1
+	full.sweepEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestSessionWeightAndDataDeltas(t *testing.T) {
 	g2 := g1.Clone()
 	opts := Options{K: 6, Direct: true, Seed: 9}
 	full := opts
-	full.NDRebuildEvery = 1
+	full.sweepEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)

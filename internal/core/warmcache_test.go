@@ -85,11 +85,11 @@ func oracleGraphs(t *testing.T) map[string]*hypergraph.Bipartite {
 }
 
 // TestColdRunCachesMatchFreshSelection runs the oracle over cold SHP-k
-// refinements, on the default schedule and with a mid-run scheduled rebuild.
+// refinements, patched and with a sweep forced every fourth batch.
 func TestColdRunCachesMatchFreshSelection(t *testing.T) {
 	for name, g := range oracleGraphs(t) {
 		for _, period := range []int{0, 4} {
-			opts := Options{K: 8, Direct: true, Epsilon: 0.02, NDRebuildEvery: period, MaxIters: 25}.withDefaults()
+			opts := Options{K: 8, Direct: true, Epsilon: 0.02, sweepEvery: period, MaxIters: 25}.withDefaults()
 			st := mustDirectState(t, g, opts, 77)
 			o := hookOracle(t, st, fmt.Sprintf("%s/period%d", name, period))
 			st.run()
@@ -266,9 +266,9 @@ func TestRunningSumsSurviveBalanceRepair(t *testing.T) {
 
 // TestRunningObjectiveExactAtLargeWeights: with query weights so large that
 // the objective is past 2^53 units, where a float64 sum of grid values
-// would round (differently per rebuild schedule), the running integer
+// would round (differently patched and recomputed), the running integer
 // objective still equals the neighbor data's re-sum after every pass, and
-// histories agree across schedules bit for bit.
+// histories agree with full recomputation bit for bit.
 func TestRunningObjectiveExactAtLargeWeights(t *testing.T) {
 	r := rng.New(61)
 	numQ, numD := 300, 500

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"shp/internal/core"
+	"shp/internal/gen"
+	"shp/internal/hypergraph"
 	"shp/internal/pregel"
 	"shp/internal/rng"
 )
@@ -41,11 +43,10 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDistIncrementalMatchesFull pins the dirty-query delta plane on the
-// default schedule byte-identical to a full rebroadcast every iteration
-// (RebuildEvery 1, which ships no delta record at all) and to never
-// rebroadcasting (-1), across both transports and multiple seeds: same
-// assignments, same per-iteration moved counts, bitwise-equal fanout
+// TestDistIncrementalMatchesFull pins the dirty-query delta plane
+// byte-identical to a full rebroadcast every iteration (sweepEvery 1, which
+// ships no delta record at all), across both transports and multiple seeds:
+// same assignments, same per-iteration moved counts, bitwise-equal fanout
 // history.
 func TestDistIncrementalMatchesFull(t *testing.T) {
 	numQ, numD, edges := 300, 450, 2600
@@ -67,15 +68,13 @@ func TestDistIncrementalMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, period := range []int{1, -1} {
-				opts.Transport = tr.make()
-				opts.RebuildEvery = period
-				ref, err := Partition(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameResult(t, fmt.Sprintf("%s/period %d", tr.name, period), inc, ref)
+			opts.Transport = tr.make()
+			opts.sweepEvery = 1
+			ref, err := Partition(g, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireSameResult(t, tr.name+"/full", inc, ref)
 			if err := inc.Assignment.Validate(8); err != nil {
 				t.Fatal(err)
 			}
@@ -83,10 +82,9 @@ func TestDistIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDistRebuildScheduleInvariant checks the incremental plane's escape
-// hatches are pure performance knobs: rebroadcasting every iteration
-// (RebuildEvery=1), never (RebuildEvery=-1), and the default safety net all
-// produce identical bits, with and without sender-side combining.
+// TestDistRebuildScheduleInvariant checks that a full rebroadcast every
+// iteration (sweepEvery 1) and the patched default produce identical bits,
+// with and without sender-side combining.
 func TestDistRebuildScheduleInvariant(t *testing.T) {
 	g := randomBipartite(t, 37, 200, 300, 1800)
 	base, err := Partition(g, Options{K: 4, Seed: 7, Workers: 3})
@@ -94,9 +92,8 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, variant := range []Options{
-		{K: 4, Seed: 7, Workers: 3, RebuildEvery: 1},
-		{K: 4, Seed: 7, Workers: 3, RebuildEvery: -1},
-		{K: 4, Seed: 7, Workers: 3, RebuildEvery: 1, noCombine: true},
+		{K: 4, Seed: 7, Workers: 3, sweepEvery: 1},
+		{K: 4, Seed: 7, Workers: 3, sweepEvery: 1, noCombine: true},
 	} {
 		res, err := Partition(g, variant)
 		if err != nil {
@@ -400,7 +397,7 @@ func TestDeltaWireSize(t *testing.T) {
 // TestDistDeltaCutsLateSuperstepBytes asserts the tentpole claim: once the
 // moved fraction falls to <= 1%, the delta plane's gain-superstep traffic is
 // at least 3x smaller than that of a full rebroadcast every iteration
-// (RebuildEvery 1, which stays O(|E|) per iteration no matter how little
+// (sweepEvery 1, which stays O(|E|) per iteration no matter how little
 // moves).
 func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 	communities, perCommunity, queries, qdeg := 4, 200, 900, 6
@@ -413,7 +410,7 @@ func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.RebuildEvery = 1
+	opts.sweepEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +456,7 @@ func TestDistChangedOnlyProposalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.RebuildEvery = 1
+	opts.sweepEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -527,5 +524,48 @@ func TestDistTCPIncrementalMatchesMemory(t *testing.T) {
 	}
 	if err := tcp.Assignment.Validate(8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkDistDelta quantifies the dirty-query delta plane: the
+// "incremental" (patched) and "full" (sweepEvery 1) runs are byte-identical
+// in quality (pinned by TestDistIncrementalMatchesFull), so the interesting
+// metrics are the gain-superstep bytes of late iterations (moved fraction
+// <= 1%), where the delta plane ships churn-proportional traffic while the
+// full rebroadcast stays O(|E|). Compare late-bytes/superstep between the
+// two sub-benchmarks; the reduction should be well above 3x.
+func BenchmarkDistDelta(b *testing.B) {
+	g, err := gen.SocialEgoNets(8000, 12, 80, 0.85, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g = hypergraph.PruneTrivialQueries(g, 2)
+	for _, tc := range []struct {
+		name       string
+		sweepEvery int
+	}{
+		{"incremental", 0},
+		{"full", 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var lateBytes, lateIters, totalBytes float64
+			for i := 0; i < b.N; i++ {
+				res, err := Partition(g, Options{
+					K: 16, Seed: 1, Workers: 4, MinMoveFraction: 1e-9,
+					sweepEvery: tc.sweepEvery,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, lb := res.LateGainBytes(0.01)
+				lateBytes = float64(lb)
+				lateIters = float64(n)
+				totalBytes = float64(res.Stats.TotalBytes)
+			}
+			if lateIters > 0 {
+				b.ReportMetric(lateBytes/lateIters, "late-bytes/superstep")
+			}
+			b.ReportMetric(totalBytes, "msg-bytes")
+		})
 	}
 }

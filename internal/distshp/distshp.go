@@ -40,10 +40,10 @@
 //     histories.
 //   - The master runs the iteration policy the in-process refiners run
 //     (core.IterPolicy) at the wire's fallback divisor: after a batch too
-//     large to patch (core.Sweep), and every Options.RebuildEvery iterations
-//     (core.Rebuild), the next superstep 1 is a full rebroadcast that
-//     re-derives every accumulator from the histograms (a period of 1 is the
-//     paper's plain per-iteration rebroadcast).
+//     large to patch (core.Sweep), the next superstep 1 is a full
+//     rebroadcast that re-derives every accumulator from the histograms. A
+//     sweep forced every iteration (the unexported Options.sweepEvery the
+//     equivalence tests set) is the paper's plain per-iteration rebroadcast.
 //
 // # The changed-only proposal plane
 //
@@ -59,9 +59,9 @@
 // each iteration, and resets it at level start — where every vertex
 // proposes afresh. Late supersteps therefore ship proposal traffic
 // proportional to the moving frontier, while full-rebroadcast iterations
-// (sweep fallback, RebuildEvery schedule) recompute every gain — verifying
-// the maintained proposal state — but still ship only the changes, so the
-// maintained and recomputed regimes stay byte-identical.
+// (sweeps) recompute every gain — verifying the maintained proposal state —
+// but still ship only the changes, so the maintained and recomputed regimes
+// stay byte-identical.
 //
 // Recursive levels are scheduled by the master: when the policy stops a
 // level (moved fraction below threshold, or its iterations exhausted), every
@@ -114,13 +114,6 @@ type Options struct {
 	// loopback sockets). Partitions are transport-invariant for a fixed
 	// seed.
 	Transport pregel.Transport
-	// RebuildEvery is the period, in iterations within a level, of the
-	// scheduled full gain rebroadcast (core.Rebuild): superstep 1 re-sends
-	// every member's full contribution instead of patching accumulators. It
-	// re-derives exactly the maintained state, so every period gives
-	// byte-identical results; 1 (no delta records at all) is the ablation
-	// reference. 0 means 64, as core's NDRebuildEvery; negative never.
-	RebuildEvery int
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
 	// pregel.NewDiskCheckpointer to survive process death). Snapshots cover
@@ -142,6 +135,13 @@ type Options struct {
 	// package can set it: it is the plain side of the combined-vs-plain
 	// equivalence tests.
 	noCombine bool
+	// sweepEvery forces a full gain rebroadcast (core.Sweep) after every
+	// sweepEvery-th iteration within a level; 0 never. Superstep 1 then
+	// re-sends every member's full contribution instead of patching
+	// accumulators, which re-derives exactly the maintained state, so like
+	// noCombine it is test-only: 1 (no delta records at all) is the
+	// full-recompute side of the incremental-vs-full equivalence tests.
+	sweepEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -160,16 +160,13 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 4
 	}
-	if o.RebuildEvery == 0 {
-		o.RebuildEvery = 64
-	}
 	return o
 }
 
 // iterPolicy is the master's iteration schedule: the in-process refiners'
 // policy at the wire's patch-vs-rebroadcast threshold.
 func (o Options) iterPolicy() core.IterPolicy {
-	return core.NewIterPolicy(o.ItersPerLevel, o.MinMoveFraction, o.RebuildEvery, core.WireFallbackDiv)
+	return core.NewIterPolicy(o.ItersPerLevel, o.MinMoveFraction, o.sweepEvery, core.WireFallbackDiv)
 }
 
 // IterRecord is one refinement iteration's master-side summary.
@@ -723,11 +720,11 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			})
 			mode, stop := policy.Next(sched.iter, moved, numD)
 			sched.iter++
-			// A sweep or a scheduled rebuild makes the next superstep 1 a
-			// full rebroadcast; both regimes produce identical bits. A level
-			// start needs no flag: every query rebuilds its registry there,
-			// which forces full gain contributions everywhere.
-			sched.rebuildNext = !stop && mode != core.Patch
+			// A sweep makes the next superstep 1 a full rebroadcast; it
+			// produces the bits patching would. A level start needs no flag:
+			// every query rebuilds its registry there, which forces full
+			// gain contributions everywhere.
+			sched.rebuildNext = !stop && mode == core.Sweep
 			if stop {
 				sched.level++
 				sched.iter = 0

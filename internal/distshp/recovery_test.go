@@ -68,15 +68,15 @@ func TestDistRecoveryMatchesUndisturbed(t *testing.T) {
 func TestDistRecoveryAtEveryPhase(t *testing.T) {
 	const seed, lastKill = 41, 12
 	g := randomBipartite(t, seed, 120, 200, 800)
-	for _, rebuild := range []int{0, 1} {
-		opts := Options{K: 4, Seed: seed, Workers: 3, ItersPerLevel: 2, RebuildEvery: rebuild}
+	for _, sweepEvery := range []int{0, 1} {
+		opts := Options{K: 4, Seed: seed, Workers: 3, ItersPerLevel: 2, sweepEvery: sweepEvery}
 		base, err := Partition(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Iteration j runs supersteps 4j..4j+3. The kills must reach a level
 		// start, and an iteration whose superstep 1 rebroadcasts because the
-		// policy swept or rebuilt after the one before it.
+		// policy swept after the one before it.
 		policy := opts.withDefaults().iterPolicy()
 		levelStart, rebroadcast := false, false
 		for j := 1; 4*j+1 <= lastKill && j < len(base.History); j++ {
@@ -88,11 +88,11 @@ func TestDistRecoveryAtEveryPhase(t *testing.T) {
 			}
 		}
 		if !levelStart || !rebroadcast {
-			t.Fatalf("RebuildEvery %d: kills up to superstep %d reach a level start %v, a rebroadcast %v; want both",
-				rebuild, lastKill, levelStart, rebroadcast)
+			t.Fatalf("sweepEvery %d: kills up to superstep %d reach a level start %v, a rebroadcast %v; want both",
+				sweepEvery, lastKill, levelStart, rebroadcast)
 		}
 		for kill := 1; kill <= lastKill; kill++ {
-			label := fmt.Sprintf("RebuildEvery %d, kill at %d", rebuild, kill)
+			label := fmt.Sprintf("sweepEvery %d, kill at %d", sweepEvery, kill)
 			opts.Transport = pregel.FaultyTransport(pregel.MemoryTransport(), pregel.FaultPlan{
 				KillWorker: 1, KillStep: kill,
 			})

@@ -44,8 +44,8 @@ type schedule struct {
 	phase      int // which of the 4 supersteps comes next
 	iterations int
 	// rebuildNext schedules a full superstep-1 gain rebroadcast for the
-	// next iteration (sweep fallback / safety net of the incremental
-	// plane). It stays set through that superstep 1, whose queries read it.
+	// next iteration (a sweep). It stays set through that superstep 1,
+	// whose queries read it.
 	rebuildNext bool
 	// ndEntries is the global live-entry total of the query histograms,
 	// maintained from per-query diffs; /numQ is the average fanout.

@@ -1,11 +1,10 @@
 // Package lint is shplint: a repo-specific static-analysis suite that
 // machine-checks the determinism contract the runtime equivalence tests
-// sample. The repo's signature guarantee — every rebuild schedule the same,
-// patched == rebuilt, recovered == undisturbed, all byte-identical — is easy
-// to break silently: one `range` over a map in a merge loop, one wall-clock
-// read in a hot path. Each analyzer here encodes one of those hazard classes
-// so `go test ./...` (via TestLintClean) and CI fail before a flaky
-// equivalence test ever would.
+// sample. The repo's signature guarantee — patched == rebuilt, recovered ==
+// undisturbed, all byte-identical — is easy to break silently: one `range`
+// over a map in a merge loop, one wall-clock read in a hot path. Each
+// analyzer here encodes one of those hazard classes so `go test ./...` (via
+// TestLintClean) and CI fail before a flaky equivalence test ever would.
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types); packages are
 // loaded through `go list -deps -export -json`, so dependencies resolve from

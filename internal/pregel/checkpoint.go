@@ -27,53 +27,49 @@ type Checkpointer interface {
 	Latest() (superstep int, snapshot []byte, ok bool, err error)
 }
 
-// MemoryCheckpointer keeps snapshots in process memory. It survives engine
-// restarts within a process (useful for tests and the in-process backends)
-// but not process death — use NewDiskCheckpointer for that.
+// MemoryCheckpointer keeps the newest snapshot in process memory: recovery
+// reads only Latest, and a store without Before offers no fallback, so an
+// older snapshot is memory nothing can read. It survives engine restarts
+// within a process (useful for tests and the in-process backends) but not
+// process death — use NewDiskCheckpointer for that.
 type MemoryCheckpointer struct {
-	mu     sync.Mutex
-	snaps  map[int][]byte
-	latest int
-	any    bool
+	mu    sync.Mutex
+	step  int
+	snap  []byte
+	saved bool
 }
 
 // NewMemoryCheckpointer returns an empty in-memory checkpoint store.
 func NewMemoryCheckpointer() *MemoryCheckpointer {
-	return &MemoryCheckpointer{snaps: map[int][]byte{}}
+	return &MemoryCheckpointer{}
 }
 
-// Save stores a copy of the snapshot.
+// Save stores a copy of the snapshot in place of the one held.
 func (c *MemoryCheckpointer) Save(superstep int, snapshot []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.snaps[superstep] = append([]byte(nil), snapshot...)
-	if !c.any || superstep > c.latest {
-		c.latest = superstep
-	}
-	c.any = true
+	c.step, c.snap, c.saved = superstep, append([]byte(nil), snapshot...), true
 	return nil
 }
 
-// Latest returns the snapshot with the highest superstep.
+// Latest returns the snapshot saved last.
 func (c *MemoryCheckpointer) Latest() (int, []byte, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.any {
-		return 0, nil, false, nil
-	}
-	return c.latest, c.snaps[c.latest], true, nil
+	return c.step, c.snap, c.saved, nil
 }
 
 // DiskCheckpointer persists snapshots as files in a directory, one file per
 // superstep boundary, written atomically (temp file + rename) so a crash
 // mid-write can never leave a truncated snapshot as the latest. Older
-// snapshots beyond Keep are pruned after each save.
+// snapshots beyond diskKeep are pruned after each save.
 type DiskCheckpointer struct {
 	dir string
-	// Keep bounds how many snapshots remain on disk (<= 0 means 2: the
-	// newest plus one fallback in case the newest write raced a crash).
-	Keep int
 }
+
+// diskKeep is how many snapshots a DiskCheckpointer leaves on disk: the
+// newest plus one fallback in case the newest write raced a crash.
+const diskKeep = 2
 
 // NewDiskCheckpointer stores snapshots under dir, creating it if needed.
 func NewDiskCheckpointer(dir string) (*DiskCheckpointer, error) {
@@ -97,15 +93,11 @@ func (c *DiskCheckpointer) Save(superstep int, snapshot []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	keep := c.Keep
-	if keep <= 0 {
-		keep = 2
-	}
 	steps, err := c.steps()
 	if err != nil {
 		return nil // pruning is best-effort; the save itself succeeded
 	}
-	for len(steps) > keep {
+	for len(steps) > diskKeep {
 		os.Remove(c.path(steps[0]))
 		steps = steps[1:]
 	}
@@ -121,7 +113,7 @@ func (c *DiskCheckpointer) Latest() (int, []byte, bool, error) {
 // Before returns the most recent snapshot saved at a superstep below the
 // given one, or ok=false when there is none. Recovery calls it when the
 // snapshot it was handed does not decode: this is the read side of the
-// fallback Keep retains.
+// fallback diskKeep retains.
 func (c *DiskCheckpointer) Before(superstep int) (int, []byte, bool, error) {
 	steps, err := c.steps()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -349,13 +350,45 @@ func TestDiskCheckpointer(t *testing.T) {
 	if step != 8 || string(snap) != "snap-8" {
 		t.Fatalf("Latest = (%d, %q), want (8, snap-8)", step, snap)
 	}
-	// Default pruning keeps the newest two snapshots.
+	// Pruning keeps the newest two snapshots.
 	steps, err := cp2.steps()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 2 || steps[0] != 4 || steps[1] != 8 {
 		t.Fatalf("kept steps %v, want [4 8]", steps)
+	}
+}
+
+// TestMemoryCheckpointerKeepsNewest: the in-memory store holds only the
+// snapshot it was handed last — recovery reads nothing older from it — so a
+// run spanning many checkpoint intervals holds one snapshot, not one per
+// interval.
+func TestMemoryCheckpointerKeepsNewest(t *testing.T) {
+	const saves, size = 32, 1 << 20
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	cp := NewMemoryCheckpointer()
+	before := heap()
+	snap := make([]byte, size)
+	for i := range saves {
+		snap[0] = byte(i)
+		if err := cp.Save(4*i, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap = nil
+	held := heap() - before
+	step, got, ok, err := cp.Latest()
+	if err != nil || !ok || step != 4*(saves-1) || len(got) != size || got[0] != saves-1 {
+		t.Fatalf("Latest = (%d, %d bytes, %v, %v), want the last save, step %d", step, len(got), ok, err, 4*(saves-1))
+	}
+	if held > 8*size {
+		t.Fatalf("%d saves of %d bytes hold %d bytes of heap; the store keeps snapshots nothing reads", saves, size, held)
 	}
 }
 
@@ -521,6 +554,18 @@ func TestSnapshotVersionMismatchRefused(t *testing.T) {
 	}
 }
 
+// everySave is a checkpoint store that keeps every snapshot it is handed,
+// for a seed corpus of all of a run's snapshots.
+type everySave struct {
+	MemoryCheckpointer
+	snaps map[int][]byte
+}
+
+func (c *everySave) Save(superstep int, snapshot []byte) error {
+	c.snaps[superstep] = bytes.Clone(snapshot)
+	return c.MemoryCheckpointer.Save(superstep, snapshot)
+}
+
 // FuzzSnapshotRestore drives the engine's side of a restore: it mutates a
 // real snapshot of a checkpointed ring run, re-checksums it so the damage
 // reaches the parser, and restores it into an engine holding another. A
@@ -529,7 +574,7 @@ func TestSnapshotVersionMismatchRefused(t *testing.T) {
 // must re-encode stably.
 func FuzzSnapshotRestore(f *testing.F) {
 	const n, workers, steps = 24, 3, 6
-	cp := NewMemoryCheckpointer()
+	cp := &everySave{snaps: map[int][]byte{}}
 	newRingRun(n, workers, steps, nil, cp, 1).run(f)
 	bodies := make([][]byte, steps)
 	for step := range bodies {

@@ -16,7 +16,8 @@ import (
 //	POST /delta              apply a delta trace (hgio trace format) from
 //	                         the request body (at most maxDeltaBody bytes,
 //	                         else 413); ?repartition=1 publishes a new
-//	                         epoch immediately after
+//	                         epoch immediately after; a refused trace
+//	                         still reports the batches applied before it
 //	POST /repartition        run one epoch and swap
 //
 // Lookup endpoints never block behind mutations; mutation endpoints
@@ -117,23 +118,29 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 // edits, far past any per-epoch churn batch.
 const maxDeltaBody = 32 << 20
 
+// deltaReply is the /delta response body. A refused trace adds Error: a
+// parse error (an oversized body included) comes before any batch is
+// applied, but a batch that fails to apply leaves the batches before it
+// applied, and Applied says how many.
+type deltaReply struct {
+	Applied int    `json:"applied"`
+	Epoch   uint64 `json:"epoch"`
+	Error   string `json:"error,omitempty"`
+}
+
 func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 	applied, err := s.ApplyTrace(http.MaxBytesReader(w, r.Body, maxDeltaBody))
+	reply := deltaReply{Applied: applied, Epoch: s.Current().ID}
 	if err != nil {
-		// The trace reader failed before the first batch was applied, so an
-		// oversized body leaves the graph as it was.
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, err)
+		reply.Error = err.Error()
+		writeJSON(w, status, reply)
 		return
 	}
-	reply := struct {
-		Applied int    `json:"applied"`
-		Epoch   uint64 `json:"epoch"`
-	}{Applied: applied, Epoch: s.Current().ID}
 	if r.URL.Query().Get("repartition") == "1" {
 		ep, err := s.Repartition()
 		if err != nil {

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"shp/internal/core"
+	"shp/internal/gen"
 )
 
 func doJSON(t *testing.T, h http.Handler, method, target, body string, out any) *httptest.ResponseRecorder {
@@ -167,4 +171,86 @@ func TestHTTPDeltaBodyLimit(t *testing.T) {
 	if got := s.session.Graph().Version(); got == version {
 		t.Fatal("accepted trace did not change the graph version")
 	}
+}
+
+// TestHTTPDeltaPartialApply: a trace whose second batch fails to apply is
+// refused with 400, but its first batch stays applied, and the error body
+// says so — applied 1 and the epoch still serving — so a client can tell a
+// partial apply from a parse error.
+func TestHTTPDeltaPartialApply(t *testing.T) {
+	s := testService(t, 36, 0)
+	h := s.Handler()
+	version := s.session.Graph().Version()
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/delta?repartition=1",
+		strings.NewReader("addq 1 0 1 2\ncommit\nrmq 99999999\ncommit\n")))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	var reply deltaReply
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("body %q: %v", w.Body.String(), err)
+	}
+	if reply.Error == "" || reply.Applied != 1 || reply.Epoch != 0 {
+		t.Fatalf("reply %+v, want an error with 1 batch applied at epoch 0", reply)
+	}
+	if got := s.session.Graph().Version(); got != version+1 {
+		t.Fatalf("graph version %d -> %d, want the one applied batch", version, got)
+	}
+	if s.Current().ID != 0 {
+		t.Fatal("a refused trace repartitioned")
+	}
+}
+
+// FuzzHTTPDelta posts arbitrary bodies to /delta on a fresh service. Whatever
+// the body, the reply is JSON with status 200, 400 or 413, the graph still
+// validates, a reply that applied nothing left the graph version alone, and
+// the service can still repartition.
+func FuzzHTTPDelta(f *testing.F) {
+	for _, seed := range []string{
+		"addq 1 0 1 2\ncommit\n",
+		"addq 1 0 1 2\ncommit\nrmq 99999999\ncommit\n",
+		"addd 3\naddq 2 0 600\nsetw 600 5\ncommit\nrmq 0\n",
+		"addq not a trace\n",
+		"setw -1 2\ncommit\n",
+		"addq 1 2147483647\ncommit\n",
+		"rmq 0\nrmq 0\ncommit\n",
+		"# comment only\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	g, err := gen.SocialEgoNets(300, 8, 30, 0.85, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(g.Clone(), Options{Core: core.Options{K: 4, Direct: true, Seed: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		version := s.session.Graph().Version()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/delta", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		var reply deltaReply
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("status %d body %q is not JSON: %v", w.Code, w.Body.String(), err)
+		}
+		if err := s.session.Graph().Validate(); err != nil {
+			t.Fatalf("graph invalid after %+v: %v", reply, err)
+		}
+		if reply.Applied == 0 && s.session.Graph().Version() != version {
+			t.Fatalf("reply %+v applied nothing, but the graph version moved", reply)
+		}
+		if w := doJSON(t, h, "POST", "/repartition", "", nil); w.Code != http.StatusOK {
+			t.Fatalf("repartition after %+v: status %d: %s", reply, w.Code, w.Body.String())
+		}
+	})
 }

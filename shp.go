@@ -113,13 +113,12 @@ type Assignment = partition.Assignment
 // Options configures Partition; the zero value plus K uses the paper's
 // recommended defaults (p = 0.5, ε = 0.05, recursive bisection with
 // final-p-fanout lookahead; moves are paired by Section 3.4's gain
-// histograms, the one swap protocol). Refinement is
-// incremental — per-iteration cost tracks churn, not |E| — with a full
-// rebuild every NDRebuildEvery iterations as the safety net (1 rebuilds
-// every iteration, the ablation reference); every schedule produces
-// identical partitions for a fixed seed. Parallelism is how many recursion
-// tasks refine at once (each on one goroutine; SHP-k and sessions ignore
-// it), and it never changes a result either.
+// histograms, the one swap protocol). Refinement is incremental —
+// per-iteration cost tracks churn, not |E| — and every patch is exact
+// integer arithmetic, so it produces the partitions of the paper's full
+// recomputation every iteration for a fixed seed. Parallelism is how many
+// recursion tasks refine at once (each on one goroutine; SHP-k and sessions
+// ignore it), and it never changes a result either.
 type Options = core.Options
 
 // Result is a finished partitioning with per-iteration history.
@@ -130,8 +129,8 @@ type IterStats = core.IterStats
 
 // WorkStats records one refinement iteration's work counters: the frontier
 // the gain pass visited and the gain/scan work units spent. Unlike History,
-// Work is not pinned across rebuild schedules (NDRebuildEvery) — sublinear
-// frontier work between rebuilds is the whole point.
+// Work is not pinned to full recomputation's — sublinear frontier work is
+// the whole point.
 type WorkStats = core.WorkStats
 
 // Objective selects the optimization target.

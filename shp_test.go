@@ -199,11 +199,11 @@ func TestOptionsSurface(t *testing.T) {
 	}{
 		{reflect.TypeOf(shp.Options{}), []string{
 			"K", "Epsilon", "P", "Objective", "Direct", "MaxIters", "MinMoveFraction",
-			"Parallelism", "Seed", "Initial", "MoveCostPenalty", "MigrationBudget", "NDRebuildEvery",
+			"Parallelism", "Seed", "Initial", "MoveCostPenalty", "MigrationBudget",
 		}},
 		{reflect.TypeOf(shp.DistributedOptions{}), []string{
 			"K", "Epsilon", "P", "ItersPerLevel", "MinMoveFraction", "Workers", "Seed", "Transport",
-			"RebuildEvery", "Checkpointer", "CheckpointEvery", "DisableCheckpointing",
+			"Checkpointer", "CheckpointEvery", "DisableCheckpointing",
 		}},
 	} {
 		var got []string
