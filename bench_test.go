@@ -251,12 +251,12 @@ func BenchmarkMessagePlane(b *testing.B) {
 }
 
 // BenchmarkCheckpoint prices the fault-tolerance plane: the "on" run
-// checkpoints at the default cadence (every 64 supersteps) while "off"
-// ablates checkpointing entirely. The two are byte-identical in quality
-// (pinned by TestDistCheckpointingIsPureObservation), so the interesting
-// numbers are ckpt-bytes and the wall-clock delta — the snapshot plane is
-// sparse varint encoding over already-materialized state, and at cadence 64
-// its overhead stays under a few percent of the partition time.
+// checkpoints at the default cadence (every 16 iterations, 64 supersteps)
+// while "off" ablates checkpointing entirely. The two are byte-identical in
+// quality (pinned by TestDistCheckpointingIsPureObservation), so the
+// interesting numbers are ckpt-bytes and the wall-clock delta — a snapshot
+// is one varint bucket per data vertex plus the engine's halted flags, so
+// its cost is in the noise of the partition time.
 func BenchmarkCheckpoint(b *testing.B) {
 	g := benchGraph(b, "social-small")
 	for _, tc := range []struct {

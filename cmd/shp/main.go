@@ -30,12 +30,12 @@
 // (the paper's Giraph mode); -transport selects the message plane between
 // the in-process exchange and a loopback TCP backend with real framing and
 // serialization, and the engine's traffic accounting is reported.
-// Distributed runs checkpoint every -checkpoint-every supersteps (default
-// 64) so a worker failure rolls back and replays instead of failing the
-// job; -checkpoint-dir persists snapshots to disk, and -fault injects
-// deterministic failures (a worker kill, frame drops, or exchange delays)
-// to exercise the recovery path — with -v the resilience counters
-// (recoveries, retried frames, checkpoint bytes) are printed.
+// Distributed runs checkpoint every -checkpoint-every iterations (default
+// 16, which is 64 supersteps) so a worker failure rolls back and replays
+// instead of failing the job; -checkpoint-dir persists snapshots to disk,
+// and -fault injects deterministic failures (a worker kill, frame drops, or
+// exchange delays) to exercise the recovery path — with -v the resilience
+// counters (recoveries, retried frames, checkpoint bytes) are printed.
 package main
 
 import (
@@ -82,7 +82,7 @@ func run() error {
 		transport = flag.String("transport", "memory", "distributed message plane: memory or tcp")
 		stream    = flag.String("stream", "", "delta trace file to replay through a live partitioner session")
 		ckptDir   = flag.String("checkpoint-dir", "", "persist distributed checkpoints to this directory (default: in-memory store)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "distributed checkpoint cadence in supersteps (0 = default 64)")
+		ckptEvery = flag.Int("checkpoint-every", 0, "distributed checkpoint cadence in iterations (0 = default 16)")
 		fault     = flag.String("fault", "", "inject faults into the distributed transport, e.g. kill:worker=2,step=9 or drop:every=7")
 	)
 	flag.Parse()

@@ -120,7 +120,10 @@ func run() error {
 		close(churnDone)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	// A client that stalls mid-request holds a connection for at most the
+	// read timeout; a /delta body (up to 32 MiB) must arrive within it.
+	server := &http.Server{Addr: *addr, Handler: svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second, ReadTimeout: time.Minute}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- server.ListenAndServe() }()
 	log.Printf("serving on %s", *addr)

@@ -63,14 +63,15 @@ func main() {
 	fmt.Printf("  size of all traffic, local messages included.\n")
 
 	// Fault tolerance: kill a worker mid-protocol and let the engine roll
-	// back to the last superstep checkpoint and replay. The deterministic
-	// protocol makes the recovered run land on the exact same partition.
+	// back to the last checkpoint, taken every 2 iterations (8 supersteps),
+	// and replay. The deterministic protocol makes the recovered run land on
+	// the exact same partition.
 	recovered := run("4 machines, worker 2 killed at superstep 9", shp.DistributedOptions{
 		K: 16, Workers: 4, Seed: 7,
 		Transport: shp.FaultyTransport(shp.MemoryTransport(), shp.FaultPlan{
 			KillWorker: 2, KillStep: 9,
 		}),
-		CheckpointEvery: 8,
+		CheckpointEvery: 2,
 	})
 	same = len(mem.Assignment) == len(recovered.Assignment)
 	for i := range mem.Assignment {

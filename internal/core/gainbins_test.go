@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -305,32 +304,8 @@ func TestWarmIterationAllocations(t *testing.T) {
 	}
 }
 
-// TestDirHistDirectWritersSurviveMerge guards the writer that fills DirHist
-// fields without going through Add — DecodeDirHist: merged into an empty
-// histogram, its output must equal itself. (An occupancy mask on DirHist
-// that Merge consulted would silently drop its bins.)
-func TestDirHistDirectWritersSurviveMerge(t *testing.T) {
-	r := rng.New(99)
-	var src DirHist
-	for i := 0; i < 500; i++ {
-		src.Add(int64(math.Ldexp(r.Float64()-0.5, r.Intn(50))), unitHalf)
-	}
-	decoded, _, err := DecodeDirHist(src.AppendBinary(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded != src {
-		t.Fatal("decoded histogram differs from its source")
-	}
-	var into DirHist
-	into.Merge(&decoded)
-	if into != decoded {
-		t.Fatal("a decoded histogram merged into an empty one is not itself")
-	}
-}
-
 // TestDirHistMergeOrderFree: partial histograms merge to the same histogram
-// and the same encoding in every order. The gains are drawn at P = 0.3,
+// in every order. The gains are drawn at P = 0.3,
 // whose unit is no power of two, so a float sum of their objective values
 // would round differently per order; the distributed master's fold relies
 // on the integer sums, which do not.
@@ -351,13 +326,12 @@ func TestDirHistMergeOrderFree(t *testing.T) {
 		for i := range parts {
 			want.Merge(&parts[i])
 		}
-		wantBytes := want.AppendBinary(nil)
 		for order := 0; order < 8; order++ {
 			var got DirHist
 			for _, i := range r.Perm(len(parts)) {
 				got.Merge(&parts[i])
 			}
-			if got != want || !bytes.Equal(got.AppendBinary(nil), wantBytes) {
+			if got != want {
 				t.Fatalf("trial %d: merge order %d gives another histogram", trial, order)
 			}
 		}

@@ -114,17 +114,18 @@ type Options struct {
 	// loopback sockets). Partitions are transport-invariant for a fixed
 	// seed.
 	Transport pregel.Transport
-	// Checkpointer stores superstep snapshots for worker-failure recovery
-	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
-	// pregel.NewDiskCheckpointer to survive process death). Snapshots cover
-	// the engine's pending inboxes and, through its program hook, the run's
-	// own state: each worker's data states — the persistent integer gain
-	// accumulators included — and query registries, and the master's
-	// schedule with its persistent histograms. A recovered run resumes the
-	// incremental protocol without a rebroadcast and finishes byte-identical
-	// to an undisturbed one.
+	// Checkpointer stores snapshots for worker-failure recovery (nil means
+	// an in-process store, pregel.NewMemoryCheckpointer; use
+	// pregel.NewDiskCheckpointer to survive process death). A snapshot is
+	// taken at the start of an iteration, where no message is pending, and
+	// holds each data vertex's bucket and the master's level, iteration and
+	// history: everything else is recomputed. A recovered run replays the
+	// iteration it restored as a level start — every bucket resent, every
+	// query re-registered, every gain and proposal sent in full — and
+	// finishes byte-identical to an undisturbed one.
 	Checkpointer pregel.Checkpointer
-	// CheckpointEvery is the snapshot cadence in supersteps (default 64).
+	// CheckpointEvery is the snapshot cadence in iterations (<= 0 means 16,
+	// which is 64 supersteps).
 	CheckpointEvery int
 	// DisableCheckpointing turns the checkpoint plane off entirely
 	// (ablation: any worker failure then aborts the run).
@@ -159,6 +160,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = 4
+	}
+	if o.CheckpointEvery <= 0 {
+		o.CheckpointEvery = 16
 	}
 	return o
 }
@@ -378,8 +382,7 @@ type queryState struct {
 	// pairs lists the sibling pairs of the registered members, ascending
 	// and distinct, within room for min(degree, K/2) of them. row is the live
 	// neighbor data over 2·len(pairs) local buckets. At every barrier both
-	// are exactly what recount derives from memberBucket, which is why a
-	// snapshot stores only the registry.
+	// are exactly what recount derives from memberBucket.
 	pairs []int32
 	row   core.PinRow
 
@@ -692,10 +695,10 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		}
 	}
 
-	// The master runs at every barrier with the superstep just computed in
-	// sched.phase, and leaves sched as the next superstep's vertices read it.
+	// The master runs at every barrier after superstep step, and leaves
+	// sched as the next superstep's vertices read it.
 	master := func(step int, parts []*workerAgg) bool {
-		switch sched.phase {
+		switch step % 4 {
 		case 1:
 			for _, p := range parts {
 				sched.ndEntries += p.fanoutDiff
@@ -713,7 +716,6 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			for _, p := range parts {
 				moved += p.moved
 			}
-			sched.iterations++
 			sched.history = append(sched.history, IterRecord{
 				Level: sched.level, Iter: sched.iter, Moved: moved,
 				Fanout: float64(sched.ndEntries) / float64(numQ),
@@ -737,7 +739,6 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 				}
 			}
 		}
-		sched.phase = (sched.phase + 1) % 4
 		return false
 	}
 
@@ -757,7 +758,8 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		if engOpts.Checkpointer == nil {
 			engOpts.Checkpointer = pregel.NewMemoryCheckpointer()
 		}
-		engOpts.CheckpointEvery = opts.CheckpointEvery
+		// Snapshots land only on an iteration's superstep 0 (snapshot.go).
+		engOpts.CheckpointEvery = 4 * min(opts.CheckpointEvery, maxSupersteps)
 		engOpts.Program = states
 	}
 	eng, err := pregel.NewEngineOf(engOpts, vertices)
@@ -780,7 +782,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		Assignment: assignment,
 		K:          opts.K,
 		Levels:     levels,
-		Iterations: sched.iterations,
+		Iterations: len(sched.history),
 		History:    sched.history,
 		Stats:      stats,
 		Elapsed:    elapsed,

@@ -11,15 +11,15 @@ package distshp
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"maps"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
 	"shp/internal/core"
+	"shp/internal/pregel"
 )
 
 // fuzzWire is the record codec the wire fuzz targets run: a run over fuzzK
@@ -136,115 +136,205 @@ func newQuery(degree, k int) *queryState {
 	return &newQueryStates(1, k, func(int) int { return degree })[0]
 }
 
-// queryBytes encodes the state of a query at level whose registry holds
-// buckets.
-func queryBytes(level int, buckets ...int32) []byte {
-	return (&queryState{level: level, memberBucket: buckets}).appendBinary(nil)
-}
-
-// decodeVertex decodes one checkpointed vertex state off the front of data —
-// a data state, or the state of a query of the given degree, restored — and
-// returns its re-encoding, the bytes consumed and the query (nil for data).
-func decodeVertex(isData bool, degree int, data []byte) (re []byte, used int, q *queryState, err error) {
-	d := &decoder{data: data}
-	if isData {
-		var st dataState
-		st.decode(d, fuzzK, true)
-		re = st.appendBinary(nil)
-	} else {
-		q = newQuery(degree, fuzzK)
-		q.decode(d, 0, fuzzK, true)
-		re = q.appendBinary(nil)
+// fuzzRun returns the run state of a small graph at fuzzK buckets as it
+// stands at the start of sampleSchedule's iteration (level 1, iteration 2),
+// and two workers that take its vertices alternately.
+func fuzzRun(tb testing.TB) (*runState, [][]*pregel.Vertex) {
+	const seed = 5
+	g := randomBipartite(tb, seed, 40, 60, 200)
+	s := newRunState(g, sampleSchedule())
+	for d := range s.data {
+		st := &s.data[d]
+		st.bucket = splitBucket(seed, 1, int32(d), splitBucket(seed, 0, int32(d), -1))
+		st.level, st.sumCur, st.sumOth, st.propKey, st.propLevel = 1, int64(d), -int64(d), directionKey(st.bucket), 1
 	}
-	return re, len(data) - len(d.data), q, d.err
+	for q := range s.query {
+		for level := 0; level <= 1; level++ {
+			s.query[q].register(int32(q), level, seed, g.QueryNeighbors(int32(q)), nil)
+		}
+	}
+	workers := make([][]*pregel.Vertex, 2)
+	for i := 0; i < g.NumData()+g.NumQueries(); i++ {
+		workers[i%2] = append(workers[i%2], &pregel.Vertex{ID: pregel.VertexID(i)})
+	}
+	return s, workers
 }
 
-// FuzzCheckpointCodec drives the checkpoint's vertex-state encoders with
-// arbitrary bytes: a decode must reject hostile input — a data bucket
-// outside [-1, K), a registry entry outside [0, K), a registry whose length
-// is not the query's degree — without panicking or over-allocating, a
-// restored query's row must be the tally of its registry (empty while it is
-// unregistered), and any accepted state must round-trip stably (raw bytes
-// may use overlong varints, so the comparison is between the first and
-// second encodings, not against the input). Degrees above K/2 take recount's
-// packing branch, the rest its sorting one.
+// checkpointOf returns the worker parts and master blob a checkpoint of s
+// holds.
+func checkpointOf(s *runState, workers [][]*pregel.Vertex) ([][]byte, []byte) {
+	parts := make([][]byte, len(workers))
+	for w, vs := range workers {
+		parts[w] = s.AppendWorker(nil, vs)
+	}
+	return parts, s.AppendMaster(nil)
+}
+
+// restorable is what a restore may change: the data slab, each query's
+// level, pairs and row, and the schedule.
+type restorable struct {
+	data  []dataState
+	query []string
+	sched schedule
+}
+
+func restorableOf(s *runState) restorable {
+	r := restorable{data: slices.Clone(s.data), sched: *s.sched}
+	for q := range s.query {
+		st := &s.query[q]
+		r.query = append(r.query, fmt.Sprint(st.level, st.pairs, st.row))
+	}
+	return r
+}
+
+// requireReplayState checks that s is what a restore leaves: every data
+// vertex moved with nothing proposed, at the level its bucket belongs to
+// (the previous one at a level start) and in that level's range, every query
+// unregistered, and the master's proposal plane empty.
+func requireReplayState(t *testing.T, s *runState) {
+	t.Helper()
+	level := s.sched.level
+	if s.sched.iter == 0 {
+		level--
+	}
+	for d, st := range s.data {
+		if want := (dataState{bucket: st.bucket, moved: true, level: level, propLevel: -1}); st != want {
+			t.Fatalf("data vertex %d restored as %+v, want %+v", d, st, want)
+		}
+		if level < 0 && st.bucket != -1 || level >= 0 && (st.bucket < 0 || st.bucket >= 2<<level) {
+			t.Fatalf("data vertex %d restored into bucket %d at level %d", d, st.bucket, level)
+		}
+	}
+	for q := range s.query {
+		if st := &s.query[q]; st.level != -1 || len(st.pairs) != 0 || st.row.Live() != 0 {
+			t.Fatalf("query %d restored at level %d with pairs %v, %d live buckets", q, st.level, st.pairs, st.row.Live())
+		}
+	}
+	if sc := s.sched; len(sc.hists) != 0 || len(sc.weights) != 0 || sc.probs != nil || sc.ndEntries != 0 || sc.rebuildNext {
+		t.Fatal("the restored schedule kept proposal-plane state")
+	}
+}
+
+// FuzzCheckpointCodec drives the checkpoint hook's Restore with a
+// checkpoint one of whose blobs — the master's, or the part of the worker
+// the fuzzer names — is arbitrary bytes. Hostile input (a data bucket
+// outside its level's range, a short part, a trailing byte, a damaged
+// schedule, an absurd history count) must be refused without a panic or an
+// allocation the payload does not pay for, and leave the run state exactly
+// as it was. An accepted checkpoint must leave the level-start replay state
+// and re-encode stably (raw bytes may use overlong varints, so the
+// comparison is between the first and second encodings, not against the
+// input).
 func FuzzCheckpointCodec(f *testing.F) {
-	ds := (&dataState{
-		bucket: 3, moved: true, level: 2,
-		sumCur: 3 << 31, sumOth: -1 << 30, gain: 1 << 29,
-		propKey: 11, propGain: 1 << 31, propLevel: 2,
-	}).appendBinary(nil)
-	// One bit of sumCur flipped: still a valid dataState, which is why the
-	// snapshot around these states carries a checksum.
-	flipped := bytes.Clone(ds)
-	flipped[3+2] ^= 0x10 // bucket, moved, level take one byte each; sumCur follows
-	f.Add(true, uint8(0), ds)
-	f.Add(true, uint8(0), flipped)
-	f.Add(false, uint8(4), queryBytes(1, 0, 3, 1, 3))
-	f.Add(false, uint8(6), queryBytes(2, 0, 3, 7, 5, 2, 3))
-	f.Add(false, uint8(2), queryBytes(-1, 0, 0))
-	f.Add(false, uint8(2), queryBytes(2, 0, fuzzK))
-	f.Add(false, uint8(3), queryBytes(2, 5))
-	f.Add(false, uint8(3), queryBytes(2, 1, -1, 1))
-	f.Add(true, uint8(0), []byte{})
-	f.Add(false, uint8(1), []byte{2, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Fuzz(func(t *testing.T, isData bool, degree uint8, data []byte) {
-		deg := int(degree % 32)
-		re, used, st, err := decodeVertex(isData, deg, data)
+	s, workers := fuzzRun(f)
+	parts, master := checkpointOf(s, workers)
+	s.data[1].bucket = 4 // level 1 holds buckets [0, 4); vertex 1 is on worker 1
+	outOfRange, _ := checkpointOf(s, workers)
+	sched := sampleSchedule()
+	sched.iter = 0 // a level start: the parts must hold level-0 buckets
+	levelStart := sched.appendBinary(nil)
+	sched.level = 0 // the run's start: the parts must hold -1
+	runStart := sched.appendBinary(nil)
+	sched.level = sched.levels
+	pastLast := sched.appendBinary(nil)
+	f.Add(false, uint8(0), parts[0])
+	f.Add(true, uint8(0), master)
+	f.Add(false, uint8(1), outOfRange[1])
+	f.Add(false, uint8(0), parts[0][:len(parts[0])-1])
+	f.Add(false, uint8(1), append(bytes.Clone(parts[1]), 0))
+	f.Add(true, uint8(0), master[:len(master)-1])
+	f.Add(true, uint8(0), levelStart)
+	f.Add(true, uint8(0), runStart)
+	f.Add(true, uint8(0), pastLast)
+	f.Add(false, uint8(1), []byte{})
+	f.Add(true, uint8(0), []byte{2, 4, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd history count
+	f.Fuzz(func(t *testing.T, hostileMaster bool, worker uint8, data []byte) {
+		s, workers := fuzzRun(t)
+		parts, master := checkpointOf(s, workers)
+		if hostileMaster {
+			master = data
+		} else {
+			parts[int(worker)%len(parts)] = data
+		}
+		before := restorableOf(s)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := s.Restore(workers, parts, master)
+		runtime.ReadMemStats(&m1)
+		// A history record costs 32 bytes for at least 4 of payload.
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+8*uint64(len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), alloc)
+		}
 		if err != nil {
-			return // rejected; nothing to check beyond not panicking
-		}
-		if used > len(data) {
-			t.Fatalf("consumed %d of %d bytes", used, len(data))
-		}
-		if st != nil && st.level >= 0 {
-			if msg := rowViolation(st, st.memberBucket, fuzzK); msg != "" {
-				t.Fatalf("decoded row disagrees with its registry %v: %s", st.memberBucket, msg)
+			if !reflect.DeepEqual(restorableOf(s), before) {
+				t.Fatalf("a refused checkpoint (%v) changed the run state", err)
 			}
-		} else if st != nil && (len(st.pairs) != 0 || st.row.Live() != 0) {
-			t.Fatalf("unregistered query restored with pairs %v, %d live buckets", st.pairs, st.row.Live())
+			return
 		}
-		re2, used2, _, err := decodeVertex(isData, deg, re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		requireReplayState(t, s)
+		reParts, reMaster := checkpointOf(s, workers)
+		again, _ := fuzzRun(t)
+		if err := again.Restore(workers, reParts, reMaster); err != nil {
+			t.Fatalf("re-restore failed: %v", err)
 		}
-		if used2 != len(re) {
-			t.Fatalf("re-decode consumed %d of %d bytes", used2, len(re))
-		}
-		// Compare encodings, not values: the state may hold values that
-		// DeepEqual does not see as equal while round-tripping bit-exactly.
-		if !bytes.Equal(re2, re) {
-			t.Fatalf("unstable canonical encoding: %x vs %x", re2, re)
+		parts2, master2 := checkpointOf(again, workers)
+		if !slices.EqualFunc(parts2, reParts, bytes.Equal) || !bytes.Equal(master2, reMaster) {
+			t.Fatal("unstable canonical encoding")
 		}
 	})
 }
 
-// TestCheckpointCodecRejectsOutOfRangeBuckets checks that a vertex state
-// holding a bucket the run's rows have no slot for — or, in a query's
-// registry, no bucket at all — fails its decode instead of crashing the
-// resumed run, and that both ends of each range decode.
+// TestCheckpointCodecRejectsOutOfRangeBuckets checks that a checkpoint
+// holding a data bucket the restored level has no slot for — above or below
+// its range, or a level start over the next level's buckets — is refused
+// instead of crashing the resumed run and leaves the run state unchanged,
+// and that both ends of each range restore.
 func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
-	for _, mb := range [][]int32{{0, fuzzK}, {-2, 1}, {1, 1 << 30}, {-1, 1}} {
-		_, _, _, err := decodeVertex(false, len(mb), queryBytes(2, mb...))
-		if re := new(RegistryError); !errors.As(err, &re) || re.Len != uint64(len(mb)) {
-			t.Errorf("registry %v decoded at K = %d: %v", mb, fuzzK, err)
+	s, workers := fuzzRun(t) // level 1, iteration 2: buckets [0, 4)
+	_, master := checkpointOf(s, workers)
+	before := restorableOf(s)
+	// withBuckets checkpoints vertex 0 (on worker 0) in bucket b0, vertex 1
+	// (on worker 1) in b1 and every other data vertex in b0.
+	withBuckets := func(b0, b1 int32) [][]byte {
+		for d := range s.data {
+			s.data[d].bucket = b0
+		}
+		s.data[1].bucket = b1
+		parts, _ := checkpointOf(s, workers)
+		for d := range s.data {
+			s.data[d].bucket = before.data[d].bucket
+		}
+		return parts
+	}
+	levelStart := sampleSchedule()
+	levelStart.iter = 0 // level 0's buckets are [0, 2)
+	for _, c := range []struct {
+		name   string
+		parts  [][]byte
+		master []byte
+	}{
+		{"bucket 4 at level 1", withBuckets(0, 4), master},
+		{"bucket -1 at level 1", withBuckets(0, -1), master},
+		{"bucket -2 at level 1", withBuckets(0, -2), master},
+		{"bucket 2 at a level start over level 0", withBuckets(0, 2), levelStart.appendBinary(nil)},
+	} {
+		if err := s.Restore(workers, c.parts, c.master); err == nil {
+			t.Fatalf("%s: restored", c.name)
+		}
+		if !reflect.DeepEqual(restorableOf(s), before) {
+			t.Fatalf("%s: a refused restore changed the run state", c.name)
 		}
 	}
-	for _, b := range []int32{fuzzK, -2} {
-		if _, _, _, err := decodeVertex(true, 0, (&dataState{bucket: b, level: 2}).appendBinary(nil)); err == nil {
-			t.Errorf("data bucket %d decoded at K = %d", b, fuzzK)
-		}
+	if err := s.Restore(workers, withBuckets(0, 3), master); err != nil {
+		t.Fatalf("buckets 0 and 3 at level 1: %v", err)
 	}
-	_, _, st, err := decodeVertex(false, 3, queryBytes(2, 0, fuzzK-1, fuzzK-1))
-	if err != nil {
-		t.Fatal(err)
+	if s.data[0].bucket != 0 || s.data[1].bucket != 3 {
+		t.Fatalf("restored buckets %d, %d, want 0, 3", s.data[0].bucket, s.data[1].bucket)
 	}
-	if msg := rowViolation(st, []int32{0, fuzzK - 1, fuzzK - 1}, fuzzK); msg != "" {
-		t.Fatal(msg)
+	if err := s.Restore(workers, withBuckets(0, 1), levelStart.appendBinary(nil)); err != nil {
+		t.Fatalf("buckets 0 and 1 at a level start over level 0: %v", err)
 	}
-	if _, _, _, err := decodeVertex(true, 0, (&dataState{bucket: -1, level: -1}).appendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
+	requireReplayState(t, s)
 }
 
 // TestRecordCodecRejectsOutOfRange checks that a wire frame or checkpointed
@@ -310,15 +400,16 @@ func FuzzGainCodec(f *testing.F) {
 	f.Fuzz(checkRecordCodec)
 }
 
-// sampleSchedule is a master state at phase 3, where a restore recomputes
-// the move probabilities, with every section of the snapshot non-empty.
+// sampleSchedule is a master state at the start of level 1's third
+// iteration, with a history and a proposal plane.
 func sampleSchedule() *schedule {
 	s := &schedule{
-		opts: Options{K: 8, Epsilon: 0.05}, levels: 3, ideal: 40,
-		level: 1, iter: 2, phase: 3, iterations: 5, rebuildNext: true, ndEntries: 60,
+		opts: Options{K: fuzzK}.withDefaults(), levels: 3, ideal: 40,
+		level: 1, iter: 2, rebuildNext: true, ndEntries: 60,
 		hists:   map[uint64]*core.DirHist{},
 		weights: map[int32]int64{0: 41, 1: 37, 2: -3},
-		history: []IterRecord{{Level: 0, Iter: 0, Moved: 12, Fanout: 1.5}, {Level: 1, Iter: 1, Moved: 3, Fanout: 1.25}},
+		history: []IterRecord{{Level: 0, Iter: 0, Moved: 12, Fanout: 1.5}, {Level: 0, Iter: 1, Moved: 0, Fanout: 1.375},
+			{Level: 1, Iter: 0, Moved: 9, Fanout: 1.75}, {Level: 1, Iter: 1, Moved: 3, Fanout: 1.625}},
 	}
 	unit := math.Ldexp(0.5, -32)
 	for key, gains := range map[uint64][]int64{0: {1 << 32, -1 << 31}, 1: {3 << 32}, 3: {-1 << 34, 1 << 30, 3 << 31}} {
@@ -332,49 +423,46 @@ func sampleSchedule() *schedule {
 	return s
 }
 
-// FuzzSnapshotValueCodecs drives the master's snapshot, the blob the
-// checkpoint carries beside the workers' vertex states: hostile counts and
-// truncations must be rejected without a panic or an allocation the payload
-// does not pay for, a rejected blob must leave the schedule it was restored
-// into exactly as it was, and an accepted one must re-encode stably.
+// FuzzSnapshotValueCodecs drives the decoder of the master's blob, the
+// schedule's level, iteration and history: hostile counts and truncations
+// must be refused without a panic or an allocation the payload does not pay
+// for, and an accepted blob must decode to a schedule with an empty
+// proposal plane that re-encodes stably.
 func FuzzSnapshotValueCodecs(f *testing.F) {
 	valid := sampleSchedule().appendBinary(nil)
-	phase0 := sampleSchedule()
-	phase0.phase, phase0.rebuildNext = 0, false
+	levelStart := sampleSchedule()
+	levelStart.iter = 0
 	outOfRange := sampleSchedule()
 	outOfRange.level = 3 // == levels
-	// level, iter, phase, iterations, rebuild flag, ndEntries: one byte each.
-	const header = 6
+	// level, iteration and the history count take one byte each.
+	const header = 3
 	f.Add(valid)
-	f.Add(phase0.appendBinary(nil))
-	f.Add(valid[:len(valid)-3])                                                                // a valid prefix, then a truncated history
-	f.Add(valid[:header+4])                                                                    // truncated inside the first histogram
-	f.Add(append(bytes.Clone(valid[:header]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1)) // absurd histogram count
-	f.Add(append(bytes.Clone(valid[:len(valid)-2*11-1]), 200, 200, 200, 200, 1))               // absurd history count
+	f.Add(levelStart.appendBinary(nil))
+	f.Add(valid[:len(valid)-3])                                                                  // a valid prefix, then a truncated history
+	f.Add(valid[:1])                                                                             // truncated inside the header
+	f.Add(append(bytes.Clone(valid[:header-1]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1)) // absurd history count
+	f.Add(append(bytes.Clone(valid[:header-1]), 200, 200, 200, 200, 1))                          // a count past the payload
 	f.Add(outOfRange.appendBinary(nil))
 	f.Add(append(bytes.Clone(valid), 0)) // a trailing byte
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := sampleSchedule()
-		before, probs := s.appendBinary(nil), s.probs
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := s.restoreBinary(data)
+		r, err := s.decode(data)
 		runtime.ReadMemStats(&m1)
-		// A histogram costs 2 KB and its move probabilities 2 KB more, for
-		// at least two bytes of payload.
-		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+4<<10*uint64(len(data)) {
-			t.Fatalf("restoring %d bytes allocated %d", len(data), alloc)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64<<10+8*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
 		if err != nil {
-			if !bytes.Equal(s.appendBinary(nil), before) || !maps.Equal(s.probs, probs) {
-				t.Fatalf("rejected blob (%v) changed the schedule", err)
-			}
 			return
 		}
-		re := s.appendBinary(nil)
-		again := sampleSchedule()
-		if err := again.restoreBinary(re); err != nil {
+		if len(r.hists) != 0 || len(r.weights) != 0 || r.probs != nil || r.ndEntries != 0 || r.rebuildNext {
+			t.Fatal("a decoded schedule holds proposal-plane state")
+		}
+		re := r.appendBinary(nil)
+		again, err := s.decode(re)
+		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 		if re2 := again.appendBinary(nil); !bytes.Equal(re2, re) {

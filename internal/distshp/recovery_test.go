@@ -1,9 +1,8 @@
 package distshp
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -15,9 +14,10 @@ import (
 // invariant: kill a worker mid-protocol, recover from the last checkpoint,
 // and the finished run must be byte-identical — assignments, levels,
 // iteration counts, and the full History stream — to the undisturbed run.
-// Exercised across seeds, both transports, and checkpoint cadences (cadence
-// 1 rolls back a single superstep; cadence 5 replays a partial protocol
-// round, crossing phase boundaries).
+// Exercised across seeds, both transports, and checkpoint cadences in
+// iterations (cadence 1 rolls back to the start of the killed iteration,
+// superstep 8; cadence 5 replays from the run's start, across a partial
+// iteration).
 func TestDistRecoveryMatchesUndisturbed(t *testing.T) {
 	for _, seed := range []uint64{31, 32} {
 		g := randomBipartite(t, seed, 300, 600, 2400)
@@ -59,12 +59,11 @@ func TestDistRecoveryMatchesUndisturbed(t *testing.T) {
 }
 
 // TestDistRecoveryAtEveryPhase kills a worker at each of supersteps 1..12
-// with a checkpoint at every superstep, so recovery restores at every phase
-// of the protocol — including phase 3, where the master's move
-// probabilities are recomputed rather than read back — across a level start
-// and a rebroadcast iteration. Every recovered run must match the
-// undisturbed one, on the default schedule and on a rebroadcast every
-// iteration.
+// with a checkpoint at every iteration, so recovery replays an iteration
+// from each of its phases — across a level start, where the checkpoint
+// holds the previous level's buckets, and a rebroadcast iteration. Every
+// recovered run must match the undisturbed one, on the default schedule and
+// on a rebroadcast every iteration.
 func TestDistRecoveryAtEveryPhase(t *testing.T) {
 	const seed, lastKill = 41, 12
 	g := randomBipartite(t, seed, 120, 200, 800)
@@ -122,13 +121,15 @@ func TestDistRecoveryFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A checkpoint every iteration: the kill at superstep 13 restores the
+	// one taken at superstep 12.
 	faulty, err := Partition(g, Options{
 		K: 8, Seed: seed, Workers: 4,
 		Transport: pregel.FaultyTransport(pregel.MemoryTransport(), pregel.FaultPlan{
 			KillWorker: 1, KillStep: 13,
 		}),
 		Checkpointer:    cp,
-		CheckpointEvery: 4,
+		CheckpointEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,77 +191,100 @@ func TestDistTransientDropsRetry(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadRegistries hands the checkpoint hook parts in which
-// one query's registry does not fit the query: one entry for a query of
-// degree 3 or more, which a resumed run would index past, or a -1 entry,
-// which no member can hold. The restore must fail with a *RegistryError
-// naming the query and leave the run's vertex states and schedule as they
-// were; so must a good part beside a damaged schedule. The good parts then
-// restore.
-func TestRestoreRejectsBadRegistries(t *testing.T) {
-	const seed = 5
-	g := randomBipartite(t, seed, 40, 60, 200)
-	s := newRunState(g, sampleSchedule())
-	for d := range s.data {
-		s.data[d].bucket, s.data[d].level = splitBucket(seed, 0, int32(d), -1), 0
+// TestRestoreRejectsDamagedSnapshots hands the checkpoint hook damaged
+// checkpoints: a short part, a trailing byte and a damaged schedule
+// (TestCheckpointCodecRejectsOutOfRangeBuckets covers buckets outside their
+// level's range). Each must be refused and leave the
+// run's vertex states and schedule as they were. The good checkpoint then
+// restores the level-start replay state with the schedule's level,
+// iteration and history.
+func TestRestoreRejectsDamagedSnapshots(t *testing.T) {
+	s, workers := fuzzRun(t)
+	parts, master := checkpointOf(s, workers)
+	before := restorableOf(s)
+	withPart := func(w int, part []byte) [][]byte {
+		c := slices.Clone(parts)
+		c[w] = part
+		return c
 	}
-	for q := range s.query {
-		s.query[q].register(int32(q), 0, seed, g.QueryNeighbors(int32(q)), nil)
-	}
-	all := make([]*pregel.Vertex, g.NumData()+g.NumQueries())
-	for i := range all {
-		all[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
-	}
-	workers := [][]*pregel.Vertex{all[:len(all)/2], all[len(all)/2:]}
-	encode := func() [][]byte {
-		parts := make([][]byte, len(workers))
-		for w, vs := range workers {
-			parts[w] = s.AppendWorker(nil, vs)
-		}
-		return parts
-	}
-	good, master := encode(), s.AppendMaster(nil)
-	requireUnchanged := func(label string) {
-		t.Helper()
-		if got := encode(); !slices.EqualFunc(got, good, bytes.Equal) {
-			t.Fatalf("%s: a refused restore changed the vertex states", label)
-		}
-		if !bytes.Equal(s.AppendMaster(nil), master) {
-			t.Fatalf("%s: a refused restore changed the schedule", label)
-		}
-	}
-	q := int32(slices.IndexFunc(s.query, func(st queryState) bool { return len(st.memberBucket) >= 3 }))
-	if q < 0 {
-		t.Fatal("no query of degree 3 or more")
-	}
-	registry := s.query[q].memberBucket
-	withNegative := slices.Clone(registry)
-	withNegative[2] = -1
 	for _, c := range []struct {
-		name string
-		reg  []int32
-	}{{"one entry", registry[:1]}, {"a -1 entry", withNegative}} {
-		s.query[q].memberBucket = c.reg
-		bad := encode()
-		s.query[q].memberBucket = registry
-		err := s.Restore(workers, bad, master)
-		if re := new(RegistryError); !errors.As(err, &re) || re.Query != q {
-			t.Fatalf("%s: Restore returned %v, want a *RegistryError for query %d", c.name, err, q)
+		name   string
+		parts  [][]byte
+		master []byte
+	}{
+		{"a short part", withPart(0, parts[0][:len(parts[0])-1]), master},
+		{"a trailing byte", withPart(1, append(slices.Clone(parts[1]), 0)), master},
+		{"a truncated schedule", parts, master[:len(master)-1]},
+	} {
+		if err := s.Restore(workers, c.parts, c.master); err == nil {
+			t.Fatalf("%s: restored", c.name)
 		}
-		requireUnchanged(c.name)
+		if !reflect.DeepEqual(restorableOf(s), before) {
+			t.Fatalf("%s: a refused restore changed the run state", c.name)
+		}
 	}
-
-	s.data[0].sumCur++
-	other := encode()
-	s.data[0].sumCur--
-	if err := s.Restore(workers, other, master[:len(master)-1]); err == nil {
-		t.Fatal("a truncated schedule restored")
-	}
-	requireUnchanged("damaged schedule")
-	if err := s.Restore(workers, other, master); err != nil {
+	if err := s.Restore(workers, parts, master); err != nil {
 		t.Fatal(err)
 	}
-	if s.data[0].sumCur--; !slices.EqualFunc(encode(), good, bytes.Equal) {
-		t.Fatal("restored vertex states differ from the parts")
+	requireReplayState(t, s)
+	for d, st := range s.data {
+		if st.bucket != before.data[d].bucket {
+			t.Fatalf("data vertex %d restored into bucket %d, checkpointed in %d", d, st.bucket, before.data[d].bucket)
+		}
+	}
+	if s.sched.level != before.sched.level || s.sched.iter != before.sched.iter || !slices.Equal(s.sched.history, before.sched.history) {
+		t.Fatal("the restored schedule differs from the checkpointed one")
+	}
+}
+
+// recordingCheckpointer is a memory store that records the superstep of
+// every save.
+type recordingCheckpointer struct {
+	*pregel.MemoryCheckpointer
+	steps []int
+}
+
+func (c *recordingCheckpointer) Save(superstep int, snapshot []byte) error {
+	c.steps = append(c.steps, superstep)
+	return c.MemoryCheckpointer.Save(superstep, snapshot)
+}
+
+// TestCheckpointsLandOnIterationStarts pins the precondition the checkpoint
+// format rests on: every snapshot is taken at an iteration's superstep 0,
+// and nothing is pending there, because superstep 3 (the coin flips) sends
+// no message.
+func TestCheckpointsLandOnIterationStarts(t *testing.T) {
+	const seed = 13
+	g := randomBipartite(t, seed, 250, 500, 2000)
+	for _, tc := range []struct {
+		name      string
+		transport func() pregel.Transport
+	}{
+		{"memory", pregel.MemoryTransport},
+		{"tcp", pregel.TCPTransport},
+	} {
+		for _, every := range []int{0, 1, 3} {
+			cp := &recordingCheckpointer{MemoryCheckpointer: pregel.NewMemoryCheckpointer()}
+			res, err := Partition(g, Options{K: 8, Seed: seed, Workers: 3, Transport: tc.transport(),
+				Checkpointer: cp, CheckpointEvery: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			supersteps := 4 * Options{CheckpointEvery: every}.withDefaults().CheckpointEvery
+			if len(cp.steps) < 2 {
+				t.Fatalf("%s, every %d: saves at %v, want several", tc.name, every, cp.steps)
+			}
+			for _, step := range cp.steps {
+				if step%supersteps != 0 {
+					t.Fatalf("%s, every %d: a save at superstep %d, not every %d supersteps from 0",
+						tc.name, every, step, supersteps)
+				}
+			}
+			for s := 3; s < len(res.Stats.PerSuperstep); s += 4 {
+				if n := res.Stats.PerSuperstep[s].MessagesSent; n != 0 {
+					t.Fatalf("%s: superstep %d sent %d messages", tc.name, s, n)
+				}
+			}
+		}
 	}
 }

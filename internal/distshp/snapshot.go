@@ -1,27 +1,31 @@
 package distshp
 
-// The run's checkpoint plane. The engine snapshots only what it owns (halted
-// flags, pending inboxes); runState, its checkpoint hook, encodes the rest:
-// per worker, each data vertex's dataState (the persistent integer gain
-// accumulators included) and each query's level and registry, and the
-// master's schedule (counters, persistent DirHist histograms, bucket
-// weights, iteration history). A recovery resumes the *incremental* protocol
-// exactly where the checkpoint left it: no rebroadcast, no resummation,
-// byte-identical continuation.
+// The run's checkpoint plane. A checkpoint is taken only at an iteration's
+// superstep 0 (Partition sets the engine's cadence to a multiple of the four
+// supersteps of an iteration), where no message is pending and everything
+// but each data vertex's bucket is an exact integer function of the
+// assignment, the level, the iteration and the seed. So a snapshot holds per
+// worker each data vertex's bucket, nothing of its queries, and the master's
+// level, iteration and history.
 //
-// A query's sibling pairs and pin-count row are what its registry gives at
-// every barrier, so a restore recounts them; it knows the query's degree, so
-// it refuses a registry of another length or with an entry outside [0, K).
-// Encodings are canonical (map keys sorted, fields in declaration order), so
-// equal states produce byte-identical snapshots — the property
-// FuzzCheckpointCodec and the restore-equality tests pin.
+// A restore rebuilds the rest through the level-start registration that
+// already exists: every data vertex is marked moved with nothing proposed,
+// every query unregistered, the master's proposal plane empty. The replayed
+// iteration's superstep 0 then ships every bucket, superstep 1 registers
+// every query from all its members' records and sends full gains (the live
+// entries re-sum into the master's fanout count), and superstep 2 registers
+// every proposal afresh. Gains are integers, so what this re-derives is what
+// the undisturbed run maintained, and the recovered run finishes
+// byte-identical to it. (The one difference, a histogram the undisturbed
+// run retracted to zero, which the restored map lacks, belongs to an empty
+// bucket; matching its pair against an empty side gives the nonempty side
+// the same table either way.)
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 
 	"shp/internal/core"
 	"shp/internal/hypergraph"
@@ -30,19 +34,16 @@ import (
 
 // schedule is the master's state across supersteps, including every value
 // the vertices read from it (level, iter, rebuildNext, probs). The master
-// writes it only between supersteps, and the checkpoint plane snapshots and
-// restores it: rolling back vertices without rolling back the persistent
-// histograms would desynchronize the proposal plane.
+// writes it only between supersteps. A snapshot holds level, iter and
+// history; the rest is refilled by the replayed iteration.
 type schedule struct {
 	// Run constants, set once by Partition.
 	opts   Options
 	levels int
 	ideal  float64 // a bucket's share of the data weight at K buckets
 
-	level      int
-	iter       int
-	phase      int // which of the 4 supersteps comes next
-	iterations int
+	level int
+	iter  int
 	// rebuildNext schedules a full superstep-1 gain rebroadcast for the
 	// next iteration (a sweep). It stays set through that superstep 1,
 	// whose queries read it.
@@ -57,106 +58,58 @@ type schedule struct {
 	hists   map[uint64]*core.DirHist
 	weights map[int32]int64
 	// probs are the per-direction move probabilities superstep 3 reads.
-	// They derive from hists, weights and level, so no snapshot holds them:
-	// a restore at phase 3 recomputes them.
 	probs   map[uint64]*core.ProbTable
 	history []IterRecord
 }
 
-// appendBinary encodes the schedule canonically onto buf.
+// appendBinary encodes the schedule's level, iteration and history onto
+// buf, as varints (a fanout as its bits).
 func (s *schedule) appendBinary(buf []byte) []byte {
 	buf = binary.AppendVarint(buf, int64(s.level))
 	buf = binary.AppendVarint(buf, int64(s.iter))
-	buf = binary.AppendVarint(buf, int64(s.phase))
-	buf = binary.AppendVarint(buf, int64(s.iterations))
-	if s.rebuildNext {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendVarint(buf, s.ndEntries)
-	buf = appendHistMap(buf, s.hists)
-	buf = appendWeightMap(buf, s.weights)
-	buf = binary.AppendUvarint(buf, uint64(len(s.history)))
+	buf = binary.AppendVarint(buf, int64(len(s.history)))
 	for _, rec := range s.history {
 		buf = binary.AppendVarint(buf, int64(rec.Level))
 		buf = binary.AppendVarint(buf, int64(rec.Iter))
 		buf = binary.AppendVarint(buf, rec.Moved)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Fanout))
+		buf = binary.AppendVarint(buf, int64(math.Float64bits(rec.Fanout)))
 	}
 	return buf
 }
 
-// restoreBinary replaces the schedule's state with a decoded snapshot, all
-// or nothing: it decodes into a fresh schedule and commits it only once
-// every byte has parsed. The maps are fresh too — the master adopts
-// histograms out of the aggregate's parts, so restored state must never
-// alias a live one.
-func (s *schedule) restoreBinary(data []byte) error {
+// decode returns the schedule a master blob holds, on s's run constants and
+// with an empty proposal plane, leaving s alone.
+func (s *schedule) decode(data []byte) (*schedule, error) {
 	d := &decoder{data: data}
-	r := &schedule{opts: s.opts, levels: s.levels, ideal: s.ideal}
-	r.level = int(d.varint())
-	r.iter = int(d.varint())
-	r.phase = int(d.varint())
-	r.iterations = int(d.varint())
-	r.rebuildNext = d.byte() != 0
-	r.ndEntries = d.varint()
-	r.hists = d.histMap()
-	r.weights = d.weightMap()
-	n := d.uvarint()
-	if n > uint64(len(d.data)) { // each record is >= 11 bytes
-		return fmt.Errorf("distshp: schedule snapshot: history count %d exceeds payload", n)
+	r := &schedule{opts: s.opts, levels: s.levels, ideal: s.ideal,
+		level: int(d.varint()), iter: int(d.varint()),
+		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{}}
+	n := d.varint()
+	if n < 0 || n > int64(len(d.data))/4 { // each record is >= 4 bytes
+		return nil, fmt.Errorf("distshp: schedule snapshot: history count %d exceeds payload", n)
 	}
-	r.history = make([]IterRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rec := IterRecord{
-			Level: int(d.varint()),
-			Iter:  int(d.varint()),
-			Moved: d.varint(),
-		}
-		rec.Fanout = math.Float64frombits(d.u64())
-		r.history = append(r.history, rec)
+	r.history = make([]IterRecord, n)
+	for i := range r.history {
+		r.history[i] = IterRecord{Level: int(d.varint()), Iter: int(d.varint()), Moved: d.varint(),
+			Fanout: math.Float64frombits(uint64(d.varint()))}
 	}
 	if d.err != nil {
-		return fmt.Errorf("distshp: schedule snapshot: %w", d.err)
+		return nil, fmt.Errorf("distshp: schedule snapshot: %w", d.err)
 	}
 	if len(d.data) != 0 {
-		return fmt.Errorf("distshp: schedule snapshot: %d trailing bytes", len(d.data))
+		return nil, fmt.Errorf("distshp: schedule snapshot: %d trailing bytes", len(d.data))
 	}
-	if r.level < 0 || r.level >= r.levels || r.phase < 0 || r.phase > 3 {
-		return fmt.Errorf("distshp: schedule snapshot: level %d, phase %d out of range", r.level, r.phase)
+	if r.level < 0 || r.level >= r.levels || r.iter < 0 || r.iter >= r.opts.ItersPerLevel {
+		return nil, fmt.Errorf("distshp: schedule snapshot: level %d, iteration %d out of range", r.level, r.iter)
 	}
-	if r.phase == 3 {
-		r.match()
-	}
-	*s = *r
-	return nil
+	return r, nil
 }
 
-// decoder is a cursor over snapshot bytes with sticky error handling, so
-// decode paths read linearly instead of threading errors through every call.
+// decoder is a cursor over snapshot varints with a sticky error, so decode
+// paths read linearly instead of threading errors through every call.
 type decoder struct {
 	data []byte
 	err  error
-}
-
-func (d *decoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s", msg)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
 }
 
 func (d *decoder) varint() int64 {
@@ -165,112 +118,16 @@ func (d *decoder) varint() int64 {
 	}
 	v, n := binary.Varint(d.data)
 	if n <= 0 {
-		d.fail("truncated varint")
+		d.err = errors.New("truncated varint")
 		return 0
 	}
 	d.data = d.data[n:]
 	return v
 }
 
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) == 0 {
-		d.fail("truncated byte")
-		return 0
-	}
-	b := d.data[0]
-	d.data = d.data[1:]
-	return b
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) < 8 {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data)
-	d.data = d.data[8:]
-	return v
-}
-
-// bucket reads a bucket id and fails unless it is -1 or in [0, k).
-func (d *decoder) bucket(k int) int32 {
-	b := d.varint()
-	if b < -1 || b >= int64(k) {
-		d.fail(fmt.Sprintf("bucket %d outside [-1, %d)", b, k))
-		return -1
-	}
-	return int32(b)
-}
-
-func (d *decoder) histMap() map[uint64]*core.DirHist {
-	n := d.uvarint()
-	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
-		d.fail("histogram map count exceeds payload")
-		return nil
-	}
-	m := make(map[uint64]*core.DirHist, n)
-	for i := uint64(0); i < n; i++ {
-		key := d.uvarint()
-		if d.err != nil {
-			return m
-		}
-		h, used, err := core.DecodeDirHist(d.data)
-		if err != nil {
-			d.err = err
-			return m
-		}
-		d.data = d.data[used:]
-		m[key] = &h
-	}
-	return m
-}
-
-func (d *decoder) weightMap() map[int32]int64 {
-	n := d.uvarint()
-	if n > uint64(len(d.data)) { // each entry is >= 2 bytes
-		d.fail("weight map count exceeds payload")
-		return nil
-	}
-	m := make(map[int32]int64, n)
-	for i := uint64(0); i < n; i++ {
-		b := int32(d.varint())
-		m[b] = d.varint()
-	}
-	return m
-}
-
-func appendHistMap(buf []byte, m map[uint64]*core.DirHist) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		buf = binary.AppendUvarint(buf, k)
-		buf = m[k].AppendBinary(buf)
-	}
-	return buf
-}
-
-func appendWeightMap(buf []byte, m map[int32]int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		buf = binary.AppendVarint(buf, int64(k))
-		buf = binary.AppendVarint(buf, m[k])
-	}
-	return buf
-}
-
-// --- vertex states ---
-
 // runState is a run's program state: the data and query slabs, indexed by
 // vertex id (a query's by its id minus |D|), and the master's schedule. It
-// is the engine's checkpoint hook. Every bucket a vertex state holds is
-// below the run's K (a data vertex's is -1 before its first level), and a
-// decoded state that breaks this is rejected instead of crashing the
-// resumed run on a row index.
+// is the engine's checkpoint hook.
 type runState struct {
 	data  []dataState
 	query []queryState
@@ -288,14 +145,12 @@ func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
 	return s
 }
 
-// AppendWorker encodes one worker's vertices' states, in the engine's order.
+// AppendWorker encodes the buckets of one worker's data vertices, in the
+// engine's order.
 func (s *runState) AppendWorker(buf []byte, vertices []*pregel.Vertex) []byte {
-	numD := pregel.VertexID(len(s.data))
 	for _, v := range vertices {
-		if v.ID < numD {
-			buf = s.data[v.ID].appendBinary(buf)
-		} else {
-			buf = s.query[v.ID-numD].appendBinary(buf)
+		if v.ID < pregel.VertexID(len(s.data)) {
+			buf = binary.AppendVarint(buf, int64(s.data[v.ID].bucket))
 		}
 	}
 	return buf
@@ -304,123 +159,52 @@ func (s *runState) AppendWorker(buf []byte, vertices []*pregel.Vertex) []byte {
 // AppendMaster encodes the schedule.
 func (s *runState) AppendMaster(buf []byte) []byte { return s.sched.appendBinary(buf) }
 
-// Restore checks every part, restores the schedule (all or nothing), and
-// only then writes the parts, which can no longer fail.
+// Restore decodes the master blob and every part and, only once all of them
+// have parsed, rewinds the run to the start of the snapshot's iteration, the
+// way the file comment describes. A data vertex holds the previous level's
+// bucket at a level start and the current one's otherwise; a bucket outside
+// that level's range (anything but -1 before level 0) is refused.
 func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []byte) error {
-	if err := s.decodeParts(workers, parts, false); err != nil {
+	sched, err := s.sched.decode(master)
+	if err != nil {
 		return err
 	}
-	if err := s.sched.restoreBinary(master); err != nil {
-		return err
+	level := sched.level
+	if sched.iter == 0 {
+		level--
 	}
-	return s.decodeParts(workers, parts, true)
-}
-
-// decodeParts decodes every worker's part, writing the slabs only with
-// commit set.
-func (s *runState) decodeParts(workers [][]*pregel.Vertex, parts [][]byte, commit bool) error {
-	numD, k := pregel.VertexID(len(s.data)), s.sched.opts.K
+	lo, hi := int64(-1), int64(0)
+	if level >= 0 {
+		lo, hi = 0, 2<<level
+	}
+	numD := pregel.VertexID(len(s.data))
+	buckets := make([]int32, numD)
 	for w, vertices := range workers {
 		d := &decoder{data: parts[w]}
 		for _, v := range vertices {
-			if v.ID < numD {
-				s.data[v.ID].decode(d, k, commit)
-			} else {
-				s.query[v.ID-numD].decode(d, int32(v.ID-numD), k, commit)
+			if v.ID >= numD {
+				continue
 			}
-			if d.err != nil {
-				return fmt.Errorf("distshp: vertex %d state: %w", v.ID, d.err)
+			b := d.varint()
+			if d.err == nil && (b < lo || b >= hi) {
+				return fmt.Errorf("distshp: vertex %d: bucket %d outside [%d, %d) at level %d", v.ID, b, lo, hi, level)
 			}
+			buckets[v.ID] = int32(b)
+		}
+		if d.err != nil {
+			return fmt.Errorf("distshp: worker %d state: %w", w, d.err)
 		}
 		if len(d.data) != 0 {
 			return fmt.Errorf("distshp: worker %d state: %d trailing bytes", w, len(d.data))
 		}
 	}
+	*s.sched = *sched
+	for i, b := range buckets {
+		s.data[i] = dataState{bucket: b, moved: true, level: level, propLevel: -1}
+	}
+	for q := range s.query {
+		st := &s.query[q]
+		st.level, st.pairs, st.row, st.snap = -1, st.pairs[:0], st.row.Reshape(0), st.snap.Reshape(0)
+	}
 	return nil
-}
-
-func (st *dataState) appendBinary(buf []byte) []byte {
-	buf = binary.AppendVarint(buf, int64(st.bucket))
-	if st.moved {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.AppendVarint(buf, int64(st.level))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.sumCur))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.sumOth))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.gain))
-	buf = binary.AppendUvarint(buf, st.propKey)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.propGain))
-	return binary.AppendVarint(buf, int64(st.propLevel))
-}
-
-// decode reads a data state of a run over k buckets, and with commit set
-// installs it.
-func (st *dataState) decode(d *decoder, k int, commit bool) {
-	r := dataState{
-		bucket: d.bucket(k), moved: d.byte() != 0, level: int(d.varint()),
-		sumCur: int64(d.u64()), sumOth: int64(d.u64()), gain: int64(d.u64()),
-		propKey: d.uvarint(), propGain: int64(d.u64()), propLevel: int(d.varint()),
-	}
-	if commit && d.err == nil {
-		*st = r
-	}
-}
-
-// appendBinary encodes the query's level and registry. The per-superstep
-// scratch (snapshot row, mover flags, diff buffer) is empty at every
-// barrier — resetSuperstep runs before the superstep ends on every path.
-func (st *queryState) appendBinary(buf []byte) []byte {
-	buf = binary.AppendVarint(buf, int64(st.level))
-	buf = binary.AppendUvarint(buf, uint64(len(st.memberBucket)))
-	for _, b := range st.memberBucket {
-		buf = binary.AppendVarint(buf, int64(b))
-	}
-	return buf
-}
-
-// RegistryError is a checkpointed query registry that is not one bucket in
-// [0, K) per member, which a resumed run would index past or miscount.
-type RegistryError struct {
-	Query  int32  // the query's index among the queries
-	Degree int    // its member count
-	Len    uint64 // the registry's length
-	Bucket int64  // with Len == Degree, the first entry outside [0, K)
-}
-
-func (e *RegistryError) Error() string {
-	if e.Len != uint64(e.Degree) {
-		return fmt.Sprintf("query %d: registry of %d entries for %d members", e.Query, e.Len, e.Degree)
-	}
-	return fmt.Sprintf("query %d: registry holds bucket %d", e.Query, e.Bucket)
-}
-
-// decode reads query q's level and registry, checked against its degree —
-// the length of the registry it was carved with — and the run's k buckets.
-// With commit set it installs them and recounts the row, empty while the
-// query is unregistered.
-func (st *queryState) decode(d *decoder, q int32, k int, commit bool) {
-	degree := len(st.memberBucket)
-	level := int(d.varint())
-	if n := d.uvarint(); d.err == nil && n != uint64(degree) {
-		d.err = &RegistryError{Query: q, Degree: degree, Len: n}
-	}
-	for i := 0; i < degree && d.err == nil; i++ {
-		switch b := d.varint(); {
-		case d.err != nil:
-		case b < 0 || b >= int64(k):
-			d.err = &RegistryError{Query: q, Degree: degree, Len: uint64(degree), Bucket: b}
-		case commit:
-			st.memberBucket[i] = int32(b)
-		}
-	}
-	if !commit || d.err != nil {
-		return
-	}
-	if st.level = level; level >= 0 {
-		st.recount()
-	} else {
-		st.pairs, st.row, st.snap = st.pairs[:0], st.row.Reshape(0), st.snap.Reshape(0)
-	}
 }

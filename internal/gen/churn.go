@@ -60,7 +60,8 @@ func (c *Churn) Next() (*hypergraph.Delta, error) {
 		return nil, fmt.Errorf("gen: graph is %dx%d but the last delta expects %dx%d — apply it before calling Next",
 			c.g.NumQueries(), c.g.NumData(), c.expQ, c.expD)
 	}
-	m := int(c.frac*float64(len(c.live)) + 0.5)
+	// Rounding the product keeps arm64 from fusing it with the + 0.5.
+	m := int(float64(c.frac*float64(len(c.live))) + 0.5)
 	if m < 1 {
 		m = 1
 	}

@@ -101,7 +101,8 @@ func HubPowerLawBipartite(numQ, numD int, numEdges int64, exponent, hubFraction 
 	if hubDegree < 2 {
 		hubDegree = 2
 	}
-	nHubs := int(hubFraction*float64(numQ) + 0.5)
+	// Rounding the product keeps arm64 from fusing it with the + 0.5.
+	nHubs := int(float64(hubFraction*float64(numQ)) + 0.5)
 	if nHubs < 1 {
 		nHubs = 1
 	}

@@ -187,10 +187,11 @@ type ProgramState interface {
 // checksum is what catches damage that still parses — a flipped bit inside a
 // numeric state decodes to a different, perfectly valid state. The version
 // changes whenever the layout or a program's payload does: version 5 moved
-// vertex states out of the engine into per-worker program parts.
+// vertex states out of the engine into per-worker program parts, version 6
+// cut distshp's parts to its data vertices' buckets.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 5
+	snapshotVersion = 6
 	snapshotSumSize = 4
 )
 

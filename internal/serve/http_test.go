@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"shp/internal/core"
 	"shp/internal/gen"
@@ -170,6 +171,54 @@ func TestHTTPDeltaBodyLimit(t *testing.T) {
 	}
 	if got := s.session.Graph().Version(); got == version {
 		t.Fatal("accepted trace did not change the graph version")
+	}
+}
+
+// TestHTTPDeltaStallDoesNotBlockRepartition: a /delta client that sends one
+// line of its trace and then stalls holds up neither a repartition nor its
+// own trace, which applies once the body ends.
+func TestHTTPDeltaStallDoesNotBlockRepartition(t *testing.T) {
+	s := testService(t, 37, 0)
+	h := s.Handler()
+	version := s.session.Graph().Version()
+
+	pr, pw := io.Pipe()
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/delta", pr))
+		done <- w
+	}()
+	// A pipe write returns once the handler has read it: the upload is
+	// under way when the stall begins.
+	if _, err := io.WriteString(pw, "addq 1 0 1 2\n"); err != nil {
+		t.Fatal(err)
+	}
+	repartitioned := make(chan error)
+	go func() {
+		_, err := s.Repartition()
+		repartitioned <- err
+	}()
+	select {
+	case err := <-repartitioned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		pw.CloseWithError(io.ErrUnexpectedEOF)
+		<-done
+		<-repartitioned
+		t.Fatal("Repartition blocked behind a stalled /delta body")
+	}
+	if _, err := io.WriteString(pw, "commit\n"); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if w := <-done; w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if got := s.session.Graph().Version(); got != version+1 {
+		t.Fatalf("graph version %d -> %d, want the stalled trace's one batch", version, got)
 	}
 }
 

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -212,12 +213,19 @@ func (s *Service) ApplyDelta(d *hypergraph.Delta) error {
 
 // ApplyTrace reads a delta trace (hgio trace format) and applies every
 // batch in order, returning the number applied. Batches already applied
-// when an error occurs stay applied.
+// when an error occurs stay applied. All of r is read before the mutations'
+// lock is taken, so a slow or stalled writer delays only its own trace; r
+// must be bounded (the HTTP handler caps it at maxDeltaBody). Parsing checks
+// ids against the current graph, so it runs under the lock.
 func (s *Service) ApplyTrace(r io.Reader) (int, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.session.Graph()
-	deltas, err := hgio.ReadDeltaTrace(r, g.NumQueries(), g.NumData())
+	deltas, err := hgio.ReadDeltaTrace(bytes.NewReader(body), g.NumQueries(), g.NumData())
 	if err != nil {
 		return 0, err
 	}
