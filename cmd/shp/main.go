@@ -349,7 +349,7 @@ func runStream(g *shp.Hypergraph, opts shp.Options, tracePath, outPath string) e
 // runDistributed partitions on the BSP engine and reports its measured
 // message-plane traffic alongside the quality numbers: totals, per-protocol-
 // phase byte attribution, and the moved-vertices trajectory that drives the
-// dirty-query delta plane.
+// dirty-query patch plane.
 func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed uint64,
 	workers int, transport, ckptDir string, ckptEvery int, fault string, verbose bool, outPath string) error {
 
@@ -394,7 +394,7 @@ func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed ui
 		res.Stats.TotalMessages, res.Stats.RemoteMessages,
 		float64(res.Stats.TotalBytes)/(1<<20), transport)
 	phases := res.Stats.PhaseTotals(4)
-	fmt.Fprintf(os.Stderr, "phase KB:  bucket-updates %.1f, gain/delta %.1f, proposals %.1f, moves %.1f\n",
+	fmt.Fprintf(os.Stderr, "phase KB:  bucket-updates %.1f, gain/patch %.1f, proposals %.1f, moves %.1f\n",
 		float64(phases[0].BytesSent)/(1<<10), float64(phases[1].BytesSent)/(1<<10),
 		float64(phases[2].BytesSent)/(1<<10), float64(phases[3].BytesSent)/(1<<10))
 	var totalMoved int64
@@ -402,7 +402,7 @@ func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed ui
 		totalMoved += rec.Moved
 	}
 	late, lateBytes := res.LateGainBytes(0.01)
-	fmt.Fprintf(os.Stderr, "moved:     %d vertices across %d iterations; %d late iterations (<=1%% moved) shipped %.1f KB on the gain/delta superstep\n",
+	fmt.Fprintf(os.Stderr, "moved:     %d vertices across %d iterations; %d late iterations (<=1%% moved) shipped %.1f KB on the gain/patch superstep\n",
 		totalMoved, len(res.History), late, float64(lateBytes)/(1<<10))
 	lateP, lateAgg := res.LateProposalBytes(0.01)
 	fmt.Fprintf(os.Stderr, "proposals: %.1f KB aggregator traffic total; %d late iterations shipped %.1f KB of retract/assert deltas\n",

@@ -16,9 +16,12 @@ type IterPolicy struct {
 
 // The measured patch-vs-sweep divisors. In process, past 1/8 moved,
 // patching the neighbor data and the members of dirty queries costs more
-// than recomputing both. On the wire a full superstep 1 is sender-side
-// combined while delta records ship per dirty query, so the break-even sits
-// near 1/32 (measured across the planted/random test graphs).
+// than recomputing both. On the wire, 1/32 was measured when patches
+// shipped uncombined, one record per changed count. Both paths now ship
+// one folded record per (worker, data vertex), and 1/8 measured no faster
+// on dist-tcp-social's graph (20 distshp calls, 2 workers over loopback
+// TCP, GOMAXPROCS 1: even on seed 11, 5 % slower on seed 1011), so the
+// wire keeps 1/32. Results do not depend on the divisor.
 const (
 	InProcessFallbackDiv = 8
 	WireFallbackDiv      = 32

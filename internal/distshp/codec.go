@@ -2,45 +2,41 @@ package distshp
 
 // The wire codec of distshp's records. One codec encodes an envelope — the
 // records one worker sent one vertex in a superstep: a lone record as its
-// kind byte and payload; two or more (bucket updates or deltas, which the
-// combiner declines to fold) as the kind's batch byte, a uvarint count and
-// the payloads. Kind bytes and payloads are exactly what the per-kind codecs
-// this replaced wrote, so wire and checkpoint bytes did not move.
+// kind byte and payload; two or more bucket updates, the one kind the
+// combiner declines to fold, as the batch byte, a uvarint count and the
+// payloads. Gains and patches leave a worker folded, one record per
+// envelope, so the codec refuses an envelope of two.
 
 import (
 	"encoding/binary"
 	"fmt"
 )
 
-// Wire kind bytes. A batch kind is its record kind plus one; gains have no
-// batch form, because the combiner folds every pair of them.
+// Wire kind bytes. The bucket batch is the bucket kind plus one; gains and
+// patches have no batch form.
 const (
 	kindBucket      = 0
 	kindBucketBatch = 1
 	kindGain        = 2
-	kindDelta       = 3
-	kindDeltaBatch  = 4
+	kindPatch       = 3
 )
 
-// payloadSize is a record kind's fixed encoding: bucket updates are (Data,
-// New), deltas (Bucket, COld, CNew) as little-endian uint32s, and gains the
-// int64 gain units (Cur, Oth) as little-endian uint64s. Deltas carry no query id — receivers patch by
-// table-value differences alone, a quarter off every late-iteration gain
-// superstep relative to a 16-byte record.
+// payloadSize is a record kind's fixed encoding: bucket updates are (Slot,
+// New) as little-endian uint32s, gains the int64 gain units (Cur, Oth) and
+// patches their changes (ΔCur, ΔOth) as little-endian uint64s.
 func payloadSize(kind uint8) int {
 	switch kind {
 	case kindBucket:
 		return 8
-	case kindGain:
+	case kindGain, kindPatch:
 		return 16
-	case kindDelta:
-		return 12
 	}
 	return 0
 }
 
 // envelopeKind returns the kind byte an envelope of recs starts with, and
-// refuses what has no encoding: mixed kinds, or gains that did not fold.
+// refuses what has no encoding: mixed kinds, or gains or patches that did
+// not fold.
 func envelopeKind(recs []record) (uint8, error) {
 	kind := recs[0].kind
 	for _, r := range recs[1:] {
@@ -51,17 +47,17 @@ func envelopeKind(recs []record) (uint8, error) {
 	if len(recs) == 1 {
 		return kind, nil
 	}
-	if kind == kindGain {
-		return 0, fmt.Errorf("distshp: %d unfolded gain records share an envelope", len(recs))
+	if kind != kindBucket {
+		return 0, fmt.Errorf("distshp: %d unfolded records of kind %d share an envelope", len(recs), kind)
 	}
-	return kind + 1, nil
+	return kindBucketBatch, nil
 }
 
 // recordCodec is the engine's Codec[record] for a run over k buckets whose
 // largest query degree is maxDeg. Decode rejects a bucket outside [0, k) and
-// a delta count outside [0, maxDeg] — what no run sends — so a hostile wire
+// a member slot outside [0, maxDeg) — what no run sends — so a hostile wire
 // frame or checkpointed message fails to decode instead of indexing out of
-// a query's row or a gain table.
+// a query's registry or row.
 type recordCodec struct{ k, maxDeg int32 }
 
 func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
@@ -75,11 +71,8 @@ func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
 	}
 	for _, r := range recs {
 		buf = binary.LittleEndian.AppendUint64(buf, r.lo)
-		switch r.kind {
-		case kindGain:
+		if r.kind != kindBucket {
 			buf = binary.LittleEndian.AppendUint64(buf, r.hi)
-		case kindDelta:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.hi))
 		}
 	}
 	return buf, nil
@@ -110,8 +103,8 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	}
 	kind, n, used := data[0], uint64(1), 1
 	switch kind {
-	case kindBucket, kindGain, kindDelta:
-	case kindBucketBatch, kindDeltaBatch:
+	case kindBucket, kindGain, kindPatch:
+	case kindBucketBatch:
 		kind--
 		var w int
 		if n, w = binary.Uvarint(data[1:]); w <= 0 {
@@ -132,18 +125,12 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	for i := uint64(0); i < n; i++ {
 		p := data[used:]
 		r := record{kind: kind, lo: binary.LittleEndian.Uint64(p)}
-		switch kind {
-		case kindBucket:
-			if _, b := r.bucket(); b < 0 || b >= c.k {
-				return recs[:base], 0, fmt.Errorf("distshp: bucket update to bucket %d outside [0, %d)", b, c.k)
+		if kind == kindBucket {
+			if slot, b := r.bucket(); b < 0 || b >= c.k || slot < 0 || slot >= c.maxDeg {
+				return recs[:base], 0, fmt.Errorf("distshp: bucket update (slot %d, bucket %d) outside slots [0, %d) or buckets [0, %d)", slot, b, c.maxDeg, c.k)
 			}
-		case kindGain:
+		} else {
 			r.hi = binary.LittleEndian.Uint64(p[8:])
-		case kindDelta:
-			r.hi = uint64(binary.LittleEndian.Uint32(p[8:]))
-			if b, cOld, cNew := r.delta(); b < 0 || b >= c.k || min(cOld, cNew) < 0 || max(cOld, cNew) > c.maxDeg {
-				return recs[:base], 0, fmt.Errorf("distshp: delta (%d, %d, %d) outside buckets [0, %d) or counts [0, %d]", b, cOld, cNew, c.k, c.maxDeg)
-			}
 		}
 		recs = append(recs, r)
 		used += size

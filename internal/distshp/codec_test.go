@@ -42,15 +42,13 @@ func TestWireCodecs(t *testing.T) {
 		want []byte
 	}{
 		{"bucket", []record{bucketRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
-		{"bucket, high id", []record{bucketRecord(1<<30, 6)}, cat([]byte{kindBucket}, le32(1<<30, 6))},
+		{"bucket, high slot", []record{bucketRecord(1<<19, 6)}, cat([]byte{kindBucket}, le32(1<<19, 6))},
 		{"gain", []record{gainRecord(3, -9)}, cat([]byte{kindGain}, le64(3, -9))},
 		{"zero gain", []record{gainRecord(0, 0)}, cat([]byte{kindGain}, le64(0, 0))},
 		{"bucket batch", []record{bucketRecord(1, 0), bucketRecord(2, 1), bucketRecord(3, 1)},
 			cat([]byte{kindBucketBatch, 3}, le32(1, 0, 2, 1, 3, 1))},
-		{"delta", []record{deltaRecord(4, 2, 3)}, cat([]byte{kindDelta}, le32(4, 2, 3))},
-		{"delta, high bucket", []record{deltaRecord(1<<29, 0, 7)}, cat([]byte{kindDelta}, le32(1<<29, 0, 7))},
-		{"delta batch", []record{deltaRecord(2, 3, 4), deltaRecord(3, 1, 0), deltaRecord(2, 0, 1)},
-			cat([]byte{kindDeltaBatch, 3}, le32(2, 3, 4, 3, 1, 0, 2, 0, 1))},
+		{"patch", []record{patchRecord(4, -2)}, cat([]byte{kindPatch}, le64(4, -2))},
+		{"zero patch", []record{patchRecord(0, 0)}, cat([]byte{kindPatch}, le64(0, 0))},
 	} {
 		buf, err := wideWire.Append(nil, c.recs)
 		if err != nil {
@@ -70,7 +68,7 @@ func TestWireCodecs(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	one, err := wideWire.Append(nil, []record{deltaRecord(2, 0, 1), deltaRecord(3, 1, 0)})
+	one, err := wideWire.Append(nil, []record{bucketRecord(2, 0), bucketRecord(3, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +79,12 @@ func TestCodecTruncation(t *testing.T) {
 		{"empty", nil},
 		{"truncated bucket", []byte{kindBucket, 1, 2}},
 		{"truncated gain", cat([]byte{kindGain}, make([]byte, 15))},
-		{"truncated delta", cat([]byte{kindDelta}, make([]byte, 11))},
+		{"truncated patch", cat([]byte{kindPatch}, make([]byte, 15))},
 		{"truncated batch count", []byte{kindBucketBatch, 200}},
 		{"batch count exceeding payload", []byte{kindBucketBatch, 3, 0, 0}},
-		{"delta batch count exceeding payload", []byte{kindDeltaBatch, 2, 0, 0, 0}},
-		{"delta batch with truncated last record", one[:len(one)-1]},
-		{"batch of one", cat([]byte{kindDeltaBatch, 1}, le32(2, 0, 1))},
+		{"bucket batch with truncated last record", one[:len(one)-1]},
+		{"batch of one", cat([]byte{kindBucketBatch, 1}, le32(2, 0))},
+		{"patch batch", cat([]byte{kindPatch + 1, 2}, le64(1, 2, 3, 4))},
 		{"empty batch", []byte{kindBucketBatch, 0}},
 		{"overlong batch count", cat([]byte{kindBucketBatch, 0x82, 0}, le32(1, 0, 2, 1))},
 		{"unknown kind", cat([]byte{9}, le32(1, 2, 3, 4))},
@@ -101,16 +99,22 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// TestCombineSemantics pins the fold: two gains add into the held record in
-// place; bucket updates and deltas decline and leave it as it was.
+// TestCombineSemantics pins the fold: two gains, or two patches, add into
+// the held record in place; bucket updates and a gain beside a patch
+// decline and leave it as it was.
 func TestCombineSemantics(t *testing.T) {
 	held := gainRecord(1, 2)
 	if !combine(&held, gainRecord(3, 4)) || held != gainRecord(4, 6) {
 		t.Fatalf("gain fold = %v, %+v", held, held)
 	}
+	held = patchRecord(-1, 2)
+	if !combine(&held, patchRecord(3, -5)) || held != patchRecord(2, -3) {
+		t.Fatalf("patch fold = %+v", held)
+	}
 	for _, pair := range [][2]record{
 		{bucketRecord(1, 0), bucketRecord(2, 1)},
-		{deltaRecord(1, 0, 1), deltaRecord(2, 1, 0)},
+		{gainRecord(1, 0), patchRecord(2, 1)},
+		{patchRecord(1, 0), gainRecord(2, 1)},
 	} {
 		held := pair[0]
 		if combine(&held, pair[1]) || held != pair[0] {
@@ -154,28 +158,33 @@ func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *
 	return got, stats
 }
 
-// TestCombineDeltaRecords: records the combiner declines join their
-// destination's envelope, so each worker ships one envelope per destination,
-// and the destination receives every record exactly once in (source worker,
-// send order): each sender's records in a row, senders id-ascending within
-// each of the two workers' runs — on both transports.
+// TestCombineDeltaRecords: records the combiner declines (bucket updates,
+// the one kind that batches) join their destination's envelope, so each
+// worker ships one envelope per destination, and the destination receives
+// every record exactly once in (source worker, send order): each sender's
+// records in a row, senders id-ascending within each of the two workers'
+// runs — on both transports. Patches, like gains, fold instead.
 func TestCombineDeltaRecords(t *testing.T) {
 	const n, per = 16, 3
 	for _, transport := range []func() pregel.Transport{pregel.MemoryTransport, pregel.TCPTransport} {
 		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID) {
 			for k := int32(0); k < per; k++ {
-				ctx.Send(0, deltaRecord(int32(v), k, k+1))
+				ctx.Send(0, bucketRecord(int32(v), k))
+				ctx.Send(1, patchRecord(int64(v), -int64(k)))
 			}
 		})
+		if want := []record{patchRecord(per*n*(n-1)/2, -n*per*(per-1)/2)}; !slices.Equal(got[1], want) {
+			t.Fatalf("vertex 1 received %+v, want the one folded patch %+v", got[1], want)
+		}
 		if len(got[0]) != n*per {
 			t.Fatalf("vertex 0 received %d records, want %d", len(got[0]), n*per)
 		}
 		seen := map[int32]bool{}
 		runs, prev := 1, int32(-1)
 		for i := 0; i < n; i++ {
-			v, _, _ := got[0][i*per].delta()
+			v, _ := got[0][i*per].bucket()
 			for k := int32(0); k < per; k++ {
-				if r := got[0][i*per+int(k)]; r != deltaRecord(v, k, k+1) {
+				if r := got[0][i*per+int(k)]; r != bucketRecord(v, k) {
 					t.Fatalf("record %d is %+v, want sender %d's record %d", i*per+int(k), r, v, k)
 				}
 			}
@@ -191,8 +200,8 @@ func TestCombineDeltaRecords(t *testing.T) {
 		if runs > 2 {
 			t.Fatalf("senders arrived in %d ascending runs, want one per worker", runs)
 		}
-		if stats.TotalMessages != 2 {
-			t.Fatalf("%d envelopes crossed, want one per worker", stats.TotalMessages)
+		if stats.TotalMessages != 4 {
+			t.Fatalf("%d envelopes crossed, want one per worker and destination", stats.TotalMessages)
 		}
 	}
 }
@@ -214,18 +223,19 @@ func TestCombineFoldsDecodedWithLocal(t *testing.T) {
 }
 
 // TestCombineRejectsMixedKinds pins the protocol invariant: a vertex is
-// either rebuilding (gains only) or clean (deltas only) within a superstep.
+// either rebuilding (gains only) or clean (patches only) within a superstep.
 // The combiner declines to fold across kinds, and the codec refuses an
-// envelope that mixes them, as it does gains that did not fold.
+// envelope that mixes them, as it does gains or patches that did not fold.
 func TestCombineRejectsMixedKinds(t *testing.T) {
 	held := gainRecord(1, 0)
-	if combine(&held, deltaRecord(1, 0, 1)) || held != gainRecord(1, 0) {
-		t.Fatalf("gain and delta folded to %+v", held)
+	if combine(&held, patchRecord(1, 0)) || held != gainRecord(1, 0) {
+		t.Fatalf("gain and patch folded to %+v", held)
 	}
 	for _, recs := range [][]record{
-		{gainRecord(1, 0), deltaRecord(1, 0, 1)},
-		{bucketRecord(1, 0), deltaRecord(1, 0, 1)},
+		{gainRecord(1, 0), patchRecord(1, 0)},
+		{bucketRecord(1, 0), patchRecord(1, 0)},
 		{gainRecord(1, 0), gainRecord(2, 0)},
+		{patchRecord(1, 0), patchRecord(2, 0)},
 	} {
 		if _, err := wideWire.Append(nil, recs); err == nil {
 			t.Fatalf("encoded the envelope %+v", recs)

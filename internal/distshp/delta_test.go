@@ -43,9 +43,9 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestDistIncrementalMatchesFull pins the dirty-query delta plane
+// TestDistIncrementalMatchesFull pins the dirty-query patch plane
 // byte-identical to a full rebroadcast every iteration (sweepEvery 1, which
-// ships no delta record at all), across both transports and multiple seeds:
+// ships no patch record at all), across both transports and multiple seeds:
 // same assignments, same per-iteration moved counts, bitwise-equal fanout
 // history.
 func TestDistIncrementalMatchesFull(t *testing.T) {
@@ -105,11 +105,12 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 
 // TestDistDeltaPatchProperty is the distributed mirror of core's
 // patched-vs-rebuilt property tests: random move batches flow through the
-// real query-side diff (applyUpdate + deltaRecords on the pin-count rows),
-// the real wire codecs, and the real data-side patch (applyDelta); after
-// every batch the patched accumulators of clean observer vertices must
-// bit-equal a from-scratch resummation of the query histograms, and every
-// query's row must equal a recount from its members' buckets.
+// real query-side diff (applyUpdate on slot-addressed bucket records and
+// changed, on the pin-count rows), the real patch computation (patch), the
+// real wire codec, and the data side's additive patch; after every batch
+// the patched accumulators of clean observer vertices must bit-equal a
+// from-scratch resummation of the query histograms, and every query's row
+// must equal a recount from its members' buckets.
 func TestDistDeltaPatchProperty(t *testing.T) {
 	const (
 		numData  = 60
@@ -127,27 +128,28 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	}
 
 	members := make([][]int32, numQuery)
-	isMember := make([]map[int32]bool, numQuery)
+	slotOf := make([]map[int32]int32, numQuery) // member -> slot, nil entry for non-members
 	qs := make([]*queryState, numQuery)
 	for q := range qs {
 		set := map[int32]bool{}
 		for i := 0; i < 24; i++ {
 			set[int32(r.Intn(numData))] = true
 		}
+		slotOf[q] = map[int32]int32{}
 		for d := int32(0); d < numData; d++ {
 			if set[d] {
+				slotOf[q][d] = int32(len(members[q]))
 				members[q] = append(members[q], d)
 			}
 		}
 		// A registration from every member's record: what a level start's
 		// derived registry equals (TestDerivedRegistrationMatchesFull).
 		var regs []record
-		for _, d := range members[q] {
-			regs = append(regs, bucketRecord(d, bucketOf[d]))
+		for i, d := range members[q] {
+			regs = append(regs, bucketRecord(int32(i), bucketOf[d]))
 		}
 		st := newQuery(len(members[q]), buckets)
 		st.register(int32(q), 0, 0, members[q], regs)
-		isMember[q] = set
 		qs[q] = st
 	}
 
@@ -155,22 +157,21 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	observers := []int32{0, 1, 2, 3, 4, 5}
 	isObserver := map[int32]bool{}
 	obs := map[int32]*dataState{}
-	scratchSums := func(o int32, bucket int32) (int64, int64) {
+	scratchSums := func(o int32) (int64, int64) {
 		var cur, oth int64
-		for q := range qs {
-			if !isMember[q][o] {
-				continue
+		for q, st := range qs {
+			if i, ok := slotOf[q][o]; ok {
+				c, s := st.gain(tb, st.memberLocal[i]).sums()
+				cur += c
+				oth += s
 			}
-			own, sib := qs[q].counts(bucket)
-			cur += tb.T[own-1]
-			oth += tb.T[sib]
 		}
 		return cur, oth
 	}
 	for _, o := range observers {
 		isObserver[o] = true
 		ds := &dataState{bucket: bucketOf[o]}
-		ds.sumCur, ds.sumOth = scratchSums(o, ds.bucket)
+		ds.sumCur, ds.sumOth = scratchSums(o)
 		obs[o] = ds
 	}
 
@@ -184,46 +185,40 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			}
 			moves[d] = bucketOf[d] ^ 1 // within a level, vertices move only to their sibling
 		}
-		// Each dirty query diffs its histogram and routes records to its
-		// clean members, exactly as computeQuery does.
-		batches := map[int32][]record{}
+		// Each dirty query diffs its row and folds a patch for each clean
+		// member whose pair changed, exactly as computeQuery does.
+		folded := map[int32][]record{}
 		for q, st := range qs {
 			dirty := false
-			for _, d := range members[q] {
+			for i, d := range members[q] {
 				if nb, ok := moves[d]; ok {
-					st.applyUpdate(int32(q), members[q], bucketRecord(d, nb), true)
+					st.applyUpdate(int32(q), bucketRecord(int32(i), nb), true)
 					dirty = true
 				}
 			}
 			if !dirty {
 				continue
 			}
-			changes := st.deltaRecords()
-			for _, c := range changes {
-				// Single-record wire round trip.
-				rec := deltaRecord(c.B, c.COld, c.CNew)
-				buf, err := wire.Append(nil, []record{rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, used, err := wire.Decode(buf, nil)
-				if err != nil || used != len(buf) || len(got) != 1 || got[0] != rec {
-					t.Fatalf("round %d: delta round trip: got %+v (used %d, err %v), want %+v",
-						round, got, used, err, rec)
-				}
-			}
+			changes := st.changed()
 			for i, d := range members[q] {
 				if st.moved[i] {
 					continue
 				}
-				ds, ok := obs[d]
+				rec, ok := st.patch(tb, st.memberLocal[i], changes)
 				if !ok {
 					continue
 				}
-				for _, c := range changes {
-					if c.B == ds.bucket || c.B == ds.bucket^1 {
-						batches[d] = append(batches[d], deltaRecord(c.B, c.COld, c.CNew))
-					}
+				if want := st.bucket(st.memberLocal[i]); want != bucketOf[d] {
+					t.Fatalf("round %d: query %d holds member %d in bucket %d, want %d", round, q, d, want, bucketOf[d])
+				}
+				// Single-record wire round trip.
+				got, used, err := wire.Decode(envelopeBytes(rec), nil)
+				if err != nil || len(got) != 1 || got[0] != rec {
+					t.Fatalf("round %d: patch round trip: got %+v (used %d, err %v), want %+v",
+						round, got, used, err, rec)
+				}
+				if _, ok := obs[d]; ok {
+					folded[d] = append(folded[d], rec)
 				}
 			}
 			st.resetSuperstep()
@@ -231,27 +226,31 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		for d, nb := range moves {
 			bucketOf[d] = nb
 		}
-		// Batched wire round trip (the sender-side-combined form), then
-		// patch the observers.
+		// The per-worker fold: an observer's patches add into one record,
+		// the only form the wire accepts, then patch the observer.
 		for _, o := range observers {
-			if len(batches[o]) == 0 {
+			recs := folded[o]
+			if len(recs) == 0 {
 				continue
 			}
-			batch := batches[o]
-			buf, err := wire.Append(nil, batch)
-			if err != nil {
-				t.Fatal(err)
+			if len(recs) > 1 {
+				if _, err := wire.Append(nil, recs); err == nil {
+					t.Fatalf("round %d: encoded a batch of %d unfolded patches", round, len(recs))
+				}
 			}
-			if size, err := wire.Size(batch); err != nil || size != len(buf) {
-				t.Fatalf("round %d: batch Size %d (%v) != encoded %d", round, size, err, len(buf))
+			one := recs[0]
+			for _, rec := range recs[1:] {
+				if !combine(&one, rec) {
+					t.Fatalf("round %d: patches did not fold", round)
+				}
 			}
-			decoded, used, err := wire.Decode(buf, nil)
-			if err != nil || used != len(buf) || !slices.Equal(decoded, batch) {
-				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
+			decoded, _, err := wire.Decode(envelopeBytes(one), nil)
+			if err != nil || len(decoded) != 1 {
+				t.Fatalf("round %d: folded patch round trip failed (err %v)", round, err)
 			}
-			for _, rec := range decoded {
-				obs[o].applyDelta(o, tb, rec)
-			}
+			cur, oth := decoded[0].sums()
+			obs[o].sumCur += cur
+			obs[o].sumOth += oth
 		}
 		// The maintained rows must equal a recount.
 		for q, st := range qs {
@@ -266,7 +265,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		// Patched must bit-equal rebuilt.
 		for _, o := range observers {
 			ds := obs[o]
-			wantCur, wantOth := scratchSums(o, ds.bucket)
+			wantCur, wantOth := scratchSums(o)
 			if ds.sumCur != wantCur || ds.sumOth != wantOth {
 				t.Fatalf("round %d: observer %d patched sums (%v, %v) != rebuilt (%v, %v)",
 					round, o, ds.sumCur, ds.sumOth, wantCur, wantOth)
@@ -276,25 +275,30 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 }
 
 // TestQueryInvariantPanicsNameTheQuery checks that the query-side protocol
-// violations — an update from a non-member, a move out of the registered
-// sibling pairs, a row that lost a member's pin — panic naming the query,
-// the only lead a corrupt-counts crash leaves.
+// violations — an update at a slot past the query's members, a move that is
+// not to the sibling within the registered pair, a row that lost a member's
+// pin — panic naming the query, the only lead a corrupt-counts crash leaves.
 func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
 		st := newQuery(len(members), 8)
-		st.register(42, 1, 0, members, []record{bucketRecord(3, 0), bucketRecord(5, 1), bucketRecord(9, 3)})
+		st.register(42, 1, 0, members, []record{bucketRecord(0, 0), bucketRecord(1, 1), bucketRecord(2, 3)})
 		return st
 	}
 	for _, c := range []struct {
 		name string
 		run  func(st *queryState)
 	}{
-		{"non-member", func(st *queryState) { st.applyUpdate(42, members, bucketRecord(4, 0), true) }},
-		{"new pair", func(st *queryState) { st.applyUpdate(42, members, bucketRecord(3, 4), true) }},
+		{"slot out of range", func(st *queryState) { st.applyUpdate(42, bucketRecord(3, 0), true) }},
+		{"negative slot", func(st *queryState) { st.applyUpdate(42, bucketRecord(-1, 0), true) }},
+		{"registration slot out of range", func(st *queryState) {
+			st.register(42, 2, 0, members, []record{bucketRecord(3, 0)})
+		}},
+		{"new pair", func(st *queryState) { st.applyUpdate(42, bucketRecord(0, 4), true) }},
+		{"not a move", func(st *queryState) { st.applyUpdate(42, bucketRecord(2, 3), true) }},
 		{"lost pin", func(st *queryState) {
 			st.row.Transfer(42, 1, 0) // member 5's pin leaves bucket 1 behind the registry's back
-			st.applyUpdate(42, members, bucketRecord(5, 0), true)
+			st.applyUpdate(42, bucketRecord(1, 0), true)
 		}},
 	} {
 		func() {
@@ -306,6 +310,15 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 			c.run(fresh())
 		}()
 	}
+}
+
+// registry returns the bucket ids a query's registry holds for its members.
+func registry(st *queryState) []int32 {
+	out := make([]int32, len(st.memberLocal))
+	for i, l := range st.memberLocal {
+		out[i] = st.bucket(l)
+	}
+	return out
 }
 
 // TestDerivedRegistrationMatchesFull pins the level start's derived
@@ -330,15 +343,15 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 		var movers []record
 		if level > 0 {
 			var prior []record
-			for i, d := range members {
+			for i := range members {
 				pre[i] = int32(r.Intn(1 << level))
-				prior = append(prior, bucketRecord(d, pre[i]))
+				prior = append(prior, bucketRecord(int32(i), pre[i]))
 			}
 			derived.register(42, level-1, seed, members, prior)
 			for i, d := range members {
 				if r.Intn(3) == 0 {
 					pre[i] ^= 1 // moved in the last iteration, unseen by the query
-					movers = append(movers, bucketRecord(d, splitBucket(seed, level, d, pre[i])))
+					movers = append(movers, bucketRecord(int32(i), splitBucket(seed, level, d, pre[i])))
 				}
 			}
 		}
@@ -348,17 +361,20 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 		var all []record
 		for i, d := range members {
 			want[i] = splitBucket(seed, level, d, pre[i])
-			all = append(all, bucketRecord(d, want[i]))
+			all = append(all, bucketRecord(int32(i), want[i]))
 		}
 		full := newQuery(len(members), k)
 		full.register(42, level, seed, members, all)
 
 		label := fmt.Sprintf("trial %d, level %d, %d of %d members moved", trial, level, len(movers), len(members))
-		if !slices.Equal(full.memberBucket, want) {
-			t.Fatalf("%s: full registration %v, want %v", label, full.memberBucket, want)
+		if got := registry(full); !slices.Equal(got, want) {
+			t.Fatalf("%s: full registration %v, want %v", label, got, want)
 		}
-		if !slices.Equal(derived.memberBucket, full.memberBucket) {
-			t.Fatalf("%s: registry %v, want %v", label, derived.memberBucket, full.memberBucket)
+		if got := registry(derived); !slices.Equal(got, want) {
+			t.Fatalf("%s: registry %v, want %v", label, got, want)
+		}
+		if !slices.Equal(derived.memberLocal, full.memberLocal) {
+			t.Fatalf("%s: local buckets %v, want %v", label, derived.memberLocal, full.memberLocal)
 		}
 		if !slices.Equal(derived.pairs, full.pairs) {
 			t.Fatalf("%s: pairs %v, want %v", label, derived.pairs, full.pairs)
@@ -366,31 +382,34 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 		if diff := derived.row.Diff(nil, full.row); len(diff) > 0 || derived.row.Live() != full.row.Live() {
 			t.Fatalf("%s: row differs from the full registration's: %v", label, diff)
 		}
-		if v := rowViolation(derived, full.memberBucket, k); v != "" {
+		if v := rowViolation(derived, want, k); v != "" {
 			t.Fatalf("%s: %s", label, v)
 		}
 	}
 }
 
-// TestDeltaWireSize pins the slimmed delta encoding: receivers patch by
-// table-value differences alone, so no query id travels with a record —
-// 12 bytes each (bucket, cOld, cNew), 25% below a 16-byte record, so a lone
-// delta costs 1 + 12 bytes and a batch of n small records 2 + 12n.
+// TestDeltaWireSize pins the patch encoding: a query folds its changed
+// counts into the two accumulator changes itself, so a patch is the two
+// int64 sums a gain is, 16 bytes, and a lone patch costs 1 + 16 bytes. No
+// batch form exists: the per-worker fold leaves one patch per (worker,
+// vertex), and the codec refuses an envelope of two.
 func TestDeltaWireSize(t *testing.T) {
-	if got := payloadSize(kindDelta); got != 12 {
-		t.Fatalf("delta payload = %d bytes, want 12 (bucket + cOld + cNew, no query id)", got)
+	if got := payloadSize(kindPatch); got != 16 {
+		t.Fatalf("patch payload = %d bytes, want 16 (ΔsumCur + ΔsumOth)", got)
 	}
-	rec := deltaRecord(5, 2, 3)
-	if got := len(envelopeBytes(rec)); got != 1+12 {
-		t.Fatalf("encoded delta is %d bytes, want 13", got)
+	rec := patchRecord(5, -3)
+	if got := len(envelopeBytes(rec)); got != 1+16 {
+		t.Fatalf("encoded patch is %d bytes, want 17", got)
 	}
-	batch := []record{rec, deltaRecord(4, 0, 1), deltaRecord(1, 7, 0)}
-	buf := envelopeBytes(batch...)
-	if want := 2 + 12*len(batch); len(buf) != want {
-		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch), len(buf), want)
+	if sz, err := wideWire.Size([]record{rec}); err != nil || sz != 17 {
+		t.Fatalf("Size %d (%v), want 17", sz, err)
 	}
-	if sz, err := wideWire.Size(batch); err != nil || sz != len(buf) {
-		t.Fatalf("Size %d (%v) != encoded %d", sz, err, len(buf))
+	batch := []record{rec, patchRecord(4, 0), patchRecord(-1, 7)}
+	if buf, err := wideWire.Append(nil, batch); err == nil {
+		t.Fatalf("encoded a batch of %d patches as %x", len(batch), buf)
+	}
+	if _, err := wideWire.Size(batch); err == nil {
+		t.Fatalf("sized a batch of %d patches", len(batch))
 	}
 }
 

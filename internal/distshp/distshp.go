@@ -19,21 +19,36 @@
 // # The incremental message plane
 //
 // By default superstep 1 ships work proportional to churn, not to |E|: the
-// same dirty-query delta scheme the in-process engine uses (core/direct.go),
+// same dirty-query patch scheme the in-process engine uses (core/direct.go),
 // pushed across superstep message boundaries.
 //
 //   - Every data vertex carries persistent Equation 1 accumulators: sumCur =
 //     Σ_q T[n_cur(q)−1] and sumOth = Σ_q T[n_sib(q)] over its adjacent
 //     queries, for its current sibling pair.
+//   - Members are addressed by slot, not by id. A per-run table aligned with
+//     the data side's adjacency (slotTable) holds each data vertex's
+//     position in each of its queries' sorted member lists, and a bucket
+//     update carries that slot. A query's registry holds each member's local
+//     row bucket, so an in-level move is l → l^1 and no record is looked up;
+//     bucket ids meet the registry's pairs only at a level's registration.
 //   - After a move round, a dirty query (one that received bucket updates)
-//     diffs its per-bucket histogram and emits (query, bucket, cOld, cNew)
-//     delta records — only for buckets whose counts changed, and only to the
-//     clean members whose pair contains the changed bucket. Receivers patch
-//     their accumulators through core.GainTables.DeltaOwn / DeltaAway.
+//     diffs its pin-count row. Each clean member whose pair holds a changed
+//     bucket gets one patch record (ΔsumCur, ΔsumOth), which the query
+//     computes itself through core.GainTables.DeltaOwn / DeltaAway, since it
+//     knows the member's bucket: the gain delta is computed where the pin
+//     count changes, as in Mt-KaHyPar. Receivers add patches to their
+//     accumulators.
 //   - Members that moved (their own frame changed, so patched sums would
 //     refer to the wrong pair side) instead receive a full gain
 //     contribution from every adjacent query — all of which are dirty,
 //     because the mover broadcast its new bucket — and resum from scratch.
+//   - Contributions fold per worker in the program, as Giraph's combiners
+//     fold them per destination: a query adds each gain or patch into its
+//     worker's dense accumulator by data id (gainFold), and the engine's
+//     PostSuperstep hook sends one record per touched vertex in first-touch
+//     order, so every superstep-1 envelope holds one record. The engine's
+//     combiner adds the workers' records at the receiver. The accumulators
+//     are empty at every barrier, so no checkpoint holds them.
 //   - All gain-table values are integer units (core's gains.go), so patched
 //     accumulators equal what a full resummation produces, in any order:
 //     the incremental and full paths yield byte-identical partitions and
@@ -131,16 +146,17 @@ type Options struct {
 	// (ablation: any worker failure then aborts the run).
 	DisableCheckpointing bool
 
-	// noCombine runs the engine without the sender-side combiner. Combining
-	// never changes a result, only the traffic, so nothing outside this
-	// package can set it: it is the plain side of the combined-vs-plain
-	// equivalence tests.
+	// noCombine runs the engine without the sender-side combiner and the
+	// queries without the per-worker fold, so superstep 1 sends one record
+	// per incidence. Combining never changes a result, only the traffic, so
+	// nothing outside this package can set it: it is the plain side of the
+	// combined-vs-plain equivalence tests.
 	noCombine bool
 	// sweepEvery forces a full gain rebroadcast (core.Sweep) after every
 	// sweepEvery-th iteration within a level; 0 never. Superstep 1 then
 	// re-sends every member's full contribution instead of patching
 	// accumulators, which re-derives exactly the maintained state, so like
-	// noCombine it is test-only: 1 (no delta records at all) is the
+	// noCombine it is test-only: 1 (no patch records at all) is the
 	// full-recompute side of the incremental-vs-full equivalence tests.
 	sweepEvery int
 }
@@ -209,7 +225,7 @@ type Result struct {
 	TotalTime time.Duration
 }
 
-// LateGainBytes sums the gain/delta-superstep traffic of the run's "late"
+// LateGainBytes sums the gain/patch-superstep traffic of the run's "late"
 // iterations — those whose superstep-1 workload was driven by at most
 // maxMovedFraction of the data vertices moving — and returns the iteration
 // count alongside the bytes. Iteration j's gain superstep (4j+1) ships the
@@ -259,28 +275,22 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 // engine buffers, ships and delivers it by value. lo and hi hold the payload
 // words in the order the wire lays them out (codec.go):
 //
-//   - bucket, data -> query, "I am now in bucket New": lo = Data | New<<32.
-//     Queries key their incremental neighbor-data maintenance on Data alone
-//     (at a level start it overrides the registry's derived split, later it
-//     moves the member), so that pair is the whole payload.
+//   - bucket, data -> query, "I am now in bucket New": lo = Slot | New<<32,
+//     where Slot is the sender's position in the query's sorted member list
+//     (slotTable). That pair is the whole payload: at a level start it
+//     overrides the registry's derived split, later it moves the member.
 //   - gain, query -> data: lo, hi = the int64 gain units Cur =
 //     T[n(current bucket)-1] and Oth = T[n(sibling)], the query's
 //     neighbor-data contribution to the receiver's Equation 1 gain already
 //     mapped through the level's gain table. This is the combinable
 //     reduction of the paper's r = 2 neighbor-data counts (Section 3.3):
-//     contributions from different queries add, so the combiner folds one
-//     worker's gains for a vertex into one record. A vertex that receives gains resums its persistent
-//     accumulators from scratch (every adjacent query sent one).
-//   - delta, query -> data: lo = Bucket | COld<<32, hi = CNew, one changed
-//     neighbor-data entry of a dirty query — bucket Bucket's adjacent-data
-//     count went COld -> CNew (0 = entry absent). Sent only to clean members
-//     whose sibling pair contains Bucket; receivers patch their persistent
-//     accumulators through the integer arithmetic of
-//     core.GainTables.DeltaOwn/DeltaAway. No query id travels: the patch is a
-//     sum of per-record table-value differences, whichever query sent them.
-//
-// Buckets and deltas do not fold. The combiner declines them and the engine
-// appends them to their destination's envelope, which ships as one batch.
+//     contributions from different queries add. A vertex that receives
+//     gains resums its persistent accumulators from scratch (every adjacent
+//     query sent one).
+//   - patch, query -> data: lo, hi = the int64 changes (ΔCur, ΔOth) to
+//     those sums, from a dirty query to a clean member whose sibling pair
+//     holds a changed count. Patches add like gains, and the receiver adds
+//     them to its accumulators.
 type record struct {
 	lo, hi uint64
 	kind   uint8
@@ -288,38 +298,36 @@ type record struct {
 
 func pack(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
 
-func bucketRecord(data, bucket int32) record {
-	return record{kind: kindBucket, lo: pack(data, bucket)}
+func bucketRecord(slot, bucket int32) record {
+	return record{kind: kindBucket, lo: pack(slot, bucket)}
 }
 
 func gainRecord(cur, oth int64) record {
 	return record{kind: kindGain, lo: uint64(cur), hi: uint64(oth)}
 }
 
-func deltaRecord(bucket, cOld, cNew int32) record {
-	return record{kind: kindDelta, lo: pack(bucket, cOld), hi: uint64(uint32(cNew))}
+func patchRecord(cur, oth int64) record {
+	return record{kind: kindPatch, lo: uint64(cur), hi: uint64(oth)}
 }
 
-func (r record) bucket() (data, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
+func (r record) bucket() (slot, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
 
-func (r record) gain() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
+// sums returns a gain's or a patch's two int64 values.
+func (r record) sums() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
 
-func (r record) delta() (bucket, cOld, cNew int32) {
-	return int32(r.lo), int32(r.lo >> 32), int32(r.hi)
-}
-
-// combine is the engine combiner: two gains add, in place; anything else
-// declines, so bucket updates and deltas batch in their envelope. The
-// protocol never mixes kinds for one destination in one superstep (a vertex
-// is either a mover — gains from every adjacent query — or clean — deltas
-// only); computeData and the codec both refuse a mix.
+// combine is the engine combiner and the per-worker fold: two gains, or two
+// patches, add in place; anything else declines, so bucket updates batch in
+// their envelope. The protocol never mixes gains and patches for one
+// destination in one superstep (a vertex is either a mover — gains from
+// every adjacent query — or clean — patches only); gainFold.add,
+// computeData and the codec all refuse a mix.
 func combine(held *record, m record) bool {
-	if m.kind != kindGain || held.kind != kindGain {
+	if m.kind != held.kind || m.kind == kindBucket {
 		return false
 	}
-	cur, oth := held.gain()
-	mc, mo := m.gain()
-	*held = gainRecord(cur+mc, oth+mo)
+	cur, oth := held.sums()
+	mc, mo := m.sums()
+	held.lo, held.hi = uint64(cur+mc), uint64(oth+mo)
 	return true
 }
 
@@ -330,8 +338,8 @@ type dataState struct {
 	level  int
 	// Persistent Equation 1 accumulators for the current sibling pair, in
 	// gain units: sumCur = Σ_q T[n_bucket(q)−1], sumOth = Σ_q T[n_sibling(q)].
-	// Resummed from gain records after a move (or rebroadcast), patched from
-	// deltas otherwise; integer arithmetic keeps the two maintenance regimes
+	// Resummed from gain records after a move (or rebroadcast), patched
+	// otherwise; integer arithmetic keeps the two maintenance regimes
 	// identical.
 	sumCur, sumOth int64
 	// Gain units for moving to the sibling bucket, derived in superstep 2.
@@ -345,22 +353,40 @@ type dataState struct {
 	propLevel int
 }
 
-// applyDelta folds one dirty-query delta record into data vertex d's
-// persistent accumulators. Records are routed by the sender to members whose
-// pair contains the changed bucket, so anything else is a protocol violation.
-func (st *dataState) applyDelta(d int32, tb core.GainTables, r record) {
-	bucket, cOld, cNew := r.delta()
-	switch bucket {
-	case st.bucket:
-		st.sumCur += tb.DeltaOwn(cOld, cNew)
-	case st.bucket ^ 1:
-		st.sumOth += tb.DeltaAway(cOld, cNew)
-	default:
-		//shp:panics(invariant: routing guarantees deltas reach only members of the changed pair; a miss means corrupt accumulators)
-		panic(fmt.Sprintf("distshp: delta for bucket %d reached vertex %d in bucket %d",
-			bucket, d, st.bucket))
-	}
+// slotTable holds, aligned with the data side's adjacency, each data
+// vertex's position in the sorted member list of each of its queries: the
+// slot its bucket updates carry, so a query addresses the member without a
+// search. It costs 4 bytes per incidence.
+type slotTable struct {
+	off  []int64 // data vertex d's slots are slot[off[d]:off[d+1]]
+	slot []int32
 }
+
+// newSlotTable fills g's slot table in one pass over the queries, in
+// ascending order, which is the order DataNeighbors lists a vertex's
+// queries in.
+func newSlotTable(g *hypergraph.Bipartite) slotTable {
+	numD := g.NumData()
+	off := make([]int64, numD+1)
+	for d := 0; d < numD; d++ {
+		off[d+1] = off[d] + int64(g.DataDegree(int32(d)))
+	}
+	t := slotTable{off: off, slot: make([]int32, off[numD])}
+	// off[d] is vertex d's cursor during the pass, which leaves it at
+	// off[d+1]; the copy shifts the offsets back.
+	for q := int32(0); q < int32(g.NumQueries()); q++ {
+		for i, d := range g.QueryNeighbors(q) {
+			t.slot[off[d]] = int32(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:numD])
+	off[0] = 0
+	return t
+}
+
+// of returns data vertex d's slots, one per query of DataNeighbors(d).
+func (t slotTable) of(d int32) []int32 { return t.slot[t.off[d]:t.off[d+1]] }
 
 // queryState is the per-query-vertex state: the paper's "neighbor data"
 // n_b(q), held in SHP-k's pin-count row (core.PinRow) so the gain superstep
@@ -370,25 +396,26 @@ func (st *dataState) applyDelta(d int32, tb core.GainTables, r record) {
 // bucket b is the row's local bucket 2i + b&1, where pairs[i] = b>>1. A row
 // is bounded by the query's degree, never by K, and its ascending local
 // order is ascending bucket order. The member registry is an int32 slice
-// aligned with the query's sorted adjacency list — member lookups are binary
-// searches, and the per-level reset is a linear fill instead of a map
-// rebuild. The query's id is its vertex id minus |D|, so the state does not
-// store it. All but its diff buffer come from run slabs (newQueryStates).
+// aligned with the query's sorted adjacency list, addressed by the slot a
+// bucket update carries, and holds local buckets, so the per-level reset is
+// a linear fill instead of a map rebuild. The query's id is its vertex id
+// minus |D|, so the state does not store it. All but its diff buffer come
+// from run slabs (newQueryStates).
 type queryState struct {
 	level int // -1 until the first registration
-	// memberBucket[i] is the last known bucket of the i-th member of the
-	// query's sorted adjacency list.
-	memberBucket []int32
+	// memberLocal[i] is the local row bucket of the i-th member of the
+	// query's sorted adjacency list, as last heard.
+	memberLocal []int32
 	// pairs lists the sibling pairs of the registered members, ascending
 	// and distinct, within room for min(degree, K/2) of them. row is the live
 	// neighbor data over 2·len(pairs) local buckets. At every barrier both
-	// are exactly what recount derives from memberBucket.
+	// are exactly what recount derives from the members' buckets.
 	pairs []int32
 	row   core.PinRow
 
 	// Per-superstep scratch, reused so the steady state allocates nothing:
 	// snap is the row as it stood before this superstep's first tracked
-	// update (diffed by deltaRecords), moved flags this superstep's movers by
+	// update (diffed by changed), moved flags this superstep's movers by
 	// member index and movers counts them, changes is the diff output buffer.
 	snap    core.PinRow
 	moved   []bool
@@ -412,7 +439,7 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 	for q := range states {
 		deg, r := degree(q), room(q)
 		states[q] = queryState{level: -1, row: rows[2*q], snap: rows[2*q+1],
-			memberBucket: buf[:deg:deg], pairs: buf[deg : deg : deg+r], moved: moved[:deg:deg]}
+			memberLocal: buf[:deg:deg], pairs: buf[deg : deg : deg+r], moved: moved[:deg:deg]}
 		buf, moved = buf[deg+r:], moved[deg:]
 	}
 	return states
@@ -421,33 +448,41 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 // register (re)initializes the registry for a new level and recounts the
 // row. Each member's bucket is the split of the one the registry holds, as
 // the member itself made it, unless the member moved in the previous
-// iteration: then its record in movers carries the bucket.
+// iteration: then its record in movers carries the bucket. An unregistered
+// query (a fresh or restored run) splits nothing it holds: at level 0 the
+// split ignores the parent, and a restored run's every member is a mover.
 func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []record) {
-	st.level = level
 	for i, d := range members {
-		st.memberBucket[i] = splitBucket(seed, level, d, st.memberBucket[i])
+		parent := int32(-1)
+		if st.level >= 0 {
+			parent = st.bucket(st.memberLocal[i])
+		}
+		st.memberLocal[i] = splitBucket(seed, level, d, parent)
 	}
 	for _, m := range movers {
-		data, bucket := m.bucket()
-		st.memberBucket[member(q, members, data)] = bucket
+		i, b := m.bucket()
+		st.memberLocal[st.slot(q, i)] = b
 	}
+	st.level = level
 	st.recount()
 }
 
-// recount derives pairs and the row from memberBucket. Each distinct pair
-// is inserted in order, and there are no more of them than members or than
-// the K/2 pairs a run has, so pairs never outgrows its room.
+// recount derives pairs and the row from the registry, which holds bucket
+// ids on entry and local buckets on return. Each distinct pair is inserted
+// in order, and there are no more of them than members or than the K/2
+// pairs a run has, so pairs never outgrows its room.
 func (st *queryState) recount() {
 	st.pairs = st.pairs[:0]
-	for _, b := range st.memberBucket {
+	for _, b := range st.memberLocal {
 		if i, found := slices.BinarySearch(st.pairs, b>>1); !found {
 			st.pairs = slices.Insert(st.pairs, i, b>>1)
 		}
 	}
 	st.row = st.row.Reshape(2 * len(st.pairs))
 	st.snap = st.snap.Reshape(2 * len(st.pairs))
-	for _, b := range st.memberBucket {
+	for i, b := range st.memberLocal {
 		l, _ := st.local(b)
+		st.memberLocal[i] = l
 		st.row.Inc(l)
 	}
 }
@@ -459,37 +494,57 @@ func (st *queryState) local(b int32) (l int32, ok bool) {
 	return int32(i)<<1 | b&1, ok
 }
 
-// counts returns the pin counts of a registered member's bucket b and of
-// its sibling.
-func (st *queryState) counts(b int32) (own, sib int32) {
-	l, _ := st.local(b)
-	return st.row.Count(l), st.row.Count(l ^ 1)
-}
+// bucket maps local bucket l back to its bucket id.
+func (st *queryState) bucket(l int32) int32 { return st.pairs[l>>1]<<1 | l&1 }
 
-// member returns data's index in query q's sorted adjacency list.
-func member(q int32, members []int32, data int32) int {
-	i, ok := slices.BinarySearch(members, data)
-	if !ok {
-		//shp:panics(invariant: only adjacent data vertices may update a query; a stray update corrupts neighbor histograms)
-		panic(fmt.Sprintf("distshp: bucket update from non-member %d reached query %d", data, q))
+// slot returns the member slot i a bucket update for query q carries,
+// checked against the query's member count.
+func (st *queryState) slot(q, i int32) int32 {
+	if uint32(i) >= uint32(len(st.memberLocal)) {
+		//shp:panics(invariant: only adjacent data vertices update a query, each at its own slot; a stray slot corrupts neighbor histograms)
+		panic(fmt.Sprintf("distshp: bucket update for slot %d reached query %d of %d members", i, q, len(st.memberLocal)))
 	}
 	return i
 }
 
+// gain returns the full contribution to a member in local bucket l.
+func (st *queryState) gain(tb core.GainTables, l int32) record {
+	return gainRecord(tb.T[st.row.Count(l)-1], tb.T[st.row.Count(l^1)])
+}
+
+// patch returns the change the superstep's row changes make to the
+// accumulators of a clean member in local bucket l, and false when neither
+// its bucket's count nor its sibling's changed.
+func (st *queryState) patch(tb core.GainTables, l int32, changes []core.NDChange) (record, bool) {
+	var cur, oth int64
+	hit := false
+	for _, c := range changes {
+		switch c.B {
+		case l:
+			cur += tb.DeltaOwn(c.COld, c.CNew)
+			hit = true
+		case l ^ 1:
+			oth += tb.DeltaAway(c.COld, c.CNew)
+			hit = true
+		}
+	}
+	return patchRecord(cur, oth), hit
+}
+
 // applyUpdate folds one within-level bucket update into query q's neighbor
-// data: a transfer from the member's previous bucket. members is the query's
-// sorted adjacency list.
+// data: a transfer from the member's local bucket l to l^1, its sibling.
 // When track is set (the incremental plane), the row is snapshotted before
 // the superstep's first tracked update and the updating member is flagged
-// as a mover, so deltaRecords can diff the net per-bucket changes and the
-// send loop can route full contributions to movers only.
-func (st *queryState) applyUpdate(q int32, members []int32, r record, track bool) {
-	data, bucket := r.bucket()
-	i := member(q, members, data)
-	l, ok := st.local(bucket)
-	if !ok {
-		//shp:panics(invariant: members move only inside the pairs they registered in; a new pair means the level protocol broke)
-		panic(fmt.Sprintf("distshp: member %d of query %d moved to bucket %d outside its registered pairs", data, q, bucket))
+// as a mover, so changed can diff the net per-bucket changes and the send
+// loop can route full contributions to movers only.
+func (st *queryState) applyUpdate(q int32, r record, track bool) {
+	i, bucket := r.bucket()
+	i = st.slot(q, i)
+	from := st.memberLocal[i]
+	if to := from ^ 1; st.bucket(to) != bucket {
+		//shp:panics(invariant: members move only to the sibling of their registered bucket; anything else means the level protocol broke)
+		panic(fmt.Sprintf("distshp: member %d of query %d moved to bucket %d, not to the sibling of its bucket %d",
+			i, q, bucket, st.bucket(from)))
 	}
 	if track {
 		if st.movers == 0 {
@@ -500,20 +555,15 @@ func (st *queryState) applyUpdate(q int32, members []int32, r record, track bool
 			st.movers++
 		}
 	}
-	from, _ := st.local(st.memberBucket[i])
-	st.row.Transfer(q, from, l)
-	st.memberBucket[i] = bucket
+	st.row.Transfer(q, from, from^1)
+	st.memberLocal[i] = from ^ 1
 }
 
-// deltaRecords diffs the pre-superstep snapshot against the current row
-// into canonical ascending-bucket (bucket, cOld, cNew) changes, skipping
-// buckets whose net count is unchanged. 0 means "entry absent" on either
-// side.
-func (st *queryState) deltaRecords() []core.NDChange {
+// changed diffs the pre-superstep snapshot against the current row into
+// canonical ascending (local bucket, cOld, cNew) changes, skipping buckets
+// whose net count is unchanged. 0 means "entry absent" on either side.
+func (st *queryState) changed() []core.NDChange {
 	st.changes = st.row.Diff(st.changes[:0], st.snap)
-	for i, c := range st.changes {
-		st.changes[i].B = st.pairs[c.B>>1]<<1 | c.B&1
-	}
 	return st.changes
 }
 
@@ -522,6 +572,44 @@ func (st *queryState) deltaRecords() []core.NDChange {
 func (st *queryState) resetSuperstep() {
 	clear(st.moved)
 	st.movers = 0
+}
+
+// gainFold is one worker's superstep-1 accumulator: the gains and patches
+// its queries address each data vertex, folded into one record per vertex
+// in held, by data id (the zero record, a bucket update, marks an empty
+// entry), and listed in first-touch order in touched. flush, the engine's
+// PostSuperstep hook, sends them, so one worker's envelopes are the ones
+// the engine's sender-side combiner would build, in the same order.
+type gainFold struct {
+	held    []record
+	touched []int32
+	// plain sends each record as it comes (Options.noCombine).
+	plain bool
+}
+
+// add folds r, a gain or a patch for data vertex d, in.
+func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r record) {
+	if f.plain {
+		ctx.Send(pregel.VertexID(d), r)
+		return
+	}
+	h := &f.held[d]
+	if h.kind == kindBucket {
+		*h = r
+		f.touched = append(f.touched, d)
+	} else if !combine(h, r) {
+		//shp:panics(invariant: a vertex is either a mover, sent gains only, or clean, sent patches only; a mix means the barrier protocol broke)
+		panic(fmt.Sprintf("distshp: vertex %d was sent records of kinds %d and %d in one superstep", d, h.kind, r.kind))
+	}
+}
+
+// flush sends one record per touched vertex and empties the fold.
+func (f *gainFold) flush(ctx *pregel.ContextOf[record, workerAgg]) {
+	for _, d := range f.touched {
+		ctx.Send(pregel.VertexID(d), f.held[d])
+		f.held[d] = record{}
+	}
+	f.touched = f.touched[:0]
 }
 
 // workerAgg is one worker's part of a superstep's aggregate, what its
@@ -687,11 +775,29 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
+	// The message plane's per-run state: the member slots bucket updates
+	// carry, and each worker's superstep-1 fold over all data ids.
+	slots := newSlotTable(g)
+	folds := make([]gainFold, opts.Workers)
+	for w := range folds {
+		folds[w].plain = opts.noCombine
+		if !opts.noCombine {
+			folds[w].held = make([]record, numD)
+		}
+	}
+
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 		if id := int(v.ID); id < numD {
-			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables)
+			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables, slots)
 		} else {
-			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], msgs, sched, tables)
+			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], msgs, sched, tables, &folds[ctx.Worker()])
+		}
+	}
+
+	// A worker's gain superstep ends with its fold's records.
+	flush := func(ctx *pregel.ContextOf[record, workerAgg]) {
+		if ctx.Superstep()%4 == 1 {
+			folds[ctx.Worker()].flush(ctx)
 		}
 	}
 
@@ -745,6 +851,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
 		Compute:       compute,
+		PostSuperstep: flush,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
@@ -793,7 +900,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 // computeData is the program of data vertex d. It reads the master's state
 // in s, which the master writes only between supersteps.
 func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, d int32, st *dataState,
-	msgs []record, s *schedule, tables []core.GainTables) {
+	msgs []record, s *schedule, tables []core.GainTables, slots slotTable) {
 
 	switch ctx.Superstep() % 4 {
 	case 0:
@@ -805,8 +912,9 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			st.level = s.level
 		}
 		if st.moved {
-			for _, q := range g.DataNeighbors(d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(d, st.bucket))
+			slot := slots.of(d)
+			for j, q := range g.DataNeighbors(d) {
+				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(slot[j], st.bucket))
 			}
 			st.moved = false
 		}
@@ -815,10 +923,9 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 	case 2:
 		// Bring the persistent Equation 1 accumulators up to date and
 		// register the gain for moving to the sibling bucket with the master.
-		// A gain means "resum from scratch" (movers and rebroadcast
-		// iterations — every adjacent query sent a contribution); a delta
-		// patches in place. The protocol never mixes the two for one vertex
-		// in one superstep.
+		// Gains mean "resum from scratch" (movers and rebroadcast iterations
+		// — every adjacent query sent a contribution); patches add in place.
+		// The protocol never mixes the two for one vertex in one superstep.
 		//
 		// Admissibility gate: no superstep-1 traffic and an unchanged bucket
 		// mean the accumulators — and so the gain — are bit-identical to the
@@ -833,26 +940,27 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 		}
 		tb := tables[level]
 		var sumCur, sumOth int64
-		gains, deltas := 0, 0
+		gains, patches := 0, 0
 		for _, m := range msgs {
-			switch m.kind {
-			case kindGain:
+			cur, oth := m.sums()
+			sumCur += cur
+			sumOth += oth
+			if m.kind == kindGain {
 				gains++
-				cur, oth := m.gain()
-				sumCur += cur
-				sumOth += oth
-			case kindDelta:
-				deltas++
-				st.applyDelta(d, tb, m)
+			} else {
+				patches++
 			}
 		}
-		if gains > 0 {
-			if deltas > 0 {
-				//shp:panics(invariant: the superstep schedule never mixes gain and delta planes; a mix means the barrier protocol broke)
-				panic(fmt.Sprintf("distshp: vertex %d received %d gain and %d delta messages in one superstep",
-					d, gains, deltas))
-			}
+		switch {
+		case gains > 0 && patches > 0:
+			//shp:panics(invariant: the superstep schedule never mixes gains and patches; a mix means the barrier protocol broke)
+			panic(fmt.Sprintf("distshp: vertex %d received %d gain and %d patch messages in one superstep",
+				d, gains, patches))
+		case gains > 0:
 			st.sumCur, st.sumOth = sumCur, sumOth
+		default:
+			st.sumCur += sumCur
+			st.sumOth += sumOth
 		}
 		st.gain = st.sumCur - st.sumOth
 		agg := ctx.Aggregate()
@@ -919,16 +1027,15 @@ func directionKey(bucket int32) uint64 {
 
 // computeQuery is the program of query vertex q: maintain neighbor data
 // incrementally from superstep 0's bucket updates and, in superstep 1, bring
-// each member's gain state up to date.
+// each member's gain state up to date through its worker's fold.
 //
-// A dirty query sends a full gain contribution to each member that moved
-// (it is rebuilding) and canonical (bucket, cOld, cNew) delta records to
-// each clean member whose sibling pair contains a changed bucket; clean
-// queries send nothing. On a master-scheduled rebroadcast iteration every
-// query sends every member its full contribution, exactly the paper's
-// per-iteration r = 2 neighbor-data reduction.
+// A dirty query adds a full gain contribution for each member that moved
+// (it is rebuilding) and a patch for each clean member whose sibling pair
+// holds a changed count; clean queries add nothing. On a master-scheduled
+// rebroadcast iteration every query adds every member's full contribution,
+// exactly the paper's per-iteration r = 2 neighbor-data reduction.
 func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, q int32, st *queryState,
-	msgs []record, s *schedule, tables []core.GainTables) {
+	msgs []record, s *schedule, tables []core.GainTables, fold *gainFold) {
 
 	switch ctx.Superstep() % 4 {
 	case 1:
@@ -947,42 +1054,35 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 			// Apply the bucket updates. Unless this superstep rebroadcasts,
 			// flag the members that moved and snapshot the pre-superstep row
 			// so the net per-bucket changes can be diffed out afterwards. No
-			// map is touched anywhere in this superstep: counts live in the
-			// pin-count row and member lookups are binary searches over the
-			// sorted adjacency list.
+			// map or search is touched anywhere in this superstep: counts
+			// live in the pin-count row and records address members by slot.
 			for _, m := range msgs {
-				st.applyUpdate(q, members, m, !full)
+				st.applyUpdate(q, m, !full)
 			}
 		}
 		// Fanout bookkeeping: hand the master the live-entry diff so it can
 		// maintain the global average fanout without graph passes. Identical
 		// on every path (count maintenance does not depend on the plane).
 		ctx.Aggregate().fanoutDiff += int64(st.row.Live() - live)
-		// Send each member its gain-state update. Integer sums make the send
-		// order irrelevant to the result.
+		// Fold each member's gain-state update. Integer sums make the order
+		// irrelevant to the result.
 		tb := tables[level]
 		if full {
 			for i, d := range members {
-				own, sib := st.counts(st.memberBucket[i])
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
+				fold.add(ctx, d, st.gain(tb, st.memberLocal[i]))
 			}
 			return
 		}
 		if st.movers == 0 {
 			return // clean query: members' accumulators are already exact
 		}
-		changes := st.deltaRecords()
+		changes := st.changed()
 		for i, d := range members {
-			b := st.memberBucket[i]
+			l := st.memberLocal[i]
 			if st.moved[i] {
-				own, sib := st.counts(b)
-				ctx.Send(pregel.VertexID(int(d)), gainRecord(tb.T[own-1], tb.T[sib]))
-				continue
-			}
-			for _, c := range changes {
-				if c.B == b || c.B == b^1 {
-					ctx.Send(pregel.VertexID(int(d)), deltaRecord(c.B, c.COld, c.CNew))
-				}
+				fold.add(ctx, d, st.gain(tb, l))
+			} else if r, ok := st.patch(tb, l, changes); ok {
+				fold.add(ctx, d, r)
 			}
 		}
 		st.resetSuperstep()

@@ -226,9 +226,11 @@ func TestTransportEquivalence(t *testing.T) {
 }
 
 func TestCombinerReducesCrossWorkerTraffic(t *testing.T) {
-	// Sender-side combining must strictly reduce the envelopes (and bytes)
-	// crossing workers while leaving the partition alone: the move protocol
-	// is unchanged, only the order of integer gain sums differs.
+	// Sender-side combining (the per-worker fold of gains and patches, the
+	// engine's combiner for the rest) must strictly reduce the envelopes
+	// (and bytes) crossing workers while leaving the partition alone: the
+	// move protocol is unchanged, only the order of integer gain sums
+	// differs.
 	g := plantedGraph(t, 4, 150, 700, 6)
 	combined, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4})
 	if err != nil {
@@ -256,10 +258,10 @@ func TestCombinerReducesCrossWorkerTraffic(t *testing.T) {
 }
 
 func TestCombinerInvariantOnSingleWorker(t *testing.T) {
-	// With one worker every message is local and sender-side combining
-	// collapses each data vertex's gain traffic to a single envelope whose
-	// sum order matches the uncombined delivery order exactly, so the
-	// partitions must be identical, not merely close.
+	// With one worker every message is local and the per-worker fold
+	// collapses each data vertex's gain or patch traffic to a single
+	// envelope whose sum order matches the uncombined delivery order
+	// exactly, so the partitions must be identical, not merely close.
 	g := randomBipartite(t, 31, 200, 300, 1500)
 	combined, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1})
 	if err != nil {

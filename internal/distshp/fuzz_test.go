@@ -28,9 +28,9 @@ var fuzzWire = recordCodec{k: fuzzK, maxDeg: 16}
 
 // checkRecordCodec is the wire codec's property: hostile counts and
 // truncations fail without appending anything; whatever decodes holds only
-// buckets in [0, fuzzK) and delta counts in [0, 16], re-encodes to exactly
-// the bytes consumed, sizes to them, and decodes again onto what is already
-// there.
+// bucket updates to buckets in [0, fuzzK) from slots in [0, 16), re-encodes
+// to exactly the bytes consumed, sizes to them, and decodes again onto what
+// is already there.
 func checkRecordCodec(t *testing.T, data []byte) {
 	recs, used, err := fuzzWire.Decode(data, nil)
 	if err != nil {
@@ -43,16 +43,7 @@ func checkRecordCodec(t *testing.T, data []byte) {
 		t.Fatalf("decoded %d records from %d of %d bytes", len(recs), used, len(data))
 	}
 	for _, r := range recs {
-		var bad bool
-		switch r.kind {
-		case kindBucket:
-			_, b := r.bucket()
-			bad = b < 0 || b >= fuzzK
-		case kindDelta:
-			b, cOld, cNew := r.delta()
-			bad = b < 0 || b >= fuzzK || min(cOld, cNew) < 0 || max(cOld, cNew) > 16
-		}
-		if bad {
+		if slot, b := r.bucket(); r.kind == kindBucket && (b < 0 || b >= fuzzK || slot < 0 || slot >= 16) {
 			t.Fatalf("decoded an out-of-range record %+v", r)
 		}
 	}
@@ -77,13 +68,15 @@ func envelopeBytes(recs ...record) []byte {
 	return buf
 }
 
+// FuzzDeltaCodec starts from patch records, the kind that replaced
+// per-bucket delta records.
 func FuzzDeltaCodec(f *testing.F) {
-	f.Add(envelopeBytes(deltaRecord(2, 3, 4)))
-	f.Add(envelopeBytes(deltaRecord(-1, 0, 1)))
-	f.Add(envelopeBytes(deltaRecord(fuzzK, 0, 1)))
-	f.Add(envelopeBytes(deltaRecord(2, 17, 1)))
+	f.Add(envelopeBytes(patchRecord(2, -3)))
+	f.Add(envelopeBytes(patchRecord(0, 0)))
+	f.Add(envelopeBytes(patchRecord(math.MinInt64, math.MaxInt64)))
 	f.Add([]byte{})
-	f.Add([]byte{kindDelta, 2, 3})
+	f.Add([]byte{kindPatch, 2, 3})
+	f.Add(envelopeBytes(patchRecord(1, 1))[:16]) // one payload byte short
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -338,14 +331,13 @@ func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
 }
 
 // TestRecordCodecRejectsOutOfRange checks that a wire frame or checkpointed
-// message holding a bucket the run has no row slot for, or a delta count no
-// query can reach, fails its decode instead of crashing the receiver, and
-// that both ends of each range decode.
+// message holding a bucket the run has no row slot for, or a member slot no
+// query has, fails its decode instead of crashing the receiver, and that
+// both ends of each range decode.
 func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 	for _, r := range []record{
 		bucketRecord(3, fuzzK), bucketRecord(3, -1),
-		deltaRecord(fuzzK, 0, 1), deltaRecord(-1, 1, 0),
-		deltaRecord(2, -1, 0), deltaRecord(2, 0, 17),
+		bucketRecord(16, 0), bucketRecord(-1, 1),
 	} {
 		if recs, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err == nil {
 			t.Errorf("%+v decoded as %+v", r, recs)
@@ -355,21 +347,24 @@ func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1, 2)}); err == nil || len(recs) != 1 {
 		t.Errorf("batch with a bucket of K: decoded %+v (err %v)", recs, err)
 	}
-	for _, r := range []record{bucketRecord(3, 0), bucketRecord(3, fuzzK-1), deltaRecord(fuzzK-1, 16, 0), deltaRecord(0, 0, 16)} {
+	for _, r := range []record{bucketRecord(3, 0), bucketRecord(3, fuzzK-1), bucketRecord(15, 0), bucketRecord(0, 1)} {
 		if _, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err != nil {
 			t.Errorf("%+v: %v", r, err)
 		}
 	}
 }
 
+// FuzzDeltaBatchCodec starts from batches of patches, which have no
+// encoding: the byte after the patch kind is no kind, and two patch
+// envelopes back to back decode as the first one alone.
 func FuzzDeltaBatchCodec(f *testing.F) {
-	two := envelopeBytes(deltaRecord(2, 0, 1), deltaRecord(3, 1, 0))
+	two := append(envelopeBytes(patchRecord(2, 0)), envelopeBytes(patchRecord(3, 1))...)
 	f.Add(two)
-	f.Add(envelopeBytes(deltaRecord(2, 3, 4), deltaRecord(3, 1, 0), deltaRecord(0, 0, 9)))
-	f.Add([]byte{kindDeltaBatch, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})          // a batch of one
-	f.Add(two[:len(two)-1])                                                       // truncated last record
-	f.Add([]byte{kindDeltaBatch, 200})                                            // truncated uvarint count
-	f.Add([]byte{kindDeltaBatch, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
+	f.Add(cat([]byte{kindPatch + 1, 2}, le64(2, 0, 3, 1)))                       // a patch batch
+	f.Add(cat([]byte{kindPatch + 1, 1}, le64(2, 0)))                             // a batch of one
+	f.Add(two[:len(two)-1])                                                      // truncated second record
+	f.Add([]byte{kindPatch + 1, 200})                                            // truncated uvarint count
+	f.Add([]byte{kindPatch + 1, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
 	f.Fuzz(checkRecordCodec)
 }
 

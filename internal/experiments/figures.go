@@ -341,8 +341,9 @@ func RunFig8(w io.Writer, cfg Config) error {
 			incB := 100 * (clique/base - 1)
 			rowA = append(rowA, fmt.Sprintf("%+.1f%%", incA))
 			rowB = append(rowB, fmt.Sprintf("%+.1f%%", incB))
-			sumA += incA
-			sumB += incB
+			// The conversions keep arm64 from fusing the products into the sums.
+			sumA += float64(incA)
+			sumB += float64(incB)
 			cells++
 		}
 		tbA.AddRow(rowA...)

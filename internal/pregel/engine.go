@@ -669,7 +669,7 @@ func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]
 }
 
 // runWorker executes one worker's vertices for one superstep, handing each
-// its group of the inbox.
+// its group of the inbox, then the PostSuperstep hook.
 func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 	ctx := &ContextOf[M, A]{engine: e, worker: w, superstep: step}
 	comb := e.opts.Combiner
@@ -695,6 +695,10 @@ func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 		v.halted = false
 		ctx.vertex = v
 		e.opts.Compute(ctx, v, msgs)
+	}
+	if post := e.opts.PostSuperstep; post != nil {
+		ctx.vertex = nil
+		post(ctx)
 	}
 	w.in.reset()
 }

@@ -42,6 +42,10 @@
 // cross-worker traffic, so communication-complexity claims can be measured
 // rather than asserted.
 //
+// Options.PostSuperstep runs once per worker after its last vertex, like
+// Giraph's WorkerContext.postSuperstep, and may Send: a program that folds
+// its vertices' contributions per worker itself ships them from there.
+//
 // Engine, Options, Context and NewEngine are the M = Message (any)
 // instantiation with an empty aggregate, whose Codec is a Registry of
 // per-type value codecs.
@@ -79,6 +83,10 @@ type Context = ContextOf[Message, struct{}]
 
 // Superstep returns the current superstep number (0-based).
 func (c *ContextOf[M, A]) Superstep() int { return c.superstep }
+
+// Worker returns the index of the worker running the vertex (or the
+// PostSuperstep hook), in [0, Workers).
+func (c *ContextOf[M, A]) Worker() int { return c.worker.id }
 
 // NumVertices returns the total vertex count.
 func (c *ContextOf[M, A]) NumVertices() int { return len(c.engine.place) }
@@ -181,7 +189,7 @@ type Stats struct {
 // BytesSent over the supersteps of phase p, with Superstep holding the phase
 // index and ActiveVertices/MaxWorkerActive the phase's maxima. distshp's
 // 4-superstep refinement loop uses this to report what each protocol role
-// (bucket updates, gain/delta plane, proposals, moves) costs on the wire.
+// (bucket updates, gain/patch plane, proposals, moves) costs on the wire.
 func (s *Stats) PhaseTotals(period int) []SuperstepStats {
 	if period <= 0 {
 		return nil
@@ -237,6 +245,14 @@ type OptionsOf[M, A any] struct {
 	// associative; the engine folds in send order. held is the engine's to
 	// update in place; m is the sender's, to read but not retain.
 	Combiner func(held *M, m M) bool
+	// PostSuperstep, if set, runs once per worker per superstep, after that
+	// worker's last vertex and before the barrier: Giraph's
+	// WorkerContext.postSuperstep. It may Send and fold into the Aggregate
+	// like a vertex, and must not VoteToHalt. A program that folds its
+	// vertices' contributions per worker itself flushes them here; what it
+	// keeps between the hook and the next superstep is its own state, which
+	// Program checkpoints.
+	PostSuperstep func(ctx *ContextOf[M, A])
 
 	// Checkpointer, if set, enables superstep checkpointing: every
 	// CheckpointEvery supersteps the engine snapshots the halted flags, the

@@ -53,13 +53,15 @@ func (m LatencyModel) withDefaults() LatencyModel {
 // Sample draws one request latency (mean 1 over the full distribution).
 func (m LatencyModel) Sample(r *rng.RNG) float64 {
 	m = m.withDefaults()
-	// Lognormal with mean 1: mu = -sigma^2/2.
-	lat := math.Exp(-m.Sigma*m.Sigma/2 + m.Sigma*r.NormFloat64())
+	// Lognormal with mean 1: mu = -sigma^2/2. Each product is converted to
+	// float64 so arm64 rounds it before the add, as amd64 does, and the
+	// latencies the benchmark reports match on both.
+	lat := math.Exp(float64(-m.Sigma*m.Sigma/2) + float64(m.Sigma*r.NormFloat64()))
 	if r.Float64() < m.TailProb {
-		lat += r.ExpFloat64() * m.TailScale
+		lat += float64(r.ExpFloat64() * m.TailScale)
 	}
 	// Normalize the tail's mean contribution away.
-	return lat / (1 + m.TailProb*m.TailScale)
+	return lat / (1 + float64(m.TailProb*m.TailScale))
 }
 
 // MultiGet returns the latency of a query that issues the given per-server
@@ -70,7 +72,7 @@ func (m LatencyModel) MultiGet(r *rng.RNG, requestSizes []int) float64 {
 	for _, s := range requestSizes {
 		lat := m.Sample(r)
 		if m.SizeCost > 0 && s > 1 {
-			lat += m.SizeCost * float64(s-1)
+			lat += float64(m.SizeCost * float64(s-1)) // rounded as in Sample
 		}
 		if lat > worst {
 			worst = lat
