@@ -212,9 +212,9 @@ func BenchmarkPartitionDistributed(b *testing.B) {
 // ---- Message-plane benchmarks ----
 //
 // These record the distributed engine's communication volume per backend so
-// future PRs have a perf trajectory to beat: remote envelope counts are
-// post-sender-side-combining, and bytes are measured rather than callback
-// estimates. The two backends measure different populations — the in-process
+// future PRs have a perf trajectory to beat: remote envelope counts are one
+// per (worker, destination vertex), and bytes are measured rather than
+// callback estimates. The two backends measure different populations — the in-process
 // plane charges the codec size of every message (local included), the TCP
 // plane charges the frames that actually crossed sockets (remote only,
 // headers included) — so compare msg-bytes within a backend, not across.

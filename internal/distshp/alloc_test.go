@@ -8,14 +8,15 @@ import (
 )
 
 // TestCombinerPlaneAllocations is the allocation guard on the message plane
-// under distshp's records, codec and combiner: in a steady-state superstep
-// where every vertex sends one record to one of a few hubs, the engine may
-// allocate a bounded handful of things per superstep (goroutines, barrier
-// maps), nothing per Send. Two arms: gains, where nearly every Send is a
-// fold, and bucket updates, which the combiner declines, so every Send
-// appends to its hub's envelope and ships in a batch. Per-superstep
-// allocation is the difference of a long and a short run, which cancels
-// engine construction and first-use buffer growth.
+// under distshp's records, codec and per-worker fold: in a steady-state
+// superstep where every vertex addresses one record to one of a few hubs,
+// the engine may allocate a bounded handful of things per superstep
+// (goroutines, barrier maps), nothing per record. Two arms: gains, which
+// every vertex adds into its worker's gainFold and the PostSuperstep hook
+// flushes, one record per (worker, hub), and bucket updates, which every
+// vertex sends, so each Send appends to its hub's envelope and ships in a
+// batch. Per-superstep allocation is the difference of a long and a short
+// run, which cancels engine construction and first-use buffer growth.
 func TestCombinerPlaneAllocations(t *testing.T) {
 	const n, hubs, short, long, bound = 2000, 16, 4, 12, 64
 	for _, tc := range []struct {
@@ -25,10 +26,11 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, arm := range []struct {
 				name string
+				fold bool
 				msg  func(v pregel.VertexID) record
 			}{
-				{"fold", func(pregel.VertexID) record { return gainRecord(2, 1) }},
-				{"batch", func(v pregel.VertexID) record { return bucketRecord(int32(v), int32(v)%2) }},
+				{"fold", true, func(pregel.VertexID) record { return gainRecord(2, 1) }},
+				{"batch", false, func(v pregel.VertexID) record { return bucketRecord(int32(v), int32(v)%2) }},
 			} {
 				t.Run(arm.name, func(t *testing.T) {
 					vertices := make([]*pregel.Vertex, n)
@@ -36,6 +38,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 						vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
 					}
 					var received atomic.Int64 // workers run concurrently
+					folds := []gainFold{{held: make([]record, n)}, {held: make([]record, n)}}
 					allocs := func(steps int) float64 {
 						return testing.AllocsPerRun(3, func() {
 							eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
@@ -43,11 +46,15 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 								MaxSupersteps: steps,
 								Transport:     tc.transport(),
 								Codecs:        wideWire,
-								Combiner:      combine,
 								Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 									received.Add(int64(len(msgs)))
-									ctx.Send(v.ID%hubs, arm.msg(v.ID))
+									if arm.fold {
+										folds[ctx.Worker()].add(ctx, int32(v.ID%hubs), arm.msg(v.ID))
+									} else {
+										ctx.Send(v.ID%hubs, arm.msg(v.ID))
+									}
 								},
+								PostSuperstep: func(ctx *pregel.ContextOf[record, workerAgg]) { folds[ctx.Worker()].flush(ctx) },
 							}, vertices)
 							if err != nil {
 								t.Fatal(err)
@@ -62,9 +69,9 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 						t.Fatal("no message was delivered")
 					}
 					if perStep > bound {
-						t.Fatalf("%.0f allocations per superstep of %d sends: want at most %d", perStep, n, bound)
+						t.Fatalf("%.0f allocations per superstep of %d records: want at most %d", perStep, n, bound)
 					}
-					t.Logf("%.0f allocations per superstep of %d sends", perStep, n)
+					t.Logf("%.0f allocations per superstep of %d records", perStep, n)
 				})
 			}
 		})

@@ -1,29 +1,31 @@
 package distshp
 
 // The wire codec of distshp's records. One codec encodes an envelope — the
-// records one worker sent one vertex in a superstep: a lone record as its
-// kind byte and payload; two or more bucket updates, the one kind the
-// combiner declines to fold, as the batch byte, a uvarint count and the
-// payloads. Gains and patches leave a worker folded, one record per
-// envelope, so the codec refuses an envelope of two.
+// 1..n records one worker sent one vertex in a superstep, all of one kind —
+// by one rule for every kind: a lone record as its kind byte and payload,
+// two or more as the kind byte with the batch bit set, a minimal uvarint
+// count and the payloads. Superstep 0's bucket updates batch per destination;
+// the per-worker fold leaves one gain or patch per (worker, data vertex), and
+// only the fold-off side of the equivalence tests sends their batches.
 
 import (
 	"encoding/binary"
 	"fmt"
 )
 
-// Wire kind bytes. The bucket batch is the bucket kind plus one; gains and
-// patches have no batch form.
+// Record kinds, which are also their wire kind bytes; batchBit marks an
+// envelope of two or more.
 const (
-	kindBucket      = 0
-	kindBucketBatch = 1
-	kindGain        = 2
-	kindPatch       = 3
+	kindBucket = 0
+	kindGain   = 2
+	kindPatch  = 4
+	batchBit   = 1
 )
 
-// payloadSize is a record kind's fixed encoding: bucket updates are (Slot,
-// New) as little-endian uint32s, gains the int64 gain units (Cur, Oth) and
-// patches their changes (ΔCur, ΔOth) as little-endian uint64s.
+// payloadSize is a record kind's fixed encoding, 0 for a byte that is no
+// kind: bucket updates are (Slot, New) as little-endian uint32s, gains the
+// int64 gain units (Cur, Oth) and patches their changes (ΔCur, ΔOth) as
+// little-endian uint64s.
 func payloadSize(kind uint8) int {
 	switch kind {
 	case kindBucket:
@@ -34,9 +36,8 @@ func payloadSize(kind uint8) int {
 	return 0
 }
 
-// envelopeKind returns the kind byte an envelope of recs starts with, and
-// refuses what has no encoding: mixed kinds, or gains or patches that did
-// not fold.
+// envelopeKind returns the kind of an envelope's records, and refuses an
+// envelope that mixes kinds, which has no encoding.
 func envelopeKind(recs []record) (uint8, error) {
 	kind := recs[0].kind
 	for _, r := range recs[1:] {
@@ -44,13 +45,7 @@ func envelopeKind(recs []record) (uint8, error) {
 			return 0, fmt.Errorf("distshp: records of kinds %d and %d share an envelope", kind, r.kind)
 		}
 	}
-	if len(recs) == 1 {
-		return kind, nil
-	}
-	if kind != kindBucket {
-		return 0, fmt.Errorf("distshp: %d unfolded records of kind %d share an envelope", len(recs), kind)
-	}
-	return kindBucketBatch, nil
+	return kind, nil
 }
 
 // recordCodec is the engine's Codec[record] for a run over k buckets whose
@@ -65,9 +60,10 @@ func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	buf = append(buf, k)
 	if len(recs) > 1 {
-		buf = binary.AppendUvarint(buf, uint64(len(recs)))
+		buf = binary.AppendUvarint(append(buf, k|batchBit), uint64(len(recs)))
+	} else {
+		buf = append(buf, k)
 	}
 	for _, r := range recs {
 		buf = binary.LittleEndian.AppendUint64(buf, r.lo)
@@ -101,11 +97,12 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	if len(data) == 0 {
 		return recs, 0, fmt.Errorf("distshp: truncated record kind")
 	}
-	kind, n, used := data[0], uint64(1), 1
-	switch kind {
-	case kindBucket, kindGain, kindPatch:
-	case kindBucketBatch:
-		kind--
+	kind, n, used := data[0]&^batchBit, uint64(1), 1
+	size := payloadSize(kind)
+	if size == 0 {
+		return recs, 0, fmt.Errorf("distshp: unknown record kind %d", data[0])
+	}
+	if data[0]&batchBit != 0 {
 		var w int
 		if n, w = binary.Uvarint(data[1:]); w <= 0 {
 			return recs, 0, fmt.Errorf("distshp: truncated batch count")
@@ -114,10 +111,7 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 			return recs, 0, fmt.Errorf("distshp: batch count %d is not a minimal count of two or more", n)
 		}
 		used += w
-	default:
-		return recs, 0, fmt.Errorf("distshp: unknown record kind %d", kind)
 	}
-	size := payloadSize(kind)
 	if n > uint64((len(data)-used)/size) {
 		return recs, 0, fmt.Errorf("distshp: %d records of kind %d exceed the %d-byte payload", n, kind, len(data)-used)
 	}

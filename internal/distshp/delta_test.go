@@ -84,7 +84,7 @@ func TestDistIncrementalMatchesFull(t *testing.T) {
 
 // TestDistRebuildScheduleInvariant checks that a full rebroadcast every
 // iteration (sweepEvery 1) and the patched default produce identical bits,
-// with and without sender-side combining.
+// with and without the per-worker fold.
 func TestDistRebuildScheduleInvariant(t *testing.T) {
 	g := randomBipartite(t, 37, 200, 300, 1800)
 	base, err := Partition(g, Options{K: 4, Seed: 7, Workers: 3})
@@ -93,7 +93,7 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 	}
 	for _, variant := range []Options{
 		{K: 4, Seed: 7, Workers: 3, sweepEvery: 1},
-		{K: 4, Seed: 7, Workers: 3, sweepEvery: 1, noCombine: true},
+		{K: 4, Seed: 7, Workers: 3, sweepEvery: 1, noFold: true},
 	} {
 		res, err := Partition(g, variant)
 		if err != nil {
@@ -149,7 +149,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			regs = append(regs, bucketRecord(int32(i), bucketOf[d]))
 		}
 		st := newQuery(len(members[q]), buckets)
-		st.register(int32(q), 0, 0, members[q], regs)
+		st.register(int32(q), 0, 0, members[q], regs, make([]int32, buckets/2))
 		qs[q] = st
 	}
 
@@ -226,29 +226,34 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		for d, nb := range moves {
 			bucketOf[d] = nb
 		}
-		// The per-worker fold: an observer's patches add into one record,
-		// the only form the wire accepts, then patch the observer.
+		// Both sides of the per-worker fold: an observer's patches add into
+		// one record (gainFold), or ship unfolded as one batch (noFold).
+		// Each round-trips the wire, and they patch the observer by the
+		// same sums.
+		fold := gainFold{held: make([]record, numData)}
 		for _, o := range observers {
 			recs := folded[o]
 			if len(recs) == 0 {
 				continue
 			}
-			if len(recs) > 1 {
-				if _, err := wire.Append(nil, recs); err == nil {
-					t.Fatalf("round %d: encoded a batch of %d unfolded patches", round, len(recs))
-				}
+			for _, rec := range recs {
+				fold.add(nil, o, rec)
 			}
-			one := recs[0]
-			for _, rec := range recs[1:] {
-				if !combine(&one, rec) {
-					t.Fatalf("round %d: patches did not fold", round)
-				}
+			one, _, err := wire.Decode(envelopeBytes(fold.held[o]), nil)
+			batch, _, berr := wire.Decode(envelopeBytes(recs...), nil)
+			if err != nil || berr != nil || len(one) != 1 || !slices.Equal(batch, recs) {
+				t.Fatalf("round %d: folded patch or batch of %d round trip failed (err %v, %v)", round, len(recs), err, berr)
 			}
-			decoded, _, err := wire.Decode(envelopeBytes(one), nil)
-			if err != nil || len(decoded) != 1 {
-				t.Fatalf("round %d: folded patch round trip failed (err %v)", round, err)
+			cur, oth := one[0].sums()
+			var batchCur, batchOth int64
+			for _, rec := range batch {
+				c, s := rec.sums()
+				batchCur += c
+				batchOth += s
 			}
-			cur, oth := decoded[0].sums()
+			if cur != batchCur || oth != batchOth {
+				t.Fatalf("round %d: observer %d folded (%d, %d), batch adds to (%d, %d)", round, o, cur, oth, batchCur, batchOth)
+			}
 			obs[o].sumCur += cur
 			obs[o].sumOth += oth
 		}
@@ -282,7 +287,7 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
 		st := newQuery(len(members), 8)
-		st.register(42, 1, 0, members, []record{bucketRecord(0, 0), bucketRecord(1, 1), bucketRecord(2, 3)})
+		st.register(42, 1, 0, members, []record{bucketRecord(0, 0), bucketRecord(1, 1), bucketRecord(2, 3)}, make([]int32, 4))
 		return st
 	}
 	for _, c := range []struct {
@@ -292,7 +297,7 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 		{"slot out of range", func(st *queryState) { st.applyUpdate(42, bucketRecord(3, 0), true) }},
 		{"negative slot", func(st *queryState) { st.applyUpdate(42, bucketRecord(-1, 0), true) }},
 		{"registration slot out of range", func(st *queryState) {
-			st.register(42, 2, 0, members, []record{bucketRecord(3, 0)})
+			st.register(42, 2, 0, members, []record{bucketRecord(3, 0)}, make([]int32, 4))
 		}},
 		{"new pair", func(st *queryState) { st.applyUpdate(42, bucketRecord(0, 4), true) }},
 		{"not a move", func(st *queryState) { st.applyUpdate(42, bucketRecord(2, 3), true) }},
@@ -327,9 +332,18 @@ func registry(st *queryState) []int32 {
 // pairs and row of a query that heard every member's post-split bucket.
 // Levels 0–2, random prior registries (what a query holds at the end of the
 // previous level: the movers' pre-move buckets) and random mover subsets.
+// Every registration shares one pair table, which must be all zero again
+// after each.
 func TestDerivedRegistrationMatchesFull(t *testing.T) {
 	const k, seed = 8, 77
 	r := rng.New(606)
+	pairAt := make([]int32, k/2)
+	register := func(st *queryState, level int, members []int32, movers []record) {
+		st.register(42, level, seed, members, movers, pairAt)
+		if slices.ContainsFunc(pairAt, func(e int32) bool { return e != 0 }) {
+			t.Fatalf("registration left the pair table %v", pairAt)
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		level := trial % 3
 		var members []int32 // a sorted adjacency list
@@ -347,7 +361,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 				pre[i] = int32(r.Intn(1 << level))
 				prior = append(prior, bucketRecord(int32(i), pre[i]))
 			}
-			derived.register(42, level-1, seed, members, prior)
+			register(derived, level-1, members, prior)
 			for i, d := range members {
 				if r.Intn(3) == 0 {
 					pre[i] ^= 1 // moved in the last iteration, unseen by the query
@@ -355,7 +369,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 				}
 			}
 		}
-		derived.register(42, level, seed, members, movers)
+		register(derived, level, members, movers)
 
 		want := make([]int32, len(members))
 		var all []record
@@ -364,7 +378,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 			all = append(all, bucketRecord(int32(i), want[i]))
 		}
 		full := newQuery(len(members), k)
-		full.register(42, level, seed, members, all)
+		register(full, level, members, all)
 
 		label := fmt.Sprintf("trial %d, level %d, %d of %d members moved", trial, level, len(movers), len(members))
 		if got := registry(full); !slices.Equal(got, want) {
@@ -390,9 +404,9 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 
 // TestDeltaWireSize pins the patch encoding: a query folds its changed
 // counts into the two accumulator changes itself, so a patch is the two
-// int64 sums a gain is, 16 bytes, and a lone patch costs 1 + 16 bytes. No
-// batch form exists: the per-worker fold leaves one patch per (worker,
-// vertex), and the codec refuses an envelope of two.
+// int64 sums a gain is, 16 bytes, and a lone patch costs 1 + 16 bytes. The
+// per-worker fold leaves one patch per (worker, vertex); unfolded patches
+// batch as every kind does, 2 + 16n bytes for n of them.
 func TestDeltaWireSize(t *testing.T) {
 	if got := payloadSize(kindPatch); got != 16 {
 		t.Fatalf("patch payload = %d bytes, want 16 (ΔsumCur + ΔsumOth)", got)
@@ -405,11 +419,11 @@ func TestDeltaWireSize(t *testing.T) {
 		t.Fatalf("Size %d (%v), want 17", sz, err)
 	}
 	batch := []record{rec, patchRecord(4, 0), patchRecord(-1, 7)}
-	if buf, err := wideWire.Append(nil, batch); err == nil {
-		t.Fatalf("encoded a batch of %d patches as %x", len(batch), buf)
+	if got := len(envelopeBytes(batch...)); got != 2+16*3 {
+		t.Fatalf("a batch of 3 patches is %d bytes, want 50", got)
 	}
-	if _, err := wideWire.Size(batch); err == nil {
-		t.Fatalf("sized a batch of %d patches", len(batch))
+	if sz, err := wideWire.Size(batch); err != nil || sz != 50 {
+		t.Fatalf("Size %d (%v), want 50", sz, err)
 	}
 }
 

@@ -46,9 +46,9 @@
 //     fold them per destination: a query adds each gain or patch into its
 //     worker's dense accumulator by data id (gainFold), and the engine's
 //     PostSuperstep hook sends one record per touched vertex in first-touch
-//     order, so every superstep-1 envelope holds one record. The engine's
-//     combiner adds the workers' records at the receiver. The accumulators
-//     are empty at every barrier, so no checkpoint holds them.
+//     order, so every superstep-1 envelope holds one record. The receiver
+//     adds what each worker sent; the engine folds nothing. The
+//     accumulators are empty at every barrier, so no checkpoint holds them.
 //   - All gain-table values are integer units (core's gains.go), so patched
 //     accumulators equal what a full resummation produces, in any order:
 //     the incremental and full paths yield byte-identical partitions and
@@ -146,17 +146,17 @@ type Options struct {
 	// (ablation: any worker failure then aborts the run).
 	DisableCheckpointing bool
 
-	// noCombine runs the engine without the sender-side combiner and the
-	// queries without the per-worker fold, so superstep 1 sends one record
-	// per incidence. Combining never changes a result, only the traffic, so
-	// nothing outside this package can set it: it is the plain side of the
-	// combined-vs-plain equivalence tests.
-	noCombine bool
+	// noFold runs the queries without the per-worker fold, so superstep 1
+	// sends one record per incidence, batched per destination by the engine.
+	// Folding never changes a result, only the traffic, so nothing outside
+	// this package can set it: it is the plain side of the folded-vs-plain
+	// equivalence tests.
+	noFold bool
 	// sweepEvery forces a full gain rebroadcast (core.Sweep) after every
 	// sweepEvery-th iteration within a level; 0 never. Superstep 1 then
 	// re-sends every member's full contribution instead of patching
 	// accumulators, which re-derives exactly the maintained state, so like
-	// noCombine it is test-only: 1 (no patch records at all) is the
+	// noFold it is test-only: 1 (no patch records at all) is the
 	// full-recompute side of the incremental-vs-full equivalence tests.
 	sweepEvery int
 }
@@ -315,22 +315,6 @@ func (r record) bucket() (slot, bucket int32) { return int32(r.lo), int32(r.lo >
 // sums returns a gain's or a patch's two int64 values.
 func (r record) sums() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
 
-// combine is the engine combiner and the per-worker fold: two gains, or two
-// patches, add in place; anything else declines, so bucket updates batch in
-// their envelope. The protocol never mixes gains and patches for one
-// destination in one superstep (a vertex is either a mover — gains from
-// every adjacent query — or clean — patches only); gainFold.add,
-// computeData and the codec all refuse a mix.
-func combine(held *record, m record) bool {
-	if m.kind != held.kind || m.kind == kindBucket {
-		return false
-	}
-	cur, oth := held.sums()
-	mc, mo := m.sums()
-	held.lo, held.hi = uint64(cur+mc), uint64(oth+mo)
-	return true
-}
-
 // dataState is the per-data-vertex state.
 type dataState struct {
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
@@ -451,7 +435,8 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 // iteration: then its record in movers carries the bucket. An unregistered
 // query (a fresh or restored run) splits nothing it holds: at level 0 the
 // split ignores the parent, and a restored run's every member is a mover.
-func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []record) {
+// pairAt is the worker's pair table (see recount).
+func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []record, pairAt []int32) {
 	for i, d := range members {
 		parent := int32(-1)
 		if st.level >= 0 {
@@ -464,34 +449,38 @@ func (st *queryState) register(q int32, level int, seed uint64, members []int32,
 		st.memberLocal[st.slot(q, i)] = b
 	}
 	st.level = level
-	st.recount()
+	st.recount(pairAt)
 }
 
 // recount derives pairs and the row from the registry, which holds bucket
-// ids on entry and local buckets on return. Each distinct pair is inserted
-// in order, and there are no more of them than members or than the K/2
-// pairs a run has, so pairs never outgrows its room.
-func (st *queryState) recount() {
+// ids on entry and local buckets on return. pairAt, the worker's table of
+// the run's K/2 sibling pairs, is all zero on entry and on return. One pass
+// marks and lists the distinct pairs the members occupy, at most
+// min(members, K/2), so the list stays within its room; only that list is
+// sorted, and the table then holds each listed pair's rank + 1, which maps
+// a member to its local bucket with one load.
+func (st *queryState) recount(pairAt []int32) {
 	st.pairs = st.pairs[:0]
 	for _, b := range st.memberLocal {
-		if i, found := slices.BinarySearch(st.pairs, b>>1); !found {
-			st.pairs = slices.Insert(st.pairs, i, b>>1)
+		if p := b >> 1; pairAt[p] == 0 {
+			pairAt[p] = 1
+			st.pairs = append(st.pairs, p)
 		}
+	}
+	slices.Sort(st.pairs)
+	for i, p := range st.pairs {
+		pairAt[p] = int32(i) + 1
 	}
 	st.row = st.row.Reshape(2 * len(st.pairs))
 	st.snap = st.snap.Reshape(2 * len(st.pairs))
 	for i, b := range st.memberLocal {
-		l, _ := st.local(b)
+		l := (pairAt[b>>1]-1)<<1 | b&1
 		st.memberLocal[i] = l
 		st.row.Inc(l)
 	}
-}
-
-// local maps bucket b to the row's local bucket; ok is false when b's pair
-// holds no registered member this level.
-func (st *queryState) local(b int32) (l int32, ok bool) {
-	i, ok := slices.BinarySearch(st.pairs, b>>1)
-	return int32(i)<<1 | b&1, ok
+	for _, p := range st.pairs {
+		pairAt[p] = 0
+	}
 }
 
 // bucket maps local bucket l back to its bucket id.
@@ -578,26 +567,35 @@ func (st *queryState) resetSuperstep() {
 // its queries address each data vertex, folded into one record per vertex
 // in held, by data id (the zero record, a bucket update, marks an empty
 // entry), and listed in first-touch order in touched. flush, the engine's
-// PostSuperstep hook, sends them, so one worker's envelopes are the ones
-// the engine's sender-side combiner would build, in the same order.
+// PostSuperstep hook, sends them: one envelope of one record per (worker,
+// data vertex). Beside it sits the worker's pair table, pairAt, which its
+// queries' registrations mark (queryState.recount).
 type gainFold struct {
 	held    []record
 	touched []int32
-	// plain sends each record as it comes (Options.noCombine).
-	plain bool
+	// plain sends each record as it comes (Options.noFold).
+	plain  bool
+	pairAt []int32
 }
 
-// add folds r, a gain or a patch for data vertex d, in.
+// add folds r, a gain or a patch for data vertex d, in: two gains, or two
+// patches, add. The protocol never mixes the two for one vertex in one
+// superstep (a vertex is either a mover — gains from every adjacent query —
+// or clean — patches only); add, computeData and the codec all refuse a mix.
 func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r record) {
 	if f.plain {
 		ctx.Send(pregel.VertexID(d), r)
 		return
 	}
-	h := &f.held[d]
-	if h.kind == kindBucket {
+	switch h := &f.held[d]; h.kind {
+	case kindBucket:
 		*h = r
 		f.touched = append(f.touched, d)
-	} else if !combine(h, r) {
+	case r.kind:
+		cur, oth := h.sums()
+		rc, ro := r.sums()
+		h.lo, h.hi = uint64(cur+rc), uint64(oth+ro)
+	default:
 		//shp:panics(invariant: a vertex is either a mover, sent gains only, or clean, sent patches only; a mix means the barrier protocol broke)
 		panic(fmt.Sprintf("distshp: vertex %d was sent records of kinds %d and %d in one superstep", d, h.kind, r.kind))
 	}
@@ -776,14 +774,16 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
 	// The message plane's per-run state: the member slots bucket updates
-	// carry, and each worker's superstep-1 fold over all data ids.
+	// carry, and each worker's superstep-1 fold over all data ids and pair
+	// table.
 	slots := newSlotTable(g)
 	folds := make([]gainFold, opts.Workers)
 	for w := range folds {
-		folds[w].plain = opts.noCombine
-		if !opts.noCombine {
+		folds[w].plain = opts.noFold
+		if !opts.noFold {
 			folds[w].held = make([]record, numD)
 		}
+		folds[w].pairAt = make([]int32, opts.K/2)
 	}
 
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
@@ -856,9 +856,6 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
 		Codecs:        recordCodec{k: int32(opts.K), maxDeg: int32(maxN)},
-	}
-	if !opts.noCombine {
-		engOpts.Combiner = combine
 	}
 	if !opts.DisableCheckpointing {
 		engOpts.Checkpointer = opts.Checkpointer
@@ -1048,7 +1045,7 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 			// Level changed: split the registry, overridden by the movers'
 			// records. Every member's pair is new, so every member receives
 			// a full contribution below.
-			st.register(q, level, s.opts.Seed, members, msgs)
+			st.register(q, level, s.opts.Seed, members, msgs, fold.pairAt)
 			full = true
 		} else {
 			// Apply the bucket updates. Unless this superstep rebroadcasts,

@@ -226,22 +226,22 @@ func TestTransportEquivalence(t *testing.T) {
 }
 
 func TestCombinerReducesCrossWorkerTraffic(t *testing.T) {
-	// Sender-side combining (the per-worker fold of gains and patches, the
-	// engine's combiner for the rest) must strictly reduce the envelopes
-	// (and bytes) crossing workers while leaving the partition alone: the
-	// move protocol is unchanged, only the order of integer gain sums
-	// differs.
+	// The per-worker fold of gains and patches must strictly reduce the
+	// bytes crossing workers while leaving the partition alone: the move
+	// protocol is unchanged, only the order of integer gain sums differs.
+	// It ships no fewer envelopes: the engine already gathers a worker's
+	// records for one vertex into one, folded or not.
 	g := plantedGraph(t, 4, 150, 700, 6)
 	combined, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4, noCombine: true})
+	plain, err := Partition(g, Options{K: 4, Seed: 13, Workers: 4, noFold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if combined.Stats.RemoteMessages >= plain.Stats.RemoteMessages {
-		t.Fatalf("combining did not reduce cross-worker messages: %d vs %d",
+	if combined.Stats.RemoteMessages != plain.Stats.RemoteMessages {
+		t.Fatalf("folding changed the cross-worker envelopes: %d vs %d",
 			combined.Stats.RemoteMessages, plain.Stats.RemoteMessages)
 	}
 	if combined.Stats.TotalBytes >= plain.Stats.TotalBytes {
@@ -260,14 +260,15 @@ func TestCombinerReducesCrossWorkerTraffic(t *testing.T) {
 func TestCombinerInvariantOnSingleWorker(t *testing.T) {
 	// With one worker every message is local and the per-worker fold
 	// collapses each data vertex's gain or patch traffic to a single
-	// envelope whose sum order matches the uncombined delivery order
-	// exactly, so the partitions must be identical, not merely close.
+	// record whose sum order matches the unfolded delivery order exactly,
+	// so the partitions must be identical, not merely close. Both ship one
+	// envelope per data vertex; the folded one is smaller.
 	g := randomBipartite(t, 31, 200, 300, 1500)
 	combined, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1, noCombine: true})
+	plain, err := Partition(g, Options{K: 4, Seed: 17, Workers: 1, noFold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +277,13 @@ func TestCombinerInvariantOnSingleWorker(t *testing.T) {
 			t.Fatalf("combining changed the partition at vertex %d", i)
 		}
 	}
-	if combined.Stats.TotalMessages >= plain.Stats.TotalMessages {
-		t.Fatalf("combining did not reduce envelopes: %d vs %d",
+	if combined.Stats.TotalMessages != plain.Stats.TotalMessages {
+		t.Fatalf("folding changed the envelopes: %d vs %d",
 			combined.Stats.TotalMessages, plain.Stats.TotalMessages)
+	}
+	if combined.Stats.TotalBytes >= plain.Stats.TotalBytes {
+		t.Fatalf("folding did not reduce bytes: %d vs %d",
+			combined.Stats.TotalBytes, plain.Stats.TotalBytes)
 	}
 }
 

@@ -357,8 +357,11 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 			if in.msg, used, err = e.opts.Codecs.Decode(data, in.msg); err != nil {
 				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 			}
+			if len(in.msg) != before+1 {
+				return nil, fmt.Errorf("worker %d inbox: an envelope of %d records where the layout holds one", w.id, len(in.msg)-before)
+			}
 			data = data[used:]
-			in.start[last+1] += int32(len(in.msg) - before)
+			in.start[last+1]++
 		}
 		for l := 1; l < len(in.start); l++ {
 			in.start[l] += in.start[l-1]

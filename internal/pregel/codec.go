@@ -8,11 +8,10 @@ import (
 )
 
 // Codec serializes a program's messages to and from flat bytes, one envelope
-// at a time: an envelope is the records one worker addressed to one vertex in
-// a superstep — one record when nothing combines, or the records a Combiner
-// declined to fold. Encoded envelopes sit back to back in frames after their
-// destination id, so an encoding must be self-delimiting: Decode reports how
-// many bytes it consumed.
+// at a time: an envelope is the 1..n records one worker sent one vertex in a
+// superstep, in send order. Encoded envelopes sit back to back in frames
+// after their destination id, so an encoding must be self-delimiting: Decode
+// reports how many bytes it consumed.
 //
 // Codecs are what make BytesSent measured truth rather than an estimate:
 // every byte a transport ships was produced by a codec, and the in-process
@@ -40,27 +39,31 @@ type ValueCodec interface {
 
 // Registry maps concrete types to value codecs and assigns each a stable
 // one-byte wire id in registration order. It is the Codec of the
-// Message-typed plane, where an envelope is one record: its wire id, then its
-// payload.
+// Message-typed plane. A one-record envelope is the record's wire id, then
+// its payload; an envelope of two or more is the reserved id batchID, a
+// minimal uvarint count, then each record as a one-record envelope.
 type Registry struct {
 	types  []reflect.Type // by wire id
 	codecs []ValueCodec
 }
+
+// batchID marks a Registry envelope of two or more records; no type has it.
+const batchID = 255
 
 // NewRegistry returns an empty codec registry.
 func NewRegistry() *Registry { return &Registry{} }
 
 // Register binds the concrete type of sample to c. Registration order fixes
 // the wire id, so both ends of a transport must register the same codecs in
-// the same order. At most 256 types can be registered.
+// the same order. At most 255 types can be registered.
 func (r *Registry) Register(sample any, c ValueCodec) {
 	t := reflect.TypeOf(sample)
 	if _, err := r.idOf(sample); err == nil {
 		//shp:panics(invariant: registration happens once at wiring time before any superstep; a duplicate is a programming error)
 		panic(fmt.Sprintf("pregel: codec for %v registered twice", t))
 	}
-	if len(r.types) == 256 {
-		//shp:panics(invariant: the kind byte is 8 bits; overflow at wiring time is a programming error, not runtime input)
+	if len(r.types) == batchID {
+		//shp:panics(invariant: the wire id is 8 bits with one reserved; overflow at wiring time is a programming error, not runtime input)
 		panic("pregel: codec registry full")
 	}
 	r.types = append(r.types, t)
@@ -79,54 +82,73 @@ func (r *Registry) idOf(v any) (uint8, error) {
 	return 0, fmt.Errorf("pregel: no codec registered for %T", v)
 }
 
-// one checks that an envelope is a single record: a Registry has no batch
-// form, so a Combiner on the Message-typed plane must fold every pair.
-func one(recs []any) error {
-	if len(recs) != 1 {
-		return fmt.Errorf("pregel: a Registry encodes one record per envelope, got %d", len(recs))
-	}
-	return nil
-}
-
-// Append encodes a one-record envelope: the record's wire id, then its
-// payload.
+// Append encodes an envelope: a lone record as its wire id and payload, more
+// behind batchID and their count.
 func (r *Registry) Append(buf []byte, recs []any) ([]byte, error) {
-	if err := one(recs); err != nil {
-		return buf, err
+	if len(recs) > 1 {
+		buf = binary.AppendUvarint(append(buf, batchID), uint64(len(recs)))
 	}
-	id, err := r.idOf(recs[0])
-	if err != nil {
-		return buf, err
+	for _, v := range recs {
+		id, err := r.idOf(v)
+		if err != nil {
+			return buf, err
+		}
+		if buf, err = r.codecs[id].Append(append(buf, id), v); err != nil {
+			return buf, err
+		}
 	}
-	return r.codecs[id].Append(append(buf, id), recs[0])
+	return buf, nil
 }
 
-// Decode reads a one-record envelope onto recs.
+// Decode reads an envelope onto recs. It accepts exactly what Append writes:
+// a batch holds two or more records behind a minimal count, and no more of
+// them than the bytes left could hold, one wire id each, so a hostile count
+// allocates nothing the payload does not pay for.
 func (r *Registry) Decode(data []byte, recs []any) ([]any, int, error) {
-	if len(data) == 0 {
-		return recs, 0, fmt.Errorf("pregel: truncated codec id")
+	n, used := uint64(1), 0
+	if len(data) > 0 && data[0] == batchID {
+		c, w := binary.Uvarint(data[1:])
+		if w <= 0 {
+			return recs, 0, fmt.Errorf("pregel: truncated batch count")
+		}
+		if c < 2 || w != uvarintLen(c) || c > uint64(len(data)-1-w) {
+			return recs, 0, fmt.Errorf("pregel: batch count %d is not a minimal count of two or more within %d bytes", c, len(data)-1-w)
+		}
+		n, used = c, 1+w
 	}
-	id := data[0]
-	if int(id) >= len(r.codecs) {
-		return recs, 0, fmt.Errorf("pregel: unknown codec id %d", id)
+	base := len(recs)
+	for i := uint64(0); i < n; i++ {
+		if used == len(data) {
+			return recs[:base], 0, fmt.Errorf("pregel: truncated codec id")
+		}
+		id := data[used]
+		if int(id) >= len(r.codecs) {
+			return recs[:base], 0, fmt.Errorf("pregel: unknown codec id %d", id)
+		}
+		v, w, err := r.codecs[id].Decode(data[used+1:])
+		if err != nil {
+			return recs[:base], 0, err
+		}
+		recs = append(recs, v)
+		used += 1 + w
 	}
-	v, used, err := r.codecs[id].Decode(data[1:])
-	if err != nil {
-		return recs, 0, err
-	}
-	return append(recs, v), 1 + used, nil
+	return recs, used, nil
 }
 
-// Size returns a one-record envelope's encoded size.
+// Size returns an envelope's encoded size.
 func (r *Registry) Size(recs []any) (int, error) {
-	if err := one(recs); err != nil {
-		return 0, err
+	n := 0
+	if len(recs) > 1 {
+		n = 1 + uvarintLen(uint64(len(recs)))
 	}
-	id, err := r.idOf(recs[0])
-	if err != nil {
-		return 0, err
+	for _, v := range recs {
+		id, err := r.idOf(v)
+		if err != nil {
+			return 0, err
+		}
+		n += 1 + r.codecs[id].Size(v)
 	}
-	return 1 + r.codecs[id].Size(recs[0]), nil
+	return n, nil
 }
 
 func uvarintLen(v uint64) int {
@@ -165,11 +187,14 @@ func (Int64Codec) Append(buf []byte, v any) ([]byte, error) {
 	return binary.AppendVarint(buf, v.(int64)), nil
 }
 
-// Decode reads an int64.
-func (Int64Codec) Decode(data []byte) (any, int, error) {
+// Decode reads an int64 in its minimal encoding, the one Append writes.
+func (c Int64Codec) Decode(data []byte) (any, int, error) {
 	v, n := binary.Varint(data)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("pregel: truncated int64")
+	}
+	if n != c.Size(v) {
+		return nil, 0, fmt.Errorf("pregel: int64 %d in %d bytes is not minimally encoded", v, n)
 	}
 	return v, n, nil
 }

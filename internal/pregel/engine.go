@@ -14,9 +14,8 @@ import (
 
 // envelope is one (source worker, destination vertex) unit of traffic: the
 // records one worker sent one vertex in a superstep. Once its slab is grouped
-// they are rec[first : first+n]; while sends run, first is instead the index
-// of the newest record, where the combiner folds the next one (the same
-// index while the envelope holds one record).
+// they are rec[first : first+n]; while sends run, first is where its first
+// record was sent, which is the same place while every envelope holds one.
 type envelope struct {
 	dst   VertexID
 	first int32
@@ -46,11 +45,12 @@ func (t *traffic[M]) reset() {
 }
 
 // outbox buffers one worker's records for one destination worker in send
-// order. When a combiner is configured, slot is indexed by the destination's
-// local index and holds envelope+1 (0 for none), so Send finds the envelope
-// with one load — Giraph's sender-side combining, which is what actually
-// reduces wire traffic — and envOf[i] is the envelope rec[i] rides in. Only
-// slots envs names are ever non-zero, so clearing walks envs.
+// order. slot is indexed by the destination's local index and holds
+// envelope+1 (0 for none), so Send finds the envelope a vertex already has
+// with one load, and envOf[i] is the envelope rec[i] rides in: one envelope
+// per (source worker, destination vertex) pays one destination header for
+// all of its records. Only slots envs names are ever non-zero, so clearing
+// walks envs.
 type outbox[M any] struct {
 	traffic[M]
 	envOf []int32
@@ -212,10 +212,8 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 	}
 	for _, w := range e.workers {
 		w.in.start = make([]int32, len(w.vertices)+2)
-		if opts.Combiner != nil {
-			for _, src := range e.workers {
-				src.out[w.id].slot = make([]int32, len(w.vertices))
-			}
+		for _, src := range e.workers {
+			src.out[w.id].slot = make([]int32, len(w.vertices))
 		}
 	}
 	return e, nil
@@ -289,9 +287,8 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 			}
 		}
 
-		// Barrier: account outboxes (post sender-side combining, so these
-		// are the counts that actually cross the transport), exchange, and
-		// hand the aggregate's parts to the master.
+		// Barrier: account outboxes (envelopes, which is what crosses the
+		// transport), exchange, and hand the aggregate's parts to the master.
 		ss := SuperstepStats{Superstep: step, ActiveVertices: active, MaxWorkerActive: maxWorkerActive}
 		for _, w := range e.workers {
 			for d := range w.out {
@@ -536,10 +533,8 @@ func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 func (e *EngineOf[M, A]) clearOutboxes(w *worker[M, A]) {
 	for d := range w.out {
 		ob := &w.out[d]
-		if ob.slot != nil {
-			for _, env := range ob.envs {
-				ob.slot[e.place[env.dst].local] = 0
-			}
+		for _, env := range ob.envs {
+			ob.slot[e.place[env.dst].local] = 0
 		}
 		ob.traffic.reset()
 		ob.envOf = ob.envOf[:0]
@@ -672,23 +667,9 @@ func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]
 // its group of the inbox, then the PostSuperstep hook.
 func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 	ctx := &ContextOf[M, A]{engine: e, worker: w, superstep: step}
-	comb := e.opts.Combiner
 	for l, v := range w.vertices {
 		lo, hi := w.in.start[l], w.in.start[l+1]
 		msgs := w.in.msg[lo:hi:hi]
-		if comb != nil && len(msgs) > 1 {
-			// Receiver-side pass: sender-side combining already folded each
-			// worker's own traffic, this folds across source workers the way
-			// Send does, into the newest kept record.
-			k := 0
-			for _, m := range msgs[1:] {
-				if !comb(&msgs[k], m) {
-					k++
-					msgs[k] = m
-				}
-			}
-			msgs = msgs[: k+1 : k+1]
-		}
 		if v.halted && len(msgs) == 0 {
 			continue
 		}

@@ -42,7 +42,6 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 		MaxSupersteps:   steps,
 		Transport:       transport,
 		Codecs:          reg,
-		Combiner:        sumInts,
 		Checkpointer:    cp,
 		CheckpointEvery: 3,
 		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
@@ -139,9 +138,17 @@ func TestPostSuperstepRunsOncePerWorker(t *testing.T) {
 		t.Fatalf("vertex 0 received %v at superstep 0", r.received[0])
 	}
 	for step := 1; step < steps; step++ {
-		// The workers' sums fold into one record at the receiver.
-		if len(r.received[step]) != 1 {
-			t.Fatalf("vertex 0 received %v at superstep %d, want one folded sum", r.received[step], step)
+		// Every worker's sum arrives as a record of its own, two from a
+		// worker whose second send also chose vertex 0; the engine folds
+		// nothing.
+		want := workers
+		for w := 0; w < workers; w++ {
+			if ((step-1)*7+w)%n == 0 {
+				want++
+			}
+		}
+		if len(r.received[step]) != want {
+			t.Fatalf("vertex 0 received %v at superstep %d, want %d sums", r.received[step], step, want)
 		}
 	}
 	for _, ss := range stats.PerSuperstep {

@@ -12,27 +12,34 @@ import (
 	"shp/internal/rng"
 )
 
-// trail is the recording accumulator of the delivery-order property test: a
-// fold appends, so the order the engine folded in is readable off the
-// result. It is a pointer the combiner updates in place, the way
-// Options.Combiner's ownership contract allows.
+// trail is the recording accumulator of the delivery-order property test's
+// program-side fold: folding appends, so the order a worker folded its
+// vertices' sends in is readable off the record it ships.
 type trail struct{ ids []int64 }
 
-// trailCombiner concatenates: folding m into held appends m's payloads to
-// held's. It is associative and nothing else, so any departure from (source
-// worker, send order) shows in what a vertex receives.
-func trailCombiner(held *Message, m Message) bool {
-	acc, ok := (*held).(*trail)
-	if !ok {
-		acc = &trail{ids: []int64{(*held).(int64)}}
-		*held = acc
+// trailFold is one worker's fold: a trail per destination, listed in
+// first-touch order, which the PostSuperstep hook flushes.
+type trailFold struct {
+	at    map[VertexID]*trail
+	order []VertexID
+}
+
+func (f *trailFold) add(dst VertexID, id int64) {
+	tr := f.at[dst]
+	if tr == nil {
+		tr = &trail{}
+		f.at[dst] = tr
+		f.order = append(f.order, dst)
 	}
-	if rec, ok := m.(int64); ok {
-		acc.ids = append(acc.ids, rec)
-	} else {
-		acc.ids = append(acc.ids, m.(*trail).ids...)
+	tr.ids = append(tr.ids, id)
+}
+
+func (f *trailFold) flush(ctx *Context) {
+	for _, dst := range f.order {
+		ctx.Send(dst, f.at[dst])
 	}
-	return true
+	clear(f.at)
+	f.order = f.order[:0]
 }
 
 type trailCodec struct{}
@@ -78,10 +85,13 @@ func trailRegistry() *Registry {
 // TestDeliveryOrderMatchesStableSort drives random traffic through the
 // engine and checks every vertex receives, each superstep, exactly the
 // sequence a stable sort by destination over the superstep's sends — listed
-// by source worker, then in send order — assigns it. The engine groups
-// arrivals with a counting scatter and no sort; the sort lives here, as the
-// reference. With the recording combiner the vertex receives one message
-// whose fold order must read the same sequence.
+// by source worker, then in send order — assigns it, in one envelope per
+// (source worker, destination). The engine groups arrivals with a counting
+// scatter and no sort; the sort lives here, as the reference. With combine
+// set the program folds instead, the way distshp does: each worker's
+// vertices append to a trail per destination, the PostSuperstep hook ships
+// the trails, and a vertex receives at most one per source worker, whose
+// concatenation must read the same sequence.
 func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 	const n, steps = 67, 5
 	type send struct {
@@ -113,6 +123,10 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 					for s := range got {
 						got[s] = make([][]int64, n)
 					}
+					folds := make([]trailFold, workers)
+					for w := range folds {
+						folds[w].at = map[VertexID]*trail{}
+					}
 					vs := make([]*Vertex, n)
 					for i := range vs {
 						vs[n-1-i] = &Vertex{ID: VertexID(i)} // input order must not matter
@@ -123,8 +137,8 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 						Codecs:        trailRegistry(),
 						Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 							s := ctx.Superstep()
-							if combine && len(msgs) > 1 {
-								t.Errorf("superstep %d vertex %d: %d messages past a combiner", s, v.ID, len(msgs))
+							if combine && len(msgs) > workers {
+								t.Errorf("superstep %d vertex %d: %d messages from %d folding workers", s, v.ID, len(msgs), workers)
 							}
 							for _, m := range msgs {
 								if tr, ok := m.(*trail); ok {
@@ -135,13 +149,17 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 							}
 							if s < steps {
 								for _, sd := range sends(seed, v.ID, s) {
-									ctx.Send(sd.dst, sd.payload)
+									if combine {
+										folds[ctx.Worker()].add(sd.dst, sd.payload)
+									} else {
+										ctx.Send(sd.dst, sd.payload)
+									}
 								}
 							}
 						},
 					}
 					if combine {
-						opts.Combiner = trailCombiner
+						opts.PostSuperstep = func(ctx *Context) { folds[ctx.Worker()].flush(ctx) }
 					}
 					if tcp {
 						opts.Transport = TCPTransport()
@@ -150,20 +168,33 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := eng.Run(); err != nil {
+					stats, err := eng.Run()
+					if err != nil {
 						t.Fatal(err)
 					}
 					for s := 0; s < steps; s++ {
 						// Every send of superstep s in (source worker, send
 						// order): workers in order, each running its vertices
-						// id-ascending.
+						// id-ascending. Each worker ships one envelope per
+						// destination it addressed.
 						var all []send
+						envelopes := 0
 						for w := 0; w < workers; w++ {
+							addressed := map[VertexID]bool{}
 							for v := VertexID(0); v < n; v++ {
 								if eng.workerOf(v) == w {
-									all = append(all, sends(seed, v, s)...)
+									for _, sd := range sends(seed, v, s) {
+										all = append(all, sd)
+										if !addressed[sd.dst] {
+											addressed[sd.dst] = true
+											envelopes++
+										}
+									}
 								}
 							}
+						}
+						if got := stats.PerSuperstep[s].MessagesSent; got != int64(envelopes) {
+							t.Fatalf("superstep %d sent %d envelopes, want one per (worker, destination): %d", s, got, envelopes)
 						}
 						sort.SliceStable(all, func(i, j int) bool { return all[i].dst < all[j].dst })
 						want := make([][]int64, n)
@@ -216,15 +247,14 @@ func TestNewEngineRequiresDenseIDs(t *testing.T) {
 func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 	const n = 12
 	for _, c := range []struct {
-		name    string
-		dst     VertexID
-		combine bool
-		tcp     bool
+		name string
+		dst  VertexID
+		tcp  bool
 	}{
-		{"one past the end", n, false, false},
-		{"negative", -1, false, false},
-		{"far away, combiner", 1 << 40, true, false},
-		{"one past the end, tcp", n, false, true},
+		{"one past the end", n, false},
+		{"negative", -1, false},
+		{"far away", 1 << 40, false},
+		{"one past the end, tcp", n, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			vs := buildChain(n)
@@ -239,9 +269,6 @@ func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 						ctx.Send(stray, 1.0)
 					}
 				},
-			}
-			if c.combine {
-				opts.Combiner = sumFloats
 			}
 			if c.tcp {
 				opts.Transport = TCPTransport()
@@ -344,9 +371,9 @@ func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
 }
 
 // BenchmarkMessagePlane times the engine's message path alone: a ring (every
-// vertex forwards one message, nothing combines) and an all-to-few fan-in
-// (every vertex sends to one of 64 hubs, so nearly every Send is a fold),
-// with and without a summing combiner, over both transports.
+// vertex forwards one message, one record per envelope) and an all-to-few
+// fan-in (every vertex sends to one of 64 hubs, so nearly every Send joins
+// an envelope and a worker ships 64 batches), over both transports.
 func BenchmarkMessagePlane(b *testing.B) {
 	const n, steps, hubs = 20000, 10, 64
 	// Payloads start past the small integers the runtime boxes without
@@ -361,61 +388,56 @@ func BenchmarkMessagePlane(b *testing.B) {
 		{"ring", func(v VertexID) VertexID { return (v + 1) % n }},
 		{"fanin", func(v VertexID) VertexID { return v % hubs }},
 	} {
-		for _, combine := range []bool{false, true} {
-			for _, tcp := range []bool{false, true} {
-				name := fmt.Sprintf("%s/combine=%v/tcp=%v", p.name, combine, tcp)
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					var msgs int64
-					for i := 0; i < b.N; i++ {
-						vs := make([]*Vertex, n)
-						for i := range vs {
-							vs[i] = &Vertex{ID: VertexID(i), State: int64(0)}
-						}
-						codecs := NewRegistry()
-						codecs.Register(int64(0), Int64Codec{})
-						opts := Options{
-							Workers:       2,
-							MaxSupersteps: steps + 1,
-							Codecs:        codecs,
-							Compute: func(ctx *Context, v *Vertex, messages []Message) {
-								sum := v.State.(int64)
-								for _, m := range messages {
-									sum += m.(int64)
-								}
-								v.State = sum
-								if ctx.Superstep() < steps {
-									ctx.Send(p.dst(v.ID), int64(v.ID)+payloadBase)
-								} else {
-									ctx.VoteToHalt()
-								}
-							},
-						}
-						if combine {
-							opts.Combiner = sumInts
-						}
-						if tcp {
-							opts.Transport = TCPTransport()
-						}
-						eng, err := NewEngine(opts, vs)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := eng.Run(); err != nil {
-							b.Fatal(err)
-						}
-						var got int64
-						for _, v := range vs {
-							got += v.State.(int64)
-						}
-						if want := int64(steps) * (n*(n-1)/2 + n*payloadBase); got != want {
-							b.Fatalf("payloads received sum to %d, want %d", got, want)
-						}
-						msgs += n * steps
+		for _, tcp := range []bool{false, true} {
+			name := fmt.Sprintf("%s/tcp=%v", p.name, tcp)
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var msgs int64
+				for i := 0; i < b.N; i++ {
+					vs := make([]*Vertex, n)
+					for i := range vs {
+						vs[i] = &Vertex{ID: VertexID(i), State: int64(0)}
 					}
-					b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
-				})
-			}
+					codecs := NewRegistry()
+					codecs.Register(int64(0), Int64Codec{})
+					opts := Options{
+						Workers:       2,
+						MaxSupersteps: steps + 1,
+						Codecs:        codecs,
+						Compute: func(ctx *Context, v *Vertex, messages []Message) {
+							sum := v.State.(int64)
+							for _, m := range messages {
+								sum += m.(int64)
+							}
+							v.State = sum
+							if ctx.Superstep() < steps {
+								ctx.Send(p.dst(v.ID), int64(v.ID)+payloadBase)
+							} else {
+								ctx.VoteToHalt()
+							}
+						},
+					}
+					if tcp {
+						opts.Transport = TCPTransport()
+					}
+					eng, err := NewEngine(opts, vs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := eng.Run(); err != nil {
+						b.Fatal(err)
+					}
+					var got int64
+					for _, v := range vs {
+						got += v.State.(int64)
+					}
+					if want := int64(steps) * (n*(n-1)/2 + n*payloadBase); got != want {
+						b.Fatalf("payloads received sum to %d, want %d", got, want)
+					}
+					msgs += n * steps
+				}
+				b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
+			})
 		}
 	}
 }

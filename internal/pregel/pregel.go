@@ -32,19 +32,20 @@
 //   - transport.go moves those bytes between workers over loopback TCP, or
 //     leaves the values where they are on the in-process backend.
 //
-// Options.Combiner is applied sender-side: a slot array indexed by the
-// destination's local index finds the envelope already buffered for it, and
-// the combiner folds the new record into that envelope's newest record in
-// place. A record the combiner declines joins the same envelope, so at most
-// one envelope per (source worker, destination vertex) crosses the transport
-// either way; a receiver-side pass folds across source workers. Message and
-// byte counts are tracked per superstep, distinguishing intra-worker from
+// Send gathers one worker's records for one vertex into one envelope: a slot
+// array indexed by the destination's local index finds the envelope already
+// buffered for it, so one destination header crosses the transport per
+// (source worker, destination vertex) whatever the number of records, and a
+// codec encodes the 1..n records of an envelope together. Message and byte
+// counts are tracked per superstep, distinguishing intra-worker from
 // cross-worker traffic, so communication-complexity claims can be measured
 // rather than asserted.
 //
-// Options.PostSuperstep runs once per worker after its last vertex, like
-// Giraph's WorkerContext.postSuperstep, and may Send: a program that folds
-// its vertices' contributions per worker itself ships them from there.
+// The engine never folds records. Options.PostSuperstep runs once per worker
+// after its last vertex, like Giraph's WorkerContext.postSuperstep, and may
+// Send: a program that sums its vertices' contributions folds them per
+// worker itself and ships the sums from there, and the receiving vertex adds
+// what each worker sent.
 //
 // Engine, Options, Context and NewEngine are the M = Message (any)
 // instantiation with an empty aggregate, whose Codec is a Registry of
@@ -91,11 +92,10 @@ func (c *ContextOf[M, A]) Worker() int { return c.worker.id }
 // NumVertices returns the total vertex count.
 func (c *ContextOf[M, A]) NumVertices() int { return len(c.engine.place) }
 
-// Send delivers m to dst at the start of the next superstep. With a combiner
-// configured, a record for a destination this worker already addressed is
-// folded into that envelope's newest record, or joins the envelope when the
-// combiner declines, so at most one envelope per (source worker, destination
-// vertex) pair reaches the transport.
+// Send delivers m to dst at the start of the next superstep. A record for a
+// destination this worker already addressed joins that envelope, so one
+// envelope per (source worker, destination vertex) pair reaches the
+// transport, and dst receives its records in (source worker, send order).
 //
 // A dst outside [0, NumVertices()) has no vertex: Send panics with a typed
 // error the engine recovers into a *ComputeError wrapping ErrNoSuchVertex,
@@ -107,23 +107,14 @@ func (c *ContextOf[M, A]) Send(dst VertexID, m M) {
 	}
 	p := e.place[dst]
 	ob := &c.worker.out[p.worker]
-	at := int32(len(ob.rec))
-	if comb := e.opts.Combiner; comb != nil {
-		if s := ob.slot[p.local]; s != 0 {
-			env := &ob.envs[s-1]
-			if comb(&ob.rec[env.first], m) {
-				return
-			}
-			env.n++
-			env.first = at
-			ob.rec = push(ob.rec, m)
-			ob.envOf = push(ob.envOf, s-1)
-			return
-		}
-		ob.slot[p.local] = int32(len(ob.envs)) + 1
-		ob.envOf = push(ob.envOf, int32(len(ob.envs)))
+	s := ob.slot[p.local]
+	if s == 0 {
+		ob.envs = push(ob.envs, envelope{dst: dst, first: int32(len(ob.rec))})
+		s = int32(len(ob.envs))
+		ob.slot[p.local] = s
 	}
-	ob.envs = push(ob.envs, envelope{dst: dst, first: at, n: 1})
+	ob.envs[s-1].n++
+	ob.envOf = push(ob.envOf, s-1)
 	ob.rec = push(ob.rec, m)
 }
 
@@ -147,11 +138,12 @@ type WireSizer interface {
 }
 
 // SuperstepStats records one superstep's traffic and load. MessagesSent and
-// RemoteMessages count envelopes after sender-side combining — what actually
-// crossed (or would cross) the transport. BytesSent is the transport's
-// accounting: real frame bytes on the TCP backend, codec-measured sizes on
-// the in-process backend (0 without a codec). ActiveVertices counts the
-// vertices that ran: not halted, or woken by a pending message.
+// RemoteMessages count envelopes, one per (source worker, destination
+// vertex) that Send addressed — what actually crossed (or would cross) the
+// transport. BytesSent is the transport's accounting: real frame bytes on
+// the TCP backend, codec-measured sizes on the in-process backend (0
+// without a codec). ActiveVertices counts the vertices that ran: not
+// halted, or woken by a pending message.
 type SuperstepStats struct {
 	Superstep      int
 	ActiveVertices int
@@ -236,15 +228,6 @@ type OptionsOf[M, A any] struct {
 	// checkpoints that hold pending messages; on the in-process transport
 	// it is the byte accounting (without it BytesSent is 0).
 	Codecs Codec[M]
-	// Combiner, if set, folds m into held, a record the engine buffered for
-	// the same destination vertex, and reports whether it did. It runs in
-	// the sender's outbox, where held is the newest record of the envelope
-	// for that vertex, and at the receiver across source workers. A false
-	// return keeps m as a record of its own in the same envelope, so a
-	// protocol may combine some kinds and batch the rest. Folds must be
-	// associative; the engine folds in send order. held is the engine's to
-	// update in place; m is the sender's, to read but not retain.
-	Combiner func(held *M, m M) bool
 	// PostSuperstep, if set, runs once per worker per superstep, after that
 	// worker's last vertex and before the barrier: Giraph's
 	// WorkerContext.postSuperstep. It may Send and fold into the Aggregate

@@ -176,45 +176,6 @@ func TestMasterSetsAggregator(t *testing.T) {
 	}
 }
 
-func TestCombinerReducesDelivery(t *testing.T) {
-	// 20 vertices all message vertex 0 with 1.0; a sum combiner should
-	// deliver a single combined message.
-	vs := buildChain(20)
-	var deliveredCount int
-	var deliveredSum float64
-	eng, err := NewEngine(Options{
-		Workers:       4,
-		MaxSupersteps: 2,
-		Combiner:      sumFloats,
-		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
-			if ctx.Superstep() == 0 {
-				ctx.Send(0, 1.0)
-				ctx.VoteToHalt()
-				return
-			}
-			if v.ID == 0 {
-				deliveredCount = len(msgs)
-				for _, m := range msgs {
-					deliveredSum += m.(float64)
-				}
-			}
-			ctx.VoteToHalt()
-		},
-	}, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if deliveredSum != 20 {
-		t.Fatalf("combined sum = %v, want 20", deliveredSum)
-	}
-	if deliveredCount != 1 {
-		t.Fatalf("combiner delivered %d messages, want 1", deliveredCount)
-	}
-}
-
 func TestMessageAccounting(t *testing.T) {
 	vs := buildChain(10)
 	eng, err := NewEngine(Options{

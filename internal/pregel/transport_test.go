@@ -10,17 +10,6 @@ func floatRegistry() *Registry {
 	return reg
 }
 
-// sumFloats and sumInts are summing combiners: they fold every pair.
-func sumFloats(held *Message, m Message) bool {
-	*held = (*held).(float64) + m.(float64)
-	return true
-}
-
-func sumInts(held *Message, m Message) bool {
-	*held = (*held).(int64) + m.(int64)
-	return true
-}
-
 // maxPropagationOpts is a message-heavy computation (max flooding on a
 // circulant graph) used to compare transports end to end.
 func maxPropagationOpts(workers int, transport Transport) (Options, []*Vertex) {
@@ -161,108 +150,5 @@ func TestTCPUnregisteredMessageType(t *testing.T) {
 	}
 	if _, err := eng.Run(); err == nil {
 		t.Fatal("sending an unregistered message type over TCP should fail")
-	}
-}
-
-func TestSenderSideCombiningReducesRemoteTraffic(t *testing.T) {
-	// Every vertex messages vertex 0. Without a combiner each send crosses
-	// the transport; with one, each source worker emits at most one
-	// envelope for vertex 0.
-	run := func(combine bool) *Stats {
-		vs := buildChain(64)
-		opts := Options{
-			Workers:       4,
-			MaxSupersteps: 2,
-			Codecs:        floatRegistry(),
-			Compute: func(ctx *Context, v *Vertex, msgs []Message) {
-				if ctx.Superstep() == 0 {
-					ctx.Send(0, 1.0)
-				}
-				ctx.VoteToHalt()
-			},
-		}
-		if combine {
-			opts.Combiner = sumFloats
-		}
-		eng, err := NewEngine(opts, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	plain := run(false)
-	combined := run(true)
-	if combined.TotalMessages >= plain.TotalMessages {
-		t.Fatalf("combining did not reduce messages: %d vs %d", combined.TotalMessages, plain.TotalMessages)
-	}
-	if combined.RemoteMessages >= plain.RemoteMessages {
-		t.Fatalf("combining did not reduce remote messages: %d vs %d", combined.RemoteMessages, plain.RemoteMessages)
-	}
-	if combined.TotalBytes >= plain.TotalBytes {
-		t.Fatalf("combining did not reduce bytes: %d vs %d", combined.TotalBytes, plain.TotalBytes)
-	}
-	// At most one combined envelope per worker can target vertex 0.
-	if combined.TotalMessages > 4 {
-		t.Fatalf("expected <= 4 combined envelopes, got %d", combined.TotalMessages)
-	}
-}
-
-func TestCombinerEquivalenceOnIntegers(t *testing.T) {
-	// Integer sums are exactly associative, so combined and uncombined runs
-	// must produce identical states, while the combined run ships fewer
-	// envelopes.
-	run := func(combine bool) ([]int64, *Stats) {
-		vs := make([]*Vertex, 40)
-		for i := range vs {
-			vs[i] = &Vertex{ID: VertexID(i), State: int64(0)}
-		}
-		opts := Options{
-			Workers:       5,
-			MaxSupersteps: 4,
-			Compute: func(ctx *Context, v *Vertex, msgs []Message) {
-				var sum int64
-				for _, m := range msgs {
-					sum += m.(int64)
-				}
-				v.State = v.State.(int64) + sum
-				if ctx.Superstep() < 2 {
-					for d := 0; d < 5; d++ {
-						ctx.Send(VertexID((int(v.ID)+d*7)%40), int64(v.ID)+1)
-					}
-				}
-				ctx.VoteToHalt()
-			},
-		}
-		if combine {
-			opts.Combiner = sumInts
-		}
-		eng, err := NewEngine(opts, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]int64, 40)
-		for i := range out {
-			out[i] = eng.Vertex(VertexID(i)).State.(int64)
-		}
-		return out, stats
-	}
-	plainState, plainStats := run(false)
-	combState, combStats := run(true)
-	for i := range plainState {
-		if plainState[i] != combState[i] {
-			t.Fatalf("combining changed the result at vertex %d: %d vs %d", i, plainState[i], combState[i])
-		}
-	}
-	if combStats.TotalMessages >= plainStats.TotalMessages {
-		t.Fatalf("combined run did not ship fewer envelopes: %d vs %d",
-			combStats.TotalMessages, plainStats.TotalMessages)
 	}
 }
