@@ -30,7 +30,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 				msg  func(v pregel.VertexID) record
 			}{
 				{"fold", true, func(pregel.VertexID) record { return gainRecord(2, 1) }},
-				{"batch", false, func(v pregel.VertexID) record { return bucketRecord(int32(v), int32(v)%2) }},
+				{"batch", false, func(v pregel.VertexID) record { return moverRecord(int32(v), int32(v)%2) }},
 			} {
 				t.Run(arm.name, func(t *testing.T) {
 					vertices := make([]*pregel.Vertex, n)

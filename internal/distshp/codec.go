@@ -4,8 +4,9 @@ package distshp
 // 1..n records one worker sent one vertex in a superstep, all of one kind —
 // by one rule for every kind: a lone record as its kind byte and payload,
 // two or more as the kind byte with the batch bit set, a minimal uvarint
-// count and the payloads. Superstep 0's bucket updates batch per destination;
-// the per-worker fold leaves one gain or patch per (worker, data vertex), and
+// count and the payloads. Superstep 0's mover records batch per destination
+// worker, one envelope per (source worker, destination worker); the
+// per-worker fold leaves one gain or patch per (worker, data vertex), and
 // only the fold-off side of the equivalence tests sends their batches.
 
 import (
@@ -23,7 +24,7 @@ const (
 )
 
 // payloadSize is a record kind's fixed encoding, 0 for a byte that is no
-// kind: bucket updates are (Slot, New) as little-endian uint32s, gains the
+// kind: mover records are (ID, New) as little-endian uint32s, gains the
 // int64 gain units (Cur, Oth) and patches their changes (ΔCur, ΔOth) as
 // little-endian uint64s.
 func payloadSize(kind uint8) int {
@@ -48,12 +49,12 @@ func envelopeKind(recs []record) (uint8, error) {
 	return kind, nil
 }
 
-// recordCodec is the engine's Codec[record] for a run over k buckets whose
-// largest query degree is maxDeg. Decode rejects a bucket outside [0, k) and
-// a member slot outside [0, maxDeg) — what no run sends — so a hostile wire
-// frame or checkpointed message fails to decode instead of indexing out of
-// a query's registry or row.
-type recordCodec struct{ k, maxDeg int32 }
+// recordCodec is the engine's Codec[record] for a run over k buckets and
+// numData data vertices. Decode rejects a mover id outside [0, numData) and
+// a bucket outside [0, k) — what no run sends — so a hostile wire frame or
+// checkpointed message fails to decode instead of indexing out of a mirror
+// table or a query's row.
+type recordCodec struct{ k, numData int32 }
 
 func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
 	k, err := envelopeKind(recs)
@@ -120,8 +121,8 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 		p := data[used:]
 		r := record{kind: kind, lo: binary.LittleEndian.Uint64(p)}
 		if kind == kindBucket {
-			if slot, b := r.bucket(); b < 0 || b >= c.k || slot < 0 || slot >= c.maxDeg {
-				return recs[:base], 0, fmt.Errorf("distshp: bucket update (slot %d, bucket %d) outside slots [0, %d) or buckets [0, %d)", slot, b, c.maxDeg, c.k)
+			if d, b := r.mover(); d < 0 || d >= c.numData || b < 0 || b >= c.k {
+				return recs[:base], 0, fmt.Errorf("distshp: mover record (vertex %d, bucket %d) outside vertices [0, %d) or buckets [0, %d)", d, b, c.numData, c.k)
 			}
 		} else {
 			r.hi = binary.LittleEndian.Uint64(p[8:])

@@ -30,12 +30,12 @@ func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
 // wideWire is a record codec whose ranges admit every record the byte-level
 // tests here pin.
-var wideWire = recordCodec{k: 1 << 30, maxDeg: 1 << 20}
+var wideWire = recordCodec{k: 1 << 30, numData: 1 << 30}
 
 // TestWireCodecs pins the bytes every envelope shape encodes to — the kind
 // byte, batch count and payloads — and checks Size and the decode round trip
-// against them. A lone record and a bucket batch are the bytes the wire has
-// carried since bucket updates first batched; gains and patches batch by the
+// against them. A mover record is (id, bucket) behind the bucket kind byte,
+// and movers batch per destination worker; gains and patches batch by the
 // same rule, the kind byte with its batch bit set.
 func TestWireCodecs(t *testing.T) {
 	for _, c := range []struct {
@@ -43,11 +43,11 @@ func TestWireCodecs(t *testing.T) {
 		recs []record
 		want []byte
 	}{
-		{"bucket", []record{bucketRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
-		{"bucket, high slot", []record{bucketRecord(1<<19, 6)}, cat([]byte{kindBucket}, le32(1<<19, 6))},
+		{"mover", []record{moverRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
+		{"mover, high id", []record{moverRecord(1<<19, 6)}, cat([]byte{kindBucket}, le32(1<<19, 6))},
 		{"gain", []record{gainRecord(3, -9)}, cat([]byte{kindGain}, le64(3, -9))},
 		{"zero gain", []record{gainRecord(0, 0)}, cat([]byte{kindGain}, le64(0, 0))},
-		{"bucket batch", []record{bucketRecord(1, 0), bucketRecord(2, 1), bucketRecord(3, 1)},
+		{"mover batch", []record{moverRecord(1, 0), moverRecord(2, 1), moverRecord(3, 1)},
 			cat([]byte{1, 3}, le32(1, 0, 2, 1, 3, 1))},
 		{"patch", []record{patchRecord(4, -2)}, cat([]byte{kindPatch}, le64(4, -2))},
 		{"zero patch", []record{patchRecord(0, 0)}, cat([]byte{kindPatch}, le64(0, 0))},
@@ -76,7 +76,7 @@ func TestWireCodecs(t *testing.T) {
 }
 
 func TestCodecTruncation(t *testing.T) {
-	one, err := wideWire.Append(nil, []record{bucketRecord(2, 0), bucketRecord(3, 1)})
+	one, err := wideWire.Append(nil, []record{moverRecord(2, 0), moverRecord(3, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,24 +112,32 @@ func TestCodecTruncation(t *testing.T) {
 
 // TestCombineSemantics pins the per-worker fold: two gains, or two patches,
 // for one data vertex add into the one record the fold holds for it, other
-// vertices keep records of their own, and the flush ships them in
-// first-touch order and leaves the fold empty.
+// vertices keep records of their own, and the flush ships each exactly once
+// and leaves the fold empty, whether it walks the touched list (fewer than
+// an eighth of the ids touched, at 64 ids) or every id in order (at 8).
 func TestCombineSemantics(t *testing.T) {
-	const n = 8
-	got, _ := runRecords(t, pregel.MemoryTransport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold) {
-		if v == 2 {
-			fold.add(ctx, 5, patchRecord(-1, 2))
-			fold.add(ctx, 3, gainRecord(1, 2))
-			fold.add(ctx, 3, gainRecord(3, 4))
-			fold.add(ctx, 5, patchRecord(3, -5))
+	for _, n := range []int{8, 64} {
+		got, _ := runRecords(t, pregel.MemoryTransport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold) {
+			if v == 2 {
+				fold.add(ctx, 5, patchRecord(-1, 2))
+				fold.add(ctx, 3, gainRecord(1, 2))
+				fold.add(ctx, 3, gainRecord(3, 4))
+				fold.add(ctx, 5, patchRecord(3, -5))
+			}
+		})
+		if want := []record{gainRecord(4, 6)}; !slices.Equal(got[3], want) {
+			t.Fatalf("%d ids: vertex 3 received %+v, want the folded gain %+v", n, got[3], want)
 		}
-	})
-	if want := []record{gainRecord(4, 6)}; !slices.Equal(got[3], want) {
-		t.Fatalf("vertex 3 received %+v, want the folded gain %+v", got[3], want)
+		if want := []record{patchRecord(2, -3)}; !slices.Equal(got[5], want) {
+			t.Fatalf("%d ids: vertex 5 received %+v, want the folded patch %+v", n, got[5], want)
+		}
+		for v, recs := range got {
+			if v != 3 && v != 5 && len(recs) != 0 {
+				t.Fatalf("%d ids: vertex %d received %+v", n, v, recs)
+			}
+		}
 	}
-	if want := []record{patchRecord(2, -3)}; !slices.Equal(got[5], want) {
-		t.Fatalf("vertex 5 received %+v, want the folded patch %+v", got[5], want)
-	}
+	const n = 8
 	fold := gainFold{held: make([]record, n)}
 	fold.add(nil, 6, gainRecord(1, 1))
 	fold.add(nil, 1, patchRecord(1, 1))
@@ -187,7 +195,7 @@ func TestCombineDeltaRecords(t *testing.T) {
 	for _, transport := range []func() pregel.Transport{pregel.MemoryTransport, pregel.TCPTransport} {
 		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold) {
 			for k := int32(0); k < per; k++ {
-				ctx.Send(0, bucketRecord(int32(v), k))
+				ctx.Send(0, moverRecord(int32(v), k))
 				ctx.Send(1, patchRecord(int64(v), -int64(k)))
 			}
 			fold.add(ctx, 2, gainRecord(2, int64(v)))
@@ -201,13 +209,13 @@ func TestCombineDeltaRecords(t *testing.T) {
 			for i := 0; i < n; i++ {
 				var v int64
 				if dst == 0 {
-					slot, _ := got[0][i*per].bucket()
-					v = int64(slot)
+					d, _ := got[0][i*per].mover()
+					v = int64(d)
 				} else {
 					v, _ = got[1][i*per].sums()
 				}
 				for k := int32(0); k < per; k++ {
-					want := bucketRecord(int32(v), k)
+					want := moverRecord(int32(v), k)
 					if dst == 1 {
 						want = patchRecord(v, -int64(k))
 					}
@@ -263,7 +271,7 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 	}()
 	for _, recs := range [][]record{
 		{gainRecord(1, 0), patchRecord(1, 0)},
-		{bucketRecord(1, 0), patchRecord(1, 0)},
+		{moverRecord(1, 0), patchRecord(1, 0)},
 		{patchRecord(1, 0), patchRecord(2, 0), gainRecord(2, 0)},
 	} {
 		if _, err := wideWire.Append(nil, recs); err == nil {

@@ -105,12 +105,12 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 
 // TestDistDeltaPatchProperty is the distributed mirror of core's
 // patched-vs-rebuilt property tests: random move batches flow through the
-// real query-side diff (applyUpdate on slot-addressed bucket records and
-// changed, on the pin-count rows), the real patch computation (patch), the
-// real wire codec, and the data side's additive patch; after every batch
-// the patched accumulators of clean observer vertices must bit-equal a
-// from-scratch resummation of the query histograms, and every query's row
-// must equal a recount from its members' buckets.
+// real query-side diff (applyUpdate on the member updates a mirror table
+// fans out, and changed, on the pin-count rows), the real patch computation
+// (patch), the real wire codec, and the data side's additive patch; after
+// every batch the patched accumulators of clean observer vertices must
+// bit-equal a from-scratch resummation of the query histograms, and every
+// query's row must equal a recount from its members' buckets.
 func TestDistDeltaPatchProperty(t *testing.T) {
 	const (
 		numData  = 60
@@ -120,7 +120,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	)
 	r := rng.New(4242)
 	tb := core.NewPFanoutTables(0.5, 2, numData+1)
-	wire := recordCodec{k: buckets, maxDeg: numData}
+	wire := recordCodec{k: buckets, numData: numData}
 
 	bucketOf := make([]int32, numData)
 	for d := range bucketOf {
@@ -144,9 +144,9 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		}
 		// A registration from every member's record: what a level start's
 		// derived registry equals (TestDerivedRegistrationMatchesFull).
-		var regs []record
+		var regs []update
 		for i, d := range members[q] {
-			regs = append(regs, bucketRecord(int32(i), bucketOf[d]))
+			regs = append(regs, update{int32(i), bucketOf[d]})
 		}
 		st := newQuery(len(members[q]), buckets)
 		st.register(int32(q), 0, 0, members[q], regs, make([]int32, buckets/2))
@@ -192,7 +192,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			dirty := false
 			for i, d := range members[q] {
 				if nb, ok := moves[d]; ok {
-					st.applyUpdate(int32(q), bucketRecord(int32(i), nb), true)
+					st.applyUpdate(int32(q), update{int32(i), nb}, true)
 					dirty = true
 				}
 			}
@@ -287,23 +287,23 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
 		st := newQuery(len(members), 8)
-		st.register(42, 1, 0, members, []record{bucketRecord(0, 0), bucketRecord(1, 1), bucketRecord(2, 3)}, make([]int32, 4))
+		st.register(42, 1, 0, members, []update{{0, 0}, {1, 1}, {2, 3}}, make([]int32, 4))
 		return st
 	}
 	for _, c := range []struct {
 		name string
 		run  func(st *queryState)
 	}{
-		{"slot out of range", func(st *queryState) { st.applyUpdate(42, bucketRecord(3, 0), true) }},
-		{"negative slot", func(st *queryState) { st.applyUpdate(42, bucketRecord(-1, 0), true) }},
+		{"slot out of range", func(st *queryState) { st.applyUpdate(42, update{3, 0}, true) }},
+		{"negative slot", func(st *queryState) { st.applyUpdate(42, update{-1, 0}, true) }},
 		{"registration slot out of range", func(st *queryState) {
-			st.register(42, 2, 0, members, []record{bucketRecord(3, 0)}, make([]int32, 4))
+			st.register(42, 2, 0, members, []update{{3, 0}}, make([]int32, 4))
 		}},
-		{"new pair", func(st *queryState) { st.applyUpdate(42, bucketRecord(0, 4), true) }},
-		{"not a move", func(st *queryState) { st.applyUpdate(42, bucketRecord(2, 3), true) }},
+		{"new pair", func(st *queryState) { st.applyUpdate(42, update{0, 4}, true) }},
+		{"not a move", func(st *queryState) { st.applyUpdate(42, update{2, 3}, true) }},
 		{"lost pin", func(st *queryState) {
 			st.row.Transfer(42, 1, 0) // member 5's pin leaves bucket 1 behind the registry's back
-			st.applyUpdate(42, bucketRecord(1, 0), true)
+			st.applyUpdate(42, update{1, 0}, true)
 		}},
 	} {
 		func() {
@@ -338,7 +338,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 	const k, seed = 8, 77
 	r := rng.New(606)
 	pairAt := make([]int32, k/2)
-	register := func(st *queryState, level int, members []int32, movers []record) {
+	register := func(st *queryState, level int, members []int32, movers []update) {
 		st.register(42, level, seed, members, movers, pairAt)
 		if slices.ContainsFunc(pairAt, func(e int32) bool { return e != 0 }) {
 			t.Fatalf("registration left the pair table %v", pairAt)
@@ -354,28 +354,28 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 		members = slices.Compact(members)
 		derived := newQuery(len(members), k)
 		pre := make([]int32, len(members)) // each member's bucket before the split; none at level 0
-		var movers []record
+		var movers []update
 		if level > 0 {
-			var prior []record
+			var prior []update
 			for i := range members {
 				pre[i] = int32(r.Intn(1 << level))
-				prior = append(prior, bucketRecord(int32(i), pre[i]))
+				prior = append(prior, update{int32(i), pre[i]})
 			}
 			register(derived, level-1, members, prior)
 			for i, d := range members {
 				if r.Intn(3) == 0 {
 					pre[i] ^= 1 // moved in the last iteration, unseen by the query
-					movers = append(movers, bucketRecord(int32(i), splitBucket(seed, level, d, pre[i])))
+					movers = append(movers, update{int32(i), splitBucket(seed, level, d, pre[i])})
 				}
 			}
 		}
 		register(derived, level, members, movers)
 
 		want := make([]int32, len(members))
-		var all []record
+		var all []update
 		for i, d := range members {
 			want[i] = splitBucket(seed, level, d, pre[i])
-			all = append(all, bucketRecord(int32(i), want[i]))
+			all = append(all, update{int32(i), want[i]})
 		}
 		full := newQuery(len(members), k)
 		register(full, level, members, all)

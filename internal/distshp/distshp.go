@@ -4,8 +4,9 @@
 //
 // Each refinement iteration is four supersteps with barriers between them:
 //
-//	superstep 0: movers send their new bucket to adjacent queries, which
-//	             maintain neighbor data incrementally;
+//	superstep 0: movers send their new bucket to the workers that hold
+//	             their adjacent queries, which maintain neighbor data
+//	             incrementally;
 //	superstep 1: queries send each adjacent data vertex what it needs to
 //	             bring its sibling-pair gain state up to date (see below);
 //	superstep 2: data vertices compute Equation 1 move gains and register
@@ -25,12 +26,18 @@
 //   - Every data vertex carries persistent Equation 1 accumulators: sumCur =
 //     Σ_q T[n_cur(q)−1] and sumOth = Σ_q T[n_sib(q)] over its adjacent
 //     queries, for its current sibling pair.
-//   - Members are addressed by slot, not by id. A per-run table aligned with
-//     the data side's adjacency (slotTable) holds each data vertex's
-//     position in each of its queries' sorted member lists, and a bucket
-//     update carries that slot. A query's registry holds each member's local
-//     row bucket, so an in-level move is l → l^1 and no record is looked up;
-//     bucket ids meet the registry's pairs only at a level's registration.
+//   - Bucket updates travel by mirror, as PowerGraph's do (Gonzalez et al.,
+//     OSDI 2012). Each worker holds a mirror table: for every data vertex,
+//     the (query, slot) pairs of its queries the engine placed on that
+//     worker, slot being the vertex's position in the query's sorted member
+//     list. A mover sends one (id, bucket) record to each worker that hosts
+//     one of its queries (pregel's SendWorker), not one per incidence. The
+//     worker's PreSuperstep hook fans the records out through its table,
+//     grouped by query in one counting pass so each dirty query takes its
+//     updates in a row, and applies them before any query runs. A query's
+//     registry holds each member's local row bucket, so an in-level move is
+//     l → l^1 and no record is looked up; bucket ids meet the registry's
+//     pairs only at a level's registration, which the hook runs too.
 //   - After a move round, a dirty query (one that received bucket updates)
 //     diffs its pin-count row. Each clean member whose pair holds a changed
 //     bucket gets one patch record (ΔsumCur, ΔsumOth), which the query
@@ -41,12 +48,13 @@
 //   - Members that moved (their own frame changed, so patched sums would
 //     refer to the wrong pair side) instead receive a full gain
 //     contribution from every adjacent query — all of which are dirty,
-//     because the mover broadcast its new bucket — and resum from scratch.
+//     because the mover's record reached each of them — and resum from
+//     scratch.
 //   - Contributions fold per worker in the program, as Giraph's combiners
 //     fold them per destination: a query adds each gain or patch into its
 //     worker's dense accumulator by data id (gainFold), and the engine's
-//     PostSuperstep hook sends one record per touched vertex in first-touch
-//     order, so every superstep-1 envelope holds one record. The receiver
+//     PostSuperstep hook sends one record per touched vertex, so every
+//     superstep-1 envelope holds one record. The receiver
 //     adds what each worker sent; the engine folds nothing. The
 //     accumulators are empty at every barrier, so no checkpoint holds them.
 //   - All gain-table values are integer units (core's gains.go), so patched
@@ -275,10 +283,11 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 // engine buffers, ships and delivers it by value. lo and hi hold the payload
 // words in the order the wire lays them out (codec.go):
 //
-//   - bucket, data -> query, "I am now in bucket New": lo = Slot | New<<32,
-//     where Slot is the sender's position in the query's sorted member list
-//     (slotTable). That pair is the whole payload: at a level start it
-//     overrides the registry's derived split, later it moves the member.
+//   - bucket, data -> worker, "data vertex ID is now in bucket New": lo =
+//     ID | New<<32, sent once to each worker that hosts one of the mover's
+//     queries. The worker's mirror table turns it into one (slot, New)
+//     update per such query: at a level start it overrides the registry's
+//     derived split, later it moves the member.
 //   - gain, query -> data: lo, hi = the int64 gain units Cur =
 //     T[n(current bucket)-1] and Oth = T[n(sibling)], the query's
 //     neighbor-data contribution to the receiver's Equation 1 gain already
@@ -298,8 +307,8 @@ type record struct {
 
 func pack(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
 
-func bucketRecord(slot, bucket int32) record {
-	return record{kind: kindBucket, lo: pack(slot, bucket)}
+func moverRecord(d, bucket int32) record {
+	return record{kind: kindBucket, lo: pack(d, bucket)}
 }
 
 func gainRecord(cur, oth int64) record {
@@ -310,7 +319,7 @@ func patchRecord(cur, oth int64) record {
 	return record{kind: kindPatch, lo: uint64(cur), hi: uint64(oth)}
 }
 
-func (r record) bucket() (slot, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
+func (r record) mover() (d, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
 
 // sums returns a gain's or a patch's two int64 values.
 func (r record) sums() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
@@ -337,40 +346,126 @@ type dataState struct {
 	propLevel int
 }
 
-// slotTable holds, aligned with the data side's adjacency, each data
-// vertex's position in the sorted member list of each of its queries: the
-// slot its bucket updates carry, so a query addresses the member without a
-// search. It costs 4 bytes per incidence.
-type slotTable struct {
-	off  []int64 // data vertex d's slots are slot[off[d]:off[d+1]]
-	slot []int32
+// memberRef is one mirror table entry: a query, by its index in the
+// worker's query list, and the data vertex's slot in its member list.
+type memberRef struct{ q, slot int32 }
+
+// update is one member's bucket update, fanned out from a mover's record.
+type update struct{ slot, bucket int32 }
+
+// mirror is one worker's mirror table and the state its PreSuperstep hook
+// keeps. ref lists, for each data vertex, the queries the engine placed on
+// the worker that it belongs to, in ascending query order, each with the
+// vertex's slot: a CSR of one entry per local incidence, 8 bytes each.
+type mirror struct {
+	queries []int32 // the worker's queries, ascending
+	off     []int64 // data vertex d's entries are ref[off[d]:off[d+1]]
+	ref     []memberRef
+	// full is set while a superstep 1 sends every member's full
+	// contribution: a level start's, a restored run's or a sweep's.
+	full bool
+	// The counting pass's scratch: update groups by local query, query i's
+	// at upd[start[i]:start[i+1]], and start's two spare entries; empty
+	// between hooks.
+	start []int32
+	upd   []update
+	// pairAt is the worker's pair table, which its queries' registrations
+	// mark (queryState.recount).
+	pairAt []int32
 }
 
-// newSlotTable fills g's slot table in one pass over the queries, in
-// ascending order, which is the order DataNeighbors lists a vertex's
-// queries in.
-func newSlotTable(g *hypergraph.Bipartite) slotTable {
+// newMirrors builds every worker's mirror table over g at k buckets, with
+// workerOf the worker the engine placed query q on, in one pass over the
+// queries in ascending order, which is the order each data vertex lists
+// them in.
+func newMirrors(g *hypergraph.Bipartite, k, workers int, workerOf func(q int32) int) []mirror {
 	numD := g.NumData()
-	off := make([]int64, numD+1)
-	for d := 0; d < numD; d++ {
-		off[d+1] = off[d] + int64(g.DataDegree(int32(d)))
+	ms := make([]mirror, workers)
+	for w := range ms {
+		ms[w].off = make([]int64, numD+1)
+		ms[w].pairAt = make([]int32, k/2)
 	}
-	t := slotTable{off: off, slot: make([]int32, off[numD])}
-	// off[d] is vertex d's cursor during the pass, which leaves it at
-	// off[d+1]; the copy shifts the offsets back.
 	for q := int32(0); q < int32(g.NumQueries()); q++ {
-		for i, d := range g.QueryNeighbors(q) {
-			t.slot[off[d]] = int32(i)
-			off[d]++
+		m := &ms[workerOf(q)]
+		m.queries = append(m.queries, q)
+		for _, d := range g.QueryNeighbors(q) {
+			m.off[d+1]++
 		}
 	}
-	copy(off[1:], off[:numD])
-	off[0] = 0
-	return t
+	for w := range ms {
+		m := &ms[w]
+		for d := 0; d < numD; d++ {
+			m.off[d+1] += m.off[d]
+		}
+		m.ref = make([]memberRef, m.off[numD])
+		m.start = make([]int32, len(m.queries)+2)
+		// off[d] is vertex d's cursor during the pass, which leaves it at
+		// off[d+1]; the copy shifts the offsets back.
+		for i, q := range m.queries {
+			for slot, d := range g.QueryNeighbors(q) {
+				m.ref[m.off[d]] = memberRef{q: int32(i), slot: int32(slot)}
+				m.off[d]++
+			}
+		}
+		copy(m.off[1:], m.off[:numD])
+		m.off[0] = 0
+	}
+	return ms
 }
 
-// of returns data vertex d's slots, one per query of DataNeighbors(d).
-func (t slotTable) of(d int32) []int32 { return t.slot[t.off[d]:t.off[d+1]] }
+// of returns data vertex d's entries on the worker.
+func (m *mirror) of(d int32) []memberRef { return m.ref[m.off[d]:m.off[d+1]] }
+
+// apply is the worker's PreSuperstep hook in a gain superstep: it fans the
+// movers' records out to the worker's queries and applies them, before any
+// of those queries runs. A counting pass groups the updates by query, so
+// each dirty query takes its updates in a row; applied mover by mover, the
+// query states miss the cache. At a level start, or in a restored run,
+// every query registers instead, its movers overriding the derived split.
+// The worker's queries register together, so the first one's level is
+// theirs. The live-entry diff of the worker's rows goes to the master.
+func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, queries []queryState,
+	movers []record, s *schedule) {
+
+	start := m.start
+	for _, r := range movers {
+		d, _ := r.mover()
+		for _, e := range m.of(d) {
+			start[e.q+2]++
+		}
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	m.upd = slices.Grow(m.upd[:0], int(start[len(start)-1]))[:start[len(start)-1]]
+	for _, r := range movers {
+		d, b := r.mover()
+		for _, e := range m.of(d) {
+			at := &start[e.q+1]
+			m.upd[*at] = update{slot: e.slot, bucket: b}
+			*at++
+		}
+	}
+	level := s.level
+	levelStart := len(m.queries) > 0 && queries[m.queries[0]].level != level
+	m.full = levelStart || s.rebuildNext
+	diff := 0
+	for i, q := range m.queries {
+		st := &queries[q]
+		ups := m.upd[start[i]:start[i+1]]
+		if levelStart {
+			live := st.row.Live()
+			st.register(q, level, s.opts.Seed, g.QueryNeighbors(q), ups, m.pairAt)
+			diff += st.row.Live() - live
+			continue
+		}
+		for _, u := range ups {
+			diff += st.applyUpdate(q, u, !m.full)
+		}
+	}
+	clear(start)
+	ctx.Aggregate().fanoutDiff += int64(diff)
+}
 
 // queryState is the per-query-vertex state: the paper's "neighbor data"
 // n_b(q), held in SHP-k's pin-count row (core.PinRow) so the gain superstep
@@ -380,9 +475,9 @@ func (t slotTable) of(d int32) []int32 { return t.slot[t.off[d]:t.off[d+1]] }
 // bucket b is the row's local bucket 2i + b&1, where pairs[i] = b>>1. A row
 // is bounded by the query's degree, never by K, and its ascending local
 // order is ascending bucket order. The member registry is an int32 slice
-// aligned with the query's sorted adjacency list, addressed by the slot a
-// bucket update carries, and holds local buckets, so the per-level reset is
-// a linear fill instead of a map rebuild. The query's id is its vertex id
+// aligned with the query's sorted adjacency list, addressed by the slot its
+// worker's mirror table holds, and holds local buckets, so the per-level
+// reset is a linear fill instead of a map rebuild. The query's id is its vertex id
 // minus |D|, so the state does not store it. All but its diff buffer come
 // from run slabs (newQueryStates).
 type queryState struct {
@@ -432,11 +527,11 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 // register (re)initializes the registry for a new level and recounts the
 // row. Each member's bucket is the split of the one the registry holds, as
 // the member itself made it, unless the member moved in the previous
-// iteration: then its record in movers carries the bucket. An unregistered
+// iteration: then its update in movers carries the bucket. An unregistered
 // query (a fresh or restored run) splits nothing it holds: at level 0 the
 // split ignores the parent, and a restored run's every member is a mover.
 // pairAt is the worker's pair table (see recount).
-func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []record, pairAt []int32) {
+func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []update, pairAt []int32) {
 	for i, d := range members {
 		parent := int32(-1)
 		if st.level >= 0 {
@@ -444,9 +539,8 @@ func (st *queryState) register(q int32, level int, seed uint64, members []int32,
 		}
 		st.memberLocal[i] = splitBucket(seed, level, d, parent)
 	}
-	for _, m := range movers {
-		i, b := m.bucket()
-		st.memberLocal[st.slot(q, i)] = b
+	for _, u := range movers {
+		st.memberLocal[st.slot(q, u.slot)] = u.bucket
 	}
 	st.level = level
 	st.recount(pairAt)
@@ -486,8 +580,8 @@ func (st *queryState) recount(pairAt []int32) {
 // bucket maps local bucket l back to its bucket id.
 func (st *queryState) bucket(l int32) int32 { return st.pairs[l>>1]<<1 | l&1 }
 
-// slot returns the member slot i a bucket update for query q carries,
-// checked against the query's member count.
+// slot returns the member slot i an update for query q carries, checked
+// against the query's member count.
 func (st *queryState) slot(q, i int32) int32 {
 	if uint32(i) >= uint32(len(st.memberLocal)) {
 		//shp:panics(invariant: only adjacent data vertices update a query, each at its own slot; a stray slot corrupts neighbor histograms)
@@ -521,14 +615,14 @@ func (st *queryState) patch(tb core.GainTables, l int32, changes []core.NDChange
 }
 
 // applyUpdate folds one within-level bucket update into query q's neighbor
-// data: a transfer from the member's local bucket l to l^1, its sibling.
-// When track is set (the incremental plane), the row is snapshotted before
-// the superstep's first tracked update and the updating member is flagged
-// as a mover, so changed can diff the net per-bucket changes and the send
-// loop can route full contributions to movers only.
-func (st *queryState) applyUpdate(q int32, r record, track bool) {
-	i, bucket := r.bucket()
-	i = st.slot(q, i)
+// data: a transfer from the member's local bucket l to l^1, its sibling. It
+// returns the change in the row's live entries. When track is set (the
+// incremental plane), the row is snapshotted before the superstep's first
+// tracked update and the updating member is flagged as a mover, so changed
+// can diff the net per-bucket changes and the send loop can route full
+// contributions to movers only.
+func (st *queryState) applyUpdate(q int32, u update, track bool) int {
+	i, bucket := st.slot(q, u.slot), u.bucket
 	from := st.memberLocal[i]
 	if to := from ^ 1; st.bucket(to) != bucket {
 		//shp:panics(invariant: members move only to the sibling of their registered bucket; anything else means the level protocol broke)
@@ -544,8 +638,8 @@ func (st *queryState) applyUpdate(q int32, r record, track bool) {
 			st.movers++
 		}
 	}
-	st.row.Transfer(q, from, from^1)
 	st.memberLocal[i] = from ^ 1
+	return st.row.Transfer(q, from, from^1)
 }
 
 // changed diffs the pre-superstep snapshot against the current row into
@@ -565,17 +659,15 @@ func (st *queryState) resetSuperstep() {
 
 // gainFold is one worker's superstep-1 accumulator: the gains and patches
 // its queries address each data vertex, folded into one record per vertex
-// in held, by data id (the zero record, a bucket update, marks an empty
+// in held, by data id (the zero record, of the bucket kind, marks an empty
 // entry), and listed in first-touch order in touched. flush, the engine's
 // PostSuperstep hook, sends them: one envelope of one record per (worker,
-// data vertex). Beside it sits the worker's pair table, pairAt, which its
-// queries' registrations mark (queryState.recount).
+// data vertex).
 type gainFold struct {
 	held    []record
 	touched []int32
 	// plain sends each record as it comes (Options.noFold).
-	plain  bool
-	pairAt []int32
+	plain bool
 }
 
 // add folds r, a gain or a patch for data vertex d, in: two gains, or two
@@ -601,11 +693,24 @@ func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r reco
 	}
 }
 
-// flush sends one record per touched vertex and empties the fold.
+// flush sends one record per touched vertex and empties the fold. When at
+// least an eighth of the data ids are touched, as in every full
+// rebroadcast, it walks held by ascending id instead of first-touch order,
+// so the engine's placement and envelope slots are read in order too. Each
+// vertex gets one record per worker either way, so only frame order moves.
 func (f *gainFold) flush(ctx *pregel.ContextOf[record, workerAgg]) {
-	for _, d := range f.touched {
-		ctx.Send(pregel.VertexID(d), f.held[d])
-		f.held[d] = record{}
+	if 8*len(f.touched) >= len(f.held) {
+		for d, r := range f.held {
+			if r.kind != kindBucket {
+				ctx.Send(pregel.VertexID(d), r)
+				f.held[d] = record{}
+			}
+		}
+	} else {
+		for _, d := range f.touched {
+			ctx.Send(pregel.VertexID(d), f.held[d])
+			f.held[d] = record{}
+		}
 	}
 	f.touched = f.touched[:0]
 }
@@ -773,28 +878,34 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	// The message plane's per-run state: the member slots bucket updates
-	// carry, and each worker's superstep-1 fold over all data ids and pair
-	// table.
-	slots := newSlotTable(g)
+	// The message plane's per-run state: each worker's mirror table, built
+	// once the engine has placed the vertices, and superstep-1 fold over
+	// all data ids.
+	var mirrors []mirror
 	folds := make([]gainFold, opts.Workers)
 	for w := range folds {
 		folds[w].plain = opts.noFold
 		if !opts.noFold {
 			folds[w].held = make([]record, numD)
 		}
-		folds[w].pairAt = make([]int32, opts.K/2)
 	}
 
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 		if id := int(v.ID); id < numD {
-			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables, slots)
-		} else {
-			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], msgs, sched, tables, &folds[ctx.Worker()])
+			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables, mirrors)
+		} else if ctx.Superstep()%4 == 1 {
+			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], tables[sched.level],
+				mirrors[ctx.Worker()].full, &folds[ctx.Worker()])
 		}
 	}
 
-	// A worker's gain superstep ends with its fold's records.
+	// A worker's gain superstep starts with its mirror table's updates and
+	// ends with its fold's records.
+	fanOut := func(ctx *pregel.ContextOf[record, workerAgg], movers []record) {
+		if ctx.Superstep()%4 == 1 {
+			mirrors[ctx.Worker()].apply(ctx, g, states.query, movers, sched)
+		}
+	}
 	flush := func(ctx *pregel.ContextOf[record, workerAgg]) {
 		if ctx.Superstep()%4 == 1 {
 			folds[ctx.Worker()].flush(ctx)
@@ -851,11 +962,12 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
 		Compute:       compute,
+		PreSuperstep:  fanOut,
 		PostSuperstep: flush,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
-		Codecs:        recordCodec{k: int32(opts.K), maxDeg: int32(maxN)},
+		Codecs:        recordCodec{k: int32(opts.K), numData: int32(numD)},
 	}
 	if !opts.DisableCheckpointing {
 		engOpts.Checkpointer = opts.Checkpointer
@@ -870,6 +982,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	mirrors = newMirrors(g, opts.K, opts.Workers, func(q int32) int { return eng.WorkerOf(pregel.VertexID(numD + int(q))) })
 	stats, err := eng.Run()
 	if err != nil {
 		return nil, err
@@ -897,7 +1010,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 // computeData is the program of data vertex d. It reads the master's state
 // in s, which the master writes only between supersteps.
 func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, d int32, st *dataState,
-	msgs []record, s *schedule, tables []core.GainTables, slots slotTable) {
+	msgs []record, s *schedule, tables []core.GainTables, mirrors []mirror) {
 
 	switch ctx.Superstep() % 4 {
 	case 0:
@@ -909,14 +1022,15 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			st.level = s.level
 		}
 		if st.moved {
-			slot := slots.of(d)
-			for j, q := range g.DataNeighbors(d) {
-				ctx.Send(pregel.VertexID(g.NumData()+int(q)), bucketRecord(slot[j], st.bucket))
+			for w := range mirrors {
+				if len(mirrors[w].of(d)) > 0 {
+					ctx.SendWorker(w, moverRecord(d, st.bucket))
+				}
 			}
 			st.moved = false
 		}
 	case 1:
-		// Queries act; data idles.
+		// The workers' hooks and queries act; data idles.
 	case 2:
 		// Bring the persistent Equation 1 accumulators up to date and
 		// register the gain for moving to the sibling bucket with the master.
@@ -1022,66 +1136,39 @@ func directionKey(bucket int32) uint64 {
 	return uint64(uint32(bucket))
 }
 
-// computeQuery is the program of query vertex q: maintain neighbor data
-// incrementally from superstep 0's bucket updates and, in superstep 1, bring
-// each member's gain state up to date through its worker's fold.
+// computeQuery is the program of query vertex q in superstep 1: bring each
+// member's gain state up to date through its worker's fold. Its worker's
+// PreSuperstep hook has already applied the members' bucket updates (see
+// mirror.apply).
 //
 // A dirty query adds a full gain contribution for each member that moved
 // (it is rebuilding) and a patch for each clean member whose sibling pair
-// holds a changed count; clean queries add nothing. On a master-scheduled
-// rebroadcast iteration every query adds every member's full contribution,
-// exactly the paper's per-iteration r = 2 neighbor-data reduction.
+// holds a changed count; clean queries add nothing. When full is set (a
+// level start, a restored run, or a master-scheduled rebroadcast) every
+// query adds every member's full contribution, exactly the paper's
+// per-iteration r = 2 neighbor-data reduction. Integer sums make the order
+// irrelevant to the result.
 func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, q int32, st *queryState,
-	msgs []record, s *schedule, tables []core.GainTables, fold *gainFold) {
+	tb core.GainTables, full bool, fold *gainFold) {
 
-	switch ctx.Superstep() % 4 {
-	case 1:
-		level := s.level
-		// Set by the master for the iterations it schedules a rebroadcast on.
-		full := s.rebuildNext
-		members := g.QueryNeighbors(q)
-		live := st.row.Live()
-		if level != st.level {
-			// Level changed: split the registry, overridden by the movers'
-			// records. Every member's pair is new, so every member receives
-			// a full contribution below.
-			st.register(q, level, s.opts.Seed, members, msgs, fold.pairAt)
-			full = true
-		} else {
-			// Apply the bucket updates. Unless this superstep rebroadcasts,
-			// flag the members that moved and snapshot the pre-superstep row
-			// so the net per-bucket changes can be diffed out afterwards. No
-			// map or search is touched anywhere in this superstep: counts
-			// live in the pin-count row and records address members by slot.
-			for _, m := range msgs {
-				st.applyUpdate(q, m, !full)
-			}
-		}
-		// Fanout bookkeeping: hand the master the live-entry diff so it can
-		// maintain the global average fanout without graph passes. Identical
-		// on every path (count maintenance does not depend on the plane).
-		ctx.Aggregate().fanoutDiff += int64(st.row.Live() - live)
-		// Fold each member's gain-state update. Integer sums make the order
-		// irrelevant to the result.
-		tb := tables[level]
-		if full {
-			for i, d := range members {
-				fold.add(ctx, d, st.gain(tb, st.memberLocal[i]))
-			}
-			return
-		}
-		if st.movers == 0 {
-			return // clean query: members' accumulators are already exact
-		}
-		changes := st.changed()
+	members := g.QueryNeighbors(q)
+	if full {
 		for i, d := range members {
-			l := st.memberLocal[i]
-			if st.moved[i] {
-				fold.add(ctx, d, st.gain(tb, l))
-			} else if r, ok := st.patch(tb, l, changes); ok {
-				fold.add(ctx, d, r)
-			}
+			fold.add(ctx, d, st.gain(tb, st.memberLocal[i]))
 		}
-		st.resetSuperstep()
+		return
 	}
+	if st.movers == 0 {
+		return // clean query: members' accumulators are already exact
+	}
+	changes := st.changed()
+	for i, d := range members {
+		l := st.memberLocal[i]
+		if st.moved[i] {
+			fold.add(ctx, d, st.gain(tb, l))
+		} else if r, ok := st.patch(tb, l, changes); ok {
+			fold.add(ctx, d, r)
+		}
+	}
+	st.resetSuperstep()
 }

@@ -182,6 +182,105 @@ func TestLevelStartShipsOnlyMovers(t *testing.T) {
 	}
 }
 
+// placement returns where an engine over g's vertices, with the given
+// worker count, places each of them: the placement Partition's engine uses.
+func placement(tb testing.TB, g *hypergraph.Bipartite, workers int) func(id int) int {
+	tb.Helper()
+	vertices := make([]*pregel.Vertex, g.NumData()+g.NumQueries())
+	for i := range vertices {
+		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
+	}
+	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{Workers: workers, MaxSupersteps: 1,
+		Compute: func(*pregel.ContextOf[record, workerAgg], *pregel.Vertex, []record) {}}, vertices)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(id int) int { return eng.WorkerOf(pregel.VertexID(id)) }
+}
+
+// TestMirrorTables checks every worker's mirror table against the graph:
+// data vertex d's entries on worker w are exactly its queries placed on w,
+// ascending, each with d's slot in that query's member list.
+func TestMirrorTables(t *testing.T) {
+	g := randomBipartite(t, 19, 120, 200, 900)
+	for _, workers := range []int{1, 2, 3} {
+		workerOf := placement(t, g, workers)
+		numD := g.NumData()
+		ms := newMirrors(g, 8, workers, func(q int32) int { return workerOf(numD + int(q)) })
+		for d := int32(0); d < int32(numD); d++ {
+			for w := range ms {
+				var want []memberRef
+				for _, q := range g.DataNeighbors(d) {
+					if workerOf(numD+int(q)) == w {
+						i := slices.Index(ms[w].queries, q)
+						slot := slices.Index(g.QueryNeighbors(q), d)
+						want = append(want, memberRef{q: int32(i), slot: int32(slot)})
+					}
+				}
+				if got := ms[w].of(d); !slices.Equal(got, want) {
+					t.Fatalf("%d workers: vertex %d on worker %d: %v, want %v", workers, d, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBucketSuperstepShipsOneRecordPerMoverAndWorker pins superstep 0's
+// traffic on the memory transport: one mover record per (mover, worker that
+// hosts one of its queries), batched into one envelope per (source worker,
+// destination worker), and nothing else. Iteration 0's movers are read off
+// a run that stops after it: the vertices that left their level-0 split.
+func TestBucketSuperstepShipsOneRecordPerMoverAndWorker(t *testing.T) {
+	const seed = 5
+	g := randomBipartite(t, 23, 250, 400, 2200)
+	numD := g.NumData()
+	header := uvarintLen(uint64(numD + g.NumQueries())) // the worker group's id
+	for _, workers := range []int{2, 3} {
+		one, err := Partition(g, Options{K: 2, Seed: seed, Workers: workers, ItersPerLevel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := Partition(g, Options{K: 2, Seed: seed, Workers: workers, ItersPerLevel: 2, MinMoveFraction: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(two.History) != 2 || two.History[0] != one.History[0] {
+			t.Fatalf("%d workers: histories %+v and %+v do not share iteration 0", workers, one.History, two.History)
+		}
+		workerOf := placement(t, g, workers)
+		records := map[[2]int]int{} // per (source worker, destination worker)
+		movers := int64(0)
+		for d := 0; d < numD; d++ {
+			if one.Assignment[d] == splitBucket(seed, 0, int32(d), -1) {
+				continue
+			}
+			movers++
+			hosts := map[int]bool{}
+			for _, q := range g.DataNeighbors(int32(d)) {
+				hosts[workerOf(numD+int(q))] = true
+			}
+			for w := range hosts {
+				records[[2]int{workerOf(d), w}]++
+			}
+		}
+		if movers == 0 || movers != one.History[0].Moved {
+			t.Fatalf("%d workers: %d movers, history says %d", workers, movers, one.History[0].Moved)
+		}
+		var envelopes, bytes int64
+		for _, n := range records {
+			envelopes++
+			bytes += int64(header + 1 + 8*n)
+			if n > 1 {
+				bytes += int64(uvarintLen(uint64(n)))
+			}
+		}
+		if ss := two.Stats.PerSuperstep[4]; ss.MessagesSent != envelopes || ss.BytesSent != bytes {
+			t.Fatalf("%d workers: superstep 0 of iteration 1 sent %d envelopes, %d bytes; want %d, %d",
+				workers, ss.MessagesSent, ss.BytesSent, envelopes, bytes)
+		}
+	}
+}
+
 // TestNegativeItersPerLevelRejected: a negative cap is an option error at
 // every K, not one iteration per level at K = 2 and an engine error about
 // MaxSupersteps beyond.

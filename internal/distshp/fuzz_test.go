@@ -23,12 +23,12 @@ import (
 )
 
 // fuzzWire is the record codec the wire fuzz targets run: a run over fuzzK
-// buckets whose queries have at most 16 members.
-var fuzzWire = recordCodec{k: fuzzK, maxDeg: 16}
+// buckets and 16 data vertices.
+var fuzzWire = recordCodec{k: fuzzK, numData: 16}
 
 // checkRecordCodec is the wire codec's property: hostile counts and
 // truncations fail without appending anything; whatever decodes holds only
-// bucket updates to buckets in [0, fuzzK) from slots in [0, 16), re-encodes
+// mover records of data vertices in [0, 16) to buckets in [0, fuzzK), re-encodes
 // to exactly the bytes consumed, sizes to them, and decodes again onto what
 // is already there.
 func checkRecordCodec(t *testing.T, data []byte) {
@@ -43,7 +43,7 @@ func checkRecordCodec(t *testing.T, data []byte) {
 		t.Fatalf("decoded %d records from %d of %d bytes", len(recs), used, len(data))
 	}
 	for _, r := range recs {
-		if slot, b := r.bucket(); r.kind == kindBucket && (b < 0 || b >= fuzzK || slot < 0 || slot >= 16) {
+		if d, b := r.mover(); r.kind == kindBucket && (b < 0 || b >= fuzzK || d < 0 || d >= 16) {
 			t.Fatalf("decoded an out-of-range record %+v", r)
 		}
 	}
@@ -334,23 +334,23 @@ func TestCheckpointCodecRejectsOutOfRangeBuckets(t *testing.T) {
 }
 
 // TestRecordCodecRejectsOutOfRange checks that a wire frame or checkpointed
-// message holding a bucket the run has no row slot for, or a member slot no
-// query has, fails its decode instead of crashing the receiver, and that
-// both ends of each range decode.
+// message holding a mover id outside [0, |D|) — -1 or |D| — or a bucket
+// outside [0, K) — -1 or K — fails its decode instead of crashing the
+// receiver, and that both ends of each range decode.
 func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 	for _, r := range []record{
-		bucketRecord(3, fuzzK), bucketRecord(3, -1),
-		bucketRecord(16, 0), bucketRecord(-1, 1),
+		moverRecord(3, fuzzK), moverRecord(3, -1),
+		moverRecord(16, 0), moverRecord(-1, 1),
 	} {
 		if recs, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err == nil {
 			t.Errorf("%+v decoded as %+v", r, recs)
 		}
 	}
-	batch := envelopeBytes(bucketRecord(1, 0), bucketRecord(2, fuzzK))
+	batch := envelopeBytes(moverRecord(1, 0), moverRecord(2, fuzzK))
 	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1, 2)}); err == nil || len(recs) != 1 {
 		t.Errorf("batch with a bucket of K: decoded %+v (err %v)", recs, err)
 	}
-	for _, r := range []record{bucketRecord(3, 0), bucketRecord(3, fuzzK-1), bucketRecord(15, 0), bucketRecord(0, 1)} {
+	for _, r := range []record{moverRecord(3, 0), moverRecord(3, fuzzK-1), moverRecord(15, 0), moverRecord(0, 1)} {
 		if _, _, err := fuzzWire.Decode(envelopeBytes(r), nil); err != nil {
 			t.Errorf("%+v: %v", r, err)
 		}
@@ -373,19 +373,22 @@ func FuzzDeltaBatchCodec(f *testing.F) {
 	f.Fuzz(checkRecordCodec)
 }
 
+// FuzzBucketCodec starts from lone mover records, in and out of range.
 func FuzzBucketCodec(f *testing.F) {
-	f.Add(envelopeBytes(bucketRecord(7, 3)))
-	f.Add(envelopeBytes(bucketRecord(0, -1)))
-	f.Add(envelopeBytes(bucketRecord(7, fuzzK)))
+	f.Add(envelopeBytes(moverRecord(7, 3)))
+	f.Add(envelopeBytes(moverRecord(0, -1)))
+	f.Add(envelopeBytes(moverRecord(7, fuzzK)))
 	f.Add([]byte{})
 	f.Add([]byte{kindBucket, 2, 3})
 	f.Fuzz(checkRecordCodec)
 }
 
+// FuzzBucketBatchCodec starts from batches of mover records, one worker's
+// envelope to another in superstep 0.
 func FuzzBucketBatchCodec(f *testing.F) {
-	two := envelopeBytes(bucketRecord(2, 1), bucketRecord(4, 0))
+	two := envelopeBytes(moverRecord(2, 1), moverRecord(4, 0))
 	f.Add(two)
-	f.Add(envelopeBytes(bucketRecord(2, 3), bucketRecord(9, 0), bucketRecord(0, 7)))
+	f.Add(envelopeBytes(moverRecord(2, 3), moverRecord(9, 0), moverRecord(0, 7)))
 	f.Add([]byte{kindBucket | batchBit, 0})                                              // an empty batch
 	f.Add(two[:len(two)-1])                                                              // truncated last record
 	f.Add([]byte{kindBucket | batchBit, 200})                                            // truncated uvarint count

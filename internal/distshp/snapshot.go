@@ -11,10 +11,11 @@ package distshp
 // A restore rebuilds the rest through the level-start registration that
 // already exists: every data vertex is marked moved with nothing proposed,
 // every query unregistered, the master's proposal plane empty. The replayed
-// iteration's superstep 0 then ships every bucket, superstep 1 registers
-// every query from all its members' records and sends full gains (the live
-// entries re-sum into the master's fanout count), and superstep 2 registers
-// every proposal afresh. Gains are integers, so what this re-derives is what
+// iteration's superstep 0 then ships every bucket to every worker that
+// hosts one of the vertex's queries, superstep 1's worker hooks register
+// every query from all its members' records (the live entries re-sum into
+// the master's fanout count), the queries send full gains, and superstep 2
+// registers every proposal afresh. Gains are integers, so what this re-derives is what
 // the undisturbed run maintained, and the recovered run finishes
 // byte-identical to it. (The one difference, a histogram the undisturbed
 // run retracted to zero, which the restored map lacks, belongs to an empty

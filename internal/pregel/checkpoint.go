@@ -178,7 +178,8 @@ type ProgramState interface {
 //	    (id-ascending), low bit first, ⌈n/8⌉ bytes
 //	  inbox length | per record, in the inbox's grouped order
 //	    (destination-ascending, then source worker, then send order): dst |
-//	    the record as a one-record envelope
+//	    the record as a one-record envelope; the worker group's records
+//	    (SendWorker's) come last, under dst = total vertices
 //	master blob length | blob bytes (Options.Program's AppendMaster)
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
@@ -188,10 +189,11 @@ type ProgramState interface {
 // numeric state decodes to a different, perfectly valid state. The version
 // changes whenever the layout or a program's payload does: version 5 moved
 // vertex states out of the engine into per-worker program parts, version 6
-// cut distshp's parts to its data vertices' buckets.
+// cut distshp's parts to its data vertices' buckets, version 7 added the
+// worker group.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 6
+	snapshotVersion = 7
 	snapshotSumSize = 4
 )
 
@@ -240,9 +242,13 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 		if len(w.in.msg) > 0 && e.opts.Codecs == nil {
 			return nil, fmt.Errorf("Options.Codecs required to snapshot pending messages")
 		}
-		for l, v := range w.vertices {
+		for l := 0; l <= len(w.vertices); l++ {
+			id := uint64(len(e.place)) // the worker group's
+			if l < len(w.vertices) {
+				id = uint64(w.vertices[l].ID)
+			}
 			for i := w.in.start[l]; i < w.in.start[l+1]; i++ {
-				buf = binary.AppendUvarint(buf, uint64(v.ID))
+				buf = binary.AppendUvarint(buf, id)
 				if buf, err = e.opts.Codecs.Append(buf, w.in.msg[i:i+1]); err != nil {
 					return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
 				}
@@ -339,8 +345,9 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 		}
 		// Records arrive in the grouped order encodeSnapshot wrote, so
 		// appending them rebuilds the inbox and counting them its offsets.
+		// The worker group's id places its records after every vertex's.
 		in := &s.inboxes[w.id]
-		in.start = make([]int32, len(w.vertices)+2)
+		in.start = make([]int32, len(w.vertices)+3)
 		in.msg = make([]M, 0, min(n, uint64(len(data))))
 		last := int32(0)
 		for i := uint64(0); i < n; i++ {
@@ -348,10 +355,11 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 			if err != nil {
 				return nil, err
 			}
-			if dst >= uint64(len(e.place)) || int(e.place[dst].worker) != w.id || e.place[dst].local < last {
+			if dst > uint64(len(e.place)) || dst < uint64(len(e.place)) && int(e.place[dst].worker) != w.id ||
+				e.local(w.id, VertexID(dst)) < last {
 				return nil, fmt.Errorf("worker %d inbox: message for vertex %d out of place", w.id, dst)
 			}
-			last = e.place[dst].local
+			last = e.local(w.id, VertexID(dst))
 			before := len(in.msg)
 			var used int
 			if in.msg, used, err = e.opts.Codecs.Decode(data, in.msg); err != nil {

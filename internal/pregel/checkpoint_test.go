@@ -571,7 +571,7 @@ func (c *everySave) Save(superstep int, snapshot []byte) error {
 // reaches the parser, and restores it into an engine holding another. A
 // rejected snapshot must leave the engine and the ring program exactly as
 // they were — their snapshot encodes to the same bytes — and an accepted one
-// must re-encode stably.
+// must re-encode stably. One seed holds pending worker groups.
 func FuzzSnapshotRestore(f *testing.F) {
 	const n, workers, steps = 24, 3, 6
 	cp := &everySave{snaps: map[int][]byte{}}
@@ -587,6 +587,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(append(bytes.Clone(last), 0))
 	stateAt := len(snapshotMagic) + 1 + 3 // worker 0's program part length
 	f.Add(append(bytes.Clone(last[:stateAt]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1))
+	// A snapshot whose inboxes end in worker groups (SendWorker's records).
+	grouped := &everySave{snaps: map[int][]byte{}}
+	withWorkerGroup(newRingRun(n, workers, steps, nil, grouped, 1), workers).run(f)
+	f.Add(grouped.snaps[2][:len(grouped.snaps[2])-snapshotSumSize])
 
 	r := newRingRun(n, workers, steps, nil, NewMemoryCheckpointer(), 1)
 	eng, err := NewEngineOf(r.opts, r.vertices)

@@ -45,16 +45,30 @@ func (t *traffic[M]) reset() {
 }
 
 // outbox buffers one worker's records for one destination worker in send
-// order. slot is indexed by the destination's local index and holds
-// envelope+1 (0 for none), so Send finds the envelope a vertex already has
-// with one load, and envOf[i] is the envelope rec[i] rides in: one envelope
-// per (source worker, destination vertex) pays one destination header for
-// all of its records. Only slots envs names are ever non-zero, so clearing
-// walks envs.
+// order. slot is indexed by the destination's local index, the worker group
+// one past the last vertex, and holds envelope+1 (0 for none), so Send finds
+// the envelope a vertex already has with one load, and envOf[i] is the
+// envelope rec[i] rides in: one envelope per (source worker, destination
+// vertex) pays one destination header for all of its records. Only slots
+// envs names are ever non-zero, so clearing walks envs.
 type outbox[M any] struct {
 	traffic[M]
 	envOf []int32
 	slot  []int32
+}
+
+// add buffers m for dst, at local index l on the destination worker: it
+// joins the envelope the outbox already holds for dst, or opens one.
+func (ob *outbox[M]) add(l int32, dst VertexID, m M) {
+	s := ob.slot[l]
+	if s == 0 {
+		ob.envs = push(ob.envs, envelope{dst: dst, first: int32(len(ob.rec))})
+		s = int32(len(ob.envs))
+		ob.slot[l] = s
+	}
+	ob.envs[s-1].n++
+	ob.envOf = push(ob.envOf, s-1)
+	ob.rec = push(ob.rec, m)
 }
 
 // group lays the records out envelope by envelope, the order codecs encode
@@ -100,13 +114,20 @@ func grow[T any](s []T, n int) []T {
 func push[T any](s []T, v T) []T { return append(grow(s, 1), v) }
 
 // inbox holds a worker's received records grouped by destination: local
-// vertex l's are msg[start[l]:start[l+1]], in (source worker, send order).
-// Offsets are int32, which bounds one worker's superstep at 2^31 records.
-// start has two entries more than the worker has vertices; the last one is
-// scratch for the counting scatter in deliver.
+// vertex l's are msg[start[l]:start[l+1]], in (source worker, send order),
+// and the worker group (SendWorker's records) follows them at l = the
+// worker's vertex count. Offsets are int32, which bounds one worker's
+// superstep at 2^31 records. start has three entries more than the worker
+// has vertices; the last one is scratch for the counting scatter in deliver.
 type inbox[M any] struct {
 	start []int32
 	msg   []M
+}
+
+// group returns the records of local destination l.
+func (in *inbox[M]) group(l int) []M {
+	lo, hi := in.start[l], in.start[l+1]
+	return in.msg[lo:hi:hi]
 }
 
 func (in *inbox[M]) reset() {
@@ -200,30 +221,44 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 	// order, and a vertex's local index is its position in that list.
 	counts := make([]int, len(e.workers))
 	for id := range byID {
-		counts[e.workerOf(VertexID(id))]++
+		counts[e.hashWorker(VertexID(id))]++
 	}
 	for i, w := range e.workers {
 		w.vertices = make([]*Vertex, 0, counts[i])
 	}
 	for id, v := range byID {
-		w := e.workers[e.workerOf(VertexID(id))]
+		w := e.workers[e.hashWorker(VertexID(id))]
 		e.place[id] = placement{worker: int32(w.id), local: int32(len(w.vertices))}
 		w.vertices = append(w.vertices, v)
 	}
 	for _, w := range e.workers {
-		w.in.start = make([]int32, len(w.vertices)+2)
+		w.in.start = make([]int32, len(w.vertices)+3)
 		for _, src := range e.workers {
-			src.out[w.id].slot = make([]int32, len(w.vertices))
+			src.out[w.id].slot = make([]int32, len(w.vertices)+1)
 		}
 	}
 	return e, nil
 }
 
-// workerOf shards a vertex id to a worker (multiplicative hash so dense id
+// hashWorker shards a vertex id to a worker (multiplicative hash so dense id
 // ranges spread evenly, like Giraph's random vertex placement).
-func (e *EngineOf[M, A]) workerOf(id VertexID) int {
+func (e *EngineOf[M, A]) hashWorker(id VertexID) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return int(h % uint64(len(e.workers)))
+}
+
+// WorkerOf returns the worker the engine placed vertex id on, in
+// [0, Workers). A program that keeps per-worker tables (SendWorker's
+// receivers) builds them from it; id must be in [0, NumVertices()).
+func (e *EngineOf[M, A]) WorkerOf(id VertexID) int { return int(e.place[id].worker) }
+
+// local returns where dst sits on worker w: its local index, or one past w's
+// last vertex for the worker group's id, NumVertices().
+func (e *EngineOf[M, A]) local(w int, dst VertexID) int32 {
+	if dst == VertexID(len(e.place)) {
+		return int32(len(e.workers[w].vertices))
+	}
+	return e.place[dst].local
 }
 
 // Run executes supersteps until every vertex halts with no pending messages,
@@ -259,6 +294,7 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 	for step := 0; step < e.opts.MaxSupersteps; {
 		active := 0
 		maxWorkerActive := 0
+		pending := false // a worker group, which no vertex count holds
 		for _, w := range e.workers {
 			wa := 0
 			for l, v := range w.vertices {
@@ -270,8 +306,9 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 				maxWorkerActive = wa
 			}
 			active += wa
+			pending = pending || len(w.in.group(len(w.vertices))) > 0
 		}
-		if active == 0 {
+		if active == 0 && !pending {
 			break
 		}
 
@@ -470,14 +507,11 @@ func (e *EngineOf[M, A]) exchange(step int) (int64, error) {
 }
 
 // encode appends one outbox's envelopes to a frame payload: each one's
-// destination id as a uvarint, then the codec's encoding of its records. The
-// payload is sized first, so a frame buffer grows at most once a superstep.
+// destination id as a uvarint, then the codec's encoding of its records. It
+// writes in one pass: the frame keeps its payload between supersteps, so the
+// buffer grows only when a superstep outgrows every earlier one.
 func (e *EngineOf[M, A]) encode(buf []byte, t *traffic[M]) ([]byte, error) {
-	n, err := e.size(t)
-	if err != nil {
-		return buf, err
-	}
-	buf = slices.Grow(buf, int(n))
+	var err error
 	for _, env := range t.envs {
 		buf = binary.AppendUvarint(buf, uint64(env.dst))
 		if buf, err = e.opts.Codecs.Append(buf, t.records(env)); err != nil {
@@ -501,8 +535,9 @@ func (e *EngineOf[M, A]) size(t *traffic[M]) (int64, error) {
 }
 
 // decode parses the frame worker src sent w into w.staged[src]. An envelope
-// addressed to a vertex w does not own makes the frame as undecodable as a
-// truncated one: delivering it would index another worker's placement.
+// addressed to a vertex w does not own, or to an id above NumVertices() (the
+// worker group's), makes the frame as undecodable as a truncated one:
+// delivering it would index another worker's placement.
 func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 	t := &w.staged[src]
 	t.reset() // a frame that failed to parse may have left records behind
@@ -512,7 +547,7 @@ func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 		if n <= 0 {
 			return fmt.Errorf("truncated envelope header")
 		}
-		if dst >= uint64(len(e.place)) || int(e.place[dst].worker) != w.id {
+		if dst > uint64(len(e.place)) || dst < uint64(len(e.place)) && int(e.place[dst].worker) != w.id {
 			return fmt.Errorf("envelope for vertex %d, which worker %d does not own", dst, w.id)
 		}
 		first := len(t.rec)
@@ -534,7 +569,7 @@ func (e *EngineOf[M, A]) clearOutboxes(w *worker[M, A]) {
 	for d := range w.out {
 		ob := &w.out[d]
 		for _, env := range ob.envs {
-			ob.slot[e.place[env.dst].local] = 0
+			ob.slot[e.local(d, env.dst)] = 0
 		}
 		ob.traffic.reset()
 		ob.envOf = ob.envOf[:0]
@@ -637,8 +672,8 @@ func (e *EngineOf[M, A]) recoverFrom(err error, step int) (int, error) {
 // being what source worker src addressed to w. A stable counting pass —
 // count per destination, prefix-sum, scatter — walks the sources in worker
 // order twice and writes each record once, straight into its destination's
-// group; there is no ungrouped intermediate. The inbox must be empty
-// (runWorker leaves it so).
+// group; there is no ungrouped intermediate, and the worker group is one
+// more destination. The inbox must be empty (runWorker leaves it so).
 func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]) {
 	// Counts go in two entries up, so that after the prefix sum start[l+1]
 	// is where vertex l's group begins; the scatter advances it to where the
@@ -646,7 +681,7 @@ func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]
 	start := w.in.start
 	for src := range e.workers {
 		for _, env := range from(src).envs {
-			start[e.place[env.dst].local+2] += env.n
+			start[e.local(w.id, env.dst)+2] += env.n
 		}
 	}
 	for l := 2; l < len(start); l++ {
@@ -657,19 +692,22 @@ func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]
 	for src := range e.workers {
 		t := from(src)
 		for _, env := range t.envs {
-			at := &start[e.place[env.dst].local+1]
+			at := &start[e.local(w.id, env.dst)+1]
 			*at += int32(copy(w.in.msg[*at:], t.records(env)))
 		}
 	}
 }
 
-// runWorker executes one worker's vertices for one superstep, handing each
-// its group of the inbox, then the PostSuperstep hook.
+// runWorker executes one worker's PreSuperstep hook with the worker group,
+// then its vertices for one superstep, handing each its group of the inbox,
+// then the PostSuperstep hook.
 func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 	ctx := &ContextOf[M, A]{engine: e, worker: w, superstep: step}
+	if pre := e.opts.PreSuperstep; pre != nil {
+		pre(ctx, w.in.group(len(w.vertices)))
+	}
 	for l, v := range w.vertices {
-		lo, hi := w.in.start[l], w.in.start[l+1]
-		msgs := w.in.msg[lo:hi:hi]
+		msgs := w.in.group(l)
 		if v.halted && len(msgs) == 0 {
 			continue
 		}

@@ -182,7 +182,7 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 						for w := 0; w < workers; w++ {
 							addressed := map[VertexID]bool{}
 							for v := VertexID(0); v < n; v++ {
-								if eng.workerOf(v) == w {
+								if eng.WorkerOf(v) == w {
 									for _, sd := range sends(seed, v, s) {
 										all = append(all, sd)
 										if !addressed[sd.dst] {
@@ -282,8 +282,8 @@ func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 			if !errors.As(err, &ce) || !errors.Is(err, ErrNoSuchVertex) {
 				t.Fatalf("Run returned %v, want a *ComputeError wrapping ErrNoSuchVertex", err)
 			}
-			if ce.Superstep != 1 || ce.Worker != eng.workerOf(5) {
-				t.Fatalf("ComputeError{Worker: %d, Superstep: %d}, want {%d, 1}", ce.Worker, ce.Superstep, eng.workerOf(5))
+			if ce.Superstep != 1 || ce.Worker != eng.WorkerOf(5) {
+				t.Fatalf("ComputeError{Worker: %d, Superstep: %d}, want {%d, 1}", ce.Worker, ce.Superstep, eng.WorkerOf(5))
 			}
 			stray = 0 // the same program, now addressing a vertex that exists
 			if c.tcp {
@@ -338,7 +338,7 @@ func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	var elsewhere VertexID // a vertex worker 2 owns
-	for probe.workerOf(elsewhere) != 2 {
+	for probe.WorkerOf(elsewhere) != 2 {
 		elsewhere++
 	}
 	for _, c := range []struct {

@@ -47,6 +47,18 @@
 // worker itself and ships the sums from there, and the receiving vertex adds
 // what each worker sent.
 //
+// Besides vertices, a record may address a worker. SendWorker puts it in one
+// envelope per (source worker, destination worker), under the reserved
+// destination id NumVertices(), which rides the same codec, frames, grouping
+// and inbox as every other envelope: the worker group sits after the
+// worker's own vertices. Options.PreSuperstep, like Giraph's
+// WorkerContext.preSuperstep, runs once per worker before its first vertex
+// and is handed that group. A program that keeps a per-worker copy of remote
+// state (PowerGraph's mirrors) sends one record per worker that needs it and
+// fans it out to the local vertices there; EngineOf.WorkerOf tells it where
+// each vertex was placed. A pending worker group keeps Run going like a
+// pending message, and a snapshot holds it under the same id.
+//
 // Engine, Options, Context and NewEngine are the M = Message (any)
 // instantiation with an empty aggregate, whose Codec is a Registry of
 // per-type value codecs.
@@ -85,8 +97,8 @@ type Context = ContextOf[Message, struct{}]
 // Superstep returns the current superstep number (0-based).
 func (c *ContextOf[M, A]) Superstep() int { return c.superstep }
 
-// Worker returns the index of the worker running the vertex (or the
-// PostSuperstep hook), in [0, Workers).
+// Worker returns the index of the worker running the vertex (or a hook), in
+// [0, Workers).
 func (c *ContextOf[M, A]) Worker() int { return c.worker.id }
 
 // NumVertices returns the total vertex count.
@@ -106,16 +118,17 @@ func (c *ContextOf[M, A]) Send(dst VertexID, m M) {
 		panic(&sendError{dst: dst})
 	}
 	p := e.place[dst]
-	ob := &c.worker.out[p.worker]
-	s := ob.slot[p.local]
-	if s == 0 {
-		ob.envs = push(ob.envs, envelope{dst: dst, first: int32(len(ob.rec))})
-		s = int32(len(ob.envs))
-		ob.slot[p.local] = s
-	}
-	ob.envs[s-1].n++
-	ob.envOf = push(ob.envOf, s-1)
-	ob.rec = push(ob.rec, m)
+	c.worker.out[p.worker].add(p.local, dst, m)
+}
+
+// SendWorker delivers m to worker w at the start of the next superstep,
+// where w's PreSuperstep hook receives it, in (source worker, send order).
+// Every record one worker sends w rides one envelope, addressed to the
+// reserved id NumVertices(), so it counts once in MessagesSent. w must be in
+// [0, Workers).
+func (c *ContextOf[M, A]) SendWorker(w int, m M) {
+	e := c.engine
+	c.worker.out[w].add(int32(len(e.workers[w].vertices)), VertexID(len(e.place)), m)
 }
 
 // Aggregate returns this worker's part of the superstep's aggregate, zero
@@ -236,6 +249,12 @@ type OptionsOf[M, A any] struct {
 	// keeps between the hook and the next superstep is its own state, which
 	// Program checkpoints.
 	PostSuperstep func(ctx *ContextOf[M, A])
+	// PreSuperstep, if set, runs once per worker per superstep, before that
+	// worker's first vertex: Giraph's WorkerContext.preSuperstep. msgs are
+	// the records SendWorker addressed to the worker in the previous
+	// superstep, in (source worker, send order). It may Send and fold into
+	// the Aggregate like a vertex, and must not VoteToHalt.
+	PreSuperstep func(ctx *ContextOf[M, A], msgs []M)
 
 	// Checkpointer, if set, enables superstep checkpointing: every
 	// CheckpointEvery supersteps the engine snapshots the halted flags, the
