@@ -134,18 +134,21 @@ func (g GainTables) penaltyUnits(penalty float64) int64 {
 // w_q·|q| over the graph the tables serve, nd its data vertex count and
 // penalty the MoveCostPenalty in effect (0 for none).
 //
-// Every raw accumulator (Σ_q w_q·T[·]) and every difference of two (a gain,
-// Σ_q w_q·(T[·] − T[0])) is at most wdeg(v)·(|T[0]| + max|T|) in magnitude;
-// a penalised gain adds one penalty; a histogram sum is a sum of gains over
-// distinct vertices, and the running objective is at most the same bound.
-// So the bound below keeps each of them under 2^62 and the sum or
-// difference of any two under 2^63. Both table families are monotone, so
-// max|T| is an end's, and the bound does not fall as maxN grows: sized for
-// more pins than the graph has, it errs on the safe side.
+// Every per-query term of an accumulator is w_q·T[·] (SHP-k's own-bucket
+// and per-candidate sums) or w_q·(T[a] − T[b]) (the one accumulator SHP-2
+// and distshp keep per data vertex, which is its gain, with T[a] and T[b]
+// from tables of any lookahead), and both |T[·]| and |T[a] − T[b]| are at
+// most span in units (TestGainTermsWithinSpan). So every accumulator and
+// every gain (SHP-k's is a difference of two of its sums, Σ_q w_q·(T[·] −
+// T[0]) term by term) is at most wdeg(v)·span in magnitude; a penalised
+// gain adds one penalty; a histogram sum is a sum of gains over distinct
+// vertices, and the running objective is at most the same bound. So the
+// bound below keeps each of them under 2^62 and the sum or difference of
+// any two under 2^63. Both table families are monotone, so max|T| is an
+// end's, and the bound does not fall as maxN grows: sized for more pins
+// than the graph has, it errs on the safe side.
 func (g GainTables) checkRange(w float64, nd int, penalty float64) error {
-	t0 := math.Abs(float64(g.T[0]))
-	span := t0 + max(t0, math.Abs(float64(g.T[len(g.T)-1])))
-	bound := float64(w * span)
+	bound := float64(w * g.span())
 	if penalty > 0 {
 		bound += float64(float64(nd) * math.Round(penalty/g.unit))
 	}
@@ -153,6 +156,15 @@ func (g GainTables) checkRange(w float64, nd int, penalty float64) error {
 		return fmt.Errorf("%w: %.3g units of a %.3g limit", ErrGainRange, bound, float64(gainLimit))
 	}
 	return nil
+}
+
+// span bounds one query's term of an accumulator, in units: |T[0]| +
+// max(|T[0]|, |T[end]|). Lookahead changes no p-fanout table's span (every
+// T lies in [0, T[0]] with the same T[0]), so one table's covers both sides
+// of a bisection.
+func (g GainTables) span() float64 {
+	t0 := math.Abs(float64(g.T[0]))
+	return t0 + max(t0, math.Abs(float64(g.T[len(g.T)-1])))
 }
 
 // incidenceWeight returns Σ_q w_q·|q|, which is Σ_v wdeg(v): the w of

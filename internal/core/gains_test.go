@@ -102,3 +102,42 @@ func TestObjectiveStrings(t *testing.T) {
 		t.Fatal("unknown values must still render")
 	}
 }
+
+// TestGainTermsWithinSpan is the premise of checkRange's bound: every table
+// value and every difference T[a] − T[b] of two values is at most span in
+// magnitude, for both table families, with T[a] and T[b] from tables of any
+// two lookaheads (SHP-2's two sides), so the one accumulator Σ_q w_q·(T[a] −
+// T[b]) stays within wdeg·span and ErrGainRange's limit covers it.
+func TestGainTermsWithinSpan(t *testing.T) {
+	const maxN = 300
+	families := [][]GainTables{{NewCliqueNetTables(maxN)}}
+	for _, p := range []float64{1, 0.9, 0.5, 0.3, 0.01} {
+		var fam []GainTables
+		for _, split := range []int{1, 2, 3, 64, 4096} {
+			fam = append(fam, NewPFanoutTables(p, split, maxN))
+		}
+		families = append(families, fam)
+	}
+	for fi, fam := range families {
+		span := fam[0].span()
+		for ti, tb := range fam {
+			if s := tb.span(); s != span {
+				t.Fatalf("family %d: table %d's span %v differs from table 0's %v", fi, ti, s, span)
+			}
+		}
+		for _, x := range fam {
+			for _, y := range fam {
+				for a, ta := range x.T {
+					if math.Abs(float64(ta)) > span {
+						t.Fatalf("family %d: |T[%d]| = %d exceeds span %v", fi, a, ta, span)
+					}
+					for b, tb := range y.T {
+						if d := math.Abs(float64(ta - tb)); d > span {
+							t.Fatalf("family %d: |T[%d] − T[%d]| = %v exceeds span %v", fi, a, b, d, span)
+						}
+					}
+				}
+			}
+		}
+	}
+}

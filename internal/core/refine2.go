@@ -17,19 +17,19 @@ import (
 // arrays without the connectivity mask, which two counts make redundant —
 // and everything downstream of a count change is the kernel's machinery:
 //
-//   - Every data vertex carries its Equation 1 state in patchable form:
-//     accOwn = Σ_q wq·T_cur[n_cur(q)−1] and accOth = Σ_q wq·T_oth[n_oth(q)],
-//     from which the gain is accOwn − accOth plus the warm-start penalty,
-//     all in gain units (gains.go).
+//   - Every data vertex carries its Equation 1 state in patchable form, one
+//     accumulator acc = Σ_q wq·(T_cur[n_cur(q)−1] − T_oth[n_oth(q)]), from
+//     which the gain is acc plus the warm-start penalty, all in gain units
+//     (gains.go).
 //   - After a move batch, each dirty query's canonical (side, cOld, cNew)
 //     changes are derived from the batch's net count deltas (every move is
 //     a ±1 transfer, so cOld is exactly cNew minus the net delta — no
 //     snapshots needed), and folded into the clean members' accumulators
 //     through GainTables.DeltaOwn/DeltaAway. A hub query with one mover
-//     costs two branch-free adds per member instead of each member
+//     costs one branch-free add per member instead of each member
 //     re-walking its whole membership, so frontier cost is O(churn).
 //   - Movers are rebuilt (their own side changed, which swaps the meaning
-//     of the two accumulators). The IterPolicy the three refiners share
+//     of the accumulator's two terms). The IterPolicy the three refiners share
 //     (iterpolicy.go) picks each batch's mode: patched, or a sweep for a
 //     batch too large to patch, which transfers the counts and resums every
 //     vertex.
@@ -49,16 +49,16 @@ type bisection struct {
 	balance
 	startState
 
-	// Engine state: accOwn/accOth are the per-vertex patchable Equation 1
-	// accumulators; d holds each dirty query's net per-side count delta for
+	// Engine state: acc is the per-vertex patchable Equation 1
+	// accumulator; d holds each dirty query's net per-side count delta for
 	// the current batch, dirtyQ the touched queries in first-touch order
 	// (deduped by dirtyFlag); pgs is the reusable buffer the per-dirty-query
 	// patch groups land in.
-	accOwn, accOth []int64
-	d              [2][]int32
-	dirtyFlag      []uint8
-	dirtyQ         []int32
-	pgs            []patchGroup
+	acc       []int64
+	d         [2][]int32
+	dirtyFlag []uint8
+	dirtyQ    []int32
+	pgs       []patchGroup
 
 	// The active set holds each vertex's pending work (activeRebuild for
 	// movers and full sweeps, activeSelect for patched accumulators) and,
@@ -143,8 +143,7 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	}
 	b.gains = make([]int64, nd)
 	b.bins = newGainBins(2, nd, b.tables[0].unit)
-	b.accOwn = make([]int64, nd)
-	b.accOth = make([]int64, nd)
+	b.acc = make([]int64, nd)
 	b.active = make([]uint8, nd)
 	b.d[0] = make([]int32, nq)
 	b.d[1] = make([]int32, nq)
@@ -262,7 +261,7 @@ func (b *bisection) recountNeighborData() {
 	}
 }
 
-// rebuildGain resums vertex v's Equation 1 accumulators from the current
+// rebuildGain resums vertex v's Equation 1 accumulator from the current
 // side counts and derives the gain. All terms are integers, so the
 // resummation equals any sequence of patches arriving at the same counts.
 func (b *bisection) rebuildGain(v int32) int64 {
@@ -270,30 +269,26 @@ func (b *bisection) rebuildGain(v int32) int64 {
 	oth := 1 - cur
 	tCur := b.tables[cur].T
 	tOth := b.tables[oth].T
-	var own, sumOth int64
+	var acc int64
 	neighbors := b.g.DataNeighbors(v)
 	if b.qw == nil {
 		for _, q := range neighbors {
-			own += tCur[b.n[cur][q]-1]
-			sumOth += tOth[b.n[oth][q]]
+			acc += tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]]
 		}
 	} else {
 		for _, q := range neighbors {
-			wq := b.qw[q]
-			own += wq * tCur[b.n[cur][q]-1]
-			sumOth += wq * tOth[b.n[oth][q]]
+			acc += b.qw[q] * (tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]])
 		}
 	}
-	b.accOwn[v] = own
-	b.accOth[v] = sumOth
+	b.acc[v] = acc
 	b.deriveGain(v)
 	return int64(2 * len(neighbors))
 }
 
-// deriveGain turns vertex v's cached accumulators into its move gain, in
+// deriveGain turns vertex v's cached accumulator into its move gain, in
 // gain units: Equation 1 plus the incremental-update penalty.
 func (b *bisection) deriveGain(v int32) {
-	g := b.accOwn[v] - b.accOth[v]
+	g := b.acc[v]
 	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
 		if b.side[v] == b.home[v] {
 			g -= b.penalty // would leave home
@@ -499,17 +494,16 @@ func (b *bisection) applyMovePatched(v int32) {
 }
 
 // patchGroup is one dirty query's precomputed accumulator adjustments: a
-// member on side s gains own[s] on accOwn (its own-side term moved through
-// DeltaOwn) and away[1−s] on accOth (the opposite side's term through
-// DeltaAway); a side whose count did not change contributes exactly 0.
-// Precomputing the four products once per query replaces the per-member
-// record walk with two branch-free adds — the products are the same
-// wq·Delta integers per-member patching would compute, so the folded sums
-// are equal.
+// member on side s gains net[s], its own-side term's change through
+// DeltaOwn less the opposite side's through DeltaAway; a side whose count
+// did not change contributes exactly 0. Precomputing the two values once
+// per query replaces the per-member record walk with one branch-free add —
+// they are the same wq·Delta integers per-member patching would sum, so
+// the folded accumulators are equal.
 type patchGroup struct {
-	q         int32
-	own, away [2]int64
-	nrec      int64 // changed sides, for the gainWork accounting
+	q    int32
+	net  [2]int64
+	nrec int64 // changed sides, for the gainWork accounting
 }
 
 // derivePatchGroup turns one dirty query's net count deltas into its patch
@@ -526,8 +520,8 @@ func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 		if dd := b.d[s][q]; dd != 0 {
 			cNew := b.n[s][q]
 			cOld := cNew - dd
-			pg.own[s] = wq * b.tables[s].DeltaOwn(cOld, cNew)
-			pg.away[s] = wq * b.tables[s].DeltaAway(cOld, cNew)
+			pg.net[s] += wq * b.tables[s].DeltaOwn(cOld, cNew)
+			pg.net[1-s] -= wq * b.tables[s].DeltaAway(cOld, cNew)
 			pg.nrec++
 			b.d[s][q] = 0
 		}
@@ -555,9 +549,7 @@ func (b *bisection) finishPatch(movers []move) {
 		pg := &b.pgs[gi]
 		members := b.g.QueryNeighbors(pg.q)
 		for _, v := range members {
-			c := b.side[v]
-			b.accOwn[v] += pg.own[c]
-			b.accOth[v] += pg.away[1-c]
+			b.acc[v] += pg.net[b.side[v]]
 			b.touch(v, activeSelect)
 		}
 		b.gainWork += pg.nrec * int64(len(members))

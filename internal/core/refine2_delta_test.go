@@ -70,9 +70,9 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 				}
 			}
 			for v := 0; v < g.NumData(); v++ {
-				if b.accOwn[v] != ref.accOwn[v] || b.accOth[v] != ref.accOth[v] {
-					t.Fatalf("seed %d round %d vertex %d: patched accumulators (%v, %v) != rebuilt (%v, %v)",
-						seed, round, v, b.accOwn[v], b.accOth[v], ref.accOwn[v], ref.accOth[v])
+				if b.acc[v] != ref.acc[v] {
+					t.Fatalf("seed %d round %d vertex %d: patched accumulator %v != rebuilt %v",
+						seed, round, v, b.acc[v], ref.acc[v])
 				}
 				if b.gains[v] != ref.gains[v] {
 					t.Fatalf("seed %d round %d vertex %d: patched gain %v != rebuilt %v",
@@ -234,7 +234,7 @@ func naiveBisectionGain(b *bisection, v int32) (own, oth, gain int64) {
 }
 
 // TestBisectionGainMatchesEquation1 checks the two places the bisection
-// evaluates Equation 1 — rebuildGain's accumulators and deriveGain over
+// evaluates Equation 1 — rebuildGain's accumulator and deriveGain over
 // patched accumulators — against the naive reference, for unit and weighted
 // queries, asymmetric lookahead, and the warm-start penalty.
 func TestBisectionGainMatchesEquation1(t *testing.T) {
@@ -277,9 +277,9 @@ func TestBisectionGainMatchesEquation1(t *testing.T) {
 					t.Helper()
 					for v := int32(0); int(v) < g.NumData(); v++ {
 						own, oth, gain := naiveBisectionGain(b, v)
-						if b.accOwn[v] != own || b.accOth[v] != oth {
-							t.Fatalf("seed %d %s vertex %d: accumulators (%v, %v), reference (%v, %v)",
-								seed, stage, v, b.accOwn[v], b.accOth[v], own, oth)
+						if b.acc[v] != own-oth {
+							t.Fatalf("seed %d %s vertex %d: accumulator %v, reference %v − %v",
+								seed, stage, v, b.acc[v], own, oth)
 						}
 						if b.gains[v] != gain {
 							t.Fatalf("seed %d %s vertex %d: gain %v, reference %v", seed, stage, v, b.gains[v], gain)

@@ -29,7 +29,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 				fold bool
 				msg  func(v pregel.VertexID) record
 			}{
-				{"fold", true, func(pregel.VertexID) record { return gainRecord(2, 1) }},
+				{"fold", true, func(pregel.VertexID) record { return gainRecord(1) }},
 				{"batch", false, func(v pregel.VertexID) record { return moverRecord(int32(v), int32(v)%2) }},
 			} {
 				t.Run(arm.name, func(t *testing.T) {
@@ -38,7 +38,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 						vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
 					}
 					var received atomic.Int64 // workers run concurrently
-					folds := []gainFold{{held: make([]record, n)}, {held: make([]record, n)}}
+					folds := []gainFold{newGainFold(n), newGainFold(n)}
 					allocs := func(steps int) float64 {
 						return testing.AllocsPerRun(3, func() {
 							eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{

@@ -2,12 +2,13 @@ package distshp
 
 // The wire codec of distshp's records. One codec encodes an envelope — the
 // 1..n records one worker sent one vertex in a superstep, all of one kind —
-// by one rule for every kind: a lone record as its kind byte and payload,
-// two or more as the kind byte with the batch bit set, a minimal uvarint
-// count and the payloads. Superstep 0's mover records batch per destination
-// worker, one envelope per (source worker, destination worker); the
-// per-worker fold leaves one gain or patch per (worker, data vertex), and
-// only the fold-off side of the equivalence tests sends their batches.
+// by one rule for every kind: a lone record as its kind byte and 8-byte
+// payload, two or more as the kind byte with the batch bit set, a minimal
+// uvarint count and the payloads. Superstep 0's mover records batch per
+// destination worker, one envelope per (source worker, destination worker);
+// the per-worker fold leaves one gain or patch per (worker, data vertex), a
+// 9-byte envelope, and only the fold-off side of the equivalence tests
+// sends their batches.
 
 import (
 	"encoding/binary"
@@ -24,15 +25,13 @@ const (
 )
 
 // payloadSize is a record kind's fixed encoding, 0 for a byte that is no
-// kind: mover records are (ID, New) as little-endian uint32s, gains the
-// int64 gain units (Cur, Oth) and patches their changes (ΔCur, ΔOth) as
-// little-endian uint64s.
+// kind. Every kind's payload is its record's one word as a little-endian
+// uint64, 8 bytes: a mover record's (ID, New) as two uint32s, a gain's int64
+// gain units acc and a patch's change Δacc.
 func payloadSize(kind uint8) int {
 	switch kind {
-	case kindBucket:
+	case kindBucket, kindGain, kindPatch:
 		return 8
-	case kindGain, kindPatch:
-		return 16
 	}
 	return 0
 }
@@ -67,10 +66,7 @@ func (recordCodec) Append(buf []byte, recs []record) ([]byte, error) {
 		buf = append(buf, k)
 	}
 	for _, r := range recs {
-		buf = binary.LittleEndian.AppendUint64(buf, r.lo)
-		if r.kind != kindBucket {
-			buf = binary.LittleEndian.AppendUint64(buf, r.hi)
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, r.word)
 	}
 	return buf, nil
 }
@@ -118,14 +114,11 @@ func (c recordCodec) Decode(data []byte, recs []record) ([]record, int, error) {
 	}
 	base := len(recs)
 	for i := uint64(0); i < n; i++ {
-		p := data[used:]
-		r := record{kind: kind, lo: binary.LittleEndian.Uint64(p)}
+		r := record{kind: kind, word: binary.LittleEndian.Uint64(data[used:])}
 		if kind == kindBucket {
 			if d, b := r.mover(); d < 0 || d >= c.numData || b < 0 || b >= c.k {
 				return recs[:base], 0, fmt.Errorf("distshp: mover record (vertex %d, bucket %d) outside vertices [0, %d) or buckets [0, %d)", d, b, c.numData, c.k)
 			}
-		} else {
-			r.hi = binary.LittleEndian.Uint64(p[8:])
 		}
 		recs = append(recs, r)
 		used += size

@@ -45,18 +45,19 @@ func TestWireCodecs(t *testing.T) {
 	}{
 		{"mover", []record{moverRecord(7, 3)}, cat([]byte{kindBucket}, le32(7, 3))},
 		{"mover, high id", []record{moverRecord(1<<19, 6)}, cat([]byte{kindBucket}, le32(1<<19, 6))},
-		{"gain", []record{gainRecord(3, -9)}, cat([]byte{kindGain}, le64(3, -9))},
-		{"zero gain", []record{gainRecord(0, 0)}, cat([]byte{kindGain}, le64(0, 0))},
+		{"gain", []record{gainRecord(-9)}, cat([]byte{kindGain}, le64(-9))},
+		{"zero gain", []record{gainRecord(0)}, cat([]byte{kindGain}, le64(0))},
 		{"mover batch", []record{moverRecord(1, 0), moverRecord(2, 1), moverRecord(3, 1)},
 			cat([]byte{1, 3}, le32(1, 0, 2, 1, 3, 1))},
-		{"patch", []record{patchRecord(4, -2)}, cat([]byte{kindPatch}, le64(4, -2))},
-		{"zero patch", []record{patchRecord(0, 0)}, cat([]byte{kindPatch}, le64(0, 0))},
-		{"gain batch", []record{gainRecord(1, -1), gainRecord(2, 0)},
-			cat([]byte{kindGain | batchBit, 2}, le64(1, -1, 2, 0))},
-		{"patch batch", []record{patchRecord(5, 6), patchRecord(-7, 8), patchRecord(0, 0)},
-			cat([]byte{kindPatch | batchBit, 3}, le64(5, 6, -7, 8, 0, 0))},
-		{"long gain batch", slices.Repeat([]record{gainRecord(1, 2)}, 130),
-			cat([]byte{kindGain | batchBit, 0x82, 0x01}, bytes.Repeat(le64(1, 2), 130))},
+		{"patch", []record{patchRecord(4)}, cat([]byte{kindPatch}, le64(4))},
+		{"negative patch", []record{patchRecord(-2)}, cat([]byte{kindPatch}, le64(-2))},
+		{"zero patch", []record{patchRecord(0)}, cat([]byte{kindPatch}, le64(0))},
+		{"gain batch", []record{gainRecord(1), gainRecord(-1)},
+			cat([]byte{kindGain | batchBit, 2}, le64(1, -1))},
+		{"patch batch", []record{patchRecord(5), patchRecord(-7), patchRecord(0)},
+			cat([]byte{kindPatch | batchBit, 3}, le64(5, -7, 0))},
+		{"long gain batch", slices.Repeat([]record{gainRecord(3)}, 130),
+			cat([]byte{kindGain | batchBit, 0x82, 0x01}, bytes.Repeat(le64(3), 130))},
 	} {
 		buf, err := wideWire.Append(nil, c.recs)
 		if err != nil {
@@ -80,21 +81,21 @@ func TestCodecTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patches := envelopeBytes(patchRecord(1, 2), patchRecord(3, 4))
+	patches := envelopeBytes(patchRecord(1), patchRecord(3))
 	for _, c := range []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
 		{"truncated bucket", []byte{kindBucket, 1, 2}},
-		{"truncated gain", cat([]byte{kindGain}, make([]byte, 15))},
-		{"truncated patch", cat([]byte{kindPatch}, make([]byte, 15))},
+		{"truncated gain", cat([]byte{kindGain}, make([]byte, 7))},
+		{"truncated patch", cat([]byte{kindPatch}, make([]byte, 7))},
 		{"truncated batch count", []byte{kindBucket | batchBit, 200}},
 		{"batch count exceeding payload", []byte{kindBucket | batchBit, 3, 0, 0}},
 		{"bucket batch with truncated last record", one[:len(one)-1]},
 		{"batch of one", cat([]byte{kindBucket | batchBit, 1}, le32(2, 0))},
 		{"patch batch with truncated last record", patches[:len(patches)-1]},
-		{"gain batch of one", cat([]byte{kindGain | batchBit, 1}, le64(1, 2))},
+		{"gain batch of one", cat([]byte{kindGain | batchBit, 1}, le64(1))},
 		{"empty batch", []byte{kindBucket | batchBit, 0}},
 		{"overlong batch count", cat([]byte{kindBucket | batchBit, 0x82, 0}, le32(1, 0, 2, 1))},
 		{"unknown kind", cat([]byte{8}, le32(1, 2, 3, 4))},
@@ -119,16 +120,16 @@ func TestCombineSemantics(t *testing.T) {
 	for _, n := range []int{8, 64} {
 		got, _ := runRecords(t, pregel.MemoryTransport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold) {
 			if v == 2 {
-				fold.add(ctx, 5, patchRecord(-1, 2))
-				fold.add(ctx, 3, gainRecord(1, 2))
-				fold.add(ctx, 3, gainRecord(3, 4))
-				fold.add(ctx, 5, patchRecord(3, -5))
+				fold.add(ctx, 5, patchRecord(-1))
+				fold.add(ctx, 3, gainRecord(1))
+				fold.add(ctx, 3, gainRecord(3))
+				fold.add(ctx, 5, patchRecord(3))
 			}
 		})
-		if want := []record{gainRecord(4, 6)}; !slices.Equal(got[3], want) {
+		if want := []record{gainRecord(4)}; !slices.Equal(got[3], want) {
 			t.Fatalf("%d ids: vertex 3 received %+v, want the folded gain %+v", n, got[3], want)
 		}
-		if want := []record{patchRecord(2, -3)}; !slices.Equal(got[5], want) {
+		if want := []record{patchRecord(2)}; !slices.Equal(got[5], want) {
 			t.Fatalf("%d ids: vertex 5 received %+v, want the folded patch %+v", n, got[5], want)
 		}
 		for v, recs := range got {
@@ -138,9 +139,9 @@ func TestCombineSemantics(t *testing.T) {
 		}
 	}
 	const n = 8
-	fold := gainFold{held: make([]record, n)}
-	fold.add(nil, 6, gainRecord(1, 1))
-	fold.add(nil, 1, patchRecord(1, 1))
+	fold := newGainFold(n)
+	fold.add(nil, 6, gainRecord(1))
+	fold.add(nil, 1, patchRecord(1))
 	if !slices.Equal(fold.touched, []int32{6, 1}) {
 		t.Fatalf("touched %v, want first-touch order [6 1]", fold.touched)
 	}
@@ -156,7 +157,7 @@ func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *
 	for i := range vertices {
 		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
 	}
-	folds := []gainFold{{held: make([]record, n)}, {held: make([]record, n)}}
+	folds := []gainFold{newGainFold(n), newGainFold(n)}
 	got := make([][]record, n)
 	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
 		Workers:       2,
@@ -196,9 +197,9 @@ func TestCombineDeltaRecords(t *testing.T) {
 		got, stats := runRecords(t, transport(), n, func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold) {
 			for k := int32(0); k < per; k++ {
 				ctx.Send(0, moverRecord(int32(v), k))
-				ctx.Send(1, patchRecord(int64(v), -int64(k)))
+				ctx.Send(1, patchRecord(int64(v)*per+int64(k)))
 			}
-			fold.add(ctx, 2, gainRecord(2, int64(v)))
+			fold.add(ctx, 2, gainRecord(2+int64(v)))
 		})
 		for _, dst := range []int{0, 1} {
 			if len(got[dst]) != n*per {
@@ -212,12 +213,12 @@ func TestCombineDeltaRecords(t *testing.T) {
 					d, _ := got[0][i*per].mover()
 					v = int64(d)
 				} else {
-					v, _ = got[1][i*per].sums()
+					v = got[1][i*per].acc() / per
 				}
 				for k := int32(0); k < per; k++ {
 					want := moverRecord(int32(v), k)
 					if dst == 1 {
-						want = patchRecord(v, -int64(k))
+						want = patchRecord(v*per + int64(k))
 					}
 					if r := got[dst][i*per+int(k)]; r != want {
 						t.Fatalf("vertex %d: record %d is %+v, want sender %d's record %d", dst, i*per+int(k), r, v, k)
@@ -239,14 +240,12 @@ func TestCombineDeltaRecords(t *testing.T) {
 		if len(got[2]) != 2 {
 			t.Fatalf("vertex 2 received %+v, want one folded gain per worker", got[2])
 		}
-		var cur, oth int64
+		var acc int64
 		for _, r := range got[2] {
-			c, o := r.sums()
-			cur += c
-			oth += o
+			acc += r.acc()
 		}
-		if cur != 2*n || oth != n*(n-1)/2 {
-			t.Fatalf("vertex 2's gains add to (%d, %d), want (%d, %d)", cur, oth, 2*n, n*(n-1)/2)
+		if want := int64(2*n + n*(n-1)/2); acc != want {
+			t.Fatalf("vertex 2's gains add to %d, want %d", acc, want)
 		}
 		if stats.TotalMessages != 6 {
 			t.Fatalf("%d envelopes crossed, want one per worker and destination", stats.TotalMessages)
@@ -265,14 +264,14 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 				t.Fatal("the fold added a patch to a gain")
 			}
 		}()
-		fold := gainFold{held: make([]record, 2)}
-		fold.add(nil, 1, gainRecord(1, 0))
-		fold.add(nil, 1, patchRecord(1, 0))
+		fold := newGainFold(2)
+		fold.add(nil, 1, gainRecord(1))
+		fold.add(nil, 1, patchRecord(1))
 	}()
 	for _, recs := range [][]record{
-		{gainRecord(1, 0), patchRecord(1, 0)},
-		{moverRecord(1, 0), patchRecord(1, 0)},
-		{patchRecord(1, 0), patchRecord(2, 0), gainRecord(2, 0)},
+		{gainRecord(1), patchRecord(1)},
+		{moverRecord(1, 0), patchRecord(1)},
+		{patchRecord(1), patchRecord(2), gainRecord(2)},
 	} {
 		if _, err := wideWire.Append(nil, recs); err == nil {
 			t.Fatalf("encoded the envelope %+v", recs)
@@ -282,8 +281,8 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 		}
 	}
 	for _, recs := range [][]record{
-		{gainRecord(1, 0), gainRecord(2, 0)},
-		{patchRecord(1, 0), patchRecord(2, 0)},
+		{gainRecord(1), gainRecord(2)},
+		{patchRecord(1), patchRecord(2)},
 	} {
 		if _, err := wideWire.Append(nil, recs); err != nil {
 			t.Fatalf("refused the envelope %+v: %v", recs, err)

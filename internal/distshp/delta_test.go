@@ -107,10 +107,11 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 // patched-vs-rebuilt property tests: random move batches flow through the
 // real query-side diff (applyUpdate on the member updates a mirror table
 // fans out, and changed, on the pin-count rows), the real patch computation
-// (patch), the real wire codec, and the data side's additive patch; after
-// every batch the patched accumulators of clean observer vertices must
-// bit-equal a from-scratch resummation of the query histograms, and every
-// query's row must equal a recount from its members' buckets.
+// (patches, one table per dirty query), the real wire codec, and the data
+// side's additive patch; after every batch the patched accumulators of
+// clean observer vertices must bit-equal a from-scratch resummation of the
+// query histograms, and every query's row must equal a recount from its
+// members' buckets.
 func TestDistDeltaPatchProperty(t *testing.T) {
 	const (
 		numData  = 60
@@ -149,7 +150,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			regs = append(regs, update{int32(i), bucketOf[d]})
 		}
 		st := newQuery(len(members[q]), buckets)
-		st.register(int32(q), 0, 0, members[q], regs, make([]int32, buckets/2))
+		st.register(int32(q), 0, members[q], coinTable(0, 0, numData), regs, make([]int32, buckets/2))
 		qs[q] = st
 	}
 
@@ -157,23 +158,20 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 	observers := []int32{0, 1, 2, 3, 4, 5}
 	isObserver := map[int32]bool{}
 	obs := map[int32]*dataState{}
-	scratchSums := func(o int32) (int64, int64) {
-		var cur, oth int64
+	scratchAcc := func(o int32) int64 {
+		var acc int64
 		for q, st := range qs {
 			if i, ok := slotOf[q][o]; ok {
-				c, s := st.gain(tb, st.memberLocal[i]).sums()
-				cur += c
-				oth += s
+				acc += st.contribution(tb, st.memberLocal[i])
 			}
 		}
-		return cur, oth
+		return acc
 	}
 	for _, o := range observers {
 		isObserver[o] = true
-		ds := &dataState{bucket: bucketOf[o]}
-		ds.sumCur, ds.sumOth = scratchSums(o)
-		obs[o] = ds
+		obs[o] = &dataState{bucket: bucketOf[o], acc: scratchAcc(o)}
 	}
+	pat := make([]patch, buckets)
 
 	for round := 0; round < rounds; round++ {
 		// Random move batch (observers excluded).
@@ -185,8 +183,9 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			}
 			moves[d] = bucketOf[d] ^ 1 // within a level, vertices move only to their sibling
 		}
-		// Each dirty query diffs its row and folds a patch for each clean
-		// member whose pair changed, exactly as computeQuery does.
+		// Each dirty query diffs its row, folds the changes into its patch
+		// table and takes a patch for each clean member whose pair changed,
+		// exactly as computeQuery does.
 		folded := map[int32][]record{}
 		for q, st := range qs {
 			dirty := false
@@ -200,14 +199,13 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				continue
 			}
 			changes := st.changed()
+			patches(tb, changes, pat)
 			for i, d := range members[q] {
-				if st.moved[i] {
+				p := pat[st.memberLocal[i]]
+				if st.moved[i] || !p.hit {
 					continue
 				}
-				rec, ok := st.patch(tb, st.memberLocal[i], changes)
-				if !ok {
-					continue
-				}
+				rec := patchRecord(p.delta)
 				if want := st.bucket(st.memberLocal[i]); want != bucketOf[d] {
 					t.Fatalf("round %d: query %d holds member %d in bucket %d, want %d", round, q, d, want, bucketOf[d])
 				}
@@ -221,6 +219,10 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 					folded[d] = append(folded[d], rec)
 				}
 			}
+			unpatch(changes, pat)
+			if slices.ContainsFunc(pat, func(p patch) bool { return p != patch{} }) {
+				t.Fatalf("round %d: query %d left the patch table %v", round, q, pat)
+			}
 			st.resetSuperstep()
 		}
 		for d, nb := range moves {
@@ -230,7 +232,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		// one record (gainFold), or ship unfolded as one batch (noFold).
 		// Each round-trips the wire, and they patch the observer by the
 		// same sums.
-		fold := gainFold{held: make([]record, numData)}
+		fold := newGainFold(numData)
 		for _, o := range observers {
 			recs := folded[o]
 			if len(recs) == 0 {
@@ -239,23 +241,20 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			for _, rec := range recs {
 				fold.add(nil, o, rec)
 			}
-			one, _, err := wire.Decode(envelopeBytes(fold.held[o]), nil)
+			held := record{kind: fold.kind[o], word: uint64(fold.acc[o])}
+			one, _, err := wire.Decode(envelopeBytes(held), nil)
 			batch, _, berr := wire.Decode(envelopeBytes(recs...), nil)
 			if err != nil || berr != nil || len(one) != 1 || !slices.Equal(batch, recs) {
 				t.Fatalf("round %d: folded patch or batch of %d round trip failed (err %v, %v)", round, len(recs), err, berr)
 			}
-			cur, oth := one[0].sums()
-			var batchCur, batchOth int64
+			var batchAcc int64
 			for _, rec := range batch {
-				c, s := rec.sums()
-				batchCur += c
-				batchOth += s
+				batchAcc += rec.acc()
 			}
-			if cur != batchCur || oth != batchOth {
-				t.Fatalf("round %d: observer %d folded (%d, %d), batch adds to (%d, %d)", round, o, cur, oth, batchCur, batchOth)
+			if one[0].kind != kindPatch || one[0].acc() != batchAcc {
+				t.Fatalf("round %d: observer %d folded %+v, batch adds to %d", round, o, one[0], batchAcc)
 			}
-			obs[o].sumCur += cur
-			obs[o].sumOth += oth
+			obs[o].acc += batchAcc
 		}
 		// The maintained rows must equal a recount.
 		for q, st := range qs {
@@ -269,11 +268,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		}
 		// Patched must bit-equal rebuilt.
 		for _, o := range observers {
-			ds := obs[o]
-			wantCur, wantOth := scratchSums(o)
-			if ds.sumCur != wantCur || ds.sumOth != wantOth {
-				t.Fatalf("round %d: observer %d patched sums (%v, %v) != rebuilt (%v, %v)",
-					round, o, ds.sumCur, ds.sumOth, wantCur, wantOth)
+			if got, want := obs[o].acc, scratchAcc(o); got != want {
+				t.Fatalf("round %d: observer %d patched accumulator %v != rebuilt %v", round, o, got, want)
 			}
 		}
 	}
@@ -287,7 +283,7 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 	members := []int32{3, 5, 9}
 	fresh := func() *queryState {
 		st := newQuery(len(members), 8)
-		st.register(42, 1, 0, members, []update{{0, 0}, {1, 1}, {2, 3}}, make([]int32, 4))
+		st.register(42, 1, members, coinTable(0, 1, 10), []update{{0, 0}, {1, 1}, {2, 3}}, make([]int32, 4))
 		return st
 	}
 	for _, c := range []struct {
@@ -297,7 +293,7 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 		{"slot out of range", func(st *queryState) { st.applyUpdate(42, update{3, 0}, true) }},
 		{"negative slot", func(st *queryState) { st.applyUpdate(42, update{-1, 0}, true) }},
 		{"registration slot out of range", func(st *queryState) {
-			st.register(42, 2, 0, members, []update{{3, 0}}, make([]int32, 4))
+			st.register(42, 2, members, coinTable(0, 2, 10), []update{{3, 0}}, make([]int32, 4))
 		}},
 		{"new pair", func(st *queryState) { st.applyUpdate(42, update{0, 4}, true) }},
 		{"not a move", func(st *queryState) { st.applyUpdate(42, update{2, 3}, true) }},
@@ -339,7 +335,7 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 	r := rng.New(606)
 	pairAt := make([]int32, k/2)
 	register := func(st *queryState, level int, members []int32, movers []update) {
-		st.register(42, level, seed, members, movers, pairAt)
+		st.register(42, level, members, coinTable(seed, level, 200), movers, pairAt)
 		if slices.ContainsFunc(pairAt, func(e int32) bool { return e != 0 }) {
 			t.Fatalf("registration left the pair table %v", pairAt)
 		}
@@ -402,28 +398,31 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDeltaWireSize pins the patch encoding: a query folds its changed
-// counts into the two accumulator changes itself, so a patch is the two
-// int64 sums a gain is, 16 bytes, and a lone patch costs 1 + 16 bytes. The
-// per-worker fold leaves one patch per (worker, vertex); unfolded patches
-// batch as every kind does, 2 + 16n bytes for n of them.
+// TestDeltaWireSize pins the gain and patch encoding: a query folds its
+// changed counts into the one accumulator change itself, so a patch is the
+// one int64 a gain is, 8 bytes, and a lone gain or patch costs 1 + 8 bytes.
+// The per-worker fold leaves one record per (worker, vertex); unfolded ones
+// batch as every kind does, 2 + 8n bytes for n of them.
 func TestDeltaWireSize(t *testing.T) {
-	if got := payloadSize(kindPatch); got != 16 {
-		t.Fatalf("patch payload = %d bytes, want 16 (ΔsumCur + ΔsumOth)", got)
+	for _, kind := range []uint8{kindGain, kindPatch} {
+		if got := payloadSize(kind); got != 8 {
+			t.Fatalf("kind %d payload = %d bytes, want 8 (Δacc)", kind, got)
+		}
 	}
-	rec := patchRecord(5, -3)
-	if got := len(envelopeBytes(rec)); got != 1+16 {
-		t.Fatalf("encoded patch is %d bytes, want 17", got)
+	for _, rec := range []record{patchRecord(-3), gainRecord(5)} {
+		if got := len(envelopeBytes(rec)); got != 1+8 {
+			t.Fatalf("encoded %+v is %d bytes, want 9", rec, got)
+		}
+		if sz, err := wideWire.Size([]record{rec}); err != nil || sz != 9 {
+			t.Fatalf("Size %d (%v), want 9", sz, err)
+		}
 	}
-	if sz, err := wideWire.Size([]record{rec}); err != nil || sz != 17 {
-		t.Fatalf("Size %d (%v), want 17", sz, err)
+	batch := []record{patchRecord(5), patchRecord(4), patchRecord(-1)}
+	if got := len(envelopeBytes(batch...)); got != 2+8*3 {
+		t.Fatalf("a batch of 3 patches is %d bytes, want 26", got)
 	}
-	batch := []record{rec, patchRecord(4, 0), patchRecord(-1, 7)}
-	if got := len(envelopeBytes(batch...)); got != 2+16*3 {
-		t.Fatalf("a batch of 3 patches is %d bytes, want 50", got)
-	}
-	if sz, err := wideWire.Size(batch); err != nil || sz != 50 {
-		t.Fatalf("Size %d (%v), want 50", sz, err)
+	if sz, err := wideWire.Size(batch); err != nil || sz != 26 {
+		t.Fatalf("Size %d (%v), want 26", sz, err)
 	}
 }
 

@@ -23,9 +23,10 @@
 // same dirty-query patch scheme the in-process engine uses (core/direct.go),
 // pushed across superstep message boundaries.
 //
-//   - Every data vertex carries persistent Equation 1 accumulators: sumCur =
-//     Σ_q T[n_cur(q)−1] and sumOth = Σ_q T[n_sib(q)] over its adjacent
-//     queries, for its current sibling pair.
+//   - Every data vertex carries one persistent Equation 1 accumulator, acc =
+//     Σ_q (T[n_cur(q)−1] − T[n_sib(q)]) over its adjacent queries for its
+//     current sibling pair, which is its move gain: every gain and patch
+//     record carries one int64, 8 bytes on the wire and 16 in memory.
 //   - Bucket updates travel by mirror, as PowerGraph's do (Gonzalez et al.,
 //     OSDI 2012). Each worker holds a mirror table: for every data vertex,
 //     the (query, slot) pairs of its queries the engine placed on that
@@ -37,15 +38,18 @@
 //     updates in a row, and applies them before any query runs. A query's
 //     registry holds each member's local row bucket, so an in-level move is
 //     l → l^1 and no record is looked up; bucket ids meet the registry's
-//     pairs only at a level's registration, which the hook runs too.
+//     pairs only at a level's registration, which the hook runs too, after
+//     drawing each mirrored vertex's split coin once for all the worker's
+//     queries (mirror.drawCoins).
 //   - After a move round, a dirty query (one that received bucket updates)
-//     diffs its pin-count row. Each clean member whose pair holds a changed
-//     bucket gets one patch record (ΔsumCur, ΔsumOth), which the query
-//     computes itself through core.GainTables.DeltaOwn / DeltaAway, since it
-//     knows the member's bucket: the gain delta is computed where the pin
-//     count changes, as in Mt-KaHyPar. Receivers add patches to their
-//     accumulators.
-//   - Members that moved (their own frame changed, so patched sums would
+//     diffs its pin-count row and folds the changes into one patch per
+//     local bucket through core.GainTables.DeltaOwn / DeltaAway, as core's
+//     SHP-2 folds a dirty query's patch group: it knows its members'
+//     buckets, so the gain delta is computed where the pin count changes, as
+//     in Mt-KaHyPar. Each clean member whose pair holds a changed bucket
+//     gets its bucket's patch record Δacc, one load per member, and adds it
+//     to its accumulator.
+//   - Members that moved (their own frame changed, so a patched sum would
 //     refer to the wrong pair side) instead receive a full gain
 //     contribution from every adjacent query — all of which are dirty,
 //     because the mover's record reached each of them — and resum from
@@ -54,9 +58,13 @@
 //     fold them per destination: a query adds each gain or patch into its
 //     worker's dense accumulator by data id (gainFold), and the engine's
 //     PostSuperstep hook sends one record per touched vertex, so every
-//     superstep-1 envelope holds one record. The receiver
-//     adds what each worker sent; the engine folds nothing. The
-//     accumulators are empty at every barrier, so no checkpoint holds them.
+//     superstep-1 envelope holds one record. In a full superstep (a level
+//     start's, a restored run's or a sweep's) a query computes the
+//     contribution once per local bucket (queryState.values), each member
+//     adds its bucket's into a plain per-worker slab, and the hook sends one
+//     gain per vertex the worker mirrors, by ascending id. The receiver adds
+//     what each worker sent; the engine folds nothing. The accumulators are
+//     empty at every barrier, so no checkpoint holds them.
 //   - All gain-table values are integer units (core's gains.go), so patched
 //     accumulators equal what a full resummation produces, in any order:
 //     the incremental and full paths yield byte-identical partitions and
@@ -71,7 +79,7 @@
 // # The changed-only proposal plane
 //
 // Superstep 2 applies the same admissibility idea to the proposal plane. A
-// data vertex whose accumulators saw no superstep-1 traffic and whose bucket
+// data vertex whose accumulator saw no superstep-1 traffic and whose bucket
 // is unchanged is stable: its gain is bit-identical to what it last proposed,
 // so it neither recomputes nor ships anything. Everyone else recomputes and,
 // only if the (direction, gain) actually changed, retracts the previously
@@ -279,64 +287,58 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 }
 
 // record is the one message type distshp sends through the engine: a tagged
-// union of the protocol's three kinds in 24 bytes and no pointer, so the
-// engine buffers, ships and delivers it by value. lo and hi hold the payload
-// words in the order the wire lays them out (codec.go):
+// union of the protocol's three kinds in one payload word, 16 bytes in
+// memory and no pointer, so the engine buffers, ships and delivers it by
+// value. word is the payload the wire carries (codec.go):
 //
-//   - bucket, data -> worker, "data vertex ID is now in bucket New": lo =
+//   - bucket, data -> worker, "data vertex ID is now in bucket New": word =
 //     ID | New<<32, sent once to each worker that hosts one of the mover's
 //     queries. The worker's mirror table turns it into one (slot, New)
 //     update per such query: at a level start it overrides the registry's
 //     derived split, later it moves the member.
-//   - gain, query -> data: lo, hi = the int64 gain units Cur =
-//     T[n(current bucket)-1] and Oth = T[n(sibling)], the query's
-//     neighbor-data contribution to the receiver's Equation 1 gain already
-//     mapped through the level's gain table. This is the combinable
-//     reduction of the paper's r = 2 neighbor-data counts (Section 3.3):
-//     contributions from different queries add. A vertex that receives
-//     gains resums its persistent accumulators from scratch (every adjacent
+//   - gain, query -> data: word = the int64 gain units T[n(current
+//     bucket)−1] − T[n(sibling)], the query's neighbor-data contribution to
+//     the receiver's Equation 1 gain already mapped through the level's gain
+//     table. This is the combinable reduction of the paper's r = 2
+//     neighbor-data counts (Section 3.3): contributions from different
+//     queries add, and the receiver reads only their sum. A vertex that
+//     receives gains resums its accumulator from scratch (every adjacent
 //     query sent one).
-//   - patch, query -> data: lo, hi = the int64 changes (ΔCur, ΔOth) to
-//     those sums, from a dirty query to a clean member whose sibling pair
-//     holds a changed count. Patches add like gains, and the receiver adds
-//     them to its accumulators.
+//   - patch, query -> data: word = the int64 change Δacc to that sum, from a
+//     dirty query to a clean member whose sibling pair holds a changed
+//     count. Patches add like gains, and the receiver adds them to its
+//     accumulator.
 type record struct {
-	lo, hi uint64
-	kind   uint8
+	word uint64
+	kind uint8
 }
 
 func pack(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
 
 func moverRecord(d, bucket int32) record {
-	return record{kind: kindBucket, lo: pack(d, bucket)}
+	return record{kind: kindBucket, word: pack(d, bucket)}
 }
 
-func gainRecord(cur, oth int64) record {
-	return record{kind: kindGain, lo: uint64(cur), hi: uint64(oth)}
-}
+func gainRecord(acc int64) record { return record{kind: kindGain, word: uint64(acc)} }
 
-func patchRecord(cur, oth int64) record {
-	return record{kind: kindPatch, lo: uint64(cur), hi: uint64(oth)}
-}
+func patchRecord(delta int64) record { return record{kind: kindPatch, word: uint64(delta)} }
 
-func (r record) mover() (d, bucket int32) { return int32(r.lo), int32(r.lo >> 32) }
+func (r record) mover() (d, bucket int32) { return int32(r.word), int32(r.word >> 32) }
 
-// sums returns a gain's or a patch's two int64 values.
-func (r record) sums() (cur, oth int64) { return int64(r.lo), int64(r.hi) }
+// acc returns a gain's or a patch's value.
+func (r record) acc() int64 { return int64(r.word) }
 
 // dataState is the per-data-vertex state.
 type dataState struct {
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
 	moved  bool  // moved in the previous iteration (drives dirty-only sends)
 	level  int
-	// Persistent Equation 1 accumulators for the current sibling pair, in
-	// gain units: sumCur = Σ_q T[n_bucket(q)−1], sumOth = Σ_q T[n_sibling(q)].
-	// Resummed from gain records after a move (or rebroadcast), patched
-	// otherwise; integer arithmetic keeps the two maintenance regimes
-	// identical.
-	sumCur, sumOth int64
-	// Gain units for moving to the sibling bucket, derived in superstep 2.
-	gain int64
+	// The persistent Equation 1 accumulator for the current sibling pair, in
+	// gain units: acc = Σ_q (T[n_bucket(q)−1] − T[n_sibling(q)]), which is
+	// the gain for moving to the sibling bucket. Resummed from gain records
+	// after a move (or rebroadcast), patched otherwise; integer arithmetic
+	// keeps the two maintenance regimes identical.
+	acc int64
 	// The proposal currently registered on the master's persistent
 	// histograms: direction key, gain, and the level it was asserted at
 	// (propLevel != level means nothing is registered at this level yet).
@@ -356,7 +358,8 @@ type update struct{ slot, bucket int32 }
 // mirror is one worker's mirror table and the state its PreSuperstep hook
 // keeps. ref lists, for each data vertex, the queries the engine placed on
 // the worker that it belongs to, in ascending query order, each with the
-// vertex's slot: a CSR of one entry per local incidence, 8 bytes each.
+// vertex's slot: a CSR of one entry per local incidence, 8 bytes each. The
+// vertices with entries are the worker's mirrored vertices.
 type mirror struct {
 	queries []int32 // the worker's queries, ascending
 	off     []int64 // data vertex d's entries are ref[off[d]:off[d+1]]
@@ -364,6 +367,14 @@ type mirror struct {
 	// full is set while a superstep 1 sends every member's full
 	// contribution: a level start's, a restored run's or a sweep's.
 	full bool
+	// coin holds each mirrored vertex's split coin at the current level,
+	// drawn once per worker at a level start for its queries' registrations.
+	coin []uint8
+	// The queries' per-local-bucket tables, K entries each: vals the full
+	// contributions (queryState.values), pat the patches, all zero between
+	// queries (patches).
+	vals []int64
+	pat  []patch
 	// The counting pass's scratch: update groups by local query, query i's
 	// at upd[start[i]:start[i+1]], and start's two spare entries; empty
 	// between hooks.
@@ -384,6 +395,9 @@ func newMirrors(g *hypergraph.Bipartite, k, workers int, workerOf func(q int32) 
 	for w := range ms {
 		ms[w].off = make([]int64, numD+1)
 		ms[w].pairAt = make([]int32, k/2)
+		ms[w].coin = make([]uint8, numD)
+		ms[w].vals = make([]int64, k)
+		ms[w].pat = make([]patch, k)
 	}
 	for q := int32(0); q < int32(g.NumQueries()); q++ {
 		m := &ms[workerOf(q)]
@@ -416,14 +430,28 @@ func newMirrors(g *hypergraph.Bipartite, k, workers int, workerOf func(q int32) 
 // of returns data vertex d's entries on the worker.
 func (m *mirror) of(d int32) []memberRef { return m.ref[m.off[d]:m.off[d+1]] }
 
+// mirrors reports whether data vertex d has entries on the worker.
+func (m *mirror) mirrors(d int) bool { return m.off[d+1] > m.off[d] }
+
+// drawCoins draws every mirrored vertex's split coin at level, once for all
+// the worker's queries that hold it.
+func (m *mirror) drawCoins(seed uint64, level int) {
+	for d := range m.coin {
+		if m.mirrors(d) {
+			m.coin[d] = splitCoin(seed, level, int32(d))
+		}
+	}
+}
+
 // apply is the worker's PreSuperstep hook in a gain superstep: it fans the
 // movers' records out to the worker's queries and applies them, before any
 // of those queries runs. A counting pass groups the updates by query, so
 // each dirty query takes its updates in a row; applied mover by mover, the
 // query states miss the cache. At a level start, or in a restored run,
-// every query registers instead, its movers overriding the derived split.
-// The worker's queries register together, so the first one's level is
-// theirs. The live-entry diff of the worker's rows goes to the master.
+// every query registers instead, its movers overriding the derived split,
+// which reads the coins the hook draws for the level first. The worker's
+// queries register together, so the first one's level is theirs. The
+// live-entry diff of the worker's rows goes to the master.
 func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, queries []queryState,
 	movers []record, s *schedule) {
 
@@ -449,13 +477,16 @@ func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.B
 	level := s.level
 	levelStart := len(m.queries) > 0 && queries[m.queries[0]].level != level
 	m.full = levelStart || s.rebuildNext
+	if levelStart {
+		m.drawCoins(s.opts.Seed, level)
+	}
 	diff := 0
 	for i, q := range m.queries {
 		st := &queries[q]
 		ups := m.upd[start[i]:start[i+1]]
 		if levelStart {
 			live := st.row.Live()
-			st.register(q, level, s.opts.Seed, g.QueryNeighbors(q), ups, m.pairAt)
+			st.register(q, level, g.QueryNeighbors(q), m.coin, ups, m.pairAt)
 			diff += st.row.Live() - live
 			continue
 		}
@@ -526,18 +557,19 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 
 // register (re)initializes the registry for a new level and recounts the
 // row. Each member's bucket is the split of the one the registry holds, as
-// the member itself made it, unless the member moved in the previous
-// iteration: then its update in movers carries the bucket. An unregistered
-// query (a fresh or restored run) splits nothing it holds: at level 0 the
-// split ignores the parent, and a restored run's every member is a mover.
-// pairAt is the worker's pair table (see recount).
-func (st *queryState) register(q int32, level int, seed uint64, members []int32, movers []update, pairAt []int32) {
+// the member itself made it with its coin in coins (by data id; see
+// splitCoin), unless the member moved in the previous iteration: then its
+// update in movers carries the bucket. An unregistered query (a fresh or
+// restored run) splits nothing it holds: at level 0 the split ignores the
+// parent, and a restored run's every member is a mover. pairAt is the
+// worker's pair table (see recount).
+func (st *queryState) register(q int32, level int, members []int32, coins []uint8, movers []update, pairAt []int32) {
 	for i, d := range members {
 		parent := int32(-1)
 		if st.level >= 0 {
 			parent = st.bucket(st.memberLocal[i])
 		}
-		st.memberLocal[i] = splitBucket(seed, level, d, parent)
+		st.memberLocal[i] = split(level, parent, coins[d])
 	}
 	for _, u := range movers {
 		st.memberLocal[st.slot(q, u.slot)] = u.bucket
@@ -590,28 +622,53 @@ func (st *queryState) slot(q, i int32) int32 {
 	return i
 }
 
-// gain returns the full contribution to a member in local bucket l.
-func (st *queryState) gain(tb core.GainTables, l int32) record {
-	return gainRecord(tb.T[st.row.Count(l)-1], tb.T[st.row.Count(l^1)])
+// contribution returns the full contribution to the accumulator of a
+// member in local bucket l.
+func (st *queryState) contribution(tb core.GainTables, l int32) int64 {
+	return tb.T[st.row.Count(l)-1] - tb.T[st.row.Count(l^1)]
 }
 
-// patch returns the change the superstep's row changes make to the
-// accumulators of a clean member in local bucket l, and false when neither
-// its bucket's count nor its sibling's changed.
-func (st *queryState) patch(tb core.GainTables, l int32, changes []core.NDChange) (record, bool) {
-	var cur, oth int64
-	hit := false
-	for _, c := range changes {
-		switch c.B {
-		case l:
-			cur += tb.DeltaOwn(c.COld, c.CNew)
-			hit = true
-		case l ^ 1:
-			oth += tb.DeltaAway(c.COld, c.CNew)
-			hit = true
+// values fills buf, of at least the row's length, with the full
+// contribution to a member in each local bucket that holds one, and returns
+// it over the row: one table term pair per local bucket, however many
+// members share it.
+func (st *queryState) values(tb core.GainTables, buf []int64) []int64 {
+	vals := buf[:2*len(st.pairs)]
+	for l := range vals {
+		if st.row.Count(int32(l)) > 0 {
+			vals[l] = st.contribution(tb, int32(l))
 		}
 	}
-	return patchRecord(cur, oth), hit
+	return vals
+}
+
+// patch is one local bucket's entry in a query's patch table: the change
+// the superstep's row changes make to the accumulator of a clean member in
+// the bucket, and whether the bucket's count or its sibling's changed.
+type patch struct {
+	delta int64
+	hit   bool
+}
+
+// patches folds the row changes into buf, a table over at least the row's
+// length that is all zero on entry, as core's SHP-2 folds a dirty query's
+// patch group: a change at local bucket b moves b's own term (DeltaOwn) and
+// b^1's sibling term (DeltaAway). unpatch zeroes the entries again.
+func patches(tb core.GainTables, changes []core.NDChange, buf []patch) []patch {
+	for _, c := range changes {
+		own, away := &buf[c.B], &buf[c.B^1]
+		own.delta += tb.DeltaOwn(c.COld, c.CNew)
+		away.delta -= tb.DeltaAway(c.COld, c.CNew)
+		own.hit, away.hit = true, true
+	}
+	return buf
+}
+
+// unpatch zeroes the entries of buf that patches set for changes.
+func unpatch(changes []core.NDChange, buf []patch) {
+	for _, c := range changes {
+		buf[c.B], buf[c.B^1] = patch{}, patch{}
+	}
 }
 
 // applyUpdate folds one within-level bucket update into query q's neighbor
@@ -658,16 +715,24 @@ func (st *queryState) resetSuperstep() {
 }
 
 // gainFold is one worker's superstep-1 accumulator: the gains and patches
-// its queries address each data vertex, folded into one record per vertex
-// in held, by data id (the zero record, of the bucket kind, marks an empty
-// entry), and listed in first-touch order in touched. flush, the engine's
-// PostSuperstep hook, sends them: one envelope of one record per (worker,
-// data vertex).
+// its queries address each data vertex, summed in acc by data id. In a
+// patch superstep each entry's kind is kept too (kindBucket, 0, marks an
+// empty entry), and touched lists the entries in first-touch order; flush,
+// from the engine's PostSuperstep hook, sends them, one envelope of one
+// record per (worker, data vertex). In a full superstep every mirrored
+// vertex gets one gain, so the queries add into acc alone and flushGains
+// sends them.
 type gainFold struct {
-	held    []record
+	acc     []int64
+	kind    []uint8
 	touched []int32
 	// plain sends each record as it comes (Options.noFold).
 	plain bool
+}
+
+// newGainFold returns an empty fold over n data vertices.
+func newGainFold(n int) gainFold {
+	return gainFold{acc: make([]int64, n), kind: make([]uint8, n)}
 }
 
 // add folds r, a gain or a patch for data vertex d, in: two gains, or two
@@ -679,40 +744,54 @@ func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r reco
 		ctx.Send(pregel.VertexID(d), r)
 		return
 	}
-	switch h := &f.held[d]; h.kind {
+	switch k := &f.kind[d]; *k {
 	case kindBucket:
-		*h = r
+		*k = r.kind
 		f.touched = append(f.touched, d)
 	case r.kind:
-		cur, oth := h.sums()
-		rc, ro := r.sums()
-		h.lo, h.hi = uint64(cur+rc), uint64(oth+ro)
 	default:
 		//shp:panics(invariant: a vertex is either a mover, sent gains only, or clean, sent patches only; a mix means the barrier protocol broke)
-		panic(fmt.Sprintf("distshp: vertex %d was sent records of kinds %d and %d in one superstep", d, h.kind, r.kind))
+		panic(fmt.Sprintf("distshp: vertex %d was sent records of kinds %d and %d in one superstep", d, *k, r.kind))
 	}
+	f.acc[d] += r.acc()
 }
 
 // flush sends one record per touched vertex and empties the fold. When at
-// least an eighth of the data ids are touched, as in every full
-// rebroadcast, it walks held by ascending id instead of first-touch order,
-// so the engine's placement and envelope slots are read in order too. Each
-// vertex gets one record per worker either way, so only frame order moves.
+// least an eighth of the data ids are touched it walks the ids in ascending
+// order instead of first-touch order, so the engine's placement and
+// envelope slots are read in order too. Each vertex gets one record per
+// worker either way, so only frame order moves.
 func (f *gainFold) flush(ctx *pregel.ContextOf[record, workerAgg]) {
-	if 8*len(f.touched) >= len(f.held) {
-		for d, r := range f.held {
-			if r.kind != kindBucket {
-				ctx.Send(pregel.VertexID(d), r)
-				f.held[d] = record{}
+	if 8*len(f.touched) >= len(f.kind) {
+		for d, k := range f.kind {
+			if k != kindBucket {
+				f.send(ctx, d, k)
 			}
 		}
 	} else {
 		for _, d := range f.touched {
-			ctx.Send(pregel.VertexID(d), f.held[d])
-			f.held[d] = record{}
+			f.send(ctx, int(d), f.kind[d])
 		}
 	}
 	f.touched = f.touched[:0]
+}
+
+// send ships vertex d's entry as a record of kind and empties it.
+func (f *gainFold) send(ctx *pregel.ContextOf[record, workerAgg], d int, kind uint8) {
+	ctx.Send(pregel.VertexID(d), record{kind: kind, word: uint64(f.acc[d])})
+	f.acc[d], f.kind[d] = 0, kindBucket
+}
+
+// flushGains ends a full superstep: every vertex m mirrors received a
+// contribution from each of its queries on the worker, so it sends each
+// one gain, by ascending id, and empties acc.
+func (f *gainFold) flushGains(ctx *pregel.ContextOf[record, workerAgg], m *mirror) {
+	for d := range f.acc {
+		if m.mirrors(d) {
+			ctx.Send(pregel.VertexID(d), gainRecord(f.acc[d]))
+			f.acc[d] = 0
+		}
+	}
 }
 
 // workerAgg is one worker's part of a superstep's aggregate, what its
@@ -884,9 +963,10 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	var mirrors []mirror
 	folds := make([]gainFold, opts.Workers)
 	for w := range folds {
-		folds[w].plain = opts.noFold
-		if !opts.noFold {
-			folds[w].held = make([]record, numD)
+		if opts.noFold {
+			folds[w].plain = true
+		} else {
+			folds[w] = newGainFold(numD)
 		}
 	}
 
@@ -895,7 +975,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables, mirrors)
 		} else if ctx.Superstep()%4 == 1 {
 			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], tables[sched.level],
-				mirrors[ctx.Worker()].full, &folds[ctx.Worker()])
+				&mirrors[ctx.Worker()], &folds[ctx.Worker()])
 		}
 	}
 
@@ -907,8 +987,12 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		}
 	}
 	flush := func(ctx *pregel.ContextOf[record, workerAgg]) {
-		if ctx.Superstep()%4 == 1 {
-			folds[ctx.Worker()].flush(ctx)
+		if w := ctx.Worker(); ctx.Superstep()%4 == 1 {
+			if mirrors[w].full {
+				folds[w].flushGains(ctx, &mirrors[w])
+			} else {
+				folds[w].flush(ctx)
+			}
 		}
 	}
 
@@ -1023,7 +1107,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 		}
 		if st.moved {
 			for w := range mirrors {
-				if len(mirrors[w].of(d)) > 0 {
+				if mirrors[w].mirrors(int(d)) {
 					ctx.SendWorker(w, moverRecord(d, st.bucket))
 				}
 			}
@@ -1032,14 +1116,15 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 	case 1:
 		// The workers' hooks and queries act; data idles.
 	case 2:
-		// Bring the persistent Equation 1 accumulators up to date and
-		// register the gain for moving to the sibling bucket with the master.
+		// Bring the persistent Equation 1 accumulator up to date and
+		// register it, the gain for moving to the sibling bucket, with the
+		// master.
 		// Gains mean "resum from scratch" (movers and rebroadcast iterations
 		// — every adjacent query sent a contribution); patches add in place.
 		// The protocol never mixes the two for one vertex in one superstep.
 		//
 		// Admissibility gate: no superstep-1 traffic and an unchanged bucket
-		// mean the accumulators — and so the gain — are bit-identical to the
+		// mean the accumulator — the gain — is bit-identical to the
 		// registered proposal. Stable vertices neither recompute nor ship,
 		// so late supersteps cost only the moving frontier on this plane.
 		// (The bucket check catches zero-degree movers, whose bucket flips
@@ -1050,12 +1135,10 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			return
 		}
 		tb := tables[level]
-		var sumCur, sumOth int64
+		var acc int64
 		gains, patches := 0, 0
 		for _, m := range msgs {
-			cur, oth := m.sums()
-			sumCur += cur
-			sumOth += oth
+			acc += m.acc()
 			if m.kind == kindGain {
 				gains++
 			} else {
@@ -1068,15 +1151,13 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			panic(fmt.Sprintf("distshp: vertex %d received %d gain and %d patch messages in one superstep",
 				d, gains, patches))
 		case gains > 0:
-			st.sumCur, st.sumOth = sumCur, sumOth
+			st.acc = acc
 		default:
-			st.sumCur += sumCur
-			st.sumOth += sumOth
+			st.acc += acc
 		}
-		st.gain = st.sumCur - st.sumOth
 		agg := ctx.Aggregate()
 		if st.propLevel == level {
-			if key == st.propKey && st.gain == st.propGain {
+			if key == st.propKey && st.acc == st.propGain {
 				// Recomputed (rebroadcast verification) but unchanged:
 				// nothing to ship. Keeps the maintained and full-rebroadcast
 				// regimes' aggregate streams identical.
@@ -1093,15 +1174,15 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			// First proposal of the level: register the full weight.
 			agg.weigh(st.bucket, int64(g.DataWeight(d)))
 		}
-		agg.propose(key, st.gain, tb.Unit(), false)
-		st.propKey, st.propGain, st.propLevel = key, st.gain, level
+		agg.propose(key, st.acc, tb.Unit(), false)
+		st.propKey, st.propGain, st.propLevel = key, st.acc, level
 	case 3:
 		// Read the master's probabilities and maybe move.
 		pt := s.probs[directionKey(st.bucket)]
 		if pt == nil {
 			return
 		}
-		p := pt.ProbFor(st.gain, tables[s.level].Unit())
+		p := pt.ProbFor(st.acc, tables[s.level].Unit())
 		if p <= 0 {
 			return
 		}
@@ -1117,14 +1198,25 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 // splitBucket is the bucket data vertex d takes at the start of level when
 // it was in bucket parent: 2·parent + coin, or the plain coin in {0, 1} at
 // level 0, which ignores parent. It is the split's only definition: data
-// vertices apply it to their bucket, queries to their registries.
+// vertices apply it to their bucket, and queries apply split to their
+// registries with the coins their worker drew (mirror.drawCoins).
 func splitBucket(seed uint64, level int, d, parent int32) int32 {
-	b := int32(0)
-	if level > 0 {
-		b = 2 * parent
-	}
+	return split(level, parent, splitCoin(seed, level, d))
+}
+
+// splitCoin is data vertex d's split coin at level, 0 or 1.
+func splitCoin(seed uint64, level int, d int32) uint8 {
 	if rng.CoinAt(seed^0x51DE, rng.Mix(uint64(level)+1, uint64(d))) >= 0.5 {
-		b++
+		return 1
+	}
+	return 0
+}
+
+// split is splitBucket's bucket for a drawn coin.
+func split(level int, parent int32, coin uint8) int32 {
+	b := int32(coin)
+	if level > 0 {
+		b += 2 * parent
 	}
 	return b
 }
@@ -1138,23 +1230,32 @@ func directionKey(bucket int32) uint64 {
 
 // computeQuery is the program of query vertex q in superstep 1: bring each
 // member's gain state up to date through its worker's fold. Its worker's
-// PreSuperstep hook has already applied the members' bucket updates (see
+// PreSuperstep hook m has already applied the members' bucket updates (see
 // mirror.apply).
 //
-// A dirty query adds a full gain contribution for each member that moved
-// (it is rebuilding) and a patch for each clean member whose sibling pair
-// holds a changed count; clean queries add nothing. When full is set (a
-// level start, a restored run, or a master-scheduled rebroadcast) every
-// query adds every member's full contribution, exactly the paper's
-// per-iteration r = 2 neighbor-data reduction. Integer sums make the order
-// irrelevant to the result.
+// When m.full is set (a level start, a restored run, or a master-scheduled
+// rebroadcast) every query adds every member's full contribution, exactly
+// the paper's per-iteration r = 2 neighbor-data reduction: one value per
+// local bucket, computed once and added per member. Otherwise a dirty query
+// adds a full contribution for each member that moved (it is rebuilding)
+// and a patch, one per local bucket, for each clean member whose sibling
+// pair holds a changed count; clean queries add nothing. Integer sums make
+// the order irrelevant to the result.
 func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, q int32, st *queryState,
-	tb core.GainTables, full bool, fold *gainFold) {
+	tb core.GainTables, m *mirror, fold *gainFold) {
 
 	members := g.QueryNeighbors(q)
-	if full {
+	if m.full {
+		vals := st.values(tb, m.vals)
+		if fold.plain {
+			for i, d := range members {
+				fold.add(ctx, d, gainRecord(vals[st.memberLocal[i]]))
+			}
+			return
+		}
+		acc := fold.acc
 		for i, d := range members {
-			fold.add(ctx, d, st.gain(tb, st.memberLocal[i]))
+			acc[d] += vals[st.memberLocal[i]]
 		}
 		return
 	}
@@ -1162,13 +1263,15 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		return // clean query: members' accumulators are already exact
 	}
 	changes := st.changed()
+	pat := patches(tb, changes, m.pat)
 	for i, d := range members {
 		l := st.memberLocal[i]
 		if st.moved[i] {
-			fold.add(ctx, d, st.gain(tb, l))
-		} else if r, ok := st.patch(tb, l, changes); ok {
-			fold.add(ctx, d, r)
+			fold.add(ctx, d, gainRecord(st.contribution(tb, l)))
+		} else if p := pat[l]; p.hit {
+			fold.add(ctx, d, patchRecord(p.delta))
 		}
 	}
+	unpatch(changes, pat)
 	st.resetSuperstep()
 }

@@ -99,19 +99,30 @@ func TestMatchesSingleMachineQuality(t *testing.T) {
 	}
 }
 
+// TestWorkerCountInvariantResult: the worker count moves which worker runs
+// each query, what its mirror table and fold hold, and which vertices a
+// full superstep's flush sends a gain (the worker's mirrored ones); none of
+// it may move the result. Workers 1, 2, 3, 5 and 8, on both transports and
+// with the fold on and off, must each give the one-worker run's assignment
+// and history.
 func TestWorkerCountInvariantResult(t *testing.T) {
 	g := randomBipartite(t, 11, 200, 300, 1500)
-	a, err := Partition(g, Options{K: 4, Seed: 5, Workers: 1})
+	base, err := Partition(g, Options{K: 4, Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, Options{K: 4, Seed: 5, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Assignment {
-		if a.Assignment[i] != b.Assignment[i] {
-			t.Fatalf("worker count changed assignment at vertex %d", i)
+	for _, tr := range []struct {
+		name string
+		make func() pregel.Transport
+	}{{"memory", pregel.MemoryTransport}, {"tcp", pregel.TCPTransport}} {
+		for _, workers := range []int{1, 2, 3, 5, 8} {
+			for _, noFold := range []bool{false, true} {
+				res, err := Partition(g, Options{K: 4, Seed: 5, Workers: workers, Transport: tr.make(), noFold: noFold})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%s, %d workers, noFold %v", tr.name, workers, noFold), base, res)
+			}
 		}
 	}
 }

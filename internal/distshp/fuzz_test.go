@@ -71,12 +71,13 @@ func envelopeBytes(recs ...record) []byte {
 // FuzzDeltaCodec starts from patch records, the kind that replaced
 // per-bucket delta records.
 func FuzzDeltaCodec(f *testing.F) {
-	f.Add(envelopeBytes(patchRecord(2, -3)))
-	f.Add(envelopeBytes(patchRecord(0, 0)))
-	f.Add(envelopeBytes(patchRecord(math.MinInt64, math.MaxInt64)))
+	f.Add(envelopeBytes(patchRecord(-3)))
+	f.Add(envelopeBytes(patchRecord(0)))
+	f.Add(envelopeBytes(patchRecord(math.MinInt64)))
+	f.Add(envelopeBytes(patchRecord(math.MaxInt64)))
 	f.Add([]byte{})
 	f.Add([]byte{kindPatch, 2, 3})
-	f.Add(envelopeBytes(patchRecord(1, 1))[:16]) // one payload byte short
+	f.Add(envelopeBytes(patchRecord(1))[:8]) // one payload byte short
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -132,6 +133,16 @@ func newQuery(degree, k int) *queryState {
 	return &newQueryStates(1, k, func(int) int { return degree })[0]
 }
 
+// coinTable returns the split coins of data vertices 0..n-1 at level, what
+// a worker's mirror draws for the vertices it holds (mirror.drawCoins).
+func coinTable(seed uint64, level, n int) []uint8 {
+	coins := make([]uint8, n)
+	for d := range coins {
+		coins[d] = splitCoin(seed, level, int32(d))
+	}
+	return coins
+}
+
 // fuzzRun returns the run state of a small graph at fuzzK buckets as it
 // stands at the start of sampleSchedule's iteration (level 1, iteration 2),
 // and two workers that take its vertices alternately.
@@ -142,11 +153,11 @@ func fuzzRun(tb testing.TB) (*runState, [][]*pregel.Vertex) {
 	for d := range s.data {
 		st := &s.data[d]
 		st.bucket = splitBucket(seed, 1, int32(d), splitBucket(seed, 0, int32(d), -1))
-		st.level, st.sumCur, st.sumOth, st.propKey, st.propLevel = 1, int64(d), -int64(d), directionKey(st.bucket), 1
+		st.level, st.acc, st.propKey, st.propLevel = 1, 2*int64(d), directionKey(st.bucket), 1
 	}
 	for q := range s.query {
 		for level := 0; level <= 1; level++ {
-			s.query[q].register(int32(q), level, seed, g.QueryNeighbors(int32(q)), nil, make([]int32, fuzzK/2))
+			s.query[q].register(int32(q), level, g.QueryNeighbors(int32(q)), coinTable(seed, level, g.NumData()), nil, make([]int32, fuzzK/2))
 		}
 	}
 	workers := make([][]*pregel.Vertex, 2)
@@ -347,7 +358,7 @@ func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 		}
 	}
 	batch := envelopeBytes(moverRecord(1, 0), moverRecord(2, fuzzK))
-	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1, 2)}); err == nil || len(recs) != 1 {
+	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1)}); err == nil || len(recs) != 1 {
 		t.Errorf("batch with a bucket of K: decoded %+v (err %v)", recs, err)
 	}
 	for _, r := range []record{moverRecord(3, 0), moverRecord(3, fuzzK-1), moverRecord(15, 0), moverRecord(0, 1)} {
@@ -361,15 +372,15 @@ func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 // fold-off side of the equivalence tests sends: a batch decodes whole, and
 // two patch envelopes back to back decode as the first one alone.
 func FuzzDeltaBatchCodec(f *testing.F) {
-	two := append(envelopeBytes(patchRecord(2, 0)), envelopeBytes(patchRecord(3, 1))...)
-	batch := envelopeBytes(patchRecord(2, 0), patchRecord(3, 1))
+	two := append(envelopeBytes(patchRecord(2)), envelopeBytes(patchRecord(-3))...)
+	batch := envelopeBytes(patchRecord(2), patchRecord(-3))
 	f.Add(two)
 	f.Add(batch)
-	f.Add(cat([]byte{kindPatch | batchBit, 1}, le64(2, 0)))                             // a batch of one
+	f.Add(cat([]byte{kindPatch | batchBit, 1}, le64(2)))                                // a batch of one
 	f.Add(batch[:len(batch)-1])                                                         // truncated last record
 	f.Add([]byte{kindPatch | batchBit, 200})                                            // truncated uvarint count
 	f.Add([]byte{kindPatch | batchBit, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Add(envelopeBytes(gainRecord(1, -1), gainRecord(math.MaxInt64, 0), gainRecord(0, math.MinInt64)))
+	f.Add(envelopeBytes(gainRecord(1), gainRecord(math.MaxInt64), gainRecord(math.MinInt64)))
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -397,9 +408,10 @@ func FuzzBucketBatchCodec(f *testing.F) {
 }
 
 func FuzzGainCodec(f *testing.F) {
-	f.Add(envelopeBytes(gainRecord(3, -1)))
+	f.Add(envelopeBytes(gainRecord(-4)))
 	f.Add([]byte{})
 	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7}) // one payload byte short
 	f.Fuzz(checkRecordCodec)
 }
 

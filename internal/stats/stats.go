@@ -48,14 +48,14 @@ func percentileSorted(sorted []float64, q float64) float64 {
 	if q >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := q / 100 * float64(len(sorted)-1)
+	rank := float64(q / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Mean returns the arithmetic mean, or NaN for empty input.
@@ -79,7 +79,7 @@ func StdDev(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(xs)))
 }
@@ -98,7 +98,7 @@ type Summary struct {
 func (s *Summary) Add(x float64) {
 	s.N++
 	s.Sum += x
-	s.SumSq += x * x
+	s.SumSq += float64(x * x)
 	if !s.hasValue || x < s.MinV {
 		s.MinV = x
 	}
@@ -142,7 +142,7 @@ func (s *Summary) Variance() float64 {
 		return math.NaN()
 	}
 	m := s.Mean()
-	v := s.SumSq/float64(s.N) - m*m
+	v := s.SumSq/float64(s.N) - float64(m*m)
 	if v < 0 {
 		v = 0 // guard against floating point cancellation
 	}
