@@ -392,24 +392,24 @@ func runDistributed(g *shp.Hypergraph, k int, p, eps float64, iters int, seed ui
 	fmt.Fprintf(os.Stderr, "fanout:    random %.4f -> shp %.4f\n", before.Fanout, after.Fanout)
 	fmt.Fprintf(os.Stderr, "messages:  %d total, %d crossed workers, %.2f MB on the %s plane\n",
 		res.Stats.TotalMessages, res.Stats.RemoteMessages,
-		float64(res.Stats.TotalBytes)/(1<<20), transport)
+		float64(res.Stats.TotalBytes)/1e6, transport)
 	phases := res.Stats.PhaseTotals(4)
 	fmt.Fprintf(os.Stderr, "phase KB:  bucket-updates %.1f, gain/patch %.1f, proposals %.1f, moves %.1f\n",
-		float64(phases[0].BytesSent)/(1<<10), float64(phases[1].BytesSent)/(1<<10),
-		float64(phases[2].BytesSent)/(1<<10), float64(phases[3].BytesSent)/(1<<10))
+		float64(phases[0].BytesSent)/1e3, float64(phases[1].BytesSent)/1e3,
+		float64(phases[2].BytesSent)/1e3, float64(phases[3].BytesSent)/1e3)
 	var totalMoved int64
 	for _, rec := range res.History {
 		totalMoved += rec.Moved
 	}
 	late, lateBytes := res.LateGainBytes(0.01)
 	fmt.Fprintf(os.Stderr, "moved:     %d vertices across %d iterations; %d late iterations (<=1%% moved) shipped %.1f KB on the gain/patch superstep\n",
-		totalMoved, len(res.History), late, float64(lateBytes)/(1<<10))
+		totalMoved, len(res.History), late, float64(lateBytes)/1e3)
 	lateP, lateAgg := res.LateProposalBytes(0.01)
 	fmt.Fprintf(os.Stderr, "proposals: %.1f KB aggregator traffic total; %d late iterations shipped %.1f KB of retract/assert deltas\n",
-		float64(res.Stats.AggBytes)/(1<<10), lateP, float64(lateAgg)/(1<<10))
+		float64(res.Stats.AggBytes)/1e3, lateP, float64(lateAgg)/1e3)
 	if verbose {
 		fmt.Fprintf(os.Stderr, "resilience: %d recoveries, %d retried frames, %.1f KB of checkpoint snapshots\n",
-			res.Stats.Recoveries, res.Stats.RetriedFrames, float64(res.Stats.CheckpointBytes)/(1<<10))
+			res.Stats.Recoveries, res.Stats.RetriedFrames, float64(res.Stats.CheckpointBytes)/1e3)
 	}
 
 	out := os.Stdout

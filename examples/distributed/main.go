@@ -36,7 +36,7 @@ func main() {
 		fmt.Printf("  messages: %d total, %d crossed machines (%.0f%%), %.2f MB\n",
 			res.Stats.TotalMessages, res.Stats.RemoteMessages,
 			100*float64(res.Stats.RemoteMessages)/float64(res.Stats.TotalMessages+1),
-			float64(res.Stats.TotalBytes)/(1<<20))
+			float64(res.Stats.TotalBytes)/1e6)
 		perIter := float64(res.Stats.TotalMessages) / float64(res.Iterations+1)
 		fmt.Printf("  per refinement iteration: %.0f messages (|E| = %d — O(|E|) as Section 3.3 predicts)\n",
 			perIter, g.NumEdges())
@@ -78,6 +78,6 @@ func main() {
 		same = same && mem.Assignment[i] == recovered.Assignment[i]
 	}
 	fmt.Printf("\nfault tolerance: %d recovery (rolled back and replayed), %.1f KB of checkpoints,\n",
-		recovered.Stats.Recoveries, float64(recovered.Stats.CheckpointBytes)/(1<<10))
+		recovered.Stats.Recoveries, float64(recovered.Stats.CheckpointBytes)/1e3)
 	fmt.Printf("  partition identical to the undisturbed run = %v\n", same)
 }

@@ -27,11 +27,11 @@ import (
 // (ndState) over the k buckets, with the dirty-query machinery that
 // snapshots each touched query's pre-batch row and hands the records to the
 // refiner, so it can patch its members' accumulators through
-// GainTables.DeltaOwn/DeltaAway. The distributed plane's query vertices each
-// hold one row and one snapshot row carved by NewPinRows, over only the
-// sibling pairs their members occupy at the current level (so a row's size
-// is bounded by the query's degree, not by K), and ship the same records
-// over the wire. Because every table value is an integer count of gain
+// GainTables.DeltaOwn/DeltaAway. The distributed plane's queries each hold
+// one row carved by NewPinRows, over only the sibling pairs their members
+// occupy at the current level (so a row's size is bounded by the query's
+// degree, not by K), diff it against their worker's one snapshot row, and
+// ship the same records over the wire. Because every table value is an integer count of gain
 // units (gains.go), a patched accumulator equals a from-scratch resummation
 // in any order — the property all the "patched state yields the bytes of
 // full recomputation" guarantees rest on.

@@ -12,10 +12,11 @@ import (
 // superstep where every vertex addresses one record to one of a few hubs,
 // the engine may allocate a bounded handful of things per superstep
 // (goroutines, barrier maps), nothing per record. Two arms: gains, which
-// every vertex adds into its worker's gainFold and the PostSuperstep hook
-// flushes, one record per (worker, hub), and bucket updates, which every
-// vertex sends, so each Send appends to its hub's envelope and ships in a
-// batch. Per-superstep allocation is the difference of a long and a short
+// every vertex sends its own worker as a (hub, gain) record, as Partition's
+// movers send theirs, and the next superstep's hook adds into the worker's
+// gainFold and flushes, one record per (worker, hub); and bucket updates,
+// which every vertex sends, so each Send appends to its hub's envelope and
+// ships in a batch. Per-superstep allocation is the difference of a long and a short
 // run, which cancels engine construction and first-use buffer growth.
 func TestCombinerPlaneAllocations(t *testing.T) {
 	const n, hubs, short, long, bound = 2000, 16, 4, 12, 64
@@ -27,11 +28,7 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 			for _, arm := range []struct {
 				name string
 				fold bool
-				msg  func(v pregel.VertexID) record
-			}{
-				{"fold", true, func(pregel.VertexID) record { return gainRecord(1) }},
-				{"batch", false, func(v pregel.VertexID) record { return moverRecord(int32(v), int32(v)%2) }},
-			} {
+			}{{"fold", true}, {"batch", false}} {
 				t.Run(arm.name, func(t *testing.T) {
 					vertices := make([]*pregel.Vertex, n)
 					for i := range vertices {
@@ -49,12 +46,19 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 								Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 									received.Add(int64(len(msgs)))
 									if arm.fold {
-										folds[ctx.Worker()].add(ctx, int32(v.ID%hubs), arm.msg(v.ID))
+										ctx.SendWorker(ctx.Worker(), moverRecord(int32(v.ID%hubs), 1))
 									} else {
-										ctx.Send(v.ID%hubs, arm.msg(v.ID))
+										ctx.Send(v.ID%hubs, moverRecord(int32(v.ID), int32(v.ID)%2))
 									}
 								},
-								PostSuperstep: func(ctx *pregel.ContextOf[record, workerAgg]) { folds[ctx.Worker()].flush(ctx) },
+								PreSuperstep: func(ctx *pregel.ContextOf[record, workerAgg], msgs []record) {
+									f := &folds[ctx.Worker()]
+									for _, r := range msgs {
+										hub, gain := r.mover()
+										f.add(ctx, hub, gainRecord(int64(gain)))
+									}
+									f.flush(ctx)
+								},
 							}, vertices)
 							if err != nil {
 								t.Fatal(err)
@@ -81,8 +85,8 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 // TestPartitionAllocations bounds the objects one Partition call allocates
 // on a fixed graph. Vertex states, registries, pair room, rows and the
 // engine's vertices come from a handful of per-run slabs, so what is left is
-// per superstep (the engine's barrier, the master's maps) and the delta
-// scratch of queries that see movers: 0.9 objects per vertex here. One more
+// per superstep (the engine's barrier, the master's maps) and each worker's
+// patch scratch: 0.9 objects per vertex here. One more
 // allocation per query breaks the bound. Boxed states, a registry and a flag
 // slice per query, and pair lists that outgrew their room at every level
 // start took 3.3 per vertex.

@@ -147,12 +147,14 @@ func TestCombineSemantics(t *testing.T) {
 	}
 }
 
-// runRecords runs one superstep of send on a two-worker record engine with
-// distshp's codec and a per-worker gainFold that the PostSuperstep hook
-// flushes, as Partition wires them, and returns what each vertex received
-// in the next superstep, with the run's stats.
+// runRecords runs one gain step on a two-worker record engine with
+// distshp's codec and a per-worker gainFold, as Partition wires them: in
+// superstep 0 each worker's hook runs send for each vertex placed on it,
+// ascending, as a gain step runs its queries, and flushes the fold. It
+// returns what each vertex received in superstep 1, with the run's stats.
 func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *pregel.ContextOf[record, workerAgg], v pregel.VertexID, fold *gainFold)) ([][]record, *pregel.Stats) {
 	t.Helper()
+	const workers = 2
 	vertices := make([]*pregel.Vertex, n)
 	for i := range vertices {
 		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
@@ -160,19 +162,26 @@ func runRecords(t *testing.T, transport pregel.Transport, n int, send func(ctx *
 	folds := []gainFold{newGainFold(n), newGainFold(n)}
 	got := make([][]record, n)
 	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
-		Workers:       2,
+		Workers:       workers,
 		MaxSupersteps: 2,
 		Transport:     transport,
 		Codecs:        wideWire,
 		Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
-			if ctx.Superstep() == 0 {
-				send(ctx, v.ID, &folds[ctx.Worker()])
-			} else {
-				got[v.ID] = append(got[v.ID], msgs...)
-			}
+			got[v.ID] = append(got[v.ID], msgs...)
 			ctx.VoteToHalt()
 		},
-		PostSuperstep: func(ctx *pregel.ContextOf[record, workerAgg]) { folds[ctx.Worker()].flush(ctx) },
+		PreSuperstep: func(ctx *pregel.ContextOf[record, workerAgg], _ []record) {
+			if ctx.Superstep() != 0 {
+				return
+			}
+			w := ctx.Worker()
+			for v := pregel.VertexID(0); v < pregel.VertexID(n); v++ {
+				if pregel.HashWorker(v, workers) == w {
+					send(ctx, v, &folds[w])
+				}
+			}
+			folds[w].flush(ctx)
+		},
 	}, vertices)
 	if err != nil {
 		t.Fatal(err)

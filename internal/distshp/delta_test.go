@@ -105,7 +105,7 @@ func TestDistRebuildScheduleInvariant(t *testing.T) {
 
 // TestDistDeltaPatchProperty is the distributed mirror of core's
 // patched-vs-rebuilt property tests: random move batches flow through the
-// real query-side diff (applyUpdate on the member updates a mirror table
+// real query-side diff (applyTracked on the member updates a mirror table
 // fans out, and changed, on the pin-count rows), the real patch computation
 // (patches, one table per dirty query), the real wire codec, and the data
 // side's additive patch; after every batch the patched accumulators of
@@ -171,6 +171,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		isObserver[o] = true
 		obs[o] = &dataState{bucket: bucketOf[o], acc: scratchAcc(o)}
 	}
+	scratch := &mirror{moved: make([]bool, numData)}
 	pat := make([]patch, buckets)
 
 	for round := 0; round < rounds; round++ {
@@ -188,21 +189,21 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		// exactly as computeQuery does.
 		folded := map[int32][]record{}
 		for q, st := range qs {
-			dirty := false
+			var ups []update
 			for i, d := range members[q] {
 				if nb, ok := moves[d]; ok {
-					st.applyUpdate(int32(q), update{int32(i), nb}, true)
-					dirty = true
+					ups = append(ups, update{int32(i), nb})
 				}
 			}
-			if !dirty {
+			if len(ups) == 0 {
 				continue
 			}
-			changes := st.changed()
+			scratch.applyTracked(int32(q), st, ups)
+			changes := scratch.changed(st)
 			patches(tb, changes, pat)
 			for i, d := range members[q] {
 				p := pat[st.memberLocal[i]]
-				if st.moved[i] || !p.hit {
+				if scratch.moved[i] || !p.hit {
 					continue
 				}
 				rec := patchRecord(p.delta)
@@ -223,7 +224,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if slices.ContainsFunc(pat, func(p patch) bool { return p != patch{} }) {
 				t.Fatalf("round %d: query %d left the patch table %v", round, q, pat)
 			}
-			st.resetSuperstep()
+			clear(scratch.moved)
 		}
 		for d, nb := range moves {
 			bucketOf[d] = nb
@@ -290,16 +291,16 @@ func TestQueryInvariantPanicsNameTheQuery(t *testing.T) {
 		name string
 		run  func(st *queryState)
 	}{
-		{"slot out of range", func(st *queryState) { st.applyUpdate(42, update{3, 0}, true) }},
-		{"negative slot", func(st *queryState) { st.applyUpdate(42, update{-1, 0}, true) }},
+		{"slot out of range", func(st *queryState) { st.applyUpdate(42, update{3, 0}, nil) }},
+		{"negative slot", func(st *queryState) { st.applyUpdate(42, update{-1, 0}, nil) }},
 		{"registration slot out of range", func(st *queryState) {
 			st.register(42, 2, members, coinTable(0, 2, 10), []update{{3, 0}}, make([]int32, 4))
 		}},
-		{"new pair", func(st *queryState) { st.applyUpdate(42, update{0, 4}, true) }},
-		{"not a move", func(st *queryState) { st.applyUpdate(42, update{2, 3}, true) }},
+		{"new pair", func(st *queryState) { st.applyUpdate(42, update{0, 4}, nil) }},
+		{"not a move", func(st *queryState) { st.applyUpdate(42, update{2, 3}, nil) }},
 		{"lost pin", func(st *queryState) {
 			st.row.Transfer(42, 1, 0) // member 5's pin leaves bucket 1 behind the registry's back
-			st.applyUpdate(42, update{1, 0}, true)
+			st.applyUpdate(42, update{1, 0}, nil)
 		}},
 	} {
 		func() {

@@ -2,13 +2,20 @@
 // bisection driven entirely inside the vertex-centric model (Sections 3.2
 // and 3.3, Figure 3), running on the pregel engine.
 //
+// The engine's vertices are the data vertices. A query is state of the
+// worker it is placed on (pregel.HashWorker of |D| plus its id, where Figure 3
+// places it as a Giraph vertex), kept beside that worker's mirror table, and
+// its program runs in the worker's hook: no record is addressed to a query.
+//
 // Each refinement iteration is four supersteps with barriers between them:
 //
 //	superstep 0: movers send their new bucket to the workers that hold
 //	             their adjacent queries, which maintain neighbor data
 //	             incrementally;
-//	superstep 1: queries send each adjacent data vertex what it needs to
-//	             bring its sibling-pair gain state up to date (see below);
+//	superstep 1: each worker's PreSuperstep hook is the gain superstep: its
+//	             queries take their updates and send each adjacent data
+//	             vertex what it needs to bring its sibling-pair gain state
+//	             up to date (see below); data vertices idle;
 //	superstep 2: data vertices compute Equation 1 move gains and register
 //	             (direction, gain) proposals with the master, folding them
 //	             into their worker's part of the aggregate — changed
@@ -29,18 +36,18 @@
 //     record carries one int64, 8 bytes on the wire and 16 in memory.
 //   - Bucket updates travel by mirror, as PowerGraph's do (Gonzalez et al.,
 //     OSDI 2012). Each worker holds a mirror table: for every data vertex,
-//     the (query, slot) pairs of its queries the engine placed on that
-//     worker, slot being the vertex's position in the query's sorted member
-//     list. A mover sends one (id, bucket) record to each worker that hosts
-//     one of its queries (pregel's SendWorker), not one per incidence. The
-//     worker's PreSuperstep hook fans the records out through its table,
-//     grouped by query in one counting pass so each dirty query takes its
-//     updates in a row, and applies them before any query runs. A query's
-//     registry holds each member's local row bucket, so an in-level move is
-//     l → l^1 and no record is looked up; bucket ids meet the registry's
-//     pairs only at a level's registration, which the hook runs too, after
-//     drawing each mirrored vertex's split coin once for all the worker's
-//     queries (mirror.drawCoins).
+//     the (query, slot) pairs of the worker's queries, slot being the
+//     vertex's position in the query's sorted member list. A mover sends one
+//     (id, bucket) record to each worker that hosts one of its queries
+//     (pregel's SendWorker), not one per incidence. The worker's hook fans
+//     the records out through its table, grouped by query in one counting
+//     pass, and then takes its queries in one ascending pass, each applying
+//     its updates in a row and sending what they change (mirror.gainStep). A
+//     query's registry holds each member's local row bucket, so an in-level
+//     move is l → l^1 and no record is looked up; bucket ids meet the
+//     registry's pairs only at a level's registration, which the hook runs
+//     too, after drawing each mirrored vertex's split coin once for all the
+//     worker's queries (mirror.drawCoins).
 //   - After a move round, a dirty query (one that received bucket updates)
 //     diffs its pin-count row and folds the changes into one patch per
 //     local bucket through core.GainTables.DeltaOwn / DeltaAway, as core's
@@ -54,17 +61,17 @@
 //     contribution from every adjacent query — all of which are dirty,
 //     because the mover's record reached each of them — and resum from
 //     scratch.
-//   - Contributions fold per worker in the program, as Giraph's combiners
-//     fold them per destination: a query adds each gain or patch into its
-//     worker's dense accumulator by data id (gainFold), and the engine's
-//     PostSuperstep hook sends one record per touched vertex, so every
-//     superstep-1 envelope holds one record. In a full superstep (a level
-//     start's, a restored run's or a sweep's) a query computes the
-//     contribution once per local bucket (queryState.values), each member
-//     adds its bucket's into a plain per-worker slab, and the hook sends one
-//     gain per vertex the worker mirrors, by ascending id. The receiver adds
-//     what each worker sent; the engine folds nothing. The accumulators are
-//     empty at every barrier, so no checkpoint holds them.
+//   - Contributions fold per worker, as Giraph's combiners fold them per
+//     destination: a query adds each gain or patch into its worker's dense
+//     accumulator by data id (gainFold), and the hook, once its last query
+//     has run, sends one record per touched vertex, so every superstep-1
+//     envelope holds one record. In a full superstep (a level start's, a
+//     restored run's or a sweep's) a query computes the contribution once
+//     per local bucket (queryState.values), each member adds its bucket's
+//     into a plain per-worker slab, and the hook sends one gain per vertex
+//     the worker mirrors, by ascending id. The receiver adds what each worker
+//     sent; the engine folds nothing. The accumulators are empty at every
+//     barrier, so no checkpoint holds them.
 //   - All gain-table values are integer units (core's gains.go), so patched
 //     accumulators equal what a full resummation produces, in any order:
 //     the incremental and full paths yield byte-identical partitions and
@@ -355,18 +362,18 @@ type memberRef struct{ q, slot int32 }
 // update is one member's bucket update, fanned out from a mover's record.
 type update struct{ slot, bucket int32 }
 
-// mirror is one worker's mirror table and the state its PreSuperstep hook
-// keeps. ref lists, for each data vertex, the queries the engine placed on
-// the worker that it belongs to, in ascending query order, each with the
-// vertex's slot: a CSR of one entry per local incidence, 8 bytes each. The
-// vertices with entries are the worker's mirrored vertices.
+// mirror is one worker's mirror table and the state its gain step keeps.
+// ref lists, for each data vertex, the worker's queries that it belongs to,
+// in ascending query order, each with the vertex's slot: a CSR of one entry
+// per local incidence, 8 bytes each. The vertices with entries are the
+// worker's mirrored vertices.
 type mirror struct {
 	queries []int32 // the worker's queries, ascending
 	off     []int64 // data vertex d's entries are ref[off[d]:off[d+1]]
 	ref     []memberRef
-	// full is set while a superstep 1 sends every member's full
-	// contribution: a level start's, a restored run's or a sweep's.
-	full bool
+	// level is the level the worker's queries registered at, -1 while they
+	// are unregistered (a fresh or restored run): they register together.
+	level int
 	// coin holds each mirrored vertex's split coin at the current level,
 	// drawn once per worker at a level start for its queries' registrations.
 	coin []uint8
@@ -377,27 +384,36 @@ type mirror struct {
 	pat  []patch
 	// The counting pass's scratch: update groups by local query, query i's
 	// at upd[start[i]:start[i+1]], and start's two spare entries; empty
-	// between hooks.
+	// between gain steps.
 	start []int32
 	upd   []update
 	// pairAt is the worker's pair table, which its queries' registrations
 	// mark (queryState.recount).
 	pairAt []int32
+	// A patch superstep's per-query scratch (applyTracked): snap is the
+	// query's row before its updates, moved flags its movers by member
+	// index, all false between queries, and changes is the row diff.
+	snap    core.PinRow
+	moved   []bool
+	changes []core.NDChange
+	// fold is the worker's superstep-1 accumulator over all data ids.
+	fold gainFold
 }
 
 // newMirrors builds every worker's mirror table over g at k buckets, with
-// workerOf the worker the engine placed query q on, in one pass over the
-// queries in ascending order, which is the order each data vertex lists
-// them in.
+// workerOf the worker query q is placed on, in one pass over the queries in
+// ascending order, which is the order each data vertex lists them in.
 func newMirrors(g *hypergraph.Bipartite, k, workers int, workerOf func(q int32) int) []mirror {
 	numD := g.NumData()
 	ms := make([]mirror, workers)
 	for w := range ms {
+		ms[w].level = -1
 		ms[w].off = make([]int64, numD+1)
 		ms[w].pairAt = make([]int32, k/2)
 		ms[w].coin = make([]uint8, numD)
 		ms[w].vals = make([]int64, k)
 		ms[w].pat = make([]patch, k)
+		ms[w].moved = make([]bool, g.MaxQueryDegree())
 	}
 	for q := int32(0); q < int32(g.NumQueries()); q++ {
 		m := &ms[workerOf(q)]
@@ -443,17 +459,19 @@ func (m *mirror) drawCoins(seed uint64, level int) {
 	}
 }
 
-// apply is the worker's PreSuperstep hook in a gain superstep: it fans the
-// movers' records out to the worker's queries and applies them, before any
-// of those queries runs. A counting pass groups the updates by query, so
-// each dirty query takes its updates in a row; applied mover by mover, the
-// query states miss the cache. At a level start, or in a restored run,
-// every query registers instead, its movers overriding the derived split,
-// which reads the coins the hook draws for the level first. The worker's
-// queries register together, so the first one's level is theirs. The
-// live-entry diff of the worker's rows goes to the master.
-func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, queries []queryState,
-	movers []record, s *schedule) {
+// gainStep is the worker's gain superstep, which its PreSuperstep hook runs
+// in superstep 1. A counting pass groups the movers' records by query
+// through the table, so each dirty query takes its updates in a row; applied
+// mover by mover, the query states miss the cache. Then one ascending pass
+// over the worker's queries applies each one's updates — or, at a level
+// start or in a restored run, registers it, its movers overriding the
+// derived split, which reads the coins the step draws for the level first —
+// and runs computeQuery for it, at the level's table tb; a patch superstep
+// skips the clean queries, whose members' accumulators are already exact.
+// The fold is flushed last. The live-entry diff of the worker's rows goes to
+// the master.
+func (m *mirror) gainStep(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, queries []queryState,
+	movers []record, s *schedule, tb core.GainTables) {
 
 	start := m.start
 	for _, r := range movers {
@@ -475,31 +493,43 @@ func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.B
 		}
 	}
 	level := s.level
-	levelStart := len(m.queries) > 0 && queries[m.queries[0]].level != level
-	m.full = levelStart || s.rebuildNext
+	levelStart := m.level != level
+	full := levelStart || s.rebuildNext
 	if levelStart {
 		m.drawCoins(s.opts.Seed, level)
+		m.level = level
 	}
 	diff := 0
 	for i, q := range m.queries {
 		st := &queries[q]
 		ups := m.upd[start[i]:start[i+1]]
-		if levelStart {
+		switch {
+		case levelStart:
 			live := st.row.Live()
 			st.register(q, level, g.QueryNeighbors(q), m.coin, ups, m.pairAt)
 			diff += st.row.Live() - live
+		case full:
+			for _, u := range ups {
+				diff += st.applyUpdate(q, u, nil)
+			}
+		case len(ups) == 0:
 			continue
+		default:
+			diff += m.applyTracked(q, st, ups)
 		}
-		for _, u := range ups {
-			diff += st.applyUpdate(q, u, !m.full)
-		}
+		computeQuery(ctx, g, q, st, tb, full, m)
 	}
 	clear(start)
+	if full {
+		m.fold.flushGains(ctx, m)
+	} else {
+		m.fold.flush(ctx)
+	}
 	ctx.Aggregate().fanoutDiff += int64(diff)
 }
 
-// queryState is the per-query-vertex state: the paper's "neighbor data"
-// n_b(q), held in SHP-k's pin-count row (core.PinRow) so the gain superstep
+// queryState is one query's state on its worker: the paper's "neighbor
+// data" n_b(q), held in SHP-k's pin-count row (core.PinRow) so the gain superstep
 // performs zero hash operations. During a level a member only moves inside
 // its sibling pair, so the pairs the registered members occupy are fixed
 // from registration to the level's end, and the row counts over just those:
@@ -508,11 +538,10 @@ func (m *mirror) apply(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.B
 // order is ascending bucket order. The member registry is an int32 slice
 // aligned with the query's sorted adjacency list, addressed by the slot its
 // worker's mirror table holds, and holds local buckets, so the per-level
-// reset is a linear fill instead of a map rebuild. The query's id is its vertex id
-// minus |D|, so the state does not store it. All but its diff buffer come
-// from run slabs (newQueryStates).
+// reset is a linear fill instead of a map rebuild. The states are indexed by
+// query id, so a state does not store it, and come from run slabs
+// (newQueryStates).
 type queryState struct {
-	level int // -1 until the first registration
 	// memberLocal[i] is the local row bucket of the i-th member of the
 	// query's sorted adjacency list, as last heard.
 	memberLocal []int32
@@ -522,35 +551,24 @@ type queryState struct {
 	// are exactly what recount derives from the members' buckets.
 	pairs []int32
 	row   core.PinRow
-
-	// Per-superstep scratch, reused so the steady state allocates nothing:
-	// snap is the row as it stood before this superstep's first tracked
-	// update (diffed by changed), moved flags this superstep's movers by
-	// member index and movers counts them, changes is the diff output buffer.
-	snap    core.PinRow
-	moved   []bool
-	movers  int
-	changes []core.NDChange
 }
 
 // newQueryStates carves n unregistered query states, query q of degree(q)
 // members, from per-run slabs: registries beside room for min(degree, k/2)
-// sibling pairs, mover flags, and live and snapshot rows over the room.
+// sibling pairs, and rows over the room.
 func newQueryStates(n, k int, degree func(q int) int) []queryState {
 	room := func(q int) int { return min(degree(q), k/2) }
-	ints, flags := 0, 0
+	ints := 0
 	for q := 0; q < n; q++ {
 		ints += degree(q) + room(q)
-		flags += degree(q)
 	}
-	buf, moved := make([]int32, ints), make([]bool, flags)
-	rows := core.NewPinRows(2*n, func(i int) int { return 2 * room(i/2) })
+	buf := make([]int32, ints)
+	rows := core.NewPinRows(n, func(q int) int { return 2 * room(q) })
 	states := make([]queryState, n)
 	for q := range states {
 		deg, r := degree(q), room(q)
-		states[q] = queryState{level: -1, row: rows[2*q], snap: rows[2*q+1],
-			memberLocal: buf[:deg:deg], pairs: buf[deg : deg : deg+r], moved: moved[:deg:deg]}
-		buf, moved = buf[deg+r:], moved[deg:]
+		states[q] = queryState{row: rows[q], memberLocal: buf[:deg:deg], pairs: buf[deg : deg : deg+r]}
+		buf = buf[deg+r:]
 	}
 	return states
 }
@@ -560,13 +578,14 @@ func newQueryStates(n, k int, degree func(q int) int) []queryState {
 // the member itself made it with its coin in coins (by data id; see
 // splitCoin), unless the member moved in the previous iteration: then its
 // update in movers carries the bucket. An unregistered query (a fresh or
-// restored run) splits nothing it holds: at level 0 the split ignores the
-// parent, and a restored run's every member is a mover. pairAt is the
-// worker's pair table (see recount).
+// restored run), which holds no pairs, splits nothing it holds: at level 0
+// the split ignores the parent, and a restored run's every member is a
+// mover. pairAt is the worker's pair table (see recount).
 func (st *queryState) register(q int32, level int, members []int32, coins []uint8, movers []update, pairAt []int32) {
+	registered := len(st.pairs) > 0
 	for i, d := range members {
 		parent := int32(-1)
-		if st.level >= 0 {
+		if registered {
 			parent = st.bucket(st.memberLocal[i])
 		}
 		st.memberLocal[i] = split(level, parent, coins[d])
@@ -574,7 +593,6 @@ func (st *queryState) register(q int32, level int, members []int32, coins []uint
 	for _, u := range movers {
 		st.memberLocal[st.slot(q, u.slot)] = u.bucket
 	}
-	st.level = level
 	st.recount(pairAt)
 }
 
@@ -598,7 +616,6 @@ func (st *queryState) recount(pairAt []int32) {
 		pairAt[p] = int32(i) + 1
 	}
 	st.row = st.row.Reshape(2 * len(st.pairs))
-	st.snap = st.snap.Reshape(2 * len(st.pairs))
 	for i, b := range st.memberLocal {
 		l := (pairAt[b>>1]-1)<<1 | b&1
 		st.memberLocal[i] = l
@@ -673,12 +690,9 @@ func unpatch(changes []core.NDChange, buf []patch) {
 
 // applyUpdate folds one within-level bucket update into query q's neighbor
 // data: a transfer from the member's local bucket l to l^1, its sibling. It
-// returns the change in the row's live entries. When track is set (the
-// incremental plane), the row is snapshotted before the superstep's first
-// tracked update and the updating member is flagged as a mover, so changed
-// can diff the net per-bucket changes and the send loop can route full
-// contributions to movers only.
-func (st *queryState) applyUpdate(q int32, u update, track bool) int {
+// returns the change in the row's live entries. A non-nil moved flags the
+// updating member by index.
+func (st *queryState) applyUpdate(q int32, u update, moved []bool) int {
 	i, bucket := st.slot(q, u.slot), u.bucket
 	from := st.memberLocal[i]
 	if to := from ^ 1; st.bucket(to) != bucket {
@@ -686,39 +700,41 @@ func (st *queryState) applyUpdate(q int32, u update, track bool) int {
 		panic(fmt.Sprintf("distshp: member %d of query %d moved to bucket %d, not to the sibling of its bucket %d",
 			i, q, bucket, st.bucket(from)))
 	}
-	if track {
-		if st.movers == 0 {
-			st.snap.CopyFrom(st.row)
-		}
-		if !st.moved[i] {
-			st.moved[i] = true
-			st.movers++
-		}
+	if moved != nil {
+		moved[i] = true
 	}
 	st.memberLocal[i] = from ^ 1
 	return st.row.Transfer(q, from, from^1)
 }
 
-// changed diffs the pre-superstep snapshot against the current row into
-// canonical ascending (local bucket, cOld, cNew) changes, skipping buckets
-// whose net count is unchanged. 0 means "entry absent" on either side.
-func (st *queryState) changed() []core.NDChange {
-	st.changes = st.row.Diff(st.changes[:0], st.snap)
-	return st.changes
+// applyTracked applies query q's updates ups in a patch superstep, with the
+// row snapshotted in m.snap first and each updating member flagged in
+// m.moved, so changed can diff the net per-bucket changes and computeQuery
+// can route full contributions to movers only. It returns the change in the
+// row's live entries.
+func (m *mirror) applyTracked(q int32, st *queryState, ups []update) int {
+	m.snap = m.snap.Reshape(2 * len(st.pairs))
+	m.snap.CopyFrom(st.row)
+	diff := 0
+	for _, u := range ups {
+		diff += st.applyUpdate(q, u, m.moved)
+	}
+	return diff
 }
 
-// resetSuperstep clears the tracked-superstep scratch, in the time the send
-// loop already took to walk the members.
-func (st *queryState) resetSuperstep() {
-	clear(st.moved)
-	st.movers = 0
+// changed diffs the snapshot applyTracked took against query st's row into
+// canonical ascending (local bucket, cOld, cNew) changes, skipping buckets
+// whose net count is unchanged. 0 means "entry absent" on either side.
+func (m *mirror) changed(st *queryState) []core.NDChange {
+	m.changes = st.row.Diff(m.changes[:0], m.snap)
+	return m.changes
 }
 
 // gainFold is one worker's superstep-1 accumulator: the gains and patches
 // its queries address each data vertex, summed in acc by data id. In a
 // patch superstep each entry's kind is kept too (kindBucket, 0, marks an
 // empty entry), and touched lists the entries in first-touch order; flush,
-// from the engine's PostSuperstep hook, sends them, one envelope of one
+// at the end of the worker's gain step, sends them, one envelope of one
 // record per (worker, data vertex). In a full superstep every mirrored
 // vertex gets one gain, so the queries add into acc alone and flushGains
 // sends them.
@@ -945,10 +961,11 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
 	}
 
-	// The program's state: the vertex states in two slabs, indexed by vertex
-	// id, and the schedule. The engine's vertices are one slab too.
+	// The program's state: the data and query states in two slabs, indexed
+	// by id, each worker's mirror table and fold, and the schedule. The engine's
+	// vertices, the data vertices, are one slab too.
 	states := newRunState(g, sched)
-	slab := make([]pregel.Vertex, numD+numQ)
+	slab := make([]pregel.Vertex, numD)
 	vertices := make([]*pregel.Vertex, len(slab))
 	for i := range slab {
 		slab[i].ID = pregel.VertexID(i)
@@ -957,42 +974,13 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	// The message plane's per-run state: each worker's mirror table, built
-	// once the engine has placed the vertices, and superstep-1 fold over
-	// all data ids.
-	var mirrors []mirror
-	folds := make([]gainFold, opts.Workers)
-	for w := range folds {
-		if opts.noFold {
-			folds[w].plain = true
-		} else {
-			folds[w] = newGainFold(numD)
-		}
-	}
-
 	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
-		if id := int(v.ID); id < numD {
-			computeData(ctx, g, int32(id), &states.data[id], msgs, sched, tables, mirrors)
-		} else if ctx.Superstep()%4 == 1 {
-			computeQuery(ctx, g, int32(id-numD), &states.query[id-numD], tables[sched.level],
-				&mirrors[ctx.Worker()], &folds[ctx.Worker()])
-		}
+		computeData(ctx, g, int32(v.ID), &states.data[v.ID], msgs, sched, tables, states.mirrors)
 	}
-
-	// A worker's gain superstep starts with its mirror table's updates and
-	// ends with its fold's records.
-	fanOut := func(ctx *pregel.ContextOf[record, workerAgg], movers []record) {
-		if ctx.Superstep()%4 == 1 {
-			mirrors[ctx.Worker()].apply(ctx, g, states.query, movers, sched)
-		}
-	}
-	flush := func(ctx *pregel.ContextOf[record, workerAgg]) {
+	// A worker's gain superstep is its hook: the queries are its state.
+	gainStep := func(ctx *pregel.ContextOf[record, workerAgg], movers []record) {
 		if w := ctx.Worker(); ctx.Superstep()%4 == 1 {
-			if mirrors[w].full {
-				folds[w].flushGains(ctx, &mirrors[w])
-			} else {
-				folds[w].flush(ctx)
-			}
+			states.mirrors[w].gainStep(ctx, g, states.query, movers, sched, tables[sched.level])
 		}
 	}
 
@@ -1046,8 +1034,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
 		Compute:       compute,
-		PreSuperstep:  fanOut,
-		PostSuperstep: flush,
+		PreSuperstep:  gainStep,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
@@ -1066,7 +1053,6 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mirrors = newMirrors(g, opts.K, opts.Workers, func(q int32) int { return eng.WorkerOf(pregel.VertexID(numD + int(q))) })
 	stats, err := eng.Run()
 	if err != nil {
 		return nil, err
@@ -1114,7 +1100,7 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			st.moved = false
 		}
 	case 1:
-		// The workers' hooks and queries act; data idles.
+		// The workers' hooks run the queries; data idles.
 	case 2:
 		// Bring the persistent Equation 1 accumulator up to date and
 		// register it, the gain for moving to the sibling bucket, with the
@@ -1228,24 +1214,25 @@ func directionKey(bucket int32) uint64 {
 	return uint64(uint32(bucket))
 }
 
-// computeQuery is the program of query vertex q in superstep 1: bring each
-// member's gain state up to date through its worker's fold. Its worker's
-// PreSuperstep hook m has already applied the members' bucket updates (see
-// mirror.apply).
+// computeQuery is query q's program in superstep 1, which its worker's gain
+// step m runs once it has applied q's updates (see mirror.gainStep): bring
+// each member's gain state up to date through m's fold, with m's tables as
+// scratch.
 //
-// When m.full is set (a level start, a restored run, or a master-scheduled
+// When full is set (a level start, a restored run, or a master-scheduled
 // rebroadcast) every query adds every member's full contribution, exactly
 // the paper's per-iteration r = 2 neighbor-data reduction: one value per
-// local bucket, computed once and added per member. Otherwise a dirty query
-// adds a full contribution for each member that moved (it is rebuilding)
-// and a patch, one per local bucket, for each clean member whose sibling
-// pair holds a changed count; clean queries add nothing. Integer sums make
-// the order irrelevant to the result.
+// local bucket, computed once and added per member. Otherwise q is dirty
+// and adds a full contribution for each member that moved (it is
+// rebuilding) and a patch, one per local bucket, for each clean member
+// whose sibling pair holds a changed count. Integer sums make the order
+// irrelevant to the result.
 func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, q int32, st *queryState,
-	tb core.GainTables, m *mirror, fold *gainFold) {
+	tb core.GainTables, full bool, m *mirror) {
 
+	fold := &m.fold
 	members := g.QueryNeighbors(q)
-	if m.full {
+	if full {
 		vals := st.values(tb, m.vals)
 		if fold.plain {
 			for i, d := range members {
@@ -1259,19 +1246,16 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		}
 		return
 	}
-	if st.movers == 0 {
-		return // clean query: members' accumulators are already exact
-	}
-	changes := st.changed()
+	changes := m.changed(st)
 	pat := patches(tb, changes, m.pat)
 	for i, d := range members {
 		l := st.memberLocal[i]
-		if st.moved[i] {
+		if m.moved[i] {
 			fold.add(ctx, d, gainRecord(st.contribution(tb, l)))
 		} else if p := pat[l]; p.hit {
 			fold.add(ctx, d, patchRecord(p.delta))
 		}
 	}
 	unpatch(changes, pat)
-	st.resetSuperstep()
+	clear(m.moved[:len(members)])
 }

@@ -193,29 +193,13 @@ func TestLevelStartShipsOnlyMovers(t *testing.T) {
 	}
 }
 
-// placement returns where an engine over g's vertices, with the given
-// worker count, places each of them: the placement Partition's engine uses.
-func placement(tb testing.TB, g *hypergraph.Bipartite, workers int) func(id int) int {
-	tb.Helper()
-	vertices := make([]*pregel.Vertex, g.NumData()+g.NumQueries())
-	for i := range vertices {
-		vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
-	}
-	eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{Workers: workers, MaxSupersteps: 1,
-		Compute: func(*pregel.ContextOf[record, workerAgg], *pregel.Vertex, []record) {}}, vertices)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return func(id int) int { return eng.WorkerOf(pregel.VertexID(id)) }
-}
-
 // TestMirrorTables checks every worker's mirror table against the graph:
 // data vertex d's entries on worker w are exactly its queries placed on w,
 // ascending, each with d's slot in that query's member list.
 func TestMirrorTables(t *testing.T) {
 	g := randomBipartite(t, 19, 120, 200, 900)
 	for _, workers := range []int{1, 2, 3} {
-		workerOf := placement(t, g, workers)
+		workerOf := func(id int) int { return pregel.HashWorker(pregel.VertexID(id), workers) }
 		numD := g.NumData()
 		ms := newMirrors(g, 8, workers, func(q int32) int { return workerOf(numD + int(q)) })
 		for d := int32(0); d < int32(numD); d++ {
@@ -236,6 +220,64 @@ func TestMirrorTables(t *testing.T) {
 	}
 }
 
+// TestEngineHoldsOnlyDataVertices pins where queries live: they are state
+// of their workers, run from the workers' hooks, so on both transports no
+// superstep runs more vertices than the graph has data vertices. Each level
+// start's superstep 1 ships what the per-worker fold makes of it: one gain
+// per (worker, data vertex the worker mirrors), a 9-byte record behind its
+// id on the memory transport.
+func TestEngineHoldsOnlyDataVertices(t *testing.T) {
+	const workers = 3
+	g := randomBipartite(t, 29, 150, 260, 1400)
+	numD := g.NumData()
+	var mirrored, bytes int64
+	for w := 0; w < workers; w++ {
+		hosted := make([]bool, numD)
+		for q := 0; q < g.NumQueries(); q++ {
+			if pregel.HashWorker(pregel.VertexID(numD+q), workers) == w {
+				for _, d := range g.QueryNeighbors(int32(q)) {
+					hosted[d] = true
+				}
+			}
+		}
+		for d, ok := range hosted {
+			if ok {
+				mirrored++
+				bytes += int64(uvarintLen(uint64(d)) + 9)
+			}
+		}
+	}
+	for _, tr := range []struct {
+		name string
+		make func() pregel.Transport
+	}{{"memory", pregel.MemoryTransport}, {"tcp", pregel.TCPTransport}} {
+		res, err := Partition(g, Options{K: 4, Seed: 3, Workers: workers, Transport: tr.make()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ss := range res.Stats.PerSuperstep {
+			if ss.ActiveVertices > numD {
+				t.Fatalf("%s: superstep %d ran %d vertices, above the %d data vertices", tr.name, ss.Superstep, ss.ActiveVertices, numD)
+			}
+		}
+		starts := 0
+		for j, rec := range res.History {
+			if rec.Iter != 0 {
+				continue
+			}
+			starts++
+			ss := res.Stats.PerSuperstep[4*j+1]
+			if ss.MessagesSent != mirrored || tr.name == "memory" && ss.BytesSent != bytes {
+				t.Fatalf("%s: level %d's gain superstep sent %d envelopes, %d bytes; want %d, %d",
+					tr.name, rec.Level, ss.MessagesSent, ss.BytesSent, mirrored, bytes)
+			}
+		}
+		if starts != 2 {
+			t.Fatalf("%s: %d level starts, want 2", tr.name, starts)
+		}
+	}
+}
+
 // TestBucketSuperstepShipsOneRecordPerMoverAndWorker pins superstep 0's
 // traffic on the memory transport: one mover record per (mover, worker that
 // hosts one of its queries), batched into one envelope per (source worker,
@@ -245,7 +287,7 @@ func TestBucketSuperstepShipsOneRecordPerMoverAndWorker(t *testing.T) {
 	const seed = 5
 	g := randomBipartite(t, 23, 250, 400, 2200)
 	numD := g.NumData()
-	header := uvarintLen(uint64(numD + g.NumQueries())) // the worker group's id
+	header := uvarintLen(uint64(numD)) // the worker group's id
 	for _, workers := range []int{2, 3} {
 		one, err := Partition(g, Options{K: 2, Seed: seed, Workers: workers, ItersPerLevel: 1})
 		if err != nil {
@@ -258,7 +300,7 @@ func TestBucketSuperstepShipsOneRecordPerMoverAndWorker(t *testing.T) {
 		if len(two.History) != 2 || two.History[0] != one.History[0] {
 			t.Fatalf("%d workers: histories %+v and %+v do not share iteration 0", workers, one.History, two.History)
 		}
-		workerOf := placement(t, g, workers)
+		workerOf := func(id int) int { return pregel.HashWorker(pregel.VertexID(id), workers) }
 		records := map[[2]int]int{} // per (source worker, destination worker)
 		movers := int64(0)
 		for d := 0; d < numD; d++ {

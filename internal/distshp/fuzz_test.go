@@ -160,8 +160,11 @@ func fuzzRun(tb testing.TB) (*runState, [][]*pregel.Vertex) {
 			s.query[q].register(int32(q), level, g.QueryNeighbors(int32(q)), coinTable(seed, level, g.NumData()), nil, make([]int32, fuzzK/2))
 		}
 	}
+	for w := range s.mirrors {
+		s.mirrors[w].level = 1
+	}
 	workers := make([][]*pregel.Vertex, 2)
-	for i := 0; i < g.NumData()+g.NumQueries(); i++ {
+	for i := 0; i < g.NumData(); i++ {
 		workers[i%2] = append(workers[i%2], &pregel.Vertex{ID: pregel.VertexID(i)})
 	}
 	return s, workers
@@ -178,18 +181,22 @@ func checkpointOf(s *runState, workers [][]*pregel.Vertex) ([][]byte, []byte) {
 }
 
 // restorable is what a restore may change: the data slab, each query's
-// level, pairs and row, and the schedule.
+// pairs and row, each worker's registration level, and the schedule.
 type restorable struct {
-	data  []dataState
-	query []string
-	sched schedule
+	data   []dataState
+	query  []string
+	levels []int
+	sched  schedule
 }
 
 func restorableOf(s *runState) restorable {
 	r := restorable{data: slices.Clone(s.data), sched: *s.sched}
 	for q := range s.query {
 		st := &s.query[q]
-		r.query = append(r.query, fmt.Sprint(st.level, st.pairs, st.row))
+		r.query = append(r.query, fmt.Sprint(st.pairs, st.row))
+	}
+	for w := range s.mirrors {
+		r.levels = append(r.levels, s.mirrors[w].level)
 	}
 	return r
 }
@@ -213,8 +220,13 @@ func requireReplayState(t *testing.T, s *runState) {
 		}
 	}
 	for q := range s.query {
-		if st := &s.query[q]; st.level != -1 || len(st.pairs) != 0 || st.row.Live() != 0 {
-			t.Fatalf("query %d restored at level %d with pairs %v, %d live buckets", q, st.level, st.pairs, st.row.Live())
+		if st := &s.query[q]; len(st.pairs) != 0 || st.row.Live() != 0 {
+			t.Fatalf("query %d restored with pairs %v, %d live buckets", q, st.pairs, st.row.Live())
+		}
+	}
+	for w := range s.mirrors {
+		if m := &s.mirrors[w]; m.level != -1 {
+			t.Fatalf("worker %d's queries restored registered at level %d", w, m.level)
 		}
 	}
 	if sc := s.sched; len(sc.hists) != 0 || len(sc.weights) != 0 || sc.probs != nil || sc.ndEntries != 0 || sc.rebuildNext {

@@ -127,19 +127,31 @@ func (d *decoder) varint() int64 {
 }
 
 // runState is a run's program state: the data and query slabs, indexed by
-// vertex id (a query's by its id minus |D|), and the master's schedule. It
-// is the engine's checkpoint hook.
+// id, each worker's mirror table and fold, and the master's schedule. It is
+// the engine's checkpoint hook.
 type runState struct {
-	data  []dataState
-	query []queryState
-	sched *schedule
+	data    []dataState
+	query   []queryState
+	mirrors []mirror
+	sched   *schedule
 }
 
-// newRunState returns the state of a run over g before its first superstep.
+// newRunState returns the state of a run over g before its first superstep,
+// with query q on the worker the engine would place vertex |D|+q on.
 func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
-	k := sched.opts.K
-	s := &runState{sched: sched, data: make([]dataState, g.NumData()),
-		query: newQueryStates(g.NumQueries(), k, func(q int) int { return g.QueryDegree(int32(q)) })}
+	k, numD, workers := sched.opts.K, g.NumData(), sched.opts.Workers
+	s := &runState{sched: sched, data: make([]dataState, numD),
+		query: newQueryStates(g.NumQueries(), k, func(q int) int { return g.QueryDegree(int32(q)) }),
+		mirrors: newMirrors(g, k, workers, func(q int32) int {
+			return pregel.HashWorker(pregel.VertexID(numD+int(q)), workers)
+		})}
+	for w := range s.mirrors {
+		if m := &s.mirrors[w]; sched.opts.noFold {
+			m.fold.plain = true
+		} else {
+			m.fold = newGainFold(numD)
+		}
+	}
 	for d := range s.data {
 		s.data[d] = dataState{bucket: -1, level: -1, propLevel: -1}
 	}
@@ -150,9 +162,7 @@ func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
 // engine's order.
 func (s *runState) AppendWorker(buf []byte, vertices []*pregel.Vertex) []byte {
 	for _, v := range vertices {
-		if v.ID < pregel.VertexID(len(s.data)) {
-			buf = binary.AppendVarint(buf, int64(s.data[v.ID].bucket))
-		}
+		buf = binary.AppendVarint(buf, int64(s.data[v.ID].bucket))
 	}
 	return buf
 }
@@ -178,14 +188,10 @@ func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []
 	if level >= 0 {
 		lo, hi = 0, 2<<level
 	}
-	numD := pregel.VertexID(len(s.data))
-	buckets := make([]int32, numD)
+	buckets := make([]int32, len(s.data))
 	for w, vertices := range workers {
 		d := &decoder{data: parts[w]}
 		for _, v := range vertices {
-			if v.ID >= numD {
-				continue
-			}
 			b := d.varint()
 			if d.err == nil && (b < lo || b >= hi) {
 				return fmt.Errorf("distshp: vertex %d: bucket %d outside [%d, %d) at level %d", v.ID, b, lo, hi, level)
@@ -205,7 +211,10 @@ func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []
 	}
 	for q := range s.query {
 		st := &s.query[q]
-		st.level, st.pairs, st.row, st.snap = -1, st.pairs[:0], st.row.Reshape(0), st.snap.Reshape(0)
+		st.pairs, st.row = st.pairs[:0], st.row.Reshape(0)
+	}
+	for w := range s.mirrors {
+		s.mirrors[w].level = -1
 	}
 	return nil
 }

@@ -221,13 +221,13 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 	// order, and a vertex's local index is its position in that list.
 	counts := make([]int, len(e.workers))
 	for id := range byID {
-		counts[e.hashWorker(VertexID(id))]++
+		counts[HashWorker(VertexID(id), len(e.workers))]++
 	}
 	for i, w := range e.workers {
 		w.vertices = make([]*Vertex, 0, counts[i])
 	}
 	for id, v := range byID {
-		w := e.workers[e.hashWorker(VertexID(id))]
+		w := e.workers[HashWorker(VertexID(id), len(e.workers))]
 		e.place[id] = placement{worker: int32(w.id), local: int32(len(w.vertices))}
 		w.vertices = append(w.vertices, v)
 	}
@@ -240,17 +240,15 @@ func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[
 	return e, nil
 }
 
-// hashWorker shards a vertex id to a worker (multiplicative hash so dense id
-// ranges spread evenly, like Giraph's random vertex placement).
-func (e *EngineOf[M, A]) hashWorker(id VertexID) int {
+// HashWorker is the worker in [0, workers) an engine of that many workers
+// places vertex id on: a multiplicative hash, so dense id ranges spread
+// evenly, like Giraph's random vertex placement. A program that keeps
+// per-worker tables (SendWorker's receivers) builds them from it, before or
+// without an engine.
+func HashWorker(id VertexID, workers int) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
-	return int(h % uint64(len(e.workers)))
+	return int(h % uint64(workers))
 }
-
-// WorkerOf returns the worker the engine placed vertex id on, in
-// [0, Workers). A program that keeps per-worker tables (SendWorker's
-// receivers) builds them from it; id must be in [0, NumVertices()).
-func (e *EngineOf[M, A]) WorkerOf(id VertexID) int { return int(e.place[id].worker) }
 
 // local returns where dst sits on worker w: its local index, or one past w's
 // last vertex for the worker group's id, NumVertices().
@@ -699,8 +697,7 @@ func (e *EngineOf[M, A]) deliver(w *worker[M, A], from func(src int) *traffic[M]
 }
 
 // runWorker executes one worker's PreSuperstep hook with the worker group,
-// then its vertices for one superstep, handing each its group of the inbox,
-// then the PostSuperstep hook.
+// then its vertices for one superstep, handing each its group of the inbox.
 func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 	ctx := &ContextOf[M, A]{engine: e, worker: w, superstep: step}
 	if pre := e.opts.PreSuperstep; pre != nil {
@@ -714,10 +711,6 @@ func (e *EngineOf[M, A]) runWorker(w *worker[M, A], step int) {
 		v.halted = false
 		ctx.vertex = v
 		e.opts.Compute(ctx, v, msgs)
-	}
-	if post := e.opts.PostSuperstep; post != nil {
-		ctx.vertex = nil
-		post(ctx)
 	}
 	w.in.reset()
 }

@@ -7,17 +7,17 @@ import (
 	"testing"
 )
 
-// workerSumRun is a per-worker summing program for the PostSuperstep hook:
-// every vertex adds what it received to its value and folds the value into
-// its worker's accumulator, and the hook sends each worker's sum to one
-// vertex and empties the accumulator, so nothing but the values is live at
-// a barrier. It logs what the hook must guarantee: one call per worker per
-// superstep, after every one of the worker's vertices.
+// workerSumRun is a per-worker summing program on the worker hook: every
+// vertex adds what it received to its value and sends the value to its own
+// worker (SendWorker), and the next superstep's hook sums what its worker's
+// vertices sent and Sends the sum, tagged with the worker, to vertex 0 and
+// to one vertex of its own choosing. So both the values, as worker records,
+// and the hook's sums are pending at every barrier after superstep 0. It
+// logs what the hook must guarantee: one call per worker per superstep,
+// before any of the worker's vertices.
 type workerSumRun struct {
 	n        int
 	vals     []int64   // by vertex id
-	acc      []int64   // per worker, empty at every barrier
-	ran      []int     // per worker: vertices run since its last hook
 	hooks    [][]int   // [worker][superstep]: hook calls
 	received [][]int64 // [superstep]: what vertex 0 received
 	opts     Options
@@ -25,9 +25,12 @@ type workerSumRun struct {
 	t        *testing.T
 }
 
+// sumTag is the tag room of a hook's sum: sum%1000*sumTag + worker.
+const sumTag = 8
+
 func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, cp Checkpointer) *workerSumRun {
-	r := &workerSumRun{n: n, vals: make([]int64, n), acc: make([]int64, workers), ran: make([]int, workers),
-		hooks: make([][]int, workers), received: make([][]int64, steps), vertices: make([]*Vertex, n), t: t}
+	r := &workerSumRun{n: n, vals: make([]int64, n), hooks: make([][]int, workers),
+		received: make([][]int64, steps), vertices: make([]*Vertex, n), t: t}
 	for i := range r.vertices {
 		r.vertices[i] = &Vertex{ID: VertexID(i)}
 		r.vals[i] = int64(i + 1)
@@ -46,8 +49,8 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 		CheckpointEvery: 3,
 		Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 			w, step := ctx.Worker(), ctx.Superstep()
-			if r.hooks[w][step] != 0 {
-				t.Errorf("vertex %d ran on worker %d after its hook at superstep %d", v.ID, w, step)
+			if r.hooks[w][step] != 1 {
+				t.Errorf("vertex %d ran on worker %d before its hook at superstep %d", v.ID, w, step)
 			}
 			for _, m := range msgs {
 				r.vals[v.ID] += m.(int64)
@@ -55,20 +58,21 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 					r.received[step] = append(r.received[step], m.(int64))
 				}
 			}
-			r.acc[w] += r.vals[v.ID]
-			r.ran[w]++
+			ctx.SendWorker(w, r.vals[v.ID])
 		},
-		PostSuperstep: func(ctx *Context) {
+		PreSuperstep: func(ctx *Context, msgs []Message) {
 			w, step := ctx.Worker(), ctx.Superstep()
 			r.hooks[w][step]++
-			if r.ran[w] == 0 {
-				t.Errorf("worker %d's hook ran before any of its vertices at superstep %d", w, step)
+			if len(msgs) == 0 {
+				return
 			}
-			r.ran[w] = 0
+			sum := int64(0)
+			for _, m := range msgs {
+				sum += m.(int64)
+			}
 			// Every worker's sum lands on vertex 0, and on one vertex of its own choosing.
-			ctx.Send(0, r.acc[w]%1000)
-			ctx.Send(VertexID((step*7+w)%n), r.acc[w]%1000)
-			r.acc[w] = 0
+			ctx.Send(0, sum%1000*sumTag+int64(w))
+			ctx.Send(VertexID((step*7+w)%n), sum%1000*sumTag+int64(w))
 		},
 	}
 	if cp != nil {
@@ -77,7 +81,7 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 	return r
 }
 
-// AppendWorker encodes the worker's values; the accumulators are empty.
+// AppendWorker encodes the worker's values.
 func (r *workerSumRun) AppendWorker(buf []byte, vertices []*Vertex) []byte {
 	for _, v := range vertices {
 		buf = binary.AppendVarint(buf, r.vals[v.ID])
@@ -101,7 +105,6 @@ func (r *workerSumRun) Restore(workers [][]*Vertex, parts [][]byte, master []byt
 	}
 	copy(r.vals, vals)
 	// The replay reruns supersteps whose hooks already ran.
-	clear(r.ran)
 	for w := range r.hooks {
 		clear(r.hooks[w])
 	}
@@ -120,10 +123,11 @@ func (r *workerSumRun) run() *Stats {
 	return stats
 }
 
-// TestPostSuperstepRunsOncePerWorker checks the hook's contract: once per
-// worker per superstep, after that worker's vertices, and its sends are
-// delivered the next superstep like a vertex's.
-func TestPostSuperstepRunsOncePerWorker(t *testing.T) {
+// TestWorkerPlaneHookRunsOncePerWorker checks the hook's contract: once per
+// worker per superstep, before that worker's vertices, handed what they sent
+// it, and its sends are delivered the next superstep like a vertex's, in
+// (source worker, send order).
+func TestWorkerPlaneHookRunsOncePerWorker(t *testing.T) {
 	const n, workers, steps = 40, 3, 6
 	r := newWorkerSumRun(t, n, workers, steps, nil, nil)
 	stats := r.run()
@@ -134,33 +138,46 @@ func TestPostSuperstepRunsOncePerWorker(t *testing.T) {
 			}
 		}
 	}
-	if len(r.received[0]) != 0 {
-		t.Fatalf("vertex 0 received %v at superstep 0", r.received[0])
+	for step := 0; step < 2; step++ {
+		if len(r.received[step]) != 0 {
+			t.Fatalf("vertex 0 received %v at superstep %d, before any hook sent", r.received[step], step)
+		}
 	}
-	for step := 1; step < steps; step++ {
+	for step := 2; step < steps; step++ {
 		// Every worker's sum arrives as a record of its own, two from a
-		// worker whose second send also chose vertex 0; the engine folds
-		// nothing.
-		want := workers
+		// worker whose second send also chose vertex 0, worker by worker;
+		// the engine folds nothing.
+		var want []int64
 		for w := 0; w < workers; w++ {
+			want = append(want, int64(w))
 			if ((step-1)*7+w)%n == 0 {
-				want++
+				want = append(want, int64(w))
 			}
 		}
-		if len(r.received[step]) != want {
-			t.Fatalf("vertex 0 received %v at superstep %d, want %d sums", r.received[step], step, want)
+		var got []int64
+		for _, m := range r.received[step] {
+			got = append(got, m%sumTag)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("vertex 0 received sums from workers %v at superstep %d, want %v", got, step, want)
 		}
 	}
 	for _, ss := range stats.PerSuperstep {
-		if ss.MessagesSent < workers || ss.MessagesSent > 2*workers {
-			t.Fatalf("superstep %d sent %d envelopes, want %d to %d from the hooks", ss.Superstep, ss.MessagesSent, workers, 2*workers)
+		// One worker group per worker, and from superstep 1 on one or two
+		// envelopes per hook.
+		lo, hi := int64(workers), int64(workers)
+		if ss.Superstep > 0 {
+			lo, hi = 2*workers, 3*workers
+		}
+		if ss.MessagesSent < lo || ss.MessagesSent > hi {
+			t.Fatalf("superstep %d sent %d envelopes, want %d to %d", ss.Superstep, ss.MessagesSent, lo, hi)
 		}
 	}
 }
 
-// TestPostSuperstepTransportsAgree runs the hook's sends over both
+// TestWorkerPlaneHookTransportsAgree runs the hook's sends over both
 // transports: the same values, deliveries and message counts.
-func TestPostSuperstepTransportsAgree(t *testing.T) {
+func TestWorkerPlaneHookTransportsAgree(t *testing.T) {
 	const n, workers, steps = 40, 3, 8
 	mem := newWorkerSumRun(t, n, workers, steps, MemoryTransport(), nil)
 	ms := mem.run()
@@ -183,10 +200,10 @@ func TestPostSuperstepTransportsAgree(t *testing.T) {
 	}
 }
 
-// TestPostSuperstepRecovery kills a worker mid-run: the replay from the
-// latest checkpoint reruns the hooks and ends byte-identical to an
-// undisturbed run.
-func TestPostSuperstepRecovery(t *testing.T) {
+// TestWorkerPlaneHookRecovery kills a worker mid-run, with worker records
+// and hook sends pending at every barrier: the replay from the latest
+// checkpoint reruns the hooks and ends byte-identical to an undisturbed run.
+func TestWorkerPlaneHookRecovery(t *testing.T) {
 	const n, workers, steps = 40, 3, 10
 	for _, kill := range []int{4, 7} {
 		clean := newWorkerSumRun(t, n, workers, steps, nil, NewMemoryCheckpointer())

@@ -18,7 +18,7 @@ import (
 type trail struct{ ids []int64 }
 
 // trailFold is one worker's fold: a trail per destination, listed in
-// first-touch order, which the PostSuperstep hook flushes.
+// first-touch order, which the worker hook fills and flushes.
 type trailFold struct {
 	at    map[VertexID]*trail
 	order []VertexID
@@ -88,12 +88,13 @@ func trailRegistry() *Registry {
 // by source worker, then in send order — assigns it, in one envelope per
 // (source worker, destination). The engine groups arrivals with a counting
 // scatter and no sort; the sort lives here, as the reference. With combine
-// set the program folds instead, the way distshp does: each worker's
-// vertices append to a trail per destination, the PostSuperstep hook ships
-// the trails, and a vertex receives at most one per source worker, whose
-// concatenation must read the same sequence.
+// set the program folds instead, the way distshp does: each vertex sends its
+// messages to its own worker (SendWorker, the destination in the top bits),
+// the next superstep's hook appends them to a trail per destination and
+// ships the trails, and a vertex receives at most one per source worker,
+// a superstep later, whose concatenation must read the same sequence.
 func TestDeliveryOrderMatchesStableSort(t *testing.T) {
-	const n, steps = 67, 5
+	const n, steps, dstShift = 67, 5, 48
 	type send struct {
 		dst     VertexID
 		payload int64
@@ -119,7 +120,12 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 				name := fmt.Sprintf("workers=%d/combine=%v/tcp=%v", workers, combine, tcp)
 				t.Run(name, func(t *testing.T) {
 					seed := rng.Mix(uint64(workers), 77)
-					got := make([][][]int64, steps+1) // [superstep][vertex] payloads received
+					// A folded send arrives a superstep later, through the hook.
+					late := 0
+					if combine {
+						late = 1
+					}
+					got := make([][][]int64, steps+1+late) // [superstep][vertex] payloads received
 					for s := range got {
 						got[s] = make([][]int64, n)
 					}
@@ -133,7 +139,7 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 					}
 					opts := Options{
 						Workers:       workers,
-						MaxSupersteps: steps + 1,
+						MaxSupersteps: steps + 1 + late,
 						Codecs:        trailRegistry(),
 						Compute: func(ctx *Context, v *Vertex, msgs []Message) {
 							s := ctx.Superstep()
@@ -150,7 +156,7 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 							if s < steps {
 								for _, sd := range sends(seed, v.ID, s) {
 									if combine {
-										folds[ctx.Worker()].add(sd.dst, sd.payload)
+										ctx.SendWorker(ctx.Worker(), int64(sd.dst)<<dstShift|sd.payload)
 									} else {
 										ctx.Send(sd.dst, sd.payload)
 									}
@@ -159,7 +165,13 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 						},
 					}
 					if combine {
-						opts.PostSuperstep = func(ctx *Context) { folds[ctx.Worker()].flush(ctx) }
+						opts.PreSuperstep = func(ctx *Context, msgs []Message) {
+							f := &folds[ctx.Worker()]
+							for _, m := range msgs {
+								f.add(VertexID(m.(int64)>>dstShift), m.(int64)&(1<<dstShift-1))
+							}
+							f.flush(ctx)
+						}
 					}
 					if tcp {
 						opts.Transport = TCPTransport()
@@ -172,39 +184,53 @@ func TestDeliveryOrderMatchesStableSort(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// Every send of superstep s in (source worker, send
+					// order): workers in order, each running its vertices
+					// id-ascending. envs[s] counts the (worker, destination)
+					// pairs they address, groups[s] the workers that sent.
+					envs, groups := make([]int64, steps+1), make([]int64, steps+1)
 					for s := 0; s < steps; s++ {
-						// Every send of superstep s in (source worker, send
-						// order): workers in order, each running its vertices
-						// id-ascending. Each worker ships one envelope per
-						// destination it addressed.
 						var all []send
-						envelopes := 0
 						for w := 0; w < workers; w++ {
 							addressed := map[VertexID]bool{}
 							for v := VertexID(0); v < n; v++ {
-								if eng.WorkerOf(v) == w {
+								if HashWorker(v, workers) == w {
 									for _, sd := range sends(seed, v, s) {
 										all = append(all, sd)
-										if !addressed[sd.dst] {
-											addressed[sd.dst] = true
-											envelopes++
-										}
+										addressed[sd.dst] = true
 									}
 								}
 							}
-						}
-						if got := stats.PerSuperstep[s].MessagesSent; got != int64(envelopes) {
-							t.Fatalf("superstep %d sent %d envelopes, want one per (worker, destination): %d", s, got, envelopes)
+							envs[s] += int64(len(addressed))
+							if len(addressed) > 0 {
+								groups[s]++
+							}
 						}
 						sort.SliceStable(all, func(i, j int) bool { return all[i].dst < all[j].dst })
 						want := make([][]int64, n)
 						for _, sd := range all {
 							want[sd.dst] = append(want[sd.dst], sd.payload)
 						}
+						at := s + 1 + late
 						for v := range want {
-							if !slices.Equal(got[s+1][v], want[v]) {
-								t.Fatalf("superstep %d vertex %d received %x, stable sort says %x", s+1, v, got[s+1][v], want[v])
+							if !slices.Equal(got[at][v], want[v]) {
+								t.Fatalf("superstep %d vertex %d received %x, stable sort says %x", at, v, got[at][v], want[v])
 							}
+						}
+					}
+					// Each worker ships one envelope per destination it
+					// addressed; with combine its hook ships them a superstep
+					// later, beside one worker group per worker that sent.
+					for s := 0; s < steps+late; s++ {
+						want := envs[s]
+						if combine {
+							want = groups[s]
+							if s > 0 {
+								want += envs[s-1]
+							}
+						}
+						if got := stats.PerSuperstep[s].MessagesSent; got != want {
+							t.Fatalf("superstep %d sent %d envelopes, want %d", s, got, want)
 						}
 					}
 				})
@@ -282,8 +308,8 @@ func TestSendToAbsentVertexFailsSuperstep(t *testing.T) {
 			if !errors.As(err, &ce) || !errors.Is(err, ErrNoSuchVertex) {
 				t.Fatalf("Run returned %v, want a *ComputeError wrapping ErrNoSuchVertex", err)
 			}
-			if ce.Superstep != 1 || ce.Worker != eng.WorkerOf(5) {
-				t.Fatalf("ComputeError{Worker: %d, Superstep: %d}, want {%d, 1}", ce.Worker, ce.Superstep, eng.WorkerOf(5))
+			if ce.Superstep != 1 || ce.Worker != HashWorker(5, 3) {
+				t.Fatalf("ComputeError{Worker: %d, Superstep: %d}, want {%d, 1}", ce.Worker, ce.Superstep, HashWorker(5, 3))
 			}
 			stray = 0 // the same program, now addressing a vertex that exists
 			if c.tcp {
@@ -333,12 +359,8 @@ func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
 	const n, workers, steps, bad = 24, 3, 10, 5
 	base := newRingRun(n, workers, steps, TCPTransport(), nil, 0)
 	baseStats := base.run(t)
-	probe, err := NewEngineOf(base.opts, base.vertices)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var elsewhere VertexID // a vertex worker 2 owns
-	for probe.WorkerOf(elsewhere) != 2 {
+	for HashWorker(elsewhere, workers) != 2 {
 		elsewhere++
 	}
 	for _, c := range []struct {

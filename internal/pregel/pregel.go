@@ -41,23 +41,22 @@
 // cross-worker traffic, so communication-complexity claims can be measured
 // rather than asserted.
 //
-// The engine never folds records. Options.PostSuperstep runs once per worker
-// after its last vertex, like Giraph's WorkerContext.postSuperstep, and may
-// Send: a program that sums its vertices' contributions folds them per
-// worker itself and ships the sums from there, and the receiving vertex adds
-// what each worker sent.
-//
 // Besides vertices, a record may address a worker. SendWorker puts it in one
 // envelope per (source worker, destination worker), under the reserved
 // destination id NumVertices(), which rides the same codec, frames, grouping
 // and inbox as every other envelope: the worker group sits after the
-// worker's own vertices. Options.PreSuperstep, like Giraph's
-// WorkerContext.preSuperstep, runs once per worker before its first vertex
-// and is handed that group. A program that keeps a per-worker copy of remote
-// state (PowerGraph's mirrors) sends one record per worker that needs it and
-// fans it out to the local vertices there; EngineOf.WorkerOf tells it where
-// each vertex was placed. A pending worker group keeps Run going like a
-// pending message, and a snapshot holds it under the same id.
+// worker's own vertices. Options.PreSuperstep, the one worker hook, like
+// Giraph's WorkerContext.preSuperstep, runs once per worker before its first
+// vertex, is handed that group and may Send. A program that keeps a
+// per-worker copy of remote state (PowerGraph's mirrors) sends one record per
+// worker that needs it and fans it out there, to local vertices or to state
+// of its own; HashWorker tells it where the engine places each vertex. A
+// pending worker group keeps Run going like a pending message, and a
+// snapshot holds it under the same id.
+//
+// The engine never folds records. A program that sums contributions per
+// worker folds them in its state and ships the sums from the hook, and the
+// receiving vertex adds what each worker sent.
 //
 // Engine, Options, Context and NewEngine are the M = Message (any)
 // instantiation with an empty aggregate, whose Codec is a Registry of
@@ -241,19 +240,15 @@ type OptionsOf[M, A any] struct {
 	// checkpoints that hold pending messages; on the in-process transport
 	// it is the byte accounting (without it BytesSent is 0).
 	Codecs Codec[M]
-	// PostSuperstep, if set, runs once per worker per superstep, after that
-	// worker's last vertex and before the barrier: Giraph's
-	// WorkerContext.postSuperstep. It may Send and fold into the Aggregate
-	// like a vertex, and must not VoteToHalt. A program that folds its
-	// vertices' contributions per worker itself flushes them here; what it
-	// keeps between the hook and the next superstep is its own state, which
+	// PreSuperstep, if set, is the worker hook: it runs once per worker per
+	// superstep, before that worker's first vertex, as Giraph's
+	// WorkerContext.preSuperstep does. msgs are the records SendWorker
+	// addressed to the worker in the previous superstep, in (source worker,
+	// send order). It may Send, SendWorker and fold into the Aggregate like a
+	// vertex, and must not VoteToHalt; what it sends is delivered next
+	// superstep. A program that folds contributions per worker ships them
+	// from here; what it keeps between supersteps is its own state, which
 	// Program checkpoints.
-	PostSuperstep func(ctx *ContextOf[M, A])
-	// PreSuperstep, if set, runs once per worker per superstep, before that
-	// worker's first vertex: Giraph's WorkerContext.preSuperstep. msgs are
-	// the records SendWorker addressed to the worker in the previous
-	// superstep, in (source worker, send order). It may Send and fold into
-	// the Aggregate like a vertex, and must not VoteToHalt.
 	PreSuperstep func(ctx *ContextOf[M, A], msgs []M)
 
 	// Checkpointer, if set, enables superstep checkpointing: every

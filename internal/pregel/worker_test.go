@@ -93,7 +93,7 @@ func (r *workerPlaneRun) want(w, step int) []int64 {
 	if s < r.haltAt {
 		for src := 0; src < r.workers; src++ {
 			for v := 0; v < r.n; v++ {
-				if r.eng.WorkerOf(VertexID(v)) != src {
+				if HashWorker(VertexID(v), r.workers) != src {
 					continue
 				}
 				if (v+s)%r.workers == w {
@@ -141,7 +141,7 @@ func TestWorkerPlane(t *testing.T) {
 			for src := 0; src < r.workers; src++ {
 				for dst := 0; dst < r.workers; dst++ {
 					for v := 0; v < r.n && step < r.haltAt; v++ {
-						if r.eng.WorkerOf(VertexID(v)) == src && ((v+step)%r.workers == dst || (5*v+step)%r.workers == dst) {
+						if HashWorker(VertexID(v), r.workers) == src && ((v+step)%r.workers == dst || (5*v+step)%r.workers == dst) {
 							envelopes++
 							break
 						}

@@ -249,8 +249,11 @@ type DistributedIterRecord = distshp.IterRecord
 // PartitionDistributed runs SHP-2 through the vertex-centric BSP engine
 // (the paper's Giraph implementation, Figure 3): four supersteps per
 // refinement iteration, master-side histogram pairing, and incremental
-// neighbor-data maintenance. K must be a power of two. It is the paper's
-// distributed mode, one shot: there is no session over the BSP engine.
+// neighbor-data maintenance. The engine's vertices are the data vertices:
+// each query lives with its worker's mirror table rather than as a Giraph
+// vertex, as in Figure 3, and runs in that worker's hook. K must be a power
+// of two. It is the paper's distributed mode, one shot: there is no session
+// over the BSP engine.
 func PartitionDistributed(g *Hypergraph, opts DistributedOptions) (*DistributedResult, error) {
 	return distshp.Partition(g, opts)
 }
