@@ -84,6 +84,16 @@ func binCode(gain int64, unit float64) int32 {
 	return int32(histBins + binFor(-g))
 }
 
+// BinCode is the bin code Add and Remove file a proposal of gain units
+// under, in [0, 2·64): a caller that keeps each proposal's code computes it
+// once and passes it to FoldCode and ProbAt.
+func BinCode(gain int64, unit float64) int32 { return binCode(gain, unit) }
+
+// FoldCode adds n = ±1 proposals of gain units to bin code, which
+// BinCode(gain, unit) returned: Add (n = 1) and Remove (n = -1) without
+// recomputing the bin.
+func (h *DirHist) FoldCode(code int32, gain, n int64) { h.fold(code, gain, n) }
+
 // fold adds n = ±1 proposals of the given gain to bin code: the body of Add
 // and Remove, for a caller that already knows the bin.
 func (h *DirHist) fold(code int32, gain, n int64) {
@@ -172,7 +182,11 @@ type ProbTable struct {
 // ProbFor returns the move probability for a proposal of gain units; unit
 // converts them into objective units, which pick the bin.
 func (p *ProbTable) ProbFor(gain int64, unit float64) float64 {
-	c := binCode(gain, unit)
+	return p.ProbAt(binCode(gain, unit))
+}
+
+// ProbAt returns the move probability of bin code c, a BinCode.
+func (p *ProbTable) ProbAt(c int32) float64 {
 	if c < histBins {
 		return p.pos[c]
 	}

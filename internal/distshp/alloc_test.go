@@ -13,8 +13,9 @@ import (
 // the engine may allocate a bounded handful of things per superstep
 // (goroutines, barrier maps), nothing per record. Two arms: gains, which
 // every vertex sends its own worker as a (hub, gain) record, as Partition's
-// movers send theirs, and the next superstep's hook adds into the worker's
-// gainFold and flushes, one record per (worker, hub); and bucket updates,
+// movers send theirs, and the next superstep's hook adds, with the gains
+// the workers flushed it, into the worker's gainFold and flushes, one
+// record per (worker, hub) to the hub's worker; and bucket updates,
 // which every vertex sends, so each Send appends to its hub's envelope and
 // ships in a batch. Per-superstep allocation is the difference of a long and a short
 // run, which cancels engine construction and first-use buffer growth.
@@ -35,7 +36,8 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 						vertices[i] = &pregel.Vertex{ID: pregel.VertexID(i)}
 					}
 					var received atomic.Int64 // workers run concurrently
-					folds := []gainFold{newGainFold(n), newGainFold(n)}
+					host := hostsOf(n, 2)
+					folds := []gainFold{newGainFold(host), newGainFold(host)}
 					allocs := func(steps int) float64 {
 						return testing.AllocsPerRun(3, func() {
 							eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
@@ -46,16 +48,16 @@ func TestCombinerPlaneAllocations(t *testing.T) {
 								Compute: func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
 									received.Add(int64(len(msgs)))
 									if arm.fold {
-										ctx.SendWorker(ctx.Worker(), moverRecord(int32(v.ID%hubs), 1))
+										ctx.SendWorker(ctx.Worker(), gainRecord(int32(v.ID%hubs), 1))
 									} else {
 										ctx.Send(v.ID%hubs, moverRecord(int32(v.ID), int32(v.ID)%2))
 									}
 								},
 								PreSuperstep: func(ctx *pregel.ContextOf[record, workerAgg], msgs []record) {
+									received.Add(int64(len(msgs)))
 									f := &folds[ctx.Worker()]
 									for _, r := range msgs {
-										hub, gain := r.mover()
-										f.add(ctx, hub, gainRecord(int64(gain)))
+										f.add(ctx, r)
 									}
 									f.flush(ctx)
 								},

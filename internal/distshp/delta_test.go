@@ -167,9 +167,12 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		}
 		return acc
 	}
+	// The observers' worker, which adds what it hears as runState.hear does.
+	heard := &runState{data: make([]dataState, numData), host: make([]int32, numData)}
 	for _, o := range observers {
 		isObserver[o] = true
-		obs[o] = &dataState{bucket: bucketOf[o], acc: scratchAcc(o)}
+		obs[o] = &heard.data[o]
+		*obs[o] = dataState{bucket: bucketOf[o], acc: scratchAcc(o)}
 	}
 	scratch := &mirror{moved: make([]bool, numData)}
 	pat := make([]patch, buckets)
@@ -206,7 +209,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 				if scratch.moved[i] || !p.hit {
 					continue
 				}
-				rec := patchRecord(p.delta)
+				rec := patchRecord(d, p.delta)
 				if want := st.bucket(st.memberLocal[i]); want != bucketOf[d] {
 					t.Fatalf("round %d: query %d holds member %d in bucket %d, want %d", round, q, d, want, bucketOf[d])
 				}
@@ -232,17 +235,17 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		// Both sides of the per-worker fold: an observer's patches add into
 		// one record (gainFold), or ship unfolded as one batch (noFold).
 		// Each round-trips the wire, and they patch the observer by the
-		// same sums.
-		fold := newGainFold(numData)
+		// same sums, which its worker adds as it hears them.
+		fold := newGainFold(heard.host)
 		for _, o := range observers {
 			recs := folded[o]
 			if len(recs) == 0 {
 				continue
 			}
 			for _, rec := range recs {
-				fold.add(nil, o, rec)
+				fold.add(nil, rec)
 			}
-			held := record{kind: fold.kind[o], word: uint64(fold.acc[o])}
+			held := record{kind: fold.kind[o], id: o, word: uint64(fold.acc[o])}
 			one, _, err := wire.Decode(envelopeBytes(held), nil)
 			batch, _, berr := wire.Decode(envelopeBytes(recs...), nil)
 			if err != nil || berr != nil || len(one) != 1 || !slices.Equal(batch, recs) {
@@ -255,7 +258,8 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if one[0].kind != kindPatch || one[0].acc() != batchAcc {
 				t.Fatalf("round %d: observer %d folded %+v, batch adds to %d", round, o, one[0], batchAcc)
 			}
-			obs[o].acc += batchAcc
+			heard.hear(0, one)
+			obs[o].heard = kindBucket
 		}
 		// The maintained rows must equal a recount.
 		for q, st := range qs {
@@ -401,29 +405,38 @@ func TestDerivedRegistrationMatchesFull(t *testing.T) {
 
 // TestDeltaWireSize pins the gain and patch encoding: a query folds its
 // changed counts into the one accumulator change itself, so a patch is the
-// one int64 a gain is, 8 bytes, and a lone gain or patch costs 1 + 8 bytes.
-// The per-worker fold leaves one record per (worker, vertex); unfolded ones
-// batch as every kind does, 2 + 8n bytes for n of them.
+// one int64 a gain is, 8 bytes. The per-worker fold leaves one record per
+// (worker, vertex), flushed by ascending id to the vertex's worker, so a
+// batch of n costs its header byte and count, and per record an id code of
+// one byte while the id is within 63 of the last, and the payload: 2 + 9n
+// bytes for a dense run. Unfolded records, in any order, carry their ids
+// whole.
 func TestDeltaWireSize(t *testing.T) {
-	for _, kind := range []uint8{kindGain, kindPatch} {
-		if got := payloadSize(kind); got != 8 {
-			t.Fatalf("kind %d payload = %d bytes, want 8 (Δacc)", kind, got)
+	if payloadSize != 8 {
+		t.Fatalf("payload = %d bytes, want 8 (Δacc)", payloadSize)
+	}
+	for _, rec := range []record{patchRecord(0, -3), gainRecord(62, 5)} {
+		if got := len(envelopeBytes(rec)); got != 2+9 {
+			t.Fatalf("encoded %+v is %d bytes, want 11", rec, got)
+		}
+		if sz, err := wideWire.Size([]record{rec}); err != nil || sz != 11 {
+			t.Fatalf("Size %d (%v), want 11", sz, err)
 		}
 	}
-	for _, rec := range []record{patchRecord(-3), gainRecord(5)} {
-		if got := len(envelopeBytes(rec)); got != 1+8 {
-			t.Fatalf("encoded %+v is %d bytes, want 9", rec, got)
-		}
-		if sz, err := wideWire.Size([]record{rec}); err != nil || sz != 9 {
-			t.Fatalf("Size %d (%v), want 9", sz, err)
-		}
+	batch := []record{patchRecord(5, 5), gainRecord(9, 4), patchRecord(72, -1)}
+	if got := len(envelopeBytes(batch...)); got != 2+9*3 {
+		t.Fatalf("a batch of 3 records within 63 ids of each other is %d bytes, want 29", got)
 	}
-	batch := []record{patchRecord(5), patchRecord(4), patchRecord(-1)}
-	if got := len(envelopeBytes(batch...)); got != 2+8*3 {
-		t.Fatalf("a batch of 3 patches is %d bytes, want 26", got)
+	if sz, err := wideWire.Size(batch); err != nil || sz != 29 {
+		t.Fatalf("Size %d (%v), want 29", sz, err)
 	}
-	if sz, err := wideWire.Size(batch); err != nil || sz != 26 {
-		t.Fatalf("Size %d (%v), want 26", sz, err)
+	far := []record{patchRecord(5, 5), gainRecord(69, 4)} // a gap of 64 takes two bytes
+	if got := len(envelopeBytes(far...)); got != 2+9+10 {
+		t.Fatalf("a batch with a gap of 64 is %d bytes, want 21", got)
+	}
+	unfolded := []record{patchRecord(200, 1), patchRecord(3, 2), patchRecord(200, 3)}
+	if got := len(envelopeBytes(unfolded...)); got != 2+10+9+10 {
+		t.Fatalf("an unfolded batch is %d bytes, want 31", got)
 	}
 }
 
@@ -600,5 +613,51 @@ func BenchmarkDistDelta(b *testing.B) {
 			}
 			b.ReportMetric(totalBytes, "msg-bytes")
 		})
+	}
+}
+
+// TestDistHearRefusesMisroutedRecords checks the superstep-2 hook's
+// invariants: a gain or patch for a vertex another worker hosts, or for an
+// id past the data vertices, and a gain/patch mix for one vertex panic
+// naming the vertex, where folding them in would corrupt an accumulator no
+// vertex of the worker reads. A vertex's own worker adds its records.
+func TestDistHearRefusesMisroutedRecords(t *testing.T) {
+	g := randomBipartite(t, 7, 30, 40, 120)
+	s := newRunState(g, &schedule{opts: Options{K: 4, Workers: 3}.withDefaults()})
+	numD := int32(g.NumData())
+	d := int32(slices.IndexFunc(s.host, func(w int32) bool { return w == 1 }))
+	for _, c := range []struct {
+		name string
+		w    int
+		recs []record
+		want string
+	}{
+		{"gain for another worker's vertex", 0, []record{gainRecord(d, 3)}, fmt.Sprintf("vertex %d,", d)},
+		{"patch for another worker's vertex", 2, []record{patchRecord(d, 3)}, fmt.Sprintf("vertex %d,", d)},
+		{"id past the data vertices", 1, []record{gainRecord(numD, 1)}, fmt.Sprintf("vertex %d,", numD)},
+		{"negative id", 1, []record{patchRecord(-1, 1)}, "vertex -1,"},
+		{"gain then patch", 1, []record{gainRecord(d, 1), patchRecord(d, 2)}, fmt.Sprintf("vertex %d received", d)},
+		{"patch then gain", 1, []record{patchRecord(d, 1), gainRecord(d, 2)}, fmt.Sprintf("vertex %d received", d)},
+		{"mover", 1, []record{moverRecord(d, 1)}, fmt.Sprintf("vertex %d received", d)},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q does not name %q", c.name, msg, c.want)
+				}
+			}()
+			s.data[d] = dataState{}
+			s.hear(c.w, c.recs)
+		}()
+	}
+	s.data[d] = dataState{acc: 100}
+	s.hear(1, []record{patchRecord(d, 5), patchRecord(d, -2)})
+	if st := s.data[d]; st.acc != 103 || st.heard != kindPatch {
+		t.Fatalf("patches: acc %d, heard %d; want 103, %d", st.acc, st.heard, kindPatch)
+	}
+	s.data[d] = dataState{acc: 100}
+	s.hear(1, []record{gainRecord(d, 5), gainRecord(d, -2)})
+	if st := s.data[d]; st.acc != 3 || st.heard != kindGain {
+		t.Fatalf("gains: acc %d, heard %d; want the resum 3, %d", st.acc, st.heard, kindGain)
 	}
 }

@@ -14,11 +14,13 @@
 //	             incrementally;
 //	superstep 1: each worker's PreSuperstep hook is the gain superstep: its
 //	             queries take their updates and send each adjacent data
-//	             vertex what it needs to bring its sibling-pair gain state
-//	             up to date (see below); data vertices idle;
-//	superstep 2: data vertices compute Equation 1 move gains and register
+//	             vertex's worker what the vertex needs to bring its
+//	             sibling-pair gain state up to date (see below); data
+//	             vertices idle;
+//	superstep 2: each worker's hook adds what it received into its data
+//	             vertices' accumulators; the data vertices then register
 //	             (direction, gain) proposals with the master, folding them
-//	             into their worker's part of the aggregate — changed
+//	             into their worker's dense proposal table — changed
 //	             proposals only, see below;
 //	superstep 3: the master's per-pair histogram matching produces move
 //	             probabilities, kept in its state; data vertices read them,
@@ -33,7 +35,8 @@
 //   - Every data vertex carries one persistent Equation 1 accumulator, acc =
 //     Σ_q (T[n_cur(q)−1] − T[n_sib(q)]) over its adjacent queries for its
 //     current sibling pair, which is its move gain: every gain and patch
-//     record carries one int64, 8 bytes on the wire and 16 in memory.
+//     record carries the vertex's id and one int64, 16 bytes in memory and
+//     9 on the wire while the ids it follows in its batch are near.
 //   - Bucket updates travel by mirror, as PowerGraph's do (Gonzalez et al.,
 //     OSDI 2012). Each worker holds a mirror table: for every data vertex,
 //     the (query, slot) pairs of the worker's queries, slot being the
@@ -64,14 +67,17 @@
 //   - Contributions fold per worker, as Giraph's combiners fold them per
 //     destination: a query adds each gain or patch into its worker's dense
 //     accumulator by data id (gainFold), and the hook, once its last query
-//     has run, sends one record per touched vertex, so every superstep-1
-//     envelope holds one record. In a full superstep (a level start's, a
-//     restored run's or a sweep's) a query computes the contribution once
-//     per local bucket (queryState.values), each member adds its bucket's
-//     into a plain per-worker slab, and the hook sends one gain per vertex
-//     the worker mirrors, by ascending id. The receiver adds what each worker
-//     sent; the engine folds nothing. The accumulators are empty at every
-//     barrier, so no checkpoint holds them.
+//     has run, sends one record per touched vertex, by ascending id, to the
+//     worker that hosts it (SendWorker, through a host table built once), so
+//     superstep 1 ships one envelope per (worker, worker). In a full
+//     superstep (a level start's, a restored run's or a sweep's) a query
+//     computes the contribution once per local bucket (queryState.values),
+//     each member adds its bucket's into a plain per-worker slab, and the
+//     hook sends one gain per vertex the worker mirrors. The receiving
+//     worker's superstep-2 hook adds what each worker sent into the vertex's
+//     accumulator before the vertex runs (runState.hear); no record is
+//     addressed to a vertex, and the engine folds nothing. The fold is empty
+//     at every barrier, so no checkpoint holds it.
 //   - All gain-table values are integer units (core's gains.go), so patched
 //     accumulators equal what a full resummation produces, in any order:
 //     the incremental and full paths yield byte-identical partitions and
@@ -86,16 +92,20 @@
 // # The changed-only proposal plane
 //
 // Superstep 2 applies the same admissibility idea to the proposal plane. A
-// data vertex whose accumulator saw no superstep-1 traffic and whose bucket
+// data vertex whose accumulator heard no superstep-1 traffic and whose bucket
 // is unchanged is stable: its gain is bit-identical to what it last proposed,
 // so it neither recomputes nor ships anything. Everyone else recomputes and,
 // only if the (direction, gain) actually changed, retracts the previously
 // registered proposal and asserts the new one (plus per-bucket weight deltas
-// when the bucket changed), into its worker's workerAgg. The master folds
-// the workers' assert/retract deltas into persistent per-direction
-// histograms and per-bucket weight totals, matches over the persistent state
-// each iteration, and resets it at level start — where every vertex
-// proposes afresh. Late supersteps therefore ship proposal traffic
+// when the bucket changed), into its worker's proposal table. The direction
+// "from bucket b to its sibling" is b itself, so every table is a slice
+// indexed by bucket id, and a vertex keeps its registered proposal's bin
+// code (core.BinCode), which its retract and superstep 3's coin read: a bin
+// is computed once per changed proposal. The master folds the workers'
+// assert/retract deltas into persistent per-direction histograms and
+// per-bucket weight totals, matches over the persistent state each
+// iteration, and resets it at level start — where every vertex proposes
+// afresh. Late supersteps therefore ship proposal traffic
 // proportional to the moving frontier, while full-rebroadcast iterations
 // (sweeps) recompute every gain — verifying the maintained proposal state —
 // but still ship only the changes, so the maintained and recomputed regimes
@@ -114,7 +124,6 @@ package distshp
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -294,43 +303,45 @@ func (r *Result) lateBytes(maxMovedFraction float64, phase int, field func(prege
 }
 
 // record is the one message type distshp sends through the engine: a tagged
-// union of the protocol's three kinds in one payload word, 16 bytes in
-// memory and no pointer, so the engine buffers, ships and delivers it by
-// value. word is the payload the wire carries (codec.go):
+// union of the protocol's three kinds, each about one data vertex id, with
+// one payload word; 16 bytes in memory and no pointer, so the engine buffers,
+// ships and delivers it by value. Every record addresses a worker
+// (pregel's SendWorker), never a vertex; the wire form is codec.go's.
 //
-//   - bucket, data -> worker, "data vertex ID is now in bucket New": word =
-//     ID | New<<32, sent once to each worker that hosts one of the mover's
-//     queries. The worker's mirror table turns it into one (slot, New)
-//     update per such query: at a level start it overrides the registry's
-//     derived split, later it moves the member.
-//   - gain, query -> data: word = the int64 gain units T[n(current
-//     bucket)−1] − T[n(sibling)], the query's neighbor-data contribution to
-//     the receiver's Equation 1 gain already mapped through the level's gain
-//     table. This is the combinable reduction of the paper's r = 2
-//     neighbor-data counts (Section 3.3): contributions from different
-//     queries add, and the receiver reads only their sum. A vertex that
-//     receives gains resums its accumulator from scratch (every adjacent
-//     query sent one).
-//   - patch, query -> data: word = the int64 change Δacc to that sum, from a
-//     dirty query to a clean member whose sibling pair holds a changed
-//     count. Patches add like gains, and the receiver adds them to its
-//     accumulator.
+//   - bucket, data -> worker, "data vertex id is now in bucket word", sent
+//     once to each worker that hosts one of the mover's queries. The
+//     worker's mirror table turns it into one (slot, bucket) update per such
+//     query: at a level start it overrides the registry's derived split,
+//     later it moves the member.
+//   - gain, worker -> worker hosting id: word = the int64 gain units, summed
+//     over the sender's queries, of T[n(current bucket)−1] − T[n(sibling)],
+//     the queries' neighbor-data contributions to id's Equation 1 gain
+//     already mapped through the level's gain table. This is the combinable
+//     reduction of the paper's r = 2 neighbor-data counts (Section 3.3):
+//     contributions from different queries add, and the receiver reads only
+//     their sum. A vertex that hears gains resums its accumulator from
+//     scratch (every adjacent query sent one).
+//   - patch, worker -> worker hosting id: word = the int64 change Δacc to
+//     that sum, from dirty queries to a clean member whose sibling pair holds
+//     a changed count. Patches add like gains, and the receiver adds them to
+//     its accumulator.
 type record struct {
 	word uint64
+	id   int32
 	kind uint8
 }
 
-func pack(a, b int32) uint64 { return uint64(uint32(a)) | uint64(uint32(b))<<32 }
-
 func moverRecord(d, bucket int32) record {
-	return record{kind: kindBucket, word: pack(d, bucket)}
+	return record{kind: kindBucket, id: d, word: uint64(uint32(bucket))}
 }
 
-func gainRecord(acc int64) record { return record{kind: kindGain, word: uint64(acc)} }
+func gainRecord(d int32, acc int64) record { return record{kind: kindGain, id: d, word: uint64(acc)} }
 
-func patchRecord(delta int64) record { return record{kind: kindPatch, word: uint64(delta)} }
+func patchRecord(d int32, delta int64) record {
+	return record{kind: kindPatch, id: d, word: uint64(delta)}
+}
 
-func (r record) mover() (d, bucket int32) { return int32(r.word), int32(r.word >> 32) }
+func (r record) mover() (d, bucket int32) { return r.id, int32(r.word) }
 
 // acc returns a gain's or a patch's value.
 func (r record) acc() int64 { return int64(r.word) }
@@ -339,7 +350,11 @@ func (r record) acc() int64 { return int64(r.word) }
 type dataState struct {
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
 	moved  bool  // moved in the previous iteration (drives dirty-only sends)
-	level  int
+	// heard is the kind of the gain or patch records the vertex's worker
+	// added into acc in the current superstep 2, before the vertex ran; 0
+	// (kindBucket) when none arrived. computeData clears it.
+	heard uint8
+	level int
 	// The persistent Equation 1 accumulator for the current sibling pair, in
 	// gain units: acc = Σ_q (T[n_bucket(q)−1] − T[n_sibling(q)]), which is
 	// the gain for moving to the sibling bucket. Resummed from gain records
@@ -347,12 +362,15 @@ type dataState struct {
 	// keeps the two maintenance regimes identical.
 	acc int64
 	// The proposal currently registered on the master's persistent
-	// histograms: direction key, gain, and the level it was asserted at
+	// histograms: its direction (the bucket it would leave), its gain, the
+	// gain's bin code (core.BinCode) and the level it was asserted at
 	// (propLevel != level means nothing is registered at this level yet).
-	// Superstep 2 retracts/asserts against these, shipping only changes.
-	propKey   uint64
-	propGain  int64
-	propLevel int
+	// Superstep 2 retracts/asserts against these, shipping only changes,
+	// and superstep 3's coin reads the code.
+	propBucket int32
+	propCode   int32
+	propGain   int64
+	propLevel  int
 }
 
 // memberRef is one mirror table entry: a query, by its index in the
@@ -733,31 +751,35 @@ func (m *mirror) changed(st *queryState) []core.NDChange {
 // gainFold is one worker's superstep-1 accumulator: the gains and patches
 // its queries address each data vertex, summed in acc by data id. In a
 // patch superstep each entry's kind is kept too (kindBucket, 0, marks an
-// empty entry), and touched lists the entries in first-touch order; flush,
-// at the end of the worker's gain step, sends them, one envelope of one
-// record per (worker, data vertex). In a full superstep every mirrored
-// vertex gets one gain, so the queries add into acc alone and flushGains
-// sends them.
+// empty entry), and touched lists the touched ids; flush, at the end of the
+// worker's gain step, sends each touched vertex one record, by ascending id,
+// to the worker that hosts it (host, the engine's placement, looked up
+// rather than hashed), so one envelope per (worker, worker) carries them. In
+// a full superstep every mirrored vertex gets one gain, so the queries add
+// into acc alone and flushGains sends them.
 type gainFold struct {
 	acc     []int64
 	kind    []uint8
 	touched []int32
+	host    []int32
 	// plain sends each record as it comes (Options.noFold).
 	plain bool
 }
 
-// newGainFold returns an empty fold over n data vertices.
-func newGainFold(n int) gainFold {
-	return gainFold{acc: make([]int64, n), kind: make([]uint8, n)}
+// newGainFold returns an empty fold over the data vertices host places.
+func newGainFold(host []int32) gainFold {
+	return gainFold{acc: make([]int64, len(host)), kind: make([]uint8, len(host)), host: host}
 }
 
-// add folds r, a gain or a patch for data vertex d, in: two gains, or two
+// add folds r, a gain or a patch for data vertex r.id, in: two gains, or two
 // patches, add. The protocol never mixes the two for one vertex in one
 // superstep (a vertex is either a mover — gains from every adjacent query —
-// or clean — patches only); add, computeData and the codec all refuse a mix.
-func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r record) {
+// or clean — patches only); add and the receiving worker (runState.hear)
+// both refuse a mix.
+func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], r record) {
+	d := r.id
 	if f.plain {
-		ctx.Send(pregel.VertexID(d), r)
+		ctx.SendWorker(int(f.host[d]), r)
 		return
 	}
 	switch k := &f.kind[d]; *k {
@@ -772,29 +794,28 @@ func (f *gainFold) add(ctx *pregel.ContextOf[record, workerAgg], d int32, r reco
 	f.acc[d] += r.acc()
 }
 
-// flush sends one record per touched vertex and empties the fold. When at
-// least an eighth of the data ids are touched it walks the ids in ascending
-// order instead of first-touch order, so the engine's placement and
-// envelope slots are read in order too. Each vertex gets one record per
-// worker either way, so only frame order moves.
+// flush sends one record per touched vertex, by ascending id, and empties
+// the fold. When at least an eighth of the data ids are touched it walks
+// every id instead of sorting the touched ones.
 func (f *gainFold) flush(ctx *pregel.ContextOf[record, workerAgg]) {
 	if 8*len(f.touched) >= len(f.kind) {
 		for d, k := range f.kind {
 			if k != kindBucket {
-				f.send(ctx, d, k)
+				f.send(ctx, int32(d), k)
 			}
 		}
 	} else {
+		slices.Sort(f.touched)
 		for _, d := range f.touched {
-			f.send(ctx, int(d), f.kind[d])
+			f.send(ctx, d, f.kind[d])
 		}
 	}
 	f.touched = f.touched[:0]
 }
 
 // send ships vertex d's entry as a record of kind and empties it.
-func (f *gainFold) send(ctx *pregel.ContextOf[record, workerAgg], d int, kind uint8) {
-	ctx.Send(pregel.VertexID(d), record{kind: kind, word: uint64(f.acc[d])})
+func (f *gainFold) send(ctx *pregel.ContextOf[record, workerAgg], d int32, kind uint8) {
+	ctx.SendWorker(int(f.host[d]), record{kind: kind, id: d, word: uint64(f.acc[d])})
 	f.acc[d], f.kind[d] = 0, kindBucket
 }
 
@@ -804,58 +825,116 @@ func (f *gainFold) send(ctx *pregel.ContextOf[record, workerAgg], d int, kind ui
 func (f *gainFold) flushGains(ctx *pregel.ContextOf[record, workerAgg], m *mirror) {
 	for d := range f.acc {
 		if m.mirrors(d) {
-			ctx.Send(pregel.VertexID(d), gainRecord(f.acc[d]))
+			ctx.SendWorker(int(f.host[d]), gainRecord(int32(d), f.acc[d]))
 			f.acc[d] = 0
 		}
 	}
 }
 
+// hear is worker w's hook in superstep 2: it adds every gain and patch the
+// workers sent it into its vertex's accumulator before any vertex runs. The
+// first gain a vertex hears resets the accumulator, so its gains resum it;
+// patches add to it. It refuses a record for a vertex w does not host and a
+// gain/patch mix for one vertex.
+func (s *runState) hear(w int, recs []record) {
+	for _, r := range recs {
+		if uint32(r.id) >= uint32(len(s.data)) || int(s.host[r.id]) != w {
+			//shp:panics(invariant: a worker flushes each record to the worker that hosts its vertex; a stray one would fold into state no vertex of this worker reads)
+			panic(fmt.Sprintf("distshp: worker %d received a record for vertex %d, which it does not host", w, r.id))
+		}
+		st := &s.data[r.id]
+		if st.heard != r.kind || r.kind == kindBucket {
+			if st.heard != kindBucket || r.kind == kindBucket {
+				//shp:panics(invariant: a vertex is either a mover, sent gains only, or clean, sent patches only; a mix means the barrier protocol broke)
+				panic(fmt.Sprintf("distshp: vertex %d received records of kinds %d and %d in one superstep", r.id, st.heard, r.kind))
+			}
+			st.heard = r.kind
+			if r.kind == kindGain {
+				st.acc = 0
+			}
+		}
+		st.acc += r.acc()
+	}
+}
+
 // workerAgg is one worker's part of a superstep's aggregate, what its
-// vertices ship the master: proposal deltas per direction (keyed by
-// directionKey; an assert adds a gain and a retract removes one, so counts
-// may go negative), per-bucket weight deltas, the movers, and the queries'
-// live-entry diff.
+// vertices ship the master: in a proposal superstep the worker's proposal
+// deltas (props, which the worker's hook points at its own table), the
+// movers, and the queries' live-entry diff.
 type workerAgg struct {
-	hists      map[uint64]*core.DirHist
-	weights    map[int32]int64
+	props      *proposals
 	moved      int64
 	fanoutDiff int64
 }
 
-// propose folds one proposal delta of gain units, of unit each, in.
-func (a *workerAgg) propose(key uint64, gain int64, unit float64, retract bool) {
-	h := a.hists[key]
-	if h == nil {
-		if a.hists == nil {
-			a.hists = map[uint64]*core.DirHist{}
-		}
-		h = &core.DirHist{}
-		a.hists[key] = h
-	}
-	if retract {
-		h.Remove(gain, unit)
-	} else {
-		h.Add(gain, unit)
-	}
+// proposals is one worker's proposal deltas in a proposal superstep, dense
+// by bucket id: hists[b] is the delta histogram of direction b, "from bucket
+// b to its sibling", to which an assert adds a gain and a retract removes
+// one (so counts may go negative), and weights[b] is bucket b's weight
+// delta. dirs and buckets list the entries touched, whatever their net, in
+// first-touch order, and mark flags them: they are what the master merges
+// and WireSize charges.
+type proposals struct {
+	hists         []core.DirHist
+	weights       []int64
+	mark          []uint8
+	dirs, buckets []int32
 }
 
-// weigh adds w to bucket's weight delta.
-func (a *workerAgg) weigh(bucket int32, w int64) {
-	if a.weights == nil {
-		a.weights = map[int32]int64{}
+// Marks of a proposals entry.
+const (
+	dirTouched    = 1
+	weightTouched = 2
+)
+
+// reset empties the table and makes room for n buckets.
+func (p *proposals) reset(n int) *proposals {
+	for _, b := range p.dirs {
+		p.hists[b], p.mark[b] = core.DirHist{}, 0
 	}
-	a.weights[bucket] += w
+	for _, b := range p.buckets {
+		p.weights[b], p.mark[b] = 0, 0
+	}
+	p.dirs, p.buckets = p.dirs[:0], p.buckets[:0]
+	if len(p.hists) < n {
+		p.hists = make([]core.DirHist, n)
+		p.weights = make([]int64, n)
+		p.mark = make([]uint8, n)
+	}
+	return p
+}
+
+// propose folds n = ±1 proposals of gain units, of bin code, into direction
+// b: an assert or a retract.
+func (p *proposals) propose(b, code int32, gain, n int64) {
+	if p.mark[b]&dirTouched == 0 {
+		p.mark[b] |= dirTouched
+		p.dirs = append(p.dirs, b)
+	}
+	p.hists[b].FoldCode(code, gain, n)
+}
+
+// weigh adds w to bucket b's weight delta.
+func (p *proposals) weigh(b int32, w int64) {
+	if p.mark[b]&weightTouched == 0 {
+		p.mark[b] |= weightTouched
+		p.buckets = append(p.buckets, b)
+	}
+	p.weights[b] += w
 }
 
 // WireSize reports what shipping the part to the master would cost: an
 // 8-byte direction key plus the delta histogram's non-empty bins per
-// direction, and a 4-byte bucket id plus an 8-byte weight per bucket; the
-// two counts are not charged. Feeds pregel's AggBytes accounting.
+// touched direction, and a 4-byte bucket id plus an 8-byte weight per
+// touched bucket. Feeds pregel's AggBytes accounting.
 func (a *workerAgg) WireSize() int {
-	n := 12 * len(a.weights)
-	//shp:ordered(integer sum over disjoint entries; exact and order-free)
-	for _, h := range a.hists {
-		n += 8 + h.WireSize()
+	p := a.props
+	if p == nil {
+		return 0
+	}
+	n := 12 * len(p.buckets)
+	for _, b := range p.dirs {
+		n += 8 + p.hists[b].WireSize()
 	}
 	return n
 }
@@ -863,59 +942,46 @@ func (a *workerAgg) WireSize() int {
 // fold merges the workers' proposal deltas into the persistent state.
 // DirHist sums are integers, so every merge order gives the same state.
 func (s *schedule) fold(parts []*workerAgg) {
-	for _, p := range parts {
-		//shp:ordered(integer histogram merges into distinct keys; equal in any order)
-		for key, h := range p.hists {
-			if mine := s.hists[key]; mine != nil {
-				mine.Merge(h)
-			} else {
-				s.hists[key] = h
-			}
+	for _, part := range parts {
+		p := part.props
+		if p == nil {
+			continue
 		}
-		//shp:ordered(integer sums into distinct keys; exact in any order)
-		for b, w := range p.weights {
-			s.weights[b] += w
+		for _, b := range p.dirs {
+			s.hists[b].Merge(&p.hists[b])
+		}
+		for _, b := range p.buckets {
+			s.weights[b] += p.weights[b]
 		}
 	}
 }
 
-// match pairs each direction's histogram with its opposite's and sets the
-// move probabilities superstep 3 reads. Keys ascend, so within a sibling
-// pair (key, key^1) the lower key always plays the A side of
-// MatchHistograms and the tables are bit-reproducible.
+// resetPlane empties the persistent proposal state for the current level's
+// 2^(level+1) buckets, where every vertex proposes afresh.
+func (s *schedule) resetPlane() {
+	n := 2 << s.level
+	s.hists = make([]core.DirHist, n)
+	s.weights = make([]int64, n)
+	s.probs = make([]core.ProbTable, n)
+}
+
+// match pairs each direction's histogram with its sibling's and sets the
+// move probabilities superstep 3 reads. Within a sibling pair (b, b+1) the
+// even direction always plays the A side of MatchHistograms, so the tables
+// are bit-reproducible. Direction b receives into bucket b^1, whose weight
+// bounds its extra allowance.
 func (s *schedule) match() {
 	eps := s.opts.Epsilon * float64(s.level+1) / float64(s.levels)
 	// Rounding the product keeps arm64 from fusing it into FNMSUBD below.
 	cap0 := float64(s.ideal * float64(s.opts.K>>(s.level+1)) * (1 + eps))
-	s.probs = map[uint64]*core.ProbTable{}
-	var empty core.DirHist
-	for _, key := range slices.Sorted(maps.Keys(s.hists)) {
-		if _, done := s.probs[key]; done {
-			continue
+	extra := func(dst int) int64 {
+		if head := cap0 - float64(s.weights[dst]); head > 0 {
+			return int64(head * 0.9)
 		}
-		rkey := key ^ 1 // opposite direction of the same pair
-		rh := s.hists[rkey]
-		if rh == nil {
-			rh = &empty
-		}
-		// directionKey(b) == b: the direction "from b to its sibling" is
-		// identified by b itself, so direction key receives into bucket
-		// key^1 and vice versa.
-		dstA := int32(uint32(key ^ 1))
-		dstB := int32(uint32(key))
-		extraA := int64(0)
-		extraB := int64(0)
-		if head := cap0 - float64(s.weights[dstA]); head > 0 {
-			extraA = int64(head * 0.9)
-		}
-		if head := cap0 - float64(s.weights[dstB]); head > 0 {
-			extraB = int64(head * 0.9)
-		}
-		pa, pb := core.MatchHistograms(s.hists[key], rh, extraA, extraB)
-		s.probs[key] = &pa
-		if rh != &empty {
-			s.probs[rkey] = &pb
-		}
+		return 0
+	}
+	for b := 0; b < len(s.hists); b += 2 {
+		s.probs[b], s.probs[b+1] = core.MatchHistograms(&s.hists[b], &s.hists[b+1], extra(b+1), extra(b))
 	}
 }
 
@@ -924,6 +990,15 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.K < 2 || opts.K&(opts.K-1) != 0 {
 		return nil, fmt.Errorf("distshp: K must be a power of two >= 2, got %d", opts.K)
+	}
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("distshp: Workers must be >= 0, got %d", opts.Workers)
+	}
+	if opts.Epsilon < 0 {
+		return nil, errors.New("distshp: Epsilon must be >= 0")
+	}
+	if opts.P <= 0 || opts.P > 1 {
+		return nil, fmt.Errorf("distshp: P must be in (0, 1], got %v", opts.P)
 	}
 	policy := opts.iterPolicy()
 	if err := policy.Validate(); err != nil {
@@ -955,15 +1030,12 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	// Master-side schedule state (package-level type so the checkpoint
 	// plane can snapshot and restore it; see snapshot.go).
-	sched := &schedule{
-		opts: opts, levels: levels,
-		ideal: float64(g.TotalDataWeight()) / float64(opts.K),
-		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{},
-	}
+	sched := &schedule{opts: opts, levels: levels, ideal: float64(g.TotalDataWeight()) / float64(opts.K)}
+	sched.resetPlane()
 
 	// The program's state: the data and query states in two slabs, indexed
-	// by id, each worker's mirror table and fold, and the schedule. The engine's
-	// vertices, the data vertices, are one slab too.
+	// by id, each worker's mirror table, fold and proposal table, and the
+	// schedule. The engine's vertices, the data vertices, are one slab too.
 	states := newRunState(g, sched)
 	slab := make([]pregel.Vertex, numD)
 	vertices := make([]*pregel.Vertex, len(slab))
@@ -974,13 +1046,20 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, msgs []record) {
-		computeData(ctx, g, int32(v.ID), &states.data[v.ID], msgs, sched, tables, states.mirrors)
+	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, _ []record) {
+		computeData(ctx, g, int32(v.ID), &states.data[v.ID], sched, tables, states.mirrors)
 	}
-	// A worker's gain superstep is its hook: the queries are its state.
-	gainStep := func(ctx *pregel.ContextOf[record, workerAgg], movers []record) {
-		if w := ctx.Worker(); ctx.Superstep()%4 == 1 {
-			states.mirrors[w].gainStep(ctx, g, states.query, movers, sched, tables[sched.level])
+	// A worker's gain superstep is its hook, since the queries are its
+	// state; in the proposal superstep its hook adds the gains and patches
+	// it received into its vertices' accumulators and hands the vertices its
+	// proposal table.
+	hook := func(ctx *pregel.ContextOf[record, workerAgg], recs []record) {
+		switch w := ctx.Worker(); ctx.Superstep() % 4 {
+		case 1:
+			states.mirrors[w].gainStep(ctx, g, states.query, recs, sched, tables[sched.level])
+		case 2:
+			states.hear(w, recs)
+			ctx.Aggregate().props = states.props[w].reset(len(sched.hists))
 		}
 	}
 
@@ -1019,13 +1098,12 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			if stop {
 				sched.level++
 				sched.iter = 0
-				// The proposal plane re-registers from scratch too: drop the
-				// persistent state.
-				sched.hists = map[uint64]*core.DirHist{}
-				sched.weights = map[int32]int64{}
 				if sched.level >= levels {
 					return true
 				}
+				// The proposal plane re-registers from scratch too: drop the
+				// persistent state.
+				sched.resetPlane()
 			}
 		}
 		return false
@@ -1034,7 +1112,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
 		Compute:       compute,
-		PreSuperstep:  gainStep,
+		PreSuperstep:  hook,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
 		Transport:     opts.Transport,
@@ -1078,9 +1156,10 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 }
 
 // computeData is the program of data vertex d. It reads the master's state
-// in s, which the master writes only between supersteps.
+// in s, which the master writes only between supersteps, and no messages:
+// its worker's hook has added what the workers sent it into st.acc.
 func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, d int32, st *dataState,
-	msgs []record, s *schedule, tables []core.GainTables, mirrors []mirror) {
+	s *schedule, tables []core.GainTables, mirrors []mirror) {
 
 	switch ctx.Superstep() % 4 {
 	case 0:
@@ -1102,48 +1181,27 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 	case 1:
 		// The workers' hooks run the queries; data idles.
 	case 2:
-		// Bring the persistent Equation 1 accumulator up to date and
-		// register it, the gain for moving to the sibling bucket, with the
+		// The hook brought the persistent Equation 1 accumulator up to date
+		// — gains resummed it (movers and rebroadcast iterations: every
+		// adjacent query sent a contribution), patches added in place.
+		// Register it, the gain for moving to the sibling bucket, with the
 		// master.
-		// Gains mean "resum from scratch" (movers and rebroadcast iterations
-		// — every adjacent query sent a contribution); patches add in place.
-		// The protocol never mixes the two for one vertex in one superstep.
 		//
-		// Admissibility gate: no superstep-1 traffic and an unchanged bucket
-		// mean the accumulator — the gain — is bit-identical to the
-		// registered proposal. Stable vertices neither recompute nor ship,
-		// so late supersteps cost only the moving frontier on this plane.
-		// (The bucket check catches zero-degree movers, whose bucket flips
+		// Admissibility gate: nothing heard and an unchanged bucket mean the
+		// accumulator — the gain — is bit-identical to the registered
+		// proposal. Stable vertices neither recompute nor ship, so late
+		// supersteps cost only the moving frontier on this plane. (The
+		// bucket check catches zero-degree movers, whose bucket flips
 		// without any message traffic.)
 		level := s.level
-		key := directionKey(st.bucket)
-		if len(msgs) == 0 && st.propLevel == level && key == st.propKey {
+		heard := st.heard != kindBucket
+		st.heard = kindBucket
+		if !heard && st.propLevel == level && st.bucket == st.propBucket {
 			return
 		}
-		tb := tables[level]
-		var acc int64
-		gains, patches := 0, 0
-		for _, m := range msgs {
-			acc += m.acc()
-			if m.kind == kindGain {
-				gains++
-			} else {
-				patches++
-			}
-		}
-		switch {
-		case gains > 0 && patches > 0:
-			//shp:panics(invariant: the superstep schedule never mixes gains and patches; a mix means the barrier protocol broke)
-			panic(fmt.Sprintf("distshp: vertex %d received %d gain and %d patch messages in one superstep",
-				d, gains, patches))
-		case gains > 0:
-			st.acc = acc
-		default:
-			st.acc += acc
-		}
-		agg := ctx.Aggregate()
+		props := ctx.Aggregate().props
 		if st.propLevel == level {
-			if key == st.propKey && st.acc == st.propGain {
+			if st.bucket == st.propBucket && st.acc == st.propGain {
 				// Recomputed (rebroadcast verification) but unchanged:
 				// nothing to ship. Keeps the maintained and full-rebroadcast
 				// regimes' aggregate streams identical.
@@ -1151,24 +1209,22 @@ func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Biparti
 			}
 			// Retract the registered proposal; on a bucket change, move the
 			// vertex's weight between the buckets' persistent totals.
-			agg.propose(st.propKey, st.propGain, tb.Unit(), true)
-			if oldB := int32(uint32(st.propKey)); oldB != st.bucket {
-				agg.weigh(oldB, -int64(g.DataWeight(d)))
-				agg.weigh(st.bucket, int64(g.DataWeight(d)))
+			props.propose(st.propBucket, st.propCode, st.propGain, -1)
+			if old := st.propBucket; old != st.bucket {
+				props.weigh(old, -int64(g.DataWeight(d)))
+				props.weigh(st.bucket, int64(g.DataWeight(d)))
 			}
 		} else {
 			// First proposal of the level: register the full weight.
-			agg.weigh(st.bucket, int64(g.DataWeight(d)))
+			props.weigh(st.bucket, int64(g.DataWeight(d)))
 		}
-		agg.propose(key, st.acc, tb.Unit(), false)
-		st.propKey, st.propGain, st.propLevel = key, st.acc, level
+		code := core.BinCode(st.acc, tables[level].Unit())
+		props.propose(st.bucket, code, st.acc, 1)
+		st.propBucket, st.propCode, st.propGain, st.propLevel = st.bucket, code, st.acc, level
 	case 3:
-		// Read the master's probabilities and maybe move.
-		pt := s.probs[directionKey(st.bucket)]
-		if pt == nil {
-			return
-		}
-		p := pt.ProbFor(st.acc, tables[s.level].Unit())
+		// Read the master's probability for the registered proposal, which
+		// superstep 2 left equal to (bucket, acc), and maybe move.
+		p := s.probs[st.bucket].ProbAt(st.propCode)
 		if p <= 0 {
 			return
 		}
@@ -1207,13 +1263,6 @@ func split(level int, parent int32, coin uint8) int32 {
 	return b
 }
 
-// directionKey identifies the direction "from bucket b to its sibling".
-// Because the pair is (b &^ 1, b | 1), the source bucket id itself is a
-// collision-free key, and the opposite direction is key ^ 1.
-func directionKey(bucket int32) uint64 {
-	return uint64(uint32(bucket))
-}
-
 // computeQuery is query q's program in superstep 1, which its worker's gain
 // step m runs once it has applied q's updates (see mirror.gainStep): bring
 // each member's gain state up to date through m's fold, with m's tables as
@@ -1236,7 +1285,7 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 		vals := st.values(tb, m.vals)
 		if fold.plain {
 			for i, d := range members {
-				fold.add(ctx, d, gainRecord(vals[st.memberLocal[i]]))
+				fold.add(ctx, gainRecord(d, vals[st.memberLocal[i]]))
 			}
 			return
 		}
@@ -1251,9 +1300,9 @@ func computeQuery(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipart
 	for i, d := range members {
 		l := st.memberLocal[i]
 		if m.moved[i] {
-			fold.add(ctx, d, gainRecord(st.contribution(tb, l)))
+			fold.add(ctx, gainRecord(d, st.contribution(tb, l)))
 		} else if p := pat[l]; p.hit {
-			fold.add(ctx, d, patchRecord(p.delta))
+			fold.add(ctx, patchRecord(d, p.delta))
 		}
 	}
 	unpatch(changes, pat)

@@ -223,28 +223,38 @@ func TestMirrorTables(t *testing.T) {
 // TestEngineHoldsOnlyDataVertices pins where queries live: they are state
 // of their workers, run from the workers' hooks, so on both transports no
 // superstep runs more vertices than the graph has data vertices. Each level
-// start's superstep 1 ships what the per-worker fold makes of it: one gain
-// per (worker, data vertex the worker mirrors), a 9-byte record behind its
-// id on the memory transport.
+// start's superstep 1 ships what the per-worker fold makes of it: one
+// envelope per (source worker, destination worker), addressed to the
+// destination worker, carrying one gain per data vertex that the source
+// mirrors and the destination hosts, by ascending id (an id code and 8
+// bytes each behind the envelope's header, id and count, on the memory
+// transport). No record is addressed to a vertex.
 func TestEngineHoldsOnlyDataVertices(t *testing.T) {
 	const workers = 3
 	g := randomBipartite(t, 29, 150, 260, 1400)
 	numD := g.NumData()
-	var mirrored, bytes int64
-	for w := 0; w < workers; w++ {
-		hosted := make([]bool, numD)
+	var envelopes, bytes int64
+	for src := 0; src < workers; src++ {
+		mirrored := make([]bool, numD)
 		for q := 0; q < g.NumQueries(); q++ {
-			if pregel.HashWorker(pregel.VertexID(numD+q), workers) == w {
+			if pregel.HashWorker(pregel.VertexID(numD+q), workers) == src {
 				for _, d := range g.QueryNeighbors(int32(q)) {
-					hosted[d] = true
+					mirrored[d] = true
 				}
 			}
 		}
-		for d, ok := range hosted {
-			if ok {
-				mirrored++
-				bytes += int64(uvarintLen(uint64(d)) + 9)
+		for dst := 0; dst < workers; dst++ {
+			var recs []record
+			for d, ok := range mirrored {
+				if ok && pregel.HashWorker(pregel.VertexID(d), workers) == dst {
+					recs = append(recs, gainRecord(int32(d), 0))
+				}
 			}
+			if len(recs) == 0 {
+				continue
+			}
+			envelopes++
+			bytes += int64(uvarintLen(uint64(numD)) + len(envelopeBytes(recs...)))
 		}
 	}
 	for _, tr := range []struct {
@@ -267,9 +277,9 @@ func TestEngineHoldsOnlyDataVertices(t *testing.T) {
 			}
 			starts++
 			ss := res.Stats.PerSuperstep[4*j+1]
-			if ss.MessagesSent != mirrored || tr.name == "memory" && ss.BytesSent != bytes {
+			if ss.MessagesSent != envelopes || tr.name == "memory" && ss.BytesSent != bytes {
 				t.Fatalf("%s: level %d's gain superstep sent %d envelopes, %d bytes; want %d, %d",
-					tr.name, rec.Level, ss.MessagesSent, ss.BytesSent, mirrored, bytes)
+					tr.name, rec.Level, ss.MessagesSent, ss.BytesSent, envelopes, bytes)
 			}
 		}
 		if starts != 2 {

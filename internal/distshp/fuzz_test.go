@@ -28,9 +28,9 @@ var fuzzWire = recordCodec{k: fuzzK, numData: 16}
 
 // checkRecordCodec is the wire codec's property: hostile counts and
 // truncations fail without appending anything; whatever decodes holds only
-// mover records of data vertices in [0, 16) to buckets in [0, fuzzK), re-encodes
-// to exactly the bytes consumed, sizes to them, and decodes again onto what
-// is already there.
+// records of data vertices in [0, 16), movers to buckets in [0, fuzzK),
+// re-encodes to exactly the bytes consumed, sizes to them, and decodes again
+// onto what is already there.
 func checkRecordCodec(t *testing.T, data []byte) {
 	recs, used, err := fuzzWire.Decode(data, nil)
 	if err != nil {
@@ -43,7 +43,7 @@ func checkRecordCodec(t *testing.T, data []byte) {
 		t.Fatalf("decoded %d records from %d of %d bytes", len(recs), used, len(data))
 	}
 	for _, r := range recs {
-		if d, b := r.mover(); r.kind == kindBucket && (b < 0 || b >= fuzzK || d < 0 || d >= 16) {
+		if d, b := r.mover(); d < 0 || d >= 16 || r.kind == kindBucket && (b < 0 || b >= fuzzK) {
 			t.Fatalf("decoded an out-of-range record %+v", r)
 		}
 	}
@@ -69,15 +69,18 @@ func envelopeBytes(recs ...record) []byte {
 }
 
 // FuzzDeltaCodec starts from patch records, the kind that replaced
-// per-bucket delta records.
+// per-bucket delta records, alone and in a worker's batch.
 func FuzzDeltaCodec(f *testing.F) {
-	f.Add(envelopeBytes(patchRecord(-3)))
-	f.Add(envelopeBytes(patchRecord(0)))
-	f.Add(envelopeBytes(patchRecord(math.MinInt64)))
-	f.Add(envelopeBytes(patchRecord(math.MaxInt64)))
+	f.Add(envelopeBytes(patchRecord(3, -3)))
+	f.Add(envelopeBytes(patchRecord(0, 0)))
+	f.Add(envelopeBytes(patchRecord(15, math.MinInt64)))
+	f.Add(envelopeBytes(patchRecord(7, math.MaxInt64)))
 	f.Add([]byte{})
 	f.Add([]byte{kindPatch, 2, 3})
-	f.Add(envelopeBytes(patchRecord(1))[:8]) // one payload byte short
+	f.Add(envelopeBytes(patchRecord(1, 1))[:10])                                      // one payload byte short
+	f.Add(envelopeBytes(patchRecord(1, 4), gainRecord(2, -1), patchRecord(15, 9)))    // kinds mixed over vertices
+	f.Add(envelopeBytes(patchRecord(2, 1), patchRecord(16, 3)))                       // an id of |D|
+	f.Add(envelopeBytes(patchRecord(3, 1), patchRecord(9, 2), gainRecord(4, 5))[:22]) // a truncated tail
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -153,7 +156,7 @@ func fuzzRun(tb testing.TB) (*runState, [][]*pregel.Vertex) {
 	for d := range s.data {
 		st := &s.data[d]
 		st.bucket = splitBucket(seed, 1, int32(d), splitBucket(seed, 0, int32(d), -1))
-		st.level, st.acc, st.propKey, st.propLevel = 1, 2*int64(d), directionKey(st.bucket), 1
+		st.level, st.acc, st.propBucket, st.propLevel = 1, 2*int64(d), st.bucket, 1
 	}
 	for q := range s.query {
 		for level := 0; level <= 1; level++ {
@@ -229,7 +232,7 @@ func requireReplayState(t *testing.T, s *runState) {
 			t.Fatalf("worker %d's queries restored registered at level %d", w, m.level)
 		}
 	}
-	if sc := s.sched; len(sc.hists) != 0 || len(sc.weights) != 0 || sc.probs != nil || sc.ndEntries != 0 || sc.rebuildNext {
+	if sc := s.sched; !planeEmpty(sc) || sc.ndEntries != 0 || sc.rebuildNext {
 		t.Fatal("the restored schedule kept proposal-plane state")
 	}
 }
@@ -370,7 +373,7 @@ func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 		}
 	}
 	batch := envelopeBytes(moverRecord(1, 0), moverRecord(2, fuzzK))
-	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1)}); err == nil || len(recs) != 1 {
+	if recs, _, err := fuzzWire.Decode(batch, []record{gainRecord(1, 1)}); err == nil || len(recs) != 1 {
 		t.Errorf("batch with a bucket of K: decoded %+v (err %v)", recs, err)
 	}
 	for _, r := range []record{moverRecord(3, 0), moverRecord(3, fuzzK-1), moverRecord(15, 0), moverRecord(0, 1)} {
@@ -380,19 +383,48 @@ func TestRecordCodecRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// FuzzDeltaBatchCodec starts from batches of gains and patches, which the
-// fold-off side of the equivalence tests sends: a batch decodes whole, and
-// two patch envelopes back to back decode as the first one alone.
+// TestDistRecordCodecRejectsBadBatches checks that a worker's batch of
+// gains and patches that no run sends fails its decode, appending nothing:
+// an id of |D| or beyond, an id that does not ascend in the ascending form
+// (a gap of 0), an unknown header byte, and an id code whose gap runs past
+// every id. The batch that ends at id |D|-1 decodes.
+func TestDistRecordCodecRejectsBadBatches(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"gain at |D|", envelopeBytes(gainRecord(16, 1))},
+		{"patch past |D| in a batch", envelopeBytes(patchRecord(3, 1), gainRecord(7, 2), patchRecord(40, 3))},
+		{"any-order id at |D|", envelopeBytes(patchRecord(16, 1), patchRecord(2, 2))},
+		{"repeated id", cat([]byte{ascendingIDs, 2, 4}, le64(1), []byte{0 << 1}, le64(2))},
+		{"repeated id as a patch", cat([]byte{ascendingIDs, 2, 4}, le64(1), []byte{0<<1 | 1}, le64(2))},
+		{"unknown kind", cat([]byte{12, 1, 2}, le64(1))},
+		{"unknown batch kind", cat([]byte{ascendingIDs | batchBit, 1, 2}, le64(1))},
+		{"gap past every id", cat([]byte{ascendingIDs, 1, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, le64(1))},
+	} {
+		if recs, _, err := fuzzWire.Decode(c.data, []record{gainRecord(1, 1)}); err == nil || len(recs) != 1 {
+			t.Errorf("%s: decoded %+v (err %v)", c.name, recs, err)
+		}
+	}
+	if recs, _, err := fuzzWire.Decode(envelopeBytes(gainRecord(0, 1), patchRecord(15, 2)), nil); err != nil || len(recs) != 2 {
+		t.Errorf("ids 0 and 15: decoded %+v (err %v)", recs, err)
+	}
+}
+
+// FuzzDeltaBatchCodec starts from batches of gains and patches in any id
+// order, which the fold-off side of the equivalence tests sends: a batch
+// decodes whole, and two envelopes back to back decode as the first one
+// alone.
 func FuzzDeltaBatchCodec(f *testing.F) {
-	two := append(envelopeBytes(patchRecord(2)), envelopeBytes(patchRecord(-3))...)
-	batch := envelopeBytes(patchRecord(2), patchRecord(-3))
+	two := append(envelopeBytes(patchRecord(5, 2)), envelopeBytes(patchRecord(1, -3))...)
+	batch := envelopeBytes(patchRecord(5, 2), patchRecord(1, -3))
 	f.Add(two)
 	f.Add(batch)
-	f.Add(cat([]byte{kindPatch | batchBit, 1}, le64(2)))                                // a batch of one
-	f.Add(batch[:len(batch)-1])                                                         // truncated last record
-	f.Add([]byte{kindPatch | batchBit, 200})                                            // truncated uvarint count
-	f.Add([]byte{kindPatch | batchBit, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
-	f.Add(envelopeBytes(gainRecord(1), gainRecord(math.MaxInt64), gainRecord(math.MinInt64)))
+	f.Add(cat([]byte{anyIDs, 1, 2}, le64(2)))                             // a batch of one
+	f.Add(batch[:len(batch)-1])                                           // truncated last record
+	f.Add([]byte{anyIDs, 200})                                            // truncated uvarint count
+	f.Add([]byte{anyIDs, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd count
+	f.Add(envelopeBytes(gainRecord(1, 1), gainRecord(1, math.MaxInt64), gainRecord(0, math.MinInt64)))
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -419,11 +451,15 @@ func FuzzBucketBatchCodec(f *testing.F) {
 	f.Fuzz(checkRecordCodec)
 }
 
+// FuzzGainCodec starts from gain records, alone and in a worker's batch.
 func FuzzGainCodec(f *testing.F) {
-	f.Add(envelopeBytes(gainRecord(-4)))
+	f.Add(envelopeBytes(gainRecord(4, -4)))
 	f.Add([]byte{})
 	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{kindGain, 1, 2, 3, 4, 5, 6, 7}) // one payload byte short
+	f.Add(cat([]byte{ascendingIDs, 1, 2}, []byte{1, 2, 3, 4, 5, 6, 7}))              // one payload byte short
+	f.Add(envelopeBytes(gainRecord(0, 4), patchRecord(1, -1), gainRecord(14, 9)))    // kinds mixed over vertices
+	f.Add(envelopeBytes(gainRecord(9, 1), gainRecord(16, 3)))                        // an id of |D|
+	f.Add(envelopeBytes(gainRecord(2, 1), patchRecord(3, 2), gainRecord(8, 5))[:28]) // a truncated tail
 	f.Fuzz(checkRecordCodec)
 }
 
@@ -433,21 +469,27 @@ func sampleSchedule() *schedule {
 	s := &schedule{
 		opts: Options{K: fuzzK}.withDefaults(), levels: 3, ideal: 40,
 		level: 1, iter: 2, rebuildNext: true, ndEntries: 60,
-		hists:   map[uint64]*core.DirHist{},
-		weights: map[int32]int64{0: 41, 1: 37, 2: -3},
 		history: []IterRecord{{Level: 0, Iter: 0, Moved: 12, Fanout: 1.5}, {Level: 0, Iter: 1, Moved: 0, Fanout: 1.375},
 			{Level: 1, Iter: 0, Moved: 9, Fanout: 1.75}, {Level: 1, Iter: 1, Moved: 3, Fanout: 1.625}},
 	}
+	s.resetPlane()
+	copy(s.weights, []int64{41, 37, -3})
 	unit := math.Ldexp(0.5, -32)
-	for key, gains := range map[uint64][]int64{0: {1 << 32, -1 << 31}, 1: {3 << 32}, 3: {-1 << 34, 1 << 30, 3 << 31}} {
-		h := &core.DirHist{}
+	for b, gains := range map[int][]int64{0: {1 << 32, -1 << 31}, 1: {3 << 32}, 3: {-1 << 34, 1 << 30, 3 << 31}} {
 		for _, g := range gains {
-			h.Add(g, unit)
+			s.hists[b].Add(g, unit)
 		}
-		s.hists[key] = h
 	}
 	s.match()
 	return s
+}
+
+// planeEmpty reports whether s's proposal plane — histograms, weights and
+// move probabilities — is all zero.
+func planeEmpty(s *schedule) bool {
+	return !slices.ContainsFunc(s.hists, func(h core.DirHist) bool { return h != core.DirHist{} }) &&
+		!slices.ContainsFunc(s.weights, func(w int64) bool { return w != 0 }) &&
+		!slices.ContainsFunc(s.probs, func(p core.ProbTable) bool { return p != core.ProbTable{} })
 }
 
 // FuzzSnapshotValueCodecs drives the decoder of the master's blob, the
@@ -484,7 +526,7 @@ func FuzzSnapshotValueCodecs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(r.hists) != 0 || len(r.weights) != 0 || r.probs != nil || r.ndEntries != 0 || r.rebuildNext {
+		if !planeEmpty(r) || r.ndEntries != 0 || r.rebuildNext {
 			t.Fatal("a decoded schedule holds proposal-plane state")
 		}
 		re := r.appendBinary(nil)

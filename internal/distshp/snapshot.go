@@ -17,10 +17,9 @@ package distshp
 // the master's fanout count), the queries send full gains, and superstep 2
 // registers every proposal afresh. Gains are integers, so what this re-derives is what
 // the undisturbed run maintained, and the recovered run finishes
-// byte-identical to it. (The one difference, a histogram the undisturbed
-// run retracted to zero, which the restored map lacks, belongs to an empty
-// bucket; matching its pair against an empty side gives the nonempty side
-// the same table either way.)
+// byte-identical to it. A worker's proposal table may hold the deltas of a
+// proposal superstep whose exchange failed; its hook empties it before the
+// replayed one fills it.
 
 import (
 	"encoding/binary"
@@ -55,11 +54,13 @@ type schedule struct {
 	// hists and weights are the persistent proposal-plane state: per-
 	// direction gain histograms and per-bucket weight totals, maintained
 	// from the vertices' assert/retract deltas each proposal superstep
-	// and reset at level start (where every vertex proposes afresh).
-	hists   map[uint64]*core.DirHist
-	weights map[int32]int64
+	// and reset at level start (where every vertex proposes afresh). A
+	// direction, "from bucket b to its sibling b^1", is indexed by b, and
+	// all three tables span the level's 2^(level+1) buckets.
+	hists   []core.DirHist
+	weights []int64
 	// probs are the per-direction move probabilities superstep 3 reads.
-	probs   map[uint64]*core.ProbTable
+	probs   []core.ProbTable
 	history []IterRecord
 }
 
@@ -83,8 +84,7 @@ func (s *schedule) appendBinary(buf []byte) []byte {
 func (s *schedule) decode(data []byte) (*schedule, error) {
 	d := &decoder{data: data}
 	r := &schedule{opts: s.opts, levels: s.levels, ideal: s.ideal,
-		level: int(d.varint()), iter: int(d.varint()),
-		hists: map[uint64]*core.DirHist{}, weights: map[int32]int64{}}
+		level: int(d.varint()), iter: int(d.varint())}
 	n := d.varint()
 	if n < 0 || n > int64(len(d.data))/4 { // each record is >= 4 bytes
 		return nil, fmt.Errorf("distshp: schedule snapshot: history count %d exceeds payload", n)
@@ -103,6 +103,7 @@ func (s *schedule) decode(data []byte) (*schedule, error) {
 	if r.level < 0 || r.level >= r.levels || r.iter < 0 || r.iter >= r.opts.ItersPerLevel {
 		return nil, fmt.Errorf("distshp: schedule snapshot: level %d, iteration %d out of range", r.level, r.iter)
 	}
+	r.resetPlane()
 	return r, nil
 }
 
@@ -127,12 +128,15 @@ func (d *decoder) varint() int64 {
 }
 
 // runState is a run's program state: the data and query slabs, indexed by
-// id, each worker's mirror table and fold, and the master's schedule. It is
-// the engine's checkpoint hook.
+// id, each worker's mirror table, fold and proposal table, the worker that
+// hosts each data vertex, and the master's schedule. It is the engine's
+// checkpoint hook.
 type runState struct {
 	data    []dataState
 	query   []queryState
 	mirrors []mirror
+	props   []proposals
+	host    []int32 // by data id: pregel.HashWorker's placement
 	sched   *schedule
 }
 
@@ -144,12 +148,16 @@ func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
 		query: newQueryStates(g.NumQueries(), k, func(q int) int { return g.QueryDegree(int32(q)) }),
 		mirrors: newMirrors(g, k, workers, func(q int32) int {
 			return pregel.HashWorker(pregel.VertexID(numD+int(q)), workers)
-		})}
+		}),
+		props: make([]proposals, workers), host: make([]int32, numD)}
+	for d := range s.host {
+		s.host[d] = int32(pregel.HashWorker(pregel.VertexID(d), workers))
+	}
 	for w := range s.mirrors {
 		if m := &s.mirrors[w]; sched.opts.noFold {
-			m.fold.plain = true
+			m.fold = gainFold{host: s.host, plain: true}
 		} else {
-			m.fold = newGainFold(numD)
+			m.fold = newGainFold(s.host)
 		}
 	}
 	for d := range s.data {

@@ -74,9 +74,10 @@ func (ob *outbox[M]) add(l int32, dst VertexID, m M) {
 // group lays the records out envelope by envelope, the order codecs encode
 // and delivery reads, in place: a stable pass turns envOf[i] into rec[i]'s
 // position, and swaps then put every record there. When every envelope holds
-// one record, send order already is that layout.
+// one record, or one envelope holds them all, send order already is that
+// layout.
 func (ob *outbox[M]) group() {
-	if len(ob.rec) == len(ob.envs) {
+	if len(ob.rec) == len(ob.envs) || len(ob.envs) == 1 {
 		return
 	}
 	at := int32(0)
