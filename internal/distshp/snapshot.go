@@ -2,11 +2,12 @@ package distshp
 
 // The run's checkpoint plane. A checkpoint is taken only at an iteration's
 // superstep 0 (Partition sets the engine's cadence to a multiple of the four
-// supersteps of an iteration), where no message is pending and everything
-// but each data vertex's bucket is an exact integer function of the
-// assignment, the level, the iteration and the seed. So a snapshot holds per
-// worker each data vertex's bucket, nothing of its queries, and the master's
-// level, iteration and history.
+// supersteps of an iteration), where no message is pending — the engine
+// snapshots only such barriers, and its snapshot holds the halted flags and
+// no message — and everything but each data vertex's bucket is an exact
+// integer function of the assignment, the level, the iteration and the
+// seed. So a snapshot holds per worker each data vertex's bucket, nothing of
+// its queries, and the master's level, iteration and history.
 //
 // A restore rebuilds the rest through the level-start registration that
 // already exists: every data vertex is marked moved with nothing proposed,

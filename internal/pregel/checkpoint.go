@@ -15,7 +15,7 @@ import (
 )
 
 // Checkpointer persists superstep snapshots for failure recovery. Snapshots
-// are opaque byte blobs produced by the engine's codec plane; a checkpointer
+// are opaque byte blobs the engine encodes; a checkpointer
 // only stores and retrieves them. Implementations must be safe for use by
 // one engine at a time (the engine never calls them concurrently).
 type Checkpointer interface {
@@ -175,35 +175,30 @@ type ProgramState interface {
 //	per worker, in worker order:
 //	  program part length | the part (Options.Program's AppendWorker)
 //	  halted flags: one bit per vertex in the engine's canonical order
-//	    (id-ascending), low bit first, ⌈n/8⌉ bytes
-//	  inbox length | per record, in the inbox's grouped order
-//	    (destination-ascending, then source worker, then send order): dst |
-//	    the record as a one-record envelope; the worker group's records
-//	    (SendWorker's) come last, under dst = total vertices
+//	    (id-ascending), low bit first, ⌈n/8⌉ bytes, padding bits zero
 //	master blob length | blob bytes (Options.Program's AppendMaster)
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
-// Pending records ride Options.Codecs, the codec the wire uses. Encoding
-// order is canonical, so equal states produce byte-identical snapshots. The
-// checksum is what catches damage that still parses — a flipped bit inside a
-// numeric state decodes to a different, perfectly valid state. The version
-// changes whenever the layout or a program's payload does: version 5 moved
-// vertex states out of the engine into per-worker program parts, version 6
-// cut distshp's parts to its data vertices' buckets, version 7 added the
-// worker group.
+// A snapshot is taken only where no inbox holds a record (see Run), so it
+// holds no messages and needs no codec. Encoding order is canonical, so
+// equal states produce byte-identical snapshots. The checksum is what catches damage that still parses — a
+// flipped bit inside a numeric state decodes to a different, perfectly
+// valid state. The version changes whenever the layout or a program's
+// payload does: version 5 moved vertex states out of the engine into
+// per-worker program parts, version 6 cut distshp's parts to its data
+// vertices' buckets, version 7 added the worker group to the pending
+// inboxes, and version 8 dropped the inboxes.
 const (
 	snapshotMagic   = "SHPS"
-	snapshotVersion = 7
+	snapshotVersion = 8
 	snapshotSumSize = 4
 )
 
-// checkpoint snapshots the engine at a superstep boundary and hands it to
-// the checkpointer, charging the encoded size to Stats.CheckpointBytes.
+// checkpoint snapshots the engine at a quiescent superstep boundary and
+// hands it to the checkpointer, charging the encoded size to
+// Stats.CheckpointBytes.
 func (e *EngineOf[M, A]) checkpoint(superstep int) error {
-	snap, err := e.encodeSnapshot(superstep)
-	if err != nil {
-		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", superstep, err)
-	}
+	snap := e.encodeSnapshot(superstep)
 	if err := e.opts.Checkpointer.Save(superstep, snap); err != nil {
 		return fmt.Errorf("pregel: checkpoint at superstep %d: %w", superstep, err)
 	}
@@ -218,16 +213,15 @@ func prefixLen(buf []byte, at int) []byte {
 	return slices.Insert(buf, at, n[:binary.PutUvarint(n[:], uint64(len(buf)-at))]...)
 }
 
-// encodeSnapshot serializes the complete barrier state at a superstep
+// encodeSnapshot serializes the barrier state at a quiescent superstep
 // boundary: everything the next superstep's compute can observe. The buffer
 // starts at the previous snapshot's size, which the next one rarely outgrows.
-func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
+func (e *EngineOf[M, A]) encodeSnapshot(superstep int) []byte {
 	buf := append(make([]byte, 0, e.snapLen), snapshotMagic...)
 	buf = append(buf, snapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(superstep))
 	buf = binary.AppendUvarint(buf, uint64(len(e.workers)))
 	buf = binary.AppendUvarint(buf, uint64(len(e.place)))
-	var err error
 	for _, w := range e.workers {
 		at := len(buf)
 		buf = prefixLen(e.opts.Program.AppendWorker(buf, w.vertices), at)
@@ -238,42 +232,25 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) ([]byte, error) {
 				buf[at+l/8] |= 1 << (l % 8)
 			}
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(w.in.msg)))
-		if len(w.in.msg) > 0 && e.opts.Codecs == nil {
-			return nil, fmt.Errorf("Options.Codecs required to snapshot pending messages")
-		}
-		for l := 0; l <= len(w.vertices); l++ {
-			id := uint64(len(e.place)) // the worker group's
-			if l < len(w.vertices) {
-				id = uint64(w.vertices[l].ID)
-			}
-			for i := w.in.start[l]; i < w.in.start[l+1]; i++ {
-				buf = binary.AppendUvarint(buf, id)
-				if buf, err = e.opts.Codecs.Append(buf, w.in.msg[i:i+1]); err != nil {
-					return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
-				}
-			}
-		}
 	}
 	at := len(buf)
 	buf = prefixLen(e.opts.Program.AppendMaster(buf), at)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // snapshotState is a fully decoded snapshot, held apart from the engine until
 // every byte has parsed: a damaged file must fail before anything is rewound,
 // so recovery can still fall back to an older one.
-type snapshotState[M any] struct {
-	parts   [][]byte   // per worker, the program's part
-	halted  [][]byte   // per worker, the halted bits
-	inboxes []inbox[M] // per worker
-	master  []byte
+type snapshotState struct {
+	parts  [][]byte // per worker, the program's part
+	halted [][]byte // per worker, the halted bits
+	master []byte
 }
 
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
-// against its checksum and the engine's layout (worker and vertex counts,
-// who owns each pending message). It only reads the engine.
-func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) {
+// against its checksum and the engine's layout (worker and vertex counts).
+// It only reads the engine.
+func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("bad snapshot magic")
 	}
@@ -321,10 +298,9 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 	if total != uint64(len(e.place)) {
 		return nil, fmt.Errorf("snapshot has %d vertices, engine has %d", total, len(e.place))
 	}
-	s := &snapshotState[M]{
-		parts:   make([][]byte, len(e.workers)),
-		halted:  make([][]byte, len(e.workers)),
-		inboxes: make([]inbox[M], len(e.workers)),
+	s := &snapshotState{
+		parts:  make([][]byte, len(e.workers)),
+		halted: make([][]byte, len(e.workers)),
 	}
 	for _, w := range e.workers {
 		n, err := readUvarint()
@@ -337,42 +313,8 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 		if s.halted[w.id], err = readBytes(uint64(len(w.vertices)+7) / 8); err != nil {
 			return nil, err
 		}
-		if n, err = readUvarint(); err != nil {
-			return nil, err
-		}
-		if n > 0 && e.opts.Codecs == nil {
-			return nil, fmt.Errorf("Options.Codecs required to restore pending messages")
-		}
-		// Records arrive in the grouped order encodeSnapshot wrote, so
-		// appending them rebuilds the inbox and counting them its offsets.
-		// The worker group's id places its records after every vertex's.
-		in := &s.inboxes[w.id]
-		in.start = make([]int32, len(w.vertices)+3)
-		in.msg = make([]M, 0, min(n, uint64(len(data))))
-		last := int32(0)
-		for i := uint64(0); i < n; i++ {
-			dst, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if dst > uint64(len(e.place)) || dst < uint64(len(e.place)) && int(e.place[dst].worker) != w.id ||
-				e.local(w.id, VertexID(dst)) < last {
-				return nil, fmt.Errorf("worker %d inbox: message for vertex %d out of place", w.id, dst)
-			}
-			last = e.local(w.id, VertexID(dst))
-			before := len(in.msg)
-			var used int
-			if in.msg, used, err = e.opts.Codecs.Decode(data, in.msg); err != nil {
-				return nil, fmt.Errorf("worker %d inbox: %w", w.id, err)
-			}
-			if len(in.msg) != before+1 {
-				return nil, fmt.Errorf("worker %d inbox: an envelope of %d records where the layout holds one", w.id, len(in.msg)-before)
-			}
-			data = data[used:]
-			in.start[last+1]++
-		}
-		for l := 1; l < len(in.start); l++ {
-			in.start[l] += in.start[l-1]
+		if pad := len(w.vertices) % 8; pad != 0 && s.halted[w.id][len(w.vertices)/8]>>pad != 0 {
+			return nil, fmt.Errorf("worker %d: halted flags set past its %d vertices", w.id, len(w.vertices))
 		}
 	}
 	n, err := readUvarint()
@@ -389,9 +331,9 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState[M], error) 
 }
 
 // restoreSnapshot rewinds the engine to a snapshot taken by encodeSnapshot:
-// halted flags and pending inboxes, and (via Options.Program) the program's
-// state. Outboxes and the aggregate's parts are cleared — they were produced
-// after the boundary being restored. The snapshot is decoded in full, and
+// halted flags, and (via Options.Program) the program's state. Inboxes,
+// outboxes and the aggregate's parts are cleared — the snapshot's barrier
+// had no record pending, and the rest was produced after it. The snapshot is decoded in full, and
 // the program has accepted its parts, before the first engine field
 // changes: on error the engine and the program are exactly as they were.
 func (e *EngineOf[M, A]) restoreSnapshot(data []byte) error {
@@ -410,7 +352,7 @@ func (e *EngineOf[M, A]) restoreSnapshot(data []byte) error {
 		for l, v := range w.vertices {
 			v.halted = s.halted[w.id][l/8]>>(l%8)&1 != 0
 		}
-		w.in = s.inboxes[w.id]
+		w.in.reset()
 		e.clearOutboxes(w)
 	}
 	e.clearAggregates()

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +18,11 @@ import (
 
 // ringRun is a deterministic, never-halting computation that exercises every
 // plane a checkpoint must cover: float64 vertex states that evolve each
-// superstep, kept by the program in a slab indexed by vertex id, ring
-// messages pending at every barrier, and a float64 aggregate the master
-// folds into state of its own. It checkpoints both through its
-// ProgramState methods.
+// superstep, kept by the program in a slab indexed by vertex id, and a
+// float64 aggregate the master folds into state of its own. It checkpoints
+// both through its ProgramState methods. Ring messages are sent on even
+// supersteps only, so they are pending at every odd barrier and every even
+// one is quiescent: a snapshot due at an odd barrier waits for the next.
 type ringRun struct {
 	masterSum float64
 	vals      []float64 // by vertex id
@@ -50,7 +52,9 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 			val *= 0.75 // keep magnitudes bounded
 			r.vals[v.ID] = val
 			*ctx.Aggregate() += val
-			ctx.Send(VertexID((int(v.ID)+1)%n), val*0.5)
+			if ctx.Superstep()%2 == 0 {
+				ctx.Send(VertexID((int(v.ID)+1)%n), val*0.5)
+			}
 		},
 		Master: func(step int, parts []*float64) bool {
 			total := 0.0
@@ -60,6 +64,19 @@ func newRingRun(n, workers, steps int, transport Transport, cp Checkpointer, eve
 			r.masterSum += total * float64(step+1)
 			return false
 		},
+	}
+	return r
+}
+
+// busy makes the ring send on odd supersteps too, so that no barrier after
+// superstep 0 is quiescent and the only snapshot is superstep 0's.
+func (r *ringRun) busy() *ringRun {
+	compute := r.opts.Compute
+	r.opts.Compute = func(ctx *ContextOf[Message, float64], v *Vertex, msgs []Message) {
+		compute(ctx, v, msgs)
+		if ctx.Superstep()%2 == 1 {
+			ctx.Send(VertexID((int(v.ID)+1)%len(r.vals)), r.vals[v.ID]*0.5)
+		}
 	}
 	return r
 }
@@ -139,9 +156,10 @@ func requireSameRun(t *testing.T, label string, a, b *ringRun, sa, sb *Stats) {
 }
 
 // TestRecoveryAtEverySuperstep is the engine-level property test: with a
-// checkpoint at every superstep, a worker kill injected at each possible
-// exchange recovers and finishes bit-for-bit identical to the undisturbed
-// run — states, master closure, and the full per-superstep stats stream.
+// checkpoint due at every superstep, a worker kill injected at each possible
+// exchange — those with ring records in flight included — recovers and
+// finishes bit-for-bit identical to the undisturbed run — states, master
+// closure, and the full per-superstep stats stream.
 func TestRecoveryAtEverySuperstep(t *testing.T) {
 	const n, workers, steps = 24, 3, 12
 	base := newRingRun(n, workers, steps, nil, nil, 0)
@@ -162,11 +180,13 @@ func TestRecoveryAtEverySuperstep(t *testing.T) {
 	}
 }
 
-// TestRecoveryAcrossCadences kills at a fixed superstep under several
-// checkpoint cadences: rolling back 1, several, or all supersteps must all
+// TestRecoveryAcrossCadences kills an exchange that carries ring records
+// under several checkpoint cadences: rolling back 0, a few, or all
+// supersteps, to a snapshot taken when due (every=1 and 3: 8 and 6) or
+// deferred to a quiescent barrier (every=5: due at 5, taken at 6), must all
 // converge to the same bits.
 func TestRecoveryAcrossCadences(t *testing.T) {
-	const n, workers, steps, kill = 24, 3, 12, 9
+	const n, workers, steps, kill = 24, 3, 12, 8
 	base := newRingRun(n, workers, steps, nil, nil, 0)
 	baseStats := base.run(t)
 
@@ -224,15 +244,16 @@ func TestWorkerFailureWithoutCheckpointer(t *testing.T) {
 }
 
 // TestRecoveryOverTCP runs the kill/recover cycle on the real socket
-// transport: recovery must tear the mesh down and rebuild it.
+// transport, killing an exchange that carries ring records: recovery must
+// tear the mesh down and rebuild it.
 func TestRecoveryOverTCP(t *testing.T) {
 	const n, workers, steps = 24, 3, 10
 	base := newRingRun(n, workers, steps, nil, nil, 0)
 	baseStats := base.run(t)
 
 	r := newRingRun(n, workers, steps, FaultyTransport(TCPTransport(), FaultPlan{
-		KillWorker: 1, KillStep: 5,
-	}), NewMemoryCheckpointer(), 2)
+		KillWorker: 1, KillStep: 8,
+	}), NewMemoryCheckpointer(), 3)
 	stats := r.run(t)
 	// BytesSent differs between transports (frames vs codec sizes), so
 	// compare states and master closure only.
@@ -393,7 +414,8 @@ func TestMemoryCheckpointerKeepsNewest(t *testing.T) {
 }
 
 // TestDiskCheckpointerDrivesRecovery runs the full kill/recover cycle with
-// snapshots on disk instead of in memory.
+// snapshots on disk instead of in memory, killing an exchange that carries
+// ring records.
 func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 	const n, workers, steps = 24, 3, 12
 	base := newRingRun(n, workers, steps, nil, nil, 0)
@@ -404,7 +426,7 @@ func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newRingRun(n, workers, steps, FaultyTransport(MemoryTransport(), FaultPlan{
-		KillWorker: 0, KillStep: 7,
+		KillWorker: 0, KillStep: 8,
 	}), cp, 3)
 	stats := r.run(t)
 	requireSameStates(t, "disk", base, r)
@@ -415,15 +437,16 @@ func TestDiskCheckpointerDrivesRecovery(t *testing.T) {
 
 // TestRecoveryFallsBackPastDamagedSnapshot damages the newest snapshot file
 // between its write and an injected worker kill: recovery must notice that it
-// does not decode, restore the older one the store keeps for this, and finish
-// bit-for-bit identical to an undisturbed run. With both kept snapshots
+// does not decode, restore the older one the store keeps for this (the
+// snapshot due at 3, deferred to 4), and finish bit-for-bit identical to an
+// undisturbed run. With both kept snapshots
 // damaged the run fails with the original *WorkerFailure still in the chain.
 // Three kinds of damage: a truncation, a flipped bit in the version byte, and
 // a flipped mantissa bit inside the first vertex's float64 state in the ring
 // program's part — which still parses, to a different valid state, and is
 // caught by the checksum alone.
 func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
-	const n, workers, steps, every, kill = 24, 3, 12, 3, 7 // snapshots at 0, 3, 6; kill at 7
+	const n, workers, steps, every, kill = 24, 3, 12, 3, 8 // snapshots at 0, 4, 6; kill at 8
 	base := newRingRun(n, workers, steps, nil, nil, 0)
 	baseStats := base.run(t)
 
@@ -445,8 +468,8 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 		}
 	}
 	// damagedRun damages the given snapshots from the master hook of
-	// superstep 6 — after checkpoint 6 was written, before superstep 7's
-	// exchange is killed.
+	// superstep 7 — after checkpoint 6 was written, before superstep 8's
+	// exchange, which carries ring records, is killed.
 	damagedRun := func(t *testing.T, how func([]byte) []byte, damaged ...int) (*ringRun, *EngineOf[Message, float64]) {
 		t.Helper()
 		cp, err := NewDiskCheckpointer(t.TempDir())
@@ -489,7 +512,7 @@ func TestRecoveryFallsBackPastDamagedSnapshot(t *testing.T) {
 		})
 	}
 	t.Run("both damaged", func(t *testing.T) {
-		_, eng := damagedRun(t, truncate, 3, 6)
+		_, eng := damagedRun(t, truncate, 4, 6)
 		_, err := eng.Run()
 		var wf *WorkerFailure
 		if !errors.As(err, &wf) || wf.Worker != 1 || wf.Superstep != kill {
@@ -515,7 +538,7 @@ func (c reversioned) Save(superstep int, snapshot []byte) error {
 // its barrier state encodes to the bytes, and its aggregate holds the parts,
 // of a run that had no checkpointer to recover from.
 func TestSnapshotVersionMismatchRefused(t *testing.T) {
-	const n, workers, steps, kill = 24, 3, 12, 5
+	const n, workers, steps, kill = 24, 3, 12, 6
 	killed := func(cp Checkpointer) (*EngineOf[Message, float64], error) {
 		r := newRingRun(n, workers, steps, FaultyTransport(MemoryTransport(), FaultPlan{
 			KillWorker: 1, KillStep: kill,
@@ -536,15 +559,7 @@ func TestSnapshotVersionMismatchRefused(t *testing.T) {
 	if !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", snapshotVersion-1)) {
 		t.Fatalf("Run returned %v, want the version refusal", err)
 	}
-	got, err := eng.encodeSnapshot(kill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.encodeSnapshot(kill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(eng.encodeSnapshot(kill), plain.encodeSnapshot(kill)) {
 		t.Fatal("a refused snapshot changed the engine's barrier state")
 	}
 	for i := range eng.parts {
@@ -571,59 +586,214 @@ func (c *everySave) Save(superstep int, snapshot []byte) error {
 // reaches the parser, and restores it into an engine holding another. A
 // rejected snapshot must leave the engine and the ring program exactly as
 // they were — their snapshot encodes to the same bytes — and an accepted one
-// must re-encode stably. One seed holds pending worker groups.
+// must re-encode stably.
 func FuzzSnapshotRestore(f *testing.F) {
-	const n, workers, steps = 24, 3, 6
+	const n, workers, steps = 24, 3, 12
 	cp := &everySave{snaps: map[int][]byte{}}
 	newRingRun(n, workers, steps, nil, cp, 1).run(f)
-	bodies := make([][]byte, steps)
-	for step := range bodies {
-		snap := cp.snaps[step]
-		bodies[step] = snap[:len(snap)-snapshotSumSize]
-		f.Add(bodies[step])
+	var bodies [][]byte
+	for step := 0; step < steps; step++ {
+		if snap, ok := cp.snaps[step]; ok {
+			bodies = append(bodies, snap[:len(snap)-snapshotSumSize])
+			f.Add(bodies[len(bodies)-1])
+		}
 	}
-	last := bodies[steps-1]
+	last := bodies[len(bodies)-1]
 	f.Add(last[:len(last)/2])
 	f.Add(append(bytes.Clone(last), 0))
 	stateAt := len(snapshotMagic) + 1 + 3 // worker 0's program part length
 	f.Add(append(bytes.Clone(last[:stateAt]), 255, 255, 255, 255, 255, 255, 255, 255, 255, 1))
-	// A snapshot whose inboxes end in worker groups (SendWorker's records).
+	// A snapshot of a run with the worker plane.
 	grouped := &everySave{snaps: map[int][]byte{}}
 	withWorkerGroup(newRingRun(n, workers, steps, nil, grouped, 1), workers).run(f)
-	f.Add(grouped.snaps[2][:len(grouped.snaps[2])-snapshotSumSize])
+	f.Add(grouped.snaps[4][:len(grouped.snaps[4])-snapshotSumSize])
 
 	r := newRingRun(n, workers, steps, nil, NewMemoryCheckpointer(), 1)
 	eng, err := NewEngineOf(r.opts, r.vertices)
 	if err != nil {
 		f.Fatal(err)
 	}
-	encode := func(t *testing.T) []byte {
-		snap, err := eng.encodeSnapshot(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
+	// A halted flag set past worker 0's last vertex.
+	padded := bytes.Clone(bodies[2])
+	padded[haltedAt(eng, 0, 4)] |= 0x80
+	f.Add(padded)
+
 	start := append(bytes.Clone(bodies[2]), 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(start[len(bodies[2]):], crc32.ChecksumIEEE(bodies[2]))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := eng.restoreSnapshot(start); err != nil {
 			t.Fatal(err)
 		}
-		before := encode(t)
+		before := eng.encodeSnapshot(0)
 		data := binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
 		if err := eng.restoreSnapshot(data); err != nil {
-			if !bytes.Equal(encode(t), before) {
+			if !bytes.Equal(eng.encodeSnapshot(0), before) {
 				t.Fatalf("rejected snapshot (%v) changed the engine or the program", err)
 			}
 			return
 		}
-		re := encode(t)
+		re := eng.encodeSnapshot(0)
 		if err := eng.restoreSnapshot(re); err != nil {
 			t.Fatalf("re-encoded snapshot refused: %v", err)
 		}
-		if again := encode(t); !bytes.Equal(again, re) {
+		if again := eng.encodeSnapshot(0); !bytes.Equal(again, re) {
 			t.Fatalf("unstable encoding: %x vs %x", again, re)
 		}
 	})
+}
+
+// haltedAt is the offset of worker w's first halted-flag byte in a snapshot
+// of a ring run's engine taken at superstep step.
+func haltedAt(eng *EngineOf[Message, float64], w, step int) int {
+	at := len(snapshotMagic) + 1 + uvarintLen(uint64(step)) + uvarintLen(uint64(len(eng.workers))) + uvarintLen(uint64(len(eng.place)))
+	for _, wk := range eng.workers[:w+1] {
+		part := 8 * len(wk.vertices)
+		at += uvarintLen(uint64(part)) + part
+		if wk.id < w {
+			at += (len(wk.vertices) + 7) / 8
+		}
+	}
+	return at
+}
+
+// TestSnapshotRefusesHaltedPadding: the halted flags' padding bits, those
+// at or past a worker's vertex count in its last byte, must be zero. A
+// snapshot with one set is refused although its checksum holds, and leaves
+// the engine and the program as they were; a set flag of a real vertex
+// restores and re-encodes to the same bytes.
+func TestSnapshotRefusesHaltedPadding(t *testing.T) {
+	const n, workers, steps, at = 10, 3, 4, 2
+	cp := &everySave{snaps: map[int][]byte{}}
+	newRingRun(n, workers, steps, nil, cp, 1).run(t)
+	r := newRingRun(n, workers, steps, nil, NewMemoryCheckpointer(), 1)
+	eng, err := NewEngineOf(r.opts, r.vertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := len(eng.workers[0].vertices)
+	if n0 == 0 || n0 >= 8 {
+		t.Fatalf("worker 0 holds %d vertices; the test needs 1..7", n0)
+	}
+	snap := cp.snaps[at]
+	body := snap[:len(snap)-snapshotSumSize]
+	flags := haltedAt(eng, 0, at)
+	set := func(bit int) []byte {
+		b := bytes.Clone(body)
+		b[flags] |= 1 << bit
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	if err := eng.restoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.encodeSnapshot(at)
+	if err := eng.restoreSnapshot(set(7)); err == nil {
+		t.Fatal("a snapshot with a halted flag past worker 0's vertices restored")
+	}
+	if !bytes.Equal(eng.encodeSnapshot(at), before) {
+		t.Fatal("a refused snapshot changed the engine or the program")
+	}
+	flagged := set(n0 - 1)
+	if err := eng.restoreSnapshot(flagged); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.workers[0].vertices[n0-1].halted || !bytes.Equal(eng.encodeSnapshot(at), flagged) {
+		t.Fatal("a real halted flag did not restore to the same bytes")
+	}
+}
+
+// watchedCheckpointer records the supersteps it is handed snapshots at, and
+// whether any worker's inbox held a record when one was taken.
+type watchedCheckpointer struct {
+	MemoryCheckpointer
+	eng     *EngineOf[Message, float64]
+	steps   []int
+	pending []int // records pending at each save
+}
+
+func (c *watchedCheckpointer) Save(superstep int, snapshot []byte) error {
+	c.steps = append(c.steps, superstep)
+	c.pending = append(c.pending, c.eng.pendingRecords())
+	return c.MemoryCheckpointer.Save(superstep, snapshot)
+}
+
+// pendingRecords counts the records in every worker's inbox.
+func (e *EngineOf[M, A]) pendingRecords() int {
+	n := 0
+	for _, w := range e.workers {
+		n += len(w.in.msg)
+	}
+	return n
+}
+
+// TestSnapshotsWaitForQuiescentBarriers checks where snapshots land: a
+// snapshot due at a barrier with records pending is taken at the first
+// quiescent barrier after it, so none is saved with a record pending, and a
+// program that never quiesces is checkpointed at superstep 0 only. A kill
+// after a deferred snapshot, and a kill in the program that never quiesces,
+// which replays from superstep 0, both finish byte-identical to an
+// undisturbed run, and the replay takes the same snapshots.
+func TestSnapshotsWaitForQuiescentBarriers(t *testing.T) {
+	const n, workers, steps = 24, 3, 12
+	for _, c := range []struct {
+		name  string
+		every int
+		kill  int // 0: none
+		busy  bool
+		want  []int
+	}{
+		{"every superstep", 1, 0, false, []int{0, 2, 4, 6, 8, 10}},
+		{"every third", 3, 0, false, []int{0, 4, 6, 10}},
+		{"every third, kill after a deferred snapshot", 3, 5, false, []int{0, 4, 6, 10}},
+		{"every third, kill while a snapshot is deferred", 3, 9, false, []int{0, 4, 6, 10}},
+		{"every fifth", 5, 0, false, []int{0, 6, 10}},
+		{"never quiescent", 1, 0, true, []int{0}},
+		{"never quiescent, kill", 1, 7, true, []int{0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := newRingRun(n, workers, steps, nil, nil, 0)
+			var transport Transport
+			if c.kill > 0 {
+				transport = FaultyTransport(MemoryTransport(), FaultPlan{KillWorker: 1, KillStep: c.kill})
+			}
+			cp := &watchedCheckpointer{}
+			r := newRingRun(n, workers, steps, transport, cp, c.every)
+			if c.busy {
+				base.busy()
+				r.busy()
+			}
+			baseStats := base.run(t)
+			starts := 0 // how often superstep 0 ran
+			inner := r.opts.Master
+			r.opts.Master = func(step int, parts []*float64) bool {
+				if step == 0 {
+					starts++
+				}
+				return inner(step, parts)
+			}
+			eng, err := NewEngineOf(r.opts, r.vertices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.eng = eng
+			stats, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(cp.steps, c.want) {
+				t.Fatalf("snapshots at supersteps %v, want %v", cp.steps, c.want)
+			}
+			for i, p := range cp.pending {
+				if p != 0 {
+					t.Fatalf("the snapshot at superstep %d was taken with %d records pending", cp.steps[i], p)
+				}
+			}
+			requireSameRun(t, c.name, base, r, baseStats, stats)
+			if wantRec := min(c.kill, 1); stats.Recoveries != wantRec {
+				t.Fatalf("Recoveries = %d, want %d", stats.Recoveries, wantRec)
+			}
+			if c.busy && c.kill > 0 && starts != 2 {
+				t.Fatalf("superstep 0 ran %d times, want 2: the replay starts there", starts)
+			}
+		})
+	}
 }

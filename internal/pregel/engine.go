@@ -23,7 +23,7 @@ type envelope struct {
 }
 
 // placement is where the engine put a vertex: its worker and its index in
-// that worker's id-sorted vertex list. The table is built once in NewEngine
+// that worker's id-sorted vertex list. The table is built once in NewEngineOf
 // and indexed by vertex id, so neither Send nor delivery hashes anything.
 type placement struct {
 	worker int32
@@ -264,16 +264,20 @@ func (e *EngineOf[M, A]) local(w int, dst VertexID) int32 {
 // the master requests a halt, or MaxSupersteps is reached. It returns run
 // statistics.
 //
-// With a Checkpointer configured, the engine snapshots its full barrier
-// state (halted flags, pending inboxes, and the program's parts and master
-// blob through Options.Program) at
-// superstep 0 and every CheckpointEvery supersteps, and a *WorkerFailure
-// during an exchange rolls every worker back to the latest snapshot and
-// replays. Because compute is deterministic given barrier
-// state, the replayed run — and therefore Run's result — is byte-identical
-// to an undisturbed one (only Stats.Recoveries/RetriedFrames betray the
-// faults). Exchange errors wrapping ErrTransient are retried in place with
-// exponential backoff first; anything else escalates to recovery.
+// With a Checkpointer configured, the engine snapshots its barrier state
+// (halted flags, and the program's parts and master blob through
+// Options.Program) at superstep 0 and every CheckpointEvery supersteps, and
+// a *WorkerFailure during an exchange rolls every worker back to the latest
+// snapshot and replays. A snapshot is taken only at a quiescent barrier, one
+// where no inbox holds a record: one that falls due while records are
+// pending is taken at the first quiescent barrier after it, and a barrier
+// that ends the run takes none. That depends on nothing but the supersteps
+// and their barrier states, so a replay takes the same snapshots. Because
+// compute is deterministic given barrier state, the replayed run — and
+// therefore Run's result — is byte-identical to an undisturbed one (only
+// Stats.Recoveries/RetriedFrames betray the faults). Exchange errors
+// wrapping ErrTransient are retried in place with exponential backoff
+// first; anything else escalates to recovery.
 func (e *EngineOf[M, A]) Run() (*Stats, error) {
 	if err := e.open(); err != nil {
 		return nil, err
@@ -284,16 +288,12 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 	if every <= 0 {
 		every = 64
 	}
-	if e.opts.Checkpointer != nil {
-		if err := e.checkpoint(0); err != nil {
-			return nil, err
-		}
-	}
+	due := e.opts.Checkpointer != nil // a snapshot is owed at the next quiescent barrier
 
 	for step := 0; step < e.opts.MaxSupersteps; {
 		active := 0
 		maxWorkerActive := 0
-		pending := false // a worker group, which no vertex count holds
+		pending := false // a record in any inbox, a worker group's included
 		for _, w := range e.workers {
 			wa := 0
 			for l, v := range w.vertices {
@@ -305,10 +305,16 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 				maxWorkerActive = wa
 			}
 			active += wa
-			pending = pending || len(w.in.group(len(w.vertices))) > 0
+			pending = pending || len(w.in.msg) > 0
 		}
 		if active == 0 && !pending {
 			break
+		}
+		if due && !pending {
+			if err := e.checkpoint(step); err != nil {
+				return nil, err
+			}
+			due = false
 		}
 
 		workerErrs := make([]error, len(e.workers))
@@ -341,7 +347,7 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 			if rerr != nil {
 				return nil, rerr
 			}
-			step = restored
+			step, due = restored, false
 			continue
 		}
 		ss.BytesSent = wireBytes
@@ -366,11 +372,7 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 		if halt {
 			break
 		}
-		if e.opts.Checkpointer != nil && step%every == 0 && step < e.opts.MaxSupersteps {
-			if err := e.checkpoint(step); err != nil {
-				return nil, err
-			}
-		}
+		due = due || e.opts.Checkpointer != nil && step%every == 0
 	}
 	// A copy, so a caller that keeps the stats does not keep the engine and
 	// the message slabs it grew.

@@ -8,13 +8,14 @@ import (
 )
 
 // workerSumRun is a per-worker summing program on the worker hook: every
-// vertex adds what it received to its value and sends the value to its own
-// worker (SendWorker), and the next superstep's hook sums what its worker's
-// vertices sent and Sends the sum, tagged with the worker, to vertex 0 and
-// to one vertex of its own choosing. So both the values, as worker records,
-// and the hook's sums are pending at every barrier after superstep 0. It
-// logs what the hook must guarantee: one call per worker per superstep,
-// before any of the worker's vertices.
+// vertex adds what it received to its value and, in the first two supersteps
+// of every four, sends the value to its own worker (SendWorker), and the next
+// superstep's hook sums what its worker's vertices sent and Sends the sum,
+// tagged with the worker, to vertex 0 and to one vertex of its own choosing.
+// So values, as worker records, or the hook's sums are pending at every
+// barrier but the multiples of 4, which are quiescent. It logs what the hook
+// must guarantee: one call per worker per superstep, before any of the
+// worker's vertices.
 type workerSumRun struct {
 	n        int
 	vals     []int64   // by vertex id
@@ -58,7 +59,9 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 					r.received[step] = append(r.received[step], m.(int64))
 				}
 			}
-			ctx.SendWorker(w, r.vals[v.ID])
+			if step%4 < 2 {
+				ctx.SendWorker(w, r.vals[v.ID])
+			}
 		},
 		PreSuperstep: func(ctx *Context, msgs []Message) {
 			w, step := ctx.Worker(), ctx.Superstep()
@@ -128,7 +131,7 @@ func (r *workerSumRun) run() *Stats {
 // it, and its sends are delivered the next superstep like a vertex's, in
 // (source worker, send order).
 func TestWorkerPlaneHookRunsOncePerWorker(t *testing.T) {
-	const n, workers, steps = 40, 3, 6
+	const n, workers, steps = 40, 3, 8
 	r := newWorkerSumRun(t, n, workers, steps, nil, nil)
 	stats := r.run()
 	for w, calls := range r.hooks {
@@ -138,17 +141,15 @@ func TestWorkerPlaneHookRunsOncePerWorker(t *testing.T) {
 			}
 		}
 	}
-	for step := 0; step < 2; step++ {
-		if len(r.received[step]) != 0 {
-			t.Fatalf("vertex 0 received %v at superstep %d, before any hook sent", r.received[step], step)
-		}
-	}
-	for step := 2; step < steps; step++ {
+	// The vertices send worker records at supersteps s%4 < 2, so the hooks
+	// send at s%4 in {1, 2}, and vertex 0 receives at s%4 in {2, 3}.
+	sent := func(step int) bool { return step >= 0 && step%4 < 2 }
+	for step := 0; step < steps; step++ {
 		// Every worker's sum arrives as a record of its own, two from a
 		// worker whose second send also chose vertex 0, worker by worker;
 		// the engine folds nothing.
 		var want []int64
-		for w := 0; w < workers; w++ {
+		for w := 0; w < workers && sent(step-2); w++ {
 			want = append(want, int64(w))
 			if ((step-1)*7+w)%n == 0 {
 				want = append(want, int64(w))
@@ -163,11 +164,14 @@ func TestWorkerPlaneHookRunsOncePerWorker(t *testing.T) {
 		}
 	}
 	for _, ss := range stats.PerSuperstep {
-		// One worker group per worker, and from superstep 1 on one or two
-		// envelopes per hook.
-		lo, hi := int64(workers), int64(workers)
-		if ss.Superstep > 0 {
-			lo, hi = 2*workers, 3*workers
+		// One worker group per worker when the vertices send, and one or
+		// two envelopes per hook when the hooks do.
+		var lo, hi int64
+		if sent(ss.Superstep) {
+			lo, hi = workers, workers
+		}
+		if sent(ss.Superstep - 1) {
+			lo, hi = lo+workers, hi+2*workers
 		}
 		if ss.MessagesSent < lo || ss.MessagesSent > hi {
 			t.Fatalf("superstep %d sent %d envelopes, want %d to %d", ss.Superstep, ss.MessagesSent, lo, hi)
@@ -200,14 +204,16 @@ func TestWorkerPlaneHookTransportsAgree(t *testing.T) {
 	}
 }
 
-// TestWorkerPlaneHookRecovery kills a worker mid-run, with worker records
-// and hook sends pending at every barrier: the replay from the latest
-// checkpoint reruns the hooks and ends byte-identical to an undisturbed run.
+// TestWorkerPlaneHookRecovery kills a worker at every superstep, worker
+// records or hook sends pending at every barrier but the multiples of 4,
+// where the snapshots due every third superstep are taken: the replay from
+// the latest checkpoint reruns the hooks and ends byte-identical to an
+// undisturbed run.
 func TestWorkerPlaneHookRecovery(t *testing.T) {
 	const n, workers, steps = 40, 3, 10
-	for _, kill := range []int{4, 7} {
-		clean := newWorkerSumRun(t, n, workers, steps, nil, NewMemoryCheckpointer())
-		cs := clean.run()
+	clean := newWorkerSumRun(t, n, workers, steps, nil, NewMemoryCheckpointer())
+	cs := clean.run()
+	for kill := 1; kill < steps; kill++ {
 		hurt := newWorkerSumRun(t, n, workers, steps,
 			FaultyTransport(MemoryTransport(), FaultPlan{KillWorker: 1, KillStep: kill}), NewMemoryCheckpointer())
 		hs := hurt.run()

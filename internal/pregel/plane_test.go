@@ -356,7 +356,7 @@ func (m *misaddress) exchange(step int, out, in [][]frame) (int64, error) {
 // back and finishes bit-identical to an undisturbed one; without one, Run
 // returns the *WorkerFailure.
 func TestReadFrameRejectsMisaddressedEnvelope(t *testing.T) {
-	const n, workers, steps, bad = 24, 3, 10, 5
+	const n, workers, steps, bad = 24, 3, 10, 4 // the ring sends on even supersteps
 	base := newRingRun(n, workers, steps, TCPTransport(), nil, 0)
 	baseStats := base.run(t)
 	var elsewhere VertexID // a vertex worker 2 owns

@@ -17,7 +17,9 @@
 // The engine owns each vertex's id and halted flag, the inboxes and the
 // aggregate, nothing else. A program keeps its per-vertex state indexed by
 // the dense ids, and what the master broadcasts is its state too; both are
-// checkpointed through Options.Program.
+// checkpointed through Options.Program. A snapshot is taken only at a
+// barrier where no record is pending, so it holds the halted flags beside
+// the program's state and no message.
 //
 // The message plane is layered, and id-indexed throughout, so no step of it
 // hashes or sorts:
@@ -51,8 +53,7 @@
 // per-worker copy of remote state (PowerGraph's mirrors) sends one record per
 // worker that needs it and fans it out there, to local vertices or to state
 // of its own; HashWorker tells it where the engine places each vertex. A
-// pending worker group keeps Run going like a pending message, and a
-// snapshot holds it under the same id.
+// pending worker group keeps Run going like a pending message.
 //
 // The engine never folds records. A program that sums contributions per
 // worker folds them in its state and ships the sums from the hook, and the
@@ -236,9 +237,9 @@ type OptionsOf[M, A any] struct {
 	// Transport selects the message-plane backend (nil means the in-process
 	// MemoryTransport). See MemoryTransport and TCPTransport.
 	Transport Transport
-	// Codecs encodes envelopes of M. Required by the TCP transport and for
-	// checkpoints that hold pending messages; on the in-process transport
-	// it is the byte accounting (without it BytesSent is 0).
+	// Codecs encodes envelopes of M. Required by the TCP transport; on the
+	// in-process transport it is the byte accounting (without it BytesSent
+	// is 0). No checkpoint uses it: a snapshot holds no messages.
 	Codecs Codec[M]
 	// PreSuperstep, if set, is the worker hook: it runs once per worker per
 	// superstep, before that worker's first vertex, as Giraph's
@@ -252,16 +253,19 @@ type OptionsOf[M, A any] struct {
 	PreSuperstep func(ctx *ContextOf[M, A], msgs []M)
 
 	// Checkpointer, if set, enables superstep checkpointing: every
-	// CheckpointEvery supersteps the engine snapshots the halted flags, the
-	// pending inboxes and, through Program, the program's state, and rolls
-	// back to the latest snapshot when an exchange fails with a
-	// *WorkerFailure. The aggregate is zero at every barrier, so no snapshot
-	// holds it. Nil disables checkpointing (any worker failure aborts the
-	// run).
+	// CheckpointEvery supersteps the engine snapshots the halted flags and,
+	// through Program, the program's state, and rolls back to the latest
+	// snapshot when an exchange fails with a *WorkerFailure. A snapshot is
+	// taken only at a barrier where no inbox holds a record; one that falls
+	// due while records are pending waits for the first such barrier. The
+	// aggregate is zero at every barrier, so no snapshot holds it either.
+	// Nil disables checkpointing (any worker failure aborts the run).
 	Checkpointer Checkpointer
 	// CheckpointEvery is the snapshot cadence in supersteps. <= 0 means 64.
-	// A snapshot is always taken at superstep 0 (before any compute) so
-	// recovery is possible from the first barrier onward.
+	// A snapshot is always taken at superstep 0 (before any compute, when
+	// nothing is pending) so recovery is possible from the first barrier
+	// onward. A program that keeps records pending at every barrier is
+	// checkpointed there only, and a failure replays it from the start.
 	CheckpointEvery int
 	// Program checkpoints the program's state beside the engine's: each
 	// worker's vertices' and the master's (see ProgramState). Required with
