@@ -168,7 +168,7 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 		return acc
 	}
 	// The observers' worker, which adds what it hears as runState.hear does.
-	heard := &runState{data: make([]dataState, numData), host: make([]int32, numData)}
+	heard := &runState{data: make([]dataState, numData), host: make([]int32, numData), heard: make([][]int32, 1)}
 	for _, o := range observers {
 		isObserver[o] = true
 		obs[o] = &heard.data[o]

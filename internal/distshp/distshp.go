@@ -2,10 +2,12 @@
 // bisection driven entirely inside the vertex-centric model (Sections 3.2
 // and 3.3, Figure 3), running on the pregel engine.
 //
-// The engine's vertices are the data vertices. A query is state of the
-// worker it is placed on (pregel.HashWorker of |D| plus its id, where Figure 3
-// places it as a Giraph vertex), kept beside that worker's mirror table, and
-// its program runs in the worker's hook: no record is addressed to a query.
+// The engine holds no vertex: data vertices and queries, Giraph vertices in
+// Figure 3, are state of their workers (pregel.HashWorker of a data id, and
+// of |D| plus a query id), and each worker's hook runs their programs, as
+// block-centric engines run a worker's block (Giraph++, Blogel). No record
+// is addressed to a vertex, and the hook visits only the data vertices that
+// can act (runState.dataStep).
 //
 // Each refinement iteration is four supersteps with barriers between them:
 //
@@ -18,10 +20,10 @@
 //	             sibling-pair gain state up to date (see below); data
 //	             vertices idle;
 //	superstep 2: each worker's hook adds what it received into its data
-//	             vertices' accumulators; the data vertices then register
-//	             (direction, gain) proposals with the master, folding them
-//	             into their worker's dense proposal table — changed
-//	             proposals only, see below;
+//	             vertices' accumulators; those that heard a record or moved
+//	             then register (direction, gain) proposals with the master,
+//	             folding them into their worker's dense proposal table —
+//	             changed proposals only, see below;
 //	superstep 3: the master's per-pair histogram matching produces move
 //	             probabilities, kept in its state; data vertices read them,
 //	             flip their coins and move.
@@ -349,12 +351,10 @@ func (r record) acc() int64 { return int64(r.word) }
 // dataState is the per-data-vertex state.
 type dataState struct {
 	bucket int32 // bucket id within the current level, in [0, 2^(level+1))
-	moved  bool  // moved in the previous iteration (drives dirty-only sends)
 	// heard is the kind of the gain or patch records the vertex's worker
 	// added into acc in the current superstep 2, before the vertex ran; 0
-	// (kindBucket) when none arrived. computeData clears it.
+	// (kindBucket) when none arrived. propose clears it.
 	heard uint8
-	level int
 	// The persistent Equation 1 accumulator for the current sibling pair, in
 	// gain units: acc = Σ_q (T[n_bucket(q)−1] − T[n_sibling(q)]), which is
 	// the gain for moving to the sibling bucket. Resummed from gain records
@@ -832,10 +832,11 @@ func (f *gainFold) flushGains(ctx *pregel.ContextOf[record, workerAgg], m *mirro
 }
 
 // hear is worker w's hook in superstep 2: it adds every gain and patch the
-// workers sent it into its vertex's accumulator before any vertex runs. The
-// first gain a vertex hears resets the accumulator, so its gains resum it;
-// patches add to it. It refuses a record for a vertex w does not host and a
-// gain/patch mix for one vertex.
+// workers sent it into its vertex's accumulator before any vertex runs, and
+// lists each vertex it touched in s.heard[w]. The first gain a vertex hears
+// resets the accumulator, so its gains resum it; patches add to it. It
+// refuses a record for a vertex w does not host and a gain/patch mix for
+// one vertex.
 func (s *runState) hear(w int, recs []record) {
 	for _, r := range recs {
 		if uint32(r.id) >= uint32(len(s.data)) || int(s.host[r.id]) != w {
@@ -849,6 +850,7 @@ func (s *runState) hear(w int, recs []record) {
 				panic(fmt.Sprintf("distshp: vertex %d received records of kinds %d and %d in one superstep", r.id, st.heard, r.kind))
 			}
 			st.heard = r.kind
+			s.heard[w] = append(s.heard[w], r.id)
 			if r.kind == kindGain {
 				st.acc = 0
 			}
@@ -1034,37 +1036,24 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	sched.resetPlane()
 
 	// The program's state: the data and query states in two slabs, indexed
-	// by id, each worker's mirror table, fold and proposal table, and the
-	// schedule. The engine's vertices, the data vertices, are one slab too.
+	// by id, each worker's mirror table, fold, proposal table and data
+	// vertex lists, and the schedule. The engine holds none of it.
 	states := newRunState(g, sched)
-	slab := make([]pregel.Vertex, numD)
-	vertices := make([]*pregel.Vertex, len(slab))
-	for i := range slab {
-		slab[i].ID = pregel.VertexID(i)
-		vertices[i] = &slab[i]
-	}
 
 	maxSupersteps := levels*opts.ItersPerLevel*4 + 8
 
-	compute := func(ctx *pregel.ContextOf[record, workerAgg], v *pregel.Vertex, _ []record) {
-		computeData(ctx, g, int32(v.ID), &states.data[v.ID], sched, tables, states.mirrors)
-	}
-	// A worker's gain superstep is its hook, since the queries are its
-	// state; in the proposal superstep its hook adds the gains and patches
-	// it received into its vertices' accumulators and hands the vertices its
-	// proposal table.
+	// A worker's hook is its whole superstep: the gain step of its queries
+	// in superstep 1, its data vertices' programs in the others.
 	hook := func(ctx *pregel.ContextOf[record, workerAgg], recs []record) {
-		switch w := ctx.Worker(); ctx.Superstep() % 4 {
-		case 1:
+		if w := ctx.Worker(); ctx.Superstep()%4 == 1 {
 			states.mirrors[w].gainStep(ctx, g, states.query, recs, sched, tables[sched.level])
-		case 2:
-			states.hear(w, recs)
-			ctx.Aggregate().props = states.props[w].reset(len(sched.hists))
+		} else {
+			states.dataStep(ctx, g, tables, w, recs)
 		}
 	}
 
 	// The master runs at every barrier after superstep step, and leaves
-	// sched as the next superstep's vertices read it.
+	// sched as the next superstep's hooks read it. Only it ends the run.
 	master := func(step int, parts []*workerAgg) bool {
 		switch step % 4 {
 		case 1:
@@ -1111,7 +1100,6 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 
 	engOpts := pregel.OptionsOf[record, workerAgg]{
 		Workers:       opts.Workers,
-		Compute:       compute,
 		PreSuperstep:  hook,
 		Master:        master,
 		MaxSupersteps: maxSupersteps,
@@ -1127,7 +1115,7 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 		engOpts.CheckpointEvery = 4 * min(opts.CheckpointEvery, maxSupersteps)
 		engOpts.Program = states
 	}
-	eng, err := pregel.NewEngineOf(engOpts, vertices)
+	eng, err := pregel.NewEngineOf(engOpts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1155,86 +1143,113 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 	}, nil
 }
 
-// computeData is the program of data vertex d. It reads the master's state
-// in s, which the master writes only between supersteps, and no messages:
-// its worker's hook has added what the workers sent it into st.acc.
-func computeData(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite, d int32, st *dataState,
-	s *schedule, tables []core.GainTables, mirrors []mirror) {
+// dataStep runs worker w's data vertices in supersteps 0, 2 and 3, only
+// those that can act. Superstep 0 sends the movers' buckets, after a level
+// start has split every bucket. Superstep 2, once hear has added recs in,
+// proposes for the vertices that heard a record and then the movers (the
+// rest, and a second visit, return at propose's admissibility gate), or for
+// every vertex at a level start. Superstep 3 flips every vertex's coin and
+// lists the movers, ascending. Restore makes every vertex a mover.
+func (s *runState) dataStep(ctx *pregel.ContextOf[record, workerAgg], g *hypergraph.Bipartite,
+	tables []core.GainTables, w int, recs []record) {
 
+	sc := s.sched
 	switch ctx.Superstep() % 4 {
 	case 0:
-		if s.level != st.level {
-			// Level start: split my bucket. The queries split their
-			// registries the same way, so a vertex that did not just move
-			// has nothing to tell them.
-			st.bucket = splitBucket(s.opts.Seed, s.level, d, st.bucket)
-			st.level = s.level
+		if sc.iter == 0 {
+			// The queries split their registries the same way, so a vertex
+			// that did not just move has nothing to tell them.
+			for _, d := range s.hosted[w] {
+				s.data[d].bucket = splitBucket(sc.opts.Seed, sc.level, d, s.data[d].bucket)
+			}
 		}
-		if st.moved {
-			for w := range mirrors {
-				if mirrors[w].mirrors(int(d)) {
-					ctx.SendWorker(w, moverRecord(d, st.bucket))
+		for _, d := range s.movers[w] {
+			for v := range s.mirrors {
+				if s.mirrors[v].mirrors(int(d)) {
+					ctx.SendWorker(v, moverRecord(d, s.data[d].bucket))
 				}
 			}
-			st.moved = false
 		}
-	case 1:
-		// The workers' hooks run the queries; data idles.
 	case 2:
-		// The hook brought the persistent Equation 1 accumulator up to date
-		// — gains resummed it (movers and rebroadcast iterations: every
-		// adjacent query sent a contribution), patches added in place.
-		// Register it, the gain for moving to the sibling bucket, with the
-		// master.
-		//
-		// Admissibility gate: nothing heard and an unchanged bucket mean the
-		// accumulator — the gain — is bit-identical to the registered
-		// proposal. Stable vertices neither recompute nor ship, so late
-		// supersteps cost only the moving frontier on this plane. (The
-		// bucket check catches zero-degree movers, whose bucket flips
-		// without any message traffic.)
-		level := s.level
-		heard := st.heard != kindBucket
-		st.heard = kindBucket
-		if !heard && st.propLevel == level && st.bucket == st.propBucket {
-			return
+		s.hear(w, recs)
+		props := s.props[w].reset(len(sc.hists))
+		ctx.Aggregate().props = props
+		ids := append(s.heard[w], s.movers[w]...)
+		s.heard[w] = ids[:0]
+		if sc.iter == 0 {
+			ids = s.hosted[w]
 		}
-		props := ctx.Aggregate().props
-		if st.propLevel == level {
-			if st.bucket == st.propBucket && st.acc == st.propGain {
-				// Recomputed (rebroadcast verification) but unchanged:
-				// nothing to ship. Keeps the maintained and full-rebroadcast
-				// regimes' aggregate streams identical.
-				return
-			}
-			// Retract the registered proposal; on a bucket change, move the
-			// vertex's weight between the buckets' persistent totals.
-			props.propose(st.propBucket, st.propCode, st.propGain, -1)
-			if old := st.propBucket; old != st.bucket {
-				props.weigh(old, -int64(g.DataWeight(d)))
-				props.weigh(st.bucket, int64(g.DataWeight(d)))
-			}
-		} else {
-			// First proposal of the level: register the full weight.
-			props.weigh(st.bucket, int64(g.DataWeight(d)))
+		for _, d := range ids {
+			s.propose(props, g, tables, d)
 		}
-		code := core.BinCode(st.acc, tables[level].Unit())
-		props.propose(st.bucket, code, st.acc, 1)
-		st.propBucket, st.propCode, st.propGain, st.propLevel = st.bucket, code, st.acc, level
 	case 3:
-		// Read the master's probability for the registered proposal, which
-		// superstep 2 left equal to (bucket, acc), and maybe move.
-		p := s.probs[st.bucket].ProbAt(st.propCode)
-		if p <= 0 {
-			return
-		}
-		key := rng.Mix(rng.Mix(uint64(s.level)+1, uint64(s.iter)+1), uint64(d))
-		if p >= 1 || rng.CoinAt(s.opts.Seed^0x30E5, key) < p {
-			st.bucket ^= 1
-			st.moved = true
-			ctx.Aggregate().moved++
+		s.movers[w] = s.movers[w][:0]
+		for _, d := range s.hosted[w] {
+			if s.move(ctx, d) {
+				s.movers[w] = append(s.movers[w], d)
+			}
 		}
 	}
+}
+
+// propose registers data vertex d's gain, its accumulator, with the master
+// through its worker's proposal table, in superstep 2. The hook has brought
+// the persistent Equation 1 accumulator up to date — gains resummed it
+// (movers and rebroadcast iterations: every adjacent query sent a
+// contribution), patches added in place — and the master writes what it
+// reads only between supersteps.
+func (s *runState) propose(props *proposals, g *hypergraph.Bipartite, tables []core.GainTables, d int32) {
+	// Admissibility gate: nothing heard and an unchanged bucket mean the
+	// accumulator — the gain — is bit-identical to the registered
+	// proposal. Stable vertices neither recompute nor ship, so late
+	// supersteps cost only the moving frontier on this plane. (The
+	// bucket check catches zero-degree movers, whose bucket flips
+	// without any message traffic.)
+	st, level := &s.data[d], s.sched.level
+	heard := st.heard != kindBucket
+	st.heard = kindBucket
+	if !heard && st.propLevel == level && st.bucket == st.propBucket {
+		return
+	}
+	if st.propLevel == level {
+		if st.bucket == st.propBucket && st.acc == st.propGain {
+			// Recomputed (rebroadcast verification) but unchanged:
+			// nothing to ship. Keeps the maintained and full-rebroadcast
+			// regimes' aggregate streams identical.
+			return
+		}
+		// Retract the registered proposal; on a bucket change, move the
+		// vertex's weight between the buckets' persistent totals.
+		props.propose(st.propBucket, st.propCode, st.propGain, -1)
+		if old := st.propBucket; old != st.bucket {
+			props.weigh(old, -int64(g.DataWeight(d)))
+			props.weigh(st.bucket, int64(g.DataWeight(d)))
+		}
+	} else {
+		// First proposal of the level: register the full weight.
+		props.weigh(st.bucket, int64(g.DataWeight(d)))
+	}
+	code := core.BinCode(st.acc, tables[level].Unit())
+	props.propose(st.bucket, code, st.acc, 1)
+	st.propBucket, st.propCode, st.propGain, st.propLevel = st.bucket, code, st.acc, level
+}
+
+// move reads the master's probability for data vertex d's registered
+// proposal, which superstep 2 left equal to (bucket, acc), flips d's coin
+// and reports whether d moved, in superstep 3.
+func (s *runState) move(ctx *pregel.ContextOf[record, workerAgg], d int32) bool {
+	st, sc := &s.data[d], s.sched
+	p := sc.probs[st.bucket].ProbAt(st.propCode)
+	if p <= 0 {
+		return false
+	}
+	key := rng.Mix(rng.Mix(uint64(sc.level)+1, uint64(sc.iter)+1), uint64(d))
+	if p >= 1 || rng.CoinAt(sc.opts.Seed^0x30E5, key) < p {
+		st.bucket ^= 1
+		ctx.Aggregate().moved++
+		return true
+	}
+	return false
 }
 
 // splitBucket is the bucket data vertex d takes at the start of level when

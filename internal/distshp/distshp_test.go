@@ -220,15 +220,16 @@ func TestMirrorTables(t *testing.T) {
 	}
 }
 
-// TestEngineHoldsOnlyDataVertices pins where queries live: they are state
-// of their workers, run from the workers' hooks, so on both transports no
-// superstep runs more vertices than the graph has data vertices. Each level
+// TestEngineHoldsOnlyDataVertices pins where vertices live: data vertices
+// and queries are state of their workers, run from the workers' hooks, so on
+// both transports the engine runs no vertex in any superstep. Each level
 // start's superstep 1 ships what the per-worker fold makes of it: one
 // envelope per (source worker, destination worker), addressed to the
 // destination worker, carrying one gain per data vertex that the source
 // mirrors and the destination hosts, by ascending id (an id code and 8
-// bytes each behind the envelope's header, id and count, on the memory
-// transport). No record is addressed to a vertex.
+// bytes each behind the envelope's header, the worker group's id 0 of an
+// engine with no vertices, and count, on the memory transport). No record
+// is addressed to a vertex.
 func TestEngineHoldsOnlyDataVertices(t *testing.T) {
 	const workers = 3
 	g := randomBipartite(t, 29, 150, 260, 1400)
@@ -254,7 +255,7 @@ func TestEngineHoldsOnlyDataVertices(t *testing.T) {
 				continue
 			}
 			envelopes++
-			bytes += int64(uvarintLen(uint64(numD)) + len(envelopeBytes(recs...)))
+			bytes += int64(uvarintLen(0) + len(envelopeBytes(recs...)))
 		}
 	}
 	for _, tr := range []struct {
@@ -266,8 +267,8 @@ func TestEngineHoldsOnlyDataVertices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ss := range res.Stats.PerSuperstep {
-			if ss.ActiveVertices > numD {
-				t.Fatalf("%s: superstep %d ran %d vertices, above the %d data vertices", tr.name, ss.Superstep, ss.ActiveVertices, numD)
+			if ss.ActiveVertices != 0 || ss.MaxWorkerActive != 0 {
+				t.Fatalf("%s: superstep %d ran %d engine vertices, %d on the busiest worker", tr.name, ss.Superstep, ss.ActiveVertices, ss.MaxWorkerActive)
 			}
 		}
 		starts := 0
@@ -297,7 +298,7 @@ func TestBucketSuperstepShipsOneRecordPerMoverAndWorker(t *testing.T) {
 	const seed = 5
 	g := randomBipartite(t, 23, 250, 400, 2200)
 	numD := g.NumData()
-	header := uvarintLen(uint64(numD)) // the worker group's id
+	header := uvarintLen(0) // the worker group's id on an engine with no vertices
 	for _, workers := range []int{2, 3} {
 		one, err := Partition(g, Options{K: 2, Seed: seed, Workers: workers, ItersPerLevel: 1})
 		if err != nil {
@@ -491,5 +492,115 @@ func TestLargeK(t *testing.T) {
 	}
 	if empties > 3 {
 		t.Fatalf("%d of 32 buckets empty", empties)
+	}
+}
+
+// TestDistDataStepVisitsFrontier pins which data vertices a worker's hook
+// runs. Every vertex is set up with no proposal at level 1, so it registers
+// one if superstep 2 runs it, while the mover lists name only some of them
+// and gains reach only some others. Superstep 0 must send exactly the
+// movers' buckets, one record to each worker mirroring the mover, and leave
+// the other buckets alone, except that a level start splits every bucket.
+// Superstep 2 must run exactly the vertices that heard a gain and the
+// movers, or every vertex at a level start. The hooks run dataStep on an
+// engine of their own, which sends the gains in superstep 1.
+func TestDistDataStepVisitsFrontier(t *testing.T) {
+	const workers, k, seed = 2, 8, 1
+	g := randomBipartite(t, 31, 60, 90, 400)
+	numD := g.NumData()
+	isMover := func(d int) bool { return d%3 == 0 }
+	isHeard := func(d int) bool { return d%5 == 0 }
+	tables := make([]core.GainTables, 3)
+	for l := range tables {
+		tables[l] = core.NewPFanoutTables(0.5, k>>(l+1), g.MaxQueryDegree())
+	}
+	for _, levelStart := range []bool{false, true} {
+		sched := &schedule{opts: Options{K: k, Workers: workers, Seed: seed}.withDefaults(), levels: 3, level: 1,
+			ideal: float64(numD) / k}
+		if !levelStart {
+			sched.iter = 1
+		}
+		sched.resetPlane()
+		s := newRunState(g, sched)
+		before := make([]int32, numD) // each bucket before superstep 0
+		for d := range s.data {
+			before[d] = splitBucket(seed, 0, int32(d), -1)
+			if !levelStart {
+				before[d] = splitBucket(seed, 1, int32(d), before[d])
+			}
+			s.data[d] = dataState{bucket: before[d], propLevel: -1}
+		}
+		for w, ids := range s.hosted {
+			for _, d := range ids {
+				if isMover(int(d)) {
+					s.movers[w] = append(s.movers[w], d)
+				}
+			}
+		}
+		var after []int32                 // each bucket after superstep 0
+		sent := make([][]record, workers) // what superstep 0 sent each worker
+		eng, err := pregel.NewEngineOf(pregel.OptionsOf[record, workerAgg]{
+			Workers:       workers,
+			MaxSupersteps: 3,
+			Codecs:        recordCodec{k: k, numData: int32(numD)},
+			PreSuperstep: func(ctx *pregel.ContextOf[record, workerAgg], recs []record) {
+				w := ctx.Worker()
+				if ctx.Superstep() != 1 {
+					s.dataStep(ctx, g, tables, w, recs)
+					return
+				}
+				sent[w] = slices.Clone(recs)
+				// Worker 0 sends the gains, each to its vertex's host.
+				for d := 0; d < numD && w == 0; d++ {
+					if isHeard(d) {
+						ctx.SendWorker(int(s.host[d]), gainRecord(int32(d), 3))
+					}
+				}
+			},
+			Master: func(step int, _ []*workerAgg) bool {
+				if step == 0 {
+					for d := range s.data {
+						after = append(after, s.data[d].bucket)
+					}
+				}
+				return step == 2
+			},
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for d, st := range s.data {
+			want := before[d]
+			if levelStart {
+				want = splitBucket(seed, 1, int32(d), before[d])
+			}
+			if after[d] != want {
+				t.Fatalf("level start %v: superstep 0 left vertex %d in bucket %d, want %d", levelStart, d, after[d], want)
+			}
+			if ran, want := st.propLevel == 1, levelStart || isMover(d) || isHeard(d); ran != want {
+				t.Fatalf("level start %v: superstep 2 ran vertex %d: %v, want %v", levelStart, d, ran, want)
+			}
+			if st.heard != kindBucket {
+				t.Fatalf("level start %v: vertex %d kept its heard mark", levelStart, d)
+			}
+		}
+		for w := range sent {
+			var want []record
+			for d := 0; d < numD; d++ {
+				if isMover(d) && s.mirrors[w].mirrors(d) {
+					want = append(want, moverRecord(int32(d), after[d]))
+				}
+			}
+			slices.SortFunc(sent[w], func(a, b record) int { return int(a.id - b.id) })
+			if !slices.Equal(sent[w], want) {
+				t.Fatalf("level start %v: worker %d was sent %+v, want %+v", levelStart, w, sent[w], want)
+			}
+			if len(s.heard[w]) != 0 {
+				t.Fatalf("level start %v: worker %d kept %d heard vertices", levelStart, w, len(s.heard[w]))
+			}
+		}
 	}
 }

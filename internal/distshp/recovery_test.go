@@ -199,8 +199,8 @@ func TestDistTransientDropsRetry(t *testing.T) {
 // restores the level-start replay state with the schedule's level,
 // iteration and history.
 func TestRestoreRejectsDamagedSnapshots(t *testing.T) {
-	s, workers := fuzzRun(t)
-	parts, master := checkpointOf(s, workers)
+	s := fuzzRun(t)
+	parts, master := checkpointOf(s)
 	before := restorableOf(s)
 	withPart := func(w int, part []byte) [][]byte {
 		c := slices.Clone(parts)
@@ -216,14 +216,14 @@ func TestRestoreRejectsDamagedSnapshots(t *testing.T) {
 		{"a trailing byte", withPart(1, append(slices.Clone(parts[1]), 0)), master},
 		{"a truncated schedule", parts, master[:len(master)-1]},
 	} {
-		if err := s.Restore(workers, c.parts, c.master); err == nil {
+		if err := s.Restore(c.parts, c.master); err == nil {
 			t.Fatalf("%s: restored", c.name)
 		}
 		if !reflect.DeepEqual(restorableOf(s), before) {
 			t.Fatalf("%s: a refused restore changed the run state", c.name)
 		}
 	}
-	if err := s.Restore(workers, parts, master); err != nil {
+	if err := s.Restore(parts, master); err != nil {
 		t.Fatal(err)
 	}
 	requireReplayState(t, s)

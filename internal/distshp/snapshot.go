@@ -3,15 +3,17 @@ package distshp
 // The run's checkpoint plane. A checkpoint is taken only at an iteration's
 // superstep 0 (Partition sets the engine's cadence to a multiple of the four
 // supersteps of an iteration), where no message is pending — the engine
-// snapshots only such barriers, and its snapshot holds the halted flags and
-// no message — and everything but each data vertex's bucket is an exact
-// integer function of the assignment, the level, the iteration and the
-// seed. So a snapshot holds per worker each data vertex's bucket, nothing of
-// its queries, and the master's level, iteration and history.
+// snapshots only such barriers, and its snapshot holds no message, and no
+// halted flag, since the engine holds no vertex — and everything but each
+// data vertex's bucket is an exact integer function of the assignment, the
+// level, the iteration and the seed. So a snapshot holds per worker each of
+// its data vertices' bucket, nothing of its queries, and the master's level,
+// iteration and history.
 //
 // A restore rebuilds the rest through the level-start registration that
-// already exists: every data vertex is marked moved with nothing proposed,
-// every query unregistered, the master's proposal plane empty. The replayed
+// already exists: every data vertex is a mover (each worker's mover list
+// holds all of its vertices) with nothing proposed, every query
+// unregistered, the master's proposal plane empty. The replayed
 // iteration's superstep 0 then ships every bucket to every worker that
 // hosts one of the vertex's queries, superstep 1's worker hooks register
 // every query from all its members' records (the live entries re-sum into
@@ -115,6 +117,8 @@ type decoder struct {
 	err  error
 }
 
+// varint reads a varint in the bytes binary.AppendVarint writes for it, so
+// what decodes re-encodes to the bytes it came from.
 func (d *decoder) varint() int64 {
 	if d.err != nil {
 		return 0
@@ -124,21 +128,28 @@ func (d *decoder) varint() int64 {
 		d.err = errors.New("truncated varint")
 		return 0
 	}
+	if n != uvarintLen(uint64(v)<<1^uint64(v>>63)) {
+		d.err = fmt.Errorf("varint %d is not minimally encoded", v)
+		return 0
+	}
 	d.data = d.data[n:]
 	return v
 }
 
 // runState is a run's program state: the data and query slabs, indexed by
-// id, each worker's mirror table, fold and proposal table, the worker that
-// hosts each data vertex, and the master's schedule. It is the engine's
-// checkpoint hook.
+// id, each worker's mirror table, fold, proposal table and data vertex
+// lists, the worker that hosts each data vertex, and the master's schedule.
+// It is the engine's checkpoint hook.
 type runState struct {
 	data    []dataState
 	query   []queryState
 	mirrors []mirror
 	props   []proposals
 	host    []int32 // by data id: pregel.HashWorker's placement
-	sched   *schedule
+	// Per worker, the data vertices it hosts, those that moved in the last
+	// superstep 3 (both ascending) and those hear added a record into.
+	hosted, movers, heard [][]int32
+	sched                 *schedule
 }
 
 // newRunState returns the state of a run over g before its first superstep,
@@ -150,9 +161,12 @@ func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
 		mirrors: newMirrors(g, k, workers, func(q int32) int {
 			return pregel.HashWorker(pregel.VertexID(numD+int(q)), workers)
 		}),
-		props: make([]proposals, workers), host: make([]int32, numD)}
+		props: make([]proposals, workers), host: make([]int32, numD),
+		hosted: make([][]int32, workers), movers: make([][]int32, workers), heard: make([][]int32, workers)}
 	for d := range s.host {
-		s.host[d] = int32(pregel.HashWorker(pregel.VertexID(d), workers))
+		w := pregel.HashWorker(pregel.VertexID(d), workers)
+		s.host[d] = int32(w)
+		s.hosted[w] = append(s.hosted[w], int32(d))
 	}
 	for w := range s.mirrors {
 		if m := &s.mirrors[w]; sched.opts.noFold {
@@ -162,16 +176,15 @@ func newRunState(g *hypergraph.Bipartite, sched *schedule) *runState {
 		}
 	}
 	for d := range s.data {
-		s.data[d] = dataState{bucket: -1, level: -1, propLevel: -1}
+		s.data[d] = dataState{bucket: -1, propLevel: -1}
 	}
 	return s
 }
 
-// AppendWorker encodes the buckets of one worker's data vertices, in the
-// engine's order.
-func (s *runState) AppendWorker(buf []byte, vertices []*pregel.Vertex) []byte {
-	for _, v := range vertices {
-		buf = binary.AppendVarint(buf, int64(s.data[v.ID].bucket))
+// AppendWorker encodes the buckets of worker w's data vertices, ascending.
+func (s *runState) AppendWorker(buf []byte, w int) []byte {
+	for _, d := range s.hosted[w] {
+		buf = binary.AppendVarint(buf, int64(s.data[d].bucket))
 	}
 	return buf
 }
@@ -184,7 +197,7 @@ func (s *runState) AppendMaster(buf []byte) []byte { return s.sched.appendBinary
 // way the file comment describes. A data vertex holds the previous level's
 // bucket at a level start and the current one's otherwise; a bucket outside
 // that level's range (anything but -1 before level 0) is refused.
-func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []byte) error {
+func (s *runState) Restore(parts [][]byte, master []byte) error {
 	sched, err := s.sched.decode(master)
 	if err != nil {
 		return err
@@ -198,14 +211,14 @@ func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []
 		lo, hi = 0, 2<<level
 	}
 	buckets := make([]int32, len(s.data))
-	for w, vertices := range workers {
+	for w, ids := range s.hosted {
 		d := &decoder{data: parts[w]}
-		for _, v := range vertices {
+		for _, id := range ids {
 			b := d.varint()
 			if d.err == nil && (b < lo || b >= hi) {
-				return fmt.Errorf("distshp: vertex %d: bucket %d outside [%d, %d) at level %d", v.ID, b, lo, hi, level)
+				return fmt.Errorf("distshp: vertex %d: bucket %d outside [%d, %d) at level %d", id, b, lo, hi, level)
 			}
-			buckets[v.ID] = int32(b)
+			buckets[id] = int32(b)
 		}
 		if d.err != nil {
 			return fmt.Errorf("distshp: worker %d state: %w", w, d.err)
@@ -216,7 +229,7 @@ func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []
 	}
 	*s.sched = *sched
 	for i, b := range buckets {
-		s.data[i] = dataState{bucket: b, moved: true, level: level, propLevel: -1}
+		s.data[i] = dataState{bucket: b, propLevel: -1}
 	}
 	for q := range s.query {
 		st := &s.query[q]
@@ -224,6 +237,8 @@ func (s *runState) Restore(workers [][]*pregel.Vertex, parts [][]byte, master []
 	}
 	for w := range s.mirrors {
 		s.mirrors[w].level = -1
+		s.movers[w] = append(s.movers[w][:0], s.hosted[w]...)
+		s.heard[w] = s.heard[w][:0]
 	}
 	return nil
 }

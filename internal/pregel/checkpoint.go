@@ -153,23 +153,25 @@ func (c *DiskCheckpointer) steps() ([]int, error) {
 	return steps, nil
 }
 
-// ProgramState checkpoints a program's own state: its vertices', kept in
-// the program indexed by id, and the master's. A snapshot holds one part per
-// worker beside one master blob; the engine frames and checksums them.
+// ProgramState checkpoints a program's own state: each worker's, kept in the
+// program, and the master's. A snapshot holds one part per worker beside one
+// master blob; the engine frames and checksums them. A program with vertices
+// keeps their state indexed by id, and a worker's are the ids HashWorker
+// places on it.
 type ProgramState interface {
-	// AppendWorker appends the state of one worker's vertices, given in the
-	// engine's canonical order (id-ascending), to buf.
-	AppendWorker(buf []byte, vertices []*Vertex) []byte
+	// AppendWorker appends the state of worker w to buf.
+	AppendWorker(buf []byte, w int) []byte
 	// AppendMaster appends the master's state to buf.
 	AppendMaster(buf []byte) []byte
 	// Restore replaces the program's state with a snapshot's: parts[w] is
-	// what AppendWorker wrote for workers[w], master what AppendMaster
-	// wrote. All or nothing: on error the program is exactly as it was.
-	// Nothing restored may alias the arguments.
-	Restore(workers [][]*Vertex, parts [][]byte, master []byte) error
+	// what AppendWorker wrote for worker w, master what AppendMaster wrote.
+	// All or nothing: on error the program is exactly as it was. Nothing
+	// restored may alias the arguments.
+	Restore(parts [][]byte, master []byte) error
 }
 
-// Snapshot format (versioned; all integers are uvarints unless noted):
+// Snapshot format (versioned; all integers are minimal uvarints unless
+// noted):
 //
 //	magic "SHPS" | version byte | superstep | workers | total vertices
 //	per worker, in worker order:
@@ -180,8 +182,9 @@ type ProgramState interface {
 //	CRC-32 (IEEE, 4 bytes little-endian) of every byte before it
 //
 // A snapshot is taken only where no inbox holds a record (see Run), so it
-// holds no messages and needs no codec. Encoding order is canonical, so
-// equal states produce byte-identical snapshots. The checksum is what catches damage that still parses — a
+// holds no messages and needs no codec; an engine with no vertices writes
+// no halted flags. Encoding order is canonical, so equal states produce
+// byte-identical snapshots. The checksum is what catches damage that still parses — a
 // flipped bit inside a numeric state decodes to a different, perfectly
 // valid state. The version changes whenever the layout or a program's
 // payload does: version 5 moved vertex states out of the engine into
@@ -224,7 +227,7 @@ func (e *EngineOf[M, A]) encodeSnapshot(superstep int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(e.place)))
 	for _, w := range e.workers {
 		at := len(buf)
-		buf = prefixLen(e.opts.Program.AppendWorker(buf, w.vertices), at)
+		buf = prefixLen(e.opts.Program.AppendWorker(buf, w.id), at)
 		at = len(buf)
 		buf = append(buf, make([]byte, (len(w.vertices)+7)/8)...)
 		for l, v := range w.vertices {
@@ -249,7 +252,8 @@ type snapshotState struct {
 
 // decodeSnapshot parses a snapshot taken by encodeSnapshot and checks it
 // against its checksum and the engine's layout (worker and vertex counts).
-// It only reads the engine.
+// Every uvarint must be in the bytes encodeSnapshot writes for it, so a
+// snapshot that decodes re-encodes to itself. It only reads the engine.
 func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState, error) {
 	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("bad snapshot magic")
@@ -269,6 +273,9 @@ func (e *EngineOf[M, A]) decodeSnapshot(data []byte) (*snapshotState, error) {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
 			return 0, fmt.Errorf("truncated snapshot")
+		}
+		if n != uvarintLen(v) {
+			return 0, fmt.Errorf("snapshot field %d is not minimally encoded", v)
 		}
 		data = data[n:]
 		return v, nil
@@ -341,11 +348,7 @@ func (e *EngineOf[M, A]) restoreSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
-	workers := make([][]*Vertex, len(e.workers))
-	for i, w := range e.workers {
-		workers[i] = w.vertices
-	}
-	if err := e.opts.Program.Restore(workers, s.parts, s.master); err != nil {
+	if err := e.opts.Program.Restore(s.parts, s.master); err != nil {
 		return fmt.Errorf("program restore: %w", err)
 	}
 	for _, w := range e.workers {

@@ -133,10 +133,15 @@ func TestDecodeTruncatedAndUnknownID(t *testing.T) {
 		{"truncated batch count", []byte{5, batchID, 0x80}},
 		{"batch truncated in its last record", append([]byte{5, batchID, 2, 0}, make([]byte, 16)...)},
 		{"batch inside a batch", append([]byte{5, batchID, 2, batchID, 2, 0}, make([]byte, 17)...)},
+		{"overlong envelope header", append([]byte{0x85, 0x00, 0}, make([]byte, 8)...)},
 	} {
 		if err := eng.decode(w, 0, frame{payload: c.payload, count: 1}); err == nil {
 			t.Fatalf("%s: decode succeeded", c.name)
 		}
+	}
+	// The overlong header's envelope, with the header in one byte, decodes.
+	if err := eng.decode(w, 0, frame{payload: append([]byte{5, 0}, make([]byte, 8)...), count: 1}); err != nil {
+		t.Fatalf("minimal envelope header: %v", err)
 	}
 }
 

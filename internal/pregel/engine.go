@@ -169,10 +169,13 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 }
 
 // NewEngineOf builds an engine over the given vertices, whose ids must be
-// exactly 0..len(vertices)-1 in any order.
+// exactly 0..len(vertices)-1 in any order; with none it needs a Master (Run).
 func NewEngineOf[M, A any](opts OptionsOf[M, A], vertices []*Vertex) (*EngineOf[M, A], error) {
-	if opts.Compute == nil {
+	if len(vertices) > 0 && opts.Compute == nil {
 		return nil, errors.New("pregel: Compute is required")
+	}
+	if len(vertices) == 0 && opts.Master == nil {
+		return nil, errors.New("pregel: an engine with no vertices needs a Master to halt it")
 	}
 	if opts.MaxSupersteps <= 0 {
 		return nil, errors.New("pregel: MaxSupersteps must be > 0")
@@ -262,7 +265,9 @@ func (e *EngineOf[M, A]) local(w int, dst VertexID) int32 {
 
 // Run executes supersteps until every vertex halts with no pending messages,
 // the master requests a halt, or MaxSupersteps is reached. It returns run
-// statistics.
+// statistics. An engine with no vertices has none to halt: it runs through
+// barriers where nothing is pending until its master halts it or
+// MaxSupersteps is reached.
 //
 // With a Checkpointer configured, the engine snapshots its barrier state
 // (halted flags, and the program's parts and master blob through
@@ -307,7 +312,7 @@ func (e *EngineOf[M, A]) Run() (*Stats, error) {
 			active += wa
 			pending = pending || len(w.in.msg) > 0
 		}
-		if active == 0 && !pending {
+		if active == 0 && !pending && len(e.place) > 0 {
 			break
 		}
 		if due && !pending {
@@ -538,7 +543,8 @@ func (e *EngineOf[M, A]) size(t *traffic[M]) (int64, error) {
 // decode parses the frame worker src sent w into w.staged[src]. An envelope
 // addressed to a vertex w does not own, or to an id above NumVertices() (the
 // worker group's), makes the frame as undecodable as a truncated one:
-// delivering it would index another worker's placement.
+// delivering it would index another worker's placement. So does a header in
+// more bytes than encode writes.
 func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 	t := &w.staged[src]
 	t.reset() // a frame that failed to parse may have left records behind
@@ -547,6 +553,9 @@ func (e *EngineOf[M, A]) decode(w *worker[M, A], src int, f frame) error {
 		dst, n := binary.Uvarint(data)
 		if n <= 0 {
 			return fmt.Errorf("truncated envelope header")
+		}
+		if n != uvarintLen(dst) {
+			return fmt.Errorf("envelope header %d is not minimally encoded", dst)
 		}
 		if dst > uint64(len(e.place)) || dst < uint64(len(e.place)) && int(e.place[dst].worker) != w.id {
 			return fmt.Errorf("envelope for vertex %d, which worker %d does not own", dst, w.id)

@@ -84,26 +84,25 @@ func newWorkerSumRun(t *testing.T, n, workers, steps int, transport Transport, c
 	return r
 }
 
-// AppendWorker encodes the worker's values.
-func (r *workerSumRun) AppendWorker(buf []byte, vertices []*Vertex) []byte {
-	for _, v := range vertices {
-		buf = binary.AppendVarint(buf, r.vals[v.ID])
+// AppendWorker encodes worker w's vertices' values.
+func (r *workerSumRun) AppendWorker(buf []byte, w int) []byte {
+	for _, id := range hostedBy(r.n, r.opts.Workers, w) {
+		buf = binary.AppendVarint(buf, r.vals[id])
 	}
 	return buf
 }
 
 func (r *workerSumRun) AppendMaster(buf []byte) []byte { return buf }
 
-func (r *workerSumRun) Restore(workers [][]*Vertex, parts [][]byte, master []byte) error {
+func (r *workerSumRun) Restore(parts [][]byte, master []byte) error {
 	vals := slices.Clone(r.vals)
-	for w, vs := range workers {
-		data := parts[w]
-		for _, v := range vs {
+	for w, data := range parts {
+		for _, id := range hostedBy(r.n, r.opts.Workers, w) {
 			x, n := binary.Varint(data)
 			if n <= 0 {
 				return fmt.Errorf("worker %d: truncated value", w)
 			}
-			vals[v.ID], data = x, data[n:]
+			vals[id], data = x, data[n:]
 		}
 	}
 	copy(r.vals, vals)

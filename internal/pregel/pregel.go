@@ -21,6 +21,11 @@
 // barrier where no record is pending, so it holds the halted flags beside
 // the program's state and no message.
 //
+// An engine may have no vertices at all. Its workers' hooks are then the
+// whole program, as in the block-centric engines (Giraph++, Blogel): each
+// worker steps its own state once per superstep and addresses records to
+// workers, and the master, or MaxSupersteps, ends the run.
+//
 // The message plane is layered, and id-indexed throughout, so no step of it
 // hashes or sorts:
 //
@@ -45,15 +50,16 @@
 //
 // Besides vertices, a record may address a worker. SendWorker puts it in one
 // envelope per (source worker, destination worker), under the reserved
-// destination id NumVertices(), which rides the same codec, frames, grouping
-// and inbox as every other envelope: the worker group sits after the
-// worker's own vertices. Options.PreSuperstep, the one worker hook, like
-// Giraph's WorkerContext.preSuperstep, runs once per worker before its first
-// vertex, is handed that group and may Send. A program that keeps a
-// per-worker copy of remote state (PowerGraph's mirrors) sends one record per
-// worker that needs it and fans it out there, to local vertices or to state
-// of its own; HashWorker tells it where the engine places each vertex. A
-// pending worker group keeps Run going like a pending message.
+// destination id NumVertices() (0 on an engine with no vertices), which
+// rides the same codec, frames, grouping and inbox as every other envelope:
+// the worker group sits after the worker's own vertices.
+// Options.PreSuperstep, the one worker hook, like Giraph's
+// WorkerContext.preSuperstep, runs once per worker before its first vertex,
+// is handed that group and may Send. A program that keeps a per-worker copy
+// of remote state (PowerGraph's mirrors) sends one record per worker that
+// needs it and fans it out there, to local vertices or to state of its own;
+// HashWorker tells it where the engine places each vertex. A pending worker
+// group keeps Run going like a pending message.
 //
 // The engine never folds records. A program that sums contributions per
 // worker folds them in its state and ships the sums from the hook, and the
@@ -124,7 +130,8 @@ func (c *ContextOf[M, A]) Send(dst VertexID, m M) {
 // SendWorker delivers m to worker w at the start of the next superstep,
 // where w's PreSuperstep hook receives it, in (source worker, send order).
 // Every record one worker sends w rides one envelope, addressed to the
-// reserved id NumVertices(), so it counts once in MessagesSent. w must be in
+// reserved id NumVertices(), so it counts once in MessagesSent; on an engine
+// with no vertices that id is 0, a one-byte header. w must be in
 // [0, Workers).
 func (c *ContextOf[M, A]) SendWorker(w int, m M) {
 	e := c.engine
@@ -155,8 +162,9 @@ type WireSizer interface {
 // vertex) that Send addressed — what actually crossed (or would cross) the
 // transport. BytesSent is the transport's accounting: real frame bytes on
 // the TCP backend, codec-measured sizes on the in-process backend (0
-// without a codec). ActiveVertices counts the vertices that ran: not
-// halted, or woken by a pending message.
+// without a codec). ActiveVertices counts the engine's vertices that ran:
+// not halted, or woken by a pending message. It is always 0 on an engine with
+// no vertices, whose workers' hooks do all the work.
 type SuperstepStats struct {
 	Superstep      int
 	ActiveVertices int
@@ -223,9 +231,10 @@ func (s *Stats) PhaseTotals(period int) []SuperstepStats {
 type OptionsOf[M, A any] struct {
 	// Workers is the number of simulated machines. <= 0 means 1.
 	Workers int
-	// Compute is the vertex program (required).
+	// Compute is the vertex program (required when the engine has vertices).
 	Compute func(ctx *ContextOf[M, A], v *Vertex, messages []M)
-	// Master runs at every barrier (optional). parts are the workers' parts
+	// Master runs at every barrier (optional, but required when the engine
+	// has no vertices, which nothing else halts). parts are the workers' parts
 	// of the superstep's aggregate, in worker order, which the engine zeroes
 	// when Master returns. Returning true halts the computation after this
 	// superstep. A value the vertices read from the master is the program's
@@ -268,8 +277,8 @@ type OptionsOf[M, A any] struct {
 	// checkpointed there only, and a failure replays it from the start.
 	CheckpointEvery int
 	// Program checkpoints the program's state beside the engine's: each
-	// worker's vertices' and the master's (see ProgramState). Required with
-	// a Checkpointer.
+	// worker's and the master's (see ProgramState). Required with a
+	// Checkpointer.
 	Program ProgramState
 	// FrameTimeout is the per-frame read/write deadline on the TCP
 	// transport. <= 0 means no deadline (a dead peer blocks forever).

@@ -250,3 +250,204 @@ func TestWorkerGroupRecovery(t *testing.T) {
 		}
 	}
 }
+
+// workerStepRun is a program with no vertices: each worker keeps one value,
+// and its hook is the whole superstep. It adds what it was handed to its
+// value and folds the value into the aggregate; on every third superstep it
+// also sends its value to the next worker and its index to a worker that
+// moves with the superstep. So records are pending only at the barriers
+// after those supersteps, and every other barrier is quiescent. The master
+// adds the workers' parts into a running total and halts after superstep
+// haltAt, or never when haltAt is negative.
+type workerStepRun struct {
+	vals  []int64 // by worker
+	total int64   // the master's
+	hooks [][]int // [worker][superstep]: hook calls
+	// wire[w] is what worker w's envelopes cost at one header byte each,
+	// the id 0 of an engine with no vertices, beside their codec bytes.
+	wire []int64
+	opts OptionsOf[Message, int64]
+	t    *testing.T
+}
+
+func newWorkerStepRun(t *testing.T, workers, haltAt, steps int, transport Transport, cp Checkpointer) *workerStepRun {
+	r := &workerStepRun{vals: make([]int64, workers), hooks: make([][]int, workers), wire: make([]int64, workers), t: t}
+	for w := range r.vals {
+		r.vals[w] = int64(w + 1)
+		r.hooks[w] = make([]int, steps)
+	}
+	reg := NewRegistry()
+	reg.Register(int64(0), Int64Codec{})
+	r.opts = OptionsOf[Message, int64]{
+		Workers:         workers,
+		MaxSupersteps:   steps,
+		Transport:       transport,
+		Codecs:          reg,
+		Checkpointer:    cp,
+		CheckpointEvery: 2,
+		PreSuperstep: func(ctx *ContextOf[Message, int64], msgs []Message) {
+			w, step := ctx.Worker(), ctx.Superstep()
+			r.hooks[w][step]++
+			if n := ctx.NumVertices(); n != 0 {
+				t.Errorf("a hook saw %d vertices", n)
+			}
+			for _, m := range msgs {
+				r.vals[w] += m.(int64)
+			}
+			*ctx.Aggregate() += r.vals[w]
+			if step%3 != 0 {
+				return
+			}
+			next, moving := (w+1)%workers, (w+step)%workers
+			ctx.SendWorker(next, r.vals[w])
+			ctx.SendWorker(moving, int64(w))
+			envs := [][]Message{{r.vals[w], int64(w)}}
+			if next != moving {
+				envs = [][]Message{{r.vals[w]}, {int64(w)}}
+			}
+			for _, recs := range envs {
+				n, err := reg.Size(recs)
+				if err != nil {
+					t.Error(err)
+				}
+				r.wire[w] += int64(1 + n)
+			}
+		},
+		Master: func(step int, parts []*int64) bool {
+			for _, p := range parts {
+				r.total += *p
+			}
+			return step == haltAt
+		},
+	}
+	if cp != nil {
+		r.opts.Program = r
+	}
+	return r
+}
+
+// AppendWorker encodes worker w's value.
+func (r *workerStepRun) AppendWorker(buf []byte, w int) []byte {
+	return binary.AppendVarint(buf, r.vals[w])
+}
+
+// AppendMaster encodes the master's total.
+func (r *workerStepRun) AppendMaster(buf []byte) []byte { return binary.AppendVarint(buf, r.total) }
+
+func (r *workerStepRun) Restore(parts [][]byte, master []byte) error {
+	vals := make([]int64, len(parts))
+	for w, part := range parts {
+		x, n := binary.Varint(part)
+		if n <= 0 || n != len(part) {
+			return fmt.Errorf("worker %d: bad part %x", w, part)
+		}
+		vals[w] = x
+	}
+	total, n := binary.Varint(master)
+	if n <= 0 || n != len(master) {
+		return fmt.Errorf("bad master blob %x", master)
+	}
+	copy(r.vals, vals)
+	r.total = total
+	// The replay reruns supersteps whose hooks already ran.
+	for w := range r.hooks {
+		clear(r.hooks[w])
+	}
+	return nil
+}
+
+func (r *workerStepRun) run() *Stats {
+	eng, err := NewEngineOf(r.opts, nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	stats, err := eng.Run()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return stats
+}
+
+// TestWorkerPlaneWithoutVertices checks the contract of an engine with no
+// vertices on both transports: it runs through quiescent barriers until its
+// master halts it, or until MaxSupersteps when the master never does; each
+// hook runs once per worker per superstep and no vertex is ever active; its
+// worker groups ride under id 0, one header byte per envelope on the memory
+// transport's count; both transports agree; a worker killed at any
+// superstep recovers from a checkpoint to the undisturbed run's values and
+// stats; and NewEngineOf refuses such an engine without a Master, which
+// nothing else would halt.
+func TestWorkerPlaneWithoutVertices(t *testing.T) {
+	const workers, haltAt, steps = 3, 10, 30
+	var runs []*workerStepRun
+	var stats []*Stats
+	for _, transport := range []func() Transport{MemoryTransport, TCPTransport} {
+		r := newWorkerStepRun(t, workers, haltAt, steps, transport(), nil)
+		s := r.run()
+		runs, stats = append(runs, r), append(stats, s)
+		if s.Supersteps != haltAt+1 {
+			t.Fatalf("%d supersteps, want %d: the master halts after superstep %d", s.Supersteps, haltAt+1, haltAt)
+		}
+		for step, ss := range s.PerSuperstep {
+			for w := range r.hooks {
+				if c := r.hooks[w][step]; c != 1 {
+					t.Fatalf("worker %d's hook ran %d times at superstep %d", w, c, step)
+				}
+			}
+			if ss.ActiveVertices != 0 || ss.MaxWorkerActive != 0 {
+				t.Fatalf("superstep %d: %d active vertices", step, ss.ActiveVertices)
+			}
+			// Only every third superstep sends, so the barriers after the
+			// others are quiescent.
+			if sends := step%3 == 0; sends != (ss.MessagesSent > 0) {
+				t.Fatalf("superstep %d sent %d envelopes", step, ss.MessagesSent)
+			}
+		}
+	}
+	if !slices.Equal(runs[0].vals, runs[1].vals) || runs[0].total != runs[1].total {
+		t.Fatalf("values differ across transports: %v/%d in memory, %v/%d over TCP",
+			runs[0].vals, runs[0].total, runs[1].vals, runs[1].total)
+	}
+	for i, m := range stats[0].PerSuperstep {
+		if c := stats[1].PerSuperstep[i]; m.MessagesSent != c.MessagesSent || m.RemoteMessages != c.RemoteMessages {
+			t.Fatalf("superstep %d: %+v in memory, %+v over TCP", i, m, c)
+		}
+	}
+	var wire int64
+	for _, n := range runs[0].wire {
+		wire += n
+	}
+	if got := stats[0].TotalBytes; got != wire {
+		t.Fatalf("memory BytesSent %d, want %d from one-byte id-0 headers and the codec", got, wire)
+	}
+
+	never := newWorkerStepRun(t, workers, -1, 9, nil, nil)
+	if s := never.run(); s.Supersteps != 9 {
+		t.Fatalf("a master that never halts ran %d supersteps, want MaxSupersteps 9", s.Supersteps)
+	}
+
+	for _, transport := range []func() Transport{MemoryTransport, TCPTransport} {
+		clean := newWorkerStepRun(t, workers, haltAt, steps, transport(), NewMemoryCheckpointer())
+		cs := clean.run()
+		for kill := 1; kill <= haltAt; kill++ {
+			hurt := newWorkerStepRun(t, workers, haltAt, steps,
+				FaultyTransport(transport(), FaultPlan{KillWorker: 1, KillStep: kill}), NewMemoryCheckpointer())
+			hs := hurt.run()
+			if hs.Recoveries != 1 {
+				t.Fatalf("kill at %d: %d recoveries, want 1", kill, hs.Recoveries)
+			}
+			if !slices.Equal(clean.vals, hurt.vals) || clean.total != hurt.total {
+				t.Fatalf("kill at %d: values %v/%d, want %v/%d", kill, hurt.vals, hurt.total, clean.vals, clean.total)
+			}
+			if !slices.Equal(cs.PerSuperstep, hs.PerSuperstep) {
+				t.Fatalf("kill at %d: per-superstep stats differ:\n%+v\n%+v", kill, cs.PerSuperstep, hs.PerSuperstep)
+			}
+		}
+	}
+
+	headless := newWorkerStepRun(t, workers, haltAt, steps, nil, nil)
+	headless.opts.Master = nil
+	if _, err := NewEngineOf(headless.opts, nil); err == nil {
+		t.Fatal("an engine with no vertices and no Master built")
+	}
+}
